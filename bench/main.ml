@@ -41,11 +41,16 @@ let time engine mode (q : Queries.query) =
 (* Machine-readable results: every recorded data point lands in
    BENCH_results.json next to the human-readable tables.               *)
 
-let json_results : (string * string * float * int * int) list ref = ref []
+(* [extra] appends scenario-specific fields, each value already JSON. *)
+let json_results :
+  (string * string * float * int * int * (string * string) list) list ref =
+  ref []
 
-let record ~scenario ~mode ~elapsed_ms ~switches ~collectors =
+let record_extra ~extra ~scenario ~mode ~elapsed_ms ~switches ~collectors =
   json_results :=
-    (scenario, mode, elapsed_ms, switches, collectors) :: !json_results
+    (scenario, mode, elapsed_ms, switches, collectors, extra) :: !json_results
+
+let record = record_extra ~extra:[]
 
 (* run + record: the figure tables double as JSON data points *)
 let time_r ~scenario engine mode (q : Queries.query) =
@@ -61,13 +66,15 @@ let emit_json () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "[\n";
   List.iteri
-    (fun i (scenario, mode, ms, sw, col) ->
+    (fun i (scenario, mode, ms, sw, col, extra) ->
        if i > 0 then Buffer.add_string buf ",\n";
        Buffer.add_string buf
          (Printf.sprintf
             "  {\"scenario\": %S, \"mode\": %S, \"elapsed_ms\": %.3f, \
-             \"switches\": %d, \"collectors\": %d}"
-            scenario mode ms sw col))
+             \"switches\": %d, \"collectors\": %d%s}"
+            scenario mode ms sw col
+            (String.concat ""
+               (List.map (fun (k, v) -> Printf.sprintf ", %S: %s" k v) extra))))
     (List.rev !json_results);
   Buffer.add_string buf "\n]\n";
   output_string oc (Buffer.contents buf);
@@ -1119,6 +1126,75 @@ let progress_scenario () =
       !mismatches !non_monotone
 
 (* ------------------------------------------------------------------ *)
+(* Optimizer cost: the real price of planning each query, next to the
+   number of candidates the DP costs (what the simulated clock charges,
+   at opt_per_plan_ms each, as Eq. 1's T_opt,estimated).  Each rep plans
+   the bound query on a fresh statistics environment, as Engine.explain
+   and the benchmark's optimizer probe do; wall time is reported as min
+   and median over the reps, allocation as minor words per plan call.
+   The digest of the plan text pins the chosen plan, so two builds can be
+   checked to plan identically.                                         *)
+
+let opt_reps = 7
+
+let opt_scenario () =
+  let module Optimizer = Mqr_opt.Optimizer in
+  let module Stats_env = Mqr_opt.Stats_env in
+  let module Plan = Mqr_opt.Plan in
+  header
+    (Fmt.str "Optimizer cost - each query planned %d times (sf=%g)" opt_reps
+       sf);
+  let engine = engine_for () in
+  let cfg = Engine.dispatcher_config engine ~mode:Dispatcher.Full () in
+  Fmt.pr "%-5s | %7s %9s %12s %12s %9s %10s  %s@." "query" "plans" "sim(ms)"
+    "wall-min(ms)" "wall-med(ms)" "us/plan" "minor(Mw)" "plan digest";
+  List.iter
+    (fun (q : Queries.query) ->
+       let query = Engine.bind_sql engine q.Queries.sql in
+       let runs =
+         List.init opt_reps (fun _ ->
+             let env =
+               Stats_env.create cfg.Dispatcher.catalog
+                 query.Mqr_sql.Query.relations
+             in
+             let w0 = Gc.minor_words () in
+             let t0 = Unix.gettimeofday () in
+             let r =
+               Optimizer.optimize ~options:cfg.Dispatcher.opt_options
+                 ~model:cfg.Dispatcher.model ~env query
+             in
+             let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+             (r, wall_ms, Gc.minor_words () -. w0))
+       in
+       let r, _, _ = List.hd runs in
+       let plans = r.Optimizer.plans_enumerated in
+       let sim_ms =
+         float_of_int plans
+         *. cfg.Dispatcher.model.Mqr_storage.Sim_clock.opt_per_plan_ms
+       in
+       let wall_min, wall_med =
+         min_median (List.map (fun (_, w, _) -> w) runs)
+       in
+       let _, minor_med = min_median (List.map (fun (_, _, a) -> a) runs) in
+       let digest =
+         Digest.to_hex (Digest.string (Plan.to_string r.Optimizer.plan))
+       in
+       record_extra ~scenario:("opt/" ^ q.Queries.name) ~mode:"optimize"
+         ~elapsed_ms:sim_ms ~switches:0 ~collectors:0
+         ~extra:
+           [ ("plans_enumerated", string_of_int plans);
+             ("wall_min_ms", Printf.sprintf "%.3f" wall_min);
+             ("wall_median_ms", Printf.sprintf "%.3f" wall_med);
+             ("minor_words", Printf.sprintf "%.0f" minor_med);
+             ("plan_digest", Printf.sprintf "%S" digest) ];
+       Fmt.pr "%-5s | %7d %9.1f %12.2f %12.2f %9.2f %10.2f  %s@." q.Queries.name
+         plans sim_ms wall_min wall_med
+         (1000.0 *. wall_med /. float_of_int (max 1 plans))
+         (minor_med /. 1e6) digest)
+    Queries.all;
+  Engine.shutdown engine
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per figure/table id.       *)
 
 let micro () =
@@ -1197,6 +1273,7 @@ let () =
    | "parallel" -> parallel_scenario ()
    | "service" -> service_scenario ()
    | "progress" -> progress_scenario ()
+   | "opt" -> opt_scenario ()
    | "micro" -> micro ()
    | "figures" ->
      figure10 ();
@@ -1221,12 +1298,13 @@ let () =
      parallel_scenario ();
      service_scenario ();
      progress_scenario ();
+     opt_scenario ();
      micro ()
    | other ->
      Fmt.epr
        "unknown experiment %S (f10 f11 f12 xfig3 sens overhead joins hist \
         hybrid scale rf wlm sanitize bounds trace parallel service progress \
-        micro all)@."
+        opt micro all)@."
        other;
      exit 1)
     which;

@@ -96,13 +96,14 @@ let equijoin_selectivity env ~left ~right =
      | Some d, None | None, Some d when d >= 1.0 -> 1.0 /. d
      | _ -> default_eq)
 
-let rec selectivity env e =
+let rec selectivity ?equijoin env e =
   match e with
-  | Expr.And (a, b) -> clamp (selectivity env a *. selectivity env b)
+  | Expr.And (a, b) ->
+    clamp (selectivity ?equijoin env a *. selectivity ?equijoin env b)
   | Expr.Or (a, b) ->
-    let sa = selectivity env a and sb = selectivity env b in
+    let sa = selectivity ?equijoin env a and sb = selectivity ?equijoin env b in
     clamp (sa +. sb -. (sa *. sb))
-  | Expr.Not a -> clamp (1.0 -. selectivity env a)
+  | Expr.Not a -> clamp (1.0 -. selectivity ?equijoin env a)
   | Expr.Const (Value.Bool true) -> 1.0
   | Expr.Const (Value.Bool false) -> 0.0
   | e ->
@@ -110,7 +111,9 @@ let rec selectivity env e =
      | Expr.S_col_cmp_const (c, op, v) -> clamp (col_cmp_const env c op v)
      | Expr.S_col_between (c, lo, hi) -> clamp (col_between env c lo hi)
      | Expr.S_col_eq_col (a, b) ->
-       clamp (equijoin_selectivity env ~left:a ~right:b)
+       (match equijoin with
+        | Some f -> clamp (f ~left:a ~right:b)
+        | None -> clamp (equijoin_selectivity env ~left:a ~right:b))
      | Expr.S_col_cmp_col (_, _, _) -> default_range
      | Expr.S_udf u ->
        Option.value ~default:default_udf u.Expr.declared_selectivity

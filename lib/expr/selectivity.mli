@@ -20,8 +20,11 @@ type env = {
 (** [selectivity env pred] estimates the fraction of input rows (or of the
     cross product, for join predicates) satisfying [pred].  Conjunctions
     multiply (attribute-value independence); disjunctions use
-    inclusion–exclusion. *)
-val selectivity : env -> Expr.t -> float
+    inclusion–exclusion.  [equijoin], when given, replaces
+    [equijoin_selectivity env] for column-equality conjuncts (the
+    optimizer passes a memoized one); it must return the same estimate. *)
+val selectivity :
+  ?equijoin:(left:string -> right:string -> float) -> env -> Expr.t -> float
 
 (** Estimated number of distinct values of a column, if statistics allow. *)
 val distinct_of_column : env -> string -> float option

@@ -32,6 +32,21 @@ exception Planning_error of string
 (* ------------------------------------------------------------------ *)
 (* Shared context for one optimization run.                            *)
 
+module Str_tbl = Hashtbl.Make (struct
+    type t = string
+    let equal = String.equal
+    let hash = Hashtbl.hash
+  end)
+
+module Int_tbl = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash = Hashtbl.hash
+  end)
+
+(* The memo tables live exactly as long as one [optimize] or [recost]
+   call: between calls the dispatcher layers observed statistics onto the
+   [Stats_env], and a selectivity cached across that would be stale. *)
 type ctx = {
   model : Sim_clock.model;
   env : Stats_env.t;
@@ -40,6 +55,8 @@ type ctx = {
   max_dop : int;
   mutable next_id : int;
   mutable enumerated : int;
+  col_ids : int Str_tbl.t;       (* interned column names *)
+  join_sels : float Int_tbl.t;   (* equi-join selectivity per ordered pair *)
 }
 
 let make_ctx ?(planning_mem = default_options.planning_mem_pages)
@@ -50,7 +67,9 @@ let make_ctx ?(planning_mem = default_options.planning_mem_pages)
     planning_mem;
     max_dop = max 1 max_dop;
     next_id = 0;
-    enumerated = 0 }
+    enumerated = 0;
+    col_ids = Str_tbl.create 32;
+    join_sels = Int_tbl.create 32 }
 
 (* Memory assumed when costing: the grant when one exists, otherwise the
    planning assumption capped by the operator's own maximum. *)
@@ -62,7 +81,28 @@ let fresh_id ctx =
   ctx.next_id <- id + 1;
   id
 
-let sel ctx e = Selectivity.selectivity ctx.sel_env e
+let col_id ctx c =
+  match Str_tbl.find ctx.col_ids c with
+  | i -> i
+  | exception Not_found ->
+    let i = Str_tbl.length ctx.col_ids in
+    Str_tbl.add ctx.col_ids c i;
+    i
+
+(* The histogram estimate walks every bucket pair, and the DP asks for the
+   same pair in thousands of splits.  The pair is ordered: the bucket sums
+   run in a different order for (b, a), so the float may differ. *)
+let equijoin_sel ctx ~left ~right =
+  let key = (col_id ctx left lsl 31) lor col_id ctx right in
+  match Int_tbl.find ctx.join_sels key with
+  | s -> s
+  | exception Not_found ->
+    let s = Selectivity.equijoin_selectivity ctx.sel_env ~left ~right in
+    Int_tbl.add ctx.join_sels key s;
+    s
+
+let sel ctx e =
+  Selectivity.selectivity ~equijoin:(equijoin_sel ctx) ctx.sel_env e
 
 let sel_opt ctx = function None -> 1.0 | Some e -> sel ctx e
 
@@ -150,14 +190,12 @@ let mk_index_scan ctx ~table ~alias ~index_col ~lo ~hi ~filter ~schema
   mk_node ctx (Plan.Index_scan { table; alias; index_col; lo; hi; filter })
     schema ~rows ~op_ms ~children:[] ~min_mem:0 ~max_mem:0 ~mem:0
 
-let join_sel ctx ~keys ~extra =
-  let key_sel =
-    List.fold_left
-      (fun acc (p, b) ->
-         acc *. Selectivity.equijoin_selectivity ctx.sel_env ~left:p ~right:b)
-      1.0 keys
-  in
-  key_sel *. sel_opt ctx extra
+let key_sel ctx keys =
+  List.fold_left
+    (fun acc (p, b) -> acc *. equijoin_sel ctx ~left:p ~right:b)
+    1.0 keys
+
+let join_sel ctx ~keys ~extra = key_sel ctx keys *. sel_opt ctx extra
 
 (* ------------------------------------------------------------------ *)
 (* Runtime-filter annotation (sideways information passing).           *)
@@ -237,10 +275,13 @@ let rf_overhead_ms ~build_rows ~probe_rows rf =
        acc +. Cost_model.runtime_filter_ms ~build_rows ~probe_rows)
     0.0 rf
 
-let mk_hash_join ctx ~build ~probe ~keys ~extra ~mem ~with_rf =
+(* The join constructors take the join selectivity ([join_sel] of their
+   keys and residual) precomputed: the DP evaluates it once per split, not
+   once per candidate pair. *)
+let mk_hash_join ctx ~build ~probe ~keys ~extra ~jsel ~mem ~with_rf =
   let schema = Schema.concat probe.Plan.schema build.Plan.schema in
   let b = build.Plan.est and p = probe.Plan.est in
-  let rows = b.Plan.rows *. p.Plan.rows *. join_sel ctx ~keys ~extra in
+  let rows = b.Plan.rows *. p.Plan.rows *. jsel in
   let rf = rf_annotations ctx ~with_rf ~build ~probe ~keys in
   (* the join's own work shrinks to the filtered probe cardinality; the
      output estimate does not change (the filter only removes tuples that
@@ -285,10 +326,7 @@ let mk_index_nl_join ctx ~outer ~table ~alias ~outer_col ~inner_col
   let r = Stats_env.rel ctx.env ~alias in
   let schema = Schema.concat outer.Plan.schema inner_schema in
   let o = outer.Plan.est in
-  let jsel =
-    Selectivity.equijoin_selectivity ctx.sel_env ~left:outer_col
-      ~right:inner_col
-  in
+  let jsel = equijoin_sel ctx ~left:outer_col ~right:inner_col in
   let fetched = o.Plan.rows *. r.Stats_env.rows *. jsel in
   let rows = fetched *. sel_opt ctx inner_filter *. sel_opt ctx extra in
   let op_ms =
@@ -303,10 +341,10 @@ let mk_index_nl_join ctx ~outer ~table ~alias ~outer_col ~inner_col
        { outer; table; alias; outer_col; inner_col; inner_filter; extra })
     schema ~rows ~op_ms ~children:[ outer ] ~min_mem:0 ~max_mem:0 ~mem:0
 
-let mk_block_nl_join ctx ~outer ~inner ~pred ~mem =
+let mk_block_nl_join ctx ~outer ~inner ~pred ~pred_sel ~mem =
   let schema = Schema.concat outer.Plan.schema inner.Plan.schema in
   let o = outer.Plan.est and i = inner.Plan.est in
-  let rows = o.Plan.rows *. i.Plan.rows *. sel_opt ctx pred in
+  let rows = o.Plan.rows *. i.Plan.rows *. pred_sel in
   let outer_pages = Cost_model.pages ~rows:o.Plan.rows ~width:o.Plan.width in
   let inner_pages = Cost_model.pages ~rows:i.Plan.rows ~width:i.Plan.width in
   let min_mem, max_mem = Cost_model.block_nl_join_mem ~outer_pages in
@@ -321,18 +359,17 @@ let mk_block_nl_join ctx ~outer ~inner ~pred ~mem =
 (* A side counts as pre-sorted only when the join has a single key pair and
    the side delivers that key in ascending order; an input ordered by the
    leading column alone is NOT sorted for a multi-key merge. *)
-let side_sorted plan key = List.mem key (Plan.orders_of plan)
+let merge_sorted ~left ~right ~keys =
+  let side_sorted plan key = List.mem key (Plan.orders_of plan) in
+  match keys with
+  | [ (l, r) ] -> (side_sorted left l, side_sorted right r)
+  | _ -> (false, false)
 
-let mk_merge_join ctx ~left ~right ~keys ~extra ~mem ~with_rf =
+let mk_merge_join ctx ~left ~right ~keys ~extra ~jsel ~left_sorted
+    ~right_sorted ~mem ~with_rf =
   let schema = Schema.concat left.Plan.schema right.Plan.schema in
   let le = left.Plan.est and re = right.Plan.est in
-  let rows = le.Plan.rows *. re.Plan.rows *. join_sel ctx ~keys ~extra in
-  let left_sorted =
-    match keys with [ (l, _) ] -> side_sorted left l | _ -> false
-  in
-  let right_sorted =
-    match keys with [ (_, r) ] -> side_sorted right r | _ -> false
-  in
+  let rows = le.Plan.rows *. re.Plan.rows *. jsel in
   (* the left side plays the hash join's build role: its key set filters
      the right side before the right-side sort *)
   let rf =
@@ -573,57 +610,99 @@ let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~interesting =
 (* [rels] pairs each relation alias with its candidate access paths.  The
    DP keeps, per subset of relations, a small Pareto set: the cheapest plan
    overall plus the cheapest plan delivering each interesting order
-   (System R's interesting orders). *)
+   (System R's interesting orders).
+
+   Per candidate the DP only builds the join node and updates the Pareto
+   set: aliases are bits, interesting orders are small ints, each entry
+   carries the orders its plan delivers, and every estimate that does not
+   depend on the particular left/right pair (key orientation, join
+   selectivity, the inner side of an indexed nested-loops join) is
+   computed once per split.  Candidates are built, counted and numbered in
+   exactly the order the plain per-pair formulation would, so plans, ids
+   and [plans_enumerated] do not depend on these shortcuts. *)
+
+(* A DP entry: a plan and the interesting orders it delivers, as indices
+   into the query's interesting-order list. *)
+type cand = { plan : Plan.t; orders : int list }
+
 let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
   let n = List.length rels in
   if n > 16 then raise (Planning_error "too many relations (max 16)");
-  let alias_bit = List.mapi (fun i (alias, _) -> (alias, 1 lsl i)) rels in
-  let bit_of alias = List.assoc alias alias_bit in
+  let alias_bits = Str_tbl.create 16 in
+  List.iteri
+    (fun i (alias, _) ->
+       if not (Str_tbl.mem alias_bits alias) then
+         Str_tbl.add alias_bits alias (1 lsl i))
+    rels;
+  let bit_of alias = Str_tbl.find alias_bits alias in
   let mask_of owners =
     List.fold_left (fun acc a -> acc lor bit_of a) 0 owners
   in
   let full = (1 lsl n) - 1 in
-  let best : (int, Plan.t list) Hashtbl.t = Hashtbl.create 64 in
-  let cheapest = function
-    | [] -> invalid_arg "cheapest: empty"
-    | p :: rest ->
-      List.fold_left
-        (fun (a : Plan.t) (b : Plan.t) ->
-           if b.Plan.est.Plan.total_ms < a.Plan.est.Plan.total_ms then b else a)
-        p rest
+  let slots = Str_tbl.create 16 in
+  List.iteri (fun i c -> Str_tbl.replace slots c i) interesting;
+  let slot c = Option.value ~default:(-1) (Str_tbl.find_opt slots c) in
+  let delivers (c : cand) o = List.exists (Int.equal o) c.orders in
+  (* Pareto retention: cheapest overall + cheapest provider per order, in
+     one pass.  Ties go to the earlier entry; providers are added in
+     interesting-order sequence, each in front, the overall cheapest last. *)
+  let provider = Array.make (List.length interesting) None in
+  let cheaper (a : cand) (b : cand) =
+    a.plan.Plan.est.Plan.total_ms < b.plan.Plan.est.Plan.total_ms
   in
-  (* Pareto retention: cheapest overall + cheapest provider per order. *)
-  let retained plans =
-    match plans with
+  let retained = function
     | [] -> []
-    | _ ->
-      let keep = ref [ cheapest plans ] in
+    | first :: _ as entries ->
+      Array.fill provider 0 (Array.length provider) None;
+      let best = ref first in
       List.iter
-        (fun o ->
-           match
-             List.filter (fun p -> List.mem o (Plan.orders_of p)) plans
-           with
-           | [] -> ()
-           | providers ->
-             let c = cheapest providers in
-             if not (List.memq c !keep) then keep := c :: !keep)
-        interesting;
-      !keep
+        (fun c ->
+           if cheaper c !best then best := c;
+           List.iter
+             (fun o ->
+                match provider.(o) with
+                | Some p when not (cheaper c p) -> ()
+                | _ -> provider.(o) <- Some c)
+             c.orders)
+        entries;
+      Array.fold_left
+        (fun keep p ->
+           match p with
+           | Some c when not (List.memq c keep) -> c :: keep
+           | _ -> keep)
+        [ !best ] provider
   in
-  let bucket mask = Option.value ~default:[] (Hashtbl.find_opt best mask) in
+  let buckets = Array.make (full + 1) [] in
   let consider mask plan =
-    Hashtbl.replace best mask (retained (plan :: bucket mask))
+    let orders =
+      List.filter_map
+        (fun c -> match slot c with -1 -> None | o -> Some o)
+        (Plan.orders_of plan)
+    in
+    buckets.(mask) <- retained ({ plan; orders } :: buckets.(mask))
   in
-  (* Conjuncts annotated with their owner masks. *)
-  let joins = List.map (fun ci -> (ci, mask_of ci.owners)) join_conjs in
+  (* Conjuncts annotated with their owner masks; an equi-join conjunct
+     also carries its columns and the alias bit of the first. *)
+  let joins =
+    List.map
+      (fun ci ->
+         let eq =
+           match Expr.shape_of ci.expr with
+           | Expr.S_col_eq_col (a, b) ->
+             Some (a, b, bit_of (alias_owning ctx.env a))
+           | _ -> None
+         in
+         ((ci, eq), mask_of ci.owners))
+      join_conjs
+  in
   let complexes = List.map (fun ci -> (ci, mask_of ci.owners)) complex_conjs in
   (* Conjuncts that become applicable exactly when [mask] is assembled by
      joining [s1] and [s2]: owners span both sides. *)
   let spanning all s1 s2 =
     List.filter_map
-      (fun (ci, m) ->
+      (fun (x, m) ->
          if m land s1 <> 0 && m land s2 <> 0 && m land lnot (s1 lor s2) = 0
-         then Some ci
+         then Some x
          else None)
       all
   in
@@ -633,12 +712,16 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     rels;
   (* Scan parameters of a singleton's relation (any of its access paths). *)
   let scan_info_of s2 =
-    match bucket s2 with
-    | { Plan.node = Plan.Seq_scan { table; alias; filter }; _ } :: _
-    | { Plan.node = Plan.Index_scan { table; alias; filter; _ }; _ } :: _ ->
+    match buckets.(s2) with
+    | { plan = { Plan.node = Plan.Seq_scan { table; alias; filter }; _ }; _ }
+      :: _
+    | { plan = { Plan.node = Plan.Index_scan { table; alias; filter; _ }; _ };
+        _ }
+      :: _ ->
       Some (table, alias, filter)
     | _ -> None
   in
+  let with_rf = options.enable_runtime_filters in
   (* Subsets in increasing popcount order: iterating masks ascending works
      because any strict submask is numerically smaller. *)
   for mask = 1 to full do
@@ -646,58 +729,72 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
       (* all ordered splits (s1 = probe/outer side, s2 = build/inner) *)
       let s1 = ref (mask land (mask - 1)) in
       while !s1 > 0 do
-        let s2 = mask lxor !s1 in
-        let lefts = bucket !s1 and rights = bucket s2 in
-        let conns = spanning joins !s1 s2 in
-        let cplx = spanning complexes !s1 s2 in
+        let s1v = !s1 in
+        let s2 = mask lxor s1v in
+        let lefts = buckets.(s1v) and rights = buckets.(s2) in
+        let conns = spanning joins s1v s2 in
         let bushy_ok =
           options.enable_bushy || s2 land (s2 - 1) = 0 (* right singleton *)
         in
-        if lefts <> [] && rights <> [] && bushy_ok && conns <> [] then begin
-          (* split conjuncts into equality keys and residual *)
+        if
+          bushy_ok
+          && not (List.is_empty lefts || List.is_empty rights
+                  || List.is_empty conns)
+        then begin
+          (* split conjuncts into equality keys (probe side first) and
+             residual *)
           let keys, residual =
             List.partition_map
-              (fun ci ->
-                 match Expr.shape_of ci.expr with
-                 | Expr.S_col_eq_col (a, b) ->
-                   let a_owner = alias_owning ctx.env a in
-                   if bit_of a_owner land !s1 <> 0 then Left (a, b)
-                   else Left (b, a)
-                 | _ -> Right ci.expr)
+              (fun (ci, eq) ->
+                 match eq with
+                 | Some (a, b, a_bit) ->
+                   if a_bit land s1v <> 0 then Left (a, b) else Left (b, a)
+                 | None -> Right ci.expr)
               conns
           in
+          let cplx = spanning complexes s1v s2 in
           let extra_list = residual @ List.map (fun ci -> ci.expr) cplx in
           let extra =
             match extra_list with [] -> None | l -> Some (Expr.conjoin l)
+          in
+          let extra_sel = sel_opt ctx extra in
+          let jsel = key_sel ctx keys *. extra_sel in
+          let has_keys = not (List.is_empty keys) in
+          (* a merge input is pre-sorted only on a single-pair key *)
+          let left_key, right_key =
+            match keys with [ (l, r) ] -> (slot l, slot r) | _ -> (-1, -1)
           in
           List.iter
             (fun left ->
                List.iter
                  (fun right ->
-                    if keys <> [] then begin
+                    if has_keys then begin
                       ctx.enumerated <- ctx.enumerated + 1;
                       consider mask
-                        (mk_hash_join ctx ~build:right ~probe:left ~keys
-                           ~extra ~mem:0
-                           ~with_rf:options.enable_runtime_filters);
+                        (mk_hash_join ctx ~build:right.plan ~probe:left.plan
+                           ~keys ~extra ~jsel ~mem:0 ~with_rf);
                       if options.enable_merge_join then begin
                         ctx.enumerated <- ctx.enumerated + 1;
                         consider mask
-                          (mk_merge_join ctx ~left ~right ~keys ~extra ~mem:0
-                             ~with_rf:options.enable_runtime_filters)
+                          (mk_merge_join ctx ~left:left.plan ~right:right.plan
+                             ~keys ~extra ~jsel
+                             ~left_sorted:(delivers left left_key)
+                             ~right_sorted:(delivers right right_key)
+                             ~mem:0 ~with_rf)
                       end
                     end
                     else begin
                       (* connected only through non-equi predicates *)
                       ctx.enumerated <- ctx.enumerated + 1;
                       consider mask
-                        (mk_block_nl_join ctx ~outer:left ~inner:right
-                           ~pred:extra ~mem:0)
+                        (mk_block_nl_join ctx ~outer:left.plan
+                           ~inner:right.plan ~pred:extra ~pred_sel:extra_sel
+                           ~mem:0)
                     end)
                  rights;
                (* indexed nested loops: inner side must be a single base
                   relation with an index on its key column *)
-               if keys <> [] && options.enable_index_join
+               if has_keys && options.enable_index_join
                && s2 land (s2 - 1) = 0
                then begin
                  match scan_info_of s2 with
@@ -706,12 +803,16 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
                    List.iter
                      (fun (outer_col, inner_col) ->
                         let info = Stats_env.rel ctx.env ~alias in
-                        if List.mem inner_col info.Stats_env.indexed_cols
+                        if
+                          List.exists (String.equal inner_col)
+                            info.Stats_env.indexed_cols
                         then begin
                           ctx.enumerated <- ctx.enumerated + 1;
                           let other_keys =
                             List.filter
-                              (fun (o, i) -> (o, i) <> (outer_col, inner_col))
+                              (fun (o, i) ->
+                                 not (String.equal o outer_col
+                                      && String.equal i inner_col))
                               keys
                           in
                           let extra_all =
@@ -726,23 +827,23 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
                             | l -> Some (Expr.conjoin l)
                           in
                           consider mask
-                            (mk_index_nl_join ctx ~outer:left ~table ~alias
-                               ~outer_col ~inner_col ~inner_filter:filter
-                               ~extra
+                            (mk_index_nl_join ctx ~outer:left.plan ~table
+                               ~alias ~outer_col ~inner_col
+                               ~inner_filter:filter ~extra
                                ~inner_schema:info.Stats_env.rel_schema)
                         end)
                      keys
                end)
             lefts
         end;
-        s1 := (!s1 - 1) land mask
+        s1 := (s1v - 1) land mask
       done;
       (* Cross-product fallback when nothing connected this subset. *)
-      if not (Hashtbl.mem best mask) then begin
+      if List.is_empty buckets.(mask) then begin
         let s1 = ref (mask land (mask - 1)) in
         while !s1 > 0 do
           let s2 = mask lxor !s1 in
-          (match bucket !s1, bucket s2 with
+          (match buckets.(!s1), buckets.(s2) with
            | left :: _, right :: _ ->
              let cplx = spanning complexes !s1 s2 in
              let pred =
@@ -752,16 +853,17 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
              in
              ctx.enumerated <- ctx.enumerated + 1;
              consider mask
-               (mk_block_nl_join ctx ~outer:left ~inner:right ~pred ~mem:0)
+               (mk_block_nl_join ctx ~outer:left.plan ~inner:right.plan ~pred
+                  ~pred_sel:(sel_opt ctx pred) ~mem:0)
            | _ -> ());
           s1 := (!s1 - 1) land mask
         done
       end
     end
   done;
-  match bucket full with
+  match buckets.(full) with
   | [] -> raise (Planning_error "join enumeration produced no plan")
-  | plans -> plans
+  | entries -> List.map (fun c -> c.plan) entries
 
 (* ------------------------------------------------------------------ *)
 (* Full query planning.                                                *)
@@ -925,7 +1027,7 @@ let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
           ~schema:p.Plan.schema ~index_sel:used_sel
       | Plan.Hash_join { build; probe; keys; extra; rf } ->
         mk_hash_join ctx ~build:(go build) ~probe:(go probe) ~keys ~extra
-          ~mem:keep_mem ~with_rf:(rf <> [])
+          ~jsel:(join_sel ctx ~keys ~extra) ~mem:keep_mem ~with_rf:(rf <> [])
       | Plan.Index_nl_join
           { outer; table; alias; outer_col; inner_col; inner_filter; extra } ->
         let info = Stats_env.rel ctx.env ~alias in
@@ -934,9 +1036,12 @@ let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
           ~inner_schema:info.Stats_env.rel_schema
       | Plan.Block_nl_join { outer; inner; pred } ->
         mk_block_nl_join ctx ~outer:(go outer) ~inner:(go inner) ~pred
-          ~mem:keep_mem
+          ~pred_sel:(sel_opt ctx pred) ~mem:keep_mem
       | Plan.Merge_join { left; right; keys; extra; rf; _ } ->
-        mk_merge_join ctx ~left:(go left) ~right:(go right) ~keys ~extra
+        let left = go left and right = go right in
+        let left_sorted, right_sorted = merge_sorted ~left ~right ~keys in
+        mk_merge_join ctx ~left ~right ~keys ~extra
+          ~jsel:(join_sel ctx ~keys ~extra) ~left_sorted ~right_sorted
           ~mem:keep_mem ~with_rf:(rf <> [])
       | Plan.Aggregate { input; group_by; aggs; _ } ->
         mk_aggregate ctx ~input:(go input) ~group_by ~aggs ~mem:keep_mem

@@ -15,6 +15,9 @@ type rel_info = {
 
 type t = {
   mutable rels : rel_info list;
+  columns : (string, Column_stats.t) Hashtbl.t;
+      (* catalog statistics by qualified column: the first relation (and
+         the first entry within it) to list a column wins *)
   overrides : (string, Column_stats.t) Hashtbl.t;
   local_selectivity : (string, float) Hashtbl.t;  (* by relation alias *)
 }
@@ -59,7 +62,17 @@ let rel_info_of catalog (r : Query.relation) =
     indexed_cols }
 
 let create catalog relations =
-  { rels = List.map (rel_info_of catalog) relations;
+  let rels = List.map (rel_info_of catalog) relations in
+  let columns = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+       List.iter
+         (fun (c, s) ->
+            if not (Hashtbl.mem columns c) then Hashtbl.add columns c s)
+         r.col_stats)
+    rels;
+  { rels;
+    columns;
     overrides = Hashtbl.create 16;
     local_selectivity = Hashtbl.create 4 }
 
@@ -84,8 +97,7 @@ let override_rows t ~alias ~rows =
 let stats_of t column =
   match Hashtbl.find_opt t.overrides column with
   | Some s -> Some s
-  | None ->
-    List.find_map (fun r -> List.assoc_opt column r.col_stats) t.rels
+  | None -> Hashtbl.find_opt t.columns column
 
 let selectivity_env t = { Mqr_expr.Selectivity.stats_of = stats_of t }
 

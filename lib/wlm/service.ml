@@ -342,11 +342,16 @@ let regrant t =
        | None -> ())
     order
 
+(* Every terminal path (completion, failure, cancellation) ends here.  The
+   run is dropped: [t.all] keeps each finished statement for reporting,
+   and a kept run would pin its whole execution state, buffer pool
+   included, for the life of the service. *)
 let retire t (s : Session.stmt) =
   t.running <-
     List.filter
       (fun (o : Session.stmt) -> o.Session.stmt_id <> s.Session.stmt_id)
       t.running;
+  s.Session.stmt_run <- None;
   Broker.release t.broker ~id:s.Session.stmt_id;
   refresh_activity t s.Session.stmt_tenant;
   metric t "svc.%s.broker_waits" s.Session.stmt_tenant (fun m name ->

@@ -45,6 +45,9 @@ type stmt = {
   mutable stmt_status : status;
   mutable stmt_query : Mqr_sql.Query.t option;
   mutable stmt_run : Mqr_core.Dispatcher.run option;
+      (** set only while [Running]: the service drops the run (and with it
+          the statement's buffer pool and operator state) as soon as the
+          statement finishes, so finished statements stay small *)
   mutable stmt_progress : Mqr_obs.Progress.t option;
       (** per-statement progress/ETA estimator, attached by the service at
           submission and fed by the dispatcher at every decision point *)

@@ -1,0 +1,86 @@
+(* Golden-file driver for the optimizer: plan every benchmark query on a
+   seeded sf=0.005 experiment catalog under each option variant and print
+   the chosen plan, its node ids (pre-order), the number of plans the DP
+   enumerated and a digest of every node's estimates at full float
+   precision.  The optimizer is deterministic, so the output is byte-stable
+   and `dune promote` maintains the golden; any change to join
+   enumeration that alters a plan, an id, an estimate or the enumeration
+   count shows up as a diff.  A final case re-costs one plan after
+   overriding statistics, as the re-optimizer does mid-query.
+
+     opt_golden > opt_plans.txt *)
+
+open Mqr_storage
+module Catalog = Mqr_catalog.Catalog
+module Column_stats = Mqr_catalog.Column_stats
+module Parser = Mqr_sql.Parser
+module Query = Mqr_sql.Query
+module Optimizer = Mqr_opt.Optimizer
+module Stats_env = Mqr_opt.Stats_env
+module Plan = Mqr_opt.Plan
+module Queries = Mqr_tpcd.Queries
+module Workload = Mqr_tpcd.Workload
+
+let variants =
+  let d = Optimizer.default_options in
+  [ ("default", d);
+    ("rf", { d with Optimizer.enable_runtime_filters = true });
+    ("dop4", { d with Optimizer.max_dop = 4 });
+    ("no-bushy", { d with Optimizer.enable_bushy = false });
+    ("no-merge", { d with Optimizer.enable_merge_join = false });
+    ("no-index", { d with Optimizer.enable_index_join = false });
+    ("mem8", { d with Optimizer.planning_mem_pages = 8 }) ]
+
+let digest plan =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (n : Plan.t) ->
+       let e = n.Plan.est in
+       Printf.bprintf buf "%d %h %h %h %h %d %d %d %d;" n.Plan.id e.Plan.rows
+         e.Plan.width e.Plan.op_ms e.Plan.total_ms n.Plan.min_mem
+         n.Plan.max_mem n.Plan.mem n.Plan.dop)
+    (Plan.nodes plan);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let print_plan ~title ?enumerated plan =
+  Printf.printf "== %s%s\n" title
+    (match enumerated with
+     | Some n -> Printf.sprintf " plans_enumerated=%d" n
+     | None -> "");
+  print_string (Plan.to_string plan);
+  Printf.printf "ids %s\n"
+    (String.concat " "
+       (List.map
+          (fun (n : Plan.t) -> string_of_int n.Plan.id)
+          (Plan.nodes plan)));
+  Printf.printf "est %s\n\n" (digest plan)
+
+let () =
+  let catalog = Workload.experiment_catalog ~sf:0.005 () in
+  let bind sql = Query.bind catalog (Parser.parse sql) in
+  let model = Sim_clock.default_model in
+  List.iter
+    (fun (q : Queries.query) ->
+       let query = bind q.Queries.sql in
+       List.iter
+         (fun (name, options) ->
+            let env = Stats_env.create catalog query.Query.relations in
+            let r = Optimizer.optimize ~options ~model ~env query in
+            print_plan
+              ~title:(Printf.sprintf "%s %s" q.Queries.name name)
+              ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)
+         variants)
+    Queries.all;
+  (* re-costing under observed statistics: orders turned out 3x larger
+     than believed and its customer keys cover a narrow band *)
+  let query = bind Queries.q5.Queries.sql in
+  let env = Stats_env.create catalog query.Query.relations in
+  let r = Optimizer.optimize ~model ~env query in
+  let orders = Stats_env.rel env ~alias:"orders" in
+  Stats_env.override_rows env ~alias:"orders"
+    ~rows:(3.0 *. orders.Stats_env.rows);
+  Stats_env.override env ~column:"orders.o_custkey"
+    (Column_stats.analyze
+       (List.init 200 (fun i -> Value.Int (1 + (i mod 40)))));
+  print_plan ~title:"Q5 recost after override"
+    (Optimizer.recost ~model ~env r.Optimizer.plan)

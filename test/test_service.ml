@@ -7,6 +7,7 @@ module Optimizer = Mqr_opt.Optimizer
 module Service = Mqr_wlm.Service
 module Session = Mqr_wlm.Session
 module Broker = Mqr_wlm.Broker
+module Monitor = Mqr_wlm.Monitor
 module Queries = Mqr_tpcd.Queries
 module Tpcd = Mqr_tpcd.Workload
 
@@ -260,6 +261,82 @@ let test_shutdown_idempotent () =
   Engine.shutdown eng;
   Engine.shutdown eng
 
+(* --- soak: finished statements do not pin their runs --- *)
+
+(* The same arrivals replayed episode after episode on one long-lived
+   service: [t.all] keeps every finished statement, so the live heap
+   stays flat only if each one let go of its dispatcher run. *)
+let test_soak_heap_flat () =
+  let eng = engine () in
+  let svc = service eng in
+  Service.add_tenant svc ~slo:Session.Batch "etl";
+  Service.add_tenant svc ~slo:Session.Interactive "web";
+  let e = Service.open_session svc ~tenant:"etl" in
+  let w = Service.open_session svc ~tenant:"web" in
+  (* the service benchmark's mix: batch Q5/Q7/Q8, interactive Q1/Q3/Q6/Q10 *)
+  let arrivals =
+    List.mapi
+      (fun i (sess, label) -> (sess, label, 5.0 *. float_of_int i))
+      [ (e, "q5"); (w, "q1"); (w, "q3"); (e, "q7"); (w, "q6"); (w, "q10");
+        (e, "q8"); (w, "q3"); (w, "q6"); (e, "q5"); (w, "q10"); (w, "q1") ]
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let episode () =
+    let t0 = Service.now_ms svc in
+    List.iter
+      (fun (sess, label, at) ->
+         ignore
+           (Session.submit ~label ~arrival_ms:(t0 +. at) sess
+              (sql (String.uppercase_ascii label))))
+      arrivals;
+    Service.drain svc;
+    live_words ()
+  in
+  let first = episode () in
+  let later = List.init 4 (fun _ -> episode ()) in
+  let stmts = Session.statements e @ Session.statements w in
+  Alcotest.(check int) "five episodes of twelve statements" 60
+    (List.length stmts);
+  assert_all_done e;
+  assert_all_done w;
+  List.iter
+    (fun (s : Session.stmt) ->
+       Alcotest.(check bool)
+         (Printf.sprintf "#%d %s dropped its run" s.Session.stmt_id
+            s.Session.stmt_label)
+         true (Option.is_none s.Session.stmt_run))
+    stmts;
+  let occurrences sub s =
+    let n = String.length sub in
+    let rec go i acc =
+      if i + n > String.length s then acc
+      else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  let view = Monitor.to_json svc Monitor.Statements in
+  Alcotest.(check int) "statements view: every finished statement holds 0 pages"
+    (List.length stmts) (occurrences "\"pages\": 0," view);
+  List.iter
+    (fun tenant ->
+       Alcotest.(check int) (tenant ^ " holds no transient pages") 0
+         (Service.tenant_pages_in_flight svc tenant))
+    [ "etl"; "web" ];
+  let limit_words = 2_000_000 / (Sys.word_size / 8) in
+  List.iteri
+    (fun i live ->
+       Alcotest.(check bool)
+         (Printf.sprintf
+            "episode %d live heap within 2 MB of episode 1 (%+d words)" (i + 2)
+            (live - first))
+         true
+         (live - first <= limit_words))
+    later;
+  Engine.shutdown eng
+
 let suite =
   [ Alcotest.test_case "rows match solo execution" `Quick
       test_rows_match_solo;
@@ -274,4 +351,6 @@ let suite =
     Alcotest.test_case "failure isolated" `Quick test_failure_isolated;
     Alcotest.test_case "sanitizer clean under service" `Quick
       test_sanitize_clean;
-    Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent ]
+    Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
+    Alcotest.test_case "soak: live heap flat across episodes" `Quick
+      test_soak_heap_flat ]
