@@ -466,7 +466,10 @@ let runtime_filters () =
      results are identical.@."
 
 (* ------------------------------------------------------------------ *)
-(* Workload manager: a concurrent batch against the serial baseline.   *)
+(* Workload manager: a concurrent batch against the serial baseline, both
+   through the query service's round-robin scheduler.  With one slot the
+   broker's admission floor is the whole budget, so the serial run gives
+   every query all of it, one at a time.                               *)
 
 let wlm () =
   header
@@ -474,47 +477,51 @@ let wlm () =
        "Workload manager - 4-query batch, serial fixed budget vs shared \
         broker (budget=%d pages)"
        budget_pages);
-  let module Wl = Mqr_wlm.Workload in
-  let specs =
-    List.map
-      (fun name -> Wl.spec ~label:name (Queries.find name).Queries.sql)
-      [ "Q3"; "Q5"; "Q7"; "Q10" ]
+  let module Service = Mqr_wlm.Service in
+  let module Session = Mqr_wlm.Session in
+  let run ~max_concurrency ~feedback =
+    let svc =
+      Service.create
+        ~options:
+          { Service.default_options with
+            Service.max_concurrency;
+            policy = Service.Round_robin;
+            feedback }
+        (engine_for ())
+    in
+    Service.add_tenant svc ~slo:Session.Batch "batch";
+    let session = Service.open_session svc ~tenant:"batch" in
+    List.iter
+      (fun name ->
+         ignore
+           (Session.submit ~label:name session (Queries.find name).Queries.sql))
+      [ "Q3"; "Q5"; "Q7"; "Q10" ];
+    Service.drain svc;
+    Service.report svc
   in
-  let serial =
-    Wl.run
-      ~options:
-        { Wl.default_options with
-          Wl.max_concurrency = 1;
-          memory = Wl.Fixed_per_query budget_pages;
-          feedback = false }
-      (engine_for ()) specs
-  in
-  let conc =
-    Wl.run
-      ~options:
-        { Wl.default_options with
-          Wl.max_concurrency = 4;
-          memory = Wl.Shared_broker }
-      (engine_for ()) specs
-  in
-  Fmt.pr "serial (one at a time, fixed %d pages each):@.%a@.@." budget_pages
-    Wl.pp serial;
+  let serial = run ~max_concurrency:1 ~feedback:false in
+  let conc = run ~max_concurrency:4 ~feedback:true in
+  Fmt.pr "serial (one at a time, all %d pages each):@.%a@.@." budget_pages
+    Service.pp_report serial;
   Fmt.pr "concurrent (broker leases over the same %d pages):@.%a@.@."
-    budget_pages Wl.pp conc;
-  Fmt.pr "makespan %.1f ms -> %.1f ms  (%.2fx)%s@." serial.Wl.makespan_ms
-    conc.Wl.makespan_ms
-    (serial.Wl.makespan_ms /. conc.Wl.makespan_ms)
-    (if conc.Wl.makespan_ms < serial.Wl.makespan_ms then ""
+    budget_pages Service.pp_report conc;
+  Fmt.pr "makespan %.1f ms -> %.1f ms  (%.2fx)%s@." serial.Service.makespan_ms
+    conc.Service.makespan_ms
+    (serial.Service.makespan_ms /. conc.Service.makespan_ms)
+    (if conc.Service.makespan_ms < serial.Service.makespan_ms then ""
      else "  ** NO IMPROVEMENT **");
-  let total f (r : Wl.report) =
-    List.fold_left (fun acc (q : Wl.query_result) -> acc + f q.Wl.report) 0
-      r.Wl.results
+  let total f (r : Service.report) =
+    List.fold_left
+      (fun acc (s : Session.stmt) ->
+         match s.Session.stmt_status with
+         | Session.Done d -> acc + f d
+         | _ -> acc)
+      0 r.Service.statements
   in
-  let rec_wl mode (r : Wl.report) =
-    record ~scenario:"wlm/4q-batch" ~mode ~elapsed_ms:r.Wl.makespan_ms
-      ~switches:(total (fun (d : Dispatcher.report) -> d.Dispatcher.switches) r)
-      ~collectors:
-        (total (fun (d : Dispatcher.report) -> d.Dispatcher.collectors) r)
+  let rec_wl mode (r : Service.report) =
+    record ~scenario:"wlm/4q-batch" ~mode ~elapsed_ms:r.Service.makespan_ms
+      ~switches:(total (fun d -> d.Dispatcher.switches) r)
+      ~collectors:(total (fun d -> d.Dispatcher.collectors) r)
   in
   rec_wl "serial-fixed" serial;
   rec_wl "broker" conc
@@ -814,7 +821,7 @@ let parallel_scenario () =
 (* Query service: mixed interactive + batch tenants on one engine.  A
    web tenant (interactive SLO) and an etl tenant (batch SLO) share the
    broker and the domain pool; the batch tenant's join-heavy statements
-   arrive first and hold the machine.  Round-robin is the PR 1 baseline
+   arrive first and hold the machine.  Round-robin is the batch scheduler
    (FIFO admission, global broker); slo-aware adds EDF admission over
    deadlines plus per-tenant fair-share memory floors, and must pull the
    interactive p99 down without changing a single result row.  Rows are

@@ -461,68 +461,51 @@ let load_repl_cmd =
   in
   Cmd.v info Term.(const action $ db_arg $ budget_arg)
 
+let concurrency_arg =
+  let doc = "Maximum number of statements executing at once." in
+  Arg.(value & opt int 4 & info [ "concurrency" ] ~docv:"N" ~doc)
+
+let queue_arg =
+  let doc = "Admission-queue capacity; further statements are shed." in
+  Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
+
 let workload_cmd =
-  let module Wl = Mqr_wlm.Workload in
+  let module Service = Mqr_wlm.Service in
+  let module Session = Mqr_wlm.Session in
   let queries_arg =
     let doc =
       "Queries to submit, in order (benchmark names like Q5, or SQL text)."
     in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"QUERY" ~doc)
   in
-  let concurrency_arg =
-    let doc = "Maximum number of queries executing at once." in
-    Arg.(value & opt int 4 & info [ "concurrency" ] ~docv:"N" ~doc)
-  in
-  let queue_arg =
-    let doc = "Run-queue capacity; further queries are rejected." in
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let fixed_arg =
-    let doc =
-      "Give every query its own fixed budget of PAGES instead of leasing \
-       from the shared memory broker."
-    in
-    Arg.(value & opt (some int) None & info [ "fixed-pages" ] ~docv:"PAGES" ~doc)
-  in
   let no_feedback_arg =
     let doc = "Disable the cross-query statistics feedback cache." in
     Arg.(value & flag & info [ "no-feedback" ] ~doc)
   in
-  let jitter_arg =
-    let doc = "Add a uniform random arrival delay of up to MS milliseconds." in
-    Arg.(value & opt float 0.0 & info [ "jitter" ] ~docv:"MS" ~doc)
-  in
-  let seed_arg =
-    let doc = "Seed for the arrival jitter." in
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
-  in
-  let action queries sf skew budget mode pristine concurrency queue fixed
-      no_feedback jitter seed trace_out parallel =
+  let action queries sf skew budget mode pristine concurrency queue
+      no_feedback trace_out parallel =
     friendly @@ fun () ->
     let tr = Option.map (fun _ -> Trace.create ()) trace_out in
     let engine = make_engine ~parallel ~sf ~skew ~budget ~pristine () in
-    let specs =
-      List.map
-        (fun q ->
-           let sql = resolve_sql q in
-           (* benchmark names label themselves; raw SQL gets q<n> *)
-           let label = if sql = q then "" else q in
-           Wl.spec ~label ~mode sql)
-        queries
-    in
     let options =
-      { Wl.max_concurrency = concurrency;
+      { Service.default_options with
+        Service.max_concurrency = concurrency;
         max_queue = queue;
-        memory =
-          (match fixed with
-           | Some pages -> Wl.Fixed_per_query pages
-           | None -> Wl.Shared_broker);
-        feedback = not no_feedback;
-        arrival_jitter_ms = jitter;
-        seed }
+        policy = Service.Round_robin;
+        feedback = not no_feedback }
     in
-    let report = Wl.run ~options ?trace:tr engine specs in
-    Fmt.pr "%a@." Wl.pp report;
+    let svc = Service.create ~options ?trace:tr engine in
+    Service.add_tenant svc ~slo:Session.Batch "batch";
+    let session = Service.open_session svc ~tenant:"batch" in
+    List.iter
+      (fun q ->
+         let sql = resolve_sql q in
+         (* benchmark names label themselves; raw SQL gets q<n> *)
+         let label = if sql = q then "" else q in
+         ignore (Session.submit ~label ~mode session sql))
+      queries;
+    Service.drain svc;
+    Fmt.pr "%a@." Service.pp_report (Service.report svc);
     Engine.shutdown engine;
     match tr, trace_out with
     | Some tr, Some file -> export_chrome tr file
@@ -531,14 +514,14 @@ let workload_cmd =
   let info =
     Cmd.info "workload"
       ~doc:
-        "Run a batch of queries concurrently under the workload manager \
-         (admission control, shared memory broker, statistics feedback)."
+        "Run a batch of queries concurrently through the query service \
+         (round-robin scheduling, admission control, shared memory broker, \
+         statistics feedback)."
   in
   Cmd.v info
     Term.(const action $ queries_arg $ sf_arg $ skew_arg $ budget_arg
-          $ mode_arg $ pristine_arg $ concurrency_arg $ queue_arg $ fixed_arg
-          $ no_feedback_arg $ jitter_arg $ seed_arg $ trace_out_arg
-          $ parallel_arg)
+          $ mode_arg $ pristine_arg $ concurrency_arg $ queue_arg
+          $ no_feedback_arg $ trace_out_arg $ parallel_arg)
 
 (* The query service: a long-lived multi-tenant scheduler driven by a
    line protocol.  Interactive over stdin, scripted via --driver FILE
@@ -559,21 +542,14 @@ let serve_cmd =
                byte-deterministic." in
     Arg.(value & flag & info [ "wall" ] ~doc)
   in
-  let concurrency_arg =
-    let doc = "Maximum number of statements executing at once." in
-    Arg.(value & opt int 4 & info [ "concurrency" ] ~docv:"N" ~doc)
-  in
-  let queue_arg =
-    let doc = "Admission-queue capacity; further statements are shed." in
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
-  in
   let policy_arg =
     let policies =
       [ ("slo-aware", Service.Slo_aware); ("round-robin", Service.Round_robin) ]
     in
     let doc = "Scheduling policy: slo-aware (EDF admission over SLO \
                deadlines, tenant fair-share memory floors) or round-robin \
-               (FIFO admission, global broker: the pre-service baseline)." in
+               (FIFO admission, global broker: the batch scheduler behind \
+               the workload command)." in
     Arg.(value & opt (enum policies) Service.Slo_aware & info [ "policy" ] ~doc)
   in
   (* first whitespace-separated token, and the trimmed remainder (which

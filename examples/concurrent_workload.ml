@@ -1,51 +1,57 @@
-(* A batch of TPC-D queries through the workload manager, twice: once
-   serially with a fixed per-query budget, then concurrently with the
-   shared memory broker and cross-query statistics feedback.  The broker
-   leases slices of one global page budget to the running queries, and
-   pages freed by a finished query are re-granted to the others — so the
-   batch overlaps and the simulated makespan drops well below the serial
-   sum, while every query returns exactly the same rows.
+(* A batch of TPC-D queries through the query service, twice: once
+   serially (one slot, so each query gets the whole page budget in turn),
+   then concurrently with the shared memory broker and cross-query
+   statistics feedback.  The broker leases slices of one global page
+   budget to the running queries, and pages freed by a finished query are
+   re-granted to the others — so the batch overlaps and the simulated
+   makespan drops well below the serial sum, while every query returns
+   exactly the same rows.
 
      dune exec examples/concurrent_workload.exe *)
 
 module Engine = Mqr_core.Engine
 module Queries = Mqr_tpcd.Queries
-module Wl = Mqr_wlm.Workload
+module Service = Mqr_wlm.Service
+module Session = Mqr_wlm.Session
 
 let budget_pages = 128
 
-let engine () =
+let run_batch ~max_concurrency ~feedback =
   let catalog = Mqr_tpcd.Workload.experiment_catalog ~sf:0.002 () in
-  Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) catalog
+  let engine =
+    Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) catalog
+  in
+  (* round-robin is the service's batch scheduler: FIFO admission, one
+     execution unit per running query per sweep *)
+  let svc =
+    Service.create
+      ~options:
+        { Service.default_options with
+          Service.max_concurrency;
+          policy = Service.Round_robin;
+          feedback }
+      engine
+  in
+  Service.add_tenant svc ~slo:Session.Batch "batch";
+  let session = Service.open_session svc ~tenant:"batch" in
+  List.iter
+    (fun name ->
+       ignore
+         (Session.submit ~label:name session (Queries.find name).Queries.sql))
+    [ "Q3"; "Q5"; "Q7"; "Q10" ];
+  Service.drain svc;
+  Service.report svc
 
 let () =
-  let batch =
-    List.map
-      (fun name -> Wl.spec ~label:name (Queries.find name).Queries.sql)
-      [ "Q3"; "Q5"; "Q7"; "Q10" ]
-  in
-
   Fmt.pr "== serial: one query at a time, %d pages each ==@." budget_pages;
-  let serial =
-    Wl.run
-      ~options:
-        { Wl.default_options with
-          Wl.max_concurrency = 1;
-          memory = Wl.Fixed_per_query budget_pages;
-          feedback = false }
-      (engine ()) batch
-  in
-  Fmt.pr "%a@.@." Wl.pp serial;
+  let serial = run_batch ~max_concurrency:1 ~feedback:false in
+  Fmt.pr "%a@.@." Service.pp_report serial;
 
   Fmt.pr "== concurrent: broker leases over the same %d pages ==@."
     budget_pages;
-  let conc =
-    Wl.run
-      ~options:{ Wl.default_options with Wl.max_concurrency = 4 }
-      (engine ()) batch
-  in
-  Fmt.pr "%a@.@." Wl.pp conc;
+  let conc = run_batch ~max_concurrency:4 ~feedback:true in
+  Fmt.pr "%a@.@." Service.pp_report conc;
 
   Fmt.pr "makespan: %.1f ms serial -> %.1f ms concurrent (%.2fx)@."
-    serial.Wl.makespan_ms conc.Wl.makespan_ms
-    (serial.Wl.makespan_ms /. conc.Wl.makespan_ms)
+    serial.Service.makespan_ms conc.Service.makespan_ms
+    (serial.Service.makespan_ms /. conc.Service.makespan_ms)

@@ -1,6 +1,6 @@
 (** A long-lived pool of OCaml 5 domains with a work-stealing task queue.
 
-    The pool is spawned once per [Engine] (or [Workload]) and reused for
+    The pool is spawned once per [Engine] and reused for
     every parallel operator; domains are expensive to fork, so operators
     must never spawn their own.  Tasks are closures submitted in batches;
     each batch blocks the submitter until every task has finished and

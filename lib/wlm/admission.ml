@@ -1,5 +1,4 @@
 type 'a item = {
-  priority : int;
   deadline : float;  (* latency-SLO deadline; [infinity] = no deadline *)
   seq : int;
   payload : 'a;
@@ -7,8 +6,7 @@ type 'a item = {
 
 type 'a t = {
   capacity : int;
-  mutable items : 'a item list;  (* sorted: earliest deadline, then higher
-                                    priority, then FIFO *)
+  mutable items : 'a item list;  (* sorted: earliest deadline, then FIFO *)
   mutable next_seq : int;
 }
 
@@ -21,18 +19,15 @@ let is_empty t = t.items = []
 
 (* Earliest-deadline-first: a statement whose SLO clock is running out
    overtakes everything with more slack.  Deadline ties (in particular the
-   deadline-free [infinity] case, which keeps the pre-SLO behaviour
-   byte-identical) fall back to priority, then submission order. *)
+   deadline-free [infinity] case, which makes the queue plain FIFO) fall
+   back to submission order. *)
 let before a b =
-  a.deadline < b.deadline
-  || (a.deadline = b.deadline
-      && (a.priority > b.priority
-          || (a.priority = b.priority && a.seq < b.seq)))
+  a.deadline < b.deadline || (a.deadline = b.deadline && a.seq < b.seq)
 
-let offer ?(deadline = infinity) t ~priority payload =
+let offer ?(deadline = infinity) t payload =
   if length t >= t.capacity then false
   else begin
-    let item = { priority; deadline; seq = t.next_seq; payload } in
+    let item = { deadline; seq = t.next_seq; payload } in
     t.next_seq <- t.next_seq + 1;
     let rec insert = function
       | [] -> [ item ]
@@ -41,18 +36,6 @@ let offer ?(deadline = infinity) t ~priority payload =
     t.items <- insert t.items;
     true
   end
-
-let take t =
-  match t.items with
-  | [] -> None
-  | x :: rest ->
-    t.items <- rest;
-    Some x.payload
-
-let peek t =
-  match t.items with
-  | [] -> None
-  | x :: _ -> Some x.payload
 
 (* Best-ranked item the caller can actually start (per-tenant in-flight
    caps, broker floors): the queue order is preserved for everything

@@ -141,8 +141,8 @@ let add_tenant ?weight ?target_ms t ~slo name =
       tn_min_headroom_ms = infinity;
       tn_queue_ms = 0.0;
       tn_exec_ms = 0.0 };
-  (* fair-share floors are an SLO-aware mechanism; the round-robin
-     baseline keeps the PR 1 global broker behaviour *)
+  (* fair-share floors are an SLO-aware mechanism; the round-robin batch
+     scheduler leases from one global broker pool *)
   if t.options.policy = Slo_aware then
     Broker.register_tenant t.broker ~weight name
 
@@ -448,11 +448,11 @@ let submit_stmt t (s : Session.stmt) =
   else begin
     let deadline =
       match t.options.policy with
-      | Round_robin -> infinity  (* plain FIFO: the PR 1 baseline *)
+      | Round_robin -> infinity  (* plain FIFO: the batch scheduler *)
       | Slo_aware -> s.Session.stmt_deadline_ms
     in
     Broker.set_tenant_active t.broker s.Session.stmt_tenant true;
-    if Admission.offer ~deadline t.queue ~priority:0 s then update_pending t
+    if Admission.offer ~deadline t.queue s then update_pending t
     else begin
       s.Session.stmt_status <- Session.Shed;
       tn.tn_shed <- tn.tn_shed + 1;

@@ -1,11 +1,11 @@
 (** The query service: a wall-clock scheduler multiplexing N concurrent
     sessions over one engine.
 
-    This is the persistent, multi-tenant front half of the workload
-    manager: tenants register with a latency-SLO class (interactive or
-    batch), open long-lived {!Session}s, and submit statements that the
-    scheduler admits (EDF over SLO deadlines under {!Slo_aware};
-    FIFO + round-robin under {!Round_robin}, the PR 1 baseline),
+    This is the workload manager's one scheduler: tenants register with
+    a latency-SLO class (interactive or batch), open long-lived
+    {!Session}s, and submit statements that the scheduler admits (EDF
+    over SLO deadlines under {!Slo_aware}; FIFO + round-robin under
+    {!Round_robin}, the batch scheduler),
     multiplexes one execution unit at a time over the shared
     {!Mqr_core.Dispatcher} step API, and funds through a tenant-aware
     {!Broker} (weighted fair-share floors, re-grants on completion).
@@ -26,8 +26,8 @@
     [TEN-LIFETIME], the multi-tenant generalization of RF-/PAR-LIFETIME. *)
 
 type policy =
-  | Round_robin  (** FIFO admission, round-robin stepping (PR 1 baseline);
-                     tenants share the broker globally *)
+  | Round_robin  (** FIFO admission, round-robin stepping: the batch
+                     scheduler; tenants share the broker globally *)
   | Slo_aware    (** EDF admission and stepping over SLO deadlines;
                      tenant fair-share floors in the broker *)
 

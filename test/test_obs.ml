@@ -3,7 +3,8 @@
    guarantee (tracing never moves the simulated clock). *)
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
-module Wl = Mqr_wlm.Workload
+module Service = Mqr_wlm.Service
+module Session = Mqr_wlm.Session
 module Queries = Mqr_tpcd.Queries
 module Tpcd = Mqr_tpcd.Workload
 module Trace = Mqr_obs.Trace
@@ -140,41 +141,50 @@ let test_single_query_spans () =
 
 let test_workload_spans_well_formed () =
   let tr = Trace.create () in
-  let e = engine () in
-  let specs =
-    List.map (fun n -> Wl.spec ~label:n (sql n)) [ "Q3"; "Q10"; "Q5" ]
+  let svc =
+    Service.create
+      ~options:
+        { Service.default_options with
+          Service.max_concurrency = 2;
+          policy = Service.Round_robin }
+      ~trace:tr (engine ())
   in
-  let options = { Wl.default_options with Wl.max_concurrency = 2 } in
-  let r = Wl.run ~options ~trace:tr e specs in
-  Alcotest.(check int) "all queries completed" 3 (List.length r.Wl.results);
-  assert_well_formed tr;
-  Alcotest.(check int) "one lane per query" 3 (List.length (Trace.queries tr));
-  Alcotest.(check (list string)) "lanes keep the spec labels"
-    [ "Q3"; "Q10"; "Q5" ]
-    (List.map snd (Trace.queries tr));
-  (* each query's span timestamps are anchored at its admission time *)
+  Service.add_tenant svc ~slo:Session.Batch "batch";
+  let session = Service.open_session svc ~tenant:"batch" in
   List.iter
-    (fun (qr : Wl.query_result) ->
+    (fun n -> ignore (Session.submit ~label:n session (sql n)))
+    [ "Q3"; "Q10"; "Q5" ];
+  Service.drain svc;
+  let stmts = Session.statements session in
+  Alcotest.(check (list string)) "all statements completed"
+    [ "done"; "done"; "done" ]
+    (List.map
+       (fun (s : Session.stmt) -> Session.status_to_string s.Session.stmt_status)
+       stmts);
+  assert_well_formed tr;
+  Alcotest.(check (list string)) "one lane per statement, <tenant>/<label>"
+    [ "batch/Q3"; "batch/Q10"; "batch/Q5" ]
+    (List.map snd (Trace.queries tr));
+  (* each statement's span timestamps are anchored at its admission time *)
+  List.iter
+    (fun (s : Session.stmt) ->
+       let lane = "batch/" ^ s.Session.stmt_label in
        let tid =
-         fst (List.nth (Trace.queries tr) qr.Wl.index)
-       in
-       let begins =
-         List.filter_map
-           (fun (s : Trace.span) ->
-              if s.Trace.sp_tid = tid then Some s.Trace.sp_begin_ms else None)
-           (Trace.spans tr)
+         fst (List.find (fun (_, label) -> label = lane) (Trace.queries tr))
        in
        List.iter
-         (fun b ->
-            Alcotest.(check bool) "span begins after admission" true
-              (b >= qr.Wl.admit_ms -. 1e-9))
-         begins)
-    r.Wl.results;
-  (* queue waits landed in the wlm histogram *)
+         (fun (sp : Trace.span) ->
+            if sp.Trace.sp_tid = tid then
+              Alcotest.(check bool) (lane ^ " span begins after admission")
+                true
+                (sp.Trace.sp_begin_ms >= s.Session.stmt_admit_ms -. 1e-9))
+         (Trace.spans tr))
+    stmts;
+  (* queue waits landed in the tenant's histogram *)
   let m = Trace.metrics tr in
-  match List.assoc_opt "wlm.queue_ms" (Metrics.histograms m) with
-  | Some s -> Alcotest.(check int) "one queue sample per query" 3 s.Metrics.n
-  | None -> Alcotest.fail "wlm.queue_ms histogram missing"
+  match List.assoc_opt "svc.batch.queue_ms" (Metrics.histograms m) with
+  | Some s -> Alcotest.(check int) "one queue sample per statement" 3 s.Metrics.n
+  | None -> Alcotest.fail "svc.batch.queue_ms histogram missing"
 
 (* --- audit ledger vs the dispatcher event log --- *)
 

@@ -1,27 +1,18 @@
-(* Workload manager: broker invariants, admission control, determinism,
-   and concurrent-equals-serial results. *)
+(* Workload manager: broker invariants, admission control, and batches
+   through the service's round-robin scheduler — determinism,
+   concurrent-equals-serial results, and the pinned bench batch. *)
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
 module Broker = Mqr_wlm.Broker
 module Admission = Mqr_wlm.Admission
-module Wl = Mqr_wlm.Workload
+module Service = Mqr_wlm.Service
+module Session = Mqr_wlm.Session
 module Queries = Mqr_tpcd.Queries
 module Tpcd = Mqr_tpcd.Workload
 
 let engine () =
   let catalog = Tpcd.experiment_catalog ~sf:0.001 () in
   Engine.create ~budget_pages:64 ~pool_pages:512 catalog
-
-let specs names =
-  List.map
-    (fun n -> Wl.spec ~label:n (Queries.find n).Queries.sql)
-    names
-
-let serial_options =
-  { Wl.default_options with
-    Wl.max_concurrency = 1;
-    memory = Wl.Fixed_per_query 64;
-    feedback = false }
 
 (* --- broker --- *)
 
@@ -120,148 +111,167 @@ let test_broker_tenant_lease_accounting () =
 
 (* --- admission queue --- *)
 
-let test_admission_priority_order () =
-  let q = Admission.create ~capacity:3 in
-  Alcotest.(check bool) "offer a" true (Admission.offer q ~priority:0 "a");
-  Alcotest.(check bool) "offer b" true (Admission.offer q ~priority:5 "b");
-  Alcotest.(check bool) "offer c" true (Admission.offer q ~priority:5 "c");
-  Alcotest.(check bool) "full" false (Admission.offer q ~priority:9 "d");
-  Alcotest.(check (option string)) "highest priority first" (Some "b")
-    (Admission.take q);
-  Alcotest.(check (option string)) "fifo within a priority" (Some "c")
-    (Admission.take q);
-  Alcotest.(check (option string)) "lowest last" (Some "a") (Admission.take q);
-  Alcotest.(check (option string)) "empty" None (Admission.take q)
+let take q = Admission.take_if q (fun _ -> true)
 
 let test_admission_deadline_order () =
   let q = Admission.create ~capacity:4 in
-  (* no deadline = infinity: priority order is preserved exactly *)
-  Alcotest.(check bool) "offer slack" true
-    (Admission.offer q ~priority:9 "slack");
+  (* no deadline = infinity: waits behind every deadline, FIFO *)
+  Alcotest.(check bool) "offer slack" true (Admission.offer q "slack");
   Alcotest.(check bool) "offer late" true
-    (Admission.offer q ~deadline:100.0 ~priority:0 "late");
+    (Admission.offer q ~deadline:100.0 "late");
   Alcotest.(check bool) "offer soon" true
-    (Admission.offer q ~deadline:5.0 ~priority:0 "soon");
-  (* the tightest deadline overtakes everything, even higher priority *)
+    (Admission.offer q ~deadline:5.0 "soon");
+  Alcotest.(check bool) "offer slack2" true (Admission.offer q "slack2");
+  Alcotest.(check bool) "full" false (Admission.offer q ~deadline:1.0 "shed");
+  (* the tightest deadline overtakes everything queued before it *)
   Alcotest.(check (option string)) "earliest deadline first" (Some "soon")
-    (Admission.take q);
-  Alcotest.(check (option string)) "next deadline" (Some "late")
-    (Admission.take q);
-  Alcotest.(check (option string)) "no deadline last" (Some "slack")
-    (Admission.take q)
+    (take q);
+  Alcotest.(check (option string)) "next deadline" (Some "late") (take q);
+  Alcotest.(check (option string)) "no deadline last" (Some "slack") (take q);
+  Alcotest.(check (option string)) "fifo within a deadline" (Some "slack2")
+    (take q);
+  Alcotest.(check (option string)) "empty" None (take q)
 
 let test_admission_take_if_skips () =
   let q = Admission.create ~capacity:4 in
-  ignore (Admission.offer q ~deadline:5.0 ~priority:0 "capped");
-  ignore (Admission.offer q ~deadline:10.0 ~priority:0 "second");
-  ignore (Admission.offer q ~priority:0 "third");
+  ignore (Admission.offer q ~deadline:5.0 "capped");
+  ignore (Admission.offer q ~deadline:10.0 "second");
+  ignore (Admission.offer q "third");
   (* the head's tenant is at its cap: skip it without reordering *)
   Alcotest.(check (option string)) "best eligible item" (Some "second")
     (Admission.take_if q (fun x -> x <> "capped"));
   Alcotest.(check (option string)) "skipped head still first" (Some "capped")
-    (Admission.take q);
-  Alcotest.(check (option string)) "rest untouched" (Some "third")
-    (Admission.take q);
+    (take q);
+  Alcotest.(check (option string)) "rest untouched" (Some "third") (take q);
   Alcotest.(check bool) "drained" true (Admission.is_empty q)
 
-(* --- workload --- *)
+(* --- batches through the service's round-robin scheduler --- *)
 
-let canonical_by_label (r : Wl.report) =
-  List.map
-    (fun (q : Wl.query_result) ->
-       (q.Wl.label, Reference.canonical q.Wl.report.Dispatcher.rows))
-    r.Wl.results
+(* One batch tenant submits [names] in order, statement [i] arriving at
+   [i * stagger_ms], and the service drains them.  One slot makes the
+   serial baseline: the broker's admission floor is then the whole
+   budget, so each query runs alone with all of it. *)
+let run_batch ?(max_concurrency = 4) ?(max_queue = 64) ?(feedback = true)
+    ?(stagger_ms = 0.0) engine names =
+  let svc =
+    Service.create
+      ~options:
+        { Service.default_options with
+          Service.max_concurrency;
+          max_queue;
+          policy = Service.Round_robin;
+          feedback }
+      engine
+  in
+  Service.add_tenant svc ~slo:Session.Batch "batch";
+  let session = Service.open_session svc ~tenant:"batch" in
+  List.iteri
+    (fun i n ->
+       ignore
+         (Session.submit ~label:n
+            ~arrival_ms:(float_of_int i *. stagger_ms)
+            session (Queries.find n).Queries.sql))
+    names;
+  Service.drain svc;
+  Service.report svc
+
+let serial engine names =
+  run_batch ~max_concurrency:1 ~feedback:false engine names
+
+let stmt_report (s : Session.stmt) =
+  match s.Session.stmt_status with
+  | Session.Done r -> r
+  | _ -> Alcotest.failf "%s not done" s.Session.stmt_label
+
+let stmt_rows s = (stmt_report s).Dispatcher.rows
+
+let batch_tenant (r : Service.report) =
+  List.find (fun tn -> tn.Service.tns_tenant = "batch") r.Service.tenants
 
 let test_concurrent_matches_serial () =
   let names = [ "Q3"; "Q6"; "Q10"; "Q5" ] in
-  let serial = Wl.run ~options:serial_options (engine ()) (specs names) in
-  let conc =
-    Wl.run
-      ~options:{ Wl.default_options with Wl.max_concurrency = 4 }
-      (engine ()) (specs names)
-  in
-  Alcotest.(check int) "all completed" 4 (List.length conc.Wl.results);
+  let serial = serial (engine ()) names in
+  let conc = run_batch (engine ()) names in
+  Alcotest.(check int) "all completed" 4
+    (batch_tenant conc).Service.tns_completed;
   List.iter2
-    (fun (label, serial_rows) (label', conc_rows) ->
-       Alcotest.(check string) "same order" label label';
-       Alcotest.(check (list (list string))) (label ^ " same rows")
-         serial_rows conc_rows)
-    (canonical_by_label serial) (canonical_by_label conc);
-  List.iter2
-    (fun (a : Wl.query_result) (b : Wl.query_result) ->
-       Alcotest.(check bool) (a.Wl.label ^ " bit-identical rows") true
-         (a.Wl.report.Dispatcher.rows = b.Wl.report.Dispatcher.rows))
-    serial.Wl.results conc.Wl.results;
+    (fun (a : Session.stmt) (b : Session.stmt) ->
+       Alcotest.(check string) "same order" a.Session.stmt_label
+         b.Session.stmt_label;
+       Alcotest.(check bool) (a.Session.stmt_label ^ " bit-identical rows")
+         true
+         (stmt_rows a = stmt_rows b))
+    serial.Service.statements conc.Service.statements;
   Alcotest.(check int) "no lease outlives its query" 0
-    conc.Wl.outstanding_leases;
+    conc.Service.outstanding_leases;
   Alcotest.(check bool) "peak within budget" true
-    (conc.Wl.peak_leased_pages <= 64);
+    (conc.Service.peak_leased_pages <= 64);
   Alcotest.(check bool) "overlap beats serial makespan" true
-    (conc.Wl.makespan_ms < serial.Wl.makespan_ms);
+    (conc.Service.makespan_ms < serial.Service.makespan_ms);
   Alcotest.(check bool) "serial batch queues" true
-    (serial.Wl.total_queue_ms > 0.0)
+    ((batch_tenant serial).Service.tns_queue_ms > 0.0)
 
 let test_workload_deterministic () =
-  let names = [ "Q3"; "Q6"; "Q10" ] in
-  let options =
-    { Wl.default_options with
-      Wl.max_concurrency = 2;
-      arrival_jitter_ms = 100.0;
-      seed = 42 }
+  let run () =
+    run_batch ~max_concurrency:2 ~stagger_ms:40.0 (engine ())
+      [ "Q3"; "Q6"; "Q10" ]
   in
-  let r1 = Wl.run ~options (engine ()) (specs names) in
-  let r2 = Wl.run ~options (engine ()) (specs names) in
-  Alcotest.(check (float 0.0)) "same makespan" r1.Wl.makespan_ms
-    r2.Wl.makespan_ms;
+  let r1 = run () and r2 = run () in
+  Alcotest.(check (float 0.0)) "same makespan" r1.Service.makespan_ms
+    r2.Service.makespan_ms;
   List.iter2
-    (fun (a : Wl.query_result) (b : Wl.query_result) ->
-       Alcotest.(check (float 0.0)) (a.Wl.label ^ " same arrival")
-         a.Wl.arrival_ms b.Wl.arrival_ms;
-       Alcotest.(check (float 0.0)) (a.Wl.label ^ " same admit") a.Wl.admit_ms
-         b.Wl.admit_ms;
-       Alcotest.(check (float 0.0)) (a.Wl.label ^ " same finish")
-         a.Wl.finish_ms b.Wl.finish_ms;
-       Alcotest.(check (list (list string))) (a.Wl.label ^ " same rows")
-         (Reference.canonical a.Wl.report.Dispatcher.rows)
-         (Reference.canonical b.Wl.report.Dispatcher.rows))
-    r1.Wl.results r2.Wl.results
+    (fun (a : Session.stmt) (b : Session.stmt) ->
+       let l = a.Session.stmt_label in
+       Alcotest.(check (float 0.0)) (l ^ " same admit") a.Session.stmt_admit_ms
+         b.Session.stmt_admit_ms;
+       Alcotest.(check (float 0.0)) (l ^ " same finish")
+         a.Session.stmt_finish_ms b.Session.stmt_finish_ms;
+       Alcotest.(check bool) (l ^ " bit-identical rows") true
+         (stmt_rows a = stmt_rows b))
+    r1.Service.statements r2.Service.statements
 
 let test_rejection_when_queue_full () =
-  let names = [ "Q6"; "Q6"; "Q6" ] in
-  let options =
-    { serial_options with Wl.max_queue = 1 }
+  let r =
+    run_batch ~max_concurrency:1 ~max_queue:1 ~feedback:false (engine ())
+      [ "Q6"; "Q6"; "Q6" ]
   in
-  let r = Wl.run ~options (engine ()) (specs names) in
-  Alcotest.(check int) "two completed" 2 (List.length r.Wl.results);
-  Alcotest.(check (list (pair int string))) "third was shed" [ (2, "Q6") ]
-    r.Wl.rejected
-
-let test_priority_jumps_the_queue () =
-  let base = (Queries.find "Q6").Queries.sql in
-  let batch =
-    [ Wl.spec ~label:"first" ~priority:0 base;
-      Wl.spec ~label:"low" ~priority:0 base;
-      Wl.spec ~label:"high" ~priority:5 base ]
-  in
-  let r = Wl.run ~options:serial_options (engine ()) batch in
-  let admit label =
-    (List.find (fun (q : Wl.query_result) -> q.Wl.label = label) r.Wl.results)
-      .Wl.admit_ms
-  in
-  Alcotest.(check bool) "high priority admitted before low" true
-    (admit "high" < admit "low")
+  Alcotest.(check (list string)) "third was shed" [ "done"; "done"; "shed" ]
+    (List.map
+       (fun (s : Session.stmt) -> Session.status_to_string s.Session.stmt_status)
+       r.Service.statements);
+  Alcotest.(check int) "one shed" 1 (batch_tenant r).Service.tns_shed
 
 let test_feedback_applies_stats () =
-  let names = [ "Q10"; "Q10" ] in
-  let options =
-    { Wl.default_options with
-      Wl.max_concurrency = 1;
-      memory = Wl.Fixed_per_query 64 }
-  in
-  let r = Wl.run ~options (engine ()) (specs names) in
-  Alcotest.(check bool) "first run published" true (r.Wl.stats_published > 0);
+  let r = run_batch ~max_concurrency:1 (engine ()) [ "Q10"; "Q10" ] in
+  Alcotest.(check bool) "first run published" true
+    (r.Service.stats_published > 0);
   Alcotest.(check bool) "second run applied cached stats" true
-    (r.Wl.stats_applied > 0)
+    (r.Service.stats_applied > 0)
+
+(* The `bench wlm` batch at its own configuration: these two makespans
+   are the workload manager's headline numbers and must not drift. *)
+let test_bench_batch_pinned () =
+  let engine () =
+    let catalog =
+      Tpcd.experiment_catalog ~sf:0.005
+        ~degradations:Tpcd.paper_degradations ()
+    in
+    Engine.create ~budget_pages:200 ~pool_pages:1600 catalog
+  in
+  let names = [ "Q3"; "Q5"; "Q7"; "Q10" ] in
+  let total f (r : Service.report) =
+    List.fold_left (fun acc s -> acc + f (stmt_report s)) 0 r.Service.statements
+  in
+  List.iter
+    (fun (what, r, makespan) ->
+       Alcotest.(check (float 1e-3)) (what ^ " makespan") makespan
+         r.Service.makespan_ms;
+       Alcotest.(check int) (what ^ " switches") 1
+         (total (fun d -> d.Dispatcher.switches) r);
+       Alcotest.(check int) (what ^ " collectors") 40
+         (total (fun d -> d.Dispatcher.collectors) r))
+    [ ("serial", serial (engine ()) names, 19216.335);
+      ("broker", run_batch (engine ()) names, 9840.351) ]
 
 let suite =
   [ Alcotest.test_case "broker never oversubscribes" `Quick
@@ -274,8 +284,6 @@ let suite =
       test_broker_tenant_floors_prevent_starvation;
     Alcotest.test_case "broker tenant lease accounting" `Quick
       test_broker_tenant_lease_accounting;
-    Alcotest.test_case "admission priority order" `Quick
-      test_admission_priority_order;
     Alcotest.test_case "admission deadline order" `Quick
       test_admission_deadline_order;
     Alcotest.test_case "admission take_if skips" `Quick
@@ -286,7 +294,7 @@ let suite =
       test_workload_deterministic;
     Alcotest.test_case "rejection when queue full" `Quick
       test_rejection_when_queue_full;
-    Alcotest.test_case "priority jumps the queue" `Quick
-      test_priority_jumps_the_queue;
     Alcotest.test_case "feedback applies stats" `Quick
-      test_feedback_applies_stats ]
+      test_feedback_applies_stats;
+    Alcotest.test_case "bench 4q-batch makespans pinned" `Quick
+      test_bench_batch_pinned ]
