@@ -217,11 +217,11 @@ let xfig3 () =
   Fmt.pr "normal:       %10.1f ms@." off.Dispatcher.elapsed_ms;
   Fmt.pr "memory-only:  %10.1f ms@." mem.Dispatcher.elapsed_ms;
   List.iter
-    (fun ev ->
+    (fun (_, ev) ->
        match ev with
        | Dispatcher.Ev_realloc _ -> Fmt.pr "  %a@." Dispatcher.pp_event ev
        | _ -> ())
-    mem.Dispatcher.events
+    mem.Dispatcher.timed_events
 
 (* ------------------------------------------------------------------ *)
 (* Extension X-sens: sensitivity to mu and theta2 (thesis [12]).       *)
@@ -800,8 +800,8 @@ let parallel_scenario () =
             let par_ops =
               List.length
                 (List.filter
-                   (function Dispatcher.Ev_parallel _ -> true | _ -> false)
-                   r.Dispatcher.events)
+                   (function _, Dispatcher.Ev_parallel _ -> true | _ -> false)
+                   r.Dispatcher.timed_events)
             in
             Fmt.pr "%-5s | %4d | %12.1f %12.1f %12.1f %9d %10d  %s@." name
               pool_size r.Dispatcher.elapsed_ms wall_min wall_med par_ops

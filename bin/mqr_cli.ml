@@ -166,8 +166,8 @@ let run_cmd =
       report.Dispatcher.switches;
     if verbose then begin
       List.iter
-        (fun ev -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
-        report.Dispatcher.events;
+        (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
+        report.Dispatcher.timed_events;
       Fmt.pr "@.initial plan:@.%s@."
         (Mqr_opt.Plan.to_string report.Dispatcher.initial_plan)
     end;

@@ -25,8 +25,8 @@ let () =
   Fmt.pr "=== pass 2: with Dynamic Re-Optimization ===@.";
   let reopt = Engine.run_sql engine ~mode:Dispatcher.Full q.Queries.sql in
   List.iter
-    (fun ev -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
-    reopt.Dispatcher.events;
+    (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
+    reopt.Dispatcher.timed_events;
   Fmt.pr "completed in %.1f simulated ms (%d collectors, %d plan switches)@.@."
     reopt.Dispatcher.elapsed_ms reopt.Dispatcher.collectors
     reopt.Dispatcher.switches;

@@ -26,8 +26,8 @@ let measure engine =
   let normal = Engine.run_sql engine ~mode:Dispatcher.Off sql in
   let reopt = Engine.run_sql engine ~mode:Dispatcher.Full sql in
   if verbose then
-    List.iter (fun ev -> Fmt.pr "    %a@." Dispatcher.pp_event ev)
-      reopt.Dispatcher.events;
+    List.iter (fun (_, ev) -> Fmt.pr "    %a@." Dispatcher.pp_event ev)
+      reopt.Dispatcher.timed_events;
   (normal.Dispatcher.elapsed_ms, reopt.Dispatcher.elapsed_ms,
    reopt.Dispatcher.switches)
 

@@ -93,7 +93,9 @@ let () =
 
   Fmt.pr "=== dynamic memory re-allocation (paper Section 2.3) ===@.";
   let dyn = Engine.run_sql engine ~mode:Dispatcher.Memory_only sql in
-  List.iter (fun ev -> Fmt.pr "  %a@." Dispatcher.pp_event ev) dyn.Dispatcher.events;
+  List.iter
+    (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
+    dyn.Dispatcher.timed_events;
   Fmt.pr "elapsed: %.1f simulated ms, I/O writes (spills): %d@.@."
     dyn.Dispatcher.elapsed_ms
     dyn.Dispatcher.counters.Sim_clock.writes;

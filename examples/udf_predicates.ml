@@ -72,12 +72,13 @@ let () =
   Fmt.pr "dynamic re-optimization: %10.1f simulated ms (%d collectors, %d switches)@.@."
     reopt.Dispatcher.elapsed_ms reopt.Dispatcher.collectors
     reopt.Dispatcher.switches;
-  List.iter (fun ev -> Fmt.pr "  %a@." Dispatcher.pp_event ev) reopt.Dispatcher.events;
+  List.iter
+    (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
+    reopt.Dispatcher.timed_events;
   (* the point of this example: the optimizer cannot estimate the
      user-defined predicate, and EXPLAIN ANALYZE shows how far off it was
      and that the collectors measured the truth at run time *)
   Fmt.pr "@.--- explain analyze (estimates vs observed cardinalities) ---@.";
-  Dispatcher.pp_plan_with_actuals Fmt.stdout
-    (reopt.Dispatcher.initial_plan, reopt.Dispatcher.actual_rows);
+  Dispatcher.pp_explain_analyze Fmt.stdout reopt;
   Fmt.pr "@.--- matching districts ---@.";
   Array.iter (fun t -> Fmt.pr "%a@." Tuple.pp t) reopt.Dispatcher.rows

@@ -26,10 +26,6 @@ module Trace = Mqr_obs.Trace
 module Metrics = Mqr_obs.Metrics
 module Progress = Mqr_obs.Progress
 
-let log_src = Logs.Src.create "mqr.dispatcher" ~doc:"Mid-query re-optimization"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type mode = Off | Memory_only | Plan_only | Full | Bound_checked
 
 let mode_to_string = function
@@ -94,6 +90,7 @@ type event =
       t_improved : float;
       t_optimizer : float;
       t_opt_estimated : float;
+      forced : bool;  (* a runtime-filter or skew surprise overrode Eq. 2 *)
     }
   | Ev_switched of {
       t_new_total : float;
@@ -130,10 +127,9 @@ type report = {
   result_schema : Schema.t;
   elapsed_ms : float;
   counters : Sim_clock.counters;
-  events : event list;
   timed_events : (float * event) list;
-      (* every event with the Sim_clock time at which it was emitted —
-         [events] is the same list unstamped, kept for compatibility *)
+      (* every event with the Sim_clock time at which it was emitted, in
+         emission order *)
   switches : int;
   collectors : int;
   initial_plan : Plan.t;
@@ -172,6 +168,10 @@ type report = {
 (* ------------------------------------------------------------------ *)
 (* Run state.                                                          *)
 
+(* Pages one kind of transient consumer (bloom bitmaps, parallel workers'
+   pool slices) holds right now, and its high-water mark. *)
+type transient = { mutable held : int; mutable peak : int }
+
 type state = {
   cfg : config;
   ctx : Exec_ctx.t;
@@ -188,7 +188,8 @@ type state = {
   mutable temp_names : string list;
   (* alias -> exact cardinality for full (unfiltered) scans *)
   mutable observed_cards : (string * int) list;
-  (* (emission time, event), newest first *)
+  (* (emission time, event), newest first: the run's only record of what
+     happened, from which the report and the audit ledger are derived *)
   mutable events : (float * event) list;
   mutable switches : int;
   mutable next_temp : int;
@@ -200,17 +201,11 @@ type state = {
   (* runtime filters currently pushed down (publishing join's build side
      done, probe side executing); scans test their output against these *)
   mutable active_filters : Runtime_filter.t list;
-  (* bloom-bitmap pages currently held / high-water mark *)
-  mutable filter_pages : int;
-  mutable filter_pages_peak : int;
-  (* (probe column, est sel, observed sel) per retired filter, newest first *)
-  mutable filter_obs : (string * float * float) list;
+  filter_pages : transient;
   (* a retired filter's pass rate deviated badly from the estimate: force
      the next decision point past the Eq. 2 close-enough shortcut *)
   mutable filter_surprise : bool;
-  (* pool-page slices currently leased to parallel workers / high-water *)
-  mutable worker_pages : int;
-  mutable worker_pages_peak : int;
+  worker_pages : transient;
   (* a parallel operator's workers finished badly out of balance: force
      the next decision point so re-costing can re-pick degrees *)
   mutable skew_surprise : bool;
@@ -220,19 +215,47 @@ type state = {
   mutable verifications : int;
   (* simulated milliseconds runtime filters spent testing probe rows *)
   mutable filter_probe_ms : float;
-  (* the execution unit that last finished — the cardinality context the
-     audit ledger attaches to every decision entry *)
-  mutable unit_op : string;
-  mutable unit_est : float;
-  mutable unit_actual : int;
-  (* a filter surprise forced the current decision point past Eq. 2 *)
-  mutable last_force : bool;
 }
 
-(* forward declaration for logging of events (defined below) *)
-let pp_event_ref :
-  (Format.formatter -> event -> unit) ref =
-  ref (fun _ _ -> ())
+let pp_event fmt = function
+  | Ev_unit_done { op; est_rows; actual_rows } ->
+    Fmt.pf fmt "unit done: %s (estimated %.0f rows, actual %d)" op est_rows
+      actual_rows
+  | Ev_collected { cid; alias; columns } ->
+    Fmt.pf fmt "collected #%d at %s: %s" cid alias (String.concat ", " columns)
+  | Ev_realloc { grants } ->
+    Fmt.pf fmt "memory re-allocated: %a"
+      (Fmt.list ~sep:Fmt.comma Memory_manager.pp_grant)
+      grants
+  | Ev_considered { decision; t_improved; t_optimizer; t_opt_estimated; _ } ->
+    Fmt.pf fmt
+      "re-optimization %s (T_improved=%.1fms T_optimizer=%.1fms T_opt,est=%.1fms)"
+      (Reopt_policy.decision_to_string decision)
+      t_improved t_optimizer t_opt_estimated
+  | Ev_switched { t_new_total; t_improved; materialize_ms } ->
+    Fmt.pf fmt
+      "plan switched: T_new=%.1fms < T_improved=%.1fms (materialize %.1fms)"
+      t_new_total t_improved materialize_ms
+  | Ev_rejected { t_new_total; t_improved } ->
+    Fmt.pf fmt "new plan rejected: T_new=%.1fms >= T_improved=%.1fms"
+      t_new_total t_improved
+  | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
+    Fmt.pf fmt "bound check: new_hi=%.1fms %s cur_lo=%.1fms (%s)" new_hi_ms
+      (if admitted then "<" else ">=")
+      cur_lo_ms
+      (if admitted then "admitted" else "vetoed")
+  | Ev_sampled probe -> Sampling.pp_probe fmt probe
+  | Ev_parallel { op; dop; want_pages; got_pages; max_worker_ms; avg_worker_ms }
+    ->
+    Fmt.pf fmt
+      "parallel %s: dop=%d slices=%d/%d pages, workers max=%.1fms avg=%.1fms"
+      op dop got_pages want_pages max_worker_ms avg_worker_ms
+  | Ev_filter
+      { source; target_col; est_sel; observed_sel; probed; dropped; pages } ->
+    Fmt.pf fmt
+      "runtime filter from %s on %s: sel est=%.3f observed=%.3f (dropped \
+       %d/%d, %d pages)"
+      source target_col est_sel observed_sel dropped probed pages
 
 (* ------------------------------------------------------------------ *)
 (* Observability: translate dispatcher events into audit-ledger entries,
@@ -246,17 +269,25 @@ let decision_metric = function
   | Reopt_policy.Close_enough -> "decision.close_enough"
   | Reopt_policy.Consider -> "decision.consider"
 
+(* Every decision entry carries the cardinality context of the execution
+   unit that last finished: the newest [Ev_unit_done] in the stream, or
+   none yet (e.g. a lease refresh before the first unit). *)
 let ledger_entry st scope ~ts kind =
-  Trace.decision scope ~ts_ms:ts ~unit_op:st.unit_op ~est_rows:st.unit_est
-    ~actual_rows:st.unit_actual kind
+  let unit_op, est_rows, actual_rows =
+    Option.value ~default:("", 0.0, 0)
+      (List.find_map
+         (function
+           | _, Ev_unit_done { op; est_rows; actual_rows } ->
+             Some (op, est_rows, actual_rows)
+           | _ -> None)
+         st.events)
+  in
+  Trace.decision scope ~ts_ms:ts ~unit_op ~est_rows ~actual_rows kind
 
 let trace_event st scope ~ts ev =
   let m = Trace.scope_metrics scope in
   match ev with
-  | Ev_unit_done { op; est_rows; actual_rows } ->
-    st.unit_op <- op;
-    st.unit_est <- est_rows;
-    st.unit_actual <- actual_rows
+  | Ev_unit_done _ -> ()
   | Ev_collected { cid; alias; columns } ->
     Metrics.incr m "collector.collections";
     Trace.instant scope ~cat:"collector"
@@ -275,7 +306,8 @@ let trace_event st scope ~ts ev =
                   acc + g.Memory_manager.granted)
                0 grants;
            consumers = List.length grants })
-  | Ev_considered { decision; t_improved; t_optimizer; t_opt_estimated } ->
+  | Ev_considered { decision; t_improved; t_optimizer; t_opt_estimated; forced }
+    ->
     Metrics.incr m "decision.considered";
     Metrics.incr m (decision_metric decision);
     ledger_entry st scope ~ts
@@ -284,7 +316,7 @@ let trace_event st scope ~ts ev =
            t_improved;
            t_optimizer;
            t_opt_estimated;
-           forced = st.last_force })
+           forced })
   | Ev_switched { t_new_total; t_improved; materialize_ms } ->
     Metrics.incr m "plan.switched";
     ledger_entry st scope ~ts
@@ -342,18 +374,7 @@ let trace_event st scope ~ts ev =
 let emit st ev =
   let ts = now st in
   st.events <- (ts, ev) :: st.events;
-  (match st.cfg.trace with
-   | Some scope -> trace_event st scope ~ts ev
-   | None ->
-     (* the ledger's cardinality context is also kept without a trace so
-        behaviour does not depend on observability being attached *)
-     (match ev with
-      | Ev_unit_done { op; est_rows; actual_rows } ->
-        st.unit_op <- op;
-        st.unit_est <- est_rows;
-        st.unit_actual <- actual_rows
-      | _ -> ()));
-  Log.debug (fun m -> m "%a" !pp_event_ref ev)
+  Option.iter (fun scope -> trace_event st scope ~ts ev) st.cfg.trace
 
 (* Span helpers: no-ops without an attached trace. *)
 let span_open st ~cat name =
@@ -385,6 +406,12 @@ let apply_overrides st env =
     (fun (column, stats) -> Stats_env.override env ~column stats)
     st.overrides
 
+(* Re-annotate [plan] under [env] with the configured planning memory,
+   degree cap and cost model. *)
+let recost cfg env plan =
+  Optimizer.recost ~planning_mem:cfg.opt_options.Optimizer.planning_mem_pages
+    ~max_dop:cfg.opt_options.Optimizer.max_dop ~model:cfg.model ~env plan
+
 (* ------------------------------------------------------------------ *)
 (* Plan verification (static analysis; see Mqr_analysis.Verifier).     *)
 
@@ -409,31 +436,22 @@ let verify_plan st ~what plan =
    bitmap pages and worker pool slices must both be back to zero whenever
    execution is observable from outside a unit. *)
 let assert_filters_retired st ~what =
-  if st.filter_pages <> 0 then
-    raise
-      (Verifier.Rejected
-         { what;
-           diags =
-             [ Diagnostic.error ~pass:"resource" ~code:"RF-LIFETIME"
-                 ~hint:"runtime filters must retire within their unit"
-                 ~node_id:st.current.Plan.id
-                 ~path:[ Plan.op_name st.current ]
-                 (Printf.sprintf
-                    "%d bloom-bitmap pages still leased at a decision point"
-                    st.filter_pages) ] });
-  if st.worker_pages <> 0 then
-    raise
-      (Verifier.Rejected
-         { what;
-           diags =
-             [ Diagnostic.error ~pass:"parallel" ~code:"PAR-LIFETIME"
-                 ~hint:"worker pool slices must release within their operator"
-                 ~node_id:st.current.Plan.id
-                 ~path:[ Plan.op_name st.current ]
-                 (Printf.sprintf
-                    "%d worker pool-slice pages still leased at a decision \
-                     point"
-                    st.worker_pages) ] })
+  let check (t : transient) ~pass ~code ~hint pages =
+    if t.held <> 0 then
+      raise
+        (Verifier.Rejected
+           { what;
+             diags =
+               [ Diagnostic.error ~pass ~code ~hint ~node_id:st.current.Plan.id
+                   ~path:[ Plan.op_name st.current ]
+                   (Printf.sprintf "%d %s still leased at a decision point"
+                      t.held pages) ] })
+  in
+  check st.filter_pages ~pass:"resource" ~code:"RF-LIFETIME"
+    ~hint:"runtime filters must retire within their unit" "bloom-bitmap pages";
+  check st.worker_pages ~pass:"parallel" ~code:"PAR-LIFETIME"
+    ~hint:"worker pool slices must release within their operator"
+    "worker pool-slice pages"
 
 (* Ground-truth environment for the bounds analysis: bucket/distinct
    counts of temp tables are sample-derived (inherited from a reservoir
@@ -515,88 +533,49 @@ let heap_of st table = (Catalog.find_exn st.cfg.catalog table).Catalog.heap
    decision points and at query completion.  The broker sees one combined
    figure (filter pages + worker pages) so concurrent queries are charged
    for everything a unit really holds; without a broker each kind has its
-   own cap ([no_broker_cap], checked against that kind's own holdings). *)
-let acquire_transient_pages st ~no_broker_cap ~kind_held ~held want =
-  if want <= 0 then 0
-  else
+   own cap ([no_broker_cap], checked against that kind's own holdings):
+   a quarter of the budget for bitmaps, and the query's own pool for
+   worker slices, which then merely subdivide it. *)
+let transient_held st = st.filter_pages.held + st.worker_pages.held
+
+let acquire_pages st (kind : transient) ~no_broker_cap want =
+  let got =
+    if want <= 0 then 0
+    else
+      match st.cfg.broker with
+      | None -> min want (max 0 (max 1 no_broker_cap - kind.held))
+      | Some lease ->
+        let min_d, max_d = Memory_manager.plan_demand st.current in
+        let held = transient_held st in
+        let tentative = held + want in
+        let budget =
+          lease ~min_pages:(min_d + tentative) ~max_pages:(max_d + tentative)
+        in
+        (* pages the lease grants beyond the plan's hard minimum are
+           available to transient consumers *)
+        let covered = max 0 (budget - min_d) in
+        let shortfall = max 0 (tentative - covered) in
+        let got = max 0 (want - shortfall) in
+        if got < want then
+          (* shrink the lease back to what we actually hold *)
+          ignore
+            (lease ~min_pages:(min_d + held + got)
+               ~max_pages:(max_d + held + got));
+        got
+  in
+  kind.held <- kind.held + got;
+  kind.peak <- max kind.peak kind.held;
+  got
+
+let release_pages st (kind : transient) n =
+  if n > 0 then begin
+    kind.held <- max 0 (kind.held - n);
     match st.cfg.broker with
-    | None ->
-      let cap = max 1 no_broker_cap in
-      min want (max 0 (cap - kind_held ()))
+    | None -> ()
     | Some lease ->
       let min_d, max_d = Memory_manager.plan_demand st.current in
-      let tentative = held () + want in
-      let budget =
-        lease ~min_pages:(min_d + tentative) ~max_pages:(max_d + tentative)
-      in
-      (* pages the lease grants beyond the plan's hard minimum are
-         available to transient consumers *)
-      let covered = max 0 (budget - min_d) in
-      let shortfall = max 0 (tentative - covered) in
-      let got = max 0 (want - shortfall) in
-      if got < want then
-        (* shrink the lease back to what we actually hold *)
-        ignore
-          (lease ~min_pages:(min_d + held () + got)
-             ~max_pages:(max_d + held () + got));
-      got
-
-let release_transient_pages st ~held =
-  match st.cfg.broker with
-  | None -> ()
-  | Some lease ->
-    let min_d, max_d = Memory_manager.plan_demand st.current in
-    ignore
-      (lease ~min_pages:(min_d + held ()) ~max_pages:(max_d + held ()))
-
-(* --- runtime-filter lifecycle ------------------------------------- *)
-
-(* The combined transient figure the broker negotiates against. *)
-let pages_in_flight st = st.filter_pages + st.worker_pages
-
-let acquire_filter_pages st want =
-  let got =
-    acquire_transient_pages st
-      ~no_broker_cap:(st.cfg.budget_pages / 4)
-      ~kind_held:(fun () -> st.filter_pages)
-      ~held:(fun () -> pages_in_flight st)
-      want
-  in
-  st.filter_pages <- st.filter_pages + got;
-  if st.filter_pages > st.filter_pages_peak then
-    st.filter_pages_peak <- st.filter_pages;
-  got
-
-let release_filter_pages st n =
-  if n > 0 then begin
-    st.filter_pages <- max 0 (st.filter_pages - n);
-    release_transient_pages st ~held:(fun () -> pages_in_flight st)
-  end
-
-(* --- parallel-worker lifecycle ------------------------------------ *)
-
-(* Each worker of a parallel operator runs against its own buffer-pool
-   slice.  The slices are transient working memory exactly like bloom
-   bitmaps: leased for the duration of one operator, visible to the
-   broker, and provably back to zero at decision points.  Without a
-   broker the slices merely subdivide the query's own pool, so the cap is
-   the pool itself. *)
-let acquire_worker_pages st want =
-  let got =
-    acquire_transient_pages st ~no_broker_cap:st.cfg.pool_pages
-      ~kind_held:(fun () -> st.worker_pages)
-      ~held:(fun () -> pages_in_flight st)
-      want
-  in
-  st.worker_pages <- st.worker_pages + got;
-  if st.worker_pages > st.worker_pages_peak then
-    st.worker_pages_peak <- st.worker_pages;
-  got
-
-let release_worker_pages st n =
-  if n > 0 then begin
-    st.worker_pages <- max 0 (st.worker_pages - n);
-    release_transient_pages st ~held:(fun () -> pages_in_flight st)
+      let held = transient_held st in
+      ignore (lease ~min_pages:(min_d + held) ~max_pages:(max_d + held))
   end
 
 (* Workers finishing more than this factor above the mean signal a skewed
@@ -614,7 +593,9 @@ let with_workers st (p : Plan.t) ~op f =
   let dop = p.Plan.dop in
   let par = Parallel.make ?pool:st.cfg.domain_pool ~degree:dop () in
   let want = dop * max 1 (st.cfg.pool_pages / dop) in
-  let got = acquire_worker_pages st want in
+  let got =
+    acquire_pages st st.worker_pages ~no_broker_cap:st.cfg.pool_pages want
+  in
   let slice = max 1 (got / dop) in
   let sims = Array.make dop 0.0 in
   let walls = Array.make dop 0.0 in
@@ -624,7 +605,7 @@ let with_workers st (p : Plan.t) ~op f =
     walls.(i) <- wall_ms
   in
   Fun.protect
-    ~finally:(fun () -> release_worker_pages st got)
+    ~finally:(fun () -> release_pages st st.worker_pages got)
     (fun () ->
        let result = f par ~slice_pages:slice ~on_worker in
        (match st.cfg.trace with
@@ -667,7 +648,10 @@ let install_filters st ~source ~rf ~rows ~schema =
          | exception (Not_found | Schema.Ambiguous _) -> None
          | key_idx ->
            let want = Runtime_filter.pages_for ~keys:(Array.length rows) in
-           let got = acquire_filter_pages st want in
+           let got =
+             acquire_pages st st.filter_pages
+               ~no_broker_cap:(st.cfg.budget_pages / 4) want
+           in
            let flt =
              Runtime_filter.create st.ctx ~source
                ~build_col:f.Plan.rf_build_col ~target_col:f.Plan.rf_probe_col
@@ -705,12 +689,10 @@ let retire_filters st installed =
               probed = Runtime_filter.probed flt;
               dropped = Runtime_filter.dropped flt;
               pages });
-       st.filter_obs <-
-         (Runtime_filter.target_col flt, est, obs) :: st.filter_obs;
        if Runtime_filter.probed flt > 0
        && Reopt_policy.filter_surprise st.cfg.params ~est ~obs
        then st.filter_surprise <- true;
-       release_filter_pages st pages)
+       release_pages st st.filter_pages pages)
     installed
 
 (* A filter that has seen a fair sample of probes and passed nearly all of
@@ -1138,9 +1120,7 @@ let allocate_memory st =
 
 let reallocate st =
   let grants = allocate_memory st in
-  st.current <- Optimizer.recost ~planning_mem:st.cfg.opt_options.Optimizer.planning_mem_pages
-      ~max_dop:st.cfg.opt_options.Optimizer.max_dop
-      ~model:st.cfg.model ~env:st.env st.current;
+  st.current <- recost st.cfg st.env st.current;
   emit st (Ev_realloc { grants })
 
 let count_leaf_relations (p : Plan.t) =
@@ -1152,7 +1132,7 @@ let count_leaf_relations (p : Plan.t) =
        | _ -> acc)
     0 p
 
-let try_replan ?(force = false) st =
+let try_replan st ~force =
   let t_improved = st.current.Plan.est.Plan.total_ms in
   let t_optimizer =
     List.fold_left
@@ -1170,7 +1150,9 @@ let try_replan ?(force = false) st =
     Reopt_policy.should_consider st.cfg.params ~t_opt_estimated ~t_improved
       ~t_optimizer
   in
-  emit st (Ev_considered { decision; t_improved; t_optimizer; t_opt_estimated });
+  emit st
+    (Ev_considered
+       { decision; t_improved; t_optimizer; t_opt_estimated; forced = force });
   match decision with
   (* Eq. 1 is never overridden: when the remainder is cheap relative to
      the optimizer invocation, re-planning cannot pay off no matter how
@@ -1238,11 +1220,7 @@ let try_replan ?(force = false) st =
          let scia =
            Scia.insert ~mu:st.cfg.params.Reopt_policy.mu ~env:env' new_plan
          in
-         let new_plan =
-           Optimizer.recost ~planning_mem:st.cfg.opt_options.Optimizer.planning_mem_pages
-             ~max_dop:st.cfg.opt_options.Optimizer.max_dop
-             ~model:st.cfg.model ~env:env' scia.Scia.plan
-         in
+         let new_plan = recost st.cfg env' scia.Scia.plan in
          (* Scia.insert hands the Collect wrappers ids past the plan's max
             from its own counter; pull next_id past them or a later
             Materialized leaf would reuse a live Collect id and the
@@ -1255,10 +1233,7 @@ let try_replan ?(force = false) st =
          st.current <- new_plan;
          record_annotations st new_plan;
          ignore (allocate_memory st);
-         st.current <-
-           Optimizer.recost ~planning_mem:st.cfg.opt_options.Optimizer.planning_mem_pages
-      ~max_dop:st.cfg.opt_options.Optimizer.max_dop
-      ~model:st.cfg.model ~env:st.env st.current;
+         st.current <- recost st.cfg st.env st.current;
          st.switches <- st.switches + 1;
          emit st (Ev_switched { t_new_total; t_improved; materialize_ms });
          if st.cfg.verify = Verifier.Sanitize then
@@ -1271,23 +1246,20 @@ let decision_point st =
   let force = st.filter_surprise || st.skew_surprise in
   st.filter_surprise <- false;
   st.skew_surprise <- false;
-  st.last_force <- force;
   (match st.cfg.trace with
    | Some scope ->
      ignore (Trace.new_decision_point scope);
      Metrics.incr (Trace.scope_metrics scope) "decision_points"
    | None -> ());
   (* improved estimates for the remainder *)
-  st.current <- Optimizer.recost ~planning_mem:st.cfg.opt_options.Optimizer.planning_mem_pages
-      ~max_dop:st.cfg.opt_options.Optimizer.max_dop
-      ~model:st.cfg.model ~env:st.env st.current;
+  st.current <- recost st.cfg st.env st.current;
   (match st.cfg.mode with
    | Off -> ()
    | Memory_only -> reallocate st
    | Plan_only ->
      if Plan.join_count st.current >= 1
      && st.switches < st.cfg.params.Reopt_policy.max_switches
-     then try_replan ~force st
+     then try_replan st ~force
    | Full | Bound_checked ->
      (* Re-allocation is free, so apply it first; a plan switch must then
         beat the re-allocated current plan, not the starved one.
@@ -1297,7 +1269,7 @@ let decision_point st =
      reallocate st;
      if Plan.join_count st.current >= 1
      && st.switches < st.cfg.params.Reopt_policy.max_switches
-     then try_replan ~force st);
+     then try_replan st ~force);
   if st.cfg.verify = Verifier.Sanitize then begin
     assert_filters_retired st ~what:"decision point";
     verify_plan st ~what:"remainder plan at decision point" st.current
@@ -1356,11 +1328,7 @@ let start ?prepared cfg query =
          let scia =
            Scia.insert ~mu:cfg.params.Reopt_policy.mu ~env opt.Optimizer.plan
          in
-         (Optimizer.recost
-            ~planning_mem:cfg.opt_options.Optimizer.planning_mem_pages
-            ~max_dop:cfg.opt_options.Optimizer.max_dop
-            ~model:cfg.model ~env scia.Scia.plan,
-          List.length scia.Scia.kept))
+         (recost cfg env scia.Scia.plan, List.length scia.Scia.kept))
   in
   let memman = Memory_manager.create ~budget_pages:cfg.budget_pages in
   let max_id =
@@ -1385,26 +1353,16 @@ let start ?prepared cfg query =
       actuals = Hashtbl.create 64;
       actual_ms = Hashtbl.create 64;
       active_filters = [];
-      filter_pages = 0;
-      filter_pages_peak = 0;
-      filter_obs = [];
+      filter_pages = { held = 0; peak = 0 };
       filter_surprise = false;
-      worker_pages = 0;
-      worker_pages_peak = 0;
+      worker_pages = { held = 0; peak = 0 };
       skew_surprise = false;
       collector_ms = 0.0;
       verifications = 0;
-      filter_probe_ms = 0.0;
-      unit_op = "";
-      unit_est = 0.0;
-      unit_actual = 0;
-      last_force = false }
+      filter_probe_ms = 0.0 }
   in
   ignore (allocate_memory st);
-  let plan0 =
-    Optimizer.recost ~planning_mem:cfg.opt_options.Optimizer.planning_mem_pages
-      ~max_dop:cfg.opt_options.Optimizer.max_dop ~model:cfg.model ~env plan0
-  in
+  let plan0 = recost cfg env plan0 in
   st.current <- plan0;
   record_annotations st plan0;
   (* refuse to execute a plan that fails static analysis *)
@@ -1424,8 +1382,8 @@ let start ?prepared cfg query =
 let teardown r ~error =
   let st = r.st in
   st.active_filters <- [];
-  if st.filter_pages > 0 then release_filter_pages st st.filter_pages;
-  if st.worker_pages > 0 then release_worker_pages st st.worker_pages;
+  release_pages st st.filter_pages st.filter_pages.held;
+  release_pages st st.worker_pages st.worker_pages.held;
   List.iter
     (fun name ->
        Catalog.drop_table st.cfg.catalog name;
@@ -1461,17 +1419,11 @@ let refresh_memory r =
   | None, Some _ -> reallocate r.st
   | _ -> ()
 
-let finished r = Option.is_some r.result || r.aborted
-
 let aborted r = r.aborted
 
-(* Bloom-bitmap pages currently leased; zero whenever a unit is not
-   mid-execution (filters live strictly inside one unit). *)
-let filter_pages_held r = r.st.filter_pages
-
-(* Worker pool-slice pages currently leased; zero outside a parallel
-   operator's execution (same lifetime discipline as filter pages). *)
-let worker_pages_held r = r.st.worker_pages
+(* Bloom-bitmap plus worker pool-slice pages currently leased; zero
+   whenever a unit is not mid-execution. *)
+let transient_pages_held r = transient_held r.st
 
 let run_elapsed_ms r = Sim_clock.elapsed_ms r.st.ctx.Exec_ctx.clock
 
@@ -1568,13 +1520,13 @@ let step_once r =
           Metrics.observe m "query.elapsed_ms" elapsed;
           Metrics.observe m "query.collector_ms" st.collector_ms
         | _ -> ());
+       let timed_events = List.rev st.events in
        let report =
          { rows;
            result_schema;
            elapsed_ms = elapsed;
            counters = Sim_clock.counters st.ctx.Exec_ctx.clock;
-           events = List.rev_map snd st.events;
-           timed_events = List.rev st.events;
+           timed_events;
            switches = st.switches;
            collectors = r.r_collectors;
            initial_plan = r.plan0;
@@ -1587,11 +1539,17 @@ let step_once r =
            pool_misses = Buffer_pool.misses st.ctx.Exec_ctx.pool;
            observed_stats = st.overrides;
            observed_cards = st.observed_cards;
-           filters = List.rev st.filter_obs;
-           filter_pages_peak = st.filter_pages_peak;
-           filter_pages_held = st.filter_pages;
-           worker_pages_peak = st.worker_pages_peak;
-           worker_pages_held = st.worker_pages;
+           filters =
+             List.filter_map
+               (function
+                 | _, Ev_filter { target_col; est_sel; observed_sel; _ } ->
+                   Some (target_col, est_sel, observed_sel)
+                 | _ -> None)
+               timed_events;
+           filter_pages_peak = st.filter_pages.peak;
+           filter_pages_held = st.filter_pages.held;
+           worker_pages_peak = st.worker_pages.peak;
+           worker_pages_held = st.worker_pages.held;
            collector_ms = st.collector_ms;
            verifications = st.verifications }
        in
@@ -1619,22 +1577,6 @@ let run ?prepared cfg query =
     | None -> drive ()
   in
   drive ()
-
-(* EXPLAIN ANALYZE-style rendering: the annotated plan with observed
-   cardinalities next to the estimates. *)
-let pp_plan_with_actuals fmt (plan, actuals) =
-  let rec go indent (p : Plan.t) =
-    let pad = String.make indent ' ' in
-    let actual =
-      match List.assoc_opt p.Plan.id actuals with
-      | Some n -> Printf.sprintf "%d" n
-      | None -> "-"
-    in
-    Fmt.pf fmt "%s%s  [est=%.0f actual=%s rows]@." pad (Plan.op_name p)
-      p.Plan.est.Plan.rows actual;
-    List.iter (go (indent + 2)) (Plan.children p)
-  in
-  go 0 plan
 
 (* Full EXPLAIN ANALYZE: estimated vs observed rows and per-operator
    simulated time. *)
@@ -1679,45 +1621,3 @@ let pp_explain_analyze fmt (report : report) =
     (if accesses = 0 then 0.0
      else 100.0 *. float_of_int report.pool_hits /. float_of_int accesses);
   Fmt.pf fmt "verification: %d runs@." report.verifications
-
-let pp_event fmt = function
-  | Ev_unit_done { op; est_rows; actual_rows } ->
-    Fmt.pf fmt "unit done: %s (estimated %.0f rows, actual %d)" op est_rows
-      actual_rows
-  | Ev_collected { cid; alias; columns } ->
-    Fmt.pf fmt "collected #%d at %s: %s" cid alias (String.concat ", " columns)
-  | Ev_realloc { grants } ->
-    Fmt.pf fmt "memory re-allocated: %a"
-      (Fmt.list ~sep:Fmt.comma Memory_manager.pp_grant)
-      grants
-  | Ev_considered { decision; t_improved; t_optimizer; t_opt_estimated } ->
-    Fmt.pf fmt
-      "re-optimization %s (T_improved=%.1fms T_optimizer=%.1fms T_opt,est=%.1fms)"
-      (Reopt_policy.decision_to_string decision)
-      t_improved t_optimizer t_opt_estimated
-  | Ev_switched { t_new_total; t_improved; materialize_ms } ->
-    Fmt.pf fmt
-      "plan switched: T_new=%.1fms < T_improved=%.1fms (materialize %.1fms)"
-      t_new_total t_improved materialize_ms
-  | Ev_rejected { t_new_total; t_improved } ->
-    Fmt.pf fmt "new plan rejected: T_new=%.1fms >= T_improved=%.1fms"
-      t_new_total t_improved
-  | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
-    Fmt.pf fmt "bound check: new_hi=%.1fms %s cur_lo=%.1fms (%s)" new_hi_ms
-      (if admitted then "<" else ">=")
-      cur_lo_ms
-      (if admitted then "admitted" else "vetoed")
-  | Ev_sampled probe -> Sampling.pp_probe fmt probe
-  | Ev_parallel { op; dop; want_pages; got_pages; max_worker_ms; avg_worker_ms }
-    ->
-    Fmt.pf fmt
-      "parallel %s: dop=%d slices=%d/%d pages, workers max=%.1fms avg=%.1fms"
-      op dop got_pages want_pages max_worker_ms avg_worker_ms
-  | Ev_filter
-      { source; target_col; est_sel; observed_sel; probed; dropped; pages } ->
-    Fmt.pf fmt
-      "runtime filter from %s on %s: sel est=%.3f observed=%.3f (dropped \
-       %d/%d, %d pages)"
-      source target_col est_sel observed_sel dropped probed pages
-
-let () = pp_event_ref := pp_event

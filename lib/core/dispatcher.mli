@@ -1,8 +1,5 @@
 (** The scheduler/dispatcher with Dynamic Re-Optimization (paper Figure 9).
 
-    Events are also traced on the [mqr.dispatcher] {!Logs} source at debug
-    level — enable with [Logs.Src.set_level Dispatcher.log_src (Some Debug)].
-
     A plan executes as a sequence of units (a join together with the scan
     pipelines feeding it, then the final aggregate/sort stack).  When a
     unit completes, the statistics its collectors gathered become
@@ -34,8 +31,6 @@ type mode =
           error ({!Reopt_policy.accept_bound_checked}) *)
 
 val mode_to_string : mode -> string
-
-val log_src : Logs.src
 
 type config = {
   catalog : Mqr_catalog.Catalog.t;
@@ -103,6 +98,9 @@ type event =
       t_improved : float;
       t_optimizer : float;
       t_opt_estimated : float;
+      forced : bool;
+          (** a runtime-filter or skew surprise overrode Eq. 2's
+              close-enough shortcut at this decision point *)
     }
   | Ev_switched of {
       t_new_total : float;
@@ -142,11 +140,11 @@ type report = {
   result_schema : Schema.t;
   elapsed_ms : float;
   counters : Sim_clock.counters;
-  events : event list;
   timed_events : (float * event) list;
       (** every event paired with the simulated time at which it was
-          emitted — [events] is the same list unstamped, kept for
-          compatibility *)
+          emitted, in emission order — the run's one record of what
+          happened; [filters] and the trace's audit ledger are derived
+          from it *)
   switches : int;
   collectors : int;  (** collectors inserted into the initial plan *)
   initial_plan : Mqr_opt.Plan.t;
@@ -165,8 +163,8 @@ type report = {
   observed_cards : (string * int) list;
       (** alias -> exact cardinality for relations scanned in full *)
   filters : (string * float * float) list;
-      (** (probe column, estimated selectivity, observed selectivity) per
-          runtime filter built, in build order — the sideways information
+      (** (probe column, estimated selectivity, observed selectivity) of
+          every [Ev_filter] event, in order — the sideways information
           passing audit trail *)
   filter_pages_peak : int;
       (** most bloom-bitmap pages held at once *)
@@ -223,27 +221,19 @@ val step : run -> report option
     released there. *)
 val abort : run -> unit
 
-(** [finished r] once [r] has its report {e or} was aborted. *)
-val finished : run -> bool
-
 (** The run was torn down by {!abort} or by an exception inside {!step}. *)
 val aborted : run -> bool
 
 (** Simulated milliseconds this run has consumed so far. *)
 val run_elapsed_ms : run -> float
 
-(** Bloom-bitmap pages the run currently holds.  Filters live strictly
-    inside one execution unit, so this is 0 whenever the run is observable
-    from outside a [step] — at every decision point, after a mid-query
-    plan switch, and at completion (leased pages always return to the
-    broker). *)
-val filter_pages_held : run -> int
-
-(** Buffer-pool pages currently leased to parallel workers.  Worker slices
-    live strictly inside one operator, so this is 0 whenever the run is
-    observable from outside a [step] — the parallel analogue of
-    {!filter_pages_held}. *)
-val worker_pages_held : run -> int
+(** Transient pages the run currently holds: bloom bitmaps plus buffer-pool
+    slices leased to parallel workers.  Filters live strictly inside one
+    execution unit and worker slices inside one operator, so this is 0
+    whenever the run is observable from outside a [step] — at every
+    decision point, after a mid-query plan switch, and at completion
+    (leased pages always return to the broker). *)
+val transient_pages_held : run -> int
 
 (** Re-negotiate the run's memory lease against its broker and re-allocate
     over the remaining plan — lets the workload manager re-grant pages
@@ -252,12 +242,6 @@ val worker_pages_held : run -> int
 val refresh_memory : run -> unit
 
 val pp_event : Format.formatter -> event -> unit
-
-(** Render a plan with observed cardinalities beside the estimates
-    (EXPLAIN ANALYZE style); pass [report.initial_plan, report.actual_rows]
-    or the final plan. *)
-val pp_plan_with_actuals :
-  Format.formatter -> Mqr_opt.Plan.t * (int * int) list -> unit
 
 (** Full EXPLAIN ANALYZE over the report's initial plan: estimated vs
     observed cardinalities and per-operator simulated time. *)

@@ -343,8 +343,8 @@ let pp_summary fmt (r : Dispatcher.report) =
   Fmt.pf fmt "collectors inserted: %d, plan switches: %d@,"
     r.Dispatcher.collectors r.Dispatcher.switches;
   List.iter
-    (fun ev -> Fmt.pf fmt "  %a@," Dispatcher.pp_event ev)
-    r.Dispatcher.events;
+    (fun (_, ev) -> Fmt.pf fmt "  %a@," Dispatcher.pp_event ev)
+    r.Dispatcher.timed_events;
   Fmt.pf fmt "@]"
 
 let print_summary r = Fmt.pr "%a@." pp_summary r

@@ -53,9 +53,8 @@ let stmt_pages svc (s : Session.stmt) =
   let lease = Broker.lease_of (Service.broker svc) ~id:s.Session.stmt_id in
   let transient =
     match s.Session.stmt_run with
-    | Some run when not (Dispatcher.aborted run) ->
-      Dispatcher.filter_pages_held run + Dispatcher.worker_pages_held run
-    | _ -> 0
+    | Some run -> Dispatcher.transient_pages_held run
+    | None -> 0
   in
   lease + transient
 

@@ -180,9 +180,7 @@ let check_tenant_pages t ~what =
       (fun (s : Session.stmt) ->
          match s.Session.stmt_run with
          | Some run ->
-           let pages =
-             Dispatcher.filter_pages_held run + Dispatcher.worker_pages_held run
-           in
+           let pages = Dispatcher.transient_pages_held run in
            Hashtbl.replace held s.Session.stmt_tenant
              (pages
               + Option.value ~default:0
@@ -200,8 +198,7 @@ let tenant_pages_in_flight t name =
     (fun acc (s : Session.stmt) ->
        match s.Session.stmt_run with
        | Some run when s.Session.stmt_tenant = name ->
-         acc + Dispatcher.filter_pages_held run
-         + Dispatcher.worker_pages_held run
+         acc + Dispatcher.transient_pages_held run
        | _ -> acc)
     0 t.running
 

@@ -323,8 +323,8 @@ let test_events_reported () =
   in
   let has_unit_done =
     List.exists
-      (fun ev -> match ev with Dispatcher.Ev_unit_done _ -> true | _ -> false)
-      r.Dispatcher.events
+      (function _, Dispatcher.Ev_unit_done _ -> true | _ -> false)
+      r.Dispatcher.timed_events
   in
   Alcotest.(check bool) "unit events" true has_unit_done
 

@@ -189,8 +189,8 @@ let test_engine_probe_rows_event () =
   in
   let sampled =
     List.exists
-      (fun ev -> match ev with Dispatcher.Ev_sampled _ -> true | _ -> false)
-      r.Dispatcher.events
+      (function _, Dispatcher.Ev_sampled _ -> true | _ -> false)
+      r.Dispatcher.timed_events
   in
   Alcotest.(check bool) "sampling event" true sampled;
   match r.Dispatcher.rows.(0).(0) with
@@ -210,10 +210,7 @@ let test_actual_rows_recorded () =
    | Some n -> Alcotest.(check int) "root actual = result" 5 n
    | None -> Alcotest.fail "root not recorded");
   (* rendering doesn't raise *)
-  let rendered =
-    Fmt.str "%a" Dispatcher.pp_plan_with_actuals
-      (r.Dispatcher.final_plan, r.Dispatcher.actual_rows)
-  in
+  let rendered = Fmt.str "%a" Dispatcher.pp_explain_analyze r in
   Alcotest.(check bool) "render mentions actuals" true
     (String.length rendered > 0)
 

@@ -176,13 +176,13 @@ let test_considered_events_have_sane_numbers () =
   let engine = Engine.create ~budget_pages:48 catalog in
   let r = Engine.run_sql engine ~mode:Dispatcher.Full switching_sql in
   List.iter
-    (fun ev ->
+    (fun (_, ev) ->
        match ev with
        | Dispatcher.Ev_considered { t_improved; t_optimizer; t_opt_estimated; _ } ->
          Alcotest.(check bool) "positive times" true
            (t_improved >= 0.0 && t_optimizer >= 0.0 && t_opt_estimated > 0.0)
        | _ -> ())
-    r.Dispatcher.events
+    r.Dispatcher.timed_events
 
 let test_opt_invocations_counted () =
   let catalog = switching_catalog () in

@@ -192,7 +192,8 @@ let test_ledger_matches_events () =
   let tr = Trace.create () in
   let e = engine ~trace:tr () in
   let r = Engine.run_sql e (sql "Q7") in
-  let count f = List.length (List.filter f r.Dispatcher.events) in
+  let events = List.map snd r.Dispatcher.timed_events in
+  let count f = List.length (List.filter f events) in
   let ledger = Trace.ledger tr in
   let lcount f = List.length (List.filter f ledger) in
   Alcotest.(check int) "one Considered entry per Ev_considered"
@@ -219,7 +220,7 @@ let test_ledger_matches_events () =
         | Dispatcher.Ev_considered { t_improved; t_optimizer; t_opt_estimated; _ } ->
           Some (t_improved, t_optimizer, t_opt_estimated)
         | _ -> None)
-      r.Dispatcher.events
+      events
   in
   let considered_ledger =
     List.filter_map
@@ -233,6 +234,37 @@ let test_ledger_matches_events () =
   Alcotest.(check (list (triple (float 1e-9) (float 1e-9) (float 1e-9))))
     "ledger carries the exact Eq. 1/Eq. 2 terms" considered_events
     considered_ledger;
+  (* each entry's cardinality context is the newest Ev_unit_done before
+     its event (none before the first unit), and a Considered entry's
+     forced flag is its event's *)
+  let expected =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (ctx, acc) ev ->
+               match ev with
+               | Dispatcher.Ev_unit_done { op; est_rows; actual_rows } ->
+                 ((op, est_rows, actual_rows), acc)
+               | Dispatcher.Ev_considered { forced; _ } ->
+                 (ctx, (ctx, Some forced) :: acc)
+               | Dispatcher.Ev_realloc _ | Dispatcher.Ev_switched _
+               | Dispatcher.Ev_rejected _ ->
+                 (ctx, (ctx, None) :: acc)
+               | _ -> (ctx, acc))
+            (("", 0.0, 0), []) events))
+  in
+  let recorded =
+    List.map
+      (fun d ->
+         ( (d.Trace.d_unit_op, d.Trace.d_est_rows, d.Trace.d_actual_rows),
+           match d.Trace.d_kind with
+           | Trace.Considered { forced; _ } -> Some forced
+           | _ -> None ))
+      ledger
+  in
+  Alcotest.(check (list (pair (triple string (float 0.0) int) (option bool))))
+    "ledger unit context and forced flag follow the event stream" expected
+    recorded;
   (* every entry records estimated-vs-observed cardinalities coherently *)
   List.iter
     (fun d ->
@@ -251,14 +283,6 @@ let test_ledger_matches_events () =
 let test_timed_events () =
   let e = engine () in
   let r = Engine.run_sql e (sql "Q5") in
-  Alcotest.(check int) "timed_events mirrors events"
-    (List.length r.Dispatcher.events)
-    (List.length r.Dispatcher.timed_events);
-  List.iter2
-    (fun ev (_, tev) ->
-       Alcotest.(check bool) "same event in the same position" true
-         (ev == tev))
-    r.Dispatcher.events r.Dispatcher.timed_events;
   let rec monotone = function
     | (t1, _) :: ((t2, _) :: _ as rest) ->
       Alcotest.(check bool) "timestamps non-decreasing" true (t1 <= t2);

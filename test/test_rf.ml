@@ -191,15 +191,26 @@ let test_broker_pages_returned () =
            (* a decision point: every filter of the finished unit must have
               retired and returned its lease — also across plan switches *)
            Alcotest.(check int)
-             (name ^ " holds no filter pages at decision point") 0
-             (Dispatcher.filter_pages_held r);
+             (name ^ " holds no transient pages at decision point") 0
+             (Dispatcher.transient_pages_held r);
            drive ()
          | Some report ->
-           Alcotest.(check int) (name ^ " holds no filter pages at end") 0
-             (Dispatcher.filter_pages_held r);
+           Alcotest.(check int) (name ^ " holds no transient pages at end") 0
+             (Dispatcher.transient_pages_held r);
            report
        in
        let report = drive () in
+       (* the filter audit trail is the Ev_filter events, in order *)
+       Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
+         (name ^ " filters are the Ev_filter events")
+         (List.filter_map
+            (function
+              | _, Dispatcher.Ev_filter { target_col; est_sel; observed_sel; _ }
+                ->
+                Some (target_col, est_sel, observed_sel)
+              | _ -> None)
+            report.Dispatcher.timed_events)
+         report.Dispatcher.filters;
        if report.Dispatcher.filters <> [] then
          Alcotest.(check bool) (name ^ " filters actually held pages") true
            (report.Dispatcher.filter_pages_peak > 0))
