@@ -834,11 +834,9 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
     let columns = Collector.spec_columns spec in
     List.iter
       (fun column ->
-         st.overrides <-
-           (column, Collector.column_stats_of_observed obs ~column)
-           :: List.remove_assoc column st.overrides;
-         Stats_env.override st.env ~column
-           (Collector.column_stats_of_observed obs ~column))
+         let stats = Collector.column_stats_of_observed obs ~column in
+         st.overrides <- (column, stats) :: List.remove_assoc column st.overrides;
+         Stats_env.override st.env ~column stats)
       columns;
     let alias =
       match input.Plan.node with
@@ -987,20 +985,34 @@ let register_temp st ~name ~rows ~schema =
   let table = Catalog.add_table st.cfg.catalog name heap in
   (* Free statistics: exact cardinality plus per-column min/max (the paper
      collects these for every intermediate result); histograms/distincts
-     inherited from upstream collectors where the column passed through. *)
-  let base_obs = Collector.collect st.ctx schema (Collector.spec ()) rows in
+     inherited from upstream collectors where the column passed through, so
+     only the other columns' ranges are computed. *)
+  let names =
+    List.map
+      (fun col ->
+         if col.Schema.qualifier = "" then col.Schema.name
+         else col.Schema.qualifier ^ "." ^ col.Schema.name)
+      (Schema.columns schema)
+  in
+  let fresh = List.filter (fun q -> not (List.mem_assoc q st.overrides)) names in
+  Sim_clock.charge_cpu_ms st.ctx.Exec_ctx.clock
+    (Collector.estimated_cost_ms (Collector.spec ())
+       ~rows:(float_of_int (Array.length rows)));
+  let base_obs =
+    { Collector.rows = Array.length rows;
+      col_ranges = Collector.ranges schema ~columns:fresh rows;
+      histograms = [];
+      distincts = [];
+      dicts = [] }
+  in
   table.Catalog.stats <-
     Array.of_list
       (List.map
-         (fun col ->
-            let q =
-              if col.Schema.qualifier = "" then col.Schema.name
-              else col.Schema.qualifier ^ "." ^ col.Schema.name
-            in
+         (fun q ->
             match List.assoc_opt q st.overrides with
             | Some stats -> stats
             | None -> Collector.column_stats_of_observed base_obs ~column:q)
-         (Schema.columns schema));
+         names);
   st.temp_names <- name :: st.temp_names;
   Hashtbl.replace st.store name (rows, schema)
 

@@ -27,8 +27,6 @@ let spec_columns s = s.hist_cols @ s.distinct_cols
 
 type observed = {
   rows : int;
-  bytes : int;
-  avg_width : int;
   col_ranges : (string * (Value.t * Value.t)) list;
   histograms : (string * Histogram.t) list;
   distincts : (string * float) list;
@@ -39,18 +37,31 @@ let estimated_cost_ms s ~rows =
   let stats = List.length s.hist_cols + List.length s.distinct_cols in
   rows *. (base_tuple_ms +. (float_of_int stats *. stat_tuple_ms))
 
-let collect ctx schema s rows =
-  let clock = ctx.Exec_ctx.clock in
-  let n = Array.length rows in
-  let arity = Schema.arity schema in
-  let qualified i =
-    let c = Schema.column schema i in
+let ranges schema ~columns rows =
+  let qualified (c : Schema.column) =
     if c.Schema.qualifier = "" then c.Schema.name
     else c.Schema.qualifier ^ "." ^ c.Schema.name
   in
-  (* Always-on running counters. *)
-  let bytes = ref 0 in
-  let mins = Array.make arity Value.Null and maxs = Array.make arity Value.Null in
+  (* by qualified name; a duplicated name resolves to its first column *)
+  let index = List.mapi (fun i c -> (qualified c, i)) (Schema.columns schema) in
+  let range name i =
+    let lo = ref Value.Null and hi = ref Value.Null in
+    for r = 0 to Array.length rows - 1 do
+      let v = rows.(r).(i) in
+      if not (Value.is_null v) then begin
+        lo := Value.min_value !lo v;
+        hi := Value.max_value !hi v
+      end
+    done;
+    if Value.is_null !lo then None else Some (name, (!lo, !hi))
+  in
+  List.filter_map
+    (fun name -> Option.bind (List.assoc_opt name index) (range name))
+    (List.sort_uniq String.compare columns)
+
+let collect ctx schema s rows =
+  let clock = ctx.Exec_ctx.clock in
+  let n = Array.length rows in
   (* Requested statistics. *)
   let hist_targets =
     List.map (fun c -> (c, Schema.index_of schema c, Reservoir.create ~capacity:s.sample_size ())) s.hist_cols
@@ -58,24 +69,13 @@ let collect ctx schema s rows =
   let distinct_targets =
     List.map (fun c -> (c, Schema.index_of schema c, Distinct.create ())) s.distinct_cols
   in
-  Array.iter
-    (fun t ->
-       bytes := !bytes + Tuple.byte_size t;
-       for i = 0 to arity - 1 do
-         if not (Value.is_null t.(i)) then begin
-           mins.(i) <- Value.min_value mins.(i) t.(i);
-           maxs.(i) <- Value.max_value maxs.(i) t.(i)
-         end
-       done;
-       List.iter
-         (fun (_, i, res) ->
-            if not (Value.is_null t.(i)) then Reservoir.add res t.(i))
-         hist_targets;
-       List.iter
-         (fun (_, i, d) ->
-            if not (Value.is_null t.(i)) then Distinct.add d t.(i))
-         distinct_targets)
-    rows;
+  (* one pass per statistic: each sketch sees its column's non-null values
+     in row order, and the sketches share no state *)
+  let feed i add =
+    Array.iter (fun (t : Tuple.t) -> if not (Value.is_null t.(i)) then add t.(i)) rows
+  in
+  List.iter (fun (_, i, res) -> feed i (Reservoir.add res)) hist_targets;
+  List.iter (fun (_, i, d) -> feed i (Distinct.add d)) distinct_targets;
   Sim_clock.charge_cpu_ms clock (estimated_cost_ms s ~rows:(float_of_int n));
   let dicts = ref [] in
   let histograms =
@@ -113,17 +113,8 @@ let collect ctx schema s rows =
   let distincts =
     List.map (fun (c, _, d) -> (c, Distinct.estimate d)) distinct_targets
   in
-  let col_ranges =
-    List.filter_map
-      (fun i ->
-         if Value.is_null mins.(i) then None
-         else Some (qualified i, (mins.(i), maxs.(i))))
-      (List.init arity (fun i -> i))
-  in
   { rows = n;
-    bytes = !bytes;
-    avg_width = (if n = 0 then 0 else !bytes / n);
-    col_ranges;
+    col_ranges = ranges schema ~columns:(spec_columns s) rows;
     histograms;
     distincts;
     dicts = !dicts }
@@ -143,13 +134,3 @@ let column_stats_of_observed obs ~column =
     stale = false;
     dict = List.assoc_opt column obs.dicts;
     is_key = false }
-
-let pp_observed fmt o =
-  Fmt.pf fmt "@[<v>observed: %d rows, %d bytes (avg width %d)" o.rows o.bytes
-    o.avg_width;
-  List.iter
-    (fun (c, h) ->
-       Fmt.pf fmt "@,  histogram %s: %.0f distinct" c (Histogram.distinct h))
-    o.histograms;
-  List.iter (fun (c, d) -> Fmt.pf fmt "@,  distinct %s: %.1f" c d) o.distincts;
-  Fmt.pf fmt "@]"

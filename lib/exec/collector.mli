@@ -1,15 +1,18 @@
 (** The statistics-collector operator (paper Section 2.2 / 3.1).
 
     A streamed operator that examines the tuples of an intermediate result
-    without modifying, copying or spilling them: cardinality, average tuple
-    size and per-column min/max are maintained as running values; requested
+    without modifying, copying or spilling them: cardinality, and min/max
+    over the spec's columns, are maintained as running values; requested
     histograms are built from a one-page reservoir sample (Vitter [24],
     applied as in Poosala–Ioannidis [19]); requested distinct counts use
     probabilistic counting (Flajolet–Martin [6]) with an exact fast path.
+    Only what a reader consumes is computed: ranges of columns outside the
+    spec and the average tuple size are not.
 
     The CPU price per tuple per tracked statistic is exposed so the
     statistics-collectors insertion algorithm can budget collectors against
-    the [mu] overhead bound. *)
+    the [mu] overhead bound; the always-on [base_tuple_ms] is charged
+    whatever the spec. *)
 
 open Mqr_storage
 
@@ -44,10 +47,8 @@ val spec_columns : spec -> string list
 
 type observed = {
   rows : int;
-  bytes : int;
-  avg_width : int;
   col_ranges : (string * (Value.t * Value.t)) list;
-      (** per column: observed (min, max) over non-null values *)
+      (** per spec column: observed (min, max) over non-null values *)
   histograms : (string * Mqr_stats.Histogram.t) list;
       (** per requested column, scaled to the full stream *)
   distincts : (string * float) list;
@@ -59,6 +60,14 @@ type observed = {
     cost to the clock. *)
 val collect : Exec_ctx.t -> Schema.t -> spec -> Tuple.t array -> observed
 
+(** [ranges schema ~columns rows]: (min, max) over the non-null values of
+    each named column (qualified, as in a spec), in [Value.min_value] /
+    [Value.max_value] order — ties keep the earlier row.  Columns not in
+    [schema], or with only nulls, are absent.  Charges nothing. *)
+val ranges :
+  Schema.t -> columns:string list -> Tuple.t array ->
+  (string * (Value.t * Value.t)) list
+
 (** Estimated collection cost in milliseconds for [rows] tuples under
     [spec] — used by the insertion algorithm's budget. *)
 val estimated_cost_ms : spec -> rows:float -> float
@@ -68,5 +77,3 @@ val estimated_cost_ms : spec -> rows:float -> float
     table). *)
 val column_stats_of_observed :
   observed -> column:string -> Mqr_catalog.Column_stats.t
-
-val pp_observed : Format.formatter -> observed -> unit

@@ -3,7 +3,15 @@ open Mqr_storage
 let filter ctx schema pred rows =
   let p = Mqr_expr.Expr.compile_pred schema pred in
   Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (Array.length rows);
-  Array.of_list (List.filter p (Array.to_list rows))
+  let out = Array.make (Array.length rows) [||] and kept = ref 0 in
+  Array.iter
+    (fun t ->
+       if p t then begin
+         out.(!kept) <- t;
+         incr kept
+       end)
+    rows;
+  Array.sub out 0 !kept
 
 let project ctx schema cols rows =
   let idxs = List.map (Schema.index_of schema) cols in

@@ -30,13 +30,15 @@ module Fm = struct
       go 0
     end
 
-  let add t v =
-    let h = mix64 (Value.hash v) in
+  (* [h] is the mixed hash of the value being added. *)
+  let add_hash t h =
     let bucket = Int64.to_int (Int64.rem (Int64.logand h 0x7FFFFFFFFFFFFFFFL)
                                  (Int64.of_int t.maps)) in
     let rest = Int64.shift_right_logical h 8 in
     let r = trailing_zeros rest in
     t.sketch.(bucket) <- t.sketch.(bucket) lor (1 lsl min r 61)
+
+  let add t v = add_hash t (mix64 (Value.hash v))
 
   (* Position of lowest zero bit. *)
   let lowest_zero bits =
@@ -49,26 +51,35 @@ module Fm = struct
     float_of_int t.maps /. phi *. (2.0 ** mean)
 end
 
+(* The exact set holds mixed hashes, already well spread: bucket on the
+   low bits directly. *)
+module Int_set = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash h = h land max_int
+  end)
+
 type t = {
   exact_limit : int;
-  exact : (int, unit) Hashtbl.t;
+  exact : unit Int_set.t;
   fm : Fm.t;
   mutable overflowed : bool;
 }
 
 let create ?(exact_limit = 4096) () =
   { exact_limit;
-    exact = Hashtbl.create 256;
+    exact = Int_set.create 256;
     fm = Fm.create ();
     overflowed = false }
 
 let add t v =
-  Fm.add t.fm v;
+  let h = mix64 (Value.hash v) in
+  Fm.add_hash t.fm h;
   if not t.overflowed then begin
-    let h = Int64.to_int (mix64 (Value.hash v)) in
-    if not (Hashtbl.mem t.exact h) then begin
-      Hashtbl.replace t.exact h ();
-      if Hashtbl.length t.exact > t.exact_limit then t.overflowed <- true
+    let k = Int64.to_int h in
+    if not (Int_set.mem t.exact k) then begin
+      Int_set.replace t.exact k ();
+      if Int_set.length t.exact > t.exact_limit then t.overflowed <- true
     end
   end
 
@@ -76,4 +87,4 @@ let is_exact t = not t.overflowed
 
 let estimate t =
   if t.overflowed then Fm.estimate t.fm
-  else float_of_int (Hashtbl.length t.exact)
+  else float_of_int (Int_set.length t.exact)

@@ -59,11 +59,12 @@ let scan t ~pool ~clock f =
 
 let scan_range t ~pool ~clock ~from_rid ~to_rid f =
   let lo = max 0 from_rid and hi = min t.len to_rid in
-  let touched = Hashtbl.create 16 in
+  (* rids ascend, so a page is new exactly when it differs from the last *)
+  let last = ref (-1) in
   for rid = lo to hi - 1 do
     let page = rid / t.per_page in
-    if not (Hashtbl.mem touched page) then begin
-      Hashtbl.replace touched page ();
+    if page <> !last then begin
+      last := page;
       if not (Buffer_pool.access pool ~file:t.id ~page) then
         Sim_clock.charge_seq_read clock 1
     end;

@@ -414,7 +414,11 @@ let test_collector_counters () =
   let rows = rows_of (List.init 500 (fun i -> (i mod 20, i))) in
   let obs = Collector.collect c schema (Collector.spec ()) rows in
   Alcotest.(check int) "rows" 500 obs.Collector.rows;
-  match List.assoc_opt "t.a" obs.Collector.col_ranges with
+  Alcotest.(check int) "no spec, no ranges" 0
+    (List.length obs.Collector.col_ranges);
+  match
+    List.assoc_opt "t.a" (Collector.ranges schema ~columns:[ "t.a" ] rows)
+  with
   | Some (lo, hi) ->
     Alcotest.(check bool) "min" true (Value.equal lo (Value.Int 0));
     Alcotest.(check bool) "max" true (Value.equal hi (Value.Int 19))
@@ -468,6 +472,173 @@ let test_collector_to_column_stats () =
   Alcotest.(check bool) "has distinct" true
     (st.Mqr_catalog.Column_stats.distinct <> None)
 
+(* Reference: the row-at-a-time collector that kept min/max over every
+   column and fed every statistic from one pass over the rows.  The
+   collector must observe exactly what it did on the spec's columns. *)
+let reference_collect schema (s : Collector.spec) rows =
+  let arity = Schema.arity schema in
+  let qualified i =
+    let c = Schema.column schema i in
+    if c.Schema.qualifier = "" then c.Schema.name
+    else c.Schema.qualifier ^ "." ^ c.Schema.name
+  in
+  let mins = Array.make arity Value.Null and maxs = Array.make arity Value.Null in
+  let hist_targets =
+    List.map
+      (fun c ->
+         ( c, Schema.index_of schema c,
+           Mqr_stats.Reservoir.create ~capacity:s.Collector.sample_size () ))
+      s.Collector.hist_cols
+  in
+  let distinct_targets =
+    List.map
+      (fun c -> (c, Schema.index_of schema c, Mqr_stats.Distinct.create ()))
+      s.Collector.distinct_cols
+  in
+  Array.iter
+    (fun (t : Tuple.t) ->
+       for i = 0 to arity - 1 do
+         if not (Value.is_null t.(i)) then begin
+           mins.(i) <- Value.min_value mins.(i) t.(i);
+           maxs.(i) <- Value.max_value maxs.(i) t.(i)
+         end
+       done;
+       List.iter
+         (fun (_, i, res) ->
+            if not (Value.is_null t.(i)) then Mqr_stats.Reservoir.add res t.(i))
+         hist_targets;
+       List.iter
+         (fun (_, i, d) ->
+            if not (Value.is_null t.(i)) then Mqr_stats.Distinct.add d t.(i))
+         distinct_targets)
+    rows;
+  let dicts = ref [] in
+  let histograms =
+    List.map
+      (fun (c, _, res) ->
+         let sample = Mqr_stats.Reservoir.sample res in
+         let seen = Mqr_stats.Reservoir.seen res in
+         let has_string =
+           Array.exists (fun v -> match v with Value.String _ -> true | _ -> false)
+             sample
+         in
+         let to_float =
+           if has_string then begin
+             let module SS = Set.Make (String) in
+             let set =
+               Array.fold_left
+                 (fun acc v -> match v with Value.String s -> SS.add s acc | _ -> acc)
+                 SS.empty sample
+             in
+             let dict = List.mapi (fun i s -> (s, float_of_int i)) (SS.elements set) in
+             dicts := (c, dict) :: !dicts;
+             fun v ->
+               match v with
+               | Value.String s -> List.assoc s dict
+               | v -> Value.to_float v
+           end
+           else Value.to_float
+         in
+         let h =
+           Histogram.build s.Collector.hist_kind ~buckets:s.Collector.hist_buckets
+             (Array.map to_float sample)
+         in
+         (c, Histogram.scale h (float_of_int seen)))
+      hist_targets
+  in
+  let distincts =
+    List.map (fun (c, _, d) -> (c, Mqr_stats.Distinct.estimate d)) distinct_targets
+  in
+  let col_ranges =
+    List.filter_map
+      (fun i ->
+         if Value.is_null mins.(i) then None
+         else Some (qualified i, (mins.(i), maxs.(i))))
+      (List.init arity Fun.id)
+  in
+  (col_ranges, histograms, distincts, !dicts)
+
+(* Five typed columns (one unqualified) with nulls; [n] mixes Int and
+   Float, so min/max ties between Int k and Float k occur. *)
+let oracle_schema =
+  Schema.make
+    [ Schema.col ~qualifier:"t" "i" Value.TInt;
+      Schema.col ~qualifier:"t" "f" Value.TFloat;
+      Schema.col ~qualifier:"t" "n" Value.TFloat;
+      Schema.col ~qualifier:"t" "d" Value.TDate;
+      Schema.col "s" Value.TString ]
+
+let oracle_columns = [ "t.i"; "t.f"; "t.n"; "t.d"; "s" ]
+
+let oracle_rows ~seed ~n ~domain =
+  let st = Random.State.make [| seed |] in
+  let pick mk = if Random.State.int st 10 = 0 then Value.Null else mk (Random.State.int st domain) in
+  Array.init n (fun _ ->
+      [| pick (fun k -> Value.Int k);
+         pick (fun k -> Value.Float (float_of_int k /. 4.0));
+         pick (fun k -> if k land 1 = 0 then Value.Int (k / 2) else Value.Float (float_of_int (k / 2)));
+         pick (fun k -> Value.Date (8000 + k));
+         pick (fun k -> Value.String (Printf.sprintf "v%d" k)) |])
+
+let bits f = Int64.bits_of_float f
+
+let same_histogram a b =
+  Histogram.kind a = Histogram.kind b
+  && List.equal
+       (fun (x : Histogram.bucket) (y : Histogram.bucket) ->
+          bits x.lo = bits y.lo && bits x.hi = bits y.hi
+          && bits x.rows = bits y.rows && bits x.distinct = bits y.distinct)
+       (Histogram.buckets a) (Histogram.buckets b)
+
+let matches_reference spec rows =
+  let ref_ranges, ref_hists, ref_distincts, ref_dicts =
+    reference_collect oracle_schema spec rows
+  in
+  let obs = Collector.collect (ctx ()) oracle_schema spec rows in
+  let columns = Collector.spec_columns spec in
+  List.for_all
+    (fun c -> List.assoc_opt c obs.Collector.col_ranges = List.assoc_opt c ref_ranges)
+    columns
+  && List.for_all (fun (c, _) -> List.mem c columns) obs.Collector.col_ranges
+  && List.equal
+       (fun (c, h) (c', h') -> c = c' && same_histogram h h')
+       obs.Collector.histograms ref_hists
+  && List.equal
+       (fun (c, d) (c', d') -> c = c' && bits d = bits d')
+       obs.Collector.distincts ref_distincts
+  && obs.Collector.dicts = ref_dicts
+
+let prop_collector_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 10_000)
+        (frequency [ (3, int_range 0 400); (1, int_range 4200 6000) ])
+        (oneofl [ 1; 7; 300; 100_000 ])
+        (pair (int_bound 31) (int_bound 31)))
+  in
+  QCheck.Test.make ~name:"collector = row-at-a-time reference" ~count:40
+    (QCheck.make gen)
+    (fun (seed, n, domain, (hmask, dmask)) ->
+       let subset mask =
+         List.filteri (fun i _ -> mask land (1 lsl i) <> 0) oracle_columns
+       in
+       let spec =
+         Collector.spec ~hist_cols:(subset hmask) ~distinct_cols:(subset dmask) ()
+       in
+       matches_reference spec (oracle_rows ~seed ~n ~domain))
+
+(* Past the exact counter's 4096 values the distincts come from the
+   Flajolet-Martin sketch. *)
+let test_collector_reference_sketch_path () =
+  let rows = oracle_rows ~seed:3 ~n:6000 ~domain:100_000 in
+  let spec =
+    Collector.spec ~hist_cols:oracle_columns ~distinct_cols:oracle_columns ()
+  in
+  let seen = Hashtbl.create 8192 in
+  Array.iter (fun (t : Tuple.t) -> Hashtbl.replace seen t.(0) ()) rows;
+  Alcotest.(check bool) "over the exact limit" true (Hashtbl.length seen > 4096);
+  Alcotest.(check bool) "matches reference" true (matches_reference spec rows)
+
 let prop_hash_join_equals_nested_loop =
   QCheck.Test.make ~name:"hash join = nested loop" ~count:100
     QCheck.(pair (list_of_size (Gen.int_range 0 60) (int_range 0 8))
@@ -520,4 +691,7 @@ let suite =
     Alcotest.test_case "collector distinct" `Quick test_collector_distinct;
     Alcotest.test_case "collector cost" `Quick test_collector_cost_budgeting;
     Alcotest.test_case "collector to column stats" `Quick test_collector_to_column_stats;
+    QCheck_alcotest.to_alcotest prop_collector_matches_reference;
+    Alcotest.test_case "collector = reference, sketch path" `Quick
+      test_collector_reference_sketch_path;
     QCheck_alcotest.to_alcotest prop_hash_join_equals_nested_loop ]

@@ -116,6 +116,36 @@ let test_distinct_repeats_ignored () =
   done;
   Alcotest.(check (float 0.01)) "one distinct" 1.0 (Distinct.estimate d)
 
+(* Estimates pinned bit for bit: the exact counter and the sketch must
+   keep seeing the same hashes.  Values recorded before the counter was
+   reworked to hash each value once. *)
+let test_distinct_pinned () =
+  let check name ?exact_limit ~exact ~bits values =
+    let d = Distinct.create ?exact_limit () in
+    List.iter (Distinct.add d) values;
+    Alcotest.(check bool) (name ^ " exact") exact (Distinct.is_exact d);
+    Alcotest.(check int64) name bits (Int64.bits_of_float (Distinct.estimate d))
+  in
+  check "ints mod 37" ~exact:true ~bits:0x4042800000000000L
+    (List.init 1000 (fun i -> Value.Int (i mod 37)));
+  check "10k ints, limit 100" ~exact_limit:100 ~exact:false
+    ~bits:0x40c32cba0df6b696L
+    (List.init 10_000 (fun i -> Value.Int i));
+  check "10k ints" ~exact:false ~bits:0x40c32cba0df6b696L
+    (List.init 10_000 (fun i -> Value.Int i));
+  check "strings" ~exact:true ~bits:0x405ec00000000000L
+    (List.init 500 (fun i -> Value.String (Printf.sprintf "s%d" (i mod 123))));
+  check "strings, limit 50" ~exact_limit:50 ~exact:false
+    ~bits:0x409ee174fee289b7L
+    (List.init 2000 (fun i -> Value.String (Printf.sprintf "key-%d" i)));
+  check "floats" ~exact:true ~bits:0x406a600000000000L
+    (List.init 800 (fun i -> Value.Float (float_of_int (i mod 211) *. 0.25)));
+  check "dates" ~exact:true ~bits:0x4076d00000000000L
+    (List.init 3000 (fun i -> Value.Date (8000 + (i mod 365))));
+  check "dates, limit 100" ~exact_limit:100 ~exact:false
+    ~bits:0x40a8556ca656bdd1L
+    (List.init 3000 (fun i -> Value.Date (8000 + i)))
+
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int stays in bounds" ~count:300
     QCheck.(pair small_int (int_range 1 10_000))
@@ -149,5 +179,6 @@ let suite =
     Alcotest.test_case "distinct exact" `Quick test_distinct_exact;
     Alcotest.test_case "distinct FM accuracy" `Quick test_distinct_fm_accuracy;
     Alcotest.test_case "distinct repeats" `Quick test_distinct_repeats_ignored;
+    Alcotest.test_case "distinct estimates pinned" `Quick test_distinct_pinned;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_reservoir_size ]
