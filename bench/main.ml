@@ -2,14 +2,14 @@
    evaluation (Section 3.2) plus the extension experiments listed in
    DESIGN.md.
 
-     dune exec bench/main.exe            -- everything (figures, extensions, micro)
+     dune exec bench/main.exe            -- everything (figures, extensions)
      dune exec bench/main.exe -- figures -- just the paper figures (F10 F11 F12)
      dune exec bench/main.exe -- f10     -- one experiment
 
    Experiments report *simulated* milliseconds from the engine's cost
    clock, so results are deterministic and machine-independent.  The
-   bechamel micro-benchmarks at the end measure real wall-clock of the
-   engine's own components. *)
+   parallel, service, overhead and opt scenarios also report wall-clock
+   min and median over repetitions. *)
 
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
@@ -424,10 +424,10 @@ let scalability () =
   List.iter
     (fun degree ->
        let ctx = Exec_ctx.create ~pool_pages:4096 () in
-       let p = Parallel.make ~degree () in
        ignore
-         (Parallel.hash_join ctx p ~mem_pages:64 ~build:(build, schema "r")
-            ~probe:(probe, schema "l") ~keys:[ ("l.a", "r.a") ] ());
+         (Parallel.hash_join ctx ~degree ~mem_pages:64
+            ~build:(build, schema "r") ~probe:(probe, schema "l")
+            ~keys:[ ("l.a", "r.a") ] ());
        let t = Exec_ctx.elapsed_ms ctx in
        if degree = 1 then base := t;
        Fmt.pr "  degree %d: %10.1f ms   speedup %.2fx@." degree t (!base /. t))
@@ -752,50 +752,49 @@ let trace_scenario () =
   else Fmt.pr "@.** %d tracing mismatches **@." !mismatches
 
 (* ------------------------------------------------------------------ *)
-(* Real multicore execution: the plan degree of parallelism fixes the
-   simulated cost, the domain-pool size only changes wall-clock time.
-   Each query runs with max dop 4 on pools of 1/2/4/8 domains; the table
-   reports simulated AND wall-clock elapsed and checks that result rows
-   and simulated time are byte-identical at every pool size.           *)
+(* Parallel plans: each query runs with max dop 1 and 4.  The plan
+   degrees fix the simulated cost; the workers run inline, so the wall
+   columns price the partitioning itself.  The table checks that dop 4
+   returns the dop-1 result multiset and that the simulation is
+   bit-identical across repetitions.                                    *)
 
 let parallel_scenario () =
   header
-    (Fmt.str
-       "Parallel execution - max dop 4 on domain pools of 1/2/4/8 (sf=%g, \
-        budget=%d pages, %d domain(s) recommended on this machine)"
-       sf budget_pages
-       (Domain.recommended_domain_count ()));
+    (Fmt.str "Parallel plans - max dop 1 vs 4 (sf=%g, budget=%d pages)" sf
+       budget_pages);
   let catalog = Workload.experiment_catalog ~sf () in
-  let opt_options =
-    { Mqr_opt.Optimizer.default_options with
-      Mqr_opt.Optimizer.planning_mem_pages = max 8 (budget_pages / 2);
-      max_dop = 4 }
-  in
-  Fmt.pr "%-5s | %4s | %12s %12s %12s %9s %10s  %s@." "query" "pool" "sim(ms)"
+  Fmt.pr "%-5s | %3s | %12s %12s %12s %9s %10s  %s@." "query" "dop" "sim(ms)"
     "wall-min(ms)" "wall-med(ms)" "par ops" "peak pages" "identical";
+  let canon (r : Dispatcher.report) =
+    List.sort compare
+      (Array.to_list (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp)
+                        r.Dispatcher.rows))
+  in
   let mismatches = ref 0 in
   List.iter
     (fun name ->
        let q = Queries.find name in
-       let baseline = ref None in
+       let serial_rows = ref [] in
        List.iter
-         (fun pool_size ->
+         (fun max_dop ->
+            let opt_options =
+              { Mqr_opt.Optimizer.default_options with
+                Mqr_opt.Optimizer.planning_mem_pages = max 8 (budget_pages / 2);
+                max_dop }
+            in
             (* wall-clock noise reduction: repeat the measured run and
                report min and median; the simulation is single-shot (it
                is bit-identical across repetitions, which rep 2+ assert) *)
             let runs =
               List.init wall_reps (fun _ ->
                   let engine =
-                    Engine.create ~budget_pages ~pool_pages ~opt_options
-                      ~parallel:pool_size catalog
+                    Engine.create ~budget_pages ~pool_pages ~opt_options catalog
                   in
                   let t0 = Unix.gettimeofday () in
                   let r =
                     Engine.run_sql engine ~mode:Dispatcher.Full q.Queries.sql
                   in
-                  let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-                  Engine.shutdown engine;
-                  (r, wall_ms))
+                  (r, 1000.0 *. (Unix.gettimeofday () -. t0)))
             in
             let r = fst (List.hd runs) in
             let rep_stable =
@@ -806,7 +805,7 @@ let parallel_scenario () =
                 (List.tl runs)
             in
             let wall_min, wall_med = min_median (List.map snd runs) in
-            let scenario = Fmt.str "parallel/%s/pool=%d" name pool_size in
+            let scenario = Fmt.str "parallel/%s/dop=%d" name max_dop in
             record ~scenario ~mode:"sim" ~elapsed_ms:r.Dispatcher.elapsed_ms
               ~switches:r.Dispatcher.switches
               ~collectors:r.Dispatcher.collectors;
@@ -816,16 +815,8 @@ let parallel_scenario () =
             record ~scenario ~mode:"wall-median" ~elapsed_ms:wall_med
               ~switches:r.Dispatcher.switches
               ~collectors:r.Dispatcher.collectors;
-            let identical =
-              rep_stable
-              && (match !baseline with
-                 | None ->
-                   baseline :=
-                     Some (r.Dispatcher.rows, r.Dispatcher.elapsed_ms);
-                   true
-                 | Some (rows, sim) ->
-                   rows = r.Dispatcher.rows && sim = r.Dispatcher.elapsed_ms)
-            in
+            if max_dop = 1 then serial_rows := canon r;
+            let identical = rep_stable && canon r = !serial_rows in
             if not identical then incr mismatches;
             let par_ops =
               List.length
@@ -833,30 +824,29 @@ let parallel_scenario () =
                    (function _, Dispatcher.Ev_parallel _ -> true | _ -> false)
                    r.Dispatcher.timed_events)
             in
-            Fmt.pr "%-5s | %4d | %12.1f %12.1f %12.1f %9d %10d  %s@." name
-              pool_size r.Dispatcher.elapsed_ms wall_min wall_med par_ops
+            Fmt.pr "%-5s | %3d | %12.1f %12.1f %12.1f %9d %10d  %s@." name
+              max_dop r.Dispatcher.elapsed_ms wall_min wall_med par_ops
               r.Dispatcher.worker_pages_peak
               (if identical then "yes" else "** MISMATCH **"))
-         [ 1; 2; 4; 8 ])
+         [ 1; 4 ])
     [ "Q3"; "Q5"; "Q10" ];
   if !mismatches = 0 then
     Fmt.pr
-      "@.The pool is invisible to the simulation: result rows and simulated \
-       elapsed@.are byte-identical at every pool size.  Degrees are chosen \
-       by the optimizer@.and charged to the simulated clock; the domains \
-       only move wall-clock time.@."
+      "@.Dop 4 returns the dop-1 result multiset and the simulation is \
+       bit-identical@.across repetitions.  Degrees are chosen by the \
+       optimizer and charged to the@.simulated clock.@."
   else Fmt.pr "@.** %d parallel mismatches **@." !mismatches
 
 (* ------------------------------------------------------------------ *)
 (* Query service: mixed interactive + batch tenants on one engine.  A
    web tenant (interactive SLO) and an etl tenant (batch SLO) share the
-   broker and the domain pool; the batch tenant's join-heavy statements
+   broker; the batch tenant's join-heavy statements
    arrive first and hold the machine.  Round-robin is the batch scheduler
    (FIFO admission, global broker); slo-aware adds EDF admission over
    deadlines plus per-tenant fair-share memory floors, and must pull the
    interactive p99 down without changing a single result row.  Rows are
    checked byte-identical against solo executions, the simulation must be
-   bit-identical across repetitions and pool sizes, and the sanitizer
+   bit-identical across repetitions, and the sanitizer
    asserts per-tenant transient pages are zero at every decision point. *)
 
 let service_scenario () =
@@ -865,7 +855,7 @@ let service_scenario () =
   header
     (Fmt.str
        "Query service - web (interactive) + etl (batch) tenants, \
-        round-robin vs slo-aware, pools 1/4/8 (sf=%g, budget=%d pages, \
+        round-robin vs slo-aware (sf=%g, budget=%d pages, \
         sanitize on)"
        sf budget_pages);
   let catalog = Workload.experiment_catalog ~sf () in
@@ -898,13 +888,12 @@ let service_scenario () =
            Engine.create ~budget_pages ~pool_pages ~opt_options catalog
          in
          let r = Engine.run_sql engine (Queries.find name).Queries.sql in
-         Engine.shutdown engine;
          Hashtbl.replace solo name (render r.Dispatcher.rows)
        end)
     arrivals;
-  let run_once ~pool ~policy =
+  let run_once policy =
     let engine =
-      Engine.create ~budget_pages ~pool_pages ~opt_options ~parallel:pool
+      Engine.create ~budget_pages ~pool_pages ~opt_options
         ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
     in
     let options =
@@ -940,11 +929,10 @@ let service_scenario () =
            | _ -> false)
         rep.Service.statements
     in
-    Engine.shutdown engine;
     (rep, wall_ms, rows_ok)
   in
   (* the simulated side of a report: everything scheduling could affect;
-     must be bit-identical across repetitions and pool sizes *)
+     must be bit-identical across repetitions *)
   let sim_fingerprint (rep : Service.report) =
     ( rep.Service.makespan_ms,
       List.map
@@ -958,111 +946,68 @@ let service_scenario () =
             s.Session.stmt_finish_ms))
         rep.Service.statements )
   in
-  Fmt.pr
-    "%4s %-12s | %10s %9s %9s | %8s %8s | %8s %8s | %4s %4s %5s  %s@." "pool"
+  Fmt.pr "%-12s | %10s %9s %9s | %8s %8s | %8s %8s | %4s %4s %5s  %s@."
     "policy" "mksp(sim)" "wall-min" "wall-med" "int-p50" "int-p99" "bat-p50"
     "bat-p99" "viol" "miss" "waits" "rows";
   let mismatches = ref 0 in
-  let p99s = Hashtbl.create 8 in
-  List.iter
-    (fun policy ->
-       let pool1 = ref None in
-       List.iter
-         (fun pool ->
-            let runs =
-              List.init wall_reps (fun _ -> run_once ~pool ~policy)
-            in
-            let rep, _, _ = List.hd runs in
-            let fp = sim_fingerprint rep in
-            let rep_stable =
-              List.for_all
-                (fun (r, _, _) -> sim_fingerprint r = fp)
-                (List.tl runs)
-            in
-            let pool_stable =
-              match !pool1 with
-              | None -> pool1 := Some fp; true
-              | Some fp1 -> fp = fp1
-            in
-            let rows_ok = List.for_all (fun (_, _, ok) -> ok) runs in
-            if not (rep_stable && pool_stable && rows_ok) then
-              incr mismatches;
-            let wall_min, wall_med =
-              min_median (List.map (fun (_, w, _) -> w) runs)
-            in
-            let cls slo = List.assoc slo rep.Service.classes in
-            let int_c = cls Session.Interactive
-            and bat_c = cls Session.Batch in
-            let waits =
-              List.fold_left
-                (fun acc (t : Service.tenant_summary) ->
-                   acc + t.Service.tns_broker_waits)
-                0 rep.Service.tenants
-            in
-            let replans =
-              List.fold_left
-                (fun acc (t : Service.tenant_summary) ->
-                   acc + t.Service.tns_replans)
-                0 rep.Service.tenants
-            in
-            (* terminal statements that never completed by their deadline
-               (late completions + failed/cancelled/shed) *)
-            let misses =
-              List.fold_left
-                (fun acc (t : Service.tenant_summary) ->
-                   acc + t.Service.tns_deadline_miss)
-                0 rep.Service.tenants
-            in
-            let scenario =
-              Fmt.str "service/pool=%d/%s" pool
-                (Service.policy_to_string policy)
-            in
-            record ~scenario ~mode:"sim-makespan"
-              ~elapsed_ms:rep.Service.makespan_ms ~switches:replans
-              ~collectors:0;
-            record ~scenario ~mode:"wall-makespan-min" ~elapsed_ms:wall_min
-              ~switches:replans ~collectors:0;
-            record ~scenario ~mode:"wall-makespan-median"
-              ~elapsed_ms:wall_med ~switches:replans ~collectors:0;
-            record ~scenario ~mode:"interactive-p50-sim"
-              ~elapsed_ms:int_c.Service.cs_p50_ms ~switches:0 ~collectors:0;
-            record ~scenario ~mode:"interactive-p99-sim"
-              ~elapsed_ms:int_c.Service.cs_p99_ms ~switches:0 ~collectors:0;
-            record ~scenario ~mode:"batch-p99-sim"
-              ~elapsed_ms:bat_c.Service.cs_p99_ms ~switches:0 ~collectors:0;
-            record ~scenario ~mode:"deadline-misses"
-              ~elapsed_ms:(float_of_int misses) ~switches:0 ~collectors:0;
-            Hashtbl.replace p99s (pool, policy) int_c.Service.cs_p99_ms;
-            Fmt.pr
-              "%4d %-12s | %10.1f %9.1f %9.1f | %8.1f %8.1f | %8.1f %8.1f \
-               | %4d %4d %5d  %s@."
-              pool
-              (Service.policy_to_string policy)
-              rep.Service.makespan_ms wall_min wall_med
-              int_c.Service.cs_p50_ms int_c.Service.cs_p99_ms
-              bat_c.Service.cs_p50_ms bat_c.Service.cs_p99_ms
-              (int_c.Service.cs_violations + bat_c.Service.cs_violations)
-              misses waits
-              (if rep_stable && pool_stable && rows_ok then "yes"
-               else "** MISMATCH **"))
-         [ 1; 4; 8 ])
-    [ Service.Round_robin; Service.Slo_aware ];
-  List.iter
-    (fun pool ->
-       let rr = Hashtbl.find p99s (pool, Service.Round_robin) in
-       let slo = Hashtbl.find p99s (pool, Service.Slo_aware) in
-       Fmt.pr
-         "pool %d: interactive p99 %10.1f ms (round-robin) -> %10.1f ms \
-          (slo-aware)  %.2fx%s@."
-         pool rr slo (rr /. slo)
-         (if slo < rr then "" else "  ** NO IMPROVEMENT **"))
-    [ 1; 4; 8 ];
+  let run_policy policy =
+    let runs = List.init wall_reps (fun _ -> run_once policy) in
+    let rep, _, _ = List.hd runs in
+    let fp = sim_fingerprint rep in
+    let ok =
+      List.for_all (fun (r, _, rows_ok) -> rows_ok && sim_fingerprint r = fp)
+        runs
+    in
+    if not ok then incr mismatches;
+    let wall_min, wall_med = min_median (List.map (fun (_, w, _) -> w) runs) in
+    let cls slo = List.assoc slo rep.Service.classes in
+    let int_c = cls Session.Interactive and bat_c = cls Session.Batch in
+    let sum f = List.fold_left (fun acc t -> acc + f t) 0 rep.Service.tenants in
+    let waits = sum (fun t -> t.Service.tns_broker_waits) in
+    let replans = sum (fun t -> t.Service.tns_replans) in
+    (* terminal statements that never completed by their deadline (late
+       completions + failed/cancelled/shed) *)
+    let misses = sum (fun t -> t.Service.tns_deadline_miss) in
+    let scenario = "service/" ^ Service.policy_to_string policy in
+    record ~scenario ~mode:"sim-makespan" ~elapsed_ms:rep.Service.makespan_ms
+      ~switches:replans ~collectors:0;
+    record ~scenario ~mode:"wall-makespan-min" ~elapsed_ms:wall_min
+      ~switches:replans ~collectors:0;
+    record ~scenario ~mode:"wall-makespan-median" ~elapsed_ms:wall_med
+      ~switches:replans ~collectors:0;
+    record ~scenario ~mode:"interactive-p50-sim"
+      ~elapsed_ms:int_c.Service.cs_p50_ms ~switches:0 ~collectors:0;
+    record ~scenario ~mode:"interactive-p99-sim"
+      ~elapsed_ms:int_c.Service.cs_p99_ms ~switches:0 ~collectors:0;
+    record ~scenario ~mode:"batch-p99-sim"
+      ~elapsed_ms:bat_c.Service.cs_p99_ms ~switches:0 ~collectors:0;
+    record ~scenario ~mode:"deadline-misses"
+      ~elapsed_ms:(float_of_int misses) ~switches:0 ~collectors:0;
+    Fmt.pr
+      "%-12s | %10.1f %9.1f %9.1f | %8.1f %8.1f | %8.1f %8.1f | %4d %4d %5d  \
+       %s@."
+      (Service.policy_to_string policy)
+      rep.Service.makespan_ms wall_min wall_med
+      int_c.Service.cs_p50_ms int_c.Service.cs_p99_ms
+      bat_c.Service.cs_p50_ms bat_c.Service.cs_p99_ms
+      (int_c.Service.cs_violations + bat_c.Service.cs_violations)
+      misses waits
+      (if ok then "yes" else "** MISMATCH **");
+    int_c.Service.cs_p99_ms
+  in
+  let rr = run_policy Service.Round_robin in
+  let slo = run_policy Service.Slo_aware in
+  Fmt.pr
+    "interactive p99 %10.1f ms (round-robin) -> %10.1f ms (slo-aware)  \
+     %.2fx%s@."
+    rr slo (rr /. slo)
+    (if slo < rr then "" else "  ** NO IMPROVEMENT **");
   if !mismatches = 0 then
     Fmt.pr
       "@.Scheduling reads only the virtual timeline: simulated makespans, \
        percentiles and@.per-statement times are bit-identical across \
-       repetitions and pool sizes, every@.statement's rows match its solo \
-       execution byte-for-byte, and the sanitizer saw@.zero per-tenant \
+       repetitions, every statement's rows@.match its solo \
+       execution byte-for-byte, and the sanitizer saw zero per-tenant@.\
        transient pages at every decision point.@."
   else Fmt.pr "@.** %d service mismatches **@." !mismatches
 
@@ -1148,9 +1093,7 @@ let progress_scenario () =
               actual first_est err_pct (List.length samples) cover_pct
               (if monotone then "yes" else "** NO **")
               (if identical then "yes" else "** MISMATCH **"))
-         Queries.all;
-       Engine.shutdown plain;
-       Engine.shutdown probed)
+         Queries.all)
     modes;
   if !mismatches = 0 && !non_monotone = 0 then
     Fmt.pr
@@ -1228,59 +1171,7 @@ let opt_scenario () =
          plans sim_ms wall_min wall_med
          (1000.0 *. wall_med /. float_of_int (max 1 plans))
          (minor_med /. 1e6) digest)
-    Queries.all;
-  Engine.shutdown engine
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per figure/table id.       *)
-
-let micro () =
-  header "Bechamel micro-benchmarks (real wall-clock per figure driver)";
-  let open Bechamel in
-  let tiny_engine =
-    lazy
-      (let catalog = Workload.experiment_catalog ~sf:0.001 () in
-       Engine.create ~budget_pages:64 catalog)
-  in
-  let run_query mode name () =
-    let engine = Lazy.force tiny_engine in
-    ignore (Engine.run_sql engine ~mode (Queries.find name).Queries.sql)
-  in
-  let tests =
-    [ Test.make ~name:"f10/Q5-normal" (Staged.stage (run_query Dispatcher.Off "Q5"));
-      Test.make ~name:"f10/Q5-reopt" (Staged.stage (run_query Dispatcher.Full "Q5"));
-      Test.make ~name:"f11/Q10-memory-only"
-        (Staged.stage (run_query Dispatcher.Memory_only "Q10"));
-      Test.make ~name:"f11/Q10-plan-only"
-        (Staged.stage (run_query Dispatcher.Plan_only "Q10"));
-      Test.make ~name:"f12/Q3-reopt" (Staged.stage (run_query Dispatcher.Full "Q3"));
-      Test.make ~name:"xfig3/Q10-memory"
-        (Staged.stage (run_query Dispatcher.Memory_only "Q10"));
-      Test.make ~name:"overhead/Q1-collectors"
-        (Staged.stage (run_query Dispatcher.Full "Q1"));
-      Test.make ~name:"sens/Q5-optimize-only"
-        (Staged.stage (fun () ->
-             let engine = Lazy.force tiny_engine in
-             ignore (Engine.explain engine (Queries.find "Q5").Queries.sql))) ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-       let raw = Benchmark.all cfg [ instance ] test in
-       Hashtbl.iter
-         (fun name r ->
-            let ols =
-              Analyze.one
-                (Analyze.ols ~bootstrap:0 ~r_square:false
-                   ~predictors:[| Measure.run |])
-                instance r
-            in
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] -> Fmt.pr "  %-28s %12.0f ns/run@." name est
-            | _ -> Fmt.pr "  %-28s (no estimate)@." name)
-         raw)
-    tests
+    Queries.all
 
 (* ------------------------------------------------------------------ *)
 
@@ -1311,7 +1202,6 @@ let () =
    | "service" -> service_scenario ()
    | "progress" -> progress_scenario ()
    | "opt" -> opt_scenario ()
-   | "micro" -> micro ()
    | "figures" ->
      figure10 ();
      figure11 ();
@@ -1335,13 +1225,12 @@ let () =
      parallel_scenario ();
      service_scenario ();
      progress_scenario ();
-     opt_scenario ();
-     micro ()
+     opt_scenario ()
    | other ->
      Fmt.epr
        "unknown experiment %S (f10 f11 f12 xfig3 sens overhead joins hist \
         hybrid scale rf wlm sanitize bounds trace parallel service progress \
-        opt micro all)@."
+        opt all)@."
        other;
      exit 1)
     which;

@@ -63,10 +63,10 @@ let rf_arg =
 
 let parallel_arg =
   let doc = "Enable intra-query parallelism: let the optimizer assign \
-             operators a degree of parallelism up to $(docv) and execute \
-             their workers on a pool of that many OCaml domains.  Results \
-             and simulated time are identical at every setting; only \
-             wall-clock time changes." in
+             operators a degree of parallelism up to $(docv).  The \
+             simulated clock charges each parallel operator's slowest \
+             worker plus its exchange; the workers themselves run one \
+             after another." in
   Arg.(value & opt int 1 & info [ "parallel" ] ~docv:"N" ~doc)
 
 (* user-facing errors (bad SQL, missing tables/files) print cleanly
@@ -178,7 +178,6 @@ let run_cmd =
       Fmt.pr "parallel workers: %d pages peak, %d held at completion@."
         report.Dispatcher.worker_pages_peak
         report.Dispatcher.worker_pages_held;
-    Engine.shutdown engine;
     match tr, trace_out with
     | Some tr, Some file -> export_chrome tr file
     | _ -> ()
@@ -225,38 +224,22 @@ let explain_cmd =
    dependency in the image); diagnostics are emitted in the stable
    [Diagnostic.compare] order, queries in argument order, so the output
    is diffable across runs. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_diag (d : Diagnostic.t) =
   Printf.sprintf
     "{\"code\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\",\"node_id\":%d,\
      \"path\":[%s],\"message\":\"%s\"%s}"
-    (json_escape d.Diagnostic.code)
+    (Trace.json_escape d.Diagnostic.code)
     (Diagnostic.severity_to_string d.Diagnostic.severity)
-    (json_escape d.Diagnostic.pass_name)
+    (Trace.json_escape d.Diagnostic.pass_name)
     d.Diagnostic.node_id
     (String.concat ","
        (List.map
-          (fun p -> Printf.sprintf "\"%s\"" (json_escape p))
+          (fun p -> Printf.sprintf "\"%s\"" (Trace.json_escape p))
           d.Diagnostic.path))
-    (json_escape d.Diagnostic.message)
+    (Trace.json_escape d.Diagnostic.message)
     (match d.Diagnostic.hint with
      | None -> ""
-     | Some h -> Printf.sprintf ",\"hint\":\"%s\"" (json_escape h))
+     | Some h -> Printf.sprintf ",\"hint\":\"%s\"" (Trace.json_escape h))
 
 let lint_cmd =
   let queries_arg =
@@ -292,7 +275,7 @@ let lint_cmd =
              Printf.sprintf
                "{\"query\":\"%s\",\"mode\":\"%s\",\"errors\":%d,\
                 \"warnings\":%d,\"diagnostics\":[%s]}"
-               (json_escape q)
+               (Trace.json_escape q)
                (Dispatcher.mode_to_string mode)
                (List.length errs) (List.length warns)
                (String.concat "," (List.map json_of_diag diags))
@@ -506,7 +489,6 @@ let workload_cmd =
       queries;
     Service.drain svc;
     Fmt.pr "%a@." Service.pp_report (Service.report svc);
-    Engine.shutdown engine;
     match tr, trace_out with
     | Some tr, Some file -> export_chrome tr file
     | _ -> ()
@@ -725,10 +707,7 @@ let serve_cmd =
        | Verifier.Sanitize -> " [sanitize]"
        | Verifier.Pre -> " [verify]"
        | Verifier.Off -> "");
-    let cleanup () =
-      if driver <> None then close_in_noerr ic;
-      Engine.shutdown engine
-    in
+    let cleanup () = if driver <> None then close_in_noerr ic in
     Fun.protect ~finally:cleanup (fun () ->
       let rec loop () =
         (if driver = None then Fmt.pr "svc> %!");

@@ -18,7 +18,6 @@ module Aggregate = Mqr_exec.Aggregate
 module Collector = Mqr_exec.Collector
 module Runtime_filter = Mqr_exec.Runtime_filter
 module Parallel = Mqr_exec.Parallel
-module Domain_pool = Mqr_exec.Domain_pool
 module Verifier = Mqr_analysis.Verifier
 module Diagnostic = Mqr_analysis.Diagnostic
 module Bounds = Mqr_analysis.Bounds
@@ -68,11 +67,6 @@ type config = {
          audit-ledger entries and metrics into the scope's parent trace;
          tracing is pure observation and never charges the simulated
          clock *)
-  domain_pool : Mqr_exec.Domain_pool.t option;
-      (* real OCaml domains the per-worker closures of parallel operators
-         are submitted to.  The pool only changes wall-clock time: result
-         rows and simulated charges are functions of each operator's plan
-         [dop], never of the pool size (None = run workers inline) *)
   progress : Progress.t option;
       (* when set, the run records a progress/ETA sample at start, at
          every decision point, after every plan switch and on completion,
@@ -587,11 +581,10 @@ let skew_factor = 2.0
    (clamped to what the broker grants — over-commit surfaces as a smaller
    slice, not an abort), stamp each worker's span onto its own trace
    lane, emit the exchange event, and flag skew.  [f] receives the
-   configured exchange, the per-worker slice, and the completion
-   callback to pass through to [Parallel]. *)
+   degree, the per-worker slice, and the completion callback to pass
+   through to [Parallel]. *)
 let with_workers st (p : Plan.t) ~op f =
   let dop = p.Plan.dop in
-  let par = Parallel.make ?pool:st.cfg.domain_pool ~degree:dop () in
   let want = dop * max 1 (st.cfg.pool_pages / dop) in
   let got =
     acquire_pages st st.worker_pages ~no_broker_cap:st.cfg.pool_pages want
@@ -607,7 +600,7 @@ let with_workers st (p : Plan.t) ~op f =
   Fun.protect
     ~finally:(fun () -> release_pages st st.worker_pages got)
     (fun () ->
-       let result = f par ~slice_pages:slice ~on_worker in
+       let result = f ~degree:dop ~slice_pages:slice ~on_worker in
        (match st.cfg.trace with
         | None -> ()
         | Some scope ->
@@ -765,8 +758,8 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
     let rows =
       if p.Plan.dop > 1 then
         with_workers st p ~op:(Plan.op_name p)
-          (fun par ~slice_pages ~on_worker ->
-             Parallel.scan ctx par ~slice_pages ~on_worker heap)
+          (fun ~degree ~slice_pages ~on_worker ->
+             Parallel.scan ctx ~degree ~slice_pages ~on_worker heap)
       else Scan.seq_scan ctx heap
     in
     let rows =
@@ -856,8 +849,8 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
     let mem_pages = if p.Plan.mem > 0 then p.Plan.mem else p.Plan.max_mem in
     if p.Plan.dop > 1 && keys <> [] then
       with_workers st p ~op:(Plan.op_name p)
-        (fun par ~slice_pages ~on_worker ->
-           Parallel.hash_join ctx par ~slice_pages ~on_worker ~mem_pages
+        (fun ~degree ~slice_pages ~on_worker ->
+           Parallel.hash_join ctx ~degree ~slice_pages ~on_worker ~mem_pages
              ~build:(build_rows, build_schema)
              ~probe:(probe_rows, probe_schema) ~keys ?extra ())
     else
@@ -922,8 +915,8 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
       let mem_pages = if p.Plan.mem > 0 then p.Plan.mem else p.Plan.max_mem in
       if p.Plan.dop > 1 && group_by <> [] then
         with_workers st p ~op:(Plan.op_name p)
-          (fun par ~slice_pages ~on_worker ->
-             Parallel.aggregate ctx par ~slice_pages ~on_worker ~mem_pages
+          (fun ~degree ~slice_pages ~on_worker ->
+             Parallel.aggregate ctx ~degree ~slice_pages ~on_worker ~mem_pages
                schema ~group_by ~aggs rows)
       else
         let r =
@@ -936,9 +929,9 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
     let mem_pages = if p.Plan.mem > 0 then p.Plan.mem else p.Plan.max_mem in
     if p.Plan.dop > 1 then
       ( with_workers st p ~op:(Plan.op_name p)
-          (fun par ~slice_pages ~on_worker ->
-             Parallel.sort ctx par ~slice_pages ~on_worker ~mem_pages schema
-               ~keys rows),
+          (fun ~degree ~slice_pages ~on_worker ->
+             Parallel.sort ctx ~degree ~slice_pages ~on_worker ~mem_pages
+               schema ~keys rows),
         schema )
     else
       let r = Sort_op.sort ctx ~mem_pages schema ~keys rows in

@@ -72,12 +72,6 @@ type config = {
           trace (see {!Mqr_obs.Trace}).  Tracing is pure observation: it
           never charges the simulated clock, so a traced run's elapsed
           time and result rows are identical to an untraced one *)
-  domain_pool : Mqr_exec.Domain_pool.t option;
-      (** real OCaml domains parallel operators submit their per-worker
-          closures to.  The pool only affects wall-clock time: result rows
-          and simulated charges depend on each operator's plan [dop]
-          annotation, never on the pool size ([None] runs workers
-          inline) *)
   progress : Mqr_obs.Progress.t option;
       (** when set, the run records a progress/ETA sample into the
           estimator at start, at every decision point, after every plan

@@ -8,7 +8,6 @@ module Plan = Mqr_opt.Plan
 module Memory_manager = Mqr_memman.Memory_manager
 module Verifier = Mqr_analysis.Verifier
 module Trace = Mqr_obs.Trace
-module Domain_pool = Mqr_exec.Domain_pool
 
 type t = {
   catalog : Catalog.t;
@@ -21,7 +20,6 @@ type t = {
   plan_cache : Plan_cache.t option;
   verify : Verifier.mode;
   trace : Trace.t option;
-  domain_pool : Domain_pool.t option;
 }
 
 let create ?(model = Sim_clock.default_model) ?(pool_pages = 2048)
@@ -29,10 +27,8 @@ let create ?(model = Sim_clock.default_model) ?(pool_pages = 2048)
     ?opt_options ?(runtime_filters = false) ?(plan_cache = false)
     ?(verify_plans = Verifier.Off) ?trace ?(parallel = 1) catalog =
   (* Unless told otherwise, the optimizer assumes each memory consumer will
-     receive about half the memory-manager budget.  [parallel] both raises
-     the optimizer's degree-of-parallelism ceiling and spins up the domain
-     pool the workers run on; at 1 everything stays serial and no domains
-     are spawned. *)
+     receive about half the memory-manager budget and keeps every operator
+     at or below [parallel] degrees. *)
   let opt_options =
     match opt_options with
     | Some o -> { o with Optimizer.enable_runtime_filters = runtime_filters }
@@ -46,17 +42,9 @@ let create ?(model = Sim_clock.default_model) ?(pool_pages = 2048)
     udfs = ref [];
     plan_cache = (if plan_cache then Some (Plan_cache.create ()) else None);
     verify = verify_plans;
-    trace;
-    domain_pool =
-      (if parallel > 1 then Some (Domain_pool.create ~size:parallel ())
-       else None) }
+    trace }
 
-(* Tear down the domain pool.  Idempotent — the pool joins its domains
-   exactly once no matter how many times this is called, so error paths
-   in long-lived hosts can shut down defensively.  A no-op for serial
-   engines; without it the domains of a parallel engine are reclaimed
-   only at process exit. *)
-let shutdown t = Option.iter Domain_pool.shutdown t.domain_pool
+let shutdown (_ : t) = ()
 
 let catalog t = t.catalog
 
@@ -106,7 +94,6 @@ let config ?trace ?progress t mode start_sampling =
     temp_prefix = "";
     verify = t.verify;
     trace;
-    domain_pool = t.domain_pool;
     progress }
 
 let budget_pages t = t.budget_pages

@@ -32,12 +32,10 @@ type t
     entries and metrics — pure observation that never charges the
     simulated clock.  [parallel] (default 1) enables intra-query
     parallelism: the optimizer may assign operators a degree of
-    parallelism up to [parallel], and a {!Mqr_exec.Domain_pool} of that
-    many real domains executes the workers.  Result rows and simulated
-    time depend only on the chosen plan degrees, never on how many
-    domains actually run them, so [parallel] changes wall-clock time
-    only.  Call {!shutdown} to join the domains when discarding a
-    parallel engine. *)
+    parallelism up to [parallel], which the simulated clock charges as a
+    partitioned parallel machine (see {!Mqr_exec.Parallel}; the workers
+    themselves run inline).  When [opt_options] is given, its [max_dop]
+    governs and [parallel] has no effect. *)
 val create :
   ?model:Sim_clock.model ->
   ?pool_pages:int ->
@@ -51,9 +49,9 @@ val create :
   ?parallel:int ->
   Mqr_catalog.Catalog.t -> t
 
-(** Join the engine's worker domains.  Idempotent: safe to call from
-    every error path of a long-lived host — repeated calls after the
-    first are no-ops, as is the whole call for serial engines. *)
+(** Does nothing: an engine holds no resources beyond the garbage
+    collector's reach.  Kept only for callers written against the
+    earlier API that had one to release. *)
 val shutdown : t -> unit
 
 val catalog : t -> Mqr_catalog.Catalog.t

@@ -1,45 +1,31 @@
 open Mqr_storage
 
-type t = {
-  degree : int;
-  net_ms_per_page : float;
-  pool : Domain_pool.t option;
-}
-
 let startup_ms = 0.05
-let default_net_ms_per_page = 0.4
+let net_ms_per_page = 0.4
 
-let sequential = { degree = 1; net_ms_per_page = 0.0; pool = None }
+let check_degree fn degree =
+  if degree < 1 then invalid_arg ("Parallel." ^ fn ^ ": degree < 1")
 
-let make ?(net_ms_per_page = default_net_ms_per_page) ?pool ~degree () =
-  if degree < 1 then invalid_arg "Parallel.make: degree < 1";
-  { degree; net_ms_per_page; pool }
-
-(* Each worker closure owns a fresh [Exec_ctx] (clock + buffer-pool slice)
-   and writes only its own result slot, so the simulated charges it makes
-   are identical whether the closures run inline, on 2 domains or on 8 —
-   the scheduling substrate can only change wall-clock time. *)
-let run ctx t ?slice_pages ?on_worker f =
-  if t.degree = 1 then [ f 0 ctx ]
+(* Workers run inline, in index order, each against a fresh [Exec_ctx]
+   (clock + buffer-pool slice), so every simulated charge is a function of
+   the degree alone. *)
+let run ctx ~degree ?slice_pages ?on_worker f =
+  check_degree "run" degree;
+  if degree = 1 then [ f 0 ctx ]
   else begin
     let model = Sim_clock.model ctx.Exec_ctx.clock in
     let slice =
       match slice_pages with
       | Some p -> max 1 p
-      | None -> max 1 (Buffer_pool.capacity ctx.Exec_ctx.pool / t.degree)
+      | None -> max 1 (Buffer_pool.capacity ctx.Exec_ctx.pool / degree)
     in
-    let thunks =
-      Array.init t.degree (fun w () ->
+    let results =
+      Array.init degree (fun w ->
           let wctx = Exec_ctx.create ~model ~pool_pages:slice () in
           let t0 = Unix.gettimeofday () in
           let r = f w wctx in
           let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
           (r, Sim_clock.elapsed_ms wctx.Exec_ctx.clock, wall_ms))
-    in
-    let results =
-      match t.pool with
-      | Some pool -> Domain_pool.run_all pool thunks
-      | None -> Array.map (fun f -> f ()) thunks
     in
     let slowest =
       Array.fold_left (fun acc (_, sim, _) -> Float.max acc sim) 0.0 results
@@ -50,48 +36,50 @@ let run ctx t ?slice_pages ?on_worker f =
      | None -> ());
     Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock slowest;
     Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
-      (startup_ms *. float_of_int (t.degree - 1));
+      (startup_ms *. float_of_int (degree - 1));
     Array.to_list (Array.map (fun (r, _, _) -> r) results)
   end
 
-let charge_exchange ctx t rows =
-  if t.degree > 1 then begin
+let charge_exchange ctx ~degree rows =
+  if degree > 1 then begin
     let pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows) in
     Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
-      (float_of_int pages *. t.net_ms_per_page)
+      (float_of_int pages *. net_ms_per_page)
   end
 
-let partition_by ctx t schema ~column rows =
+let partition_by ctx ~degree schema ~column rows =
+  check_degree "partition_by" degree;
   let i = Schema.index_of schema column in
-  let parts = Array.make t.degree [] in
+  let parts = Array.make degree [] in
   Array.iter
     (fun tuple ->
        let w =
          if Value.is_null tuple.(i) then 0
-         else (Value.hash tuple.(i) land max_int) mod t.degree
+         else (Value.hash tuple.(i) land max_int) mod degree
        in
        parts.(w) <- tuple :: parts.(w))
     rows;
-  charge_exchange ctx t rows;
+  charge_exchange ctx ~degree rows;
   Array.map (fun l -> Array.of_list (List.rev l)) parts
 
-let partition_round_robin ctx t rows =
-  let parts = Array.make t.degree [] in
+let partition_round_robin ctx ~degree rows =
+  check_degree "partition_round_robin" degree;
+  let parts = Array.make degree [] in
   Array.iteri
-    (fun i tuple -> parts.(i mod t.degree) <- tuple :: parts.(i mod t.degree))
+    (fun i tuple -> parts.(i mod degree) <- tuple :: parts.(i mod degree))
     rows;
-  charge_exchange ctx t rows;
+  charge_exchange ctx ~degree rows;
   Array.map (fun l -> Array.of_list (List.rev l)) parts
 
 (* Striped scan: worker [w] reads rids w*n/d .. (w+1)*n/d — each from its
    own disk, so pages divide across workers and no exchange is charged. *)
-let scan ctx t ?slice_pages ?on_worker heap =
-  if t.degree = 1 then Scan.seq_scan ctx heap
+let scan ctx ~degree ?slice_pages ?on_worker heap =
+  if degree = 1 then Scan.seq_scan ctx heap
   else begin
     let n = Heap_file.tuple_count heap in
     let chunks =
-      run ctx t ?slice_pages ?on_worker (fun w wctx ->
-          let lo = w * n / t.degree and hi = (w + 1) * n / t.degree in
+      run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
+          let lo = w * n / degree and hi = (w + 1) * n / degree in
           let out = Array.make (max 0 (hi - lo)) [||] in
           Heap_file.scan_range heap ~pool:wctx.Exec_ctx.pool
             ~clock:wctx.Exec_ctx.clock ~from_rid:lo ~to_rid:hi
@@ -101,10 +89,10 @@ let scan ctx t ?slice_pages ?on_worker heap =
     Array.concat chunks
   end
 
-let hash_join ctx t ?slice_pages ?on_worker ~mem_pages
+let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
     ~build:(build_rows, build_schema) ~probe:(probe_rows, probe_schema) ~keys
     ?extra () =
-  match keys, t.degree with
+  match keys, degree with
   | [], _ | _, 1 ->
     let r =
       Join.hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
@@ -112,11 +100,15 @@ let hash_join ctx t ?slice_pages ?on_worker ~mem_pages
     in
     (r.Join.rows, r.Join.schema)
   | (probe_col, build_col) :: _, _ ->
-    let build_parts = partition_by ctx t build_schema ~column:build_col build_rows in
-    let probe_parts = partition_by ctx t probe_schema ~column:probe_col probe_rows in
-    let per_worker_mem = max 2 (mem_pages / t.degree) in
+    let build_parts =
+      partition_by ctx ~degree build_schema ~column:build_col build_rows
+    in
+    let probe_parts =
+      partition_by ctx ~degree probe_schema ~column:probe_col probe_rows
+    in
+    let per_worker_mem = max 2 (mem_pages / degree) in
     let chunks =
-      run ctx t ?slice_pages ?on_worker (fun w wctx ->
+      run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
           let r =
             Join.hash_join wctx ~mem_pages:per_worker_mem
               ~build:(build_parts.(w), build_schema)
@@ -128,19 +120,19 @@ let hash_join ctx t ?slice_pages ?on_worker ~mem_pages
     let schema = Schema.concat probe_schema build_schema in
     (Array.concat chunks, schema)
 
-let aggregate ctx t ?slice_pages ?on_worker ~mem_pages schema ~group_by ~aggs
-    rows =
-  match group_by, t.degree with
+let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
+    ~group_by ~aggs rows =
+  match group_by, degree with
   | [], _ | _, 1 ->
     let r = Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs rows in
     (r.Aggregate.rows, r.Aggregate.schema)
   | first :: _, _ ->
     (* same first grouping column -> same worker, so every group is
        computed wholly on one worker *)
-    let parts = partition_by ctx t schema ~column:first rows in
-    let per_worker_mem = max 1 (mem_pages / t.degree) in
+    let parts = partition_by ctx ~degree schema ~column:first rows in
+    let per_worker_mem = max 1 (mem_pages / degree) in
     let chunks =
-      run ctx t ?slice_pages ?on_worker (fun w wctx ->
+      run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
           let r =
             Aggregate.hash_aggregate wctx ~mem_pages:per_worker_mem schema
               ~group_by ~aggs parts.(w)
@@ -150,15 +142,15 @@ let aggregate ctx t ?slice_pages ?on_worker ~mem_pages schema ~group_by ~aggs
     let out_schema = Aggregate.output_schema schema ~group_by ~aggs in
     (Array.concat chunks, out_schema)
 
-let sort ctx t ?slice_pages ?on_worker ~mem_pages schema ~keys rows =
-  if t.degree = 1 then
+let sort ctx ~degree ?slice_pages ?on_worker ~mem_pages schema ~keys rows =
+  if degree = 1 then
     (Sort.sort ctx ~mem_pages schema ~keys rows).Sort.rows
   else begin
-    let parts = partition_round_robin ctx t rows in
-    let per_worker_mem = max 2 (mem_pages / t.degree) in
+    let parts = partition_round_robin ctx ~degree rows in
+    let per_worker_mem = max 2 (mem_pages / degree) in
     let chunks =
       Array.of_list
-        (run ctx t ?slice_pages ?on_worker (fun w wctx ->
+        (run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
              (Sort.sort wctx ~mem_pages:per_worker_mem schema ~keys
                 parts.(w)).Sort.rows))
     in
@@ -177,10 +169,10 @@ let sort ctx t ?slice_pages ?on_worker ~mem_pages schema ~keys rows =
     in
     let n = Array.length rows in
     let out = Array.make n [||] in
-    let cursor = Array.make t.degree 0 in
+    let cursor = Array.make degree 0 in
     for o = 0 to n - 1 do
       let best = ref (-1) in
-      for w = t.degree - 1 downto 0 do
+      for w = degree - 1 downto 0 do
         if cursor.(w) < Array.length chunks.(w) then
           if
             !best < 0

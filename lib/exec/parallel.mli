@@ -8,17 +8,12 @@
     proceed in parallel) plus the network cost of any repartitioning
     exchange and a small per-worker startup fee.
 
-    Two notions of "parallel" are deliberately decoupled:
-
-    - [degree] is the {e plan} degree of parallelism: how many partitions
-      the data is split into, and therefore what the simulated clock is
-      charged.  It is part of the plan and fully deterministic.
-    - [pool] is the {e execution} substrate: a {!Domain_pool.t} of real
-      domains the per-worker closures are submitted to.  Worker closures
-      touch only their own [Exec_ctx] and their own result slot and are
-      merged in worker-index order, so the result rows and every simulated
-      charge are byte-identical whether the pool has 1 domain or 8 — only
-      wall-clock time changes.  [pool = None] runs the workers inline.
+    [degree] is the {e plan} degree of parallelism: how many partitions
+    the data is split into, and therefore what the simulated clock is
+    charged.  It is part of the plan and fully deterministic.  The
+    workers run inline, one after another in worker-index order, each on
+    its own [Exec_ctx]; the parallel machine exists only on the simulated
+    clock.  Every function raises [Invalid_argument] when [degree < 1].
 
     Skew matters exactly as on a real cluster: a heavy hash partition
     dominates the max.  Per-worker simulated and wall-clock elapsed are
@@ -27,27 +22,16 @@
 
 open Mqr_storage
 
-type t = {
-  degree : int;
-  net_ms_per_page : float;  (** shipping one page through the interconnect *)
-  pool : Domain_pool.t option;  (** real domains; [None] = inline *)
-}
-
 (** Charged to the parent clock per extra worker: forking the closure and
     folding its results back in.  Mirrored by the cost model so estimated
     and actual parallel costs agree. *)
 val startup_ms : float
 
-(** Default interconnect cost per exchanged page. *)
-val default_net_ms_per_page : float
+(** Interconnect cost of shipping one exchanged page; the cost model
+    prices exchanges with the same constant. *)
+val net_ms_per_page : float
 
-val sequential : t
-
-(** 4-node Paradise-like configuration; [pool] supplies real domains. *)
-val make : ?net_ms_per_page:float -> ?pool:Domain_pool.t -> degree:int ->
-  unit -> t
-
-(** [run ctx t f] executes [f worker_index worker_ctx] for every worker,
+(** [run ctx ~degree f] executes [f worker_index worker_ctx] for every worker,
     each against a fresh clock and a buffer-pool slice of [slice_pages]
     (default: an even split of [ctx]'s pool), then charges [ctx]'s clock
     with the slowest worker's simulated time plus {!startup_ms} per extra
@@ -55,27 +39,27 @@ val make : ?net_ms_per_page:float -> ?pool:Domain_pool.t -> degree:int ->
     receives each worker's simulated and wall-clock elapsed, also in
     index order. *)
 val run :
-  Exec_ctx.t -> t -> ?slice_pages:int ->
+  Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   (int -> Exec_ctx.t -> 'a) -> 'a list
 
 (** Hash-partition rows on a column; charges the exchange (all pages cross
     the interconnect under hash repartitioning). *)
 val partition_by :
-  Exec_ctx.t -> t -> Schema.t -> column:string -> Tuple.t array ->
+  Exec_ctx.t -> degree:int -> Schema.t -> column:string -> Tuple.t array ->
   Tuple.t array array
 
 (** Round-robin partitioning (no key): the rows still cross the
     interconnect, so the exchange is charged exactly like
     {!partition_by}. *)
 val partition_round_robin :
-  Exec_ctx.t -> t -> Tuple.t array -> Tuple.t array array
+  Exec_ctx.t -> degree:int -> Tuple.t array -> Tuple.t array array
 
 (** Parallel operators built from the serial ones.  All return exactly the
     serial result multiset, merged in worker-index order. *)
 
 val scan :
-  Exec_ctx.t -> t -> ?slice_pages:int ->
+  Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   Heap_file.t -> Tuple.t array
 
@@ -83,7 +67,7 @@ val scan :
     key, each worker joins its partition pair with [mem_pages / degree]
     pages. *)
 val hash_join :
-  Exec_ctx.t -> t -> ?slice_pages:int ->
+  Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int ->
   build:Tuple.t array * Schema.t -> probe:Tuple.t array * Schema.t ->
@@ -93,16 +77,16 @@ val hash_join :
 (** Partitioned aggregation: input exchanged on the first grouping column,
     so every group is computed wholly on one worker. *)
 val aggregate :
-  Exec_ctx.t -> t -> ?slice_pages:int ->
+  Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int -> Schema.t -> group_by:string list ->
   aggs:Aggregate.spec list -> Tuple.t array -> Tuple.t array * Schema.t
 
 (** Partitioned sort: round-robin exchange, per-worker external sort, then
     a deterministic k-way merge on the parent (ties broken by worker
-    index, so the output is independent of the pool size). *)
+    index, so the output is a pure function of the input and [degree]). *)
 val sort :
-  Exec_ctx.t -> t -> ?slice_pages:int ->
+  Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int -> Schema.t -> keys:(string * bool) list ->
   Tuple.t array -> Tuple.t array

@@ -170,5 +170,11 @@ val to_chrome_json : t -> string
     metrics registry, and the audit ledger. *)
 val to_summary_json : t -> string
 
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quote, backslash, [\n], [\t] and [\r] get short escapes, other
+    control characters [\u00XX].  Shared by every hand-rolled JSON
+    emitter in the repository. *)
+val json_escape : string -> string
+
 val pp_ledger : Format.formatter -> t -> unit
 val pp_decision : Format.formatter -> decision -> unit

@@ -97,7 +97,7 @@ let runtime_filter_ms ~build_rows ~probe_rows =
 (* Shipping [pages] through the interconnect during a repartitioning
    exchange (hash or round-robin — both move every page). *)
 let exchange_ms ~pages =
-  pages *. Mqr_exec.Parallel.default_net_ms_per_page
+  pages *. Mqr_exec.Parallel.net_ms_per_page
 
 (* Forking [dop] worker closures and merging their results. *)
 let startup_ms ~dop =

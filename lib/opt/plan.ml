@@ -82,9 +82,7 @@ and t = {
   dop : int;
       (* degree of parallelism: how many partitions the operator splits its
          work into (1 = serial).  Part of the plan, so it is deterministic
-         and re-chosen on re-optimization; the size of the domain pool that
-         actually runs the partitions is an execution property and never
-         appears in the plan. *)
+         and re-chosen on re-optimization. *)
 }
 
 let children t =

@@ -95,8 +95,7 @@ and t = {
   dop : int;
       (** degree of parallelism: partitions the operator splits its work
           into (1 = serial).  A plan property — deterministic, re-chosen on
-          re-optimization — independent of how many real domains execute
-          the partitions. *)
+          re-optimization. *)
 }
 
 (** Children in execution order (left/build/outer first). *)

@@ -74,23 +74,7 @@ let stmt_deadline_risk svc (s : Session.stmt) =
 
 (* --- stable JSON ---------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (escape s)
+let jstr s = Printf.sprintf "\"%s\"" (Trace.json_escape s)
 let jnum v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
 let jbool b = if b then "true" else "false"
 let jobj fields =

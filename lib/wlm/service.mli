@@ -15,9 +15,9 @@
     never the wall clock.  The wall clock (injected via
     {!options.wall_clock}; the wlm library itself does not link unix) is
     measured and reported only.  Consequently result rows are
-    byte-identical and simulated times bit-identical regardless of the
-    engine's domain-pool size; real parallelism comes from intra-operator
-    exchange workers and shows up purely in the wall numbers.
+    byte-identical and simulated times bit-identical from run to run;
+    intra-operator parallelism is priced on the simulated clock from
+    each plan's degrees.
 
     {b Sanitizer.}  When the engine runs with [verify_plans = Sanitize],
     the scheduler additionally asserts at every decision point and at
@@ -53,7 +53,7 @@ val default_options : options
 type t
 
 (** The service owns its broker and admission queue; the engine (and its
-    domain pool, catalog, verifier mode) is shared across tenants. *)
+    catalog, optimizer options, verifier mode) is shared across tenants. *)
 val create : ?options:options -> ?trace:Mqr_obs.Trace.t -> Mqr_core.Engine.t -> t
 
 val engine : t -> Mqr_core.Engine.t

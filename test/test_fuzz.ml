@@ -182,27 +182,23 @@ let prop_observed_within_bounds =
          Reference.canonical (fst (Reference.run catalog q))
        in
        List.for_all
-         (fun (rf, pool) ->
+         (fun (rf, max_dop) ->
             let engine =
               Engine.create ~budget_pages:16 ~runtime_filters:rf
-                ~verify_plans:Mqr_analysis.Verifier.Sanitize ~parallel:pool
+                ~verify_plans:Mqr_analysis.Verifier.Sanitize ~parallel:max_dop
                 catalog
             in
-            let ok =
-              List.for_all
-                (fun mode ->
-                   match Engine.run_sql engine ~mode sql with
-                   | r -> Reference.canonical r.Dispatcher.rows = expect_c
-                   | exception Mqr_analysis.Verifier.Rejected { what; diags } ->
-                     QCheck.Test.fail_reportf
-                       "sanitizer rejected %s [%s] at %s: %d diagnostic(s)"
-                       sql
-                       (Dispatcher.mode_to_string mode)
-                       what (List.length diags))
-                modes
-            in
-            Engine.shutdown engine;
-            ok)
+            List.for_all
+              (fun mode ->
+                 match Engine.run_sql engine ~mode sql with
+                 | r -> Reference.canonical r.Dispatcher.rows = expect_c
+                 | exception Mqr_analysis.Verifier.Rejected { what; diags } ->
+                   QCheck.Test.fail_reportf
+                     "sanitizer rejected %s [%s] at %s: %d diagnostic(s)"
+                     sql
+                     (Dispatcher.mode_to_string mode)
+                     what (List.length diags))
+              modes)
          [ (false, 1); (true, 1); (true, 4) ])
 
 let suite =

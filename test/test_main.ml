@@ -17,7 +17,6 @@ let () =
       ("more", Test_more.suite);
       ("persist", Test_persist.suite);
       ("parallel", Test_parallel.suite);
-      ("domain_pool", Test_domain_pool.suite);
       ("pardet", Test_pardet.suite);
       ("tpcd", Test_tpcd.suite);
       ("wlm", Test_wlm.suite);
@@ -26,5 +25,6 @@ let () =
       ("verify", Test_verify.suite);
       ("bounds", Test_bounds.suite);
       ("obs", Test_obs.suite);
+      ("json_escape", Test_obs.json_escape_suite);
       ("progress", Test_progress.suite);
       ("monitor", Test_monitor.suite) ]

@@ -22,15 +22,14 @@ let service ?trace eng =
     ?trace eng
 
 let setup ?trace () =
-  let eng = engine () in
-  let svc = service ?trace eng in
+  let svc = service ?trace (engine ()) in
   Service.add_tenant svc ~slo:Session.Batch "etl";
   Service.add_tenant ~target_ms:1500.0 svc ~slo:Session.Interactive "web";
   let e = Service.open_session svc ~tenant:"etl" in
   let w = Service.open_session svc ~tenant:"web" in
   ignore (Session.submit ~label:"q5" ~arrival_ms:0.0 e (sql "Q5"));
   ignore (Session.submit ~label:"q3" ~arrival_ms:5.0 w (sql "Q3"));
-  (eng, svc, e, w)
+  (svc, e, w)
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -58,7 +57,7 @@ let test_view_names () =
 (* --- mid-run views reflect live progress --- *)
 
 let test_live_statements_view () =
-  let eng, svc, _, _ = setup () in
+  let svc, _, _ = setup () in
   for _ = 1 to 4 do ignore (Service.step svc) done;
   let json = Monitor.to_json svc Monitor.Statements in
   check_contains "statements json" json "\"view\": \"statements\"";
@@ -77,11 +76,10 @@ let test_live_statements_view () =
   Service.drain svc;
   let json = Monitor.to_json svc Monitor.Statements in
   check_contains "drained statements json" json "\"state\": \"done\"";
-  check_contains "drained statements json" json "\"percent\": 100.000";
-  Engine.shutdown eng
+  check_contains "drained statements json" json "\"percent\": 100.000"
 
 let test_sessions_and_broker_views () =
-  let eng, svc, _, _ = setup () in
+  let svc, _, _ = setup () in
   Service.drain svc;
   let sessions = Monitor.to_json svc Monitor.Sessions in
   check_contains "sessions json" sessions "\"view\": \"sessions\"";
@@ -89,13 +87,12 @@ let test_sessions_and_broker_views () =
   check_contains "sessions json" sessions "\"done\": 1";
   let broker = Monitor.to_json svc Monitor.Broker_leases in
   check_contains "broker json" broker "\"budget_pages\":";
-  check_contains "broker json" broker "\"leases\": []";
-  Engine.shutdown eng
+  check_contains "broker json" broker "\"leases\": []"
 
 (* --- tenant SLO accounting (headroom, deadline misses) --- *)
 
 let test_tenant_slo_accounting () =
-  let eng, svc, _, _ = setup () in
+  let svc, _, _ = setup () in
   Service.drain svc;
   let rep = Service.report svc in
   let tn name =
@@ -112,11 +109,10 @@ let test_tenant_slo_accounting () =
   Alcotest.(check int) "etl misses" 0 etl.Service.tns_deadline_miss;
   let json = Monitor.to_json svc Monitor.Tenants in
   check_contains "tenants json" json "\"deadline_misses\": 0";
-  check_contains "tenants json" json "\"min_headroom_ms\":";
-  Engine.shutdown eng
+  check_contains "tenants json" json "\"min_headroom_ms\":"
 
 let test_cancelled_statement_is_a_miss () =
-  let eng, svc, _, w = setup () in
+  let svc, _, w = setup () in
   let id = Session.submit ~label:"doomed" ~arrival_ms:0.0 w (sql "Q10") in
   ignore (Service.step svc);
   Alcotest.(check bool) "cancelled" true (Session.cancel w id);
@@ -129,14 +125,13 @@ let test_cancelled_statement_is_a_miss () =
     "a cancelled statement counts as a deadline miss" 1
     web.Service.tns_deadline_miss;
   Alcotest.(check int) "but not as an SLO violation" 0
-    web.Service.tns_violations;
-  Engine.shutdown eng
+    web.Service.tns_violations
 
 (* --- ledger view and Prometheus exposition need the trace --- *)
 
 let test_ledger_and_prometheus () =
   let tr = Trace.create () in
-  let eng, svc, _, _ = setup ~trace:tr () in
+  let svc, _, _ = setup ~trace:tr () in
   Service.drain svc;
   let json = Monitor.to_json svc Monitor.Ledger in
   check_contains "ledger json" json "\"view\": \"ledger\"";
@@ -146,17 +141,15 @@ let test_ledger_and_prometheus () =
   check_contains "prometheus" prom "mqr_svc_web_slo_headroom_ms";
   check_contains "prometheus" prom "le=\"+Inf\"";
   (* deterministic: the same service state exports the same text *)
-  Alcotest.(check string) "export is stable" prom (Monitor.prometheus svc);
-  Engine.shutdown eng
+  Alcotest.(check string) "export is stable" prom (Monitor.prometheus svc)
 
 let test_traceless_service () =
-  let eng, svc, _, _ = setup () in
+  let svc, _, _ = setup () in
   Service.drain svc;
   Alcotest.(check string) "no trace, empty exposition" ""
     (Monitor.prometheus svc);
   let json = Monitor.to_json svc Monitor.Ledger in
-  check_contains "traceless ledger json" json "\"ledger\": []";
-  Engine.shutdown eng
+  check_contains "traceless ledger json" json "\"ledger\": []"
 
 let suite =
   [ Alcotest.test_case "view names round-trip" `Quick test_view_names;

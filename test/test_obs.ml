@@ -485,3 +485,24 @@ let suite =
       test_chrome_export_shape;
     Alcotest.test_case "explain analyze uniform across verify modes" `Quick
       test_explain_analyze_uniform ]
+
+(* --- the JSON string escaper every hand-rolled emitter shares --- *)
+
+let test_escape_specials () =
+  Alcotest.(check string) "quote and backslash" {|a\"b\\c|}
+    (Trace.json_escape {|a"b\c|});
+  Alcotest.(check string) "short escapes" {|\n\t\r|}
+    (Trace.json_escape "\n\t\r");
+  Alcotest.(check string) "other control characters" {|\u0001\u001f|}
+    (Trace.json_escape "\001\031")
+
+let test_escape_passthrough () =
+  List.iter
+    (fun s -> Alcotest.(check string) s s (Trace.json_escape s))
+    [ ""; "Q5 full"; "select * from lineitem where l_tax < 0.05";
+      "caf\xc3\xa9 \xe2\x9c\x93" ]
+
+let json_escape_suite =
+  [ Alcotest.test_case "specials escaped" `Quick test_escape_specials;
+    Alcotest.test_case "plain text passes through" `Quick
+      test_escape_passthrough ]

@@ -6,6 +6,7 @@ module Parallel = Mqr_exec.Parallel
 module Join = Mqr_exec.Join
 module Aggregate = Mqr_exec.Aggregate
 module Scan = Mqr_exec.Scan
+module Sort = Mqr_exec.Sort
 module Expr = Mqr_expr.Expr
 
 let ctx () = Exec_ctx.create ~pool_pages:1024 ()
@@ -32,14 +33,14 @@ let heap_of n =
 let test_parallel_scan_matches_serial () =
   let heap = heap_of 5000 in
   let serial = Scan.seq_scan (ctx ()) heap in
-  let par = Parallel.scan (ctx ()) (Parallel.make ~degree:4 ()) heap in
+  let par = Parallel.scan (ctx ()) ~degree:4 heap in
   Alcotest.(check (list (list string))) "same rows" (canon serial) (canon par)
 
 let test_parallel_scan_speedup () =
   let heap = heap_of 20_000 in
   let c1 = ctx () and c4 = ctx () in
-  ignore (Parallel.scan c1 Parallel.sequential heap);
-  ignore (Parallel.scan c4 (Parallel.make ~degree:4 ()) heap);
+  ignore (Parallel.scan c1 ~degree:1 heap);
+  ignore (Parallel.scan c4 ~degree:4 heap);
   let t1 = Sim_clock.elapsed_ms c1.Exec_ctx.clock in
   let t4 = Sim_clock.elapsed_ms c4.Exec_ctx.clock in
   Alcotest.(check bool)
@@ -57,7 +58,7 @@ let test_parallel_join_matches_serial () =
       ~keys:[ ("l.a", "r.a") ] ()
   in
   let par_rows, _ =
-    Parallel.hash_join (ctx ()) (Parallel.make ~degree:4 ()) ~mem_pages:64
+    Parallel.hash_join (ctx ()) ~degree:4 ~mem_pages:64
       ~build:(right, rs) ~probe:(left, ls) ~keys:[ ("l.a", "r.a") ] ()
   in
   Alcotest.(check (list (list string))) "same rows"
@@ -68,9 +69,8 @@ let test_parallel_join_speedup_with_exchange_cost () =
   let ls = schema_ab "l" and rs = schema_ab "r" in
   let time degree =
     let c = ctx () in
-    let p = Parallel.make ~degree () in
     ignore
-      (Parallel.hash_join c p ~mem_pages:16 ~build:(mk (), rs)
+      (Parallel.hash_join c ~degree ~mem_pages:16 ~build:(mk (), rs)
          ~probe:(mk (), ls) ~keys:[ ("l.a", "r.a") ] ());
     Sim_clock.elapsed_ms c.Exec_ctx.clock
   in
@@ -93,7 +93,7 @@ let test_parallel_agg_matches_serial () =
       ~aggs rows
   in
   let par_rows, _ =
-    Parallel.aggregate (ctx ()) (Parallel.make ~degree:4 ()) ~mem_pages:32
+    Parallel.aggregate (ctx ()) ~degree:4 ~mem_pages:32
       schema ~group_by:[ "t.a" ] ~aggs rows
   in
   Alcotest.(check (list (list string))) "same groups"
@@ -109,7 +109,7 @@ let test_skewed_partition_dominates () =
   let time rows =
     let c = ctx () in
     ignore
-      (Parallel.hash_join c (Parallel.make ~degree:4 ()) ~mem_pages:64
+      (Parallel.hash_join c ~degree:4 ~mem_pages:64
          ~build:(rows, rs) ~probe:(probe, ls) ~keys:[ ("l.a", "r.a") ] ());
     Sim_clock.elapsed_ms c.Exec_ctx.clock
   in
@@ -120,7 +120,7 @@ let test_partition_by_covers_all_rows () =
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 999 (fun i -> (i, i))) in
   let parts =
-    Parallel.partition_by (ctx ()) (Parallel.make ~degree:3 ()) schema
+    Parallel.partition_by (ctx ()) ~degree:3 schema
       ~column:"t.a" rows
   in
   let total = Array.fold_left (fun acc p -> acc + Array.length p) 0 parts in
@@ -129,7 +129,7 @@ let test_partition_by_covers_all_rows () =
 let test_round_robin_balanced () =
   let rows = rows_of (List.init 1000 (fun i -> (i, i))) in
   let parts =
-    Parallel.partition_round_robin (ctx ()) (Parallel.make ~degree:4 ()) rows
+    Parallel.partition_round_robin (ctx ()) ~degree:4 rows
   in
   Array.iter
     (fun p -> Alcotest.(check int) "even split" 250 (Array.length p))
@@ -139,7 +139,7 @@ let test_degree_one_is_serial () =
   let heap = heap_of 1000 in
   let c1 = ctx () and c2 = ctx () in
   let a = Scan.seq_scan c1 heap in
-  let b = Parallel.scan c2 Parallel.sequential heap in
+  let b = Parallel.scan c2 ~degree:1 heap in
   Alcotest.(check (list (list string))) "identical" (canon a) (canon b);
   Alcotest.(check (float 1e-9)) "identical cost"
     (Sim_clock.elapsed_ms c1.Exec_ctx.clock)
@@ -159,10 +159,59 @@ let prop_parallel_join_equals_serial =
            ~probe:(left, ls) ~keys:[ ("l.a", "r.a") ] ()
        in
        let par_rows, _ =
-         Parallel.hash_join (ctx ()) (Parallel.make ~degree ()) ~mem_pages:16
+         Parallel.hash_join (ctx ()) ~degree ~mem_pages:16
            ~build:(right, rs) ~probe:(left, ls) ~keys:[ ("l.a", "r.a") ] ()
        in
        canon serial.Join.rows = canon par_rows)
+
+(* Keys draw from a three-value domain so runs of equal keys cross worker
+   boundaries; the payload column [c] makes every row distinct, so the
+   multiset check catches a dropped or duplicated row. *)
+let prop_parallel_sort =
+  QCheck.Test.make ~name:"parallel sort: ordered, same multiset, repeatable"
+    ~count:80
+    QCheck.(quad (int_range 1 4) (pair bool bool) (int_range 2 8)
+              (list_of_size (Gen.int_range 0 120)
+                 (pair (int_range 0 2) (int_range 0 2))))
+    (fun (degree, (a_asc, b_asc), mem_pages, kvs) ->
+       let schema =
+         Schema.make
+           [ Schema.col ~qualifier:"t" "a" Value.TInt;
+             Schema.col ~qualifier:"t" "b" Value.TInt;
+             Schema.col ~qualifier:"t" "c" Value.TInt ]
+       in
+       let rows =
+         Array.of_list
+           (List.mapi
+              (fun i (a, b) -> [| Value.Int a; Value.Int b; Value.Int i |])
+              kvs)
+       in
+       let keys = [ ("t.a", a_asc); ("t.b", b_asc) ] in
+       let run () =
+         let c = ctx () in
+         let out =
+           Parallel.sort c ~degree ~mem_pages schema ~keys (Array.copy rows)
+         in
+         (out, Sim_clock.elapsed_ms c.Exec_ctx.clock)
+       in
+       let out, charged = run () in
+       let again, charged_again = run () in
+       let cmp x y =
+         let dir asc c = if asc then c else -c in
+         match dir a_asc (Value.compare x.(0) y.(0)) with
+         | 0 -> dir b_asc (Value.compare x.(1) y.(1))
+         | c -> c
+       in
+       let ordered = ref true in
+       for i = 1 to Array.length out - 1 do
+         if cmp out.(i - 1) out.(i) > 0 then ordered := false
+       done;
+       let serial = Sort.sort (ctx ()) ~mem_pages schema ~keys rows in
+       !ordered
+       && canon out = canon rows
+       && canon out = canon serial.Sort.rows
+       && out = again
+       && charged = charged_again)
 
 let suite =
   [ Alcotest.test_case "scan matches serial" `Quick test_parallel_scan_matches_serial;
@@ -174,4 +223,5 @@ let suite =
     Alcotest.test_case "partition covers rows" `Quick test_partition_by_covers_all_rows;
     Alcotest.test_case "round robin balanced" `Quick test_round_robin_balanced;
     Alcotest.test_case "degree one serial" `Quick test_degree_one_is_serial;
-    QCheck_alcotest.to_alcotest prop_parallel_join_equals_serial ]
+    QCheck_alcotest.to_alcotest prop_parallel_join_equals_serial;
+    QCheck_alcotest.to_alcotest prop_parallel_sort ]

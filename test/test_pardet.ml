@@ -1,9 +1,6 @@
-(* The determinism contract of real multicore execution: for a fixed
-   plan degree of parallelism, the result rows and the simulated elapsed
-   time are byte-identical whether the workers run inline (pool of 1) or
-   on real domains (pool of 4) — the pool size may only change wall-clock
-   time.  And raising the degree itself reorders rows at most within the
-   result multiset. *)
+(* Plan degrees of parallelism end to end: raising the degree reorders
+   rows at most within the result multiset, parallel operators release
+   their worker slices, and max dop 1 keeps every plan serial. *)
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
 module Optimizer = Mqr_opt.Optimizer
@@ -20,10 +17,7 @@ let catalog =
     (Tpcd_workload.experiment_catalog ~sf
        ~degradations:Tpcd_workload.paper_degradations ())
 
-(* max_dop 4 with an explicit [opt_options] decouples the plan degree
-   from the pool size: [parallel] then only controls how many domains
-   execute the workers. *)
-let engine ~max_dop ~parallel () =
+let engine ?runtime_filters ?verify_plans ~max_dop () =
   let budget_pages = 128 in
   let opt_options =
     { Optimizer.default_options with
@@ -31,46 +25,26 @@ let engine ~max_dop ~parallel () =
       max_dop }
   in
   Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) ~opt_options
-    ~parallel (Lazy.force catalog)
+    ?runtime_filters ?verify_plans (Lazy.force catalog)
 
-let strings rows =
+let canon rows =
   Array.to_list rows
   |> List.map (fun t -> Array.to_list (Array.map Value.to_string t))
-
-let canon rows = List.sort compare (strings rows)
+  |> List.sort compare
 
 let modes =
   [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
     Dispatcher.Full; Dispatcher.Bound_checked ]
 
-(* One engine per configuration, shared across every query and mode so
-   the test does not re-spawn domains per case. *)
-let pool1 = lazy (engine ~max_dop:4 ~parallel:1 ())
-let pool4 = lazy (engine ~max_dop:4 ~parallel:4 ())
-let serial = lazy (engine ~max_dop:1 ~parallel:1 ())
-
-let test_pool_size_invisible (q : Queries.query) () =
-  List.iter
-    (fun mode ->
-       let a = Engine.run_sql (Lazy.force pool1) ~mode q.Queries.sql in
-       let b = Engine.run_sql (Lazy.force pool4) ~mode q.Queries.sql in
-       let label what =
-         Printf.sprintf "%s [%s] %s" q.Queries.name
-           (Dispatcher.mode_to_string mode) what
-       in
-       Alcotest.(check (list (list string)))
-         (label "byte-identical rows")
-         (strings a.Dispatcher.rows) (strings b.Dispatcher.rows);
-       Alcotest.(check (float 1e-9))
-         (label "identical simulated elapsed")
-         a.Dispatcher.elapsed_ms b.Dispatcher.elapsed_ms)
-    modes
+(* One engine per configuration, shared across every query and mode. *)
+let dop4 = lazy (engine ~max_dop:4 ())
+let serial = lazy (engine ~max_dop:1 ())
 
 let test_dop_changes_only_order (q : Queries.query) () =
   List.iter
     (fun mode ->
        let s = Engine.run_sql (Lazy.force serial) ~mode q.Queries.sql in
-       let p = Engine.run_sql (Lazy.force pool4) ~mode q.Queries.sql in
+       let p = Engine.run_sql (Lazy.force dop4) ~mode q.Queries.sql in
        Alcotest.(check (list (list string)))
          (Printf.sprintf "%s [%s] same multiset at dop 1 and 4" q.Queries.name
             (Dispatcher.mode_to_string mode))
@@ -81,16 +55,8 @@ let test_dop_changes_only_order (q : Queries.query) () =
    lease invariants hold with parallelism on: filter pages and worker
    slices are both back to zero at completion. *)
 let test_parallel_leases_release () =
-  let budget_pages = 128 in
-  let opt_options =
-    { Optimizer.default_options with
-      Optimizer.planning_mem_pages = max 8 (budget_pages / 2);
-      max_dop = 4 }
-  in
   let e =
-    Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) ~opt_options
-      ~parallel:2 ~runtime_filters:true ~verify_plans:Verifier.Sanitize
-      (Lazy.force catalog)
+    engine ~runtime_filters:true ~verify_plans:Verifier.Sanitize ~max_dop:4 ()
   in
   let r = Engine.run_sql e (Queries.find "Q5").Queries.sql in
   Alcotest.(check bool) "some operator ran parallel" true
@@ -98,8 +64,7 @@ let test_parallel_leases_release () =
   Alcotest.(check int) "worker slices released" 0
     r.Dispatcher.worker_pages_held;
   Alcotest.(check int) "filter pages released" 0
-    r.Dispatcher.filter_pages_held;
-  Engine.shutdown e
+    r.Dispatcher.filter_pages_held
 
 (* The optimizer only spends degrees where they pay: with max_dop 1 every
    node stays serial (so serial plans are untouched by the feature). *)
@@ -110,23 +75,14 @@ let test_serial_plans_stay_serial () =
        Alcotest.(check int) "dop 1" 1 n.Plan.dop)
     (Plan.nodes r.Dispatcher.final_plan)
 
-let shutdown_pools () =
-  List.iter
-    (fun e -> if Lazy.is_val e then Engine.shutdown (Lazy.force e))
-    [ pool1; pool4; serial ]
-
 let suite =
-  List.concat_map
+  List.map
     (fun (q : Queries.query) ->
-       [ Alcotest.test_case
-           (q.Queries.name ^ " pool size invisible") `Quick
-           (test_pool_size_invisible q);
-         Alcotest.test_case
-           (q.Queries.name ^ " dop changes only order") `Quick
-           (test_dop_changes_only_order q) ])
+       Alcotest.test_case
+         (q.Queries.name ^ " dop changes only order") `Quick
+         (test_dop_changes_only_order q))
     Queries.all
   @ [ Alcotest.test_case "parallel leases release" `Quick
         test_parallel_leases_release;
       Alcotest.test_case "serial plans stay serial" `Quick
-        test_serial_plans_stay_serial;
-      Alcotest.test_case "shutdown pools" `Quick shutdown_pools ]
+        test_serial_plans_stay_serial ]

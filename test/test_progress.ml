@@ -1,20 +1,18 @@
 (* Progress/ETA estimation: the per-statement estimator must be pure
-   observation (attached runs bit-identical to unattached, at every pool
-   size), monotone (percent and eta_lo never decrease, eta_hi >= eta_lo)
-   and land at exactly 100% on completion — across every benchmark
-   query, every reopt mode, plan switches and cancellation. *)
+   observation (attached runs bit-identical to unattached), monotone
+   (percent and eta_lo never decrease, eta_hi >= eta_lo) and land at
+   exactly 100% on completion — across every benchmark query, every
+   reopt mode, plan switches and cancellation. *)
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
 module Queries = Mqr_tpcd.Queries
 module Tpcd = Mqr_tpcd.Workload
 module Progress = Mqr_obs.Progress
 
-(* max_dop pinned so the optimizer picks the same plan degrees at every
-   pool size: simulated time then depends only on the plan, and pools
-   1/4 must agree bit-for-bit *)
-let engine ?(parallel = 1) () =
+(* max_dop 2, so the matrix also covers parallel operators *)
+let engine () =
   let catalog = Tpcd.experiment_catalog ~sf:0.001 () in
-  Engine.create ~budget_pages:64 ~pool_pages:512 ~parallel
+  Engine.create ~budget_pages:64 ~pool_pages:512
     ~opt_options:
       { Mqr_opt.Optimizer.default_options with Mqr_opt.Optimizer.max_dop = 2 }
     catalog
@@ -86,7 +84,7 @@ let test_finish_idempotent () =
   Alcotest.(check (float 1e-9)) "idempotent: same sample" f1.Progress.ts_ms
     f2.Progress.ts_ms
 
-(* --- the full matrix: every query x every mode x pools 1/4 --- *)
+(* --- the full matrix: every query x every mode --- *)
 
 let check_stream name (p : Progress.t) =
   Alcotest.(check bool) (name ^ ": monotone") true (Progress.monotone p);
@@ -101,8 +99,7 @@ let check_stream name (p : Progress.t) =
 
 let test_matrix () =
   let base = engine () in
-  let p1 = engine () in
-  let p4 = engine ~parallel:4 () in
+  let eng = engine () in
   let switch_seen = ref false in
   List.iter
     (fun mode ->
@@ -113,30 +110,23 @@ let test_matrix () =
                 (Dispatcher.mode_to_string mode)
             in
             let off = Engine.run_sql base ~mode q.Queries.sql in
-            List.iter
-              (fun (pool, eng) ->
-                 let name = Printf.sprintf "%s/pool=%d" name pool in
-                 let p = Progress.create () in
-                 let on = Engine.run_sql eng ~mode ~progress:p q.Queries.sql in
-                 Alcotest.(check (float 0.0)) (name ^ ": elapsed identical")
-                   off.Dispatcher.elapsed_ms on.Dispatcher.elapsed_ms;
-                 Alcotest.(check bool) (name ^ ": rows identical") true
-                   (off.Dispatcher.rows = on.Dispatcher.rows);
-                 check_stream name p;
-                 if
-                   List.exists
-                     (fun (s : Progress.sample) ->
-                        s.Progress.label = Progress.Switch)
-                     (Progress.samples p)
-                 then switch_seen := true)
-              [ (1, p1); (4, p4) ])
+            let p = Progress.create () in
+            let on = Engine.run_sql eng ~mode ~progress:p q.Queries.sql in
+            Alcotest.(check (float 0.0)) (name ^ ": elapsed identical")
+              off.Dispatcher.elapsed_ms on.Dispatcher.elapsed_ms;
+            Alcotest.(check bool) (name ^ ": rows identical") true
+              (off.Dispatcher.rows = on.Dispatcher.rows);
+            check_stream name p;
+            if
+              List.exists
+                (fun (s : Progress.sample) ->
+                   s.Progress.label = Progress.Switch)
+                (Progress.samples p)
+            then switch_seen := true)
          Queries.all)
     all_modes;
   Alcotest.(check bool)
-    "at least one stream crossed a plan switch" true !switch_seen;
-  Engine.shutdown base;
-  Engine.shutdown p1;
-  Engine.shutdown p4
+    "at least one stream crossed a plan switch" true !switch_seen
 
 (* --- cancellation: an aborted run's stream stays monotone and open --- *)
 
@@ -161,14 +151,13 @@ let test_cancellation () =
    | Some last ->
      Alcotest.(check bool) "percent stays below 100" true
        (last.Progress.percent < 100.0)
-   | None -> Alcotest.fail "no samples");
-  Engine.shutdown eng
+   | None -> Alcotest.fail "no samples")
 
 let suite =
   [ Alcotest.test_case "percent clamped monotone" `Quick
       test_percent_clamped_monotone;
     Alcotest.test_case "eta bounds" `Quick test_eta_bounds;
     Alcotest.test_case "finish idempotent" `Quick test_finish_idempotent;
-    Alcotest.test_case "all queries x modes x pools 1/4" `Quick test_matrix;
+    Alcotest.test_case "all queries x modes" `Quick test_matrix;
     Alcotest.test_case "cancellation keeps stream honest" `Quick
       test_cancellation ]

@@ -1,5 +1,5 @@
 (* Query service: session lifecycle, SLO-aware scheduling, determinism,
-   failure isolation, cancellation and teardown. *)
+   failure isolation and cancellation. *)
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
 module Verifier = Mqr_analysis.Verifier
@@ -13,11 +13,11 @@ module Tpcd = Mqr_tpcd.Workload
 
 let sql n = (Queries.find n).Queries.sql
 
-let engine ?(parallel = 1) ?(verify = Verifier.Off) () =
+let engine ?(verify = Verifier.Off) () =
   let catalog = Tpcd.experiment_catalog ~sf:0.001 () in
   Engine.create ~budget_pages:128 ~pool_pages:512 ~verify_plans:verify
     ~opt_options:{ Optimizer.default_options with Optimizer.max_dop = 2 }
-    ~parallel catalog
+    catalog
 
 let service ?(policy = Service.Slo_aware) ?(max_concurrency = 2) eng =
   Service.create
@@ -69,8 +69,7 @@ let test_rows_match_solo () =
     (Session.statements e @ Session.statements w);
   let r = Service.report svc in
   Alcotest.(check int) "no lease outlives its statement" 0
-    r.Service.outstanding_leases;
-  Engine.shutdown eng
+    r.Service.outstanding_leases
 
 (* --- determinism --- *)
 
@@ -94,9 +93,7 @@ let test_deterministic () =
     let eng = engine () in
     let svc = service eng in
     let e, w = mixed_workload svc in
-    let fp = fingerprint svc [ e; w ] in
-    Engine.shutdown eng;
-    fp
+    fingerprint svc [ e; w ]
   in
   let m1, fp1 = run () in
   let m2, fp2 = run () in
@@ -108,25 +105,6 @@ let test_deterministic () =
        Alcotest.(check (float 0.0)) (l1 ^ " same admit") a1 a2;
        Alcotest.(check (float 0.0)) (l1 ^ " same finish") f1 f2;
        Alcotest.(check (list (list string))) (l1 ^ " same rows") rows1 rows2)
-    fp1 fp2
-
-let test_pool_invisible_to_simulation () =
-  let run parallel =
-    let eng = engine ~parallel () in
-    let svc = service eng in
-    let e, w = mixed_workload svc in
-    let fp = fingerprint svc [ e; w ] in
-    Engine.shutdown eng;
-    fp
-  in
-  let m1, fp1 = run 1 in
-  let m2, fp2 = run 2 in
-  Alcotest.(check (float 0.0)) "pool size invisible to makespan" m1 m2;
-  List.iter2
-    (fun (l1, _, _, f1, rows1) (_, _, _, f2, rows2) ->
-       Alcotest.(check (float 0.0)) (l1 ^ " same finish across pools") f1 f2;
-       Alcotest.(check (list (list string)))
-         (l1 ^ " same rows across pools") rows1 rows2)
     fp1 fp2
 
 (* --- SLO-aware scheduling --- *)
@@ -142,9 +120,7 @@ let test_slo_aware_beats_round_robin () =
     let e, w = mixed_workload svc in
     assert_all_done e;
     assert_all_done w;
-    let p99 = interactive_p99 svc in
-    Engine.shutdown eng;
-    p99
+    interactive_p99 svc
   in
   let rr = run Service.Round_robin in
   let slo = run Service.Slo_aware in
@@ -184,8 +160,7 @@ let test_lifecycle () =
   Alcotest.(check bool) "closed" true (Session.closed s);
   Alcotest.check_raises "submit on a closed session"
     (Invalid_argument "Session.submit: session is closed") (fun () ->
-      ignore (Session.submit s (sql "Q6")));
-  Engine.shutdown eng
+      ignore (Session.submit s (sql "Q6")))
 
 let test_cancel_running_releases_lease () =
   let eng = engine () in
@@ -208,8 +183,7 @@ let test_cancel_running_releases_lease () =
   let q6 = Session.submit ~label:"q6" s (sql "Q6") in
   Service.drain svc;
   Alcotest.(check string) "later statement completes" "done"
-    (Session.status_to_string (Session.poll s q6));
-  Engine.shutdown eng
+    (Session.status_to_string (Session.poll s q6))
 
 (* --- failure isolation --- *)
 
@@ -233,10 +207,9 @@ let test_failure_isolated () =
   let again = Session.submit ~label:"again" s (sql "Q6") in
   Service.drain svc;
   Alcotest.(check string) "service keeps serving" "done"
-    (Session.status_to_string (Session.poll s again));
-  Engine.shutdown eng
+    (Session.status_to_string (Session.poll s again))
 
-(* --- sanitizer + teardown --- *)
+(* --- sanitizer --- *)
 
 let test_sanitize_clean () =
   let eng = engine ~verify:Verifier.Sanitize () in
@@ -247,19 +220,7 @@ let test_sanitize_clean () =
   Alcotest.(check int) "TEN-LIFETIME: etl pages zero" 0
     (Service.tenant_pages_in_flight svc "etl");
   Alcotest.(check int) "TEN-LIFETIME: web pages zero" 0
-    (Service.tenant_pages_in_flight svc "web");
-  Engine.shutdown eng
-
-let test_shutdown_idempotent () =
-  let eng = engine ~parallel:2 () in
-  let svc = service eng in
-  let e, w = mixed_workload svc in
-  assert_all_done e;
-  assert_all_done w;
-  Engine.shutdown eng;
-  (* every error path of a long-lived host may call shutdown again *)
-  Engine.shutdown eng;
-  Engine.shutdown eng
+    (Service.tenant_pages_in_flight svc "web")
 
 (* --- soak: finished statements do not pin their runs --- *)
 
@@ -334,15 +295,12 @@ let test_soak_heap_flat () =
             (live - first))
          true
          (live - first <= limit_words))
-    later;
-  Engine.shutdown eng
+    later
 
 let suite =
   [ Alcotest.test_case "rows match solo execution" `Quick
       test_rows_match_solo;
     Alcotest.test_case "service deterministic" `Quick test_deterministic;
-    Alcotest.test_case "pool invisible to simulation" `Quick
-      test_pool_invisible_to_simulation;
     Alcotest.test_case "slo-aware beats round-robin" `Quick
       test_slo_aware_beats_round_robin;
     Alcotest.test_case "session lifecycle" `Quick test_lifecycle;
@@ -351,6 +309,5 @@ let suite =
     Alcotest.test_case "failure isolated" `Quick test_failure_isolated;
     Alcotest.test_case "sanitizer clean under service" `Quick
       test_sanitize_clean;
-    Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "soak: live heap flat across episodes" `Quick
       test_soak_heap_flat ]
