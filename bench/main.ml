@@ -281,12 +281,15 @@ let overhead () =
        let measure mode =
          let runs =
            List.init overhead_reps (fun _ ->
+               let w0 = Gc.minor_words () in
                let t0 = Unix.gettimeofday () in
                let r = Engine.run_sql engine ~mode q.Queries.sql in
-               (r, 1000.0 *. (Unix.gettimeofday () -. t0)))
+               let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+               (r, wall_ms, Gc.minor_words () -. w0))
          in
-         let r = fst (List.hd runs) in
-         let wall_min, wall_med = min_median (List.map snd runs) in
+         let r, _, _ = List.hd runs in
+         let wall_min, wall_med = min_median (List.map (fun (_, w, _) -> w) runs) in
+         let minor_min, _ = min_median (List.map (fun (_, _, a) -> a) runs) in
          record_extra ~scenario:("overhead/" ^ name)
            ~mode:(Dispatcher.mode_to_string mode)
            ~elapsed_ms:r.Dispatcher.elapsed_ms ~switches:r.Dispatcher.switches
@@ -294,11 +297,12 @@ let overhead () =
            ~extra:
              [ ("wall_min_ms", Printf.sprintf "%.3f" wall_min);
                ("wall_median_ms", Printf.sprintf "%.3f" wall_med);
+               ("minor_words", Printf.sprintf "%.0f" minor_min);
                ("reps", string_of_int overhead_reps) ];
-         (r.Dispatcher.elapsed_ms, wall_min, wall_med)
+         (r.Dispatcher.elapsed_ms, wall_min, wall_med, minor_min)
        in
-       let normal, off_min, off_med = measure Dispatcher.Off in
-       let reopt, full_min, full_med = measure Dispatcher.Full in
+       let normal, off_min, off_med, off_words = measure Dispatcher.Off in
+       let reopt, full_min, full_med, full_words = measure Dispatcher.Full in
        Fmt.pr
          "%-4s normal %10.1f ms, with collectors %10.1f ms -> overhead \
           %5.2f%% (mu = 5%%)@."
@@ -308,7 +312,9 @@ let overhead () =
           min %.2f med %.2f ms -> overhead %5.2f%% (min) %5.2f%% (med)@."
          overhead_reps off_min off_med full_min full_med
          (pct ~normal:off_min ~reopt:full_min)
-         (pct ~normal:off_med ~reopt:full_med))
+         (pct ~normal:off_med ~reopt:full_med);
+       Fmt.pr "     minor words per run (min) normal %.3f Mw, with collectors %.3f Mw@."
+         (off_words /. 1e6) (full_words /. 1e6))
     [ "Q1"; "Q6" ]
 
 (* ------------------------------------------------------------------ *)

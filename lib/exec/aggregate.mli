@@ -26,6 +26,7 @@ type result = {
 (** Output schema without executing (for plan annotation). *)
 val output_schema : Schema.t -> group_by:string list -> aggs:spec list -> Schema.t
 
+(** Groups come out in an order fixed by the group-key hash. *)
 val hash_aggregate :
   Exec_ctx.t -> mem_pages:int -> Schema.t -> group_by:string list ->
   aggs:spec list -> Tuple.t array -> result

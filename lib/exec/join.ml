@@ -21,29 +21,9 @@ type result = {
   passes : int;
 }
 
-module VKey = struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end
-
-module Vtbl = Hashtbl.Make (VKey)
-
-module Key = struct
-  type t = Value.t array
-
-  let equal a b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (Value.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
-end
-
-module Ktbl = Hashtbl.Make (Key)
+module Vtbl = Rows_ops.Vtbl
+module Ktbl = Rows_ops.Ktbl
+module Out = Rows_ops.Out
 
 let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
     ~probe:(probe_rows, probe_schema) ~keys ?extra () =
@@ -71,20 +51,19 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
   let residual =
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
   in
-  let out = ref [] in
-  let n_out = ref 0 in
-  let emit pt bt =
-    let joined = Tuple.concat pt bt in
-    match residual with
-    | Some p when not (p joined) -> ()
-    | _ ->
-      out := joined :: !out;
-      incr n_out
+  let out = Out.create (Array.length probe_rows) in
+  let rec emit_all pt = function
+    | [] -> ()
+    | bt :: rest ->
+      let joined = Tuple.concat pt bt in
+      (match residual with
+       | Some p when not (p joined) -> ()
+       | _ -> Out.add out joined);
+      emit_all pt rest
   in
   (* The in-memory join itself (final pass).  Single-key joins use the
      value directly as the table key; multi-key joins build one key array
-     per stored build tuple and reuse a scratch array for probe lookups,
-     so the hot loops allocate nothing per probe tuple. *)
+     per stored build tuple and reuse a scratch array for probe lookups. *)
   (match build_idx with
    | [| bi |] ->
      let pi = probe_idx.(0) in
@@ -97,8 +76,7 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
      Array.iter
        (fun pt ->
           let k = pt.(pi) in
-          if not (Value.is_null k) then
-            List.iter (emit pt) (Vtbl.find_all table k))
+          if not (Value.is_null k) then emit_all pt (Vtbl.find_all table k))
        probe_rows
    | _ ->
      let nk = Array.length build_idx in
@@ -119,13 +97,13 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
             for i = 0 to nk - 1 do
               scratch.(i) <- pt.(probe_idx.(i))
             done;
-            List.iter (emit pt) (Ktbl.find_all table scratch)
+            emit_all pt (Ktbl.find_all table scratch)
           end)
        probe_rows);
   Sim_clock.charge_hash_tuples clock (Array.length build_rows);
   Sim_clock.charge_hash_tuples clock (Array.length probe_rows);
-  Sim_clock.charge_cpu_tuples clock !n_out;
-  { rows = Array.of_list (List.rev !out); schema = out_schema; passes }
+  Sim_clock.charge_cpu_tuples clock (Out.length out);
+  { rows = Out.contents out; schema = out_schema; passes }
 
 let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
     ~inner_schema ~inner_index ~outer_col ?extra () =
@@ -134,8 +112,7 @@ let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
   let residual =
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
   in
-  let out = ref [] in
-  let n_out = ref 0 in
+  let out = Out.create (Array.length outer_rows) in
   Array.iter
     (fun ot ->
        let key = ot.(oi) in
@@ -153,14 +130,13 @@ let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
               let joined = Tuple.concat ot it in
               match residual with
               | Some p when not (p joined) -> ()
-              | _ ->
-                out := joined :: !out;
-                incr n_out)
+              | _ -> Out.add out joined)
            rids
        end)
     outer_rows;
-  Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (Array.length outer_rows + !n_out);
-  { rows = Array.of_list (List.rev !out); schema = out_schema; passes = 1 }
+  Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock
+    (Array.length outer_rows + Out.length out);
+  { rows = Out.contents out; schema = out_schema; passes = 1 }
 
 let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
     ~inner:(inner_rows, inner_schema) ?pred () =
@@ -178,7 +154,7 @@ let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
   done;
   Sim_clock.charge_cpu_tuples clock
     (Array.length outer_rows * max 1 (Array.length inner_rows));
-  let out = ref [] in
+  let out = Out.create (Array.length outer_rows) in
   Array.iter
     (fun ot ->
        Array.iter
@@ -186,7 +162,7 @@ let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
             let joined = Tuple.concat ot it in
             match residual with
             | Some p when not (p joined) -> ()
-            | _ -> out := joined :: !out)
+            | _ -> Out.add out joined)
          inner_rows)
     outer_rows;
-  { rows = Array.of_list (List.rev !out); schema = out_schema; passes = blocks }
+  { rows = Out.contents out; schema = out_schema; passes = blocks }

@@ -40,8 +40,7 @@ let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
   let residual =
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
   in
-  let out = ref [] in
-  let n_out = ref 0 in
+  let out = Rows_ops.Out.create nl in
   (* classic merge with duplicate-group pairing *)
   let i = ref 0 and j = ref 0 in
   while !i < nl && !j < nr do
@@ -77,9 +76,7 @@ let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
             let joined = Tuple.concat l.(a) r.(b) in
             match residual with
             | Some p when not (p joined) -> ()
-            | _ ->
-              out := joined :: !out;
-              incr n_out
+            | _ -> Rows_ops.Out.add out joined
           done
         done;
         i := !i_end;
@@ -87,8 +84,8 @@ let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
       end
     end
   done;
-  Sim_clock.charge_cpu_tuples clock (nl + nr + !n_out);
-  { rows = Array.of_list (List.rev !out);
+  Sim_clock.charge_cpu_tuples clock (nl + nr + Rows_ops.Out.length out);
+  { rows = Rows_ops.Out.contents out;
     schema = out_schema;
     left_passes = ls.Sort.passes;
     right_passes = rs.Sort.passes }

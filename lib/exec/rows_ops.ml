@@ -23,4 +23,54 @@ let limit ctx n rows =
   if Array.length rows <= n then rows else Array.sub rows 0 n
 
 let bytes_of_rows rows =
-  Array.fold_left (fun acc t -> acc + Tuple.byte_size t) 0 rows
+  let total = ref 0 in
+  for r = 0 to Array.length rows - 1 do
+    let t = rows.(r) in
+    total := !total + Tuple.header_bytes;
+    for i = 0 to Array.length t - 1 do
+      total := !total + Value.byte_size t.(i)
+    done
+  done;
+  !total
+
+module Vtbl = Hashtbl.Make (struct
+    type t = Value.t
+
+    let equal = Value.equal
+    let hash = Value.hash
+  end)
+
+module Key = struct
+  type t = Value.t array
+
+  let equal a b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i >= n || (Value.equal a.(i) b.(i) && go (i + 1)) in
+    go 0
+
+  let hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
+end
+
+module Ktbl = Hashtbl.Make (Key)
+
+module Out = struct
+  type t = { mutable rows : Tuple.t array; mutable len : int }
+
+  let create n = { rows = Array.make (max 16 n) [||]; len = 0 }
+
+  let add b t =
+    if b.len = Array.length b.rows then begin
+      let bigger = Array.make (2 * b.len) [||] in
+      Array.blit b.rows 0 bigger 0 b.len;
+      b.rows <- bigger
+    end;
+    b.rows.(b.len) <- t;
+    b.len <- b.len + 1
+
+  let length b = b.len
+
+  let contents b =
+    if b.len = Array.length b.rows then b.rows else Array.sub b.rows 0 b.len
+end

@@ -16,3 +16,33 @@ val limit : Exec_ctx.t -> int -> Tuple.t array -> Tuple.t array
 
 (** Total byte footprint of a row set. *)
 val bytes_of_rows : Tuple.t array -> int
+
+(** Hash table keyed by one value (single-column join keys). *)
+module Vtbl : Hashtbl.S with type key = Value.t
+
+(** Multi-column join and group keys.  [hash] folds [Value.hash] over the
+    elements from 17 with a factor of 31, so a table's iteration order is
+    a function of its keys and their insertion order. *)
+module Key : sig
+  type t = Value.t array
+
+  val equal : t -> t -> bool
+  val hash : t -> int
+end
+
+module Ktbl : Hashtbl.S with type key = Key.t
+
+(** Growable output buffer for operators whose output size is unknown in
+    advance (joins, streaming aggregation). *)
+module Out : sig
+  type t
+
+  (** [create n] pre-sizes the buffer for [n] rows. *)
+  val create : int -> t
+
+  val add : t -> Tuple.t -> unit
+  val length : t -> int
+
+  (** The rows added, in order.  Call once, after the last [add]. *)
+  val contents : t -> Tuple.t array
+end

@@ -67,21 +67,22 @@ let arith_eval op a b =
     let d = Value.to_float y in
     if d = 0.0 then Value.Null else Value.Float (Value.to_float x /. d)
 
+let cmp_test op c =
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
 let cmp_eval op a b =
   if Value.is_null a || Value.is_null b then Value.Null
-  else begin
-    let c = Value.compare a b in
-    let r =
-      match op with
-      | Eq -> c = 0
-      | Ne -> c <> 0
-      | Lt -> c < 0
-      | Le -> c <= 0
-      | Gt -> c > 0
-      | Ge -> c >= 0
-    in
-    Value.Bool r
-  end
+  else Value.Bool (cmp_test op (Value.compare a b))
+
+(* [truthy (cmp_eval op a b)] without building the [Value.Bool]. *)
+let cmp_holds op a b =
+  (not (Value.is_null a || Value.is_null b)) && cmp_test op (Value.compare a b)
 
 let truthy = function Value.Bool b -> b | Value.Null -> false | _ -> false
 
@@ -117,9 +118,42 @@ let rec compile schema e =
     let fargs = List.map (compile schema) u.args in
     fun t -> u.fn (List.map (fun f -> f t) fargs)
 
-let compile_pred schema e =
-  let f = compile schema e in
-  fun t -> truthy (f t)
+(* Equal to [truthy (compile schema e t)] for every [e] and [t], Null
+   quirks included ([Not] over Null is true, [Between] is false when any
+   operand is Null), but boolean nodes allocate no [Value.Bool]. *)
+let rec compile_pred schema e =
+  match e with
+  | Cmp (op, Col c, Const v) ->
+    let i = Schema.index_of schema c in
+    (match v with
+     | Value.Null -> fun _ -> false
+     | Value.Date d ->
+       fun t ->
+         (match t.(i) with
+          | Value.Date x -> cmp_test op (Int.compare x d)
+          | x -> cmp_holds op x v)
+     | _ -> fun t -> cmp_holds op t.(i) v)
+  | Cmp (op, a, b) ->
+    let fa = compile schema a and fb = compile schema b in
+    fun t -> cmp_holds op (fa t) (fb t)
+  | Between (e, lo, hi) ->
+    let fe = compile schema e and flo = compile schema lo and fhi = compile schema hi in
+    fun t ->
+      let v = fe t in
+      let ge = cmp_holds Ge v (flo t) and le = cmp_holds Le v (fhi t) in
+      ge && le
+  | And (a, b) ->
+    let pa = compile_pred schema a and pb = compile_pred schema b in
+    fun t -> pa t && pb t
+  | Or (a, b) ->
+    let pa = compile_pred schema a and pb = compile_pred schema b in
+    fun t -> pa t || pb t
+  | Not a ->
+    let pa = compile_pred schema a in
+    fun t -> not (pa t)
+  | Col _ | Const _ | Arith _ | Udf _ ->
+    let f = compile schema e in
+    fun t -> truthy (f t)
 
 let resolvable schema e =
   List.for_all

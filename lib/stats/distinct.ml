@@ -1,7 +1,8 @@
 module Value = Mqr_storage.Value
 
-(* 64-bit mix to decorrelate Value.hash outputs. *)
-let mix64 h =
+(* 64-bit mix to decorrelate Value.hash outputs.  Inlined so the int64s
+   stay unboxed. *)
+let[@inline] mix64 h =
   let open Int64 in
   let z = of_int h in
   let z = mul (logxor z (shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
@@ -31,7 +32,7 @@ module Fm = struct
     end
 
   (* [h] is the mixed hash of the value being added. *)
-  let add_hash t h =
+  let[@inline] add_hash t h =
     let bucket = Int64.to_int (Int64.rem (Int64.logand h 0x7FFFFFFFFFFFFFFFL)
                                  (Int64.of_int t.maps)) in
     let rest = Int64.shift_right_logical h 8 in

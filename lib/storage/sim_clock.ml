@@ -27,58 +27,74 @@ type counters = {
   opt_invocations : int;
 }
 
+(* A float-only record is stored flat, so updating it boxes nothing. *)
+type ms = { mutable cpu : float; mutable opt : float }
+
 type t = {
   m : model;
-  mutable c : counters;
+  mutable seq_reads : int;
+  mutable rand_reads : int;
+  mutable writes : int;
+  mutable opt_invocations : int;
+  ms : ms;
 }
 
-let zero_counters =
-  { seq_reads = 0; rand_reads = 0; writes = 0; cpu_ms = 0.0; opt_ms = 0.0;
-    opt_invocations = 0 }
+let create ?(model = default_model) () =
+  { m = model; seq_reads = 0; rand_reads = 0; writes = 0; opt_invocations = 0;
+    ms = { cpu = 0.0; opt = 0.0 } }
 
-let create ?(model = default_model) () = { m = model; c = zero_counters }
 let model t = t.m
 
-let charge_seq_read t n = t.c <- { t.c with seq_reads = t.c.seq_reads + n }
-let charge_rand_read t n = t.c <- { t.c with rand_reads = t.c.rand_reads + n }
-let charge_write t n = t.c <- { t.c with writes = t.c.writes + n }
+let charge_seq_read t n = t.seq_reads <- t.seq_reads + n
+let charge_rand_read t n = t.rand_reads <- t.rand_reads + n
+let charge_write t n = t.writes <- t.writes + n
 
-let charge_cpu_ms t ms = t.c <- { t.c with cpu_ms = t.c.cpu_ms +. ms }
+let charge_cpu_ms t ms = t.ms.cpu <- t.ms.cpu +. ms
 
-let charge_cpu_tuples t n = charge_cpu_ms t (float_of_int n *. t.m.cpu_tuple_ms)
-let charge_hash_tuples t n = charge_cpu_ms t (float_of_int n *. t.m.hash_tuple_ms)
-let charge_sort_tuples t n = charge_cpu_ms t (float_of_int n *. t.m.sort_tuple_ms)
+let charge_cpu_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. t.m.cpu_tuple_ms)
+let charge_hash_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. t.m.hash_tuple_ms)
+let charge_sort_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. t.m.sort_tuple_ms)
 
 let charge_optimizer t ~plans =
-  let ms = float_of_int plans *. t.m.opt_per_plan_ms in
-  t.c <- { t.c with
-           opt_ms = t.c.opt_ms +. ms;
-           opt_invocations = t.c.opt_invocations + 1 }
+  t.ms.opt <- t.ms.opt +. (float_of_int plans *. t.m.opt_per_plan_ms);
+  t.opt_invocations <- t.opt_invocations + 1
 
-let elapsed_of m c =
+let elapsed_of m (c : counters) =
   (float_of_int c.seq_reads *. m.seq_read_ms)
   +. (float_of_int c.rand_reads *. m.rand_read_ms)
   +. (float_of_int c.writes *. m.write_ms)
   +. c.cpu_ms +. c.opt_ms
 
-let elapsed_ms t = elapsed_of t.m t.c
+let counters t : counters =
+  { seq_reads = t.seq_reads; rand_reads = t.rand_reads; writes = t.writes;
+    cpu_ms = t.ms.cpu; opt_ms = t.ms.opt; opt_invocations = t.opt_invocations }
 
-let counters t = t.c
-let snapshot t = t.c
+let elapsed_ms t =
+  (float_of_int t.seq_reads *. t.m.seq_read_ms)
+  +. (float_of_int t.rand_reads *. t.m.rand_read_ms)
+  +. (float_of_int t.writes *. t.m.write_ms)
+  +. t.ms.cpu +. t.ms.opt
 
-let since t c0 =
-  let c = t.c in
+let snapshot = counters
+
+let since t (c0 : counters) =
   elapsed_of t.m
-    { seq_reads = c.seq_reads - c0.seq_reads;
-      rand_reads = c.rand_reads - c0.rand_reads;
-      writes = c.writes - c0.writes;
-      cpu_ms = c.cpu_ms -. c0.cpu_ms;
-      opt_ms = c.opt_ms -. c0.opt_ms;
-      opt_invocations = c.opt_invocations - c0.opt_invocations }
+    { seq_reads = t.seq_reads - c0.seq_reads;
+      rand_reads = t.rand_reads - c0.rand_reads;
+      writes = t.writes - c0.writes;
+      cpu_ms = t.ms.cpu -. c0.cpu_ms;
+      opt_ms = t.ms.opt -. c0.opt_ms;
+      opt_invocations = t.opt_invocations - c0.opt_invocations }
 
-let reset t = t.c <- zero_counters
+let reset t =
+  t.seq_reads <- 0;
+  t.rand_reads <- 0;
+  t.writes <- 0;
+  t.opt_invocations <- 0;
+  t.ms.cpu <- 0.0;
+  t.ms.opt <- 0.0
 
-let pp_counters fmt c =
+let pp_counters fmt (c : counters) =
   Fmt.pf fmt
     "{seq_reads=%d; rand_reads=%d; writes=%d; cpu=%.2fms; opt=%.2fms (%d invocations)}"
     c.seq_reads c.rand_reads c.writes c.cpu_ms c.opt_ms c.opt_invocations

@@ -6,7 +6,12 @@
     "execution time" of a query is the ledger total.  The optimizer uses
     the same rate constants for its estimates, so estimation error comes
     only from cardinality/selectivity mistakes — exactly the error source
-    the paper studies. *)
+    the paper studies.
+
+    Charges update the ledger in place and allocate nothing, so operators
+    may charge per tuple.  Each charge adds its own float in call order;
+    callers must not batch per-tuple charges, since [n] additions of a rate
+    are not bit-equal to one addition of [n] times it. *)
 
 type model = {
   seq_read_ms : float;   (** sequential page read *)
@@ -58,7 +63,8 @@ type counters = {
 
 val counters : t -> counters
 
-(** [since t c] is the time elapsed after snapshot [c] was taken. *)
+(** [since t c] is the time elapsed after snapshot [c] was taken.  A
+    snapshot (like [counters]) is a copy: later charges do not change it. *)
 val snapshot : t -> counters
 val since : t -> counters -> float
 

@@ -7,6 +7,9 @@ val get : t -> int -> Value.t
 val concat : t -> t -> t
 val project : t -> int list -> t
 
+(** Fixed per-tuple header, in bytes. *)
+val header_bytes : int
+
 (** Actual byte footprint of this tuple (header + per-value sizes). *)
 val byte_size : t -> int
 

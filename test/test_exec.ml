@@ -391,6 +391,283 @@ let test_sorted_aggregate_global_empty () =
   let r = Aggregate.sorted_aggregate c schema ~group_by:[] ~aggs [||] in
   Alcotest.(check int) "one row" 1 (Array.length r.Aggregate.rows)
 
+(* MIN/MAX/COUNT over a string column.  Every accumulator used to run
+   [Value.add], which rejects strings, so the query failed. *)
+let nation_string_aggs =
+  "select n_regionkey, min(n_name) as lo, max(n_name) as hi, count(n_name) as c \
+   from nation group by n_regionkey"
+
+let rendered rows =
+  Array.to_list rows
+  |> List.map (fun t -> String.concat "|" (Array.to_list (Array.map Value.to_string t)))
+  |> List.sort compare
+
+let test_string_min_max_count () =
+  let expected =
+    [ "0|ALGERIA|MOZAMBIQUE|5"; "1|ARGENTINA|UNITED STATES|5"; "2|CHINA|VIETNAM|5";
+      "3|FRANCE|UNITED KINGDOM|5"; "4|EGYPT|SAUDI ARABIA|5" ]
+  in
+  let catalog = Mqr_tpcd.Workload.experiment_catalog ~sf:0.001 () in
+  let r = Mqr_core.Engine.run_sql (Mqr_core.Engine.create catalog) nation_string_aggs in
+  Alcotest.(check (list string)) "engine (hash aggregate)" expected
+    (rendered r.Mqr_core.Dispatcher.rows);
+  let heap = (Mqr_catalog.Catalog.find_exn catalog "nation").Mqr_catalog.Catalog.heap in
+  let schema = Heap_file.schema heap in
+  let rows = Scan.seq_scan (ctx ()) heap in
+  let aggs =
+    List.map
+      (fun (fn, out_name) ->
+         { Aggregate.fn; distinct_arg = false; arg = Some (Expr.col "n_name"); out_name })
+      [ (Aggregate.Min, "lo"); (Aggregate.Max, "hi"); (Aggregate.Count, "c") ]
+  in
+  let group_by = [ "n_regionkey" ] in
+  let key = Schema.index_of schema "n_regionkey" in
+  let grouped = Array.copy rows in
+  Array.stable_sort (fun a b -> Value.compare a.(key) b.(key)) grouped;
+  let s = Aggregate.sorted_aggregate (ctx ()) schema ~group_by ~aggs grouped in
+  Alcotest.(check (list string)) "pre-sorted aggregate" expected (rendered s.Aggregate.rows);
+  let p, _ =
+    Mqr_exec.Parallel.aggregate (ctx ()) ~degree:2 ~mem_pages:16 schema ~group_by
+      ~aggs rows
+  in
+  Alcotest.(check (list string)) "parallel aggregate, degree 2" expected (rendered p)
+
+(* Reference: the aggregate operators with list keys and every accumulator
+   folding [Value.add], [Value.min_value] and [Value.max_value], as they
+   were before accumulators tracked only what their function reads. *)
+module Ref_agg = struct
+  module Key = struct
+    type t = Value.t list
+
+    let equal a b = List.equal Value.equal a b
+    let hash k = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
+  end
+
+  module Ktbl = Hashtbl.Make (Key)
+
+  module Vtbl = Hashtbl.Make (struct
+      type t = Value.t
+
+      let equal = Value.equal
+      let hash = Value.hash
+    end)
+
+  type acc = {
+    mutable count : int;
+    mutable sum : Value.t;
+    mutable min_v : Value.t;
+    mutable max_v : Value.t;
+    seen : unit Vtbl.t option;
+  }
+
+  let fresh_accs specs =
+    Array.map
+      (fun (s : Aggregate.spec) ->
+         { count = 0; sum = Value.Null; min_v = Value.Null; max_v = Value.Null;
+           seen = (if s.Aggregate.distinct_arg then Some (Vtbl.create 16) else None) })
+      specs
+
+  let feed arg_evals accs t =
+    List.iteri
+      (fun i ev ->
+         let a = accs.(i) in
+         match ev with
+         | None -> a.count <- a.count + 1
+         | Some f ->
+           let v = f t in
+           if not (Value.is_null v) then begin
+             let fresh =
+               match a.seen with
+               | None -> true
+               | Some set ->
+                 if Vtbl.mem set v then false
+                 else begin
+                   Vtbl.replace set v ();
+                   true
+                 end
+             in
+             if fresh then begin
+               a.count <- a.count + 1;
+               a.sum <- Value.add a.sum v;
+               a.min_v <- Value.min_value a.min_v v;
+               a.max_v <- Value.max_value a.max_v v
+             end
+           end)
+      arg_evals
+
+  let finalize aggs key accs =
+    let agg_vals =
+      List.mapi
+        (fun i (s : Aggregate.spec) ->
+           let a = accs.(i) in
+           match s.Aggregate.fn with
+           | Aggregate.Count -> Value.Int a.count
+           | Aggregate.Sum -> a.sum
+           | Aggregate.Min -> a.min_v
+           | Aggregate.Max -> a.max_v
+           | Aggregate.Avg ->
+             if a.count = 0 then Value.Null
+             else Value.Float (Value.to_float a.sum /. float_of_int a.count))
+        aggs
+    in
+    Array.of_list (key @ agg_vals)
+
+  let setup schema ~group_by ~aggs =
+    ( List.map (Schema.index_of schema) group_by,
+      List.map (fun (s : Aggregate.spec) -> Option.map (Expr.compile schema) s.Aggregate.arg) aggs,
+      Array.of_list aggs )
+
+  let bytes rows = Array.fold_left (fun acc t -> acc + Tuple.byte_size t) 0 rows
+
+  let hash_aggregate ctx ~mem_pages schema ~group_by ~aggs rows =
+    let clock = ctx.Exec_ctx.clock in
+    let group_idx, arg_evals, specs = setup schema ~group_by ~aggs in
+    let table = Ktbl.create 256 in
+    Array.iter
+      (fun t ->
+         let key = List.map (fun i -> t.(i)) group_idx in
+         let accs =
+           match Ktbl.find_opt table key with
+           | Some a -> a
+           | None ->
+             let a = fresh_accs specs in
+             Ktbl.replace table key a;
+             a
+         in
+         feed arg_evals accs t)
+      rows;
+    Sim_clock.charge_hash_tuples clock (Array.length rows);
+    if group_by = [] && Ktbl.length table = 0 then Ktbl.replace table [] (fresh_accs specs);
+    let out =
+      Array.of_list (Ktbl.fold (fun key accs acc -> finalize aggs key accs :: acc) table [])
+    in
+    Sim_clock.charge_cpu_tuples clock (Array.length out);
+    let input_pages = Exec_ctx.pages_of_bytes (bytes rows) in
+    let passes =
+      if Exec_ctx.pages_of_bytes (bytes out) <= max 1 mem_pages then 1
+      else begin
+        Sim_clock.charge_write clock input_pages;
+        Sim_clock.charge_seq_read clock input_pages;
+        2
+      end
+    in
+    (out, passes)
+
+  let sorted_aggregate ctx schema ~group_by ~aggs rows =
+    let clock = ctx.Exec_ctx.clock in
+    let group_idx, arg_evals, specs = setup schema ~group_by ~aggs in
+    let out = ref [] and current = ref None in
+    Array.iter
+      (fun t ->
+         let key = List.map (fun i -> t.(i)) group_idx in
+         match !current with
+         | Some (k, accs) when Key.equal k key -> feed arg_evals accs t
+         | Some (k, accs) ->
+           out := finalize aggs k accs :: !out;
+           let accs' = fresh_accs specs in
+           feed arg_evals accs' t;
+           current := Some (key, accs')
+         | None ->
+           let accs = fresh_accs specs in
+           feed arg_evals accs t;
+           current := Some (key, accs))
+      rows;
+    (match !current with
+     | Some (k, accs) -> out := finalize aggs k accs :: !out
+     | None -> if group_by = [] then out := [ finalize aggs [] (fresh_accs specs) ]);
+    Sim_clock.charge_cpu_tuples clock (Array.length rows);
+    let out = Array.of_list (List.rev !out) in
+    Sim_clock.charge_cpu_tuples clock (Array.length out);
+    (out, 1)
+end
+
+(* Grouping columns [g] (Int) and [h] (String); numeric arguments [i]
+   (Int), [f] (Float) and [n], which mixes Int and Float so sums go
+   Int-then-Float and Float-then-Int.  Every column has Nulls. *)
+let agg_schema =
+  Schema.make
+    [ Schema.col ~qualifier:"t" "g" Value.TInt;
+      Schema.col ~qualifier:"t" "h" Value.TString;
+      Schema.col ~qualifier:"t" "i" Value.TInt;
+      Schema.col ~qualifier:"t" "f" Value.TFloat;
+      Schema.col ~qualifier:"t" "n" Value.TFloat ]
+
+let agg_rows st n =
+  let pick mk = if Random.State.int st 8 = 0 then Value.Null else mk (Random.State.int st 40) in
+  Array.init n (fun _ ->
+      [| pick (fun k -> Value.Int (k mod 4));
+         pick (fun k -> Value.String (if k land 1 = 0 then "x" else "y"));
+         pick (fun k -> Value.Int (k - 20));
+         pick (fun k -> Value.Float (float_of_int k /. 3.0));
+         pick (fun k ->
+             if k land 1 = 0 then Value.Int (k - 20) else Value.Float (float_of_int k *. 0.1)) |])
+
+let agg_specs st =
+  let fns = [| Aggregate.Count; Aggregate.Sum; Aggregate.Avg; Aggregate.Min; Aggregate.Max |] in
+  let args = [| "t.i"; "t.f"; "t.n" |] in
+  List.init (1 + Random.State.int st 5) (fun k ->
+      let fn = fns.(Random.State.int st 5) in
+      let arg =
+        if fn = Aggregate.Count && Random.State.int st 3 = 0 then None
+        else Some (Expr.col args.(Random.State.int st 3))
+      in
+      { Aggregate.fn; distinct_arg = Random.State.bool st; arg;
+        out_name = Printf.sprintf "a%d" k })
+
+let same_value a b =
+  match a, b with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Int x, Value.Int y -> x = y
+  | Value.String x, Value.String y -> String.equal x y
+  | Value.Null, Value.Null -> true
+  | _ -> false
+
+let same_rows a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Array.length x = Array.length y && Array.for_all2 same_value x y)
+       a b
+
+let prop_aggregate_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 100_000)
+        (frequency [ (1, return 0); (6, int_range 1 300) ])
+        (int_bound 3) (oneofl [ 1; 64 ]))
+  in
+  QCheck.Test.make ~name:"aggregate = list-keyed reference" ~count:200
+    (QCheck.make gen)
+    (fun (seed, n, gsel, mem_pages) ->
+       let st = Random.State.make [| seed |] in
+       let rows = agg_rows st n in
+       let aggs = agg_specs st in
+       let group_by = List.nth [ []; [ "t.g" ]; [ "t.g"; "t.h" ]; [ "t.h" ] ] gsel in
+       let elapsed c = Int64.bits_of_float (Sim_clock.elapsed_ms c.Exec_ctx.clock) in
+       let c1 = ctx () and c2 = ctx () in
+       let r = Aggregate.hash_aggregate c1 ~mem_pages agg_schema ~group_by ~aggs rows in
+       let ref_rows, ref_passes =
+         Ref_agg.hash_aggregate c2 ~mem_pages agg_schema ~group_by ~aggs rows
+       in
+       let idxs = List.map (Schema.index_of agg_schema) group_by in
+       let grouped = Array.copy rows in
+       Array.stable_sort
+         (fun a b ->
+            List.fold_left
+              (fun c i -> if c <> 0 then c else Value.compare a.(i) b.(i))
+              0 idxs)
+         grouped;
+       let c3 = ctx () and c4 = ctx () in
+       let s = Aggregate.sorted_aggregate c3 agg_schema ~group_by ~aggs grouped in
+       let sref_rows, sref_passes =
+         Ref_agg.sorted_aggregate c4 agg_schema ~group_by ~aggs grouped
+       in
+       same_rows r.Aggregate.rows ref_rows
+       && r.Aggregate.passes = ref_passes
+       && elapsed c1 = elapsed c2
+       && same_rows s.Aggregate.rows sref_rows
+       && s.Aggregate.passes = sref_passes
+       && elapsed c3 = elapsed c4)
+
 let test_merge_join_presorted_skips_sort_cost () =
   let c1 = ctx () and c2 = ctx () in
   let ls = schema_ab "l" and rs = schema_ab "r" in
@@ -685,6 +962,8 @@ let suite =
     Alcotest.test_case "aggregate nulls" `Quick test_aggregate_nulls_skipped;
     Alcotest.test_case "sorted agg = hash agg" `Quick test_sorted_aggregate_matches_hash;
     Alcotest.test_case "sorted agg empty" `Quick test_sorted_aggregate_global_empty;
+    Alcotest.test_case "string min/max/count" `Quick test_string_min_max_count;
+    QCheck_alcotest.to_alcotest prop_aggregate_matches_reference;
     Alcotest.test_case "presorted merge join cheaper" `Quick test_merge_join_presorted_skips_sort_cost;
     Alcotest.test_case "collector counters" `Quick test_collector_counters;
     Alcotest.test_case "collector histogram" `Quick test_collector_histogram;

@@ -178,6 +178,94 @@ let gen_expr =
   in
   tree 3
 
+(* --- compile_pred against truthy (compile) --- *)
+
+let pred_schema =
+  Schema.make
+    [ Schema.col ~qualifier:"t" "a" Value.TInt;
+      Schema.col ~qualifier:"t" "b" Value.TFloat;
+      Schema.col ~qualifier:"t" "s" Value.TString;
+      Schema.col ~qualifier:"t" "d" Value.TDate;
+      Schema.col ~qualifier:"t" "p" Value.TBool ]
+
+let truthy = function Value.Bool b -> b | _ -> false
+
+let even_udf =
+  Expr.udf ~name:"even"
+    (function [ Value.Int x ] -> Value.Bool (x mod 2 = 0) | _ -> Value.Null)
+    [ Expr.col "t.a" ]
+
+(* The [gen_expr] shapes plus Null constants, Int/Float comparisons in both
+   directions, Date and String columns, Null-producing arithmetic, a UDF
+   leaf and bare boolean leaves, under And/Or/Not. *)
+let gen_pred_expr =
+  let open QCheck.Gen in
+  let null = return (Expr.Const Value.Null) in
+  let num =
+    frequency
+      [ (3, map Expr.int (int_range (-2) 6));
+        (3, map (fun k -> Expr.float (float_of_int k /. 2.0)) (int_range (-4) 12));
+        (1, null) ]
+  in
+  let date =
+    frequency [ (4, map (fun k -> Expr.Const (Value.Date (9000 + k))) (int_range 0 6)); (1, null) ]
+  in
+  let str =
+    frequency [ (4, map (fun k -> Expr.str (Printf.sprintf "s%d" k)) (int_range 0 4)); (1, null) ]
+  in
+  let op = oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let num_col =
+    oneofl Expr.[ col "t.a"; col "t.b"; Arith (Add, col "t.a", col "t.b") ]
+  in
+  let leaf =
+    oneof
+      [ gen_expr;
+        map3 (fun op c k -> Expr.Cmp (op, c, k)) op num_col num;
+        map3 (fun op c k -> Expr.Cmp (op, k, c)) op num_col num;
+        map (fun op -> Expr.(Cmp (op, col "t.a", col "t.b"))) op;
+        map2 (fun op k -> Expr.Cmp (op, Expr.col "t.d", k)) op date;
+        map2 (fun op k -> Expr.Cmp (op, Expr.col "t.s", k)) op str;
+        map3 (fun c lo hi -> Expr.Between (c, lo, hi)) num_col num num;
+        map2 (fun lo hi -> Expr.Between (Expr.col "t.d", lo, hi)) date date;
+        return even_udf;
+        return (Expr.col "t.p");
+        map (fun b -> Expr.Const (Value.Bool b)) bool;
+        null ]
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (3, leaf);
+          (2, map2 (fun a b -> Expr.And (a, b)) (tree (depth - 1)) (tree (depth - 1)));
+          (2, map2 (fun a b -> Expr.Or (a, b)) (tree (depth - 1)) (tree (depth - 1)));
+          (2, map (fun a -> Expr.Not a) (tree (depth - 1))) ]
+  in
+  tree 3
+
+let gen_pred_row =
+  let open QCheck.Gen in
+  let cell mk g = frequency [ (1, return Value.Null); (4, map mk g) ] in
+  map2
+    (fun (a, b, s, d) p -> [| a; b; s; d; p |])
+    (quad
+       (cell (fun k -> Value.Int k) (int_range (-2) 6))
+       (cell (fun k -> Value.Float (float_of_int k /. 2.0)) (int_range (-4) 12))
+       (cell (fun k -> Value.String (Printf.sprintf "s%d" k)) (int_range 0 4))
+       (cell (fun k -> Value.Date (9000 + k)) (int_range 0 6)))
+    (cell (fun b -> Value.Bool b) bool)
+
+let prop_compile_pred_is_truthy_compile =
+  QCheck.Test.make ~name:"compile_pred = truthy (compile)" ~count:500
+    (QCheck.make
+       ~print:(fun (e, rows) ->
+           Printf.sprintf "%s over %s" (Expr.to_sql e)
+             (String.concat "; " (List.map Tuple.to_string rows)))
+       QCheck.Gen.(pair gen_pred_expr (list_size (int_range 1 12) gen_pred_row)))
+    (fun (e, rows) ->
+       let p = Expr.compile_pred pred_schema e and f = Expr.compile pred_schema e in
+       List.for_all (fun t -> p t = truthy (f t)) rows)
+
 let prop_sql_roundtrip =
   QCheck.Test.make ~name:"to_sql/parse_expr roundtrip preserves semantics"
     ~count:300
@@ -226,5 +314,6 @@ let suite =
     Alcotest.test_case "udf selectivity" `Quick test_udf_selectivity;
     Alcotest.test_case "distinct of column" `Quick test_distinct_of_column;
     QCheck_alcotest.to_alcotest prop_selectivity_in_unit;
+    QCheck_alcotest.to_alcotest prop_compile_pred_is_truthy_compile;
     QCheck_alcotest.to_alcotest prop_sql_roundtrip;
     QCheck_alcotest.to_alcotest prop_conjuncts_preserve_semantics ]

@@ -119,6 +119,53 @@ let test_heap_scan_charges () =
   let c2 = Sim_clock.counters clock in
   Alcotest.(check int) "still 2 seq reads" 2 c2.Sim_clock.seq_reads
 
+let test_clock_snapshot_is_copy () =
+  let clock = Sim_clock.create () in
+  Sim_clock.charge_seq_read clock 3;
+  Sim_clock.charge_cpu_tuples clock 10;
+  let snap = Sim_clock.snapshot clock in
+  let cpu = snap.Sim_clock.cpu_ms in
+  Sim_clock.charge_seq_read clock 5;
+  Sim_clock.charge_cpu_tuples clock 100;
+  Sim_clock.charge_optimizer clock ~plans:4;
+  Alcotest.(check int) "seq_reads kept" 3 snap.Sim_clock.seq_reads;
+  Alcotest.(check int64) "cpu_ms kept" (Int64.bits_of_float (10.0 *. 0.004))
+    (Int64.bits_of_float cpu);
+  Alcotest.(check int64) "cpu_ms unchanged" (Int64.bits_of_float cpu)
+    (Int64.bits_of_float snap.Sim_clock.cpu_ms);
+  Alcotest.(check int) "opt_invocations kept" 0 snap.Sim_clock.opt_invocations;
+  Alcotest.(check int) "clock moved on" 8
+    (Sim_clock.counters clock).Sim_clock.seq_reads
+
+(* Bits recorded before the clock charged in place: each per-tuple charge
+   must add the same float, in the same order, as it always did. *)
+let test_clock_pinned () =
+  let c = Sim_clock.create () in
+  for _ = 1 to 120_130 do
+    Sim_clock.charge_cpu_tuples c 1
+  done;
+  Sim_clock.charge_hash_tuples c 77_777;
+  Sim_clock.charge_sort_tuples c 4_321;
+  Sim_clock.charge_seq_read c 17;
+  Sim_clock.charge_rand_read c 5;
+  Sim_clock.charge_write c 3;
+  Sim_clock.charge_cpu_ms c 0.37;
+  Sim_clock.charge_optimizer c ~plans:49_151;
+  let snap = Sim_clock.snapshot c in
+  for _ = 1 to 1_000 do
+    Sim_clock.charge_hash_tuples c 1
+  done;
+  Sim_clock.charge_optimizer c ~plans:7;
+  Sim_clock.charge_seq_read c 2;
+  let k = Sim_clock.counters c in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "cpu_ms" 4649595974288368091L (bits k.Sim_clock.cpu_ms);
+  Alcotest.(check int64) "opt_ms" 4672485438030610432L (bits k.Sim_clock.opt_ms);
+  Alcotest.(check int64) "elapsed_ms" 4672708876110682895L
+    (bits (Sim_clock.elapsed_ms c));
+  Alcotest.(check int64) "since" 4622100592565706240L
+    (bits (Sim_clock.since c snap))
+
 let test_btree_insert_lookup () =
   let bt = Btree.create ~fanout:4 () in
   for i = 0 to 999 do
@@ -218,6 +265,8 @@ let suite =
     Alcotest.test_case "heap append/get" `Quick test_heap_append_get;
     Alcotest.test_case "heap paging" `Quick test_heap_paging;
     Alcotest.test_case "heap scan charges" `Quick test_heap_scan_charges;
+    Alcotest.test_case "clock snapshot is a copy" `Quick test_clock_snapshot_is_copy;
+    Alcotest.test_case "clock pinned bits" `Quick test_clock_pinned;
     Alcotest.test_case "btree insert/lookup" `Quick test_btree_insert_lookup;
     Alcotest.test_case "btree structure" `Quick test_btree_structure;
     Alcotest.test_case "btree range" `Quick test_btree_range;
