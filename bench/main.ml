@@ -6,6 +6,10 @@
      dune exec bench/main.exe -- figures -- just the paper figures (F10 F11 F12)
      dune exec bench/main.exe -- f10     -- one experiment
 
+   Only a run that includes [all] (the default) rewrites
+   BENCH_results.json; a partial run prints its tables and leaves the
+   file alone.
+
    Experiments report *simulated* milliseconds from the engine's cost
    clock, so results are deterministic and machine-independent.  The
    parallel, service, overhead and opt scenarios also report wall-clock
@@ -81,6 +85,13 @@ let emit_json () =
   close_out oc;
   Fmt.pr "@.wrote %d data points to BENCH_results.json@."
     (List.length !json_results)
+
+(* A report's rows rendered and sorted: plans that differ may emit the
+   same multiset of rows in a different order. *)
+let canon (r : Dispatcher.report) =
+  List.sort compare
+    (Array.to_list
+       (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp) r.Dispatcher.rows))
 
 let pct_improvement ~normal ~reopt = 100.0 *. (normal -. reopt) /. normal
 
@@ -482,11 +493,6 @@ let runtime_filters () =
          ~switches:on.Dispatcher.switches ~collectors:on.Dispatcher.collectors;
        (* filters must never change the result; plans may differ, so
           compare as multisets *)
-       let canon (r : Dispatcher.report) =
-         List.sort compare
-           (Array.to_list
-              (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp) r.Dispatcher.rows))
-       in
        let identical = canon off = canon on in
        Fmt.pr "%-5s %6d | %12.1f %12.1f %8.1f%% %8d  %s@." name
          q.Queries.joins off.Dispatcher.elapsed_ms on.Dispatcher.elapsed_ms
@@ -665,12 +671,6 @@ let bounds_scenario () =
        (* a vetoed or admitted switch must never change the answer; a
           switch re-orders float aggregation, so compare rendered rows
           (%.4f) as multisets rather than raw bit patterns *)
-       let canon (r : Dispatcher.report) =
-         List.sort compare
-           (Array.to_list
-              (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp)
-                 r.Dispatcher.rows))
-       in
        let identical =
          canon bc = canon normal
          && canon full = canon normal
@@ -771,11 +771,6 @@ let parallel_scenario () =
   let catalog = Workload.experiment_catalog ~sf () in
   Fmt.pr "%-5s | %3s | %12s %12s %12s %9s %10s  %s@." "query" "dop" "sim(ms)"
     "wall-min(ms)" "wall-med(ms)" "par ops" "peak pages" "identical";
-  let canon (r : Dispatcher.report) =
-    List.sort compare
-      (Array.to_list (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp)
-                        r.Dispatcher.rows))
-  in
   let mismatches = ref 0 in
   List.iter
     (fun name ->
@@ -1236,8 +1231,8 @@ let () =
      Fmt.epr
        "unknown experiment %S (f10 f11 f12 xfig3 sens overhead joins hist \
         hybrid scale rf wlm sanitize bounds trace parallel service progress \
-        opt all)@."
+        opt all; only all writes BENCH_results.json)@."
        other;
      exit 1)
     which;
-  emit_json ()
+  if List.mem "all" which then emit_json ()

@@ -308,74 +308,81 @@ let lint_cmd =
     Term.(const action $ queries_arg $ sf_arg $ skew_arg $ budget_arg
           $ mode_arg $ pristine_arg $ rf_arg $ json_arg)
 
+(* The interactive shell shared by [repl] and [load]: SQL statements
+   (benchmark names like Q5 expand to their SQL) and backslash commands,
+   until \q or end of input. *)
+let repl ~banner engine =
+  let mode = ref Dispatcher.Full in
+  Fmt.pr "%s@." banner;
+  Fmt.pr
+    "Commands: SQL statements, \\explain <sql>, \\analyze <table>, \\mode off|memory|plan|full|bound-checked, \\tables, \\q@.";
+  let rec loop () =
+    Fmt.pr "mqr> %!";
+    match In_channel.input_line stdin with
+    | None -> ()
+    | Some line ->
+      let line = String.trim line in
+      (try
+         if line = "" then ()
+         else if line = "\\q" || line = "\\quit" then raise Exit
+         else if line = "\\tables" then
+           List.iter
+             (fun (tbl : Mqr_catalog.Catalog.table) ->
+                Fmt.pr "  %-12s %8d rows (catalog believes %d)@."
+                  tbl.Mqr_catalog.Catalog.name
+                  (Mqr_storage.Heap_file.tuple_count
+                     tbl.Mqr_catalog.Catalog.heap)
+                  tbl.Mqr_catalog.Catalog.believed_rows)
+             (List.sort
+                (fun (a : Mqr_catalog.Catalog.table) b ->
+                   compare a.Mqr_catalog.Catalog.name
+                     b.Mqr_catalog.Catalog.name)
+                (Mqr_catalog.Catalog.tables (Engine.catalog engine)))
+         else if String.length line > 6 && String.sub line 0 6 = "\\mode " then begin
+           match String.sub line 6 (String.length line - 6) with
+           | "off" -> mode := Dispatcher.Off
+           | "memory" -> mode := Dispatcher.Memory_only
+           | "plan" -> mode := Dispatcher.Plan_only
+           | "full" -> mode := Dispatcher.Full
+           | "bound-checked" -> mode := Dispatcher.Bound_checked
+           | m -> Fmt.pr "unknown mode %s@." m
+         end
+         else if String.length line > 9 && String.sub line 0 9 = "\\explain " then
+           Fmt.pr "%s@."
+             (Mqr_opt.Plan.to_string
+                (Engine.explain engine
+                   (resolve_sql (String.sub line 9 (String.length line - 9)))))
+         else if String.length line > 9 && String.sub line 0 9 = "\\analyze " then begin
+           Engine.analyze engine (String.sub line 9 (String.length line - 9));
+           Fmt.pr "analyzed.@."
+         end
+         else begin
+           match Engine.execute engine ~mode:!mode (resolve_sql line) with
+           | Engine.Rows report ->
+             Array.iter
+               (fun t -> Fmt.pr "%a@." Mqr_storage.Tuple.pp t)
+               report.Dispatcher.rows;
+             Fmt.pr "(%d rows, %.1f simulated ms, %d switches)@."
+               (Array.length report.Dispatcher.rows)
+               report.Dispatcher.elapsed_ms report.Dispatcher.switches
+           | Engine.Modified { table; count } ->
+             Fmt.pr "%d rows affected in %s@." count table
+           | Engine.Created what -> Fmt.pr "created %s@." what
+           | Engine.Analyzed table -> Fmt.pr "analyzed %s@." table
+         end
+       with
+       | Exit -> raise Exit
+       | e -> Fmt.pr "error: %s@." (Printexc.to_string e));
+      loop ()
+  in
+  (try loop () with Exit -> ());
+  Fmt.pr "bye.@."
+
 let repl_cmd =
   let action sf skew budget pristine =
     let engine = make_engine ~sf ~skew ~budget ~pristine () in
-    let mode = ref Dispatcher.Full in
-    Fmt.pr "mqr repl over a generated TPC-D catalog (sf=%g).@." sf;
-    Fmt.pr
-      "Commands: SQL statements, \\explain <sql>, \\analyze <table>, \\mode off|memory|plan|full|bound-checked, \\tables, \\q@.";
-    let rec loop () =
-      Fmt.pr "mqr> %!";
-      match In_channel.input_line stdin with
-      | None -> ()
-      | Some line ->
-        let line = String.trim line in
-        (try
-           if line = "" then ()
-           else if line = "\\q" || line = "\\quit" then raise Exit
-           else if line = "\\tables" then
-             List.iter
-               (fun (tbl : Mqr_catalog.Catalog.table) ->
-                  Fmt.pr "  %-12s %8d rows (catalog believes %d)@."
-                    tbl.Mqr_catalog.Catalog.name
-                    (Mqr_storage.Heap_file.tuple_count
-                       tbl.Mqr_catalog.Catalog.heap)
-                    tbl.Mqr_catalog.Catalog.believed_rows)
-               (List.sort
-                  (fun (a : Mqr_catalog.Catalog.table) b ->
-                     compare a.Mqr_catalog.Catalog.name
-                       b.Mqr_catalog.Catalog.name)
-                  (Mqr_catalog.Catalog.tables (Engine.catalog engine)))
-           else if String.length line > 6 && String.sub line 0 6 = "\\mode " then begin
-             match String.sub line 6 (String.length line - 6) with
-             | "off" -> mode := Dispatcher.Off
-             | "memory" -> mode := Dispatcher.Memory_only
-             | "plan" -> mode := Dispatcher.Plan_only
-             | "full" -> mode := Dispatcher.Full
-             | "bound-checked" -> mode := Dispatcher.Bound_checked
-             | m -> Fmt.pr "unknown mode %s@." m
-           end
-           else if String.length line > 9 && String.sub line 0 9 = "\\explain " then
-             Fmt.pr "%s@."
-               (Mqr_opt.Plan.to_string
-                  (Engine.explain engine
-                     (resolve_sql (String.sub line 9 (String.length line - 9)))))
-           else if String.length line > 9 && String.sub line 0 9 = "\\analyze " then begin
-             Engine.analyze engine (String.sub line 9 (String.length line - 9));
-             Fmt.pr "analyzed.@."
-           end
-           else begin
-             match Engine.execute engine ~mode:!mode (resolve_sql line) with
-             | Engine.Rows report ->
-               Array.iter
-                 (fun t -> Fmt.pr "%a@." Mqr_storage.Tuple.pp t)
-                 report.Dispatcher.rows;
-               Fmt.pr "(%d rows, %.1f simulated ms, %d switches)@."
-                 (Array.length report.Dispatcher.rows)
-                 report.Dispatcher.elapsed_ms report.Dispatcher.switches
-             | Engine.Modified { table; count } ->
-               Fmt.pr "%d rows affected in %s@." count table
-             | Engine.Created what -> Fmt.pr "created %s@." what
-             | Engine.Analyzed table -> Fmt.pr "analyzed %s@." table
-           end
-         with
-         | Exit -> raise Exit
-         | e -> Fmt.pr "error: %s@." (Printexc.to_string e));
-        loop ()
-    in
-    (try loop () with Exit -> ());
-    Fmt.pr "bye.@."
+    repl engine
+      ~banner:(Fmt.str "mqr repl over a generated TPC-D catalog (sf=%g)." sf)
   in
   let info = Cmd.info "repl" ~doc:"Interactive SQL shell over a TPC-D catalog." in
   Cmd.v info Term.(const action $ sf_arg $ skew_arg $ budget_arg $ pristine_arg)
@@ -406,38 +413,7 @@ let load_repl_cmd =
     friendly @@ fun () ->
     let catalog = Mqr_catalog.Persist.load ~dir in
     let engine = Engine.create ~budget_pages:budget ~pool_pages:(8 * budget) catalog in
-    let mode = ref Dispatcher.Full in
-    Fmt.pr "mqr repl over %s@." dir;
-    let rec loop () =
-      Fmt.pr "mqr> %!";
-      match In_channel.input_line stdin with
-      | None -> ()
-      | Some line ->
-        let line = String.trim line in
-        (try
-           if line = "" then ()
-           else if line = "\\q" then raise Exit
-           else begin
-             match Engine.execute engine ~mode:!mode line with
-             | Engine.Rows report ->
-               Array.iter
-                 (fun t -> Fmt.pr "%a@." Mqr_storage.Tuple.pp t)
-                 report.Dispatcher.rows;
-               Fmt.pr "(%d rows, %.1f simulated ms)@."
-                 (Array.length report.Dispatcher.rows)
-                 report.Dispatcher.elapsed_ms
-             | Engine.Modified { table; count } ->
-               Fmt.pr "%d rows affected in %s@." count table
-             | Engine.Created what -> Fmt.pr "created %s@." what
-             | Engine.Analyzed table -> Fmt.pr "analyzed %s@." table
-           end
-         with
-         | Exit -> raise Exit
-         | e -> Fmt.pr "error: %s@." (Printexc.to_string e));
-        loop ()
-    in
-    (try loop () with Exit -> ());
-    Fmt.pr "bye.@."
+    repl engine ~banner:(Fmt.str "mqr repl over %s" dir)
   in
   let info =
     Cmd.info "load" ~doc:"Open a saved database directory in an interactive shell."

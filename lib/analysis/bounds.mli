@@ -36,6 +36,10 @@ val pp_interval : Format.formatter -> interval -> unit
 (** Membership with a half-row tolerance for float rounding. *)
 val contains : interval -> float -> bool
 
+(** Does the column name resolve in the schema?  An ambiguous name counts
+    as resolving. *)
+val resolves : Mqr_storage.Schema.t -> string -> bool
+
 (** Analysis environment: ground truth per table.  [count_trusted] says
     whether a table's bucket/distinct counts describe its current contents
     exactly (default: yes); pass [false] for temp tables whose statistics

@@ -19,9 +19,6 @@ let error ~pass ~code ?hint ~node_id ~path message =
 let warning ~pass ~code ?hint ~node_id ~path message =
   make Warning ~pass ~code ?hint ~node_id ~path message
 
-let info ~pass ~code ?hint ~node_id ~path message =
-  make Info ~pass ~code ?hint ~node_id ~path message
-
 let is_error d = d.severity = Error
 let errors ds = List.filter is_error ds
 let warnings ds = List.filter (fun d -> d.severity = Warning) ds
@@ -49,8 +46,6 @@ let pp fmt d =
   match d.hint with
   | Some h -> Fmt.pf fmt " (fix: %s)" h
   | None -> ()
-
-let to_string d = Fmt.str "%a" pp d
 
 let pp_report fmt ds =
   let ds = List.stable_sort compare ds in

@@ -21,19 +21,11 @@ type t = {
   hint : string option;  (** suggested fix *)
 }
 
-val make :
-  severity -> pass:string -> code:string -> ?hint:string -> node_id:int ->
-  path:string list -> string -> t
-
 val error :
   pass:string -> code:string -> ?hint:string -> node_id:int ->
   path:string list -> string -> t
 
 val warning :
-  pass:string -> code:string -> ?hint:string -> node_id:int ->
-  path:string list -> string -> t
-
-val info :
   pass:string -> code:string -> ?hint:string -> node_id:int ->
   path:string list -> string -> t
 
@@ -50,7 +42,6 @@ val severity_to_string : severity -> string
 val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 (** Multi-line rendering of a finding list plus a one-line tally. *)
 val pp_report : Format.formatter -> t list -> unit

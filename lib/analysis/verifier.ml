@@ -40,17 +40,7 @@ let context ?temp_schema ?budget_pages ?mu catalog =
     budget_pages;
     mu }
 
-type pass = {
-  pass_name : string;
-  run : context -> Plan.t -> Diagnostic.t list;
-}
-
 type mode = Off | Pre | Sanitize
-
-let mode_to_string = function
-  | Off -> "off"
-  | Pre -> "pre"
-  | Sanitize -> "sanitize"
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers.                                                     *)
@@ -65,12 +55,6 @@ let iter_with_ancestors f plan =
 
 let path_of ~ancestors (p : Plan.t) =
   List.rev (Plan.op_name p :: List.map Plan.op_name ancestors)
-
-let resolves schema col =
-  match Schema.index_of schema col with
-  | (_ : int) -> true
-  | exception Not_found -> false
-  | exception Schema.Ambiguous _ -> true
 
 let col_ty schema col =
   match Schema.index_of schema col with
@@ -121,7 +105,7 @@ let schema_run ctx plan =
   let check_cols ~what ~node_id ~path schema cols =
     List.iter
       (fun c ->
-         if not (resolves schema c) then
+         if not (Bounds.resolves schema c) then
            err ~code:"SCH-COLREF" ~node_id ~path
              ~hint:"reference a column of this operator's input"
              (Fmt.str "%s references column %s, absent from schema [%s]" what
@@ -298,8 +282,6 @@ let schema_run ctx plan =
     plan;
   List.rev !diags
 
-let schema_pass = { pass_name = schema_pass_name; run = schema_run }
-
 (* ------------------------------------------------------------------ *)
 (* Pass 2: annotation lints.                                           *)
 
@@ -416,18 +398,10 @@ let annotation_run ctx plan =
     plan;
   List.rev !diags
 
-let annotation_pass = { pass_name = annotation_pass_name; run = annotation_run }
-
 (* ------------------------------------------------------------------ *)
 (* Pass 3: SCIA legality.                                              *)
 
 let scia_pass_name = "scia"
-
-let is_join (p : Plan.t) =
-  match p.Plan.node with
-  | Plan.Hash_join _ | Plan.Index_nl_join _ | Plan.Block_nl_join _
-  | Plan.Merge_join _ -> true
-  | _ -> false
 
 let is_aggregate (p : Plan.t) =
   match p.Plan.node with Plan.Aggregate _ -> true | _ -> false
@@ -484,7 +458,7 @@ let scia_run ctx plan =
           | None -> Hashtbl.replace seen_cids cid node_id);
          List.iter
            (fun c ->
-              if not (resolves input.Plan.schema c) then
+              if not (Bounds.resolves input.Plan.schema c) then
                 add
                   (Diagnostic.error ~pass:scia_pass_name ~code:"SCIA-COLS"
                      ~hint:"collect statistics only over columns the input \
@@ -497,7 +471,7 @@ let scia_run ctx plan =
             never pay for itself. *)
          if
            not
-             (List.exists (fun a -> is_join a || is_aggregate a) ancestors)
+             (List.exists (fun a -> Plan.is_join a || is_aggregate a) ancestors)
          then
            add
              (Diagnostic.warning ~pass:scia_pass_name ~code:"SCIA-ORPHAN"
@@ -528,8 +502,6 @@ let scia_run ctx plan =
    | _ -> ());
   List.rev !diags
 
-let scia_pass = { pass_name = scia_pass_name; run = scia_run }
-
 (* ------------------------------------------------------------------ *)
 (* Pass 4: resource and lifetime checks.                               *)
 
@@ -542,9 +514,9 @@ let filter_sites sub ~col =
     (fun acc (n : Plan.t) ->
        match n.Plan.node with
        | Plan.Seq_scan { alias; _ } | Plan.Index_scan { alias; _ } ->
-         if resolves n.Plan.schema col then alias :: acc else acc
+         if Bounds.resolves n.Plan.schema col then alias :: acc else acc
        | Plan.Materialized { name; _ } ->
-         if resolves n.Plan.schema col then name :: acc else acc
+         if Bounds.resolves n.Plan.schema col then name :: acc else acc
        | _ -> acc)
     [] sub
 
@@ -558,7 +530,7 @@ let check_rf ~node_id ~path ~what ~(build : Plan.t) ~(probe : Plan.t) rfs add =
               ~node_id ~path
               (Fmt.str "%s filter on %s has selectivity %g" what rf_probe_col
                  rf_sel));
-       if not (resolves build.Plan.schema rf_build_col) then
+       if not (Bounds.resolves build.Plan.schema rf_build_col) then
          add
            (Diagnostic.warning ~pass:resource_pass_name ~code:"RF-BUILDCOL"
               ~hint:"the build side must deliver the filter's key column \
@@ -680,8 +652,6 @@ let resource_run ctx plan =
    | _ -> ());
   List.rev !diags
 
-let resource_pass = { pass_name = resource_pass_name; run = resource_run }
-
 (* ------------------------------------------------------------------ *)
 (* Pass 5: parallel-shape checks.  A plan's [dop] annotations are what
    the dispatcher partitions data by and what the cost model charged
@@ -738,8 +708,6 @@ let parallel_run _ctx plan =
                  p.Plan.mem p.Plan.dop)))
     plan;
   List.rev !diags
-
-let parallel_pass = { pass_name = parallel_pass_name; run = parallel_run }
 
 (* ------------------------------------------------------------------ *)
 (* Pass 6: cardinality-bound abstract interpretation (see {!Bounds}).
@@ -832,23 +800,21 @@ let bounds_run ctx plan =
     plan;
   List.rev !diags
 
-let bounds_pass = { pass_name = bounds_pass_name; run = bounds_run }
-
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 
 let all_passes =
-  [ schema_pass; annotation_pass; scia_pass; resource_pass; parallel_pass;
-    bounds_pass ]
+  [ schema_run; annotation_run; scia_run; resource_run; parallel_run;
+    bounds_run ]
 
-let verify ?(passes = all_passes) ctx plan =
+let verify ctx plan =
   List.stable_sort Diagnostic.compare
-    (List.concat_map (fun pass -> pass.run ctx plan) passes)
+    (List.concat_map (fun run -> run ctx plan) all_passes)
 
 exception Rejected of { what : string; diags : Diagnostic.t list }
 
-let check_exn ?passes ~what ctx plan =
-  let ds = verify ?passes ctx plan in
+let check_exn ~what ctx plan =
+  let ds = verify ctx plan in
   (match Diagnostic.errors ds with
    | [] -> ()
    | errs -> raise (Rejected { what; diags = errs }));

@@ -7,34 +7,31 @@
     grants must fit the broker budget, and runtime-filter leases must
     provably return to zero.  A malformed plan otherwise only fails deep
     inside the dispatcher.  This module checks those invariants up front:
-    composable passes run over a plan before execution and (in sanitizer
-    mode) again at every decision point and after every mid-query plan
-    switch.
+    six passes run over a plan before execution and (in sanitizer mode)
+    again at every decision point and after every mid-query plan switch:
 
-    Six passes ship:
-
-    - {!schema_pass} — infers each operator's output schema bottom-up
+    - schema — infers each operator's output schema bottom-up
       from the catalog (and the temp-table store for re-planned
       remainders) and rejects dangling column references, operand type
       mismatches and shape drift ([SCH-*] codes);
-    - {!annotation_pass} — every operator has sane estimates; child to
+    - annotation — every operator has sane estimates; child to
       parent cardinality monotonicity is plausible (join and filter
       estimates never exceed cross-product / input bounds); degenerate
       zero-row estimates are flagged ([EST-*]);
-    - {!scia_pass} — statistics collectors only at streamed positions
+    - SCIA legality — statistics collectors only at streamed positions
       directly above a scan, unique collection-point ids, spec columns
       the input actually owns, total collector CPU within the [mu]
       budget, no collector orphaned below nothing that can use its
       statistics ([SCIA-*]);
-    - {!resource_pass} — memory assignments respect min/max demands and
+    - resources — memory assignments respect min/max demands and
       the broker budget; runtime-filter annotations are installable and
       retire inside their unit, so [filter_pages_held] provably returns
       to 0 ([MEM-*], [RF-*]);
-    - {!parallel_pass} — degree-of-parallelism annotations are sane:
+    - parallelism — degree-of-parallelism annotations are sane:
       every [dop] is at least 1, degrees above 1 only on operators with
       an exchange implementation, per-worker memory shares workable
       ([PAR-*]);
-    - {!bounds_pass} — cardinality-bound abstract interpretation (see
+    - bounds — cardinality-bound abstract interpretation (see
       {!Bounds}): estimates outside their provable interval, worst-case
       memory demands over the broker budget, provably-dominated access
       paths ([BND-*], all warnings — the hard-error counterpart,
@@ -70,37 +67,8 @@ val context :
   ?temp_schema:(string -> Schema.t option) ->
   ?budget_pages:int -> ?mu:float -> Mqr_catalog.Catalog.t -> context
 
-type pass = {
-  pass_name : string;
-  run : context -> Mqr_opt.Plan.t -> Diagnostic.t list;
-}
-
-val schema_pass : pass
-val annotation_pass : pass
-val scia_pass : pass
-val resource_pass : pass
-
-(** Parallel-shape checks over the plan's [dop] annotations: every degree
-    is at least 1 ([PAR-DOP]), a degree above 1 only appears on operators
-    the executor has an exchange implementation for — striped scans,
-    keyed hash joins, grouped hash aggregation, sorts ([PAR-OP]) — and
-    the memory grant split across the workers leaves each a workable
-    share ([PAR-MEM]). *)
-val parallel_pass : pass
-
-(** Cardinality-bound abstract interpretation over the plan (warnings:
-    [BND-EST] estimate outside its provable row interval, [BND-MEM]
-    worst-case working memory over the broker budget, [BND-DOM]
-    provably-dominated access-path choice). *)
-val bounds_pass : pass
-
-(** The six passes above, in that order. *)
-val all_passes : pass list
-
-(** Run the passes (default {!all_passes}) and return every finding,
-    errors first. *)
-val verify :
-  ?passes:pass list -> context -> Mqr_opt.Plan.t -> Diagnostic.t list
+(** Run all six passes and return every finding, errors first. *)
+val verify : context -> Mqr_opt.Plan.t -> Diagnostic.t list
 
 exception Rejected of { what : string; diags : Diagnostic.t list }
 (** [diags] holds only the [Error]-severity findings. *)
@@ -109,7 +77,7 @@ exception Rejected of { what : string; diags : Diagnostic.t list }
     [what] names the plan being refused (e.g. ["initial plan"],
     ["switched plan"]). *)
 val check_exn :
-  ?passes:pass list -> what:string -> context -> Mqr_opt.Plan.t ->
+  what:string -> context -> Mqr_opt.Plan.t ->
   Diagnostic.t list
 
 (** Raise {!Rejected} with a [TEN-LIFETIME] error: tenant [tenant] still
@@ -128,5 +96,3 @@ type mode =
       (** [Pre] plus re-verification at every decision point and after
           every mid-query plan switch, and assert the runtime-filter
           lease invariant ([filter_pages_held = 0]) there *)
-
-val mode_to_string : mode -> string

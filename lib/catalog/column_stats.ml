@@ -67,14 +67,3 @@ let to_domain t v =
 
 let drop_histogram t = { t with histogram = None }
 let mark_stale t = { t with stale = true }
-
-let pp fmt t =
-  let pp_opt pp_v fmt = function
-    | None -> Fmt.string fmt "-"
-    | Some v -> pp_v fmt v
-  in
-  Fmt.pf fmt "{min=%a; max=%a; distinct=%a; hist=%a; stale=%b; key=%b}"
-    (pp_opt Value.pp) t.min_v (pp_opt Value.pp) t.max_v
-    (pp_opt Fmt.float) t.distinct
-    (pp_opt (fun fmt h -> Fmt.string fmt (Histogram.kind_to_string (Histogram.kind h))))
-    t.histogram t.stale t.is_key

@@ -34,5 +34,3 @@ val to_domain : t -> Value.t -> float option
 (** Degradations. *)
 val drop_histogram : t -> t
 val mark_stale : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -325,7 +325,7 @@ let trace_event st scope ~ts ev =
       ~args:
         [ ("new_hi_ms", Trace.Float new_hi_ms);
           ("cur_lo_ms", Trace.Float cur_lo_ms);
-          ("admitted", Trace.Str (if admitted then "true" else "false")) ]
+          ("admitted", Trace.Bool admitted) ]
       ~ts_ms:ts ()
   | Ev_sampled p ->
     Metrics.incr m "sampling.probes";
@@ -405,6 +405,13 @@ let apply_overrides st env =
 let recost cfg env plan =
   Optimizer.recost ~planning_mem:cfg.opt_options.Optimizer.planning_mem_pages
     ~max_dop:cfg.opt_options.Optimizer.max_dop ~model:cfg.model ~env plan
+
+(* Insert statistics collectors (SCIA) and re-cost: the instrumentation
+   of an initial plan and of every switched-to remainder.  Returns the
+   plan and the number of collectors kept. *)
+let instrument cfg env plan =
+  let scia = Scia.insert ~mu:cfg.params.Reopt_policy.mu ~env plan in
+  (recost cfg env scia.Scia.plan, List.length scia.Scia.kept)
 
 (* ------------------------------------------------------------------ *)
 (* Plan verification (static analysis; see Mqr_analysis.Verifier).     *)
@@ -683,7 +690,7 @@ let retire_filters st installed =
               dropped = Runtime_filter.dropped flt;
               pages });
        if Runtime_filter.probed flt > 0
-       && Reopt_policy.filter_surprise st.cfg.params ~est ~obs
+       && Reopt_policy.filter_surprise ~est ~obs
        then st.filter_surprise <- true;
        release_pages st st.filter_pages pages)
     installed
@@ -949,17 +956,11 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
 (* ------------------------------------------------------------------ *)
 (* Unit selection and plan surgery.                                    *)
 
-let is_join (p : Plan.t) =
-  match p.Plan.node with
-  | Plan.Hash_join _ | Plan.Index_nl_join _ | Plan.Block_nl_join _
-  | Plan.Merge_join _ -> true
-  | _ -> false
-
 (* Deepest leftmost join whose inputs contain no other join. *)
 let rec find_ready_join (p : Plan.t) =
   match List.find_map find_ready_join (Plan.children p) with
   | Some j -> Some j
-  | None -> if is_join p then Some p else None
+  | None -> if Plan.is_join p then Some p else None
 
 let rec replace_node (p : Plan.t) ~target_id ~replacement =
   if p.Plan.id = target_id then replacement
@@ -1221,11 +1222,7 @@ let try_replan st ~force =
            let kids = List.map renumber (Plan.children p) in
            { (Plan.with_children p kids) with Plan.id = fresh_plan_id st }
          in
-         let new_plan = renumber new_plan in
-         let scia =
-           Scia.insert ~mu:st.cfg.params.Reopt_policy.mu ~env:env' new_plan
-         in
-         let new_plan = recost st.cfg env' scia.Scia.plan in
+         let new_plan, _ = instrument st.cfg env' (renumber new_plan) in
          (* Scia.insert hands the Collect wrappers ids past the plan's max
             from its own counter; pull next_id past them or a later
             Materialized leaf would reuse a live Collect id and the
@@ -1293,15 +1290,12 @@ type run = {
   mutable aborted : bool;
 }
 
-let start ?prepared cfg query =
-  (* the query span covers everything, optimization included *)
-  let q_span =
-    Option.map
-      (fun scope ->
-         Trace.open_span scope ~cat:"query"
-           ~name:("query:" ^ Trace.scope_label scope) ~ts_ms:0.0 ())
-      cfg.trace
-  in
+(* Everything before execution that the initial plan depends on:
+   estimation environment, start-time probes, optimization and
+   instrumentation (unless [prepared]), the memory grant and the re-cost
+   under it.  Returns the run state with [current] set to the initial
+   plan, the collector count and the probes. *)
+let prepare ?prepared cfg query =
   let ctx = Exec_ctx.create ~model:cfg.model ~pool_pages:cfg.pool_pages () in
   let env = Stats_env.create cfg.catalog query.Query.relations in
   (match cfg.env_overlay with
@@ -1329,11 +1323,7 @@ let start ?prepared cfg query =
       in
       (match cfg.mode with
        | Off -> (opt.Optimizer.plan, 0)
-       | _ ->
-         let scia =
-           Scia.insert ~mu:cfg.params.Reopt_policy.mu ~env opt.Optimizer.plan
-         in
-         (recost cfg env scia.Scia.plan, List.length scia.Scia.kept))
+       | _ -> instrument cfg env opt.Optimizer.plan)
   in
   let memman = Memory_manager.create ~budget_pages:cfg.budget_pages in
   let max_id =
@@ -1367,9 +1357,25 @@ let start ?prepared cfg query =
       filter_probe_ms = 0.0 }
   in
   ignore (allocate_memory st);
-  let plan0 = recost cfg env plan0 in
-  st.current <- plan0;
-  record_annotations st plan0;
+  st.current <- recost cfg env plan0;
+  record_annotations st st.current;
+  (st, collectors, probes)
+
+let initial_plan cfg query =
+  let st, _, _ = prepare cfg query in
+  st.current
+
+let start ?prepared cfg query =
+  (* the query span covers everything, optimization included *)
+  let q_span =
+    Option.map
+      (fun scope ->
+         Trace.open_span scope ~cat:"query"
+           ~name:("query:" ^ Trace.scope_label scope) ~ts_ms:0.0 ())
+      cfg.trace
+  in
+  let st, collectors, probes = prepare ?prepared cfg query in
+  let plan0 = st.current in
   (* refuse to execute a plan that fails static analysis *)
   verify_plan st ~what:"initial plan" plan0;
   List.iter (fun p -> emit st (Ev_sampled p)) probes;

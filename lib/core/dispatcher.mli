@@ -180,6 +180,12 @@ type report = {
       (** plan-verification runs performed (0 when [verify = Off]) *)
 }
 
+(** The plan {!start} would begin executing: optimized, instrumented with
+    collectors unless [mode] is [Off], granted memory and re-costed under
+    the grant.  Nothing executes, and every charge goes to a throwaway
+    clock.  [verify], [trace] and [progress] are not consulted. *)
+val initial_plan : config -> Mqr_sql.Query.t -> Mqr_opt.Plan.t
+
 (** Execute a bound query under the configuration.  [prepared] supplies a
     cached static plan (with its collector count) and skips optimization
     and collector insertion — see {!Plan_cache}. *)

@@ -4,14 +4,11 @@ module Parser = Mqr_sql.Parser
 module Query = Mqr_sql.Query
 module Optimizer = Mqr_opt.Optimizer
 module Stats_env = Mqr_opt.Stats_env
-module Plan = Mqr_opt.Plan
-module Memory_manager = Mqr_memman.Memory_manager
 module Verifier = Mqr_analysis.Verifier
 module Trace = Mqr_obs.Trace
 
 type t = {
   catalog : Catalog.t;
-  model : Sim_clock.model;
   pool_pages : int;
   budget_pages : int;
   params : Reopt_policy.params;
@@ -22,9 +19,8 @@ type t = {
   trace : Trace.t option;
 }
 
-let create ?(model = Sim_clock.default_model) ?(pool_pages = 2048)
-    ?(budget_pages = 512) ?(params = Reopt_policy.default_params)
-    ?opt_options ?(runtime_filters = false) ?(plan_cache = false)
+let create ?(pool_pages = 2048) ?(budget_pages = 512) ?opt_options
+    ?(runtime_filters = false) ?(plan_cache = false)
     ?(verify_plans = Verifier.Off) ?trace ?(parallel = 1) catalog =
   (* Unless told otherwise, the optimizer assumes each memory consumer will
      receive about half the memory-manager budget and keeps every operator
@@ -38,7 +34,8 @@ let create ?(model = Sim_clock.default_model) ?(pool_pages = 2048)
         enable_runtime_filters = runtime_filters;
         max_dop = max 1 parallel }
   in
-  { catalog; model; pool_pages; budget_pages; params; opt_options;
+  { catalog; pool_pages; budget_pages; params = Reopt_policy.default_params;
+    opt_options;
     udfs = ref [];
     plan_cache = (if plan_cache then Some (Plan_cache.create ()) else None);
     verify = verify_plans;
@@ -68,8 +65,8 @@ let with_budget t ~budget_pages =
       { t.opt_options with
         Optimizer.planning_mem_pages = max 8 (budget_pages / 2) } }
 
-let register_udf t ~name ?selectivity fn =
-  t.udfs := { Parser.name; fn; selectivity } :: !(t.udfs)
+let register_udf t ~name fn =
+  t.udfs := { Parser.name; fn; selectivity = None } :: !(t.udfs)
 
 (* One trace lane per query: the scope's label is what the Chrome-trace
    thread is called, so prefer the (truncated) SQL text. *)
@@ -82,7 +79,7 @@ let scope_for t label =
 
 let config ?trace ?progress t mode start_sampling =
   { Dispatcher.catalog = t.catalog;
-    model = t.model;
+    model = Sim_clock.default_model;
     pool_pages = t.pool_pages;
     budget_pages = t.budget_pages;
     params = t.params;
@@ -101,17 +98,12 @@ let budget_pages t = t.budget_pages
 (* Workload managers build per-query dispatcher configurations from the
    engine's settings, overriding the pieces they own (memory broker,
    statistics overlay, temp-table namespace). *)
-let dispatcher_config t ~mode ?probe_rows ?budget_pages ?broker ?env_overlay
-    ?(temp_prefix = "") ?verify ?trace ?progress () =
-  { (config t mode probe_rows) with
-    Dispatcher.budget_pages =
-      Option.value ~default:t.budget_pages budget_pages;
-    broker;
+let dispatcher_config t ~mode ?broker ?env_overlay ?(temp_prefix = "") ?trace
+    ?progress () =
+  { (config ?trace ?progress t mode None) with
+    Dispatcher.broker;
     env_overlay;
-    temp_prefix;
-    verify = Option.value ~default:t.verify verify;
-    trace;
-    progress }
+    temp_prefix }
 
 let bind_sql t sql = Query.bind t.catalog (Parser.parse ~udfs:!(t.udfs) sql)
 
@@ -188,34 +180,41 @@ let delete_rows t ~table ~where =
   Catalog.note_updates t.catalog ~table deleted;
   deleted
 
-let run_query t ?(mode = Dispatcher.Full) ?probe_rows ?(label = "query")
-    ?progress q =
-  Dispatcher.run (config ?trace:(scope_for t label) ?progress t mode probe_rows)
-    q
+let run_query t ?(mode = Dispatcher.Full) ?(label = "query") ?progress q =
+  Dispatcher.run (config ?trace:(scope_for t label) ?progress t mode None) q
 
-let run_sql t ?(mode = Dispatcher.Full) ?probe_rows ?progress sql =
-  let label = truncate_label sql in
-  match t.plan_cache with
-  | None -> run_query t ~mode ?probe_rows ~label ?progress (bind_sql t sql)
-  | Some cache ->
-    (* plans are instrumented per mode, so the mode is part of the key *)
-    let key = Dispatcher.mode_to_string mode ^ "|" ^ sql in
-    (match Plan_cache.find cache t.catalog key with
-     | Some entry ->
-       Dispatcher.run
-         ~prepared:(entry.Plan_cache.plan, entry.Plan_cache.collectors)
-         (config ?trace:(scope_for t label) ?progress t mode probe_rows)
-         entry.Plan_cache.query
-     | None ->
-       let q = bind_sql t sql in
-       let report =
-         Dispatcher.run
-           (config ?trace:(scope_for t label) ?progress t mode probe_rows) q
-       in
-       Plan_cache.store cache t.catalog key
-         ~plan:report.Dispatcher.initial_plan ~query:q
-         ~collectors:report.Dispatcher.collectors;
-       report)
+(* A SELECT by its SQL text, through the plan cache when there is one:
+   a hit reuses the cached bound query and static plan, a miss binds with
+   [bind] and stores the plan the run started from. *)
+let run_select t ?(mode = Dispatcher.Full) ?probe_rows ?progress ~bind sql =
+  (* plans are instrumented per mode, so the mode is part of the key *)
+  let key = Dispatcher.mode_to_string mode ^ "|" ^ sql in
+  let cached =
+    Option.bind t.plan_cache (fun cache -> Plan_cache.find cache t.catalog key)
+  in
+  let q, prepared =
+    match cached with
+    | Some entry ->
+      ( entry.Plan_cache.query,
+        Some (entry.Plan_cache.plan, entry.Plan_cache.collectors) )
+    | None -> (bind (), None)
+  in
+  let report =
+    Dispatcher.run ?prepared
+      (config ?trace:(scope_for t (truncate_label sql)) ?progress t mode
+         probe_rows)
+      q
+  in
+  (match t.plan_cache, cached with
+   | Some cache, None ->
+     Plan_cache.store cache t.catalog key
+       ~plan:report.Dispatcher.initial_plan ~query:q
+       ~collectors:report.Dispatcher.collectors
+   | _ -> ());
+  report
+
+let run_sql t ?mode ?probe_rows ?progress sql =
+  run_select t ?mode ?probe_rows ?progress ~bind:(fun () -> bind_sql t sql) sql
 
 let coerce_csv_field col s =
   if s = "" then Value.Null
@@ -261,8 +260,8 @@ let execute t ?mode ?probe_rows sql =
   match Parser.parse_statement ~udfs:!(t.udfs) sql with
   | Parser.Select q ->
     Rows
-      (run_query t ?mode ?probe_rows ~label:(truncate_label sql)
-         (Query.bind t.catalog q))
+      (run_select t ?mode ?probe_rows ~bind:(fun () -> Query.bind t.catalog q)
+         sql)
   | Parser.Insert { table; rows } ->
     Modified { table; count = insert_rows t ~table rows }
   | Parser.Delete { table; where } ->
@@ -289,37 +288,23 @@ let analyze t ?kind ?buckets ?keys table =
 let explain t sql =
   let q = bind_sql t sql in
   let env = Stats_env.create t.catalog q.Query.relations in
-  let r = Optimizer.optimize ~options:t.opt_options ~model:t.model ~env q in
+  let r =
+    Optimizer.optimize ~options:t.opt_options ~model:Sim_clock.default_model
+      ~env q
+  in
   r.Optimizer.plan
 
-(* Static analysis without execution: build the plan exactly as the
-   dispatcher would (optimize; unless mode is Off, insert collectors and
-   re-cost; grant memory) and run the verifier over it. *)
+(* Static analysis without execution: the plan the dispatcher would start
+   from, run through the verifier. *)
 let lint t ?(mode = Dispatcher.Full) sql =
-  let q = bind_sql t sql in
-  let env = Stats_env.create t.catalog q.Query.relations in
-  let r = Optimizer.optimize ~options:t.opt_options ~model:t.model ~env q in
-  let plan =
-    match mode with
-    | Dispatcher.Off -> r.Optimizer.plan
-    | _ ->
-      let scia =
-        Scia.insert ~mu:t.params.Reopt_policy.mu ~env r.Optimizer.plan
-      in
-      Optimizer.recost ~planning_mem:t.opt_options.Optimizer.planning_mem_pages
-        ~max_dop:t.opt_options.Optimizer.max_dop ~model:t.model ~env
-        scia.Scia.plan
-  in
-  let memman = Memory_manager.create ~budget_pages:t.budget_pages in
-  ignore (Memory_manager.allocate memman plan);
+  let plan = Dispatcher.initial_plan (config t mode None) (bind_sql t sql) in
   let vctx =
     Verifier.context ~budget_pages:t.budget_pages
       ~mu:t.params.Reopt_policy.mu t.catalog
   in
   (plan, Verifier.verify vctx plan)
 
-let time_ms t ?mode ?probe_rows sql =
-  (run_sql t ?mode ?probe_rows sql).Dispatcher.elapsed_ms
+let time_ms t ?mode sql = (run_sql t ?mode sql).Dispatcher.elapsed_ms
 
 let pp_summary fmt (r : Dispatcher.report) =
   Fmt.pf fmt "@[<v>%d result rows in %.1f simulated ms@," (Array.length r.Dispatcher.rows)

@@ -13,9 +13,11 @@ open Mqr_storage
 
 type t
 
-(** [create catalog] builds an engine.  [pool_pages] is the buffer-pool
-    capacity (default 2048), [budget_pages] the memory-manager budget
-    (default 512).  [runtime_filters] turns on bloom/min-max runtime join
+(** [create catalog] builds an engine on the default cost model
+    ({!Mqr_storage.Sim_clock.default_model}) and re-optimization parameters
+    ({!Reopt_policy.default_params}; see {!with_params}).  [pool_pages] is
+    the buffer-pool capacity (default 2048), [budget_pages] the
+    memory-manager budget (default 512).  [runtime_filters] turns on bloom/min-max runtime join
     filters (sideways information passing, see
     {!Mqr_exec.Runtime_filter}); it overrides the flag inside
     [opt_options] when both are given.  [plan_cache] enables the
@@ -37,10 +39,8 @@ type t
     themselves run inline).  When [opt_options] is given, its [max_dop]
     governs and [parallel] has no effect. *)
 val create :
-  ?model:Sim_clock.model ->
   ?pool_pages:int ->
   ?budget_pages:int ->
-  ?params:Reopt_policy.params ->
   ?opt_options:Mqr_opt.Optimizer.options ->
   ?runtime_filters:bool ->
   ?plan_cache:bool ->
@@ -63,20 +63,17 @@ val verify_mode : t -> Mqr_analysis.Verifier.mode
 (** The engine's global memory-manager budget. *)
 val budget_pages : t -> int
 
-(** Build a {!Dispatcher.config} from the engine's settings — the hook a
-    workload manager uses to run queries through {!Dispatcher.start} with
-    its own memory broker, statistics overlay, and temp-table namespace
-    ([temp_prefix] must be unique per in-flight query).  [budget_pages]
-    overrides the engine's budget (e.g. a fixed slice per query). *)
+(** Build a {!Dispatcher.config} from the engine's settings (its budget
+    and verifier mode, no start-time sampling) — the hook a workload
+    manager uses to run queries through {!Dispatcher.start} with its own
+    memory broker, statistics overlay, and temp-table namespace
+    ([temp_prefix] must be unique per in-flight query). *)
 val dispatcher_config :
   t ->
   mode:Dispatcher.mode ->
-  ?probe_rows:int ->
-  ?budget_pages:int ->
   ?broker:(min_pages:int -> max_pages:int -> int) ->
   ?env_overlay:(Mqr_sql.Query.t -> Mqr_opt.Stats_env.t -> unit) ->
   ?temp_prefix:string ->
-  ?verify:Mqr_analysis.Verifier.mode ->
   ?trace:Mqr_obs.Trace.scope ->
   ?progress:Mqr_obs.Progress.t ->
   unit -> Dispatcher.config
@@ -91,25 +88,26 @@ val with_params : t -> Reopt_policy.params -> t
 
 val with_budget : t -> budget_pages:int -> t
 
-(** Register a user-defined function usable in SQL predicates.  When
-    [selectivity] is omitted the optimizer falls back to its default guess
-    and the inaccuracy-potential rules treat predicates using the function
-    as [High]. *)
-val register_udf :
-  t -> name:string -> ?selectivity:float -> (Value.t list -> Value.t) -> unit
+(** Register a user-defined function usable in SQL predicates.  It
+    declares no selectivity, so the optimizer falls back to its default
+    guess and the inaccuracy-potential rules treat predicates using the
+    function as [High]. *)
+val register_udf : t -> name:string -> (Value.t list -> Value.t) -> unit
 
 (** Parse, bind, optimize and execute under the given re-optimization mode
     (default [Full]).  [probe_rows] enables start-time selectivity sampling
     of uncertain predicates with that many probed rows per relation (the
     hybrid strategy; see {!Sampling}).  [progress] attaches a progress/ETA
     estimator the dispatcher updates at every decision point (pure
-    observation; zero simulated cost). *)
+    observation; zero simulated cost).  With the plan cache enabled, a
+    SQL text already run under [mode] reuses its cached plan. *)
 val run_sql :
   t -> ?mode:Dispatcher.mode -> ?probe_rows:int ->
   ?progress:Mqr_obs.Progress.t -> string -> Dispatcher.report
 
-(** Statement-level entry point: SELECT returns a report, INSERT/DELETE
-    return the affected-row count.  Update activity is tracked and makes
+(** Statement-level entry point: SELECT runs as {!run_sql} does (plan
+    cache included) and returns a report, INSERT/DELETE return the
+    affected-row count.  Update activity is tracked and makes
     the table's statistics progressively less trustworthy until
     {!analyze} is run (the paper's update-activity rule). *)
 type exec_result =
@@ -129,10 +127,11 @@ val analyze :
   t -> ?kind:Mqr_stats.Histogram.kind -> ?buckets:int -> ?keys:string list ->
   string -> unit
 
-(** Run an already-bound query block.  [label] names the query's trace
-    scope when the engine was created with [?trace]. *)
+(** Run an already-bound query block, bypassing the plan cache.  [label]
+    names the query's trace scope when the engine was created with
+    [?trace]. *)
 val run_query :
-  t -> ?mode:Dispatcher.mode -> ?probe_rows:int -> ?label:string ->
+  t -> ?mode:Dispatcher.mode -> ?label:string ->
   ?progress:Mqr_obs.Progress.t -> Mqr_sql.Query.t -> Dispatcher.report
 
 (** Parse and bind without executing. *)
@@ -141,18 +140,15 @@ val bind_sql : t -> string -> Mqr_sql.Query.t
 (** Optimize without executing: the annotated plan. *)
 val explain : t -> string -> Mqr_opt.Plan.t
 
-(** Static analysis without execution: build the plan exactly as the
-    dispatcher would under [mode] (default [Full]: optimize, insert
-    collectors, re-cost, grant memory; [Off] skips instrumentation) and
-    run every verifier pass over it.  Returns the analysed plan and the
+(** Static analysis without execution: build the plan the dispatcher
+    would start from under [mode] (default [Full]; see
+    {!Dispatcher.initial_plan}) and run every verifier pass over it.  Returns the analysed plan and the
     findings, errors first. *)
 val lint :
   t -> ?mode:Dispatcher.mode -> string ->
   Mqr_opt.Plan.t * Mqr_analysis.Diagnostic.t list
 
 (** Convenience: simulated execution time of a query under a mode. *)
-val time_ms :
-  t -> ?mode:Dispatcher.mode -> ?probe_rows:int -> string -> float
+val time_ms : t -> ?mode:Dispatcher.mode -> string -> float
 
 val print_summary : Dispatcher.report -> unit
-val pp_summary : Format.formatter -> Dispatcher.report -> unit

@@ -21,7 +21,6 @@
 type level = Low | Medium | High
 
 val bump : level -> level
-val max_level : level -> level -> level
 val compare_level : level -> level -> int
 val level_to_string : level -> string
 

@@ -3,12 +3,10 @@ type params = {
   theta1 : float;
   theta2 : float;
   max_switches : int;
-  rf_surprise_factor : float;
 }
 
 let default_params =
-  { mu = 0.05; theta1 = 0.05; theta2 = 0.2; max_switches = 4;
-    rf_surprise_factor = 4.0 }
+  { mu = 0.05; theta1 = 0.05; theta2 = 0.2; max_switches = 4 }
 
 type decision =
   | Too_cheap
@@ -34,12 +32,14 @@ let accept_bound_checked ~new_hi_ms ~cur_lo_ms =
   Float.is_finite new_hi_ms && new_hi_ms < cur_lo_ms
 
 (* A runtime filter whose observed pass rate deviates from the estimate by
-   more than [rf_surprise_factor] in either direction means the join
-   selectivity underlying the remaining plan is badly wrong. *)
-let filter_surprise p ~est ~obs =
+   more than this factor in either direction means the join selectivity
+   underlying the remaining plan is badly wrong. *)
+let rf_surprise_factor = 4.0
+
+let filter_surprise ~est ~obs =
   let est = Float.max 1e-6 est and obs = Float.max 1e-6 obs in
   let ratio = if est > obs then est /. obs else obs /. est in
-  ratio > p.rf_surprise_factor
+  ratio > rf_surprise_factor
 
 let decision_to_string = function
   | Too_cheap -> "too-cheap (Eq. 1)"

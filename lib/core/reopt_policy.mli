@@ -22,11 +22,6 @@ type params = {
   theta1 : float;  (** Eq. 1 threshold, ~0.05 *)
   theta2 : float;  (** Eq. 2 threshold, ~0.2 *)
   max_switches : int;  (** safety bound on plan changes per query *)
-  rf_surprise_factor : float;
-  (** a runtime filter's observed pass rate deviating from the estimate by
-      more than this factor (either direction) forces the next decision
-      point to consider re-optimization even when Eq. 2 says the plan
-      looks close enough (~4) *)
 }
 
 val default_params : params
@@ -50,8 +45,9 @@ val accept_new_plan : t_new_total:float -> t_improved:float -> bool
 val accept_bound_checked : new_hi_ms:float -> cur_lo_ms:float -> bool
 
 (** Is the deviation between a filter's estimated and observed selectivity
-    large enough ([> rf_surprise_factor] either way) to distrust the
-    remaining plan? *)
-val filter_surprise : params -> est:float -> obs:float -> bool
+    large enough (a factor above 4 either way) to distrust the remaining
+    plan?  A surprise forces the next decision point to consider
+    re-optimization even when Eq. 2 says the plan looks close enough. *)
+val filter_surprise : est:float -> obs:float -> bool
 
 val decision_to_string : decision -> string

@@ -189,10 +189,3 @@ let insert ~mu ~env plan =
   in
   let plan = rebuild plan in
   { plan; kept; dropped; budget_ms }
-
-let pp_candidate fmt c =
-  Fmt.pf fmt "%s(%s) at %s [inaccuracy=%s affected=%.1fms cost=%.2fms]"
-    (match c.stat with `Histogram -> "hist" | `Distinct -> "distinct")
-    c.column c.at_alias
-    (Inaccuracy.level_to_string c.level)
-    c.affected_ms c.collect_ms

@@ -36,5 +36,3 @@ type outcome = {
     ([cid]) are dense, starting at 0, in left-to-right scan order. *)
 val insert :
   mu:float -> env:Mqr_opt.Stats_env.t -> Mqr_opt.Plan.t -> outcome
-
-val pp_candidate : Format.formatter -> candidate -> unit

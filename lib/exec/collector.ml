@@ -6,22 +6,18 @@ module Column_stats = Mqr_catalog.Column_stats
 
 let base_tuple_ms = 0.0003
 let stat_tuple_ms = 0.0012
-let default_sample_size = Heap_file.page_size_bytes / 8
+(* Histograms are 32-bucket MaxDiff, built from a one-page reservoir
+   sample. *)
+let sample_size = Heap_file.page_size_bytes / 8
+let hist_buckets = 32
 
 type spec = {
   hist_cols : string list;
   distinct_cols : string list;
-  hist_kind : Histogram.kind;
-  hist_buckets : int;
-  sample_size : int;
 }
 
-let spec ?(hist_kind = Histogram.Maxdiff) ?(hist_buckets = 32)
-    ?(sample_size = default_sample_size) ?(hist_cols = [])
-    ?(distinct_cols = []) () =
-  { hist_cols; distinct_cols; hist_kind; hist_buckets; sample_size }
-
-let spec_is_trivial s = s.hist_cols = [] && s.distinct_cols = []
+let spec ?(hist_cols = []) ?(distinct_cols = []) () =
+  { hist_cols; distinct_cols }
 
 let spec_columns s = s.hist_cols @ s.distinct_cols
 
@@ -64,7 +60,7 @@ let collect ctx schema s rows =
   let n = Array.length rows in
   (* Requested statistics. *)
   let hist_targets =
-    List.map (fun c -> (c, Schema.index_of schema c, Reservoir.create ~capacity:s.sample_size ())) s.hist_cols
+    List.map (fun c -> (c, Schema.index_of schema c, Reservoir.create ~capacity:sample_size ())) s.hist_cols
   in
   let distinct_targets =
     List.map (fun c -> (c, Schema.index_of schema c, Distinct.create ())) s.distinct_cols
@@ -106,7 +102,7 @@ let collect ctx schema s rows =
            else Value.to_float
          in
          let data = Array.map to_float sample in
-         let h = Histogram.build s.hist_kind ~buckets:s.hist_buckets data in
+         let h = Histogram.build Histogram.Maxdiff ~buckets:hist_buckets data in
          (c, Histogram.scale h (float_of_int seen)))
       hist_targets
   in

@@ -23,24 +23,14 @@ val base_tuple_ms : float
     statistic. *)
 val stat_tuple_ms : float
 
-(** Reservoir capacity: one 4 KB page of samples, as in the paper. *)
-val default_sample_size : int
-
+(** Histograms are MaxDiff with 32 buckets, built from a reservoir
+    sample of [Heap_file.page_size_bytes / 8] values. *)
 type spec = {
   hist_cols : string list;      (** qualified columns needing histograms *)
   distinct_cols : string list;  (** columns needing distinct counts *)
-  hist_kind : Mqr_stats.Histogram.kind;
-  hist_buckets : int;
-  sample_size : int;
 }
 
-val spec :
-  ?hist_kind:Mqr_stats.Histogram.kind -> ?hist_buckets:int ->
-  ?sample_size:int -> ?hist_cols:string list -> ?distinct_cols:string list ->
-  unit -> spec
-
-(** Is there anything beyond the free counters to collect? *)
-val spec_is_trivial : spec -> bool
+val spec : ?hist_cols:string list -> ?distinct_cols:string list -> unit -> spec
 
 (** Every column the spec tracks (histograms then distincts). *)
 val spec_columns : spec -> string list

@@ -31,18 +31,6 @@ val startup_ms : float
     prices exchanges with the same constant. *)
 val net_ms_per_page : float
 
-(** [run ctx ~degree f] executes [f worker_index worker_ctx] for every worker,
-    each against a fresh clock and a buffer-pool slice of [slice_pages]
-    (default: an even split of [ctx]'s pool), then charges [ctx]'s clock
-    with the slowest worker's simulated time plus {!startup_ms} per extra
-    worker.  Returns the per-worker results in index order; [on_worker]
-    receives each worker's simulated and wall-clock elapsed, also in
-    index order. *)
-val run :
-  Exec_ctx.t -> degree:int -> ?slice_pages:int ->
-  ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
-  (int -> Exec_ctx.t -> 'a) -> 'a list
-
 (** Hash-partition rows on a column; charges the exchange (all pages cross
     the interconnect under hash repartitioning). *)
 val partition_by :

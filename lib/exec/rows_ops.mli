@@ -27,7 +27,6 @@ module Key : sig
   type t = Value.t array
 
   val equal : t -> t -> bool
-  val hash : t -> int
 end
 
 module Ktbl : Hashtbl.S with type key = Key.t

@@ -24,7 +24,6 @@ type t = {
 }
 
 let target_col t = t.target_col
-let build_col t = t.build_col
 let source t = t.source
 let est_sel t = t.est_sel
 let pages t = t.pages

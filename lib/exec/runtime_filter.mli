@@ -27,13 +27,10 @@ val build_tuple_ms : float
 (** CPU charged per probe-side tuple tested against a filter. *)
 val probe_tuple_ms : float
 
-val bits_per_key : int
-val num_hashes : int
-
 type t
 
 (** Bitmap pages needed for a bloom filter over [keys] build values at
-    {!bits_per_key} bits each; 0 when the build side is empty. *)
+    10 bits each; 0 when the build side is empty. *)
 val pages_for : keys:int -> int
 
 (** [create ctx ~source ~build_col ~target_col ~est_sel ~max_pages
@@ -59,7 +56,6 @@ val admits : t -> Value.t -> bool
 val apply : Exec_ctx.t -> t -> idx:int -> Tuple.t array -> Tuple.t array
 
 val target_col : t -> string
-val build_col : t -> string
 val source : t -> string
 val est_sel : t -> float
 

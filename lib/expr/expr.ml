@@ -220,8 +220,6 @@ let rec to_sql = function
     Printf.sprintf "%s(%s)" u.udf_name
       (String.concat ", " (List.map to_sql u.args))
 
-let pp fmt e = Fmt.string fmt (to_sql e)
-
 let rec equal a b =
   match a, b with
   | Col x, Col y -> x = y

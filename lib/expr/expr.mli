@@ -85,5 +85,4 @@ val shape_of : t -> shape
     against a temp table. *)
 val to_sql : t -> string
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

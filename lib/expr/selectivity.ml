@@ -118,51 +118,3 @@ let rec selectivity ?equijoin env e =
      | Expr.S_udf u ->
        Option.value ~default:default_udf u.Expr.declared_selectivity
      | Expr.S_other -> default_other)
-
-let distinct_after env pred c =
-  match distinct_of_column env c with
-  | None -> None
-  | Some d ->
-    (* If the predicate constrains [c] itself through a histogram we can do
-       better than selectivity scaling. *)
-    let directly_constrained =
-      List.exists
-        (fun conj ->
-           match Expr.shape_of conj with
-           | Expr.S_col_cmp_const (c', _, _) | Expr.S_col_between (c', _, _) ->
-             c' = c
-           | _ -> false)
-        (Expr.conjuncts pred)
-    in
-    let s = selectivity env pred in
-    if directly_constrained then begin
-      match env.stats_of c with
-      | Some st ->
-        (match st.Column_stats.histogram with
-         | Some h ->
-           (* distinct values surviving the direct range constraints *)
-           let est =
-             List.fold_left
-               (fun acc conj ->
-                  match Expr.shape_of conj with
-                  | Expr.S_col_between (c', lo, hi) when c' = c ->
-                    (match Column_stats.to_domain st lo, Column_stats.to_domain st hi with
-                     | Some l, Some hv ->
-                       Float.min acc
-                         (Histogram.est_distinct_in_range h
-                            ~lo:(Some (l, true)) ~hi:(Some (hv, true)))
-                     | _ -> acc)
-                  | Expr.S_col_cmp_const (c', Expr.Eq, _) when c' = c -> Float.min acc 1.0
-                  | _ -> acc)
-               d (Expr.conjuncts pred)
-           in
-           Some (Float.max 1.0 est)
-         | None -> Some (Float.max 1.0 (d *. s)))
-      | None -> Some (Float.max 1.0 (d *. s))
-    end
-    else
-      (* Yao-style: with n rows surviving uniformly, expected distinct is
-         d * (1 - (1 - s)^(n/d)); we approximate with the simpler bound. *)
-      Some (Float.max 1.0 (Float.min d (d *. Float.max s 0.0 ** 0.5)))
-
-let pp_env_missing fmt c = Fmt.pf fmt "no statistics for column %s" c

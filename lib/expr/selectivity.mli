@@ -10,7 +10,6 @@
 val default_eq : float
 val default_range : float
 val default_udf : float
-val default_other : float
 
 type env = {
   stats_of : string -> Mqr_catalog.Column_stats.t option;
@@ -29,13 +28,6 @@ val selectivity :
 (** Estimated number of distinct values of a column, if statistics allow. *)
 val distinct_of_column : env -> string -> float option
 
-(** Estimated distinct values of a column *after* applying [pred] — used
-    for group-count estimation.  Falls back to scaling the distinct count
-    by the predicate's selectivity with a floor of 1. *)
-val distinct_after : env -> Expr.t -> string -> float option
-
 (** Join selectivity between two named columns given both sides' stats. *)
 val equijoin_selectivity :
   env -> left:string -> right:string -> float
-
-val pp_env_missing : Format.formatter -> string -> unit

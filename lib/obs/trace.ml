@@ -137,7 +137,6 @@ let worker_lane s i =
     lane
 
 let scope_label s = s.label
-let scope_tid s = s.tid
 let scope_metrics s = s.parent.m
 
 let open_span s ?(cat = "span") ~name ~ts_ms () =

@@ -97,7 +97,6 @@ type scope
 val scope : t -> ?offset_ms:float -> ?tenant:string -> label:string -> unit -> scope
 
 val scope_label : scope -> string
-val scope_tid : scope -> int
 val scope_metrics : scope -> Metrics.t
 
 (** [worker_lane s i] is a child lane for parallel worker [i] of [s]'s
@@ -144,18 +143,12 @@ val queries : t -> (int * string) list
 (** Completed spans in completion order. *)
 val spans : t -> span list
 
-(** Instant events in emission order. *)
-val instants : t -> instant list
-
 (** The audit ledger, chronological. *)
 val ledger : t -> decision list
 
 (** Spans opened but not yet closed, across all scopes — 0 in any
     well-formed finished trace. *)
 val open_spans : t -> int
-
-(** [(tenant, pid)] per distinct tenant seen by {!scope}, in pid order. *)
-val tenant_lanes : t -> (string * int) list
 
 (** {2 Exporters}
 

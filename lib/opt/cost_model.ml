@@ -76,9 +76,6 @@ let aggregate_sorted_ms (m : Sim_clock.model) ~in_rows ~groups =
 let project_ms (m : Sim_clock.model) ~rows = rows *. m.cpu_tuple_ms
 let limit_ms (m : Sim_clock.model) ~rows = rows *. m.cpu_tuple_ms
 
-let materialize_ms (m : Sim_clock.model) ~pages =
-  pages *. (m.write_ms +. m.seq_read_ms)
-
 (* Overhead of one runtime filter: building it from the build/left side
    plus testing every probe/right-side row.  Rates are the executor's own
    (Runtime_filter), kept outside the model so estimation error stays a

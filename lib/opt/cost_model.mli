@@ -6,8 +6,6 @@
 
 open Mqr_storage
 
-val page_bytes : float
-
 (** Pages occupied by [rows] tuples of [width] bytes. *)
 val pages : rows:float -> width:float -> float
 
@@ -52,10 +50,6 @@ val aggregate_sorted_ms :
 
 val project_ms : Sim_clock.model -> rows:float -> float
 val limit_ms : Sim_clock.model -> rows:float -> float
-
-(** Materializing an intermediate to a temp table and reading it back —
-    the re-optimization overhead [T_materialize] of Section 2.4. *)
-val materialize_ms : Sim_clock.model -> pages:float -> float
 
 (** Overhead of one runtime filter: build from [build_rows], probe every
     one of [probe_rows] (rates from {!Mqr_exec.Runtime_filter}).  The

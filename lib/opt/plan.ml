@@ -155,14 +155,12 @@ let rec orders_of t =
   | Seq_scan _ | Hash_join _ | Block_nl_join _ | Merge_join _ | Aggregate _
   | Sort _ | Materialized _ -> []
 
-let join_count t =
-  fold
-    (fun acc n ->
-       match n.node with
-       | Hash_join _ | Index_nl_join _ | Block_nl_join _ | Merge_join _ ->
-         acc + 1
-       | _ -> acc)
-    0 t
+let is_join t =
+  match t.node with
+  | Hash_join _ | Index_nl_join _ | Block_nl_join _ | Merge_join _ -> true
+  | _ -> false
+
+let join_count t = fold (fun acc n -> if is_join n then acc + 1 else acc) 0 t
 
 let op_name t =
   match t.node with

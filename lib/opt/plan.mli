@@ -123,13 +123,14 @@ val aliases : t -> string list
     (interesting orders). *)
 val orders_of : t -> string list
 
+(** Is the node a join (hash, index nested-loops, block nested-loops or
+    merge)? *)
+val is_join : t -> bool
+
 (** Total number of join operators in the plan. *)
 val join_count : t -> int
 
 (** One-line operator name for display. *)
 val op_name : t -> string
-
-(** Pretty tree with annotations. *)
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -101,11 +101,6 @@ let stats_of t column =
 
 let selectivity_env t = { Mqr_expr.Selectivity.stats_of = stats_of t }
 
-let is_stale t column =
-  match stats_of t column with
-  | Some s -> s.Column_stats.stale
-  | None -> false
-
 let owns r column = List.mem_assoc column r.col_stats
 
 let override_local_selectivity t ~alias ~selectivity =

@@ -40,9 +40,6 @@ val selectivity_env : t -> Mqr_expr.Selectivity.env
 
 val stats_of : t -> string -> Mqr_catalog.Column_stats.t option
 
-(** Any statistic relevant to this column marked stale in the catalog? *)
-val is_stale : t -> string -> bool
-
 (** Does the relation own this qualified column? *)
 val owns : rel_info -> string -> bool
 

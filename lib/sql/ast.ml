@@ -70,5 +70,3 @@ let to_sql q =
    | None -> ()
    | Some n -> Buffer.add_string buf (" limit " ^ string_of_int n));
   Buffer.contents buf
-
-let pp_query fmt q = Fmt.string fmt (to_sql q)

@@ -23,7 +23,5 @@ type query = {
   limit : int option;
 }
 
-val pp_query : Format.formatter -> query -> unit
-
 (** Render back to SQL text (used for remainder-query resubmission). *)
 val to_sql : query -> string

@@ -13,8 +13,6 @@ type token =
 
 exception Lex_error of string
 
-val keywords : string list
-
 (** Tokenize an entire statement. @raise Lex_error on bad input. *)
 val tokenize : string -> token list
 

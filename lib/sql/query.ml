@@ -235,12 +235,3 @@ let output_schema _catalog t =
    the number of join conjuncts (a query can carry redundant equalities,
    e.g. TPC-D Q5's c_nationkey = s_nationkey). *)
 let join_count t = max 0 (List.length t.relations - 1)
-
-let pp fmt t =
-  Fmt.pf fmt "@[<v>relations: %a@,conjuncts: %a@,select: %a@,aggs: %a@,group_by: %a@]"
-    (Fmt.list ~sep:Fmt.comma (fun fmt r -> Fmt.pf fmt "%s as %s" r.table r.alias))
-    t.relations
-    (Fmt.list ~sep:Fmt.comma Expr.pp) t.conjuncts
-    (Fmt.list ~sep:Fmt.comma Fmt.string) t.select_cols
-    (Fmt.list ~sep:Fmt.comma (fun fmt a -> Fmt.string fmt a.out_name)) t.aggs
-    (Fmt.list ~sep:Fmt.comma Fmt.string) t.group_by

@@ -39,9 +39,6 @@ type t = {
     aggregate structure. *)
 val bind : Mqr_catalog.Catalog.t -> Ast.query -> t
 
-(** Combined (alias-qualified) schema of all relations. *)
-val input_schema : t -> Schema.t
-
 (** Schema of the query result. *)
 val output_schema : Mqr_catalog.Catalog.t -> t -> Schema.t
 
@@ -49,5 +46,3 @@ val output_schema : Mqr_catalog.Catalog.t -> t -> Schema.t
     (relations - 1); the paper classifies queries as simple/medium/complex
     by this count. *)
 val join_count : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -11,15 +11,15 @@ let[@inline] mix64 h =
 
 module Fm = struct
   type t = {
-    maps : int;
     sketch : int array;  (* bitmaps of observed trailing-rank positions *)
   }
 
   let phi = 0.77351
 
-  let create ?(maps = 64) () =
-    if maps < 1 then invalid_arg "Distinct.Fm.create";
-    { maps; sketch = Array.make maps 0 }
+  (* stochastic-averaging buckets *)
+  let maps = 64
+
+  let create () = { sketch = Array.make maps 0 }
 
   let trailing_zeros x =
     if Int64.equal x 0L then 62
@@ -34,12 +34,10 @@ module Fm = struct
   (* [h] is the mixed hash of the value being added. *)
   let[@inline] add_hash t h =
     let bucket = Int64.to_int (Int64.rem (Int64.logand h 0x7FFFFFFFFFFFFFFFL)
-                                 (Int64.of_int t.maps)) in
+                                 (Int64.of_int maps)) in
     let rest = Int64.shift_right_logical h 8 in
     let r = trailing_zeros rest in
     t.sketch.(bucket) <- t.sketch.(bucket) lor (1 lsl min r 61)
-
-  let add t v = add_hash t (mix64 (Value.hash v))
 
   (* Position of lowest zero bit. *)
   let lowest_zero bits =
@@ -48,8 +46,8 @@ module Fm = struct
 
   let estimate t =
     let sum = Array.fold_left (fun acc b -> acc + lowest_zero b) 0 t.sketch in
-    let mean = float_of_int sum /. float_of_int t.maps in
-    float_of_int t.maps /. phi *. (2.0 ** mean)
+    let mean = float_of_int sum /. float_of_int maps in
+    float_of_int maps /. phi *. (2.0 ** mean)
 end
 
 (* The exact set holds mixed hashes, already well spread: bucket on the

@@ -7,17 +7,6 @@
     the statistics collector uses the exact counter up to a budget and
     falls back to the sketch beyond it. *)
 
-module Fm : sig
-  type t
-
-  (** [create ~maps ()] uses [maps] stochastic-averaging buckets
-      (default 64). *)
-  val create : ?maps:int -> unit -> t
-
-  val add : t -> Mqr_storage.Value.t -> unit
-  val estimate : t -> float
-end
-
 (** Adaptive counter: exact until [exact_limit] distinct values, sketch
     afterwards. *)
 type t

@@ -25,13 +25,6 @@ let buckets t = Array.to_list t.bkts
 let total_rows t = t.total
 let distinct t = Array.fold_left (fun acc b -> acc +. b.distinct) 0.0 t.bkts
 
-let min_value t =
-  if Array.length t.bkts = 0 then None else Some t.bkts.(0).lo
-
-let max_value t =
-  let n = Array.length t.bkts in
-  if n = 0 then None else Some t.bkts.(n - 1).hi
-
 (* Frequency table of a data array: sorted (value, count) pairs. *)
 let freq_table data =
   let sorted = Array.copy data in
@@ -366,13 +359,6 @@ let est_range t ~lo ~hi =
     Float.min 1.0 (!rows /. t.total)
   end
 
-let est_distinct_in_range t ~lo ~hi =
-  let d = ref 0.0 in
-  Array.iter
-    (fun b -> d := !d +. (b.distinct *. bucket_overlap b ~lo ~hi))
-    t.bkts;
-  !d
-
 (* Bucket-overlap equi-join estimate: for each pair of overlapping buckets,
    the expected number of matches is r1 * r2 / max(d1, d2) scaled by the
    overlap fractions, under per-bucket containment. *)
@@ -397,12 +383,3 @@ let est_join_selectivity t1 t2 =
       t1.bkts;
     Float.min 1.0 (!matches /. (t1.total *. t2.total))
   end
-
-let pp fmt t =
-  Fmt.pf fmt "@[<v>%s histogram, %.0f rows, %d buckets" (kind_to_string t.kind)
-    t.total (Array.length t.bkts);
-  Array.iter
-    (fun b ->
-       Fmt.pf fmt "@,  [%g, %g] rows=%.1f distinct=%.1f" b.lo b.hi b.rows b.distinct)
-    t.bkts;
-  Fmt.pf fmt "@]"

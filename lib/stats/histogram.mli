@@ -31,8 +31,6 @@ val kind : t -> kind
 val buckets : t -> bucket list
 val total_rows : t -> float
 val distinct : t -> float
-val min_value : t -> float option
-val max_value : t -> float option
 
 (** Reconstruct a histogram from explicit buckets (persistence). *)
 val of_buckets : kind -> bucket array -> t
@@ -58,10 +56,3 @@ val est_range : t -> lo:(float * bool) option -> hi:(float * bool) option -> flo
     fraction of the cross product satisfying equality, via bucket-overlap
     alignment with per-bucket containment. *)
 val est_join_selectivity : t -> t -> float
-
-(** Estimated distinct values within a range (for group-count estimates
-    after a selection). *)
-val est_distinct_in_range :
-  t -> lo:(float * bool) option -> hi:(float * bool) option -> float
-
-val pp : Format.formatter -> t -> unit

@@ -27,4 +27,3 @@ let add t x =
 
 let seen t = t.seen
 let sample t = Array.sub t.items 0 t.n
-let capacity t = t.cap

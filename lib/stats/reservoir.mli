@@ -16,5 +16,3 @@ val seen : 'a t -> int
 
 (** Current sample, in insertion-replacement order. *)
 val sample : 'a t -> 'a array
-
-val capacity : 'a t -> int

@@ -21,11 +21,3 @@ let float t =
   v /. 9007199254740992.0 (* 2^53 *)
 
 let split t = { state = next_int64 t }
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -7,9 +7,6 @@ type t
 
 val create : int -> t
 
-(** Raw next 64-bit state step. *)
-val next_int64 : t -> int64
-
 (** Uniform in [0, bound). *)
 val int : t -> int -> int
 
@@ -18,6 +15,3 @@ val float : t -> float
 
 (** Independent generator seeded from this one. *)
 val split : t -> t
-
-(** Fisher–Yates shuffle in place. *)
-val shuffle : t -> 'a array -> unit

@@ -19,9 +19,6 @@ let create ~n ~z =
   cdf.(n - 1) <- 1.0;
   { n; z; cdf }
 
-let n t = t.n
-let z t = t.z
-
 let prob t i =
   if i < 1 || i > t.n then invalid_arg "Zipf.prob: rank out of range";
   if i = 1 then t.cdf.(0) else t.cdf.(i - 1) -. t.cdf.(i - 2)

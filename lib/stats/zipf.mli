@@ -9,14 +9,8 @@ type t
 
 val create : n:int -> z:float -> t
 
-val n : t -> int
-val z : t -> float
-
 (** Probability of rank [i] (1-based). *)
 val prob : t -> int -> float
-
-(** Sample a rank in [1, n]. *)
-val sample : t -> Rng.t -> int
 
 (** [sample_index t rng] is [sample t rng - 1], for 0-based tables. *)
 val sample_index : t -> Rng.t -> int

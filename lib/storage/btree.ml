@@ -37,11 +37,8 @@ let create ?(fanout = 64) () =
   { id = fresh_file_id (); fanout; root = Leaf leaf; entries = 0; distinct = 0;
     next_node_id = 1; nleaves = 1 }
 
-let file_id t = t.id
-let fanout t = t.fanout
 let entry_count t = t.entries
 let key_count t = t.distinct
-let leaf_count t = t.nleaves
 
 let fresh_node_id t =
   let id = t.next_node_id in

@@ -12,9 +12,6 @@ type t
     pairs). *)
 val create : ?fanout:int -> unit -> t
 
-val file_id : t -> int
-val fanout : t -> int
-
 val insert : t -> Value.t -> int -> unit
 
 val entry_count : t -> int
@@ -23,7 +20,6 @@ val entry_count : t -> int
 val key_count : t -> int
 
 val height : t -> int
-val leaf_count : t -> int
 
 (** Exact lookups / range scans without cost accounting. *)
 val lookup : t -> Value.t -> int list

@@ -77,8 +77,6 @@ let iter t f =
     f rid t.data.(rid)
   done
 
-let charge_full_write t ~clock = Sim_clock.charge_write clock (page_count t)
-
 let retain t keep =
   let kept = ref 0 in
   for i = 0 to t.len - 1 do

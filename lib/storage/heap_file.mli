@@ -45,10 +45,6 @@ val scan_range :
   t -> pool:Buffer_pool.t -> clock:Sim_clock.t -> from_rid:int -> to_rid:int ->
   (int -> Tuple.t -> unit) -> unit
 
-(** Charge the cost of writing the whole file out (used when an operator
-    materializes its output). *)
-val charge_full_write : t -> clock:Sim_clock.t -> unit
-
 (** [retain t keep] compacts the file, keeping only tuples satisfying
     [keep]; returns how many were deleted.  Rids are reassigned, so any
     index on the table must be rebuilt afterwards. *)

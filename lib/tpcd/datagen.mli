@@ -27,6 +27,3 @@ val default : options
     requested histogram kind, B+-tree indexes built per
     {!Schema_def.indexes}. *)
 val generate : options -> Mqr_catalog.Catalog.t
-
-(** Row count of a table at these options. *)
-val scaled_cardinality : options -> string -> int

@@ -15,19 +15,9 @@ type query = {
   klass : klass;
 }
 
-val q1 : query
-val q3 : query
 val q5 : query
-val q6 : query
-val q7 : query
-val q8 : query
-val q10 : query
 
 (** In the paper's presentation order: simple, medium, complex. *)
 val all : query list
 
 val find : string -> query
-
-(** The paper's classification rule: 0–1 joins simple, 2–3 medium, 4+
-    complex. *)
-val classify : joins:int -> klass

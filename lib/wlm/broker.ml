@@ -89,10 +89,6 @@ let tenant_peak t name =
 let tenant_floor_waits t name =
   match tenant_of t name with Some tn -> tn.tn_waits | None -> 0
 
-let tenants t =
-  Hashtbl.fold (fun name tn acc -> (name, tn.tn_weight) :: acc) t.tenants []
-  |> List.sort compare
-
 (* Pages held in reserve for *other* active tenants that are below their
    fair share.  [asker = None] means an anonymous (non-tenant) lease,
    which must respect every active tenant's floor. *)
@@ -187,14 +183,3 @@ let can_admit_tenant t name =
 let peak_leased t = t.peak
 let grants t = t.grants
 let reclaimed_pages t = t.reclaimed
-
-let pp fmt t =
-  Fmt.pf fmt "broker: %d/%d pages leased across %d queries (peak %d, floor %d)"
-    (total_leased t) t.budget (outstanding t) t.peak t.floor;
-  if Hashtbl.length t.tenants > 0 then
-    List.iter
-      (fun (name, w) ->
-        Fmt.pf fmt "@.  tenant %s: weight %d share %d leased %d (peak %d)"
-          name w (tenant_share t name) (tenant_leased t name)
-          (tenant_peak t name))
-      (tenants t)

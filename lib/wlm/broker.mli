@@ -92,9 +92,6 @@ val tenant_floor_waits : t -> string -> int
     own share can always admit regardless of what the others hold. *)
 val can_admit_tenant : t -> string -> bool
 
-(** Registered tenants with their weights, name-sorted. *)
-val tenants : t -> (string * int) list
-
 (** High-water mark of [total_leased] over the broker's lifetime. *)
 val peak_leased : t -> int
 
@@ -103,5 +100,3 @@ val grants : t -> int
 
 (** Pages handed back by lease shrinks and releases. *)
 val reclaimed_pages : t -> int
-
-val pp : Format.formatter -> t -> unit

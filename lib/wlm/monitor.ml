@@ -233,7 +233,8 @@ let decision_fields (d : Trace.decision) =
     ("error", jnum d.Trace.d_error) ]
   @ kind_fields d.Trace.d_kind
 
-let ledger_tail ?(tail = 10) svc =
+let ledger_tail svc =
+  let tail = 10 in
   match Service.service_trace svc with
   | None -> []
   | Some tr ->
@@ -242,7 +243,7 @@ let ledger_tail ?(tail = 10) svc =
     if n <= tail then all
     else List.filteri (fun i _ -> i >= n - tail) all
 
-let to_json ?tail svc view =
+let to_json svc view =
   let body =
     match view with
     | Statements ->
@@ -266,7 +267,7 @@ let to_json ?tail svc view =
     | Ledger ->
       [ ("ledger",
          jarr
-           (List.map (fun d -> jobj (decision_fields d)) (ledger_tail ?tail svc)))
+           (List.map (fun d -> jobj (decision_fields d)) (ledger_tail svc)))
       ]
   in
   jobj
@@ -294,7 +295,7 @@ let pp_stmt svc fmt (s : Session.stmt) =
     (status_string s) progress (stmt_pages svc s)
     (if stmt_deadline_risk svc s then "  AT RISK" else "")
 
-let render ?tail svc view =
+let render svc view =
   let buf = Buffer.create 512 in
   let fmt = Format.formatter_of_buffer buf in
   Fmt.pf fmt "@[<v>%s @@ %.1f ms (sim)  queued %d  running %d@,"
@@ -359,7 +360,7 @@ let render ?tail svc view =
    | Ledger ->
      List.iter
        (fun d -> Fmt.pf fmt "%a@," Trace.pp_decision d)
-       (ledger_tail ?tail svc));
+       (ledger_tail svc));
   Fmt.pf fmt "@]@?";
   Buffer.contents buf
 

@@ -31,13 +31,13 @@ val view_names : string list
 val view_of_string : string -> view option
 val view_to_string : view -> string
 
-(** Human-readable rendering.  [tail] bounds the ledger view (default
-    10 newest entries). *)
-val render : ?tail:int -> Service.t -> view -> string
+(** Human-readable rendering.  The ledger view shows the 10 newest
+    entries. *)
+val render : Service.t -> view -> string
 
 (** Stable JSON rendering (one object, trailing newline).  Common header
     fields [view]/[now_ms]/[queued]/[running], then the view's payload. *)
-val to_json : ?tail:int -> Service.t -> view -> string
+val to_json : Service.t -> view -> string
 
 (** Prometheus text exposition of the service's metrics registry (via
     {!Mqr_obs.Metrics.to_prometheus}); [""] when the service was created

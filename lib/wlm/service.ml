@@ -106,7 +106,6 @@ let create ?(options = default_options) ?trace engine =
   t.wall_last <- t.wall_t0;
   t
 
-let engine t = t.engine
 let broker t = t.broker
 
 let class_of t (slo : Session.slo) =
@@ -547,8 +546,6 @@ let all_statements t = List.rev t.all
 let running_statements t = t.running
 let now_ms t = t.now_ms
 let service_trace t = t.trace
-let options t = t.options
-let tenant_target_ms t name = (tenant_state t name).tn_target_ms
 
 (* --- reporting --------------------------------------------------------- *)
 

@@ -56,7 +56,6 @@ type t
     catalog, optimizer options, verifier mode) is shared across tenants. *)
 val create : ?options:options -> ?trace:Mqr_obs.Trace.t -> Mqr_core.Engine.t -> t
 
-val engine : t -> Mqr_core.Engine.t
 val broker : t -> Broker.t
 
 (** Register a tenant before opening sessions for it.  [weight] and
@@ -64,8 +63,6 @@ val broker : t -> Broker.t
     duplicates. *)
 val add_tenant :
   ?weight:int -> ?target_ms:float -> t -> slo:Session.slo -> string -> unit
-
-val tenant_names : t -> string list
 
 (** Open a session for a registered tenant.  Raises [Invalid_argument]
     for an unknown tenant. *)
@@ -109,11 +106,6 @@ val now_ms : t -> float
 
 (** The trace the service was created with, if any. *)
 val service_trace : t -> Mqr_obs.Trace.t option
-
-val options : t -> options
-
-(** A registered tenant's SLO target; raises for unknown tenants. *)
-val tenant_target_ms : t -> string -> float
 
 (** {2 Reporting} *)
 

@@ -127,7 +127,5 @@ let overlay t catalog (q : Query.t) env =
          (Schema.columns r.Query.rel_schema))
     q.Query.relations
 
-let size t = Hashtbl.length t.cols + Hashtbl.length t.cards
 let published t = t.published
 let applied t = t.applied
-let invalidated t = t.invalidated

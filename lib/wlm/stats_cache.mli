@@ -33,10 +33,6 @@ val overlay :
   t -> Mqr_catalog.Catalog.t -> Mqr_sql.Query.t -> Mqr_opt.Stats_env.t ->
   unit
 
-(** Live (column + cardinality) entries. *)
-val size : t -> int
-
 (** Statistics published / overlaid / invalidated so far. *)
 val published : t -> int
 val applied : t -> int
-val invalidated : t -> int

@@ -764,7 +764,7 @@ let reference_collect schema (s : Collector.spec) rows =
     List.map
       (fun c ->
          ( c, Schema.index_of schema c,
-           Mqr_stats.Reservoir.create ~capacity:s.Collector.sample_size () ))
+           Mqr_stats.Reservoir.create ~capacity:(Heap_file.page_size_bytes / 8) () ))
       s.Collector.hist_cols
   in
   let distinct_targets =
@@ -817,7 +817,7 @@ let reference_collect schema (s : Collector.spec) rows =
            else Value.to_float
          in
          let h =
-           Histogram.build s.Collector.hist_kind ~buckets:s.Collector.hist_buckets
+           Histogram.build Histogram.Maxdiff ~buckets:32
              (Array.map to_float sample)
          in
          (c, Histogram.scale h (float_of_int seen)))

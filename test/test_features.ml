@@ -259,6 +259,28 @@ let test_plan_cache_hits () =
     (Reference.canonical r1.Dispatcher.rows)
     (Reference.canonical r2.Dispatcher.rows)
 
+let test_plan_cache_execute_select () =
+  let catalog = small_catalog () in
+  let engine = Engine.create ~plan_cache:true catalog in
+  let sql = "select grp, count(*) as n from items group by grp" in
+  let select () =
+    match Engine.execute engine sql with
+    | Engine.Rows r -> r
+    | _ -> Alcotest.fail "SELECT returns rows"
+  in
+  let r1 = select () in
+  let r2 = select () in
+  Alcotest.(check int) "no optimizer invocation on hit" 0
+    r2.Dispatcher.counters.Sim_clock.opt_invocations;
+  (match Engine.plan_cache_stats engine with
+   | Some (hits, misses, _) ->
+     Alcotest.(check int) "one hit" 1 hits;
+     Alcotest.(check int) "one miss" 1 misses
+   | None -> Alcotest.fail "cache enabled");
+  Alcotest.(check (list (list string))) "same answers"
+    (Reference.canonical r1.Dispatcher.rows)
+    (Reference.canonical r2.Dispatcher.rows)
+
 let test_plan_cache_invalidated_by_updates () =
   let catalog = small_catalog () in
   let engine = Engine.create ~plan_cache:true catalog in
@@ -308,6 +330,8 @@ let suite =
     Alcotest.test_case "actual rows recorded" `Quick test_actual_rows_recorded;
     Alcotest.test_case "merge-join plans agree" `Quick test_merge_join_only_plans;
     Alcotest.test_case "plan cache hits" `Quick test_plan_cache_hits;
+    Alcotest.test_case "plan cache serves execute" `Quick
+      test_plan_cache_execute_select;
     Alcotest.test_case "plan cache invalidation" `Quick test_plan_cache_invalidated_by_updates;
     Alcotest.test_case "plan cache analyze invalidation" `Quick test_plan_cache_invalidated_by_analyze;
     Alcotest.test_case "plan cache per mode" `Quick test_plan_cache_per_mode ]

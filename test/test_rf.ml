@@ -220,15 +220,14 @@ let test_broker_pages_returned () =
 (* --- surprise policy and error grading --- *)
 
 let test_surprise_policy () =
-  let p = Reopt_policy.default_params in
   Alcotest.(check bool) "accurate estimate: no surprise" false
-    (Reopt_policy.filter_surprise p ~est:0.5 ~obs:0.5);
+    (Reopt_policy.filter_surprise ~est:0.5 ~obs:0.5);
   Alcotest.(check bool) "3.3x off: within factor 4" false
-    (Reopt_policy.filter_surprise p ~est:1.0 ~obs:0.3);
+    (Reopt_policy.filter_surprise ~est:1.0 ~obs:0.3);
   Alcotest.(check bool) "50x off: surprise" true
-    (Reopt_policy.filter_surprise p ~obs:0.5 ~est:0.01);
+    (Reopt_policy.filter_surprise ~obs:0.5 ~est:0.01);
   Alcotest.(check bool) "surprise is symmetric" true
-    (Reopt_policy.filter_surprise p ~obs:0.01 ~est:0.5);
+    (Reopt_policy.filter_surprise ~obs:0.01 ~est:0.5);
   let lvl = Alcotest.testable Inaccuracy.pp_level ( = ) in
   Alcotest.check lvl "within 2x -> Low" Inaccuracy.Low
     (Inaccuracy.selectivity_error_level ~est:0.5 ~obs:0.4);

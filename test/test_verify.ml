@@ -193,6 +193,26 @@ let test_benchmark_plans_clean () =
          [ Dispatcher.Off; Dispatcher.Full ])
     Queries.all
 
+(* --- lint analyses the very plan a run starts from, in every mode --- *)
+
+let test_lint_plan_is_initial_plan () =
+  let catalog = Workload.experiment_catalog ~sf:0.001 () in
+  let engine = Engine.create ~budget_pages:64 catalog in
+  List.iter
+    (fun (q : Queries.query) ->
+       List.iter
+         (fun mode ->
+            let plan, _ = Engine.lint engine ~mode q.Queries.sql in
+            let report = Engine.run_sql engine ~mode q.Queries.sql in
+            Alcotest.(check string)
+              (Printf.sprintf "%s [%s] lint plan = initial plan"
+                 q.Queries.name (Dispatcher.mode_to_string mode))
+              (Plan.to_string report.Dispatcher.initial_plan)
+              (Plan.to_string plan))
+         [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
+           Dispatcher.Full; Dispatcher.Bound_checked ])
+    Queries.all
+
 (* --- sanitizer mode: pure analysis, zero execution perturbation --- *)
 
 let test_sanitizer_parity () =
@@ -262,6 +282,8 @@ let suite =
       test_check_exn_raises;
     Alcotest.test_case "all benchmark plans verify clean" `Slow
       test_benchmark_plans_clean;
+    Alcotest.test_case "lint plan is the run's initial plan" `Slow
+      test_lint_plan_is_initial_plan;
     Alcotest.test_case "sanitizer mode never perturbs execution" `Slow
       test_sanitizer_parity;
     Alcotest.test_case "report exposes collector CPU and filter pages" `Slow
