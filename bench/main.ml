@@ -569,61 +569,118 @@ let wlm () =
   rec_wl "broker" conc
 
 (* ------------------------------------------------------------------ *)
-(* Plan-verifier sanitizer: the static analysis re-runs at every
-   decision point and after every mid-query plan switch.  It must find
-   zero violations and, being pure analysis, must not move the simulated
-   clock by a single tick.                                             *)
+(* Observers: tracing (spans, audit ledger, metrics), progress/ETA
+   estimation and the plan-verifier sanitizer are pure observation.  Every
+   query runs in every reopt mode twice on one catalog: on a plain engine,
+   and on one carrying all three observers.  Rows and simulated elapsed
+   time must be bit-identical, every span closed, the progress stream
+   monotone to exactly 100%, and no filter page held at the end.  The
+   table shows what the observers saw: spans, ledger entries, sanitizer
+   verifications, the error of the finish-time forecast made at the
+   first progress update (nothing has executed yet), and how often the
+   provable ETA interval covered the actual finish.                    *)
 
-let sanitize () =
+let observers_scenario () =
+  let module Trace = Mqr_obs.Trace in
+  let module Progress = Mqr_obs.Progress in
   header
     (Fmt.str
-       "Plan verifier sanitizer - every decision point and plan switch \
-        re-verified (sf=%g, budget=%d pages)"
+       "Observers - trace + progress + sanitizer on every query x reopt \
+        mode (sf=%g, budget=%d pages)"
        sf budget_pages);
-  let catalog = Workload.experiment_catalog ~sf () in
-  (* one catalog, two engines: the sanitizer flag is the only difference *)
-  let plain = Engine.create ~budget_pages ~pool_pages catalog in
-  let sanitized =
-    Engine.create ~budget_pages ~pool_pages
-      ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
+  let modes =
+    [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
+      Dispatcher.Full; Dispatcher.Bound_checked ]
   in
-  Fmt.pr "%-5s %-8s | %12s %12s %8s %9s %7s  %s@." "query" "mode" "plain(ms)"
-    "sanit(ms)" "verifs" "switches" "pages" "identical";
-  let mismatches = ref 0 in
+  Fmt.pr "%-5s %-14s | %10s %6s %7s %7s %12s %7s %7s  %s@." "query" "mode"
+    "actual(ms)" "spans" "ledger" "verifs" "eta@start" "err%" "cover%"
+    "identical";
+  let tr = Trace.create () in
+  let failed = ref 0 and runs = ref 0 in
   List.iter
-    (fun (q : Queries.query) ->
+    (fun mode ->
+       let catalog = Workload.experiment_catalog ~sf () in
+       let plain = Engine.create ~budget_pages ~pool_pages catalog in
+       let observed =
+         Engine.create ~budget_pages ~pool_pages ~trace:tr
+           ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
+       in
        List.iter
-         (fun mode ->
-            let scenario = "sanitize/" ^ q.Queries.name in
-            let ms = Dispatcher.mode_to_string mode in
+         (fun (q : Queries.query) ->
+            incr runs;
+            let spans0 = List.length (Trace.spans tr) in
+            let ledger0 = List.length (Trace.ledger tr) in
             let off = Engine.run_sql plain ~mode q.Queries.sql in
-            let on = Engine.run_sql sanitized ~mode q.Queries.sql in
-            record ~scenario ~mode:(ms ^ "-plain")
-              ~elapsed_ms:off.Dispatcher.elapsed_ms
-              ~switches:off.Dispatcher.switches
-              ~collectors:off.Dispatcher.collectors;
-            record ~scenario ~mode:(ms ^ "-sanitize")
-              ~elapsed_ms:on.Dispatcher.elapsed_ms
-              ~switches:on.Dispatcher.switches
-              ~collectors:on.Dispatcher.collectors;
-            let identical =
-              on.Dispatcher.elapsed_ms = off.Dispatcher.elapsed_ms
-              && on.Dispatcher.filter_pages_held = 0
+            let p = Progress.create () in
+            let on = Engine.run_sql observed ~mode ~progress:p q.Queries.sql in
+            let spans = List.length (Trace.spans tr) - spans0 in
+            let ledger = List.length (Trace.ledger tr) - ledger0 in
+            let actual = on.Dispatcher.elapsed_ms in
+            let samples = Progress.samples p in
+            let first_est =
+              match samples with
+              | s :: _ -> s.Progress.ts_ms +. s.Progress.remaining_est_ms
+              | [] -> 0.0
             in
-            if not identical then incr mismatches;
-            Fmt.pr "%-5s %-8s | %12.1f %12.1f %8d %9d %7d  %s@."
-              q.Queries.name ms off.Dispatcher.elapsed_ms
-              on.Dispatcher.elapsed_ms on.Dispatcher.verifications
-              on.Dispatcher.switches on.Dispatcher.filter_pages_held
-              (if identical then "yes" else "** MISMATCH **"))
-         [ Dispatcher.Off; Dispatcher.Full ])
-    Queries.all;
-  if !mismatches = 0 then
+            let covered =
+              List.length
+                (List.filter
+                   (fun (s : Progress.sample) ->
+                      s.Progress.eta_lo_ms <= actual
+                      && actual <= s.Progress.eta_hi_ms)
+                   samples)
+            in
+            let cover_pct =
+              100.0 *. float_of_int covered
+              /. float_of_int (max 1 (List.length samples))
+            in
+            let broken =
+              List.filter_map
+                (fun (ok, what) -> if ok then None else Some what)
+                [ (on.Dispatcher.rows = off.Dispatcher.rows, "rows");
+                  (actual = off.Dispatcher.elapsed_ms, "elapsed");
+                  (Trace.open_spans tr = 0, "open spans");
+                  ( Progress.monotone p && Progress.finished p
+                    && (match Progress.latest p with
+                        | Some s -> s.Progress.percent = 100.0
+                        | None -> false),
+                    "progress" );
+                  (on.Dispatcher.filter_pages_held = 0, "filter pages") ]
+            in
+            if broken <> [] then incr failed;
+            record_extra ~scenario:("observers/" ^ q.Queries.name)
+              ~mode:(Dispatcher.mode_to_string mode) ~elapsed_ms:actual
+              ~switches:on.Dispatcher.switches
+              ~collectors:on.Dispatcher.collectors
+              ~extra:
+                [ ("spans", string_of_int spans);
+                  ("ledger", string_of_int ledger);
+                  ("verifications",
+                   string_of_int on.Dispatcher.verifications);
+                  ("eta_error_ms",
+                   Printf.sprintf "%.3f" (Float.abs (first_est -. actual)));
+                  ("eta_cover_pct", Printf.sprintf "%.1f" cover_pct) ];
+            Fmt.pr "%-5s %-14s | %10.1f %6d %7d %7d %12.1f %6.1f%% %6.0f%%  %s@."
+              q.Queries.name
+              (Dispatcher.mode_to_string mode)
+              actual spans ledger on.Dispatcher.verifications first_est
+              (100.0 *. Float.abs (first_est -. actual) /. actual)
+              cover_pct
+              (if broken = [] then "yes"
+               else "** " ^ String.concat ", " broken ^ " **"))
+         Queries.all)
+    modes;
+  if !failed = 0 then
     Fmt.pr
-      "@.Verification is pure analysis: zero violations, zero filter pages \
-       held, and@.the simulated clock is bit-identical with the sanitizer \
-       on.@."
-  else Fmt.pr "@.** %d sanitizer mismatches **@." !mismatches
+      "@.The observers are pure: in %d runs rows and simulated elapsed \
+       time are bit-identical@.with trace, progress and sanitizer \
+       attached, every span closed (%d spans, %d ledger@.entries), every \
+       progress stream monotone to exactly 100%%, no filter page held.@."
+      !runs
+      (List.length (Trace.spans tr))
+      (List.length (Trace.ledger tr))
+  else Fmt.pr "@.** %d of %d observed runs broke an invariant **@." !failed
+      !runs
 
 (* ------------------------------------------------------------------ *)
 (* Bound-checked re-optimization: estimate-based plan switching versus
@@ -695,67 +752,6 @@ let bounds_scenario () =
        rows, and the sanitizer observed zero out-of-interval \
        cardinalities.@."
   else Fmt.pr "@.** %d result mismatches **@." !mismatches
-
-(* ------------------------------------------------------------------ *)
-(* Tracing overhead: the observability subsystem (operator spans,
-   decision-point audit ledger, metrics) is pure observation — it never
-   charges the simulated clock, so a traced run must produce byte-
-   identical result rows and bit-identical simulated elapsed time.  The
-   acceptance bar is <= 5% simulated overhead; pure observation gives
-   exactly 0%.                                                         *)
-
-let trace_scenario () =
-  let module Trace = Mqr_obs.Trace in
-  header
-    (Fmt.str
-       "Tracing overhead - operator spans + audit ledger + metrics on every \
-        query (sf=%g, budget=%d pages)"
-       sf budget_pages);
-  let catalog = Workload.experiment_catalog ~sf () in
-  (* one catalog, two engines: the trace collector is the only difference *)
-  let plain = Engine.create ~budget_pages ~pool_pages catalog in
-  let tr = Trace.create () in
-  let traced = Engine.create ~budget_pages ~pool_pages ~trace:tr catalog in
-  Fmt.pr "%-5s | %12s %12s %9s %7s %7s  %s@." "query" "plain(ms)" "traced(ms)"
-    "overhead" "spans" "ledger" "identical";
-  let mismatches = ref 0 in
-  let prev_spans = ref 0 and prev_ledger = ref 0 in
-  List.iter
-    (fun (q : Queries.query) ->
-       let scenario = "trace/" ^ q.Queries.name in
-       let off = Engine.run_sql plain q.Queries.sql in
-       let on = Engine.run_sql traced q.Queries.sql in
-       record ~scenario ~mode:"trace-off" ~elapsed_ms:off.Dispatcher.elapsed_ms
-         ~switches:off.Dispatcher.switches
-         ~collectors:off.Dispatcher.collectors;
-       record ~scenario ~mode:"trace-on" ~elapsed_ms:on.Dispatcher.elapsed_ms
-         ~switches:on.Dispatcher.switches ~collectors:on.Dispatcher.collectors;
-       let spans = List.length (Trace.spans tr) in
-       let ledger = List.length (Trace.ledger tr) in
-       let identical =
-         on.Dispatcher.elapsed_ms = off.Dispatcher.elapsed_ms
-         && on.Dispatcher.rows = off.Dispatcher.rows
-       in
-       if not identical then incr mismatches;
-       Fmt.pr "%-5s | %12.1f %12.1f %8.1f%% %7d %7d  %s@." q.Queries.name
-         off.Dispatcher.elapsed_ms on.Dispatcher.elapsed_ms
-         (100.0
-          *. (on.Dispatcher.elapsed_ms -. off.Dispatcher.elapsed_ms)
-          /. off.Dispatcher.elapsed_ms)
-         (spans - !prev_spans) (ledger - !prev_ledger)
-         (if identical then "yes" else "** MISMATCH **");
-       prev_spans := spans;
-       prev_ledger := ledger)
-    Queries.all;
-  assert (Trace.open_spans tr = 0);
-  if !mismatches = 0 then
-    Fmt.pr
-      "@.Tracing is pure observation: 0%% simulated overhead, result rows \
-       and elapsed@.time byte-identical with the collector attached \
-       (%d spans, %d ledger entries).@."
-      (List.length (Trace.spans tr))
-      (List.length (Trace.ledger tr))
-  else Fmt.pr "@.** %d tracing mismatches **@." !mismatches
 
 (* ------------------------------------------------------------------ *)
 (* Parallel plans: each query runs with max dop 1 and 4.  The plan
@@ -1013,100 +1009,6 @@ let service_scenario () =
   else Fmt.pr "@.** %d service mismatches **@." !mismatches
 
 (* ------------------------------------------------------------------ *)
-(* Progress/ETA estimation: at every decision point the estimator folds
-   the simulated clock, the remainder plan's Eq.1 cost and the provable
-   remaining-cost interval into percent-done and an ETA interval.
-   Attaching it is pure observation, so rows must stay byte-identical
-   and simulated times bit-identical.  Accuracy is measured as the error
-   of the finish-time forecast made at the FIRST update (the hardest
-   one: nothing has executed yet) against the actual finish; every
-   update stream must be monotone and land at exactly 100%.            *)
-
-let progress_scenario () =
-  let module Progress = Mqr_obs.Progress in
-  header
-    (Fmt.str
-       "Progress/ETA estimation - every query x reopt mode (sf=%g, \
-        budget=%d pages)"
-       sf budget_pages);
-  let modes =
-    [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
-      Dispatcher.Full; Dispatcher.Bound_checked ]
-  in
-  Fmt.pr "%-5s %-14s | %10s %12s %8s %7s %7s %9s  %s@." "query" "mode"
-    "actual(ms)" "eta@start" "err%" "updates" "cover%" "monotone" "identical";
-  let mismatches = ref 0 and non_monotone = ref 0 and runs = ref 0 in
-  List.iter
-    (fun mode ->
-       let catalog = Workload.experiment_catalog ~sf () in
-       (* one catalog, two engines: the estimator is the only difference *)
-       let plain = Engine.create ~budget_pages ~pool_pages catalog in
-       let probed = Engine.create ~budget_pages ~pool_pages catalog in
-       List.iter
-         (fun (q : Queries.query) ->
-            incr runs;
-            let off = Engine.run_sql plain ~mode q.Queries.sql in
-            let p = Progress.create () in
-            let on = Engine.run_sql probed ~mode ~progress:p q.Queries.sql in
-            let identical =
-              on.Dispatcher.elapsed_ms = off.Dispatcher.elapsed_ms
-              && on.Dispatcher.rows = off.Dispatcher.rows
-            in
-            if not identical then incr mismatches;
-            let samples = Progress.samples p in
-            let actual = on.Dispatcher.elapsed_ms in
-            let monotone =
-              Progress.monotone p && Progress.finished p
-              && (match Progress.latest p with
-                  | Some s -> s.Progress.percent = 100.0
-                  | None -> false)
-            in
-            if not monotone then incr non_monotone;
-            let first_est =
-              match samples with
-              | s :: _ -> s.Progress.ts_ms +. s.Progress.remaining_est_ms
-              | [] -> 0.0
-            in
-            let err_pct =
-              100.0 *. Float.abs (first_est -. actual) /. actual
-            in
-            (* how often the provable ETA interval brackets the truth *)
-            let covered =
-              List.length
-                (List.filter
-                   (fun (s : Progress.sample) ->
-                      s.Progress.eta_lo_ms <= actual
-                      && actual <= s.Progress.eta_hi_ms)
-                   samples)
-            in
-            let cover_pct =
-              100.0 *. float_of_int covered
-              /. float_of_int (max 1 (List.length samples))
-            in
-            record ~scenario:("progress/" ^ q.Queries.name)
-              ~mode:(Dispatcher.mode_to_string mode)
-              ~elapsed_ms:(Float.abs (first_est -. actual))
-              ~switches:on.Dispatcher.switches
-              ~collectors:(List.length samples);
-            Fmt.pr "%-5s %-14s | %10.1f %12.1f %7.1f%% %7d %6.0f%% %9s  %s@."
-              q.Queries.name
-              (Dispatcher.mode_to_string mode)
-              actual first_est err_pct (List.length samples) cover_pct
-              (if monotone then "yes" else "** NO **")
-              (if identical then "yes" else "** MISMATCH **"))
-         Queries.all)
-    modes;
-  if !mismatches = 0 && !non_monotone = 0 then
-    Fmt.pr
-      "@.The estimator is pure observation (rows byte-identical, simulated \
-       times bit-identical@.with progress attached) and %d/%d update streams \
-       were monotone to exactly 100%%.@."
-      (!runs - !non_monotone) !runs
-  else
-    Fmt.pr "@.** %d identity mismatches, %d non-monotone streams **@."
-      !mismatches !non_monotone
-
-(* ------------------------------------------------------------------ *)
 (* Optimizer cost: the real price of planning each query, next to the
    number of candidates the DP costs (what the simulated clock charges,
    at opt_per_plan_ms each, as Eq. 1's T_opt,estimated).  Each rep plans
@@ -1196,12 +1098,10 @@ let () =
    | "scale" -> scalability ()
    | "rf" -> runtime_filters ()
    | "wlm" -> wlm ()
-   | "sanitize" -> sanitize ()
+   | "observers" -> observers_scenario ()
    | "bounds" -> bounds_scenario ()
-   | "trace" -> trace_scenario ()
    | "parallel" -> parallel_scenario ()
    | "service" -> service_scenario ()
-   | "progress" -> progress_scenario ()
    | "opt" -> opt_scenario ()
    | "figures" ->
      figure10 ();
@@ -1220,18 +1120,16 @@ let () =
      scalability ();
      runtime_filters ();
      wlm ();
-     sanitize ();
+     observers_scenario ();
      bounds_scenario ();
-     trace_scenario ();
      parallel_scenario ();
      service_scenario ();
-     progress_scenario ();
      opt_scenario ()
    | other ->
      Fmt.epr
        "unknown experiment %S (f10 f11 f12 xfig3 sens overhead joins hist \
-        hybrid scale rf wlm sanitize bounds trace parallel service progress \
-        opt all; only all writes BENCH_results.json)@."
+        hybrid scale rf wlm observers bounds parallel service opt all; only \
+        all writes BENCH_results.json)@."
        other;
      exit 1)
     which;

@@ -325,23 +325,25 @@ let check_ledger_entry d =
   ignore (str "unit_op" (field d "unit_op"));
   ignore (num "est_rows" (field d "est_rows"));
   ignore (int_ "actual_rows" (field d "actual_rows"));
-  ignore (num "error" (field d "error"));
+  ignore (num "cardinality_error" (field d "cardinality_error"));
   let kind = str "kind" (field d "kind") in
   if not (List.mem kind ledger_kinds) then bad "unknown ledger kind %S" kind;
   (match kind with
    | "considered" ->
      ignore (str "decision" (field d "decision"));
-     ignore (num "t_improved" (field d "t_improved"));
-     ignore (num "t_optimizer" (field d "t_optimizer"));
-     ignore (num "t_opt_estimated" (field d "t_opt_estimated"));
-     ignore (bool_ "forced" (field d "forced"))
+     ignore (num "t_improved_ms" (field d "t_improved_ms"));
+     ignore (num "t_optimizer_ms" (field d "t_optimizer_ms"));
+     ignore (num "t_opt_estimated_ms" (field d "t_opt_estimated_ms"));
+     ignore
+       (bool_ "forced_by_filter_surprise"
+          (field d "forced_by_filter_surprise"))
    | "switched" ->
-     ignore (num "t_new_total" (field d "t_new_total"));
-     ignore (num "t_improved" (field d "t_improved"));
+     ignore (num "t_new_total_ms" (field d "t_new_total_ms"));
+     ignore (num "t_improved_ms" (field d "t_improved_ms"));
      ignore (num "materialize_ms" (field d "materialize_ms"))
    | "rejected" ->
-     ignore (num "t_new_total" (field d "t_new_total"));
-     ignore (num "t_improved" (field d "t_improved"))
+     ignore (num "t_new_total_ms" (field d "t_new_total_ms"));
+     ignore (num "t_improved_ms" (field d "t_improved_ms"))
    | _ ->
      ignore (int_ "granted_pages" (field d "granted_pages"));
      ignore (int_ "consumers" (field d "consumers")))

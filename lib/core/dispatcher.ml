@@ -166,6 +166,15 @@ type report = {
    pool slices) holds right now, and its high-water mark. *)
 type transient = { mutable held : int; mutable peak : int }
 
+(* An intermediate result registered as a temp table.  Its byte size is
+   computed once, at registration: the leaf width, the materialization
+   charge and the on-disk re-read all read it. *)
+type temp = {
+  tmp_rows : Tuple.t array;
+  tmp_schema : Schema.t;
+  tmp_bytes : int;
+}
+
 type state = {
   cfg : config;
   ctx : Exec_ctx.t;
@@ -176,7 +185,7 @@ type state = {
   (* original optimizer estimates per node id — the plan annotations *)
   orig_op_ms : (int, float) Hashtbl.t;
   (* in-memory intermediate results by temp-table name *)
-  store : (string, Tuple.t array * Schema.t) Hashtbl.t;
+  store : (string, temp) Hashtbl.t;
   (* observed column statistics, re-applied to every new Stats_env *)
   mutable overrides : (string * Column_stats.t) list;
   mutable temp_names : string list;
@@ -265,8 +274,10 @@ let decision_metric = function
 
 (* Every decision entry carries the cardinality context of the execution
    unit that last finished: the newest [Ev_unit_done] in the stream, or
-   none yet (e.g. a lease refresh before the first unit). *)
-let ledger_entry st scope ~ts kind =
+   none yet (e.g. a lease refresh before the first unit).  The kind's own
+   args are named here and nowhere else: the Eq. 1/Eq. 2 terms of the
+   paper (Section 2.4), so a decision can be replayed post-hoc. *)
+let ledger_entry st scope ~ts ~kind args =
   let unit_op, est_rows, actual_rows =
     Option.value ~default:("", 0.0, 0)
       (List.find_map
@@ -276,7 +287,7 @@ let ledger_entry st scope ~ts kind =
            | _ -> None)
          st.events)
   in
-  Trace.decision scope ~ts_ms:ts ~unit_op ~est_rows ~actual_rows kind
+  Trace.decision scope ~ts_ms:ts ~unit_op ~est_rows ~actual_rows ~kind args
 
 let trace_event st scope ~ts ev =
   let m = Trace.scope_metrics scope in
@@ -292,32 +303,35 @@ let trace_event st scope ~ts ev =
       ~ts_ms:ts ()
   | Ev_realloc { grants } ->
     Metrics.incr m "decision.realloc";
-    ledger_entry st scope ~ts
-      (Trace.Realloc
-         { granted_pages =
-             List.fold_left
-               (fun acc (g : Memory_manager.grant) ->
-                  acc + g.Memory_manager.granted)
-               0 grants;
-           consumers = List.length grants })
+    ledger_entry st scope ~ts ~kind:"realloc"
+      [ ("granted_pages",
+         Trace.Int
+           (List.fold_left
+              (fun acc (g : Memory_manager.grant) ->
+                 acc + g.Memory_manager.granted)
+              0 grants));
+        ("consumers", Trace.Int (List.length grants)) ]
   | Ev_considered { decision; t_improved; t_optimizer; t_opt_estimated; forced }
     ->
     Metrics.incr m "decision.considered";
     Metrics.incr m (decision_metric decision);
-    ledger_entry st scope ~ts
-      (Trace.Considered
-         { decision = Reopt_policy.decision_to_string decision;
-           t_improved;
-           t_optimizer;
-           t_opt_estimated;
-           forced })
+    ledger_entry st scope ~ts ~kind:"considered"
+      [ ("decision", Trace.Str (Reopt_policy.decision_to_string decision));
+        ("t_improved_ms", Trace.Float t_improved);
+        ("t_optimizer_ms", Trace.Float t_optimizer);
+        ("t_opt_estimated_ms", Trace.Float t_opt_estimated);
+        ("forced_by_filter_surprise", Trace.Bool forced) ]
   | Ev_switched { t_new_total; t_improved; materialize_ms } ->
     Metrics.incr m "plan.switched";
-    ledger_entry st scope ~ts
-      (Trace.Switched { t_new_total; t_improved; materialize_ms })
+    ledger_entry st scope ~ts ~kind:"switched"
+      [ ("t_new_total_ms", Trace.Float t_new_total);
+        ("t_improved_ms", Trace.Float t_improved);
+        ("materialize_ms", Trace.Float materialize_ms) ]
   | Ev_rejected { t_new_total; t_improved } ->
     Metrics.incr m "plan.rejected";
-    ledger_entry st scope ~ts (Trace.Rejected { t_new_total; t_improved })
+    ledger_entry st scope ~ts ~kind:"rejected"
+      [ ("t_new_total_ms", Trace.Float t_new_total);
+        ("t_improved_ms", Trace.Float t_improved) ]
   | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
     Metrics.incr m
       (if admitted then "bounds.admitted" else "bounds.vetoed");
@@ -421,7 +435,8 @@ let instrument cfg env plan =
    materialized), the live memory budget, and the mu collector bound. *)
 let verifier_context st =
   Verifier.context
-    ~temp_schema:(fun name -> Option.map snd (Hashtbl.find_opt st.store name))
+    ~temp_schema:(fun name ->
+        Option.map (fun t -> t.tmp_schema) (Hashtbl.find_opt st.store name))
     ~budget_pages:(Memory_manager.budget_pages st.memman)
     ~mu:st.cfg.params.Reopt_policy.mu st.cfg.catalog
 
@@ -790,19 +805,17 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
     in
     (apply_runtime_filters st p.Plan.schema rows, p.Plan.schema)
   | Plan.Materialized { name; on_disk; _ } ->
-    let rows, schema =
+    let t =
       match Hashtbl.find_opt st.store name with
-      | Some r -> r
+      | Some t -> t
       | None -> invalid_arg ("Dispatcher: unknown intermediate " ^ name)
     in
     if on_disk then begin
-      let pages =
-        Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows)
-      in
-      Sim_clock.charge_seq_read ctx.Exec_ctx.clock pages;
-      Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (Array.length rows)
+      Sim_clock.charge_seq_read ctx.Exec_ctx.clock
+        (Exec_ctx.pages_of_bytes t.tmp_bytes);
+      Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (Array.length t.tmp_rows)
     end;
-    (apply_runtime_filters st schema rows, schema)
+    (apply_runtime_filters st t.tmp_schema t.tmp_rows, t.tmp_schema)
   | Plan.Collect { input; spec; cid } ->
     (* Collectors must observe the raw stream: statistics (and the exact
        cardinality of a full scan) describe the relation, not what happens
@@ -971,7 +984,8 @@ let rec replace_node (p : Plan.t) ~target_id ~replacement =
          (Plan.children p))
 
 (* ------------------------------------------------------------------ *)
-(* Registering an intermediate result as a temp table.                 *)
+(* Registering an intermediate result as a temp table; returns its
+   byte size.                                                          *)
 
 let register_temp st ~name ~rows ~schema =
   let heap = Heap_file.create schema in
@@ -1008,7 +1022,10 @@ let register_temp st ~name ~rows ~schema =
             | None -> Collector.column_stats_of_observed base_obs ~column:q)
          names);
   st.temp_names <- name :: st.temp_names;
-  Hashtbl.replace st.store name (rows, schema)
+  let bytes = Rows_ops.bytes_of_rows rows in
+  Hashtbl.replace st.store name
+    { tmp_rows = rows; tmp_schema = schema; tmp_bytes = bytes };
+  bytes
 
 (* ------------------------------------------------------------------ *)
 (* Remainder-query reconstruction (paper Figure 6: SQL over Temp_i).   *)
@@ -1028,14 +1045,16 @@ let remainder_query st (current : Plan.t) : Query.t =
       (* a temp table introduced by an earlier plan switch: its heap schema
          already carries the original qualifiers *)
       (match Hashtbl.find_opt st.store alias with
-       | Some (_, schema) -> { Query.table = alias; alias; rel_schema = schema }
+       | Some t -> { Query.table = alias; alias; rel_schema = t.tmp_schema }
        | None -> invalid_arg ("Dispatcher: unknown alias " ^ alias))
   in
   let rec walk (p : Plan.t) =
     match p.Plan.node with
     | Plan.Materialized { name; _ } ->
-      let _, schema = Hashtbl.find st.store name in
-      add_relation { Query.table = name; alias = name; rel_schema = schema }
+      add_relation
+        { Query.table = name;
+          alias = name;
+          rel_schema = (Hashtbl.find st.store name).tmp_schema }
     | Plan.Seq_scan { alias; filter; _ } | Plan.Index_scan { alias; filter; _ } ->
       add_relation (original_relation alias);
       (match filter with
@@ -1088,9 +1107,9 @@ let pending_materialize_ms st (current : Plan.t) =
     (fun acc (n : Plan.t) ->
        match n.Plan.node with
        | Plan.Materialized { name; on_disk = false; _ } ->
-         let rows, _ = Hashtbl.find st.store name in
          let pages =
-           float_of_int (Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows))
+           float_of_int
+             (Exec_ctx.pages_of_bytes (Hashtbl.find st.store name).tmp_bytes)
          in
          acc +. (pages *. st.cfg.model.Sim_clock.write_ms)
        | _ -> acc)
@@ -1100,9 +1119,8 @@ let charge_materialization st (current : Plan.t) =
   let rec fix (p : Plan.t) =
     match p.Plan.node with
     | Plan.Materialized ({ name; on_disk = false; _ } as m) ->
-      let rows, _ = Hashtbl.find st.store name in
-      let pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows) in
-      Sim_clock.charge_write st.ctx.Exec_ctx.clock pages;
+      Sim_clock.charge_write st.ctx.Exec_ctx.clock
+        (Exec_ctx.pages_of_bytes (Hashtbl.find st.store name).tmp_bytes);
       { p with Plan.node = Plan.Materialized { m with on_disk = true } }
     | _ -> Plan.with_children p (List.map fix (Plan.children p))
   in
@@ -1461,7 +1479,7 @@ let step_once r =
        if st.cfg.verify = Verifier.Sanitize then
          assert_observed_bounds st ~what:"executed unit" j;
        let name = fresh_temp_name st in
-       register_temp st ~name ~rows ~schema;
+       let bytes = register_temp st ~name ~rows ~schema in
        let leaf =
          { Plan.id = fresh_plan_id st;
            node =
@@ -1473,8 +1491,7 @@ let step_once r =
                width =
                  (if Array.length rows = 0 then 1.0
                   else
-                    float_of_int (Rows_ops.bytes_of_rows rows)
-                    /. float_of_int (Array.length rows));
+                    float_of_int bytes /. float_of_int (Array.length rows));
                op_ms = 0.0;
                total_ms = 0.0 };
            min_mem = 0;

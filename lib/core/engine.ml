@@ -304,8 +304,6 @@ let lint t ?(mode = Dispatcher.Full) sql =
   in
   (plan, Verifier.verify vctx plan)
 
-let time_ms t ?mode sql = (run_sql t ?mode sql).Dispatcher.elapsed_ms
-
 let pp_summary fmt (r : Dispatcher.report) =
   Fmt.pf fmt "@[<v>%d result rows in %.1f simulated ms@," (Array.length r.Dispatcher.rows)
     r.Dispatcher.elapsed_ms;

@@ -148,7 +148,4 @@ val lint :
   t -> ?mode:Dispatcher.mode -> string ->
   Mqr_opt.Plan.t * Mqr_analysis.Diagnostic.t list
 
-(** Convenience: simulated execution time of a query under a mode. *)
-val time_ms : t -> ?mode:Dispatcher.mode -> string -> float
-
 val print_summary : Dispatcher.report -> unit

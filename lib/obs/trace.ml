@@ -22,40 +22,11 @@ type instant = {
   i_args : (string * arg) list;
 }
 
-type decision_kind =
-  | Considered of {
-      decision : string;
-      t_improved : float;
-      t_optimizer : float;
-      t_opt_estimated : float;
-      forced : bool;
-    }
-  | Switched of {
-      t_new_total : float;
-      t_improved : float;
-      materialize_ms : float;
-    }
-  | Rejected of { t_new_total : float; t_improved : float }
-  | Realloc of { granted_pages : int; consumers : int }
-
-type decision = {
-  d_query : string;
-  d_tid : int;
-  d_seq : int;
-  d_ts_ms : float;
-  d_unit_op : string;
-  d_est_rows : float;
-  d_actual_rows : int;
-  d_error : float;
-  d_kind : decision_kind;
-}
-
 type t = {
   m : Metrics.t;
   mutable scopes : (int * string) list;  (* (tid, label), newest first *)
   mutable t_spans : span list;           (* newest first *)
   mutable t_instants : instant list;     (* newest first *)
-  mutable t_ledger : decision list;      (* newest first *)
   mutable next_tid : int;
   mutable t_open : int;                  (* spans currently open *)
   mutable t_tenants : (string * int) list;  (* tenant -> pid, newest first *)
@@ -68,7 +39,6 @@ let create () =
     scopes = [];
     t_spans = [];
     t_instants = [];
-    t_ledger = [];
     next_tid = 0;
     t_open = 0;
     t_tenants = [];
@@ -184,19 +154,23 @@ let new_decision_point s =
   s.seq <- s.seq + 1;
   s.seq
 
-let decision s ~ts_ms ~unit_op ~est_rows ~actual_rows kind =
-  s.parent.t_ledger <-
-    { d_query = s.label;
-      d_tid = s.tid;
-      d_seq = s.seq;
-      d_ts_ms = s.offset +. ts_ms;
-      d_unit_op = unit_op;
-      d_est_rows = est_rows;
-      d_actual_rows = actual_rows;
-      d_error =
-        float_of_int actual_rows /. Float.max 1e-9 est_rows;
-      d_kind = kind }
-    :: s.parent.t_ledger
+(* Ledger entries are instants of this category. *)
+let decision_cat = "decision"
+
+let decision s ~ts_ms ~unit_op ~est_rows ~actual_rows ~kind args =
+  instant s ~cat:decision_cat ~name:kind ~ts_ms
+    ~args:
+      (("query", Str s.label)
+       :: ("seq", Int s.seq)
+       :: ("ts_ms", Float (s.offset +. ts_ms))
+       :: ("unit_op", Str unit_op)
+       :: ("est_rows", Float est_rows)
+       :: ("actual_rows", Int actual_rows)
+       :: ("cardinality_error",
+           Float (float_of_int actual_rows /. Float.max 1e-9 est_rows))
+       :: ("kind", Str kind)
+       :: args)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
@@ -204,7 +178,8 @@ let decision s ~ts_ms ~unit_op ~est_rows ~actual_rows kind =
 let queries t = List.rev t.scopes
 let spans t = List.rev t.t_spans
 let instants t = List.rev t.t_instants
-let ledger t = List.rev t.t_ledger
+let is_decision i = i.i_cat = decision_cat
+let ledger t = List.filter is_decision (instants t)
 let open_spans t = t.t_open
 let tenant_lanes t = List.rev t.t_tenants
 
@@ -229,7 +204,8 @@ let json_escape s =
 
 let arg_json = function
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%.3f" f
+  | Float f when Float.is_finite f -> Printf.sprintf "%.3f" f
+  | Float _ -> "null"
   | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
   | Bool b -> if b then "true" else "false"
 
@@ -243,44 +219,6 @@ let args_json args =
 (* simulated milliseconds -> integral trace microseconds: exact for the
    cost model's resolution, and byte-stable *)
 let us ms = int_of_float (Float.round (ms *. 1000.0))
-
-let decision_kind_fields = function
-  | Considered { decision; t_improved; t_optimizer; t_opt_estimated; forced } ->
-    [ ("kind", Str "considered");
-      ("decision", Str decision);
-      ("t_improved_ms", Float t_improved);
-      ("t_optimizer_ms", Float t_optimizer);
-      ("t_opt_estimated_ms", Float t_opt_estimated);
-      ("forced_by_filter_surprise", Bool forced) ]
-  | Switched { t_new_total; t_improved; materialize_ms } ->
-    [ ("kind", Str "switched");
-      ("t_new_total_ms", Float t_new_total);
-      ("t_improved_ms", Float t_improved);
-      ("materialize_ms", Float materialize_ms) ]
-  | Rejected { t_new_total; t_improved } ->
-    [ ("kind", Str "rejected");
-      ("t_new_total_ms", Float t_new_total);
-      ("t_improved_ms", Float t_improved) ]
-  | Realloc { granted_pages; consumers } ->
-    [ ("kind", Str "realloc");
-      ("granted_pages", Int granted_pages);
-      ("consumers", Int consumers) ]
-
-let decision_fields d =
-  [ ("query", Str d.d_query);
-    ("seq", Int d.d_seq);
-    ("ts_ms", Float d.d_ts_ms);
-    ("unit_op", Str d.d_unit_op);
-    ("est_rows", Float d.d_est_rows);
-    ("actual_rows", Int d.d_actual_rows);
-    ("cardinality_error", Float d.d_error) ]
-  @ decision_kind_fields d.d_kind
-
-let kind_name = function
-  | Considered _ -> "considered"
-  | Switched _ -> "switched"
-  | Rejected _ -> "rejected"
-  | Realloc _ -> "realloc"
 
 let to_chrome_json t =
   let buf = Buffer.create 4096 in
@@ -322,6 +260,10 @@ let to_chrome_json t =
             (max 0 (us sp.sp_end_ms - us sp.sp_begin_ms))
             (args_json (("depth", Int sp.sp_depth) :: sp.sp_args))))
     (spans t);
+  (* ledger entries after every other instant; each group chronological *)
+  let others, decisions =
+    List.partition (fun i -> not (is_decision i)) (instants t)
+  in
   List.iter
     (fun i ->
        event
@@ -332,16 +274,7 @@ let to_chrome_json t =
             (json_escape i.i_cat)
             (us i.i_ts_ms)
             (args_json i.i_args)))
-    (instants t);
-  List.iter
-    (fun d ->
-       event
-         (Printf.sprintf
-            "{\"ph\": \"i\", \"pid\": %d, \"tid\": %d, \"name\": \"%s\", \
-             \"cat\": \"decision\", \"ts\": %d, \"s\": \"t\", \"args\": {%s}}"
-            (pid_of d.d_tid) d.d_tid (kind_name d.d_kind) (us d.d_ts_ms)
-            (args_json (decision_fields d))))
-    (ledger t);
+    (others @ decisions);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
@@ -390,7 +323,7 @@ let to_summary_json t =
   List.iteri
     (fun i d ->
        if i > 0 then Buffer.add_string buf ",\n";
-       Buffer.add_string buf ("    " ^ obj (decision_fields d)))
+       Buffer.add_string buf ("    " ^ obj d.i_args))
     (ledger t);
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
@@ -398,30 +331,24 @@ let to_summary_json t =
 (* ------------------------------------------------------------------ *)
 (* Human-readable ledger                                               *)
 
-let pp_decision fmt d =
-  let head =
-    Printf.sprintf "%-10s #%d @%9.1fms %-12s %s" d.d_query d.d_seq d.d_ts_ms
-      (kind_name d.d_kind) d.d_unit_op
+(* The header names the entry; every other arg follows as key=value. *)
+let header_keys = [ "query"; "seq"; "ts_ms"; "unit_op"; "kind" ]
+
+let pp_decision fmt i =
+  let str k =
+    match List.assoc_opt k i.i_args with
+    | Some (Str s) -> s
+    | Some v -> arg_json v
+    | None -> ""
   in
-  let card =
-    Printf.sprintf "est=%.0f actual=%d (x%.2f)" d.d_est_rows d.d_actual_rows
-      d.d_error
-  in
-  match d.d_kind with
-  | Considered { decision; t_improved; t_optimizer; t_opt_estimated; forced } ->
-    Fmt.pf fmt
-      "%s  %s  %s T_improved=%.1f T_optimizer=%.1f T_opt,est=%.1f%s" head card
-      decision t_improved t_optimizer t_opt_estimated
-      (if forced then " [forced: filter surprise]" else "")
-  | Switched { t_new_total; t_improved; materialize_ms } ->
-    Fmt.pf fmt "%s  %s  T_new=%.1f < T_improved=%.1f (materialize %.1f)" head
-      card t_new_total t_improved materialize_ms
-  | Rejected { t_new_total; t_improved } ->
-    Fmt.pf fmt "%s  %s  T_new=%.1f >= T_improved=%.1f" head card t_new_total
-      t_improved
-  | Realloc { granted_pages; consumers } ->
-    Fmt.pf fmt "%s  %s  %d pages over %d consumers" head card granted_pages
-      consumers
+  Fmt.pf fmt "%-10s #%s @%9.1fms %-12s %s  %s" (str "query") (str "seq")
+    i.i_ts_ms i.i_name (str "unit_op")
+    (String.concat " "
+       (List.filter_map
+          (fun (k, v) ->
+             if List.mem k header_keys then None
+             else Some (k ^ "=" ^ arg_json v))
+          i.i_args))
 
 let pp_ledger fmt t =
   match ledger t with

@@ -12,7 +12,7 @@
     Tracing is pure observation: nothing here charges the simulated clock
     or touches the filesystem, so a traced run's simulated elapsed time
     and result rows are byte-identical to an untraced one (the bench
-    [trace] scenario asserts this — the observability analogue of the
+    [observers] scenario asserts this — the observability analogue of the
     paper's [mu * T_est] overhead budget, held at zero).  Exporters return
     strings; callers decide where they go.
 
@@ -42,38 +42,6 @@ type instant = {
   i_cat : string;
   i_ts_ms : float;
   i_args : (string * arg) list;
-}
-
-(** One audit-ledger entry: everything the re-optimization policy looked
-    at when it made (or declined) a mid-query decision, so a sub-optimal
-    choice can be replayed post-hoc.  Times are the Eq. 1/Eq. 2 terms of
-    the paper (Section 2.4). *)
-type decision_kind =
-  | Considered of {
-      decision : string;        (** too-cheap | close-enough | consider *)
-      t_improved : float;       (** T_cur,improved for the remainder *)
-      t_optimizer : float;      (** T_cur,optimizer (original estimate) *)
-      t_opt_estimated : float;  (** T_opt,estimated (Eq. 1 left side) *)
-      forced : bool;            (** a filter surprise overrode Eq. 2 *)
-    }
-  | Switched of {
-      t_new_total : float;      (** new plan total incl. materialization *)
-      t_improved : float;
-      materialize_ms : float;
-    }
-  | Rejected of { t_new_total : float; t_improved : float }
-  | Realloc of { granted_pages : int; consumers : int }
-
-type decision = {
-  d_query : string;
-  d_tid : int;
-  d_seq : int;           (** decision-point ordinal within the query *)
-  d_ts_ms : float;
-  d_unit_op : string;    (** the execution unit that just finished *)
-  d_est_rows : float;    (** optimizer's cardinality estimate for it *)
-  d_actual_rows : int;   (** observed cardinality *)
-  d_error : float;       (** actual / estimated (1.0 = perfect) *)
-  d_kind : decision_kind;
 }
 
 type t
@@ -129,11 +97,17 @@ val instant :
 (** Bump and return the scope's decision-point ordinal (1-based). *)
 val new_decision_point : scope -> int
 
-(** Append a ledger entry stamped with the scope's current decision-point
-    ordinal. *)
+(** [decision scope ~ts_ms ~unit_op ~est_rows ~actual_rows ~kind args]
+    appends an audit-ledger entry: an instant of category ["decision"]
+    named [kind], stamped with the scope's current decision-point
+    ordinal.  Its args are [query], [seq], [ts_ms], [unit_op] (the
+    execution unit that just finished), [est_rows] (the optimizer's
+    estimate for it), [actual_rows] (observed), [cardinality_error]
+    (actual / estimated, 1.0 = perfect), then [("kind", Str kind)], then
+    [args] — the kind's own terms, named by the caller. *)
 val decision :
   scope -> ts_ms:float -> unit_op:string -> est_rows:float ->
-  actual_rows:int -> decision_kind -> unit
+  actual_rows:int -> kind:string -> (string * arg) list -> unit
 
 (** {2 Reading a finished trace} *)
 
@@ -143,8 +117,8 @@ val queries : t -> (int * string) list
 (** Completed spans in completion order. *)
 val spans : t -> span list
 
-(** The audit ledger, chronological. *)
-val ledger : t -> decision list
+(** The audit ledger: the ["decision"] instants, chronological. *)
+val ledger : t -> instant list
 
 (** Spans opened but not yet closed, across all scopes — 0 in any
     well-formed finished trace. *)
@@ -156,7 +130,8 @@ val open_spans : t -> int
 
 (** Chrome trace-event JSON (the [chrome://tracing] / Perfetto format):
     complete ["X"] events for spans, instant ["i"] events for samples,
-    filters and ledger entries, thread-name metadata per query. *)
+    filters and (after all other instants) ledger entries, thread-name
+    metadata per query. *)
 val to_chrome_json : t -> string
 
 (** Compact machine-readable summary: queries, span count, the full
@@ -169,5 +144,12 @@ val to_summary_json : t -> string
     emitter in the repository. *)
 val json_escape : string -> string
 
+(** One arg as a JSON value: floats with three decimals, [null] when not
+    finite.  The exporters' and the monitor's only value printer. *)
+val arg_json : arg -> string
+
 val pp_ledger : Format.formatter -> t -> unit
-val pp_decision : Format.formatter -> decision -> unit
+
+(** One ledger entry on one line: query, ordinal, time, kind and unit,
+    then every other arg as [key=value]. *)
+val pp_decision : Format.formatter -> instant -> unit

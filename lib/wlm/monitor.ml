@@ -74,9 +74,9 @@ let stmt_deadline_risk svc (s : Session.stmt) =
 
 (* --- stable JSON ---------------------------------------------------- *)
 
-let jstr s = Printf.sprintf "\"%s\"" (Trace.json_escape s)
-let jnum v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-let jbool b = if b then "true" else "false"
+let jstr s = Trace.arg_json (Trace.Str s)
+let jnum v = Trace.arg_json (Trace.Float v)
+let jbool b = Trace.arg_json (Trace.Bool b)
 let jobj fields =
   "{"
   ^ String.concat ", "
@@ -200,39 +200,6 @@ let broker_fields svc =
     ("reclaimed_pages", string_of_int (Broker.reclaimed_pages broker));
     ("leases", jarr leases) ]
 
-let kind_fields = function
-  | Trace.Considered { decision; t_improved; t_optimizer; t_opt_estimated;
-                       forced } ->
-    [ ("kind", jstr "considered");
-      ("decision", jstr decision);
-      ("t_improved", jnum t_improved);
-      ("t_optimizer", jnum t_optimizer);
-      ("t_opt_estimated", jnum t_opt_estimated);
-      ("forced", jbool forced) ]
-  | Trace.Switched { t_new_total; t_improved; materialize_ms } ->
-    [ ("kind", jstr "switched");
-      ("t_new_total", jnum t_new_total);
-      ("t_improved", jnum t_improved);
-      ("materialize_ms", jnum materialize_ms) ]
-  | Trace.Rejected { t_new_total; t_improved } ->
-    [ ("kind", jstr "rejected");
-      ("t_new_total", jnum t_new_total);
-      ("t_improved", jnum t_improved) ]
-  | Trace.Realloc { granted_pages; consumers } ->
-    [ ("kind", jstr "realloc");
-      ("granted_pages", string_of_int granted_pages);
-      ("consumers", string_of_int consumers) ]
-
-let decision_fields (d : Trace.decision) =
-  [ ("query", jstr d.Trace.d_query);
-    ("seq", string_of_int d.Trace.d_seq);
-    ("ts_ms", jnum d.Trace.d_ts_ms);
-    ("unit_op", jstr d.Trace.d_unit_op);
-    ("est_rows", jnum d.Trace.d_est_rows);
-    ("actual_rows", string_of_int d.Trace.d_actual_rows);
-    ("error", jnum d.Trace.d_error) ]
-  @ kind_fields d.Trace.d_kind
-
 let ledger_tail svc =
   let tail = 10 in
   match Service.service_trace svc with
@@ -267,7 +234,13 @@ let to_json svc view =
     | Ledger ->
       [ ("ledger",
          jarr
-           (List.map (fun d -> jobj (decision_fields d)) (ledger_tail svc)))
+           (List.map
+              (fun (d : Trace.instant) ->
+                 jobj
+                   (List.map
+                      (fun (k, v) -> (k, Trace.arg_json v))
+                      d.Trace.i_args))
+              (ledger_tail svc)))
       ]
   in
   jobj

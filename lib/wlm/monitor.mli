@@ -8,8 +8,9 @@
     monitored run is bit-identical to an unmonitored one.
 
     Each view comes in two renderings: {!render} for humans and
-    {!to_json} as a stable machine format (fixed key order, [%.3f]
-    numbers, [null] for absent values) suitable for golden files and the
+    {!to_json} as a stable machine format (fixed key order, values
+    printed by {!Mqr_obs.Trace.arg_json}: [%.3f] numbers, [null] for
+    absent or non-finite values) suitable for golden files and the
     [json_check] validator.  All times are on the service's simulated
     timeline, so both renderings are deterministic. *)
 
@@ -22,7 +23,9 @@ type view =
       (** fair-share utilization, floor waits, SLO headroom and
           deadline-miss counters, live deadline-risk counts *)
   | Broker_leases  (** broker totals and the live lease table *)
-  | Ledger  (** tail of the decision-point audit ledger *)
+  | Ledger
+      (** tail of the decision-point audit ledger: each entry's trace
+          args, under the same keys as the trace exports *)
 
 (** Lower-case names accepted by the line protocol, in display order:
     ["statements"; "sessions"; "tenants"; "broker"; "ledger"]. *)

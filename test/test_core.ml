@@ -283,8 +283,9 @@ let test_simple_query_overhead_bounded () =
   let catalog = mini_catalog () in
   let engine = Engine.create catalog in
   let sql = "select tcat, count(*) as n from t group by tcat" in
-  let off = Engine.time_ms engine ~mode:Dispatcher.Off sql in
-  let full = Engine.time_ms engine ~mode:Dispatcher.Full sql in
+  let elapsed mode = (Engine.run_sql engine ~mode sql).Dispatcher.elapsed_ms in
+  let off = elapsed Dispatcher.Off in
+  let full = elapsed Dispatcher.Full in
   (* collector overhead is bounded by mu plus slack for rounding *)
   Alcotest.(check bool)
     (Printf.sprintf "overhead bounded: off=%.2f full=%.2f" off full)

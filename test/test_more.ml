@@ -255,7 +255,9 @@ let test_time_ms_smoke () =
   let catalog = switching_catalog () in
   let engine = Engine.create catalog in
   Alcotest.(check bool) "positive time" true
-    (Engine.time_ms engine "select count(*) as n from dim1" > 0.0)
+    ((Engine.run_sql engine "select count(*) as n from dim1")
+       .Dispatcher.elapsed_ms
+     > 0.0)
 
 (* --- plan pretty-printing --- *)
 

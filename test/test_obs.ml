@@ -192,90 +192,90 @@ let test_ledger_matches_events () =
   let tr = Trace.create () in
   let e = engine ~trace:tr () in
   let r = Engine.run_sql e (sql "Q7") in
-  let events = List.map snd r.Dispatcher.timed_events in
-  let count f = List.length (List.filter f events) in
-  let ledger = Trace.ledger tr in
-  let lcount f = List.length (List.filter f ledger) in
-  Alcotest.(check int) "one Considered entry per Ev_considered"
-    (count (function Dispatcher.Ev_considered _ -> true | _ -> false))
-    (lcount (fun d ->
-       match d.Trace.d_kind with Trace.Considered _ -> true | _ -> false));
-  Alcotest.(check int) "one Switched entry per Ev_switched"
-    (count (function Dispatcher.Ev_switched _ -> true | _ -> false))
-    (lcount (fun d ->
-       match d.Trace.d_kind with Trace.Switched _ -> true | _ -> false));
-  Alcotest.(check int) "one Rejected entry per Ev_rejected"
-    (count (function Dispatcher.Ev_rejected _ -> true | _ -> false))
-    (lcount (fun d ->
-       match d.Trace.d_kind with Trace.Rejected _ -> true | _ -> false));
-  Alcotest.(check int) "one Realloc entry per Ev_realloc"
-    (count (function Dispatcher.Ev_realloc _ -> true | _ -> false))
-    (lcount (fun d ->
-       match d.Trace.d_kind with Trace.Realloc _ -> true | _ -> false));
-  (* the Eq. 1/Eq. 2 terms in the ledger are the ones from the events,
-     in order *)
-  let considered_events =
-    List.filter_map
-      (function
-        | Dispatcher.Ev_considered { t_improved; t_optimizer; t_opt_estimated; _ } ->
-          Some (t_improved, t_optimizer, t_opt_estimated)
-        | _ -> None)
-      events
-  in
-  let considered_ledger =
-    List.filter_map
-      (fun d ->
-         match d.Trace.d_kind with
-         | Trace.Considered { t_improved; t_optimizer; t_opt_estimated; _ } ->
-           Some (t_improved, t_optimizer, t_opt_estimated)
-         | _ -> None)
-      ledger
-  in
-  Alcotest.(check (list (triple (float 1e-9) (float 1e-9) (float 1e-9))))
-    "ledger carries the exact Eq. 1/Eq. 2 terms" considered_events
-    considered_ledger;
-  (* each entry's cardinality context is the newest Ev_unit_done before
-     its event (none before the first unit), and a Considered entry's
-     forced flag is its event's *)
+  (* each decision event, rendered as the ledger entry it must produce:
+     kind, the Eq. 1/Eq. 2 terms, the newest Ev_unit_done before it (none
+     before the first unit) and, for a Considered entry, its forced flag *)
+  let f x = Trace.Float x in
   let expected =
     List.rev
       (snd
          (List.fold_left
-            (fun (ctx, acc) ev ->
+            (fun ((op, est, act) as ctx, acc) ev ->
+               let entry kind terms = (ctx, (kind, terms) :: acc) in
+               let unit =
+                 [ ("unit_op", Trace.Str op); ("est_rows", f est);
+                   ("actual_rows", Trace.Int act) ]
+               in
                match ev with
                | Dispatcher.Ev_unit_done { op; est_rows; actual_rows } ->
                  ((op, est_rows, actual_rows), acc)
-               | Dispatcher.Ev_considered { forced; _ } ->
-                 (ctx, (ctx, Some forced) :: acc)
-               | Dispatcher.Ev_realloc _ | Dispatcher.Ev_switched _
-               | Dispatcher.Ev_rejected _ ->
-                 (ctx, (ctx, None) :: acc)
+               | Dispatcher.Ev_considered
+                   { t_improved; t_optimizer; t_opt_estimated; forced; _ } ->
+                 entry "considered"
+                   (unit
+                    @ [ ("t_improved_ms", f t_improved);
+                        ("t_optimizer_ms", f t_optimizer);
+                        ("t_opt_estimated_ms", f t_opt_estimated);
+                        ("forced_by_filter_surprise", Trace.Bool forced) ])
+               | Dispatcher.Ev_switched { t_new_total; t_improved; _ } ->
+                 entry "switched"
+                   (unit
+                    @ [ ("t_new_total_ms", f t_new_total);
+                        ("t_improved_ms", f t_improved) ])
+               | Dispatcher.Ev_rejected { t_new_total; t_improved } ->
+                 entry "rejected"
+                   (unit
+                    @ [ ("t_new_total_ms", f t_new_total);
+                        ("t_improved_ms", f t_improved) ])
+               | Dispatcher.Ev_realloc { grants } ->
+                 entry "realloc"
+                   (unit @ [ ("consumers", Trace.Int (List.length grants)) ])
                | _ -> (ctx, acc))
-            (("", 0.0, 0), []) events))
+            (("", 0.0, 0), [])
+            (List.map snd r.Dispatcher.timed_events)))
   in
+  let ledger = Trace.ledger tr in
+  let arg (d : Trace.instant) k =
+    match List.assoc_opt k d.Trace.i_args with
+    | Some v -> v
+    | None -> Alcotest.failf "%s entry lacks %s" d.Trace.i_name k
+  in
+  let count kind xs = List.length (List.filter (fun (k, _) -> k = kind) xs) in
+  List.iter
+    (fun kind ->
+       Alcotest.(check int)
+         (Printf.sprintf "one %s entry per event" kind)
+         (count kind expected)
+         (List.length
+            (List.filter (fun (d : Trace.instant) -> d.Trace.i_name = kind)
+               ledger)))
+    [ "considered"; "switched"; "rejected"; "realloc" ];
   let recorded =
-    List.map
-      (fun d ->
-         ( (d.Trace.d_unit_op, d.Trace.d_est_rows, d.Trace.d_actual_rows),
-           match d.Trace.d_kind with
-           | Trace.Considered { forced; _ } -> Some forced
-           | _ -> None ))
-      ledger
+    List.map2
+      (fun (_, terms) (d : Trace.instant) ->
+         (d.Trace.i_name, List.map (fun (k, _) -> (k, arg d k)) terms))
+      expected ledger
   in
-  Alcotest.(check (list (pair (triple string (float 0.0) int) (option bool))))
-    "ledger unit context and forced flag follow the event stream" expected
-    recorded;
+  let arg_t = Alcotest.testable (Fmt.of_to_string Trace.arg_json) ( = ) in
+  Alcotest.(check (list (pair string (list (pair string arg_t)))))
+    "ledger kinds, Eq. 1/Eq. 2 terms, unit context and forced flag follow \
+     the event stream"
+    expected recorded;
   (* every entry records estimated-vs-observed cardinalities coherently *)
   List.iter
     (fun d ->
-       Alcotest.(check bool) "decision point ordinal positive" true
-         (d.Trace.d_seq >= 1);
-       Alcotest.(check bool) "observed rows non-negative" true
-         (d.Trace.d_actual_rows >= 0);
-       Alcotest.(check (float 1e-6)) "estimation error is actual/est"
-         (float_of_int d.Trace.d_actual_rows
-          /. Float.max 1e-9 d.Trace.d_est_rows)
-         d.Trace.d_error)
+       Alcotest.(check string) "decision category" "decision" d.Trace.i_cat;
+       Alcotest.(check bool) "kind arg names the instant" true
+         (arg d "kind" = Trace.Str d.Trace.i_name);
+       match arg d "seq", arg d "actual_rows", arg d "est_rows",
+             arg d "cardinality_error" with
+       | Trace.Int seq, Trace.Int act, Trace.Float est, Trace.Float err ->
+         Alcotest.(check bool) "decision point ordinal positive" true
+           (seq >= 1);
+         Alcotest.(check bool) "observed rows non-negative" true (act >= 0);
+         Alcotest.(check (float 1e-6)) "estimation error is actual/est"
+           (float_of_int act /. Float.max 1e-9 est) err
+       | _ -> Alcotest.fail "ledger prefix args mistyped")
     ledger
 
 (* --- timestamped events --- *)

@@ -1,6 +1,7 @@
 (* Plan verifier: hand-built broken plans must produce their expected
    diagnostic codes, every benchmark plan must verify clean in both
-   reopt modes, and sanitizer mode must never perturb execution. *)
+   reopt modes, and sanitizer mode must never perturb execution (nor
+   bound-checked switching change a row). *)
 open Mqr_storage
 module Catalog = Mqr_catalog.Catalog
 module Expr = Mqr_expr.Expr
@@ -238,7 +239,24 @@ let test_sanitizer_parity () =
          (on.Dispatcher.verifications > 0);
        Alcotest.(check int) (name ^ " filter leases retired") 0
          on.Dispatcher.filter_pages_held)
-    [ "Q3"; "Q5" ]
+    [ "Q3"; "Q5" ];
+  (* bound-checked switching under the sanitizer (every observed
+     cardinality cross-checked against its provable interval) returns
+     exactly the Off run's rows, in order *)
+  let bounded =
+    Engine.create ~budget_pages:64 ~verify_plans:Verifier.Sanitize
+      (Workload.experiment_catalog ~sf:0.001 ())
+  in
+  List.iter
+    (fun name ->
+       let q = Queries.find name in
+       let off = Engine.run_sql bounded ~mode:Dispatcher.Off q.Queries.sql in
+       let bc =
+         Engine.run_sql bounded ~mode:Dispatcher.Bound_checked q.Queries.sql
+       in
+       Alcotest.(check bool) (name ^ " bound-checked rows = baseline") true
+         (bc.Dispatcher.rows = off.Dispatcher.rows))
+    [ "Q3"; "Q5"; "Q7" ]
 
 (* --- report exposure: collector CPU and filter-page accounting --- *)
 
