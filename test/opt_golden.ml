@@ -5,8 +5,12 @@
    precision.  The optimizer is deterministic, so the output is byte-stable
    and `dune promote` maintains the golden; any change to join
    enumeration that alters a plan, an id, an estimate or the enumeration
-   count shows up as a diff.  A final case re-costs one plan after
-   overriding statistics, as the re-optimizer does mid-query.
+   count shows up as a diff.  Three final groups stress the DP's edge
+   cases: every relation of Q5, Q7 and Q8 shrunk to the same tiny
+   cardinality (many candidates cost exactly the same, so the Pareto
+   sets' tie rule decides), one plan re-costed after overriding
+   statistics, and Q7 and Q8 re-planned from scratch under the same
+   overrides, as the re-optimizer does mid-query.
 
      opt_golden > opt_plans.txt *)
 
@@ -71,16 +75,43 @@ let () =
               ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)
          variants)
     Queries.all;
-  (* re-costing under observed statistics: orders turned out 3x larger
-     than believed and its customer keys cover a narrow band *)
+  (* exact cost ties: every relation believed to hold the same two rows *)
+  List.iter
+    (fun (q : Queries.query) ->
+       let query = bind q.Queries.sql in
+       let env = Stats_env.create catalog query.Query.relations in
+       List.iter
+         (fun (r : Stats_env.rel_info) ->
+            Stats_env.override_rows env ~alias:r.Stats_env.alias ~rows:2.0)
+         (Stats_env.relations env);
+       let r = Optimizer.optimize ~model ~env query in
+       print_plan
+         ~title:(Printf.sprintf "%s ties" q.Queries.name)
+         ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)
+    (List.map Queries.find [ "Q5"; "Q7"; "Q8" ]);
+  (* observed statistics: orders turned out 3x larger than believed and
+     its customer keys cover a narrow band *)
+  let observe env =
+    let orders = Stats_env.rel env ~alias:"orders" in
+    Stats_env.override_rows env ~alias:"orders"
+      ~rows:(3.0 *. orders.Stats_env.rows);
+    Stats_env.override env ~column:"orders.o_custkey"
+      (Column_stats.analyze
+         (List.init 200 (fun i -> Value.Int (1 + (i mod 40)))))
+  in
   let query = bind Queries.q5.Queries.sql in
   let env = Stats_env.create catalog query.Query.relations in
   let r = Optimizer.optimize ~model ~env query in
-  let orders = Stats_env.rel env ~alias:"orders" in
-  Stats_env.override_rows env ~alias:"orders"
-    ~rows:(3.0 *. orders.Stats_env.rows);
-  Stats_env.override env ~column:"orders.o_custkey"
-    (Column_stats.analyze
-       (List.init 200 (fun i -> Value.Int (1 + (i mod 40)))));
+  observe env;
   print_plan ~title:"Q5 recost after override"
-    (Optimizer.recost ~model ~env r.Optimizer.plan)
+    (Optimizer.recost ~model ~env r.Optimizer.plan);
+  List.iter
+    (fun (q : Queries.query) ->
+       let query = bind q.Queries.sql in
+       let env = Stats_env.create catalog query.Query.relations in
+       observe env;
+       let r = Optimizer.optimize ~model ~env query in
+       print_plan
+         ~title:(Printf.sprintf "%s re-optimize after override" q.Queries.name)
+         ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)
+    (List.map Queries.find [ "Q7"; "Q8" ])
