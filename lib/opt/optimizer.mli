@@ -8,9 +8,15 @@
     annotated — every node carries the estimates the run-time compares
     observations against.
 
-    The number of candidates costed is reported (and charged to the
-    simulated clock when one is supplied): it is the basis of the paper's
-    [T_opt,estimated] calibration. *)
+    Join enumeration is cost-first: a candidate whose children's totals
+    already lose to the Pareto set it would enter is skipped unpriced, one
+    whose priced total loses is skipped unbuilt, and only a candidate that
+    enters the set becomes a plan node.  The winning plan, its ids and its
+    estimates are those of building every candidate.
+
+    The number of candidates the DP considers is reported (and charged to
+    the simulated clock when one is supplied): it is the basis of the
+    paper's [T_opt,estimated] calibration. *)
 
 open Mqr_storage
 
@@ -40,6 +46,11 @@ val default_options : options
 type result = {
   plan : Plan.t;
   plans_enumerated : int;
+  (** every candidate the optimizer considered: access paths plus each
+      join candidate of the DP, whether it was built, only priced, or
+      skipped by its children's lower bound.  The count, and so the
+      simulated optimizer charge, does not depend on how many were
+      skipped. *)
 }
 
 exception Planning_error of string

@@ -337,6 +337,48 @@ let test_orders_survive_collect () =
   Alcotest.(check (list string)) "collect preserves order" [ "fact.v" ]
     (Plan.orders_of wrapped)
 
+(* The DP skips a join candidate whose children's totals already lose to
+   its Pareto set, before pricing it.  That lower bound holds only while
+   no join operator's own cost (runtime filters and the parallel split
+   included) can be negative or NaN. *)
+let prop_children_bound_join_cost =
+  let rows = QCheck.Gen.float_bound_inclusive 1e7 in
+  let pages = QCheck.Gen.float_bound_inclusive 1e6 in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (quad rows rows rows (float_bound_inclusive 1e3))
+        (pair pages pages)
+        (quad (int_range 0 64) (int_range 1 8) bool bool))
+  in
+  QCheck.Test.make ~name:"children's totals bound a join: op costs >= 0"
+    ~count:500 (QCheck.make gen)
+    (fun ((r1, r2, out, width), (p1, p2), (mem_pages, dop, ls, rs)) ->
+       let m = Sim_clock.default_model in
+       let ok ms = Float.is_finite ms && ms >= 0.0 in
+       List.for_all
+         (fun (p1, p2) ->
+            let costs =
+              [ Cost_model.hash_join_ms m ~build_rows:r1 ~build_pages:p1
+                  ~probe_rows:r2 ~probe_pages:p2 ~out_rows:out ~mem_pages;
+                Cost_model.merge_join_ms m ~left_rows:r1 ~left_pages:p1
+                  ~right_rows:r2 ~right_pages:p2 ~out_rows:out ~mem_pages
+                  ~left_sorted:ls ~right_sorted:rs;
+                Cost_model.index_nl_join_ms m ~outer_rows:r1 ~out_rows:out;
+                Cost_model.block_nl_join_ms m ~outer_rows:r1 ~outer_pages:p1
+                  ~inner_rows:r2 ~inner_pages:p2 ~out_rows:out ~mem_pages;
+                Cost_model.runtime_filter_ms ~build_rows:r1 ~probe_rows:r2 ]
+            in
+            List.for_all
+              (fun per_worker ->
+                 ok per_worker
+                 && ok
+                      (Cost_model.parallel_ms ~dop ~exchange_pages:(p1 +. p2)
+                         ~per_worker))
+              costs)
+         [ (p1, p2);
+           (Cost_model.pages ~rows:r1 ~width, Cost_model.pages ~rows:r2 ~width) ])
+
 let suite =
   [ Alcotest.test_case "single table plan" `Quick test_single_table_plan;
     Alcotest.test_case "index scan when selective" `Quick test_index_scan_chosen_when_selective;
@@ -358,4 +400,5 @@ let suite =
     Alcotest.test_case "sort elision" `Quick test_sort_elided_when_ordered;
     Alcotest.test_case "merge join presorted flags" `Quick test_merge_join_presorted_flag;
     Alcotest.test_case "streaming agg order" `Quick test_streaming_agg_when_grouped_on_order;
-    Alcotest.test_case "orders survive collect" `Quick test_orders_survive_collect ]
+    Alcotest.test_case "orders survive collect" `Quick test_orders_survive_collect;
+    QCheck_alcotest.to_alcotest prop_children_bound_join_cost ]
