@@ -1010,8 +1010,9 @@ let service_scenario () =
 
 (* ------------------------------------------------------------------ *)
 (* Optimizer cost: the real price of planning each query, next to the
-   number of candidates the DP costs (what the simulated clock charges,
-   at opt_per_plan_ms each, as Eq. 1's T_opt,estimated).  Each rep plans
+   number of candidates the DP considers (what the simulated clock
+   charges, at opt_per_plan_ms each) and Eq. 1's T_opt,estimated for the
+   query's relation count, with their ratio.  Each rep plans
    the bound query on a fresh statistics environment, as Engine.explain
    and the benchmark's optimizer probe do; wall time is reported as min
    and median over the reps, allocation as minor words per plan call.
@@ -1029,8 +1030,9 @@ let opt_scenario () =
        sf);
   let engine = engine_for () in
   let cfg = Engine.dispatcher_config engine ~mode:Dispatcher.Full () in
-  Fmt.pr "%-5s | %7s %9s %12s %12s %9s %10s  %s@." "query" "plans" "sim(ms)"
-    "wall-min(ms)" "wall-med(ms)" "us/plan" "minor(Mw)" "plan digest";
+  Fmt.pr "%-5s | %7s %9s %9s %7s %12s %12s %9s %10s  %s@." "query" "plans"
+    "sim(ms)" "est(ms)" "est/sim" "wall-min(ms)" "wall-med(ms)" "us/plan"
+    "minor(Mw)" "plan digest";
   List.iter
     (fun (q : Queries.query) ->
        let query = Engine.bind_sql engine q.Queries.sql in
@@ -1055,6 +1057,11 @@ let opt_scenario () =
          float_of_int plans
          *. cfg.Dispatcher.model.Mqr_storage.Sim_clock.opt_per_plan_ms
        in
+       let est_ms =
+         Optimizer.estimated_opt_ms ~model:cfg.Dispatcher.model
+           ~relations:(List.length query.Mqr_sql.Query.relations)
+       in
+       let est_ratio = est_ms /. sim_ms in
        let wall_min, wall_med =
          min_median (List.map (fun (_, w, _) -> w) runs)
        in
@@ -1066,12 +1073,14 @@ let opt_scenario () =
          ~elapsed_ms:sim_ms ~switches:0 ~collectors:0
          ~extra:
            [ ("plans_enumerated", string_of_int plans);
+             ("opt_estimated_ms", Printf.sprintf "%.3f" est_ms);
+             ("estimated_ratio", Printf.sprintf "%.3f" est_ratio);
              ("wall_min_ms", Printf.sprintf "%.3f" wall_min);
              ("wall_median_ms", Printf.sprintf "%.3f" wall_med);
              ("minor_words", Printf.sprintf "%.0f" minor_med);
              ("plan_digest", Printf.sprintf "%S" digest) ];
-       Fmt.pr "%-5s | %7d %9.1f %12.2f %12.2f %9.2f %10.2f  %s@." q.Queries.name
-         plans sim_ms wall_min wall_med
+       Fmt.pr "%-5s | %7d %9.1f %9.1f %7.3f %12.2f %12.2f %9.2f %10.2f  %s@."
+         q.Queries.name plans sim_ms est_ms est_ratio wall_min wall_med
          (1000.0 *. wall_med /. float_of_int (max 1 plans))
          (minor_med /. 1e6) digest)
     Queries.all
