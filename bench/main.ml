@@ -498,7 +498,10 @@ let runtime_filters () =
          q.Queries.joins off.Dispatcher.elapsed_ms on.Dispatcher.elapsed_ms
          (pct_improvement ~normal:off.Dispatcher.elapsed_ms
             ~reopt:on.Dispatcher.elapsed_ms)
-         (List.length on.Dispatcher.filters)
+         (List.length
+            (List.filter
+               (function _, Dispatcher.Ev_filter _ -> true | _ -> false)
+               on.Dispatcher.timed_events))
          (if identical then "yes" else "** MISMATCH **"))
     [ "Q3"; "Q5"; "Q7"; "Q8"; "Q10" ];
   Fmt.pr

@@ -219,6 +219,184 @@ let test_policy_acceptance () =
     (Reopt_policy.accept_new_plan ~t_new_total:100.0 ~t_improved:100.0)
 
 (* ------------------------------------------------------------------ *)
+(* Reopt_policy.decide: Section 2.4's composition, without a run.      *)
+
+let decide_sql =
+  "select vtag, count(*) as n from t, u, v \
+   where t.tk = u.ufk and u.uval = v.vk group by vtag"
+
+(* A decision point before any unit ran: the remainder is the optimized
+   plan itself.  [orig_scale] scales the original per-node estimates
+   (T_cur,optimizer), [improved_scale] the remainder's total
+   (T_cur,improved). *)
+let decide_view ?(mode = Reopt_policy.Full) ?(theta1 = 1e9) ?(force = false)
+    ?(orig_scale = 1.0) ?(improved_scale = 1.0) ?env_overlay catalog =
+  let plan, _ = plan_for catalog decide_sql in
+  let q, _ = env_for catalog decide_sql in
+  let remainder =
+    { plan with
+      Plan.est =
+        { plan.Plan.est with
+          Plan.total_ms = plan.Plan.est.Plan.total_ms *. improved_scale } }
+  in
+  { Reopt_policy.catalog;
+    model = Sim_clock.default_model;
+    opt_options = Optimizer.default_options;
+    params = { Reopt_policy.default_params with Reopt_policy.theta1 };
+    mode;
+    env_overlay;
+    query = q;
+    remainder;
+    temp = (fun _ -> None);
+    orig_op_ms =
+      (fun id ->
+         List.find_map
+           (fun (n : Plan.t) ->
+              if n.Plan.id = id then Some (n.Plan.est.Plan.op_ms *. orig_scale)
+              else None)
+           (Plan.nodes plan));
+    overrides = [];
+    switches = 0;
+    force }
+
+let verdict_kind = function
+  | Reopt_policy.Keep None -> "keep"
+  | Reopt_policy.Keep (Some t) ->
+    "keep: " ^ Reopt_policy.decision_to_string t.Reopt_policy.decision
+  | Reopt_policy.Reject _ -> "reject"
+  | Reopt_policy.Switch _ -> "switch"
+
+let test_decide_force () =
+  let catalog = mini_catalog () in
+  let overlays = ref 0 in
+  let env_overlay _ _ = incr overlays in
+  (* original estimates equal the improved ones: Eq. 2 says close enough *)
+  let keep = Reopt_policy.decide (decide_view ~env_overlay catalog) in
+  Alcotest.(check string) "close enough keeps the plan"
+    "keep: close-enough (Eq. 2)" (verdict_kind keep);
+  Alcotest.(check int) "no re-plan, no overlay" 0 !overlays;
+  (match Reopt_policy.decide (decide_view ~force:true ~env_overlay catalog) with
+   | Reopt_policy.Keep _ -> Alcotest.fail "force must re-plan past Eq. 2"
+   | Reopt_policy.Reject (t, c) | Reopt_policy.Switch (t, c) ->
+     Alcotest.(check bool) "terms record the override" true
+       t.Reopt_policy.forced;
+     Alcotest.(check string) "Eq. 2 still reads close enough"
+       "close-enough (Eq. 2)"
+       (Reopt_policy.decision_to_string t.Reopt_policy.decision);
+     Alcotest.(check bool) "the re-plan enumerated plans" true
+       (c.Reopt_policy.plans_enumerated > 0));
+  Alcotest.(check int) "one re-plan, one overlay" 1 !overlays;
+  (* theta1 = 0: the optimizer call always dwarfs the remainder *)
+  Alcotest.(check string) "force never overrides Eq. 1"
+    "keep: too-cheap (Eq. 1)"
+    (verdict_kind
+       (Reopt_policy.decide
+          (decide_view ~theta1:0.0 ~force:true ~env_overlay catalog)));
+  Alcotest.(check int) "Eq. 1 keeps without an overlay" 1 !overlays;
+  Alcotest.(check string) "memory-only never considers" "keep"
+    (verdict_kind
+       (Reopt_policy.decide
+          (decide_view ~mode:Reopt_policy.Memory_only ~force:true catalog)))
+
+let test_decide_bound_veto () =
+  let catalog = mini_catalog () in
+  (* the remainder looks 1000x dearer than planned: Eq. 2 says consider
+     and the re-planned candidate wins on the estimate *)
+  let view mode = decide_view ~mode ~improved_scale:1000.0 catalog in
+  (match Reopt_policy.decide (view Reopt_policy.Full) with
+   | Reopt_policy.Switch (t, c) ->
+     Alcotest.(check bool) "estimate accepts" true
+       (c.Reopt_policy.t_new_total < t.Reopt_policy.t_improved);
+     Alcotest.(check bool) "full runs no bound check" true
+       (c.Reopt_policy.bound_check = None)
+   | v -> Alcotest.failf "full: expected a switch, got %s" (verdict_kind v));
+  match Reopt_policy.decide (view Reopt_policy.Bound_checked) with
+  | Reopt_policy.Reject (t, { Reopt_policy.t_new_total; bound_check = Some b; _ })
+    ->
+    Alcotest.(check bool) "estimate accepts" true
+      (t_new_total < t.Reopt_policy.t_improved);
+    Alcotest.(check bool) "worst case does not beat best case" true
+      (b.Reopt_policy.new_hi_ms >= b.Reopt_policy.cur_lo_ms);
+    Alcotest.(check bool) "vetoed" false b.Reopt_policy.admitted
+  | v -> Alcotest.failf "bound-checked: expected a veto, got %s" (verdict_kind v)
+
+let test_decide_rejects_dearer () =
+  let catalog = mini_catalog () in
+  (* the original estimates were a tenth of the plan's: Eq. 2 says
+     consider; the improved total is half the plan's, which the same plan
+     re-planned cannot beat *)
+  match
+    Reopt_policy.decide
+      (decide_view ~orig_scale:0.1 ~improved_scale:0.5 catalog)
+  with
+  | Reopt_policy.Reject (t, c) ->
+    Alcotest.(check string) "considered" "consider"
+      (Reopt_policy.decision_to_string t.Reopt_policy.decision);
+    Alcotest.(check bool) "T_new >= T_improved" true
+      (c.Reopt_policy.t_new_total >= t.Reopt_policy.t_improved)
+  | v -> Alcotest.failf "expected a rejection, got %s" (verdict_kind v)
+
+let test_decide_is_pure () =
+  let catalog = mini_catalog () in
+  let clock = Sim_clock.create () in
+  let q, env = env_for catalog decide_sql in
+  ignore
+    (Optimizer.optimize ~clock ~model:Sim_clock.default_model ~env q);
+  let catalog_state () =
+    List.sort compare
+      (List.map
+         (fun (t : Catalog.table) ->
+            ( t.Catalog.name,
+              t.Catalog.believed_rows,
+              t.Catalog.believed_pages,
+              t.Catalog.stats_epoch,
+              Array.length t.Catalog.stats ))
+         (Catalog.tables catalog))
+  in
+  let stats_arrays () =
+    List.map (fun name -> (Catalog.find_exn catalog name).Catalog.stats)
+      [ "t"; "u"; "v" ]
+  in
+  let env_state () =
+    List.map
+      (fun (r : Stats_env.rel_info) ->
+         ( r.Stats_env.alias,
+           r.Stats_env.rows,
+           List.map
+             (fun (c, _) -> Stats_env.stats_of env c)
+             r.Stats_env.col_stats ))
+      (Stats_env.relations env)
+  in
+  let elapsed = Sim_clock.elapsed_ms clock in
+  let cat0 = catalog_state () and stats0 = stats_arrays () in
+  let env0 = env_state () in
+  let view = decide_view ~improved_scale:1000.0 catalog in
+  let text0 = Plan.to_string view.Reopt_policy.remainder in
+  (match Reopt_policy.decide view with
+   | Reopt_policy.Switch _ -> ()
+   | v -> Alcotest.failf "expected a switch, got %s" (verdict_kind v));
+  Alcotest.(check (float 0.0)) "clock reading unchanged" elapsed
+    (Sim_clock.elapsed_ms clock);
+  Alcotest.(check bool) "catalog tables unchanged" true
+    (catalog_state () = cat0);
+  Alcotest.(check bool) "catalog statistics untouched" true
+    (List.for_all2 ( == ) (stats_arrays ()) stats0);
+  Alcotest.(check bool) "estimation env unchanged" true
+    (List.for_all2
+       (fun (a, rows, stats) (a', rows', stats') ->
+          a = a' && rows = rows'
+          && List.for_all2
+               (fun s s' ->
+                  match s, s' with
+                  | Some x, Some y -> x == y
+                  | None, None -> true
+                  | _ -> false)
+               stats stats')
+       (env_state ()) env0);
+  Alcotest.(check string) "remainder unchanged" text0
+    (Plan.to_string view.Reopt_policy.remainder)
+
+(* ------------------------------------------------------------------ *)
 (* Dispatcher integration: engine results vs brute-force reference.    *)
 
 let integration_queries =
@@ -346,6 +524,14 @@ let suite =
     Alcotest.test_case "policy eq2" `Quick test_policy_eq2;
     Alcotest.test_case "policy consider" `Quick test_policy_consider;
     Alcotest.test_case "policy acceptance" `Quick test_policy_acceptance;
+    Alcotest.test_case "decide: force overrides Eq. 2, not Eq. 1" `Quick
+      test_decide_force;
+    Alcotest.test_case "decide: bound check vetoes an accepted candidate"
+      `Quick test_decide_bound_veto;
+    Alcotest.test_case "decide: rejects T_new >= T_improved" `Quick
+      test_decide_rejects_dearer;
+    Alcotest.test_case "decide: no clock, env or catalog change" `Quick
+      test_decide_is_pure;
     Alcotest.test_case "engine matches reference" `Quick test_engine_matches_reference;
     Alcotest.test_case "order by respected" `Quick test_order_by_respected;
     Alcotest.test_case "temp cleanup" `Quick test_temp_tables_cleaned_up;
