@@ -2,10 +2,11 @@
 
     Two estimators, as cited by the paper: the probabilistic counting
     sketch of Flajolet–Martin [6] (PCSA with stochastic averaging) for
-    unbounded streams, and an exact hash-based counter (the "bitmap
-    approach") that is cheap when the number of distinct values is small —
-    the statistics collector uses the exact counter up to a budget and
-    falls back to the sketch beyond it. *)
+    unbounded streams, and an exact counter (the paper's "bitmap
+    approach", here an open-addressing set of 63-bit value hashes) that is
+    cheap when the number of distinct values is small — the statistics
+    collector uses the exact counter up to a budget and falls back to the
+    sketch beyond it. *)
 
 (** Adaptive counter: exact until [exact_limit] distinct values, sketch
     afterwards. *)

@@ -25,21 +25,27 @@ let buckets t = Array.to_list t.bkts
 let total_rows t = t.total
 let distinct t = Array.fold_left (fun acc b -> acc +. b.distinct) 0.0 t.bkts
 
-(* Frequency table of a data array: sorted (value, count) pairs. *)
+(* Frequency table of a data array: sorted (value, count) pairs.  Values
+   group by [Float.compare], so all NaNs form one group. *)
 let freq_table data =
   let sorted = Array.copy data in
-  Array.sort Float.compare sorted;
   let n = Array.length sorted in
-  let out = ref [] in
-  let i = ref 0 in
+  Float_sort.sort ~descending:false sorted (Array.make n 0);
+  let groups = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if Float.compare sorted.(i) sorted.(i - 1) <> 0 then incr groups
+  done;
+  let out = Array.make !groups (0.0, 0) in
+  let i = ref 0 and g = ref 0 in
   while !i < n do
     let v = sorted.(!i) in
     let j = ref !i in
-    while !j < n && sorted.(!j) = v do incr j done;
-    out := (v, !j - !i) :: !out;
+    while !j < n && Float.compare sorted.(!j) v = 0 do incr j done;
+    out.(!g) <- (v, !j - !i);
+    incr g;
     i := !j
   done;
-  Array.of_list (List.rev !out)
+  out
 
 let of_buckets kind bkts =
   let total = Array.fold_left (fun acc b -> acc +. b.rows) 0.0 bkts in
@@ -121,15 +127,20 @@ let build_maxdiff ~buckets freqs =
       let spread = if i < n - 1 then fst freqs.(i + 1) -. v else 1.0 in
       float_of_int c *. max spread 1e-9
     in
-    let diffs =
-      Array.init (n - 1) (fun i -> (Float.abs (area (i + 1) -. area i), i))
-    in
-    Array.sort (fun (a, _) (b, _) -> Float.compare b a) diffs;
+    (* largest differences first, carrying the index they follow *)
+    let diffs = Array.make (n - 1) 0.0 and after = Array.init (n - 1) Fun.id in
+    let prev = ref (area 0) in
+    for i = 0 to n - 2 do
+      let next = area (i + 1) in
+      diffs.(i) <- Float.abs (next -. !prev);
+      prev := next
+    done;
+    Float_sort.sort ~descending:true diffs after;
     let nb = max 1 (min buckets n) in
-    let split_after = Hashtbl.create 16 in
-    Array.iteri
-      (fun rank (_, i) -> if rank < nb - 1 then Hashtbl.replace split_after i ())
-      diffs;
+    let split_after = Array.make n false in
+    for rank = 0 to min (nb - 1) (n - 1) - 1 do
+      split_after.(after.(rank)) <- true
+    done;
     let out = ref [] in
     let cur_rows = ref 0.0 and cur_d = ref 0.0 in
     let cur_lo = ref (fst freqs.(0)) in
@@ -138,7 +149,7 @@ let build_maxdiff ~buckets freqs =
       if !cur_rows = 0.0 then cur_lo := v;
       cur_rows := !cur_rows +. float_of_int c;
       cur_d := !cur_d +. 1.0;
-      if Hashtbl.mem split_after i || i = n - 1 then begin
+      if split_after.(i) || i = n - 1 then begin
         out := { lo = !cur_lo; hi = v; rows = !cur_rows; distinct = !cur_d } :: !out;
         cur_rows := 0.0;
         cur_d := 0.0

@@ -206,6 +206,42 @@ let test_voptimal_large_domain () =
   Alcotest.(check bool) (Printf.sprintf "half range %.3f" s) true
     (Float.abs (s -. 0.5) < 0.1)
 
+(* NaN once made building loop forever: the frequency table grouped with
+   [=], which never holds for a NaN.  Every kind now terminates; the kinds
+   that bucket by frequency rank keep every row, with all NaNs one value;
+   equi-width and v-optimal divide by a NaN-wide range and may drop rows. *)
+let test_nan_samples () =
+  let samples =
+    [ [| 1.5; Float.nan; 2.5 |];
+      [| Float.nan; Float.nan |];
+      Array.init 600 (fun i ->
+          if i mod 7 = 0 then Float.nan else float_of_int (i mod 300)) ]
+  in
+  List.iter
+    (fun data ->
+       let n = float_of_int (Array.length data) in
+       let classes =
+         float_of_int
+           (List.length (List.sort_uniq Float.compare (Array.to_list data)))
+       in
+       List.iter
+         (fun kind ->
+            List.iter
+              (fun buckets ->
+                 let h = H.build kind ~buckets data in
+                 let name = Printf.sprintf "%s/%d" (H.kind_to_string kind) buckets in
+                 match kind with
+                 | H.Equi_depth | H.Maxdiff | H.Serial ->
+                   Alcotest.(check (float 0.0)) (name ^ " rows") n (H.total_rows h);
+                   Alcotest.(check (float 0.0)) (name ^ " distinct") classes
+                     (H.distinct h)
+                 | H.Equi_width | H.V_optimal ->
+                   Alcotest.(check bool) (name ^ " rows <= n") true
+                     (H.total_rows h <= n))
+              [ 1; 4; 32 ])
+         kinds)
+    samples
+
 let suite =
   [ Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "total rows" `Quick test_total_rows;
@@ -222,5 +258,6 @@ let suite =
     Alcotest.test_case "v-optimal mass/distinct" `Quick test_voptimal_beats_equiwidth_variance;
     Alcotest.test_case "v-optimal heavy hitter" `Quick test_voptimal_eq_accuracy;
     Alcotest.test_case "v-optimal large domain" `Quick test_voptimal_large_domain;
+    Alcotest.test_case "NaN samples terminate" `Quick test_nan_samples;
     QCheck_alcotest.to_alcotest prop_range_in_unit_interval;
     QCheck_alcotest.to_alcotest prop_eq_sums_to_one_serial ]

@@ -207,6 +207,32 @@ let test_analyze_statement () =
   let tbl = Catalog.find_exn (Engine.catalog engine) "zz" in
   Alcotest.(check int) "believed rows updated" 3 tbl.Catalog.believed_rows
 
+(* A NaN read by COPY reaches ANALYZE's histogram, which once never
+   returned on it. *)
+let test_copy_nan_then_analyze () =
+  let engine = Engine.create (Catalog.create ()) in
+  ignore (Engine.execute engine "create table t (x float)");
+  let path = Filename.temp_file "mqr_copy" ".csv" in
+  Csv.write_file path [ [ "1.5" ]; [ "nan" ]; [ "2.5" ] ];
+  ignore (Engine.execute engine (Printf.sprintf "copy t from '%s'" path));
+  Sys.remove path;
+  (match Engine.execute engine "analyze t" with
+   | Engine.Analyzed "t" -> ()
+   | _ -> Alcotest.fail "analyze");
+  let stats = (Catalog.find_exn (Engine.catalog engine) "t").Catalog.stats.(0) in
+  Alcotest.(check bool) "max" true
+    (stats.Column_stats.max_v = Some (Value.Float 2.5));
+  Alcotest.(check bool) "NaN sorts lowest" true
+    (match stats.Column_stats.min_v with
+     | Some (Value.Float f) -> Float.is_nan f
+     | _ -> false);
+  (match stats.Column_stats.histogram with
+   | Some h ->
+     Alcotest.(check (float 0.0)) "histogram rows" 3.0 (Histogram.total_rows h)
+   | None -> Alcotest.fail "no histogram");
+  let r = Engine.run_sql engine "select x from t where x > 2.0" in
+  Alcotest.(check int) "query after analyze" 1 (Array.length r.Dispatcher.rows)
+
 let test_copy_bad_field () =
   let engine = Engine.create (Catalog.create ()) in
   ignore (Engine.execute engine "create table q (a int)");
@@ -233,4 +259,5 @@ let suite =
     Alcotest.test_case "create index" `Quick test_create_index_statement;
     Alcotest.test_case "copy" `Quick test_copy_statement;
     Alcotest.test_case "analyze statement" `Quick test_analyze_statement;
+    Alcotest.test_case "copy NaN then analyze" `Quick test_copy_nan_then_analyze;
     Alcotest.test_case "copy bad field" `Quick test_copy_bad_field ]
