@@ -1,5 +1,6 @@
 open Mqr_storage
 module Histogram = Mqr_stats.Histogram
+module Column_pass = Mqr_stats.Column_pass
 
 type t = {
   min_v : Value.t option;
@@ -15,41 +16,46 @@ let empty =
   { min_v = None; max_v = None; distinct = None; histogram = None;
     stale = false; dict = None; is_key = false }
 
-let build_dict values =
-  let module SS = Set.Make (String) in
-  let set =
-    List.fold_left
-      (fun acc v -> match v with Value.String s -> SS.add s acc | _ -> acc)
-      SS.empty values
+let encode values =
+  let ordinals = Hashtbl.create 16 in
+  Array.iter
+    (function Value.String s -> Hashtbl.replace ordinals s 0.0 | _ -> ())
+    values;
+  let dict =
+    if Hashtbl.length ordinals = 0 then None
+    else begin
+      let strings = Hashtbl.fold (fun s _ acc -> s :: acc) ordinals [] in
+      let dict =
+        List.mapi (fun i s -> (s, float_of_int i)) (List.sort String.compare strings)
+      in
+      List.iter (fun (s, o) -> Hashtbl.replace ordinals s o) dict;
+      Some dict
+    end
   in
-  List.mapi (fun i s -> (s, float_of_int i)) (SS.elements set)
+  let domain = Array.create_float (Array.length values) in
+  for i = 0 to Array.length values - 1 do
+    domain.(i) <-
+      (match values.(i) with
+       | Value.Int x | Value.Date x -> float_of_int x
+       | Value.Float f -> f
+       | Value.String s -> Hashtbl.find ordinals s
+       | v -> Value.to_float v)
+  done;
+  (domain, dict)
 
 let analyze ?(kind = Histogram.Maxdiff) ?(buckets = 32) ?(is_key = false) values =
-  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-  match non_null with
-  | [] -> { empty with is_key }
-  | _ ->
-    let has_string =
-      List.exists (fun v -> match v with Value.String _ -> true | _ -> false)
-        non_null
-    in
-    let dict = if has_string then Some (build_dict non_null) else None in
-    let to_domain_raw v =
-      match v, dict with
-      | Value.String s, Some d -> List.assoc s d
-      | Value.String _, None -> assert false
-      | v, _ -> Value.to_float v
-    in
-    let domain = Array.of_list (List.map to_domain_raw non_null) in
+  let non_null =
+    Array.of_list (List.filter (fun v -> not (Value.is_null v)) values)
+  in
+  let range = Column_pass.create () in
+  Array.iter (Column_pass.add range) non_null;
+  match Column_pass.range range with
+  | None -> { empty with is_key }
+  | Some (min_v, max_v) ->
+    let domain, dict = encode non_null in
     let hist = Histogram.build kind ~buckets domain in
-    let min_v =
-      List.fold_left (fun acc v -> Value.min_value acc v) Value.Null non_null
-    in
-    let max_v =
-      List.fold_left (fun acc v -> Value.max_value acc v) Value.Null non_null
-    in
-    { min_v = (if Value.is_null min_v then None else Some min_v);
-      max_v = (if Value.is_null max_v then None else Some max_v);
+    { min_v = Some min_v;
+      max_v = Some max_v;
       distinct = Some (Histogram.distinct hist);
       histogram = Some hist;
       stale = false;

@@ -27,6 +27,12 @@ val analyze :
   ?kind:Mqr_stats.Histogram.kind -> ?buckets:int -> ?is_key:bool ->
   Value.t list -> t
 
+(** [encode values] maps non-null values onto the histogram domain, in
+    order: strings become their ordinal among the distinct strings present
+    in sort order, the dictionary returned with them ([None] when no
+    string occurs). *)
+val encode : Value.t array -> float array * (string * float) list option
+
 (** Map a typed value onto the histogram domain ([None] for nulls and for
     strings missing from the dictionary). *)
 val to_domain : t -> Value.t -> float option

@@ -1,0 +1,42 @@
+module Value = Mqr_storage.Value
+
+type t = {
+  mutable lo : Value.t;  (* Null until the first non-null value *)
+  mutable hi : Value.t;
+  reservoirs : Value.t Reservoir.t array;
+  distincts : Distinct.t array;
+}
+
+let create ?(reservoirs = []) ?(distincts = []) () =
+  { lo = Value.Null;
+    hi = Value.Null;
+    reservoirs = Array.of_list reservoirs;
+    distincts = Array.of_list distincts }
+
+(* [Value.compare a b < 0] *)
+let[@inline] before a b =
+  match a, b with
+  | Value.Int x, Value.Int y | Value.Date x, Value.Date y -> x < y
+  | Value.Float x, Value.Float y -> Float.compare x y < 0
+  | Value.String x, Value.String y -> String.compare x y < 0
+  | _ -> Value.compare a b < 0
+
+let add t v =
+  match v with
+  | Value.Null -> ()
+  | _ ->
+    (match t.lo with
+     | Value.Null ->
+       t.lo <- v;
+       t.hi <- v
+     | lo ->
+       if before v lo then t.lo <- v;
+       if before t.hi v then t.hi <- v);
+    for k = 0 to Array.length t.reservoirs - 1 do
+      Reservoir.add t.reservoirs.(k) v
+    done;
+    for k = 0 to Array.length t.distincts - 1 do
+      Distinct.add t.distincts.(k) v
+    done
+
+let range t = if Value.is_null t.lo then None else Some (t.lo, t.hi)
