@@ -73,6 +73,15 @@ let test_limit () =
 
 (* --- hash join vs reference nested loop --- *)
 
+(* Spill charges pinned exactly: pages read back and written, and the CPU
+   total as bits.  The expected values were recorded while every operator
+   still sized both of its inputs up front. *)
+let check_charges what (seq_reads, writes, cpu_bits) c =
+  let k = Sim_clock.counters c.Exec_ctx.clock in
+  Alcotest.(check (triple int int int64)) (what ^ ": seq reads, writes, cpu bits")
+    (seq_reads, writes, cpu_bits)
+    (k.Sim_clock.seq_reads, k.Sim_clock.writes, Int64.bits_of_float k.Sim_clock.cpu_ms)
+
 let reference_join left right ~li ~ri =
   List.concat_map
     (fun lt ->
@@ -108,7 +117,8 @@ let test_hash_join_one_pass_in_memory () =
   in
   Alcotest.(check int) "1 pass" 1 r.Join.passes;
   Alcotest.(check int) "no spill writes" 0
-    (Sim_clock.counters c.Exec_ctx.clock).Sim_clock.writes
+    (Sim_clock.counters c.Exec_ctx.clock).Sim_clock.writes;
+  check_charges "no spill" (0, 0, 4576918229304087675L) c
 
 let test_hash_join_spills_when_tight () =
   let c = ctx () in
@@ -121,7 +131,19 @@ let test_hash_join_spills_when_tight () =
   Alcotest.(check bool) "multi-pass" true (r.Join.passes > 1);
   Alcotest.(check bool) "spill writes charged" true
     ((Sim_clock.counters c.Exec_ctx.clock).Sim_clock.writes > 0);
-  Alcotest.(check int) "results still exact" 5000 (Array.length r.Join.rows)
+  Alcotest.(check int) "results still exact" 5000 (Array.length r.Join.rows);
+  Alcotest.(check int) "passes" 6 r.Join.passes;
+  check_charges "even sides" (300, 300, 4641240890982006784L) c;
+  (* a probe side of another size: both sides are re-read per pass *)
+  let c = ctx () in
+  let probe = rows_of (List.init 1700 (fun i -> (3 * i, i))) in
+  let r =
+    Join.hash_join c ~mem_pages:3 ~build:(big, rs) ~probe:(probe, ls)
+      ~keys:[ ("l.a", "r.a") ] ()
+  in
+  Alcotest.(check int) "uneven rows" 1667 (Array.length r.Join.rows);
+  Alcotest.(check int) "uneven passes" 5 r.Join.passes;
+  check_charges "uneven sides" (160, 160, 4637241694512901784L) c
 
 let test_hash_join_null_keys_dont_match () =
   let c = ctx () in
@@ -333,6 +355,32 @@ let test_aggregate_group_sums () =
        let n = match t.(2) with Value.Int n -> n | _ -> -1 in
        Alcotest.(check int) "25 per group" 25 n)
     r.Aggregate.rows
+
+let distinct_groups n = rows_of (List.init n (fun i -> (i, 7 * i)))
+
+let sum_count =
+  [ { Aggregate.fn = Aggregate.Sum; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "s" };
+    { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" } ]
+
+let test_aggregate_spills_when_tight () =
+  let c = ctx () in
+  let r =
+    Aggregate.hash_aggregate c ~mem_pages:2 (schema_ab "t") ~group_by:[ "t.a" ]
+      ~aggs:sum_count (distinct_groups 4000)
+  in
+  Alcotest.(check int) "groups" 4000 (Array.length r.Aggregate.rows);
+  Alcotest.(check int) "passes" 2 r.Aggregate.passes;
+  check_charges "spill" (24, 24, 4628574517030027264L) c
+
+let test_aggregate_fits () =
+  let c = ctx () in
+  let r =
+    Aggregate.hash_aggregate c ~mem_pages:64 (schema_ab "t") ~group_by:[ "t.a" ]
+      ~aggs:sum_count (distinct_groups 4000)
+  in
+  Alcotest.(check int) "groups" 4000 (Array.length r.Aggregate.rows);
+  Alcotest.(check int) "passes" 1 r.Aggregate.passes;
+  check_charges "no spill" (0, 0, 4628574517030027264L) c
 
 let test_aggregate_global_empty () =
   let c = ctx () in
@@ -1026,6 +1074,8 @@ let suite =
     Alcotest.test_case "sort passes" `Quick test_sort_passes;
     Alcotest.test_case "external sort charges" `Quick test_external_sort_charges;
     Alcotest.test_case "aggregate group sums" `Quick test_aggregate_group_sums;
+    Alcotest.test_case "aggregate spills" `Quick test_aggregate_spills_when_tight;
+    Alcotest.test_case "aggregate fits" `Quick test_aggregate_fits;
     Alcotest.test_case "aggregate global empty" `Quick test_aggregate_global_empty;
     Alcotest.test_case "aggregate avg/min/max" `Quick test_aggregate_avg_min_max;
     Alcotest.test_case "aggregate nulls" `Quick test_aggregate_nulls_skipped;
