@@ -79,12 +79,8 @@ let scan ctx ~degree ?slice_pages ?on_worker heap =
     let n = Heap_file.tuple_count heap in
     let chunks =
       run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
-          let lo = w * n / degree and hi = (w + 1) * n / degree in
-          let out = Array.make (max 0 (hi - lo)) [||] in
-          Heap_file.scan_range heap ~pool:wctx.Exec_ctx.pool
-            ~clock:wctx.Exec_ctx.clock ~from_rid:lo ~to_rid:hi
-            (fun rid tuple -> out.(rid - lo) <- tuple);
-          out)
+          Heap_file.read heap ~pool:wctx.Exec_ctx.pool ~clock:wctx.Exec_ctx.clock
+            ~from_rid:(w * n / degree) ~to_rid:((w + 1) * n / degree))
     in
     Array.concat chunks
   end
