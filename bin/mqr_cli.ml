@@ -485,7 +485,7 @@ let workload_cmd =
    line protocol.  Interactive over stdin, scripted via --driver FILE
    (the driver-mode client the smoke tests use).  All printed times are
    simulated, so driver runs are byte-deterministic; --wall additionally
-   feeds the scheduler a real clock for the wall columns of `report`. *)
+   feeds the scheduler a real clock for the wall makespan of `report`. *)
 let serve_cmd =
   let module Service = Mqr_wlm.Service in
   let module Session = Mqr_wlm.Session in
@@ -495,8 +495,8 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "driver" ] ~docv:"FILE" ~doc)
   in
   let wall_arg =
-    let doc = "Measure wall-clock time (queue/latency/makespan wall columns \
-               in `report`).  Off by default so driver runs stay \
+    let doc = "Measure wall-clock time (the wall makespan line of \
+               `report`).  Off by default so driver runs stay \
                byte-deterministic." in
     Arg.(value & flag & info [ "wall" ] ~doc)
   in

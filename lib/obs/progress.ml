@@ -9,7 +9,6 @@ let label_to_string = function
 type sample = {
   seq : int;
   ts_ms : float;
-  done_ms : float;
   remaining_est_ms : float;
   percent : float;
   eta_lo_ms : float;
@@ -52,9 +51,8 @@ let update t ~label ~now_ms ~remaining_est_ms ~remaining_lo_ms
   let eta_lo = Float.max t.last_eta_lo (now_ms +. rem_lo) in
   let eta_hi = Float.max eta_lo (now_ms +. rem_hi) in
   push t
-    { seq = t.next_seq; ts_ms = now_ms; done_ms = now_ms;
-      remaining_est_ms = rem_est; percent; eta_lo_ms = eta_lo;
-      eta_hi_ms = eta_hi; label }
+    { seq = t.next_seq; ts_ms = now_ms; remaining_est_ms = rem_est; percent;
+      eta_lo_ms = eta_lo; eta_hi_ms = eta_hi; label }
 
 let finish t ~now_ms =
   match t.revs with
@@ -63,9 +61,8 @@ let finish t ~now_ms =
     t.is_finished <- true;
     let eta = Float.max t.last_eta_lo now_ms in
     push t
-      { seq = t.next_seq; ts_ms = now_ms; done_ms = now_ms;
-        remaining_est_ms = 0.0; percent = 100.0; eta_lo_ms = eta;
-        eta_hi_ms = eta; label = Finish }
+      { seq = t.next_seq; ts_ms = now_ms; remaining_est_ms = 0.0;
+        percent = 100.0; eta_lo_ms = eta; eta_hi_ms = eta; label = Finish }
 
 let latest t = match t.revs with [] -> None | s :: _ -> Some s
 let samples t = List.rev t.revs

@@ -32,7 +32,6 @@ val label_to_string : label -> string
 type sample = {
   seq : int;  (** 0-based update index *)
   ts_ms : float;  (** simulated clock at the update *)
-  done_ms : float;  (** simulated work completed so far *)
   remaining_est_ms : float;  (** remainder plan's Eq.1 estimate *)
   percent : float;  (** clamped monotone, in [0, 100] *)
   eta_lo_ms : float;  (** absolute simulated finish-time lower bound *)

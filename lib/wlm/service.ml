@@ -239,7 +239,6 @@ let can_admit_stmt t (s : Session.stmt) =
 let start_stmt t (s : Session.stmt) ~now =
   let tn = tenant_state t s.Session.stmt_tenant in
   s.Session.stmt_admit_ms <- Float.max s.Session.stmt_arrival_ms now;
-  s.Session.stmt_wall_admit <- wall t;
   let queue_ms = s.Session.stmt_admit_ms -. s.Session.stmt_arrival_ms in
   tn.tn_queue_ms <- tn.tn_queue_ms +. queue_ms;
   observe_metric t ~tenant:tn.tn_name ~what:"queue_ms" queue_ms;
@@ -375,8 +374,7 @@ let complete_stmt t (s : Session.stmt) run (rep : Dispatcher.report) =
   let tn = tenant_state t s.Session.stmt_tenant in
   let elapsed = Dispatcher.run_elapsed_ms run in
   s.Session.stmt_finish_ms <- s.Session.stmt_admit_ms +. elapsed;
-  s.Session.stmt_wall_finish <- wall t;
-  t.wall_last <- Float.max t.wall_last s.Session.stmt_wall_finish;
+  t.wall_last <- Float.max t.wall_last (wall t);
   s.Session.stmt_status <- Session.Done rep;
   t.now_ms <- Float.max t.now_ms s.Session.stmt_finish_ms;
   tn.tn_completed <- tn.tn_completed + 1;
@@ -404,7 +402,6 @@ let complete_stmt t (s : Session.stmt) run (rep : Dispatcher.report) =
 let fail_stmt t (s : Session.stmt) msg =
   let tn = tenant_state t s.Session.stmt_tenant in
   s.Session.stmt_status <- Session.Failed msg;
-  s.Session.stmt_wall_finish <- wall t;
   tn.tn_failed <- tn.tn_failed + 1;
   note_deadline_miss t tn;
   retire t s;
@@ -438,7 +435,6 @@ let cancel_stmt t (s : Session.stmt) =
 let submit_stmt t (s : Session.stmt) =
   let tn = tenant_state t s.Session.stmt_tenant in
   tn.tn_submitted <- tn.tn_submitted + 1;
-  s.Session.stmt_wall_submit <- wall t;
   t.all <- s :: t.all;
   if can_admit_stmt t s then start_stmt t s ~now:s.Session.stmt_arrival_ms
   else begin
@@ -553,8 +549,6 @@ type class_stats = {
   cs_n : int;
   cs_p50_ms : float;
   cs_p99_ms : float;
-  cs_wall_p50_ms : float;
-  cs_wall_p99_ms : float;
   cs_violations : int;
 }
 
@@ -615,12 +609,6 @@ let class_stats t slo =
          s.Session.stmt_finish_ms -. s.Session.stmt_arrival_ms)
       done_stmts
   in
-  let wall_latencies =
-    List.map
-      (fun (s : Session.stmt) ->
-         (s.Session.stmt_wall_finish -. s.Session.stmt_wall_submit) *. 1000.0)
-      done_stmts
-  in
   let violations =
     Hashtbl.fold
       (fun _ tn acc -> if tn.tn_slo = slo then acc + tn.tn_violations else acc)
@@ -629,8 +617,6 @@ let class_stats t slo =
   { cs_n = List.length done_stmts;
     cs_p50_ms = percentile 0.50 latencies;
     cs_p99_ms = percentile 0.99 latencies;
-    cs_wall_p50_ms = percentile 0.50 wall_latencies;
-    cs_wall_p99_ms = percentile 0.99 wall_latencies;
     cs_violations = violations }
 
 let report t =

@@ -113,8 +113,6 @@ type class_stats = {
   cs_n : int;               (** completed statements in the class *)
   cs_p50_ms : float;        (** simulated latency (finish - arrival) *)
   cs_p99_ms : float;
-  cs_wall_p50_ms : float;   (** wall latency (finish - submit), ms *)
-  cs_wall_p99_ms : float;
   cs_violations : int;      (** statements past their SLO target *)
 }
 

@@ -40,9 +40,6 @@ type stmt = {
   mutable stmt_progress : Mqr_obs.Progress.t option;
   mutable stmt_admit_ms : float;
   mutable stmt_finish_ms : float;
-  mutable stmt_wall_submit : float;
-  mutable stmt_wall_admit : float;
-  mutable stmt_wall_finish : float;
 }
 
 let stmt_finished s =
@@ -111,10 +108,7 @@ let submit ?(label = "") ?(mode = Dispatcher.Full) ?(arrival_ms = 0.0) t sql =
       stmt_run = None;
       stmt_progress = None;
       stmt_admit_ms = 0.0;
-      stmt_finish_ms = 0.0;
-      stmt_wall_submit = 0.0;
-      stmt_wall_admit = 0.0;
-      stmt_wall_finish = 0.0 }
+      stmt_finish_ms = 0.0 }
   in
   t.s_stmts <- stmt :: t.s_stmts;
   t.hooks.h_submit stmt;

@@ -29,8 +29,8 @@ val status_to_string : status -> string
 
 (** One submitted statement.  The immutable fields identify it; the
     mutable fields are owned by the scheduler (admission/finish times on
-    the shared virtual timeline, wall-clock seconds when the service has
-    a wall clock, the live dispatcher run while [Running]). *)
+    the shared virtual timeline, the live dispatcher run while
+    [Running]). *)
 type stmt = {
   stmt_id : int;            (** service-global; doubles as broker lease id *)
   stmt_label : string;
@@ -53,9 +53,6 @@ type stmt = {
           submission and fed by the dispatcher at every decision point *)
   mutable stmt_admit_ms : float;
   mutable stmt_finish_ms : float;
-  mutable stmt_wall_submit : float;
-  mutable stmt_wall_admit : float;
-  mutable stmt_wall_finish : float;
 }
 
 (** Statement reached a terminal status. *)

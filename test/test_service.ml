@@ -107,6 +107,42 @@ let test_deterministic () =
        Alcotest.(check (list (list string))) (l1 ^ " same rows") rows1 rows2)
     fp1 fp2
 
+(* The wall clock is measured and reported only: with an injected clock
+   the wall makespan is positive, without one it is 0, and the simulated
+   side of the report is identical either way. *)
+let test_wall_clock_reported_only () =
+  let run wall_clock =
+    let options =
+      { Service.default_options with Service.max_concurrency = 2; wall_clock }
+    in
+    let svc = Service.create ~options (engine ()) in
+    let e, w = mixed_workload svc in
+    let r = Service.report svc in
+    ( r.Service.wall_makespan_ms,
+      r.Service.makespan_ms,
+      List.map
+        (fun (slo, (c : Service.class_stats)) ->
+           ( Session.slo_to_string slo, c.Service.cs_p50_ms,
+             c.Service.cs_p99_ms ))
+        r.Service.classes,
+      List.map
+        (fun (s : Session.stmt) ->
+           (s.Session.stmt_label, s.Session.stmt_admit_ms,
+            s.Session.stmt_finish_ms))
+        (Session.statements e @ Session.statements w) )
+  in
+  (* a fake clock: each read is one millisecond after the last *)
+  let now = ref 0.0 in
+  let clock () = now := !now +. 0.001; !now in
+  let wall_on, mksp_on, classes_on, stmts_on = run (Some clock) in
+  let wall_off, mksp_off, classes_off, stmts_off = run None in
+  let times = Alcotest.(list (triple string (float 0.0) (float 0.0))) in
+  Alcotest.(check bool) "wall makespan > 0 with a clock" true (wall_on > 0.0);
+  Alcotest.(check (float 0.0)) "wall makespan 0 without" 0.0 wall_off;
+  Alcotest.(check (float 0.0)) "same simulated makespan" mksp_off mksp_on;
+  Alcotest.check times "same class p50/p99" classes_off classes_on;
+  Alcotest.check times "same admit and finish times" stmts_off stmts_on
+
 (* --- SLO-aware scheduling --- *)
 
 let interactive_p99 svc =
@@ -301,6 +337,8 @@ let suite =
   [ Alcotest.test_case "rows match solo execution" `Quick
       test_rows_match_solo;
     Alcotest.test_case "service deterministic" `Quick test_deterministic;
+    Alcotest.test_case "wall clock is reported only" `Quick
+      test_wall_clock_reported_only;
     Alcotest.test_case "slo-aware beats round-robin" `Quick
       test_slo_aware_beats_round_robin;
     Alcotest.test_case "session lifecycle" `Quick test_lifecycle;
