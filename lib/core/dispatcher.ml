@@ -59,6 +59,9 @@ let pp_event fmt = function
 type run = {
   st : state;
   query : Query.t;
+  (* the query's read set: the only columns whose temp statistics any
+     reader asks about (Query.read_columns) *)
+  read : string list;
   (* original optimizer estimates per node id — the plan annotations *)
   orig_op_ms : (int, float) Hashtbl.t;
   mutable switches : int;
@@ -401,6 +404,7 @@ let prepare ?prepared ~q_span cfg query =
   let r =
     { st;
       query;
+      read = Query.read_columns query;
       orig_op_ms = Hashtbl.create 64;
       switches = 0;
       next_temp = 0;
@@ -511,7 +515,7 @@ let step_once r =
        if st.cfg.verify = Verifier.Sanitize then
          assert_observed_bounds st ~what:"executed unit" j;
        let name = fresh_temp_name r in
-       let bytes = register_temp st ~name ~rows ~schema in
+       let bytes = register_temp st ~read:r.read ~name ~rows ~schema in
        let leaf =
          { Plan.id = fresh_plan_id r;
            node =

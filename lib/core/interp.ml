@@ -795,14 +795,17 @@ let allocate_memory st =
 
 (* Register an executed unit's result as a temp table; returns its byte
    size. *)
-let register_temp st ~name ~rows ~schema =
+let register_temp st ~read ~name ~rows ~schema =
   let heap = Heap_file.create schema in
   Array.iter (Heap_file.append heap) rows;
   let table = Catalog.add_table st.cfg.catalog name heap in
-  (* Free statistics: exact cardinality plus per-column min/max (the paper
-     collects these for every intermediate result); histograms/distincts
-     inherited from upstream collectors where the column passed through, so
-     only the other columns' ranges are computed. *)
+  (* Free statistics: exact cardinality, plus min/max (the paper's free
+     statistics of an intermediate result) for the columns in [read], the
+     query's read set (Query.read_columns): no reader of a temp's
+     statistics asks about any other column.  A column that passed through
+     an upstream collector inherits that collector's statistics instead;
+     every other column's statistics stay empty.  The clock is charged the
+     same whatever is computed. *)
   let names =
     List.map
       (fun col ->
@@ -810,7 +813,11 @@ let register_temp st ~name ~rows ~schema =
          else col.Schema.qualifier ^ "." ^ col.Schema.name)
       (Schema.columns schema)
   in
-  let fresh = List.filter (fun q -> not (List.mem_assoc q st.overrides)) names in
+  let fresh =
+    List.filter
+      (fun q -> List.mem q read && not (List.mem_assoc q st.overrides))
+      names
+  in
   Sim_clock.charge_cpu_ms st.ctx.Exec_ctx.clock
     (Collector.estimated_cost_ms (Collector.spec ())
        ~rows:(float_of_int (Array.length rows)));

@@ -230,6 +230,12 @@ let output_schema _catalog t =
     Schema.make (group_cols @ agg_cols)
   end
 
+let read_columns t =
+  List.sort_uniq String.compare
+    (List.concat_map Expr.columns t.conjuncts
+     @ t.group_by
+     @ List.map fst t.order_by)
+
 (* Number of join operators any plan for this block will contain.  The
    paper classifies queries by this count; note it is relations - 1, not
    the number of join conjuncts (a query can carry redundant equalities,

@@ -42,6 +42,16 @@ val bind : Mqr_catalog.Catalog.t -> Ast.query -> t
 (** Schema of the query result. *)
 val output_schema : Mqr_catalog.Catalog.t -> t -> Schema.t
 
+(** The columns whose statistics the re-optimizer can ask about: those
+    of the WHERE conjuncts, the GROUP BY columns and the ORDER BY names,
+    sorted and deduplicated.  Every reader of an intermediate result's
+    catalog statistics asks only about these: a replan's [Stats_env] and
+    [Selectivity] (through [Reopt_policy.remainder_query], whose
+    predicates are a subset of the conjuncts), [Bounds] (the bound check,
+    progress and the sanitizer) and SCIA on a switched-to plan.  So a temp
+    table needs its free min/max only for these columns. *)
+val read_columns : t -> string list
+
 (** Number of join operators any plan for this block will contain
     (relations - 1); the paper classifies queries as simple/medium/complex
     by this count. *)

@@ -426,6 +426,98 @@ let test_optimizer_never_presorts_multikey () =
        | _ -> ())
     (Plan.nodes plan)
 
+(* --- temp statistics cover the query's read set --- *)
+
+(* Q7 and Q8 stepped unit by unit, sanitizer and progress attached.  A
+   temp table's column carries min/max exactly when it is in the query's
+   read set, the temp holds rows and no collector observed the column
+   before the temp was registered; a collected column carries its
+   collector's histogram or distinct count instead.  The collected
+   columns come from the report's [Ev_collected] events, by emission
+   time. *)
+let test_temp_stats_cover_read_set () =
+  let catalog = Mqr_tpcd.Workload.experiment_catalog ~sf:0.001 () in
+  let engine =
+    Engine.create ~budget_pages:64 ~pool_pages:512
+      ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
+  in
+  let ranged = ref 0 and empty = ref 0 and collected = ref 0 in
+  List.iter
+    (fun name ->
+       let q =
+         Engine.bind_sql engine (Mqr_tpcd.Queries.find name).Mqr_tpcd.Queries.sql
+       in
+       let read = Query.read_columns q in
+       List.iter
+         (fun mode ->
+            let label = name ^ "/" ^ Dispatcher.mode_to_string mode in
+            let progress = Mqr_obs.Progress.create () in
+            let r =
+              Dispatcher.start (Engine.dispatcher_config engine ~mode ~progress ()) q
+            in
+            (* each temp's statistics as first seen, with the sim time of
+               the step that registered it *)
+            let temps = Hashtbl.create 8 in
+            let observe () =
+              List.iter
+                (fun (t : Catalog.table) ->
+                   if String.starts_with ~prefix:"__temp" t.Catalog.name
+                   && not (Hashtbl.mem temps t.Catalog.name)
+                   then
+                     Hashtbl.add temps t.Catalog.name
+                       (Dispatcher.run_elapsed_ms r, t))
+                (Catalog.tables catalog)
+            in
+            let rec drive () =
+              match Dispatcher.step r with
+              | None -> observe (); drive ()
+              | Some report -> report
+            in
+            let report = drive () in
+            if mode = Dispatcher.Full then
+              Alcotest.(check bool) (label ^ " switches") true
+                (report.Dispatcher.switches > 0);
+            Alcotest.(check bool) (label ^ " registered temps") true
+              (Hashtbl.length temps > 0);
+            let collected_by now =
+              List.concat_map
+                (function
+                  | ts, Dispatcher.Ev_collected { columns; _ } when ts <= now ->
+                    columns
+                  | _ -> [])
+                report.Dispatcher.timed_events
+            in
+            Hashtbl.iter
+              (fun temp (now, (t : Catalog.table)) ->
+                 let overridden = collected_by now in
+                 let rows = Heap_file.tuple_count t.Catalog.heap in
+                 List.iteri
+                   (fun i (col : Schema.column) ->
+                      let c = col.Schema.qualifier ^ "." ^ col.Schema.name in
+                      let st = t.Catalog.stats.(i) in
+                      let what = Printf.sprintf "%s %s %s" label temp c in
+                      if List.mem c overridden then begin
+                        incr collected;
+                        Alcotest.(check bool) (what ^ " collected") true
+                          (st.Mqr_catalog.Column_stats.histogram <> None
+                           || st.Mqr_catalog.Column_stats.distinct <> None)
+                      end
+                      else begin
+                        let expect = List.mem c read && rows > 0 in
+                        if expect then incr ranged else incr empty;
+                        Alcotest.(check bool) (what ^ " min") expect
+                          (st.Mqr_catalog.Column_stats.min_v <> None);
+                        Alcotest.(check bool) (what ^ " max") expect
+                          (st.Mqr_catalog.Column_stats.max_v <> None)
+                      end)
+                   (Schema.columns (Heap_file.schema t.Catalog.heap)))
+              temps)
+         [ Dispatcher.Full; Dispatcher.Bound_checked ])
+    [ "Q7"; "Q8" ];
+  Alcotest.(check bool) "read-set columns ranged" true (!ranged > 0);
+  Alcotest.(check bool) "other columns left empty" true (!empty > 0);
+  Alcotest.(check bool) "collected columns seen" true (!collected > 0)
+
 let suite =
   [ Alcotest.test_case "clock accounting" `Quick test_clock_accounting;
     Alcotest.test_case "clock since" `Quick test_clock_since;
@@ -456,4 +548,6 @@ let suite =
     Alcotest.test_case "result schema names" `Quick test_result_schema_names;
     Alcotest.test_case "order by non-selected column" `Quick test_order_by_non_selected_column;
     Alcotest.test_case "multi-key merge join correct" `Quick test_multi_key_merge_join_correct;
-    Alcotest.test_case "no presort on multi-key" `Quick test_optimizer_never_presorts_multikey ]
+    Alcotest.test_case "no presort on multi-key" `Quick test_optimizer_never_presorts_multikey;
+    Alcotest.test_case "temp statistics cover the read set" `Quick
+      test_temp_stats_cover_read_set ]

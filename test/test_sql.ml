@@ -222,6 +222,20 @@ let test_bind_distinct_rewrites_to_group () =
   Alcotest.(check (list string)) "group by = select" [ "t.b" ] q.Query.group_by;
   Alcotest.(check int) "no aggs" 0 (List.length q.Query.aggs)
 
+(* The read set: WHERE, GROUP BY and ORDER BY columns, sorted and
+   deduplicated; a column only selected or only aggregated is not read. *)
+let test_read_columns () =
+  let check name sql expected =
+    Alcotest.(check (list string)) name expected
+      (Query.read_columns (bind sql))
+  in
+  check "grouped"
+    "select c, sum(b) as s from t, u where t.a = u.a group by c order by s"
+    [ "s"; "t.a"; "u.a"; "u.c" ];
+  check "plain" "select c from t, u where t.a = u.a and t.a > 2 order by b"
+    [ "t.a"; "t.b"; "u.a" ];
+  check "no predicates" "select b, c from t, u" []
+
 let test_bind_having () =
   let q = bind "select b, count(*) as n from t group by b having n > 1" in
   (match q.Query.having with
@@ -279,4 +293,5 @@ let suite =
     Alcotest.test_case "parse having/distinct" `Quick test_parse_having_distinct;
     Alcotest.test_case "bind distinct" `Quick test_bind_distinct_rewrites_to_group;
     Alcotest.test_case "bind having" `Quick test_bind_having;
+    Alcotest.test_case "read columns" `Quick test_read_columns;
     Alcotest.test_case "parse count distinct" `Quick test_parse_count_distinct ]
