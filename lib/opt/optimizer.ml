@@ -684,10 +684,12 @@ let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~interesting =
    loses to its Pareto set, (2) otherwise priced, and skipped when its
    exact total loses, and (3) built as a plan node only when it enters the
    set.  Aliases are bits, interesting orders are small ints, each entry
-   carries the orders its plan delivers, and every estimate that does not
-   depend on the particular left/right pair (key orientation, join
-   selectivity, the inner side of an indexed nested-loops join) is
-   computed once per split.  Candidates are counted and numbered (a
+   carries the orders its plan delivers.  What depends on one join
+   conjunct only (each orientation's selectivity and interesting-order
+   slots) or on one relation only (the inner side of an indexed
+   nested-loops join) is computed once per call, and whatever else does
+   not depend on the particular left/right pair (key orientation, join
+   selectivity) once per split.  Candidates are counted and numbered (a
    skipped one still takes its id) in exactly the order the plain
    build-every-pair formulation would, so plans, ids and
    [plans_enumerated] do not depend on these shortcuts. *)
@@ -709,6 +711,16 @@ let rec undercut ms o = function
   | (c : cand) :: rest ->
     (total c.plan < ms && (o < 0 || has_order o c.orders))
     || undercut ms o rest
+
+(* An equi-join conjunct in one orientation, probe/outer column first,
+   with what a split reads of it. *)
+type oriented = {
+  key : string * string;
+  key_sel : float;      (* [equijoin_sel] of the ordered pair *)
+  left_slot : int;      (* interesting-order slot of each column, or -1 *)
+  right_slot : int;
+  key_orders : int list;  (* the orders a merge on this key delivers *)
+}
 
 let rec undercut_all ms entries = function
   | [] -> true
@@ -853,14 +865,22 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     end
   in
   (* Conjuncts annotated with their owner masks; an equi-join conjunct
-     also carries its columns and the alias bit of the first. *)
+     also carries the alias bit of its first column and both of its
+     orientations. *)
+  let orient l r =
+    { key = (l, r);
+      key_sel = equijoin_sel ctx ~left:l ~right:r;
+      left_slot = slot l;
+      right_slot = slot r;
+      key_orders = slots_of [ l; r ] }
+  in
   let joins =
     List.map
       (fun ci ->
          let eq =
            match Expr.shape_of ci.expr with
            | Expr.S_col_eq_col (a, b) ->
-             Some (a, b, bit_of (alias_owning ctx.env a))
+             Some (bit_of (alias_owning ctx.env a), orient a b, orient b a)
            | _ -> None
          in
          ((ci, eq), mask_of ci.owners))
@@ -895,6 +915,19 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
       Some (table, alias, filter)
     | _ -> None
   in
+  (* The inner side of an indexed nested-loops join, per singleton (by bit
+     index): its scan parameters, statistics and filter selectivity. *)
+  let inner_info =
+    Array.init n (fun i ->
+        if not options.enable_index_join then None
+        else
+          Option.map
+            (fun (table, alias, inner_filter) ->
+               let inner = Stats_env.rel ctx.env ~alias in
+               (table, alias, inner_filter, inner, sel_opt ctx inner_filter))
+            (scan_info_of (1 lsl i)))
+  in
+  let rec bit_index m = if m = 1 then 0 else 1 + bit_index (m lsr 1) in
   (* Subsets in increasing popcount order: iterating masks ascending works
      because any strict submask is numerically smaller. *)
   for mask = 1 to full do
@@ -916,30 +949,36 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
         then begin
           (* split conjuncts into equality keys (probe side first) and
              residual *)
-          let keys, residual =
+          let oriented, residual =
             List.partition_map
               (fun (ci, eq) ->
                  match eq with
-                 | Some (a, b, a_bit) ->
-                   if a_bit land s1v <> 0 then Left (a, b) else Left (b, a)
+                 | Some (a_bit, ab, ba) ->
+                   if a_bit land s1v <> 0 then Left ab else Left ba
                  | None -> Right ci.expr)
               conns
           in
+          let keys = List.map (fun k -> k.key) oriented in
           let cplx = spanning complexes s1v s2 in
           let extra_list = residual @ List.map (fun ci -> ci.expr) cplx in
           let extra =
             match extra_list with [] -> None | l -> Some (Expr.conjoin l)
           in
           let extra_sel = sel_opt ctx extra in
-          let jsel = key_sel ctx keys *. extra_sel in
+          let jsel =
+            List.fold_left (fun acc k -> acc *. k.key_sel) 1.0 oriented
+            *. extra_sel
+          in
           let has_keys = not (List.is_empty keys) in
           (* a merge input is pre-sorted only on a single-pair key; the
              merge delivers its first key pair's orders *)
           let left_key, right_key =
-            match keys with [ (l, r) ] -> (slot l, slot r) | _ -> (-1, -1)
+            match oriented with
+            | [ k ] -> (k.left_slot, k.right_slot)
+            | _ -> (-1, -1)
           in
           let merge_orders =
-            match keys with (l, r) :: _ -> slots_of [ l; r ] | [] -> []
+            match oriented with k :: _ -> k.key_orders | [] -> []
           in
           let rf_keys = merge_rf_keys keys in
           (* indexed nested loops: the inner side must be a single base
@@ -951,13 +990,11 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
                     && s2 land (s2 - 1) = 0)
             then []
             else
-              match scan_info_of s2 with
+              match inner_info.(bit_index s2) with
               | None -> []
-              | Some (table, alias, inner_filter) ->
-                let inner = Stats_env.rel ctx.env ~alias in
-                let inner_sel = sel_opt ctx inner_filter in
+              | Some (table, alias, inner_filter, inner, inner_sel) ->
                 List.filter_map
-                  (fun (outer_col, inner_col) ->
+                  (fun { key = (outer_col, inner_col); key_sel = jsel; _ } ->
                      if
                        not
                          (List.exists (String.equal inner_col)
@@ -982,9 +1019,6 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
                          | [] -> None
                          | l -> Some (Expr.conjoin l)
                        in
-                       let jsel =
-                         equijoin_sel ctx ~left:outer_col ~right:inner_col
-                       in
                        let extra_sel = sel_opt ctx extra in
                        Some
                          (fun left ->
@@ -992,7 +1026,7 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
                               ~outer_col ~inner_col ~inner_filter ~extra ~jsel
                               ~inner_sel ~extra_sel)
                      end)
-                  keys
+                  oriented
           in
           List.iter
             (fun left ->
