@@ -1113,8 +1113,9 @@ let opt_scenario () =
    or one distinct counter; [histogram] is one MaxDiff build over a
    collector-sized reservoir sample, per sample value; [collect] is
    [Collector.collect] with a histogram and a distinct count on the
-   column.  Min and median over op_reps runs, minor words per value
-   from the median-allocating run.                                      *)
+   column.  The [rng] row is one [Rng.int] draw, the step behind every
+   reservoir replacement (and datagen and sampling).  Min and median over
+   op_reps runs, minor words per value from the median-allocating run. *)
 
 let collect_scenario () =
   let module Value = Mqr_storage.Value in
@@ -1181,7 +1182,19 @@ let collect_scenario () =
                done );
            ( "collect", n,
              fun () -> ignore (Collector.collect ctx schema spec rows) ) ])
-    [ "l_orderkey"; "l_quantity"; "l_extendedprice"; "l_shipdate"; "l_shipmode" ]
+    [ "l_orderkey"; "l_quantity"; "l_extendedprice"; "l_shipdate"; "l_shipmode" ];
+  let draws = 1_000_000 and rng = Mqr_stats.Rng.create 0x5eed in
+  let scenario = "collect/rng" and mode = "int" in
+  count ~scenario ~mode "ops" draws;
+  let ns_min, ns_med, words =
+    record_timed ~per:draws ~scenario ~mode
+      (timed op_reps ~setup:ignore (fun () ->
+           for _ = 1 to draws do
+             ignore (Mqr_stats.Rng.int rng 1000)
+           done))
+  in
+  Fmt.pr "%-16s %-10s %8d %10.2f %10.2f %10.3f@." "rng" "int" draws ns_min
+    ns_med words
 
 (* ------------------------------------------------------------------ *)
 (* Storage accounting on the wall clock: what the bookkeeping behind the
