@@ -33,8 +33,7 @@ let output_schema input_schema ~group_by ~aggs =
   let agg_cols = List.map (fun s -> Schema.col s.out_name (agg_ty input_schema s)) aggs in
   Schema.make (group_cols @ agg_cols)
 
-module Ktbl = Rows_ops.Ktbl
-module Vtbl = Rows_ops.Vtbl
+module Table = Rows_ops.Table
 
 (* The running sum mirrors [Value.add] folded from [Null]: an unboxed int
    while only ints arrive, an unboxed float from the first float on, and
@@ -53,7 +52,7 @@ type acc = {
   mutable isum : int;
   fsum : fsum;
   mutable v : Value.t;  (* Min/Max extreme, or the sum once boxed *)
-  seen : unit Vtbl.t option;  (* distinct-argument tracking *)
+  seen : Table.t option;  (* distinct-argument tracking, keyed by [[|x|]] *)
 }
 
 let add_sum a x =
@@ -85,6 +84,7 @@ type prepared = {
   fns : agg_fn array;
   evals : (Tuple.t -> Value.t) option array;
   distinct : bool array;
+  cell : Value.t array;  (* one argument value, looked up in [seen] *)
 }
 
 let prepare input_schema ~group_by ~aggs =
@@ -92,29 +92,25 @@ let prepare input_schema ~group_by ~aggs =
   { group_idx = Array.of_list (List.map (Schema.index_of input_schema) group_by);
     fns = Array.map (fun s -> s.fn) specs;
     evals = Array.map (fun s -> Option.map (Expr.compile input_schema) s.arg) specs;
-    distinct = Array.map (fun s -> s.distinct_arg) specs }
+    distinct = Array.map (fun s -> s.distinct_arg) specs;
+    cell = [| Value.Null |] }
+
+let cell0 = [| 0 |]
 
 let fresh_accs p =
   Array.map
     (fun distinct ->
        { count = 0; state = No_sum; isum = 0; fsum = { f = 0.0 }; v = Value.Null;
-         seen = (if distinct then Some (Vtbl.create 16) else None) })
+         seen = (if distinct then Some (Table.create ~key:cell0 8) else None) })
     p.distinct
 
-let load_key p key t =
-  for i = 0 to Array.length key - 1 do
-    key.(i) <- t.(p.group_idx.(i))
-  done
-
-let fresh_arg a x =
+let fresh_arg p a x =
   match a.seen with
   | None -> true
   | Some set ->
-    if Vtbl.mem set x then false
-    else begin
-      Vtbl.replace set x ();
-      true
-    end
+    p.cell.(0) <- x;
+    let h = Rows_ops.row_hash p.cell cell0 in
+    Table.find set h p.cell cell0 < 0 && (ignore (Table.add set h [| x |]); true)
 
 let feed p accs t =
   for i = 0 to Array.length accs - 1 do
@@ -123,7 +119,7 @@ let feed p accs t =
     | None -> a.count <- a.count + 1
     | Some f ->
       let x = f t in
-      if not (Value.is_null x) && fresh_arg a x then
+      if not (Value.is_null x) && fresh_arg p a x then
         match p.fns.(i) with
         | Count -> a.count <- a.count + 1
         | Sum | Avg ->
@@ -142,10 +138,10 @@ let agg_value fn a =
     if a.count = 0 then Value.Null
     else Value.Float (Value.to_float (sum_value a) /. float_of_int a.count)
 
-let finalize p key accs =
-  let nk = Array.length key in
+let finalize p first accs =
+  let nk = Array.length p.group_idx in
   let row = Array.make (nk + Array.length accs) Value.Null in
-  Array.blit key 0 row 0 nk;
+  Array.iteri (fun i c -> row.(i) <- first.(c)) p.group_idx;
   Array.iteri (fun i a -> row.(nk + i) <- agg_value p.fns.(i) a) accs;
   row
 
@@ -153,36 +149,44 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs rows =
   let clock = ctx.Exec_ctx.clock in
   let out_schema = output_schema input_schema ~group_by ~aggs in
   let p = prepare input_schema ~group_by ~aggs in
-  let table : acc array Ktbl.t = Ktbl.create 256 in
-  (* one scratch key, copied only when it starts a new group *)
-  let key = Array.make (Array.length p.group_idx) Value.Null in
-  Array.iter
-    (fun t ->
-       load_key p key t;
-       let accs =
-         match Ktbl.find table key with
-         | a -> a
-         | exception Not_found ->
-           let a = fresh_accs p in
-           Ktbl.add table (Array.copy key) a;
-           a
-       in
-       feed p accs t)
-    rows;
+  let gidx = p.group_idx in
+  let table = Table.create ~key:gidx 16 in
+  let groups = ref (Array.make 16 [||]) in
+  let add_group h t =
+    let id = Table.add table h t in
+    if id = Array.length !groups then
+      groups := Array.append !groups (Array.make id [||]);
+    !groups.(id) <- fresh_accs p;
+    id
+  in
+  for r = 0 to Array.length rows - 1 do
+    let t = rows.(r) in
+    let h = Rows_ops.row_hash t gidx in
+    let id = Table.find table h t gidx in
+    feed p !groups.(if id >= 0 then id else add_group h t) t
+  done;
   Sim_clock.charge_hash_tuples clock (Array.length rows);
   (* A global aggregate (no GROUP BY) over an empty input still yields one
      row, per SQL semantics. *)
-  if group_by = [] && Ktbl.length table = 0 then Ktbl.add table [||] (fresh_accs p);
-  (* Groups come out in the reverse of [Ktbl.fold]'s order, which the key
-     hash fixes. *)
-  let n = Ktbl.length table in
-  let out = Array.make n [||] in
-  ignore
-    (Ktbl.fold
-       (fun key accs i ->
-          out.(i) <- finalize p key accs;
-          i - 1)
-       table (n - 1));
+  if group_by = [] && Table.length table = 0 then ignore (add_group 17 [||]);
+  let n = Table.length table in
+  (* Groups come out in the order of the stdlib [Hashtbl] this table
+     replaced: one of 256 buckets, doubled while there are more than two
+     groups per bucket, picked by folding [Value.hash] over the key (from
+     17, times 31); buckets in descending order, groups in first-seen
+     order within one. *)
+  let rec buckets b = if n > 2 * b then buckets (2 * b) else b in
+  let mask = buckets 256 - 1 in
+  let order =
+    Array.init n (fun id ->
+        let first = Table.row table id in
+        let h = Array.fold_left (fun h c -> (h * 31) + Value.hash first.(c)) 17 gidx in
+        ((mask - (h land mask)) * n) + id)
+  in
+  Array.sort Int.compare order;
+  let out =
+    Array.map (fun k -> finalize p (Table.row table (k mod n)) !groups.(k mod n)) order
+  in
   Sim_clock.charge_cpu_tuples clock (Array.length out);
   (* Memory model: if the group table exceeds the grant, aggregation spills
      and re-reads its input once (2-pass partitioned aggregation). *)
@@ -205,18 +209,17 @@ let sorted_aggregate ctx input_schema ~group_by ~aggs rows =
   let out_schema = output_schema input_schema ~group_by ~aggs in
   let p = prepare input_schema ~group_by ~aggs in
   let out = Rows_ops.Out.create 16 in
-  let key = Array.make (Array.length p.group_idx) Value.Null in
   let current = ref None in
   Array.iter
     (fun t ->
-       load_key p key t;
        match !current with
-       | Some (k, accs) when Rows_ops.Key.equal k key -> feed p accs t
+       | Some (first, accs) when Rows_ops.keys_equal first p.group_idx t p.group_idx ->
+         feed p accs t
        | prev ->
-         Option.iter (fun (k, accs) -> Rows_ops.Out.add out (finalize p k accs)) prev;
+         Option.iter (fun (first, accs) -> Rows_ops.Out.add out (finalize p first accs)) prev;
          let accs = fresh_accs p in
          feed p accs t;
-         current := Some (Array.copy key, accs))
+         current := Some (t, accs))
     rows;
   (match !current with
    | Some (k, accs) -> Rows_ops.Out.add out (finalize p k accs)

@@ -21,9 +21,11 @@ type result = {
   passes : int;
 }
 
-module Vtbl = Rows_ops.Vtbl
-module Ktbl = Rows_ops.Ktbl
 module Out = Rows_ops.Out
+module Table = Rows_ops.Table
+
+let rec has_null t idx i =
+  i < Array.length idx && (Value.is_null t.(idx.(i)) || has_null t idx (i + 1))
 
 let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
     ~probe:(probe_rows, probe_schema) ~keys ?extra () =
@@ -56,54 +58,38 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
   in
   let out = Out.create (Array.length probe_rows) in
-  let rec emit_all pt = function
-    | [] -> ()
-    | bt :: rest ->
-      let joined = Tuple.concat pt bt in
-      (match residual with
-       | Some p when not (p joined) -> ()
-       | _ -> Out.add out joined);
-      emit_all pt rest
-  in
-  (* The in-memory join itself (final pass).  Single-key joins use the
-     value directly as the table key; multi-key joins build one key array
-     per stored build tuple and reuse a scratch array for probe lookups. *)
-  (match build_idx with
-   | [| bi |] ->
-     let pi = probe_idx.(0) in
-     let table = Vtbl.create (max 16 (Array.length build_rows)) in
-     Array.iter
-       (fun t ->
-          let k = t.(bi) in
-          if not (Value.is_null k) then Vtbl.add table k t)
-       build_rows;
-     Array.iter
-       (fun pt ->
-          let k = pt.(pi) in
-          if not (Value.is_null k) then emit_all pt (Vtbl.find_all table k))
-       probe_rows
-   | _ ->
-     let nk = Array.length build_idx in
-     let has_null t idx =
-       let rec go i = i < nk && (Value.is_null t.(idx.(i)) || go (i + 1)) in
-       go 0
-     in
-     let table = Ktbl.create (max 16 (Array.length build_rows)) in
-     Array.iter
-       (fun t ->
-          if not (has_null t build_idx) then
-            Ktbl.add table (Array.map (fun i -> t.(i)) build_idx) t)
-       build_rows;
-     let scratch = Array.make nk Value.Null in
-     Array.iter
-       (fun pt ->
-          if not (has_null pt probe_idx) then begin
-            for i = 0 to nk - 1 do
-              scratch.(i) <- pt.(probe_idx.(i))
-            done;
-            emit_all pt (Ktbl.find_all table scratch)
-          end)
-       probe_rows);
+  (* The in-memory join itself (final pass).  [newest.(id)] is the last
+     build row of key [id]; [next] chains each build row to the previous
+     one of its key, so a probe emits its matches newest first. *)
+  let nb = Array.length build_rows in
+  let table = Table.create ~key:build_idx nb in
+  let newest = Array.make nb (-1) and next = Array.make nb (-1) in
+  for r = 0 to nb - 1 do
+    let t = build_rows.(r) in
+    if not (has_null t build_idx 0) then begin
+      let h = Rows_ops.row_hash t build_idx in
+      let id = Table.find table h t build_idx in
+      if id >= 0 then begin
+        next.(r) <- newest.(id);
+        newest.(id) <- r
+      end
+      else newest.(Table.add table h t) <- r
+    end
+  done;
+  for i = 0 to Array.length probe_rows - 1 do
+    let pt = probe_rows.(i) in
+    if not (has_null pt probe_idx 0) then begin
+      let id = Table.find table (Rows_ops.row_hash pt probe_idx) pt probe_idx in
+      let r = ref (if id >= 0 then newest.(id) else -1) in
+      while !r >= 0 do
+        let joined = Tuple.concat pt build_rows.(!r) in
+        (match residual with
+         | Some p when not (p joined) -> ()
+         | _ -> Out.add out joined);
+        r := next.(!r)
+      done
+    end
+  done;
   Sim_clock.charge_hash_tuples clock (Array.length build_rows);
   Sim_clock.charge_hash_tuples clock (Array.length probe_rows);
   Sim_clock.charge_cpu_tuples clock (Out.length out);

@@ -17,20 +17,6 @@ val limit : Exec_ctx.t -> int -> Tuple.t array -> Tuple.t array
 (** Total byte footprint of a row set. *)
 val bytes_of_rows : Tuple.t array -> int
 
-(** Hash table keyed by one value (single-column join keys). *)
-module Vtbl : Hashtbl.S with type key = Value.t
-
-(** Multi-column join and group keys.  [hash] folds [Value.hash] over the
-    elements from 17 with a factor of 31, so a table's iteration order is
-    a function of its keys and their insertion order. *)
-module Key : sig
-  type t = Value.t array
-
-  val equal : t -> t -> bool
-end
-
-module Ktbl : Hashtbl.S with type key = Key.t
-
 (** Growable output buffer for operators whose output size is unknown in
     advance (joins, streaming aggregation). *)
 module Out : sig
@@ -44,4 +30,40 @@ module Out : sig
 
   (** The rows added, in order.  Call once, after the last [add]. *)
   val contents : t -> Tuple.t array
+end
+
+(** Hash of a join, group or DISTINCT key value that agrees with
+    [Value.equal] ([Int 3] and [Float 3.0], [-0.0] and [0.0], all nans):
+    an integer mix for [Int], [Date] and integral [Float]s below 2^53,
+    [Value.hash] for other numbers, a loop over a [String]'s bytes, a
+    constant for [Null] and [Bool].  Allocates nothing off [Value.hash]. *)
+val key_hash : Value.t -> int
+
+(** [row_hash t idx] folds [key_hash] over the columns [idx] of [t] (from
+    17, times 31). *)
+val row_hash : Tuple.t -> int array -> int
+
+(** [Value.equal] on the columns [ai] of [a] and [bi] of [b], pairwise. *)
+val keys_equal : Tuple.t -> int array -> Tuple.t -> int array -> bool
+
+(** The hash table of hash joins, hash aggregation and COUNT(DISTINCT):
+    distinct keys, numbered 0, 1, ... in first-added order, each the [key]
+    columns of its first row.  Linear probing over (full hash, id) int
+    pairs, at most half full; only growth allocates. *)
+module Table : sig
+  type t
+
+  val create : key:int array -> int -> t
+
+  (** [find t h row idx]: the id of the key in columns [idx] of [row],
+      whose [row_hash] is [h], or -1. *)
+  val find : t -> int -> Tuple.t -> int array -> int
+
+  (** [add t h row] adds [row]'s key, which must be absent; returns its id. *)
+  val add : t -> int -> Tuple.t -> int
+
+  val length : t -> int
+
+  (** [row t id] is the first row added with key [id]. *)
+  val row : t -> int -> Tuple.t
 end

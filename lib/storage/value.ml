@@ -25,6 +25,8 @@ let compare a b =
 
 let equal a b =
   match a, b with
+  | Int x, Int y | Date x, Date y -> x = y
+  | String x, String y -> String.equal x y
   | Null, Null -> true
   | Null, _ | _, Null -> false
   | _ -> compare a b = 0
