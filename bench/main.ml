@@ -1282,6 +1282,65 @@ let storage_scenario () =
       done)
 
 (* ------------------------------------------------------------------ *)
+(* Hash kernels on the wall clock, on sf 0.02 data: [Join.hash_join] per
+   probe row, with one Int key (lineitem's l_orderkey into orders; every
+   probe matches one row) and two (lineitem's l_partkey, l_suppkey into
+   partsupp; datagen draws them independently, so most probes miss), and
+   [Aggregate.hash_aggregate] per grouped row in Q1's shape (lineitem by
+   l_returnflag, l_linestatus; count only).  Join inputs are cut to
+   their key columns, so the table, not the output rows, sets the cost;
+   each join builds its table once per run.  Min and median over op_reps
+   runs, minor words per row from the median-allocating run. *)
+
+let hash_scenario () =
+  let module Schema = Mqr_storage.Schema in
+  let module Heap_file = Mqr_storage.Heap_file in
+  let module Aggregate = Mqr_exec.Aggregate in
+  let module Join = Mqr_exec.Join in
+  let sf = 0.02 in
+  header
+    (Fmt.str "Hash kernels - wall ns per row (sf=%g, %d reps)" sf op_reps);
+  let catalog = Datagen.generate { Datagen.default with Datagen.sf } in
+  let table name q =
+    let heap = (Catalog.find_exn catalog name).Catalog.heap in
+    ( Array.init (Heap_file.tuple_count heap) (Heap_file.get heap),
+      Schema.qualify (Heap_file.schema heap) q )
+  in
+  let ctx = Mqr_exec.Exec_ctx.create () in
+  let keys_only (rows, schema) cols =
+    Mqr_exec.Rows_ops.project ctx schema cols rows
+  in
+  let lineitem = table "lineitem" "l" in
+  Fmt.pr "%-14s %9s %10s %10s %10s@." "kernel" "rows" "ns-min" "ns-med" "words";
+  let report mode ~per f =
+    let scenario = "hash" in
+    count ~scenario ~mode "ops" per;
+    let ns_min, ns_med, words =
+      record_timed ~per ~scenario ~mode (timed op_reps ~setup:ignore f)
+    in
+    Fmt.pr "%-14s %9d %10.2f %10.2f %10.3f@." mode per ns_min ns_med words
+  in
+  List.iter
+    (fun (mode, build, keys) ->
+       let probe = keys_only lineitem (List.map fst keys) in
+       let build = keys_only build (List.map snd keys) in
+       report mode ~per:(Array.length (fst probe)) (fun () ->
+           ignore
+             (Join.hash_join ctx ~mem_pages:100_000 ~build ~probe ~keys ())))
+    [ ("probe/1-int", table "orders" "o", [ ("l.l_orderkey", "o.o_orderkey") ]);
+      ( "probe/2-int", table "partsupp" "ps",
+        [ ("l.l_partkey", "ps.ps_partkey"); ("l.l_suppkey", "ps.ps_suppkey") ] ) ];
+  let rows, schema = lineitem in
+  let aggs =
+    [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None;
+        out_name = "count_order" } ]
+  in
+  report "group/q1" ~per:(Array.length rows) (fun () ->
+      ignore
+        (Aggregate.hash_aggregate ctx ~mem_pages:100_000 schema
+           ~group_by:[ "l.l_returnflag"; "l.l_linestatus" ] ~aggs rows))
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("f10", figure10); ("f11", figure11); ("f12", figure12); ("xfig3", xfig3);
@@ -1290,7 +1349,8 @@ let experiments =
     ("rf", runtime_filters); ("wlm", wlm); ("observers", observers_scenario);
     ("bounds", bounds_scenario); ("parallel", parallel_scenario);
     ("service", service_scenario); ("opt", opt_scenario);
-    ("collect", collect_scenario); ("storage", storage_scenario) ]
+    ("collect", collect_scenario); ("storage", storage_scenario);
+    ("hash", hash_scenario) ]
 
 let () =
   let which =
