@@ -2,10 +2,13 @@
    seeded sf=0.005 experiment catalog under each option variant and print
    the chosen plan, its node ids (pre-order), the number of plans the DP
    enumerated and a digest of every node's estimates at full float
-   precision.  The optimizer is deterministic, so the output is byte-stable
-   and `dune promote` maintains the golden; any change to join
-   enumeration that alters a plan, an id, an estimate or the enumeration
-   count shows up as a diff.  Three final groups stress the DP's edge
+   precision, then the plan's provable cost interval
+   ({!Mqr_analysis.Bounds.cost_interval}) at dop 1 and at the variant's
+   [max_dop], also at full precision.  The optimizer is deterministic, so
+   the output is byte-stable and `dune promote` maintains the golden; any
+   change to join enumeration that alters a plan, an id, an estimate or
+   the enumeration count shows up as a diff, and so does any change to
+   the price the bounds put on a plan.  Three final groups stress the DP's edge
    cases: every relation of Q5, Q7 and Q8 shrunk to the same tiny
    cardinality (many candidates cost exactly the same, so the Pareto
    sets' tie rule decides), one plan re-costed after overriding
@@ -24,6 +27,7 @@ module Stats_env = Mqr_opt.Stats_env
 module Plan = Mqr_opt.Plan
 module Queries = Mqr_tpcd.Queries
 module Workload = Mqr_tpcd.Workload
+module Bounds = Mqr_analysis.Bounds
 
 let variants =
   let d = Optimizer.default_options in
@@ -46,7 +50,7 @@ let digest plan =
     (Plan.nodes plan);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let print_plan ~title ?enumerated plan =
+let print_plan ~bounds ~title ?enumerated ?(max_dop = 1) plan =
   Printf.printf "== %s%s\n" title
     (match enumerated with
      | Some n -> Printf.sprintf " plans_enumerated=%d" n
@@ -57,12 +61,21 @@ let print_plan ~title ?enumerated plan =
        (List.map
           (fun (n : Plan.t) -> string_of_int n.Plan.id)
           (Plan.nodes plan)));
-  Printf.printf "est %s\n\n" (digest plan)
+  Printf.printf "est %s\n" (digest plan);
+  let interval max_dop =
+    let iv =
+      Bounds.cost_interval bounds ~model:Sim_clock.default_model ~max_dop plan
+    in
+    Printf.sprintf "dop%d [%h, %h]" max_dop iv.Bounds.lo iv.Bounds.hi
+  in
+  Printf.printf "cost %s %s\n\n" (interval 1) (interval max_dop)
 
 let () =
   let catalog = Workload.experiment_catalog ~sf:0.005 () in
   let bind sql = Query.bind catalog (Parser.parse sql) in
   let model = Sim_clock.default_model in
+  let bounds = Bounds.env catalog in
+  let print_plan = print_plan ~bounds in
   List.iter
     (fun (q : Queries.query) ->
        let query = bind q.Queries.sql in
@@ -72,7 +85,8 @@ let () =
             let r = Optimizer.optimize ~options ~model ~env query in
             print_plan
               ~title:(Printf.sprintf "%s %s" q.Queries.name name)
-              ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)
+              ~enumerated:r.Optimizer.plans_enumerated
+              ~max_dop:options.Optimizer.max_dop r.Optimizer.plan)
          variants)
     Queries.all;
   (* exact cost ties: every relation believed to hold the same two rows *)
