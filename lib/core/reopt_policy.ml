@@ -190,7 +190,7 @@ let pending_materialize_ms v =
            float_of_int
              (Mqr_exec.Exec_ctx.pages_of_bytes (snd (temp_exn v name)))
          in
-         acc +. (pages *. v.model.Sim_clock.write_ms)
+         acc +. Mqr_opt.Cost_model.materialize_ms v.model ~pages
        | _ -> acc)
     0.0 v.remainder
 

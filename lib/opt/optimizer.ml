@@ -155,24 +155,21 @@ let mk_node ctx ?dop node schema ~rows ~op_ms ~children ~min_mem ~max_mem
 
 (* ------------------------------------------------------------------ *)
 (* Degree-of-parallelism choice.  Candidate degrees are powers of two up
-   to [max_dop] (the degrees the bench sweeps); [per_worker d] prices one
-   even partition's share and [exchange_pages] what must cross the
-   interconnect first.  Degree 1 is exactly the serial cost — no exchange,
-   no startup — so with [max_dop = 1] every plan, cost and trace is
-   byte-identical to a build without parallelism.  Ties keep the smaller
-   degree. *)
+   to [max_dop] (the degrees the bench sweeps); [op_ms d] is the node's
+   price at degree [d].  Degree 1 is exactly the serial cost — no
+   exchange, no startup — so with [max_dop = 1] every plan, cost and trace
+   is byte-identical to a build without parallelism.  Ties keep the
+   smaller degree. *)
 
-let choose_dop ctx ~exchange_pages ~per_worker =
+let choose_dop ctx op_ms =
   let rec go d (best_d, best_ms) =
     if d > ctx.max_dop then (best_d, best_ms)
     else begin
-      let ms =
-        Cost_model.parallel_ms ~dop:d ~exchange_pages ~per_worker:(per_worker d)
-      in
+      let ms = op_ms d in
       go (d * 2) (if ms < best_ms then (d, ms) else (best_d, best_ms))
     end
   in
-  go 2 (1, per_worker 1)
+  go 2 (1, op_ms 1)
 
 let scan_out_rows ctx ~alias ~filter =
   let r = Stats_env.rel ctx.env ~alias in
@@ -183,19 +180,11 @@ let scan_out_rows ctx ~alias ~filter =
 let mk_seq_scan ctx ~table ~alias ~filter ~schema =
   let r = Stats_env.rel ctx.env ~alias in
   let rows = scan_out_rows ctx ~alias ~filter in
-  (* the scan stripes across workers (each reads its own rid range, no
-     exchange); the predicate is evaluated on the parent and stays serial *)
-  let dop, scan_ms =
-    choose_dop ctx ~exchange_pages:0.0 ~per_worker:(fun d ->
-        let d = float_of_int d in
-        Cost_model.seq_scan_ms ctx.model ~pages:(r.Stats_env.pages /. d)
-          ~rows:(r.Stats_env.rows /. d))
-  in
-  let op_ms =
-    scan_ms
-    +. (match filter with
-        | None -> 0.0
-        | Some _ -> r.Stats_env.rows *. ctx.model.Sim_clock.cpu_tuple_ms)
+  let filter_rows = Cost_model.filter_rows filter ~rows:r.Stats_env.rows in
+  let dop, op_ms =
+    choose_dop ctx (fun dop ->
+        Cost_model.seq_scan_ms ctx.model ~dop ~pages:r.Stats_env.pages
+          ~rows:r.Stats_env.rows ~filter_rows)
   in
   mk_node ctx ~dop (Plan.Seq_scan { table; alias; filter }) schema ~rows ~op_ms
     ~children:[] ~min_mem:0 ~max_mem:0 ~mem:0
@@ -208,9 +197,7 @@ let mk_index_scan ctx ~table ~alias ~index_col ~lo ~hi ~filter ~schema
   let op_ms =
     Cost_model.index_scan_ms ctx.model ~match_rows
       ~table_pages:r.Stats_env.pages
-    +. (match filter with
-        | None -> 0.0
-        | Some _ -> match_rows *. ctx.model.Sim_clock.cpu_tuple_ms)
+      ~filter_rows:(Cost_model.filter_rows filter ~rows:match_rows)
   in
   mk_node ctx (Plan.Index_scan { table; alias; index_col; lo; hi; filter })
     schema ~rows ~op_ms ~children:[] ~min_mem:0 ~max_mem:0 ~mem:0
@@ -294,12 +281,6 @@ let rf_combined_sel rf =
    reduction is still realized at run time; this only damps plan choice. *)
 let rf_credit_sel rf = 0.5 +. (0.5 *. rf_combined_sel rf)
 
-let rf_overhead_ms ~build_rows ~probe_rows rf =
-  List.fold_left
-    (fun acc (_ : Plan.rf) ->
-       acc +. Cost_model.runtime_filter_ms ~build_rows ~probe_rows)
-    0.0 rf
-
 (* The join constructors take the join selectivity ([join_sel] of their
    keys and residual) precomputed: the DP evaluates it once per split, not
    once per candidate pair. *)
@@ -316,31 +297,13 @@ let price_hash_join ctx ~build ~probe ~keys ~jsel ~mem ~rf =
   in
   let min_mem, max_mem = Cost_model.hash_join_mem ~build_pages in
   let mem = effective_mem ctx ~mem ~max_mem in
-  (* both inputs are hash-exchanged on the key, then each worker joins its
-     co-partition pair with an even share of the memory grant; runtime
-     filters are built and probed outside the partitioned join and stay
-     serial *)
-  let dop, join_ms =
-    if keys = [] then (1, Cost_model.hash_join_ms ctx.model
-                         ~build_rows:b.Plan.rows ~build_pages
-                         ~probe_rows:probe_rows_eff ~probe_pages
-                         ~out_rows:rows ~mem_pages:mem)
-    else
-      choose_dop ctx ~exchange_pages:(build_pages +. probe_pages)
-        ~per_worker:(fun d ->
-            let fd = float_of_int d in
-            Cost_model.hash_join_ms ctx.model
-              ~build_rows:(b.Plan.rows /. fd)
-              ~build_pages:(build_pages /. fd)
-              ~probe_rows:(probe_rows_eff /. fd)
-              ~probe_pages:(probe_pages /. fd)
-              ~out_rows:(rows /. fd)
-              ~mem_pages:(max 2 (mem / d)))
+  let op_ms dop =
+    Cost_model.hash_join_ms ctx.model ~dop ~build_rows:b.Plan.rows
+      ~build_pages ~probe_rows:probe_rows_eff ~probe_pages ~out_rows:rows
+      ~mem_pages:mem ~rf:(List.length rf) ~rf_probe_rows:p.Plan.rows
   in
-  let op_ms =
-    join_ms
-    +. rf_overhead_ms ~build_rows:b.Plan.rows ~probe_rows:p.Plan.rows rf
-  in
+  (* a cross product has no key to partition on *)
+  let dop, op_ms = if keys = [] then (1, op_ms 1) else choose_dop ctx op_ms in
   price ~dop ~rows ~op_ms ~children:[ build; probe ] ~min_mem ~max_mem ~mem ()
 
 let build_hash_join ~id ~build ~probe ~keys ~extra ~rf p =
@@ -362,10 +325,8 @@ let price_index_nl_join ctx ~outer ~(inner : Stats_env.rel_info) ~jsel
   let rows = fetched *. inner_sel *. extra_sel in
   let op_ms =
     Cost_model.index_nl_join_ms ctx.model ~outer_rows:o.Plan.rows
-      ~out_rows:(Float.max 1.0 fetched)
-    +. (match inner_filter with
-        | None -> 0.0
-        | Some _ -> fetched *. ctx.model.Sim_clock.cpu_tuple_ms)
+      ~fetched:(Float.max 1.0 fetched)
+      ~filter_rows:(Cost_model.filter_rows inner_filter ~rows:fetched)
   in
   price ~rows ~op_ms ~children:[ outer ] ~min_mem:0 ~max_mem:0 ~mem:0 ()
 
@@ -436,8 +397,8 @@ let price_merge_join ctx ~left ~right ~jsel ~left_sorted ~right_sorted ~mem
   let op_ms =
     Cost_model.merge_join_ms ctx.model ~left_rows:le.Plan.rows ~left_pages
       ~right_rows:right_rows_eff ~right_pages ~out_rows:rows ~mem_pages:mem
-      ~left_sorted ~right_sorted
-    +. rf_overhead_ms ~build_rows:le.Plan.rows ~probe_rows:re.Plan.rows rf
+      ~left_sorted ~right_sorted ~rf:(List.length rf)
+      ~rf_probe_rows:re.Plan.rows
   in
   price ~rows ~op_ms ~children:[ left; right ] ~min_mem ~max_mem ~mem ()
 
@@ -493,24 +454,17 @@ let mk_aggregate ctx ~input ~group_by ~aggs ~mem =
     if pre_sorted then (0, 0) else Cost_model.aggregate_mem ~group_pages
   in
   let mem = if pre_sorted then 0 else effective_mem ctx ~mem ~max_mem in
-  (* partitioned on the first grouping column (every group lands wholly on
-     one worker); streaming and ungrouped aggregation stay serial *)
+  let op_ms dop =
+    Cost_model.aggregate_ms ctx.model ~dop ~in_rows:in_est.Plan.rows
+      ~in_pages ~groups:rows ~group_pages ~mem_pages:mem
+  in
+  (* streaming and ungrouped aggregation stay serial *)
   let dop, op_ms =
     if pre_sorted then
       (1, Cost_model.aggregate_sorted_ms ctx.model ~in_rows:in_est.Plan.rows
             ~groups:rows)
-    else if group_by = [] then
-      (1, Cost_model.aggregate_ms ctx.model ~in_rows:in_est.Plan.rows
-            ~in_pages ~groups:rows ~group_pages ~mem_pages:mem)
-    else
-      choose_dop ctx ~exchange_pages:in_pages ~per_worker:(fun d ->
-          let fd = float_of_int d in
-          Cost_model.aggregate_ms ctx.model
-            ~in_rows:(in_est.Plan.rows /. fd)
-            ~in_pages:(in_pages /. fd)
-            ~groups:(rows /. fd)
-            ~group_pages:(group_pages /. fd)
-            ~mem_pages:(max 1 (mem / d)))
+    else if group_by = [] then (1, op_ms 1)
+    else choose_dop ctx op_ms
   in
   mk_node ctx ~dop (Plan.Aggregate { input; group_by; aggs; pre_sorted })
     schema ~rows ~op_ms ~children:[ input ] ~min_mem ~max_mem ~mem
@@ -522,15 +476,10 @@ let mk_sort ctx ~input ~keys ~mem =
   in
   let min_mem, max_mem = Cost_model.sort_mem ~data_pages in
   let mem = effective_mem ctx ~mem ~max_mem in
-  (* round-robin exchange, per-worker external sort, then a serial k-way
-     merge on the parent (one comparison unit per output row) *)
   let dop, op_ms =
-    choose_dop ctx ~exchange_pages:data_pages ~per_worker:(fun d ->
-        let fd = float_of_int d in
-        Cost_model.sort_ms ctx.model ~rows:(in_est.Plan.rows /. fd)
-          ~data_pages:(data_pages /. fd) ~mem_pages:(max 2 (mem / d))
-        +. (if d = 1 then 0.0
-            else in_est.Plan.rows *. ctx.model.Sim_clock.sort_tuple_ms))
+    choose_dop ctx (fun dop ->
+        Cost_model.sort_ms ctx.model ~dop ~rows:in_est.Plan.rows ~data_pages
+          ~mem_pages:mem)
   in
   mk_node ctx ~dop (Plan.Sort { input; keys }) input.Plan.schema
     ~rows:in_est.Plan.rows ~op_ms ~children:[ input ] ~min_mem ~max_mem ~mem
@@ -538,7 +487,7 @@ let mk_sort ctx ~input ~keys ~mem =
 let mk_filter ctx ~input ~pred =
   let in_est = input.Plan.est in
   let rows = in_est.Plan.rows *. sel ctx pred in
-  let op_ms = in_est.Plan.rows *. ctx.model.Sim_clock.cpu_tuple_ms in
+  let op_ms = Cost_model.cpu_ms ctx.model ~rows:in_est.Plan.rows in
   mk_node ctx (Plan.Filter { input; pred }) input.Plan.schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
@@ -546,13 +495,13 @@ let mk_project ctx ~input ~cols =
   let idxs = List.map (Schema.index_of input.Plan.schema) cols in
   let schema = Schema.project input.Plan.schema idxs in
   let rows = input.Plan.est.Plan.rows in
-  let op_ms = Cost_model.project_ms ctx.model ~rows in
+  let op_ms = Cost_model.cpu_ms ctx.model ~rows in
   mk_node ctx (Plan.Project { input; cols }) schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
 let mk_limit ctx ~input ~n =
   let rows = Float.min (float_of_int n) input.Plan.est.Plan.rows in
-  let op_ms = Cost_model.limit_ms ctx.model ~rows in
+  let op_ms = Cost_model.cpu_ms ctx.model ~rows in
   mk_node ctx (Plan.Limit { input; n }) input.Plan.schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
@@ -1265,10 +1214,8 @@ let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
       | Plan.Materialized { on_disk; _ } ->
         let rows = p.Plan.est.Plan.rows and width = p.Plan.est.Plan.width in
         let op_ms =
-          if on_disk then
-            Cost_model.seq_scan_ms ctx.model
-              ~pages:(Cost_model.pages ~rows ~width) ~rows
-          else 0.0
+          Cost_model.materialized_ms ctx.model ~on_disk
+            ~pages:(Cost_model.pages ~rows ~width) ~rows
         in
         { p with Plan.est = { p.Plan.est with Plan.op_ms; total_ms = op_ms } }
     in

@@ -223,8 +223,9 @@ let test_memory_demands_positive () =
 let test_cost_model_hash_join_spill_monotone () =
   let model = Sim_clock.default_model in
   let cost mem =
-    Cost_model.hash_join_ms model ~build_rows:10_000.0 ~build_pages:100.0
-      ~probe_rows:10_000.0 ~probe_pages:100.0 ~out_rows:10_000.0 ~mem_pages:mem
+    Cost_model.hash_join_ms model ~dop:1 ~build_rows:10_000.0
+      ~build_pages:100.0 ~probe_rows:10_000.0 ~probe_pages:100.0
+      ~out_rows:10_000.0 ~mem_pages:mem ~rf:0 ~rf_probe_rows:10_000.0
   in
   Alcotest.(check bool) "more memory never costs more" true
     (cost 200 <= cost 50 && cost 50 <= cost 4)
@@ -337,47 +338,117 @@ let test_orders_survive_collect () =
   Alcotest.(check (list string)) "collect preserves order" [ "fact.v" ]
     (Plan.orders_of wrapped)
 
+(* Random operator quantities: row counts, a width, page counts, a memory
+   grant, a degree and two flags. *)
+let cost_args_gen =
+  let rows = QCheck.Gen.float_bound_inclusive 1e7 in
+  let pages = QCheck.Gen.float_bound_inclusive 1e6 in
+  QCheck.Gen.(
+    triple
+      (quad rows rows rows (float_bound_inclusive 1e3))
+      (pair pages pages)
+      (quad (int_range 0 64) (int_range 1 8) bool bool))
+
 (* The DP skips a join candidate whose children's totals already lose to
    its Pareto set, before pricing it.  That lower bound holds only while
    no join operator's own cost (runtime filters and the parallel split
    included) can be negative or NaN. *)
 let prop_children_bound_join_cost =
-  let rows = QCheck.Gen.float_bound_inclusive 1e7 in
-  let pages = QCheck.Gen.float_bound_inclusive 1e6 in
-  let gen =
-    QCheck.Gen.(
-      triple
-        (quad rows rows rows (float_bound_inclusive 1e3))
-        (pair pages pages)
-        (quad (int_range 0 64) (int_range 1 8) bool bool))
-  in
   QCheck.Test.make ~name:"children's totals bound a join: op costs >= 0"
-    ~count:500 (QCheck.make gen)
+    ~count:500 (QCheck.make cost_args_gen)
     (fun ((r1, r2, out, width), (p1, p2), (mem_pages, dop, ls, rs)) ->
        let m = Sim_clock.default_model in
        let ok ms = Float.is_finite ms && ms >= 0.0 in
        List.for_all
          (fun (p1, p2) ->
-            let costs =
-              [ Cost_model.hash_join_ms m ~build_rows:r1 ~build_pages:p1
-                  ~probe_rows:r2 ~probe_pages:p2 ~out_rows:out ~mem_pages;
+            List.for_all ok
+              [ Cost_model.hash_join_ms m ~dop ~build_rows:r1 ~build_pages:p1
+                  ~probe_rows:r2 ~probe_pages:p2 ~out_rows:out ~mem_pages
+                  ~rf:2 ~rf_probe_rows:r2;
                 Cost_model.merge_join_ms m ~left_rows:r1 ~left_pages:p1
                   ~right_rows:r2 ~right_pages:p2 ~out_rows:out ~mem_pages
-                  ~left_sorted:ls ~right_sorted:rs;
-                Cost_model.index_nl_join_ms m ~outer_rows:r1 ~out_rows:out;
+                  ~left_sorted:ls ~right_sorted:rs ~rf:2 ~rf_probe_rows:r2;
+                Cost_model.index_nl_join_ms m ~outer_rows:r1 ~fetched:out
+                  ~filter_rows:out;
                 Cost_model.block_nl_join_ms m ~outer_rows:r1 ~outer_pages:p1
-                  ~inner_rows:r2 ~inner_pages:p2 ~out_rows:out ~mem_pages;
-                Cost_model.runtime_filter_ms ~build_rows:r1 ~probe_rows:r2 ]
-            in
-            List.for_all
-              (fun per_worker ->
-                 ok per_worker
-                 && ok
-                      (Cost_model.parallel_ms ~dop ~exchange_pages:(p1 +. p2)
-                         ~per_worker))
-              costs)
+                  ~inner_rows:r2 ~inner_pages:p2 ~out_rows:out ~mem_pages ])
          [ (p1, p2);
            (Cost_model.pages ~rows:r1 ~width, Cost_model.pages ~rows:r2 ~width) ])
+
+(* Every shape's price over an array of quantities and a memory grant. *)
+let shapes m ~dop ~rf ~ls ~rs =
+  [ ("seq_scan", 3, fun q _ ->
+        Cost_model.seq_scan_ms m ~dop ~pages:q.(0) ~rows:q.(1)
+          ~filter_rows:q.(2));
+    ("index_scan", 3, fun q _ ->
+        Cost_model.index_scan_ms m ~match_rows:q.(0) ~table_pages:q.(1)
+          ~filter_rows:q.(2));
+    ("hash_join", 6, fun q mem_pages ->
+        Cost_model.hash_join_ms m ~dop ~build_rows:q.(0) ~build_pages:q.(1)
+          ~probe_rows:q.(2) ~probe_pages:q.(3) ~out_rows:q.(4) ~mem_pages ~rf
+          ~rf_probe_rows:q.(5));
+    ("merge_join", 6, fun q mem_pages ->
+        Cost_model.merge_join_ms m ~left_rows:q.(0) ~left_pages:q.(1)
+          ~right_rows:q.(2) ~right_pages:q.(3) ~out_rows:q.(4) ~mem_pages
+          ~left_sorted:ls ~right_sorted:rs ~rf ~rf_probe_rows:q.(5));
+    ("index_nl_join", 3, fun q _ ->
+        Cost_model.index_nl_join_ms m ~outer_rows:q.(0) ~fetched:q.(1)
+          ~filter_rows:q.(2));
+    ("block_nl_join", 5, fun q mem_pages ->
+        Cost_model.block_nl_join_ms m ~outer_rows:q.(0) ~outer_pages:q.(1)
+          ~inner_rows:q.(2) ~inner_pages:q.(3) ~out_rows:q.(4) ~mem_pages);
+    ("aggregate", 4, fun q mem_pages ->
+        Cost_model.aggregate_ms m ~dop ~in_rows:q.(0) ~in_pages:q.(1)
+          ~groups:q.(2) ~group_pages:q.(3) ~mem_pages);
+    ("aggregate_sorted", 2, fun q _ ->
+        Cost_model.aggregate_sorted_ms m ~in_rows:q.(0) ~groups:q.(1));
+    ("sort", 2, fun q mem_pages ->
+        Cost_model.sort_ms m ~dop ~rows:q.(0) ~data_pages:q.(1) ~mem_pages);
+    ("cpu", 1, fun q _ -> Cost_model.cpu_ms m ~rows:q.(0));
+    ("materialized", 2, fun q _ ->
+        Cost_model.materialized_ms m ~on_disk:true ~pages:q.(0) ~rows:q.(1));
+    ("materialize", 1, fun q _ -> Cost_model.materialize_ms m ~pages:q.(0)) ]
+
+(* Bounds.cost_interval prices each node at the low and the high corner of
+   its intervals; the two prices bracket the node's cost only if every
+   price is monotone in its rows and pages and antitone in its grant, and
+   an unbounded quantity must price as unbounded. *)
+let prop_prices_monotone =
+  let gen =
+    QCheck.Gen.(
+      triple cost_args_gen (float_bound_inclusive 1e6) (int_range 0 64))
+  in
+  QCheck.Test.make
+    ~name:"prices are monotone in rows and pages, antitone in memory"
+    ~count:500 (QCheck.make gen)
+    (fun (((r1, r2, out, width), (p1, p2), (mem, dop, ls, rs)), delta, less) ->
+       let base = [| r1; p1; r2; p2; out; width |] in
+       let low_mem = min mem less in
+       List.for_all
+         (fun (name, n, price) ->
+            let at i x =
+              let q = Array.copy base in
+              q.(i) <- x;
+              price q mem
+            in
+            let ms = price base mem in
+            let fail what =
+              QCheck.Test.fail_reportf "%s: %s (%h at grant %d)" name what ms
+                mem
+            in
+            if not (Float.is_finite ms && ms >= 0.0) then fail "not finite"
+            else if price base low_mem < ms then
+              fail (Printf.sprintf "cheaper at grant %d" low_mem)
+            else
+              List.for_all
+                (fun i ->
+                   if at i (base.(i) +. delta) < ms then
+                     fail (Printf.sprintf "quantity %d raised by %h" i delta)
+                   else if at i infinity <> infinity then
+                     fail (Printf.sprintf "quantity %d infinite" i)
+                   else true)
+                (List.init n Fun.id))
+         (shapes Sim_clock.default_model ~dop ~rf:(mem mod 3) ~ls ~rs))
 
 let suite =
   [ Alcotest.test_case "single table plan" `Quick test_single_table_plan;
@@ -401,4 +472,5 @@ let suite =
     Alcotest.test_case "merge join presorted flags" `Quick test_merge_join_presorted_flag;
     Alcotest.test_case "streaming agg order" `Quick test_streaming_agg_when_grouped_on_order;
     Alcotest.test_case "orders survive collect" `Quick test_orders_survive_collect;
-    QCheck_alcotest.to_alcotest prop_children_bound_join_cost ]
+    QCheck_alcotest.to_alcotest prop_children_bound_join_cost;
+    QCheck_alcotest.to_alcotest prop_prices_monotone ]
