@@ -35,8 +35,8 @@ type options = {
       Granted memory (set on plan nodes) always takes precedence. *)
   max_dop : int;
   (** maximum degree of parallelism per operator.  Candidate degrees are
-      powers of two up to this cap; each operator gets the cheapest degree
-      under {!Cost_model.parallel_ms} (exchange + startup vs divided
+      powers of two up to this cap; each operator gets the degree its
+      {!Cost_model} price makes cheapest (exchange + startup vs divided
       work).  1 (the default) disables parallel planning entirely: plans,
       costs and traces are byte-identical to a serial build. *)
 }
