@@ -85,7 +85,7 @@ type table_info = {
 
 type env = { table : string -> table_info option }
 
-let env ?(count_trusted = fun _ -> true) catalog =
+let env catalog =
   let table name =
     match Catalog.find catalog name with
     | None -> None
@@ -93,7 +93,9 @@ let env ?(count_trusted = fun _ -> true) catalog =
       let t_rows = float_of_int (Heap_file.tuple_count tbl.Catalog.heap) in
       let t_pages = float_of_int (Heap_file.page_count tbl.Catalog.heap) in
       let unchanged = tbl.Catalog.updates_since_analyze = 0 in
-      let trusted = count_trusted name in
+      (* a temp table's bucket/distinct counts may come from a
+         sample-based collector: only its min/max windows are exact *)
+      let trusted = not tbl.Catalog.temp in
       let col cname =
         match Catalog.column_stats tbl cname with
         | None -> None
@@ -455,7 +457,7 @@ let analyze env (plan : Plan.t) =
          let bound_iv = range_interval ti ti.t_rows (bare index_col) ~blo:lo ~bhi:hi in
          let filter_iv = pred_interval ti ti.t_rows filter in
          inter_conj ti.t_rows bound_iv filter_iv)
-    | Plan.Materialized { name; covers = _; on_disk = _ } ->
+    | Plan.Materialized { name; _ } ->
       (match env.table name with
        | None -> unknown
        | Some ti -> point ti.t_rows)
@@ -802,8 +804,7 @@ let cost_interval env ~model ?(max_dop = 1) (plan : Plan.t) =
     | Plan.Filter { input; _ } -> Cost_model.cpu_ms model ~rows:(e (r input))
     | Plan.Project _ | Plan.Limit _ -> Cost_model.cpu_ms model ~rows
     | Plan.Collect { spec; _ } -> Collector.estimated_cost_ms spec ~rows
-    | Plan.Materialized { on_disk; _ } ->
-      Cost_model.materialized_ms model ~on_disk ~pages:(e (pg p)) ~rows
+    | Plan.Materialized _ -> 0.0
   in
   let own (p : Plan.t) =
     let serial = { lo = op_ms ~lo:true p; hi = op_ms ~lo:false p } in

@@ -40,15 +40,15 @@ val contains : interval -> float -> bool
     as resolving. *)
 val resolves : Mqr_storage.Schema.t -> string -> bool
 
-(** Analysis environment: ground truth per table.  [count_trusted] says
-    whether a table's bucket/distinct counts describe its current contents
-    exactly (default: yes); pass [false] for temp tables whose statistics
-    were inherited from a reservoir-sample collector — their min/max
-    windows stay usable (observed exactly over every row) but their counts
-    do not. *)
+(** Analysis environment: ground truth per table, read from the catalog.
+    A base table's bucket/distinct counts describe its contents exactly
+    while its statistics are fresh.  A temp table's
+    ({!Mqr_catalog.Catalog.table}[.temp]) may have been inherited from a
+    reservoir-sample collector: its min/max windows stay usable (observed
+    exactly over every row) but its counts do not. *)
 type env
 
-val env : ?count_trusted:(string -> bool) -> Mqr_catalog.Catalog.t -> env
+val env : Mqr_catalog.Catalog.t -> env
 
 (** Result of one analysis run, keyed by plan-node id. *)
 type t

@@ -14,13 +14,14 @@ type table = {
   mutable indexes : index list;
   mutable updates_since_analyze : int;
   mutable stats_epoch : int;
+  temp : bool;
 }
 
 type t = { tbls : (string, table) Hashtbl.t }
 
 let create () = { tbls = Hashtbl.create 16 }
 
-let add_table t name heap =
+let add ~temp t name heap =
   if Hashtbl.mem t.tbls name then
     invalid_arg ("Catalog.add_table: duplicate table " ^ name);
   let table =
@@ -31,10 +32,14 @@ let add_table t name heap =
       stats = Array.make (Schema.arity (Heap_file.schema heap)) Column_stats.empty;
       indexes = [];
       updates_since_analyze = 0;
-      stats_epoch = 0 }
+      stats_epoch = 0;
+      temp }
   in
   Hashtbl.replace t.tbls name table;
   table
+
+let add_table = add ~temp:false
+let add_temp = add ~temp:true
 
 let find t name = Hashtbl.find_opt t.tbls name
 

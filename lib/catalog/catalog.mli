@@ -27,6 +27,12 @@ type table = {
           consumers holding results derived from the old statistics
           (cached plans, workload-level observed-statistics overlays)
           compare epochs to detect that the ground shifted under them *)
+  temp : bool;
+      (** an executed unit's result, registered by {!add_temp} for the
+          rest of its query; its statistics are the free ones of an
+          intermediate result (exact cardinality, min/max) or inherited
+          from a sample-based collector, so their bucket and distinct
+          counts are not exact *)
 }
 
 type t
@@ -36,6 +42,11 @@ val create : unit -> t
 (** [add_table t name heap] registers a table with empty statistics;
     believed cardinality starts at the true size. *)
 val add_table : t -> string -> Heap_file.t -> table
+
+(** [add_temp t name heap] is [add_table] for an executed unit's result:
+    the table's [temp] flag is set.  The run that registered it drops it
+    with {!drop_table} when it ends, however it ends. *)
+val add_temp : t -> string -> Heap_file.t -> table
 
 val find : t -> string -> table option
 val find_exn : t -> string -> table

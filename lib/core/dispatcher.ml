@@ -65,7 +65,9 @@ type run = {
   (* original optimizer estimates per node id — the plan annotations *)
   orig_op_ms : (int, float) Hashtbl.t;
   mutable switches : int;
-  mutable next_temp : int;
+  (* the temp tables this run registered, newest first; dropped when the
+     run ends, however it ends *)
+  mutable temps : string list;
   mutable next_id : int;  (* fresh plan-node ids *)
   (* plan-verification runs performed *)
   mutable verifications : int;
@@ -81,8 +83,7 @@ let fresh_plan_id r =
   r.next_id
 
 let fresh_temp_name r =
-  r.next_temp <- r.next_temp + 1;
-  Printf.sprintf "__temp%s_%d" r.st.cfg.temp_prefix r.next_temp
+  Printf.sprintf "__temp%s_%d" r.st.cfg.temp_prefix (List.length r.temps + 1)
 
 let record_annotations r plan =
   List.iter
@@ -106,14 +107,10 @@ let instrument cfg env plan =
 (* ------------------------------------------------------------------ *)
 (* Plan verification (static analysis; see Mqr_analysis.Verifier).     *)
 
-(* The dispatcher's answers to the verifier's questions: the temp-table
-   store (so a re-planned remainder is checked against what was actually
-   materialized), the live memory budget, and the mu collector bound. *)
+(* The dispatcher's answers to the verifier's questions beyond the
+   catalog: the live memory budget and the mu collector bound. *)
 let verifier_context (st : state) =
-  Verifier.context
-    ~temp_schema:(fun name ->
-        Option.map (fun t -> t.tmp_schema) (Hashtbl.find_opt st.store name))
-    ~budget_pages:(Memory_manager.budget_pages st.memman)
+  Verifier.context ~budget_pages:(Memory_manager.budget_pages st.memman)
     ~mu:st.cfg.params.Reopt_policy.mu st.cfg.catalog
 
 (* Verification is pure analysis: it never touches the simulated clock,
@@ -145,13 +142,6 @@ let assert_filters_retired st ~what =
     ~hint:"worker pool slices must release within their operator"
     "worker pool-slice pages"
 
-(* Ground-truth environment for the bounds analysis: bucket/distinct
-   counts of temp tables are sample-derived (inherited from a reservoir
-   collector) and therefore not trusted; base-table counts are. *)
-let bounds_env st =
-  Bounds.env ~count_trusted:(fun name -> not (Hashtbl.mem st.store name))
-    st.cfg.catalog
-
 (* Progress estimator feed: the remainder's Eq.1 estimate plus its
    provable remaining-cost interval, read off the current plan at the
    current simulated time.  Pure observation — reads the clock, never
@@ -163,7 +153,7 @@ let progress_update st label =
   | Some p ->
     let rem_est = st.current.Plan.est.Plan.total_ms in
     let iv =
-      Bounds.cost_interval (bounds_env st) ~model:st.cfg.model
+      Bounds.cost_interval (Bounds.env st.cfg.catalog) ~model:st.cfg.model
         ~max_dop:st.cfg.opt_options.Optimizer.max_dop st.current
     in
     ignore
@@ -182,7 +172,7 @@ let progress_finish st =
    this unit — after a plan switch, retired node ids may collide with
    renumbered ones, so only just-executed ids are compared. *)
 let assert_observed_bounds st ~what subtree =
-  let a = Bounds.analyze (bounds_env st) st.current in
+  let a = Bounds.analyze (Bounds.env st.cfg.catalog) st.current in
   let diags =
     List.filter_map
       (fun (n : Plan.t) ->
@@ -233,9 +223,9 @@ let charge_materialization st =
   Plan.fold
     (fun () (n : Plan.t) ->
        match n.Plan.node with
-       | Plan.Materialized { name; on_disk = false; _ } ->
+       | Plan.Materialized { bytes; _ } ->
          Sim_clock.charge_write st.ctx.Exec_ctx.clock
-           (Exec_ctx.pages_of_bytes (Hashtbl.find st.store name).tmp_bytes)
+           (Exec_ctx.pages_of_bytes bytes)
        | _ -> ())
     () st.current
 
@@ -255,11 +245,6 @@ let view r ~force =
     env_overlay = st.cfg.env_overlay;
     query = r.query;
     remainder = st.current;
-    temp =
-      (fun name ->
-         Option.map
-           (fun t -> (t.tmp_schema, t.tmp_bytes))
-           (Hashtbl.find_opt st.store name));
     orig_op_ms = Hashtbl.find_opt r.orig_op_ms;
     overrides = st.overrides;
     switches = r.switches;
@@ -385,7 +370,6 @@ let prepare ?prepared ~q_span cfg query =
       memman = Memory_manager.create ~budget_pages:cfg.budget_pages;
       env;
       current = plan0;
-      store = Hashtbl.create 8;
       overrides = [];
       observed_cards = [];
       events = [];
@@ -407,7 +391,7 @@ let prepare ?prepared ~q_span cfg query =
       read = Query.read_columns query;
       orig_op_ms = Hashtbl.create 64;
       switches = 0;
-      next_temp = 0;
+      temps = [];
       next_id = max_id;
       verifications = 0;
       plan0 = st.current;
@@ -438,9 +422,9 @@ let start ?prepared cfg query =
   r
 
 (* Drop the run's temp tables from the shared catalog. *)
-let drop_temps st =
-  Hashtbl.iter (fun name _ -> Catalog.drop_table st.cfg.catalog name) st.store;
-  Hashtbl.reset st.store
+let drop_temps r =
+  List.iter (Catalog.drop_table r.st.cfg.catalog) r.temps;
+  r.temps <- []
 
 (* Abandon a run's externally-visible state: transient broker pages
    (bloom bitmaps, worker pool slices) go back to the pool, temp tables
@@ -454,7 +438,7 @@ let teardown r ~error =
   st.active_filters <- [];
   release_pages st st.filter_pages st.filter_pages.held;
   release_pages st st.worker_pages st.worker_pages.held;
-  drop_temps st;
+  drop_temps r;
   match st.cfg.trace with
   | None -> ()
   | Some scope ->
@@ -516,11 +500,10 @@ let step_once r =
          assert_observed_bounds st ~what:"executed unit" j;
        let name = fresh_temp_name r in
        let bytes = register_temp st ~read:r.read ~name ~rows ~schema in
+       r.temps <- name :: r.temps;
        let leaf =
          { Plan.id = fresh_plan_id r;
-           node =
-             Plan.Materialized
-               { name; covers = Plan.aliases j; on_disk = false };
+           node = Plan.Materialized { name; covers = Plan.aliases j; bytes };
            schema;
            est =
              { Plan.rows = float_of_int (Array.length rows);
@@ -557,7 +540,7 @@ let step_once r =
          assert_observed_bounds st ~what:"query completion" st.current
        end;
        (* Drop temp tables so the engine can be reused. *)
-       drop_temps st;
+       drop_temps r;
        let elapsed = Sim_clock.elapsed_ms st.ctx.Exec_ctx.clock in
        let hits = Buffer_pool.hits st.ctx.Exec_ctx.pool in
        let misses = Buffer_pool.misses st.ctx.Exec_ctx.pool in

@@ -177,23 +177,12 @@ include Types
    pool slices) holds right now, and its high-water mark. *)
 type transient = { mutable held : int; mutable peak : int }
 
-(* An intermediate result registered as a temp table.  Its byte size is
-   computed once, at registration: the leaf width, the materialization
-   charge and the on-disk re-read all read it. *)
-type temp = {
-  tmp_rows : Tuple.t array;
-  tmp_schema : Schema.t;
-  tmp_bytes : int;
-}
-
 type state = {
   cfg : config;
   ctx : Exec_ctx.t;
   mutable memman : Memory_manager.t;
   mutable env : Stats_env.t;
   mutable current : Plan.t;
-  (* in-memory intermediate results by temp-table name *)
-  store : (string, temp) Hashtbl.t;
   (* observed column statistics, re-applied to every new Stats_env *)
   mutable overrides : (string * Column_stats.t) list;
   (* alias -> exact cardinality for full (unfiltered) scans *)
@@ -636,18 +625,11 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
     let tbl = Catalog.find_exn st.cfg.catalog table in
     scanned filter
       (Scan.index_scan ctx tbl.Catalog.heap (index_of tbl index_col) ?lo ?hi ())
-  | Plan.Materialized { name; on_disk; _ } ->
-    let t =
-      match Hashtbl.find_opt st.store name with
-      | Some t -> t
-      | None -> invalid_arg ("Interp: unknown intermediate " ^ name)
-    in
-    if on_disk then begin
-      Sim_clock.charge_seq_read ctx.Exec_ctx.clock
-        (Exec_ctx.pages_of_bytes t.tmp_bytes);
-      Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (Array.length t.tmp_rows)
-    end;
-    (apply_runtime_filters st t.tmp_schema t.tmp_rows, t.tmp_schema)
+  | Plan.Materialized { name; _ } ->
+    (* the temp table's rows, read in place: no I/O, no copy *)
+    let heap = heap_of st name in
+    let schema = Heap_file.schema heap in
+    (apply_runtime_filters st schema (Heap_file.rows heap), schema)
   | Plan.Collect { input; spec; cid } ->
     (* Collectors must observe the raw stream: statistics (and the exact
        cardinality of a full scan) describe the relation, not what happens
@@ -793,12 +775,12 @@ let allocate_memory st =
      st.memman <- Memory_manager.create ~budget_pages:(max 1 budget));
   Memory_manager.allocate st.memman st.current
 
-(* Register an executed unit's result as a temp table; returns its byte
-   size. *)
+(* Register an executed unit's result as a temp table, the rows' only
+   home from now on; returns its byte size. *)
 let register_temp st ~read ~name ~rows ~schema =
-  let heap = Heap_file.create schema in
-  Array.iter (Heap_file.append heap) rows;
-  let table = Catalog.add_table st.cfg.catalog name heap in
+  let table =
+    Catalog.add_temp st.cfg.catalog name (Heap_file.of_rows schema rows)
+  in
   (* Free statistics: exact cardinality, plus min/max (the paper's free
      statistics of an intermediate result) for the columns in [read], the
      query's read set (Query.read_columns): no reader of a temp's
@@ -836,7 +818,4 @@ let register_temp st ~read ~name ~rows ~schema =
             | Some stats -> stats
             | None -> Collector.column_stats_of_observed base_obs ~column:q)
          names);
-  let bytes = Rows_ops.bytes_of_rows rows in
-  Hashtbl.replace st.store name
-    { tmp_rows = rows; tmp_schema = schema; tmp_bytes = bytes };
-  bytes
+  Rows_ops.bytes_of_rows rows

@@ -79,7 +79,6 @@ type view = {
   env_overlay : (Query.t -> Stats_env.t -> unit) option;
   query : Query.t;
   remainder : Plan.t;
-  temp : string -> (Schema.t * int) option;
   orig_op_ms : int -> float option;
   overrides : (string * Mqr_catalog.Column_stats.t) list;
   switches : int;
@@ -110,11 +109,6 @@ type verdict =
   | Reject of terms * candidate
   | Switch of terms * candidate
 
-let temp_exn v name =
-  match v.temp name with
-  | Some t -> t
-  | None -> invalid_arg ("Reopt_policy: unknown intermediate " ^ name)
-
 let count_leaf_relations (p : Plan.t) =
   Plan.fold
     (fun acc (n : Plan.t) ->
@@ -132,7 +126,10 @@ let remainder_query v : Query.t =
   let add_conjuncts cs = conjuncts := cs @ !conjuncts in
   let add_pred = Option.iter (fun e -> add_conjuncts (Expr.conjuncts e)) in
   let temp_relation name =
-    { Query.table = name; alias = name; rel_schema = fst (temp_exn v name) }
+    { Query.table = name;
+      alias = name;
+      rel_schema =
+        Heap_file.schema (Mqr_catalog.Catalog.find_exn v.catalog name).heap }
   in
   let original_relation alias =
     match
@@ -185,11 +182,8 @@ let pending_materialize_ms v =
   Plan.fold
     (fun acc (n : Plan.t) ->
        match n.Plan.node with
-       | Plan.Materialized { name; on_disk = false; _ } ->
-         let pages =
-           float_of_int
-             (Mqr_exec.Exec_ctx.pages_of_bytes (snd (temp_exn v name)))
-         in
+       | Plan.Materialized { bytes; _ } ->
+         let pages = float_of_int (Mqr_exec.Exec_ctx.pages_of_bytes bytes) in
          acc +. Mqr_opt.Cost_model.materialize_ms v.model ~pages
        | _ -> acc)
     0.0 v.remainder
@@ -197,16 +191,10 @@ let pending_materialize_ms v =
 (* Bound-checked mode: the candidate's provable worst-case remaining cost
    (collection overhead and the pending materialization included) must
    beat the current plan's provable best-case remaining cost — a switch is
-   admitted only when it provably cannot lose.  Temp tables' bucket and
-   distinct counts are sample-derived, so only base-table counts are
-   trusted. *)
+   admitted only when it provably cannot lose. *)
 let bound_check v ~materialize_ms plan =
-  let benv =
-    Bounds.env ~count_trusted:(fun name -> Option.is_none (v.temp name))
-      v.catalog
-  in
   let interval =
-    Bounds.cost_interval benv ~model:v.model
+    Bounds.cost_interval (Bounds.env v.catalog) ~model:v.model
       ~max_dop:v.opt_options.Optimizer.max_dop
   in
   let new_hi_ms =

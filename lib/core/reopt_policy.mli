@@ -85,7 +85,7 @@ val decision_to_string : decision -> string
 
 (** What {!decide} reads of a run.  [remainder] is the current plan with
     executed units folded into [Materialized] leaves, re-costed under the
-    improved estimates; [temp] gives an intermediate's schema and bytes;
+    improved estimates; each leaf's result is a temp table of [catalog];
     [orig_op_ms] the optimizer's original estimate per plan-node id;
     [overrides] the statistics this query observed; [force] that a
     runtime-filter or skew surprise overrides Eq. 2 (never Eq. 1). *)
@@ -98,7 +98,6 @@ type view = {
   env_overlay : (Mqr_sql.Query.t -> Mqr_opt.Stats_env.t -> unit) option;
   query : Mqr_sql.Query.t;
   remainder : Mqr_opt.Plan.t;
-  temp : string -> (Schema.t * int) option;
   orig_op_ms : int -> float option;
   overrides : (string * Mqr_catalog.Column_stats.t) list;
   switches : int;

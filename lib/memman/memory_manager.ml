@@ -33,19 +33,7 @@ type grant = {
   granted : int;
 }
 
-let allocate t ?(frozen = fun _ -> false) plan =
-  let consumers =
-    List.filter (fun (p : Plan.t) -> not (frozen p.Plan.id))
-      (consumers_in_order plan)
-  in
-  let frozen_pages =
-    List.fold_left
-      (fun acc (p : Plan.t) ->
-         if frozen p.Plan.id && Plan.is_memory_consumer p then acc + p.Plan.mem
-         else acc)
-      0 (Plan.nodes plan)
-  in
-  let budget = max 0 (t.budget - frozen_pages) in
+let allocate t plan =
   (* First pass: max if the rest can still get their minimums, else min. *)
   let rec first_pass remaining = function
     | [] -> []
@@ -59,10 +47,10 @@ let allocate t ?(frozen = fun _ -> false) plan =
       in
       (p, grant) :: first_pass (remaining - grant) rest
   in
-  let granted = first_pass budget consumers in
+  let granted = first_pass t.budget (consumers_in_order plan) in
   let used = List.fold_left (fun acc (_, g) -> acc + g) 0 granted in
   (* Second pass: top up with leftovers in execution order. *)
-  let leftover = ref (budget - used) in
+  let leftover = ref (t.budget - used) in
   let granted =
     List.map
       (fun ((p : Plan.t), g) ->

@@ -36,9 +36,7 @@ type grant = {
   granted : int;
 }
 
-(** Mutates the plan's [mem] fields; returns the grants for reporting.
-    Operators satisfying [frozen] keep their current grant untouched (they
-    have already started executing). *)
-val allocate : t -> ?frozen:(int -> bool) -> Mqr_opt.Plan.t -> grant list
+(** Mutates the plan's [mem] fields; returns the grants for reporting. *)
+val allocate : t -> Mqr_opt.Plan.t -> grant list
 
 val pp_grant : Format.formatter -> grant -> unit

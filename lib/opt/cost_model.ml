@@ -159,9 +159,6 @@ let sort_ms (m : Sim_clock.model) ~dop ~rows ~data_pages ~mem_pages =
 
 let cpu_ms (m : Sim_clock.model) ~rows = rows *. m.cpu_tuple_ms
 
-let materialized_ms m ~on_disk ~pages ~rows =
-  if on_disk then seq_scan_ms m ~dop:1 ~pages ~rows ~filter_rows:0.0 else 0.0
-
 let materialize_ms (m : Sim_clock.model) ~pages = pages *. m.write_ms
 
 let fudge = Mqr_exec.Join.hash_join_fudge

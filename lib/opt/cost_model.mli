@@ -96,11 +96,6 @@ val sort_ms :
 (** One CPU unit per row: Filter (per input row), Project and Limit. *)
 val cpu_ms : Sim_clock.model -> rows:float -> float
 
-(** Reading a materialized intermediate: a sequential scan when it was
-    written to disk, free while it is still in memory. *)
-val materialized_ms :
-  Sim_clock.model -> on_disk:bool -> pages:float -> rows:float -> float
-
 (** Writing [pages] of an in-memory intermediate to disk. *)
 val materialize_ms : Sim_clock.model -> pages:float -> float
 

@@ -1211,13 +1211,7 @@ let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
       | Plan.Limit { input; n } -> mk_limit ctx ~input:(go input) ~n
       | Plan.Collect { input; spec; cid } ->
         mk_collect ctx ~input:(go input) ~spec ~cid
-      | Plan.Materialized { on_disk; _ } ->
-        let rows = p.Plan.est.Plan.rows and width = p.Plan.est.Plan.width in
-        let op_ms =
-          Cost_model.materialized_ms ctx.model ~on_disk
-            ~pages:(Cost_model.pages ~rows ~width) ~rows
-        in
-        { p with Plan.est = { p.Plan.est with Plan.op_ms; total_ms = op_ms } }
+      | Plan.Materialized _ -> p
     in
     { rebuilt with Plan.id = p.Plan.id }
   in

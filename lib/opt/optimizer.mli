@@ -70,7 +70,8 @@ val optimize :
     otherwise the maximum demand is assumed.  [max_dop] lets the re-cost
     re-choose each operator's degree of parallelism from the improved
     statistics — the mechanism by which a decision point repairs a skewed
-    partitioning. *)
+    partitioning.  A [Materialized] leaf costs nothing and is kept as
+    built. *)
 val recost :
   ?planning_mem:int -> ?max_dop:int -> model:Sim_clock.model ->
   env:Stats_env.t -> Plan.t -> Plan.t

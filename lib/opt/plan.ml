@@ -69,7 +69,7 @@ type node =
   | Project of { input : t; cols : string list }
   | Limit of { input : t; n : int }
   | Collect of { input : t; spec : Mqr_exec.Collector.spec; cid : int }
-  | Materialized of { name : string; covers : string list; on_disk : bool }
+  | Materialized of { name : string; covers : string list; bytes : int }
 
 and t = {
   id : int;
@@ -188,8 +188,7 @@ let op_name t =
     Printf.sprintf "collect#%d(%d hists, %d distincts)" cid
       (List.length spec.Mqr_exec.Collector.hist_cols)
       (List.length spec.Mqr_exec.Collector.distinct_cols)
-  | Materialized { name; on_disk; _ } ->
-    Printf.sprintf "materialized(%s%s)" name (if on_disk then ", on disk" else "")
+  | Materialized { name; _ } -> Printf.sprintf "materialized(%s)" name
 
 let rec pp_indented fmt ~indent t =
   let pad = String.make indent ' ' in

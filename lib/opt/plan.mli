@@ -78,11 +78,12 @@ type node =
   | Limit of { input : t; n : int }
   | Collect of { input : t; spec : Mqr_exec.Collector.spec; cid : int }
       (** statistics-collector; [cid] identifies the collection point *)
-  | Materialized of { name : string; covers : string list; on_disk : bool }
-      (** placeholder for an already-computed intermediate result: [covers]
-          lists the base-relation aliases folded into it.  In-memory
-          intermediates cost nothing to re-consume (they stay pipelined);
-          on-disk ones pay a scan.  Only the dispatcher creates these. *)
+  | Materialized of { name : string; covers : string list; bytes : int }
+      (** an executed unit's result, read from the temp table [name]
+          without I/O: it costs nothing to re-consume.  [covers] lists the
+          base-relation aliases folded into it; [bytes] is the result's
+          size, what a plan switch pays to write it out.  Only the
+          dispatcher creates these. *)
 
 and t = {
   id : int;

@@ -14,11 +14,21 @@ val file_id : t -> int
 val page_size_bytes : int
 
 val create : Schema.t -> t
+
+(** [of_rows schema rows] is a file holding [rows] in rid order, the same
+    file [create] followed by one [append] per row would build.  It adopts
+    [rows] as its storage instead of copying it. *)
+val of_rows : Schema.t -> Tuple.t array -> t
 val schema : t -> Schema.t
 
 val append : t -> Tuple.t -> unit
 
 val tuple_count : t -> int
+
+(** Every tuple in rid order, without I/O accounting.  No copy when the
+    storage is exactly full (always for a file from [of_rows]), so the
+    caller must not mutate the array. *)
+val rows : t -> Tuple.t array
 val page_count : t -> int
 val tuples_per_page : t -> int
 

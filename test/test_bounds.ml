@@ -233,6 +233,29 @@ let test_cost_interval_ordered () =
   Alcotest.(check bool) "interval ordered" true (iv.Bounds.lo <= iv.Bounds.hi);
   Alcotest.(check bool) "upper bound finite" true (Float.is_finite iv.Bounds.hi)
 
+(* The same analyzed heap under a base name and as a temp table
+   (Catalog.add_temp) with the same column statistics: only the base
+   table's bucket/distinct counts are trusted, so only there does an
+   equality on the unique column pin the scan to at most one row. *)
+let test_temp_counts_untrusted () =
+  let c = catalog () in
+  let base = Catalog.find_exn c "t" in
+  let temp = Catalog.add_temp c "tmp" base.Catalog.heap in
+  temp.Catalog.stats <- base.Catalog.stats;
+  let eq_scan name =
+    let filter =
+      Expr.Cmp (Expr.Eq, Expr.Col (name ^ ".a"), Expr.Const (Value.Int 42))
+    in
+    let p = scan c ~rows:1.0 ~filter name in
+    rows_of (analyze c p) p
+  in
+  let b = eq_scan "t" and t = eq_scan "tmp" in
+  Alcotest.(check bool)
+    (Fmt.str "base %a strictly inside temp %a" Bounds.pp_interval b
+       Bounds.pp_interval t)
+    true
+    (b.Bounds.lo >= t.Bounds.lo && b.Bounds.hi <= t.Bounds.hi && b <> t)
+
 let test_accept_bound_checked_gate () =
   Alcotest.(check bool) "provable win admitted" true
     (Reopt_policy.accept_bound_checked ~new_hi_ms:10.0 ~cur_lo_ms:20.0);
@@ -264,4 +287,6 @@ let suite =
     Alcotest.test_case "cost interval is ordered and finite" `Quick
       test_cost_interval_ordered;
     Alcotest.test_case "bound-checked gate admits only provable wins" `Quick
-      test_accept_bound_checked_gate ]
+      test_accept_bound_checked_gate;
+    Alcotest.test_case "a temp table's counts are not trusted" `Quick
+      test_temp_counts_untrusted ]

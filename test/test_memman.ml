@@ -83,21 +83,6 @@ let test_minimums_when_overcommitted () =
        Alcotest.(check bool) "at least 1 page" true (g.Memory_manager.granted >= 1))
     grants
 
-let test_frozen_nodes_untouched () =
-  let plan = figure3_plan ~j1_max:15 ~j2_max:15 ~agg_max:4 in
-  (* pretend join1 (id 4) already started with 3 pages *)
-  (match Plan.find plan 4 with
-   | Some n -> n.Plan.mem <- 3
-   | None -> Alcotest.fail "node 4");
-  let mm = Memory_manager.create ~budget_pages:20 in
-  let grants = Memory_manager.allocate mm ~frozen:(fun id -> id = 4) plan in
-  Alcotest.(check int) "only 2 grants" 2 (List.length grants);
-  (match Plan.find plan 4 with
-   | Some n -> Alcotest.(check int) "frozen grant kept" 3 n.Plan.mem
-   | None -> ());
-  let total = List.fold_left (fun a g -> a + g.Memory_manager.granted) 0 grants in
-  Alcotest.(check bool) "frozen pages reserved" true (total <= 17)
-
 let test_grants_mutate_plan () =
   let plan = figure3_plan ~j1_max:10 ~j2_max:10 ~agg_max:4 in
   let mm = Memory_manager.create ~budget_pages:100 in
@@ -114,5 +99,4 @@ let suite =
     Alcotest.test_case "figure 3 pressure" `Quick test_figure3_pressure;
     Alcotest.test_case "realloc after shrink" `Quick test_reallocation_after_shrunk_estimate;
     Alcotest.test_case "overcommitted minimums" `Quick test_minimums_when_overcommitted;
-    Alcotest.test_case "frozen untouched" `Quick test_frozen_nodes_untouched;
     Alcotest.test_case "grants mutate plan" `Quick test_grants_mutate_plan ]

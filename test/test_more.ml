@@ -461,8 +461,7 @@ let test_temp_stats_cover_read_set () =
             let observe () =
               List.iter
                 (fun (t : Catalog.table) ->
-                   if String.starts_with ~prefix:"__temp" t.Catalog.name
-                   && not (Hashtbl.mem temps t.Catalog.name)
+                   if t.Catalog.temp && not (Hashtbl.mem temps t.Catalog.name)
                    then
                      Hashtbl.add temps t.Catalog.name
                        (Dispatcher.run_elapsed_ms r, t))

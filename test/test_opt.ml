@@ -405,8 +405,6 @@ let shapes m ~dop ~rf ~ls ~rs =
     ("sort", 2, fun q mem_pages ->
         Cost_model.sort_ms m ~dop ~rows:q.(0) ~data_pages:q.(1) ~mem_pages);
     ("cpu", 1, fun q _ -> Cost_model.cpu_ms m ~rows:q.(0));
-    ("materialized", 2, fun q _ ->
-        Cost_model.materialized_ms m ~on_disk:true ~pages:q.(0) ~rows:q.(1));
     ("materialize", 1, fun q _ -> Cost_model.materialize_ms m ~pages:q.(0)) ]
 
 (* Bounds.cost_interval prices each node at the low and the high corner of

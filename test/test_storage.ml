@@ -288,6 +288,89 @@ let prop_btree_range_matches =
            got := rids @ !got);
        List.sort compare !got = expect)
 
+(* A heap adopted from an array by [of_rows] is the heap [create] plus one
+   [append] per row builds: same counts, same rows, and every [read] over
+   the same range returns the same tuples with the same clock charges and
+   pool hits and misses (each heap gets its own pool, since file ids
+   differ).  A further append to both must keep them equal, including on
+   an adopted empty array. *)
+let heap_case_gen =
+  QCheck.Gen.(
+    let value_of ty =
+      frequency
+        [ (1, return Value.Null);
+          ( 8,
+            match ty with
+            | Value.TInt -> map (fun i -> Value.Int i) (int_range (-1000) 1000)
+            | Value.TFloat ->
+              map (fun f -> Value.Float f) (float_bound_inclusive 1e3)
+            | Value.TString ->
+              map (fun s -> Value.String s) (string_size (int_range 0 12))
+            | Value.TBool -> map (fun b -> Value.Bool b) bool
+            | Value.TDate -> map (fun d -> Value.Date d) (int_range 0 20000) ) ]
+    in
+    let* tys =
+      list_size (int_range 1 5)
+        (oneofl Value.[ TInt; TFloat; TString; TBool; TDate ])
+    in
+    let* widths = flatten_l (List.map (fun _ -> int_range 1 600) tys) in
+    let row = flatten_l (List.map value_of tys) in
+    let* rows =
+      list_size (frequency [ (1, return 0); (9, int_range 1 300) ]) row
+    in
+    let* extra = row in
+    let* capacity = int_range 1 8 in
+    let rid = int_range (-5) 310 in
+    let* ranges = list_size (int_range 1 12) (pair rid rid) in
+    return (tys, widths, rows, extra, capacity, ranges))
+
+let prop_of_rows_matches_append =
+  QCheck.Test.make ~name:"Heap_file.of_rows = create + append" ~count:200
+    (QCheck.make heap_case_gen)
+    (fun (tys, widths, rows, extra, capacity, ranges) ->
+       let schema =
+         Schema.make
+           (List.mapi
+              (fun i (ty, width) ->
+                 Schema.col ~width (Printf.sprintf "c%d" i) ty)
+              (List.combine tys widths))
+       in
+       let rows = List.map Array.of_list rows in
+       let appended = Heap_file.create schema in
+       List.iter (Heap_file.append appended) rows;
+       let adopted = Heap_file.of_rows schema (Array.of_list rows) in
+       let same_rows a b =
+         Array.length a = Array.length b && Array.for_all2 Tuple.equal a b
+       in
+       let same_file () =
+         Heap_file.tuple_count appended = Heap_file.tuple_count adopted
+         && Heap_file.page_count appended = Heap_file.page_count adopted
+         && same_rows (Heap_file.rows appended) (Heap_file.rows adopted)
+       in
+       let reader h =
+         let pool = Buffer_pool.create ~capacity_pages:capacity in
+         let clock = Sim_clock.create () in
+         fun (from_rid, to_rid) ->
+           let tuples = Heap_file.read h ~pool ~clock ~from_rid ~to_rid in
+           ( tuples,
+             Sim_clock.counters clock,
+             Buffer_pool.hits pool,
+             Buffer_pool.misses pool )
+       in
+       let read_a = reader appended and read_b = reader adopted in
+       let same_reads =
+         List.for_all
+           (fun range ->
+              let ta, ca, ha, ma = read_a range
+              and tb, cb, hb, mb = read_b range in
+              same_rows ta tb && ca = cb && ha = hb && ma = mb)
+           ranges
+       in
+       let before = same_file () in
+       Heap_file.append appended (Array.of_list extra);
+       Heap_file.append adopted (Array.of_list extra);
+       before && same_reads && same_file ())
+
 let suite =
   [ Alcotest.test_case "pool hit/miss" `Quick test_pool_hit_miss;
     Alcotest.test_case "pool LRU eviction" `Quick test_pool_lru_eviction;
@@ -305,4 +388,5 @@ let suite =
     Alcotest.test_case "btree null rejected" `Quick test_btree_null_rejected;
     QCheck_alcotest.to_alcotest prop_pool_matches_naive_lru;
     QCheck_alcotest.to_alcotest prop_btree_matches_reference;
-    QCheck_alcotest.to_alcotest prop_btree_range_matches ]
+    QCheck_alcotest.to_alcotest prop_btree_range_matches;
+    QCheck_alcotest.to_alcotest prop_of_rows_matches_append ]
