@@ -1204,7 +1204,10 @@ let collect_scenario () =
    both over a heap-file id and a B+-tree id, at the 1600- and 6400-page
    pools of the dss benches.  [seq-scan] is [Scan.seq_scan] of lineitem
    at sf 0.02 through a fresh 6400-page pool, per tuple; [bytes_of_rows]
-   sizes the same rows, per cell.  Min and median over op_reps runs.   *)
+   sizes the same rows, per cell; [append] builds the table again from
+   copies of its rows with every cell a fresh box, as the generator
+   hands them over, per cell (the cost of interning each value).  Min
+   and median over op_reps runs.                                        *)
 
 let storage_scenario () =
   let module Buffer_pool = Mqr_storage.Buffer_pool in
@@ -1279,7 +1282,27 @@ let storage_scenario () =
   report "bytes_of_rows/cell" ~per:(scans * cells) (fun () ->
       for _ = 1 to scans do
         ignore (Mqr_exec.Rows_ops.bytes_of_rows rows)
-      done)
+      done);
+  let fresh (v : Mqr_storage.Value.t) : Mqr_storage.Value.t =
+    match v with
+    | Null -> Null
+    | Bool b -> Bool b
+    | Int i -> Int i
+    | Float f -> Float f
+    | String s -> String s
+    | Date d -> Date d
+  in
+  let scenario = "storage" and mode = "append/cell" in
+  count ~scenario ~mode "ops" cells;
+  let ns_min, ns_med, words =
+    record_timed ~per:cells ~scenario ~mode
+      (timed op_reps
+         ~setup:(fun () -> Array.map (Array.map fresh) rows)
+         (fun copies ->
+            let h = Heap_file.create (Heap_file.schema heap) in
+            Array.iter (Heap_file.append h) copies))
+  in
+  Fmt.pr "%-20s %9d %8.2f %8.2f %8.3f@." mode cells ns_min ns_med words
 
 (* ------------------------------------------------------------------ *)
 (* Hash kernels on the wall clock, on sf 0.02 data: [Join.hash_join] per

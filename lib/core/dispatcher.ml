@@ -541,6 +541,16 @@ let step_once r =
        end;
        (* Drop temp tables so the engine can be reused. *)
        drop_temps r;
+       (* a bare full scan yields the table's own storage: the caller,
+          who may write the array, gets a copy *)
+       let rows =
+         if
+           List.exists
+             (fun tbl -> Heap_file.owns tbl.Catalog.heap rows)
+             (Catalog.tables st.cfg.catalog)
+         then Array.copy rows
+         else rows
+       in
        let elapsed = Sim_clock.elapsed_ms st.ctx.Exec_ctx.clock in
        let hits = Buffer_pool.hits st.ctx.Exec_ctx.pool in
        let misses = Buffer_pool.misses st.ctx.Exec_ctx.pool in

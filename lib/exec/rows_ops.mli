@@ -4,6 +4,9 @@
 
 open Mqr_storage
 
+(** [filter ctx schema pred rows] keeps the rows satisfying [pred], in
+    order: [rows] itself when every row passes, else a fresh array of
+    exactly the survivors.  Like every operator it never writes [rows]. *)
 val filter : Exec_ctx.t -> Schema.t -> Mqr_expr.Expr.t -> Tuple.t array -> Tuple.t array
 
 (** [project ctx schema cols rows] keeps the named columns, in order.
@@ -34,8 +37,8 @@ end
 
 (** Hash of a join, group or DISTINCT key value that agrees with
     [Value.equal] ([Int 3] and [Float 3.0], [-0.0] and [0.0], all nans):
-    an integer mix for [Int], [Date] and integral [Float]s below 2^53,
-    [Value.hash] for other numbers, a loop over a [String]'s bytes, a
+    [Hash_mix.mix] for [Int], [Date] and integral [Float]s below 2^53,
+    [Value.hash] for other numbers, [Hash_mix.string_hash] for a [String], a
     constant for [Null] and [Bool].  Allocates nothing off [Value.hash]. *)
 val key_hash : Value.t -> int
 

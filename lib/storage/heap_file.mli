@@ -4,7 +4,13 @@
     logical pages; page accesses are routed through a {!Buffer_pool} and
     charged to a {!Sim_clock}, so scans and fetches cost what they would on
     disk.  The number of tuples per page is derived from the schema's
-    average tuple width and a 4 KB page. *)
+    average tuple width and a 4 KB page.
+
+    Every array of rows this module hands out ([rows], [read], and the
+    array [of_rows] adopted) is never written again: [append] writes only
+    past the end of an array it has not handed out, and [retain] builds a
+    fresh one.  Operators rely on it, and never write their input arrays
+    either, so a scan can return the file's own storage. *)
 
 type t
 
@@ -16,19 +22,33 @@ val page_size_bytes : int
 val create : Schema.t -> t
 
 (** [of_rows schema rows] is a file holding [rows] in rid order, the same
-    file [create] followed by one [append] per row would build.  It adopts
-    [rows] as its storage instead of copying it. *)
+    file [create] followed by one [append] per row would build, except
+    that it shares no boxes: it adopts [rows] as its storage instead of
+    copying it, and interns nothing. *)
 val of_rows : Schema.t -> Tuple.t array -> t
 val schema : t -> Schema.t
 
+(** [append t tuple] adds [tuple] at the next rid.  Each non-null cell
+    passes through its column's dictionary, created by the file's first
+    [append] (so a file from [of_rows] has none until then): a cell with
+    the same constructor and bits as one appended before (floats by
+    [Int64.bits_of_float], so [-0.0] and [0.0] and nans of different
+    payloads stay apart; [Int 3], [Float 3.0] and [Date 3] too) is
+    replaced, in [tuple], by that first box, so a column's repeats share
+    one box.  A column's dictionary is dropped once it holds 4096 values,
+    [Distinct]'s exact limit; later cells are stored as given. *)
 val append : t -> Tuple.t -> unit
 
 val tuple_count : t -> int
 
-(** Every tuple in rid order, without I/O accounting.  No copy when the
-    storage is exactly full (always for a file from [of_rows]), so the
-    caller must not mutate the array. *)
+(** Every tuple in rid order, without I/O accounting: the file's own
+    storage, trimmed to its length on the first call after an [append] or
+    a [retain].  The caller must not mutate the array. *)
 val rows : t -> Tuple.t array
+
+(** Whether [rows] is the file's own storage (what [rows] returns).  An
+    engine that hands a result outside copies it first. *)
+val owns : t -> Tuple.t array -> bool
 val page_count : t -> int
 val tuples_per_page : t -> int
 
@@ -42,8 +62,9 @@ val fetch : t -> pool:Buffer_pool.t -> clock:Sim_clock.t -> int -> Tuple.t
 (** [iter t f] iterates without any cost accounting. *)
 val iter : t -> (int -> Tuple.t -> unit) -> unit
 
-(** [read t ~pool ~clock ~from_rid ~to_rid] returns a fresh array of the
-    tuples at rids [from_rid, to_rid) (clipped to the file), in rid order.
+(** [read t ~pool ~clock ~from_rid ~to_rid] returns the tuples at rids
+    [from_rid, to_rid) (clipped to the file), in rid order: [rows t] when
+    the range covers the file, else a fresh array.
     It touches each page the range overlaps, in order, charging a
     sequential read per miss, then CPU once per tuple of the range on that
     page.  [Scan.seq_scan] reads the whole file; a striped parallel scan
@@ -52,7 +73,9 @@ val read :
   t -> pool:Buffer_pool.t -> clock:Sim_clock.t -> from_rid:int -> to_rid:int ->
   Tuple.t array
 
-(** [retain t keep] compacts the file, keeping only tuples satisfying
-    [keep]; returns how many were deleted.  Rids are reassigned, so any
-    index on the table must be rebuilt afterwards. *)
+(** [retain t keep] replaces the storage by a fresh array of exactly the
+    tuples satisfying [keep] ([keep] runs once per tuple, in rid order);
+    returns how many were deleted.  Arrays read before are untouched.
+    Rids are reassigned, so any index on the table must be rebuilt
+    afterwards. *)
 val retain : t -> (Tuple.t -> bool) -> int

@@ -314,6 +314,101 @@ let test_plan_cache_per_mode () =
   Alcotest.(check bool) "full mode not served the off-mode plan" true
     (r.Dispatcher.counters.Sim_clock.opt_invocations >= 1)
 
+(* --- no array a reader holds ever changes --- *)
+
+(* each tuple of [rows] and each of its cells, physically *)
+let snapshot rows = (Array.copy rows, Array.map Array.copy rows)
+
+let unchanged (tuples, cells) rows =
+  Array.length rows = Array.length tuples
+  && Array.for_all2 ( == ) rows tuples
+  && Array.for_all2 (Array.for_all2 ( == )) rows cells
+
+(* A full scan hands out the table's own storage: neither a DELETE nor an
+   INSERT after it may write that array, or the report of a SELECT. *)
+let test_scan_survives_dml () =
+  let catalog = small_catalog () in
+  let engine = Engine.create catalog in
+  let heap = (Catalog.find_exn catalog "items").Catalog.heap in
+  let scan () = Mqr_exec.Scan.seq_scan (Mqr_exec.Exec_ctx.create ()) heap in
+  let first = scan () in
+  let reported = (Engine.run_sql engine "select * from items").Dispatcher.rows in
+  let first0 = snapshot first and reported0 = snapshot reported in
+  ignore (Engine.execute engine "delete from items where grp = 0");
+  let second = scan () in
+  let second0 = snapshot second in
+  ignore (Engine.execute engine "insert into items values (500, 1, 1.5)");
+  Alcotest.(check int) "the table changed" 161 (Heap_file.tuple_count heap);
+  Alcotest.(check bool) "scan before the DELETE unchanged" true
+    (unchanged first0 first);
+  Alcotest.(check bool) "scan before the INSERT unchanged" true
+    (unchanged second0 second);
+  Alcotest.(check bool) "report rows unchanged" true
+    (unchanged reported0 reported)
+
+let tpcd_catalog () = Mqr_tpcd.Workload.experiment_catalog ~sf:0.001 ()
+
+(* A SELECT's rows are the caller's to write, also when the plan is a bare
+   full scan (a prepared plan: the optimizer's own puts a projection on
+   top). *)
+let test_sorting_report_leaves_table () =
+  let catalog = tpcd_catalog () in
+  let engine = Engine.create catalog in
+  let heap = (Catalog.find_exn catalog "region").Catalog.heap in
+  let stored = snapshot (Heap_file.rows heap) in
+  let sql = "select * from region" in
+  let bare =
+    match (Engine.explain engine sql).Plan.node with
+    | Plan.Project { input; _ } -> input
+    | _ -> Alcotest.fail "expected a projection on top"
+  in
+  let cfg = Engine.dispatcher_config engine ~mode:Dispatcher.Off () in
+  List.iter
+    (fun (what, (report : Dispatcher.report)) ->
+       let rows = report.Dispatcher.rows in
+       Alcotest.(check int) (what ^ ": every region") 5 (Array.length rows);
+       Array.sort (fun a b -> compare b a) rows;
+       Alcotest.(check bool) (what ^ ": region unchanged") true
+         (unchanged stored (Heap_file.rows heap)))
+    [ ("select", Engine.run_sql engine sql);
+      ( "bare scan",
+        Dispatcher.run ~prepared:(bare, 0) cfg (Engine.bind_sql engine sql) ) ]
+
+(* Every benchmark query in every mode, with serial and with parallel
+   plans, leaves each base table's tuples and cells where they were. *)
+let test_queries_leave_base_heaps () =
+  List.iter
+    (fun max_dop ->
+       let catalog = tpcd_catalog () in
+       let engine =
+         Engine.create ~budget_pages:64 ~pool_pages:512
+           ~opt_options:{ Mqr_opt.Optimizer.default_options with max_dop }
+           catalog
+       in
+       let heaps =
+         List.map
+           (fun tbl ->
+              let heap = tbl.Catalog.heap in
+              (tbl.Catalog.name, heap, snapshot (Heap_file.rows heap)))
+           (Catalog.tables catalog)
+       in
+       List.iter
+         (fun mode ->
+            List.iter
+              (fun (q : Mqr_tpcd.Queries.query) ->
+                 ignore (Engine.run_sql engine ~mode q.Mqr_tpcd.Queries.sql))
+              Mqr_tpcd.Queries.all)
+         [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
+           Dispatcher.Full; Dispatcher.Bound_checked ];
+       List.iter
+         (fun (name, heap, stored) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s unchanged at max dop %d" name max_dop)
+              true
+              (unchanged stored (Heap_file.rows heap)))
+         heaps)
+    [ 1; 2 ]
+
 let suite =
   [ Alcotest.test_case "insert" `Quick test_insert;
     Alcotest.test_case "insert coercion" `Quick test_insert_coercion;
@@ -334,4 +429,10 @@ let suite =
       test_plan_cache_execute_select;
     Alcotest.test_case "plan cache invalidation" `Quick test_plan_cache_invalidated_by_updates;
     Alcotest.test_case "plan cache analyze invalidation" `Quick test_plan_cache_invalidated_by_analyze;
-    Alcotest.test_case "plan cache per mode" `Quick test_plan_cache_per_mode ]
+    Alcotest.test_case "plan cache per mode" `Quick test_plan_cache_per_mode;
+    Alcotest.test_case "a full-scan result survives INSERT and DELETE" `Quick
+      test_scan_survives_dml;
+    Alcotest.test_case "sorting report rows leaves the table" `Quick
+      test_sorting_report_leaves_table;
+    Alcotest.test_case "queries leave base heaps physically identical" `Quick
+      test_queries_leave_base_heaps ]

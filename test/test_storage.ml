@@ -371,6 +371,86 @@ let prop_of_rows_matches_append =
        Heap_file.append adopted (Array.of_list extra);
        before && same_reads && same_file ())
 
+(* Interning changes only the representation.  Rows of mixed cells, each
+   a fresh box: Int, Float (both zeros, nans of three bit patterns, both
+   infinities, integral floats equal to Ints of the same column), String,
+   Date, Bool and Null.  A reference model per column replays the
+   dictionary: while it holds fewer than 4096 values, a cell whose bits
+   were appended before is stored as the first box with those bits and a
+   new one as itself; once it holds 4096, every later cell is stored as
+   itself.  Every stored cell keeps its constructor and bits.  Wide cases
+   push column 0 past 4096 distinct ints. *)
+let bits_key (v : Value.t) =
+  match v with
+  | Null -> "N"
+  | Bool b -> "B" ^ string_of_bool b
+  | Int i -> "I" ^ string_of_int i
+  | Float f -> "F" ^ Int64.to_string (Int64.bits_of_float f)
+  | String s -> "S" ^ s
+  | Date d -> "D" ^ string_of_int d
+
+let intern_case_gen =
+  QCheck.Gen.(
+    let floats =
+      [ 0.0; -0.0; Float.nan; -.Float.nan;
+        Int64.float_of_bits 0x7FF0000000000001L; infinity; neg_infinity;
+        1.0; 3.0; 2.5; -7.0 ]
+    in
+    let cell =
+      frequency
+        [ (1, return Value.Null);
+          (3, map (fun i -> Value.Int i) (int_range (-8) 8));
+          (4, map (fun f -> Value.Float f) (oneofl floats));
+          (2, map (fun s -> Value.String s) (oneofl [ ""; "a"; "R"; "abcdefghij" ]));
+          (2, map (fun d -> Value.Date d) (int_range 0 8));
+          (1, map (fun b -> Value.Bool b) bool) ]
+    in
+    let* wide = frequency [ (1, return true); (9, return false) ] in
+    let* cols = int_range 1 4 in
+    let* n = if wide then return 6000 else int_range 0 300 in
+    let wide_cell = map (fun i -> Value.Int i) (int_range 0 50_000) in
+    list_repeat n
+      (map2 (fun first rest -> Array.of_list (first :: rest))
+         (if wide then wide_cell else cell) (list_repeat (cols - 1) cell)))
+
+let prop_interning_is_representation_only =
+  QCheck.Test.make ~name:"interning changes only the representation" ~count:60
+    (QCheck.make intern_case_gen)
+    (fun rows ->
+       let cols = match rows with [] -> 1 | r :: _ -> Array.length r in
+       let schema =
+         Schema.make
+           (List.init cols (fun i -> Schema.col (Printf.sprintf "c%d" i) Value.TInt))
+       in
+       let h = Heap_file.create schema in
+       let given = List.map Array.copy rows in
+       List.iter (Heap_file.append h) rows;
+       let firsts = Array.init cols (fun _ -> Hashtbl.create 64) in
+       let alive = Array.make cols true in
+       List.for_all Fun.id
+         (List.mapi
+            (fun rid (cells : Tuple.t) ->
+               let stored = Heap_file.get h rid in
+               Array.length stored = cols
+               && List.for_all Fun.id
+                    (List.init cols (fun c ->
+                         let v = cells.(c) and s = stored.(c) in
+                         let k = bits_key v in
+                         bits_key s = k
+                         &&
+                         match v with
+                         | Value.Null -> true
+                         | _ when not alive.(c) -> s == v
+                         | _ -> (
+                             match Hashtbl.find_opt firsts.(c) k with
+                             | Some first -> s == first
+                             | None ->
+                               Hashtbl.add firsts.(c) k s;
+                               if Hashtbl.length firsts.(c) = 4096 then
+                                 alive.(c) <- false;
+                               s == v))))
+            given))
+
 let suite =
   [ Alcotest.test_case "pool hit/miss" `Quick test_pool_hit_miss;
     Alcotest.test_case "pool LRU eviction" `Quick test_pool_lru_eviction;
@@ -389,4 +469,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pool_matches_naive_lru;
     QCheck_alcotest.to_alcotest prop_btree_matches_reference;
     QCheck_alcotest.to_alcotest prop_btree_range_matches;
-    QCheck_alcotest.to_alcotest prop_of_rows_matches_append ]
+    QCheck_alcotest.to_alcotest prop_of_rows_matches_append;
+    QCheck_alcotest.to_alcotest prop_interning_is_representation_only ]
