@@ -50,6 +50,8 @@ val run :
 
 type run
 
+(** A [start] that raises (a rejected plan, a failing start-time probe)
+    leaves no open trace span and no temp table, as a raising {!step}. *)
 val start :
   ?prepared:Mqr_opt.Plan.t * int -> config -> Mqr_sql.Query.t -> run
 

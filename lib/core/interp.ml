@@ -26,6 +26,8 @@ module Collector = Mqr_exec.Collector
 module Runtime_filter = Mqr_exec.Runtime_filter
 module Parallel = Mqr_exec.Parallel
 module Verifier = Mqr_analysis.Verifier
+module Diagnostic = Mqr_analysis.Diagnostic
+module Bounds = Mqr_analysis.Bounds
 module Trace = Mqr_obs.Trace
 module Metrics = Mqr_obs.Metrics
 module Progress = Mqr_obs.Progress
@@ -60,31 +62,27 @@ module Types = struct
         (** disambiguates intermediate-result table names when several
             in-flight queries share one catalog; [""] for a solo query *)
     verify : Verifier.mode;
-        (** static plan verification (see {!Mqr_analysis.Verifier}): [Pre]
-            analyses the instrumented plan before execution and
-            {!Dispatcher.start}/{!Dispatcher.run} raise
-            {!Mqr_analysis.Verifier.Rejected} on any error-severity
-            finding; [Sanitize] additionally re-verifies the
-            remainder plan at every decision point and after every
-            mid-query plan switch, and asserts the runtime-filter lease
-            invariant ([filter_pages_held = 0]) there.  Verification is
-            pure analysis — it never touches the simulated clock. *)
+        (** plan verification (see {!Mqr_analysis.Verifier}), read only by
+            {!Interp.observe}: [Pre] analyses the initial plan and raises
+            {!Mqr_analysis.Verifier.Rejected} on any error-severity finding.
+            [Sanitize] is the run's sanitizer: it also re-verifies the plan
+            after every switch and at every decision point, and raises on
+            [BND-OBSERVED] (an observed cardinality outside its provable
+            interval) after every unit and at completion, and on
+            [RF-LIFETIME] or [PAR-LIFETIME] (bitmap or worker pool-slice
+            pages still leased) at every decision point and at completion *)
     trace : Trace.scope option;
-        (** when set, the run stamps operator/unit/query spans,
-            decision-point audit-ledger entries and metrics into the scope's
-            trace (see {!Mqr_obs.Trace}).  Tracing is pure observation: it
-            never charges the simulated clock, so a traced run's elapsed
-            time and result rows are identical to an untraced one *)
+        (** operator/unit/query spans, audit-ledger entries and metrics go
+            to this scope (see {!Mqr_obs.Trace}); read only by
+            {!Interp.observe} and its span helpers *)
     progress : Progress.t option;
-        (** when set, the run records a progress/ETA sample into the
-            estimator at start, at every decision point, after every plan
-            switch and on completion, combining the remainder plan's Eq.1
-            cost estimate with its provable remaining-cost interval from
-            {!Mqr_analysis.Bounds}.  Like tracing, progress is pure
-            observation: it never charges the simulated clock, so a run
-            with progress attached has bit-identical elapsed time and
-            byte-identical rows *)
+        (** a progress/ETA sample at start, after every switch, at every
+            decision point and at completion: the remainder's Eq.1 estimate
+            and its provable remaining-cost interval from
+            {!Mqr_analysis.Bounds}; read only by {!Interp.observe} *)
   }
+  (** None of the three observers charges the simulated clock: attaching
+      them leaves rows and simulated elapsed bit-identical. *)
 
   type event =
     | Ev_unit_done of { op : string; est_rows : float; actual_rows : int }
@@ -209,12 +207,21 @@ type state = {
   mutable collector_ms : float;
   (* simulated milliseconds runtime filters spent testing probe rows *)
   mutable filter_probe_ms : float;
+  (* the trace's query span, open from start to completion or abort *)
+  mutable q_span : (Trace.scope * Trace.token) option;
+  (* plan-verification runs performed *)
+  mutable verifications : int;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Observability: translate dispatcher events into audit-ledger entries,
-   metrics and trace instants.  Pure observation — nothing here charges
-   the simulated clock.                                                *)
+(* Observability.  The dispatcher is observable at a few fixed points
+   (paper Figure 9): the run starts, an event is emitted, a unit is done,
+   a decision point opens, the plan switches, the verdict is applied, the
+   run completes or aborts.  [observe] is the one reader of the config's
+   [trace], [progress] and [verify]: the trace and its audit ledger, the
+   metrics, the progress estimator and the sanitizer are its closed set of
+   cases.  Pure observation — nothing here charges the simulated clock;
+   the sanitizer is the one observer that may raise.                   *)
 
 let now st = Sim_clock.elapsed_ms st.ctx.Exec_ctx.clock
 
@@ -228,33 +235,33 @@ let decision_metric = function
    none yet (e.g. a lease refresh before the first unit).  The kind's own
    args are named here and nowhere else: the Eq. 1/Eq. 2 terms of the
    paper (Section 2.4), so a decision can be replayed post-hoc. *)
-let ledger_entry st scope ~ts ~kind args =
-  let unit_op, est_rows, actual_rows =
-    Option.value ~default:("", 0.0, 0)
-      (List.find_map
-         (function
-           | _, Ev_unit_done { op; est_rows; actual_rows } ->
-             Some (op, est_rows, actual_rows)
-           | _ -> None)
-         st.events)
-  in
-  Trace.decision scope ~ts_ms:ts ~unit_op ~est_rows ~actual_rows ~kind args
-
 let trace_event st scope ~ts ev =
   let m = Trace.scope_metrics scope in
+  let instant cat name args =
+    Trace.instant scope ~cat ~name ~args ~ts_ms:ts ()
+  in
+  let ledger kind args =
+    let unit_op, est_rows, actual_rows =
+      Option.value ~default:("", 0.0, 0)
+        (List.find_map
+           (function
+             | _, Ev_unit_done { op; est_rows; actual_rows } ->
+               Some (op, est_rows, actual_rows)
+             | _ -> None)
+           st.events)
+    in
+    Trace.decision scope ~ts_ms:ts ~unit_op ~est_rows ~actual_rows ~kind args
+  in
   match ev with
   | Ev_unit_done _ -> ()
   | Ev_collected { cid; alias; columns } ->
     Metrics.incr m "collector.collections";
-    Trace.instant scope ~cat:"collector"
-      ~name:(Printf.sprintf "collected#%d" cid)
-      ~args:
-        [ ("alias", Trace.Str alias);
-          ("columns", Trace.Str (String.concat "," columns)) ]
-      ~ts_ms:ts ()
+    instant "collector" (Printf.sprintf "collected#%d" cid)
+      [ ("alias", Trace.Str alias);
+        ("columns", Trace.Str (String.concat "," columns)) ]
   | Ev_realloc { grants } ->
     Metrics.incr m "decision.realloc";
-    ledger_entry st scope ~ts ~kind:"realloc"
+    ledger "realloc"
       [ ("granted_pages",
          Trace.Int
            (List.fold_left
@@ -266,7 +273,7 @@ let trace_event st scope ~ts ev =
     ->
     Metrics.incr m "decision.considered";
     Metrics.incr m (decision_metric decision);
-    ledger_entry st scope ~ts ~kind:"considered"
+    ledger "considered"
       [ ("decision", Trace.Str (Reopt_policy.decision_to_string decision));
         ("t_improved_ms", Trace.Float t_improved);
         ("t_optimizer_ms", Trace.Float t_optimizer);
@@ -274,77 +281,243 @@ let trace_event st scope ~ts ev =
         ("forced_by_filter_surprise", Trace.Bool forced) ]
   | Ev_switched { t_new_total; t_improved; materialize_ms } ->
     Metrics.incr m "plan.switched";
-    ledger_entry st scope ~ts ~kind:"switched"
+    ledger "switched"
       [ ("t_new_total_ms", Trace.Float t_new_total);
         ("t_improved_ms", Trace.Float t_improved);
         ("materialize_ms", Trace.Float materialize_ms) ]
   | Ev_rejected { t_new_total; t_improved } ->
     Metrics.incr m "plan.rejected";
-    ledger_entry st scope ~ts ~kind:"rejected"
+    ledger "rejected"
       [ ("t_new_total_ms", Trace.Float t_new_total);
         ("t_improved_ms", Trace.Float t_improved) ]
   | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
-    Metrics.incr m
-      (if admitted then "bounds.admitted" else "bounds.vetoed");
-    Trace.instant scope ~cat:"bounds" ~name:"bound_check"
-      ~args:
-        [ ("new_hi_ms", Trace.Float new_hi_ms);
-          ("cur_lo_ms", Trace.Float cur_lo_ms);
-          ("admitted", Trace.Bool admitted) ]
-      ~ts_ms:ts ()
+    Metrics.incr m (if admitted then "bounds.admitted" else "bounds.vetoed");
+    instant "bounds" "bound_check"
+      [ ("new_hi_ms", Trace.Float new_hi_ms);
+        ("cur_lo_ms", Trace.Float cur_lo_ms);
+        ("admitted", Trace.Bool admitted) ]
   | Ev_sampled p ->
     Metrics.incr m "sampling.probes";
-    Trace.instant scope ~cat:"sampling" ~name:("probe:" ^ p.Sampling.alias)
-      ~args:
-        [ ("sampled", Trace.Int p.Sampling.sampled);
-          ("matched", Trace.Int p.Sampling.matched);
-          ("observed_sel", Trace.Float p.Sampling.observed_selectivity);
-          ("estimated_sel", Trace.Float p.Sampling.estimated_selectivity) ]
-      ~ts_ms:ts ()
+    instant "sampling" ("probe:" ^ p.Sampling.alias)
+      [ ("sampled", Trace.Int p.Sampling.sampled);
+        ("matched", Trace.Int p.Sampling.matched);
+        ("observed_sel", Trace.Float p.Sampling.observed_selectivity);
+        ("estimated_sel", Trace.Float p.Sampling.estimated_selectivity) ]
   | Ev_parallel { op; dop; want_pages; got_pages; max_worker_ms; avg_worker_ms }
     ->
     Metrics.incr m "parallel.ops";
     Metrics.observe m "parallel.max_worker_ms" max_worker_ms;
     if avg_worker_ms > 0.0 then
       Metrics.observe m "parallel.skew" (max_worker_ms /. avg_worker_ms);
-    Trace.instant scope ~cat:"parallel" ~name:("exchange:" ^ op)
-      ~args:
-        [ ("dop", Trace.Int dop);
-          ("want_pages", Trace.Int want_pages);
-          ("got_pages", Trace.Int got_pages);
-          ("max_worker_ms", Trace.Float max_worker_ms);
-          ("avg_worker_ms", Trace.Float avg_worker_ms) ]
-      ~ts_ms:ts ()
+    instant "parallel" ("exchange:" ^ op)
+      [ ("dop", Trace.Int dop);
+        ("want_pages", Trace.Int want_pages);
+        ("got_pages", Trace.Int got_pages);
+        ("max_worker_ms", Trace.Float max_worker_ms);
+        ("avg_worker_ms", Trace.Float avg_worker_ms) ]
   | Ev_filter { source; target_col; est_sel; observed_sel; probed; dropped;
                 pages } ->
     Metrics.incr m "filter.built";
     Metrics.observe m "filter.est_sel" est_sel;
     Metrics.observe m "filter.observed_sel" observed_sel;
-    Trace.instant scope ~cat:"filter" ~name:("rf:" ^ target_col)
-      ~args:
-        [ ("source", Trace.Str source);
-          ("est_sel", Trace.Float est_sel);
-          ("observed_sel", Trace.Float observed_sel);
-          ("probed", Trace.Int probed);
-          ("dropped", Trace.Int dropped);
-          ("pages", Trace.Int pages) ]
-      ~ts_ms:ts ()
+    instant "filter" ("rf:" ^ target_col)
+      [ ("source", Trace.Str source);
+        ("est_sel", Trace.Float est_sel);
+        ("observed_sel", Trace.Float observed_sel);
+        ("probed", Trace.Int probed);
+        ("dropped", Trace.Int dropped);
+        ("pages", Trace.Int pages) ]
 
-let emit st ev =
-  let ts = now st in
-  st.events <- (ts, ev) :: st.events;
-  Option.iter (fun scope -> trace_event st scope ~ts ev) st.cfg.trace
-
-(* Span helpers: no-ops without an attached trace. *)
-let span_open st ~cat name =
-  match st.cfg.trace with
-  | None -> None
-  | Some scope -> Some (Trace.open_span scope ~cat ~name ~ts_ms:(now st) ())
+(* Spans: no-ops without an attached trace.  A token carries its scope. *)
+let span_open st ?(ts_ms = now st) ~cat name =
+  Option.map
+    (fun scope -> (scope, Trace.open_span scope ~cat ~name ~ts_ms ()))
+    st.cfg.trace
 
 let span_close st ?(args = []) tok =
-  match st.cfg.trace, tok with
-  | Some scope, Some tok -> Trace.close_span scope ~args ~ts_ms:(now st) tok
-  | _ -> ()
+  Option.iter
+    (fun (scope, tok) -> Trace.close_span scope ~args ~ts_ms:(now st) tok)
+    tok
+
+(* One span per parallel worker, each on its own lane, from [t_start]. *)
+let worker_spans st ~op ~t_start sims walls =
+  Option.iter
+    (fun scope ->
+       Array.iteri
+         (fun i sim_ms ->
+            let lane = Trace.worker_lane scope i in
+            let tok =
+              Trace.open_span lane ~cat:"worker" ~name:op ~ts_ms:t_start ()
+            in
+            Trace.close_span lane ~ts_ms:(t_start +. sim_ms) tok
+              ~args:
+                [ ("sim_ms", Trace.Float sim_ms);
+                  ("wall_ms", Trace.Float walls.(i)) ])
+         sims)
+    st.cfg.trace
+
+(* The sanitizer's checks.  A plan re-verification counts toward the
+   report's [verifications]; it is pure analysis of the plan against the
+   catalog, the live memory budget and the mu collector bound. *)
+let verify_plan st ~what plan =
+  st.verifications <- st.verifications + 1;
+  ignore
+    (Verifier.check_exn ~what
+       (Verifier.context ~budget_pages:(Memory_manager.budget_pages st.memman)
+          ~mu:st.cfg.params.Reopt_policy.mu st.cfg.catalog)
+       plan)
+
+(* RF-LIFETIME and PAR-LIFETIME: bitmap pages and worker pool slices must
+   both be back to zero whenever execution is observable from outside a
+   unit. *)
+let assert_filters_retired st ~what =
+  let check (t : transient) ~pass ~code ~hint pages =
+    if t.held <> 0 then
+      raise
+        (Verifier.Rejected
+           { what;
+             diags =
+               [ Diagnostic.error ~pass ~code ~hint ~node_id:st.current.Plan.id
+                   ~path:[ Plan.op_name st.current ]
+                   (Printf.sprintf "%d %s still leased at a decision point"
+                      t.held pages) ] })
+  in
+  check st.filter_pages ~pass:"resource" ~code:"RF-LIFETIME"
+    ~hint:"runtime filters must retire within their unit" "bloom-bitmap pages";
+  check st.worker_pages ~pass:"parallel" ~code:"PAR-LIFETIME"
+    ~hint:"worker pool slices must release within their operator"
+    "worker pool-slice pages"
+
+(* BND-OBSERVED, the dynamic half of the bounds pass: every cardinality
+   the executor just observed must lie inside its provable interval.  The
+   analysis claims soundness, so any violation is a hard error.
+   [subtree] limits the check to the nodes that actually ran — after a
+   plan switch, retired node ids may collide with renumbered ones.  The
+   catalog must still hold the run's temps: [Materialized] leaves are
+   bounded by them. *)
+let assert_observed_bounds st ~what subtree =
+  let a = Bounds.analyze (Bounds.env st.cfg.catalog) st.current in
+  let diags =
+    List.filter_map
+      (fun (n : Plan.t) ->
+         match
+           (Hashtbl.find_opt st.actuals n.Plan.id, Bounds.rows a n.Plan.id)
+         with
+         | Some obs, Some iv
+           when not (Bounds.contains iv (float_of_int obs)) ->
+           Some
+             (Diagnostic.error ~pass:"bounds" ~code:"BND-OBSERVED"
+                ~hint:
+                  "a statistic the analysis trusted is wrong, or the \
+                   analysis itself is unsound"
+                ~node_id:n.Plan.id
+                ~path:[ Plan.op_name n ]
+                (Printf.sprintf
+                   "%s produced %d rows, outside its provable interval %s"
+                   (Plan.op_name n) obs
+                   (Fmt.str "%a" Bounds.pp_interval iv)))
+         | _ -> None)
+      (Plan.nodes subtree)
+  in
+  if diags <> [] then raise (Verifier.Rejected { what; diags })
+
+type point =
+  | Started  (** the initial plan is ready; nothing has executed *)
+  | Event of event  (** just recorded by {!emit} *)
+  | Unit_done of Plan.t  (** the executed subtree, still in [current] *)
+  | Decision_opened  (** before the decision point's first entry *)
+  | Switched  (** [current] is the switched-to remainder *)
+  | Verdict_applied  (** the decision point is over *)
+  | Completed of report  (** the run's temps are still in the catalog *)
+  | Aborted of string option  (** torn down; the error, if one raised *)
+
+let observe st point =
+  let trace f = Option.iter f st.cfg.trace in
+  (* a progress sample: the remainder's Eq.1 estimate and its provable
+     remaining-cost interval *)
+  let progress label =
+    Option.iter
+      (fun p ->
+         let iv =
+           Bounds.cost_interval (Bounds.env st.cfg.catalog) ~model:st.cfg.model
+             ~max_dop:st.cfg.opt_options.Optimizer.max_dop st.current
+         in
+         ignore
+           (Progress.update p ~label ~now_ms:(now st)
+              ~remaining_est_ms:st.current.Plan.est.Plan.total_ms
+              ~remaining_lo_ms:iv.Bounds.lo ~remaining_hi_ms:iv.Bounds.hi))
+      st.cfg.progress
+  in
+  let sanitize = st.cfg.verify = Verifier.Sanitize in
+  match point with
+  | Started ->
+    (* the query span covers everything, optimization included *)
+    trace (fun scope ->
+        let name = "query:" ^ Trace.scope_label scope in
+        st.q_span <- span_open st ~ts_ms:0.0 ~cat:"query" name);
+    (* refuse to execute a plan that fails static analysis *)
+    if st.cfg.verify <> Verifier.Off then
+      verify_plan st ~what:"initial plan" st.current;
+    progress Progress.Start
+  | Event ev -> trace (fun scope -> trace_event st scope ~ts:(now st) ev)
+  | Unit_done j ->
+    if sanitize then assert_observed_bounds st ~what:"executed unit" j
+  | Decision_opened ->
+    trace (fun scope ->
+        ignore (Trace.new_decision_point scope);
+        Metrics.incr (Trace.scope_metrics scope) "decision_points")
+  | Switched ->
+    if sanitize then verify_plan st ~what:"switched plan" st.current;
+    progress Progress.Switch
+  | Verdict_applied ->
+    if sanitize then begin
+      assert_filters_retired st ~what:"decision point";
+      verify_plan st ~what:"remainder plan at decision point" st.current
+    end;
+    progress Progress.Decision
+  | Completed rep ->
+    if sanitize then begin
+      assert_filters_retired st ~what:"query completion";
+      assert_observed_bounds st ~what:"query completion" st.current
+    end;
+    span_close st st.q_span
+      ~args:
+        [ ("rows", Trace.Int (Array.length rep.rows));
+          ("switches", Trace.Int rep.switches);
+          ("collectors", Trace.Int rep.collectors);
+          ("collector_ms", Trace.Float rep.collector_ms);
+          ("pool_hits", Trace.Int rep.pool_hits);
+          ("pool_misses", Trace.Int rep.pool_misses) ];
+    trace (fun scope ->
+        let m = Trace.scope_metrics scope in
+        Metrics.incr m "queries";
+        Metrics.incr m ~by:rep.collectors "collectors";
+        Metrics.incr m ~by:rep.pool_hits "buffer_pool.hits";
+        Metrics.incr m ~by:rep.pool_misses "buffer_pool.misses";
+        let th = Metrics.counter m "buffer_pool.hits" in
+        let tm = Metrics.counter m "buffer_pool.misses" in
+        if th + tm > 0 then
+          Metrics.set_gauge m "buffer_pool.hit_ratio"
+            (float_of_int th /. float_of_int (th + tm));
+        Metrics.observe m "query.elapsed_ms" rep.elapsed_ms;
+        Metrics.observe m "query.collector_ms" rep.collector_ms);
+    Option.iter
+      (fun p -> ignore (Progress.finish p ~now_ms:rep.elapsed_ms))
+      st.cfg.progress
+  | Aborted error ->
+    (* close every open span: the trace stays a well-formed forest *)
+    trace (fun scope ->
+        Trace.unwind scope ~ts_ms:(now st) ()
+          ~args:
+            (("aborted", Trace.Bool true)
+             :: Option.fold error ~none:[]
+                  ~some:(fun m -> [ ("error", Trace.Str m) ])))
+
+(* Record an event: the run's one record of what happened, then its
+   observers. *)
+let emit st ev =
+  st.events <- (now st, ev) :: st.events;
+  observe st (Event ev)
 
 (* ------------------------------------------------------------------ *)
 (* Executing plan nodes.                                               *)
@@ -441,20 +614,7 @@ let with_workers st (p : Plan.t) ~op f =
     ~finally:(fun () -> release_pages st st.worker_pages got)
     (fun () ->
        let result = f ~degree:dop ~slice_pages:slice ~on_worker in
-       (match st.cfg.trace with
-        | None -> ()
-        | Some scope ->
-          Array.iteri
-            (fun i sim_ms ->
-               let lane = Trace.worker_lane scope i in
-               let tok =
-                 Trace.open_span lane ~cat:"worker" ~name:op ~ts_ms:t_start ()
-               in
-               Trace.close_span lane ~ts_ms:(t_start +. sim_ms) tok
-                 ~args:
-                   [ ("sim_ms", Trace.Float sim_ms);
-                     ("wall_ms", Trace.Float walls.(i)) ])
-            sims);
+       worker_spans st ~op ~t_start sims walls;
        let max_ms = Array.fold_left Float.max 0.0 sims in
        let avg_ms =
          Array.fold_left ( +. ) 0.0 sims /. float_of_int (max 1 dop)

@@ -286,11 +286,7 @@ let start_stmt t (s : Session.stmt) ~now =
     Broker.release t.broker ~id;
     s.Session.stmt_status <- Session.Failed (Printexc.to_string e);
     tn.tn_failed <- tn.tn_failed + 1;
-    refresh_activity t tenant;
-    (match scope with
-     | Some sc -> Trace.unwind sc ~args:[ ("aborted", Trace.Bool true) ]
-                    ~ts_ms:0.0 ()
-     | None -> ())
+    refresh_activity t tenant
 
 (* Drop queue entries cancelled while they waited. *)
 let rec purge_queue t =

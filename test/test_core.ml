@@ -503,6 +503,43 @@ let test_no_temp_outlives_raise () =
   Alcotest.(check bool) "torn down" true (Dispatcher.aborted r);
   check_no_temps catalog
 
+(* A start raises in start-time sampling (the UDF), or in the verifier
+   once the query span is open (a cached plan whose collectors share an
+   id). *)
+let test_raising_start_leaves_nothing () =
+  let catalog = mini_catalog () in
+  let tr = Mqr_obs.Trace.create () in
+  let engine =
+    Engine.create ~budget_pages:16 ~trace:tr
+      ~verify_plans:Mqr_analysis.Verifier.Pre catalog
+  in
+  Engine.register_udf engine ~name:"boom" (fun _ -> failwith "boom");
+  Alcotest.check_raises "the UDF raises" (Failure "boom") (fun () ->
+      ignore
+        (Engine.run_sql engine ~probe_rows:10
+           "select count(*) as n from t where boom(tval)"));
+  Alcotest.(check int) "no open span" 0 (Mqr_obs.Trace.open_spans tr);
+  let cfg =
+    Engine.dispatcher_config engine ~mode:Dispatcher.Full
+      ~trace:(Mqr_obs.Trace.scope tr ~label:"rejected" ()) ()
+  in
+  let q = Engine.bind_sql engine leak_sql in
+  let rec one_cid (p : Plan.t) =
+    let p = Plan.with_children p (List.map one_cid (Plan.children p)) in
+    match p.Plan.node with
+    | Plan.Collect c -> { p with Plan.node = Plan.Collect { c with cid = 0 } }
+    | _ -> p
+  in
+  (match
+     Dispatcher.start ~prepared:(one_cid (Dispatcher.initial_plan cfg q), 0)
+       cfg q
+   with
+   | _ -> Alcotest.fail "the verifier accepted duplicate collector ids"
+   | exception Mqr_analysis.Verifier.Rejected _ -> ());
+  Alcotest.(check int) "no open span after a rejection" 0
+    (Mqr_obs.Trace.open_spans tr);
+  check_no_temps catalog
+
 let test_no_temp_outlives_cancel () =
   let catalog = mini_catalog () in
   let engine = Engine.create ~budget_pages:16 catalog in
@@ -598,6 +635,8 @@ let suite =
     Alcotest.test_case "no temp outlives an abort" `Quick test_no_temp_outlives_abort;
     Alcotest.test_case "no temp outlives a raising step" `Quick
       test_no_temp_outlives_raise;
+    Alcotest.test_case "a start that raises leaves no open span and no temp"
+      `Quick test_raising_start_leaves_nothing;
     Alcotest.test_case "no temp outlives a cancel" `Quick test_no_temp_outlives_cancel;
     Alcotest.test_case "simple overhead bounded" `Quick test_simple_query_overhead_bounded;
     Alcotest.test_case "udf query" `Quick test_udf_query_runs;
