@@ -81,7 +81,6 @@ let friendly action =
   | Mqr_sql.Parser.Parse_error m -> Fmt.epr "error: %s@." m; exit 1
   | Mqr_sql.Query.Bind_error m -> Fmt.epr "error: %s@." m; exit 1
   | Engine.Dml_error m -> Fmt.epr "error: %s@." m; exit 1
-  | Mqr_catalog.Persist.Corrupt m -> Fmt.epr "error: corrupt database: %s@." m; exit 1
   | Invalid_argument m -> Fmt.epr "error: %s@." m; exit 1
   | Sys_error m -> Fmt.epr "error: %s@." m; exit 1
 
@@ -308,7 +307,7 @@ let lint_cmd =
     Term.(const action $ queries_arg $ sf_arg $ skew_arg $ budget_arg
           $ mode_arg $ pristine_arg $ rf_arg $ json_arg)
 
-(* The interactive shell shared by [repl] and [load]: SQL statements
+(* The interactive shell: SQL statements
    (benchmark names like Q5 expand to their SQL) and backslash commands,
    until \q or end of input. *)
 let repl ~banner engine =
@@ -386,39 +385,6 @@ let repl_cmd =
   in
   let info = Cmd.info "repl" ~doc:"Interactive SQL shell over a TPC-D catalog." in
   Cmd.v info Term.(const action $ sf_arg $ skew_arg $ budget_arg $ pristine_arg)
-
-let dump_cmd =
-  let out_arg =
-    let doc = "Directory to write the database into." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
-  in
-  let action out sf skew pristine =
-    friendly @@ fun () ->
-    let degradations = if pristine then [] else Workload.paper_degradations in
-    let catalog = Workload.experiment_catalog ~sf ~skew_z:skew ~degradations () in
-    Mqr_catalog.Persist.save catalog ~dir:out;
-    Fmt.pr "catalog written to %s@." out
-  in
-  let info =
-    Cmd.info "dump" ~doc:"Generate a TPC-D catalog and save it as CSV files."
-  in
-  Cmd.v info Term.(const action $ out_arg $ sf_arg $ skew_arg $ pristine_arg)
-
-let db_arg =
-  let doc = "Load the database from this directory (written by dump)              instead of generating TPC-D data." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
-
-let load_repl_cmd =
-  let action dir budget =
-    friendly @@ fun () ->
-    let catalog = Mqr_catalog.Persist.load ~dir in
-    let engine = Engine.create ~budget_pages:budget ~pool_pages:(8 * budget) catalog in
-    repl engine ~banner:(Fmt.str "mqr repl over %s" dir)
-  in
-  let info =
-    Cmd.info "load" ~doc:"Open a saved database directory in an interactive shell."
-  in
-  Cmd.v info Term.(const action $ db_arg $ budget_arg)
 
 let concurrency_arg =
   let doc = "Maximum number of statements executing at once." in
@@ -813,4 +779,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ run_cmd; explain_cmd; lint_cmd; trace_cmd; queries_cmd;
-            workload_cmd; serve_cmd; repl_cmd; dump_cmd; load_repl_cmd ]))
+            workload_cmd; serve_cmd; repl_cmd ]))

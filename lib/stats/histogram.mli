@@ -32,9 +32,6 @@ val buckets : t -> bucket list
 val total_rows : t -> float
 val distinct : t -> float
 
-(** Reconstruct a histogram from explicit buckets (persistence). *)
-val of_buckets : kind -> bucket array -> t
-
 (** [build kind ~buckets data] constructs a histogram with at most
     [buckets] buckets over [data].  An empty [data] yields an empty
     histogram whose estimators return 0. *)

@@ -1,7 +1,7 @@
 (** Minimal RFC-4180-style CSV reading and writing.
 
     Fields containing commas, quotes or newlines are quoted; quotes are
-    doubled.  Used by the persistence layer and the CLI's COPY. *)
+    doubled.  Used by the COPY statement. *)
 
 val encode_line : string list -> string
 

@@ -1,8 +1,7 @@
-(* CSV codec, catalog persistence round-trips, DDL/COPY/ANALYZE statements. *)
+(* CSV codec and DDL/COPY/ANALYZE statements. *)
 open Mqr_storage
 module Catalog = Mqr_catalog.Catalog
 module Column_stats = Mqr_catalog.Column_stats
-module Persist = Mqr_catalog.Persist
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
 module Histogram = Mqr_stats.Histogram
@@ -50,109 +49,6 @@ let test_csv_unterminated_quote () =
        ignore (Csv.decode_line "\"abc");
        false
      with Failure _ -> true)
-
-(* --- persistence --- *)
-
-let sample_catalog () =
-  let catalog = Catalog.create () in
-  let schema =
-    Schema.make
-      [ Schema.col "id" Value.TInt;
-        Schema.col ~width:12 "tag" Value.TString;
-        Schema.col "score" Value.TFloat;
-        Schema.col "day" Value.TDate ]
-  in
-  let heap = Heap_file.create schema in
-  for i = 0 to 99 do
-    Heap_file.append heap
-      [| Value.Int i;
-         (if i mod 10 = 0 then Value.Null else Value.String (Printf.sprintf "t%d" (i mod 3)));
-         Value.Float (float_of_int i /. 7.0);
-         Value.Date (9000 + i) |]
-  done;
-  ignore (Catalog.add_table catalog "things" heap);
-  Catalog.analyze_table ~keys:[ "id" ] catalog "things";
-  ignore (Catalog.create_index catalog ~table:"things" ~column:"id");
-  (* include degradations so they round-trip too *)
-  Catalog.degrade_scale_cardinality catalog ~table:"things" 0.5;
-  Catalog.degrade_mark_stale catalog ~table:"things" ~column:"score";
-  catalog
-
-let temp_dir () =
-  let d = Filename.temp_file "mqr_db" "" in
-  Sys.remove d;
-  d
-
-let test_persist_roundtrip_data () =
-  let catalog = sample_catalog () in
-  let dir = temp_dir () in
-  Persist.save catalog ~dir;
-  let back = Persist.load ~dir in
-  let tbl0 = Catalog.find_exn catalog "things" in
-  let tbl1 = Catalog.find_exn back "things" in
-  Alcotest.(check int) "rows" (Heap_file.tuple_count tbl0.Catalog.heap)
-    (Heap_file.tuple_count tbl1.Catalog.heap);
-  Alcotest.(check int) "believed rows preserved" tbl0.Catalog.believed_rows
-    tbl1.Catalog.believed_rows;
-  for rid = 0 to Heap_file.tuple_count tbl0.Catalog.heap - 1 do
-    if not (Tuple.equal (Heap_file.get tbl0.Catalog.heap rid)
-              (Heap_file.get tbl1.Catalog.heap rid))
-    then Alcotest.failf "tuple %d differs" rid
-  done
-
-let test_persist_roundtrip_stats () =
-  let catalog = sample_catalog () in
-  let dir = temp_dir () in
-  Persist.save catalog ~dir;
-  let back = Persist.load ~dir in
-  let tbl0 = Catalog.find_exn catalog "things" in
-  let tbl1 = Catalog.find_exn back "things" in
-  let st0 = Option.get (Catalog.column_stats tbl0 "score") in
-  let st1 = Option.get (Catalog.column_stats tbl1 "score") in
-  Alcotest.(check bool) "stale preserved" st0.Column_stats.stale
-    st1.Column_stats.stale;
-  Alcotest.(check bool) "key flag" true
-    (Option.get (Catalog.column_stats tbl1 "id")).Column_stats.is_key;
-  (match st0.Column_stats.histogram, st1.Column_stats.histogram with
-   | Some h0, Some h1 ->
-     Alcotest.(check (float 0.01)) "hist rows" (Histogram.total_rows h0)
-       (Histogram.total_rows h1);
-     Alcotest.(check bool) "kind" true (Histogram.kind h0 = Histogram.kind h1);
-     Alcotest.(check (float 1e-6)) "range estimate equal"
-       (Histogram.est_range h0 ~lo:(Some (2.0, true)) ~hi:(Some (8.0, true)))
-       (Histogram.est_range h1 ~lo:(Some (2.0, true)) ~hi:(Some (8.0, true)))
-   | _ -> Alcotest.fail "histogram lost");
-  (* string dictionary survives *)
-  let tag0 = Option.get (Catalog.column_stats tbl0 "tag") in
-  let tag1 = Option.get (Catalog.column_stats tbl1 "tag") in
-  Alcotest.(check bool) "dict" true
-    (tag0.Column_stats.dict = tag1.Column_stats.dict)
-
-let test_persist_roundtrip_queries () =
-  let catalog = sample_catalog () in
-  let dir = temp_dir () in
-  Persist.save catalog ~dir;
-  let back = Persist.load ~dir in
-  let sql = "select tag, count(*) as n from things where id < 50 group by tag" in
-  let r0 = Engine.run_sql (Engine.create catalog) sql in
-  let r1 = Engine.run_sql (Engine.create back) sql in
-  Alcotest.(check (list (list string))) "same result"
-    (Reference.canonical r0.Dispatcher.rows)
-    (Reference.canonical r1.Dispatcher.rows);
-  (* indexes were rebuilt *)
-  let tbl1 = Catalog.find_exn back "things" in
-  Alcotest.(check bool) "index present" true
-    (Catalog.find_index tbl1 ~column:"id" <> None)
-
-let test_persist_corrupt () =
-  let dir = temp_dir () in
-  Sys.mkdir dir 0o755;
-  Csv.write_file (Filename.concat dir "tables.csv") [ [ "ghost" ] ];
-  Alcotest.(check bool) "missing table files" true
-    (try
-       ignore (Persist.load ~dir);
-       false
-     with Persist.Corrupt _ | Sys_error _ -> true)
 
 (* --- DDL / COPY / ANALYZE statements --- *)
 
@@ -251,10 +147,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_csv_roundtrip;
     Alcotest.test_case "csv empty file" `Quick test_csv_empty_file;
     Alcotest.test_case "csv unterminated quote" `Quick test_csv_unterminated_quote;
-    Alcotest.test_case "persist data" `Quick test_persist_roundtrip_data;
-    Alcotest.test_case "persist stats" `Quick test_persist_roundtrip_stats;
-    Alcotest.test_case "persist queries" `Quick test_persist_roundtrip_queries;
-    Alcotest.test_case "persist corrupt" `Quick test_persist_corrupt;
     Alcotest.test_case "create table" `Quick test_create_table_and_insert;
     Alcotest.test_case "create index" `Quick test_create_index_statement;
     Alcotest.test_case "copy" `Quick test_copy_statement;
