@@ -30,15 +30,6 @@ let base_histogram_level env ~column =
     in
     if st.Column_stats.stale then bump base else base
 
-let rec pred_has_udf = function
-  | Expr.Udf _ -> true
-  | Expr.Col _ | Expr.Const _ -> false
-  | Expr.Arith (_, a, b) | Expr.Cmp (_, a, b) | Expr.And (a, b)
-  | Expr.Or (a, b) -> pred_has_udf a || pred_has_udf b
-  | Expr.Between (e, lo, hi) ->
-    pred_has_udf e || pred_has_udf lo || pred_has_udf hi
-  | Expr.Not e -> pred_has_udf e
-
 (* Effect of a pushed-down selection on a scan's output-cardinality level:
    UDF -> High; two or more distinct attributes -> one level worse than the
    worst attribute (correlations); single attribute -> that attribute's
@@ -54,7 +45,7 @@ let selectivity_error_level ~est ~obs =
 let filter_level env = function
   | None -> Low
   | Some pred ->
-    if pred_has_udf pred then High
+    if Expr.has_udf pred then High
     else begin
       let cols = List.sort_uniq String.compare (Expr.columns pred) in
       let worst =

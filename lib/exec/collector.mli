@@ -50,8 +50,11 @@ type observed = {
 }
 
 (** Run the collector over a drained intermediate result, charging its CPU
-    cost to the clock. *)
-val collect : Exec_ctx.t -> Schema.t -> spec -> Tuple.t array -> observed
+    cost to the clock.  When [leaf]'s codes describe [rows], a coded
+    column feeds its min/max and distinct counters once per code, at the
+    code's first row; the observation is the same. *)
+val collect :
+  ?leaf:Leaf.t -> Exec_ctx.t -> Schema.t -> spec -> Tuple.t array -> observed
 
 (** [ranges schema ~columns rows]: (min, max) over the non-null values of
     each named column (qualified, as in a spec), in [Value.min_value] /

@@ -47,6 +47,14 @@ let rec columns = function
   | Not e -> columns e
   | Udf u -> List.concat_map columns u.args
 
+let rec has_udf = function
+  | Udf _ -> true
+  | Col _ | Const _ -> false
+  | Arith (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
+    has_udf a || has_udf b
+  | Between (e, lo, hi) -> has_udf e || has_udf lo || has_udf hi
+  | Not e -> has_udf e
+
 let rec conjuncts = function
   | And (a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]

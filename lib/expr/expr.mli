@@ -50,6 +50,9 @@ val udf :
 (** All column names referenced. *)
 val columns : t -> string list
 
+(** Whether the expression calls a user-defined function. *)
+val has_udf : t -> bool
+
 (** Split a predicate into its top-level AND conjuncts. *)
 val conjuncts : t -> t list
 

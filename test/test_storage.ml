@@ -389,29 +389,37 @@ let bits_key (v : Value.t) =
   | String s -> "S" ^ s
   | Date d -> "D" ^ string_of_int d
 
-let intern_case_gen =
+let intern_number =
   QCheck.Gen.(
     let floats =
       [ 0.0; -0.0; Float.nan; -.Float.nan;
         Int64.float_of_bits 0x7FF0000000000001L; infinity; neg_infinity;
         1.0; 3.0; 2.5; -7.0 ]
     in
-    let cell =
-      frequency
-        [ (1, return Value.Null);
-          (3, map (fun i -> Value.Int i) (int_range (-8) 8));
-          (4, map (fun f -> Value.Float f) (oneofl floats));
-          (2, map (fun s -> Value.String s) (oneofl [ ""; "a"; "R"; "abcdefghij" ]));
-          (2, map (fun d -> Value.Date d) (int_range 0 8));
-          (1, map (fun b -> Value.Bool b) bool) ]
-    in
+    frequency
+      [ (1, return Value.Null);
+        (3, map (fun i -> Value.Int i) (int_range (-8) 8));
+        (4, map (fun f -> Value.Float f) (oneofl floats)) ])
+
+let intern_cell =
+  QCheck.Gen.(
+    frequency
+      [ (8, intern_number);
+        (2, map (fun s -> Value.String s) (oneofl [ ""; "a"; "R"; "abcdefghij" ]));
+        (2, map (fun d -> Value.Date d) (int_range 0 8));
+        (1, map (fun b -> Value.Bool b) bool) ])
+
+let intern_wide_cell = QCheck.Gen.map (fun i -> Value.Int i) (QCheck.Gen.int_range 0 50_000)
+
+let intern_case_gen =
+  QCheck.Gen.(
     let* wide = frequency [ (1, return true); (9, return false) ] in
     let* cols = int_range 1 4 in
     let* n = if wide then return 6000 else int_range 0 300 in
-    let wide_cell = map (fun i -> Value.Int i) (int_range 0 50_000) in
     list_repeat n
       (map2 (fun first rest -> Array.of_list (first :: rest))
-         (if wide then wide_cell else cell) (list_repeat (cols - 1) cell)))
+         (if wide then intern_wide_cell else intern_cell)
+         (list_repeat (cols - 1) intern_cell)))
 
 let prop_interning_is_representation_only =
   QCheck.Test.make ~name:"interning changes only the representation" ~count:60
