@@ -1134,7 +1134,7 @@ let collect_scenario () =
   let schema = Schema.qualify (Heap_file.schema heap) "l" in
   let rows = Array.init (Heap_file.tuple_count heap) (Heap_file.get heap) in
   let ctx = Mqr_exec.Exec_ctx.create () in
-  let leaf = Mqr_exec.Leaf.scan ctx heap in
+  let leaf = Mqr_exec.Leaf.scan ctx heap and plain = Mqr_exec.Leaf.of_rows rows in
   Fmt.pr "%-16s %-10s %8s %10s %10s %10s@." "column" "statistic" "values"
     "ns-min" "ns-med" "words";
   List.iter
@@ -1182,12 +1182,9 @@ let collect_scenario () =
                  ignore (Histogram.build Histogram.Maxdiff ~buckets:32 sample)
                done );
            ( "collect", n,
-             fun () -> ignore (Collector.collect ctx schema spec rows) );
+             fun () -> ignore (Collector.collect ctx schema spec plain) );
            ( "collect-coded", n,
-             fun () ->
-               ignore
-                 (Collector.collect ~leaf ctx schema spec (Mqr_exec.Leaf.rows leaf))
-           ) ])
+             fun () -> ignore (Collector.collect ctx schema spec leaf) ) ])
     [ "l_orderkey"; "l_quantity"; "l_extendedprice"; "l_shipdate"; "l_shipmode" ];
   let draws = 1_000_000 and rng = Mqr_stats.Rng.create 0x5eed in
   let scenario = "collect/rng" and mode = "int" in
@@ -1419,7 +1416,8 @@ let hash_scenario () =
   report "group/q1" ~per:(Array.length rows) (fun () ->
       ignore
         (Aggregate.hash_aggregate ctx ~mem_pages:100_000 schema
-           ~group_by:[ "l.l_returnflag"; "l.l_linestatus" ] ~aggs rows))
+           ~group_by:[ "l.l_returnflag"; "l.l_linestatus" ] ~aggs
+           (Mqr_exec.Leaf.of_rows rows)))
 
 (* ------------------------------------------------------------------ *)
 

@@ -561,13 +561,9 @@ let analyze env (plan : Plan.t) =
         let on_l c = resolves left.Plan.schema c
         and on_r c = resolves right.Plan.schema c in
         let joint cols =
-          let sl = List.filter (fun c -> on_l c && not (on_r c)) cols in
-          let sr = List.filter (fun c -> on_r c && not (on_l c)) cols in
-          Float.min
-            (mul (joint_mult left sl)
-               (joint_mult right (List.map snd keys @ sr)))
-            (mul (joint_mult right sr)
-               (joint_mult left (List.map fst keys @ sl)))
+          pinned ~left ~right ~keys
+            (List.filter (fun c -> on_l c && not (on_r c)) cols)
+            (List.filter (fun c -> on_r c && not (on_l c)) cols)
         in
         pred_count_hi ~hi ~joint p
     in
@@ -630,21 +626,14 @@ let analyze env (plan : Plan.t) =
           joint_mult input cols
         | Plan.Hash_join { build; probe; keys; _ } ->
           (* keys are (probe column, build column) pairs *)
-          let sb = List.filter (resolves build.Plan.schema) cols in
-          let sp = List.filter (resolves probe.Plan.schema) cols in
-          Float.min
-            (mul (joint_mult build sb)
-               (joint_mult probe (List.map fst keys @ sp)))
-            (mul (joint_mult probe sp)
-               (joint_mult build (List.map snd keys @ sb)))
+          pinned ~left:build ~right:probe
+            ~keys:(List.map (fun (pc, bc) -> (bc, pc)) keys)
+            (List.filter (resolves build.Plan.schema) cols)
+            (List.filter (resolves probe.Plan.schema) cols)
         | Plan.Merge_join { left; right; keys; _ } ->
-          let sl = List.filter (resolves left.Plan.schema) cols in
-          let sr = List.filter (resolves right.Plan.schema) cols in
-          Float.min
-            (mul (joint_mult left sl)
-               (joint_mult right (List.map snd keys @ sr)))
-            (mul (joint_mult right sr)
-               (joint_mult left (List.map fst keys @ sl)))
+          pinned ~left ~right ~keys
+            (List.filter (resolves left.Plan.schema) cols)
+            (List.filter (resolves right.Plan.schema) cols)
         | Plan.Index_nl_join { outer; table; alias = _; outer_col; inner_col; _ }
           ->
           let so = List.filter (resolves outer.Plan.schema) cols in
@@ -669,6 +658,13 @@ let analyze env (plan : Plan.t) =
               1.0 group_by
     in
     Float.min m hi
+  (* [joint_mult] of a join of [left] and [right] on [keys] ((left
+     column, right column) pairs), with columns [sl] of [left] and [sr]
+     of [right] pinned. *)
+  and pinned ~left ~right ~keys sl sr =
+    Float.min
+      (mul (joint_mult left sl) (joint_mult right (List.map snd keys @ sr)))
+      (mul (joint_mult right sr) (joint_mult left (List.map fst keys @ sl)))
   (* Provable per-value frequency of [c] in one table. *)
   and col_mult ti c =
     match ti.col c with
@@ -709,12 +705,7 @@ let analyze env (plan : Plan.t) =
       | Plan.Collect { input; _ } | Plan.Sort { input; _ } | Plan.Project { input; _ }
       | Plan.Limit { input; _ } | Plan.Filter { input; _ } ->
         distinct_ub input col
-      | Plan.Hash_join { build; probe; _ } ->
-        let on_probe = resolves probe.Plan.schema col in
-        let on_build = resolves build.Plan.schema col in
-        if on_probe && not on_build then distinct_ub probe col
-        else if on_build && not on_probe then distinct_ub build col
-        else inf
+      | Plan.Hash_join { build = left; probe = right; _ }
       | Plan.Merge_join { left; right; _ } ->
         let on_left = resolves left.Plan.schema col in
         let on_right = resolves right.Plan.schema col in

@@ -268,7 +268,6 @@ let prepare ?prepared cfg query =
       actuals = Hashtbl.create 64;
       actual_ms = Hashtbl.create 64;
       active_filters = [];
-      leaf = None;
       filter_pages = { held = 0; peak = 0 };
       filter_surprise = false;
       worker_pages = { held = 0; peak = 0 };
@@ -371,7 +370,8 @@ let step_once r =
      | Some j ->
        let utok = span_open st ~cat:"unit" ("unit:" ^ Plan.op_name j) in
        let probe0 = st.filter_probe_ms in
-       let rows, schema = exec_unit st j in
+       let leaf, schema = exec_node st j in
+       let rows = Leaf.rows leaf in
        emit st
          (Ev_unit_done
             { op = Plan.op_name j;
@@ -412,7 +412,8 @@ let step_once r =
        (* Remaining stack: aggregate/sort/project/limit over the last
           result. *)
        let utok = span_open st ~cat:"unit" "unit:finalize" in
-       let rows, result_schema = exec_unit st st.current in
+       let leaf, result_schema = exec_node st st.current in
+       let rows = Leaf.rows leaf in
        span_close st utok
          ~args:[ ("rows", Trace.Int (Array.length rows)) ];
        (* a bare full scan yields a base table's own storage: the

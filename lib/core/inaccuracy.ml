@@ -25,7 +25,7 @@ let base_histogram_level env ~column =
       | None -> High
       | Some h ->
         (match Histogram.kind h with
-         | Histogram.Serial | Histogram.Maxdiff | Histogram.V_optimal -> Low
+         | Histogram.Serial | Histogram.Maxdiff -> Low
          | Histogram.Equi_width | Histogram.Equi_depth -> Medium)
     in
     if st.Column_stats.stale then bump base else base

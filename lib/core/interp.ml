@@ -196,9 +196,6 @@ type state = {
   (* runtime filters currently pushed down (publishing join's build side
      done, probe side executing); scans test their output against these *)
   mutable active_filters : Runtime_filter.t list;
-  (* the running unit's last dop-1 scan leaf with codes; [None] between
-     units and after any other leaf *)
-  mutable leaf : Leaf.t option;
   filter_pages : transient;
   (* a retired filter's pass rate deviated badly from the estimate: force
      the next decision point past the Eq. 2 close-enough shortcut *)
@@ -713,11 +710,12 @@ let drop_useless_filters st =
         filters
 
 (* Test rows flowing out of a leaf against every active filter whose
-   target column the schema carries. *)
-let apply_runtime_filters st schema rows =
+   target column the schema carries: the leaf itself when none drops a
+   row. *)
+let apply_runtime_filters st schema leaf =
   drop_useless_filters st;
   match st.active_filters with
-  | [] -> rows
+  | [] -> leaf
   | filters ->
     let t0 = Sim_clock.snapshot st.ctx.Exec_ctx.clock in
     let rows =
@@ -726,16 +724,20 @@ let apply_runtime_filters st schema rows =
            match Runtime_filter.applicable flt schema with
            | Some idx -> Runtime_filter.apply st.ctx flt ~idx rows
            | None -> rows)
-        rows filters
+        (Leaf.rows leaf) filters
     in
     st.filter_probe_ms <-
       st.filter_probe_ms +. Sim_clock.since st.ctx.Exec_ctx.clock t0;
-    rows
+    if Array.length rows = Array.length (Leaf.rows leaf) then leaf
+    else Leaf.of_rows rows
 
-let rec exec_node st (p : Plan.t) : Tuple.t array * Schema.t =
+(* A node's rows, with their codes when they are a full scan's, passed
+   on by filters and collectors. *)
+let rec exec_node st (p : Plan.t) : Leaf.t * Schema.t =
   let tok = span_open st ~cat:"operator" (Plan.op_name p) in
   let t0 = Sim_clock.snapshot st.ctx.Exec_ctx.clock in
-  let rows, schema = exec_node_inner st p in
+  let leaf, schema = exec_node_inner st p in
+  let rows = Leaf.rows leaf in
   let total = Sim_clock.since st.ctx.Exec_ctx.clock t0 in
   let children_ms =
     List.fold_left
@@ -752,63 +754,55 @@ let rec exec_node st (p : Plan.t) : Tuple.t array * Schema.t =
         ("est_rows", Trace.Float p.Plan.est.Plan.rows);
         ("rows", Trace.Int (Array.length rows));
         ("self_ms", Trace.Float self_ms) ];
-  (rows, schema)
+  (leaf, schema)
 
-and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
+and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
   let ctx = st.ctx in
   let mem_pages = if p.Plan.mem > 0 then p.Plan.mem else p.Plan.max_mem in
   (* a scan's rows pass its own predicate, then the runtime filters *)
-  let scanned filter rows =
-    let rows =
+  let scanned filter leaf =
+    let leaf =
       match filter with
-      | None -> rows
-      | Some pred -> Rows_ops.filter ctx p.Plan.schema pred rows
+      | None -> leaf
+      | Some pred -> Leaf.filter ctx p.Plan.schema pred leaf
     in
-    (apply_runtime_filters st p.Plan.schema rows, p.Plan.schema)
+    (apply_runtime_filters st p.Plan.schema leaf, p.Plan.schema)
+  in
+  (* an input's rows and schema, for an operator whose output has no codes *)
+  let rows_of p =
+    let leaf, schema = exec_node st p in
+    (Leaf.rows leaf, schema)
   in
   (* a join whose [first] input publishes runtime filters to [second] *)
   let publishing ~rf first second =
-    let ((rows, schema) as first) = exec_node st first in
+    let ((rows, schema) as first) = rows_of first in
     let installed =
       install_filters st ~source:(Plan.op_name p) ~rf ~rows ~schema
     in
-    let second = exec_node st second in
+    let second = rows_of second in
     retire_filters st installed;
     (first, second)
   in
+  let uncoded (rows, schema) = (Leaf.of_rows rows, schema) in
   match p.Plan.node with
   | Plan.Seq_scan { table; alias = _; filter } ->
     let heap = heap_of st table in
-    st.leaf <- None;
-    if p.Plan.dop > 1 then
-      scanned filter
-        (with_workers st p ~op:(Plan.op_name p)
+    scanned filter
+      (if p.Plan.dop > 1 then
+         with_workers st p ~op:(Plan.op_name p)
            (fun ~degree ~slice_pages ~on_worker ->
-              Parallel.scan ctx ~degree ~slice_pages ~on_worker heap))
-    else if st.active_filters <> [] then scanned filter (Scan.seq_scan ctx heap)
-    else begin
-      (* a dop-1 scan of the file's own storage, no runtime filter: its
-         rows carry their codes to the operators above, in this unit *)
-      let leaf = Leaf.scan ctx heap in
-      let leaf =
-        match filter with
-        | None -> leaf
-        | Some pred -> Leaf.filter ctx p.Plan.schema pred leaf
-      in
-      st.leaf <- Some leaf;
-      (Leaf.rows leaf, p.Plan.schema)
-    end
+              Parallel.scan ctx ~degree ~slice_pages ~on_worker heap)
+       else Leaf.scan ctx heap)
   | Plan.Index_scan { table; alias = _; index_col; lo; hi; filter } ->
     let tbl = Catalog.find_exn st.cfg.catalog table in
-    st.leaf <- None;
     scanned filter
-      (Scan.index_scan ctx tbl.Catalog.heap (index_of tbl index_col) ?lo ?hi ())
+      (Leaf.of_rows
+         (Scan.index_scan ctx tbl.Catalog.heap (index_of tbl index_col) ?lo ?hi ()))
   | Plan.Materialized { name; _ } ->
     (* the temp table's rows, read in place: no I/O, no copy *)
     let heap = heap_of st name in
-    st.leaf <- None;
     let schema = Heap_file.schema heap in
-    (apply_runtime_filters st schema (Heap_file.rows heap), schema)
+    (apply_runtime_filters st schema (Leaf.of_rows (Heap_file.rows heap)), schema)
   | Plan.Collect { input; spec; cid } ->
     (* Collectors must observe the raw stream: statistics (and the exact
        cardinality of a full scan) describe the relation, not what happens
@@ -816,8 +810,9 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
        filters are lifted over the collector and applied to its output. *)
     let saved = st.active_filters in
     st.active_filters <- [];
-    let rows, schema = exec_node st input in
+    let leaf, schema = exec_node st input in
     st.active_filters <- saved;
+    let rows = Leaf.rows leaf in
     (* an unfiltered full scan yields the relation's exact cardinality —
        a statistic worth keeping beyond the query (Section 2.6) *)
     (match input.Plan.node with
@@ -830,7 +825,7 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
       span_open st ~cat:"collector" (Printf.sprintf "collect#%d" cid)
     in
     let c0 = Sim_clock.snapshot ctx.Exec_ctx.clock in
-    let obs = Collector.collect ?leaf:st.leaf ctx schema spec rows in
+    let obs = Collector.collect ctx schema spec leaf in
     let collect_ms = Sim_clock.since ctx.Exec_ctx.clock c0 in
     st.collector_ms <- st.collector_ms +. collect_ms;
     span_close st ctok
@@ -850,26 +845,27 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
       | _ -> Plan.op_name input
     in
     emit st (Ev_collected { cid; alias; columns });
-    (apply_runtime_filters st schema rows, schema)
+    (apply_runtime_filters st schema leaf, schema)
   | Plan.Hash_join { build; probe; keys; extra; rf } ->
     let (build_rows, build_schema), (probe_rows, probe_schema) =
       publishing ~rf build probe
     in
     if p.Plan.dop > 1 && keys <> [] then
-      with_workers st p ~op:(Plan.op_name p)
-        (fun ~degree ~slice_pages ~on_worker ->
-           Parallel.hash_join ctx ~degree ~slice_pages ~on_worker ~mem_pages
-             ~build:(build_rows, build_schema)
-             ~probe:(probe_rows, probe_schema) ~keys ?extra ())
+      uncoded
+        (with_workers st p ~op:(Plan.op_name p)
+           (fun ~degree ~slice_pages ~on_worker ->
+              Parallel.hash_join ctx ~degree ~slice_pages ~on_worker ~mem_pages
+                ~build:(build_rows, build_schema)
+                ~probe:(probe_rows, probe_schema) ~keys ?extra ()))
     else
       let r =
         Join.hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
           ~probe:(probe_rows, probe_schema) ~keys ?extra ()
       in
-      (r.Join.rows, r.Join.schema)
+      (Leaf.of_rows r.Join.rows, r.Join.schema)
   | Plan.Index_nl_join
       { outer; table; alias; outer_col = oc; inner_col; inner_filter; extra } ->
-    let outer_rows, outer_schema = exec_node st outer in
+    let outer_rows, outer_schema = rows_of outer in
     let tbl = Catalog.find_exn st.cfg.catalog table in
     let inner_schema = Schema.qualify (Heap_file.schema tbl.Catalog.heap) alias in
     let residual =
@@ -883,15 +879,15 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
         ~inner_index:(index_of tbl inner_col)
         ~outer_col:oc ?extra:residual ()
     in
-    (r.Join.rows, r.Join.schema)
+    (Leaf.of_rows r.Join.rows, r.Join.schema)
   | Plan.Block_nl_join { outer; inner; pred } ->
-    let outer_rows, outer_schema = exec_node st outer in
-    let inner_rows, inner_schema = exec_node st inner in
+    let outer_rows, outer_schema = rows_of outer in
+    let inner_rows, inner_schema = rows_of inner in
     let r =
       Join.block_nl_join st.ctx ~mem_pages ~outer:(outer_rows, outer_schema)
         ~inner:(inner_rows, inner_schema) ?pred ()
     in
-    (r.Join.rows, r.Join.schema)
+    (Leaf.of_rows r.Join.rows, r.Join.schema)
   | Plan.Merge_join { left; right; keys; extra; left_sorted; right_sorted; rf }
     ->
     let (left_rows, left_schema), (right_rows, right_schema) =
@@ -902,52 +898,48 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
         ~left:(left_rows, left_schema) ~right:(right_rows, right_schema)
         ~keys ?extra ()
     in
-    (r.Merge_join.rows, r.Merge_join.schema)
+    (Leaf.of_rows r.Merge_join.rows, r.Merge_join.schema)
   | Plan.Aggregate { input; group_by; aggs; pre_sorted } ->
-    let rows, schema = exec_node st input in
+    let leaf, schema = exec_node st input in
+    let rows = Leaf.rows leaf in
     if pre_sorted then begin
       let r = Aggregate.sorted_aggregate ctx schema ~group_by ~aggs rows in
-      (r.Aggregate.rows, r.Aggregate.schema)
+      (Leaf.of_rows r.Aggregate.rows, r.Aggregate.schema)
     end
     else begin
       if p.Plan.dop > 1 && group_by <> [] then
-        with_workers st p ~op:(Plan.op_name p)
-          (fun ~degree ~slice_pages ~on_worker ->
-             Parallel.aggregate ctx ~degree ~slice_pages ~on_worker ~mem_pages
-               schema ~group_by ~aggs rows)
+        uncoded
+          (with_workers st p ~op:(Plan.op_name p)
+             (fun ~degree ~slice_pages ~on_worker ->
+                Parallel.aggregate ctx ~degree ~slice_pages ~on_worker
+                  ~mem_pages schema ~group_by ~aggs rows))
       else
         let r =
-          Aggregate.hash_aggregate ?leaf:st.leaf ctx ~mem_pages schema
-            ~group_by ~aggs rows
+          Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs leaf
         in
-        (r.Aggregate.rows, r.Aggregate.schema)
+        (Leaf.of_rows r.Aggregate.rows, r.Aggregate.schema)
     end
   | Plan.Sort { input; keys } ->
-    let rows, schema = exec_node st input in
+    let rows, schema = rows_of input in
     if p.Plan.dop > 1 then
-      ( with_workers st p ~op:(Plan.op_name p)
-          (fun ~degree ~slice_pages ~on_worker ->
-             Parallel.sort ctx ~degree ~slice_pages ~on_worker ~mem_pages
-               schema ~keys rows),
+      ( Leaf.of_rows
+          (with_workers st p ~op:(Plan.op_name p)
+             (fun ~degree ~slice_pages ~on_worker ->
+                Parallel.sort ctx ~degree ~slice_pages ~on_worker ~mem_pages
+                  schema ~keys rows)),
         schema )
     else
       let r = Sort_op.sort ctx ~mem_pages schema ~keys rows in
-      (r.Sort_op.rows, schema)
+      (Leaf.of_rows r.Sort_op.rows, schema)
   | Plan.Filter { input; pred } ->
-    let rows, schema = exec_node st input in
-    (Rows_ops.filter ctx schema pred rows, schema)
+    let leaf, schema = exec_node st input in
+    (Leaf.filter ctx schema pred leaf, schema)
   | Plan.Project { input; cols } ->
-    let rows, schema = exec_node st input in
-    Rows_ops.project ctx schema cols rows
+    let rows, schema = rows_of input in
+    uncoded (Rows_ops.project ctx schema cols rows)
   | Plan.Limit { input; n } ->
-    let rows, schema = exec_node st input in
-    (Rows_ops.limit ctx n rows, schema)
-
-(* Execute one unit: codes never outlive it. *)
-let exec_unit st p =
-  let result = exec_node st p in
-  st.leaf <- None;
-  result
+    let rows, schema = rows_of input in
+    (Leaf.of_rows (Rows_ops.limit ctx n rows), schema)
 
 (* Grant memory to the current plan's consumers.  With a broker the budget
    is a lease re-negotiated on every call (shrunken demand after

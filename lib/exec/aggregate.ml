@@ -153,24 +153,22 @@ let memo_limit = 1 lsl 16
    each column's codes, and an array indexed by the code tuple (mixed
    radix, first column least significant), -1 until the tuple's first
    row was looked up. *)
-let group_memo leaf rows gidx =
-  match Leaf.describing leaf rows with
-  | Some l when Array.length gidx > 0 ->
-    let codes = Array.map (Leaf.column l) gidx in
-    if Array.exists Option.is_none codes then None
-    else begin
-      let codes = Array.map Option.get codes in
-      let limit = min memo_limit (Array.length rows) in
-      let size =
-        Array.fold_left
-          (fun n c -> if n > limit then n else n * Heap_file.code_count c)
-          1 codes
-      in
-      if size > limit then None else Some (codes, Array.make size (-1))
-    end
-  | _ -> None
+let group_memo leaf gidx =
+  let codes = Array.map (Leaf.column leaf) gidx in
+  if Array.length gidx = 0 || Array.exists Option.is_none codes then None
+  else begin
+    let codes = Array.map Option.get codes in
+    let limit = min memo_limit (Array.length (Leaf.rows leaf)) in
+    let size =
+      Array.fold_left
+        (fun n c -> if n > limit then n else n * Heap_file.code_count c)
+        1 codes
+    in
+    if size > limit then None else Some (codes, Array.make size (-1))
+  end
 
-let hash_aggregate ?leaf ctx ~mem_pages input_schema ~group_by ~aggs rows =
+let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
+  let rows = Leaf.rows leaf in
   let clock = ctx.Exec_ctx.clock in
   let out_schema = output_schema input_schema ~group_by ~aggs in
   let p = prepare input_schema ~group_by ~aggs in
@@ -189,7 +187,7 @@ let hash_aggregate ?leaf ctx ~mem_pages input_schema ~group_by ~aggs rows =
     let id = Table.find table h t gidx in
     if id >= 0 then id else add_group h t
   in
-  (match group_memo leaf rows gidx with
+  (match group_memo leaf gidx with
    | None ->
      for r = 0 to Array.length rows - 1 do
        let t = rows.(r) in

@@ -26,15 +26,15 @@ type result = {
 (** Output schema without executing (for plan annotation). *)
 val output_schema : Schema.t -> group_by:string list -> aggs:spec list -> Schema.t
 
-(** Groups come out in an order fixed by the group-key hash.  When
-    [leaf]'s codes describe the input and cover every group column, and
-    there are no more code tuples than input rows (nor than 2^16), a
-    dense code-tuple → group memo sits in front of the hash lookup, which
-    fills it at each tuple's first row: groups and their order are the
-    same. *)
+(** Groups come out in an order fixed by the group-key hash.  When the
+    input leaf's codes cover every group column, and there are no more
+    code tuples than input rows (nor than 2^16), a dense code-tuple →
+    group memo sits in front of the hash lookup, which fills it at each
+    tuple's first row: groups and their order are those of
+    [Leaf.of_rows (Leaf.rows leaf)]. *)
 val hash_aggregate :
-  ?leaf:Leaf.t -> Exec_ctx.t -> mem_pages:int -> Schema.t ->
-  group_by:string list -> aggs:spec list -> Tuple.t array -> result
+  Exec_ctx.t -> mem_pages:int -> Schema.t ->
+  group_by:string list -> aggs:spec list -> Leaf.t -> result
 
 (** Streaming aggregation over input already sorted (grouped) on the
     group-by columns: one pass, constant memory, never spills.  The caller

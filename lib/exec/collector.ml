@@ -52,14 +52,11 @@ let range_columns schema columns =
    [leaf] only the first row of each code feeds min/max and the distinct
    counters, which already hold every later one; the reservoirs draw on
    every row. *)
-let run_passes ?leaf rows passes =
+let run_passes leaf passes =
+  let rows = Leaf.rows leaf in
   let index = Array.of_list (List.map fst passes) in
   let pass = Array.of_list (List.map snd passes) in
-  let codes =
-    match Leaf.describing leaf rows with
-    | Some l -> Array.map (Leaf.column l) index
-    | None -> Array.map (fun _ -> None) index
-  in
+  let codes = Array.map (Leaf.column leaf) index in
   let seen =
     Array.map
       (function
@@ -92,12 +89,12 @@ let target_ranges targets passes =
 let ranges schema ~columns rows =
   let targets = range_columns schema columns in
   let passes = List.map (fun (_, i) -> (i, Column_pass.create ())) targets in
-  run_passes rows passes;
+  run_passes (Leaf.of_rows rows) passes;
   target_ranges targets passes
 
-let collect ?leaf ctx schema s rows =
+let collect ctx schema s leaf =
   let clock = ctx.Exec_ctx.clock in
-  let n = Array.length rows in
+  let n = Array.length (Leaf.rows leaf) in
   (* Requested statistics. *)
   let hist_targets =
     List.map (fun c -> (c, Schema.index_of schema c, Reservoir.create ~capacity:sample_size ())) s.hist_cols
@@ -124,7 +121,7 @@ let collect ?leaf ctx schema s rows =
           @ List.map index distinct_targets
           @ List.map snd range_targets))
   in
-  run_passes ?leaf rows passes;
+  run_passes leaf passes;
   Sim_clock.charge_cpu_ms clock (estimated_cost_ms s ~rows:(float_of_int n));
   let dicts = ref [] in
   let histograms =

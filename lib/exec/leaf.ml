@@ -3,26 +3,25 @@ module Expr = Mqr_expr.Expr
 
 type t = {
   rows : Tuple.t array;
-  cols : Heap_file.codes option Lazy.t array;  (* per column, by row *)
+  cols : Heap_file.codes option Lazy.t array;  (* per column, by row; [||]: none *)
 }
 
 let rows leaf = leaf.rows
 
-let scan ctx heap =
-  let rows = Scan.seq_scan ctx heap in
+let of_rows rows = { rows; cols = [||] }
+
+let of_heap heap rows =
+  if Array.length rows <> Heap_file.tuple_count heap then
+    invalid_arg "Leaf.of_heap: not every row of the file";
   { rows;
     cols =
       Array.init (Schema.arity (Heap_file.schema heap)) (fun i ->
           Lazy.from_val (Heap_file.codes heap i)) }
 
-(* Every empty array is the same value, so only a non-empty one can be
-   told apart from another operator's output. *)
-let describing leaf rows =
-  match leaf with
-  | Some l when l.rows == rows && Array.length rows > 0 -> leaf
-  | _ -> None
+let scan ctx heap = of_heap heap (Scan.seq_scan ctx heap)
 
-let column leaf i = Lazy.force leaf.cols.(i)
+let column leaf i =
+  if i < Array.length leaf.cols then Lazy.force leaf.cols.(i) else None
 
 type conjunct =
   | Per_row of (Tuple.t -> bool)

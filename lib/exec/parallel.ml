@@ -74,7 +74,7 @@ let partition_round_robin ctx ~degree rows =
 (* Striped scan: worker [w] reads rids w*n/d .. (w+1)*n/d — each from its
    own disk, so pages divide across workers and no exchange is charged. *)
 let scan ctx ~degree ?slice_pages ?on_worker heap =
-  if degree = 1 then Scan.seq_scan ctx heap
+  if degree = 1 then Leaf.scan ctx heap
   else begin
     let n = Heap_file.tuple_count heap in
     let chunks =
@@ -82,7 +82,8 @@ let scan ctx ~degree ?slice_pages ?on_worker heap =
           Heap_file.read heap ~pool:wctx.Exec_ctx.pool ~clock:wctx.Exec_ctx.clock
             ~from_rid:(w * n / degree) ~to_rid:((w + 1) * n / degree))
     in
-    Array.concat chunks
+    (* the stripes are the file's rid ranges in order *)
+    Leaf.of_heap heap (Array.concat chunks)
   end
 
 let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
@@ -120,7 +121,10 @@ let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
     ~group_by ~aggs rows =
   match group_by, degree with
   | [], _ | _, 1 ->
-    let r = Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs rows in
+    let r =
+      Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs
+        (Leaf.of_rows rows)
+    in
     (r.Aggregate.rows, r.Aggregate.schema)
   | first :: _, _ ->
     (* same first grouping column -> same worker, so every group is
@@ -131,7 +135,7 @@ let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
       run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
           let r =
             Aggregate.hash_aggregate wctx ~mem_pages:per_worker_mem schema
-              ~group_by ~aggs parts.(w)
+              ~group_by ~aggs (Leaf.of_rows parts.(w))
           in
           r.Aggregate.rows)
     in

@@ -46,10 +46,13 @@ val partition_round_robin :
 (** Parallel operators built from the serial ones.  All return exactly the
     serial result multiset, merged in worker-index order. *)
 
+(** Striped full scan: worker [w] reads the [w]th of [degree] equal rid
+    ranges; the stripes, in order, are the file's rows with its codes
+    ({!Leaf.of_heap}). *)
 val scan :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
-  Heap_file.t -> Tuple.t array
+  Heap_file.t -> Leaf.t
 
 (** Co-partitioned hash join: both inputs are hash-exchanged on the join
     key, each worker joins its partition pair with [mem_pages / degree]

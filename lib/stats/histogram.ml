@@ -1,11 +1,10 @@
-type kind = Equi_width | Equi_depth | Maxdiff | Serial | V_optimal
+type kind = Equi_width | Equi_depth | Maxdiff | Serial
 
 let kind_to_string = function
   | Equi_width -> "equi-width"
   | Equi_depth -> "equi-depth"
   | Maxdiff -> "maxdiff"
   | Serial -> "serial"
-  | V_optimal -> "v-optimal"
 
 type bucket = {
   lo : float;
@@ -197,104 +196,6 @@ let build_serial ~buckets freqs =
     arr
   end
 
-(* V-optimal(F): choose bucket boundaries minimising the total within-
-   bucket variance of the frequencies, by the classic O(n^2 b) dynamic
-   program.  Large domains are pre-reduced to at most [max_cells] cells so
-   the DP stays cheap; this approximation is standard practice. *)
-let build_voptimal ~buckets freqs =
-  let max_cells = 256 in
-  let cells =
-    let n = Array.length freqs in
-    if n <= max_cells then freqs
-    else begin
-      (* coalesce adjacent values into ~max_cells equal-width cells *)
-      let lo = fst freqs.(0) and hi = fst freqs.(n - 1) in
-      let w = (hi -. lo) /. float_of_int max_cells in
-      let cells = Array.make max_cells (0.0, 0) in
-      let counts = Array.make max_cells 0 in
-      Array.iter
-        (fun (v, c) ->
-           let i = min (max_cells - 1) (int_of_float ((v -. lo) /. max w 1e-9)) in
-           counts.(i) <- counts.(i) + c)
-        freqs;
-      Array.iteri (fun i c -> cells.(i) <- (lo +. (w *. float_of_int i), c)) counts;
-      Array.of_list
-        (List.filter (fun (_, c) -> c > 0) (Array.to_list cells))
-    end
-  in
-  let n = Array.length cells in
-  if n = 0 then [||]
-  else begin
-    let b = max 1 (min buckets n) in
-    (* prefix sums for O(1) variance of any cell range *)
-    let pre = Array.make (n + 1) 0.0 and pre2 = Array.make (n + 1) 0.0 in
-    for i = 0 to n - 1 do
-      let c = float_of_int (snd cells.(i)) in
-      pre.(i + 1) <- pre.(i) +. c;
-      pre2.(i + 1) <- pre2.(i) +. (c *. c)
-    done;
-    let sse i j =
-      (* cells i..j inclusive *)
-      let len = float_of_int (j - i + 1) in
-      let sum = pre.(j + 1) -. pre.(i) in
-      (pre2.(j + 1) -. pre2.(i)) -. (sum *. sum /. len)
-    in
-    let inf = infinity in
-    let dp = Array.make_matrix (n + 1) (b + 1) inf in
-    let cut = Array.make_matrix (n + 1) (b + 1) 0 in
-    dp.(0).(0) <- 0.0;
-    for j = 1 to n do
-      for k = 1 to min j b do
-        for i = k - 1 to j - 1 do
-          let c = dp.(i).(k - 1) +. sse i (j - 1) in
-          if c < dp.(j).(k) then begin
-            dp.(j).(k) <- c;
-            cut.(j).(k) <- i
-          end
-        done
-      done
-    done;
-    (* walk the cuts back into bucket boundaries over [cells] *)
-    let rec boundaries j k acc =
-      if k = 0 then acc else boundaries cut.(j).(k) (k - 1) (cut.(j).(k) :: acc)
-    in
-    let starts = boundaries n b [] in
-    let ranges =
-      let rec pair = function
-        | [ s ] -> [ (s, n - 1) ]
-        | s :: (s' :: _ as rest) -> (s, s' - 1) :: pair rest
-        | [] -> []
-      in
-      pair starts
-    in
-    (* convert cell ranges back to buckets over the original values *)
-    let bucket_of (i, j) =
-      let lo_v = fst cells.(i) and hi_v = fst cells.(j) in
-      (* collect original frequencies within [lo_v, hi_of_cell j] *)
-      let hi_bound =
-        if j + 1 < n then fst cells.(j + 1) else infinity
-      in
-      let rows = ref 0.0 and d = ref 0.0 in
-      let real_lo = ref infinity and real_hi = ref neg_infinity in
-      Array.iter
-        (fun (v, c) ->
-           if v >= lo_v && v < hi_bound then begin
-             rows := !rows +. float_of_int c;
-             d := !d +. 1.0;
-             if v < !real_lo then real_lo := v;
-             if v > !real_hi then real_hi := v
-           end)
-        freqs;
-      if !rows > 0.0 then
-        Some { lo = !real_lo; hi = !real_hi; rows = !rows; distinct = !d }
-      else begin
-        ignore hi_v;
-        None
-      end
-    in
-    Array.of_list (List.filter_map bucket_of ranges)
-  end
-
 let build kind ~buckets data =
   let freqs = freq_table data in
   let bkts =
@@ -303,7 +204,6 @@ let build kind ~buckets data =
     | Equi_depth -> build_equi_depth ~buckets freqs
     | Maxdiff -> build_maxdiff ~buckets freqs
     | Serial -> build_serial ~buckets freqs
-    | V_optimal -> build_voptimal ~buckets freqs
   in
   of_buckets kind bkts
 

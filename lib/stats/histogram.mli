@@ -5,16 +5,13 @@
       plus one bucket for the remainder — the "low inaccuracy" class;
     - [Maxdiff] (Poosala et al. [19]) — what Paradise stores in its
       catalogs;
-    - [Equi_width] and [Equi_depth] — the "medium inaccuracy" class;
-    - [V_optimal] — boundaries minimising within-bucket frequency variance
-      (the optimality benchmark of the taxonomy; built with the classic
-      quadratic dynamic program over a bounded number of cells).
+    - [Equi_width] and [Equi_depth] — the "medium inaccuracy" class.
 
     Histograms are built over floats; the catalog layer maps typed column
     values (dates, dictionary-encoded strings) onto this domain.  All
     estimators return *fractions of rows* in [0, 1]. *)
 
-type kind = Equi_width | Equi_depth | Maxdiff | Serial | V_optimal
+type kind = Equi_width | Equi_depth | Maxdiff | Serial
 
 val kind_to_string : kind -> string
 

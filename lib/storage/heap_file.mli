@@ -19,10 +19,9 @@
     [append]).  The same invariant holds: the codes of rows already
     handed out are never written again, since [append] writes only the
     new rid's code and [retain] builds fresh code arrays.  The executor
-    reads them at one place, a dop-1 full scan ([Mqr_exec.Leaf.scan]),
-    together with the array [rows] returns at that moment; the operators
-    next to that scan use them for that array only, within one
-    execution unit. *)
+    reads them at one place, a full scan's leaf ([Mqr_exec.Leaf.of_heap]),
+    together with the rows the scan read at that moment, and hands them
+    on only with those rows. *)
 
 type t
 

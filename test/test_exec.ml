@@ -349,7 +349,7 @@ let test_aggregate_group_sums () =
     [ { Aggregate.fn = Aggregate.Sum; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "s" };
       { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" } ]
   in
-  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[ "t.a" ] ~aggs rows in
+  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[ "t.a" ] ~aggs (Leaf.of_rows rows) in
   Alcotest.(check int) "4 groups" 4 (Array.length r.Aggregate.rows);
   Array.iter
     (fun t ->
@@ -367,7 +367,7 @@ let test_aggregate_spills_when_tight () =
   let c = ctx () in
   let r =
     Aggregate.hash_aggregate c ~mem_pages:2 (schema_ab "t") ~group_by:[ "t.a" ]
-      ~aggs:sum_count (distinct_groups 4000)
+      ~aggs:sum_count (Leaf.of_rows (distinct_groups 4000))
   in
   Alcotest.(check int) "groups" 4000 (Array.length r.Aggregate.rows);
   Alcotest.(check int) "passes" 2 r.Aggregate.passes;
@@ -377,7 +377,7 @@ let test_aggregate_fits () =
   let c = ctx () in
   let r =
     Aggregate.hash_aggregate c ~mem_pages:64 (schema_ab "t") ~group_by:[ "t.a" ]
-      ~aggs:sum_count (distinct_groups 4000)
+      ~aggs:sum_count (Leaf.of_rows (distinct_groups 4000))
   in
   Alcotest.(check int) "groups" 4000 (Array.length r.Aggregate.rows);
   Alcotest.(check int) "passes" 1 r.Aggregate.passes;
@@ -387,7 +387,7 @@ let test_aggregate_global_empty () =
   let c = ctx () in
   let schema = schema_ab "t" in
   let aggs = [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" } ] in
-  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[] ~aggs [||] in
+  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[] ~aggs (Leaf.of_rows [||]) in
   Alcotest.(check int) "one row" 1 (Array.length r.Aggregate.rows);
   Alcotest.(check bool) "count 0" true
     (Value.equal r.Aggregate.rows.(0).(0) (Value.Int 0))
@@ -401,7 +401,7 @@ let test_aggregate_avg_min_max () =
       { Aggregate.fn = Aggregate.Min; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "min" };
       { Aggregate.fn = Aggregate.Max; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "max" } ]
   in
-  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[] ~aggs rows in
+  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[] ~aggs (Leaf.of_rows rows) in
   let t = r.Aggregate.rows.(0) in
   Alcotest.(check bool) "avg" true (Value.equal t.(0) (Value.Float 20.0));
   Alcotest.(check bool) "min" true (Value.equal t.(1) (Value.Int 10));
@@ -415,7 +415,7 @@ let test_aggregate_nulls_skipped () =
     [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "n" };
       { Aggregate.fn = Aggregate.Sum; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "s" } ]
   in
-  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[ "t.a" ] ~aggs rows in
+  let r = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[ "t.a" ] ~aggs (Leaf.of_rows rows) in
   let t = r.Aggregate.rows.(0) in
   Alcotest.(check bool) "count non-null" true (Value.equal t.(1) (Value.Int 1));
   Alcotest.(check bool) "sum skips null" true (Value.equal t.(2) (Value.Int 4))
@@ -428,7 +428,7 @@ let test_sorted_aggregate_matches_hash () =
     [ { Aggregate.fn = Aggregate.Sum; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "s" };
       { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" } ]
   in
-  let h = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[ "t.a" ] ~aggs rows in
+  let h = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[ "t.a" ] ~aggs (Leaf.of_rows rows) in
   let s = Aggregate.sorted_aggregate c schema ~group_by:[ "t.a" ] ~aggs rows in
   Alcotest.(check (list (list string))) "same groups"
     (sorted_pairs h.Aggregate.rows)
@@ -736,7 +736,9 @@ let prop_aggregate_matches_reference =
        in
        let elapsed c = Int64.bits_of_float (Sim_clock.elapsed_ms c.Exec_ctx.clock) in
        let c1 = ctx () and c2 = ctx () in
-       let r = Aggregate.hash_aggregate c1 ~mem_pages agg_schema ~group_by ~aggs rows in
+       let r =
+         Aggregate.hash_aggregate c1 ~mem_pages agg_schema ~group_by ~aggs (Leaf.of_rows rows)
+       in
        let ref_rows, ref_passes =
          Ref_agg.hash_aggregate c2 ~mem_pages agg_schema ~group_by ~aggs rows
        in
@@ -781,7 +783,7 @@ let test_collector_counters () =
   let c = ctx () in
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 500 (fun i -> (i mod 20, i))) in
-  let obs = Collector.collect c schema (Collector.spec ()) rows in
+  let obs = Collector.collect c schema (Collector.spec ()) (Leaf.of_rows rows) in
   Alcotest.(check int) "rows" 500 obs.Collector.rows;
   Alcotest.(check int) "no spec, no ranges" 0
     (List.length obs.Collector.col_ranges);
@@ -798,7 +800,7 @@ let test_collector_histogram () =
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 2000 (fun i -> (i mod 10, i))) in
   let spec = Collector.spec ~hist_cols:[ "t.a" ] () in
-  let obs = Collector.collect c schema spec rows in
+  let obs = Collector.collect c schema spec (Leaf.of_rows rows) in
   match List.assoc_opt "t.a" obs.Collector.histograms with
   | Some h ->
     Alcotest.(check (float 20.0)) "scaled to stream" 2000.0 (Histogram.total_rows h);
@@ -812,7 +814,7 @@ let test_collector_distinct () =
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 1000 (fun i -> (i mod 37, i))) in
   let spec = Collector.spec ~distinct_cols:[ "t.a" ] () in
-  let obs = Collector.collect c schema spec rows in
+  let obs = Collector.collect c schema spec (Leaf.of_rows rows) in
   match List.assoc_opt "t.a" obs.Collector.distincts with
   | Some d -> Alcotest.(check bool) "37" true (Float.abs (d -. 37.0) < 2.0)
   | None -> Alcotest.fail "no distinct"
@@ -834,7 +836,7 @@ let test_collector_to_column_stats () =
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 100 (fun i -> (i, i))) in
   let spec = Collector.spec ~hist_cols:[ "t.a" ] ~distinct_cols:[ "t.a" ] () in
-  let obs = Collector.collect c schema spec rows in
+  let obs = Collector.collect c schema spec (Leaf.of_rows rows) in
   let st = Collector.column_stats_of_observed obs ~column:"t.a" in
   Alcotest.(check bool) "has histogram" true
     (st.Column_stats.histogram <> None);
@@ -963,7 +965,7 @@ let matches_reference spec rows =
   let ref_ranges, ref_hists, ref_distincts, ref_dicts =
     reference_collect oracle_schema spec rows
   in
-  let obs = Collector.collect (ctx ()) oracle_schema spec rows in
+  let obs = Collector.collect (ctx ()) oracle_schema spec (Leaf.of_rows rows) in
   let columns = Collector.spec_columns spec in
   List.for_all
     (fun c -> List.assoc_opt c obs.Collector.col_ranges = List.assoc_opt c ref_ranges)
@@ -1058,7 +1060,7 @@ let test_collector_histogram_nan () =
         [| Value.Float (if i mod 5 = 0 then Float.nan else float_of_int (i mod 40)) |])
   in
   let spec = Collector.spec ~hist_cols:[ "t.x" ] ~distinct_cols:[ "t.x" ] () in
-  let obs = Collector.collect (ctx ()) schema spec rows in
+  let obs = Collector.collect (ctx ()) schema spec (Leaf.of_rows rows) in
   match List.assoc_opt "t.x" obs.Collector.histograms with
   | Some h ->
     Alcotest.(check (float 1e-6)) "scaled to stream" 3000.0 (Histogram.total_rows h)
@@ -1216,8 +1218,9 @@ let test_key_hash_allocation_free () =
    [of_rows] copy of its rows (no codes): [Leaf.filter] gives the rows of
    [Rows_ops.filter] (by bits, in order), the same exception, the same
    UDF calls and charges; over the survivors, [Collector.collect] the
-   same observation and [hash_aggregate] the same rows in the same order,
-   or both the same exception. *)
+   same observation and [hash_aggregate] the same rows in the same order
+   on the coded leaf as on [Leaf.of_rows] of the copy, or both the same
+   exception. *)
 let udf_calls = ref 0
 
 let coded_udf c =
@@ -1338,11 +1341,11 @@ let prop_coded_leaf_matches_rows =
          match coded, rows with Ok l, Ok r -> (l, r) | _ -> (leaf, plain)
        in
        let spec = Collector.spec ~hist_cols ~distinct_cols () in
-       let collect ?leaf rows () = Collector.collect ?leaf (ctx ()) schema spec rows in
+       let collect leaf () = Collector.collect (ctx ()) schema spec leaf in
        let collect_ok =
          same_outcome same_observed
-           (outcome (collect ~leaf (Leaf.rows leaf)))
-           (outcome (collect plain))
+           (outcome (collect leaf))
+           (outcome (collect (Leaf.of_rows plain)))
        in
        let aggs =
          [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" };
@@ -1351,46 +1354,16 @@ let prop_coded_leaf_matches_rows =
            { Aggregate.fn = Aggregate.Min; distinct_arg = false;
              arg = Some (Expr.Col agg_col); out_name = "m" } ]
        in
-       let aggregate ?leaf rows () =
-         (Aggregate.hash_aggregate ?leaf (ctx ()) ~mem_pages:64 schema ~group_by ~aggs rows)
+       let aggregate leaf () =
+         (Aggregate.hash_aggregate (ctx ()) ~mem_pages:64 schema ~group_by ~aggs leaf)
            .Aggregate.rows
        in
        let aggregate_ok =
          same_outcome same_bits
-           (outcome (aggregate ~leaf (Leaf.rows leaf)))
-           (outcome (aggregate plain))
+           (outcome (aggregate leaf))
+           (outcome (aggregate (Leaf.of_rows plain)))
        in
        filter_ok && collect_ok && aggregate_ok)
-
-(* Every empty array is the same value, so an empty leaf describes no
-   other empty input: a consumer handed a join's empty output, whose
-   columns lie past the leaf's arity, sees no codes and gives what a
-   plain empty input gives. *)
-let test_empty_leaf_describes_nothing () =
-  let schema = Schema.make [ Schema.col "k" Value.TInt ] in
-  let heap = Heap_file.create schema in
-  Heap_file.append heap [| Value.Int 0 |];
-  let nothing = Expr.Cmp (Expr.Eq, Expr.Col "k", Expr.Const (Value.Int 9)) in
-  let leaf = Leaf.filter (ctx ()) schema nothing (Leaf.scan (ctx ()) heap) in
-  Alcotest.(check int) "the leaf is empty" 0 (Array.length (Leaf.rows leaf));
-  let joined =
-    Schema.make
-      [ Schema.col "k" Value.TInt; Schema.col "a" Value.TInt; Schema.col "b" Value.TInt ]
-  in
-  let out = Array.make 0 [||] in
-  Alcotest.(check bool) "no codes for another empty array" true
-    (Leaf.describing (Some leaf) out = None);
-  let obs =
-    Collector.collect ~leaf (ctx ()) joined (Collector.spec ~distinct_cols:[ "b" ] ()) out
-  in
-  Alcotest.(check int) "nothing collected" 0 obs.Collector.rows;
-  let r =
-    Aggregate.hash_aggregate ~leaf (ctx ()) ~mem_pages:8 joined ~group_by:[ "a"; "b" ]
-      ~aggs:[ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None;
-                out_name = "n" } ]
-      out
-  in
-  Alcotest.(check int) "no groups" 0 (Array.length r.Aggregate.rows)
 
 let suite =
   [ Alcotest.test_case "seq scan" `Quick test_seq_scan;
@@ -1443,6 +1416,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hash_join_order_matches_reference;
     QCheck_alcotest.to_alcotest prop_key_hash_agrees_with_equal;
     Alcotest.test_case "key_hash allocates nothing" `Quick test_key_hash_allocation_free;
-    QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows;
-    Alcotest.test_case "an empty leaf describes no other array" `Quick
-      test_empty_leaf_describes_nothing ]
+    QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows ]

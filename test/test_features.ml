@@ -346,10 +346,11 @@ let test_scan_survives_dml () =
   Alcotest.(check bool) "report rows unchanged" true
     (unchanged reported0 reported)
 
-(* A scan leaf's codes live only inside the unit that scanned them.  The
-   prepared plan's first unit joins a one-row table to a full scan of
-   items, so that scan is the unit's coded leaf; the second unit groups
-   a temp table that is items' own array, as read before.  A DELETE and
+(* A scan leaf's codes live only inside the unit that scanned them: a
+   Materialized leaf carries none.  The prepared plan's first unit joins
+   a one-row table to a full scan of items, so that scan is the unit's
+   coded leaf; the second unit groups a temp table that is items' own
+   array, as read before.  A DELETE and
    an INSERT between the two steps renumber items' rids and codes, but
    the grouping must still see the rows it was handed: the stepped run
    returns the rows of an uninterrupted run. *)
@@ -410,15 +411,14 @@ let test_codes_stay_in_their_unit () =
     (Array.length got = Array.length expected
      && Array.for_all2 Tuple.equal got expected)
 
-(* Every empty array is the same value, so an empty scan leaf must not
-   lend its codes to an empty join output above it.  Here the join's
-   last scan is "one" (one column), filtered to nothing, under a hash
-   join and under an index nested-loop join; the join's output is empty
-   too, and the collector and GROUP BY above it read items' columns, at
-   positions past one's arity.  A join ends its unit, so they read it
-   through a Materialized leaf; in Off and in Full mode the plan returns
-   no groups.  "an empty leaf describes no other array" (test_exec)
-   hands the operators the leaf directly. *)
+(* An empty scan leaf lends no codes to an empty join output above it.
+   Here the join's last scan is "one" (one column), filtered to nothing,
+   under a hash join and under an index nested-loop join; the join's
+   output is empty too, and the collector and GROUP BY above it read
+   items' columns, at positions past one's arity.  A join's output is
+   [Leaf.of_rows], so no codes reach them, and a join ends its unit, so
+   they read it through a Materialized leaf; in Off and in Full mode the
+   plan returns no groups. *)
 let test_empty_leaf_under_join () =
   let catalog = small_catalog () in
   let engine = Engine.create catalog in
@@ -499,8 +499,9 @@ let twin_catalog catalog =
     (Catalog.tables catalog);
   twin
 
-(* Every benchmark query in five modes, serial and parallel, with and
-   without runtime filters, on the datagen catalog and on its twin
+(* Every benchmark query in five modes, serial and parallel (a striped
+   scan carries the file's codes), with and without runtime filters, on
+   the datagen catalog and on its twin
    without codes: the same rows in the same order, the same simulated
    time and the same actual rows per plan node. *)
 let test_codes_match_twin () =
@@ -536,7 +537,7 @@ let test_codes_match_twin () =
               Mqr_tpcd.Queries.all)
          [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
            Dispatcher.Full; Dispatcher.Bound_checked ])
-    [ (1, false); (1, true); (2, true) ]
+    [ (1, false); (1, true); (2, false); (2, true) ]
 
 (* A SELECT's rows are the caller's to write, also when the plan is a bare
    full scan (a prepared plan: the optimizer's own puts a projection on

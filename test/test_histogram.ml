@@ -1,6 +1,6 @@
 module H = Mqr_stats.Histogram
 
-let kinds = [ H.Equi_width; H.Equi_depth; H.Maxdiff; H.Serial; H.V_optimal ]
+let kinds = [ H.Equi_width; H.Equi_depth; H.Maxdiff; H.Serial ]
 
 let uniform_data n = Array.init n (fun i -> float_of_int (i mod 100))
 
@@ -163,53 +163,10 @@ let prop_eq_sums_to_one_serial =
        in
        Float.abs (total -. 1.0) < 0.05)
 
-let test_voptimal_beats_equiwidth_variance () =
-  (* V-optimal's bucket boundaries minimise within-bucket frequency
-     variance, so its variance never exceeds equi-width's *)
-  let rng = Mqr_stats.Rng.create 77 in
-  let data =
-    Array.init 5000 (fun _ ->
-        let r = Mqr_stats.Rng.int rng 100 in
-        float_of_int (if r < 50 then r / 10 else r))
-  in
-  let variance h =
-    List.fold_left
-      (fun acc b ->
-         let mean = b.H.rows /. Float.max 1.0 b.H.distinct in
-         acc +. (b.H.rows *. mean))  (* proxy: sum of rows*mean concentration *)
-      0.0 (H.buckets h)
-  in
-  let vo = H.build H.V_optimal ~buckets:8 data in
-  let ew = H.build H.Equi_width ~buckets:8 data in
-  (* sanity: same mass, same distinct *)
-  Alcotest.(check (float 1.0)) "mass preserved" (H.total_rows ew) (H.total_rows vo);
-  Alcotest.(check (float 1.0)) "distinct preserved" (H.distinct ew) (H.distinct vo);
-  ignore variance
-
-let test_voptimal_eq_accuracy () =
-  (* heavy hitter isolated in its own narrow bucket *)
-  let data = Array.concat [ Array.make 8000 50.0; Array.init 200 float_of_int ] in
-  let h = H.build H.V_optimal ~buckets:8 data in
-  let exact = exact_eq data 50.0 in
-  let est = H.est_eq h 50.0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "est %.3f near exact %.3f" est exact)
-    true
-    (Float.abs (est -. exact) < 0.1)
-
-let test_voptimal_large_domain () =
-  (* domains above the DP cell cap go through the coalescing path *)
-  let data = Array.init 20_000 (fun i -> float_of_int (i mod 2000)) in
-  let h = H.build H.V_optimal ~buckets:16 data in
-  Alcotest.(check (float 1.0)) "mass" 20_000.0 (H.total_rows h);
-  let s = H.est_range h ~lo:(Some (0.0, true)) ~hi:(Some (999.0, true)) in
-  Alcotest.(check bool) (Printf.sprintf "half range %.3f" s) true
-    (Float.abs (s -. 0.5) < 0.1)
-
 (* NaN once made building loop forever: the frequency table grouped with
    [=], which never holds for a NaN.  Every kind now terminates; the kinds
    that bucket by frequency rank keep every row, with all NaNs one value;
-   equi-width and v-optimal divide by a NaN-wide range and may drop rows. *)
+   equi-width divides by a NaN-wide range and may drop rows. *)
 let test_nan_samples () =
   let samples =
     [ [| 1.5; Float.nan; 2.5 |];
@@ -235,7 +192,7 @@ let test_nan_samples () =
                    Alcotest.(check (float 0.0)) (name ^ " rows") n (H.total_rows h);
                    Alcotest.(check (float 0.0)) (name ^ " distinct") classes
                      (H.distinct h)
-                 | H.Equi_width | H.V_optimal ->
+                 | H.Equi_width ->
                    Alcotest.(check bool) (name ^ " rows <= n") true
                      (H.total_rows h <= n))
               [ 1; 4; 32 ])
@@ -255,9 +212,6 @@ let suite =
     Alcotest.test_case "join selectivity pk/fk" `Quick test_join_selectivity_pk_fk;
     Alcotest.test_case "join selectivity disjoint" `Quick test_join_selectivity_disjoint;
     Alcotest.test_case "open bounds" `Quick test_range_open_bounds;
-    Alcotest.test_case "v-optimal mass/distinct" `Quick test_voptimal_beats_equiwidth_variance;
-    Alcotest.test_case "v-optimal heavy hitter" `Quick test_voptimal_eq_accuracy;
-    Alcotest.test_case "v-optimal large domain" `Quick test_voptimal_large_domain;
     Alcotest.test_case "NaN samples terminate" `Quick test_nan_samples;
     QCheck_alcotest.to_alcotest prop_range_in_unit_interval;
     QCheck_alcotest.to_alcotest prop_eq_sums_to_one_serial ]

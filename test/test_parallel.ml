@@ -6,6 +6,7 @@ module Parallel = Mqr_exec.Parallel
 module Join = Mqr_exec.Join
 module Aggregate = Mqr_exec.Aggregate
 module Scan = Mqr_exec.Scan
+module Leaf = Mqr_exec.Leaf
 module Sort = Mqr_exec.Sort
 module Expr = Mqr_expr.Expr
 
@@ -33,7 +34,7 @@ let heap_of n =
 let test_parallel_scan_matches_serial () =
   let heap = heap_of 5000 in
   let serial = Scan.seq_scan (ctx ()) heap in
-  let par = Parallel.scan (ctx ()) ~degree:4 heap in
+  let par = Leaf.rows (Parallel.scan (ctx ()) ~degree:4 heap) in
   Alcotest.(check (list (list string))) "same rows" (canon serial) (canon par)
 
 let test_parallel_scan_speedup () =
@@ -90,7 +91,7 @@ let test_parallel_agg_matches_serial () =
   in
   let serial =
     Aggregate.hash_aggregate (ctx ()) ~mem_pages:32 schema ~group_by:[ "t.a" ]
-      ~aggs rows
+      ~aggs (Leaf.of_rows rows)
   in
   let par_rows, _ =
     Parallel.aggregate (ctx ()) ~degree:4 ~mem_pages:32
@@ -139,7 +140,7 @@ let test_degree_one_is_serial () =
   let heap = heap_of 1000 in
   let c1 = ctx () and c2 = ctx () in
   let a = Scan.seq_scan c1 heap in
-  let b = Parallel.scan c2 ~degree:1 heap in
+  let b = Leaf.rows (Parallel.scan c2 ~degree:1 heap) in
   Alcotest.(check (list (list string))) "identical" (canon a) (canon b);
   Alcotest.(check (float 1e-9)) "identical cost"
     (Sim_clock.elapsed_ms c1.Exec_ctx.clock)
