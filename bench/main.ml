@@ -1205,13 +1205,13 @@ let collect_scenario () =
    a hit-only mix (every access finds one of [capacity] resident pages)
    and a miss-heavy mix (a random order over four times as many pages),
    both over a heap-file id and a B+-tree id, at the 1600- and 6400-page
-   pools of the dss benches.  [seq-scan] is [Scan.seq_scan] of lineitem
-   at sf 0.02 through a fresh 6400-page pool, per tuple; [bytes_of_rows]
-   sizes the same rows, per cell; [append] builds the table again from
-   copies of its rows with every cell a fresh box, as the generator
-   hands them over, per cell (the cost of interning each value and
-   storing its code); [retain] deletes every tenth row of such a copy,
-   per cell (moving the codes with the rows).  [filter] and
+   pools of the dss benches.  [seq-scan] is a full [Heap_file.read] of
+   lineitem at sf 0.02 through a fresh 6400-page pool, per tuple;
+   [bytes_of_rows] sizes the same rows, per cell; [append] builds the
+   table again from copies of its rows with every cell a fresh box, as
+   the generator hands them over, per cell (the cost of interning each
+   value and storing its code); [retain] deletes every tenth row of such
+   a copy, per cell (moving the codes with the rows).  [filter] and
    [filter-coded] run Q10's l_returnflag conjunct and Q1's l_shipdate
    conjunct over a full scan, per row: [Rows_ops.filter] over its rows,
    and [Leaf.filter] over the leaf, which evaluates the conjunct once per
@@ -1285,7 +1285,9 @@ let storage_scenario () =
   report "seq-scan/tuple" ~per:(scans * n) (fun () ->
       for _ = 1 to scans do
         let ctx = Mqr_exec.Exec_ctx.create ~pool_pages:6400 () in
-        ignore (Mqr_exec.Scan.seq_scan ctx heap)
+        ignore
+          (Heap_file.read heap ~pool:ctx.Mqr_exec.Exec_ctx.pool
+             ~clock:ctx.Mqr_exec.Exec_ctx.clock ~from_rid:0 ~to_rid:n)
       done);
   let rows = Array.init n (Heap_file.get heap) in
   let cells = Array.fold_left (fun acc t -> acc + Array.length t) 0 rows in

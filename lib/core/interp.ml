@@ -16,10 +16,8 @@ module Optimizer = Mqr_opt.Optimizer
 module Stats_env = Mqr_opt.Stats_env
 module Memory_manager = Mqr_memman.Memory_manager
 module Exec_ctx = Mqr_exec.Exec_ctx
-module Scan = Mqr_exec.Scan
 module Rows_ops = Mqr_exec.Rows_ops
 module Join = Mqr_exec.Join
-module Sort_op = Mqr_exec.Sort
 module Merge_join = Mqr_exec.Merge_join
 module Aggregate = Mqr_exec.Aggregate
 module Leaf = Mqr_exec.Leaf
@@ -591,42 +589,48 @@ let release_pages st (kind : transient) n =
    re-costing (with the now-better statistics) can re-pick degrees. *)
 let skew_factor = 2.0
 
-(* Run one parallel operator end to end: lease the workers' pool slices
-   (clamped to what the broker grants — over-commit surfaces as a smaller
-   slice, not an abort), stamp each worker's span onto its own trace
-   lane, emit the exchange event, and flag skew.  [f] receives the
-   degree, the per-worker slice, and the completion callback to pass
-   through to [Parallel]. *)
-let with_workers st (p : Plan.t) ~op f =
+(* Run one operator at its plan degree.  At degree 1 (or below, which
+   PAR-DOP rejects) [f] runs the serial operator in place: no lease, no
+   worker span, no exchange event.  Above
+   it, lease the workers' pool slices (clamped to what the broker grants —
+   over-commit surfaces as a smaller slice, not an abort), stamp each
+   worker's span onto its own trace lane, emit the exchange event, and
+   flag skew.  [f] receives the degree, the per-worker slice, and the
+   completion callback to pass through to [Parallel]. *)
+let with_workers st (p : Plan.t) f =
   let dop = p.Plan.dop in
-  let want = dop * max 1 (st.cfg.pool_pages / dop) in
-  let got =
-    acquire_pages st st.worker_pages ~no_broker_cap:st.cfg.pool_pages want
-  in
-  let slice = max 1 (got / dop) in
-  let sims = Array.make dop 0.0 in
-  let walls = Array.make dop 0.0 in
-  let t_start = now st in
-  let on_worker i ~sim_ms ~wall_ms =
-    sims.(i) <- sim_ms;
-    walls.(i) <- wall_ms
-  in
-  Fun.protect
-    ~finally:(fun () -> release_pages st st.worker_pages got)
-    (fun () ->
-       let result = f ~degree:dop ~slice_pages:slice ~on_worker in
-       worker_spans st ~op ~t_start sims walls;
-       let max_ms = Array.fold_left Float.max 0.0 sims in
-       let avg_ms =
-         Array.fold_left ( +. ) 0.0 sims /. float_of_int (max 1 dop)
-       in
-       if avg_ms > 0.0 && max_ms /. avg_ms > skew_factor then
-         st.skew_surprise <- true;
-       emit st
-         (Ev_parallel
-            { op; dop; want_pages = want; got_pages = got;
-              max_worker_ms = max_ms; avg_worker_ms = avg_ms });
-       result)
+  if dop <= 1 then f ~degree:1 ~slice_pages:None ~on_worker:None
+  else begin
+    let op = Plan.op_name p in
+    let want = dop * max 1 (st.cfg.pool_pages / dop) in
+    let got =
+      acquire_pages st st.worker_pages ~no_broker_cap:st.cfg.pool_pages want
+    in
+    let slice = max 1 (got / dop) in
+    let sims = Array.make dop 0.0 in
+    let walls = Array.make dop 0.0 in
+    let t_start = now st in
+    let on_worker i ~sim_ms ~wall_ms =
+      sims.(i) <- sim_ms;
+      walls.(i) <- wall_ms
+    in
+    Fun.protect
+      ~finally:(fun () -> release_pages st st.worker_pages got)
+      (fun () ->
+         let result =
+           f ~degree:dop ~slice_pages:(Some slice) ~on_worker:(Some on_worker)
+         in
+         worker_spans st ~op ~t_start sims walls;
+         let max_ms = Array.fold_left Float.max 0.0 sims in
+         let avg_ms = Array.fold_left ( +. ) 0.0 sims /. float_of_int dop in
+         if avg_ms > 0.0 && max_ms /. avg_ms > skew_factor then
+           st.skew_surprise <- true;
+         emit st
+           (Ev_parallel
+              { op; dop; want_pages = want; got_pages = got;
+                max_worker_ms = max_ms; avg_worker_ms = avg_ms });
+         result)
+  end
 
 (* Build one filter per annotation from the finished build/left side and
    push it onto the active stack.  An annotation whose build column is
@@ -788,16 +792,12 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
   | Plan.Seq_scan { table; alias = _; filter } ->
     let heap = heap_of st table in
     scanned filter
-      (if p.Plan.dop > 1 then
-         with_workers st p ~op:(Plan.op_name p)
-           (fun ~degree ~slice_pages ~on_worker ->
-              Parallel.scan ctx ~degree ~slice_pages ~on_worker heap)
-       else Leaf.scan ctx heap)
+      (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
+           Parallel.scan ctx ~degree ?slice_pages ?on_worker heap))
   | Plan.Index_scan { table; alias = _; index_col; lo; hi; filter } ->
     let tbl = Catalog.find_exn st.cfg.catalog table in
     scanned filter
-      (Leaf.of_rows
-         (Scan.index_scan ctx tbl.Catalog.heap (index_of tbl index_col) ?lo ?hi ()))
+      (Leaf.index_scan ctx tbl.Catalog.heap (index_of tbl index_col) ?lo ?hi ())
   | Plan.Materialized { name; _ } ->
     (* the temp table's rows, read in place: no I/O, no copy *)
     let heap = heap_of st name in
@@ -850,19 +850,11 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     let (build_rows, build_schema), (probe_rows, probe_schema) =
       publishing ~rf build probe
     in
-    if p.Plan.dop > 1 && keys <> [] then
-      uncoded
-        (with_workers st p ~op:(Plan.op_name p)
-           (fun ~degree ~slice_pages ~on_worker ->
-              Parallel.hash_join ctx ~degree ~slice_pages ~on_worker ~mem_pages
-                ~build:(build_rows, build_schema)
-                ~probe:(probe_rows, probe_schema) ~keys ?extra ()))
-    else
-      let r =
-        Join.hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
-          ~probe:(probe_rows, probe_schema) ~keys ?extra ()
-      in
-      (Leaf.of_rows r.Join.rows, r.Join.schema)
+    uncoded
+      (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
+           Parallel.hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
+             ~build:(build_rows, build_schema)
+             ~probe:(probe_rows, probe_schema) ~keys ?extra ()))
   | Plan.Index_nl_join
       { outer; table; alias; outer_col = oc; inner_col; inner_filter; extra } ->
     let outer_rows, outer_schema = rows_of outer in
@@ -901,36 +893,23 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     (Leaf.of_rows r.Merge_join.rows, r.Merge_join.schema)
   | Plan.Aggregate { input; group_by; aggs; pre_sorted } ->
     let leaf, schema = exec_node st input in
-    let rows = Leaf.rows leaf in
-    if pre_sorted then begin
-      let r = Aggregate.sorted_aggregate ctx schema ~group_by ~aggs rows in
-      (Leaf.of_rows r.Aggregate.rows, r.Aggregate.schema)
-    end
-    else begin
-      if p.Plan.dop > 1 && group_by <> [] then
-        uncoded
-          (with_workers st p ~op:(Plan.op_name p)
-             (fun ~degree ~slice_pages ~on_worker ->
-                Parallel.aggregate ctx ~degree ~slice_pages ~on_worker
-                  ~mem_pages schema ~group_by ~aggs rows))
-      else
-        let r =
-          Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs leaf
-        in
-        (Leaf.of_rows r.Aggregate.rows, r.Aggregate.schema)
-    end
+    uncoded
+      (if pre_sorted then
+         let r =
+           Aggregate.sorted_aggregate ctx schema ~group_by ~aggs (Leaf.rows leaf)
+         in
+         (r.Aggregate.rows, r.Aggregate.schema)
+       else
+         with_workers st p (fun ~degree ~slice_pages ~on_worker ->
+             Parallel.aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages
+               schema ~group_by ~aggs leaf))
   | Plan.Sort { input; keys } ->
     let rows, schema = rows_of input in
-    if p.Plan.dop > 1 then
-      ( Leaf.of_rows
-          (with_workers st p ~op:(Plan.op_name p)
-             (fun ~degree ~slice_pages ~on_worker ->
-                Parallel.sort ctx ~degree ~slice_pages ~on_worker ~mem_pages
-                  schema ~keys rows)),
-        schema )
-    else
-      let r = Sort_op.sort ctx ~mem_pages schema ~keys rows in
-      (Leaf.of_rows r.Sort_op.rows, schema)
+    ( Leaf.of_rows
+        (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
+             Parallel.sort ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
+               ~keys rows)),
+      schema )
   | Plan.Filter { input; pred } ->
     let leaf, schema = exec_node st input in
     (Leaf.filter ctx schema pred leaf, schema)

@@ -18,7 +18,20 @@ let of_heap heap rows =
       Array.init (Schema.arity (Heap_file.schema heap)) (fun i ->
           Lazy.from_val (Heap_file.codes heap i)) }
 
-let scan ctx heap = of_heap heap (Scan.seq_scan ctx heap)
+let scan ctx heap =
+  of_heap heap
+    (Heap_file.read heap ~pool:ctx.Exec_ctx.pool ~clock:ctx.Exec_ctx.clock
+       ~from_rid:0 ~to_rid:(Heap_file.tuple_count heap))
+
+let index_scan ctx heap btree ?lo ?hi () =
+  let pool = ctx.Exec_ctx.pool and clock = ctx.Exec_ctx.clock in
+  let rids =
+    Btree.probe btree ~pool ~clock ?lo:(Option.map fst lo)
+      ?hi:(Option.map fst hi) ()
+  in
+  let out = Array.make (List.length rids) [||] in
+  List.iteri (fun i rid -> out.(i) <- Heap_file.fetch heap ~pool ~clock rid) rids;
+  of_rows out
 
 let column leaf i =
   if i < Array.length leaf.cols then Lazy.force leaf.cols.(i) else None

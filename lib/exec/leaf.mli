@@ -31,8 +31,20 @@ val of_rows : Tuple.t array -> t
     number is not the file's. *)
 val of_heap : Heap_file.t -> Tuple.t array -> t
 
-(** [scan ctx heap] is [of_heap heap (Scan.seq_scan ctx heap)]. *)
+(** [scan ctx heap] is a full scan: every row of [heap] in rid order
+    ({!Mqr_storage.Heap_file.read}, a sequential read charged per page
+    that misses the pool and CPU per tuple), with its codes. *)
 val scan : Exec_ctx.t -> Heap_file.t -> t
+
+(** [index_scan ctx heap btree ?lo ?hi ()] is an index range scan: it
+    probes [btree] for the rids in the interval (its bounds taken as
+    inclusive whatever their flag, so the scan's filter must drop the
+    boundary rows of a strict bound), then fetches each row through the
+    buffer pool in the order the probe returns them (a random read per
+    miss: the index is unclustered).  Its rows have no codes. *)
+val index_scan :
+  Exec_ctx.t -> Heap_file.t -> Btree.t ->
+  ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> t
 
 (** [filter ctx schema pred leaf] is [Rows_ops.filter ctx schema pred
     (rows leaf)] (rows, charges, UDF calls and exceptions), with the

@@ -8,37 +8,35 @@ let check_degree fn degree =
 
 (* Workers run inline, in index order, each against a fresh [Exec_ctx]
    (clock + buffer-pool slice), so every simulated charge is a function of
-   the degree alone. *)
+   the degree alone.  Every operator below handles degree 1 itself, as its
+   serial operator, before it gets here. *)
 let run ctx ~degree ?slice_pages ?on_worker f =
   check_degree "run" degree;
-  if degree = 1 then [ f 0 ctx ]
-  else begin
-    let model = Sim_clock.model ctx.Exec_ctx.clock in
-    let slice =
-      match slice_pages with
-      | Some p -> max 1 p
-      | None -> max 1 (Buffer_pool.capacity ctx.Exec_ctx.pool / degree)
-    in
-    let results =
-      Array.init degree (fun w ->
-          let wctx = Exec_ctx.create ~model ~pool_pages:slice () in
-          let t0 = Unix.gettimeofday () in
-          let r = f w wctx in
-          let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          (r, Sim_clock.elapsed_ms wctx.Exec_ctx.clock, wall_ms))
-    in
-    let slowest =
-      Array.fold_left (fun acc (_, sim, _) -> Float.max acc sim) 0.0 results
-    in
-    (match on_worker with
-     | Some g ->
-       Array.iteri (fun w (_, sim_ms, wall_ms) -> g w ~sim_ms ~wall_ms) results
-     | None -> ());
-    Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock slowest;
-    Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
-      (startup_ms *. float_of_int (degree - 1));
-    Array.to_list (Array.map (fun (r, _, _) -> r) results)
-  end
+  let model = Sim_clock.model ctx.Exec_ctx.clock in
+  let slice =
+    match slice_pages with
+    | Some p -> max 1 p
+    | None -> max 1 (Buffer_pool.capacity ctx.Exec_ctx.pool / degree)
+  in
+  let results =
+    Array.init degree (fun w ->
+        let wctx = Exec_ctx.create ~model ~pool_pages:slice () in
+        let t0 = Unix.gettimeofday () in
+        let r = f w wctx in
+        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        (r, Sim_clock.elapsed_ms wctx.Exec_ctx.clock, wall_ms))
+  in
+  let slowest =
+    Array.fold_left (fun acc (_, sim, _) -> Float.max acc sim) 0.0 results
+  in
+  (match on_worker with
+   | Some g ->
+     Array.iteri (fun w (_, sim_ms, wall_ms) -> g w ~sim_ms ~wall_ms) results
+   | None -> ());
+  Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock slowest;
+  Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
+    (startup_ms *. float_of_int (degree - 1));
+  Array.to_list (Array.map (fun (r, _, _) -> r) results)
 
 let charge_exchange ctx ~degree rows =
   if degree > 1 then begin
@@ -47,29 +45,28 @@ let charge_exchange ctx ~degree rows =
       (float_of_int pages *. net_ms_per_page)
   end
 
-let partition_by ctx ~degree schema ~column rows =
-  check_degree "partition_by" degree;
-  let i = Schema.index_of schema column in
+(* Deal each row to the worker [worker i tuple] names, keeping row order
+   within a worker, and charge the exchange. *)
+let scatter ctx ~degree ~worker rows =
   let parts = Array.make degree [] in
-  Array.iter
-    (fun tuple ->
-       let w =
-         if Value.is_null tuple.(i) then 0
-         else (Value.hash tuple.(i) land max_int) mod degree
-       in
+  Array.iteri
+    (fun i tuple ->
+       let w = worker i tuple in
        parts.(w) <- tuple :: parts.(w))
     rows;
   charge_exchange ctx ~degree rows;
   Array.map (fun l -> Array.of_list (List.rev l)) parts
 
+let partition_by ctx ~degree schema ~column rows =
+  check_degree "partition_by" degree;
+  let c = Schema.index_of schema column in
+  scatter ctx ~degree rows ~worker:(fun _ tuple ->
+      if Value.is_null tuple.(c) then 0
+      else (Value.hash tuple.(c) land max_int) mod degree)
+
 let partition_round_robin ctx ~degree rows =
   check_degree "partition_round_robin" degree;
-  let parts = Array.make degree [] in
-  Array.iteri
-    (fun i tuple -> parts.(i mod degree) <- tuple :: parts.(i mod degree))
-    rows;
-  charge_exchange ctx ~degree rows;
-  Array.map (fun l -> Array.of_list (List.rev l)) parts
+  scatter ctx ~degree rows ~worker:(fun i _ -> i mod degree)
 
 (* Striped scan: worker [w] reads rids w*n/d .. (w+1)*n/d — each from its
    own disk, so pages divide across workers and no exchange is charged. *)
@@ -118,18 +115,17 @@ let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
     (Array.concat chunks, schema)
 
 let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
-    ~group_by ~aggs rows =
+    ~group_by ~aggs leaf =
   match group_by, degree with
   | [], _ | _, 1 ->
-    let r =
-      Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs
-        (Leaf.of_rows rows)
-    in
+    let r = Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs leaf in
     (r.Aggregate.rows, r.Aggregate.schema)
   | first :: _, _ ->
     (* same first grouping column -> same worker, so every group is
        computed wholly on one worker *)
-    let parts = partition_by ctx ~degree schema ~column:first rows in
+    let parts =
+      partition_by ctx ~degree schema ~column:first (Leaf.rows leaf)
+    in
     let per_worker_mem = max 1 (mem_pages / degree) in
     let chunks =
       run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->

@@ -44,7 +44,12 @@ val partition_round_robin :
   Exec_ctx.t -> degree:int -> Tuple.t array -> Tuple.t array array
 
 (** Parallel operators built from the serial ones.  All return exactly the
-    serial result multiset, merged in worker-index order. *)
+    serial result multiset, merged in worker-index order.  At degree 1
+    each one {e is} its serial operator ({!Leaf.scan}, {!Join.hash_join},
+    {!Aggregate.hash_aggregate}, {!Sort.sort}) on [ctx] itself: no
+    worker runs, no exchange or startup fee is charged, and [slice_pages]
+    and [on_worker] are unused.  The executor calls them at every degree,
+    so this is the only serial path of the four operators. *)
 
 (** Striped full scan: worker [w] reads the [w]th of [degree] equal rid
     ranges; the stripes, in order, are the file's rows with its codes
@@ -54,9 +59,10 @@ val scan :
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   Heap_file.t -> Leaf.t
 
-(** Co-partitioned hash join: both inputs are hash-exchanged on the join
-    key, each worker joins its partition pair with [mem_pages / degree]
-    pages. *)
+(** Co-partitioned hash join: both inputs are hash-exchanged on the first
+    join key, each worker joins its partition pair with
+    [mem_pages / degree] pages.  A keyless join (a cross product, which no
+    key can partition) runs serially at any degree. *)
 val hash_join :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
@@ -66,12 +72,15 @@ val hash_join :
   Tuple.t array * Schema.t
 
 (** Partitioned aggregation: input exchanged on the first grouping column,
-    so every group is computed wholly on one worker. *)
+    so every group is computed wholly on one worker.  At degree 1, and for
+    an ungrouped aggregate at any degree, the input leaf goes to
+    {!Aggregate.hash_aggregate} as it is, codes and all; the exchange
+    hands each worker its partition's rows without codes. *)
 val aggregate :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int -> Schema.t -> group_by:string list ->
-  aggs:Aggregate.spec list -> Tuple.t array -> Tuple.t array * Schema.t
+  aggs:Aggregate.spec list -> Leaf.t -> Tuple.t array * Schema.t
 
 (** Partitioned sort: round-robin exchange, per-worker external sort, then
     a deterministic k-way merge on the parent (ties broken by worker

@@ -80,7 +80,7 @@ val iter : t -> (int -> Tuple.t -> unit) -> unit
     the range covers the file, else a fresh array.
     It touches each page the range overlaps, in order, charging a
     sequential read per miss, then CPU once per tuple of the range on that
-    page.  [Scan.seq_scan] reads the whole file; a striped parallel scan
+    page.  [Leaf.scan] reads the whole file; a striped parallel scan
     reads one range per worker. *)
 val read :
   t -> pool:Buffer_pool.t -> clock:Sim_clock.t -> from_rid:int -> to_rid:int ->

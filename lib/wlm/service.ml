@@ -232,6 +232,14 @@ let can_admit_stmt t (s : Session.stmt) =
          | Round_robin -> Broker.can_admit t.broker
          | Slo_aware -> Broker.can_admit_tenant t.broker s.Session.stmt_tenant)
 
+(* A statement that reaches a terminal state without having completed by
+   its deadline is a deadline miss, whatever the terminal state was: a
+   late completion, a failure (at start or mid-run), a cancellation or a
+   shed all mean the client did not get its answer in time. *)
+let note_deadline_miss t tn =
+  tn.tn_deadline_miss <- tn.tn_deadline_miss + 1;
+  incr_metric t ~tenant:tn.tn_name ~what:"deadline_miss"
+
 (* Start a statement: bind, open its trace lane on the shared timeline,
    and hand it to the dispatcher under the tenant-tagged broker hook.
    Any exception (parse error, verifier rejection) marks the statement
@@ -286,6 +294,7 @@ let start_stmt t (s : Session.stmt) ~now =
     Broker.release t.broker ~id;
     s.Session.stmt_status <- Session.Failed (Printexc.to_string e);
     tn.tn_failed <- tn.tn_failed + 1;
+    note_deadline_miss t tn;
     refresh_activity t tenant
 
 (* Drop queue entries cancelled while they waited. *)
@@ -348,16 +357,6 @@ let retire t (s : Session.stmt) =
   metric t "svc.%s.broker_waits" s.Session.stmt_tenant (fun m name ->
       Metrics.set_gauge m name
         (float_of_int (Broker.tenant_floor_waits t.broker s.Session.stmt_tenant)))
-
-(* A statement that reaches a terminal state without having completed by
-   its deadline is a deadline miss, whatever the terminal state was: a
-   late completion, a failure, a cancellation or a shed all mean the
-   client did not get its answer in time. *)
-let note_deadline_miss t tn =
-  tn.tn_deadline_miss <- tn.tn_deadline_miss + 1;
-  incr_metric t ~tenant:tn.tn_name ~what:"deadline_miss";
-  metric t "svc.%s.deadline_misses" tn.tn_name (fun m name ->
-      Metrics.set_gauge m name (float_of_int tn.tn_deadline_miss))
 
 let note_headroom t tn headroom =
   if headroom < tn.tn_min_headroom_ms then begin

@@ -130,9 +130,9 @@ type tenant_summary = {
   tns_violations : int;
   tns_deadline_miss : int;
       (** terminal statements that did not complete by their deadline:
-          late completions + failed + cancelled + shed.  Also exported as
-          the [svc.<tenant>.deadline_miss] counter and
-          [svc.<tenant>.deadline_misses] gauge *)
+          late completions + failed (at start or mid-run) + cancelled +
+          shed.  Also exported as the [svc.<tenant>.deadline_miss]
+          counter *)
   tns_min_headroom_ms : float;
       (** worst (smallest) [target - latency] over completions — negative
           once an SLO was missed; [infinity] until the tenant completes a

@@ -1,12 +1,12 @@
 open Mqr_storage
 module Exec_ctx = Mqr_exec.Exec_ctx
-module Scan = Mqr_exec.Scan
 module Rows_ops = Mqr_exec.Rows_ops
 module Join = Mqr_exec.Join
 module Sort = Mqr_exec.Sort
 module Aggregate = Mqr_exec.Aggregate
 module Collector = Mqr_exec.Collector
 module Leaf = Mqr_exec.Leaf
+module Parallel = Mqr_exec.Parallel
 module Expr = Mqr_expr.Expr
 module Histogram = Mqr_stats.Histogram
 module Column_stats = Mqr_catalog.Column_stats
@@ -33,7 +33,7 @@ let test_seq_scan () =
   for i = 0 to 99 do
     Heap_file.append heap [| Value.Int i; Value.Int (i * 2) |]
   done;
-  let rows = Scan.seq_scan c heap in
+  let rows = Leaf.rows (Leaf.scan c heap) in
   Alcotest.(check int) "all rows" 100 (Array.length rows);
   Alcotest.(check bool) "charged io" true
     ((Sim_clock.counters c.Exec_ctx.clock).Sim_clock.seq_reads > 0)
@@ -46,7 +46,10 @@ let test_index_scan () =
     Heap_file.append heap [| Value.Int i; Value.Int i |];
     Btree.insert bt (Value.Int i) i
   done;
-  let rows = Scan.index_scan c heap bt ~lo:(Value.Int 10, true) ~hi:(Value.Int 19, true) () in
+  let rows =
+    Leaf.rows
+      (Leaf.index_scan c heap bt ~lo:(Value.Int 10, true) ~hi:(Value.Int 19, true) ())
+  in
   Alcotest.(check int) "range size" 10 (Array.length rows)
 
 (* --- filter/project/limit --- *)
@@ -463,7 +466,7 @@ let test_string_min_max_count () =
     (rendered r.Mqr_core.Dispatcher.rows);
   let heap = (Mqr_catalog.Catalog.find_exn catalog "nation").Mqr_catalog.Catalog.heap in
   let schema = Heap_file.schema heap in
-  let rows = Scan.seq_scan (ctx ()) heap in
+  let rows = Leaf.rows (Leaf.scan (ctx ()) heap) in
   let aggs =
     List.map
       (fun (fn, out_name) ->
@@ -477,8 +480,8 @@ let test_string_min_max_count () =
   let s = Aggregate.sorted_aggregate (ctx ()) schema ~group_by ~aggs grouped in
   Alcotest.(check (list string)) "pre-sorted aggregate" expected (rendered s.Aggregate.rows);
   let p, _ =
-    Mqr_exec.Parallel.aggregate (ctx ()) ~degree:2 ~mem_pages:16 schema ~group_by
-      ~aggs rows
+    Parallel.aggregate (ctx ()) ~degree:2 ~mem_pages:16 schema ~group_by
+      ~aggs (Leaf.of_rows rows)
   in
   Alcotest.(check (list string)) "parallel aggregate, degree 2" expected (rendered p)
 
@@ -1358,12 +1361,27 @@ let prop_coded_leaf_matches_rows =
          (Aggregate.hash_aggregate (ctx ()) ~mem_pages:64 schema ~group_by ~aggs leaf)
            .Aggregate.rows
        in
-       let aggregate_ok =
-         same_outcome same_bits
-           (outcome (aggregate leaf))
-           (outcome (aggregate (Leaf.of_rows plain)))
+       let reference = outcome (aggregate (Leaf.of_rows plain)) in
+       let aggregate_ok = same_outcome same_bits (outcome (aggregate leaf)) reference in
+       (* every GROUP BY runs through [Parallel.aggregate]: at degree 1 it
+          is the serial operator, codes and all; at degree 2 its groups
+          are the serial ones in worker order *)
+       let parallel ~degree () =
+         fst
+           (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by ~aggs
+              leaf)
        in
-       filter_ok && collect_ok && aggregate_ok)
+       let multiset rows =
+         List.sort compare (Array.to_list (Array.map (Array.map Test_storage.bits_key) rows))
+       in
+       let parallel_ok =
+         same_outcome same_bits (outcome (parallel ~degree:1)) reference
+         && same_outcome
+              (fun a b -> multiset a = multiset b)
+              (outcome (parallel ~degree:2))
+              reference
+       in
+       filter_ok && collect_ok && aggregate_ok && parallel_ok)
 
 let suite =
   [ Alcotest.test_case "seq scan" `Quick test_seq_scan;

@@ -330,7 +330,12 @@ let test_scan_survives_dml () =
   let catalog = small_catalog () in
   let engine = Engine.create catalog in
   let heap = (Catalog.find_exn catalog "items").Catalog.heap in
-  let scan () = Mqr_exec.Scan.seq_scan (Mqr_exec.Exec_ctx.create ()) heap in
+  let scan () =
+    let ctx = Mqr_exec.Exec_ctx.create () in
+    Heap_file.read heap ~pool:ctx.Mqr_exec.Exec_ctx.pool
+      ~clock:ctx.Mqr_exec.Exec_ctx.clock ~from_rid:0
+      ~to_rid:(Heap_file.tuple_count heap)
+  in
   let first = scan () in
   let reported = (Engine.run_sql engine "select * from items").Dispatcher.rows in
   let first0 = snapshot first and reported0 = snapshot reported in

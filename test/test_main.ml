@@ -15,7 +15,7 @@ let () =
       ("features", Test_features.suite);
       ("fuzz", Test_fuzz.suite);
       ("more", Test_more.suite);
-      ("persist", Test_persist.suite);
+      ("ddl", Test_ddl.suite);
       ("parallel", Test_parallel.suite);
       ("pardet", Test_pardet.suite);
       ("tpcd", Test_tpcd.suite);

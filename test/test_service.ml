@@ -239,6 +239,14 @@ let test_failure_isolated () =
     (Session.status_to_string (Session.poll s good));
   Alcotest.(check int) "failed statement released its lease" 0
     (Broker.outstanding (Service.broker svc));
+  let web =
+    List.find
+      (fun t -> t.Service.tns_tenant = "web")
+      (Service.report svc).Service.tenants
+  in
+  Alcotest.(check int) "one failure" 1 web.Service.tns_failed;
+  Alcotest.(check int) "the failure is a deadline miss" 1
+    web.Service.tns_deadline_miss;
   (* the session survives: submit again after the failure *)
   let again = Session.submit ~label:"again" s (sql "Q6") in
   Service.drain svc;
