@@ -1206,16 +1206,17 @@ let collect_scenario () =
    and a miss-heavy mix (a random order over four times as many pages),
    both over a heap-file id and a B+-tree id, at the 1600- and 6400-page
    pools of the dss benches.  [seq-scan] is a full [Heap_file.read] of
-   lineitem at sf 0.02 through a fresh 6400-page pool, per tuple;
+   lineitem at sf 0.02 through a fresh 6400-page pool, per tuple, and
+   [scan-striped] the same scan through [Parallel.scan] at degree 2;
    [bytes_of_rows] sizes the same rows, per cell; [append] builds the
    table again from copies of its rows with every cell a fresh box, as
    the generator hands them over, per cell (the cost of interning each
    value and storing its code); [retain] deletes every tenth row of such
    a copy, per cell (moving the codes with the rows).  [filter] and
-   [filter-coded] run Q10's l_returnflag conjunct and Q1's l_shipdate
-   conjunct over a full scan, per row: [Rows_ops.filter] over its rows,
-   and [Leaf.filter] over the leaf, which evaluates the conjunct once per
-   code.  Min and median over
+   [filter-coded] run Q10's l_returnflag conjunct, Q1's l_shipdate
+   conjunct and Q6's four conjuncts over a full scan, per row:
+   [Rows_ops.filter] over its rows, and [Leaf.filter] over the leaf,
+   which evaluates each conjunct once per code.  Min and median over
    op_reps runs.  Last, the bytes each base table's codes take, 2 per row
    per coded column.                                                    *)
 
@@ -1289,6 +1290,11 @@ let storage_scenario () =
           (Heap_file.read heap ~pool:ctx.Mqr_exec.Exec_ctx.pool
              ~clock:ctx.Mqr_exec.Exec_ctx.clock ~from_rid:0 ~to_rid:n)
       done);
+  report "scan-striped/tuple" ~per:(scans * n) (fun () ->
+      for _ = 1 to scans do
+        let ctx = Mqr_exec.Exec_ctx.create ~pool_pages:6400 () in
+        ignore (Mqr_exec.Parallel.scan ctx ~degree:2 heap)
+      done);
   let rows = Array.init n (Heap_file.get heap) in
   let cells = Array.fold_left (fun acc t -> acc + Array.length t) 0 rows in
   report "bytes_of_rows/cell" ~per:(scans * cells) (fun () ->
@@ -1344,7 +1350,10 @@ let storage_scenario () =
              ignore (Mqr_exec.Leaf.filter ctx schema pred leaf)
            done))
     [ ("l_returnflag", "l.l_returnflag = 'R'");
-      ("l_shipdate", "l.l_shipdate <= date '1998-09-02'") ];
+      ("l_shipdate", "l.l_shipdate <= date '1998-09-02'");
+      ( "q6",
+        "l.l_shipdate >= date '1994-01-01' and l.l_shipdate < date '1995-01-01' \
+         and l.l_discount between 0.05 and 0.07 and l.l_quantity < 24" ) ];
   Fmt.pr "@.%-20s %9s %12s@." "codes of" "rows" "bytes";
   List.iter
     (fun (tbl : Catalog.table) ->

@@ -714,34 +714,35 @@ let drop_useless_filters st =
         filters
 
 (* Test rows flowing out of a leaf against every active filter whose
-   target column the schema carries: the leaf itself when none drops a
-   row. *)
+   target column the schema carries: the leaf itself, rows not gathered,
+   when there is none, and when none drops a row. *)
 let apply_runtime_filters st schema leaf =
   drop_useless_filters st;
-  match st.active_filters with
+  match
+    List.filter_map
+      (fun flt ->
+         Option.map (fun idx -> (flt, idx)) (Runtime_filter.applicable flt schema))
+      st.active_filters
+  with
   | [] -> leaf
   | filters ->
     let t0 = Sim_clock.snapshot st.ctx.Exec_ctx.clock in
     let rows =
       List.fold_left
-        (fun rows flt ->
-           match Runtime_filter.applicable flt schema with
-           | Some idx -> Runtime_filter.apply st.ctx flt ~idx rows
-           | None -> rows)
+        (fun rows (flt, idx) -> Runtime_filter.apply st.ctx flt ~idx rows)
         (Leaf.rows leaf) filters
     in
     st.filter_probe_ms <-
       st.filter_probe_ms +. Sim_clock.since st.ctx.Exec_ctx.clock t0;
-    if Array.length rows = Array.length (Leaf.rows leaf) then leaf
-    else Leaf.of_rows rows
+    if Array.length rows = Leaf.length leaf then leaf else Leaf.of_rows rows
 
-(* A node's rows, with their codes when they are a full scan's, passed
-   on by filters and collectors. *)
+(* A node's rows, with their codes when they are a scan's, passed on by
+   filters and collectors. *)
 let rec exec_node st (p : Plan.t) : Leaf.t * Schema.t =
   let tok = span_open st ~cat:"operator" (Plan.op_name p) in
   let t0 = Sim_clock.snapshot st.ctx.Exec_ctx.clock in
   let leaf, schema = exec_node_inner st p in
-  let rows = Leaf.rows leaf in
+  let rows = Leaf.length leaf in
   let total = Sim_clock.since st.ctx.Exec_ctx.clock t0 in
   let children_ms =
     List.fold_left
@@ -751,12 +752,12 @@ let rec exec_node st (p : Plan.t) : Leaf.t * Schema.t =
   in
   let self_ms = Float.max 0.0 (total -. children_ms) in
   Hashtbl.replace st.actual_ms p.Plan.id self_ms;
-  Hashtbl.replace st.actuals p.Plan.id (Array.length rows);
+  Hashtbl.replace st.actuals p.Plan.id rows;
   span_close st tok
     ~args:
       [ ("id", Trace.Int p.Plan.id);
         ("est_rows", Trace.Float p.Plan.est.Plan.rows);
-        ("rows", Trace.Int (Array.length rows));
+        ("rows", Trace.Int rows);
         ("self_ms", Trace.Float self_ms) ];
   (leaf, schema)
 
@@ -812,13 +813,13 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     st.active_filters <- [];
     let leaf, schema = exec_node st input in
     st.active_filters <- saved;
-    let rows = Leaf.rows leaf in
+    let rows = Leaf.length leaf in
     (* an unfiltered full scan yields the relation's exact cardinality —
        a statistic worth keeping beyond the query (Section 2.6) *)
     (match input.Plan.node with
      | Plan.Seq_scan { alias; filter = None; _ } ->
        st.observed_cards <-
-         (alias, Array.length rows)
+         (alias, rows)
          :: List.remove_assoc alias st.observed_cards
      | _ -> ());
     let ctok =
@@ -830,7 +831,7 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     st.collector_ms <- st.collector_ms +. collect_ms;
     span_close st ctok
       ~args:
-        [ ("rows", Trace.Int (Array.length rows));
+        [ ("rows", Trace.Int rows);
           ("collect_ms", Trace.Float collect_ms) ];
     let columns = Collector.spec_columns spec in
     List.iter

@@ -158,7 +158,7 @@ let group_memo leaf gidx =
   if Array.length gidx = 0 || Array.exists Option.is_none codes then None
   else begin
     let codes = Array.map Option.get codes in
-    let limit = min memo_limit (Array.length (Leaf.rows leaf)) in
+    let limit = min memo_limit (Leaf.length leaf) in
     let size =
       Array.fold_left
         (fun n c -> if n > limit then n else n * Heap_file.code_count c)
@@ -168,7 +168,7 @@ let group_memo leaf gidx =
   end
 
 let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
-  let rows = Leaf.rows leaf in
+  let base = Leaf.base leaf in
   let clock = ctx.Exec_ctx.clock in
   let out_schema = output_schema input_schema ~group_by ~aggs in
   let p = prepare input_schema ~group_by ~aggs in
@@ -189,13 +189,12 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
   in
   (match group_memo leaf gidx with
    | None ->
-     for r = 0 to Array.length rows - 1 do
-       let t = rows.(r) in
-       feed p !groups.(lookup t) t
-     done
+     Leaf.iter leaf (fun r ->
+         let t = base.(r) in
+         feed p !groups.(lookup t) t)
    | Some (codes, ids) ->
-     for r = 0 to Array.length rows - 1 do
-       let t = rows.(r) in
+     Leaf.iter leaf (fun r ->
+       let t = base.(r) in
        let slot = ref 0 in
        for k = Array.length codes - 1 downto 0 do
          let c = codes.(k) in
@@ -210,9 +209,8 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
            id
          end
        in
-       feed p !groups.(id) t
-     done);
-  Sim_clock.charge_hash_tuples clock (Array.length rows);
+       feed p !groups.(id) t));
+  Sim_clock.charge_hash_tuples clock (Leaf.length leaf);
   (* A global aggregate (no GROUP BY) over an empty input still yields one
      row, per SQL semantics. *)
   if group_by = [] && Table.length table = 0 then ignore (add_group 17 [||]);
@@ -241,7 +239,9 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
     let group_pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows out) in
     if group_pages <= max 1 mem_pages then 1
     else begin
-      let input_pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows) in
+      let input_pages =
+        Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows (Leaf.rows leaf))
+      in
       Sim_clock.charge_write clock input_pages;
       Sim_clock.charge_seq_read clock input_pages;
       2

@@ -47,37 +47,32 @@ let range_columns schema columns =
     (fun name -> Option.map (fun i -> (name, i)) (List.assoc_opt name index))
     (List.sort_uniq String.compare columns)
 
-(* One read of each row feeds every tracked column's pass; each column's
-   statistics still see its values in row order.  On a coded column of
-   [leaf] only the first row of each code feeds min/max and the distinct
-   counters, which already hold every later one; the reservoirs draw on
-   every row. *)
-let run_passes leaf passes =
-  let rows = Leaf.rows leaf in
-  let index = Array.of_list (List.map fst passes) in
-  let pass = Array.of_list (List.map snd passes) in
-  let codes = Array.map (Leaf.column leaf) index in
-  let seen =
-    Array.map
-      (function
-        | Some c -> Bytes.make (Heap_file.code_count c) '\000'
-        | None -> Bytes.empty)
-      codes
-  in
-  for r = 0 to Array.length rows - 1 do
-    let t = rows.(r) in
-    for k = 0 to Array.length pass - 1 do
-      match codes.(k) with
-      | Some c ->
-        let code = Heap_file.code c r in
-        if Bytes.get seen.(k) code = '\000' then begin
-          Bytes.set seen.(k) code '\001';
-          Column_pass.add pass.(k) t.(index.(k))
-        end
-        else Column_pass.add_repeat pass.(k) t.(index.(k))
-      | None -> Column_pass.add pass.(k) t.(index.(k))
-    done
-  done
+(* One column at a time, through the leaf's positions: each column's
+   statistics see its values in row order, and share no state with
+   another column's.  On a coded column only the first row of each code
+   feeds min/max and the distinct counters, which already hold every
+   later one; the reservoirs ([draws i] says whether column [i] has one)
+   draw on every row, and a column without one reads only its codes
+   after a code's first row. *)
+let run_passes ~draws leaf passes =
+  let base = Leaf.base leaf in
+  List.iter
+    (fun (i, pass) ->
+       match Leaf.column leaf i with
+       | None -> Leaf.iter leaf (fun r -> Column_pass.add pass base.(r).(i))
+       | Some c ->
+         let seen = Bytes.make (Heap_file.code_count c) '\000' in
+         let first r =
+           let code = Heap_file.code c r in
+           Bytes.get seen code = '\000' && (Bytes.set seen code '\001'; true)
+         in
+         if draws i then
+           Leaf.iter leaf (fun r ->
+               if first r then Column_pass.add pass base.(r).(i)
+               else Column_pass.add_repeat pass base.(r).(i))
+         else
+           Leaf.iter leaf (fun r -> if first r then Column_pass.add pass base.(r).(i)))
+    passes
 
 (* (min, max) of each (name, index) target, from its column's pass *)
 let target_ranges targets passes =
@@ -89,12 +84,12 @@ let target_ranges targets passes =
 let ranges schema ~columns rows =
   let targets = range_columns schema columns in
   let passes = List.map (fun (_, i) -> (i, Column_pass.create ())) targets in
-  run_passes (Leaf.of_rows rows) passes;
+  run_passes ~draws:(fun _ -> false) (Leaf.of_rows rows) passes;
   target_ranges targets passes
 
 let collect ctx schema s leaf =
   let clock = ctx.Exec_ctx.clock in
-  let n = Array.length (Leaf.rows leaf) in
+  let n = Leaf.length leaf in
   (* Requested statistics. *)
   let hist_targets =
     List.map (fun c -> (c, Schema.index_of schema c, Reservoir.create ~capacity:sample_size ())) s.hist_cols
@@ -121,7 +116,8 @@ let collect ctx schema s leaf =
           @ List.map index distinct_targets
           @ List.map snd range_targets))
   in
-  run_passes leaf passes;
+  run_passes leaf passes
+    ~draws:(fun i -> List.exists (fun (_, j, _) -> i = j) hist_targets);
   Sim_clock.charge_cpu_ms clock (estimated_cost_ms s ~rows:(float_of_int n));
   let dicts = ref [] in
   let histograms =

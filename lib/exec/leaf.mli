@@ -1,39 +1,67 @@
-(** Rows as operators hand them to each other, with their columns'
-    dictionary codes when a full scan read them.
+(** Rows as operators hand them to each other: an array of rows, the
+    positions in it that the leaf holds, and the array's dictionary
+    codes when a scan read them.
 
-    A full scan reads the file's rows in rid order, and with them the
-    codes of each column whose dictionary is kept
-    ({!Mqr_storage.Heap_file.codes}).  Equal codes mean cells of the same
-    constructor and bits, so an operator that receives a coded leaf may
-    work once per code where its result for a cell depends on nothing
-    else — the scan filter's single-column conjuncts, a collector's
-    min/max and distinct counters, a GROUP BY's hash lookup — and keep
-    the result in a per-code memo.  The memo is always filled by the
-    operator's own row path, at the first row of each code.
+    A scan's leaf is the file's own rows ({!Mqr_storage.Heap_file.rows})
+    with the codes of each column whose dictionary is kept
+    ({!Mqr_storage.Heap_file.codes}); a full or striped scan holds every
+    position in rid order, an index scan the probed rids in probe order,
+    and a filter the positions that pass.  Nothing copies a row or a code
+    on the way: an operator that needs a plain array ({!rows}: a join, a
+    sort, a projection, a runtime filter, a temp) gathers it once, on
+    first use, and the filter, the collector and the hash GROUP BY read
+    through the positions ({!iter}).
 
-    A leaf's codes always describe its own rows: only {!scan} and
-    {!of_heap} attach them, {!filter} keeps them in step with the
-    survivors, and every other operator's output is {!of_rows}, which
-    has none. *)
+    Equal codes mean cells of the same constructor and bits, so an
+    operator that receives a coded leaf may work once per code where its
+    result for a cell depends on nothing else — the scan filter's
+    single-column conjuncts, a collector's min/max and distinct counters,
+    a GROUP BY's hash lookup — and keep the result in a per-code memo.
+    The memo is always filled by the operator's own row path, at the
+    first row of each code.
+
+    A leaf's codes always describe its own array: only the scans attach
+    them, {!filter} keeps them with the same array, and every other
+    operator's output is {!of_rows}, which has none. *)
 
 open Mqr_storage
 
 type t
 
+(** The leaf's rows, in order: the array itself when the leaf holds all
+    of it, else gathered through the positions on the first call. *)
 val rows : t -> Tuple.t array
 
-(** [of_rows rows] is [rows] without codes. *)
+(** [length leaf] is [Array.length (rows leaf)], without gathering. *)
+val length : t -> int
+
+(** The array the leaf's positions index, and its codes index. *)
+val base : t -> Tuple.t array
+
+(** [iter leaf f] calls [f r] for each row of the leaf, in order, with
+    [r] its position in [base leaf] (and in each column's codes). *)
+val iter : t -> (int -> unit) -> unit
+
+(** [column leaf i] is column [i]'s codes, by position in [base leaf],
+    or [None] when the column has none. *)
+val column : t -> int -> Heap_file.codes option
+
+(** [of_rows rows] is every row of [rows], without codes. *)
 val of_rows : Tuple.t array -> t
 
-(** [of_heap heap rows] is [rows] with each column's codes, read now.
-    [rows] must be every row of [heap] in rid order, as a full scan
-    returns them, serial or striped; raises [Invalid_argument] when their
-    number is not the file's. *)
-val of_heap : Heap_file.t -> Tuple.t array -> t
+(** [of_heap heap] is every row of [heap] in rid order, the file's own
+    array, with each column's codes, read now; nothing is charged. *)
+val of_heap : Heap_file.t -> t
 
-(** [scan ctx heap] is a full scan: every row of [heap] in rid order
-    ({!Mqr_storage.Heap_file.read}, a sequential read charged per page
-    that misses the pool and CPU per tuple), with its codes. *)
+(** [charge_stripe ctx heap ~stripe ~degree] charges [ctx] a sequential
+    read of the [stripe]th of [degree] equal rid ranges of [heap]
+    ({!Mqr_storage.Heap_file.charge_scan}: per page that misses the pool,
+    and CPU per tuple).  A striped parallel scan charges one stripe per
+    worker, then hands on {!of_heap}. *)
+val charge_stripe : Exec_ctx.t -> Heap_file.t -> stripe:int -> degree:int -> unit
+
+(** [scan ctx heap] is a full scan: the charge of its one stripe, then
+    {!of_heap}. *)
 val scan : Exec_ctx.t -> Heap_file.t -> t
 
 (** [index_scan ctx heap btree ?lo ?hi ()] is an index range scan: it
@@ -41,21 +69,21 @@ val scan : Exec_ctx.t -> Heap_file.t -> t
     inclusive whatever their flag, so the scan's filter must drop the
     boundary rows of a strict bound), then fetches each row through the
     buffer pool in the order the probe returns them (a random read per
-    miss: the index is unclustered).  Its rows have no codes. *)
+    miss: the index is unclustered).  Its rows are the file's, at the
+    probed rids, in probe order, with the file's codes. *)
 val index_scan :
   Exec_ctx.t -> Heap_file.t -> Btree.t ->
   ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> t
 
 (** [filter ctx schema pred leaf] is [Rows_ops.filter ctx schema pred
-    (rows leaf)] (rows, charges, UDF calls and exceptions), with the
-    survivors' codes: [leaf] itself when every row passed.  Each
-    conjunct that reads exactly one coded column and calls no UDF is
-    evaluated at the first row of each code that reaches it, and its
-    verdict is kept for the code's later rows; conjuncts keep their
-    left-to-right short-circuit order. *)
+    (rows leaf)] (rows, charges, UDF calls and exceptions), as positions
+    in the same array with the same codes: [leaf] itself when every row
+    passed.  Each conjunct that reads exactly one coded column and calls
+    no UDF is evaluated at the first row of each code that reaches it,
+    and its verdict is kept for the code's later rows.  When [pred]
+    calls no UDF, the conjuncts run one at a time, each over the rows
+    the ones before it kept, so they keep their left-to-right
+    short-circuit order; if one raises, the filter runs again row by
+    row, so the exception is the one the row path raises.  With a UDF,
+    each row runs the conjuncts left to right. *)
 val filter : Exec_ctx.t -> Schema.t -> Mqr_expr.Expr.t -> t -> t
-
-(** [column leaf i] is column [i]'s codes in the order of [rows leaf]
-    (gathered once, on the first call, after a filter dropped rows), or
-    [None] when the column has none. *)
-val column : t -> int -> Heap_file.codes option

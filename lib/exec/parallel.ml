@@ -46,16 +46,25 @@ let charge_exchange ctx ~degree rows =
   end
 
 (* Deal each row to the worker [worker i tuple] names, keeping row order
-   within a worker, and charge the exchange. *)
+   within a worker, and charge the exchange: each row's worker and each
+   worker's count first, then every partition sized and filled. *)
 let scatter ctx ~degree ~worker rows =
-  let parts = Array.make degree [] in
-  Array.iteri
-    (fun i tuple ->
-       let w = worker i tuple in
-       parts.(w) <- tuple :: parts.(w))
-    rows;
+  let n = Array.length rows in
+  let dest = Array.make n 0 and sizes = Array.make degree 0 in
+  for i = 0 to n - 1 do
+    let w = worker i rows.(i) in
+    dest.(i) <- w;
+    sizes.(w) <- sizes.(w) + 1
+  done;
+  let parts = Array.map (fun size -> Array.make size [||]) sizes in
+  let filled = Array.make degree 0 in
+  for i = 0 to n - 1 do
+    let w = dest.(i) in
+    parts.(w).(filled.(w)) <- rows.(i);
+    filled.(w) <- filled.(w) + 1
+  done;
   charge_exchange ctx ~degree rows;
-  Array.map (fun l -> Array.of_list (List.rev l)) parts
+  parts
 
 let partition_by ctx ~degree schema ~column rows =
   check_degree "partition_by" degree;
@@ -69,18 +78,16 @@ let partition_round_robin ctx ~degree rows =
   scatter ctx ~degree rows ~worker:(fun i _ -> i mod degree)
 
 (* Striped scan: worker [w] reads rids w*n/d .. (w+1)*n/d — each from its
-   own disk, so pages divide across workers and no exchange is charged. *)
+   own disk, so pages divide across workers and no exchange is charged.
+   The stripes are the file's rid ranges in order, so together they are
+   the file's own rows: the workers only charge. *)
 let scan ctx ~degree ?slice_pages ?on_worker heap =
   if degree = 1 then Leaf.scan ctx heap
   else begin
-    let n = Heap_file.tuple_count heap in
-    let chunks =
-      run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
-          Heap_file.read heap ~pool:wctx.Exec_ctx.pool ~clock:wctx.Exec_ctx.clock
-            ~from_rid:(w * n / degree) ~to_rid:((w + 1) * n / degree))
-    in
-    (* the stripes are the file's rid ranges in order *)
-    Leaf.of_heap heap (Array.concat chunks)
+    ignore
+      (run ctx ~degree ?slice_pages ?on_worker (fun stripe wctx ->
+           Leaf.charge_stripe wctx heap ~stripe ~degree));
+    Leaf.of_heap heap
   end
 
 let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages

@@ -51,9 +51,10 @@ val partition_round_robin :
     and [on_worker] are unused.  The executor calls them at every degree,
     so this is the only serial path of the four operators. *)
 
-(** Striped full scan: worker [w] reads the [w]th of [degree] equal rid
-    ranges; the stripes, in order, are the file's rows with its codes
-    ({!Leaf.of_heap}). *)
+(** Striped full scan: worker [w] charges the read of the [w]th of
+    [degree] equal rid ranges ({!Leaf.charge_stripe}); the stripes, in
+    order, are the file's own rows, so the leaf is {!Leaf.of_heap}: no
+    stripe is copied. *)
 val scan :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->

@@ -168,11 +168,11 @@ let fetch t ~pool ~clock rid =
   Sim_clock.charge_cpu_tuples clock 1;
   get t rid
 
-let read t ~pool ~clock ~from_rid ~to_rid =
+(* Each page the range overlaps, in order: its read, then a CPU charge
+   per tuple of the range on it.  Returns the range, clipped. *)
+let charge t ~pool ~clock ~from_rid ~to_rid =
   let hi = max 0 (min t.len to_rid) in
   let lo = max 0 (min from_rid hi) in
-  (* each page the range overlaps, in order: its read, then a CPU charge
-     per tuple of the range on it *)
   if lo < hi then
     for page = lo / t.per_page to (hi - 1) / t.per_page do
       if not (Buffer_pool.access pool ~file:t.id ~page) then
@@ -182,6 +182,13 @@ let read t ~pool ~clock ~from_rid ~to_rid =
         Sim_clock.charge_cpu_tuples clock 1
       done
     done;
+  (lo, hi)
+
+let charge_scan t ~pool ~clock ~from_rid ~to_rid =
+  ignore (charge t ~pool ~clock ~from_rid ~to_rid)
+
+let read t ~pool ~clock ~from_rid ~to_rid =
+  let lo, hi = charge t ~pool ~clock ~from_rid ~to_rid in
   if lo = 0 && hi = t.len then rows t else Array.sub t.data lo (hi - lo)
 
 let iter t f =
@@ -197,16 +204,6 @@ let codes t col =
 
 let code c r = get16 c.codes r
 let code_count c = c.count
-
-let select c keep n =
-  let codes = Bytes.create (2 * n) and j = ref 0 in
-  for r = 0 to Bytes.length keep - 1 do
-    if Bytes.get keep r <> '\000' then begin
-      set16 codes !j (get16 c.codes r);
-      incr j
-    end
-  done;
-  { c with codes }
 
 (* The kept rows' codes go to fresh arrays, as the rows do, so a reader's
    codes stay as they were; they move a run of kept rows at a time. *)

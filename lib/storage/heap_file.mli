@@ -19,9 +19,9 @@
     [append]).  The same invariant holds: the codes of rows already
     handed out are never written again, since [append] writes only the
     new rid's code and [retain] builds fresh code arrays.  The executor
-    reads them at one place, a full scan's leaf ([Mqr_exec.Leaf.of_heap]),
-    together with the rows the scan read at that moment, and hands them
-    on only with those rows. *)
+    reads them at one place, the leaf of a scan ([Mqr_exec.Leaf]: a
+    full, striped or index scan), together with [rows] at that moment,
+    and hands them on only with those rows. *)
 
 type t
 
@@ -75,13 +75,20 @@ val fetch : t -> pool:Buffer_pool.t -> clock:Sim_clock.t -> int -> Tuple.t
 (** [iter t f] iterates without any cost accounting. *)
 val iter : t -> (int -> Tuple.t -> unit) -> unit
 
-(** [read t ~pool ~clock ~from_rid ~to_rid] returns the tuples at rids
-    [from_rid, to_rid) (clipped to the file), in rid order: [rows t] when
-    the range covers the file, else a fresh array.
-    It touches each page the range overlaps, in order, charging a
-    sequential read per miss, then CPU once per tuple of the range on that
-    page.  [Leaf.scan] reads the whole file; a striped parallel scan
-    reads one range per worker. *)
+(** [charge_scan t ~pool ~clock ~from_rid ~to_rid] charges what reading
+    the tuples at rids [from_rid, to_rid) (clipped to the file) costs: it
+    touches each page the range overlaps, in order, charging a sequential
+    read per miss, then CPU once per tuple of the range on that page.  It
+    is the one page-charging loop of a scan: [Leaf.scan] charges the
+    whole file, a striped parallel scan one range per worker, and both
+    then hand on [rows t] itself, so no scan copies a row. *)
+val charge_scan :
+  t -> pool:Buffer_pool.t -> clock:Sim_clock.t -> from_rid:int -> to_rid:int ->
+  unit
+
+(** [read t ~pool ~clock ~from_rid ~to_rid] is [charge_scan] followed by
+    the tuples of the range in rid order: [rows t] when the range covers
+    the file, else a fresh array. *)
 val read :
   t -> pool:Buffer_pool.t -> clock:Sim_clock.t -> from_rid:int -> to_rid:int ->
   Tuple.t array
@@ -106,7 +113,3 @@ val code : codes -> int -> int
 
 (** Every code is below [code_count c]. *)
 val code_count : codes -> int
-
-(** [select c keep n] is the codes of the [n] rows whose byte in [keep]
-    (one per row of [c]) is not ['\000'], in order. *)
-val select : codes -> Bytes.t -> int -> codes

@@ -1213,16 +1213,21 @@ let test_key_hash_allocation_free () =
   if words >= 100.0 then Alcotest.failf "10 000 key hashes allocated %.0f minor words" words;
   Alcotest.(check bool) "hashed" true (!sink <> 0)
 
-(* Codes at the scan leaf change nothing but the wall clock.  A file is
-   built by [create] + [append] from [Test_storage]'s interning cells
-   (Null, both zeros, nan payloads, and Int 3, Float 3.0, Date 3 in one
-   column; or only Null, Int and Float), sometimes pushing column 0 past
-   4096 values, sometimes [retain]ed and appended to again.  Against an
-   [of_rows] copy of its rows (no codes): [Leaf.filter] gives the rows of
-   [Rows_ops.filter] (by bits, in order), the same exception, the same
-   UDF calls and charges; over the survivors, [Collector.collect] the
-   same observation and [hash_aggregate] the same rows in the same order
-   on the coded leaf as on [Leaf.of_rows] of the copy, or both the same
+(* Codes and positions at the scan leaf change nothing but the wall
+   clock.  A file is built by [create] + [append] from [Test_storage]'s
+   interning cells (Null, both zeros, nan payloads, and Int 3, Float 3.0,
+   Date 3 in one column; or only Null, Int and Float), sometimes pushing
+   column 0 past 4096 values, sometimes [retain]ed and appended to again.
+   Three leaves are checked: the full scan, the survivors of a filter
+   over it (a filter over a filtered leaf), and an index scan (probed
+   rids out of rid order).  Against an [of_rows] copy of a leaf's rows
+   (no codes): [Leaf.filter] gives the rows of [Rows_ops.filter] (by
+   bits, in order), the same exception, the same UDF calls and charges
+   (conjuncts include ones that raise on a String cell partway through
+   the rows, so the conjunct-at-a-time path must fall back to the row
+   path's exception); over the survivors, [Collector.collect] the same
+   observation and [hash_aggregate] the same rows in the same order on
+   the coded leaf as on [Leaf.of_rows] of the copy, or both the same
    exception. *)
 let udf_calls = ref 0
 
@@ -1270,18 +1275,35 @@ let coded_case_gen =
              (1, map2 (fun a b -> Expr.Or (a, b)) (single c (depth - 1))
                    (single c (depth - 1))) ])
     in
+    (* raises [Value.to_float: String] at a String cell, [Value.compare]'s
+       message at a Bool or Date one *)
+    let raising c =
+      map
+        (fun k ->
+           Expr.Cmp (Expr.Lt, Expr.Arith (Expr.Sub, Expr.Col c, Expr.Const (Value.Int 1)),
+                     Expr.Const (Value.Int k)))
+        (int_range (-4) 4)
+    in
     let conjunct =
       frequency
         [ (6, col >>= fun c -> single c 2);
           (1, map3 (fun op a b -> Expr.Cmp (op, Expr.Col a, Expr.Col b)) op col col);
+          (1, col >>= raising);
           (1, map coded_udf col) ]
     in
-    let* pred = map Expr.conjoin (list_size (int_range 1 4) conjunct) in
+    let pred = map Expr.conjoin (list_size (int_range 1 4) conjunct) in
+    let* pred = pair pred pred in
     let* group_by = map (List.sort_uniq compare) (list_size (int_range 1 3) col) in
     let* hist_cols = list_size (int_bound 2) col in
     let* distinct_cols = list_size (int_bound 2) col in
     let* agg_col = col in
-    return (cols, (first, kept, second), pred, (group_by, hist_cols, distinct_cols, agg_col)))
+    let* probe = pair (int_bound 10) (int_bound 10) in
+    return
+      ( cols,
+        (first, kept, second),
+        pred,
+        (group_by, hist_cols, distinct_cols, agg_col),
+        probe ))
 
 let same_bits a b =
   Array.length a = Array.length b
@@ -1307,10 +1329,69 @@ let same_observed (a : Collector.observed) (b : Collector.observed) =
   && List.equal (fun (c, d) (c', d') -> c = c' && bits d = bits d') a.distincts b.distincts
   && compare a.dicts b.dicts = 0
 
+(* Whether the filter, collector and GROUP BY agree on [leaf] and on
+   [plain], a copy of its rows without codes; then the filter's
+   survivors on both sides, as the next check's leaf and copy. *)
+let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf plain =
+  let elapsed c = bits (Sim_clock.elapsed_ms c.Exec_ctx.clock) in
+  let c1 = ctx () and c2 = ctx () in
+  udf_calls := 0;
+  let coded = outcome (fun () -> Leaf.filter c1 schema pred leaf) in
+  let coded_calls = !udf_calls in
+  udf_calls := 0;
+  let rows = outcome (fun () -> Rows_ops.filter c2 schema pred plain) in
+  let filter_ok =
+    same_outcome (fun l r -> same_bits (Leaf.rows l) r) coded rows
+    && coded_calls = !udf_calls
+    && elapsed c1 = elapsed c2
+  in
+  let leaf, plain =
+    match coded, rows with Ok l, Ok r -> (l, r) | _ -> (leaf, plain)
+  in
+  let spec = Collector.spec ~hist_cols ~distinct_cols () in
+  let collect leaf () = Collector.collect (ctx ()) schema spec leaf in
+  let collect_ok =
+    same_outcome same_observed
+      (outcome (collect leaf))
+      (outcome (collect (Leaf.of_rows plain)))
+  in
+  let aggs =
+    [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" };
+      { Aggregate.fn = Aggregate.Count; distinct_arg = true;
+        arg = Some (Expr.Col agg_col); out_name = "d" };
+      { Aggregate.fn = Aggregate.Min; distinct_arg = false;
+        arg = Some (Expr.Col agg_col); out_name = "m" } ]
+  in
+  let aggregate leaf () =
+    (Aggregate.hash_aggregate (ctx ()) ~mem_pages:64 schema ~group_by ~aggs leaf)
+      .Aggregate.rows
+  in
+  let reference = outcome (aggregate (Leaf.of_rows plain)) in
+  let aggregate_ok = same_outcome same_bits (outcome (aggregate leaf)) reference in
+  (* every GROUP BY runs through [Parallel.aggregate]: at degree 1 it
+     is the serial operator, codes and all; at degree 2 its groups
+     are the serial ones in worker order *)
+  let parallel ~degree () =
+    fst
+      (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by ~aggs
+         leaf)
+  in
+  let multiset rows =
+    List.sort compare (Array.to_list (Array.map (Array.map Test_storage.bits_key) rows))
+  in
+  let parallel_ok =
+    same_outcome same_bits (outcome (parallel ~degree:1)) reference
+    && same_outcome
+         (fun a b -> multiset a = multiset b)
+         (outcome (parallel ~degree:2))
+         reference
+  in
+  (filter_ok && collect_ok && aggregate_ok && parallel_ok, (leaf, plain))
+
 let prop_coded_leaf_matches_rows =
   QCheck.Test.make ~name:"coded scan leaf = plain rows" ~count:150
     (QCheck.make coded_case_gen)
-    (fun (cols, (first, kept, second), pred, (group_by, hist_cols, distinct_cols, agg_col)) ->
+    (fun (cols, (first, kept, second), (pred, pred2), work, (lo, hi)) ->
        let schema =
          Schema.make (List.init cols (fun i -> Schema.col (Printf.sprintf "c%d" i) Value.TInt))
        in
@@ -1326,62 +1407,86 @@ let prop_coded_leaf_matches_rows =
                    | [] -> true)))
          kept;
        List.iter (fun r -> Heap_file.append heap (Array.copy r)) second;
-       let plain = Heap_file.rows (Heap_file.of_rows schema (Array.copy (Heap_file.rows heap))) in
-       let leaf = Leaf.scan (ctx ()) heap in
-       let elapsed c = bits (Sim_clock.elapsed_ms c.Exec_ctx.clock) in
+       let copy leaf =
+         Heap_file.rows (Heap_file.of_rows schema (Array.copy (Leaf.rows leaf)))
+       in
+       let scan = Leaf.scan (ctx ()) heap in
+       let scan_ok, (filtered, filtered_plain) =
+         coded_agrees schema pred work scan (copy scan)
+       in
+       let refiltered_ok, _ = coded_agrees schema pred2 work filtered filtered_plain in
+       (* an index whose key order is not rid order: the leaf holds the
+          probed rids, fetched and charged in probe order *)
+       let btree = Btree.create ~fanout:4 () in
+       for rid = 0 to Heap_file.tuple_count heap - 1 do
+         Btree.insert btree (Value.Int (rid * 7 mod 11)) rid
+       done;
+       let bound k = (Value.Int k, true) in
        let c1 = ctx () and c2 = ctx () in
-       udf_calls := 0;
-       let coded = outcome (fun () -> Leaf.filter c1 schema pred leaf) in
-       let coded_calls = !udf_calls in
-       udf_calls := 0;
-       let rows = outcome (fun () -> Rows_ops.filter c2 schema pred plain) in
-       let filter_ok =
-         same_outcome (fun l r -> same_bits (Leaf.rows l) r) coded rows
-         && coded_calls = !udf_calls
-         && elapsed c1 = elapsed c2
+       let indexed =
+         Leaf.index_scan c1 heap btree ~lo:(bound (min lo hi)) ~hi:(bound (max lo hi)) ()
        in
-       let leaf, plain =
-         match coded, rows with Ok l, Ok r -> (l, r) | _ -> (leaf, plain)
+       let fetched =
+         List.map
+           (fun rid ->
+              Heap_file.fetch heap ~pool:c2.Exec_ctx.pool ~clock:c2.Exec_ctx.clock rid)
+           (Btree.probe btree ~pool:c2.Exec_ctx.pool ~clock:c2.Exec_ctx.clock
+              ~lo:(Value.Int (min lo hi)) ~hi:(Value.Int (max lo hi)) ())
        in
-       let spec = Collector.spec ~hist_cols ~distinct_cols () in
-       let collect leaf () = Collector.collect (ctx ()) schema spec leaf in
-       let collect_ok =
-         same_outcome same_observed
-           (outcome (collect leaf))
-           (outcome (collect (Leaf.of_rows plain)))
+       let index_ok =
+         List.equal ( == ) (Array.to_list (Leaf.rows indexed)) fetched
+         && Leaf.length indexed = List.length fetched
+         && bits (Sim_clock.elapsed_ms c1.Exec_ctx.clock)
+            = bits (Sim_clock.elapsed_ms c2.Exec_ctx.clock)
        in
-       let aggs =
-         [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" };
-           { Aggregate.fn = Aggregate.Count; distinct_arg = true;
-             arg = Some (Expr.Col agg_col); out_name = "d" };
-           { Aggregate.fn = Aggregate.Min; distinct_arg = false;
-             arg = Some (Expr.Col agg_col); out_name = "m" } ]
-       in
-       let aggregate leaf () =
-         (Aggregate.hash_aggregate (ctx ()) ~mem_pages:64 schema ~group_by ~aggs leaf)
-           .Aggregate.rows
-       in
-       let reference = outcome (aggregate (Leaf.of_rows plain)) in
-       let aggregate_ok = same_outcome same_bits (outcome (aggregate leaf)) reference in
-       (* every GROUP BY runs through [Parallel.aggregate]: at degree 1 it
-          is the serial operator, codes and all; at degree 2 its groups
-          are the serial ones in worker order *)
-       let parallel ~degree () =
-         fst
-           (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by ~aggs
-              leaf)
-       in
-       let multiset rows =
-         List.sort compare (Array.to_list (Array.map (Array.map Test_storage.bits_key) rows))
-       in
-       let parallel_ok =
-         same_outcome same_bits (outcome (parallel ~degree:1)) reference
-         && same_outcome
-              (fun a b -> multiset a = multiset b)
-              (outcome (parallel ~degree:2))
-              reference
-       in
-       filter_ok && collect_ok && aggregate_ok && parallel_ok)
+       let indexed_ok, _ = coded_agrees schema pred work indexed (copy indexed) in
+       scan_ok && refiltered_ok && index_ok && indexed_ok)
+
+(* The conjunct-at-a-time filter meets a raising conjunct on another row
+   than the row path does: the first conjunct raises only at row 3, the
+   second already at row 1.  [Leaf.filter] must raise the row path's
+   exception, after the same charges, on a coded and an uncoded leaf;
+   without the raising rows both give the same survivors. *)
+let test_coded_filter_raises_as_rows () =
+  let schema =
+    Schema.make [ Schema.col "a" Value.TInt; Schema.col "b" Value.TInt ]
+  in
+  let rows =
+    [| [| Value.Int 1; Value.Int 1 |];
+       [| Value.Int 2; Value.String "x" |];
+       [| Value.Int 3; Value.Int 5 |];
+       [| Value.String "y"; Value.Int 2 |];
+       [| Value.Int 9; Value.Int 0 |] |]
+  in
+  let heap = Heap_file.create schema in
+  Array.iter (fun r -> Heap_file.append heap (Array.copy r)) rows;
+  let pred =
+    Expr.conjoin
+      [ Expr.Cmp (Expr.Lt, Expr.Arith (Expr.Sub, Expr.Col "a", Expr.Const (Value.Int 1)),
+                  Expr.Const (Value.Int 5));
+        Expr.Cmp (Expr.Gt, Expr.Col "b", Expr.Const (Value.Int 0)) ]
+  in
+  let run leaf =
+    let c = ctx () in
+    (outcome (fun () -> Leaf.rows (Leaf.filter c schema pred leaf)),
+     bits (Sim_clock.elapsed_ms c.Exec_ctx.clock))
+  in
+  let c = ctx () in
+  let expected =
+    (outcome (fun () -> Rows_ops.filter c schema pred rows),
+     bits (Sim_clock.elapsed_ms c.Exec_ctx.clock))
+  in
+  let show (o, e) =
+    (match o with Ok r -> Printf.sprintf "%d rows" (Array.length r) | Error m -> m)
+    ^ Printf.sprintf " after %Ld" e
+  in
+  Alcotest.(check string) "row path raises the second conjunct's error"
+    "Invalid_argument(\"Value.compare: incompatible types\")"
+    (match fst expected with Error m -> m | Ok _ -> "no exception");
+  Alcotest.(check string) "coded leaf" (show expected) (show (run (Leaf.scan (ctx ()) heap)));
+  Alcotest.(check string) "plain leaf" (show expected) (show (run (Leaf.of_rows rows)));
+  let clean = Leaf.filter (ctx ()) schema pred (Leaf.of_rows [| rows.(0); rows.(2); rows.(4) |]) in
+  Alcotest.(check int) "survivors" 2 (Leaf.length clean)
 
 let suite =
   [ Alcotest.test_case "seq scan" `Quick test_seq_scan;
@@ -1434,4 +1539,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hash_join_order_matches_reference;
     QCheck_alcotest.to_alcotest prop_key_hash_agrees_with_equal;
     Alcotest.test_case "key_hash allocates nothing" `Quick test_key_hash_allocation_free;
-    QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows ]
+    QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows;
+    Alcotest.test_case "coded filter raises as the row path" `Quick
+      test_coded_filter_raises_as_rows ]

@@ -48,6 +48,50 @@ let test_parallel_scan_speedup () =
     true
     (t4 < t1 /. 2.5)
 
+(* A striped scan hands on the file's own array, and charges the parent
+   clock what reading each stripe into its own array did: every worker
+   reads its rid range through a fresh pool slice, and the parent pays
+   the slowest worker plus the startup fee per extra worker. *)
+let test_striped_scan_in_place () =
+  let heap = heap_of 5003 in
+  Heap_file.append heap [| Value.Int (-1); Value.Int (-2) |];
+  let n = Heap_file.tuple_count heap in
+  List.iter
+    (fun degree ->
+       let c = ctx () in
+       let leaf = Parallel.scan c ~degree heap in
+       Alcotest.(check bool)
+         (Printf.sprintf "degree %d: the file's own rows" degree)
+         true
+         (Heap_file.owns heap (Leaf.rows leaf) && Leaf.length leaf = n);
+       let r = ctx () in
+       let model = Sim_clock.model r.Exec_ctx.clock in
+       let slice = max 1 (Buffer_pool.capacity r.Exec_ctx.pool / degree) in
+       let slowest =
+         List.fold_left Float.max 0.0
+           (List.init degree (fun w ->
+                let wctx = Exec_ctx.create ~model ~pool_pages:slice () in
+                let stripe =
+                  Heap_file.read heap ~pool:wctx.Exec_ctx.pool
+                    ~clock:wctx.Exec_ctx.clock ~from_rid:(w * n / degree)
+                    ~to_rid:((w + 1) * n / degree)
+                in
+                Alcotest.(check int) "stripe length"
+                  (((w + 1) * n / degree) - (w * n / degree))
+                  (Array.length stripe);
+                Sim_clock.elapsed_ms wctx.Exec_ctx.clock))
+       in
+       Sim_clock.charge_cpu_ms r.Exec_ctx.clock slowest;
+       Sim_clock.charge_cpu_ms r.Exec_ctx.clock
+         (Parallel.startup_ms *. float_of_int (degree - 1));
+       Alcotest.(check int64)
+         (Printf.sprintf "degree %d: charged as the per-stripe reads" degree)
+         (Int64.bits_of_float (Sim_clock.elapsed_ms r.Exec_ctx.clock))
+         (Int64.bits_of_float (Sim_clock.elapsed_ms c.Exec_ctx.clock));
+       Alcotest.(check bool) "same counters" true
+         (Sim_clock.counters r.Exec_ctx.clock = Sim_clock.counters c.Exec_ctx.clock))
+    [ 2; 3; 4 ]
+
 let test_parallel_join_matches_serial () =
   let c = ctx () in
   let ls = schema_ab "l" and rs = schema_ab "r" in
@@ -219,6 +263,7 @@ let prop_parallel_sort =
 let suite =
   [ Alcotest.test_case "scan matches serial" `Quick test_parallel_scan_matches_serial;
     Alcotest.test_case "scan speedup" `Quick test_parallel_scan_speedup;
+    Alcotest.test_case "striped scan reads in place" `Quick test_striped_scan_in_place;
     Alcotest.test_case "join matches serial" `Quick test_parallel_join_matches_serial;
     Alcotest.test_case "join speedup" `Quick test_parallel_join_speedup_with_exchange_cost;
     Alcotest.test_case "aggregate matches serial" `Quick test_parallel_agg_matches_serial;
