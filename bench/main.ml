@@ -1110,7 +1110,9 @@ let opt_scenario () =
    keeps costs per value, on lineitem columns at sf 0.02.  [min/max] is
    [Collector.ranges] over the column (the pass a temp table's free
    statistics run); the feeds offer every non-null value to one reservoir
-   or one distinct counter; [histogram] is one MaxDiff build over a
+   or one distinct counter; [sample] reads the same sample as the
+   reservoir at the ordinals [Reservoir.positions] schedules (the
+   collector's way); [histogram] is one MaxDiff build over a
    collector-sized reservoir sample, per sample value; [collect] is
    [Collector.collect] with a histogram and a distinct count on the
    column.  The [rng] row is one [Rng.int] draw, the step behind every
@@ -1172,6 +1174,12 @@ let collect_scenario () =
                  Reservoir.create ~capacity:(Heap_file.page_size_bytes / 8) ()
                in
                Array.iter (Reservoir.add r) values );
+           ( "sample", n,
+             fun () ->
+               let ords =
+                 Reservoir.positions ~capacity:(Heap_file.page_size_bytes / 8) n
+               in
+               ignore (Array.map (Array.get values) ords) );
            ( "distinct", n,
              fun () ->
                let d = Distinct.create () in

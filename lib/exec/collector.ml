@@ -51,10 +51,9 @@ let range_columns schema columns =
    statistics see its values in row order, and share no state with
    another column's.  On a coded column only the first row of each code
    feeds min/max and the distinct counters, which already hold every
-   later one; the reservoirs ([draws i] says whether column [i] has one)
-   draw on every row, and a column without one reads only its codes
-   after a code's first row. *)
-let run_passes ~draws leaf passes =
+   later one; a null has code 0 and is counted on every row, and later
+   rows read only their codes. *)
+let run_passes leaf passes =
   let base = Leaf.base leaf in
   List.iter
     (fun (i, pass) ->
@@ -62,17 +61,44 @@ let run_passes ~draws leaf passes =
        | None -> Leaf.iter leaf (fun r -> Column_pass.add pass base.(r).(i))
        | Some c ->
          let seen = Bytes.make (Heap_file.code_count c) '\000' in
-         let first r =
-           let code = Heap_file.code c r in
-           Bytes.get seen code = '\000' && (Bytes.set seen code '\001'; true)
-         in
-         if draws i then
-           Leaf.iter leaf (fun r ->
-               if first r then Column_pass.add pass base.(r).(i)
-               else Column_pass.add_repeat pass base.(r).(i))
-         else
-           Leaf.iter leaf (fun r -> if first r then Column_pass.add pass base.(r).(i)))
+         Leaf.iter leaf (fun r ->
+             let code = Heap_file.code c r in
+             if code = 0 then Column_pass.add pass Value.Null
+             else if Bytes.get seen code = '\000' then begin
+               Bytes.set seen code '\001';
+               Column_pass.add pass base.(r).(i)
+             end))
     passes
+
+(* Column [i]'s cells at the 0-based ordinals [ords], slot by slot,
+   counting only the leaf's non-null cells, in [Leaf.iter] order.
+   Without nulls the ordinal is the row; else the rows are walked in
+   order up to the last ordinal, a coded column reading only its
+   codes. *)
+let gather leaf i ~nulls ords =
+  let base = Leaf.base leaf in
+  if nulls = 0 then Array.map (fun k -> base.(Leaf.position leaf k).(i)) ords
+  else begin
+    let is_null =
+      match Leaf.column leaf i with
+      | Some c -> fun r -> Heap_file.code c r = 0
+      | None -> fun r -> Value.is_null base.(r).(i)
+    in
+    let order = Array.init (Array.length ords) Fun.id in
+    Array.sort (fun a b -> Int.compare ords.(a) ords.(b)) order;
+    let sample = Array.make (Array.length ords) Value.Null in
+    let walked = ref 0 and ord = ref (-1) and r = ref 0 in
+    Array.iter
+      (fun slot ->
+         while !ord < ords.(slot) do
+           r := Leaf.position leaf !walked;
+           incr walked;
+           if not (is_null !r) then incr ord
+         done;
+         sample.(slot) <- base.(!r).(i))
+      order;
+    sample
+  end
 
 (* (min, max) of each (name, index) target, from its column's pass *)
 let target_ranges targets passes =
@@ -84,49 +110,53 @@ let target_ranges targets passes =
 let ranges schema ~columns rows =
   let targets = range_columns schema columns in
   let passes = List.map (fun (_, i) -> (i, Column_pass.create ())) targets in
-  run_passes ~draws:(fun _ -> false) (Leaf.of_rows rows) passes;
+  run_passes (Leaf.of_rows rows) passes;
   target_ranges targets passes
 
 let collect ctx schema s leaf =
   let clock = ctx.Exec_ctx.clock in
   let n = Leaf.length leaf in
   (* Requested statistics. *)
-  let hist_targets =
-    List.map (fun c -> (c, Schema.index_of schema c, Reservoir.create ~capacity:sample_size ())) s.hist_cols
-  in
+  let hist_targets = List.map (fun c -> (c, Schema.index_of schema c)) s.hist_cols in
   let distinct_targets =
     List.map (fun c -> (c, Schema.index_of schema c, Distinct.create ())) s.distinct_cols
   in
   let range_targets = range_columns schema (spec_columns s) in
   (* one pass per column, fed by one read of each row: each value is read
-     once and feeds its column's min/max and every sketch on it; the
-     sketches share no state *)
+     once and feeds its column's min/max and every distinct counter on
+     it, which share no state *)
   let passes =
-    let index (_, i, _) = i in
-    let on i (_, j, x) = if i = j then Some x else None in
     List.map
       (fun i ->
          ( i,
            Column_pass.create
-             ~reservoirs:(List.filter_map (on i) hist_targets)
-             ~distincts:(List.filter_map (on i) distinct_targets)
+             ~distincts:
+               (List.filter_map
+                  (fun (_, j, d) -> if i = j then Some d else None)
+                  distinct_targets)
              () ))
       (List.sort_uniq Int.compare
-         (List.map index hist_targets
-          @ List.map index distinct_targets
+         (List.map snd hist_targets
+          @ List.map (fun (_, i, _) -> i) distinct_targets
           @ List.map snd range_targets))
   in
-  run_passes leaf passes
-    ~draws:(fun i -> List.exists (fun (_, j, _) -> i = j) hist_targets);
+  run_passes leaf passes;
   Sim_clock.charge_cpu_ms clock (estimated_cost_ms s ~rows:(float_of_int n));
   let dicts = ref [] in
   let histograms =
     List.map
-      (fun (c, _, res) ->
-         let data, dict = Column_stats.encode (Reservoir.sample res) in
+      (fun (c, i) ->
+         (* the sample a reservoir fed the column's non-null cells in
+            order would hold *)
+         let nulls = Column_pass.nulls (List.assoc i passes) in
+         let seen = n - nulls in
+         let sample =
+           gather leaf i ~nulls (Reservoir.positions ~capacity:sample_size seen)
+         in
+         let data, dict = Column_stats.encode sample in
          Option.iter (fun d -> dicts := (c, d) :: !dicts) dict;
          let h = Histogram.build Histogram.Maxdiff ~buckets:hist_buckets data in
-         (c, Histogram.scale h (float_of_int (Reservoir.seen res))))
+         (c, Histogram.scale h (float_of_int seen)))
       hist_targets
   in
   let distincts =

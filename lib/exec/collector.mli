@@ -8,9 +8,12 @@
     probabilistic counting (Flajolet–Martin [6]) with an exact fast path.
     One read of each row feeds every tracked column's
     {!Mqr_stats.Column_pass}, which offers the value to the column's
-    min/max and every sketch on it.  Only what a reader
-    consumes is computed: ranges of columns outside the spec and the
-    average tuple size are not.
+    min/max and every distinct counter on it, and counts its nulls.  A
+    histogram column's sample is then read from the rows at the ordinals
+    {!Mqr_stats.Reservoir.positions} schedules for its non-null count:
+    the sample a reservoir fed those values in order would hold.  Only
+    what a reader consumes is computed: ranges of columns outside the
+    spec and the average tuple size are not.
 
     The CPU price per tuple per tracked statistic is exposed so the
     statistics-collectors insertion algorithm can budget collectors against
@@ -51,8 +54,9 @@ type observed = {
 
 (** Run the collector over a drained intermediate result, charging its CPU
     cost to the clock.  A column coded in the leaf feeds its min/max and
-    distinct counters once per code, at the code's first row; the
-    observation is that of [Leaf.of_rows (Leaf.rows leaf)]. *)
+    distinct counters once per code, at the code's first row, and reads
+    only its codes on later rows; the observation is that of
+    [Leaf.of_rows (Leaf.rows leaf)]. *)
 val collect : Exec_ctx.t -> Schema.t -> spec -> Leaf.t -> observed
 
 (** [ranges schema ~columns rows]: (min, max) over the non-null values of

@@ -34,6 +34,8 @@ let iter leaf f =
       f pos.(i)
     done
 
+let position leaf k = match leaf.pos with None -> k | Some pos -> pos.(k)
+
 let column leaf i = if i < Array.length leaf.cols then leaf.cols.(i) else None
 
 let of_rows rows = make rows [||] None (Array.length rows)

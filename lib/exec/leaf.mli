@@ -42,6 +42,11 @@ val base : t -> Tuple.t array
     [r] its position in [base leaf] (and in each column's codes). *)
 val iter : t -> (int -> unit) -> unit
 
+(** [position leaf k] is the position in [base leaf] of the leaf's
+    [k]th row (0-based, [k < length leaf]): the [k]th that {!iter}
+    visits. *)
+val position : t -> int -> int
+
 (** [column leaf i] is column [i]'s codes, by position in [base leaf],
     or [None] when the column has none. *)
 val column : t -> int -> Heap_file.codes option

@@ -3,14 +3,14 @@ module Value = Mqr_storage.Value
 type t = {
   mutable lo : Value.t;  (* Null until the first non-null value *)
   mutable hi : Value.t;
-  reservoirs : Value.t Reservoir.t array;
+  mutable nulls : int;
   distincts : Distinct.t array;
 }
 
-let create ?(reservoirs = []) ?(distincts = []) () =
+let create ?(distincts = []) () =
   { lo = Value.Null;
     hi = Value.Null;
-    reservoirs = Array.of_list reservoirs;
+    nulls = 0;
     distincts = Array.of_list distincts }
 
 (* [Value.compare a b < 0] *)
@@ -23,7 +23,7 @@ let[@inline] before a b =
 
 let add t v =
   match v with
-  | Value.Null -> ()
+  | Value.Null -> t.nulls <- t.nulls + 1
   | _ ->
     (match t.lo with
      | Value.Null ->
@@ -32,19 +32,10 @@ let add t v =
      | lo ->
        if before v lo then t.lo <- v;
        if before t.hi v then t.hi <- v);
-    for k = 0 to Array.length t.reservoirs - 1 do
-      Reservoir.add t.reservoirs.(k) v
-    done;
     for k = 0 to Array.length t.distincts - 1 do
       Distinct.add t.distincts.(k) v
     done
 
-let add_repeat t v =
-  match v with
-  | Value.Null -> ()
-  | _ ->
-    for k = 0 to Array.length t.reservoirs - 1 do
-      Reservoir.add t.reservoirs.(k) v
-    done
+let nulls t = t.nulls
 
 let range t = if Value.is_null t.lo then None else Some (t.lo, t.hi)

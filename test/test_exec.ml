@@ -846,50 +846,21 @@ let test_collector_to_column_stats () =
   Alcotest.(check bool) "has distinct" true
     (st.Column_stats.distinct <> None)
 
-(* Reference: the row-at-a-time collector that kept min/max over every
-   column and fed every statistic from one pass over the rows.  The
-   collector must observe exactly what it did on the spec's columns. *)
-let reference_collect schema (s : Collector.spec) rows =
-  let arity = Schema.arity schema in
-  let qualified i =
-    let c = Schema.column schema i in
-    if c.Schema.qualifier = "" then c.Schema.name
-    else c.Schema.qualifier ^ "." ^ c.Schema.name
-  in
-  let mins = Array.make arity Value.Null and maxs = Array.make arity Value.Null in
-  let hist_targets =
-    List.map
-      (fun c ->
-         ( c, Schema.index_of schema c,
-           Mqr_stats.Reservoir.create ~capacity:(Heap_file.page_size_bytes / 8) () ))
-      s.Collector.hist_cols
-  in
-  let distinct_targets =
-    List.map
-      (fun c -> (c, Schema.index_of schema c, Mqr_stats.Distinct.create ()))
-      s.Collector.distinct_cols
-  in
-  Array.iter
-    (fun (t : Tuple.t) ->
-       for i = 0 to arity - 1 do
-         if not (Value.is_null t.(i)) then begin
-           mins.(i) <- Value.min_value mins.(i) t.(i);
-           maxs.(i) <- Value.max_value maxs.(i) t.(i)
-         end
-       done;
-       List.iter
-         (fun (_, i, res) ->
-            if not (Value.is_null t.(i)) then Mqr_stats.Reservoir.add res t.(i))
-         hist_targets;
-       List.iter
-         (fun (_, i, d) ->
-            if not (Value.is_null t.(i)) then Mqr_stats.Distinct.add d t.(i))
-         distinct_targets)
-    rows;
+(* Reference histograms: a reservoir fed every non-null value of each
+   histogram column, row by row, in order. *)
+let reference_histograms schema hist_cols rows =
   let dicts = ref [] in
   let histograms =
     List.map
-      (fun (c, _, res) ->
+      (fun c ->
+         let i = Schema.index_of schema c in
+         let res =
+           Mqr_stats.Reservoir.create ~capacity:(Heap_file.page_size_bytes / 8) ()
+         in
+         Array.iter
+           (fun (t : Tuple.t) ->
+              if not (Value.is_null t.(i)) then Mqr_stats.Reservoir.add res t.(i))
+           rows;
          let sample = Mqr_stats.Reservoir.sample res in
          let seen = Mqr_stats.Reservoir.seen res in
          let has_string =
@@ -918,8 +889,40 @@ let reference_collect schema (s : Collector.spec) rows =
              (Array.map to_float sample)
          in
          (c, Histogram.scale h (float_of_int seen)))
-      hist_targets
+      hist_cols
   in
+  (histograms, !dicts)
+
+(* Reference: the row-at-a-time collector that kept min/max over every
+   column and fed every statistic from one pass over the rows.  The
+   collector must observe exactly what it did on the spec's columns. *)
+let reference_collect schema (s : Collector.spec) rows =
+  let arity = Schema.arity schema in
+  let qualified i =
+    let c = Schema.column schema i in
+    if c.Schema.qualifier = "" then c.Schema.name
+    else c.Schema.qualifier ^ "." ^ c.Schema.name
+  in
+  let mins = Array.make arity Value.Null and maxs = Array.make arity Value.Null in
+  let distinct_targets =
+    List.map
+      (fun c -> (c, Schema.index_of schema c, Mqr_stats.Distinct.create ()))
+      s.Collector.distinct_cols
+  in
+  Array.iter
+    (fun (t : Tuple.t) ->
+       for i = 0 to arity - 1 do
+         if not (Value.is_null t.(i)) then begin
+           mins.(i) <- Value.min_value mins.(i) t.(i);
+           maxs.(i) <- Value.max_value maxs.(i) t.(i)
+         end
+       done;
+       List.iter
+         (fun (_, i, d) ->
+            if not (Value.is_null t.(i)) then Mqr_stats.Distinct.add d t.(i))
+         distinct_targets)
+    rows;
+  let histograms, dicts = reference_histograms schema s.Collector.hist_cols rows in
   let distincts =
     List.map (fun (c, _, d) -> (c, Mqr_stats.Distinct.estimate d)) distinct_targets
   in
@@ -930,7 +933,7 @@ let reference_collect schema (s : Collector.spec) rows =
          else Some (qualified i, (mins.(i), maxs.(i))))
       (List.init arity Fun.id)
   in
-  (col_ranges, histograms, distincts, !dicts)
+  (col_ranges, histograms, distincts, dicts)
 
 (* Five typed columns (one unqualified) with nulls; [n] mixes Int and
    Float, so min/max ties between Int k and Float k occur. *)
@@ -1225,10 +1228,12 @@ let test_key_hash_allocation_free () =
    bits, in order), the same exception, the same UDF calls and charges
    (conjuncts include ones that raise on a String cell partway through
    the rows, so the conjunct-at-a-time path must fall back to the row
-   path's exception); over the survivors, [Collector.collect] the same
-   observation and [hash_aggregate] the same rows in the same order on
-   the coded leaf as on [Leaf.of_rows] of the copy, or both the same
-   exception. *)
+   path's exception); over the leaf and over the survivors,
+   [Collector.collect] the same observation, and its histograms those of
+   a reservoir fed row by row (histogram columns hold nulls, and past
+   512 values in some cases, coded or not); over the survivors,
+   [hash_aggregate] the same rows in the same order on the coded leaf as
+   on [Leaf.of_rows] of the copy, or both the same exception. *)
 let udf_calls = ref 0
 
 let coded_udf c =
@@ -1245,17 +1250,25 @@ let coded_case_gen =
     let* cols = int_range 1 4 in
     let* numeric = list_repeat cols bool in
     let* wide = frequency [ (1, return true); (7, return false) ] in
+    let* long = frequency [ (1, return true); (4, return false) ] in
+    let wide_cell =
+      frequency [ (1, return Value.Null); (19, Test_storage.intern_wide_cell) ]
+    in
     let row =
       map Array.of_list
         (flatten_l
            (List.mapi
               (fun i numeric ->
-                 if wide && i = 0 then Test_storage.intern_wide_cell
+                 if wide && i = 0 then wide_cell
                  else if numeric then Test_storage.intern_number
                  else Test_storage.intern_cell)
               numeric))
     in
-    let* first = list_size (if wide then return 5000 else int_range 0 200) row in
+    let* first =
+      list_size
+        (if wide then return 5000 else if long then int_range 520 1500 else int_range 0 200)
+        row
+    in
     let* kept =
       opt (list_repeat (List.length first) (frequency [ (3, return true); (1, return false) ]))
     in
@@ -1345,16 +1358,28 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
     && coded_calls = !udf_calls
     && elapsed c1 = elapsed c2
   in
+  let spec = Collector.spec ~hist_cols ~distinct_cols () in
+  let collect leaf () = Collector.collect (ctx ()) schema spec leaf in
+  (* the collector on a leaf against its copy, and its histograms
+     against a reservoir fed row by row *)
+  let collect_agrees leaf plain =
+    let coded = outcome (collect leaf) in
+    same_outcome same_observed coded (outcome (collect (Leaf.of_rows plain)))
+    &&
+    match coded with
+    | Error _ -> true
+    | Ok obs ->
+      let histograms, dicts = reference_histograms schema hist_cols plain in
+      List.equal
+        (fun (c, h) (c', h') -> c = c' && same_histogram h h')
+        obs.Collector.histograms histograms
+      && compare obs.Collector.dicts dicts = 0
+  in
+  let input_ok = collect_agrees leaf plain in
   let leaf, plain =
     match coded, rows with Ok l, Ok r -> (l, r) | _ -> (leaf, plain)
   in
-  let spec = Collector.spec ~hist_cols ~distinct_cols () in
-  let collect leaf () = Collector.collect (ctx ()) schema spec leaf in
-  let collect_ok =
-    same_outcome same_observed
-      (outcome (collect leaf))
-      (outcome (collect (Leaf.of_rows plain)))
-  in
+  let collect_ok = input_ok && collect_agrees leaf plain in
   let aggs =
     [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" };
       { Aggregate.fn = Aggregate.Count; distinct_arg = true;

@@ -296,6 +296,37 @@ let prop_reservoir_size =
        done;
        Array.length (Reservoir.sample r) = min cap n)
 
+(* The sample a reservoir fed [n] values holds is the one read at the
+   ordinals [Reservoir.positions] schedules, for n below, at and past the
+   capacity; a second, smaller [n] replays a schedule that has already
+   grown past it. *)
+let prop_reservoir_positions =
+  let case =
+    QCheck.Gen.(
+      let* cap = oneofl [ 1; 2; 7; 512 ] in
+      let upto = int_bound (20 * cap) in
+      let* n = frequency [ (1, return (cap - 1)); (1, return cap); (6, upto) ] in
+      let* smaller = int_bound n in
+      return (cap, n, smaller))
+  in
+  QCheck.Test.make ~name:"Reservoir.positions = feeding Reservoir.add" ~count:200
+    (QCheck.make ~print:QCheck.Print.(triple int int int) case)
+    (fun (cap, n, smaller) ->
+       let fed n =
+         let r = Reservoir.create ~capacity:cap () in
+         for i = 0 to n - 1 do
+           Reservoir.add r (i * 7919)
+         done;
+         r
+       in
+       let same n =
+         let r = fed n in
+         Reservoir.seen r = n
+         && Reservoir.sample r
+            = Array.map (fun k -> k * 7919) (Reservoir.positions ~capacity:cap n)
+       in
+       same n && same smaller)
+
 let suite =
   [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
@@ -319,4 +350,5 @@ let suite =
     Alcotest.test_case "histograms pinned" `Quick test_histogram_pinned;
     QCheck_alcotest.to_alcotest prop_float_sort_is_array_sort;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
-    QCheck_alcotest.to_alcotest prop_reservoir_size ]
+    QCheck_alcotest.to_alcotest prop_reservoir_size;
+    QCheck_alcotest.to_alcotest prop_reservoir_positions ]
