@@ -8,12 +8,15 @@
    the output is byte-stable and `dune promote` maintains the golden; any
    change to join enumeration that alters a plan, an id, an estimate or
    the enumeration count shows up as a diff, and so does any change to
-   the price the bounds put on a plan.  Three final groups stress the DP's edge
-   cases: every relation of Q5, Q7 and Q8 shrunk to the same tiny
+   the price the bounds put on a plan.  Four final groups stress the DP's
+   edge cases: every relation of Q5, Q7 and Q8 shrunk to the same tiny
    cardinality (many candidates cost exactly the same, so the Pareto
-   sets' tie rule decides), one plan re-costed after overriding
-   statistics, and Q7 and Q8 re-planned from scratch under the same
-   overrides, as the re-optimizer does mid-query.
+   sets' tie rule decides), Q5, Q7 and Q8 under a dozen seeded random
+   statistics drawn from a few values (exact ties between unlike plans)
+   and under a few drawn with NaN, infinite and zero counts among them,
+   one plan re-costed after overriding statistics, and Q7 and Q8
+   re-planned from scratch under the same overrides, as the re-optimizer
+   does mid-query.
 
      opt_golden > opt_plans.txt *)
 
@@ -28,6 +31,7 @@ module Plan = Mqr_opt.Plan
 module Queries = Mqr_tpcd.Queries
 module Workload = Mqr_tpcd.Workload
 module Bounds = Mqr_analysis.Bounds
+module Rng = Mqr_stats.Rng
 
 let variants =
   let d = Optimizer.default_options in
@@ -103,6 +107,51 @@ let () =
          ~title:(Printf.sprintf "%s ties" q.Queries.name)
          ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)
     (List.map Queries.find [ "Q5"; "Q7"; "Q8" ]);
+  (* seeded random statistics: every relation's row count and every
+     column's distinct count drawn from a handful of values *)
+  let pick rng xs = List.nth xs (Rng.int rng (List.length xs)) in
+  let random_stats ~label ~seeds ~rows ~distinct =
+    List.iter
+      (fun (q : Queries.query) ->
+         let query = bind q.Queries.sql in
+         for seed = 1 to seeds do
+           List.iter
+             (fun (name, options) ->
+                let rng = Rng.create seed in
+                let env = Stats_env.create catalog query.Query.relations in
+                List.iter
+                  (fun (r : Stats_env.rel_info) ->
+                     Stats_env.override_rows env ~alias:r.Stats_env.alias
+                       ~rows:(pick rng rows);
+                     List.iter
+                       (fun (column, _) ->
+                          Stats_env.override env ~column
+                            { Column_stats.empty with
+                              Column_stats.distinct = Some (pick rng distinct) })
+                       r.Stats_env.col_stats)
+                  (Stats_env.relations env);
+                let r = Optimizer.optimize ~options ~model ~env query in
+                print_plan
+                  ~title:
+                    (Printf.sprintf "%s %s seed=%d %s" q.Queries.name label
+                       seed name)
+                  ~enumerated:r.Optimizer.plans_enumerated
+                  ~max_dop:options.Optimizer.max_dop r.Optimizer.plan)
+             (List.filter
+                (fun (name, _) ->
+                   List.mem name [ "default"; "no-merge"; "dop4" ])
+                variants)
+         done)
+      (List.map Queries.find [ "Q5"; "Q7"; "Q8" ])
+  in
+  (* few values: unlike plans often cost exactly the same *)
+  random_stats ~label:"random-stats" ~seeds:12 ~rows:[ 1.0; 2.0; 4.0; 64.0 ]
+    ~distinct:[ 1.0; 2.0; 4.0 ];
+  (* non-finite and empty estimates: NaN and infinite totals, which no
+     cost comparison may order *)
+  random_stats ~label:"non-finite-stats" ~seeds:4
+    ~rows:[ Float.nan; Float.infinity; 0.0; 2.0; 64.0 ]
+    ~distinct:[ Float.nan; Float.infinity; 0.0; 1.0; 4.0 ];
   (* observed statistics: orders turned out 3x larger than believed and
      its customer keys cover a narrow band *)
   let observe env =
