@@ -19,7 +19,7 @@ let unbounded sum = not (Float.is_finite sum)
 let exchange_ms ~pages = pages *. Mqr_exec.Parallel.net_ms_per_page
 
 let startup_ms ~dop =
-  Mqr_exec.Parallel.startup_ms *. float_of_int (max 0 (dop - 1))
+  Mqr_exec.Parallel.startup_ms *. float_of_int (Int.max 0 (dop - 1))
 
 let parallel_ms ~dop ~exchange_pages ~per_worker =
   if dop = 1 then per_worker
@@ -105,7 +105,7 @@ let block_nl_join_ms (m : Sim_clock.model) ~outer_rows ~outer_pages
                 +. out_rows) then infinity
   else
     let blocks =
-      Float.max 1.0 (ceil (outer_pages /. float_of_int (max 1 mem_pages)))
+      Float.max 1.0 (ceil (outer_pages /. float_of_int (Int.max 1 mem_pages)))
     in
     ((blocks -. 1.0) *. inner_pages *. m.seq_read_ms)
     +. (outer_rows *. inner_rows *. m.cpu_tuple_ms)
@@ -117,7 +117,7 @@ let merge_join_ms (m : Sim_clock.model) ~left_rows ~left_pages ~right_rows
   if unbounded (left_rows +. left_pages +. right_rows +. right_pages
                 +. out_rows +. rf_probe_rows) then infinity
   else
-    let half = max 2 (mem_pages / 2) in
+    let half = Int.max 2 (mem_pages / 2) in
     (if left_sorted then 0.0
      else sort_serial m ~rows:left_rows ~data_pages:left_pages ~mem_pages:half)
     +. (if right_sorted then 0.0
@@ -133,7 +133,7 @@ let aggregate_ms (m : Sim_clock.model) ~dop ~in_rows ~in_pages ~groups
   else
     let fd = float_of_int dop in
     let spill =
-      if group_pages /. fd > float_of_int (max 1 (mem_pages / dop)) then
+      if group_pages /. fd > float_of_int (Int.max 1 (mem_pages / dop)) then
         in_pages /. fd *. (m.write_ms +. m.seq_read_ms)
       else 0.0
     in
@@ -166,17 +166,17 @@ let fudge = Mqr_exec.Join.hash_join_fudge
 let hash_join_mem ~build_pages =
   let need = int_of_float (ceil (fudge *. build_pages)) + 1 in
   let min_m = int_of_float (ceil (sqrt (fudge *. build_pages))) + 1 in
-  (min min_m need, need)
+  (Int.min min_m need, need)
 
 let sort_mem ~data_pages =
   let need = int_of_float (ceil data_pages) in
-  let min_m = max 2 (int_of_float (ceil (sqrt data_pages))) in
-  (min min_m need, max 1 need)
+  let min_m = Int.max 2 (int_of_float (ceil (sqrt data_pages))) in
+  (Int.min min_m need, Int.max 1 need)
 
 let aggregate_mem ~group_pages =
   let need = int_of_float (ceil (fudge *. group_pages)) + 1 in
-  let min_m = max 1 (int_of_float (ceil (sqrt group_pages))) in
-  (min min_m need, need)
+  let min_m = Int.max 1 (int_of_float (ceil (sqrt group_pages))) in
+  (Int.min min_m need, need)
 
 let merge_join_mem ~left_pages ~right_pages =
   let min_l, max_l = sort_mem ~data_pages:left_pages in
@@ -185,4 +185,4 @@ let merge_join_mem ~left_pages ~right_pages =
 
 let block_nl_join_mem ~outer_pages =
   let need = int_of_float (ceil outer_pages) in
-  (1, max 1 need)
+  (1, Int.max 1 need)
