@@ -781,6 +781,7 @@ let bounds_scenario () =
   in
   Fmt.pr "%-5s %-8s | %10s %12s %12s %12s %13s  %s@." "query" "class" "normal"
     "mem-only" "plan-only" "full" "bound-checked" "identical";
+  let replanning = ref [] in
   List.iter
     (fun (q : Queries.query) ->
        let scenario = "bounds/" ^ q.Queries.name in
@@ -805,8 +806,41 @@ let bounds_scenario () =
          (Queries.klass_to_string q.Queries.klass)
          normal.Dispatcher.elapsed_ms mem.Dispatcher.elapsed_ms
          plan.Dispatcher.elapsed_ms full.Dispatcher.elapsed_ms
-         bc.Dispatcher.elapsed_ms identical)
+         bc.Dispatcher.elapsed_ms identical;
+       replanning :=
+         (q, [ (Dispatcher.Plan_only, plan); (Dispatcher.Full, full);
+               (Dispatcher.Bound_checked, bc) ])
+         :: !replanning)
     interesting;
+  (* Eq. 1's T_opt,estimated against what each re-plan really charged
+     (plans enumerated x opt_per_plan_ms), from the decision ledger *)
+  Fmt.pr "@.%-5s %-14s %-8s | %12s %8s %12s %9s@." "query" "mode" "outcome"
+    "t_opt_est" "plans" "charged(ms)" "charged/est";
+  List.iter
+    (fun ((q : Queries.query), runs) ->
+       List.iter
+         (fun (mode, (r : Dispatcher.report)) ->
+            let row outcome est plans charged =
+              Fmt.pr "%-5s %-14s %-8s | %12.1f %8d %12.1f %9.1f@."
+                q.Queries.name (Dispatcher.mode_to_string mode) outcome est
+                plans charged (charged /. est)
+            in
+            ignore
+              (List.fold_left
+                 (fun est (_, ev) ->
+                    match ev with
+                    | Dispatcher.Ev_considered t ->
+                      t.Reopt_policy.t_opt_estimated
+                    | Dispatcher.Ev_switched { plans_enumerated; opt_ms; _ } ->
+                      row "switched" est plans_enumerated opt_ms;
+                      est
+                    | Dispatcher.Ev_rejected { plans_enumerated; opt_ms; _ } ->
+                      row "rejected" est plans_enumerated opt_ms;
+                      est
+                    | _ -> est)
+                 Float.nan r.Dispatcher.timed_events))
+         runs)
+    (List.rev !replanning);
   conclude ~scenario:"bounds" ~rows:(List.length interesting) @@ fun () ->
   Fmt.pr
     "@.Bound-checked switching admits only switches that are provable \

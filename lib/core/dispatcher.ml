@@ -26,11 +26,11 @@ let pp_event fmt = function
       "re-optimization %s (T_improved=%.1fms T_optimizer=%.1fms T_opt,est=%.1fms)"
       (Reopt_policy.decision_to_string decision)
       t_improved t_optimizer t_opt_estimated
-  | Ev_switched { t_new_total; t_improved; materialize_ms } ->
+  | Ev_switched { t_new_total; t_improved; materialize_ms; _ } ->
     Fmt.pf fmt
       "plan switched: T_new=%.1fms < T_improved=%.1fms (materialize %.1fms)"
       t_new_total t_improved materialize_ms
-  | Ev_rejected { t_new_total; t_improved } ->
+  | Ev_rejected { t_new_total; t_improved; _ } ->
     Fmt.pf fmt "new plan rejected: T_new=%.1fms >= T_improved=%.1fms"
       t_new_total t_improved
   | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
@@ -152,6 +152,12 @@ let view r ~force =
     switches = r.switches;
     force }
 
+(* The simulated time [apply] charged for the candidate's re-plan. *)
+let replan_ms st (c : Reopt_policy.candidate) =
+  Sim_clock.optimizer_ms
+    (Sim_clock.model st.ctx.Exec_ctx.clock)
+    ~plans:c.plans_enumerated
+
 (* Switch to the candidate: pay the writes, renumber the new plan's ids
    into our space, instrument it and adopt its annotations as the new
    baseline. *)
@@ -181,7 +187,9 @@ let switch r (t : Reopt_policy.terms) (c : Reopt_policy.candidate) =
     (Ev_switched
        { t_new_total = c.t_new_total;
          t_improved = t.t_improved;
-         materialize_ms = c.materialize_ms });
+         materialize_ms = c.materialize_ms;
+         plans_enumerated = c.plans_enumerated;
+         opt_ms = replan_ms st c });
   observe st Switched
 
 (* Apply a verdict: the consideration's terms first, then the optimizer
@@ -201,7 +209,10 @@ let apply r verdict =
      | _ ->
        emit st
          (Ev_rejected
-            { t_new_total = c.t_new_total; t_improved = t.t_improved }))
+            { t_new_total = c.t_new_total;
+              t_improved = t.t_improved;
+              plans_enumerated = c.plans_enumerated;
+              opt_ms = replan_ms st c }))
 
 let decision_point r =
   let st = r.st in

@@ -93,8 +93,15 @@ module Types = struct
         t_new_total : float;
         t_improved : float;
         materialize_ms : float;
+        plans_enumerated : int;  (** what the re-plan's DP enumerated *)
+        opt_ms : float;  (** the simulated time charged for it *)
       }
-    | Ev_rejected of { t_new_total : float; t_improved : float }
+    | Ev_rejected of {
+        t_new_total : float;
+        t_improved : float;
+        plans_enumerated : int;
+        opt_ms : float;
+      }
     | Ev_bound_check of Reopt_policy.bound_check
         (** emitted at every bound-checked switch consideration *)
     | Ev_sampled of Sampling.probe
@@ -278,17 +285,22 @@ let trace_event st scope ~ts ev =
         ("t_optimizer_ms", Trace.Float t_optimizer);
         ("t_opt_estimated_ms", Trace.Float t_opt_estimated);
         ("forced_by_filter_surprise", Trace.Bool forced) ]
-  | Ev_switched { t_new_total; t_improved; materialize_ms } ->
+  | Ev_switched
+      { t_new_total; t_improved; materialize_ms; plans_enumerated; opt_ms } ->
     Metrics.incr m "plan.switched";
     ledger "switched"
       [ ("t_new_total_ms", Trace.Float t_new_total);
         ("t_improved_ms", Trace.Float t_improved);
-        ("materialize_ms", Trace.Float materialize_ms) ]
-  | Ev_rejected { t_new_total; t_improved } ->
+        ("materialize_ms", Trace.Float materialize_ms);
+        ("plans_enumerated", Trace.Int plans_enumerated);
+        ("t_opt_charged_ms", Trace.Float opt_ms) ]
+  | Ev_rejected { t_new_total; t_improved; plans_enumerated; opt_ms } ->
     Metrics.incr m "plan.rejected";
     ledger "rejected"
       [ ("t_new_total_ms", Trace.Float t_new_total);
-        ("t_improved_ms", Trace.Float t_improved) ]
+        ("t_improved_ms", Trace.Float t_improved);
+        ("plans_enumerated", Trace.Int plans_enumerated);
+        ("t_opt_charged_ms", Trace.Float opt_ms) ]
   | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
     Metrics.incr m (if admitted then "bounds.admitted" else "bounds.vetoed");
     instant "bounds" "bound_check"

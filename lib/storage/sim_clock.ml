@@ -55,8 +55,10 @@ let charge_cpu_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. t.m.cpu_t
 let charge_hash_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. t.m.hash_tuple_ms)
 let charge_sort_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. t.m.sort_tuple_ms)
 
+let optimizer_ms m ~plans = float_of_int plans *. m.opt_per_plan_ms
+
 let charge_optimizer t ~plans =
-  t.ms.opt <- t.ms.opt +. (float_of_int plans *. t.m.opt_per_plan_ms);
+  t.ms.opt <- t.ms.opt +. optimizer_ms t.m ~plans;
   t.opt_invocations <- t.opt_invocations + 1
 
 let elapsed_of m (c : counters) =

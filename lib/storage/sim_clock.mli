@@ -45,9 +45,13 @@ val charge_sort_tuples : t -> int -> unit
 val charge_cpu_ms : t -> float -> unit
 
 (** Charge one optimizer invocation that enumerated [plans] sub-plans; the
-    charge is also recorded separately so reports can show re-optimization
-    overhead. *)
+    charge ({!optimizer_ms}) is also recorded separately so reports can
+    show re-optimization overhead. *)
 val charge_optimizer : t -> plans:int -> unit
+
+(** What {!charge_optimizer} charges for [plans] sub-plans:
+    [plans * opt_per_plan_ms]. *)
+val optimizer_ms : model -> plans:int -> float
 
 val elapsed_ms : t -> float
 

@@ -217,16 +217,22 @@ let test_ledger_matches_events () =
                         ("t_optimizer_ms", f t_optimizer);
                         ("t_opt_estimated_ms", f t_opt_estimated);
                         ("forced_by_filter_surprise", Trace.Bool forced) ])
-               | Dispatcher.Ev_switched { t_new_total; t_improved; _ } ->
+               | Dispatcher.Ev_switched
+                   { t_new_total; t_improved; plans_enumerated; opt_ms; _ } ->
                  entry "switched"
                    (unit
                     @ [ ("t_new_total_ms", f t_new_total);
-                        ("t_improved_ms", f t_improved) ])
-               | Dispatcher.Ev_rejected { t_new_total; t_improved } ->
+                        ("t_improved_ms", f t_improved);
+                        ("plans_enumerated", Trace.Int plans_enumerated);
+                        ("t_opt_charged_ms", f opt_ms) ])
+               | Dispatcher.Ev_rejected
+                   { t_new_total; t_improved; plans_enumerated; opt_ms } ->
                  entry "rejected"
                    (unit
                     @ [ ("t_new_total_ms", f t_new_total);
-                        ("t_improved_ms", f t_improved) ])
+                        ("t_improved_ms", f t_improved);
+                        ("plans_enumerated", Trace.Int plans_enumerated);
+                        ("t_opt_charged_ms", f opt_ms) ])
                | Dispatcher.Ev_realloc { grants } ->
                  entry "realloc"
                    (unit @ [ ("consumers", Trace.Int (List.length grants)) ])
