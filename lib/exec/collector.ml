@@ -52,13 +52,28 @@ let range_columns schema columns =
    another column's.  On a coded column only the first row of each code
    feeds min/max and the distinct counters, which already hold every
    later one; a null has code 0 and is counted on every row, and later
-   rows read only their codes. *)
+   rows read only their codes.  An uncoded column skips a cell with the
+   constructor and bits of the last non-null cell it fed (an equal Int or
+   Date payload, or the same box), which changes nothing either: rows
+   that arrive in key order repeat their keys in runs.  Nulls are still
+   counted one by one. *)
 let run_passes leaf passes =
   let base = Leaf.base leaf in
   List.iter
     (fun (i, pass) ->
        match Leaf.column leaf i with
-       | None -> Leaf.iter leaf (fun r -> Column_pass.add pass base.(r).(i))
+       | None ->
+         let prev = ref Value.Null in
+         Leaf.iter leaf (fun r ->
+             let v = base.(r).(i) in
+             match v, !prev with
+             | Value.Null, _ -> Column_pass.add pass v
+             | Value.Int x, Value.Int y | Value.Date x, Value.Date y
+               when x = y -> ()
+             | _, p when v == p -> ()
+             | _ ->
+               prev := v;
+               Column_pass.add pass v)
        | Some c ->
          let seen = Bytes.make (Heap_file.code_count c) '\000' in
          Leaf.iter leaf (fun r ->

@@ -85,3 +85,64 @@ let sort ~descending (keys : float array) (payload : int array) =
     keys.(0) <- k;
     payload.(0) <- p
   end
+
+(* Without NaN and -0.0, [<] is a total order under which equal keys have
+   equal bits, so every correct ascending sort leaves the same array, and
+   an in-place quicksort (median of three, insertion sort below 16 keys)
+   may stand in for the heapsort.  Past a depth of twice log2 of the
+   length it gives up, and the heapsort finishes the array. *)
+exception Too_deep
+
+let insertion (a : float array) lo hi =
+  for k = lo + 1 to hi do
+    let x = a.(k) in
+    let m = ref (k - 1) in
+    while !m >= lo && x < a.(!m) do
+      a.(!m + 1) <- a.(!m);
+      decr m
+    done;
+    a.(!m + 1) <- x
+  done
+
+let[@inline] swap (a : float array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let rec quick (a : float array) lo hi depth =
+  if hi - lo < 16 then insertion a lo hi
+  else if depth = 0 then raise Too_deep
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if a.(mid) < a.(lo) then swap a mid lo;
+    if a.(hi) < a.(lo) then swap a hi lo;
+    if a.(hi) < a.(mid) then swap a hi mid;
+    let p = a.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while p < a.(!j) do decr j done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    quick a lo !j (depth - 1);
+    quick a !i hi (depth - 1)
+  end
+
+let ascending (keys : float array) =
+  let l = Array.length keys in
+  let plain = ref true and i = ref 0 in
+  while !plain && !i < l do
+    let x = keys.(!i) in
+    if Float.is_nan x || (x = 0.0 && Float.sign_bit x) then plain := false;
+    incr i
+  done;
+  let heapsort () = sort ~descending:false keys (Array.make l 0) in
+  if not !plain then heapsort ()
+  else begin
+    let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+    try quick keys 0 (l - 1) (2 * (log2 l + 1)) with Too_deep -> heapsort ()
+  end

@@ -9,3 +9,9 @@
     included — without boxing a float per comparison.
     @raise Invalid_argument when the arrays differ in length. *)
 val sort : descending:bool -> float array -> int array -> unit
+
+(** [ascending keys] sorts [keys] ascending by [Float.compare], leaving
+    exactly the array [sort ~descending:false keys payload] leaves.  A
+    sample with no NaN and no [-0.0] has only one correct ascending order,
+    which a quicksort finds; any other sample goes through [sort]. *)
+val ascending : float array -> unit

@@ -29,7 +29,7 @@ let distinct t = Array.fold_left (fun acc b -> acc +. b.distinct) 0.0 t.bkts
 let freq_table data =
   let sorted = Array.copy data in
   let n = Array.length sorted in
-  Float_sort.sort ~descending:false sorted (Array.make n 0);
+  Float_sort.ascending sorted;
   let groups = ref (min n 1) in
   for i = 1 to n - 1 do
     if Float.compare sorted.(i) sorted.(i - 1) <> 0 then incr groups
@@ -126,20 +126,24 @@ let build_maxdiff ~buckets freqs =
       let spread = if i < n - 1 then fst freqs.(i + 1) -. v else 1.0 in
       float_of_int c *. max spread 1e-9
     in
-    (* largest differences first, carrying the index they follow *)
-    let diffs = Array.make (n - 1) 0.0 and after = Array.init (n - 1) Fun.id in
-    let prev = ref (area 0) in
-    for i = 0 to n - 2 do
-      let next = area (i + 1) in
-      diffs.(i) <- Float.abs (next -. !prev);
-      prev := next
-    done;
-    Float_sort.sort ~descending:true diffs after;
     let nb = max 1 (min buckets n) in
-    let split_after = Array.make n false in
-    for rank = 0 to min (nb - 1) (n - 1) - 1 do
-      split_after.(after.(rank)) <- true
-    done;
+    let splits = min (nb - 1) (n - 1) in
+    (* when every gap is a boundary, no difference decides anything *)
+    let split_after = Array.make n (splits = n - 1) in
+    if splits < n - 1 then begin
+      (* largest differences first, carrying the index they follow *)
+      let diffs = Array.make (n - 1) 0.0 and after = Array.init (n - 1) Fun.id in
+      let prev = ref (area 0) in
+      for i = 0 to n - 2 do
+        let next = area (i + 1) in
+        diffs.(i) <- Float.abs (next -. !prev);
+        prev := next
+      done;
+      Float_sort.sort ~descending:true diffs after;
+      for rank = 0 to splits - 1 do
+        split_after.(after.(rank)) <- true
+      done
+    end;
     let out = ref [] in
     let cur_rows = ref 0.0 and cur_d = ref 0.0 in
     let cur_lo = ref (fst freqs.(0)) in

@@ -5,21 +5,30 @@ type column = {
   avg_width : int;
 }
 
-type t = { cols : column array }
+(* [width] is [header_bytes] plus every column's [avg_width], kept so the
+   optimizer and heap files size tuples without re-summing columns. *)
+type t = { cols : column array; width : int }
 
 exception Ambiguous of string
 
-let make cols = { cols = Array.of_list cols }
+let header_bytes = 8
+
+let of_array cols =
+  { cols;
+    width = Array.fold_left (fun acc c -> acc + c.avg_width) header_bytes cols }
+
+let make cols = of_array (Array.of_list cols)
 let columns t = Array.to_list t.cols
 let arity t = Array.length t.cols
 let column t i = t.cols.(i)
 
 let qualify t alias =
-  { cols = Array.map (fun c -> { c with qualifier = alias }) t.cols }
+  { t with cols = Array.map (fun c -> { c with qualifier = alias }) t.cols }
 
-let concat a b = { cols = Array.append a.cols b.cols }
+let concat a b =
+  { cols = Array.append a.cols b.cols; width = a.width + b.width - header_bytes }
 
-let project t idxs = { cols = Array.of_list (List.map (fun i -> t.cols.(i)) idxs) }
+let project t idxs = of_array (Array.of_list (List.map (fun i -> t.cols.(i)) idxs))
 
 let split_ref r =
   match String.index_opt r '.' with
@@ -39,10 +48,7 @@ let index_of t r =
   | [] -> raise Not_found
   | _ -> raise (Ambiguous r)
 
-let header_bytes = 8
-
-let avg_tuple_width t =
-  header_bytes + Array.fold_left (fun acc c -> acc + c.avg_width) 0 t.cols
+let avg_tuple_width t = t.width
 
 let default_width ty =
   match ty with

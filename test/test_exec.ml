@@ -936,7 +936,12 @@ let reference_collect schema (s : Collector.spec) rows =
   (col_ranges, histograms, distincts, dicts)
 
 (* Five typed columns (one unqualified) with nulls; [n] mixes Int and
-   Float, so min/max ties between Int k and Float k occur. *)
+   Float, so min/max ties between Int k and Float k occur.  [`Sorted]
+   sorts the rows by one column, so its values and nulls come in long
+   runs, and [t.n]'s Int k and Float k sit side by side; [`Runs] repeats
+   each column's last non-null cell (the same box) three times in four,
+   with nulls inside the runs, and turns [t.n]'s Int k into Float k, or
+   back, one time in four. *)
 let oracle_schema =
   Schema.make
     [ Schema.col ~qualifier:"t" "i" Value.TInt;
@@ -947,15 +952,44 @@ let oracle_schema =
 
 let oracle_columns = [ "t.i"; "t.f"; "t.n"; "t.d"; "s" ]
 
-let oracle_rows ~seed ~n ~domain =
+let oracle_rows ?(layout = `Random) ~seed ~n ~domain () =
   let st = Random.State.make [| seed |] in
   let pick mk = if Random.State.int st 10 = 0 then Value.Null else mk (Random.State.int st domain) in
-  Array.init n (fun _ ->
-      [| pick (fun k -> Value.Int k);
-         pick (fun k -> Value.Float (float_of_int k /. 4.0));
-         pick (fun k -> if k land 1 = 0 then Value.Int (k / 2) else Value.Float (float_of_int (k / 2)));
-         pick (fun k -> Value.Date (8000 + k));
-         pick (fun k -> Value.String (Printf.sprintf "v%d" k)) |])
+  let fresh () =
+    [| pick (fun k -> Value.Int k);
+       pick (fun k -> Value.Float (float_of_int k /. 4.0));
+       pick (fun k -> if k land 1 = 0 then Value.Int (k / 2) else Value.Float (float_of_int (k / 2)));
+       pick (fun k -> Value.Date (8000 + k));
+       pick (fun k -> Value.String (Printf.sprintf "v%d" k)) |]
+  in
+  match layout with
+  | `Random -> Array.init n (fun _ -> fresh ())
+  | `Sorted ->
+    let rows = Array.init n (fun _ -> fresh ()) in
+    let by = seed mod 5 in
+    Array.stable_sort (fun (a : Tuple.t) b -> Value.compare a.(by) b.(by)) rows;
+    rows
+  | `Runs ->
+    let last = Array.make 5 Value.Null in
+    Array.init n (fun _ ->
+        let row = fresh () in
+        Array.mapi
+          (fun i v ->
+             if Value.is_null v then v
+             else begin
+               let v =
+                 if Value.is_null last.(i) || Random.State.int st 4 = 0 then v
+                 else if i = 2 && Random.State.int st 4 = 0 then
+                   match last.(i) with
+                   | Value.Int k -> Value.Float (float_of_int k)
+                   | Value.Float f -> Value.Int (int_of_float f)
+                   | v -> v
+                 else last.(i)
+               in
+               last.(i) <- v;
+               v
+             end)
+          row)
 
 let bits f = Int64.bits_of_float f
 
@@ -967,38 +1001,52 @@ let same_histogram a b =
           && bits x.rows = bits y.rows && bits x.distinct = bits y.distinct)
        (Histogram.buckets a) (Histogram.buckets b)
 
+(* The collector against the reference over [rows] as plain rows, then
+   over a heap file of them: its scan leaf, coded where a column keeps
+   its dictionary, and the positions of a filter over that leaf. *)
 let matches_reference spec rows =
-  let ref_ranges, ref_hists, ref_distincts, ref_dicts =
-    reference_collect oracle_schema spec rows
+  let agrees leaf =
+    let ref_ranges, ref_hists, ref_distincts, ref_dicts =
+      reference_collect oracle_schema spec (Leaf.rows leaf)
+    in
+    let obs = Collector.collect (ctx ()) oracle_schema spec leaf in
+    let columns = Collector.spec_columns spec in
+    List.for_all
+      (fun c -> List.assoc_opt c obs.Collector.col_ranges = List.assoc_opt c ref_ranges)
+      columns
+    && List.for_all (fun (c, _) -> List.mem c columns) obs.Collector.col_ranges
+    && List.equal
+         (fun (c, h) (c', h') -> c = c' && same_histogram h h')
+         obs.Collector.histograms ref_hists
+    && List.equal
+         (fun (c, d) (c', d') -> c = c' && bits d = bits d')
+         obs.Collector.distincts ref_distincts
+    && obs.Collector.dicts = ref_dicts
   in
-  let obs = Collector.collect (ctx ()) oracle_schema spec (Leaf.of_rows rows) in
-  let columns = Collector.spec_columns spec in
-  List.for_all
-    (fun c -> List.assoc_opt c obs.Collector.col_ranges = List.assoc_opt c ref_ranges)
-    columns
-  && List.for_all (fun (c, _) -> List.mem c columns) obs.Collector.col_ranges
-  && List.equal
-       (fun (c, h) (c', h') -> c = c' && same_histogram h h')
-       obs.Collector.histograms ref_hists
-  && List.equal
-       (fun (c, d) (c', d') -> c = c' && bits d = bits d')
-       obs.Collector.distincts ref_distincts
-  && obs.Collector.dicts = ref_dicts
+  let heap = Heap_file.create oracle_schema in
+  Array.iter (fun r -> Heap_file.append heap (Array.copy r)) rows;
+  let scan = Leaf.of_heap heap in
+  (* drops the rows whose t.d is null or 8001 *)
+  let pred = Expr.Cmp (Expr.Ne, Expr.Col "t.d", Expr.Const (Value.Date 8001)) in
+  agrees (Leaf.of_rows rows)
+  && agrees scan
+  && agrees (Leaf.filter (ctx ()) oracle_schema pred scan)
 
 let oracle_gen =
   QCheck.Gen.(
-    triple (int_bound 10_000)
+    quad (int_bound 10_000)
       (frequency [ (3, int_range 0 400); (1, int_range 4200 6000) ])
-      (oneofl [ 1; 7; 300; 100_000 ]))
+      (oneofl [ 1; 7; 300; 100_000 ])
+      (oneofl [ `Random; `Sorted; `Runs ]))
 
 (* spec lists in any order, a column possibly listed twice *)
 let prop_collector_matches_reference =
   let columns = QCheck.Gen.(list_size (int_bound 7) (oneofl oracle_columns)) in
   QCheck.Test.make ~name:"collector = row-at-a-time reference" ~count:40
     (QCheck.make (QCheck.Gen.pair oracle_gen (QCheck.Gen.pair columns columns)))
-    (fun ((seed, n, domain), (hist_cols, distinct_cols)) ->
+    (fun ((seed, n, domain, layout), (hist_cols, distinct_cols)) ->
        let spec = Collector.spec ~hist_cols ~distinct_cols () in
-       matches_reference spec (oracle_rows ~seed ~n ~domain))
+       matches_reference spec (oracle_rows ~layout ~seed ~n ~domain ()))
 
 (* A temp table's free statistics: ranges over every column, in name order,
    equal a [Value.min_value] / [Value.max_value] fold — on [t.n], whose
@@ -1006,8 +1054,8 @@ let prop_collector_matches_reference =
 let prop_ranges_match_fold =
   QCheck.Test.make ~name:"Collector.ranges = min/max fold" ~count:40
     (QCheck.make oracle_gen)
-    (fun (seed, n, domain) ->
-       let rows = oracle_rows ~seed ~n ~domain in
+    (fun (seed, n, domain, layout) ->
+       let rows = oracle_rows ~layout ~seed ~n ~domain () in
        let ref_ranges, _, _, _ =
          reference_collect oracle_schema (Collector.spec ()) rows
        in
@@ -1020,8 +1068,8 @@ let prop_ranges_match_fold =
 let prop_analyze_matches_fold =
   QCheck.Test.make ~name:"Column_stats.analyze = folds" ~count:40
     (QCheck.make oracle_gen)
-    (fun (seed, n, domain) ->
-       let rows = oracle_rows ~seed ~n ~domain in
+    (fun (seed, n, domain, layout) ->
+       let rows = oracle_rows ~layout ~seed ~n ~domain () in
        List.for_all
          (fun i ->
             let values = Array.to_list (Array.map (fun (t : Tuple.t) -> t.(i)) rows) in
@@ -1075,7 +1123,7 @@ let test_collector_histogram_nan () =
 (* Past the exact counter's 4096 values the distincts come from the
    Flajolet-Martin sketch. *)
 let test_collector_reference_sketch_path () =
-  let rows = oracle_rows ~seed:3 ~n:6000 ~domain:100_000 in
+  let rows = oracle_rows ~seed:3 ~n:6000 ~domain:100_000 () in
   let spec =
     Collector.spec ~hist_cols:oracle_columns ~distinct_cols:oracle_columns ()
   in

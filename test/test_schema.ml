@@ -49,7 +49,21 @@ let test_widths () =
     Schema.make [ Schema.col "i" Value.TInt; Schema.col ~width:20 "s" Value.TString ]
   in
   Alcotest.(check int) "avg width includes header" (8 + 8 + 20)
-    (Schema.avg_tuple_width s)
+    (Schema.avg_tuple_width s);
+  (* the stored width follows every derived schema *)
+  let resum t =
+    List.fold_left (fun acc c -> acc + c.Schema.avg_width) 8 (Schema.columns t)
+  in
+  let d = Schema.make [ Schema.col "d" Value.TDate ] in
+  List.iter
+    (fun (what, t) ->
+       Alcotest.(check int) what (resum t) (Schema.avg_tuple_width t))
+    [ ("empty", Schema.make []);
+      ("qualify", Schema.qualify s "q");
+      ("concat", Schema.concat s d);
+      ("concat empty", Schema.concat (Schema.make []) s);
+      ("project", Schema.project (Schema.concat s d) [ 2; 0 ]);
+      ("project none", Schema.project s []) ]
 
 let test_default_widths () =
   Alcotest.(check int) "int width" 8 (Schema.col "x" Value.TInt).Schema.avg_width;

@@ -278,6 +278,106 @@ let prop_float_sort_is_array_sort =
          keys expected
        && Array.for_all2 (fun p (_, p') -> p = p') payload expected)
 
+(* Samples with and without NaN (three bit patterns) and -0.0: up to 1100
+   values from 40 keys (many ties) or a wide range (few), in random,
+   ascending or descending order. *)
+let sample_gen =
+  QCheck.Gen.(
+    let* special = bool in
+    let* wide = bool in
+    let* n = frequency [ (3, int_bound 64); (2, int_range 500 1100) ] in
+    let* order = oneofl [ `Random; `Ascending; `Descending ] in
+    let* seed = int_bound 1_000_000 in
+    return (special, wide, n, order, seed))
+
+let sample (special, wide, n, order, seed) =
+  let st = Random.State.make [| seed |] in
+  let specials =
+    [| Float.nan; -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L; -0.0; 0.0 |]
+  in
+  let data =
+    Array.init n (fun _ ->
+        if special && Random.State.int st 8 = 0 then
+          specials.(Random.State.int st (Array.length specials))
+        else if wide then Random.State.float st 2000.0 -. 1000.0
+        else float_of_int (Random.State.int st 40) /. 4.0)
+  in
+  (match order with
+   | `Random -> ()
+   | `Ascending -> Array.stable_sort Float.compare data
+   | `Descending -> Array.stable_sort (fun a b -> Float.compare b a) data);
+  data
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_float_sort_ascending =
+  QCheck.Test.make ~name:"Float_sort.ascending = heapsort keys" ~count:300
+    (QCheck.make sample_gen)
+    (fun case ->
+       let data = sample case in
+       let expected = Array.copy data in
+       Float_sort.sort ~descending:false expected (Array.make (Array.length data) 0);
+       Float_sort.ascending data;
+       Array.for_all2 same_bits data expected)
+
+(* Maxdiff over a frequency table heapsorted by [Float_sort.sort], every
+   area difference sorted by it too: the build before the faster sort and
+   the skipped difference sort.  Buckets as (lo, hi, rows, distinct). *)
+let reference_maxdiff ~buckets data =
+  let sorted = Array.copy data in
+  Float_sort.sort ~descending:false sorted (Array.make (Array.length sorted) 0);
+  let groups =
+    Array.fold_left
+      (fun acc v ->
+         match acc with
+         | (u, c) :: tl when Float.compare u v = 0 -> (u, c + 1) :: tl
+         | _ -> (v, 1) :: acc)
+      [] sorted
+  in
+  let freqs = Array.of_list (List.rev groups) in
+  let n = Array.length freqs in
+  if n = 0 then []
+  else begin
+    let area i =
+      let v, c = freqs.(i) in
+      let spread = if i < n - 1 then fst freqs.(i + 1) -. v else 1.0 in
+      float_of_int c *. max spread 1e-9
+    in
+    let diffs = Array.init (max 0 (n - 1)) (fun i -> Float.abs (area (i + 1) -. area i)) in
+    let after = Array.init (max 0 (n - 1)) Fun.id in
+    Float_sort.sort ~descending:true diffs after;
+    let nb = max 1 (min buckets n) in
+    let split_after = Array.make n false in
+    for rank = 0 to min (nb - 1) (n - 1) - 1 do
+      split_after.(after.(rank)) <- true
+    done;
+    let out = ref [] and lo = ref 0 in
+    for i = 0 to n - 1 do
+      if split_after.(i) || i = n - 1 then begin
+        let rows = ref 0.0 in
+        for k = !lo to i do rows := !rows +. float_of_int (snd freqs.(k)) done;
+        out := (fst freqs.(!lo), fst freqs.(i), !rows, float_of_int (i - !lo + 1)) :: !out;
+        lo := i + 1
+      end
+    done;
+    List.rev !out
+  end
+
+let prop_maxdiff_float_sort_path =
+  QCheck.Test.make ~name:"Histogram.build = Float_sort path" ~count:300
+    (QCheck.make QCheck.Gen.(pair sample_gen (oneofl [ 1; 2; 6; 32; 64; 2000 ])))
+    (fun (case, buckets) ->
+       let data = sample case in
+       let h = Histogram.build Histogram.Maxdiff ~buckets data in
+       List.equal
+         (fun (lo, hi, rows, distinct) (lo', hi', rows', distinct') ->
+            same_bits lo lo' && same_bits hi hi' && same_bits rows rows'
+            && same_bits distinct distinct')
+         (List.map
+            (fun (b : Histogram.bucket) -> (b.lo, b.hi, b.rows, b.distinct))
+            (Histogram.buckets h))
+         (reference_maxdiff ~buckets data))
+
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int stays in bounds" ~count:300
     QCheck.(pair small_int (int_range 1 10_000))
@@ -349,6 +449,8 @@ let suite =
     Alcotest.test_case "distinct estimates pinned" `Quick test_distinct_pinned;
     Alcotest.test_case "histograms pinned" `Quick test_histogram_pinned;
     QCheck_alcotest.to_alcotest prop_float_sort_is_array_sort;
+    QCheck_alcotest.to_alcotest prop_float_sort_ascending;
+    QCheck_alcotest.to_alcotest prop_maxdiff_float_sort_path;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_reservoir_size;
     QCheck_alcotest.to_alcotest prop_reservoir_positions ]
