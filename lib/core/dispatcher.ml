@@ -66,7 +66,7 @@ type run = {
   (* the temp tables this run registered, newest first; dropped when the
      run ends, however it ends *)
   mutable temps : string list;
-  mutable next_id : int;  (* fresh plan-node ids *)
+  mutable next_id : int;  (* the next free plan-node id *)
   plan0 : Plan.t;
   r_collectors : int;
   mutable result : report option;
@@ -74,8 +74,9 @@ type run = {
 }
 
 let fresh_plan_id r =
-  r.next_id <- r.next_id + 1;
-  r.next_id
+  let id = r.next_id in
+  r.next_id <- id + 1;
+  id
 
 let fresh_temp_name r =
   Printf.sprintf "__temp%s_%d" r.st.cfg.temp_prefix (List.length r.temps + 1)
@@ -92,12 +93,16 @@ let recost cfg env plan =
   Optimizer.recost ~planning_mem:cfg.opt_options.Optimizer.planning_mem_pages
     ~max_dop:cfg.opt_options.Optimizer.max_dop ~model:cfg.model ~env plan
 
-(* Insert statistics collectors (SCIA) and re-cost: the instrumentation
-   of an initial plan and of every switched-to remainder.  Returns the
-   plan and the number of collectors kept. *)
-let instrument cfg env plan =
-  let scia = Scia.insert ~mu:cfg.params.Reopt_policy.mu ~env plan in
-  (recost cfg env scia.Scia.plan, List.length scia.Scia.kept)
+(* Insert statistics collectors (SCIA), their plan-node ids from
+   [first_id] on, and re-cost: the instrumentation of an initial plan and
+   of every switched-to remainder.  Returns the plan, the number of
+   collectors kept and the next free id. *)
+let instrument cfg env ~first_id plan =
+  let scia = Scia.insert ~mu:cfg.params.Reopt_policy.mu ~env ~first_id plan in
+  (recost cfg env scia.Scia.plan, List.length scia.Scia.kept, scia.Scia.next_id)
+
+let max_id plan =
+  List.fold_left (fun m (n : Plan.t) -> max m n.Plan.id) 0 (Plan.nodes plan)
 
 (* ------------------------------------------------------------------ *)
 (* Unit selection and plan surgery.                                    *)
@@ -168,15 +173,12 @@ let switch r (t : Reopt_policy.terms) (c : Reopt_policy.candidate) =
     let kids = List.map renumber (Plan.children p) in
     { (Plan.with_children p kids) with Plan.id = fresh_plan_id r }
   in
-  let new_plan, _ = instrument st.cfg c.env (renumber c.plan) in
-  (* Scia.insert hands the Collect wrappers ids past the plan's max
-     from its own counter; pull next_id past them or a later
-     Materialized leaf would reuse a live Collect id and the
-     id-keyed analyses (bounds, actuals) would conflate the two. *)
-  r.next_id <-
-    List.fold_left
-      (fun m (n : Plan.t) -> max m n.Plan.id)
-      r.next_id (Plan.nodes new_plan);
+  (* renumber first: the wrappers take the ids after the plan's *)
+  let renumbered = renumber c.plan in
+  let new_plan, _, next_id =
+    instrument st.cfg c.env ~first_id:r.next_id renumbered
+  in
+  r.next_id <- next_id;
   st.env <- c.env;
   st.current <- new_plan;
   record_annotations r new_plan;
@@ -249,23 +251,21 @@ let prepare ?prepared cfg query =
         ~sample_rows:n
     | _ -> []
   in
-  let plan0, collectors =
+  let plan0, collectors, next_id =
     match prepared with
     | Some (plan, collectors) ->
       (* a cached static plan: optimization and collector insertion were
          paid when it was first compiled *)
-      (plan, collectors)
+      (plan, collectors, max_id plan + 1)
     | None ->
       let opt =
         Optimizer.optimize ~options:cfg.opt_options ~clock:ctx.Exec_ctx.clock
           ~model:cfg.model ~env query
       in
+      let first_id = max_id opt.Optimizer.plan + 1 in
       (match cfg.mode with
-       | Off -> (opt.Optimizer.plan, 0)
-       | _ -> instrument cfg env opt.Optimizer.plan)
-  in
-  let max_id =
-    List.fold_left (fun m (n : Plan.t) -> max m n.Plan.id) 0 (Plan.nodes plan0)
+       | Off -> (opt.Optimizer.plan, 0, first_id)
+       | _ -> instrument cfg env ~first_id opt.Optimizer.plan)
   in
   let st =
     { cfg;
@@ -297,7 +297,7 @@ let prepare ?prepared cfg query =
       orig_op_ms = Hashtbl.create 64;
       switches = 0;
       temps = [];
-      next_id = max_id;
+      next_id;
       plan0 = st.current;
       r_collectors = collectors;
       result = None;

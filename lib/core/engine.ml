@@ -20,18 +20,21 @@ type t = {
 }
 
 let create ?(pool_pages = 2048) ?(budget_pages = 512) ?opt_options
-    ?(runtime_filters = false) ?(plan_cache = false)
+    ?runtime_filters ?(plan_cache = false)
     ?(verify_plans = Verifier.Off) ?trace ?(parallel = 1) catalog =
   (* Unless told otherwise, the optimizer assumes each memory consumer will
      receive about half the memory-manager budget and keeps every operator
      at or below [parallel] degrees. *)
   let opt_options =
     match opt_options with
-    | Some o -> { o with Optimizer.enable_runtime_filters = runtime_filters }
+    | Some o ->
+      { o with
+        Optimizer.enable_runtime_filters =
+          Option.value runtime_filters ~default:o.Optimizer.enable_runtime_filters }
     | None ->
       { Optimizer.default_options with
         Optimizer.planning_mem_pages = max 8 (budget_pages / 2);
-        enable_runtime_filters = runtime_filters;
+        enable_runtime_filters = Option.value runtime_filters ~default:false;
         max_dop = max 1 parallel }
   in
   { catalog; pool_pages; budget_pages; params = Reopt_policy.default_params;

@@ -958,13 +958,7 @@ let register_temp st ~read ~name ~rows ~schema =
      an upstream collector inherits that collector's statistics instead;
      every other column's statistics stay empty.  The clock is charged the
      same whatever is computed. *)
-  let names =
-    List.map
-      (fun col ->
-         if col.Schema.qualifier = "" then col.Schema.name
-         else col.Schema.qualifier ^ "." ^ col.Schema.name)
-      (Schema.columns schema)
-  in
+  let names = List.map Schema.qualified_name (Schema.columns schema) in
   let fresh =
     List.filter
       (fun q -> List.mem q read && not (List.mem_assoc q st.overrides))

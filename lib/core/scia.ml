@@ -18,6 +18,7 @@ type outcome = {
   kept : candidate list;
   dropped : candidate list;
   budget_ms : float;
+  next_id : int;
 }
 
 let owns_col schema col =
@@ -111,7 +112,7 @@ let compare_effectiveness a b =
   | 0 -> Float.compare b.affected_ms a.affected_ms
   | c -> c
 
-let insert ~mu ~env plan =
+let insert ~mu ~env ~first_id plan =
   let total_ms = plan.Plan.est.Plan.total_ms in
   let budget_ms = mu *. total_ms in
   (* Gather scan nodes with their ancestor chains (nearest first). *)
@@ -143,7 +144,7 @@ let insert ~mu ~env plan =
   in
   let kept = List.rev kept and dropped = List.rev dropped in
   (* Wrap each scan that has kept statistics in a Collect operator. *)
-  let next_id = ref (List.fold_left (fun m (n : Plan.t) -> max m n.Plan.id) 0 (Plan.nodes plan) + 1) in
+  let next_id = ref first_id in
   let next_cid = ref 0 in
   let rec rebuild (p : Plan.t) =
     let p = Plan.with_children p (List.map rebuild (Plan.children p)) in
@@ -188,4 +189,4 @@ let insert ~mu ~env plan =
     | _ -> p
   in
   let plan = rebuild plan in
-  { plan; kept; dropped; budget_ms }
+  { plan; kept; dropped; budget_ms; next_id = !next_id }

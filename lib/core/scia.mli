@@ -30,9 +30,14 @@ type outcome = {
   kept : candidate list;
   dropped : candidate list;
   budget_ms : float;            (** mu * estimated query time *)
+  next_id : int;                (** first plan-node id the wrappers left free *)
 }
 
-(** [insert ~mu ~env plan] returns the instrumented plan.  Collector ids
-    ([cid]) are dense, starting at 0, in left-to-right scan order. *)
+(** [insert ~mu ~env ~first_id plan] returns the instrumented plan.
+    Collector ids ([cid]) are dense, starting at 0, in left-to-right scan
+    order; the [Collect] wrappers take plan-node ids [first_id],
+    [first_id + 1], ... in the same order, so the caller owns the id
+    space. *)
 val insert :
-  mu:float -> env:Mqr_opt.Stats_env.t -> Mqr_opt.Plan.t -> outcome
+  mu:float -> env:Mqr_opt.Stats_env.t -> first_id:int -> Mqr_opt.Plan.t ->
+  outcome

@@ -38,11 +38,9 @@ let estimated_cost_ms s ~rows =
    duplicated name resolves to its first column, an unknown one is
    dropped. *)
 let range_columns schema columns =
-  let qualified (c : Schema.column) =
-    if c.Schema.qualifier = "" then c.Schema.name
-    else c.Schema.qualifier ^ "." ^ c.Schema.name
+  let index =
+    List.mapi (fun i c -> (Schema.qualified_name c, i)) (Schema.columns schema)
   in
-  let index = List.mapi (fun i c -> (qualified c, i)) (Schema.columns schema) in
   List.filter_map
     (fun name -> Option.map (fun i -> (name, i)) (List.assoc_opt name index))
     (List.sort_uniq String.compare columns)

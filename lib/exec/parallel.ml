@@ -160,16 +160,7 @@ let sort ctx ~degree ?slice_pages ?on_worker ~mem_pages schema ~keys rows =
     (* k-way merge on the parent, one comparison-ish unit per output row;
        ties resolve to the lowest worker index so the merge is a pure
        function of the chunks *)
-    let idxs = List.map (fun (c, asc) -> (Schema.index_of schema c, asc)) keys in
-    let cmp a b =
-      let rec go = function
-        | [] -> 0
-        | (i, asc) :: rest ->
-          let c = Value.compare a.(i) b.(i) in
-          if c <> 0 then if asc then c else -c else go rest
-      in
-      go idxs
-    in
+    let cmp = Sort.comparator schema ~keys in
     let n = Array.length rows in
     let out = Array.make n [||] in
     let cursor = Array.make degree 0 in

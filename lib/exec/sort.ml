@@ -18,10 +18,9 @@ type result = {
   passes : int;
 }
 
-let sort ctx ~mem_pages schema ~keys rows =
-  let clock = ctx.Exec_ctx.clock in
+let comparator schema ~keys =
   let idxs = List.map (fun (c, asc) -> (Schema.index_of schema c, asc)) keys in
-  let cmp a b =
+  fun a b ->
     let rec go = function
       | [] -> 0
       | (i, asc) :: rest ->
@@ -29,7 +28,10 @@ let sort ctx ~mem_pages schema ~keys rows =
         if c <> 0 then if asc then c else -c else go rest
     in
     go idxs
-  in
+
+let sort ctx ~mem_pages schema ~keys rows =
+  let clock = ctx.Exec_ctx.clock in
+  let cmp = comparator schema ~keys in
   let out = Array.copy rows in
   Array.sort cmp out;
   let n = Array.length rows in

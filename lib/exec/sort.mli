@@ -11,6 +11,11 @@ type result = {
   passes : int;
 }
 
+(** [comparator schema ~keys] orders rows by the named columns ([true] =
+    ascending), first key first: the order [sort] leaves. *)
+val comparator :
+  Schema.t -> keys:(string * bool) list -> Tuple.t -> Tuple.t -> int
+
 (** [sort ctx ~mem_pages schema ~keys rows] sorts by the named columns
     ([true] = ascending), charging comparison CPU plus a write+read of the
     whole input per merge pass. *)

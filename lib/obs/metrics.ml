@@ -83,8 +83,6 @@ type summary = {
    smallest bucket instead of being dropped. *)
 let log_floor = 1e-9
 
-(* Nearest-rank quantile over a sorted array (the convention the service
-   report already uses for its latency percentiles). *)
 let quantile sorted q =
   let len = Array.length sorted in
   if len = 0 then 0.0

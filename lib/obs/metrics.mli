@@ -40,6 +40,11 @@ val set_gauge : t -> string -> float -> unit
     running n/min/max/sum. *)
 val observe : t -> string -> float -> unit
 
+(** [quantile sorted q] is the nearest-rank [q]-quantile of an ascending
+    array, 0 when it is empty: the convention of every percentile the
+    engine reports. *)
+val quantile : float array -> float -> float
+
 (** Summary of one histogram series.  [n]/[min]/[max]/[sum] are exact over
     the whole stream; [p50]/[p95]/[p99] are nearest-rank quantiles of the
     reservoir sample; [buckets] are [(lo, hi, count)] in the raw domain

@@ -22,10 +22,6 @@ type t = {
   local_selectivity : (string, float) Hashtbl.t;  (* by relation alias *)
 }
 
-let qualified_name col =
-  if col.Schema.qualifier = "" then col.Schema.name
-  else col.Schema.qualifier ^ "." ^ col.Schema.name
-
 let rel_info_of catalog (r : Query.relation) =
   let tbl = Catalog.find_exn catalog r.Query.table in
   let schema = r.Query.rel_schema in
@@ -42,14 +38,14 @@ let rel_info_of catalog (r : Query.relation) =
          let stats =
            if heavily_updated then Column_stats.mark_stale stats else stats
          in
-         (qualified_name col, stats))
+         (Schema.qualified_name col, stats))
       (Schema.columns schema)
   in
   let indexed_cols =
     List.filter_map
       (fun col ->
          match Catalog.find_index tbl ~column:col.Schema.name with
-         | Some _ -> Some (qualified_name col)
+         | Some _ -> Some (Schema.qualified_name col)
          | None -> None)
       (Schema.columns schema)
   in

@@ -39,10 +39,7 @@ let input_schema t =
 let qualify_expr schema e =
   let qualify_col c =
     match Schema.index_of schema c with
-    | i ->
-      let col = Schema.column schema i in
-      if col.Schema.qualifier = "" then Expr.Col col.Schema.name
-      else Expr.Col (col.Schema.qualifier ^ "." ^ col.Schema.name)
+    | i -> Expr.Col (Schema.qualified_name (Schema.column schema i))
     | exception Not_found -> err "unknown column %s" c
     | exception Schema.Ambiguous c -> err "ambiguous column %s" c
   in

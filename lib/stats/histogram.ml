@@ -24,8 +24,12 @@ let buckets t = Array.to_list t.bkts
 let total_rows t = t.total
 let distinct t = Array.fold_left (fun acc b -> acc +. b.distinct) 0.0 t.bkts
 
-(* Frequency table of a data array: sorted (value, count) pairs.  Values
-   group by [Float.compare], so all NaNs form one group. *)
+(* Frequency table of a data array: its distinct values, ascending by
+   [Float.compare], and how often each occurs.  Values group by
+   [Float.compare], so all NaNs form one group, and so do -0.0 and 0.0
+   (under whichever sorts first). *)
+type freqs = { values : float array; counts : int array }
+
 let freq_table data =
   let sorted = Array.copy data in
   let n = Array.length sorted in
@@ -34,161 +38,127 @@ let freq_table data =
   for i = 1 to n - 1 do
     if Float.compare sorted.(i) sorted.(i - 1) <> 0 then incr groups
   done;
-  let out = Array.make !groups (0.0, 0) in
-  let i = ref 0 and g = ref 0 in
-  while !i < n do
-    let v = sorted.(!i) in
-    let j = ref !i in
-    while !j < n && Float.compare sorted.(!j) v = 0 do incr j done;
-    out.(!g) <- (v, !j - !i);
-    incr g;
-    i := !j
+  let values = Array.make !groups 0.0 and counts = Array.make !groups 0 in
+  let first = ref 0 in
+  for g = 0 to !groups - 1 do
+    let v = sorted.(!first) in
+    let next = ref (!first + 1) in
+    while !next < n && Float.compare sorted.(!next) v = 0 do incr next done;
+    values.(g) <- v;
+    counts.(g) <- !next - !first;
+    first := !next
   done;
-  out
+  { values; counts }
 
 let of_buckets kind bkts =
   let total = Array.fold_left (fun acc b -> acc +. b.rows) 0.0 bkts in
   { kind; bkts; total }
 
-let build_equi_width ~buckets freqs =
-  let n = Array.length freqs in
-  if n = 0 then [||]
+(* The bucket walk the equi-width, equi-depth and MaxDiff builders share:
+   the distinct values in order, each bucket closing after value [i] when
+   [close i rows] (rows: the bucket's so far) says so, the last after the
+   last value. *)
+let walk f close =
+  let n = Array.length f.values in
+  let out = ref [] and first = ref 0 and rows = ref 0.0 in
+  for i = 0 to n - 1 do
+    rows := !rows +. float_of_int f.counts.(i);
+    if i = n - 1 || close i !rows then begin
+      out :=
+        { lo = f.values.(!first); hi = f.values.(i); rows = !rows;
+          distinct = float_of_int (i - !first + 1) }
+        :: !out;
+      first := i + 1;
+      rows := 0.0
+    end
+  done;
+  Array.of_list (List.rev !out)
+
+let build_equi_width ~buckets f =
+  let n = Array.length f.values in
+  (* a NaN sorts first and makes the width NaN: no bucket takes it *)
+  if n = 0 || Float.is_nan f.values.(0) then [||]
   else begin
-    let lo = fst freqs.(0) and hi = fst freqs.(n - 1) in
+    let lo = f.values.(0) and hi = f.values.(n - 1) in
     let nb = max 1 (min buckets n) in
     let width = (hi -. lo) /. float_of_int nb in
-    if width <= 0.0 then
-      [| { lo; hi; rows = Array.fold_left (fun a (_, c) -> a +. float_of_int c) 0.0 freqs;
-           distinct = float_of_int n } |]
+    if not (width > 0.0) then walk f (fun _ _ -> false)
     else begin
-      let out = ref [] in
-      let idx = ref 0 in
-      for b = 0 to nb - 1 do
-        let b_hi = if b = nb - 1 then hi else lo +. (width *. float_of_int (b + 1)) in
-        let rows = ref 0.0 and d = ref 0.0 in
-        let v_lo = ref infinity and v_hi = ref neg_infinity in
-        while
-          !idx < n
-          && (fst freqs.(!idx) < b_hi || (b = nb - 1 && fst freqs.(!idx) <= hi))
-        do
-          let v, c = freqs.(!idx) in
-          rows := !rows +. float_of_int c;
-          d := !d +. 1.0;
-          if v < !v_lo then v_lo := v;
-          if v > !v_hi then v_hi := v;
-          incr idx
-        done;
-        if !rows > 0.0 then
-          out := { lo = !v_lo; hi = !v_hi; rows = !rows; distinct = !d } :: !out
-      done;
-      Array.of_list (List.rev !out)
+      (* a value's bucket is the first from [b] on whose upper edge lies
+         above it; the last bucket takes the rest *)
+      let rec index b v =
+        if b < nb - 1 && not (v < lo +. (width *. float_of_int (b + 1)))
+        then index (b + 1) v
+        else b
+      in
+      let cur = ref (index 0 lo) in
+      walk f (fun i _ ->
+          let b = !cur in
+          cur := index b f.values.(i + 1);
+          !cur <> b)
     end
   end
 
-let build_equi_depth ~buckets freqs =
-  let n = Array.length freqs in
-  if n = 0 then [||]
-  else begin
-    let total = Array.fold_left (fun a (_, c) -> a +. float_of_int c) 0.0 freqs in
-    let nb = max 1 (min buckets n) in
-    let target = total /. float_of_int nb in
-    let out = ref [] in
-    let cur_rows = ref 0.0 and cur_d = ref 0.0 in
-    let cur_lo = ref (fst freqs.(0)) in
-    let flush hi =
-      if !cur_rows > 0.0 then
-        out := { lo = !cur_lo; hi; rows = !cur_rows; distinct = !cur_d } :: !out;
-      cur_rows := 0.0;
-      cur_d := 0.0
-    in
-    Array.iteri
-      (fun i (v, c) ->
-         if !cur_rows = 0.0 then cur_lo := v;
-         cur_rows := !cur_rows +. float_of_int c;
-         cur_d := !cur_d +. 1.0;
-         if !cur_rows >= target && i < n - 1 then flush v)
-      freqs;
-    flush (fst freqs.(n - 1));
-    Array.of_list (List.rev !out)
-  end
+let build_equi_depth ~buckets f =
+  let n = Array.length f.values in
+  let total = Array.fold_left (fun a c -> a +. float_of_int c) 0.0 f.counts in
+  let target = total /. float_of_int (max 1 (min buckets n)) in
+  walk f (fun _ rows -> rows >= target)
 
 (* MaxDiff(V,A): boundaries at the largest differences between the "areas"
    (frequency * spread) of adjacent distinct values. *)
-let build_maxdiff ~buckets freqs =
-  let n = Array.length freqs in
-  if n = 0 then [||]
-  else if n = 1 then
-    let v, c = freqs.(0) in
-    [| { lo = v; hi = v; rows = float_of_int c; distinct = 1.0 } |]
-  else begin
-    let area i =
-      let v, c = freqs.(i) in
-      let spread = if i < n - 1 then fst freqs.(i + 1) -. v else 1.0 in
-      float_of_int c *. max spread 1e-9
-    in
-    let nb = max 1 (min buckets n) in
-    let splits = min (nb - 1) (n - 1) in
-    (* when every gap is a boundary, no difference decides anything *)
-    let split_after = Array.make n (splits = n - 1) in
-    if splits < n - 1 then begin
-      (* largest differences first, carrying the index they follow *)
-      let diffs = Array.make (n - 1) 0.0 and after = Array.init (n - 1) Fun.id in
-      let prev = ref (area 0) in
-      for i = 0 to n - 2 do
-        let next = area (i + 1) in
-        diffs.(i) <- Float.abs (next -. !prev);
-        prev := next
-      done;
-      Float_sort.sort ~descending:true diffs after;
-      for rank = 0 to splits - 1 do
-        split_after.(after.(rank)) <- true
-      done
-    end;
-    let out = ref [] in
-    let cur_rows = ref 0.0 and cur_d = ref 0.0 in
-    let cur_lo = ref (fst freqs.(0)) in
-    for i = 0 to n - 1 do
-      let v, c = freqs.(i) in
-      if !cur_rows = 0.0 then cur_lo := v;
-      cur_rows := !cur_rows +. float_of_int c;
-      cur_d := !cur_d +. 1.0;
-      if split_after.(i) || i = n - 1 then begin
-        out := { lo = !cur_lo; hi = v; rows = !cur_rows; distinct = !cur_d } :: !out;
-        cur_rows := 0.0;
-        cur_d := 0.0
-      end
+let build_maxdiff ~buckets f =
+  let n = Array.length f.values in
+  let area i =
+    let spread = if i < n - 1 then f.values.(i + 1) -. f.values.(i) else 1.0 in
+    float_of_int f.counts.(i) *. (if spread >= 1e-9 then spread else 1e-9)
+  in
+  let splits = min (max 1 (min buckets n) - 1) (n - 1) in
+  (* when every gap is a boundary, no difference decides anything *)
+  let split_after = Array.make n (splits = n - 1) in
+  if splits < n - 1 then begin
+    (* largest differences first, carrying the index they follow *)
+    let diffs = Array.make (n - 1) 0.0 and after = Array.init (n - 1) Fun.id in
+    let prev = ref (area 0) in
+    for i = 0 to n - 2 do
+      let next = area (i + 1) in
+      diffs.(i) <- Float.abs (next -. !prev);
+      prev := next
     done;
-    Array.of_list (List.rev !out)
-  end
+    Float_sort.sort ~descending:true diffs after;
+    for rank = 0 to splits - 1 do
+      split_after.(after.(rank)) <- true
+    done
+  end;
+  walk f (fun i _ -> split_after.(i))
 
 (* Serial / end-biased: singleton buckets for the (buckets-1) most frequent
    values, one collective bucket (assumed uniform) for the rest. *)
-let build_serial ~buckets freqs =
-  let n = Array.length freqs in
+let build_serial ~buckets f =
+  let n = Array.length f.values in
   if n = 0 then [||]
   else begin
-    let nb = max 2 buckets in
-    let by_freq = Array.copy freqs in
-    Array.sort (fun (_, c1) (_, c2) -> Int.compare c2 c1) by_freq;
-    let top_count = min (nb - 1) n in
-    let top = Hashtbl.create top_count in
-    for i = 0 to top_count - 1 do
-      Hashtbl.replace top (fst by_freq.(i)) ()
+    (* distinct values by count, descending *)
+    let by_freq = Array.init n Fun.id in
+    Array.sort (fun i j -> Int.compare f.counts.(j) f.counts.(i)) by_freq;
+    let top = Array.make n false in
+    for rank = 0 to min (max 2 buckets - 1) n - 1 do
+      top.(by_freq.(rank)) <- true
     done;
     let singles = ref [] in
     let rest_rows = ref 0.0 and rest_d = ref 0.0 in
     let rest_lo = ref infinity and rest_hi = ref neg_infinity in
-    Array.iter
-      (fun (v, c) ->
-         if Hashtbl.mem top v then
-           singles := { lo = v; hi = v; rows = float_of_int c; distinct = 1.0 } :: !singles
-         else begin
-           rest_rows := !rest_rows +. float_of_int c;
-           rest_d := !rest_d +. 1.0;
-           if v < !rest_lo then rest_lo := v;
-           if v > !rest_hi then rest_hi := v
-         end)
-      freqs;
+    for i = 0 to n - 1 do
+      let v = f.values.(i) and c = float_of_int f.counts.(i) in
+      if top.(i) then
+        singles := { lo = v; hi = v; rows = c; distinct = 1.0 } :: !singles
+      else begin
+        rest_rows := !rest_rows +. c;
+        rest_d := !rest_d +. 1.0;
+        if v < !rest_lo then rest_lo := v;
+        if v > !rest_hi then rest_hi := v
+      end
+    done;
     let bkts =
       if !rest_rows > 0.0 then
         { lo = !rest_lo; hi = !rest_hi; rows = !rest_rows; distinct = !rest_d }
@@ -201,13 +171,13 @@ let build_serial ~buckets freqs =
   end
 
 let build kind ~buckets data =
-  let freqs = freq_table data in
+  let f = freq_table data in
   let bkts =
     match kind with
-    | Equi_width -> build_equi_width ~buckets freqs
-    | Equi_depth -> build_equi_depth ~buckets freqs
-    | Maxdiff -> build_maxdiff ~buckets freqs
-    | Serial -> build_serial ~buckets freqs
+    | Equi_width -> build_equi_width ~buckets f
+    | Equi_depth -> build_equi_depth ~buckets f
+    | Maxdiff -> build_maxdiff ~buckets f
+    | Serial -> build_serial ~buckets f
   in
   of_buckets kind bkts
 

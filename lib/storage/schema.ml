@@ -22,6 +22,9 @@ let columns t = Array.to_list t.cols
 let arity t = Array.length t.cols
 let column t i = t.cols.(i)
 
+let qualified_name c =
+  if c.qualifier = "" then c.name else c.qualifier ^ "." ^ c.name
+
 let qualify t alias =
   { t with cols = Array.map (fun c -> { c with qualifier = alias }) t.cols }
 

@@ -18,6 +18,10 @@ val columns : t -> column list
 val arity : t -> int
 val column : t -> int -> column
 
+(** ["q.c"] for a column qualified by [q], the bare name when unqualified:
+    the name statistics and collectors key a column by. *)
+val qualified_name : column -> string
+
 (** [qualify schema alias] sets the qualifier of every column. *)
 val qualify : t -> string -> t
 

@@ -579,15 +579,6 @@ type report = {
   stats_applied : int;
 }
 
-(* Nearest-rank percentile over a non-empty list. *)
-let percentile q xs =
-  match List.sort compare xs with
-  | [] -> 0.0
-  | sorted ->
-    let n = List.length sorted in
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    List.nth sorted (max 0 (min (n - 1) (rank - 1)))
-
 let class_stats t slo =
   let done_stmts =
     List.filter
@@ -599,10 +590,12 @@ let class_stats t slo =
       (List.rev t.all)
   in
   let latencies =
-    List.map
-      (fun (s : Session.stmt) ->
-         s.Session.stmt_finish_ms -. s.Session.stmt_arrival_ms)
-      done_stmts
+    Array.of_list
+      (List.sort Float.compare
+         (List.map
+            (fun (s : Session.stmt) ->
+               s.Session.stmt_finish_ms -. s.Session.stmt_arrival_ms)
+            done_stmts))
   in
   let violations =
     Hashtbl.fold
@@ -610,8 +603,8 @@ let class_stats t slo =
       t.tenants 0
   in
   { cs_n = List.length done_stmts;
-    cs_p50_ms = percentile 0.50 latencies;
-    cs_p99_ms = percentile 0.99 latencies;
+    cs_p50_ms = Metrics.quantile latencies 0.50;
+    cs_p99_ms = Metrics.quantile latencies 0.99;
     cs_violations = violations }
 
 let report t =

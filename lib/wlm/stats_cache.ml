@@ -109,19 +109,14 @@ let overlay t catalog (q : Query.t) env =
         | None -> ());
        List.iter
          (fun (col : Schema.column) ->
-            let bare = col.Schema.name in
             match
               fresh t
                 (Hashtbl.find_opt t.cols)
                 (Hashtbl.remove t.cols)
-                (table, bare) now
+                (table, col.Schema.name) now
             with
             | Some stats ->
-              let qualified =
-                if col.Schema.qualifier = "" then bare
-                else col.Schema.qualifier ^ "." ^ bare
-              in
-              Stats_env.override env ~column:qualified stats;
+              Stats_env.override env ~column:(Schema.qualified_name col) stats;
               t.applied <- t.applied + 1
             | None -> ())
          (Schema.columns r.Query.rel_schema))

@@ -135,14 +135,25 @@ let test_scia_inserts_for_join_columns () =
     plan_for catalog
       "select uval from t, u where t.tk = u.ufk and tcat = 'gold'"
   in
-  let outcome = Scia.insert ~mu:0.10 ~env plan in
+  let outcome = Scia.insert ~mu:0.10 ~env ~first_id:1000 plan in
   Alcotest.(check bool) "kept some stats" true (outcome.Scia.kept <> []);
   let collects =
     Plan.fold
       (fun acc n -> match n.Plan.node with Plan.Collect _ -> acc + 1 | _ -> acc)
       0 outcome.Scia.plan
   in
-  Alcotest.(check bool) "collect operators inserted" true (collects > 0)
+  Alcotest.(check bool) "collect operators inserted" true (collects > 0);
+  let collect_ids =
+    Plan.fold
+      (fun acc n ->
+         match n.Plan.node with Plan.Collect _ -> n.Plan.id :: acc | _ -> acc)
+      [] outcome.Scia.plan
+  in
+  Alcotest.(check (list int)) "wrapper ids from first_id"
+    (List.init collects (fun i -> 1000 + i))
+    (List.sort Int.compare collect_ids);
+  Alcotest.(check int) "next_id past the wrappers" (1000 + collects)
+    outcome.Scia.next_id
 
 let test_scia_budget_respected () =
   let catalog = mini_catalog () in
@@ -151,7 +162,7 @@ let test_scia_budget_respected () =
       "select tcat, sum(uval) as s from t, u, v \
        where t.tk = u.ufk and u.uval = v.vk and tcat = 'gold' group by tcat"
   in
-  let outcome = Scia.insert ~mu:0.05 ~env plan in
+  let outcome = Scia.insert ~mu:0.05 ~env ~first_id:1000 plan in
   let spent =
     List.fold_left (fun acc c -> acc +. c.Scia.collect_ms) 0.0 outcome.Scia.kept
   in
@@ -162,7 +173,7 @@ let test_scia_zero_budget_drops_all () =
   let plan, env =
     plan_for catalog "select uval from t, u where t.tk = u.ufk"
   in
-  let outcome = Scia.insert ~mu:0.0 ~env plan in
+  let outcome = Scia.insert ~mu:0.0 ~env ~first_id:1000 plan in
   Alcotest.(check (list string)) "nothing kept" []
     (List.map (fun c -> c.Scia.column) outcome.Scia.kept)
 
@@ -173,7 +184,7 @@ let test_scia_ranking_prefers_high_inaccuracy () =
     plan_for catalog
       "select uval from t, u where t.tk = u.ufk and u.uval < 25"
   in
-  let outcome = Scia.insert ~mu:1.0 ~env plan in
+  let outcome = Scia.insert ~mu:1.0 ~env ~first_id:1000 plan in
   (* with an unconstrained budget everything is kept, ranked by level *)
   match outcome.Scia.kept with
   | [] -> Alcotest.fail "expected candidates"
@@ -184,7 +195,7 @@ let test_scia_ranking_prefers_high_inaccuracy () =
 let test_scia_no_candidates_for_single_table_scan () =
   let catalog = mini_catalog () in
   let plan, env = plan_for catalog "select tval from t where tval < 50" in
-  let outcome = Scia.insert ~mu:0.5 ~env plan in
+  let outcome = Scia.insert ~mu:0.5 ~env ~first_id:1000 plan in
   Alcotest.(check (list string)) "no stats useful" []
     (List.map (fun c -> c.Scia.column) outcome.Scia.kept)
 

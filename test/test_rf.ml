@@ -158,15 +158,15 @@ let test_selectivity_feedback () =
   Alcotest.(check bool) "some filter pruned below 90%" true
     (List.exists (fun (_, _, obs) -> obs < 0.9) filters)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let test_explain_shows_annotations () =
   let catalog = Tpcd.experiment_catalog ~sf () in
   let on = engine ~runtime_filters:true catalog in
   let off = engine ~runtime_filters:false catalog in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let has_rf e name =
     contains
       (Mqr_opt.Plan.to_string
@@ -177,6 +177,24 @@ let test_explain_shows_annotations () =
     (List.exists (has_rf on) [ "Q3"; "Q5"; "Q10" ]);
   Alcotest.(check bool) "rf-off plan clean" false
     (List.exists (has_rf off) [ "Q3"; "Q5"; "Q10" ])
+
+(* [~opt_options] asking for filters keeps them unless [~runtime_filters]
+   is passed too, which then overrides. *)
+let test_opt_options_carry_filters () =
+  let catalog = Tpcd.experiment_catalog ~sf () in
+  let opt_options =
+    { Mqr_opt.Optimizer.default_options with
+      Mqr_opt.Optimizer.enable_runtime_filters = true }
+  in
+  let annotated e =
+    contains
+      (Mqr_opt.Plan.to_string (Engine.explain e (Queries.find "Q5").Queries.sql))
+      "rf:["
+  in
+  Alcotest.(check bool) "filters from opt_options" true
+    (annotated (Engine.create ~opt_options catalog));
+  Alcotest.(check bool) "runtime_filters:false overrides" false
+    (annotated (Engine.create ~opt_options ~runtime_filters:false catalog))
 
 (* --- broker invariant: filter pages always come back --- *)
 
@@ -254,6 +272,8 @@ let suite =
       test_selectivity_feedback;
     Alcotest.test_case "explain shows rf annotations" `Quick
       test_explain_shows_annotations;
+    Alcotest.test_case "opt_options carry runtime filters" `Quick
+      test_opt_options_carry_filters;
     Alcotest.test_case "broker filter pages returned" `Quick
       test_broker_pages_returned;
     Alcotest.test_case "surprise policy and error grading" `Quick

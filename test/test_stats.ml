@@ -378,6 +378,199 @@ let prop_maxdiff_float_sort_path =
             (Histogram.buckets h))
          (reference_maxdiff ~buckets data))
 
+(* The four builders as they stood before the frequency table went flat
+   and three of them came to share one bucket walk: (value, count) pairs,
+   each builder with its own accumulator.  A reference oracle, kept so
+   [Histogram.build] stays bit-identical to it.  Buckets as
+   (lo, hi, rows, distinct). *)
+module Reference_histogram = struct
+  let freq_table data =
+    let sorted = Array.copy data in
+    let n = Array.length sorted in
+    Float_sort.ascending sorted;
+    let out = ref [] and i = ref 0 in
+    while !i < n do
+      let v = sorted.(!i) in
+      let j = ref !i in
+      while !j < n && Float.compare sorted.(!j) v = 0 do incr j done;
+      out := (v, !j - !i) :: !out;
+      i := !j
+    done;
+    Array.of_list (List.rev !out)
+
+  let equi_width ~buckets freqs =
+    let n = Array.length freqs in
+    if n = 0 then []
+    else begin
+      let lo = fst freqs.(0) and hi = fst freqs.(n - 1) in
+      let nb = max 1 (min buckets n) in
+      let width = (hi -. lo) /. float_of_int nb in
+      if width <= 0.0 then
+        [ (lo, hi, Array.fold_left (fun a (_, c) -> a +. float_of_int c) 0.0 freqs,
+           float_of_int n) ]
+      else begin
+        let out = ref [] and idx = ref 0 in
+        for b = 0 to nb - 1 do
+          let b_hi = if b = nb - 1 then hi else lo +. (width *. float_of_int (b + 1)) in
+          let rows = ref 0.0 and d = ref 0.0 in
+          let v_lo = ref infinity and v_hi = ref neg_infinity in
+          while
+            !idx < n
+            && (fst freqs.(!idx) < b_hi || (b = nb - 1 && fst freqs.(!idx) <= hi))
+          do
+            let v, c = freqs.(!idx) in
+            rows := !rows +. float_of_int c;
+            d := !d +. 1.0;
+            if v < !v_lo then v_lo := v;
+            if v > !v_hi then v_hi := v;
+            incr idx
+          done;
+          if !rows > 0.0 then out := (!v_lo, !v_hi, !rows, !d) :: !out
+        done;
+        List.rev !out
+      end
+    end
+
+  let equi_depth ~buckets freqs =
+    let n = Array.length freqs in
+    if n = 0 then []
+    else begin
+      let total = Array.fold_left (fun a (_, c) -> a +. float_of_int c) 0.0 freqs in
+      let target = total /. float_of_int (max 1 (min buckets n)) in
+      let out = ref [] and rows = ref 0.0 and d = ref 0.0 in
+      let lo = ref (fst freqs.(0)) in
+      let flush hi =
+        if !rows > 0.0 then out := (!lo, hi, !rows, !d) :: !out;
+        rows := 0.0;
+        d := 0.0
+      in
+      Array.iteri
+        (fun i (v, c) ->
+           if !rows = 0.0 then lo := v;
+           rows := !rows +. float_of_int c;
+           d := !d +. 1.0;
+           if !rows >= target && i < n - 1 then flush v)
+        freqs;
+      flush (fst freqs.(n - 1));
+      List.rev !out
+    end
+
+  let maxdiff ~buckets freqs =
+    let n = Array.length freqs in
+    if n = 0 then []
+    else if n = 1 then
+      let v, c = freqs.(0) in
+      [ (v, v, float_of_int c, 1.0) ]
+    else begin
+      let area i =
+        let v, c = freqs.(i) in
+        let spread = if i < n - 1 then fst freqs.(i + 1) -. v else 1.0 in
+        float_of_int c *. max spread 1e-9
+      in
+      let splits = min (max 1 (min buckets n) - 1) (n - 1) in
+      let split_after = Array.make n (splits = n - 1) in
+      if splits < n - 1 then begin
+        let diffs = Array.init (n - 1) (fun i -> Float.abs (area (i + 1) -. area i)) in
+        let after = Array.init (n - 1) Fun.id in
+        Float_sort.sort ~descending:true diffs after;
+        for rank = 0 to splits - 1 do
+          split_after.(after.(rank)) <- true
+        done
+      end;
+      let out = ref [] and rows = ref 0.0 and d = ref 0.0 in
+      let lo = ref (fst freqs.(0)) in
+      for i = 0 to n - 1 do
+        let v, c = freqs.(i) in
+        if !rows = 0.0 then lo := v;
+        rows := !rows +. float_of_int c;
+        d := !d +. 1.0;
+        if split_after.(i) || i = n - 1 then begin
+          out := (!lo, v, !rows, !d) :: !out;
+          rows := 0.0;
+          d := 0.0
+        end
+      done;
+      List.rev !out
+    end
+
+  let serial ~buckets freqs =
+    let n = Array.length freqs in
+    if n = 0 then []
+    else begin
+      let by_freq = Array.copy freqs in
+      Array.sort (fun (_, c1) (_, c2) -> Int.compare c2 c1) by_freq;
+      let top = Hashtbl.create 16 in
+      for i = 0 to min (max 2 buckets - 1) n - 1 do
+        Hashtbl.replace top (fst by_freq.(i)) ()
+      done;
+      let singles = ref [] and rows = ref 0.0 and d = ref 0.0 in
+      let lo = ref infinity and hi = ref neg_infinity in
+      Array.iter
+        (fun (v, c) ->
+           if Hashtbl.mem top v then singles := (v, v, float_of_int c, 1.0) :: !singles
+           else begin
+             rows := !rows +. float_of_int c;
+             d := !d +. 1.0;
+             if v < !lo then lo := v;
+             if v > !hi then hi := v
+           end)
+        freqs;
+      let bkts =
+        if !rows > 0.0 then (!lo, !hi, !rows, !d) :: !singles else !singles
+      in
+      let arr = Array.of_list bkts in
+      Array.sort (fun (l1, _, _, _) (l2, _, _, _) -> Float.compare l1 l2) arr;
+      Array.to_list arr
+    end
+
+  let build kind ~buckets data =
+    let freqs = freq_table data in
+    match kind with
+    | Histogram.Equi_width -> equi_width ~buckets freqs
+    | Histogram.Equi_depth -> equi_depth ~buckets freqs
+    | Histogram.Maxdiff -> maxdiff ~buckets freqs
+    | Histogram.Serial -> serial ~buckets freqs
+end
+
+(* Samples from a pool of awkward values (NaNs of four bit patterns,
+   infinities, both zeros, subnormals, max_float) mixed with many ties or
+   a wide spread; empty and one-value samples included. *)
+let oracle_sample_gen =
+  let pool =
+    [| Float.nan; -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+       Int64.float_of_bits 0xFFF8000000000123L; infinity; neg_infinity;
+       0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; Float.max_float;
+       -.Float.max_float; 1.0; -1.0; 2.5 |]
+  in
+  QCheck.Gen.(
+    let* n = frequency [ (1, return 0); (1, return 1); (6, int_bound 300) ] in
+    let* special = frequency [ (1, return 0); (2, int_range 1 8) ] in
+    let* wide = bool in
+    let* buckets = frequency [ (3, int_range 1 64); (1, int_range 1 2000) ] in
+    let value =
+      let* odds = int_bound 7 in
+      if odds < special then map (fun i -> pool.(i)) (int_bound (Array.length pool - 1))
+      else if wide then float_range (-1e6) 1e6
+      else map (fun k -> float_of_int k /. 4.0) (int_bound 40)
+    in
+    pair (array_repeat n value) (return buckets))
+
+let prop_histogram_reference =
+  QCheck.Test.make ~name:"Histogram.build = reference builders, every kind" ~count:1000
+    (QCheck.make oracle_sample_gen)
+    (fun (data, buckets) ->
+       List.for_all
+         (fun kind ->
+            let bits (lo, hi, rows, distinct) =
+              List.map Int64.bits_of_float [ lo; hi; rows; distinct ]
+            in
+            List.map bits
+              (List.map
+                 (fun (b : Histogram.bucket) -> (b.lo, b.hi, b.rows, b.distinct))
+                 (Histogram.buckets (Histogram.build kind ~buckets data)))
+            = List.map bits (Reference_histogram.build kind ~buckets data))
+         Histogram.[ Equi_width; Equi_depth; Maxdiff; Serial ])
+
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int stays in bounds" ~count:300
     QCheck.(pair small_int (int_range 1 10_000))
@@ -451,6 +644,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_float_sort_is_array_sort;
     QCheck_alcotest.to_alcotest prop_float_sort_ascending;
     QCheck_alcotest.to_alcotest prop_maxdiff_float_sort_path;
+    QCheck_alcotest.to_alcotest prop_histogram_reference;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_reservoir_size;
     QCheck_alcotest.to_alcotest prop_reservoir_positions ]
