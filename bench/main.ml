@@ -13,8 +13,8 @@
 
    Experiments report *simulated* milliseconds from the engine's cost
    clock, so results are deterministic and machine-independent.  The
-   overhead, parallel, service, opt, collect and storage scenarios also
-   report wall-clock min and median over repetitions. *)
+   overhead, parallel, service, opt, collect, storage, hash and dml
+   scenarios also report wall-clock min and median over repetitions. *)
 
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
@@ -1473,6 +1473,86 @@ let hash_scenario () =
            (Mqr_exec.Leaf.of_rows rows)))
 
 (* ------------------------------------------------------------------ *)
+(* DML and ANALYZE on the wall clock, at drift-rw's sf and batch size
+   (bench/perf): [delete-batch] deletes one write batch, 100 orders and
+   their 500 lineitems (two DELETEs, the batch inserted untimed before
+   each run); [delete-none] is a DELETE on lineitem that matches no row;
+   [insert-500] is one 500-row lineitem INSERT (lexing, parsing and
+   appending; removed untimed before the next run); [analyze-lineitem]
+   and [analyze-orders] are one ANALYZE each.  Min and median ms per run
+   over op_reps runs.  The scenario uses only [Engine.execute] and
+   [Datagen.generate], so it pastes into an older checkout's
+   bench/main.ml to alternate binaries. *)
+
+let dml_scenario () =
+  let sf = 0.005 and orders = 100 and lines_per = 5 in
+  header (Fmt.str "DML and ANALYZE - wall ms per run (sf=%g, %d reps)" sf op_reps);
+  let catalog = Datagen.generate { Datagen.default with Datagen.sf } in
+  let engine = Engine.create catalog in
+  let st = Random.State.make [| 41 |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let day = Random.State.int st 1000 + 8700 in
+  let date d = Mqr_storage.Value.date_to_string d in
+  (* keys far above the generated ones *)
+  let first = 10_000_000 in
+  let ob = Buffer.create 8192 and lb = Buffer.create 65536 in
+  Buffer.add_string ob "insert into orders values ";
+  Buffer.add_string lb "insert into lineitem values ";
+  for o = 0 to orders - 1 do
+    if o > 0 then Buffer.add_string ob ", ";
+    Printf.bprintf ob "(%d, %d, 'O', %d.0, date '%s', '%s', 0)" (first + o)
+      (Random.State.int st 700) (1000 + Random.State.int st 100_000) (date day)
+      (pick [| "1-URGENT"; "2-HIGH"; "3-MEDIUM"; "4-NOT SPECIFIED"; "5-LOW" |]);
+    for l = 1 to lines_per do
+      let qty = 1 + Random.State.int st 50 in
+      if o > 0 || l > 1 then Buffer.add_string lb ", ";
+      Printf.bprintf lb
+        "(%d, %d, %d, %d, %d.0, %d.0, 0.0%d, 0.0%d, '%s', 'O', date '%s', \
+         date '%s', date '%s', '%s')"
+        (first + o) (Random.State.int st 1000) (Random.State.int st 50) l qty
+        (qty * (900 + Random.State.int st 1100) / 10)
+        (Random.State.int st 10) (Random.State.int st 9)
+        (pick [| "N"; "R"; "A" |]) (date (day + 1 + Random.State.int st 121))
+        (date (day + 30 + Random.State.int st 60))
+        (date (day + 122 + Random.State.int st 30))
+        (pick [| "AIR"; "MAIL"; "RAIL"; "SHIP"; "TRUCK" |])
+    done
+  done;
+  let exec sql =
+    match Engine.execute engine sql with
+    | Engine.Modified { count; _ } -> count
+    | _ -> 0
+  in
+  let delete table col =
+    Printf.sprintf "delete from %s where %s >= %d and %s < %d" table col first
+      col (first + orders)
+  in
+  let insert_orders = Buffer.contents ob and insert_lines = Buffer.contents lb in
+  let lines = orders * lines_per in
+  Fmt.pr "%-18s %10s %10s %10s  %s@." "statement" "ms-min" "ms-med" "words" "rows ok";
+  let report mode ~setup ~rows run =
+    let t = timed op_reps ~setup run in
+    let ms_min, ms_med, words = record_timed ~scenario:"dml" ~mode t in
+    let ok = check ~scenario:"dml" ~row:mode [ (List.for_all (( = ) rows) t.results, "rows") ] in
+    Fmt.pr "%-18s %10.3f %10.3f %10.0f  %s@." mode ms_min ms_med words ok
+  in
+  report "delete-batch" ~rows:(orders + lines)
+    ~setup:(fun () -> ignore (exec insert_orders + exec insert_lines))
+    (fun () -> exec (delete "orders" "o_orderkey") + exec (delete "lineitem" "l_orderkey"));
+  report "delete-none" ~rows:0 ~setup:ignore (fun () ->
+      exec "delete from lineitem where l_orderkey < 0");
+  report "insert-500" ~rows:lines
+    ~setup:(fun () -> ignore (exec (delete "lineitem" "l_orderkey")))
+    (fun () -> exec insert_lines);
+  ignore (exec (delete "lineitem" "l_orderkey"));
+  List.iter
+    (fun table ->
+       report ("analyze-" ^ table) ~rows:0 ~setup:ignore (fun () ->
+           ignore (Engine.execute engine ("analyze " ^ table));
+           0))
+    [ "lineitem"; "orders" ]
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("f10", figure10); ("f11", figure11); ("f12", figure12); ("xfig3", xfig3);
@@ -1482,7 +1562,7 @@ let experiments =
     ("bounds", bounds_scenario); ("parallel", parallel_scenario);
     ("service", service_scenario); ("opt", opt_scenario);
     ("collect", collect_scenario); ("storage", storage_scenario);
-    ("hash", hash_scenario) ]
+    ("hash", hash_scenario); ("dml", dml_scenario) ]
 
 let () =
   let which =

@@ -2,7 +2,8 @@ open Mqr_storage
 
 type index = {
   column : string;
-  btree : Btree.t;
+  position : int;  (* the column's position in the table's schema *)
+  mutable tree : Btree.t option;  (* [None] while stale *)
 }
 
 type table = {
@@ -66,44 +67,104 @@ let column_stats table name =
   | Some i -> Some table.stats.(i)
   | None -> None
 
+(* Column [i]'s non-null values, from the last rid down: the order the
+   statistics have always met them in. *)
+let non_null heap i =
+  let count = ref 0 in
+  Heap_file.iter heap (fun _ row -> if not (Value.is_null row.(i)) then incr count);
+  let out = Array.make !count Value.Null and k = ref 0 in
+  for rid = Heap_file.tuple_count heap - 1 downto 0 do
+    let v = (Heap_file.get heap rid).(i) in
+    if not (Value.is_null v) then begin
+      out.(!k) <- v;
+      incr k
+    end
+  done;
+  out
+
+(* One pass over a coded column's codes for [n] rows, from the last rid
+   down: each live non-null code's box, in the order the reverse-rid
+   values first meet it, and how many rows hold it.  Codes whose rows were
+   all deleted are never met. *)
+let counted codes n =
+  let count = Array.make (Heap_file.code_count codes) 0 in
+  let order = Array.make (Array.length count) 0 and met = ref 0 in
+  for rid = n - 1 downto 0 do
+    let c = Heap_file.code codes rid in
+    if c <> 0 then begin
+      if count.(c) = 0 then begin
+        order.(!met) <- c;
+        incr met
+      end;
+      count.(c) <- count.(c) + 1
+    end
+  done;
+  let order = Array.sub order 0 !met in
+  (Array.map (Heap_file.code_box codes) order, Array.map (fun c -> count.(c)) order)
+
 let analyze_table ?(kind = Mqr_stats.Histogram.Maxdiff) ?(buckets = 32)
     ?(keys = []) t name =
   let table = find_exn t name in
   let schema = Heap_file.schema table.heap in
-  let arity = Schema.arity schema in
-  let columns = Array.make arity [] in
-  Heap_file.iter table.heap (fun _ tuple ->
-      for i = 0 to arity - 1 do
-        columns.(i) <- tuple.(i) :: columns.(i)
-      done);
   table.stats <-
-    Array.mapi
-      (fun i values ->
-         let is_key = List.mem (Schema.column schema i).Schema.name keys in
-         Column_stats.analyze ~kind ~buckets ~is_key values)
-      columns;
+    Array.init (Schema.arity schema) (fun i ->
+        let is_key = List.mem (Schema.column schema i).Schema.name keys in
+        let by_codes =
+          Option.bind (Heap_file.codes table.heap i) (fun codes ->
+              let boxes, counts = counted codes (Heap_file.tuple_count table.heap) in
+              Column_stats.of_counts ~kind ~buckets ~is_key boxes counts)
+        in
+        match by_codes with
+        | Some stats -> stats
+        | None -> Column_stats.of_values ~kind ~buckets ~is_key (non_null table.heap i));
   table.believed_rows <- Heap_file.tuple_count table.heap;
   table.believed_pages <- Heap_file.page_count table.heap;
   table.updates_since_analyze <- 0;
   table.stats_epoch <- table.stats_epoch + 1
 
+(* One [Btree.insert] per non-null cell, in rid order. *)
+let build_tree heap position =
+  let tree = Btree.create () in
+  Heap_file.iter heap (fun rid tuple ->
+      let v = tuple.(position) in
+      if not (Value.is_null v) then Btree.insert tree v rid);
+  tree
+
 let create_index t ~table ~column =
   let tbl = find_exn t table in
   match column_index tbl column with
   | None -> invalid_arg ("Catalog.create_index: no column " ^ column)
-  | Some ci ->
-    let btree = Btree.create () in
-    Heap_file.iter tbl.heap (fun rid tuple ->
-        if not (Value.is_null tuple.(ci)) then Btree.insert btree tuple.(ci) rid);
-    let index = { column; btree } in
+  | Some position ->
+    let index = { column; position; tree = Some (build_tree tbl.heap position) } in
     tbl.indexes <- index :: tbl.indexes;
     index
 
-let rebuild_indexes t ~table =
-  let tbl = find_exn t table in
-  let columns = List.map (fun ix -> ix.column) tbl.indexes in
-  tbl.indexes <- [];
-  List.iter (fun column -> ignore (create_index t ~table ~column)) columns
+let index_tree tbl ix =
+  match ix.tree with
+  | Some tree -> tree
+  | None ->
+    let tree = build_tree tbl.heap ix.position in
+    ix.tree <- Some tree;
+    tree
+
+let insert_row tbl tuple =
+  let rid = Heap_file.tuple_count tbl.heap in
+  Heap_file.append tbl.heap tuple;
+  List.iter
+    (fun ix ->
+       match ix.tree with
+       | Some tree ->
+         let v = tuple.(ix.position) in
+         if not (Value.is_null v) then Btree.insert tree v rid
+       | None -> ())
+    tbl.indexes
+
+let invalidate_indexes tbl = List.iter (fun ix -> ix.tree <- None) tbl.indexes
+
+let delete_rows tbl keep =
+  let deleted = Heap_file.retain tbl.heap keep in
+  if deleted > 0 then invalidate_indexes tbl;
+  deleted
 
 let note_updates t ~table n =
   let tbl = find_exn t table in

@@ -6,10 +6,13 @@
 
 open Mqr_storage
 
-type index = {
-  column : string;
-  btree : Btree.t;
-}
+(** A secondary B+-tree index on one column of a table.  An index is
+    built or stale.  A DELETE that removes rows ({!delete_rows}) or a
+    COPY ({!invalidate_indexes}) makes every index of its table stale: it
+    drops its tree, since a DELETE reassigns rids, and is rebuilt only
+    when a reader asks for it through {!index_tree}, the one way to read
+    a tree.  {!insert_row} extends only built trees. *)
+type index
 
 type table = {
   name : string;
@@ -55,7 +58,12 @@ val tables : t -> table list
 
 (** Recompute every column's statistics (and believed sizes) from the heap.
     [kind] picks the histogram kind stored for all columns (default
-    MaxDiff, as in Paradise). *)
+    MaxDiff, as in Paradise).  Each column gets exactly
+    {!Column_stats.analyze} of its values listed from the last rid down.
+    A column with codes ({!Heap_file.codes}) is read through them: one
+    pass counts the rows of each live code, and the statistics are built
+    from one box per code ({!Column_stats.of_counts}); other columns are
+    read from the rows. *)
 val analyze_table :
   ?kind:Mqr_stats.Histogram.kind -> ?buckets:int -> ?keys:string list ->
   t -> string -> unit
@@ -63,9 +71,29 @@ val analyze_table :
 (** Build a secondary B+-tree index on a column; returns it. *)
 val create_index : t -> table:string -> column:string -> index
 
-(** Rebuild every index of a table from its heap (needed after DELETE
-    compaction reassigns rids). *)
-val rebuild_indexes : t -> table:string -> unit
+(** [index_tree table ix] is the tree of [ix], an index of [table].  A
+    stale index is rebuilt first, from [table]'s heap as it is now, with
+    the calls {!create_index} makes: one [Btree.insert] per non-null cell
+    in rid order.  Every built tree was made by that sequence of calls
+    over its heap (an INSERT appends the next rid), so the tree returned
+    is the one an index created on the table now would hold: the same
+    nodes, node ids, rid lists and probe charges. *)
+val index_tree : table -> index -> Btree.t
+
+(** [insert_row table tuple] appends [tuple] to the table's heap and
+    inserts its non-null key into every built index; a stale index skips
+    it, and its rebuild reads it from the heap. *)
+val insert_row : table -> Tuple.t -> unit
+
+(** [delete_rows table keep] keeps exactly the rows satisfying [keep]
+    ({!Heap_file.retain}) and returns how many it deleted.  When it
+    deleted any, the rids moved, and every index of the table becomes
+    stale; otherwise the heap and its indexes are left as they were. *)
+val delete_rows : table -> (Tuple.t -> bool) -> int
+
+(** Make every index of the table stale, after rows were appended to its
+    heap directly (COPY). *)
+val invalidate_indexes : table -> unit
 
 (** Record update activity (insertions/deletions) on a table. *)
 val note_updates : t -> table:string -> int -> unit
@@ -73,6 +101,8 @@ val note_updates : t -> table:string -> int -> unit
 (** Fraction of the table updated since last ANALYZE. *)
 val update_ratio : table -> float
 
+(** The table's index on [column], if it has one.  It reads no tree: an
+    existence check that leaves a stale index stale. *)
 val find_index : table -> column:string -> index option
 
 (** Column statistics by (table, bare column name). *)

@@ -1,6 +1,7 @@
 open Mqr_storage
 module Histogram = Mqr_stats.Histogram
 module Column_pass = Mqr_stats.Column_pass
+module Float_sort = Mqr_stats.Float_sort
 
 type t = {
   min_v : Value.t option;
@@ -43,17 +44,14 @@ let encode values =
   done;
   (domain, dict)
 
-let analyze ?(kind = Histogram.Maxdiff) ?(buckets = 32) ?(is_key = false) values =
-  let non_null =
-    Array.of_list (List.filter (fun v -> not (Value.is_null v)) values)
-  in
+let of_range ~is_key boxes f =
   let range = Column_pass.create () in
-  Array.iter (Column_pass.add range) non_null;
+  Array.iter (Column_pass.add range) boxes;
   match Column_pass.range range with
   | None -> { empty with is_key }
   | Some (min_v, max_v) ->
-    let domain, dict = encode non_null in
-    let hist = Histogram.build kind ~buckets domain in
+    let domain, dict = encode boxes in
+    let hist = f domain in
     { min_v = Some min_v;
       max_v = Some max_v;
       distinct = Some (Histogram.distinct hist);
@@ -61,6 +59,46 @@ let analyze ?(kind = Histogram.Maxdiff) ?(buckets = 32) ?(is_key = false) values
       stale = false;
       dict;
       is_key }
+
+let of_values ?(kind = Histogram.Maxdiff) ?(buckets = 32) ?(is_key = false)
+    non_null =
+  of_range ~is_key non_null (Histogram.build kind ~buckets)
+
+let analyze ?kind ?buckets ?is_key values =
+  of_values ?kind ?buckets ?is_key
+    (Array.of_list (List.filter (fun v -> not (Value.is_null v)) values))
+
+exception Undecided
+
+(* The frequency table of [counts.(i)] copies of each [domain.(i)], one
+   group per value under [Float.compare]: [Undecided] when a group holds
+   two bit patterns (NaN payloads, -0.0 and 0.0), since which of them
+   [Histogram.build] keeps depends on where the copies lie. *)
+let freq_table domain counts =
+  let n = Array.length domain in
+  let values = Array.copy domain and order = Array.init n Fun.id in
+  Float_sort.sort ~descending:false values order;
+  let sums = Array.make n 0 and g = ref (-1) in
+  for j = 0 to n - 1 do
+    let v = values.(j) in
+    if !g < 0 || Float.compare v values.(!g) <> 0 then begin
+      incr g;
+      values.(!g) <- v
+    end
+    else if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float values.(!g)))
+    then raise Undecided;
+    sums.(!g) <- sums.(!g) + counts.(order.(j))
+  done;
+  (Array.sub values 0 (!g + 1), Array.sub sums 0 (!g + 1))
+
+let of_counts ?(kind = Histogram.Maxdiff) ?(buckets = 32) ?(is_key = false)
+    boxes counts =
+  try
+    Some
+      (of_range ~is_key boxes (fun domain ->
+           let values, counts = freq_table domain counts in
+           Histogram.of_counts kind ~buckets values counts))
+  with Undecided -> None
 
 let to_domain t v =
   match v with

@@ -27,6 +27,26 @@ val analyze :
   ?kind:Mqr_stats.Histogram.kind -> ?buckets:int -> ?is_key:bool ->
   Value.t list -> t
 
+(** [of_values ?kind ?buckets ?is_key non_null] is [analyze] of the
+    values of [non_null], in order; it holds no [Null]. *)
+val of_values :
+  ?kind:Mqr_stats.Histogram.kind -> ?buckets:int -> ?is_key:bool ->
+  Value.t array -> t
+
+(** [of_counts ?kind ?buckets ?is_key boxes counts] is [analyze] of a
+    column holding [counts.(i) > 0] copies of each non-null [boxes.(i)],
+    where no two boxes have the same constructor and bits and the values
+    first meet [boxes.(i)] before [boxes.(i + 1)], wherever the other
+    copies lie.  It touches each box once, not each copy.  [None] when
+    the copies' places could change the result: two boxes map to
+    histogram values that [Float.compare] equates but whose bits differ
+    (NaN payloads, [-0.0] and [0.0]), and which of them the histogram
+    keeps depends on the order of the copies; [analyze] must then see
+    them all. *)
+val of_counts :
+  ?kind:Mqr_stats.Histogram.kind -> ?buckets:int -> ?is_key:bool ->
+  Value.t array -> int array -> t option
+
 (** [encode values] maps non-null values onto the histogram domain, in
     order: strings become their ordinal among the distinct strings present
     in sort order, the dictionary returned with them ([None] when no

@@ -154,16 +154,7 @@ let insert_rows t ~table rows =
          Array.of_list
            (List.mapi (fun i e -> const_value (Schema.column schema i) e) row)
        in
-       let rid = Heap_file.tuple_count tbl.Catalog.heap in
-       Heap_file.append tbl.Catalog.heap tuple;
-       (* indexes extend incrementally: rids are stable on insert *)
-       List.iter
-         (fun ix ->
-            match Catalog.column_index tbl ix.Catalog.column with
-            | Some ci when not (Value.is_null tuple.(ci)) ->
-              Mqr_storage.Btree.insert ix.Catalog.btree tuple.(ci) rid
-            | _ -> ())
-         tbl.Catalog.indexes)
+       Catalog.insert_row tbl tuple)
     rows;
   Catalog.note_updates t.catalog ~table (List.length rows);
   List.length rows
@@ -178,8 +169,7 @@ let delete_rows t ~table ~where =
       let p = Mqr_expr.Expr.compile_pred schema pred in
       fun tuple -> not (p tuple)
   in
-  let deleted = Heap_file.retain tbl.Catalog.heap keep in
-  if deleted > 0 then Catalog.rebuild_indexes t.catalog ~table;
+  let deleted = Catalog.delete_rows tbl keep in
   Catalog.note_updates t.catalog ~table deleted;
   deleted
 
@@ -256,7 +246,7 @@ let copy_csv t ~table ~file =
        incr count)
     (Mqr_storage.Csv.read_file file);
   Catalog.note_updates t.catalog ~table !count;
-  Catalog.rebuild_indexes t.catalog ~table;
+  if !count > 0 then Catalog.invalidate_indexes tbl;
   !count
 
 let execute t ?mode ?probe_rows sql =

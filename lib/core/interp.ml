@@ -542,7 +542,7 @@ let heap_of st table = (Catalog.find_exn st.cfg.catalog table).Catalog.heap
 
 let index_of (tbl : Catalog.table) col =
   match Catalog.find_index tbl ~column:(bare_column col) with
-  | Some ix -> ix.Catalog.btree
+  | Some ix -> Catalog.index_tree tbl ix
   | None -> invalid_arg ("Interp: missing index on " ^ col)
 
 (* --- transient page leases (runtime filters, parallel workers) ----- *)

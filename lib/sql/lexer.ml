@@ -11,12 +11,13 @@ type token =
 
 exception Lex_error of string
 
-let keywords =
-  [ "select"; "from"; "where"; "group"; "order"; "by"; "having"; "limit";
-    "and"; "or"; "not"; "between"; "as"; "asc"; "desc"; "date";
-    "insert"; "into"; "values"; "delete"; "create"; "table"; "index";
-    "on"; "copy"; "analyze";
-    "count"; "sum"; "avg"; "min"; "max"; "distinct" ]
+let is_keyword = function
+  | "select" | "from" | "where" | "group" | "order" | "by" | "having"
+  | "limit" | "and" | "or" | "not" | "between" | "as" | "asc" | "desc"
+  | "date" | "insert" | "into" | "values" | "delete" | "create" | "table"
+  | "index" | "on" | "copy" | "analyze" | "count" | "sum" | "avg" | "min"
+  | "max" | "distinct" -> true
+  | _ -> false
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
@@ -34,7 +35,7 @@ let tokenize src =
       let j = ref !i in
       while !j < n && is_ident_char src.[!j] do incr j done;
       let word = String.lowercase_ascii (String.sub src !i (!j - !i)) in
-      if List.mem word keywords then emit (KW word) else emit (IDENT word);
+      if is_keyword word then emit (KW word) else emit (IDENT word);
       i := !j
     end
     else if is_digit c then begin

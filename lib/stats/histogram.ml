@@ -170,8 +170,10 @@ let build_serial ~buckets f =
     arr
   end
 
-let build kind ~buckets data =
-  let f = freq_table data in
+let of_counts kind ~buckets values counts =
+  if Array.length values <> Array.length counts then
+    invalid_arg "Histogram.of_counts";
+  let f = { values; counts } in
   let bkts =
     match kind with
     | Equi_width -> build_equi_width ~buckets f
@@ -180,6 +182,10 @@ let build kind ~buckets data =
     | Serial -> build_serial ~buckets f
   in
   of_buckets kind bkts
+
+let build kind ~buckets data =
+  let f = freq_table data in
+  of_counts kind ~buckets f.values f.counts
 
 let scale t rows =
   if t.total <= 0.0 then t

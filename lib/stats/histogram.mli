@@ -34,6 +34,15 @@ val distinct : t -> float
     histogram whose estimators return 0. *)
 val build : kind -> buckets:int -> float array -> t
 
+(** [of_counts kind ~buckets values counts] is the histogram [build]
+    makes of a sample holding [counts.(i) > 0] copies of [values.(i)],
+    given [values] ascending and distinct under [Float.compare] (all
+    NaNs one value, [-0.0] and [0.0] one value): [build] sorts its
+    sample into that table, keeping the first of each group's bit
+    patterns in sorted order, then calls it.
+    @raise Invalid_argument when the arrays differ in length. *)
+val of_counts : kind -> buckets:int -> float array -> int array -> t
+
 (** [scale t rows] linearly rescales row counts so [total_rows] becomes
     [rows] — used to extrapolate a reservoir-sample histogram to the full
     stream the sample came from. *)

@@ -21,7 +21,7 @@ type t = {
   dicts : dict array;  (* per column; [||] for a file from [of_rows] *)
 }
 
-type codes = { codes : Bytes.t; count : int }
+type codes = { codes : Bytes.t; count : int; boxes : Value.t array }
 
 let page_size_bytes = 4096
 
@@ -200,40 +200,52 @@ let codes t col =
   if col >= Array.length t.dicts || Array.length t.dicts.(col).boxes = 0 then None
   else
     let d = t.dicts.(col) in
-    Some { codes = d.per_rid; count = d.size }
+    Some { codes = d.per_rid; count = d.size; boxes = d.boxes }
 
 let code c r = get16 c.codes r
 let code_count c = c.count
+let code_box c k = c.boxes.(k)
 
 (* The kept rows' codes go to fresh arrays, as the rows do, so a reader's
-   codes stay as they were; they move a run of kept rows at a time. *)
+   codes stay as they were; they move a run of kept rows at a time.
+   Until the first row [keep] rejects, nothing is copied: when it
+   rejects none, the storage and the codes stay in place. *)
 let retain t keep =
-  let kept = Array.make t.len [||] and n = ref 0 in
-  let live = List.filter (fun d -> Array.length d.boxes > 0) (Array.to_list t.dicts) in
-  let fresh = List.map (fun _ -> Bytes.create (2 * t.len)) live in
-  (* the run of kept rows from rid [!from] lands at [!at] *)
-  let from = ref 0 and at = ref 0 in
-  let move upto =
-    List.iter2
-      (fun d codes ->
-         Bytes.blit d.per_rid (2 * !from) codes (2 * !at) (2 * (upto - !from)))
-      live fresh
-  in
-  for rid = 0 to t.len - 1 do
-    let tuple = t.data.(rid) in
-    if keep tuple then begin
-      kept.(!n) <- tuple;
-      incr n
-    end
-    else begin
+  let first = ref 0 in
+  while !first < t.len && keep t.data.(!first) do incr first done;
+  if !first = t.len then 0
+  else begin
+    let kept = Array.sub t.data 0 t.len and n = ref !first in
+    let live =
+      List.filter (fun (d : dict) -> Array.length d.boxes > 0) (Array.to_list t.dicts)
+    in
+    let fresh = List.map (fun _ -> Bytes.create (2 * t.len)) live in
+    (* the run of kept rows from rid [!from] lands at [!at] *)
+    let from = ref 0 and at = ref 0 in
+    let move upto =
+      List.iter2
+        (fun d codes ->
+           Bytes.blit d.per_rid (2 * !from) codes (2 * !at) (2 * (upto - !from)))
+        live fresh
+    in
+    let drop rid =
       move rid;
       from := rid + 1;
       at := !n
-    end
-  done;
-  move t.len;
-  List.iter2 (fun d codes -> d.per_rid <- codes) live fresh;
-  let deleted = t.len - !n in
-  t.data <- (if deleted = 0 then kept else Array.sub kept 0 !n);
-  t.len <- !n;
-  deleted
+    in
+    drop !first;
+    for rid = !first + 1 to t.len - 1 do
+      let tuple = t.data.(rid) in
+      if keep tuple then begin
+        kept.(!n) <- tuple;
+        incr n
+      end
+      else drop rid
+    done;
+    move t.len;
+    List.iter2 (fun d codes -> d.per_rid <- codes) live fresh;
+    let deleted = t.len - !n in
+    t.data <- Array.sub kept 0 !n;
+    t.len <- !n;
+    deleted
+  end

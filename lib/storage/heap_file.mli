@@ -21,7 +21,9 @@
     new rid's code and [retain] builds fresh code arrays.  The executor
     reads them at one place, the leaf of a scan ([Mqr_exec.Leaf]: a
     full, striped or index scan), together with [rows] at that moment,
-    and hands them on only with those rows. *)
+    and hands them on only with those rows; ANALYZE
+    ([Mqr_catalog.Catalog.analyze_table]) counts them beside the rows of
+    the same moment. *)
 
 type t
 
@@ -97,7 +99,9 @@ val read :
     tuples satisfying [keep] ([keep] runs once per tuple, in rid order);
     returns how many were deleted.  Arrays read before are untouched.
     Rids are reassigned, so any index on the table must be rebuilt
-    afterwards; the kept rows' codes move to fresh arrays. *)
+    afterwards; the kept rows' codes move to fresh arrays.  When [keep]
+    holds for every tuple, nothing moves: [rows t] and the codes stay
+    the same arrays. *)
 val retain : t -> (Tuple.t -> bool) -> int
 
 (** A column's codes for a sequence of rows.  Equal codes mean cells of
@@ -113,3 +117,9 @@ val code : codes -> int -> int
 
 (** Every code is below [code_count c]. *)
 val code_count : codes -> int
+
+(** [code_box c k] is the box of code [k > 0], below [code_count c]: the
+    first value appended with that code, which every row holding the code
+    shares.  A code may outlive its rows: a [retain] that deletes them
+    keeps it in the dictionary. *)
+val code_box : codes -> int -> Value.t

@@ -87,7 +87,7 @@ let test_delete_keeps_index_consistent () =
   let tbl = Catalog.find_exn catalog "items" in
   Alcotest.(check int) "index rebuilt to live rows" 100
     (Btree.entry_count
-       (Option.get (Catalog.find_index tbl ~column:"id")).Catalog.btree)
+       (Catalog.index_tree tbl (Option.get (Catalog.find_index tbl ~column:"id"))))
 
 let test_update_activity_marks_stale () =
   let catalog = small_catalog () in
@@ -350,6 +350,21 @@ let test_scan_survives_dml () =
     (unchanged second0 second);
   Alcotest.(check bool) "report rows unchanged" true
     (unchanged reported0 reported)
+
+(* A DELETE that matches no row moves nothing: the heap keeps its rows
+   array, and the index keeps its tree, since no rid moved. *)
+let test_no_match_delete_moves_nothing () =
+  let catalog = small_catalog () in
+  let engine = Engine.create catalog in
+  let tbl = Catalog.find_exn catalog "items" in
+  let ix = Option.get (Catalog.find_index tbl ~column:"id") in
+  let rows = Heap_file.rows tbl.Catalog.heap and tree = Catalog.index_tree tbl ix in
+  (match Engine.execute engine "delete from items where id < 0" with
+   | Engine.Modified { count; _ } -> Alcotest.(check int) "deleted" 0 count
+   | _ -> Alcotest.fail "delete result");
+  Alcotest.(check bool) "rows array physically the same" true
+    (Heap_file.rows tbl.Catalog.heap == rows);
+  Alcotest.(check bool) "index tree kept" true (Catalog.index_tree tbl ix == tree)
 
 (* A scan leaf's codes live only inside the unit that scanned them: a
    Materialized leaf carries none.  The prepared plan's first unit joins
@@ -634,6 +649,8 @@ let suite =
       test_codes_match_twin;
     Alcotest.test_case "a full-scan result survives INSERT and DELETE" `Quick
       test_scan_survives_dml;
+    Alcotest.test_case "a DELETE that matches nothing moves nothing" `Quick
+      test_no_match_delete_moves_nothing;
     Alcotest.test_case "sorting report rows leaves the table" `Quick
       test_sorting_report_leaves_table;
     Alcotest.test_case "queries leave base heaps physically identical" `Quick
