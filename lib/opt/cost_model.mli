@@ -105,6 +105,10 @@ val exchange_ms : pages:float -> float
 (** Forking [dop] worker closures and merging their results back. *)
 val startup_ms : dop:int -> float
 
+(** [n] runtime filters, each built from [build_rows] and probed by
+    [probe_rows]: the overhead a hash or merge join with filters adds. *)
+val runtime_filters_ms : n:int -> build_rows:float -> probe_rows:float -> float
+
 (** Memory demands in pages: [(minimum, maximum)]. *)
 val hash_join_mem : build_pages:float -> int * int
 val sort_mem : data_pages:float -> int * int

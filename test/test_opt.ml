@@ -448,6 +448,92 @@ let prop_prices_monotone =
                 (List.init n Fun.id))
          (shapes Sim_clock.default_model ~dop ~rf:(mem mod 3) ~ls ~rs))
 
+(* Every price bit for bit at two fixed quantity sets — serial without
+   runtime filters, and four workers with two filters, both under a
+   grant that spills — plus the parallel and runtime-filter terms, the
+   collector's budget price and Eq. 1's calibration: each of the rate
+   card's thirteen rates reaches at least one of these bits. *)
+let test_prices_pinned () =
+  let sets =
+    [ ("dop1", 1, 0, false, false, 16,
+       [| 12_345.0; 321.0; 54_321.0; 987.0; 4_567.0; 111.0 |]);
+      ("dop4+rf", 4, 2, true, false, 64,
+       [| 98_765.5; 1_234.25; 7_654.0; 210.0; 33_333.0; 8_765.0 |]) ]
+  in
+  let bits = Int64.bits_of_float in
+  let prices =
+    List.concat_map
+      (fun (set, dop, rf, ls, rs, mem, q) ->
+         List.map
+           (fun (name, _, price) -> (name ^ "/" ^ set, bits (price q mem)))
+           (shapes Sim_clock.default_model ~dop ~rf ~ls ~rs))
+      sets
+  in
+  let terms =
+    List.map (fun p -> (Printf.sprintf "exchange/%g" p,
+                        bits (Cost_model.exchange_ms ~pages:p)))
+      [ 1.0; 987.5 ]
+    @ List.map (fun d -> (Printf.sprintf "startup/%d" d,
+                          bits (Cost_model.startup_ms ~dop:d)))
+      [ 2; 4; 8 ]
+    @ List.map (fun n -> (Printf.sprintf "runtime_filters/%d" n,
+                          bits (Cost_model.runtime_filters_ms ~n
+                                  ~build_rows:98_765.5 ~probe_rows:54_321.5)))
+      [ 1; 3 ]
+    @ List.map (fun (h, d) ->
+        (Printf.sprintf "collector/%d+%d" (List.length h) (List.length d),
+         bits (Mqr_exec.Collector.estimated_cost_ms
+                 (Mqr_exec.Collector.spec ~hist_cols:h ~distinct_cols:d ())
+                 ~rows:12_345.0)))
+      [ ([], []); ([ "a" ], []); ([ "a"; "b" ], [ "c" ]) ]
+    @ List.init 8 (fun i ->
+        (Printf.sprintf "opt_estimated/%d" (i + 1),
+         bits (Optimizer.estimated_opt_ms ~model:Sim_clock.default_model
+                 ~relations:(i + 1))))
+  in
+  Alcotest.(check (list (pair string int64))) "pinned"
+    [ ("seq_scan/dop1", 4672576028992646152L);
+      ("index_scan/dop1", 4658487091503487255L);
+      ("hash_join/dop1", 4668759842935449583L);
+      ("merge_join/dop1", 4671332287827585008L);
+      ("index_nl_join/dop1", 4681718033595632713L);
+      ("block_nl_join/dop1", 4703099581049501385L);
+      ("aggregate/dop1", 4655892186887331250L);
+      ("aggregate_sorted/dop1", 4632327141419533730L);
+      ("sort/dop1", 4660037394102558392L);
+      ("cpu/dop1", 4632146434484485489L);
+      ("materialize/dop1", 4675322865225039872L);
+      ("seq_scan/dop4+rf", 4677024325143644603L);
+      ("index_scan/dop4+rf", 4666896718283159896L);
+      ("hash_join/dop4+rf", 4661979054259080003L);
+      ("merge_join/dop4+rf", 4656884391677794451L);
+      ("index_nl_join/dop4+rf", 4695122841541101486L);
+      ("block_nl_join/dop4+rf", 4703765405416806154L);
+      ("aggregate/dop4+rf", 4656876805322440705L);
+      ("aggregate_sorted/dop4+rf", 4645744473017191236L);
+      ("sort/dop4+rf", 4661689330333820911L);
+      ("cpu/dop4+rf", 4645657620394689954L);
+      ("materialize/dop4+rf", 4688833947574992896L);
+      ("exchange/1", 4600877379321698714L);
+      ("exchange/987.5", 4645656529679155200L);
+      ("startup/2", 4587366580439587226L);
+      ("startup/4", 4594572339843380020L);
+      ("startup/8", 4599976659396224615L);
+      ("runtime_filters/1", 4641327787584973176L);
+      ("runtime_filters/3", 4648554044084530970L);
+      ("collector/0+0", 4615521959410000723L);
+      ("collector/1+0", 4625905430563368468L);
+      ("collector/2+1", 4631972694055110836L);
+      ("opt_estimated/1", 4607182418800017408L);
+      ("opt_estimated/2", 4616189618054758400L);
+      ("opt_estimated/3", 4622382067542392832L);
+      ("opt_estimated/4", 4628574517030027264L);
+      ("opt_estimated/5", 4634555860285128704L);
+      ("opt_estimated/6", 4640044622330986496L);
+      ("opt_estimated/7", 4645586160934977536L);
+      ("opt_estimated/8", 4651162883911057408L) ]
+    (prices @ terms)
+
 let suite =
   [ Alcotest.test_case "single table plan" `Quick test_single_table_plan;
     Alcotest.test_case "index scan when selective" `Quick test_index_scan_chosen_when_selective;
@@ -465,6 +551,7 @@ let suite =
     Alcotest.test_case "disable index join" `Quick test_options_disable_index_join;
     Alcotest.test_case "memory demands" `Quick test_memory_demands_positive;
     Alcotest.test_case "spill cost monotone" `Quick test_cost_model_hash_join_spill_monotone;
+    Alcotest.test_case "prices pinned bits" `Quick test_prices_pinned;
     Alcotest.test_case "orders of index scan" `Quick test_orders_of_index_scan;
     Alcotest.test_case "sort elision" `Quick test_sort_elided_when_ordered;
     Alcotest.test_case "merge join presorted flags" `Quick test_merge_join_presorted_flag;

@@ -198,6 +198,41 @@ let test_clock_pinned () =
   Alcotest.(check int64) "since" 4622100592565706240L
     (bits (Sim_clock.since c snap))
 
+(* One charge of each kind on a fresh clock, then all of them on one:
+   the elapsed bits pin every clock rate. *)
+let test_clock_rates_pinned () =
+  let charges =
+    [ ("seq_read", fun c -> Sim_clock.charge_seq_read c 3);
+      ("rand_read", fun c -> Sim_clock.charge_rand_read c 5);
+      ("write", fun c -> Sim_clock.charge_write c 7);
+      ("cpu_tuples", fun c -> Sim_clock.charge_cpu_tuples c 11);
+      ("hash_tuples", fun c -> Sim_clock.charge_hash_tuples c 13);
+      ("sort_tuples", fun c -> Sim_clock.charge_sort_tuples c 17);
+      ("cpu_ms", fun c -> Sim_clock.charge_cpu_ms c 0.37);
+      ("optimizer", fun c -> Sim_clock.charge_optimizer c ~plans:19) ]
+  in
+  let all = Sim_clock.create () in
+  let one =
+    List.map
+      (fun (name, charge) ->
+         let c = Sim_clock.create () in
+         charge c;
+         charge all;
+         (name, Int64.bits_of_float (Sim_clock.elapsed_ms c)))
+      charges
+  in
+  Alcotest.(check (list (pair string int64))) "elapsed"
+    [ ("seq_read", 4618441417868443648L);
+      ("rand_read", 4630826316843712512L);
+      ("write", 4626604192193052672L);
+      ("cpu_tuples", 4586501889311132090L);
+      ("hash_tuples", 4585781313370752811L);
+      ("sort_tuples", 4585060737430373532L);
+      ("cpu_ms", 4600336947366414254L);
+      ("optimizer", 4621537642612260864L);
+      ("all", 4635117895444875706L) ]
+    (one @ [ ("all", Int64.bits_of_float (Sim_clock.elapsed_ms all)) ])
+
 let test_btree_insert_lookup () =
   let bt = Btree.create ~fanout:4 () in
   for i = 0 to 999 do
@@ -469,6 +504,7 @@ let suite =
     Alcotest.test_case "heap scan charges" `Quick test_heap_scan_charges;
     Alcotest.test_case "clock snapshot is a copy" `Quick test_clock_snapshot_is_copy;
     Alcotest.test_case "clock pinned bits" `Quick test_clock_pinned;
+    Alcotest.test_case "clock rates pinned bits" `Quick test_clock_rates_pinned;
     Alcotest.test_case "btree insert/lookup" `Quick test_btree_insert_lookup;
     Alcotest.test_case "btree structure" `Quick test_btree_structure;
     Alcotest.test_case "btree range" `Quick test_btree_range;
