@@ -1110,17 +1110,13 @@ let opt_scenario () =
                Stats_env.create cfg.Dispatcher.catalog
                  query.Mqr_sql.Query.relations)
            (fun env ->
-              Optimizer.optimize ~options:cfg.Dispatcher.opt_options
-                ~model:cfg.Dispatcher.model ~env query)
+              Optimizer.optimize ~options:cfg.Dispatcher.opt_options ~env query)
        in
        let r = List.hd t.results in
        let plans = r.Optimizer.plans_enumerated in
-       let sim_ms =
-         float_of_int plans
-         *. cfg.Dispatcher.model.Mqr_storage.Sim_clock.opt_per_plan_ms
-       in
+       let sim_ms = Mqr_storage.Sim_clock.optimizer_ms ~plans in
        let est_ms =
-         Optimizer.estimated_opt_ms ~model:cfg.Dispatcher.model
+         Optimizer.estimated_opt_ms
            ~relations:(List.length query.Mqr_sql.Query.relations)
        in
        let est_ratio = est_ms /. sim_ms in

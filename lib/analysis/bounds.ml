@@ -732,7 +732,7 @@ let analyze env (plan : Plan.t) =
 (* A memory grant large enough that no formula spills. *)
 let ample_mem = 1_000_000_000
 
-let cost_interval env ~model ?(max_dop = 1) (plan : Plan.t) =
+let cost_interval env ?(max_dop = 1) (plan : Plan.t) =
   let b = analyze env plan in
   let r (p : Plan.t) = Option.value (rows b p.Plan.id) ~default:unknown in
   let pg (p : Plan.t) =
@@ -753,7 +753,7 @@ let cost_interval env ~model ?(max_dop = 1) (plan : Plan.t) =
        | Some ti ->
          (* the scan always reads the whole heap and filters every row:
             exact *)
-         Cost_model.seq_scan_ms model ~dop:1 ~pages:ti.t_pages ~rows:ti.t_rows
+         Cost_model.seq_scan_ms ~dop:1 ~pages:ti.t_pages ~rows:ti.t_rows
            ~filter_rows:(Cost_model.filter_rows filter ~rows:ti.t_rows)
        | None -> e unknown)
     | Plan.Index_scan { table; alias = _; index_col; lo = blo; hi = bhi; filter }
@@ -763,37 +763,37 @@ let cost_interval env ~model ?(max_dop = 1) (plan : Plan.t) =
          (* fetches and the residual are driven by the bound matches, not
             the residual output *)
          let m = e (range_interval ti ti.t_rows (bare index_col) ~blo ~bhi) in
-         Cost_model.index_scan_ms model ~match_rows:m ~table_pages:ti.t_pages
+         Cost_model.index_scan_ms ~match_rows:m ~table_pages:ti.t_pages
            ~filter_rows:(Cost_model.filter_rows filter ~rows:m)
        | None -> e unknown)
     | Plan.Hash_join { build; probe; rf = rfs; _ } ->
-      Cost_model.hash_join_ms model ~dop:1 ~build_rows:(e (r build))
+      Cost_model.hash_join_ms ~dop:1 ~build_rows:(e (r build))
         ~build_pages:(e (pg build)) ~probe_rows:(e (r probe))
         ~probe_pages:(e (pg probe)) ~out_rows:rows ~mem_pages ~rf:(rf rfs)
         ~rf_probe_rows:(e (r probe))
     | Plan.Merge_join { left; right; left_sorted; right_sorted; rf = rfs; _ } ->
-      Cost_model.merge_join_ms model ~left_rows:(e (r left))
+      Cost_model.merge_join_ms ~left_rows:(e (r left))
         ~left_pages:(e (pg left)) ~right_rows:(e (r right))
         ~right_pages:(e (pg right)) ~out_rows:rows ~mem_pages ~left_sorted
         ~right_sorted ~rf:(rf rfs) ~rf_probe_rows:(e (r right))
     | Plan.Index_nl_join { outer; inner_filter; _ } ->
-      Cost_model.index_nl_join_ms model ~outer_rows:(e (r outer)) ~fetched:rows
+      Cost_model.index_nl_join_ms ~outer_rows:(e (r outer)) ~fetched:rows
         ~filter_rows:(Cost_model.filter_rows inner_filter ~rows)
     | Plan.Block_nl_join { outer; inner; _ } ->
-      Cost_model.block_nl_join_ms model ~outer_rows:(e (r outer))
+      Cost_model.block_nl_join_ms ~outer_rows:(e (r outer))
         ~outer_pages:(e (pg outer)) ~inner_rows:(e (r inner))
         ~inner_pages:(e (pg inner)) ~out_rows:rows ~mem_pages
     | Plan.Aggregate { input; pre_sorted = true; _ } ->
-      Cost_model.aggregate_sorted_ms model ~in_rows:(e (r input)) ~groups:rows
+      Cost_model.aggregate_sorted_ms ~in_rows:(e (r input)) ~groups:rows
     | Plan.Aggregate { input; pre_sorted = false; _ } ->
-      Cost_model.aggregate_ms model ~dop:1 ~in_rows:(e (r input))
+      Cost_model.aggregate_ms ~dop:1 ~in_rows:(e (r input))
         ~in_pages:(e (pg input)) ~groups:rows ~group_pages:(e (pg p))
         ~mem_pages
     | Plan.Sort { input; _ } ->
-      Cost_model.sort_ms model ~dop:1 ~rows:(e (r input))
+      Cost_model.sort_ms ~dop:1 ~rows:(e (r input))
         ~data_pages:(e (pg input)) ~mem_pages
-    | Plan.Filter { input; _ } -> Cost_model.cpu_ms model ~rows:(e (r input))
-    | Plan.Project _ | Plan.Limit _ -> Cost_model.cpu_ms model ~rows
+    | Plan.Filter { input; _ } -> Cost_model.cpu_ms ~rows:(e (r input))
+    | Plan.Project _ | Plan.Limit _ -> Cost_model.cpu_ms ~rows
     | Plan.Collect { spec; _ } -> Collector.estimated_cost_ms spec ~rows
     | Plan.Materialized _ -> 0.0
   in
@@ -824,11 +824,11 @@ let cost_interval env ~model ?(max_dop = 1) (plan : Plan.t) =
 (* ------------------------------------------------------------------ *)
 (* Provably-dominated access paths.                                    *)
 
-let dominated_scan env ~model (p : Plan.t) =
+let dominated_scan env (p : Plan.t) =
   (* the sequential alternative reads the whole heap and filters every
      row (on the index bounds, when it replaces an index scan) *)
   let seq ti =
-    Cost_model.seq_scan_ms model ~dop:1 ~pages:ti.t_pages ~rows:ti.t_rows
+    Cost_model.seq_scan_ms ~dop:1 ~pages:ti.t_pages ~rows:ti.t_rows
       ~filter_rows:ti.t_rows
   in
   match p.Plan.node with
@@ -851,7 +851,7 @@ let dominated_scan env ~model (p : Plan.t) =
                else
                  let m = (conjunct_interval ti ti.t_rows c).hi in
                  let idx =
-                   Cost_model.index_scan_ms model ~match_rows:m
+                   Cost_model.index_scan_ms ~match_rows:m
                      ~table_pages:ti.t_pages
                      ~filter_rows:(if residual then m else 0.0)
                  in
@@ -877,7 +877,7 @@ let dominated_scan env ~model (p : Plan.t) =
      | Some ti ->
        let m = (range_interval ti ti.t_rows (bare index_col) ~blo:lo ~bhi:hi).lo in
        let idx_lo =
-         Cost_model.index_scan_ms model ~match_rows:m ~table_pages:ti.t_pages
+         Cost_model.index_scan_ms ~match_rows:m ~table_pages:ti.t_pages
            ~filter_rows:(Cost_model.filter_rows filter ~rows:m)
        in
        let seq = seq ti in

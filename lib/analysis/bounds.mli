@@ -62,31 +62,29 @@ val rows : t -> int -> interval option
     interval and the annotated average tuple width). *)
 val pages : t -> int -> interval option
 
-(** Interval on the plan's total cost under [model]'s rates: each node is
-    priced by the optimizer's own {!Mqr_opt.Cost_model} function for its
-    shape, called once per end.  The lower end passes the low ends of the
-    node's row and page intervals, an ample grant and no runtime filter,
-    then splits evenly [max_dop] ways; it drops the runtime-filter
+(** Interval on the plan's total cost at the {!Mqr_storage.Sim_clock}
+    rates: each node is priced by the optimizer's own
+    {!Mqr_opt.Cost_model} function for its shape, called once per end.
+    The lower end passes the low ends of the node's row and page
+    intervals, an ample grant and no runtime filter, then splits evenly
+    [max_dop] ways; it drops the runtime-filter
     overhead on purpose, because adaptive retirement can cut a probe
     short.  The upper end passes the high ends, a one-page grant
     (worst-case spilling) and every runtime filter, plus parallel
     startup/exchange slack when [max_dop > 1].  The two ends bracket the
-    model's price at any quantities inside the intervals because every
+    node's price at any quantities inside the intervals because every
     price is monotone in rows and pages and antitone in the grant; the
     lower end does not yet bound what the executor charges, since it
     prices every page read as a buffer-pool miss.  Read
     by the bound-checked re-optimization mode (switch only when the
     candidate's upper end beats the current plan's lower end) and by
     progress's ETA. *)
-val cost_interval :
-  env -> model:Mqr_storage.Sim_clock.model -> ?max_dop:int ->
-  Mqr_opt.Plan.t -> interval
+val cost_interval : env -> ?max_dop:int -> Mqr_opt.Plan.t -> interval
 
 (** Provably-dominated access-path choice: [Some message] when a serial
     sequential scan is provably beaten by an available index path (its
-    worst-case cost under [model] is below the sequential scan's exact
-    cost), or when an index scan's provable minimum number of matches makes
-    it cost more than scanning the table outright.  Both sides are the
+    worst-case cost is below the sequential scan's exact cost), or when
+    an index scan's provable minimum number of matches makes it cost more
+    than scanning the table outright.  Both sides are the
     {!Mqr_opt.Cost_model} scan prices, filter CPU included. *)
-val dominated_scan :
-  env -> model:Mqr_storage.Sim_clock.model -> Mqr_opt.Plan.t -> string option
+val dominated_scan : env -> Mqr_opt.Plan.t -> string option

@@ -749,7 +749,7 @@ let bounds_run ctx plan =
                    budget of %d pages"
                   need budget))
         | _ -> ());
-       (match Bounds.dominated_scan ctx.bounds ~model:Sim_clock.default_model p with
+       (match Bounds.dominated_scan ctx.bounds p with
         | Some msg ->
           add
             (Diagnostic.warning ~pass:bounds_pass_name ~code:"BND-DOM"

@@ -159,11 +159,9 @@ let insert_row tbl tuple =
        | None -> ())
     tbl.indexes
 
-let invalidate_indexes tbl = List.iter (fun ix -> ix.tree <- None) tbl.indexes
-
 let delete_rows tbl keep =
   let deleted = Heap_file.retain tbl.heap keep in
-  if deleted > 0 then invalidate_indexes tbl;
+  if deleted > 0 then List.iter (fun ix -> ix.tree <- None) tbl.indexes;
   deleted
 
 let note_updates t ~table n =

@@ -7,11 +7,11 @@
 open Mqr_storage
 
 (** A secondary B+-tree index on one column of a table.  An index is
-    built or stale.  A DELETE that removes rows ({!delete_rows}) or a
-    COPY ({!invalidate_indexes}) makes every index of its table stale: it
-    drops its tree, since a DELETE reassigns rids, and is rebuilt only
-    when a reader asks for it through {!index_tree}, the one way to read
-    a tree.  {!insert_row} extends only built trees. *)
+    built or stale.  A DELETE that removes rows ({!delete_rows}) makes
+    every index of its table stale: it drops its tree, since a DELETE
+    reassigns rids, and is rebuilt only when a reader asks for it through
+    {!index_tree}, the one way to read a tree.  INSERT and COPY append
+    through {!insert_row}, which extends only built trees. *)
 type index
 
 type table = {
@@ -91,10 +91,6 @@ val insert_row : table -> Tuple.t -> unit
     stale; otherwise the heap and its indexes are left as they were. *)
 val delete_rows : table -> (Tuple.t -> bool) -> int
 
-(** Make every index of the table stale, after rows were appended to its
-    heap directly (COPY). *)
-val invalidate_indexes : table -> unit
-
 (** Record update activity (insertions/deletions) on a table. *)
 val note_updates : t -> table:string -> int -> unit
 
@@ -107,7 +103,6 @@ val find_index : table -> column:string -> index option
 
 (** Column statistics by (table, bare column name). *)
 val column_stats : table -> string -> Column_stats.t option
-val column_index : table -> string -> int option
 
 (** Degradations for experiments. *)
 val degrade_drop_histogram : t -> table:string -> column:string -> unit

@@ -87,11 +87,11 @@ let record_annotations r plan =
        Hashtbl.replace r.orig_op_ms n.Plan.id n.Plan.est.Plan.op_ms)
     (Plan.nodes plan)
 
-(* Re-annotate [plan] under [env] with the configured planning memory,
-   degree cap and cost model. *)
+(* Re-annotate [plan] under [env] with the configured planning memory and
+   degree cap. *)
 let recost cfg env plan =
   Optimizer.recost ~planning_mem:cfg.opt_options.Optimizer.planning_mem_pages
-    ~max_dop:cfg.opt_options.Optimizer.max_dop ~model:cfg.model ~env plan
+    ~max_dop:cfg.opt_options.Optimizer.max_dop ~env plan
 
 (* Insert statistics collectors (SCIA), their plan-node ids from
    [first_id] on, and re-cost: the instrumentation of an initial plan and
@@ -145,7 +145,6 @@ let reallocate st =
 let view r ~force =
   let st = r.st in
   { Reopt_policy.catalog = st.cfg.catalog;
-    model = st.cfg.model;
     opt_options = st.cfg.opt_options;
     params = st.cfg.params;
     mode = st.cfg.mode;
@@ -156,12 +155,6 @@ let view r ~force =
     overrides = st.overrides;
     switches = r.switches;
     force }
-
-(* The simulated time [apply] charged for the candidate's re-plan. *)
-let replan_ms st (c : Reopt_policy.candidate) =
-  Sim_clock.optimizer_ms
-    (Sim_clock.model st.ctx.Exec_ctx.clock)
-    ~plans:c.plans_enumerated
 
 (* Switch to the candidate: pay the writes, renumber the new plan's ids
    into our space, instrument it and adopt its annotations as the new
@@ -191,7 +184,7 @@ let switch r (t : Reopt_policy.terms) (c : Reopt_policy.candidate) =
          t_improved = t.t_improved;
          materialize_ms = c.materialize_ms;
          plans_enumerated = c.plans_enumerated;
-         opt_ms = replan_ms st c });
+         opt_ms = Sim_clock.optimizer_ms ~plans:c.plans_enumerated });
   observe st Switched
 
 (* Apply a verdict: the consideration's terms first, then the optimizer
@@ -214,7 +207,7 @@ let apply r verdict =
             { t_new_total = c.t_new_total;
               t_improved = t.t_improved;
               plans_enumerated = c.plans_enumerated;
-              opt_ms = replan_ms st c }))
+              opt_ms = Sim_clock.optimizer_ms ~plans:c.plans_enumerated }))
 
 let decision_point r =
   let st = r.st in
@@ -237,7 +230,7 @@ let decision_point r =
    under it.  Returns the run, whose [plan0] is the initial plan, and the
    probes. *)
 let prepare ?prepared cfg query =
-  let ctx = Exec_ctx.create ~model:cfg.model ~pool_pages:cfg.pool_pages () in
+  let ctx = Exec_ctx.create ~pool_pages:cfg.pool_pages () in
   let env = Stats_env.create cfg.catalog query.Query.relations in
   (match cfg.env_overlay with
    | Some overlay -> overlay query env
@@ -260,7 +253,7 @@ let prepare ?prepared cfg query =
     | None ->
       let opt =
         Optimizer.optimize ~options:cfg.opt_options ~clock:ctx.Exec_ctx.clock
-          ~model:cfg.model ~env query
+          ~env query
       in
       let first_id = max_id opt.Optimizer.plan + 1 in
       (match cfg.mode with

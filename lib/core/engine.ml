@@ -242,11 +242,10 @@ let copy_csv t ~table ~file =
            (List.mapi (fun i s -> coerce_csv_field (Schema.column schema i) s)
               record)
        in
-       Heap_file.append tbl.Catalog.heap tuple;
+       Catalog.insert_row tbl tuple;
        incr count)
     (Mqr_storage.Csv.read_file file);
   Catalog.note_updates t.catalog ~table !count;
-  if !count > 0 then Catalog.invalidate_indexes tbl;
   !count
 
 let execute t ?mode ?probe_rows sql =
@@ -281,11 +280,7 @@ let analyze t ?kind ?buckets ?keys table =
 let explain t sql =
   let q = bind_sql t sql in
   let env = Stats_env.create t.catalog q.Query.relations in
-  let r =
-    Optimizer.optimize ~options:t.opt_options ~model:Sim_clock.default_model
-      ~env q
-  in
-  r.Optimizer.plan
+  (Optimizer.optimize ~options:t.opt_options ~env q).Optimizer.plan
 
 (* Static analysis without execution: the plan the dispatcher would start
    from, run through the verifier. *)

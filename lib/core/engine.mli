@@ -13,8 +13,8 @@ open Mqr_storage
 
 type t
 
-(** [create catalog] builds an engine on the default cost model
-    ({!Mqr_storage.Sim_clock.default_model}) and re-optimization parameters
+(** [create catalog] builds an engine that prices work at the
+    {!Mqr_storage.Sim_clock} rate card, with re-optimization parameters
     ({!Reopt_policy.default_params}; see {!with_params}).  [pool_pages] is
     the buffer-pool capacity (default 2048), [budget_pages] the
     memory-manager budget (default 512).  [runtime_filters] turns on bloom/min-max runtime join

@@ -38,6 +38,8 @@ module Types = struct
   type config = {
     catalog : Catalog.t;
     model : Sim_clock.model;
+        (** unread; kept only for the frozen benchmark harness (see
+            {!Mqr_storage.Sim_clock}'s kept names) *)
     pool_pages : int;
     budget_pages : int;   (** memory-manager budget *)
     params : Reopt_policy.params;
@@ -450,7 +452,7 @@ let observe st point =
     Option.iter
       (fun p ->
          let iv =
-           Bounds.cost_interval (Bounds.env st.cfg.catalog) ~model:st.cfg.model
+           Bounds.cost_interval (Bounds.env st.cfg.catalog)
              ~max_dop:st.cfg.opt_options.Optimizer.max_dop st.current
          in
          ignore

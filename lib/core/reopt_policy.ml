@@ -72,7 +72,6 @@ let decision_to_string = function
 
 type view = {
   catalog : Mqr_catalog.Catalog.t;
-  model : Sim_clock.model;
   opt_options : Optimizer.options;
   params : params;
   mode : mode;
@@ -184,7 +183,7 @@ let pending_materialize_ms v =
        match n.Plan.node with
        | Plan.Materialized { bytes; _ } ->
          let pages = float_of_int (Mqr_exec.Exec_ctx.pages_of_bytes bytes) in
-         acc +. Mqr_opt.Cost_model.materialize_ms v.model ~pages
+         acc +. Mqr_opt.Cost_model.materialize_ms ~pages
        | _ -> acc)
     0.0 v.remainder
 
@@ -194,7 +193,7 @@ let pending_materialize_ms v =
    admitted only when it provably cannot lose. *)
 let bound_check v ~materialize_ms plan =
   let interval =
-    Bounds.cost_interval (Bounds.env v.catalog) ~model:v.model
+    Bounds.cost_interval (Bounds.env v.catalog)
       ~max_dop:v.opt_options.Optimizer.max_dop
   in
   let new_hi_ms =
@@ -215,7 +214,7 @@ let replan v =
   List.iter
     (fun (column, stats) -> Stats_env.override env ~column stats)
     v.overrides;
-  match Optimizer.optimize ~options:v.opt_options ~model:v.model ~env rq with
+  match Optimizer.optimize ~options:v.opt_options ~env rq with
   | exception Optimizer.Planning_error _ -> None
   | { Optimizer.plan; plans_enumerated } -> Some (plan, env, plans_enumerated)
 
@@ -236,8 +235,7 @@ let decide v =
         0.0 (Plan.nodes v.remainder)
     in
     let t_opt_estimated =
-      Optimizer.estimated_opt_ms ~model:v.model
-        ~relations:(count_leaf_relations v.remainder)
+      Optimizer.estimated_opt_ms ~relations:(count_leaf_relations v.remainder)
     in
     let decision =
       should_consider v.params ~t_opt_estimated ~t_improved ~t_optimizer

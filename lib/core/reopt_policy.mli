@@ -24,8 +24,6 @@
     veto.  It computes a {!verdict} without applying it; the dispatcher
     emits the events, charges the optimizer time and switches. *)
 
-open Mqr_storage
-
 type params = {
   mu : float;      (** max statistics-collection overhead fraction, ~0.05 *)
   theta1 : float;  (** Eq. 1 threshold, ~0.05 *)
@@ -91,7 +89,6 @@ val decision_to_string : decision -> string
     runtime-filter or skew surprise overrides Eq. 2 (never Eq. 1). *)
 type view = {
   catalog : Mqr_catalog.Catalog.t;
-  model : Sim_clock.model;
   opt_options : Mqr_opt.Optimizer.options;
   params : params;
   mode : mode;

@@ -3,6 +3,7 @@ module Stats_env = Mqr_opt.Stats_env
 module Collector = Mqr_exec.Collector
 module Expr = Mqr_expr.Expr
 module Schema = Mqr_storage.Schema
+module Sim_clock = Mqr_storage.Sim_clock
 
 type candidate = {
   column : string;
@@ -59,7 +60,7 @@ let affected_ms_of ~above (u : Plan.t) =
 let candidates_for_scan env (scan : Plan.t) ~alias ~ancestors =
   let schema = scan.Plan.schema in
   let rows = scan.Plan.est.Plan.rows in
-  let collect_ms = rows *. Collector.stat_tuple_ms in
+  let collect_ms = rows *. Sim_clock.collect_stat_tuple_ms in
   (* nearest ancestor using a column of this scan, with everything above *)
   let rec first_use cols_of = function
     | [] -> None

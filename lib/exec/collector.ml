@@ -5,8 +5,6 @@ module Distinct = Mqr_stats.Distinct
 module Column_pass = Mqr_stats.Column_pass
 module Column_stats = Mqr_catalog.Column_stats
 
-let base_tuple_ms = 0.0003
-let stat_tuple_ms = 0.0012
 (* Histograms are 32-bucket MaxDiff, built from a one-page reservoir
    sample. *)
 let sample_size = Heap_file.page_size_bytes / 8
@@ -32,7 +30,9 @@ type observed = {
 
 let estimated_cost_ms s ~rows =
   let stats = List.length s.hist_cols + List.length s.distinct_cols in
-  rows *. (base_tuple_ms +. (float_of_int stats *. stat_tuple_ms))
+  rows
+  *. (Sim_clock.collect_base_tuple_ms
+      +. (float_of_int stats *. Sim_clock.collect_stat_tuple_ms))
 
 (* (name, index) of each named column, in name order, by qualified name: a
    duplicated name resolves to its first column, an unknown one is

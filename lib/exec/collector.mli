@@ -15,19 +15,14 @@
     what a reader consumes is computed: ranges of columns outside the
     spec and the average tuple size are not.
 
-    The CPU price per tuple per tracked statistic is exposed so the
+    A collector charges {!Mqr_storage.Sim_clock.collect_base_tuple_ms} per
+    tuple whatever the spec, plus
+    {!Mqr_storage.Sim_clock.collect_stat_tuple_ms} per tuple per tracked
+    statistic; {!estimated_cost_ms} prices the same, so the
     statistics-collectors insertion algorithm can budget collectors against
-    the [mu] overhead bound; the always-on [base_tuple_ms] is charged
-    whatever the spec. *)
+    the [mu] overhead bound. *)
 
 open Mqr_storage
-
-(** Milliseconds charged per tuple for the always-on counters. *)
-val base_tuple_ms : float
-
-(** Milliseconds charged per tuple per histogram or distinct-count
-    statistic. *)
-val stat_tuple_ms : float
 
 (** Histograms are MaxDiff with 32 buckets, built from a reservoir
     sample of [Heap_file.page_size_bytes / 8] values. *)

@@ -5,8 +5,8 @@ type t = {
   pool : Buffer_pool.t;
 }
 
-let create ?model ?(pool_pages = 1024) () =
-  { clock = Sim_clock.create ?model (); pool = Buffer_pool.create ~capacity_pages:pool_pages }
+let create ?(pool_pages = 1024) () =
+  { clock = Sim_clock.create (); pool = Buffer_pool.create ~capacity_pages:pool_pages }
 
 let pages_of_bytes bytes =
   max 1 ((bytes + Heap_file.page_size_bytes - 1) / Heap_file.page_size_bytes)

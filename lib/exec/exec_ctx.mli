@@ -9,7 +9,7 @@ type t = {
   pool : Buffer_pool.t;
 }
 
-val create : ?model:Sim_clock.model -> ?pool_pages:int -> unit -> t
+val create : ?pool_pages:int -> unit -> t
 
 (** Pages needed to hold [bytes]. *)
 val pages_of_bytes : int -> int

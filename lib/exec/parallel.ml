@@ -1,8 +1,5 @@
 open Mqr_storage
 
-let startup_ms = 0.05
-let net_ms_per_page = 0.4
-
 let check_degree fn degree =
   if degree < 1 then invalid_arg ("Parallel." ^ fn ^ ": degree < 1")
 
@@ -12,7 +9,6 @@ let check_degree fn degree =
    serial operator, before it gets here. *)
 let run ctx ~degree ?slice_pages ?on_worker f =
   check_degree "run" degree;
-  let model = Sim_clock.model ctx.Exec_ctx.clock in
   let slice =
     match slice_pages with
     | Some p -> max 1 p
@@ -20,7 +16,7 @@ let run ctx ~degree ?slice_pages ?on_worker f =
   in
   let results =
     Array.init degree (fun w ->
-        let wctx = Exec_ctx.create ~model ~pool_pages:slice () in
+        let wctx = Exec_ctx.create ~pool_pages:slice () in
         let t0 = Unix.gettimeofday () in
         let r = f w wctx in
         let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -35,14 +31,14 @@ let run ctx ~degree ?slice_pages ?on_worker f =
    | None -> ());
   Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock slowest;
   Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
-    (startup_ms *. float_of_int (degree - 1));
+    (Sim_clock.parallel_startup_ms *. float_of_int (degree - 1));
   Array.to_list (Array.map (fun (r, _, _) -> r) results)
 
 let charge_exchange ctx ~degree rows =
   if degree > 1 then begin
     let pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows) in
     Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
-      (float_of_int pages *. net_ms_per_page)
+      (float_of_int pages *. Sim_clock.exchange_ms_per_page)
   end
 
 (* Deal each row to the worker [worker i tuple] names, keeping row order

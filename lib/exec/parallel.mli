@@ -6,7 +6,9 @@
     against its own clock and its own slice of the buffer pool, and the
     parent clock is charged with the *maximum* worker time (workers
     proceed in parallel) plus the network cost of any repartitioning
-    exchange and a small per-worker startup fee.
+    exchange ({!Mqr_storage.Sim_clock.exchange_ms_per_page}) and a small
+    per-worker startup fee ({!Mqr_storage.Sim_clock.parallel_startup_ms});
+    the cost model prices both at the same rates.
 
     [degree] is the {e plan} degree of parallelism: how many partitions
     the data is split into, and therefore what the simulated clock is
@@ -21,15 +23,6 @@
     detect that skew. *)
 
 open Mqr_storage
-
-(** Charged to the parent clock per extra worker: forking the closure and
-    folding its results back in.  Mirrored by the cost model so estimated
-    and actual parallel costs agree. *)
-val startup_ms : float
-
-(** Interconnect cost of shipping one exchanged page; the cost model
-    prices exchanges with the same constant. *)
-val net_ms_per_page : float
 
 (** Hash-partition rows on a column; charges the exchange (all pages cross
     the interconnect under hash repartitioning). *)

@@ -1,10 +1,5 @@
 open Mqr_storage
 
-(* Rate constants, deliberately outside Sim_clock.model (like the
-   collector's): a bloom probe is cheaper than a full hash-table probe
-   because no tuple is copied and no bucket chain is walked. *)
-let build_tuple_ms = 0.0015
-let probe_tuple_ms = 0.001
 let bits_per_key = 10
 let num_hashes = 3
 
@@ -70,7 +65,7 @@ let create ctx ~source ~build_col ~target_col ~est_sel ~max_pages ~key_idx
     rows =
   let clock = ctx.Exec_ctx.clock in
   let n = Array.length rows in
-  Sim_clock.charge_cpu_ms clock (float_of_int n *. build_tuple_ms);
+  Sim_clock.charge_cpu_ms clock (float_of_int n *. Sim_clock.rf_build_tuple_ms);
   let keys = ref 0 in
   let min_v = ref Value.Null and max_v = ref Value.Null in
   Array.iter
@@ -135,7 +130,7 @@ let apply ctx t ~idx rows =
   if n = 0 then rows
   else begin
     Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
-      (float_of_int n *. probe_tuple_ms);
+      (float_of_int n *. Sim_clock.rf_probe_tuple_ms);
     t.probed <- t.probed + n;
     let kept = ref 0 in
     Array.iter (fun tuple -> if admits t tuple.(idx) then incr kept) rows;

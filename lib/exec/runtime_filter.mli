@@ -6,8 +6,8 @@
     join's output.  The dispatcher wraps that set as a bloom filter plus
     min-max bounds and pushes it down into the probe-side scan pipeline,
     dropping non-qualifying tuples for a per-tuple cost of
-    {!probe_tuple_ms} before they incur the join's hashing, sorting,
-    spill I/O or collector work.
+    {!Mqr_storage.Sim_clock.rf_probe_tuple_ms} before they incur the
+    join's hashing, sorting, spill I/O or collector work.
 
     Filters are one-sided: a bloom filter has false positives but no false
     negatives, min-max pruning is exact, and null probe keys never satisfy
@@ -21,12 +21,6 @@
 
 open Mqr_storage
 
-(** CPU charged per build-side tuple when constructing a filter. *)
-val build_tuple_ms : float
-
-(** CPU charged per probe-side tuple tested against a filter. *)
-val probe_tuple_ms : float
-
 type t
 
 (** Bitmap pages needed for a bloom filter over [keys] build values at
@@ -35,9 +29,10 @@ val pages_for : keys:int -> int
 
 (** [create ctx ~source ~build_col ~target_col ~est_sel ~max_pages
     ~key_idx rows] builds a filter from column [key_idx] of the build
-    rows, charging {!build_tuple_ms} per row.  [max_pages] caps the bloom
-    bitmap (fewer pages = higher false-positive rate); [max_pages = 0]
-    degrades to min-max bounds only.  [source] names the publishing join
+    rows, charging {!Mqr_storage.Sim_clock.rf_build_tuple_ms} per row.
+    [max_pages] caps the bloom bitmap (fewer pages = higher
+    false-positive rate); [max_pages = 0] degrades to min-max bounds
+    only.  [source] names the publishing join
     for display; [est_sel] is the optimizer's estimated pass fraction. *)
 val create :
   Exec_ctx.t -> source:string -> build_col:string -> target_col:string ->
@@ -51,7 +46,8 @@ val applicable : t -> Schema.t -> int option
     build side's [min, max], and bloom misses; never falsely negative. *)
 val admits : t -> Value.t -> bool
 
-(** Filter the rows on column [idx], charging {!probe_tuple_ms} per input
+(** Filter the rows on column [idx], charging
+    {!Mqr_storage.Sim_clock.rf_probe_tuple_ms} per input
     row and recording the pass rate. *)
 val apply : Exec_ctx.t -> t -> idx:int -> Tuple.t array -> Tuple.t array
 

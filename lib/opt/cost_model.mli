@@ -1,10 +1,11 @@
 (** Operator prices: one function per plan-node shape, and the only place
-    that reads the {!Mqr_storage.Sim_clock.model} rates outside the
-    executor.  Each function takes the node's quantities — input, output
-    and fetched rows, pages, the memory grant, the degree of parallelism,
-    the rows a residual or inner filter evaluates, the runtime filters it
-    runs — and returns the node's own cost in simulated ms, with every term
-    the executor charges for that node: the filter CPU, the runtime-filter
+    outside the executor that prices work at the {!Mqr_storage.Sim_clock}
+    rate card's I/O, tuple, parallel and runtime-filter rates.  Each
+    function takes the node's quantities — input, output and fetched
+    rows, pages, the memory grant, the degree of parallelism, the rows a
+    residual or inner filter evaluates, the runtime filters it runs — and
+    returns the node's own cost in simulated ms, with every term the
+    executor charges for that node: the filter CPU, the runtime-filter
     overhead and, at [dop > 1], one worker's even share plus the exchange
     and the startup fee (and a sort's serial merge).
 
@@ -24,8 +25,6 @@
     (non-increasing) in the memory grant; an infinite quantity yields
     [infinity].  test_opt checks this with a qcheck property. *)
 
-open Mqr_storage
-
 (** Pages occupied by [rows] tuples of [width] bytes. *)
 val pages : rows:float -> width:float -> float
 
@@ -36,23 +35,21 @@ val filter_rows : 'a option -> rows:float -> float
     range, no exchange); the filter runs on the parent over
     [filter_rows]. *)
 val seq_scan_ms :
-  Sim_clock.model -> dop:int -> pages:float -> rows:float ->
-  filter_rows:float -> float
+  dop:int -> pages:float -> rows:float -> filter_rows:float -> float
 
 (** Unclustered index scan fetching [match_rows] of a table with
     [table_pages] pages: B+-tree descent, leaf walk, then a random read
     per fetched row capped by the table size, and the residual filter
     over [filter_rows]. *)
 val index_scan_ms :
-  Sim_clock.model -> match_rows:float -> table_pages:float ->
-  filter_rows:float -> float
+  match_rows:float -> table_pages:float -> filter_rows:float -> float
 
 (** Hash join, both inputs hash-exchanged at [dop > 1] so each worker
     joins a co-partition pair, plus [rf] serial runtime filters built from
     [build_rows] and probed by [rf_probe_rows] (the probe rows before
     filtering; [probe_rows] are those the join sees). *)
 val hash_join_ms :
-  Sim_clock.model -> dop:int -> build_rows:float -> build_pages:float ->
+  dop:int -> build_rows:float -> build_pages:float ->
   probe_rows:float -> probe_pages:float -> out_rows:float -> mem_pages:int ->
   rf:int -> rf_probe_rows:float -> float
 
@@ -60,11 +57,10 @@ val hash_join_ms :
     cached), a fetch per [fetched] inner row, the inner filter over
     [filter_rows]. *)
 val index_nl_join_ms :
-  Sim_clock.model -> outer_rows:float -> fetched:float -> filter_rows:float ->
-  float
+  outer_rows:float -> fetched:float -> filter_rows:float -> float
 
 val block_nl_join_ms :
-  Sim_clock.model -> outer_rows:float -> outer_pages:float ->
+  outer_rows:float -> outer_pages:float ->
   inner_rows:float -> inner_pages:float -> out_rows:float -> mem_pages:int ->
   float
 
@@ -72,7 +68,7 @@ val block_nl_join_ms :
     pre-sorted side), merge, and [rf] runtime filters built from the left
     side and probed by [rf_probe_rows]. *)
 val merge_join_ms :
-  Sim_clock.model -> left_rows:float -> left_pages:float ->
+  left_rows:float -> left_pages:float ->
   right_rows:float -> right_pages:float -> out_rows:float -> mem_pages:int ->
   left_sorted:bool -> right_sorted:bool -> rf:int -> rf_probe_rows:float ->
   float
@@ -80,24 +76,22 @@ val merge_join_ms :
 (** Hash aggregation, partitioned on the first grouping column at
     [dop > 1] (every group lands wholly on one worker). *)
 val aggregate_ms :
-  Sim_clock.model -> dop:int -> in_rows:float -> in_pages:float ->
+  dop:int -> in_rows:float -> in_pages:float ->
   groups:float -> group_pages:float -> mem_pages:int -> float
 
 (** Streaming aggregation over pre-grouped input: one CPU pass. *)
-val aggregate_sorted_ms :
-  Sim_clock.model -> in_rows:float -> groups:float -> float
+val aggregate_sorted_ms : in_rows:float -> groups:float -> float
 
 (** External sort; at [dop > 1] a round-robin exchange, per-worker sorts
     and a serial merge of all [rows] on the parent. *)
 val sort_ms :
-  Sim_clock.model -> dop:int -> rows:float -> data_pages:float ->
-  mem_pages:int -> float
+  dop:int -> rows:float -> data_pages:float -> mem_pages:int -> float
 
 (** One CPU unit per row: Filter (per input row), Project and Limit. *)
-val cpu_ms : Sim_clock.model -> rows:float -> float
+val cpu_ms : rows:float -> float
 
 (** Writing [pages] of an in-memory intermediate to disk. *)
-val materialize_ms : Sim_clock.model -> pages:float -> float
+val materialize_ms : pages:float -> float
 
 (** Interconnect cost of repartitioning [pages] across workers. *)
 val exchange_ms : pages:float -> float

@@ -48,7 +48,6 @@ module Int_tbl = Hashtbl.Make (struct
    call: between calls the dispatcher layers observed statistics onto the
    [Stats_env], and a selectivity cached across that would be stale. *)
 type ctx = {
-  model : Sim_clock.model;
   env : Stats_env.t;
   sel_env : Selectivity.env;
   planning_mem : int;
@@ -60,9 +59,8 @@ type ctx = {
 }
 
 let make_ctx ?(planning_mem = default_options.planning_mem_pages)
-    ?(max_dop = 1) ~model ~env () =
-  { model;
-    env;
+    ?(max_dop = 1) ~env () =
+  { env;
     sel_env = Stats_env.selectivity_env env;
     planning_mem;
     max_dop = Int.max 1 max_dop;
@@ -183,7 +181,7 @@ let mk_seq_scan ctx ~table ~alias ~filter ~schema =
   let filter_rows = Cost_model.filter_rows filter ~rows:r.Stats_env.rows in
   let dop, op_ms =
     choose_dop ctx (fun dop ->
-        Cost_model.seq_scan_ms ctx.model ~dop ~pages:r.Stats_env.pages
+        Cost_model.seq_scan_ms ~dop ~pages:r.Stats_env.pages
           ~rows:r.Stats_env.rows ~filter_rows)
   in
   mk_node ctx ~dop (Plan.Seq_scan { table; alias; filter }) schema ~rows ~op_ms
@@ -195,7 +193,7 @@ let mk_index_scan ctx ~table ~alias ~index_col ~lo ~hi ~filter ~schema
   let rows = scan_out_rows ctx ~alias ~filter in
   let match_rows = Float.max 1.0 (r.Stats_env.rows *. index_sel) in
   let op_ms =
-    Cost_model.index_scan_ms ctx.model ~match_rows
+    Cost_model.index_scan_ms ~match_rows
       ~table_pages:r.Stats_env.pages
       ~filter_rows:(Cost_model.filter_rows filter ~rows:match_rows)
   in
@@ -298,7 +296,7 @@ let price_hash_join ctx ~build ~probe ~keys ~jsel ~mem ~rf =
   let min_mem, max_mem = Cost_model.hash_join_mem ~build_pages in
   let mem = effective_mem ctx ~mem ~max_mem in
   let op_ms dop =
-    Cost_model.hash_join_ms ctx.model ~dop ~build_rows:b.Plan.rows
+    Cost_model.hash_join_ms ~dop ~build_rows:b.Plan.rows
       ~build_pages ~probe_rows:probe_rows_eff ~probe_pages ~out_rows:rows
       ~mem_pages:mem ~rf:(List.length rf) ~rf_probe_rows:p.Plan.rows
   in
@@ -318,13 +316,13 @@ let mk_hash_join ctx ~build ~probe ~keys ~extra ~jsel ~mem ~with_rf =
 (* [jsel] is the key pair's equi-join selectivity, [inner_sel] and
    [extra_sel] those of the inner filter and the residual: all three are
    fixed per split and key, whatever the outer plan. *)
-let price_index_nl_join ctx ~outer ~(inner : Stats_env.rel_info) ~jsel
+let price_index_nl_join ~outer ~(inner : Stats_env.rel_info) ~jsel
     ~inner_filter ~inner_sel ~extra_sel =
   let o = outer.Plan.est in
   let fetched = o.Plan.rows *. inner.Stats_env.rows *. jsel in
   let rows = fetched *. inner_sel *. extra_sel in
   let op_ms =
-    Cost_model.index_nl_join_ms ctx.model ~outer_rows:o.Plan.rows
+    Cost_model.index_nl_join_ms ~outer_rows:o.Plan.rows
       ~fetched:(Float.max 1.0 fetched)
       ~filter_rows:(Cost_model.filter_rows inner_filter ~rows:fetched)
   in
@@ -345,7 +343,7 @@ let mk_index_nl_join ctx ~outer ~table ~alias ~outer_col ~inner_col
   let extra_sel = sel_opt ctx extra in
   build_index_nl_join ~id:(fresh_id ctx) ~outer ~table ~alias ~outer_col
     ~inner_col ~inner_filter ~extra ~inner_schema:inner.Stats_env.rel_schema
-    (price_index_nl_join ctx ~outer ~inner ~jsel ~inner_filter ~inner_sel
+    (price_index_nl_join ~outer ~inner ~jsel ~inner_filter ~inner_sel
        ~extra_sel)
 
 let price_block_nl_join ctx ~outer ~inner ~pred_sel ~mem =
@@ -356,7 +354,7 @@ let price_block_nl_join ctx ~outer ~inner ~pred_sel ~mem =
   let min_mem, max_mem = Cost_model.block_nl_join_mem ~outer_pages in
   let mem = effective_mem ctx ~mem ~max_mem in
   let op_ms =
-    Cost_model.block_nl_join_ms ctx.model ~outer_rows:o.Plan.rows ~outer_pages
+    Cost_model.block_nl_join_ms ~outer_rows:o.Plan.rows ~outer_pages
       ~inner_rows:i.Plan.rows ~inner_pages ~out_rows:rows ~mem_pages:mem
   in
   price ~rows ~op_ms ~children:[ outer; inner ] ~min_mem ~max_mem ~mem ()
@@ -395,7 +393,7 @@ let price_merge_join ctx ~left ~right ~jsel ~left_sorted ~right_sorted ~mem
   let min_mem, max_mem = Cost_model.merge_join_mem ~left_pages ~right_pages in
   let mem = effective_mem ctx ~mem ~max_mem in
   let op_ms =
-    Cost_model.merge_join_ms ctx.model ~left_rows:le.Plan.rows ~left_pages
+    Cost_model.merge_join_ms ~left_rows:le.Plan.rows ~left_pages
       ~right_rows:right_rows_eff ~right_pages ~out_rows:rows ~mem_pages:mem
       ~left_sorted ~right_sorted ~rf:(List.length rf)
       ~rf_probe_rows:re.Plan.rows
@@ -455,13 +453,13 @@ let mk_aggregate ctx ~input ~group_by ~aggs ~mem =
   in
   let mem = if pre_sorted then 0 else effective_mem ctx ~mem ~max_mem in
   let op_ms dop =
-    Cost_model.aggregate_ms ctx.model ~dop ~in_rows:in_est.Plan.rows
+    Cost_model.aggregate_ms ~dop ~in_rows:in_est.Plan.rows
       ~in_pages ~groups:rows ~group_pages ~mem_pages:mem
   in
   (* streaming and ungrouped aggregation stay serial *)
   let dop, op_ms =
     if pre_sorted then
-      (1, Cost_model.aggregate_sorted_ms ctx.model ~in_rows:in_est.Plan.rows
+      (1, Cost_model.aggregate_sorted_ms ~in_rows:in_est.Plan.rows
             ~groups:rows)
     else if group_by = [] then (1, op_ms 1)
     else choose_dop ctx op_ms
@@ -478,7 +476,7 @@ let mk_sort ctx ~input ~keys ~mem =
   let mem = effective_mem ctx ~mem ~max_mem in
   let dop, op_ms =
     choose_dop ctx (fun dop ->
-        Cost_model.sort_ms ctx.model ~dop ~rows:in_est.Plan.rows ~data_pages
+        Cost_model.sort_ms ~dop ~rows:in_est.Plan.rows ~data_pages
           ~mem_pages:mem)
   in
   mk_node ctx ~dop (Plan.Sort { input; keys }) input.Plan.schema
@@ -487,7 +485,7 @@ let mk_sort ctx ~input ~keys ~mem =
 let mk_filter ctx ~input ~pred =
   let in_est = input.Plan.est in
   let rows = in_est.Plan.rows *. sel ctx pred in
-  let op_ms = Cost_model.cpu_ms ctx.model ~rows:in_est.Plan.rows in
+  let op_ms = Cost_model.cpu_ms ~rows:in_est.Plan.rows in
   mk_node ctx (Plan.Filter { input; pred }) input.Plan.schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
@@ -495,13 +493,13 @@ let mk_project ctx ~input ~cols =
   let idxs = List.map (Schema.index_of input.Plan.schema) cols in
   let schema = Schema.project input.Plan.schema idxs in
   let rows = input.Plan.est.Plan.rows in
-  let op_ms = Cost_model.cpu_ms ctx.model ~rows in
+  let op_ms = Cost_model.cpu_ms ~rows in
   mk_node ctx (Plan.Project { input; cols }) schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
 let mk_limit ctx ~input ~n =
   let rows = Float.min (float_of_int n) input.Plan.est.Plan.rows in
-  let op_ms = Cost_model.cpu_ms ctx.model ~rows in
+  let op_ms = Cost_model.cpu_ms ~rows in
   mk_node ctx (Plan.Limit { input; n }) input.Plan.schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
@@ -868,7 +866,7 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     let outer = left.plan and orders = left.orders in
     if admits mask (total outer) orders then begin
       let p =
-        price_index_nl_join ctx ~outer ~inner ~jsel ~inner_filter ~inner_sel
+        price_index_nl_join ~outer ~inner ~jsel ~inner_filter ~inner_sel
           ~extra_sel
       in
       if admits mask p.total_ms orders then
@@ -1237,10 +1235,10 @@ let plan_query ctx options (q : Query.t) =
          if b.Plan.est.Plan.total_ms < a.Plan.est.Plan.total_ms then b else a)
       first rest
 
-let optimize ?(options = default_options) ?clock ~model ~env q =
+let optimize ?(options = default_options) ?clock ?model:_ ~env q =
   let ctx =
     make_ctx ~planning_mem:options.planning_mem_pages ~max_dop:options.max_dop
-      ~model ~env ()
+      ~env ()
   in
   let plan = plan_query ctx options q in
   (match clock with
@@ -1252,8 +1250,8 @@ let optimize ?(options = default_options) ?clock ~model ~env q =
 (* Re-costing an existing structure under improved statistics.         *)
 
 let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
-    ~model ~env plan =
-  let ctx = make_ctx ~planning_mem ~max_dop ~model ~env () in
+    ~env plan =
+  let ctx = make_ctx ~planning_mem ~max_dop ~env () in
   let rec go (p : Plan.t) =
     let keep_mem = p.Plan.mem in
     let rebuilt =
@@ -1328,7 +1326,7 @@ let binom n k =
     !r
   end
 
-let estimated_opt_ms ~model ~relations =
+let estimated_opt_ms ~relations =
   let n = Int.max 1 relations in
   (* Connected subsets of a star of n relations contain the hub; a subset
      of size k admits 2(k-1) ordered connected splits, each costed with up
@@ -1337,4 +1335,4 @@ let estimated_opt_ms ~model ~relations =
   for k = 2 to n do
     count := !count +. (binom (n - 1) (k - 1) *. 4.0 *. float_of_int (k - 1))
   done;
-  !count *. model.Sim_clock.opt_per_plan_ms
+  !count *. Sim_clock.opt_per_plan_ms

@@ -22,7 +22,6 @@ type t = {
   mutable entries : int;
   mutable distinct : int;
   mutable next_node_id : int;
-  mutable nleaves : int;
 }
 
 let next_file_id = ref 1_000_000
@@ -35,7 +34,7 @@ let create ?(fanout = 64) () =
   if fanout < 4 then invalid_arg "Btree.create: fanout < 4";
   let leaf = { lid = 0; keys = [||]; vals = [||]; next = None } in
   { id = fresh_file_id (); fanout; root = Leaf leaf; entries = 0; distinct = 0;
-    next_node_id = 1; nleaves = 1 }
+    next_node_id = 1 }
 
 let entry_count t = t.entries
 let key_count t = t.distinct
@@ -93,7 +92,6 @@ let split_leaf t lf =
   lf.keys <- Array.sub lf.keys 0 mid;
   lf.vals <- Array.sub lf.vals 0 mid;
   lf.next <- Some right;
-  t.nleaves <- t.nleaves + 1;
   Split (right.keys.(0), Leaf right)
 
 let split_internal t nd =

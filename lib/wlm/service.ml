@@ -167,31 +167,8 @@ let incr_metric ?(by = 1) t ~tenant ~what =
 
 (* --- sanitizer: per-tenant transient-page accounting ------------------- *)
 
-(* Whenever the scheduler observes its runs from outside a step — i.e. at
-   every decision point and at completion — each tenant's transient pages
-   (bloom bitmaps + worker pool slices over all its in-flight runs) must
-   sum to zero.  This is the service-level TEN-LIFETIME check the
-   sanitizer mode enables. *)
-let check_tenant_pages t ~what =
-  if Engine.verify_mode t.engine = Verifier.Sanitize then begin
-    let held = Hashtbl.create 4 in
-    List.iter
-      (fun (s : Session.stmt) ->
-         match s.Session.stmt_run with
-         | Some run ->
-           let pages = Dispatcher.transient_pages_held run in
-           Hashtbl.replace held s.Session.stmt_tenant
-             (pages
-              + Option.value ~default:0
-                  (Hashtbl.find_opt held s.Session.stmt_tenant))
-         | None -> ())
-      t.running;
-    Hashtbl.iter
-      (fun tenant pages ->
-         if pages <> 0 then Verifier.reject_tenant_pages ~what ~tenant ~pages)
-      held
-  end
-
+(* A tenant's transient pages: bloom bitmaps + worker pool slices over
+   all its in-flight runs. *)
 let tenant_pages_in_flight t name =
   List.fold_left
     (fun acc (s : Session.stmt) ->
@@ -200,6 +177,18 @@ let tenant_pages_in_flight t name =
          acc + Dispatcher.transient_pages_held run
        | _ -> acc)
     0 t.running
+
+(* Whenever the scheduler observes its runs from outside a step — i.e. at
+   every decision point and at completion — each registered tenant's
+   transient pages, the sum the monitor reads, must be zero.  This is the
+   service-level TEN-LIFETIME check the sanitizer mode enables. *)
+let check_tenant_pages t ~what =
+  if Engine.verify_mode t.engine = Verifier.Sanitize then
+    List.iter
+      (fun tenant ->
+         let pages = tenant_pages_in_flight t tenant in
+         if pages <> 0 then Verifier.reject_tenant_pages ~what ~tenant ~pages)
+      (tenant_names t)
 
 (* --- admission --------------------------------------------------------- *)
 

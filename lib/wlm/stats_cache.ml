@@ -23,15 +23,13 @@ type t = {
   cards : (string, int entry) Hashtbl.t;  (* table -> exact cardinality *)
   mutable published : int;
   mutable applied : int;
-  mutable invalidated : int;
 }
 
 let create () =
   { cols = Hashtbl.create 32;
     cards = Hashtbl.create 8;
     published = 0;
-    applied = 0;
-    invalidated = 0 }
+    applied = 0 }
 
 let version_of catalog table =
   Option.map
@@ -83,14 +81,13 @@ let publish t catalog (q : Query.t) (report : Dispatcher.report) =
 
 (* Validity check with eager eviction: a hit against a moved table drops
    the entry so the cache never serves it again. *)
-let fresh t find remove key now =
-  match find key with
+let fresh tbl key now =
+  match Hashtbl.find_opt tbl key with
   | None -> None
   | Some entry ->
     if Some entry.v = now then Some entry.value
     else begin
-      remove key;
-      t.invalidated <- t.invalidated + 1;
+      Hashtbl.remove tbl key;
       None
     end
 
@@ -99,9 +96,7 @@ let overlay t catalog (q : Query.t) env =
     (fun (r : Query.relation) ->
        let table = r.Query.table in
        let now = version_of catalog table in
-       (match
-          fresh t (Hashtbl.find_opt t.cards) (Hashtbl.remove t.cards) table now
-        with
+       (match fresh t.cards table now with
         | Some rows ->
           Stats_env.override_rows env ~alias:r.Query.alias
             ~rows:(float_of_int rows);
@@ -109,12 +104,7 @@ let overlay t catalog (q : Query.t) env =
         | None -> ());
        List.iter
          (fun (col : Schema.column) ->
-            match
-              fresh t
-                (Hashtbl.find_opt t.cols)
-                (Hashtbl.remove t.cols)
-                (table, col.Schema.name) now
-            with
+            match fresh t.cols (table, col.Schema.name) now with
             | Some stats ->
               Stats_env.override env ~column:(Schema.qualified_name col) stats;
               t.applied <- t.applied + 1

@@ -33,6 +33,6 @@ val overlay :
   t -> Mqr_catalog.Catalog.t -> Mqr_sql.Query.t -> Mqr_opt.Stats_env.t ->
   unit
 
-(** Statistics published / overlaid / invalidated so far. *)
+(** Statistics published / overlaid so far. *)
 val published : t -> int
 val applied : t -> int

@@ -68,7 +68,7 @@ let print_plan ~bounds ~title ?enumerated ?(max_dop = 1) plan =
   Printf.printf "est %s\n" (digest plan);
   let interval max_dop =
     let iv =
-      Bounds.cost_interval bounds ~model:Sim_clock.default_model ~max_dop plan
+      Bounds.cost_interval bounds ~max_dop plan
     in
     Printf.sprintf "dop%d [%h, %h]" max_dop iv.Bounds.lo iv.Bounds.hi
   in
@@ -77,7 +77,6 @@ let print_plan ~bounds ~title ?enumerated ?(max_dop = 1) plan =
 let () =
   let catalog = Workload.experiment_catalog ~sf:0.005 () in
   let bind sql = Query.bind catalog (Parser.parse sql) in
-  let model = Sim_clock.default_model in
   let bounds = Bounds.env catalog in
   let print_plan = print_plan ~bounds in
   List.iter
@@ -86,7 +85,7 @@ let () =
        List.iter
          (fun (name, options) ->
             let env = Stats_env.create catalog query.Query.relations in
-            let r = Optimizer.optimize ~options ~model ~env query in
+            let r = Optimizer.optimize ~options ~env query in
             print_plan
               ~title:(Printf.sprintf "%s %s" q.Queries.name name)
               ~enumerated:r.Optimizer.plans_enumerated
@@ -102,7 +101,7 @@ let () =
          (fun (r : Stats_env.rel_info) ->
             Stats_env.override_rows env ~alias:r.Stats_env.alias ~rows:2.0)
          (Stats_env.relations env);
-       let r = Optimizer.optimize ~model ~env query in
+       let r = Optimizer.optimize ~env query in
        print_plan
          ~title:(Printf.sprintf "%s ties" q.Queries.name)
          ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)
@@ -130,7 +129,7 @@ let () =
                               Column_stats.distinct = Some (pick rng distinct) })
                        r.Stats_env.col_stats)
                   (Stats_env.relations env);
-                let r = Optimizer.optimize ~options ~model ~env query in
+                let r = Optimizer.optimize ~options ~env query in
                 print_plan
                   ~title:
                     (Printf.sprintf "%s %s seed=%d %s" q.Queries.name label
@@ -164,16 +163,16 @@ let () =
   in
   let query = bind Queries.q5.Queries.sql in
   let env = Stats_env.create catalog query.Query.relations in
-  let r = Optimizer.optimize ~model ~env query in
+  let r = Optimizer.optimize ~env query in
   observe env;
   print_plan ~title:"Q5 recost after override"
-    (Optimizer.recost ~model ~env r.Optimizer.plan);
+    (Optimizer.recost ~env r.Optimizer.plan);
   List.iter
     (fun (q : Queries.query) ->
        let query = bind q.Queries.sql in
        let env = Stats_env.create catalog query.Query.relations in
        observe env;
-       let r = Optimizer.optimize ~model ~env query in
+       let r = Optimizer.optimize ~env query in
        print_plan
          ~title:(Printf.sprintf "%s re-optimize after override" q.Queries.name)
          ~enumerated:r.Optimizer.plans_enumerated r.Optimizer.plan)

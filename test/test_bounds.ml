@@ -227,7 +227,7 @@ let test_cost_interval_ordered () =
       (scan c "t") (scan c ~rows:200.0 "f")
   in
   let iv =
-    Bounds.cost_interval (Bounds.env c) ~model:Sim_clock.default_model p
+    Bounds.cost_interval (Bounds.env c) p
   in
   Alcotest.(check bool) "lower bound positive" true (iv.Bounds.lo > 0.0);
   Alcotest.(check bool) "interval ordered" true (iv.Bounds.lo <= iv.Bounds.hi);

@@ -66,7 +66,7 @@ let env_for catalog sql =
 
 let plan_for catalog sql =
   let q, env = env_for catalog sql in
-  ((Optimizer.optimize ~model:Sim_clock.default_model ~env q).Optimizer.plan, env)
+  ((Optimizer.optimize ~env q).Optimizer.plan, env)
 
 let test_base_histogram_levels () =
   let catalog = mini_catalog () in
@@ -111,7 +111,7 @@ let test_udf_filter_high () =
          "select tk from t where f(tval)")
   in
   let env = Stats_env.create catalog q.Query.relations in
-  let plan = (Optimizer.optimize ~model:Sim_clock.default_model ~env q).Optimizer.plan in
+  let plan = (Optimizer.optimize ~env q).Optimizer.plan in
   Alcotest.(check string) "udf -> high" "high"
     (Inaccuracy.level_to_string (Inaccuracy.cardinality_level env plan))
 
@@ -251,7 +251,6 @@ let decide_view ?(mode = Reopt_policy.Full) ?(theta1 = 1e9) ?(force = false)
           Plan.total_ms = plan.Plan.est.Plan.total_ms *. improved_scale } }
   in
   { Reopt_policy.catalog;
-    model = Sim_clock.default_model;
     opt_options = Optimizer.default_options;
     params = { Reopt_policy.default_params with Reopt_policy.theta1 };
     mode;
@@ -351,7 +350,7 @@ let test_decide_is_pure () =
   let clock = Sim_clock.create () in
   let q, env = env_for catalog decide_sql in
   ignore
-    (Optimizer.optimize ~clock ~model:Sim_clock.default_model ~env q);
+    (Optimizer.optimize ~clock ~env q);
   let catalog_state () =
     List.sort compare
       (List.map

@@ -129,17 +129,26 @@ let test_copy_nan_then_analyze () =
   let r = Engine.run_sql engine "select x from t where x > 2.0" in
   Alcotest.(check int) "query after analyze" 1 (Array.length r.Dispatcher.rows)
 
+(* COPY appends row by row, so a bad field stops it after the rows
+   before it; those rows must be in every index too. *)
 let test_copy_bad_field () =
   let engine = Engine.create (Catalog.create ()) in
   ignore (Engine.execute engine "create table q (a int)");
+  ignore (Engine.execute engine "create index on q (a)");
   let path = Filename.temp_file "mqr_copy" ".csv" in
-  Csv.write_file path [ [ "not-an-int" ] ];
+  Csv.write_file path [ [ "7" ]; [ "not-an-int" ] ];
   Alcotest.(check bool) "rejects bad field" true
     (try
        ignore (Engine.execute engine (Printf.sprintf "copy q from '%s'" path));
        false
      with Engine.Dml_error _ -> true);
-  Sys.remove path
+  Sys.remove path;
+  let tbl = Catalog.find_exn (Engine.catalog engine) "q" in
+  let ix = Option.get (Catalog.find_index tbl ~column:"a") in
+  Alcotest.(check int) "rows before the bad field" 1
+    (Heap_file.tuple_count tbl.Catalog.heap);
+  Alcotest.(check (list int)) "indexed too" [ 0 ]
+    (Btree.lookup (Catalog.index_tree tbl ix) (Value.Int 7))
 
 let suite =
   [ Alcotest.test_case "csv line roundtrip" `Quick test_csv_roundtrip_line;

@@ -831,7 +831,9 @@ let test_collector_cost_budgeting () =
   in
   Alcotest.(check bool) "stats cost more" true (loaded > base);
   Alcotest.(check (float 1e-9)) "formula"
-    (1000.0 *. (Collector.base_tuple_ms +. (2.0 *. Collector.stat_tuple_ms)))
+    (1000.0
+     *. (Sim_clock.collect_base_tuple_ms
+         +. (2.0 *. Sim_clock.collect_stat_tuple_ms)))
     loaded
 
 let test_collector_to_column_stats () =

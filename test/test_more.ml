@@ -24,16 +24,15 @@ let contains hay needle =
 
 let test_clock_accounting () =
   let c = Sim_clock.create () in
-  let m = Sim_clock.model c in
   Sim_clock.charge_seq_read c 10;
   Sim_clock.charge_rand_read c 2;
   Sim_clock.charge_write c 3;
   Sim_clock.charge_cpu_tuples c 1000;
   let expect =
-    (10.0 *. m.Sim_clock.seq_read_ms)
-    +. (2.0 *. m.Sim_clock.rand_read_ms)
-    +. (3.0 *. m.Sim_clock.write_ms)
-    +. (1000.0 *. m.Sim_clock.cpu_tuple_ms)
+    (10.0 *. Sim_clock.seq_read_ms)
+    +. (2.0 *. Sim_clock.rand_read_ms)
+    +. (3.0 *. Sim_clock.write_ms)
+    +. (1000.0 *. Sim_clock.cpu_tuple_ms)
   in
   Alcotest.(check (float 1e-9)) "elapsed" expect (Sim_clock.elapsed_ms c)
 
@@ -42,9 +41,8 @@ let test_clock_since () =
   Sim_clock.charge_seq_read c 5;
   let snap = Sim_clock.snapshot c in
   Sim_clock.charge_write c 7;
-  let m = Sim_clock.model c in
   Alcotest.(check (float 1e-9)) "delta only"
-    (7.0 *. m.Sim_clock.write_ms)
+    (7.0 *. Sim_clock.write_ms)
     (Sim_clock.since c snap)
 
 let test_clock_optimizer_charge () =
@@ -224,7 +222,7 @@ let test_inaccuracy_merge_and_inl_joins () =
          "select a1 from fact, dim1 where fact.fk1 = dim1.k1 and v < 900")
   in
   let env = Stats_env.create catalog q.Query.relations in
-  let r = Optimizer.optimize ~model:Sim_clock.default_model ~env q in
+  let r = Optimizer.optimize ~env q in
   (* whatever join the optimizer chose, a filter with no statistics makes
      the output-cardinality level High *)
   Alcotest.(check string) "high above unanalyzed filter" "high"

@@ -48,7 +48,7 @@ let fixture () =
 let optimize ?options catalog sql =
   let q = Query.bind catalog (Parser.parse sql) in
   let env = Stats_env.create catalog q.Query.relations in
-  Optimizer.optimize ?options ~model:Sim_clock.default_model ~env q
+  Optimizer.optimize ?options ~env q
 
 let test_single_table_plan () =
   let catalog = fixture () in
@@ -152,7 +152,7 @@ let test_recost_preserves_structure_and_ids () =
   let q = Query.bind catalog (Parser.parse
     "select tag from fact, dim1 where fact.fk1 = dim1.k and v < 100") in
   let env = Stats_env.create catalog q.Query.relations in
-  let r2 = Optimizer.recost ~model:Sim_clock.default_model ~env r.Optimizer.plan in
+  let r2 = Optimizer.recost ~env r.Optimizer.plan in
   let ids p = List.map (fun (n : Plan.t) -> n.Plan.id) (Plan.nodes p) in
   Alcotest.(check (list int)) "ids preserved" (ids r.Optimizer.plan) (ids r2);
   let ops p = List.map Plan.op_name (Plan.nodes p) in
@@ -163,7 +163,7 @@ let test_recost_with_override_changes_estimate () =
   let sql = "select tag from fact, dim1 where fact.fk1 = dim1.k and v < 5000" in
   let q = Query.bind catalog (Parser.parse sql) in
   let env = Stats_env.create catalog q.Query.relations in
-  let r = Optimizer.optimize ~model:Sim_clock.default_model ~env q in
+  let r = Optimizer.optimize ~env q in
   (* pretend a collector discovered v actually lives far above 5000, so
      the filter keeps almost nothing *)
   let st =
@@ -171,7 +171,7 @@ let test_recost_with_override_changes_estimate () =
       (List.init 10 (fun i -> Value.Int (1_000_000 + i)))
   in
   Stats_env.override env ~column:"fact.v" st;
-  let r2 = Optimizer.recost ~model:Sim_clock.default_model ~env r.Optimizer.plan in
+  let r2 = Optimizer.recost ~env r.Optimizer.plan in
   Alcotest.(check bool) "estimate shrank" true
     (r2.Plan.est.Plan.rows < r.Optimizer.plan.Plan.est.Plan.rows)
 
@@ -184,10 +184,9 @@ let test_planning_error_on_unknown_column () =
      with Query.Bind_error _ -> true)
 
 let test_estimated_opt_ms_monotone () =
-  let model = Sim_clock.default_model in
   let prev = ref 0.0 in
   for n = 1 to 10 do
-    let t = Optimizer.estimated_opt_ms ~model ~relations:n in
+    let t = Optimizer.estimated_opt_ms ~relations:n in
     Alcotest.(check bool) "monotone" true (t >= !prev);
     prev := t
   done
@@ -221,9 +220,8 @@ let test_memory_demands_positive () =
     (Plan.nodes r.Optimizer.plan)
 
 let test_cost_model_hash_join_spill_monotone () =
-  let model = Sim_clock.default_model in
   let cost mem =
-    Cost_model.hash_join_ms model ~dop:1 ~build_rows:10_000.0
+    Cost_model.hash_join_ms ~dop:1 ~build_rows:10_000.0
       ~build_pages:100.0 ~probe_rows:10_000.0 ~probe_pages:100.0
       ~out_rows:10_000.0 ~mem_pages:mem ~rf:0 ~rf_probe_rows:10_000.0
   in
@@ -357,55 +355,54 @@ let prop_children_bound_join_cost =
   QCheck.Test.make ~name:"children's totals bound a join: op costs >= 0"
     ~count:500 (QCheck.make cost_args_gen)
     (fun ((r1, r2, out, width), (p1, p2), (mem_pages, dop, ls, rs)) ->
-       let m = Sim_clock.default_model in
        let ok ms = Float.is_finite ms && ms >= 0.0 in
        List.for_all
          (fun (p1, p2) ->
             List.for_all ok
-              [ Cost_model.hash_join_ms m ~dop ~build_rows:r1 ~build_pages:p1
+              [ Cost_model.hash_join_ms ~dop ~build_rows:r1 ~build_pages:p1
                   ~probe_rows:r2 ~probe_pages:p2 ~out_rows:out ~mem_pages
                   ~rf:2 ~rf_probe_rows:r2;
-                Cost_model.merge_join_ms m ~left_rows:r1 ~left_pages:p1
+                Cost_model.merge_join_ms ~left_rows:r1 ~left_pages:p1
                   ~right_rows:r2 ~right_pages:p2 ~out_rows:out ~mem_pages
                   ~left_sorted:ls ~right_sorted:rs ~rf:2 ~rf_probe_rows:r2;
-                Cost_model.index_nl_join_ms m ~outer_rows:r1 ~fetched:out
+                Cost_model.index_nl_join_ms ~outer_rows:r1 ~fetched:out
                   ~filter_rows:out;
-                Cost_model.block_nl_join_ms m ~outer_rows:r1 ~outer_pages:p1
+                Cost_model.block_nl_join_ms ~outer_rows:r1 ~outer_pages:p1
                   ~inner_rows:r2 ~inner_pages:p2 ~out_rows:out ~mem_pages ])
          [ (p1, p2);
            (Cost_model.pages ~rows:r1 ~width, Cost_model.pages ~rows:r2 ~width) ])
 
 (* Every shape's price over an array of quantities and a memory grant. *)
-let shapes m ~dop ~rf ~ls ~rs =
+let shapes ~dop ~rf ~ls ~rs =
   [ ("seq_scan", 3, fun q _ ->
-        Cost_model.seq_scan_ms m ~dop ~pages:q.(0) ~rows:q.(1)
+        Cost_model.seq_scan_ms ~dop ~pages:q.(0) ~rows:q.(1)
           ~filter_rows:q.(2));
     ("index_scan", 3, fun q _ ->
-        Cost_model.index_scan_ms m ~match_rows:q.(0) ~table_pages:q.(1)
+        Cost_model.index_scan_ms ~match_rows:q.(0) ~table_pages:q.(1)
           ~filter_rows:q.(2));
     ("hash_join", 6, fun q mem_pages ->
-        Cost_model.hash_join_ms m ~dop ~build_rows:q.(0) ~build_pages:q.(1)
+        Cost_model.hash_join_ms ~dop ~build_rows:q.(0) ~build_pages:q.(1)
           ~probe_rows:q.(2) ~probe_pages:q.(3) ~out_rows:q.(4) ~mem_pages ~rf
           ~rf_probe_rows:q.(5));
     ("merge_join", 6, fun q mem_pages ->
-        Cost_model.merge_join_ms m ~left_rows:q.(0) ~left_pages:q.(1)
+        Cost_model.merge_join_ms ~left_rows:q.(0) ~left_pages:q.(1)
           ~right_rows:q.(2) ~right_pages:q.(3) ~out_rows:q.(4) ~mem_pages
           ~left_sorted:ls ~right_sorted:rs ~rf ~rf_probe_rows:q.(5));
     ("index_nl_join", 3, fun q _ ->
-        Cost_model.index_nl_join_ms m ~outer_rows:q.(0) ~fetched:q.(1)
+        Cost_model.index_nl_join_ms ~outer_rows:q.(0) ~fetched:q.(1)
           ~filter_rows:q.(2));
     ("block_nl_join", 5, fun q mem_pages ->
-        Cost_model.block_nl_join_ms m ~outer_rows:q.(0) ~outer_pages:q.(1)
+        Cost_model.block_nl_join_ms ~outer_rows:q.(0) ~outer_pages:q.(1)
           ~inner_rows:q.(2) ~inner_pages:q.(3) ~out_rows:q.(4) ~mem_pages);
     ("aggregate", 4, fun q mem_pages ->
-        Cost_model.aggregate_ms m ~dop ~in_rows:q.(0) ~in_pages:q.(1)
+        Cost_model.aggregate_ms ~dop ~in_rows:q.(0) ~in_pages:q.(1)
           ~groups:q.(2) ~group_pages:q.(3) ~mem_pages);
     ("aggregate_sorted", 2, fun q _ ->
-        Cost_model.aggregate_sorted_ms m ~in_rows:q.(0) ~groups:q.(1));
+        Cost_model.aggregate_sorted_ms ~in_rows:q.(0) ~groups:q.(1));
     ("sort", 2, fun q mem_pages ->
-        Cost_model.sort_ms m ~dop ~rows:q.(0) ~data_pages:q.(1) ~mem_pages);
-    ("cpu", 1, fun q _ -> Cost_model.cpu_ms m ~rows:q.(0));
-    ("materialize", 1, fun q _ -> Cost_model.materialize_ms m ~pages:q.(0)) ]
+        Cost_model.sort_ms ~dop ~rows:q.(0) ~data_pages:q.(1) ~mem_pages);
+    ("cpu", 1, fun q _ -> Cost_model.cpu_ms ~rows:q.(0));
+    ("materialize", 1, fun q _ -> Cost_model.materialize_ms ~pages:q.(0)) ]
 
 (* Bounds.cost_interval prices each node at the low and the high corner of
    its intervals; the two prices bracket the node's cost only if every
@@ -446,7 +443,7 @@ let prop_prices_monotone =
                      fail (Printf.sprintf "quantity %d infinite" i)
                    else true)
                 (List.init n Fun.id))
-         (shapes Sim_clock.default_model ~dop ~rf:(mem mod 3) ~ls ~rs))
+         (shapes ~dop ~rf:(mem mod 3) ~ls ~rs))
 
 (* Every price bit for bit at two fixed quantity sets — serial without
    runtime filters, and four workers with two filters, both under a
@@ -466,7 +463,7 @@ let test_prices_pinned () =
       (fun (set, dop, rf, ls, rs, mem, q) ->
          List.map
            (fun (name, _, price) -> (name ^ "/" ^ set, bits (price q mem)))
-           (shapes Sim_clock.default_model ~dop ~rf ~ls ~rs))
+           (shapes ~dop ~rf ~ls ~rs))
       sets
   in
   let terms =
@@ -488,8 +485,7 @@ let test_prices_pinned () =
       [ ([], []); ([ "a" ], []); ([ "a"; "b" ], [ "c" ]) ]
     @ List.init 8 (fun i ->
         (Printf.sprintf "opt_estimated/%d" (i + 1),
-         bits (Optimizer.estimated_opt_ms ~model:Sim_clock.default_model
-                 ~relations:(i + 1))))
+         bits (Optimizer.estimated_opt_ms ~relations:(i + 1))))
   in
   Alcotest.(check (list (pair string int64))) "pinned"
     [ ("seq_scan/dop1", 4672576028992646152L);

@@ -65,12 +65,11 @@ let test_striped_scan_in_place () =
          true
          (Heap_file.owns heap (Leaf.rows leaf) && Leaf.length leaf = n);
        let r = ctx () in
-       let model = Sim_clock.model r.Exec_ctx.clock in
        let slice = max 1 (Buffer_pool.capacity r.Exec_ctx.pool / degree) in
        let slowest =
          List.fold_left Float.max 0.0
            (List.init degree (fun w ->
-                let wctx = Exec_ctx.create ~model ~pool_pages:slice () in
+                let wctx = Exec_ctx.create ~pool_pages:slice () in
                 let stripe =
                   Heap_file.read heap ~pool:wctx.Exec_ctx.pool
                     ~clock:wctx.Exec_ctx.clock ~from_rid:(w * n / degree)
@@ -83,7 +82,7 @@ let test_striped_scan_in_place () =
        in
        Sim_clock.charge_cpu_ms r.Exec_ctx.clock slowest;
        Sim_clock.charge_cpu_ms r.Exec_ctx.clock
-         (Parallel.startup_ms *. float_of_int (degree - 1));
+         (Sim_clock.parallel_startup_ms *. float_of_int (degree - 1));
        Alcotest.(check int64)
          (Printf.sprintf "degree %d: charged as the per-stripe reads" degree)
          (Int64.bits_of_float (Sim_clock.elapsed_ms r.Exec_ctx.clock))
