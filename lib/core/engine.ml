@@ -139,25 +139,35 @@ let const_value schema_col e =
          (Printf.sprintf "value %s does not fit column %s of type %s"
             (Value.to_string v) schema_col.Schema.name (Value.ty_to_string ty)))
 
+(* Append [tuple_of x] for each [x] in order and return the count.  When
+   one raises, the rows before it stay in the table and its indexes, so
+   they are counted toward [updates_since_analyze] either way. *)
+let append_rows t ~table tbl tuple_of xs =
+  let count = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Catalog.note_updates t.catalog ~table !count)
+    (fun () ->
+       List.iter
+         (fun x ->
+            Catalog.insert_row tbl (tuple_of x);
+            incr count)
+         xs);
+  !count
+
 let insert_rows t ~table rows =
   let tbl = Catalog.find_exn t.catalog table in
   let schema = Heap_file.schema tbl.Catalog.heap in
   let arity = Schema.arity schema in
-  List.iter
+  append_rows t ~table tbl
     (fun row ->
        if List.length row <> arity then
          raise
            (Dml_error
               (Printf.sprintf "expected %d values for %s, got %d" arity table
                  (List.length row)));
-       let tuple =
-         Array.of_list
-           (List.mapi (fun i e -> const_value (Schema.column schema i) e) row)
-       in
-       Catalog.insert_row tbl tuple)
-    rows;
-  Catalog.note_updates t.catalog ~table (List.length rows);
-  List.length rows
+       Array.of_list
+         (List.mapi (fun i e -> const_value (Schema.column schema i) e) row))
+    rows
 
 let delete_rows t ~table ~where =
   let tbl = Catalog.find_exn t.catalog table in
@@ -229,24 +239,17 @@ let copy_csv t ~table ~file =
   let tbl = Catalog.find_exn t.catalog table in
   let schema = Heap_file.schema tbl.Catalog.heap in
   let arity = Schema.arity schema in
-  let count = ref 0 in
-  List.iter
+  append_rows t ~table tbl
     (fun record ->
        if List.length record <> arity then
          raise
            (Dml_error
               (Printf.sprintf "expected %d fields, got %d" arity
                  (List.length record)));
-       let tuple =
-         Array.of_list
-           (List.mapi (fun i s -> coerce_csv_field (Schema.column schema i) s)
-              record)
-       in
-       Catalog.insert_row tbl tuple;
-       incr count)
-    (Mqr_storage.Csv.read_file file);
-  Catalog.note_updates t.catalog ~table !count;
-  !count
+       Array.of_list
+         (List.mapi (fun i s -> coerce_csv_field (Schema.column schema i) s)
+            record))
+    (Mqr_storage.Csv.read_file file)
 
 let execute t ?mode ?probe_rows sql =
   match Parser.parse_statement ~udfs:!(t.udfs) sql with

@@ -34,14 +34,6 @@ let base_histogram_level env ~column =
    UDF -> High; two or more distinct attributes -> one level worse than the
    worst attribute (correlations); single attribute -> that attribute's
    histogram level. *)
-(* How wrong a selectivity estimate turned out, as a level: within 2x ->
-   Low, within 4x -> Medium, beyond -> High.  Used to grade runtime-filter
-   estimates against their observed pass rates. *)
-let selectivity_error_level ~est ~obs =
-  let est = Float.max 1e-6 est and obs = Float.max 1e-6 obs in
-  let ratio = if est > obs then est /. obs else obs /. est in
-  if ratio < 2.0 then Low else if ratio < 4.0 then Medium else High
-
 let filter_level env = function
   | None -> Low
   | Some pred ->
@@ -60,8 +52,6 @@ let is_key_col env column =
   match Stats_env.stats_of env column with
   | Some st -> st.Column_stats.is_key
   | None -> false
-
-let pp_level fmt l = Fmt.string fmt (level_to_string l)
 
 let rec cardinality_level env (p : Plan.t) =
   match p.Plan.node with

@@ -33,13 +33,6 @@ val base_histogram_level :
 val filter_level :
   Mqr_opt.Stats_env.t -> Mqr_expr.Expr.t option -> level
 
-(** Grade of a selectivity estimate against its observation: within a
-    factor of 2 -> [Low], 4 -> [Medium], beyond -> [High].  Used for
-    runtime-filter pass rates. *)
-val selectivity_error_level : est:float -> obs:float -> level
-
-val pp_level : Format.formatter -> level -> unit
-
 (** Level of the optimizer's *cardinality* estimate for a plan node's
     output. *)
 val cardinality_level : Mqr_opt.Stats_env.t -> Mqr_opt.Plan.t -> level

@@ -13,7 +13,6 @@ type t = {
   max_v : Value.t;
   bits : Bytes.t;
   nbits : int;
-  pages : int;
   mutable probed : int;
   mutable passed : int;
 }
@@ -21,10 +20,7 @@ type t = {
 let target_col t = t.target_col
 let source t = t.source
 let est_sel t = t.est_sel
-let pages t = t.pages
 let probed t = t.probed
-let passed t = t.passed
-let has_bloom t = t.nbits > 0
 
 let pages_for ~keys =
   if keys <= 0 then 0
@@ -93,7 +89,6 @@ let create ctx ~source ~build_col ~target_col ~est_sel ~max_pages ~key_idx
       max_v = !max_v;
       bits = Bytes.make ((nbits + 7) / 8) '\000';
       nbits;
-      pages = (if nbits = 0 then 0 else pages);
       probed = 0;
       passed = 0 }
   in

@@ -42,10 +42,6 @@ val create :
     does not apply there (column absent or ambiguous). *)
 val applicable : t -> Schema.t -> int option
 
-(** Can this key value possibly join?  False for nulls, values outside the
-    build side's [min, max], and bloom misses; never falsely negative. *)
-val admits : t -> Value.t -> bool
-
 (** Filter the rows on column [idx], charging
     {!Mqr_storage.Sim_clock.rf_probe_tuple_ms} per input
     row and recording the pass rate. *)
@@ -55,13 +51,8 @@ val target_col : t -> string
 val source : t -> string
 val est_sel : t -> float
 
-(** Bitmap pages actually held (0 for a min-max-only filter). *)
-val pages : t -> int
-
 val probed : t -> int
-val passed : t -> int
 val dropped : t -> int
-val has_bloom : t -> bool
 
 (** Observed pass fraction; the estimate when nothing was probed yet. *)
 val observed_sel : t -> float

@@ -126,8 +126,6 @@ let rec fold f acc t =
 
 let nodes t = List.rev (fold (fun acc n -> n :: acc) [] t)
 
-let find t id = List.find_opt (fun n -> n.id = id) (nodes t)
-
 let aliases t =
   let rec go acc t =
     match t.node with

@@ -115,8 +115,6 @@ val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 (** All nodes, pre-order. *)
 val nodes : t -> t list
 
-val find : t -> int -> t option
-
 (** Base-relation aliases mentioned under this node. *)
 val aliases : t -> string list
 

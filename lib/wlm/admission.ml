@@ -16,6 +16,7 @@ let create ~capacity =
 
 let length t = List.length t.items
 let is_empty t = t.items = []
+let exists t pred = List.exists (fun x -> pred x.payload) t.items
 
 (* Earliest-deadline-first: a statement whose SLO clock is running out
    overtakes everything with more slack.  Deadline ties (in particular the

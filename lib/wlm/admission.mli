@@ -23,5 +23,8 @@ val offer : ?deadline:float -> 'a t -> 'a -> bool
     without stalling other tenants queued behind it. *)
 val take_if : 'a t -> ('a -> bool) -> 'a option
 
+(** [exists t pred]: does any waiting item satisfy [pred]? *)
+val exists : 'a t -> ('a -> bool) -> bool
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool

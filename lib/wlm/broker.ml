@@ -1,17 +1,18 @@
 type tenant = {
-  tn_weight : int;
+  mutable tn_weight : int;
   mutable tn_active : bool;  (* has admitted-but-unfinished work *)
-  mutable tn_leased : int;   (* cached sum of this tenant's leases *)
   mutable tn_peak : int;
   mutable tn_waits : int;    (* lease calls clipped by other tenants' floors *)
 }
+
+(* One live lease: its pages and the tenant it was granted under. *)
+type lease = { pages : int; owner : string option }
 
 type t = {
   budget : int;
   floor : int;
   max_concurrency : int;
-  leases : (int, int) Hashtbl.t;
-  owners : (int, string) Hashtbl.t;  (* lease id -> tenant *)
+  leases : (int, lease) Hashtbl.t;  (* lease id -> lease *)
   tenants : (string, tenant) Hashtbl.t;
   mutable pending : int;
   mutable peak : int;
@@ -26,7 +27,6 @@ let create ~budget_pages ~max_concurrency =
     floor = max 1 (budget_pages / max_concurrency);
     max_concurrency;
     leases = Hashtbl.create 8;
-    owners = Hashtbl.create 8;
     tenants = Hashtbl.create 4;
     pending = 0;
     peak = 0;
@@ -36,13 +36,14 @@ let create ~budget_pages ~max_concurrency =
 let budget_pages t = t.budget
 let floor_pages t = t.floor
 
-let total_leased t = Hashtbl.fold (fun _ pages acc -> acc + pages) t.leases 0
+let total_leased t = Hashtbl.fold (fun _ l acc -> acc + l.pages) t.leases 0
 
 let free_pages t = t.budget - total_leased t
 
 let outstanding t = Hashtbl.length t.leases
 
-let lease_of t ~id = Option.value ~default:0 (Hashtbl.find_opt t.leases id)
+let lease_of t ~id =
+  match Hashtbl.find_opt t.leases id with Some l -> l.pages | None -> 0
 
 let set_pending t n = t.pending <- max 0 n
 
@@ -51,13 +52,10 @@ let set_pending t n = t.pending <- max 0 n
 let register_tenant t ~weight name =
   if weight < 1 then invalid_arg "Broker.register_tenant: weight < 1";
   match Hashtbl.find_opt t.tenants name with
-  | Some tn when tn.tn_weight = weight -> ()
-  | Some tn ->
-    Hashtbl.replace t.tenants name { tn with tn_weight = weight }
+  | Some tn -> tn.tn_weight <- weight
   | None ->
     Hashtbl.replace t.tenants name
-      { tn_weight = weight; tn_active = false; tn_leased = 0;
-        tn_peak = 0; tn_waits = 0 }
+      { tn_weight = weight; tn_active = false; tn_peak = 0; tn_waits = 0 }
 
 let tenant_of t name = Hashtbl.find_opt t.tenants name
 
@@ -80,8 +78,14 @@ let set_tenant_active t name active =
   | Some tn -> tn.tn_active <- active
   | None -> ()
 
+(* Summed from the live leases, one per running query, so a tenant's
+   pages are never stored twice. *)
 let tenant_leased t name =
-  match tenant_of t name with Some tn -> tn.tn_leased | None -> 0
+  if Hashtbl.mem t.tenants name then
+    Hashtbl.fold
+      (fun _ l acc -> if l.owner = Some name then acc + l.pages else acc)
+      t.leases 0
+  else 0
 
 let tenant_peak t name =
   match tenant_of t name with Some tn -> tn.tn_peak | None -> 0
@@ -96,28 +100,9 @@ let reserved_for_others t asker =
   Hashtbl.fold
     (fun name tn acc ->
       if tn.tn_active && Some name <> asker then
-        acc + max 0 (tenant_share t name - tn.tn_leased)
+        acc + max 0 (tenant_share t name - tenant_leased t name)
       else acc)
     t.tenants 0
-
-let adjust_owner t ~id ~tenant ~granted ~current =
-  (* take the old pages off whichever tenant owned them, then credit the
-     (possibly different) new owner with the fresh grant *)
-  (match Hashtbl.find_opt t.owners id with
-   | Some prev ->
-     (match tenant_of t prev with
-      | Some tn -> tn.tn_leased <- tn.tn_leased - current
-      | None -> ())
-   | None -> ());
-  match tenant with
-  | None -> Hashtbl.remove t.owners id
-  | Some name ->
-    Hashtbl.replace t.owners id name;
-    (match tenant_of t name with
-     | Some tn ->
-       tn.tn_leased <- tn.tn_leased + granted;
-       tn.tn_peak <- max tn.tn_peak tn.tn_leased
-     | None -> ())
 
 let lease ?tenant t ~id ~min_pages ~max_pages =
   if min_pages < 0 || max_pages < min_pages then
@@ -139,35 +124,24 @@ let lease ?tenant t ~id ~min_pages ~max_pages =
   let granted = min max_pages available in
   let granted = if granted < min_pages then min min_pages available else granted in
   let granted = max 0 granted in
-  if granted < max_pages && reserved_tenants > 0 then
-    (match tenant with
-     | Some name ->
-       (match tenant_of t name with
-        | Some tn -> tn.tn_waits <- tn.tn_waits + 1
-        | None -> ())
-     | None -> ());
   if granted < current then t.reclaimed <- t.reclaimed + (current - granted);
-  adjust_owner t ~id ~tenant ~granted ~current;
-  Hashtbl.replace t.leases id granted;
+  Hashtbl.replace t.leases id { pages = granted; owner = tenant };
+  (match tenant with
+   | Some name ->
+     (match tenant_of t name with
+      | Some tn ->
+        if granted < max_pages && reserved_tenants > 0 then
+          tn.tn_waits <- tn.tn_waits + 1;
+        tn.tn_peak <- max tn.tn_peak (tenant_leased t name)
+      | None -> ())
+   | None -> ());
   t.grants <- t.grants + 1;
   t.peak <- max t.peak (total_leased t);
   granted
 
 let release t ~id =
-  (match Hashtbl.find_opt t.leases id with
-   | Some pages ->
-     t.reclaimed <- t.reclaimed + pages;
-     (match Hashtbl.find_opt t.owners id with
-      | Some name ->
-        (match tenant_of t name with
-         | Some tn -> tn.tn_leased <- tn.tn_leased - pages
-         | None -> ())
-      | None -> ())
-   | None -> ());
-  Hashtbl.remove t.leases id;
-  Hashtbl.remove t.owners id
-
-let can_admit t = free_pages t >= t.floor
+  t.reclaimed <- t.reclaimed + lease_of t ~id;
+  Hashtbl.remove t.leases id
 
 (* Admission check from a tenant's point of view: pages reserved for
    *other* tenants do not count as free, but the asker's own reserved
@@ -176,9 +150,7 @@ let can_admit t = free_pages t >= t.floor
 let can_admit_tenant t name =
   let free = free_pages t in
   free - reserved_for_others t (Some name) >= t.floor
-  || (match tenant_of t name with
-      | Some tn -> tenant_share t name - tn.tn_leased >= t.floor
-      | None -> false)
+  || tenant_share t name - tenant_leased t name >= t.floor
 
 let peak_leased t = t.peak
 let grants t = t.grants

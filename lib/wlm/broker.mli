@@ -11,6 +11,10 @@
     paper's dynamic resource re-allocation (Section 2.5) lifted from one
     query's operators to a whole workload's queries.
 
+    The broker keeps one table: each lease id maps to its pages and the
+    tenant it was granted under.  Every total it reports (free pages, a
+    tenant's leased pages) is summed from that table.
+
     Invariants (tested): the sum of outstanding leases never exceeds the
     budget, and no lease outlives its query.
 
@@ -61,9 +65,6 @@ val free_pages : t -> int
 (** Number of live leases. *)
 val outstanding : t -> int
 
-(** Is there room (>= floor) to admit another query? *)
-val can_admit : t -> bool
-
 (** {2 Per-tenant fair shares} *)
 
 (** [register_tenant t ~weight name] declares a tenant; its fair share is
@@ -77,7 +78,9 @@ val set_tenant_active : t -> string -> bool -> unit
 (** A tenant's fair share of the budget in pages (0 if unregistered). *)
 val tenant_share : t -> string -> int
 
-(** Pages currently leased under this tenant across all its queries. *)
+(** Pages currently leased under this tenant across all its queries,
+    summed from its live leases.  0 for a name that is not registered,
+    even if leases were granted under it. *)
 val tenant_leased : t -> string -> int
 
 (** High-water mark of [tenant_leased]. *)
@@ -87,9 +90,11 @@ val tenant_peak : t -> string -> int
     floors were in reserve — a cheap "broker waits" signal for metrics. *)
 val tenant_floor_waits : t -> string -> int
 
-(** Like [can_admit] from [name]'s point of view: other tenants' reserved
-    shares don't count as free, but an active tenant sitting below its
-    own share can always admit regardless of what the others hold. *)
+(** Is there room (at least one admission floor) to admit another query
+    of tenant [name]?  Other tenants' reserved shares don't count as free,
+    but an active tenant sitting below its own share can always admit
+    regardless of what the others hold.  With no tenant registered this
+    is [free_pages t >= floor_pages t]. *)
 val can_admit_tenant : t -> string -> bool
 
 (** High-water mark of [total_leased] over the broker's lifetime. *)

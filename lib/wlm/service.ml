@@ -31,26 +31,24 @@ let default_options =
     feedback = true;
     wall_clock = None }
 
-type tenant_state = {
-  tn_name : string;
-  tn_slo : Session.slo;
-  tn_weight : int;
-  tn_target_ms : float;
-  mutable tn_submitted : int;
-  mutable tn_completed : int;
-  mutable tn_failed : int;
-  mutable tn_cancelled : int;
-  mutable tn_shed : int;
-  mutable tn_replans : int;
-  mutable tn_violations : int;
-  mutable tn_deadline_miss : int;
-      (* statements that reached a terminal state without completing by
-         their deadline: late completions plus failed/cancelled/shed *)
-  mutable tn_min_headroom_ms : float;
-      (* worst (smallest) target - latency over completions; infinity
-         until the tenant completes something *)
-  mutable tn_queue_ms : float;
-  mutable tn_exec_ms : float;
+type tenant_summary = {
+  tns_tenant : string;
+  tns_slo : Session.slo;
+  tns_weight : int;
+  tns_target_ms : float;
+  mutable tns_submitted : int;
+  mutable tns_completed : int;
+  mutable tns_failed : int;
+  mutable tns_cancelled : int;
+  mutable tns_shed : int;
+  mutable tns_replans : int;
+  mutable tns_violations : int;
+  mutable tns_deadline_miss : int;
+  mutable tns_min_headroom_ms : float;
+  mutable tns_queue_ms : float;
+  mutable tns_exec_ms : float;
+  mutable tns_peak_leased : int;    (* the broker's; filled in by [report] *)
+  mutable tns_broker_waits : int;   (* likewise *)
 }
 
 type t = {
@@ -59,7 +57,7 @@ type t = {
   broker : Broker.t;
   cache : Stats_cache.t option;
   trace : Trace.t option;
-  tenants : (string, tenant_state) Hashtbl.t;
+  tenants : (string, tenant_summary) Hashtbl.t;
   queue : Session.stmt Admission.t;
   mutable running : Session.stmt list;  (* admission order, oldest first *)
   mutable all : Session.stmt list;      (* submission order, newest first *)
@@ -113,7 +111,7 @@ let class_of t (slo : Session.slo) =
   | Session.Interactive -> t.options.interactive
   | Session.Batch -> t.options.batch
 
-let tenant_state t name =
+let tenant_of t name =
   match Hashtbl.find_opt t.tenants name with
   | Some tn -> tn
   | None -> invalid_arg (Printf.sprintf "Service: unknown tenant %s" name)
@@ -125,21 +123,23 @@ let add_tenant ?weight ?target_ms t ~slo name =
   let weight = Option.value ~default:cls.weight weight in
   let target_ms = Option.value ~default:cls.target_ms target_ms in
   Hashtbl.replace t.tenants name
-    { tn_name = name;
-      tn_slo = slo;
-      tn_weight = weight;
-      tn_target_ms = target_ms;
-      tn_submitted = 0;
-      tn_completed = 0;
-      tn_failed = 0;
-      tn_cancelled = 0;
-      tn_shed = 0;
-      tn_replans = 0;
-      tn_violations = 0;
-      tn_deadline_miss = 0;
-      tn_min_headroom_ms = infinity;
-      tn_queue_ms = 0.0;
-      tn_exec_ms = 0.0 };
+    { tns_tenant = name;
+      tns_slo = slo;
+      tns_weight = weight;
+      tns_target_ms = target_ms;
+      tns_submitted = 0;
+      tns_completed = 0;
+      tns_failed = 0;
+      tns_cancelled = 0;
+      tns_shed = 0;
+      tns_replans = 0;
+      tns_violations = 0;
+      tns_deadline_miss = 0;
+      tns_min_headroom_ms = infinity;
+      tns_queue_ms = 0.0;
+      tns_exec_ms = 0.0;
+      tns_peak_leased = 0;
+      tns_broker_waits = 0 };
   (* fair-share floors are an SLO-aware mechanism; the round-robin batch
      scheduler leases from one global broker pool *)
   if t.options.policy = Slo_aware then
@@ -196,18 +196,18 @@ let queued_count t = Admission.length t.queue
 
 let update_pending t = Broker.set_pending t.broker (queued_count t)
 
+(* Running statements and queued ones: a statement cancelled while it
+   waited stays in the queue until the next purge, but is no work. *)
 let tenant_has_work t name =
-  List.exists
-    (fun (s : Session.stmt) ->
-       s.Session.stmt_tenant = name
-       && (match s.Session.stmt_status with
-           | Session.Running | Session.Queued -> true
-           | _ -> false))
-    t.all
+  List.exists (fun (s : Session.stmt) -> s.Session.stmt_tenant = name) t.running
+  || Admission.exists t.queue (fun (s : Session.stmt) ->
+         s.Session.stmt_tenant = name && s.Session.stmt_status = Session.Queued)
 
 let refresh_activity t name =
   Broker.set_tenant_active t.broker name (tenant_has_work t name)
 
+(* A round-robin service registers no tenant with the broker, so there
+   [Broker.can_admit_tenant] is the plain admission floor. *)
 let can_admit_stmt t (s : Session.stmt) =
   List.length t.running < t.options.max_concurrency
   && (t.running = []
@@ -217,28 +217,47 @@ let can_admit_stmt t (s : Session.stmt) =
          max_concurrency 1 makes the floor the whole budget, which no
          tenant's share ever covers).  The broker still clips the
          admitted statement's lease to its tenant's entitlement. *)
-      || match t.options.policy with
-         | Round_robin -> Broker.can_admit t.broker
-         | Slo_aware -> Broker.can_admit_tenant t.broker s.Session.stmt_tenant)
+      || Broker.can_admit_tenant t.broker s.Session.stmt_tenant)
 
-(* A statement that reaches a terminal state without having completed by
-   its deadline is a deadline miss, whatever the terminal state was: a
-   late completion, a failure (at start or mid-run), a cancellation or a
-   shed all mean the client did not get its answer in time. *)
-let note_deadline_miss t tn =
-  tn.tn_deadline_miss <- tn.tn_deadline_miss + 1;
-  incr_metric t ~tenant:tn.tn_name ~what:"deadline_miss"
+(* Drop queue entries cancelled while they waited. *)
+let rec purge_queue t =
+  match Admission.take_if t.queue Session.stmt_finished with
+  | Some _ -> purge_queue t
+  | None -> ()
+
+(* Weighted re-grants: freed pages go to queued statements first (the
+   caller admits before it re-grants), then top up the runs still in
+   flight in order of entitlement (least leased relative to tenant weight
+   first), so the broker's fair shares are re-filled before opportunistic
+   growth.  A round-robin service registers no tenant: every key is 0 and
+   the stable sort keeps admission order. *)
+let regrant t =
+  let key (s : Session.stmt) =
+    float_of_int (Broker.tenant_leased t.broker s.Session.stmt_tenant)
+    /. float_of_int (max 1 (tenant_of t s.Session.stmt_tenant).tns_weight)
+  in
+  List.iter
+    (fun (s : Session.stmt) ->
+       Option.iter Dispatcher.refresh_memory s.Session.stmt_run)
+    (List.stable_sort (fun a b -> compare (key a) (key b)) t.running)
+
+let note_headroom t tn headroom =
+  if headroom < tn.tns_min_headroom_ms then begin
+    tn.tns_min_headroom_ms <- headroom;
+    metric t "svc.%s.slo_headroom_ms" tn.tns_tenant (fun m name ->
+        Metrics.set_gauge m name headroom)
+  end
 
 (* Start a statement: bind, open its trace lane on the shared timeline,
    and hand it to the dispatcher under the tenant-tagged broker hook.
    Any exception (parse error, verifier rejection) marks the statement
    Failed without disturbing the service. *)
-let start_stmt t (s : Session.stmt) ~now =
-  let tn = tenant_state t s.Session.stmt_tenant in
+let rec start_stmt t (s : Session.stmt) ~now =
+  let tn = tenant_of t s.Session.stmt_tenant in
   s.Session.stmt_admit_ms <- Float.max s.Session.stmt_arrival_ms now;
   let queue_ms = s.Session.stmt_admit_ms -. s.Session.stmt_arrival_ms in
-  tn.tn_queue_ms <- tn.tn_queue_ms +. queue_ms;
-  observe_metric t ~tenant:tn.tn_name ~what:"queue_ms" queue_ms;
+  tn.tns_queue_ms <- tn.tns_queue_ms +. queue_ms;
+  observe_metric t ~tenant:tn.tns_tenant ~what:"queue_ms" queue_ms;
   let scope =
     Option.map
       (fun tr ->
@@ -279,20 +298,9 @@ let start_stmt t (s : Session.stmt) ~now =
     s.Session.stmt_run <- Some run;
     s.Session.stmt_status <- Session.Running;
     t.running <- t.running @ [ s ]
-  | exception e ->
-    Broker.release t.broker ~id;
-    s.Session.stmt_status <- Session.Failed (Printexc.to_string e);
-    tn.tn_failed <- tn.tn_failed + 1;
-    note_deadline_miss t tn;
-    refresh_activity t tenant
+  | exception e -> finish t s (Session.Failed (Printexc.to_string e))
 
-(* Drop queue entries cancelled while they waited. *)
-let rec purge_queue t =
-  match Admission.take_if t.queue Session.stmt_finished with
-  | Some _ -> purge_queue t
-  | None -> ()
-
-let rec try_admit t ~now =
+and try_admit t ~now =
   purge_queue t;
   update_pending t;
   if List.length t.running < t.options.max_concurrency then
@@ -303,122 +311,103 @@ let rec try_admit t ~now =
       try_admit t ~now
     | None -> ()
 
-(* --- completion / failure / cancellation ------------------------------- *)
-
-(* Weighted re-grants: freed pages go to queued statements first, then
-   top up the runs still in flight — under the SLO-aware policy in order
-   of entitlement (least leased relative to tenant weight first), so the
-   broker's fair shares are re-filled before opportunistic growth. *)
-let regrant t =
-  let order =
-    match t.options.policy with
-    | Round_robin -> t.running
-    | Slo_aware ->
-      List.stable_sort
-        (fun (a : Session.stmt) (b : Session.stmt) ->
-           let key (s : Session.stmt) =
-             let tn = tenant_state t s.Session.stmt_tenant in
-             float_of_int (Broker.tenant_leased t.broker s.Session.stmt_tenant)
-             /. float_of_int (max 1 tn.tn_weight)
-           in
-           compare (key a) (key b))
-        t.running
+(* The one terminal path: takes [s] to Done, Failed, Cancelled or Shed and
+   counts that for its tenant.  The run is dropped ([t.all] keeps the
+   finished statement for reporting, and a kept run would pin its whole
+   execution state, buffer pool included, for the life of the service)
+   and the lease released; when the statement held a slot, the freed
+   slot and pages go to queued, then running statements.  A completion
+   is placed on the timeline first ([complete_stmt]). *)
+and finish t (s : Session.stmt) status =
+  let tn = tenant_of t s.Session.stmt_tenant in
+  let held_slot = s.Session.stmt_status = Session.Running in
+  s.Session.stmt_status <- status;
+  let on_time =
+    match status with
+    | Session.Done rep ->
+      tn.tns_completed <- tn.tns_completed + 1;
+      tn.tns_replans <- tn.tns_replans + rep.Dispatcher.switches;
+      if rep.Dispatcher.switches > 0 then
+        incr_metric ~by:rep.Dispatcher.switches t ~tenant:tn.tns_tenant
+          ~what:"replans";
+      let latency = s.Session.stmt_finish_ms -. s.Session.stmt_arrival_ms in
+      let late = latency > tn.tns_target_ms in
+      if late then begin
+        tn.tns_violations <- tn.tns_violations + 1;
+        incr_metric t ~tenant:tn.tns_tenant ~what:"slo_violations"
+      end;
+      note_headroom t tn (tn.tns_target_ms -. latency);
+      observe_metric t ~tenant:tn.tns_tenant ~what:"latency_ms" latency;
+      (match s.Session.stmt_query, t.cache with
+       | Some query, Some c ->
+         Stats_cache.publish c (Engine.catalog t.engine) query rep
+       | _ -> ());
+      not late
+    | Session.Failed _ ->
+      tn.tns_failed <- tn.tns_failed + 1;
+      false
+    | Session.Cancelled ->
+      tn.tns_cancelled <- tn.tns_cancelled + 1;
+      false
+    | Session.Shed ->
+      tn.tns_shed <- tn.tns_shed + 1;
+      incr_metric t ~tenant:tn.tns_tenant ~what:"shed";
+      false
+    | Session.Queued | Session.Running ->
+      invalid_arg "Service.finish: not a terminal status"
   in
-  List.iter
-    (fun (s : Session.stmt) ->
-       match s.Session.stmt_run with
-       | Some run -> Dispatcher.refresh_memory run
-       | None -> ())
-    order
-
-(* Every terminal path (completion, failure, cancellation) ends here.  The
-   run is dropped: [t.all] keeps each finished statement for reporting,
-   and a kept run would pin its whole execution state, buffer pool
-   included, for the life of the service. *)
-let retire t (s : Session.stmt) =
+  (* Whatever the terminal state, a statement that did not complete by
+     its deadline is a deadline miss: a late completion, a failure (at
+     start or mid-run), a cancellation or a shed all mean the client did
+     not get its answer in time. *)
+  if not on_time then begin
+    tn.tns_deadline_miss <- tn.tns_deadline_miss + 1;
+    incr_metric t ~tenant:tn.tns_tenant ~what:"deadline_miss"
+  end;
   t.running <-
     List.filter
       (fun (o : Session.stmt) -> o.Session.stmt_id <> s.Session.stmt_id)
       t.running;
   s.Session.stmt_run <- None;
+  (* a statement that failed at start may hold a lease already *)
   Broker.release t.broker ~id:s.Session.stmt_id;
   refresh_activity t s.Session.stmt_tenant;
-  metric t "svc.%s.broker_waits" s.Session.stmt_tenant (fun m name ->
-      Metrics.set_gauge m name
-        (float_of_int (Broker.tenant_floor_waits t.broker s.Session.stmt_tenant)))
-
-let note_headroom t tn headroom =
-  if headroom < tn.tn_min_headroom_ms then begin
-    tn.tn_min_headroom_ms <- headroom;
-    metric t "svc.%s.slo_headroom_ms" tn.tn_name (fun m name ->
-        Metrics.set_gauge m name headroom)
+  if held_slot then begin
+    metric t "svc.%s.broker_waits" s.Session.stmt_tenant (fun m name ->
+        Metrics.set_gauge m name
+          (float_of_int
+             (Broker.tenant_floor_waits t.broker s.Session.stmt_tenant)));
+    try_admit t
+      ~now:
+        (match status with
+         | Session.Done _ -> s.Session.stmt_finish_ms
+         | _ -> t.now_ms);
+    regrant t
   end
 
-let complete_stmt t (s : Session.stmt) run (rep : Dispatcher.report) =
-  let tn = tenant_state t s.Session.stmt_tenant in
+let complete_stmt t (s : Session.stmt) run rep =
   let elapsed = Dispatcher.run_elapsed_ms run in
   s.Session.stmt_finish_ms <- s.Session.stmt_admit_ms +. elapsed;
-  t.wall_last <- Float.max t.wall_last (wall t);
-  s.Session.stmt_status <- Session.Done rep;
   t.now_ms <- Float.max t.now_ms s.Session.stmt_finish_ms;
-  tn.tn_completed <- tn.tn_completed + 1;
-  tn.tn_exec_ms <- tn.tn_exec_ms +. elapsed;
-  tn.tn_replans <- tn.tn_replans + rep.Dispatcher.switches;
-  if rep.Dispatcher.switches > 0 then
-    incr_metric ~by:rep.Dispatcher.switches t ~tenant:tn.tn_name
-      ~what:"replans";
-  let latency = s.Session.stmt_finish_ms -. s.Session.stmt_arrival_ms in
-  if latency > tn.tn_target_ms then begin
-    tn.tn_violations <- tn.tn_violations + 1;
-    incr_metric t ~tenant:tn.tn_name ~what:"slo_violations";
-    note_deadline_miss t tn
-  end;
-  note_headroom t tn (tn.tn_target_ms -. latency);
-  observe_metric t ~tenant:tn.tn_name ~what:"latency_ms" latency;
-  retire t s;
-  (match s.Session.stmt_query, t.cache with
-   | Some query, Some c ->
-     Stats_cache.publish c (Engine.catalog t.engine) query rep
-   | _ -> ());
-  try_admit t ~now:s.Session.stmt_finish_ms;
-  regrant t
-
-let fail_stmt t (s : Session.stmt) msg =
-  let tn = tenant_state t s.Session.stmt_tenant in
-  s.Session.stmt_status <- Session.Failed msg;
-  tn.tn_failed <- tn.tn_failed + 1;
-  note_deadline_miss t tn;
-  retire t s;
-  try_admit t ~now:t.now_ms;
-  regrant t
+  t.wall_last <- Float.max t.wall_last (wall t);
+  let tn = tenant_of t s.Session.stmt_tenant in
+  tn.tns_exec_ms <- tn.tns_exec_ms +. elapsed;
+  finish t s (Session.Done rep)
 
 let cancel_stmt t (s : Session.stmt) =
-  let tn = tenant_state t s.Session.stmt_tenant in
-  (match s.Session.stmt_status with
-   | Session.Running ->
-     (match s.Session.stmt_run with
-      | Some run -> Dispatcher.abort run
-      | None -> ());
-     s.Session.stmt_status <- Session.Cancelled;
-     tn.tn_cancelled <- tn.tn_cancelled + 1;
-     note_deadline_miss t tn;
-     retire t s;
-     try_admit t ~now:t.now_ms;
-     regrant t
-   | Session.Queued ->
-     (* stays in the admission queue; purged before the next admission *)
-     s.Session.stmt_status <- Session.Cancelled;
-     tn.tn_cancelled <- tn.tn_cancelled + 1;
-     note_deadline_miss t tn;
-     update_pending t;
-     refresh_activity t s.Session.stmt_tenant
-   | _ -> ())
+  match s.Session.stmt_status with
+  | Session.Running | Session.Queued ->
+    (* a queued statement stays in the admission queue until the next
+       purge *)
+    Option.iter Dispatcher.abort s.Session.stmt_run;
+    finish t s Session.Cancelled
+  | _ -> ()
 
 (* --- submission -------------------------------------------------------- *)
 
 let submit_stmt t (s : Session.stmt) =
-  let tn = tenant_state t s.Session.stmt_tenant in
-  tn.tn_submitted <- tn.tn_submitted + 1;
+  let tn = tenant_of t s.Session.stmt_tenant in
+  tn.tns_submitted <- tn.tns_submitted + 1;
   t.all <- s :: t.all;
   if can_admit_stmt t s then start_stmt t s ~now:s.Session.stmt_arrival_ms
   else begin
@@ -429,17 +418,11 @@ let submit_stmt t (s : Session.stmt) =
     in
     Broker.set_tenant_active t.broker s.Session.stmt_tenant true;
     if Admission.offer ~deadline t.queue s then update_pending t
-    else begin
-      s.Session.stmt_status <- Session.Shed;
-      tn.tn_shed <- tn.tn_shed + 1;
-      incr_metric t ~tenant:tn.tn_name ~what:"shed";
-      note_deadline_miss t tn;
-      refresh_activity t s.Session.stmt_tenant
-    end
+    else finish t s Session.Shed
   end
 
 let open_session t ~tenant =
-  let tn = tenant_state t tenant in
+  let tn = tenant_of t tenant in
   let id = t.next_session in
   t.next_session <- id + 1;
   let hooks =
@@ -452,8 +435,8 @@ let open_session t ~tenant =
       h_cancel = (fun s -> cancel_stmt t s) }
   in
   let session =
-    Session.create ~hooks ~id ~tenant ~slo:tn.tn_slo
-      ~target_ms:tn.tn_target_ms
+    Session.create ~hooks ~id ~tenant ~slo:tn.tns_slo
+      ~target_ms:tn.tns_target_ms
   in
   t.session_list <- session :: t.session_list;
   session
@@ -494,7 +477,7 @@ let step t =
   | None -> false
   | Some s ->
     (match s.Session.stmt_run with
-     | None -> fail_stmt t s "lost dispatcher run"
+     | None -> finish t s (Session.Failed "lost dispatcher run")
      | Some run ->
        (match Dispatcher.step run with
         | Some rep ->
@@ -510,9 +493,9 @@ let step t =
         | exception (Verifier.Rejected _ as e) ->
           (* sanitizer findings are bugs: tear the statement down (the
              dispatcher already did) but let the rejection propagate *)
-          fail_stmt t s (Printexc.to_string e);
+          finish t s (Session.Failed (Printexc.to_string e));
           raise e
-        | exception e -> fail_stmt t s (Printexc.to_string e)));
+        | exception e -> finish t s (Session.Failed (Printexc.to_string e))));
     true
 
 let rec drain t = if step t then drain t else ()
@@ -534,26 +517,6 @@ type class_stats = {
   cs_p50_ms : float;
   cs_p99_ms : float;
   cs_violations : int;
-}
-
-type tenant_summary = {
-  tns_tenant : string;
-  tns_slo : Session.slo;
-  tns_weight : int;
-  tns_target_ms : float;
-  tns_submitted : int;
-  tns_completed : int;
-  tns_failed : int;
-  tns_cancelled : int;
-  tns_shed : int;
-  tns_replans : int;
-  tns_violations : int;
-  tns_deadline_miss : int;
-  tns_min_headroom_ms : float;
-  tns_queue_ms : float;
-  tns_exec_ms : float;
-  tns_peak_leased : int;
-  tns_broker_waits : int;
 }
 
 type report = {
@@ -588,7 +551,7 @@ let class_stats t slo =
   in
   let violations =
     Hashtbl.fold
-      (fun _ tn acc -> if tn.tn_slo = slo then acc + tn.tn_violations else acc)
+      (fun _ tn acc -> if tn.tns_slo = slo then acc + tn.tns_violations else acc)
       t.tenants 0
   in
   { cs_n = List.length done_stmts;
@@ -607,24 +570,10 @@ let report t =
   let tenants =
     List.map
       (fun name ->
-         let tn = tenant_state t name in
-         { tns_tenant = name;
-           tns_slo = tn.tn_slo;
-           tns_weight = tn.tn_weight;
-           tns_target_ms = tn.tn_target_ms;
-           tns_submitted = tn.tn_submitted;
-           tns_completed = tn.tn_completed;
-           tns_failed = tn.tn_failed;
-           tns_cancelled = tn.tn_cancelled;
-           tns_shed = tn.tn_shed;
-           tns_replans = tn.tn_replans;
-           tns_violations = tn.tn_violations;
-           tns_deadline_miss = tn.tn_deadline_miss;
-           tns_min_headroom_ms = tn.tn_min_headroom_ms;
-           tns_queue_ms = tn.tn_queue_ms;
-           tns_exec_ms = tn.tn_exec_ms;
-           tns_peak_leased = Broker.tenant_peak t.broker name;
-           tns_broker_waits = Broker.tenant_floor_waits t.broker name })
+         let tn = tenant_of t name in
+         tn.tns_peak_leased <- Broker.tenant_peak t.broker name;
+         tn.tns_broker_waits <- Broker.tenant_floor_waits t.broker name;
+         tn)
       (tenant_names t)
   in
   { statements;

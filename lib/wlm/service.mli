@@ -25,6 +25,12 @@
     worker pool slices over all its in-flight runs) sum to zero —
     [TEN-LIFETIME], the multi-tenant generalization of RF-/PAR-LIFETIME. *)
 
+(** The policies differ in exactly three places: whether [add_tenant]
+    registers the tenant with the broker (fair-share floors), the
+    deadline a waiting statement is queued under, and which running
+    statement [step] advances.  Admission and re-grants run the same
+    code under both: with no tenant registered the broker's tenant view
+    is its global one. *)
 type policy =
   | Round_robin  (** FIFO admission, round-robin stepping: the batch
                      scheduler; tenants share the broker globally *)
@@ -116,38 +122,44 @@ type class_stats = {
   cs_violations : int;      (** statements past their SLO target *)
 }
 
-type tenant_summary = {
+(** A tenant's live record: the service updates it on every submission,
+    admission and terminal event, and {!report} fills in the two
+    broker-owned fields.  Read-only outside the service: [private] lets
+    callers read and match it but not build or write it. *)
+type tenant_summary = private {
   tns_tenant : string;
   tns_slo : Session.slo;
   tns_weight : int;
   tns_target_ms : float;
-  tns_submitted : int;
-  tns_completed : int;
-  tns_failed : int;
-  tns_cancelled : int;
-  tns_shed : int;
-  tns_replans : int;        (** mid-query plan switches, summed *)
-  tns_violations : int;
-  tns_deadline_miss : int;
+  mutable tns_submitted : int;
+  mutable tns_completed : int;
+  mutable tns_failed : int;
+  mutable tns_cancelled : int;
+  mutable tns_shed : int;
+  mutable tns_replans : int;        (** mid-query plan switches, summed *)
+  mutable tns_violations : int;
+  mutable tns_deadline_miss : int;
       (** terminal statements that did not complete by their deadline:
           late completions + failed (at start or mid-run) + cancelled +
           shed.  Also exported as the [svc.<tenant>.deadline_miss]
           counter *)
-  tns_min_headroom_ms : float;
+  mutable tns_min_headroom_ms : float;
       (** worst (smallest) [target - latency] over completions — negative
           once an SLO was missed; [infinity] until the tenant completes a
           statement.  Also exported as the [svc.<tenant>.slo_headroom_ms]
           gauge *)
-  tns_queue_ms : float;
-  tns_exec_ms : float;
-  tns_peak_leased : int;
-  tns_broker_waits : int;   (** leases clipped by other tenants' floors *)
+  mutable tns_queue_ms : float;
+  mutable tns_exec_ms : float;
+  mutable tns_peak_leased : int;    (** as of the last {!report} *)
+  mutable tns_broker_waits : int;
+      (** leases clipped by other tenants' floors, as of the last
+          {!report} *)
 }
 
 type report = {
   statements : Session.stmt list;  (** submission order *)
   classes : (Session.slo * class_stats) list;
-  tenants : tenant_summary list;
+  tenants : tenant_summary list;   (** the live records, by name *)
   makespan_ms : float;             (** simulated *)
   wall_makespan_ms : float;        (** 0 without a wall clock *)
   peak_leased_pages : int;

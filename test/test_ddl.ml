@@ -148,7 +148,25 @@ let test_copy_bad_field () =
   Alcotest.(check int) "rows before the bad field" 1
     (Heap_file.tuple_count tbl.Catalog.heap);
   Alcotest.(check (list int)) "indexed too" [ 0 ]
-    (Btree.lookup (Catalog.index_tree tbl ix) (Value.Int 7))
+    (Btree.lookup (Catalog.index_tree tbl ix) (Value.Int 7));
+  Alcotest.(check int) "the kept row counts as an update" 1
+    tbl.Catalog.updates_since_analyze
+
+(* A multi-row INSERT whose second row has the wrong arity keeps its
+   first row, and counts it, as COPY does. *)
+let test_insert_bad_row () =
+  let engine = Engine.create (Catalog.create ()) in
+  ignore (Engine.execute engine "create table q (a int)");
+  Alcotest.(check bool) "rejects the wrong arity" true
+    (try
+       ignore (Engine.execute engine "insert into q values (7), (8, 9)");
+       false
+     with Engine.Dml_error _ -> true);
+  let tbl = Catalog.find_exn (Engine.catalog engine) "q" in
+  Alcotest.(check int) "rows before the bad row" 1
+    (Heap_file.tuple_count tbl.Catalog.heap);
+  Alcotest.(check int) "the kept row counts as an update" 1
+    tbl.Catalog.updates_since_analyze
 
 let suite =
   [ Alcotest.test_case "csv line roundtrip" `Quick test_csv_roundtrip_line;
@@ -161,4 +179,5 @@ let suite =
     Alcotest.test_case "copy" `Quick test_copy_statement;
     Alcotest.test_case "analyze statement" `Quick test_analyze_statement;
     Alcotest.test_case "copy NaN then analyze" `Quick test_copy_nan_then_analyze;
-    Alcotest.test_case "copy bad field" `Quick test_copy_bad_field ]
+    Alcotest.test_case "copy bad field" `Quick test_copy_bad_field;
+    Alcotest.test_case "insert bad row" `Quick test_insert_bad_row ]

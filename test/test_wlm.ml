@@ -49,13 +49,15 @@ let test_broker_reserves_floor_for_pending () =
   Alcotest.(check int) "reservation relaxes once the batch started" 100
     (Broker.lease b ~id:1 ~min_pages:1 ~max_pages:400)
 
+(* With no tenant registered, admission is the plain floor check. *)
 let test_broker_admission_floor () =
   let b = Broker.create ~budget_pages:100 ~max_concurrency:4 in
-  Alcotest.(check bool) "admits when free" true (Broker.can_admit b);
+  let can_admit () = Broker.can_admit_tenant b "anyone" in
+  Alcotest.(check bool) "admits when free" true (can_admit ());
   ignore (Broker.lease b ~id:1 ~min_pages:80 ~max_pages:80);
-  Alcotest.(check bool) "refuses below the floor" false (Broker.can_admit b);
+  Alcotest.(check bool) "refuses below the floor" false (can_admit ());
   Broker.release b ~id:1;
-  Alcotest.(check bool) "admits again after release" true (Broker.can_admit b)
+  Alcotest.(check bool) "admits again after release" true (can_admit ())
 
 let test_broker_tenant_floors_prevent_starvation () =
   let b = Broker.create ~budget_pages:100 ~max_concurrency:4 in
@@ -108,6 +110,121 @@ let test_broker_tenant_lease_accounting () =
   Alcotest.(check int) "peak remembers the high-water mark" 60
     (Broker.tenant_peak b "alpha");
   Alcotest.(check int) "no leases outstanding" 0 (Broker.outstanding b)
+
+(* Random register / activate / lease / release / pending sequences over
+   1-3 tenants.  A lease goes to a registered tenant, to a name that is
+   never registered, or to no tenant; after every operation the broker's
+   totals must match the live leases the test itself recorded. *)
+type broker_op =
+  | Register of int * int          (* tenant index, weight *)
+  | Active of int * bool
+  | Lease of int * int option * int * int
+      (* id, tenant index (-1: the never-registered name), min, max *)
+  | Release of int
+  | Pending of int
+
+let show_broker_op = function
+  | Register (i, w) -> Printf.sprintf "register t%d w%d" i w
+  | Active (i, a) -> Printf.sprintf "active t%d %b" i a
+  | Lease (id, who, lo, hi) ->
+    Printf.sprintf "lease #%d %s %d..%d" id
+      (match who with
+       | None -> "anon"
+       | Some i when i < 0 -> "ghost"
+       | Some i -> Printf.sprintf "t%d" i)
+      lo hi
+  | Release id -> Printf.sprintf "release #%d" id
+  | Pending n -> Printf.sprintf "pending %d" n
+
+let broker_case_gen =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun tenants ->
+  int_range 1 200 >>= fun budget ->
+  int_range 1 4 >>= fun conc ->
+  let tenant = int_range 0 (tenants - 1) in
+  let op =
+    frequency
+      [ (2, map2 (fun i w -> Register (i, w)) tenant (int_range 1 4));
+        (2, map2 (fun i a -> Active (i, a)) tenant bool);
+        (6,
+         int_range 0 5 >>= fun id ->
+         oneof [ return None; return (Some (-1)); map Option.some tenant ]
+         >>= fun who ->
+         int_range 0 budget >>= fun lo ->
+         map (fun extra -> Lease (id, who, lo, lo + extra))
+           (int_range 0 (2 * budget)));
+        (3, map (fun id -> Release id) (int_range 0 5));
+        (1, map (fun n -> Pending n) (int_range 0 3)) ]
+  in
+  map (fun ops -> (tenants, budget, conc, ops)) (list_size (int_range 0 40) op)
+
+let prop_broker_sums_live_leases =
+  QCheck.Test.make ~name:"broker totals = the live leases" ~count:300
+    (QCheck.make broker_case_gen
+       ~print:(fun (tenants, budget, conc, ops) ->
+           Printf.sprintf "%d tenants, budget %d, concurrency %d: %s" tenants
+             budget conc (String.concat "; " (List.map show_broker_op ops))))
+    (fun (tenants, budget, conc, ops) ->
+       let b = Broker.create ~budget_pages:budget ~max_concurrency:conc in
+       let name i = if i < 0 then "ghost" else Printf.sprintf "t%d" i in
+       let names = List.init tenants name @ [ name (-1) ] in
+       let registered = Hashtbl.create 4 in
+       let live = Hashtbl.create 8 in  (* id -> (pages, tenant name) *)
+       let seen = Hashtbl.create 4 in  (* name -> largest tenant_leased *)
+       let check what =
+         let sum name =
+           Hashtbl.fold
+             (fun _ (pages, owner) acc ->
+                if owner = Some name then acc + pages else acc)
+             live 0
+         in
+         if Broker.total_leased b > budget then
+           QCheck.Test.fail_reportf "after %s: %d pages leased of %d" what
+             (Broker.total_leased b) budget;
+         List.iter
+           (fun n ->
+              let leased = Broker.tenant_leased b n in
+              let want = if Hashtbl.mem registered n then sum n else 0 in
+              if leased <> want then
+                QCheck.Test.fail_reportf "after %s: %s leases %d, want %d" what
+                  n leased want;
+              let peak =
+                max leased (Option.value ~default:0 (Hashtbl.find_opt seen n))
+              in
+              Hashtbl.replace seen n peak;
+              if Broker.tenant_peak b n < peak then
+                QCheck.Test.fail_reportf "after %s: %s peak %d below %d" what n
+                  (Broker.tenant_peak b n) peak)
+           names
+       in
+       List.iter
+         (fun op ->
+            (match op with
+             | Register (i, w) ->
+               Broker.register_tenant b ~weight:w (name i);
+               Hashtbl.replace registered (name i) ()
+             | Active (i, a) -> Broker.set_tenant_active b (name i) a
+             | Lease (id, who, lo, hi) ->
+               (* a registered tenant is never leased under before it is
+                  registered: leases only go to registered names, the
+                  never-registered name or no tenant *)
+               let tenant =
+                 match who with
+                 | Some i
+                   when i >= 0 && not (Hashtbl.mem registered (name i)) ->
+                   Some (name (-1))
+                 | Some i -> Some (name i)
+                 | None -> None
+               in
+               let got = Broker.lease ?tenant b ~id ~min_pages:lo ~max_pages:hi in
+               Hashtbl.replace live id (got, tenant)
+             | Release id ->
+               Broker.release b ~id;
+               Hashtbl.remove live id
+             | Pending n -> Broker.set_pending b n);
+            check (show_broker_op op))
+         ops;
+       true)
 
 (* --- admission queue --- *)
 
@@ -284,6 +401,7 @@ let suite =
       test_broker_tenant_floors_prevent_starvation;
     Alcotest.test_case "broker tenant lease accounting" `Quick
       test_broker_tenant_lease_accounting;
+    QCheck_alcotest.to_alcotest prop_broker_sums_live_leases;
     Alcotest.test_case "admission deadline order" `Quick
       test_admission_deadline_order;
     Alcotest.test_case "admission take_if skips" `Quick
