@@ -1476,9 +1476,10 @@ let hash_scenario () =
    [insert-500] is one 500-row lineitem INSERT (lexing, parsing and
    appending; removed untimed before the next run); [analyze-lineitem]
    and [analyze-orders] are one ANALYZE each.  Min and median ms per run
-   over op_reps runs.  The scenario uses only [Engine.execute] and
-   [Datagen.generate], so it pastes into an older checkout's
-   bench/main.ml to alternate binaries. *)
+   over op_reps runs, median minor words per run and, for a statement
+   that adds or removes rows, per row.  The scenario uses only
+   [Engine.execute] and [Datagen.generate], so it pastes into an older
+   checkout's bench/main.ml to alternate binaries. *)
 
 let dml_scenario () =
   let sf = 0.005 and orders = 100 and lines_per = 5 in
@@ -1525,12 +1526,22 @@ let dml_scenario () =
   in
   let insert_orders = Buffer.contents ob and insert_lines = Buffer.contents lb in
   let lines = orders * lines_per in
-  Fmt.pr "%-18s %10s %10s %10s  %s@." "statement" "ms-min" "ms-med" "words" "rows ok";
+  Fmt.pr "%-18s %10s %10s %10s %10s  %s@." "statement" "ms-min" "ms-med" "words"
+    "words/row" "rows ok";
   let report mode ~setup ~rows run =
     let t = timed op_reps ~setup run in
     let ms_min, ms_med, words = record_timed ~scenario:"dml" ~mode t in
     let ok = check ~scenario:"dml" ~row:mode [ (List.for_all (( = ) rows) t.results, "rows") ] in
-    Fmt.pr "%-18s %10.3f %10.3f %10.0f  %s@." mode ms_min ms_med words ok
+    let per_row =
+      if rows = 0 then "-"
+      else begin
+        let w = words /. float_of_int rows in
+        record ~n:t.reps ~scenario:"dml" ~mode ~stat:"median" Count
+          "minor_words_per_row" "words" w;
+        Fmt.str "%.1f" w
+      end
+    in
+    Fmt.pr "%-18s %10.3f %10.3f %10.0f %10s  %s@." mode ms_min ms_med words per_row ok
   in
   report "delete-batch" ~rows:(orders + lines)
     ~setup:(fun () -> ignore (exec insert_orders + exec insert_lines))

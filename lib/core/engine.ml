@@ -118,16 +118,14 @@ type exec_result =
 
 exception Dml_error of string
 
-let const_value schema_col e =
-  let v =
-    match e with
-    | Mqr_expr.Expr.Const v -> v
-    | e ->
-      (* allow constant arithmetic, e.g. -3 or 2+2 *)
-      (try Mqr_expr.Expr.compile (Schema.make []) e [||]
-       with _ -> raise (Dml_error "INSERT values must be constants"))
-  in
-  (* light coercion toward the column type *)
+(* An INSERT item the parser left as an expression: constant arithmetic
+   such as 2+2 evaluates, anything that reads a column does not. *)
+let const_eval e =
+  try Mqr_expr.Expr.compile (Schema.make []) e [||]
+  with _ -> raise (Dml_error "INSERT values must be constants")
+
+(* light coercion toward the column type *)
+let coerce schema_col v =
   match v, schema_col.Schema.ty with
   | Value.Null, _ -> Value.Null
   | Value.Int i, Value.TFloat -> Value.Float (float_of_int i)
@@ -154,19 +152,32 @@ let append_rows t ~table tbl tuple_of xs =
          xs);
   !count
 
+(* Each row's items are evaluated and coerced left to right, so the first
+   bad item raises, and the row's array becomes the stored tuple: only
+   [execute], which parsed the statement, ever holds it. *)
 let insert_rows t ~table rows =
   let tbl = Catalog.find_exn t.catalog table in
   let schema = Heap_file.schema tbl.Catalog.heap in
   let arity = Schema.arity schema in
   append_rows t ~table tbl
-    (fun row ->
-       if List.length row <> arity then
+    (fun { Parser.values; exprs } ->
+       if Array.length values <> arity then
          raise
            (Dml_error
               (Printf.sprintf "expected %d values for %s, got %d" arity table
-                 (List.length row)));
-       Array.of_list
-         (List.mapi (fun i e -> const_value (Schema.column schema i) e) row))
+                 (Array.length values)));
+       let exprs = ref exprs in
+       for i = 0 to arity - 1 do
+         let v =
+           match !exprs with
+           | (j, e) :: rest when j = i ->
+             exprs := rest;
+             const_eval e
+           | _ -> values.(i)
+         in
+         values.(i) <- coerce (Schema.column schema i) v
+       done;
+       values)
     rows
 
 let delete_rows t ~table ~where =

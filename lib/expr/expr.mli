@@ -59,6 +59,10 @@ val conjuncts : t -> t list
 (** Rebuild a conjunction ([Const true] for the empty list). *)
 val conjoin : t list -> t
 
+(** The value of [Arith (op, Const a, Const b)]: what a compiled
+    expression computes for one arithmetic node. *)
+val arith_eval : arith_op -> Value.t -> Value.t -> Value.t
+
 (** [compile schema e] resolves columns and returns an evaluator.
     @raise Not_found on unresolvable columns. *)
 val compile : Schema.t -> t -> Tuple.t -> Value.t

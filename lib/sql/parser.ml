@@ -9,14 +9,16 @@ type udf_def = {
 
 exception Parse_error of string
 
+(* The parser reads the text one token ahead of where it stands: [tok] is
+   the token at the cursor, and the lexer's position is just past it. *)
 type state = {
-  toks : Lexer.token array;
-  mutable pos : int;
+  lb : Lexer.lexbuf;
+  mutable tok : Lexer.token;
   udfs : udf_def list;
 }
 
-let peek st = st.toks.(st.pos)
-let advance st = st.pos <- st.pos + 1
+let peek st = st.tok
+let advance st = st.tok <- Lexer.next st.lb
 
 let fail st msg =
   raise
@@ -25,18 +27,23 @@ let fail st msg =
           (Lexer.token_to_string (peek st))))
 
 let expect st tok msg =
-  if peek st = tok then advance st else fail st msg
+  if Lexer.equal (peek st) tok then advance st else fail st msg
 
 let accept st tok =
-  if peek st = tok then begin
+  if Lexer.equal (peek st) tok then begin
     advance st;
     true
   end
   else false
 
-let accept_kw st kw = accept st (Lexer.KW kw)
+let accept_kw st kw =
+  match peek st with
+  | Lexer.KW k when String.equal k kw ->
+    advance st;
+    true
+  | _ -> false
 
-let expect_kw st kw = expect st (Lexer.KW kw) ("expected " ^ kw)
+let expect_kw st kw = if not (accept_kw st kw) then fail st ("expected " ^ kw)
 
 let ident st =
   match peek st with
@@ -49,6 +56,25 @@ let ident st =
 let column_ref st =
   let first = ident st in
   if accept st Lexer.DOT then first ^ "." ^ ident st else first
+
+(* The value of the literal at the cursor, consumed: a number, a string
+   or DATE 'yyyy-mm-dd'.  At anything else it consumes nothing and returns
+   [Value.Null], which no literal denotes (SQL text has no NULL). *)
+let literal st =
+  match peek st with
+  | Lexer.INT i -> advance st; Value.Int i
+  | Lexer.FLOAT f -> advance st; Value.Float f
+  | Lexer.STRING s -> advance st; Value.String s
+  | Lexer.KW "date" -> (
+    advance st;
+    match peek st with
+    | Lexer.STRING s -> (
+      advance st;
+      try Value.date_of_string s
+      with Invalid_argument _ ->
+        raise (Parse_error (Printf.sprintf "bad date literal '%s'" s)))
+    | _ -> fail st "expected date literal string")
+  | _ -> Value.Null
 
 let rec parse_or st =
   let left = parse_and st in
@@ -99,16 +125,6 @@ and parse_unary st =
 
 and parse_primary st =
   match peek st with
-  | Lexer.INT i -> advance st; Expr.Const (Value.Int i)
-  | Lexer.FLOAT f -> advance st; Expr.Const (Value.Float f)
-  | Lexer.STRING s -> advance st; Expr.Const (Value.String s)
-  | Lexer.KW "date" ->
-    advance st;
-    (match peek st with
-     | Lexer.STRING s ->
-       advance st;
-       Expr.Const (Value.date_of_string s)
-     | _ -> fail st "expected date literal string")
   | Lexer.LPAREN ->
     advance st;
     let e = parse_or st in
@@ -116,20 +132,22 @@ and parse_primary st =
     e
   | Lexer.IDENT _ ->
     let name = column_ref st in
-    if peek st = Lexer.LPAREN then begin
-      advance st;
+    if accept st Lexer.LPAREN then begin
       let args = parse_args st in
       expect st Lexer.RPAREN "expected )";
-      match List.find_opt (fun u -> u.name = name) st.udfs with
+      match List.find_opt (fun u -> String.equal u.name name) st.udfs with
       | Some u ->
         Expr.udf ?selectivity:u.selectivity ~name:u.name u.fn args
       | None -> raise (Parse_error ("unknown function " ^ name))
     end
     else Expr.Col name
-  | _ -> fail st "expected expression"
+  | _ -> (
+    match literal st with
+    | Value.Null -> fail st "expected expression"
+    | v -> Expr.Const v)
 
 and parse_args st =
-  if peek st = Lexer.RPAREN then []
+  if Lexer.equal (peek st) Lexer.RPAREN then []
   else begin
     let rec go acc =
       let e = parse_or st in
@@ -164,7 +182,7 @@ let parse_select_item st =
     let arg =
       if accept st Lexer.STAR then None else Some (parse_or st)
     in
-    if distinct && arg = None then fail st "DISTINCT * is not valid";
+    if distinct && Option.is_none arg then fail st "DISTINCT * is not valid";
     expect st Lexer.RPAREN "expected ) after aggregate";
     Ast.Agg_item (fn, distinct, arg, parse_alias st)
   | _ ->
@@ -229,9 +247,11 @@ let parse_query st =
   expect st Lexer.EOF "trailing tokens after query";
   { Ast.select; distinct; from; where; group_by; having; order_by; limit }
 
+type insert_row = { values : Value.t array; exprs : (int * Expr.t) list }
+
 type statement =
   | Select of Ast.query
-  | Insert of { table : string; rows : Expr.t list list }
+  | Insert of { table : string; rows : insert_row list }
   | Delete of { table : string; where : Expr.t option }
   | Create_table of {
       table : string;
@@ -241,18 +261,58 @@ type statement =
   | Copy of { table : string; file : string }
   | Analyze of string
 
+(* One VALUES item that needs no evaluation: a literal, or a negated
+   number, followed by [,] or [)].  A negated number is [0 - x] as [Expr]
+   computes it, so [-0.0] is +0.0.  At any other item the cursor is left
+   where it was and the result is [Value.Null]. *)
+let insert_value st =
+  let pos = Lexer.position st.lb and tok = st.tok in
+  let v =
+    match peek st with
+    | Lexer.MINUS -> (
+      advance st;
+      match peek st with
+      | Lexer.INT _ | Lexer.FLOAT _ ->
+        Expr.arith_eval Expr.Sub (Value.Int 0) (literal st)
+      | _ -> Value.Null)
+    | _ -> literal st
+  in
+  match peek st with
+  | (Lexer.COMMA | Lexer.RPAREN) when v != Value.Null -> v
+  | _ ->
+    Lexer.rewind st.lb pos;
+    st.tok <- tok;
+    Value.Null
+
+(* A row's items go into [buf], grown as needed and shared by the rows,
+   then into one array of the row's length. *)
+let parse_row buf st =
+  expect st Lexer.LPAREN "expected ( before row";
+  let n = ref 0 and exprs = ref [] in
+  if not (Lexer.equal (peek st) Lexer.RPAREN) then begin
+    let more = ref true in
+    while !more do
+      if !n = Array.length !buf then begin
+        let bigger = Array.make (2 * !n) Value.Null in
+        Array.blit !buf 0 bigger 0 !n;
+        buf := bigger
+      end;
+      let v = insert_value st in
+      if v == Value.Null then exprs := (!n, parse_or st) :: !exprs;
+      !buf.(!n) <- v;
+      incr n;
+      more := accept st Lexer.COMMA
+    done
+  end;
+  expect st Lexer.RPAREN "expected ) after row";
+  { values = Array.sub !buf 0 !n; exprs = List.rev !exprs }
+
 let parse_insert st =
   expect_kw st "insert";
   expect_kw st "into";
   let table = ident st in
   expect_kw st "values";
-  let parse_row st =
-    expect st Lexer.LPAREN "expected ( before row";
-    let vals = parse_args st in
-    expect st Lexer.RPAREN "expected ) after row";
-    vals
-  in
-  let rows = comma_list st parse_row in
+  let rows = comma_list st (parse_row (ref (Array.make 16 Value.Null))) in
   expect st Lexer.EOF "trailing tokens after insert";
   Insert { table; rows }
 
@@ -278,8 +338,7 @@ let parse_type_with_width st =
   if accept_kw st "date" then (Value.TDate, None)
   else begin
     let ty = parse_type st in
-    if peek st = Lexer.LPAREN then begin
-      advance st;
+    if accept st Lexer.LPAREN then begin
       match peek st with
       | Lexer.INT w ->
         advance st;
@@ -327,27 +386,35 @@ let parse_copy st =
     Copy { table; file }
   | _ -> fail st "expected file name string"
 
-let make_state ?(udfs = []) src =
-  { toks = Array.of_list (Lexer.tokenize src); pos = 0; udfs }
+(* Run [parse] over [src].  A text with a lexical error anywhere raises
+   [Lex_error], even where [parse] fails earlier: at a [Parse_error] the
+   rest of the text is lexed before it is raised. *)
+let run ?(udfs = []) src parse =
+  let lb = Lexer.lexbuf src in
+  let st = { lb; tok = Lexer.next lb; udfs } in
+  try parse st
+  with Parse_error _ as e ->
+    while not (Lexer.equal (Lexer.next lb) Lexer.EOF) do () done;
+    raise e
 
-let parse ?udfs src = parse_query (make_state ?udfs src)
+let parse ?udfs src = run ?udfs src parse_query
 
 let parse_statement ?udfs src =
-  let st = make_state ?udfs src in
-  match peek st with
-  | Lexer.KW "insert" -> parse_insert st
-  | Lexer.KW "delete" -> parse_delete st
-  | Lexer.KW "create" -> parse_create st
-  | Lexer.KW "copy" -> parse_copy st
-  | Lexer.KW "analyze" ->
-    advance st;
-    let table = ident st in
-    expect st Lexer.EOF "trailing tokens after analyze";
-    Analyze table
-  | _ -> Select (parse_query st)
+  run ?udfs src (fun st ->
+      match peek st with
+      | Lexer.KW "insert" -> parse_insert st
+      | Lexer.KW "delete" -> parse_delete st
+      | Lexer.KW "create" -> parse_create st
+      | Lexer.KW "copy" -> parse_copy st
+      | Lexer.KW "analyze" ->
+        advance st;
+        let table = ident st in
+        expect st Lexer.EOF "trailing tokens after analyze";
+        Analyze table
+      | _ -> Select (parse_query st))
 
 let parse_expr ?udfs src =
-  let st = make_state ?udfs src in
-  let e = parse_or st in
-  expect st Lexer.EOF "trailing tokens after expression";
-  e
+  run ?udfs src (fun st ->
+      let e = parse_or st in
+      expect st Lexer.EOF "trailing tokens after expression";
+      e)

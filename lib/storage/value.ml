@@ -97,16 +97,34 @@ let civil_from_days z =
   let y = if m <= 2 then y + 1 else y in
   (y, m, d)
 
+(* The decimal digits s.[i .. j-1] as an int, or -1 at any other byte. *)
+let rec digits s i j acc =
+  if i = j then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> digits s (i + 1) j ((10 * acc) + Char.code c - Char.code '0')
+    | _ -> -1
+
+let date_of_parts s ~y ~m ~d =
+  if m < 1 || m > 12 || d < 1 || d > 31 then
+    invalid_arg ("Value.date_of_string: " ^ s)
+  else Date (days_from_civil ~y ~m ~d)
+
+(* A canonical yyyy-mm-dd is read in place, with the value the split
+   below gives it; anything else is split on '-'. *)
 let date_of_string s =
-  match String.split_on_char '-' s with
-  | [ ys; ms; ds ] ->
-    (try
-       let y = int_of_string ys and m = int_of_string ms and d = int_of_string ds in
-       if m < 1 || m > 12 || d < 1 || d > 31 then
-         invalid_arg ("Value.date_of_string: " ^ s)
-       else Date (days_from_civil ~y ~m ~d)
-     with Failure _ -> invalid_arg ("Value.date_of_string: " ^ s))
-  | _ -> invalid_arg ("Value.date_of_string: " ^ s)
+  let canonical = String.length s = 10 && s.[4] = '-' && s.[7] = '-' in
+  let y = if canonical then digits s 0 4 0 else -1 in
+  let m = if y >= 0 then digits s 5 7 0 else -1 in
+  let d = if m >= 0 then digits s 8 10 0 else -1 in
+  if d >= 0 then date_of_parts s ~y ~m ~d
+  else
+    match String.split_on_char '-' s with
+    | [ ys; ms; ds ] ->
+      (match int_of_string ys, int_of_string ms, int_of_string ds with
+       | y, m, d -> date_of_parts s ~y ~m ~d
+       | exception Failure _ -> invalid_arg ("Value.date_of_string: " ^ s))
+    | _ -> invalid_arg ("Value.date_of_string: " ^ s)
 
 let date_to_string days =
   let y, m, d = civil_from_days days in

@@ -168,6 +168,153 @@ let test_insert_bad_row () =
   Alcotest.(check int) "the kept row counts as an update" 1
     tbl.Catalog.updates_since_analyze
 
+(* --- INSERT ... VALUES round trip --- *)
+
+(* One generated cell: the literal as SQL text and the value it must
+   store.  Columns: i int, f float, d date, s string, and fi float and
+   di date, both fed integer literals, so both coercions run. *)
+type cell = { sql : string; want : Value.t }
+
+let gen_int =
+  QCheck.Gen.(
+    oneof
+      [ int_range (min_int + 1) max_int; int_range (-1000) 1000;
+        oneofl [ 0; 1; -1; max_int; -max_int ] ])
+
+(* An int literal: negatives print with a leading minus; some are
+   wrapped in parentheses, so the item is parsed as an expression. *)
+let int_cell ~want =
+  QCheck.Gen.(
+    map2
+      (fun i paren ->
+         let text = string_of_int i in
+         { sql = (if paren then "(" ^ text ^ ")" else text); want = want i })
+      gen_int (frequency [ (4, return false); (1, return true) ]))
+
+(* digits.digits: up to 17 significant digits, 0.0, and a negated
+   literal, whose value is 0 - x (so -0.0 stores +0.0) *)
+let float_cell =
+  QCheck.Gen.(
+    let digits lo hi =
+      map (String.concat "") (list_size (int_range lo hi) (map string_of_int (int_range 0 9)))
+    in
+    map3
+      (fun (whole, frac) neg zero ->
+         let text = if zero then "0.0" else whole ^ "." ^ frac in
+         let x = float_of_string text in
+         { sql = (if neg then "-" ^ text else text);
+           want = Value.Float (if neg then 0.0 -. x else x) })
+      (pair (digits 1 9) (digits 1 8))
+      bool
+      (frequency [ (6, return false); (1, return true) ]))
+
+(* a day from year 1 to 9999, zero-padded (yyyy-mm-dd) or not *)
+let date_cell =
+  QCheck.Gen.(
+    map2
+      (fun day padded ->
+         let text = Value.date_to_string day in
+         let text =
+           if padded then text
+           else
+             String.concat "-"
+               (List.map (fun p -> string_of_int (int_of_string p))
+                  (String.split_on_char '-' text))
+         in
+         { sql = Printf.sprintf "date '%s'" text; want = Value.Date day })
+      (int_range (-719162) 2932896) bool)
+
+(* any bytes, quotes and non-ASCII included; a quote doubles *)
+let string_cell =
+  QCheck.Gen.(
+    map
+      (fun s ->
+         let quoted = String.concat "''" (String.split_on_char '\'' s) in
+         { sql = "'" ^ quoted ^ "'"; want = Value.String s })
+      (string_size (int_range 0 12)
+         ~gen:(frequency [ (1, return '\''); (1, char_range '\128' '\255'); (4, char) ])))
+
+let gen_row =
+  QCheck.Gen.(
+    flatten_l
+      [ int_cell ~want:(fun i -> Value.Int i); float_cell; date_cell; string_cell;
+        int_cell ~want:(fun i -> Value.Float (float_of_int i));
+        int_cell ~want:(fun i -> Value.Date i) ])
+
+let row_sql row = "(" ^ String.concat ", " (List.map (fun c -> c.sql) row) ^ ")"
+
+let insert_sql rows = "insert into rt values " ^ String.concat ", " (List.map row_sql rows)
+
+let rt_engine () =
+  let engine = Engine.create (Catalog.create ()) in
+  ignore
+    (Engine.execute engine
+       "create table rt (i int, f float, d date, s string, fi float, di date)");
+  engine
+
+let rt_table engine = Catalog.find_exn (Engine.catalog engine) "rt"
+
+(* constructor and bits *)
+let same_bits a b =
+  match a, b with
+  | Value.Int x, Value.Int y | Value.Date x, Value.Date y -> x = y
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.String x, Value.String y -> String.equal x y
+  | _ -> false
+
+let prop_insert_roundtrip =
+  QCheck.Test.make ~name:"INSERT stores every literal bit for bit" ~count:200
+    (QCheck.make ~print:insert_sql QCheck.Gen.(list_size (int_range 1 12) gen_row))
+    (fun rows ->
+       let engine = rt_engine () in
+       let count =
+         match Engine.execute engine (insert_sql rows) with
+         | Engine.Modified { count; _ } -> count
+         | _ -> -1
+       in
+       let heap = (rt_table engine).Catalog.heap in
+       count = List.length rows
+       && Heap_file.tuple_count heap = count
+       && List.for_all2
+            (fun rid row ->
+               let tuple = Heap_file.get heap rid in
+               List.for_all2 (fun c v -> same_bits c.want v) row (Array.to_list tuple))
+            (List.init count Fun.id) rows)
+
+(* A bad row k stops the INSERT with its error; rows 1..k-1 stay and
+   count as updates. *)
+let prop_insert_bad_row =
+  let bad =
+    QCheck.Gen.oneofl
+      [ ("(1, 2.0)", "expected 6 values for rt, got 2");
+        ("(1, 2.0, date '1994-01-01', 'a', 1, 1, 1)", "expected 6 values for rt, got 7");
+        ("(1, 2.0, date '1994-01-01', 'a', i, 1)", "INSERT values must be constants");
+        ("(1 + fi, 2.0, date '1994-01-01', 'a', 1, 1)", "INSERT values must be constants");
+        ("('x', 2.0, date '1994-01-01', 'a', 1, 1)", "value x does not fit column i of type INT");
+        ("(1, 'y', date '1994-01-01', 'a', 1, 1)", "value y does not fit column f of type FLOAT");
+        ("(1, 2.0, 3.5, 'a', 1, 1)", "value 3.5000 does not fit column d of type DATE") ]
+  in
+  QCheck.Test.make ~name:"INSERT keeps the rows before a bad row" ~count:100
+    (QCheck.make
+       ~print:(fun (rows, (b, _), after) -> insert_sql rows ^ " / " ^ b ^ " / " ^ insert_sql after)
+       QCheck.Gen.(
+         triple (list_size (int_range 0 6) gen_row) bad (list_size (int_range 0 3) gen_row)))
+    (fun (before, (bad_sql, msg), after) ->
+       let engine = rt_engine () in
+       let sql =
+         "insert into rt values "
+         ^ String.concat ", " (List.map row_sql before @ [ bad_sql ] @ List.map row_sql after)
+       in
+       let raised =
+         match Engine.execute engine sql with
+         | _ -> None
+         | exception Engine.Dml_error m -> Some m
+       in
+       let tbl = rt_table engine in
+       raised = Some msg
+       && Heap_file.tuple_count tbl.Catalog.heap = List.length before
+       && tbl.Catalog.updates_since_analyze = List.length before)
+
 let suite =
   [ Alcotest.test_case "csv line roundtrip" `Quick test_csv_roundtrip_line;
     Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;
@@ -180,4 +327,6 @@ let suite =
     Alcotest.test_case "analyze statement" `Quick test_analyze_statement;
     Alcotest.test_case "copy NaN then analyze" `Quick test_copy_nan_then_analyze;
     Alcotest.test_case "copy bad field" `Quick test_copy_bad_field;
-    Alcotest.test_case "insert bad row" `Quick test_insert_bad_row ]
+    Alcotest.test_case "insert bad row" `Quick test_insert_bad_row;
+    QCheck_alcotest.to_alcotest prop_insert_roundtrip;
+    QCheck_alcotest.to_alcotest prop_insert_bad_row ]

@@ -68,7 +68,10 @@ let test_pages_of_bytes () =
 
 let test_parse_insert () =
   match Parser.parse_statement "insert into t values (1, 'a'), (2, 'b')" with
-  | Parser.Insert { table = "t"; rows = [ [ _; _ ]; [ _; _ ] ] } -> ()
+  | Parser.Insert
+      { table = "t";
+        rows = [ { values = [| _; _ |]; _ }; { values = [| _; _ |]; _ } ] } ->
+    ()
   | _ -> Alcotest.fail "insert parse"
 
 let test_parse_delete () =
@@ -86,7 +89,7 @@ let test_parse_statement_select () =
 
 let test_parse_insert_negative_number () =
   match Parser.parse_statement "insert into t values (-3)" with
-  | Parser.Insert { rows = [ [ _ ] ]; _ } -> ()
+  | Parser.Insert { rows = [ { values = [| _ |]; _ } ]; _ } -> ()
   | _ -> Alcotest.fail "negative literal"
 
 let test_parse_insert_errors () =

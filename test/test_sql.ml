@@ -6,6 +6,11 @@ module Query = Mqr_sql.Query
 module Catalog = Mqr_catalog.Catalog
 module Expr = Mqr_expr.Expr
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 (* --- lexer --- *)
 
 let test_lex_basic () =
@@ -44,6 +49,27 @@ let test_lex_unterminated_string () =
        ignore (Lexer.tokenize "'abc");
        false
      with Lexer.Lex_error _ -> true)
+
+(* An integer literal above max_int is a lex error that names it. *)
+let test_lex_int_out_of_range () =
+  let lit = "99999999999999999999" in
+  match Lexer.tokenize ("select l_orderkey from lineitem where l_orderkey < " ^ lit) with
+  | _ -> Alcotest.fail "accepted"
+  | exception Lexer.Lex_error m ->
+    Alcotest.(check bool) ("names the literal: " ^ m) true
+      (contains m lit)
+
+(* The parser reads tokens as it goes, yet a text with a lexical error
+   anywhere raises [Lex_error], also behind an earlier parse error. *)
+let test_lex_error_first () =
+  List.iter
+    (fun sql ->
+       Alcotest.(check bool) sql true
+         (match Parser.parse_statement sql with
+          | _ -> false
+          | exception Lexer.Lex_error _ -> true))
+    [ "select from t where a = #"; "insert into t values (1, 2 3, 'x)";
+      "delete t where a < 'open" ]
 
 (* --- parser --- *)
 
@@ -91,6 +117,15 @@ let test_parse_date_literal () =
   match Parser.parse_expr "d >= date '1994-01-01'" with
   | Expr.Cmp (Expr.Ge, Expr.Col "d", Expr.Const (Value.Date _)) -> ()
   | _ -> Alcotest.fail "date literal"
+
+(* A DATE literal that is no calendar date is a parse error that names
+   it. *)
+let test_parse_bad_date () =
+  let lit = "1994-13-01" in
+  match Parser.parse_statement ("select a from t where d < date '" ^ lit ^ "'") with
+  | _ -> Alcotest.fail "accepted"
+  | exception Parser.Parse_error m ->
+    Alcotest.(check bool) ("names the literal: " ^ m) true (contains m lit)
 
 let test_parse_arith () =
   match Parser.parse_expr "a + 2 * b" with
@@ -270,12 +305,15 @@ let suite =
     Alcotest.test_case "lex keywords" `Quick test_lex_case_insensitive_keywords;
     Alcotest.test_case "lex bad char" `Quick test_lex_bad_char;
     Alcotest.test_case "lex unterminated" `Quick test_lex_unterminated_string;
+    Alcotest.test_case "lex int out of range" `Quick test_lex_int_out_of_range;
+    Alcotest.test_case "lex error before parse error" `Quick test_lex_error_first;
     Alcotest.test_case "parse simple" `Quick test_parse_simple;
     Alcotest.test_case "parse full" `Quick test_parse_full;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;
     Alcotest.test_case "parse parens" `Quick test_parse_parens;
     Alcotest.test_case "parse between" `Quick test_parse_between;
     Alcotest.test_case "parse date" `Quick test_parse_date_literal;
+    Alcotest.test_case "parse bad date" `Quick test_parse_bad_date;
     Alcotest.test_case "parse arith" `Quick test_parse_arith;
     Alcotest.test_case "parse count star" `Quick test_parse_count_star;
     Alcotest.test_case "parse udf" `Quick test_parse_udf;
