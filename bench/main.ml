@@ -25,19 +25,52 @@ module Datagen = Mqr_tpcd.Datagen
 module Catalog = Mqr_catalog.Catalog
 
 (* ------------------------------------------------------------------ *)
-(* Configuration                                                       *)
+(* Cells.  A cell is one operating point: scale factor, memory budget
+   (the buffer pool is 8 times it), Zipf skew and statistics
+   degradations.  Every simulated scenario runs on a cell through
+   [engine], on the cell's one catalog.  [MQR_SF] sets the default sf. *)
 
-let sf =
-  try float_of_string (Sys.getenv "MQR_SF") with Not_found | Failure _ -> 0.005
+type cell = {
+  sf : float;
+  budget_pages : int;
+  skew_z : float;
+  degradations : Workload.degradation list;
+}
 
-(* Memory budget scaled so that complex queries' maximum hash-join demands
-   exceed it — the paper's 32 MB-per-node pressure regime. *)
-let budget_pages = max 64 (int_of_float (sf *. 40_000.0))
-let pool_pages = 8 * budget_pages
+let default_cell =
+  let sf = Option.bind (Sys.getenv_opt "MQR_SF") float_of_string_opt in
+  let sf = Option.value sf ~default:0.005 in
+  (* Memory budget scaled so that complex queries' maximum hash-join
+     demands exceed it — the paper's 32 MB-per-node pressure regime. *)
+  { sf; budget_pages = max 64 (int_of_float (sf *. 40_000.0)); skew_z = 0.0;
+    degradations = Workload.paper_degradations }
 
-let engine_for ?skew_z ?degradations () =
-  let catalog = Workload.experiment_catalog ~sf ?skew_z ?degradations () in
-  Engine.create ~budget_pages ~pool_pages catalog
+(* [f ()] the first time [key] is asked for, the same value after *)
+let memo tbl key f =
+  try Hashtbl.find tbl key
+  with Not_found ->
+    let v = f () in
+    Hashtbl.add tbl key v;
+    v
+
+let catalogs = Hashtbl.create 8
+
+let catalog cell =
+  memo catalogs cell (fun () ->
+      Workload.experiment_catalog ~sf:cell.sf ~skew_z:cell.skew_z
+        ~degradations:cell.degradations ())
+
+(* An engine on [cell]'s catalog.  The optimizer plans each memory
+   consumer at half the budget, with operators up to [max_dop] degrees. *)
+let engine ?(opt_options = Mqr_opt.Optimizer.default_options) ?(max_dop = 1)
+    ?runtime_filters ?trace ?verify_plans cell =
+  Engine.create ~budget_pages:cell.budget_pages
+    ~pool_pages:(8 * cell.budget_pages)
+    ~opt_options:
+      { opt_options with
+        Mqr_opt.Optimizer.planning_mem_pages = max 8 (cell.budget_pages / 2);
+        max_dop }
+    ?runtime_filters ?trace ?verify_plans (catalog cell)
 
 (* the medium and complex queries: the ones re-optimization can change *)
 let interesting =
@@ -45,14 +78,45 @@ let interesting =
     (fun (q : Queries.query) -> q.Queries.klass <> Queries.Simple)
     Queries.all
 
-(* Engine.create's optimizer options, from [base] at [max_dop] *)
-let opt_options ?(base = Mqr_opt.Optimizer.default_options) ?(max_dop = 1) () =
-  { base with
-    Mqr_opt.Optimizer.planning_mem_pages = max 8 (budget_pages / 2);
-    max_dop }
+let all_modes =
+  [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
+    Dispatcher.Full; Dispatcher.Bound_checked ]
 
-let time engine mode (q : Queries.query) =
-  (Engine.run_sql engine ~mode q.Queries.sql).Dispatcher.elapsed_ms
+(* ------------------------------------------------------------------ *)
+(* The grid: a query's run on a cell under a mode, simulated once per
+   process, when a table first asks for it: a plain engine's report
+   ([run]), or the same run with trace, progress and the sanitizer
+   attached ([observed]).  A run does not depend on the runs before it,
+   so Figures 10-12, xfig3, hist, hybrid, observers and bounds share them. *)
+
+type observed = {
+  report : Dispatcher.report;
+  spans : int;       (* spans the run's trace holds *)
+  ledger : int;      (* its audit-ledger entries *)
+  open_spans : int;  (* spans left open at the end: 0 *)
+  progress : Mqr_obs.Progress.t;
+}
+
+let plain_runs = Hashtbl.create 64 and observed_runs = Hashtbl.create 64
+
+let run cell (q : Queries.query) mode =
+  memo plain_runs (cell, q.Queries.name, mode) (fun () ->
+      Engine.run_sql (engine cell) ~mode q.Queries.sql)
+
+let observed cell (q : Queries.query) mode =
+  let module Trace = Mqr_obs.Trace in
+  memo observed_runs (cell, q.Queries.name, mode) (fun () ->
+      let trace = Trace.create () and progress = Mqr_obs.Progress.create () in
+      let report =
+        Engine.run_sql
+          (engine ~trace ~verify_plans:Mqr_analysis.Verifier.Sanitize cell)
+          ~mode ~progress q.Queries.sql
+      in
+      { report;
+        spans = List.length (Trace.spans trace);
+        ledger = List.length (Trace.ledger trace);
+        open_spans = Trace.open_spans trace;
+        progress })
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results: every recorded number lands in
@@ -90,11 +154,15 @@ let record_run ~scenario ~mode (r : Dispatcher.report) =
   count ~scenario ~mode "switches" r.Dispatcher.switches;
   count ~scenario ~mode "collectors" r.Dispatcher.collectors
 
-(* run + record: the figure tables double as data points *)
-let time_r ~scenario engine mode (q : Queries.query) =
-  let r = Engine.run_sql engine ~mode q.Queries.sql in
+(* A figure table's read of the grid: [q]'s run on [cell] under [mode]
+   (the observed one with [observe]), recorded as the table reads it. *)
+let recorded ?(observe = false) ~scenario cell q mode =
+  let r = if observe then (observed cell q mode).report else run cell q mode in
   record_run ~scenario ~mode:(Dispatcher.mode_to_string mode) r;
   r
+
+let recorded_ms ~scenario cell q mode =
+  (recorded ~scenario cell q mode).Dispatcher.elapsed_ms
 
 (* A header line, then one point per line with every bit of its value:
    dropping the wall and minor-word lines ([grep -v]) leaves the
@@ -104,7 +172,8 @@ let emit_json () =
   Printf.fprintf oc
     "{\"sf\": %.17g, \"budget_pages\": %d, \"recommended_domain_count\": \
      %d, \"ocaml\": %S, \"points\": [\n"
-    sf budget_pages (Domain.recommended_domain_count ()) Sys.ocaml_version;
+    default_cell.sf default_cell.budget_pages
+    (Domain.recommended_domain_count ()) Sys.ocaml_version;
   let last = List.length !points - 1 in
   List.iteri
     (fun i p ->
@@ -175,6 +244,12 @@ let record_timed ?per ~scenario ~mode t =
   record ~stat:"median" Count "minor_words" "words" words;
   (wall_min, wall_med, words)
 
+(* A loop of [per] operations, timed op_reps times and recorded per
+   operation: ns min, ns median and minor words. *)
+let per_op ~scenario ~mode ~per ~setup f =
+  count ~scenario ~mode "ops" per;
+  record_timed ~per ~scenario ~mode (timed op_reps ~setup f)
+
 (* ------------------------------------------------------------------ *)
 (* One verdict.  Every cross-check goes through [check], which returns
    the table row's verdict cell: "yes", or the invariants the row broke.
@@ -200,38 +275,45 @@ let conclude ~scenario ~rows paragraph =
     Fmt.pr "@.** %d of %d %s rows broke an invariant **@."
       (List.length failed) rows scenario
 
+let render (rows : Mqr_storage.Tuple.t array) =
+  Array.to_list (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp) rows)
+
 (* A report's rows rendered and sorted: plans that differ may emit the
    same multiset of rows in a different order. *)
-let canon (r : Dispatcher.report) =
-  List.sort compare
-    (Array.to_list
-       (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp) r.Dispatcher.rows))
+let canon (r : Dispatcher.report) = List.sort compare (render r.Dispatcher.rows)
+
+(* how many of [r]'s events [f] selects *)
+let events f (r : Dispatcher.report) =
+  List.length (List.filter (fun (_, e) -> f e) r.Dispatcher.timed_events)
 
 let pct_improvement ~normal ~reopt = 100.0 *. (normal -. reopt) /. normal
 
-let header title =
+(* a table's title, followed by the cell it reads, if given *)
+let header ?cell title =
   let hr = String.make 78 '-' in
-  Fmt.pr "%s@.%s@.%s@." hr title hr
+  match cell with
+  | None -> Fmt.pr "%s@.%s@.%s@." hr title hr
+  | Some c ->
+    Fmt.pr "%s@.%s (sf=%g, budget=%d pages)@.%s@." hr title c.sf c.budget_pages
+      hr
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10: Normal vs Re-Optimized, all seven queries.               *)
 
 let figure10 () =
+  let cell = default_cell in
   header
     (Fmt.str
        "Figure 10 - Performance of Dynamic Re-Optimization (sf=%g, \
         budget=%d pages, mu=0.05 theta1=0.05 theta2=0.2)"
-       sf budget_pages);
+       cell.sf cell.budget_pages);
   Fmt.pr "%-5s %-8s %6s | %12s %12s %9s %9s@." "query" "class" "joins"
     "normal(ms)" "reopt(ms)" "improv%" "switches";
-  let engine = engine_for () in
   List.iter
     (fun (q : Queries.query) ->
-       let scenario = "f10/" ^ q.Queries.name in
-       let normal =
-         (time_r ~scenario engine Dispatcher.Off q).Dispatcher.elapsed_ms
-       in
-       let r = time_r ~scenario engine Dispatcher.Full q in
+       let report = recorded ~scenario:("f10/" ^ q.Queries.name) cell q in
+       let normal = (report Dispatcher.Off).Dispatcher.elapsed_ms in
+       let r = report Dispatcher.Full in
        let reopt = r.Dispatcher.elapsed_ms in
        Fmt.pr "%-5s %-8s %6d | %12.1f %12.1f %8.1f%% %9d@." q.Queries.name
          (Queries.klass_to_string q.Queries.klass)
@@ -250,11 +332,9 @@ let figure11 () =
   header "Figure 11 - Isolating memory management vs plan modification";
   Fmt.pr "%-5s %-8s | %10s %12s %12s %12s@." "query" "class" "normal"
     "mem-only" "plan-only" "full";
-  let engine = engine_for () in
   List.iter
     (fun (q : Queries.query) ->
-       let scenario = "f11/" ^ q.Queries.name in
-       let ms mode = (time_r ~scenario engine mode q).Dispatcher.elapsed_ms in
+       let ms = recorded_ms ~scenario:("f11/" ^ q.Queries.name) default_cell q in
        let normal = ms Dispatcher.Off in
        let mem = ms Dispatcher.Memory_only in
        let plan = ms Dispatcher.Plan_only in
@@ -275,30 +355,22 @@ let figure12 () =
   header "Figure 12 - Effect of skew (ratio re-optimized / normal)";
   Fmt.pr "%-5s %-8s | %12s %12s %12s@." "query" "class" "z=0 ratio"
     "z=0.3 ratio" "z=0.6 ratio";
-  let engines =
-    List.map (fun z -> (z, engine_for ~skew_z:z ())) [ 0.0; 0.3; 0.6 ]
-  in
   List.iter
     (fun (q : Queries.query) ->
-       let ratios =
-         List.map
-           (fun (z, engine) ->
-              let scenario = Fmt.str "f12/%s/z=%g" q.Queries.name z in
-              let normal =
-                (time_r ~scenario engine Dispatcher.Off q).Dispatcher.elapsed_ms
-              in
-              let reopt =
-                (time_r ~scenario engine Dispatcher.Full q).Dispatcher.elapsed_ms
-              in
-              reopt /. normal)
-           engines
+       let ratio skew_z =
+         let ms =
+           recorded_ms ~scenario:(Fmt.str "f12/%s/z=%g" q.Queries.name skew_z)
+             { default_cell with skew_z } q
+         in
+         let normal = ms Dispatcher.Off in
+         ms Dispatcher.Full /. normal
        in
-       match ratios with
-       | [ r0; r3; r6 ] ->
-         Fmt.pr "%-5s %-8s | %12.3f %12.3f %12.3f@." q.Queries.name
-           (Queries.klass_to_string q.Queries.klass)
-           r0 r3 r6
-       | _ -> ())
+       let r0 = ratio 0.0 in
+       let r3 = ratio 0.3 in
+       let r6 = ratio 0.6 in
+       Fmt.pr "%-5s %-8s | %12.3f %12.3f %12.3f@." q.Queries.name
+         (Queries.klass_to_string q.Queries.klass)
+         r0 r3 r6)
     interesting;
   Fmt.pr
     "@.Paper's shape: the relative benefit of re-optimization grows \
@@ -313,17 +385,25 @@ let xfig3 () =
     "Extension - Figure 3 worked example: re-allocation avoids a 2-pass \
      hash join";
   let q = Queries.find "Q10" in
-  let engine = engine_for () in
-  let off = Engine.run_sql engine ~mode:Dispatcher.Off q.Queries.sql in
-  let mem = Engine.run_sql engine ~mode:Dispatcher.Memory_only q.Queries.sql in
+  let report = recorded ~scenario:"xfig3/Q10" default_cell q in
+  let off = report Dispatcher.Off in
+  let mem = report Dispatcher.Memory_only in
   Fmt.pr "normal:       %10.1f ms@." off.Dispatcher.elapsed_ms;
   Fmt.pr "memory-only:  %10.1f ms@." mem.Dispatcher.elapsed_ms;
+  let reallocs = ref 0 and granted = ref 0 in
   List.iter
     (fun (_, ev) ->
        match ev with
-       | Dispatcher.Ev_realloc _ -> Fmt.pr "  %a@." Dispatcher.pp_event ev
+       | Dispatcher.Ev_realloc { grants } ->
+         Fmt.pr "  %a@." Dispatcher.pp_event ev;
+         incr reallocs;
+         List.iter
+           (fun g -> granted := !granted + g.Mqr_memman.Memory_manager.granted)
+           grants
        | _ -> ())
-    mem.Dispatcher.timed_events
+    mem.Dispatcher.timed_events;
+  count ~scenario:"xfig3/Q10" ~mode:"memory-only" "reallocs" !reallocs;
+  count ~scenario:"xfig3/Q10" ~mode:"memory-only" "granted_pages" !granted
 
 (* ------------------------------------------------------------------ *)
 (* Extension X-sens: sensitivity to mu and theta2 (thesis [12]).       *)
@@ -333,37 +413,36 @@ let sensitivity () =
   (* Q7 is the query whose re-optimization actually switches plans, so the
      thresholds have something to gate *)
   let q = Queries.find "Q7" in
-  let engine = engine_for () in
-  let report params =
-    let engine = Engine.with_params engine params in
-    let r = Engine.run_sql engine ~mode:Dispatcher.Full q.Queries.sql in
-    (r.Dispatcher.elapsed_ms, r.Dispatcher.switches, r.Dispatcher.collectors)
+  let engine = engine default_cell in
+  let sweep title name params values line =
+    Fmt.pr "%s@." title;
+    List.iter
+      (fun v ->
+         let engine = Engine.with_params engine (params v) in
+         let r = Engine.run_sql engine ~mode:Dispatcher.Full q.Queries.sql in
+         record_run ~scenario:(Fmt.str "sens/Q7/%s=%g" name v) ~mode:"full" r;
+         line v r)
+      values
   in
-  Fmt.pr "mu sweep (theta1=0.05 theta2=0.2):@.";
-  List.iter
-    (fun mu ->
-       let ms, sw, col =
-         report { Reopt_policy.default_params with Reopt_policy.mu }
-       in
-       Fmt.pr "  mu=%-5.2f -> %10.1f ms  (%d collectors, %d switches)@." mu ms
-         col sw)
-    [ 0.0; 0.01; 0.02; 0.05; 0.10; 0.20 ];
-  Fmt.pr "theta2 sweep (mu=0.05):@.";
-  List.iter
-    (fun theta2 ->
-       let ms, sw, _ =
-         report { Reopt_policy.default_params with Reopt_policy.theta2 }
-       in
-       Fmt.pr "  theta2=%-5.2f -> %10.1f ms  (%d switches)@." theta2 ms sw)
-    [ 0.05; 0.1; 0.2; 0.4; 0.8; 5.0 ];
-  Fmt.pr "theta1 sweep (mu=0.05 theta2=0.2):@.";
-  List.iter
-    (fun theta1 ->
-       let ms, sw, _ =
-         report { Reopt_policy.default_params with Reopt_policy.theta1 }
-       in
-       Fmt.pr "  theta1=%-5.3f -> %10.1f ms  (%d switches)@." theta1 ms sw)
+  let p = Reopt_policy.default_params in
+  sweep "mu sweep (theta1=0.05 theta2=0.2):" "mu"
+    (fun mu -> { p with Reopt_policy.mu })
+    [ 0.0; 0.01; 0.02; 0.05; 0.10; 0.20 ]
+    (fun mu r ->
+       Fmt.pr "  mu=%-5.2f -> %10.1f ms  (%d collectors, %d switches)@." mu
+         r.Dispatcher.elapsed_ms r.Dispatcher.collectors r.Dispatcher.switches);
+  sweep "theta2 sweep (mu=0.05):" "theta2"
+    (fun theta2 -> { p with Reopt_policy.theta2 })
+    [ 0.05; 0.1; 0.2; 0.4; 0.8; 5.0 ]
+    (fun theta2 r ->
+       Fmt.pr "  theta2=%-5.2f -> %10.1f ms  (%d switches)@." theta2
+         r.Dispatcher.elapsed_ms r.Dispatcher.switches);
+  sweep "theta1 sweep (mu=0.05 theta2=0.2):" "theta1"
+    (fun theta1 -> { p with Reopt_policy.theta1 })
     [ 0.001; 0.01; 0.05; 0.25 ]
+    (fun theta1 r ->
+       Fmt.pr "  theta1=%-5.3f -> %10.1f ms  (%d switches)@." theta1
+         r.Dispatcher.elapsed_ms r.Dispatcher.switches)
 
 (* ------------------------------------------------------------------ *)
 (* Extension X-overhead: simple queries never pay more than mu.  On both
@@ -373,7 +452,7 @@ let sensitivity () =
 
 let overhead () =
   header "Extension - Collection overhead on simple queries is bounded by mu";
-  let engine = engine_for () in
+  let engine = engine default_cell in
   let pct ~normal ~reopt = 100.0 *. (reopt -. normal) /. normal in
   List.iter
     (fun name ->
@@ -413,33 +492,29 @@ let overhead () =
 
 let ablation_joins () =
   header "Ablation - join algorithms available to the optimizer (Q5, normal mode)";
+  let module O = Mqr_opt.Optimizer in
+  let d = O.default_options in
   let variants =
-    [ ("all", Mqr_opt.Optimizer.default_options);
-      ("no index NL join",
-       { Mqr_opt.Optimizer.default_options with
-         Mqr_opt.Optimizer.enable_index_join = false });
-      ("no merge join",
-       { Mqr_opt.Optimizer.default_options with
-         Mqr_opt.Optimizer.enable_merge_join = false });
+    [ ("all", d);
+      ("no index NL join", { d with O.enable_index_join = false });
+      ("no merge join", { d with O.enable_merge_join = false });
       ("hash join only",
-       { Mqr_opt.Optimizer.default_options with
-         Mqr_opt.Optimizer.enable_index_join = false;
-         enable_merge_join = false });
-      ("left-deep only",
-       { Mqr_opt.Optimizer.default_options with
-         Mqr_opt.Optimizer.enable_bushy = false }) ]
+       { d with O.enable_index_join = false; enable_merge_join = false });
+      ("left-deep only", { d with O.enable_bushy = false }) ]
   in
   let q = Queries.find "Q5" in
   List.iter
-    (fun (label, base) ->
-       let catalog = Workload.experiment_catalog ~sf () in
-       let engine =
-         Engine.create ~budget_pages ~pool_pages
-           ~opt_options:(opt_options ~base ()) catalog
+    (fun (label, opt_options) ->
+       let engine = engine ~opt_options default_cell in
+       let ms mode =
+         let r = Engine.run_sql engine ~mode q.Queries.sql in
+         record_run ~scenario:("joins/Q5/" ^ label)
+           ~mode:(Dispatcher.mode_to_string mode) r;
+         r.Dispatcher.elapsed_ms
        in
-       Fmt.pr "  %-18s normal %10.1f ms   reopt %10.1f ms@." label
-         (time engine Dispatcher.Off q)
-         (time engine Dispatcher.Full q))
+       let normal = ms Dispatcher.Off in
+       let reopt = ms Dispatcher.Full in
+       Fmt.pr "  %-18s normal %10.1f ms   reopt %10.1f ms@." label normal reopt)
     variants
 
 (* ------------------------------------------------------------------ *)
@@ -452,10 +527,17 @@ let ablation_histograms () =
     (fun kind ->
        (* pristine catalog, only the histogram kind varies: estimate
           quality differences come from the kind alone, under skewed data *)
-       let degradations = [ Workload.Histogram_kind kind ] in
-       let engine = engine_for ~skew_z:0.6 ~degradations () in
-       let normal = time engine Dispatcher.Off q in
-       let reopt = time engine Dispatcher.Full q in
+       let cell =
+         { default_cell with
+           skew_z = 0.6; degradations = [ Workload.Histogram_kind kind ] }
+       in
+       let ms =
+         recorded_ms
+           ~scenario:("hist/Q3/" ^ Mqr_stats.Histogram.kind_to_string kind)
+           cell q
+       in
+       let normal = ms Dispatcher.Off in
+       let reopt = ms Dispatcher.Full in
        Fmt.pr "  %-12s normal %10.1f ms   reopt %10.1f ms   ratio %.3f@."
          (Mqr_stats.Histogram.kind_to_string kind)
          normal reopt (reopt /. normal))
@@ -467,23 +549,24 @@ let ablation_histograms () =
 
 let hybrid () =
   header
-    "Extension - hybrid: start-time sampling probes + mid-query      re-optimization (Q3/Q5/Q8)";
+    "Extension - hybrid: start-time sampling probes + mid-query re-optimization (Q3/Q5/Q8)";
   Fmt.pr "%-5s | %10s %12s %12s %12s@." "query" "normal" "reopt"
     "probe-only" "probe+reopt";
-  let engine = engine_for () in
+  let engine = engine default_cell in
   List.iter
     (fun name ->
        let q = Queries.find name in
-       let normal = time engine Dispatcher.Off q in
-       let reopt = time engine Dispatcher.Full q in
-       let probe_only =
-         (Engine.run_sql engine ~mode:Dispatcher.Off ~probe_rows:64
-            q.Queries.sql).Dispatcher.elapsed_ms
+       let scenario = "hybrid/" ^ name in
+       let ms = recorded_ms ~scenario default_cell q in
+       let probed label mode =
+         let r = Engine.run_sql engine ~mode ~probe_rows:64 q.Queries.sql in
+         record_run ~scenario ~mode:label r;
+         r.Dispatcher.elapsed_ms
        in
-       let probe_reopt =
-         (Engine.run_sql engine ~mode:Dispatcher.Full ~probe_rows:64
-            q.Queries.sql).Dispatcher.elapsed_ms
-       in
+       let normal = ms Dispatcher.Off in
+       let reopt = ms Dispatcher.Full in
+       let probe_only = probed "probe-only" Dispatcher.Off in
+       let probe_reopt = probed "probe+reopt" Dispatcher.Full in
        Fmt.pr "%-5s | %10.1f %12.1f %12.1f %12.1f@." name normal reopt
          probe_only probe_reopt)
     [ "Q3"; "Q5"; "Q8" ];
@@ -501,7 +584,7 @@ let hybrid () =
 
 let scalability () =
   header
-    "Extension - partitioned-parallel substrate: join speedup by degree      (Paradise ran on 4 nodes)";
+    "Extension - partitioned-parallel substrate: join speedup by degree (Paradise ran on 4 nodes)";
   let module Parallel = Mqr_exec.Parallel in
   let module Exec_ctx = Mqr_exec.Exec_ctx in
   let rows n =
@@ -523,11 +606,13 @@ let scalability () =
             ~build:(build, schema "r") ~probe:(probe, schema "l")
             ~keys:[ ("l.a", "r.a") ] ());
        let t = Exec_ctx.elapsed_ms ctx in
+       record ~scenario:(Fmt.str "scale/degree=%d" degree) ~mode:"hash-join"
+         Sim "elapsed" "ms" t;
        if degree = 1 then base := t;
        Fmt.pr "  degree %d: %10.1f ms   speedup %.2fx@." degree t (!base /. t))
     [ 1; 2; 4; 8 ];
   Fmt.pr
-    "@.Sub-linear speedup: repartitioning pays the interconnect, as on the      paper's cluster.@."
+    "@.Sub-linear speedup: repartitioning pays the interconnect, as on the paper's cluster.@."
 
 (* ------------------------------------------------------------------ *)
 (* Runtime filters: bloom/min-max sideways information passing.        *)
@@ -536,32 +621,24 @@ let runtime_filters () =
   (* A budget tight enough that mid-size hash-join builds spill: the
      filter's probe-side pruning then saves partitioning I/O, not just
      per-tuple CPU. *)
-  let rf_budget = max 20 (budget_pages / 8) in
+  let cell =
+    { default_cell with budget_pages = max 20 (default_cell.budget_pages / 8) }
+  in
   header
     (Fmt.str
        "Runtime filters - join-heavy queries, filters off vs on \
         (mode=off, sf=%g, budget=%d pages)"
-       sf rf_budget);
-  let catalog =
-    Workload.experiment_catalog ~sf
-      ~degradations:Workload.paper_degradations ()
-  in
-  (* both engines share one catalog: identical data, the flag is the only
-     difference *)
-  let engine_off =
-    Engine.create ~budget_pages:rf_budget ~pool_pages:(8 * rf_budget) catalog
-  in
-  let engine_on =
-    Engine.create ~budget_pages:rf_budget ~pool_pages:(8 * rf_budget)
-      ~runtime_filters:true catalog
-  in
+       cell.sf cell.budget_pages);
+  (* the filtered engine shares the cell's catalog with the grid's run:
+     identical data, the flag is the only difference *)
+  let engine_on = engine ~runtime_filters:true cell in
   Fmt.pr "%-5s %6s | %12s %12s %9s %8s  %s@." "query" "joins" "off(ms)"
     "on(ms)" "improv%" "filters" "identical";
   List.iter
     (fun name ->
        let q = Queries.find name in
        let scenario = "rf/" ^ name in
-       let off = Engine.run_sql engine_off ~mode:Dispatcher.Off q.Queries.sql in
+       let off = run cell q Dispatcher.Off in
        let on = Engine.run_sql engine_on ~mode:Dispatcher.Off q.Queries.sql in
        record_run ~scenario ~mode:"rf-off" off;
        record_run ~scenario ~mode:"rf-on" on;
@@ -574,10 +651,7 @@ let runtime_filters () =
          q.Queries.joins off.Dispatcher.elapsed_ms on.Dispatcher.elapsed_ms
          (pct_improvement ~normal:off.Dispatcher.elapsed_ms
             ~reopt:on.Dispatcher.elapsed_ms)
-         (List.length
-            (List.filter
-               (function _, Dispatcher.Ev_filter _ -> true | _ -> false)
-               on.Dispatcher.timed_events))
+         (events (function Dispatcher.Ev_filter _ -> true | _ -> false) on)
          identical)
     [ "Q3"; "Q5"; "Q7"; "Q8"; "Q10" ];
   conclude ~scenario:"rf" ~rows:5 @@ fun () ->
@@ -598,7 +672,7 @@ let wlm () =
     (Fmt.str
        "Workload manager - 4-query batch, serial fixed budget vs shared \
         broker (budget=%d pages)"
-       budget_pages);
+       default_cell.budget_pages);
   let module Service = Mqr_wlm.Service in
   let module Session = Mqr_wlm.Session in
   let run ~max_concurrency ~feedback =
@@ -609,7 +683,7 @@ let wlm () =
             Service.max_concurrency;
             policy = Service.Round_robin;
             feedback }
-        (engine_for ())
+        (engine default_cell)
     in
     Service.add_tenant svc ~slo:Session.Batch "batch";
     let session = Service.open_session svc ~tenant:"batch" in
@@ -623,10 +697,10 @@ let wlm () =
   in
   let serial = run ~max_concurrency:1 ~feedback:false in
   let conc = run ~max_concurrency:4 ~feedback:true in
-  Fmt.pr "serial (one at a time, all %d pages each):@.%a@.@." budget_pages
-    Service.pp_report serial;
+  Fmt.pr "serial (one at a time, all %d pages each):@.%a@.@."
+    default_cell.budget_pages Service.pp_report serial;
   Fmt.pr "concurrent (broker leases over the same %d pages):@.%a@.@."
-    budget_pages Service.pp_report conc;
+    default_cell.budget_pages Service.pp_report conc;
   Fmt.pr "makespan %.1f ms -> %.1f ms  (%.2fx)%s@." serial.Service.makespan_ms
     conc.Service.makespan_ms
     (serial.Service.makespan_ms /. conc.Service.makespan_ms)
@@ -652,106 +726,83 @@ let wlm () =
 
 (* ------------------------------------------------------------------ *)
 (* Observers: tracing (spans, audit ledger, metrics), progress/ETA
-   estimation and the plan-verifier sanitizer are pure observation.  Every
-   query runs in every reopt mode twice on one catalog: on a plain engine,
-   and on one carrying all three observers.  Rows and simulated elapsed
-   time must be bit-identical, every span closed, the progress stream
-   monotone to exactly 100%, and no filter page held at the end.  The
-   table shows what the observers saw: spans, ledger entries, sanitizer
-   verifications, the error of the finish-time forecast made at the
-   first progress update (nothing has executed yet), and how often the
-   provable ETA interval covered the actual finish.                    *)
+   estimation and the plan-verifier sanitizer are pure observation.  Each
+   query x mode's observed run must match its plain run: rows and
+   simulated elapsed bit-identical, every span closed, the progress
+   stream monotone to exactly 100%, no filter page held.  The table shows
+   spans, ledger entries, verifications, the error of the finish-time
+   forecast at the first progress update, and how often the provable ETA
+   interval covered the actual finish.                                  *)
 
 let observers_scenario () =
-  let module Trace = Mqr_obs.Trace in
   let module Progress = Mqr_obs.Progress in
-  header
-    (Fmt.str
-       "Observers - trace + progress + sanitizer on every query x reopt \
-        mode (sf=%g, budget=%d pages)"
-       sf budget_pages);
-  let modes =
-    [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
-      Dispatcher.Full; Dispatcher.Bound_checked ]
-  in
+  let cell = default_cell in
+  header ~cell
+    "Observers - trace + progress + sanitizer on every query x reopt mode";
   Fmt.pr "%-5s %-14s | %10s %6s %7s %7s %12s %7s %7s  %s@." "query" "mode"
     "actual(ms)" "spans" "ledger" "verifs" "eta@start" "err%" "cover%"
     "identical";
-  let tr = Trace.create () in
+  let runs =
+    List.concat_map (fun mode -> List.map (fun q -> (q, mode)) Queries.all)
+      all_modes
+  in
   List.iter
-    (fun mode ->
-       let catalog = Workload.experiment_catalog ~sf () in
-       let plain = Engine.create ~budget_pages ~pool_pages catalog in
-       let observed =
-         Engine.create ~budget_pages ~pool_pages ~trace:tr
-           ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
+    (fun ((q : Queries.query), mode) ->
+       let off = run cell q mode and o = observed cell q mode in
+       let on = o.report and p = o.progress in
+       let actual = on.Dispatcher.elapsed_ms in
+       let samples = Progress.samples p in
+       let first_est =
+         match samples with
+         | s :: _ -> s.Progress.ts_ms +. s.Progress.remaining_est_ms
+         | [] -> 0.0
        in
-       List.iter
-         (fun (q : Queries.query) ->
-            let spans0 = List.length (Trace.spans tr) in
-            let ledger0 = List.length (Trace.ledger tr) in
-            let off = Engine.run_sql plain ~mode q.Queries.sql in
-            let p = Progress.create () in
-            let on = Engine.run_sql observed ~mode ~progress:p q.Queries.sql in
-            let spans = List.length (Trace.spans tr) - spans0 in
-            let ledger = List.length (Trace.ledger tr) - ledger0 in
-            let actual = on.Dispatcher.elapsed_ms in
-            let samples = Progress.samples p in
-            let first_est =
-              match samples with
-              | s :: _ -> s.Progress.ts_ms +. s.Progress.remaining_est_ms
-              | [] -> 0.0
-            in
-            let covered =
-              List.length
-                (List.filter
-                   (fun (s : Progress.sample) ->
-                      s.Progress.eta_lo_ms <= actual
-                      && actual <= s.Progress.eta_hi_ms)
-                   samples)
-            in
-            let cover_pct =
-              100.0 *. float_of_int covered
-              /. float_of_int (max 1 (List.length samples))
-            in
-            let mode = Dispatcher.mode_to_string mode in
-            let verdict =
-              check ~scenario:"observers" ~row:(q.Queries.name ^ " " ^ mode)
-                [ (on.Dispatcher.rows = off.Dispatcher.rows, "rows");
-                  (actual = off.Dispatcher.elapsed_ms, "elapsed");
-                  (Trace.open_spans tr = 0, "open spans");
-                  ( Progress.monotone p && Progress.finished p
-                    && (match Progress.latest p with
-                        | Some s -> s.Progress.percent = 100.0
-                        | None -> false),
-                    "progress" );
-                  (on.Dispatcher.filter_pages_held = 0, "filter pages") ]
-            in
-            let scenario = "observers/" ^ q.Queries.name in
-            record_run ~scenario ~mode on;
-            count ~scenario ~mode "spans" spans;
-            count ~scenario ~mode "ledger" ledger;
-            count ~scenario ~mode "verifications" on.Dispatcher.verifications;
-            record ~scenario ~mode Sim "eta_error" "ms"
-              (Float.abs (first_est -. actual));
-            record ~scenario ~mode Count "eta_cover" "%" cover_pct;
-            Fmt.pr "%-5s %-14s | %10.1f %6d %7d %7d %12.1f %6.1f%% %6.0f%%  %s@."
-              q.Queries.name mode actual spans ledger
-              on.Dispatcher.verifications first_est
-              (100.0 *. Float.abs (first_est -. actual) /. actual)
-              cover_pct verdict)
-         Queries.all)
-    modes;
-  let runs = List.length modes * List.length Queries.all in
-  conclude ~scenario:"observers" ~rows:runs @@ fun () ->
+       let covers (s : Progress.sample) =
+         s.Progress.eta_lo_ms <= actual && actual <= s.Progress.eta_hi_ms
+       in
+       let cover_pct =
+         100.0 *. float_of_int (List.length (List.filter covers samples))
+         /. float_of_int (max 1 (List.length samples))
+       in
+       let mode = Dispatcher.mode_to_string mode in
+       let verdict =
+         check ~scenario:"observers" ~row:(q.Queries.name ^ " " ^ mode)
+           [ (on.Dispatcher.rows = off.Dispatcher.rows, "rows");
+             (actual = off.Dispatcher.elapsed_ms, "elapsed");
+             (o.open_spans = 0, "open spans");
+             ( Progress.monotone p && Progress.finished p
+               && (match Progress.latest p with
+                   | Some s -> s.Progress.percent = 100.0
+                   | None -> false),
+               "progress" );
+             (on.Dispatcher.filter_pages_held = 0, "filter pages") ]
+       in
+       let scenario = "observers/" ^ q.Queries.name in
+       record_run ~scenario ~mode on;
+       count ~scenario ~mode "spans" o.spans;
+       count ~scenario ~mode "ledger" o.ledger;
+       count ~scenario ~mode "verifications" on.Dispatcher.verifications;
+       record ~scenario ~mode Sim "eta_error" "ms"
+         (Float.abs (first_est -. actual));
+       record ~scenario ~mode Count "eta_cover" "%" cover_pct;
+       Fmt.pr "%-5s %-14s | %10.1f %6d %7d %7d %12.1f %6.1f%% %6.0f%%  %s@."
+         q.Queries.name mode actual o.spans o.ledger
+         on.Dispatcher.verifications first_est
+         (100.0 *. Float.abs (first_est -. actual) /. actual)
+         cover_pct verdict)
+    runs;
+  let total f =
+    List.fold_left (fun acc (q, mode) -> acc + f (observed cell q mode)) 0 runs
+  in
+  conclude ~scenario:"observers" ~rows:(List.length runs) @@ fun () ->
   Fmt.pr
     "@.The observers are pure: in %d runs rows and simulated elapsed \
      time are bit-identical@.with trace, progress and sanitizer \
      attached, every span closed (%d spans, %d ledger@.entries), every \
      progress stream monotone to exactly 100%%, no filter page held.@."
-    runs
-    (List.length (Trace.spans tr))
-    (List.length (Trace.ledger tr))
+    (List.length runs)
+    (total (fun o -> o.spans))
+    (total (fun o -> o.ledger))
 
 (* ------------------------------------------------------------------ *)
 (* Bound-checked re-optimization: estimate-based plan switching versus
@@ -764,28 +815,21 @@ let observers_scenario () =
    (Q7).  The inverse price also shows: a genuinely winning switch whose
    margin is *not* provable is forgone, and the replan-and-check
    overhead at vetoed decision points is still paid (Q8 lands behind
-   memory-only).  The whole scenario runs under the sanitizer, so every
-   observed cardinality is also cross-checked against its provable
-   interval (BND-OBSERVED is a hard error).                            *)
+   memory-only).  The observed runs are sanitized, so every observed
+   cardinality is checked against its provable interval too.           *)
 
 let bounds_scenario () =
-  header
-    (Fmt.str
-       "Bound-checked switching - estimate-based vs guaranteed-win plan \
-        switches (sf=%g, budget=%d pages)"
-       sf budget_pages);
-  let catalog = Workload.experiment_catalog ~sf () in
-  let engine =
-    Engine.create ~budget_pages ~pool_pages
-      ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
-  in
+  let cell = default_cell in
+  header ~cell
+    "Bound-checked switching - estimate-based vs guaranteed-win plan \
+     switches";
   Fmt.pr "%-5s %-8s | %10s %12s %12s %12s %13s  %s@." "query" "class" "normal"
     "mem-only" "plan-only" "full" "bound-checked" "identical";
-  let replanning = ref [] in
   List.iter
     (fun (q : Queries.query) ->
-       let scenario = "bounds/" ^ q.Queries.name in
-       let run mode = time_r ~scenario engine mode q in
+       let run =
+         recorded ~observe:true ~scenario:("bounds/" ^ q.Queries.name) cell q
+       in
        let normal = run Dispatcher.Off in
        let mem = run Dispatcher.Memory_only in
        let plan = run Dispatcher.Plan_only in
@@ -806,20 +850,16 @@ let bounds_scenario () =
          (Queries.klass_to_string q.Queries.klass)
          normal.Dispatcher.elapsed_ms mem.Dispatcher.elapsed_ms
          plan.Dispatcher.elapsed_ms full.Dispatcher.elapsed_ms
-         bc.Dispatcher.elapsed_ms identical;
-       replanning :=
-         (q, [ (Dispatcher.Plan_only, plan); (Dispatcher.Full, full);
-               (Dispatcher.Bound_checked, bc) ])
-         :: !replanning)
+         bc.Dispatcher.elapsed_ms identical)
     interesting;
   (* Eq. 1's T_opt,estimated against what each re-plan really charged
      (plans enumerated x opt_per_plan_ms), from the decision ledger *)
   Fmt.pr "@.%-5s %-14s %-8s | %12s %8s %12s %9s@." "query" "mode" "outcome"
     "t_opt_est" "plans" "charged(ms)" "charged/est";
   List.iter
-    (fun ((q : Queries.query), runs) ->
+    (fun (q : Queries.query) ->
        List.iter
-         (fun (mode, (r : Dispatcher.report)) ->
+         (fun mode ->
             let row outcome est plans charged =
               Fmt.pr "%-5s %-14s %-8s | %12.1f %8d %12.1f %9.1f@."
                 q.Queries.name (Dispatcher.mode_to_string mode) outcome est
@@ -838,9 +878,9 @@ let bounds_scenario () =
                       row "rejected" est plans_enumerated opt_ms;
                       est
                     | _ -> est)
-                 Float.nan r.Dispatcher.timed_events))
-         runs)
-    (List.rev !replanning);
+                 Float.nan (observed cell q mode).report.Dispatcher.timed_events))
+         [ Dispatcher.Plan_only; Dispatcher.Full; Dispatcher.Bound_checked ])
+    interesting;
   conclude ~scenario:"bounds" ~rows:(List.length interesting) @@ fun () ->
   Fmt.pr
     "@.Bound-checked switching admits only switches that are provable \
@@ -858,26 +898,20 @@ let bounds_scenario () =
    bit-identical across repetitions.                                    *)
 
 let parallel_scenario () =
-  header
-    (Fmt.str "Parallel plans - max dop 1 vs 4 (sf=%g, budget=%d pages)" sf
-       budget_pages);
-  let catalog = Workload.experiment_catalog ~sf () in
+  header ~cell:default_cell "Parallel plans - max dop 1 vs 4";
   Fmt.pr "%-5s | %3s | %12s %12s %12s %9s %10s  %s@." "query" "dop" "sim(ms)"
     "wall-min(ms)" "wall-med(ms)" "par ops" "peak pages" "identical";
   List.iter
     (fun name ->
        let q = Queries.find name in
-       let serial_rows = ref [] in
+       let dop1 = canon (run default_cell q Dispatcher.Full) in
        List.iter
          (fun max_dop ->
-            let opt_options = opt_options ~max_dop () in
             (* each repetition on a fresh engine: the simulation must be
                bit-identical across them *)
             let t =
               timed whole_reps
-                ~setup:(fun () ->
-                    Engine.create ~budget_pages ~pool_pages ~opt_options
-                      catalog)
+                ~setup:(fun () -> engine ~max_dop default_cell)
                 (fun engine ->
                    Engine.run_sql engine ~mode:Dispatcher.Full q.Queries.sql)
             in
@@ -885,10 +919,9 @@ let parallel_scenario () =
             let scenario = Fmt.str "parallel/%s/dop=%d" name max_dop in
             record_run ~scenario ~mode:"full" r;
             let wall_min, wall_med, _ = record_timed ~scenario ~mode:"full" t in
-            if max_dop = 1 then serial_rows := canon r;
             let identical =
               check ~scenario:"parallel" ~row:(Fmt.str "%s dop %d" name max_dop)
-                [ (canon r = !serial_rows, "rows");
+                [ (canon r = dop1, "rows");
                   ( List.for_all
                       (fun (r' : Dispatcher.report) ->
                          r'.Dispatcher.rows = r.Dispatcher.rows
@@ -897,10 +930,7 @@ let parallel_scenario () =
                     "repetitions" ) ]
             in
             let par_ops =
-              List.length
-                (List.filter
-                   (function _, Dispatcher.Ev_parallel _ -> true | _ -> false)
-                   r.Dispatcher.timed_events)
+              events (function Dispatcher.Ev_parallel _ -> true | _ -> false) r
             in
             Fmt.pr "%-5s | %3d | %12.1f %12.1f %12.1f %9d %10d  %s@." name
               max_dop r.Dispatcher.elapsed_ms wall_min wall_med par_ops
@@ -933,9 +963,7 @@ let service_scenario () =
        "Query service - web (interactive) + etl (batch) tenants, \
         round-robin vs slo-aware (sf=%g, budget=%d pages, \
         sanitize on)"
-       sf budget_pages);
-  let catalog = Workload.experiment_catalog ~sf () in
-  let opt_options = opt_options ~max_dop:4 () in
+       default_cell.sf default_cell.budget_pages);
   (* (tenant, query, arrival ms) in arrival order: the batch statements
      land first and occupy the machine; interactive statements trickle in
      behind them *)
@@ -945,28 +973,21 @@ let service_scenario () =
       ("web", "Q1", 40.0); ("web", "Q6", 120.0); ("web", "Q3", 250.0);
       ("web", "Q1", 500.0); ("web", "Q6", 900.0); ("web", "Q3", 1500.0) ]
   in
-  let render (rows : Mqr_storage.Tuple.t array) =
-    Array.to_list (Array.map (Fmt.str "%a" Mqr_storage.Tuple.pp) rows)
-  in
   (* solo baseline: each distinct query alone on an otherwise idle
      engine — the service must return exactly these rows per statement *)
   let solo = Hashtbl.create 8 in
-  List.iter
-    (fun (_, name, _) ->
-       if not (Hashtbl.mem solo name) then begin
-         let engine =
-           Engine.create ~budget_pages ~pool_pages ~opt_options catalog
-         in
-         let r = Engine.run_sql engine (Queries.find name).Queries.sql in
-         Hashtbl.replace solo name (render r.Dispatcher.rows)
-       end)
-    arrivals;
+  let solo name =
+    memo solo name (fun () ->
+        let engine = engine ~max_dop:4 default_cell in
+        render
+          (Engine.run_sql engine (Queries.find name).Queries.sql).Dispatcher.rows)
+  in
   (* a fresh engine and service per repetition; the timer covers
      submission and the drain *)
   let setup policy () =
     let engine =
-      Engine.create ~budget_pages ~pool_pages ~opt_options
-        ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
+      engine ~max_dop:4 ~verify_plans:Mqr_analysis.Verifier.Sanitize
+        default_cell
     in
     let options =
       { Service.default_options with Service.policy; max_concurrency = 3 }
@@ -996,7 +1017,7 @@ let service_scenario () =
       (fun (s : Session.stmt) ->
          match s.Session.stmt_status with
          | Session.Done r ->
-           render r.Dispatcher.rows = Hashtbl.find solo s.Session.stmt_label
+           render r.Dispatcher.rows = solo s.Session.stmt_label
          | _ -> false)
       rep.Service.statements
   in
@@ -1004,15 +1025,10 @@ let service_scenario () =
      must be bit-identical across repetitions *)
   let sim_fingerprint (rep : Service.report) =
     ( rep.Service.makespan_ms,
-      List.map
-        (fun (slo, (c : Service.class_stats)) ->
-           (slo, c.Service.cs_n, c.Service.cs_p50_ms, c.Service.cs_p99_ms,
-            c.Service.cs_violations))
-        rep.Service.classes,
+      rep.Service.classes,
       List.map
         (fun (s : Session.stmt) ->
-           (s.Session.stmt_id, s.Session.stmt_admit_ms,
-            s.Session.stmt_finish_ms))
+           (s.Session.stmt_id, s.Session.stmt_admit_ms, s.Session.stmt_finish_ms))
         rep.Service.statements )
   in
   Fmt.pr "%-12s | %10s %9s %9s | %8s %8s | %8s %8s | %4s %4s %5s  %s@."
@@ -1095,8 +1111,8 @@ let opt_scenario () =
   let module Plan = Mqr_opt.Plan in
   header
     (Fmt.str "Optimizer cost - each query planned %d times (sf=%g)" op_reps
-       sf);
-  let engine = engine_for () in
+       default_cell.sf);
+  let engine = engine default_cell in
   let cfg = Engine.dispatcher_config engine ~mode:Dispatcher.Full () in
   Fmt.pr "%-5s | %7s %9s %9s %7s %12s %12s %9s %10s  %s@." "query" "plans"
     "sim(ms)" "est(ms)" "est/sim" "wall-min(ms)" "wall-med(ms)" "us/plan"
@@ -1115,10 +1131,8 @@ let opt_scenario () =
        let r = List.hd t.results in
        let plans = r.Optimizer.plans_enumerated in
        let sim_ms = Mqr_storage.Sim_clock.optimizer_ms ~plans in
-       let est_ms =
-         Optimizer.estimated_opt_ms
-           ~relations:(List.length query.Mqr_sql.Query.relations)
-       in
+       let relations = List.length query.Mqr_sql.Query.relations in
+       let est_ms = Optimizer.estimated_opt_ms ~relations in
        let est_ratio = est_ms /. sim_ms in
        let digest =
          Digest.to_hex (Digest.string (Plan.to_string r.Optimizer.plan))
@@ -1169,6 +1183,13 @@ let collect_scenario () =
   let leaf = Mqr_exec.Leaf.scan ctx heap and plain = Mqr_exec.Leaf.of_rows rows in
   Fmt.pr "%-16s %-10s %8s %10s %10s %10s@." "column" "statistic" "values"
     "ns-min" "ns-med" "words";
+  let row col stat per f =
+    let ns_min, ns_med, words =
+      per_op ~scenario:("collect/" ^ col) ~mode:stat ~per ~setup:ignore f
+    in
+    Fmt.pr "%-16s %-10s %8d %10.2f %10.2f %10.3f@." col stat per ns_min ns_med
+      words
+  in
   List.iter
     (fun col ->
        let name = "l." ^ col in
@@ -1188,14 +1209,7 @@ let collect_scenario () =
        in
        let spec = Collector.spec ~hist_cols:[ name ] ~distinct_cols:[ name ] () in
        List.iter
-         (fun (stat, per, f) ->
-            let scenario = "collect/" ^ col and mode = stat in
-            count ~scenario ~mode "ops" per;
-            let ns_min, ns_med, words =
-              record_timed ~per ~scenario ~mode (timed op_reps ~setup:ignore f)
-            in
-            Fmt.pr "%-16s %-10s %8d %10.2f %10.2f %10.3f@." col stat per ns_min
-              ns_med words)
+         (fun (stat, per, f) -> row col stat per f)
          [ ( "min/max", n,
              fun () -> ignore (Collector.ranges schema ~columns:[ name ] rows) );
            ( "reservoir", n,
@@ -1225,17 +1239,10 @@ let collect_scenario () =
              fun () -> ignore (Collector.collect ctx schema spec leaf) ) ])
     [ "l_orderkey"; "l_quantity"; "l_extendedprice"; "l_shipdate"; "l_shipmode" ];
   let draws = 1_000_000 and rng = Mqr_stats.Rng.create 0x5eed in
-  let scenario = "collect/rng" and mode = "int" in
-  count ~scenario ~mode "ops" draws;
-  let ns_min, ns_med, words =
-    record_timed ~per:draws ~scenario ~mode
-      (timed op_reps ~setup:ignore (fun () ->
-           for _ = 1 to draws do
-             ignore (Mqr_stats.Rng.int rng 1000)
-           done))
-  in
-  Fmt.pr "%-16s %-10s %8d %10.2f %10.2f %10.3f@." "rng" "int" draws ns_min
-    ns_med words
+  row "rng" "int" draws (fun () ->
+      for _ = 1 to draws do
+        ignore (Mqr_stats.Rng.int rng 1000)
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Storage accounting on the wall clock: what the bookkeeping behind the
@@ -1266,12 +1273,9 @@ let storage_scenario () =
     (Fmt.str "Storage accounting - wall ns per operation (sf=%g, %d reps)" sf
        op_reps);
   (* [hit_ratio] is read after the runs, so it can report what they did *)
-  let report name ~per ?hit_ratio f =
+  let report_setup name ~per ?hit_ratio ~setup f =
     let scenario = "storage" and mode = name in
-    count ~scenario ~mode "ops" per;
-    let ns_min, ns_med, words =
-      record_timed ~per ~scenario ~mode (timed op_reps ~setup:ignore f)
-    in
+    let ns_min, ns_med, words = per_op ~scenario ~mode ~per ~setup f in
     let note =
       match hit_ratio with
       | None -> ""
@@ -1282,6 +1286,9 @@ let storage_scenario () =
     in
     Fmt.pr "%-20s %9d %8.2f %8.2f %8.3f  %s@." name per ns_min ns_med words
       note
+  in
+  let report name ~per ?hit_ratio =
+    report_setup name ~per ?hit_ratio ~setup:ignore
   in
   Fmt.pr "%-20s %9s %8s %8s %8s@." "operation" "ops" "ns-min" "ns-med" "words";
   (* A fixed pseudo-random order over [keys] keys; key k is page k/2 of
@@ -1352,14 +1359,6 @@ let storage_scenario () =
     let h = Heap_file.create (Heap_file.schema heap) in
     Array.iter (fun t -> Heap_file.append h (Array.map fresh t)) rows;
     h
-  in
-  let report_setup mode ~per ~setup f =
-    let scenario = "storage" in
-    count ~scenario ~mode "ops" per;
-    let ns_min, ns_med, words =
-      record_timed ~per ~scenario ~mode (timed op_reps ~setup f)
-    in
-    Fmt.pr "%-20s %9d %8.2f %8.2f %8.3f@." mode per ns_min ns_med words
   in
   report_setup "append/cell" ~per:cells
     ~setup:(fun () -> Array.map (Array.map fresh) rows)
@@ -1440,10 +1439,8 @@ let hash_scenario () =
   let lineitem = table "lineitem" "l" in
   Fmt.pr "%-14s %9s %10s %10s %10s@." "kernel" "rows" "ns-min" "ns-med" "words";
   let report mode ~per f =
-    let scenario = "hash" in
-    count ~scenario ~mode "ops" per;
     let ns_min, ns_med, words =
-      record_timed ~per ~scenario ~mode (timed op_reps ~setup:ignore f)
+      per_op ~scenario:"hash" ~mode ~per ~setup:ignore f
     in
     Fmt.pr "%-14s %9d %10.2f %10.2f %10.3f@." mode per ns_min ns_med words
   in

@@ -54,19 +54,12 @@ let plan_cache_stats t =
   Option.map (fun c -> (Plan_cache.hits c, Plan_cache.misses c, Plan_cache.size c))
     t.plan_cache
 let params t = t.params
-(* Reconfigured engines get a fresh plan cache: plans compiled under the
-   old parameters (different mu, planning memory) must not be served. *)
-let fresh_cache t =
-  Option.map (fun _ -> Plan_cache.create ()) t.plan_cache
-
-let with_params t params = { t with params; plan_cache = fresh_cache t }
-let with_budget t ~budget_pages =
+(* A reconfigured engine gets a fresh plan cache: plans compiled under
+   the old parameters (a different mu) must not be served. *)
+let with_params t params =
   { t with
-    budget_pages;
-    plan_cache = fresh_cache t;
-    opt_options =
-      { t.opt_options with
-        Optimizer.planning_mem_pages = max 8 (budget_pages / 2) } }
+    params;
+    plan_cache = Option.map (fun _ -> Plan_cache.create ()) t.plan_cache }
 
 let register_udf t ~name fn =
   t.udfs := { Parser.name; fn; selectivity = None } :: !(t.udfs)

@@ -86,8 +86,6 @@ val params : t -> Reopt_policy.params
     the sensitivity experiments. *)
 val with_params : t -> Reopt_policy.params -> t
 
-val with_budget : t -> budget_pages:int -> t
-
 (** Register a user-defined function usable in SQL predicates.  It
     declares no selectivity, so the optimizer falls back to its default
     guess and the inaccuracy-potential rules treat predicates using the

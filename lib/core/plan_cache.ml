@@ -85,12 +85,6 @@ let store t catalog sql ~plan ~query ~collectors =
   Hashtbl.replace t.table sql
     { e = { plan; query; collectors }; table_versions = versions catalog query }
 
-let invalidate t sql = Hashtbl.remove t.table sql
-
-let clear t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order
-
 let hits t = t.hits
 let misses t = t.misses
 let size t = Hashtbl.length t.table

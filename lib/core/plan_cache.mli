@@ -32,9 +32,6 @@ val store :
   t -> Mqr_catalog.Catalog.t -> string -> plan:Mqr_opt.Plan.t ->
   query:Mqr_sql.Query.t -> collectors:int -> unit
 
-val invalidate : t -> string -> unit
-val clear : t -> unit
-
 val hits : t -> int
 val misses : t -> int
 val size : t -> int

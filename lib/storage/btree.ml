@@ -148,39 +148,12 @@ let rec find_leaf node key =
   | Leaf lf -> lf
   | Internal nd -> find_leaf nd.children.(upper_bound nd.seps key) key
 
-let rec leftmost_leaf = function
-  | Leaf lf -> lf
-  | Internal nd -> leftmost_leaf nd.children.(0)
-
 let lookup t key =
   let lf = find_leaf t.root key in
   let pos = lower_bound lf.keys key in
   if pos < Array.length lf.keys && Value.equal lf.keys.(pos) key then
     lf.vals.(pos)
   else []
-
-let range t ?lo ?hi f =
-  let start =
-    match lo with
-    | Some k -> find_leaf t.root k
-    | None -> leftmost_leaf t.root
-  in
-  let rec walk lf =
-    let n = Array.length lf.keys in
-    let start_pos = match lo with Some k -> lower_bound lf.keys k | None -> 0 in
-    let continue = ref true in
-    for i = start_pos to n - 1 do
-      if !continue then begin
-        let key = lf.keys.(i) in
-        match hi with
-        | Some h when Value.compare key h > 0 -> continue := false
-        | _ -> f key lf.vals.(i)
-      end
-    done;
-    if !continue then
-      match lf.next with Some nxt -> walk nxt | None -> ()
-  in
-  walk start
 
 let touch_page t ~pool ~clock page =
   if not (Buffer_pool.access pool ~file:t.id ~page) then

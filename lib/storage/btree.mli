@@ -21,12 +21,8 @@ val key_count : t -> int
 
 val height : t -> int
 
-(** Exact lookups / range scans without cost accounting. *)
+(** Exact lookup without cost accounting. *)
 val lookup : t -> Value.t -> int list
-
-(** [range t ?lo ?hi f] calls [f key rids] for keys in the (inclusive)
-    interval; [None] bounds are open ends. *)
-val range : t -> ?lo:Value.t -> ?hi:Value.t -> (Value.t -> int list -> unit) -> unit
 
 (** Cost-accounted probe: descends root-to-leaf and walks leaves covering
     the interval, charging a random read per buffer-pool miss on index

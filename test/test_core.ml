@@ -614,6 +614,58 @@ let test_events_reported () =
   in
   Alcotest.(check bool) "unit events" true has_unit_done
 
+(* A run does not depend on what ran before it, on its engine or in its
+   process: the paper harness simulates each (query, mode) of a cell once
+   and every table reads that report.  Q3/Q5/Q7/Q8/Q10 under the five
+   modes, at sf 0.001 with the paper's degradations, each on a fresh
+   catalog and engine, against all of them run in order and then in
+   reverse order on one shared engine. *)
+let test_run_independent_of_history () =
+  let module Queries = Mqr_tpcd.Queries in
+  let engine () =
+    Engine.create ~budget_pages:64 ~pool_pages:512
+      (Mqr_tpcd.Workload.experiment_catalog ~sf:0.001 ())
+  in
+  let pairs =
+    List.concat_map
+      (fun name -> List.map (fun mode -> (Queries.find name, mode)) modes)
+      [ "Q3"; "Q5"; "Q7"; "Q8"; "Q10" ]
+  in
+  (* in list order, one run after the other *)
+  let run_all engine pairs =
+    List.rev
+      (List.fold_left
+         (fun acc ((q : Queries.query), mode) ->
+            Engine.run_sql (engine ()) ~mode q.Queries.sql :: acc)
+         [] pairs)
+  in
+  let fresh = run_all engine pairs in
+  let shared = engine () in
+  let in_order = run_all (fun () -> shared) pairs in
+  let reversed = List.rev (run_all (fun () -> shared) (List.rev pairs)) in
+  List.iteri
+    (fun i ((q : Queries.query), mode) ->
+       let (a : Dispatcher.report) = List.nth fresh i in
+       List.iter
+         (fun (order, (b : Dispatcher.report)) ->
+            let what =
+              Printf.sprintf "%s %s %s" q.Queries.name
+                (Dispatcher.mode_to_string mode) order
+            in
+            Alcotest.(check bool) (what ^ " rows") true
+              (compare a.Dispatcher.rows b.Dispatcher.rows = 0);
+            Alcotest.(check int64) (what ^ " elapsed bits")
+              (Int64.bits_of_float a.Dispatcher.elapsed_ms)
+              (Int64.bits_of_float b.Dispatcher.elapsed_ms);
+            Alcotest.(check int) (what ^ " switches") a.Dispatcher.switches
+              b.Dispatcher.switches;
+            Alcotest.(check int) (what ^ " collectors") a.Dispatcher.collectors
+              b.Dispatcher.collectors;
+            Alcotest.(check bool) (what ^ " timed events") true
+              (compare a.Dispatcher.timed_events b.Dispatcher.timed_events = 0))
+         [ ("in order", List.nth in_order i); ("reversed", List.nth reversed i) ])
+    pairs
+
 let suite =
   [ Alcotest.test_case "base histogram levels" `Quick test_base_histogram_levels;
     Alcotest.test_case "equi histogram medium" `Quick test_equi_histogram_is_medium;
@@ -651,4 +703,6 @@ let suite =
     Alcotest.test_case "simple overhead bounded" `Quick test_simple_query_overhead_bounded;
     Alcotest.test_case "udf query" `Quick test_udf_query_runs;
     Alcotest.test_case "explain" `Quick test_explain_annotated;
-    Alcotest.test_case "events reported" `Quick test_events_reported ]
+    Alcotest.test_case "events reported" `Quick test_events_reported;
+    Alcotest.test_case "a run does not depend on the runs before it" `Quick
+      test_run_independent_of_history ]

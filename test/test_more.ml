@@ -241,17 +241,6 @@ let test_filter_level_none_is_low () =
 
 (* --- engine configuration --- *)
 
-let test_with_budget_changes_planning_assumption () =
-  let catalog = switching_catalog () in
-  let e1 = Engine.create ~budget_pages:512 catalog in
-  let e2 = Engine.with_budget e1 ~budget_pages:16 in
-  (* both engines must produce correct results *)
-  let r1 = Engine.run_sql e1 ~mode:Dispatcher.Off switching_sql in
-  let r2 = Engine.run_sql e2 ~mode:Dispatcher.Off switching_sql in
-  Alcotest.(check (list (list string))) "answers invariant"
-    (Reference.canonical r1.Dispatcher.rows)
-    (Reference.canonical r2.Dispatcher.rows)
-
 let test_time_ms_smoke () =
   let catalog = switching_catalog () in
   let engine = Engine.create catalog in
@@ -328,19 +317,6 @@ let test_plan_cache_invalidate_on_analyze () =
   Catalog.analyze_table catalog "dim1";
   Alcotest.(check bool) "invalidated after analyze" true
     (Plan_cache.find cache catalog "k" = None)
-
-let test_plan_cache_explicit_invalidate () =
-  let catalog = switching_catalog () in
-  let engine = Engine.create catalog in
-  let q = Engine.bind_sql engine "select a1 from dim1" in
-  let plan = Engine.explain engine "select a1 from dim1" in
-  let cache = Plan_cache.create () in
-  Plan_cache.store cache catalog "k" ~plan ~query:q ~collectors:0;
-  Plan_cache.invalidate cache "k";
-  Alcotest.(check bool) "gone" true (Plan_cache.find cache catalog "k" = None);
-  Plan_cache.store cache catalog "k" ~plan ~query:q ~collectors:0;
-  Plan_cache.clear cache;
-  Alcotest.(check int) "cleared" 0 (Plan_cache.size cache)
 
 (* --- result schema and ordering guarantees at the engine surface --- *)
 
@@ -537,14 +513,12 @@ let suite =
     Alcotest.test_case "mu=0 no collectors" `Quick test_mu_zero_means_no_collectors;
     Alcotest.test_case "inaccuracy high over unanalyzed" `Quick test_inaccuracy_merge_and_inl_joins;
     Alcotest.test_case "filter level none" `Quick test_filter_level_none_is_low;
-    Alcotest.test_case "with_budget invariant" `Quick test_with_budget_changes_planning_assumption;
     Alcotest.test_case "time_ms" `Quick test_time_ms_smoke;
     Alcotest.test_case "plan to_string" `Quick test_plan_to_string_mentions_ops;
     Alcotest.test_case "actual_ms accounting" `Quick test_actual_ms_accounts_for_elapsed;
     Alcotest.test_case "explain analyze renders" `Quick test_explain_analyze_renders;
     Alcotest.test_case "plan cache eviction" `Quick test_plan_cache_capacity_eviction;
     Alcotest.test_case "plan cache analyze invalidation" `Quick test_plan_cache_invalidate_on_analyze;
-    Alcotest.test_case "plan cache explicit invalidate" `Quick test_plan_cache_explicit_invalidate;
     Alcotest.test_case "result schema names" `Quick test_result_schema_names;
     Alcotest.test_case "order by non-selected column" `Quick test_order_by_non_selected_column;
     Alcotest.test_case "multi-key merge join correct" `Quick test_multi_key_merge_join_correct;

@@ -258,11 +258,12 @@ let test_btree_range () =
   for i = 0 to 999 do
     Btree.insert bt (Value.Int i) i
   done;
-  let collected = ref [] in
-  Btree.range bt ~lo:(Value.Int 100) ~hi:(Value.Int 109) (fun _ rids ->
-      collected := rids @ !collected);
-  Alcotest.(check int) "10 keys" 10 (List.length !collected);
-  let sorted = List.sort compare !collected in
+  let collected =
+    Btree.probe bt ~pool:(Buffer_pool.create ~capacity_pages:64)
+      ~clock:(Sim_clock.create ()) ~lo:(Value.Int 100) ~hi:(Value.Int 109) ()
+  in
+  Alcotest.(check int) "10 keys" 10 (List.length collected);
+  let sorted = List.sort compare collected in
   Alcotest.(check (list int)) "right rids" (List.init 10 (fun i -> 100 + i)) sorted
 
 let test_btree_probe_charges () =
@@ -318,10 +319,11 @@ let prop_btree_range_matches =
          |> List.filter (fun (k, _) -> k >= lo && k <= hi)
          |> List.map snd |> List.sort compare
        in
-       let got = ref [] in
-       Btree.range bt ~lo:(Value.Int lo) ~hi:(Value.Int hi) (fun _ rids ->
-           got := rids @ !got);
-       List.sort compare !got = expect)
+       let got =
+         Btree.probe bt ~pool:(Buffer_pool.create ~capacity_pages:64)
+           ~clock:(Sim_clock.create ()) ~lo:(Value.Int lo) ~hi:(Value.Int hi) ()
+       in
+       List.sort compare got = expect)
 
 (* A heap adopted from an array by [of_rows] is the heap [create] plus one
    [append] per row builds: same counts, same rows, and every [read] over
