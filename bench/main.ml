@@ -63,14 +63,14 @@ let catalog cell =
 (* An engine on [cell]'s catalog.  The optimizer plans each memory
    consumer at half the budget, with operators up to [max_dop] degrees. *)
 let engine ?(opt_options = Mqr_opt.Optimizer.default_options) ?(max_dop = 1)
-    ?runtime_filters ?trace ?verify_plans cell =
+    ?runtime_filters ?trace ?sanitize cell =
   Engine.create ~budget_pages:cell.budget_pages
     ~pool_pages:(8 * cell.budget_pages)
     ~opt_options:
       { opt_options with
         Mqr_opt.Optimizer.planning_mem_pages = max 8 (cell.budget_pages / 2);
         max_dop }
-    ?runtime_filters ?trace ?verify_plans (catalog cell)
+    ?runtime_filters ?trace ?sanitize (catalog cell)
 
 (* the medium and complex queries: the ones re-optimization can change *)
 let interesting =
@@ -109,7 +109,7 @@ let observed cell (q : Queries.query) mode =
       let trace = Trace.create () and progress = Mqr_obs.Progress.create () in
       let report =
         Engine.run_sql
-          (engine ~trace ~verify_plans:Mqr_analysis.Verifier.Sanitize cell)
+          (engine ~trace ~sanitize:true cell)
           ~mode ~progress q.Queries.sql
       in
       { report;
@@ -986,7 +986,7 @@ let service_scenario () =
      submission and the drain *)
   let setup policy () =
     let engine =
-      engine ~max_dop:4 ~verify_plans:Mqr_analysis.Verifier.Sanitize
+      engine ~max_dop:4 ~sanitize:true
         default_cell
     in
     let options =

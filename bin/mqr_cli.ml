@@ -89,12 +89,12 @@ let resolve_sql q =
   | query -> query.Queries.sql
   | exception Invalid_argument _ -> q
 
-let make_engine ?(runtime_filters = false) ?(verify_plans = Verifier.Off)
-    ?trace ?(parallel = 1) ~sf ~skew ~budget ~pristine () =
+let make_engine ?(runtime_filters = false) ?(sanitize = false) ?trace
+    ?(parallel = 1) ~sf ~skew ~budget ~pristine () =
   let degradations = if pristine then [] else Workload.paper_degradations in
   let catalog = Workload.experiment_catalog ~sf ~skew_z:skew ~degradations () in
   Engine.create ~budget_pages:budget ~pool_pages:(8 * budget) ~runtime_filters
-    ~verify_plans ?trace ~parallel catalog
+    ~sanitize ?trace ~parallel catalog
 
 let write_file file contents =
   Out_channel.with_open_text file (fun oc ->
@@ -105,21 +105,25 @@ let export_chrome tr file =
   Fmt.pr "chrome trace written to %s (load it in chrome://tracing or \
           ui.perfetto.dev)@." file
 
-let verify_arg =
-  let doc = "Statically verify the instrumented plan before executing it \
-             (refuse to run a plan with error-severity findings)." in
-  Arg.(value & flag & info [ "verify" ] ~doc)
-
 let sanitize_arg =
-  let doc = "Sanitizer mode: --verify plus re-verification of the remainder \
-             plan at every decision point and after every mid-query plan \
-             switch." in
+  let doc = "Run under the sanitizer: statically verify the instrumented \
+             plan before executing it (refuse to run a plan with \
+             error-severity findings), re-verify the remainder plan at \
+             every decision point and after every mid-query plan switch, \
+             and check observed cardinalities and page leases." in
   Arg.(value & flag & info [ "sanitize" ] ~doc)
 
-let verify_mode ~verify ~sanitize =
-  if sanitize then Verifier.Sanitize
-  else if verify then Verifier.Pre
-  else Verifier.Off
+let queries_arg ~what =
+  let doc =
+    Printf.sprintf
+      "Queries to %s (benchmark names like Q5, or SQL text); defaults to \
+       every benchmark query." what
+  in
+  Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
+
+let benchmark_or = function
+  | [] -> List.map (fun (q : Queries.query) -> q.Queries.name) Queries.all
+  | qs -> qs
 
 let trace_out_arg =
   let doc = "Also record an execution trace and write it to $(docv) as \
@@ -127,59 +131,84 @@ let trace_out_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let run_cmd =
-  let action query sf skew budget mode verbose pristine runtime_filters
-      verify sanitize trace_out parallel progress_flag =
+  let action queries sf skew budget mode verbose pristine runtime_filters
+      sanitize trace_out summary parallel progress_flag =
     friendly @@ fun () ->
-    let tr = Option.map (fun _ -> Trace.create ()) trace_out in
+    let tr =
+      if trace_out = None && summary = None then None else Some (Trace.create ())
+    in
     let engine =
-      make_engine ~verify_plans:(verify_mode ~verify ~sanitize)
-        ~runtime_filters ?trace:tr ~parallel ~sf ~skew ~budget ~pristine ()
+      make_engine ~sanitize ~runtime_filters ?trace:tr ~parallel ~sf ~skew
+        ~budget ~pristine ()
     in
-    let sql = resolve_sql query in
-    Fmt.pr "running [%s]: %s@.@." (Dispatcher.mode_to_string mode) sql;
-    let progress =
-      if progress_flag then Some (Mqr_obs.Progress.create ()) else None
-    in
-    let report = Engine.run_sql engine ~mode ?progress sql in
-    (match progress with
-     | Some p ->
-       List.iter
-         (fun (s : Mqr_obs.Progress.sample) ->
-            Fmt.pr
-              "progress #%d @%9.1f ms  %-8s %5.1f%%  remaining ~%.1f ms  \
-               eta [%.1f, %.1f] ms@."
-              s.Mqr_obs.Progress.seq s.Mqr_obs.Progress.ts_ms
-              (Mqr_obs.Progress.label_to_string s.Mqr_obs.Progress.label)
-              s.Mqr_obs.Progress.percent
-              s.Mqr_obs.Progress.remaining_est_ms
-              s.Mqr_obs.Progress.eta_lo_ms s.Mqr_obs.Progress.eta_hi_ms)
-         (Mqr_obs.Progress.samples p);
-       Fmt.pr "@."
-     | None -> ());
-    Array.iter
-      (fun t -> Fmt.pr "%a@." Mqr_storage.Tuple.pp t)
-      report.Dispatcher.rows;
-    Fmt.pr "@.%d rows in %.1f simulated ms (%d collectors, %d plan switches)@."
-      (Array.length report.Dispatcher.rows)
-      report.Dispatcher.elapsed_ms report.Dispatcher.collectors
-      report.Dispatcher.switches;
-    if verbose then begin
-      List.iter
-        (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
-        report.Dispatcher.timed_events;
-      Fmt.pr "@.initial plan:@.%s@."
-        (Mqr_opt.Plan.to_string report.Dispatcher.initial_plan)
-    end;
-    if report.Dispatcher.verifications > 0 then
-      Fmt.pr "plan verified %d time(s), %d filter pages held at completion@."
-        report.Dispatcher.verifications report.Dispatcher.filter_pages_held;
-    if report.Dispatcher.worker_pages_peak > 0 then
-      Fmt.pr "parallel workers: %d pages peak, %d held at completion@."
-        report.Dispatcher.worker_pages_peak
-        report.Dispatcher.worker_pages_held;
-    match tr, trace_out with
-    | Some tr, Some file -> export_chrome tr file
-    | _ -> ()
+    List.iteri
+      (fun i q ->
+         if i > 0 then Fmt.pr "@.";
+         let sql = resolve_sql q in
+         Fmt.pr "running [%s]: %s@.@." (Dispatcher.mode_to_string mode) sql;
+         let progress =
+           if progress_flag then Some (Mqr_obs.Progress.create ()) else None
+         in
+         let report =
+           Engine.run_query engine ~mode ~label:q ?progress
+             (Engine.bind_sql engine sql)
+         in
+         Option.iter
+           (fun p ->
+              List.iter
+                (fun (s : Mqr_obs.Progress.sample) ->
+                   Fmt.pr
+                     "progress #%d @%9.1f ms  %-8s %5.1f%%  remaining ~%.1f \
+                      ms  eta [%.1f, %.1f] ms@."
+                     s.Mqr_obs.Progress.seq s.Mqr_obs.Progress.ts_ms
+                     (Mqr_obs.Progress.label_to_string s.Mqr_obs.Progress.label)
+                     s.Mqr_obs.Progress.percent
+                     s.Mqr_obs.Progress.remaining_est_ms
+                     s.Mqr_obs.Progress.eta_lo_ms s.Mqr_obs.Progress.eta_hi_ms)
+                (Mqr_obs.Progress.samples p);
+              Fmt.pr "@.")
+           progress;
+         Array.iter
+           (fun t -> Fmt.pr "%a@." Mqr_storage.Tuple.pp t)
+           report.Dispatcher.rows;
+         Fmt.pr
+           "@.%d rows in %.1f simulated ms (%d collectors, %d plan switches)@."
+           (Array.length report.Dispatcher.rows)
+           report.Dispatcher.elapsed_ms report.Dispatcher.collectors
+           report.Dispatcher.switches;
+         if verbose then begin
+           List.iter
+             (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
+             report.Dispatcher.timed_events;
+           Fmt.pr "@.initial plan:@.%s@."
+             (Mqr_opt.Plan.to_string report.Dispatcher.initial_plan)
+         end;
+         if report.Dispatcher.verifications > 0 then
+           Fmt.pr "plan verified %d time(s), %d filter pages held at \
+                   completion@."
+             report.Dispatcher.verifications
+             report.Dispatcher.filter_pages_held;
+         if report.Dispatcher.worker_pages_peak > 0 then
+           Fmt.pr "parallel workers: %d pages peak, %d held at completion@."
+             report.Dispatcher.worker_pages_peak
+             report.Dispatcher.worker_pages_held)
+      (benchmark_or queries);
+    Option.iter
+      (fun tr ->
+         Fmt.pr "@.%a@." Trace.pp_ledger tr;
+         Fmt.pr "@.metrics:@.%a@." Metrics.pp (Trace.metrics tr);
+         Option.iter (export_chrome tr) trace_out;
+         Option.iter
+           (fun file ->
+              write_file file (Trace.to_summary_json tr);
+              Fmt.pr "summary written to %s@." file)
+           summary)
+      tr
+  in
+  let summary_arg =
+    let doc = "Also record an execution trace and write its compact JSON \
+               summary (spans, metrics, ledger) to $(docv)." in
+    Arg.(value & opt (some string) None & info [ "summary" ] ~docv:"FILE" ~doc)
   in
   let progress_arg =
     let doc = "Print one decision-point progress line per estimator update \
@@ -187,37 +216,38 @@ let run_cmd =
                simulated clock)." in
     Arg.(value & flag & info [ "progress" ] ~doc)
   in
-  let info = Cmd.info "run" ~doc:"Execute a query." in
+  let info =
+    Cmd.info "run"
+      ~doc:
+        "Execute queries.  With --trace or --summary the observability \
+         subsystem is attached: operator/unit/query spans over the \
+         simulated clock, a decision-point audit ledger with the Eq. 1/Eq. 2 \
+         terms behind every re-optimization decision, and engine metrics, \
+         printed after the runs.  Tracing never charges the simulated \
+         clock, so timings match an untraced run exactly."
+  in
   Cmd.v info
-    Term.(const action $ query_arg $ sf_arg $ skew_arg $ budget_arg
-          $ mode_arg $ verbose_arg $ pristine_arg $ rf_arg $ verify_arg
-          $ sanitize_arg $ trace_out_arg $ parallel_arg $ progress_arg)
+    Term.(const action $ queries_arg ~what:"run" $ sf_arg $ skew_arg
+          $ budget_arg $ mode_arg $ verbose_arg $ pristine_arg $ rf_arg
+          $ sanitize_arg $ trace_out_arg $ summary_arg $ parallel_arg
+          $ progress_arg)
 
 let explain_cmd =
-  let explain_verify_arg =
-    let doc = "Also run the static plan verifier over the (uninstrumented) \
-               plan and print its findings; exit non-zero on errors." in
-    Arg.(value & flag & info [ "verify" ] ~doc)
-  in
-  let action query sf skew budget pristine runtime_filters verify =
+  let action query sf skew budget pristine runtime_filters =
     friendly @@ fun () ->
     let engine = make_engine ~runtime_filters ~sf ~skew ~budget ~pristine () in
-    if verify then begin
-      let plan, diags =
-        Engine.lint engine ~mode:Dispatcher.Off (resolve_sql query)
-      in
-      Fmt.pr "%s@." (Mqr_opt.Plan.to_string plan);
-      Fmt.pr "%a" Diagnostic.pp_report diags;
-      if Diagnostic.errors diags <> [] then exit 1
-    end
-    else
-      Fmt.pr "%s@."
-        (Mqr_opt.Plan.to_string (Engine.explain engine (resolve_sql query)))
+    Fmt.pr "%s@."
+      (Mqr_opt.Plan.to_string (Engine.explain engine (resolve_sql query)))
   in
-  let info = Cmd.info "explain" ~doc:"Show the annotated plan without executing." in
+  let info =
+    Cmd.info "explain"
+      ~doc:
+        "Show the annotated plan without executing (lint --mode off prints \
+         the verifier's findings on the same plan)."
+  in
   Cmd.v info
     Term.(const action $ query_arg $ sf_arg $ skew_arg $ budget_arg
-          $ pristine_arg $ rf_arg $ explain_verify_arg)
+          $ pristine_arg $ rf_arg)
 
 (* Machine-readable lint output.  Hand-rolled serialization (no JSON
    dependency in the image); diagnostics are emitted in the stable
@@ -241,11 +271,6 @@ let json_of_diag (d : Diagnostic.t) =
      | Some h -> Printf.sprintf ",\"hint\":\"%s\"" (Trace.json_escape h))
 
 let lint_cmd =
-  let queries_arg =
-    let doc = "Queries to lint (benchmark names like Q5, or SQL text); \
-               defaults to every benchmark query." in
-    Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
-  in
   let json_arg =
     let doc = "Emit machine-readable JSON (one object per query with its \
                diagnostics in stable order) instead of text.  The exit \
@@ -255,11 +280,6 @@ let lint_cmd =
   let action queries sf skew budget mode pristine runtime_filters json =
     friendly @@ fun () ->
     let engine = make_engine ~runtime_filters ~sf ~skew ~budget ~pristine () in
-    let queries =
-      match queries with
-      | [] -> List.map (fun (q : Queries.query) -> q.Queries.name) Queries.all
-      | qs -> qs
-    in
     let error_count = ref 0 in
     let json_objs = ref [] in
     List.iter
@@ -286,7 +306,7 @@ let lint_cmd =
              (List.length errs) (List.length warns);
            List.iter (fun d -> Fmt.pr "  %a@." Diagnostic.pp d) diags
          end)
-      queries;
+      (benchmark_or queries);
     if json then
       Fmt.pr "[%s]@." (String.concat "," (List.rev !json_objs));
     if !error_count > 0 then begin
@@ -304,8 +324,8 @@ let lint_cmd =
          resource/lifetime checks, parallel shape, cardinality bounds)."
   in
   Cmd.v info
-    Term.(const action $ queries_arg $ sf_arg $ skew_arg $ budget_arg
-          $ mode_arg $ pristine_arg $ rf_arg $ json_arg)
+    Term.(const action $ queries_arg ~what:"lint" $ sf_arg $ skew_arg
+          $ budget_arg $ mode_arg $ pristine_arg $ rf_arg $ json_arg)
 
 (* The interactive shell: SQL statements
    (benchmark names like Q5 expand to their SQL) and backslash commands,
@@ -484,8 +504,8 @@ let serve_cmd =
     | Some i ->
       (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
   in
-  let action driver wall sf skew budget mode pristine runtime_filters verify
-      sanitize concurrency queue policy trace_out parallel =
+  let action driver wall sf skew budget mode pristine runtime_filters sanitize
+      concurrency queue policy trace_out parallel =
     friendly @@ fun () ->
     (* the service always carries a trace so `monitor metrics` and
        `monitor ledger` work without --trace; attaching one is pure
@@ -493,8 +513,8 @@ let serve_cmd =
        gated on the flag *)
     let tr = Trace.create () in
     let engine =
-      make_engine ~runtime_filters ~verify_plans:(verify_mode ~verify ~sanitize)
-        ~parallel ~sf ~skew ~budget ~pristine ()
+      make_engine ~runtime_filters ~sanitize ~parallel ~sf ~skew ~budget
+        ~pristine ()
     in
     let options =
       { Service.default_options with
@@ -645,10 +665,7 @@ let serve_cmd =
     Fmt.pr "mqr service: policy %s, concurrency %d, budget %d pages%s@."
       (Service.policy_to_string policy)
       concurrency budget
-      (match Engine.verify_mode engine with
-       | Verifier.Sanitize -> " [sanitize]"
-       | Verifier.Pre -> " [verify]"
-       | Verifier.Off -> "");
+      (if sanitize then " [sanitize]" else "");
     let cleanup () = if driver <> None then close_in_noerr ic in
     Fun.protect ~finally:cleanup (fun () ->
       let rec loop () =
@@ -691,72 +708,9 @@ let serve_cmd =
   in
   Cmd.v info
     Term.(const action $ driver_arg $ wall_arg $ sf_arg $ skew_arg
-          $ budget_arg $ mode_arg $ pristine_arg $ rf_arg $ verify_arg
-          $ sanitize_arg $ concurrency_arg $ queue_arg $ policy_arg
+          $ budget_arg $ mode_arg $ pristine_arg $ rf_arg $ sanitize_arg
+          $ concurrency_arg $ queue_arg $ policy_arg
           $ trace_out_arg $ parallel_arg)
-
-let trace_cmd =
-  let queries_arg =
-    let doc = "Queries to trace (benchmark names like Q5, or SQL text); \
-               defaults to every benchmark query." in
-    Arg.(value & pos_all string [] & info [] ~docv:"QUERY" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the Chrome trace-event JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
-  let summary_arg =
-    let doc = "Write the compact JSON summary (spans, metrics, ledger) to \
-               $(docv)." in
-    Arg.(value & opt (some string) None & info [ "summary" ] ~docv:"FILE" ~doc)
-  in
-  let action queries sf skew budget mode pristine runtime_filters out summary =
-    friendly @@ fun () ->
-    let tr = Trace.create () in
-    let engine =
-      make_engine ~runtime_filters ~trace:tr ~sf ~skew ~budget ~pristine ()
-    in
-    let queries =
-      match queries with
-      | [] -> List.map (fun (q : Queries.query) -> q.Queries.name) Queries.all
-      | qs -> qs
-    in
-    List.iter
-      (fun q ->
-         let report =
-           Engine.run_query engine ~mode ~label:q
-             (Engine.bind_sql engine (resolve_sql q))
-         in
-         Fmt.pr "%s [%s]: %d rows in %.1f simulated ms (%d collectors, %d \
-                 switches)@."
-           q
-           (Dispatcher.mode_to_string mode)
-           (Array.length report.Dispatcher.rows)
-           report.Dispatcher.elapsed_ms report.Dispatcher.collectors
-           report.Dispatcher.switches)
-      queries;
-    Fmt.pr "@.%a@." Trace.pp_ledger tr;
-    Fmt.pr "@.metrics:@.%a@." Metrics.pp (Trace.metrics tr);
-    (match out with Some file -> export_chrome tr file | None -> ());
-    match summary with
-    | Some file ->
-      write_file file (Trace.to_summary_json tr);
-      Fmt.pr "summary written to %s@." file
-    | None -> ()
-  in
-  let info =
-    Cmd.info "trace"
-      ~doc:
-        "Execute queries with the observability subsystem attached: \
-         operator/unit/query spans over the simulated clock, a \
-         decision-point audit ledger with the Eq. 1/Eq. 2 terms behind \
-         every re-optimization decision, and engine metrics.  Tracing \
-         never charges the simulated clock, so timings match an untraced \
-         run exactly."
-  in
-  Cmd.v info
-    Term.(const action $ queries_arg $ sf_arg $ skew_arg $ budget_arg
-          $ mode_arg $ pristine_arg $ rf_arg $ out_arg $ summary_arg)
 
 let queries_cmd =
   let action () =
@@ -778,5 +732,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; explain_cmd; lint_cmd; trace_cmd; queries_cmd;
-            workload_cmd; serve_cmd; repl_cmd ]))
+          [ run_cmd; explain_cmd; lint_cmd; queries_cmd; workload_cmd;
+            serve_cmd; repl_cmd ]))

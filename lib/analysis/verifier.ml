@@ -15,8 +15,6 @@ type context = {
 let context ?budget_pages ?mu catalog =
   { catalog; budget_pages; mu; bounds = Bounds.env catalog }
 
-type mode = Off | Pre | Sanitize
-
 (* ------------------------------------------------------------------ *)
 (* Shared helpers.                                                     *)
 

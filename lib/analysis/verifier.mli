@@ -7,8 +7,9 @@
     grants must fit the broker budget, and runtime-filter leases must
     provably return to zero.  A malformed plan otherwise only fails deep
     inside the dispatcher.  This module checks those invariants up front:
-    six passes run over a plan before execution and (in sanitizer mode)
-    again at every decision point and after every mid-query plan switch:
+    six passes run over a plan ([Engine.lint], [mqr_cli lint]),
+    and the dispatcher's sanitizer runs them before execution, at every
+    decision point and after every mid-query plan switch:
 
     - schema — infers each operator's output schema bottom-up
       from the catalog (whose temp tables hold the intermediates a
@@ -73,12 +74,3 @@ val check_exn :
     generalization of the sanitizer's [RF-LIFETIME] / [PAR-LIFETIME]
     dynamic checks. *)
 val reject_tenant_pages : what:string -> tenant:string -> pages:int -> 'a
-
-(** How much verification the dispatcher performs. *)
-type mode =
-  | Off
-  | Pre       (** verify the instrumented plan once, before execution *)
-  | Sanitize
-      (** [Pre] plus re-verification at every decision point and after
-          every mid-query plan switch, and assert the runtime-filter
-          lease invariant ([filter_pages_held = 0]) there *)

@@ -53,6 +53,8 @@ let drop_table t name = Hashtbl.remove t.tbls name
 
 let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.tbls []
 
+let version tbl = (tbl.updates_since_analyze, tbl.stats_epoch)
+
 let column_index table name =
   let schema = Heap_file.schema table.heap in
   let rec go i =

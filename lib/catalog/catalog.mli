@@ -56,6 +56,12 @@ val find_exn : t -> string -> table
 val drop_table : t -> string -> unit
 val tables : t -> table list
 
+(** [version tbl] is [(updates_since_analyze, stats_epoch)]: the pair a
+    consumer of results derived from the table (a cached plan, an observed
+    statistic) records, and compares later to see whether the table's
+    contents or statistics moved since. *)
+val version : table -> int * int
+
 (** Recompute every column's statistics (and believed sizes) from the heap.
     [kind] picks the histogram kind stored for all columns (default
     MaxDiff, as in Paradise).  Each column gets exactly

@@ -495,9 +495,9 @@ let pp_explain_analyze fmt (report : report) =
     List.iter (go (indent + 2)) (Plan.children p)
   in
   go 0 report.initial_plan;
-  (* Uniform stat block: every verify mode (off / pre-execution /
-     sanitize) renders the same lines, so explain-analyze output can be
-     diffed across modes without normalisation. *)
+  (* Uniform stat block: a sanitized run and a plain one render the same
+     lines, so explain-analyze output can be diffed across them without
+     normalisation. *)
   Fmt.pf fmt "collectors: %d (%.1f ms)@." report.collectors
     report.collector_ms;
   let filters =

@@ -30,7 +30,7 @@ include module type of struct include Interp.Types end
 (** The plan {!start} would begin executing: optimized, instrumented with
     collectors unless [mode] is [Off], granted memory and re-costed under
     the grant.  Nothing executes, and every charge goes to a throwaway
-    clock.  [verify], [trace] and [progress] are not consulted. *)
+    clock.  [sanitize], [trace] and [progress] are not consulted. *)
 val initial_plan : config -> Mqr_sql.Query.t -> Mqr_opt.Plan.t
 
 (** Execute a bound query under the configuration.  [prepared] supplies a

@@ -7,21 +7,19 @@ module Stats_env = Mqr_opt.Stats_env
 module Verifier = Mqr_analysis.Verifier
 module Trace = Mqr_obs.Trace
 
+(* One base run configuration; every run is a record update of it.  The
+   rest is not a per-run setting: registered UDFs, the plan cache and the
+   session trace each query opens a scope in. *)
 type t = {
-  catalog : Catalog.t;
-  pool_pages : int;
-  budget_pages : int;
-  params : Reopt_policy.params;
-  opt_options : Optimizer.options;
+  base : Dispatcher.config;
   udfs : Parser.udf_def list ref;
   plan_cache : Plan_cache.t option;
-  verify : Verifier.mode;
   trace : Trace.t option;
 }
 
 let create ?(pool_pages = 2048) ?(budget_pages = 512) ?opt_options
-    ?runtime_filters ?(plan_cache = false)
-    ?(verify_plans = Verifier.Off) ?trace ?(parallel = 1) catalog =
+    ?runtime_filters ?(plan_cache = false) ?(sanitize = false) ?trace
+    ?(parallel = 1) catalog =
   (* Unless told otherwise, the optimizer assumes each memory consumer will
      receive about half the memory-manager budget and keeps every operator
      at or below [parallel] degrees. *)
@@ -37,28 +35,40 @@ let create ?(pool_pages = 2048) ?(budget_pages = 512) ?opt_options
         enable_runtime_filters = Option.value runtime_filters ~default:false;
         max_dop = max 1 parallel }
   in
-  { catalog; pool_pages; budget_pages; params = Reopt_policy.default_params;
-    opt_options;
+  { base =
+      { Dispatcher.catalog;
+        model = Sim_clock.default_model;
+        pool_pages;
+        budget_pages;
+        params = Reopt_policy.default_params;
+        opt_options;
+        mode = Dispatcher.Full;
+        start_sampling = None;
+        broker = None;
+        env_overlay = None;
+        temp_prefix = "";
+        sanitize;
+        trace = None;
+        progress = None };
     udfs = ref [];
     plan_cache = (if plan_cache then Some (Plan_cache.create ()) else None);
-    verify = verify_plans;
     trace }
 
 let shutdown (_ : t) = ()
 
-let catalog t = t.catalog
-
-let verify_mode t = t.verify
+let catalog t = t.base.Dispatcher.catalog
+let sanitize t = t.base.Dispatcher.sanitize
+let budget_pages t = t.base.Dispatcher.budget_pages
+let params t = t.base.Dispatcher.params
 
 let plan_cache_stats t =
   Option.map (fun c -> (Plan_cache.hits c, Plan_cache.misses c, Plan_cache.size c))
     t.plan_cache
-let params t = t.params
 (* A reconfigured engine gets a fresh plan cache: plans compiled under
    the old parameters (a different mu) must not be served. *)
 let with_params t params =
   { t with
-    params;
+    base = { t.base with Dispatcher.params };
     plan_cache = Option.map (fun _ -> Plan_cache.create ()) t.plan_cache }
 
 let register_udf t ~name fn =
@@ -73,35 +83,15 @@ let truncate_label s =
 let scope_for t label =
   Option.map (fun tr -> Trace.scope tr ~label ()) t.trace
 
-let config ?trace ?progress t mode start_sampling =
-  { Dispatcher.catalog = t.catalog;
-    model = Sim_clock.default_model;
-    pool_pages = t.pool_pages;
-    budget_pages = t.budget_pages;
-    params = t.params;
-    opt_options = t.opt_options;
-    mode;
-    start_sampling;
-    broker = None;
-    env_overlay = None;
-    temp_prefix = "";
-    verify = t.verify;
-    trace;
-    progress }
-
-let budget_pages t = t.budget_pages
-
 (* Workload managers build per-query dispatcher configurations from the
    engine's settings, overriding the pieces they own (memory broker,
    statistics overlay, temp-table namespace). *)
 let dispatcher_config t ~mode ?broker ?env_overlay ?(temp_prefix = "") ?trace
     ?progress () =
-  { (config ?trace ?progress t mode None) with
-    Dispatcher.broker;
-    env_overlay;
-    temp_prefix }
+  { t.base with
+    Dispatcher.mode; broker; env_overlay; temp_prefix; trace; progress }
 
-let bind_sql t sql = Query.bind t.catalog (Parser.parse ~udfs:!(t.udfs) sql)
+let bind_sql t sql = Query.bind (catalog t) (Parser.parse ~udfs:!(t.udfs) sql)
 
 type exec_result =
   | Rows of Dispatcher.report
@@ -136,7 +126,7 @@ let coerce schema_col v =
 let append_rows t ~table tbl tuple_of xs =
   let count = ref 0 in
   Fun.protect
-    ~finally:(fun () -> Catalog.note_updates t.catalog ~table !count)
+    ~finally:(fun () -> Catalog.note_updates (catalog t) ~table !count)
     (fun () ->
        List.iter
          (fun x ->
@@ -149,7 +139,7 @@ let append_rows t ~table tbl tuple_of xs =
    bad item raises, and the row's array becomes the stored tuple: only
    [execute], which parsed the statement, ever holds it. *)
 let insert_rows t ~table rows =
-  let tbl = Catalog.find_exn t.catalog table in
+  let tbl = Catalog.find_exn (catalog t) table in
   let schema = Heap_file.schema tbl.Catalog.heap in
   let arity = Schema.arity schema in
   append_rows t ~table tbl
@@ -174,7 +164,7 @@ let insert_rows t ~table rows =
     rows
 
 let delete_rows t ~table ~where =
-  let tbl = Catalog.find_exn t.catalog table in
+  let tbl = Catalog.find_exn (catalog t) table in
   let schema = Schema.qualify (Heap_file.schema tbl.Catalog.heap) table in
   let keep =
     match where with
@@ -184,11 +174,13 @@ let delete_rows t ~table ~where =
       fun tuple -> not (p tuple)
   in
   let deleted = Catalog.delete_rows tbl keep in
-  Catalog.note_updates t.catalog ~table deleted;
+  Catalog.note_updates (catalog t) ~table deleted;
   deleted
 
 let run_query t ?(mode = Dispatcher.Full) ?(label = "query") ?progress q =
-  Dispatcher.run (config ?trace:(scope_for t label) ?progress t mode None) q
+  Dispatcher.run
+    (dispatcher_config t ~mode ?trace:(scope_for t label) ?progress ())
+    q
 
 (* A SELECT by its SQL text, through the plan cache when there is one:
    a hit reuses the cached bound query and static plan, a miss binds with
@@ -197,7 +189,7 @@ let run_select t ?(mode = Dispatcher.Full) ?probe_rows ?progress ~bind sql =
   (* plans are instrumented per mode, so the mode is part of the key *)
   let key = Dispatcher.mode_to_string mode ^ "|" ^ sql in
   let cached =
-    Option.bind t.plan_cache (fun cache -> Plan_cache.find cache t.catalog key)
+    Option.bind t.plan_cache (fun cache -> Plan_cache.find cache (catalog t) key)
   in
   let q, prepared =
     match cached with
@@ -206,15 +198,16 @@ let run_select t ?(mode = Dispatcher.Full) ?probe_rows ?progress ~bind sql =
         Some (entry.Plan_cache.plan, entry.Plan_cache.collectors) )
     | None -> (bind (), None)
   in
+  let cfg =
+    dispatcher_config t ~mode ?trace:(scope_for t (truncate_label sql))
+      ?progress ()
+  in
   let report =
-    Dispatcher.run ?prepared
-      (config ?trace:(scope_for t (truncate_label sql)) ?progress t mode
-         probe_rows)
-      q
+    Dispatcher.run ?prepared { cfg with Dispatcher.start_sampling = probe_rows } q
   in
   (match t.plan_cache, cached with
    | Some cache, None ->
-     Plan_cache.store cache t.catalog key
+     Plan_cache.store cache (catalog t) key
        ~plan:report.Dispatcher.initial_plan ~query:q
        ~collectors:report.Dispatcher.collectors
    | _ -> ());
@@ -240,7 +233,7 @@ let coerce_csv_field col s =
               (Value.ty_to_string col.Schema.ty) col.Schema.name))
 
 let copy_csv t ~table ~file =
-  let tbl = Catalog.find_exn t.catalog table in
+  let tbl = Catalog.find_exn (catalog t) table in
   let schema = Heap_file.schema tbl.Catalog.heap in
   let arity = Schema.arity schema in
   append_rows t ~table tbl
@@ -259,7 +252,7 @@ let execute t ?mode ?probe_rows sql =
   match Parser.parse_statement ~udfs:!(t.udfs) sql with
   | Parser.Select q ->
     Rows
-      (run_select t ?mode ?probe_rows ~bind:(fun () -> Query.bind t.catalog q)
+      (run_select t ?mode ?probe_rows ~bind:(fun () -> Query.bind (catalog t) q)
          sql)
   | Parser.Insert { table; rows } ->
     Modified { table; count = insert_rows t ~table rows }
@@ -270,32 +263,32 @@ let execute t ?mode ?probe_rows sql =
       Schema.make
         (List.map (fun (name, ty, width) -> Schema.col ?width name ty) columns)
     in
-    ignore (Catalog.add_table t.catalog table (Heap_file.create schema));
+    ignore (Catalog.add_table (catalog t) table (Heap_file.create schema));
     Created table
   | Parser.Create_index { table; column } ->
-    ignore (Catalog.create_index t.catalog ~table ~column);
+    ignore (Catalog.create_index (catalog t) ~table ~column);
     Created (table ^ "." ^ column)
   | Parser.Copy { table; file } ->
     Modified { table; count = copy_csv t ~table ~file }
   | Parser.Analyze table ->
-    Catalog.analyze_table t.catalog table;
+    Catalog.analyze_table (catalog t) table;
     Analyzed table
 
 let analyze t ?kind ?buckets ?keys table =
-  Catalog.analyze_table ?kind ?buckets ?keys t.catalog table
+  Catalog.analyze_table ?kind ?buckets ?keys (catalog t) table
 
 let explain t sql =
   let q = bind_sql t sql in
-  let env = Stats_env.create t.catalog q.Query.relations in
-  (Optimizer.optimize ~options:t.opt_options ~env q).Optimizer.plan
+  let env = Stats_env.create (catalog t) q.Query.relations in
+  (Optimizer.optimize ~options:t.base.Dispatcher.opt_options ~env q).Optimizer.plan
 
 (* Static analysis without execution: the plan the dispatcher would start
    from, run through the verifier. *)
 let lint t ?(mode = Dispatcher.Full) sql =
-  let plan = Dispatcher.initial_plan (config t mode None) (bind_sql t sql) in
+  let plan = Dispatcher.initial_plan (dispatcher_config t ~mode ()) (bind_sql t sql) in
   let vctx =
-    Verifier.context ~budget_pages:t.budget_pages
-      ~mu:t.params.Reopt_policy.mu t.catalog
+    Verifier.context ~budget_pages:(budget_pages t)
+      ~mu:(params t).Reopt_policy.mu (catalog t)
   in
   (plan, Verifier.verify vctx plan)
 

@@ -23,11 +23,11 @@ type t
     [opt_options] when both are given.  [plan_cache] enables the
     static-plan store of the paper's Section 2.6: repeated queries skip
     optimization and collector insertion until their tables drift (see
-    {!Plan_cache}).  [verify_plans] enables the static plan verifier
-    (see {!Mqr_analysis.Verifier}): [Pre] analyses every instrumented
-    plan before execution and refuses to run one with error-severity
-    findings; [Sanitize] additionally re-verifies the remainder plan at
-    every decision point and after every mid-query plan switch.  [trace]
+    {!Plan_cache}).  [sanitize] (default [false]) runs every query under
+    the sanitizer (see {!Mqr_analysis.Verifier}): the instrumented plan is
+    verified before execution, and a plan with error-severity findings is
+    refused; the remainder plan is re-verified at every decision point and
+    after every mid-query plan switch.  [trace]
     attaches an observability collector (see {!Mqr_obs.Trace}): every
     query run through the engine opens a scope in it (labelled with its
     truncated SQL) and stamps operator spans, decision-point ledger
@@ -44,7 +44,7 @@ val create :
   ?opt_options:Mqr_opt.Optimizer.options ->
   ?runtime_filters:bool ->
   ?plan_cache:bool ->
-  ?verify_plans:Mqr_analysis.Verifier.mode ->
+  ?sanitize:bool ->
   ?trace:Mqr_obs.Trace.t ->
   ?parallel:int ->
   Mqr_catalog.Catalog.t -> t
@@ -56,18 +56,18 @@ val shutdown : t -> unit
 
 val catalog : t -> Mqr_catalog.Catalog.t
 
-(** The verifier mode queries inherit unless a dispatcher config
-    overrides it. *)
-val verify_mode : t -> Mqr_analysis.Verifier.mode
+(** Whether the engine's queries run under the sanitizer. *)
+val sanitize : t -> bool
 
 (** The engine's global memory-manager budget. *)
 val budget_pages : t -> int
 
-(** Build a {!Dispatcher.config} from the engine's settings (its budget
-    and verifier mode, no start-time sampling) — the hook a workload
-    manager uses to run queries through {!Dispatcher.start} with its own
-    memory broker, statistics overlay, and temp-table namespace
-    ([temp_prefix] must be unique per in-flight query). *)
+(** The engine's run configuration (its budget, parameters, optimizer
+    options and sanitizer switch, no start-time sampling) with these
+    pieces set — the hook a workload manager uses to run queries through
+    {!Dispatcher.start} with its own memory broker, statistics overlay,
+    and temp-table namespace ([temp_prefix] must be unique per in-flight
+    query). *)
 val dispatcher_config :
   t ->
   mode:Dispatcher.mode ->

@@ -62,14 +62,13 @@ module Types = struct
     temp_prefix : string;
         (** disambiguates intermediate-result table names when several
             in-flight queries share one catalog; [""] for a solo query *)
-    verify : Verifier.mode;
-        (** plan verification (see {!Mqr_analysis.Verifier}), read only by
-            {!Interp.observe}: [Pre] analyses the initial plan and raises
-            {!Mqr_analysis.Verifier.Rejected} on any error-severity finding.
-            [Sanitize] is the run's sanitizer: it also re-verifies the plan
-            after every switch and at every decision point, and raises on
-            [BND-OBSERVED] (an observed cardinality outside its provable
-            interval) after every unit and at completion, and on
+    sanitize : bool;
+        (** the run's sanitizer (see {!Mqr_analysis.Verifier}), read only
+            by {!Interp.observe}: it verifies the initial plan, re-verifies
+            the plan after every switch and at every decision point, and
+            raises {!Mqr_analysis.Verifier.Rejected} on any error-severity
+            finding, on [BND-OBSERVED] (an observed cardinality outside its
+            provable interval) after every unit and at completion, and on
             [RF-LIFETIME] or [PAR-LIFETIME] (bitmap or worker pool-slice
             pages still leased) at every decision point and at completion *)
     trace : Trace.scope option;
@@ -170,7 +169,7 @@ module Types = struct
         (** simulated CPU spent inside statistics collectors — what the
             paper's mu budget bounds *)
     verifications : int;
-        (** plan-verification runs performed (0 when [verify = Off]) *)
+        (** plan-verification runs performed (0 unless [sanitize]) *)
   }
 end
 
@@ -226,7 +225,7 @@ type state = {
    (paper Figure 9): the run starts, an event is emitted, a unit is done,
    a decision point opens, the plan switches, the verdict is applied, the
    run completes or aborts.  [observe] is the one reader of the config's
-   [trace], [progress] and [verify]: the trace and its audit ledger, the
+   [trace], [progress] and [sanitize]: the trace and its audit ledger, the
    metrics, the progress estimator and the sanitizer are its closed set of
    cases.  Pure observation — nothing here charges the simulated clock;
    the sanitizer is the one observer that may raise.                   *)
@@ -461,7 +460,7 @@ let observe st point =
               ~remaining_lo_ms:iv.Bounds.lo ~remaining_hi_ms:iv.Bounds.hi))
       st.cfg.progress
   in
-  let sanitize = st.cfg.verify = Verifier.Sanitize in
+  let sanitize = st.cfg.sanitize in
   match point with
   | Started ->
     (* the query span covers everything, optimization included *)
@@ -469,8 +468,7 @@ let observe st point =
         let name = "query:" ^ Trace.scope_label scope in
         st.q_span <- span_open st ~ts_ms:0.0 ~cat:"query" name);
     (* refuse to execute a plan that fails static analysis *)
-    if st.cfg.verify <> Verifier.Off then
-      verify_plan st ~what:"initial plan" st.current;
+    if sanitize then verify_plan st ~what:"initial plan" st.current;
     progress Progress.Start
   | Event ev -> trace (fun scope -> trace_event st scope ~ts:(now st) ev)
   | Unit_done j ->

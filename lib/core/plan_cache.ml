@@ -40,8 +40,8 @@ let still_valid catalog stored =
        match Catalog.find catalog table with
        | None -> false
        | Some tbl ->
-         let now = tbl.Catalog.updates_since_analyze in
-         if tbl.Catalog.stats_epoch <> cached_epoch then false
+         let now, epoch = Catalog.version tbl in
+         if epoch <> cached_epoch then false
          else if now < cached_updates then false
          else begin
            let believed = max 1 tbl.Catalog.believed_rows in
@@ -53,10 +53,7 @@ let versions catalog (q : Query.t) =
   List.filter_map
     (fun (r : Query.relation) ->
        match Catalog.find catalog r.Query.table with
-       | Some tbl ->
-         Some
-           (r.Query.table,
-            (tbl.Catalog.updates_since_analyze, tbl.Catalog.stats_epoch))
+       | Some tbl -> Some (r.Query.table, Catalog.version tbl)
        | None -> None)
     q.Query.relations
 

@@ -33,7 +33,11 @@ let probe_relation ~catalog ~ctx (r : Query.relation) pred ~sample_rows =
   let n = Heap_file.tuple_count heap in
   if n = 0 then None
   else begin
-    let rng = Mqr_stats.Rng.create (0x5a17 + Heap_file.file_id heap) in
+    (* seeded by the table's name, so a probe draws the same rows however
+       many heap files the process made before it *)
+    let rng =
+      Mqr_stats.Rng.create (0x5a17 + Hash_mix.string_hash r.Query.table)
+    in
     let test = Expr.compile_pred r.Query.rel_schema pred in
     let sample = min sample_rows n in
     let matched = ref 0 in

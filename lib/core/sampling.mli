@@ -11,7 +11,11 @@
     selectivity override, so the very first plan already reflects reality
     for those predicates.  Mid-query re-optimization then handles what
     sampling cannot see: join selectivities and distribution changes at
-    intermediate results. *)
+    intermediate results.
+
+    A relation's probe draws its rows from a stream seeded by its table's
+    name, so it samples the same rows whatever the process ran or created
+    before it. *)
 
 
 

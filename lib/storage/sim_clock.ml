@@ -79,14 +79,6 @@ let since t (c0 : counters) =
     ~writes:(t.writes - c0.writes)
     ~cpu_ms:(t.ms.cpu -. c0.cpu_ms) ~opt_ms:(t.ms.opt -. c0.opt_ms)
 
-let reset t =
-  t.seq_reads <- 0;
-  t.rand_reads <- 0;
-  t.writes <- 0;
-  t.opt_invocations <- 0;
-  t.ms.cpu <- 0.0;
-  t.ms.opt <- 0.0
-
 let pp_counters fmt (c : counters) =
   Fmt.pf fmt
     "{seq_reads=%d; rand_reads=%d; writes=%d; cpu=%.2fms; opt=%.2fms (%d invocations)}"

@@ -113,5 +113,4 @@ val counters : t -> counters
 val snapshot : t -> counters
 val since : t -> counters -> float
 
-val reset : t -> unit
 val pp_counters : Format.formatter -> counters -> unit

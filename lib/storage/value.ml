@@ -64,14 +64,6 @@ let to_float = function
   | Null -> invalid_arg "Value.to_float: Null"
   | String _ -> invalid_arg "Value.to_float: String"
 
-let of_float ty f =
-  match ty with
-  | TInt -> Int (int_of_float (Float.round f))
-  | TFloat -> Float f
-  | TBool -> Bool (f <> 0.0)
-  | TDate -> Date (int_of_float (Float.round f))
-  | TString -> invalid_arg "Value.of_float: TString"
-
 let is_null = function Null -> true | _ -> false
 
 (* Civil-date arithmetic (proleptic Gregorian), Howard Hinnant's algorithm. *)

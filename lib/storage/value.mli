@@ -36,10 +36,6 @@ val byte_size : t -> int
     Raises [Invalid_argument] on [String] and [Null]. *)
 val to_float : t -> float
 
-(** Inverse of [to_float] for a given target type; floats destined for
-    integer-like columns are rounded. *)
-val of_float : ty -> float -> t
-
 val is_null : t -> bool
 
 (** [date_of_string "1994-01-01"] parses an ISO date into [Date].

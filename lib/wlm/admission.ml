@@ -15,7 +15,6 @@ let create ~capacity =
   { capacity; items = []; next_seq = 0 }
 
 let length t = List.length t.items
-let is_empty t = t.items = []
 let exists t pred = List.exists (fun x -> pred x.payload) t.items
 
 (* Earliest-deadline-first: a statement whose SLO clock is running out

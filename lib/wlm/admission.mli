@@ -27,4 +27,3 @@ val take_if : 'a t -> ('a -> bool) -> 'a option
 val exists : 'a t -> ('a -> bool) -> bool
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool

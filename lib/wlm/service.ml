@@ -183,7 +183,7 @@ let tenant_pages_in_flight t name =
    transient pages, the sum the monitor reads, must be zero.  This is the
    service-level TEN-LIFETIME check the sanitizer mode enables. *)
 let check_tenant_pages t ~what =
-  if Engine.verify_mode t.engine = Verifier.Sanitize then
+  if Engine.sanitize t.engine then
     List.iter
       (fun tenant ->
          let pages = tenant_pages_in_flight t tenant in

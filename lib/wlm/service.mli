@@ -19,7 +19,7 @@
     intra-operator parallelism is priced on the simulated clock from
     each plan's degrees.
 
-    {b Sanitizer.}  When the engine runs with [verify_plans = Sanitize],
+    {b Sanitizer.}  When the engine runs under the sanitizer ([sanitize]),
     the scheduler additionally asserts at every decision point and at
     every completion that each tenant's transient pages (bloom bitmaps +
     worker pool slices over all its in-flight runs) sum to zero —
@@ -59,7 +59,7 @@ val default_options : options
 type t
 
 (** The service owns its broker and admission queue; the engine (and its
-    catalog, optimizer options, verifier mode) is shared across tenants. *)
+    catalog, optimizer options, sanitizer switch) is shared across tenants. *)
 val create : ?options:options -> ?trace:Mqr_obs.Trace.t -> Mqr_core.Engine.t -> t
 
 val broker : t -> Broker.t

@@ -5,16 +5,12 @@ module Stats_env = Mqr_opt.Stats_env
 module Dispatcher = Mqr_core.Dispatcher
 module Schema = Mqr_storage.Schema
 
-(* Snapshot of a table's version at publish time: any movement of either
-   number invalidates every observation made against the old contents. *)
-type version = {
-  updates : int;
-  epoch : int;
-}
-
+(* Snapshot of a table's [Catalog.version] at publish time: any movement
+   of either number invalidates every observation made against the old
+   contents. *)
 type 'a entry = {
   value : 'a;
-  v : version;
+  v : int * int;
 }
 
 type t = {
@@ -32,11 +28,7 @@ let create () =
     applied = 0 }
 
 let version_of catalog table =
-  Option.map
-    (fun (tbl : Catalog.table) ->
-       { updates = tbl.Catalog.updates_since_analyze;
-         epoch = tbl.Catalog.stats_epoch })
-    (Catalog.find catalog table)
+  Option.map Catalog.version (Catalog.find catalog table)
 
 (* Qualified column "alias.col" -> (table, bare col) via the query's
    relation list; None for unqualified or unknown aliases and for temp

@@ -519,10 +519,7 @@ let test_no_temp_outlives_raise () =
 let test_raising_start_leaves_nothing () =
   let catalog = mini_catalog () in
   let tr = Mqr_obs.Trace.create () in
-  let engine =
-    Engine.create ~budget_pages:16 ~trace:tr
-      ~verify_plans:Mqr_analysis.Verifier.Pre catalog
-  in
+  let engine = Engine.create ~budget_pages:16 ~trace:tr ~sanitize:true catalog in
   Engine.register_udf engine ~name:"boom" (fun _ -> failwith "boom");
   Alcotest.check_raises "the UDF raises" (Failure "boom") (fun () ->
       ignore

@@ -197,6 +197,30 @@ let test_engine_probe_rows_event () =
   | Value.Int 100 -> ()
   | v -> Alcotest.failf "wrong count %s" (Value.to_string v)
 
+(* A probe's sample is seeded by its table's name: the heap files a
+   process made before a probed run do not change what it draws. *)
+let test_probe_history_free () =
+  let run () =
+    let r =
+      Engine.run_sql (Engine.create (skewed_catalog ())) ~probe_rows:200
+        "select k from facts where flag = 1"
+    in
+    ( r.Dispatcher.rows,
+      Int64.bits_of_float r.Dispatcher.elapsed_ms,
+      List.filter_map
+        (function _, Dispatcher.Ev_sampled p -> Some p | _ -> None)
+        r.Dispatcher.timed_events )
+  in
+  let rows, elapsed, probes = run () in
+  for _ = 1 to 5 do
+    ignore (Heap_file.create (Schema.make [ Schema.col "x" Value.TInt ]))
+  done;
+  let rows', elapsed', probes' = run () in
+  Alcotest.(check int) "one probe" 1 (List.length probes);
+  Alcotest.(check bool) "same rows" true (rows = rows');
+  Alcotest.(check int64) "same elapsed bits" elapsed elapsed';
+  Alcotest.(check bool) "same probes" true (probes = probes')
+
 (* --- explain analyze --- *)
 
 let test_actual_rows_recorded () =
@@ -633,6 +657,8 @@ let suite =
     Alcotest.test_case "sampling charges io" `Quick test_sampling_charges_io;
     Alcotest.test_case "sampling skips certain" `Quick test_sampling_skips_certain_predicates;
     Alcotest.test_case "engine probe_rows" `Quick test_engine_probe_rows_event;
+    Alcotest.test_case "a probe does not depend on earlier heap files" `Quick
+      test_probe_history_free;
     Alcotest.test_case "actual rows recorded" `Quick test_actual_rows_recorded;
     Alcotest.test_case "merge-join plans agree" `Quick test_merge_join_only_plans;
     Alcotest.test_case "plan cache hits" `Quick test_plan_cache_hits;

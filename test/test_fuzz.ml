@@ -185,7 +185,7 @@ let prop_observed_within_bounds =
          (fun (rf, max_dop) ->
             let engine =
               Engine.create ~budget_pages:16 ~runtime_filters:rf
-                ~verify_plans:Mqr_analysis.Verifier.Sanitize ~parallel:max_dop
+                ~sanitize:true ~parallel:max_dop
                 catalog
             in
             List.for_all

@@ -52,12 +52,6 @@ let test_clock_optimizer_charge () =
   Alcotest.(check int) "invocations" 1 counters.Sim_clock.opt_invocations;
   Alcotest.(check bool) "opt time recorded" true (counters.Sim_clock.opt_ms > 0.0)
 
-let test_clock_reset () =
-  let c = Sim_clock.create () in
-  Sim_clock.charge_seq_read c 5;
-  Sim_clock.reset c;
-  Alcotest.(check (float 0.0)) "zero" 0.0 (Sim_clock.elapsed_ms c)
-
 let test_pages_of_bytes () =
   Alcotest.(check int) "one page" 1 (Exec_ctx.pages_of_bytes 10);
   Alcotest.(check int) "exact page" 1 (Exec_ctx.pages_of_bytes 4096);
@@ -416,7 +410,7 @@ let test_temp_stats_cover_read_set () =
   let catalog = Mqr_tpcd.Workload.experiment_catalog ~sf:0.001 () in
   let engine =
     Engine.create ~budget_pages:64 ~pool_pages:512
-      ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
+      ~sanitize:true catalog
   in
   let ranged = ref 0 and empty = ref 0 and collected = ref 0 in
   List.iter
@@ -498,7 +492,6 @@ let suite =
   [ Alcotest.test_case "clock accounting" `Quick test_clock_accounting;
     Alcotest.test_case "clock since" `Quick test_clock_since;
     Alcotest.test_case "clock optimizer charge" `Quick test_clock_optimizer_charge;
-    Alcotest.test_case "clock reset" `Quick test_clock_reset;
     Alcotest.test_case "pages of bytes" `Quick test_pages_of_bytes;
     Alcotest.test_case "parse insert" `Quick test_parse_insert;
     Alcotest.test_case "parse delete" `Quick test_parse_delete;

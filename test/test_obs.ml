@@ -430,14 +430,14 @@ let test_chrome_export_shape () =
     [ "\"queries\""; "\"spans\""; "\"metrics\""; "\"ledger\"";
       "\"open_spans\": 0" ]
 
-(* --- explain-analyze renders one uniform stat block per verify mode --- *)
+(* --- explain-analyze renders one uniform stat block, sanitized or not --- *)
 
 let test_explain_analyze_uniform () =
   let catalog = Tpcd.experiment_catalog ~sf:0.001 () in
   let off = Engine.create ~budget_pages:64 ~pool_pages:512 catalog in
   let sane =
     Engine.create ~budget_pages:64 ~pool_pages:512
-      ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
+      ~sanitize:true catalog
   in
   let render e =
     Fmt.str "%a" Dispatcher.pp_explain_analyze (Engine.run_sql e (sql "Q3"))

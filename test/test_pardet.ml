@@ -17,7 +17,7 @@ let catalog =
     (Tpcd_workload.experiment_catalog ~sf
        ~degradations:Tpcd_workload.paper_degradations ())
 
-let engine ?runtime_filters ?verify_plans ~max_dop () =
+let engine ?runtime_filters ?sanitize ~max_dop () =
   let budget_pages = 128 in
   let opt_options =
     { Optimizer.default_options with
@@ -25,7 +25,7 @@ let engine ?runtime_filters ?verify_plans ~max_dop () =
       max_dop }
   in
   Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) ~opt_options
-    ?runtime_filters ?verify_plans (Lazy.force catalog)
+    ?runtime_filters ?sanitize (Lazy.force catalog)
 
 let canon rows =
   Array.to_list rows
@@ -56,7 +56,7 @@ let test_dop_changes_only_order (q : Queries.query) () =
    slices are both back to zero at completion. *)
 let test_parallel_leases_release () =
   let e =
-    engine ~runtime_filters:true ~verify_plans:Verifier.Sanitize ~max_dop:4 ()
+    engine ~runtime_filters:true ~sanitize:true ~max_dop:4 ()
   in
   let r = Engine.run_sql e (Queries.find "Q5").Queries.sql in
   Alcotest.(check bool) "some operator ran parallel" true

@@ -13,9 +13,9 @@ module Tpcd = Mqr_tpcd.Workload
 
 let sql n = (Queries.find n).Queries.sql
 
-let engine ?(verify = Verifier.Off) () =
+let engine ?(sanitize = false) () =
   let catalog = Tpcd.experiment_catalog ~sf:0.001 () in
-  Engine.create ~budget_pages:128 ~pool_pages:512 ~verify_plans:verify
+  Engine.create ~budget_pages:128 ~pool_pages:512 ~sanitize
     ~opt_options:{ Optimizer.default_options with Optimizer.max_dop = 2 }
     catalog
 
@@ -256,7 +256,7 @@ let test_failure_isolated () =
 (* --- sanitizer --- *)
 
 let test_sanitize_clean () =
-  let eng = engine ~verify:Verifier.Sanitize () in
+  let eng = engine ~sanitize:true () in
   let svc = service eng in
   let e, w = mixed_workload svc in
   assert_all_done e;

@@ -79,8 +79,6 @@ let test_min_max () =
     (Value.equal (Value.Int 2) (Value.max_value Value.Null (Value.Int 2)))
 
 let test_to_from_float () =
-  check_bool "roundtrip int" true
-    (Value.equal (Value.Int 42) (Value.of_float Value.TInt 42.0));
   check_bool "bool to float" true (Value.to_float (Value.Bool true) = 1.0)
 
 (* property: date_to_string/date_of_string round-trip over a wide range *)

@@ -221,7 +221,7 @@ let test_sanitizer_parity () =
   let plain = Engine.create ~budget_pages:32 ~pool_pages:256 catalog in
   let sanitized =
     Engine.create ~budget_pages:32 ~pool_pages:256
-      ~verify_plans:Verifier.Sanitize catalog
+      ~sanitize:true catalog
   in
   List.iter
     (fun name ->
@@ -244,7 +244,7 @@ let test_sanitizer_parity () =
      cardinality cross-checked against its provable interval) returns
      exactly the Off run's rows, in order *)
   let bounded =
-    Engine.create ~budget_pages:64 ~verify_plans:Verifier.Sanitize
+    Engine.create ~budget_pages:64 ~sanitize:true
       (Workload.experiment_catalog ~sf:0.001 ())
   in
   List.iter

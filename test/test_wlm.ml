@@ -260,7 +260,7 @@ let test_admission_take_if_skips () =
   Alcotest.(check (option string)) "skipped head still first" (Some "capped")
     (take q);
   Alcotest.(check (option string)) "rest untouched" (Some "third") (take q);
-  Alcotest.(check bool) "drained" true (Admission.is_empty q)
+  Alcotest.(check bool) "drained" true (Admission.length q = 0)
 
 (* --- batches through the service's round-robin scheduler --- *)
 

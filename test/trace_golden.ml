@@ -38,7 +38,7 @@ let observers tr catalog =
   let engine ~dop =
     let e =
       Engine.create ~budget_pages:64 ~pool_pages:512 ~trace:tr
-        ~verify_plans:Mqr_analysis.Verifier.Sanitize ~parallel:dop
+        ~sanitize:true ~parallel:dop
         ~runtime_filters:(dop > 1) catalog
     in
     Engine.register_udf e ~name:"boom" (fun _ -> failwith "boom");
