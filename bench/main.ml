@@ -1103,7 +1103,9 @@ let service_scenario () =
    and the benchmark's optimizer probe do; wall time is reported as min
    and median over the reps, allocation as minor words per plan call.
    The digest of the plan text pins the chosen plan, so two builds can be
-   checked to plan identically.                                         *)
+   checked to plan identically.  Every rep must plan as the first one
+   did, to the digest and the plans enumerated: nothing the optimizer
+   keeps may carry from one call to the next.                           *)
 
 let opt_scenario () =
   let module Optimizer = Mqr_opt.Optimizer in
@@ -1114,9 +1116,9 @@ let opt_scenario () =
        default_cell.sf);
   let engine = engine default_cell in
   let cfg = Engine.dispatcher_config engine ~mode:Dispatcher.Full () in
-  Fmt.pr "%-5s | %7s %9s %9s %7s %12s %12s %9s %10s  %s@." "query" "plans"
-    "sim(ms)" "est(ms)" "est/sim" "wall-min(ms)" "wall-med(ms)" "us/plan"
-    "minor(Mw)" "plan digest";
+  Fmt.pr "%-5s | %7s %9s %9s %7s %12s %12s %9s %10s  %-32s  %s@." "query"
+    "plans" "sim(ms)" "est(ms)" "est/sim" "wall-min(ms)" "wall-med(ms)"
+    "us/plan" "minor(Mw)" "plan digest" "reps agree";
   List.iter
     (fun (q : Queries.query) ->
        let query = Engine.bind_sql engine q.Queries.sql in
@@ -1130,23 +1132,37 @@ let opt_scenario () =
        in
        let r = List.hd t.results in
        let plans = r.Optimizer.plans_enumerated in
+       let digest_of (r : Optimizer.result) =
+         Digest.to_hex (Digest.string (Plan.to_string r.Optimizer.plan))
+       in
+       let digest = digest_of r in
+       let agree =
+         check ~scenario:"opt" ~row:q.Queries.name
+           [ ( List.for_all
+                 (fun r -> String.equal (digest_of r) digest)
+                 t.results,
+               "a rep planned another plan" );
+             ( List.for_all
+                 (fun (r : Optimizer.result) ->
+                    r.Optimizer.plans_enumerated = plans)
+                 t.results,
+               "a rep enumerated another count" ) ]
+       in
        let sim_ms = Mqr_storage.Sim_clock.optimizer_ms ~plans in
        let relations = List.length query.Mqr_sql.Query.relations in
        let est_ms = Optimizer.estimated_opt_ms ~relations in
        let est_ratio = est_ms /. sim_ms in
-       let digest =
-         Digest.to_hex (Digest.string (Plan.to_string r.Optimizer.plan))
-       in
        let scenario = "opt/" ^ q.Queries.name and mode = "optimize" in
        record ~scenario ~mode Sim "elapsed" "ms" sim_ms;
        count ~scenario ~mode "plans_enumerated" plans;
        record ~scenario ~mode Sim "opt_estimated" "ms" est_ms;
        record ~scenario ~mode Count "estimated_ratio" "ratio" est_ratio;
        let wall_min, wall_med, minor_med = record_timed ~scenario ~mode t in
-       Fmt.pr "%-5s | %7d %9.1f %9.1f %7.3f %12.2f %12.2f %9.2f %10.2f  %s@."
+       Fmt.pr
+         "%-5s | %7d %9.1f %9.1f %7.3f %12.2f %12.2f %9.2f %10.2f  %s  %s@."
          q.Queries.name plans sim_ms est_ms est_ratio wall_min wall_med
          (1000.0 *. wall_med /. float_of_int (max 1 plans))
-         (minor_med /. 1e6) digest)
+         (minor_med /. 1e6) digest agree)
     Queries.all
 
 (* ------------------------------------------------------------------ *)

@@ -88,18 +88,19 @@ let record_annotations r plan =
     (Plan.nodes plan)
 
 (* Re-annotate [plan] under [env] with the configured planning memory and
-   degree cap. *)
-let recost cfg env plan =
+   degree cap, reusing the run's equi-join selectivities [memo] (each
+   entry checks the statistics it came from). *)
+let recost cfg memo env plan =
   Optimizer.recost ~planning_mem:cfg.opt_options.Optimizer.planning_mem_pages
-    ~max_dop:cfg.opt_options.Optimizer.max_dop ~env plan
+    ~max_dop:cfg.opt_options.Optimizer.max_dop ~memo ~env plan
 
 (* Insert statistics collectors (SCIA), their plan-node ids from
    [first_id] on, and re-cost: the instrumentation of an initial plan and
    of every switched-to remainder.  Returns the plan, the number of
    collectors kept and the next free id. *)
-let instrument cfg env ~first_id plan =
+let instrument cfg memo env ~first_id plan =
   let scia = Scia.insert ~mu:cfg.params.Reopt_policy.mu ~env ~first_id plan in
-  (recost cfg env scia.Scia.plan, List.length scia.Scia.kept, scia.Scia.next_id)
+  (recost cfg memo env scia.Scia.plan, List.length scia.Scia.kept, scia.Scia.next_id)
 
 let max_id plan =
   List.fold_left (fun m (n : Plan.t) -> max m n.Plan.id) 0 (Plan.nodes plan)
@@ -138,7 +139,7 @@ let charge_materialization st =
 
 let reallocate st =
   let grants = allocate_memory st in
-  st.current <- recost st.cfg st.env st.current;
+  st.current <- recost st.cfg st.sel_memo st.env st.current;
   emit st (Ev_realloc { grants })
 
 (* What the policy reads of the run: nothing it could write through. *)
@@ -169,14 +170,14 @@ let switch r (t : Reopt_policy.terms) (c : Reopt_policy.candidate) =
   (* renumber first: the wrappers take the ids after the plan's *)
   let renumbered = renumber c.plan in
   let new_plan, _, next_id =
-    instrument st.cfg c.env ~first_id:r.next_id renumbered
+    instrument st.cfg st.sel_memo c.env ~first_id:r.next_id renumbered
   in
   r.next_id <- next_id;
   st.env <- c.env;
   st.current <- new_plan;
   record_annotations r new_plan;
   ignore (allocate_memory st);
-  st.current <- recost st.cfg st.env st.current;
+  st.current <- recost st.cfg st.sel_memo st.env st.current;
   r.switches <- r.switches + 1;
   emit st
     (Ev_switched
@@ -216,7 +217,7 @@ let decision_point r =
   st.skew_surprise <- false;
   observe st Decision_opened;
   (* improved estimates for the remainder *)
-  st.current <- recost st.cfg st.env st.current;
+  st.current <- recost st.cfg st.sel_memo st.env st.current;
   if Reopt_policy.reallocates st.cfg.mode then reallocate st;
   apply r (Reopt_policy.decide (view r ~force));
   observe st Verdict_applied
@@ -244,6 +245,7 @@ let prepare ?prepared cfg query =
         ~sample_rows:n
     | _ -> []
   in
+  let sel_memo = Optimizer.memo () in
   let plan0, collectors, next_id =
     match prepared with
     | Some (plan, collectors) ->
@@ -258,7 +260,7 @@ let prepare ?prepared cfg query =
       let first_id = max_id opt.Optimizer.plan + 1 in
       (match cfg.mode with
        | Off -> (opt.Optimizer.plan, 0, first_id)
-       | _ -> instrument cfg env ~first_id opt.Optimizer.plan)
+       | _ -> instrument cfg sel_memo env ~first_id opt.Optimizer.plan)
   in
   let st =
     { cfg;
@@ -279,10 +281,11 @@ let prepare ?prepared cfg query =
       collector_ms = 0.0;
       filter_probe_ms = 0.0;
       q_span = None;
-      verifications = 0 }
+      verifications = 0;
+      sel_memo }
   in
   ignore (allocate_memory st);
-  st.current <- recost cfg env plan0;
+  st.current <- recost cfg sel_memo env plan0;
   let r =
     { st;
       query;

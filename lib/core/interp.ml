@@ -218,6 +218,8 @@ type state = {
   mutable q_span : (Trace.scope * Trace.token) option;
   (* plan-verification runs performed *)
   mutable verifications : int;
+  (* equi-join selectivities for every re-cost of this run *)
+  sel_memo : Optimizer.memo;
 }
 
 (* ------------------------------------------------------------------ *)

@@ -4,16 +4,21 @@ let hash_join_fudge = 1.2
 
 (* Each pass of Grace partitioning divides the build side by up to
    (mem_pages - 1) output partitions (at least 2); one more pass is needed
-   until a partition fits. *)
+   until a partition fits.  A loop, not a local recursion: the optimizer
+   prices every hash join candidate through here, and a closure over
+   [mem] and [fan_out] would be allocated on every call. *)
 let hash_join_passes ~mem_pages ~build_pages =
-  let mem = max 2 mem_pages in
-  let fan_out = max 2 (mem - 1) in
-  let need = int_of_float (ceil (hash_join_fudge *. float_of_int build_pages)) in
-  let rec go passes part_pages =
-    if part_pages <= mem then passes
-    else go (passes + 1) ((part_pages + fan_out - 1) / fan_out)
+  let mem = Int.max 2 mem_pages in
+  let fan_out = Int.max 2 (mem - 1) in
+  let passes = ref 1
+  and part_pages =
+    ref (int_of_float (ceil (hash_join_fudge *. float_of_int build_pages)))
   in
-  go 1 need
+  while !part_pages > mem do
+    incr passes;
+    part_pages := (!part_pages + fan_out - 1) / fan_out
+  done;
+  !passes
 
 type result = {
   rows : Tuple.t array;

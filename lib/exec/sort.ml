@@ -1,16 +1,18 @@
 open Mqr_storage
 
 let sort_passes ~mem_pages ~data_pages =
-  let mem = max 2 mem_pages in
+  let mem = Int.max 2 mem_pages in
   if data_pages <= mem then 1
   else begin
-    let runs = (data_pages + mem - 1) / mem in
-    let fan_in = max 2 (mem - 1) in
-    let rec merge_levels levels runs =
-      if runs <= 1 then levels
-      else merge_levels (levels + 1) ((runs + fan_in - 1) / fan_in)
-    in
-    1 + merge_levels 0 runs
+    let fan_in = Int.max 2 (mem - 1) in
+    (* merge levels until one run is left, counted in a loop so that the
+       optimizer's sort prices allocate nothing *)
+    let runs = ref ((data_pages + mem - 1) / mem) and levels = ref 0 in
+    while !runs > 1 do
+      incr levels;
+      runs := (!runs + fan_in - 1) / fan_in
+    done;
+    1 + !levels
   end
 
 type result = {

@@ -2,40 +2,50 @@ open Mqr_storage
 
 let page_bytes = float_of_int Heap_file.page_size_bytes
 
-let pages ~rows ~width = Float.max 1.0 (ceil (rows *. width /. page_bytes))
+(* The prices the optimizer's join enumeration calls, and what they
+   call, are [@inline], so their float arguments and results stay unboxed
+   in the caller's loop; none of them defines a local function, which
+   would stop the inlining. *)
 
-let filter_rows filter ~rows = match filter with None -> 0.0 | Some _ -> rows
+let[@inline] pages ~rows ~width =
+  Float.max 1.0 (ceil (rows *. width /. page_bytes))
+
+let[@inline] filter_rows filter ~rows =
+  match filter with None -> 0.0 | Some _ -> rows
 
 (* Every price returns [infinity] as soon as one of its quantities is
    infinite: the formulas would turn [0 *. infinity] or [int_of_float
    infinity] into garbage.  The quantities are non-negative, so their sum
    is finite exactly when each is. *)
-let unbounded sum = not (Float.is_finite sum)
+let[@inline] unbounded sum = not (Float.is_finite sum)
 
 (* The executor charges a partitioned operator its slowest worker plus
    the exchange and a per-worker startup fee (Mqr_exec.Parallel), at the
    same Sim_clock rates; workers get even shares, so the slowest costs
    [per_worker].  Degree 1 is exactly the serial cost. *)
-let exchange_ms ~pages = pages *. Sim_clock.exchange_ms_per_page
+let[@inline] exchange_ms ~pages = pages *. Sim_clock.exchange_ms_per_page
 
-let startup_ms ~dop =
+let[@inline] startup_ms ~dop =
   Sim_clock.parallel_startup_ms *. float_of_int (Int.max 0 (dop - 1))
 
-let parallel_ms ~dop ~exchange_pages ~per_worker =
+let[@inline] parallel_ms ~dop ~exchange_pages ~per_worker =
   if dop = 1 then per_worker
   else per_worker +. exchange_ms ~pages:exchange_pages +. startup_ms ~dop
 
 (* [n] runtime filters, each built from [build_rows] and testing every
-   one of [probe_rows]. *)
-let runtime_filters_ms ~n ~build_rows ~probe_rows =
+   one of [probe_rows], summed one filter at a time from 0. *)
+let[@inline] runtime_filters_ms ~n ~build_rows ~probe_rows =
   let one =
     (build_rows *. Sim_clock.rf_build_tuple_ms)
     +. (probe_rows *. Sim_clock.rf_probe_tuple_ms)
   in
-  let rec go i acc = if i = 0 then acc else go (i - 1) (acc +. one) in
-  go n 0.0
+  let acc = ref 0.0 in
+  for _ = 1 to n do
+    acc := !acc +. one
+  done;
+  !acc
 
-let sort_serial ~rows ~data_pages ~mem_pages =
+let[@inline] sort_serial ~rows ~data_pages ~mem_pages =
   let passes =
     Mqr_exec.Sort.sort_passes ~mem_pages ~data_pages:(int_of_float data_pages)
   in
@@ -66,7 +76,7 @@ let index_scan_ms ~match_rows ~table_pages ~filter_rows =
     descent +. fetches +. (match_rows *. Sim_clock.cpu_tuple_ms)
     +. (filter_rows *. Sim_clock.cpu_tuple_ms)
 
-let hash_join_ms ~dop ~build_rows ~build_pages
+let[@inline] hash_join_ms ~dop ~build_rows ~build_pages
     ~probe_rows ~probe_pages ~out_rows ~mem_pages ~rf ~rf_probe_rows =
   if unbounded (build_rows +. build_pages +. probe_rows +. probe_pages
                 +. out_rows +. rf_probe_rows) then infinity
@@ -94,7 +104,7 @@ let hash_join_ms ~dop ~build_rows ~build_pages
     parallel_ms ~dop ~exchange_pages:(build_pages +. probe_pages) ~per_worker
     +. runtime_filters_ms ~n:rf ~build_rows ~probe_rows:rf_probe_rows
 
-let index_nl_join_ms ~outer_rows ~fetched ~filter_rows =
+let[@inline] index_nl_join_ms ~outer_rows ~fetched ~filter_rows =
   if unbounded (outer_rows +. fetched +. filter_rows) then infinity
   else
     (outer_rows *. (Sim_clock.rand_read_ms +. Sim_clock.cpu_tuple_ms))
@@ -113,21 +123,33 @@ let block_nl_join_ms ~outer_rows ~outer_pages
     +. (outer_rows *. inner_rows *. Sim_clock.cpu_tuple_ms)
     +. (out_rows *. Sim_clock.cpu_tuple_ms)
 
-let merge_join_ms ~left_rows ~left_pages ~right_rows
-    ~right_pages ~out_rows ~mem_pages ~left_sorted ~right_sorted ~rf
-    ~rf_probe_rows =
+let[@inline] merge_sort_ms ~rows ~data_pages ~mem_pages =
+  sort_serial ~rows ~data_pages ~mem_pages:(Int.max 2 (mem_pages / 2))
+
+let[@inline] merge_pass_ms ~left_rows ~right_rows ~out_rows =
+  (left_rows +. right_rows +. out_rows) *. Sim_clock.cpu_tuple_ms
+
+let[@inline] merge_join_of_sorts_ms ~left_sort_ms ~right_sort_ms ~left_rows
+    ~left_pages ~right_rows ~right_pages ~out_rows ~rf ~rf_probe_rows =
   if unbounded (left_rows +. left_pages +. right_rows +. right_pages
                 +. out_rows +. rf_probe_rows) then infinity
   else
-    let half = Int.max 2 (mem_pages / 2) in
-    (if left_sorted then 0.0
-     else sort_serial ~rows:left_rows ~data_pages:left_pages ~mem_pages:half)
-    +. (if right_sorted then 0.0
-        else
-          sort_serial ~rows:right_rows ~data_pages:right_pages
-            ~mem_pages:half)
-    +. ((left_rows +. right_rows +. out_rows) *. Sim_clock.cpu_tuple_ms)
+    left_sort_ms +. right_sort_ms
+    +. merge_pass_ms ~left_rows ~right_rows ~out_rows
     +. runtime_filters_ms ~n:rf ~build_rows:left_rows ~probe_rows:rf_probe_rows
+
+let merge_join_ms ~left_rows ~left_pages ~right_rows
+    ~right_pages ~out_rows ~mem_pages ~left_sorted ~right_sorted ~rf
+    ~rf_probe_rows =
+  merge_join_of_sorts_ms
+    ~left_sort_ms:
+      (if left_sorted then 0.0
+       else merge_sort_ms ~rows:left_rows ~data_pages:left_pages ~mem_pages)
+    ~right_sort_ms:
+      (if right_sorted then 0.0
+       else merge_sort_ms ~rows:right_rows ~data_pages:right_pages ~mem_pages)
+    ~left_rows ~left_pages ~right_rows ~right_pages ~out_rows ~rf
+    ~rf_probe_rows
 
 let aggregate_ms ~dop ~in_rows ~in_pages ~groups
     ~group_pages ~mem_pages =
@@ -165,12 +187,12 @@ let materialize_ms ~pages = pages *. Sim_clock.write_ms
 
 let fudge = Mqr_exec.Join.hash_join_fudge
 
-let hash_join_mem ~build_pages =
+let[@inline] hash_join_mem ~build_pages =
   let need = int_of_float (ceil (fudge *. build_pages)) + 1 in
   let min_m = int_of_float (ceil (sqrt (fudge *. build_pages))) + 1 in
   (Int.min min_m need, need)
 
-let sort_mem ~data_pages =
+let[@inline] sort_mem ~data_pages =
   let need = int_of_float (ceil data_pages) in
   let min_m = Int.max 2 (int_of_float (ceil (sqrt data_pages))) in
   (Int.min min_m need, Int.max 1 need)

@@ -73,6 +73,24 @@ val merge_join_ms :
   left_sorted:bool -> right_sorted:bool -> rf:int -> rf_probe_rows:float ->
   float
 
+(** One side's sort in a merge join granted [mem_pages]: half the grant
+    (at least 2 pages), as {!merge_join_ms} prices it. *)
+val merge_sort_ms : rows:float -> data_pages:float -> mem_pages:int -> float
+
+(** The merge pass over both inputs and the output, the one term of
+    {!merge_join_ms} that is there whatever the grant and the inputs'
+    order.  Every other term is non-negative, so a merge join's price is
+    never below it. *)
+val merge_pass_ms : left_rows:float -> right_rows:float -> out_rows:float -> float
+
+(** {!merge_join_ms} from the sides' sort prices ([0.0] for a pre-sorted
+    side, otherwise {!merge_sort_ms}), for a caller that keeps them. *)
+val merge_join_of_sorts_ms :
+  left_sort_ms:float -> right_sort_ms:float ->
+  left_rows:float -> left_pages:float ->
+  right_rows:float -> right_pages:float -> out_rows:float ->
+  rf:int -> rf_probe_rows:float -> float
+
 (** Hash aggregation, partitioned on the first grouping column at
     [dop > 1] (every group lands wholly on one worker). *)
 val aggregate_ms :

@@ -44,35 +44,52 @@ module Int_tbl = Hashtbl.Make (struct
     let hash = Hashtbl.hash
   end)
 
-(* The memo tables live exactly as long as one [optimize] or [recost]
-   call: between calls the dispatcher layers observed statistics onto the
-   [Stats_env], and a selectivity cached across that would be stale. *)
+(* An equi-join selectivity and the statistics of its two columns it was
+   estimated from: [Stats_env.stats_of] of each, compared physically.
+   Column statistics and their histograms are immutable, and an override
+   installs a new record, so an entry whose records are still the ones
+   the environment returns is exactly what estimating afresh would give. *)
+type join_sel = {
+  left_stats : Mqr_catalog.Column_stats.t option;
+  right_stats : Mqr_catalog.Column_stats.t option;
+  join_sel : float;
+}
+
+type memo = {
+  col_ids : int Str_tbl.t;       (* interned column names *)
+  join_sels : join_sel Int_tbl.t;  (* per ordered pair of column ids *)
+}
+
+let memo () = { col_ids = Str_tbl.create 32; join_sels = Int_tbl.create 32 }
+
+(* One [optimize] or [recost] call.  Its memo is its own unless the
+   caller passes one to keep across calls: between calls the dispatcher
+   layers observed statistics onto the [Stats_env], and the memo's
+   entries check theirs. *)
 type ctx = {
   env : Stats_env.t;
   sel_env : Selectivity.env;
-  planning_mem : int;
+  grant : int;  (* the planning memory, at least 2 pages *)
   max_dop : int;
   mutable next_id : int;
   mutable enumerated : int;
-  col_ids : int Str_tbl.t;       (* interned column names *)
-  join_sels : float Int_tbl.t;   (* equi-join selectivity per ordered pair *)
+  memo : memo;
 }
 
 let make_ctx ?(planning_mem = default_options.planning_mem_pages)
-    ?(max_dop = 1) ~env () =
+    ?(max_dop = 1) ?memo:(m = memo ()) ~env () =
   { env;
     sel_env = Stats_env.selectivity_env env;
-    planning_mem;
+    grant = Int.max 2 planning_mem;
     max_dop = Int.max 1 max_dop;
     next_id = 0;
     enumerated = 0;
-    col_ids = Str_tbl.create 32;
-    join_sels = Int_tbl.create 32 }
+    memo = m }
 
 (* Memory assumed when costing: the grant when one exists, otherwise the
    planning assumption capped by the operator's own maximum. *)
 let effective_mem ctx ~mem ~max_mem =
-  if mem > 0 then mem else Int.min max_mem (Int.max 2 ctx.planning_mem)
+  if mem > 0 then mem else Int.min max_mem ctx.grant
 
 let fresh_id ctx =
   let id = ctx.next_id in
@@ -80,24 +97,39 @@ let fresh_id ctx =
   id
 
 let col_id ctx c =
-  match Str_tbl.find ctx.col_ids c with
+  let ids = ctx.memo.col_ids in
+  match Str_tbl.find ids c with
   | i -> i
   | exception Not_found ->
-    let i = Str_tbl.length ctx.col_ids in
-    Str_tbl.add ctx.col_ids c i;
+    let i = Str_tbl.length ids in
+    Str_tbl.add ids c i;
     i
 
+let same_stats a b =
+  match a, b with
+  | None, None -> true
+  | Some x, Some y -> x == y
+  | _ -> false
+
 (* The histogram estimate walks every bucket pair, and the DP asks for the
-   same pair in thousands of splits.  The pair is ordered: the bucket sums
-   run in a different order for (b, a), so the float may differ. *)
+   same pair in thousands of splits, the dispatcher at every re-cost.  The
+   pair is ordered: the bucket sums run in a different order for (b, a),
+   so the float may differ.  The estimate reads nothing but the two
+   columns' statistics. *)
 let equijoin_sel ctx ~left ~right =
   let key = (col_id ctx left lsl 31) lor col_id ctx right in
-  match Int_tbl.find ctx.join_sels key with
-  | s -> s
-  | exception Not_found ->
-    let s = Selectivity.equijoin_selectivity ctx.sel_env ~left ~right in
-    Int_tbl.add ctx.join_sels key s;
-    s
+  let left_stats = Stats_env.stats_of ctx.env left
+  and right_stats = Stats_env.stats_of ctx.env right in
+  match Int_tbl.find_opt ctx.memo.join_sels key with
+  | Some e
+    when same_stats e.left_stats left_stats
+         && same_stats e.right_stats right_stats ->
+    e.join_sel
+  | _ ->
+    let join_sel = Selectivity.equijoin_selectivity ctx.sel_env ~left ~right in
+    Int_tbl.replace ctx.memo.join_sels key
+      { left_stats; right_stats; join_sel };
+    join_sel
 
 let sel ctx e =
   Selectivity.selectivity ~equijoin:(equijoin_sel ctx) ctx.sel_env e
@@ -109,9 +141,10 @@ let width_of schema = float_of_int (Schema.avg_tuple_width schema)
 (* ------------------------------------------------------------------ *)
 (* Node constructors: estimation + costing in one place so [recost]    *)
 (* and the DP share the exact same formulas.  Each join constructor    *)
-(* comes in two halves: [price_*] computes what the DP compares, with  *)
-(* no schema, node or id, and [build_*] turns a price into a plan      *)
-(* node.  [mk_*] is "build (price ...)".                               *)
+(* comes in parts: [*_op_ms] prices the join's own work (what the DP    *)
+(* compares), [*_priced] adds its estimates and memory demands, with   *)
+(* no schema, node or id, and [build_*] turns those into a plan node.  *)
+(* [mk_*] is "build (price ...)".                                      *)
 
 (* An operator's estimates and memory demands, before (or without) a
    node to carry them. *)
@@ -279,30 +312,131 @@ let rf_combined_sel rf =
    reduction is still realized at run time; this only damps plan choice. *)
 let rf_credit_sel rf = 0.5 +. (0.5 *. rf_combined_sel rf)
 
+(* ------------------------------------------------------------------ *)
+(* Join pricing.  A join is priced from quantities of its two inputs,   *)
+(* computed once per input ([cand]): the join enumeration makes one     *)
+(* when a plan enters its Pareto set, [recost] one per rebuilt child.   *)
+(* The prices are [@inline] down to the Cost_model shapes, so pricing a *)
+(* candidate in the DP's loop boxes no float and builds no closure at   *)
+(* [max_dop = 1]; only a candidate that enters a set gets a [priced]    *)
+(* record and an entry, and a node only when a plan above needs it.     *)
+
+(* What pricing reads of a plan: its estimates, its pages, and the sort a
+   merge join gives it at the planning grant (which is the grant of
+   every merge whose inputs could use at least that much). *)
+type quant = {
+  q_rows : float;
+  q_width : float;
+  q_pages : float;    (* [Cost_model.pages] of [q_rows] and [q_width] *)
+  q_total : float;
+  q_sort_ms : float;  (* [Cost_model.merge_sort_ms] at [grant] *)
+}
+
+(* A plan with its quantities, its schema's width ([Schema.avg_tuple_width])
+   and the memory demands of building a hash table on it
+   ([Cost_model.hash_join_mem]) and of sorting it ([Cost_model.sort_mem]).
+   The join enumeration builds an entrant's plan node only when a plan
+   that contains it is asked for: most entrants are displaced from their
+   set before any join above them is built. *)
+type cand = {
+  plan : Plan.t Lazy.t;
+  q : quant;
+  schema_width : int;
+  hash_min : int;
+  hash_max : int;
+  sort_min : int;
+  sort_max : int;
+}
+
+(* [rows], [width] and [total] are the plan's estimates.  [width] is
+   the schema's width for a node the optimizer builds ([node_of]), but
+   not for a [Materialized] leaf, whose estimate is the observed bytes per
+   row. *)
+let cand_of_est ctx plan ~schema_width ~rows ~width ~total =
+  let pages = Cost_model.pages ~rows ~width in
+  let hash_min, hash_max = Cost_model.hash_join_mem ~build_pages:pages in
+  let sort_min, sort_max = Cost_model.sort_mem ~data_pages:pages in
+  { plan;
+    q =
+      { q_rows = rows;
+        q_width = width;
+        q_pages = pages;
+        q_total = total;
+        q_sort_ms =
+          Cost_model.merge_sort_ms ~rows ~data_pages:pages
+            ~mem_pages:ctx.grant };
+    schema_width;
+    hash_min;
+    hash_max;
+    sort_min;
+    sort_max }
+
+let cand_of ctx (plan : Plan.t) =
+  let e = plan.Plan.est in
+  cand_of_est ctx (Lazy.from_val plan)
+    ~schema_width:(Schema.avg_tuple_width plan.Plan.schema) ~rows:e.Plan.rows
+    ~width:e.Plan.width ~total:e.Plan.total_ms
+
+(* The entry of a join priced [p] whose plan [node] builds on demand. *)
+let cand_of_priced ctx (p : priced) ~schema_width node =
+  cand_of_est ctx node ~schema_width ~rows:(Float.max 0.05 p.rows)
+    ~width:(float_of_int schema_width) ~total:p.total_ms
+
+(* The rows a hash join's probe (a merge join's right side) feeds the join
+   once the runtime filters [rf] have dropped what they are credited with,
+   and their pages: without filters, the side's own. *)
+let[@inline] filtered_rows (q : quant) rf =
+  match rf with [] -> q.q_rows | _ -> q.q_rows *. rf_credit_sel rf
+
+let[@inline] filtered_pages (q : quant) rf ~rows =
+  match rf with [] -> q.q_pages | _ -> Cost_model.pages ~rows ~width:q.q_width
+
 (* The join constructors take the join selectivity ([join_sel] of their
    keys and residual) precomputed: the DP evaluates it once per split, not
-   once per candidate pair. *)
-let price_hash_join ctx ~build ~probe ~keys ~jsel ~mem ~rf =
-  let b = build.Plan.est and p = probe.Plan.est in
-  let rows = b.Plan.rows *. p.Plan.rows *. jsel in
+   once per candidate pair.  [out_rows] is the join's output estimate and
+   [mem] its memory, the grant already applied. *)
+
+let[@inline] hash_join_at ~dop ~(build : cand) ~(probe : cand) ~rf ~out_rows
+    ~mem =
+  let probe_rows = filtered_rows probe.q rf in
   (* the join's own work shrinks to the filtered probe cardinality; the
      output estimate does not change (the filter only removes tuples that
      could never join) *)
-  let probe_rows_eff = p.Plan.rows *. rf_credit_sel rf in
-  let build_pages = Cost_model.pages ~rows:b.Plan.rows ~width:b.Plan.width in
-  let probe_pages =
-    Cost_model.pages ~rows:probe_rows_eff ~width:p.Plan.width
-  in
-  let min_mem, max_mem = Cost_model.hash_join_mem ~build_pages in
-  let mem = effective_mem ctx ~mem ~max_mem in
-  let op_ms dop =
-    Cost_model.hash_join_ms ~dop ~build_rows:b.Plan.rows
-      ~build_pages ~probe_rows:probe_rows_eff ~probe_pages ~out_rows:rows
-      ~mem_pages:mem ~rf:(List.length rf) ~rf_probe_rows:p.Plan.rows
-  in
-  (* a cross product has no key to partition on *)
-  let dop, op_ms = if keys = [] then (1, op_ms 1) else choose_dop ctx op_ms in
-  price ~dop ~rows ~op_ms ~children:[ build; probe ] ~min_mem ~max_mem ~mem ()
+  Cost_model.hash_join_ms ~dop ~build_rows:build.q.q_rows
+    ~build_pages:build.q.q_pages ~probe_rows
+    ~probe_pages:(filtered_pages probe.q rf ~rows:probe_rows)
+    ~out_rows ~mem_pages:mem ~rf:(List.length rf)
+    ~rf_probe_rows:probe.q.q_rows
+
+(* A cross product has no key to partition on. *)
+let[@inline] hash_join_serial ctx ~keys =
+  ctx.max_dop = 1 || List.is_empty keys
+
+let hash_join_par ctx ~build ~probe ~rf ~out_rows ~mem =
+  choose_dop ctx (fun dop ->
+      hash_join_at ~dop ~build ~probe ~rf ~out_rows ~mem)
+
+let[@inline] hash_join_op_ms ctx ~build ~probe ~keys ~rf ~out_rows ~mem =
+  if hash_join_serial ctx ~keys then
+    hash_join_at ~dop:1 ~build ~probe ~rf ~out_rows ~mem
+  else snd (hash_join_par ctx ~build ~probe ~rf ~out_rows ~mem)
+
+let hash_join_priced ctx ~build ~probe ~keys ~rf ~out_rows ~mem ~op_ms =
+  { rows = out_rows;
+    op_ms;
+    total_ms = op_ms +. build.q.q_total +. probe.q.q_total;
+    dop =
+      (if hash_join_serial ctx ~keys then 1
+       else fst (hash_join_par ctx ~build ~probe ~rf ~out_rows ~mem));
+    min_mem = build.hash_min;
+    max_mem = build.hash_max;
+    mem }
+
+let price_hash_join ctx ~build ~probe ~keys ~jsel ~mem ~rf =
+  let out_rows = build.q.q_rows *. probe.q.q_rows *. jsel in
+  let mem = effective_mem ctx ~mem ~max_mem:build.hash_max in
+  hash_join_priced ctx ~build ~probe ~keys ~rf ~out_rows ~mem
+    ~op_ms:(hash_join_op_ms ctx ~build ~probe ~keys ~rf ~out_rows ~mem)
 
 let build_hash_join ~id ~build ~probe ~keys ~extra ~rf p =
   node_of ~id (Plan.Hash_join { build; probe; keys; extra; rf })
@@ -311,22 +445,30 @@ let build_hash_join ~id ~build ~probe ~keys ~extra ~rf p =
 let mk_hash_join ctx ~build ~probe ~keys ~extra ~jsel ~mem ~with_rf =
   let rf = rf_annotations ctx ~with_rf ~build ~probe ~keys in
   build_hash_join ~id:(fresh_id ctx) ~build ~probe ~keys ~extra ~rf
-    (price_hash_join ctx ~build ~probe ~keys ~jsel ~mem ~rf)
+    (price_hash_join ctx ~build:(cand_of ctx build)
+       ~probe:(cand_of ctx probe) ~keys ~jsel ~mem ~rf)
 
 (* [jsel] is the key pair's equi-join selectivity, [inner_sel] and
    [extra_sel] those of the inner filter and the residual: all three are
    fixed per split and key, whatever the outer plan. *)
-let price_index_nl_join ~outer ~(inner : Stats_env.rel_info) ~jsel
-    ~inner_filter ~inner_sel ~extra_sel =
-  let o = outer.Plan.est in
-  let fetched = o.Plan.rows *. inner.Stats_env.rows *. jsel in
-  let rows = fetched *. inner_sel *. extra_sel in
-  let op_ms =
-    Cost_model.index_nl_join_ms ~outer_rows:o.Plan.rows
-      ~fetched:(Float.max 1.0 fetched)
-      ~filter_rows:(Cost_model.filter_rows inner_filter ~rows:fetched)
-  in
-  price ~rows ~op_ms ~children:[ outer ] ~min_mem:0 ~max_mem:0 ~mem:0 ()
+let[@inline] index_nl_fetched ~(outer : cand) ~(inner : Stats_env.rel_info)
+    ~jsel =
+  outer.q.q_rows *. inner.Stats_env.rows *. jsel
+
+let[@inline] index_nl_join_op_ms ~outer ~inner ~jsel ~inner_filter =
+  let fetched = index_nl_fetched ~outer ~inner ~jsel in
+  Cost_model.index_nl_join_ms ~outer_rows:outer.q.q_rows
+    ~fetched:(Float.max 1.0 fetched)
+    ~filter_rows:(Cost_model.filter_rows inner_filter ~rows:fetched)
+
+let index_nl_join_priced ~outer ~inner ~jsel ~inner_sel ~extra_sel ~op_ms =
+  { rows = index_nl_fetched ~outer ~inner ~jsel *. inner_sel *. extra_sel;
+    op_ms;
+    total_ms = op_ms +. outer.q.q_total;
+    dop = 1;
+    min_mem = 0;
+    max_mem = 0;
+    mem = 0 }
 
 let build_index_nl_join ~id ~outer ~table ~alias ~outer_col ~inner_col
     ~inner_filter ~extra ~inner_schema p =
@@ -341,10 +483,11 @@ let mk_index_nl_join ctx ~outer ~table ~alias ~outer_col ~inner_col
   let jsel = equijoin_sel ctx ~left:outer_col ~right:inner_col in
   let inner_sel = sel_opt ctx inner_filter in
   let extra_sel = sel_opt ctx extra in
+  let o = cand_of ctx outer in
   build_index_nl_join ~id:(fresh_id ctx) ~outer ~table ~alias ~outer_col
     ~inner_col ~inner_filter ~extra ~inner_schema:inner.Stats_env.rel_schema
-    (price_index_nl_join ~outer ~inner ~jsel ~inner_filter ~inner_sel
-       ~extra_sel)
+    (index_nl_join_priced ~outer:o ~inner ~jsel ~inner_sel ~extra_sel
+       ~op_ms:(index_nl_join_op_ms ~outer:o ~inner ~jsel ~inner_filter))
 
 let price_block_nl_join ctx ~outer ~inner ~pred_sel ~mem =
   let o = outer.Plan.est and i = inner.Plan.est in
@@ -381,24 +524,66 @@ let merge_sorted ~left ~right ~keys =
    annotated over the keys flipped to (right, left). *)
 let merge_rf_keys keys = List.map (fun (l, r) -> (r, l)) keys
 
+(* One merge input's sort: none when it arrives sorted, the input's own
+   at the planning grant when the join runs at that grant over the
+   input's own rows, priced afresh otherwise. *)
+let[@inline] merge_side_ms ctx (c : cand) ~sorted ~own ~rows ~pages ~mem =
+  if sorted then 0.0
+  else if own && mem = ctx.grant then c.q.q_sort_ms
+  else Cost_model.merge_sort_ms ~rows ~data_pages:pages ~mem_pages:mem
+
+(* The most memory a merge join can use: both sorts' demands
+   ([Cost_model.merge_join_mem]), the right side's over its filtered
+   [right_pages]. *)
+let[@inline] merge_join_max_mem ~left ~right ~rf ~right_pages =
+  match rf with
+  | [] -> left.sort_max + right.sort_max
+  | _ -> left.sort_max + snd (Cost_model.sort_mem ~data_pages:right_pages)
+
+let[@inline] merge_join_op_ms ctx ~left ~right ~rf ~out_rows ~mem ~left_sorted
+    ~right_sorted =
+  let right_rows = filtered_rows right.q rf in
+  let right_pages = filtered_pages right.q rf ~rows:right_rows in
+  Cost_model.merge_join_of_sorts_ms
+    ~left_sort_ms:
+      (merge_side_ms ctx left ~sorted:left_sorted ~own:true
+         ~rows:left.q.q_rows ~pages:left.q.q_pages ~mem)
+    ~right_sort_ms:
+      (merge_side_ms ctx right ~sorted:right_sorted ~own:(List.is_empty rf)
+         ~rows:right_rows ~pages:right_pages ~mem)
+    ~left_rows:left.q.q_rows ~left_pages:left.q.q_pages ~right_rows
+    ~right_pages ~out_rows ~rf:(List.length rf) ~rf_probe_rows:right.q.q_rows
+
+let merge_join_priced ~left ~right ~rf ~right_pages ~out_rows ~mem ~op_ms =
+  let min_mem, max_mem =
+    match rf with
+    | [] -> (left.sort_min + right.sort_min, left.sort_max + right.sort_max)
+    | _ ->
+      let r_min, r_max = Cost_model.sort_mem ~data_pages:right_pages in
+      (left.sort_min + r_min, left.sort_max + r_max)
+  in
+  { rows = out_rows;
+    op_ms;
+    total_ms = op_ms +. left.q.q_total +. right.q.q_total;
+    dop = 1;
+    min_mem;
+    max_mem;
+    mem }
+
 let price_merge_join ctx ~left ~right ~jsel ~left_sorted ~right_sorted ~mem
     ~rf =
-  let le = left.Plan.est and re = right.Plan.est in
-  let rows = le.Plan.rows *. re.Plan.rows *. jsel in
-  let right_rows_eff = re.Plan.rows *. rf_credit_sel rf in
-  let left_pages = Cost_model.pages ~rows:le.Plan.rows ~width:le.Plan.width in
+  let out_rows = left.q.q_rows *. right.q.q_rows *. jsel in
   let right_pages =
-    Cost_model.pages ~rows:right_rows_eff ~width:re.Plan.width
+    filtered_pages right.q rf ~rows:(filtered_rows right.q rf)
   in
-  let min_mem, max_mem = Cost_model.merge_join_mem ~left_pages ~right_pages in
-  let mem = effective_mem ctx ~mem ~max_mem in
-  let op_ms =
-    Cost_model.merge_join_ms ~left_rows:le.Plan.rows ~left_pages
-      ~right_rows:right_rows_eff ~right_pages ~out_rows:rows ~mem_pages:mem
-      ~left_sorted ~right_sorted ~rf:(List.length rf)
-      ~rf_probe_rows:re.Plan.rows
+  let mem =
+    effective_mem ctx ~mem
+      ~max_mem:(merge_join_max_mem ~left ~right ~rf ~right_pages)
   in
-  price ~rows ~op_ms ~children:[ left; right ] ~min_mem ~max_mem ~mem ()
+  merge_join_priced ~left ~right ~rf ~right_pages ~out_rows ~mem
+    ~op_ms:
+      (merge_join_op_ms ctx ~left ~right ~rf ~out_rows ~mem ~left_sorted
+         ~right_sorted)
 
 let build_merge_join ~id ~left ~right ~keys ~extra ~left_sorted ~right_sorted
     ~rf p =
@@ -414,8 +599,8 @@ let mk_merge_join ctx ~left ~right ~keys ~extra ~jsel ~left_sorted
   in
   build_merge_join ~id:(fresh_id ctx) ~left ~right ~keys ~extra ~left_sorted
     ~right_sorted ~rf
-    (price_merge_join ctx ~left ~right ~jsel ~left_sorted ~right_sorted ~mem
-       ~rf)
+    (price_merge_join ctx ~left:(cand_of ctx left) ~right:(cand_of ctx right)
+       ~jsel ~left_sorted ~right_sorted ~mem ~rf)
 
 let group_count ctx ~input_rows ~group_by =
   match group_by with
@@ -620,57 +805,43 @@ let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~interesting =
 (* Join enumeration (DP over alias subsets).                           *)
 
 (* [rels] pairs each relation alias with its candidate access paths.  The
-   DP keeps, per subset of relations, a small Pareto set: the cheapest plan
-   overall plus the cheapest plan delivering each interesting order
-   (System R's interesting orders).
+   DP keeps, per subset of relations, a small Pareto set ({!Pareto}): the
+   cheapest plan overall plus the cheapest plan delivering each
+   interesting order (System R's interesting orders), each entry with the
+   quantities its joins are priced from.
 
    Enumeration is cost-first.  A join's total is its own cost plus its
    children's totals, and no operator costs less than nothing, so the
    children's totals bound a candidate from below before anything about
    it is computed.  Each candidate is (1) skipped when that bound already
    loses to its Pareto set, (2) otherwise priced, and skipped when its
-   exact total loses, and (3) built as a plan node only when it enters the
-   set.  Whether a total loses is read off the set's cost floors (its
-   least total overall and per interesting order), never off its list.
-   The floors also skip whole groups of candidates before any of them is
-   looked at: an outer entry whose total plus the inner side's floor
-   loses (every hash, merge or block candidate it would pair with), and a
-   split whose two sides' floors lose together while every outer entry's
-   indexed nested-loops bound loses too, before the split's predicate,
-   selectivity and index joins are prepared.  Aliases are bits,
-   interesting orders are small ints, each entry carries the orders its
-   plan delivers.  What depends on one join conjunct only (each
-   orientation's selectivity and interesting-order slots) or on one
-   relation only (the inner side of an indexed nested-loops join) is
-   computed once per call, and whatever else does not depend on the
-   particular left/right pair (key orientation, join selectivity) once
-   per split.  Candidates are counted and numbered (a skipped one still
-   takes its id) in exactly the order the plain build-every-pair
-   formulation would, so plans, ids and [plans_enumerated] do not depend
-   on these shortcuts. *)
-
-(* A DP entry: a plan and the interesting orders it delivers, as indices
-   into the query's interesting-order list. *)
-type cand = { plan : Plan.t; orders : int list }
-
-let total (p : Plan.t) = p.Plan.est.Plan.total_ms
+   exact total loses, and (3) kept as an entry when it enters the set,
+   its plan node built only when a plan containing it is asked for.  A merge join is bounded once more between (1) and (2): by its
+   merge pass, the one term of its price its sorts and filters only add
+   to, so the sorts are priced only for a merge that could still enter.
+   Whether a total loses is read off the set's cost floors (its least
+   total overall and per interesting order).  The floors also skip whole
+   groups of candidates before any of them is looked at: an outer entry
+   whose total plus the inner side's floor loses (every hash, merge or
+   block candidate it would pair with), and a split whose two sides'
+   floors lose together while every outer entry's indexed nested-loops
+   bound loses too, before the split's predicate, selectivity and index
+   joins are prepared; that test reads the split's conjuncts off their
+   owner masks, with no list built.  Aliases are bits, interesting
+   orders are small ints, each entry carries the orders its plan
+   delivers.  What depends on one join conjunct only (each orientation's
+   selectivity, interesting-order slots and whether its inner column is
+   indexed) or on one relation only (the inner side of an indexed
+   nested-loops join) is computed once per call, and whatever else does
+   not depend on the particular left/right pair (key orientation, join
+   selectivity) once per split.  Candidates are counted and numbered (a
+   skipped one still takes its id) in exactly the order the plain
+   build-every-pair formulation would, so plans, ids and
+   [plans_enumerated] do not depend on these shortcuts. *)
 
 let rec has_order o = function
   | [] -> false
   | x :: rest -> Int.equal x o || has_order o rest
-
-(* Is the floor of every order in the list strictly below [ms]?  [floor]
-   holds a bucket's per-order floors from [base] on. *)
-let rec undercut_orders (floor : float array) base (ms : float) = function
-  | [] -> true
-  | o :: rest -> floor.(base + o) < ms && undercut_orders floor base ms rest
-
-(* Lower the floor of each order in the list to [p]'s total. *)
-let rec lower_floors (floor : float array) base p = function
-  | [] -> ()
-  | o :: rest ->
-    if total p < floor.(base + o) then floor.(base + o) <- total p;
-    lower_floors floor base p rest
 
 (* An equi-join conjunct in one orientation, probe/outer column first,
    with what a split reads of it. *)
@@ -680,7 +851,26 @@ type oriented = {
   left_slot : int;      (* interesting-order slot of each column, or -1 *)
   right_slot : int;
   key_orders : int list;  (* the orders a merge on this key delivers *)
+  inner_indexed : bool;
+  (* the inner column has an index its relation's indexed nested-loops
+     joins can probe *)
 }
+
+(* A join conjunct with its owner mask; an equi-join conjunct also
+   carries the alias bit of its first column and both orientations. *)
+type join_conj = {
+  ci : conj_info;
+  owner_mask : int;
+  eq : (int * oriented * oriented) option;
+}
+
+(* Do owners [m] span the split of [s1 lor s2]: some on each side, none
+   outside? *)
+let[@inline] spans m s1 s2 =
+  m land s1 <> 0 && m land s2 <> 0 && m land lnot (s1 lor s2) = 0
+
+(* An equality's orientation with its probe/outer column in [s1]. *)
+let[@inline] oriented_in s1 (a_bit, ab, ba) = if a_bit land s1 <> 0 then ab else ba
 
 let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
   let n = List.length rels in
@@ -702,110 +892,15 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
   let slots_of cols =
     List.filter_map (fun c -> match slot c with -1 -> None | o -> Some o) cols
   in
-  (* Pareto retention: cheapest overall + cheapest provider per order, in
-     one pass.  Ties go to the earlier entry; providers are added in
-     interesting-order sequence, each in front, the overall cheapest last.
-     That output order is not the input order, so under exact cost ties a
-     second pass over the result can pick a different tied entry:
-     [retained] is not idempotent.  Offering a candidate that loses is
-     therefore not a no-op — [retained (c :: old)] keeps what
-     [retained old] keeps, in the same order, which need not be [old] —
-     and a skipped candidate replays that pass (see [admits]). *)
-  let n_orders = List.length interesting in
-  let provider = Array.make n_orders None in
-  let cheaper (a : cand) (b : cand) = total a.plan < total b.plan in
-  let retained = function
-    | [] -> []
-    | first :: _ as entries ->
-      Array.fill provider 0 n_orders None;
-      let best = ref first in
-      List.iter
-        (fun c ->
-           if cheaper c !best then best := c;
-           List.iter
-             (fun o ->
-                match provider.(o) with
-                | Some p when not (cheaper c p) -> ()
-                | _ -> provider.(o) <- Some c)
-             c.orders)
-        entries;
-      Array.fold_left
-        (fun keep p ->
-           match p with
-           | Some c when not (List.memq c keep) -> c :: keep
-           | _ -> keep)
-        [ !best ] provider
+  let buckets =
+    (* any entry fills the unused slots: every relation has a scan *)
+    Pareto.create ~buckets:(full + 1) ~n_orders:(List.length interesting)
+      ~dummy:(cand_of ctx (List.hd (snd (List.hd rels))))
   in
-  let buckets = Array.make (full + 1) [] in
-  (* [stable.(m)]: bucket [m] has not changed since a replay of [retained]
-     gave back the same entries in the same order, so another replay would
-     be a no-op *)
-  let stable = Array.make (full + 1) false in
-  (* The cost floors of bucket [m], recomputed whenever its list changes:
-     [floor_all.(m)] is its least total, [floor.(m * n_orders + o)] the
-     least total among its entries delivering order [o] (infinity when
-     there is none).  Both skip NaN totals, as [total < ms] never holds
-     for them, so a candidate of total [ms] loses to the bucket exactly
-     when [floor_all.(m) < ms] and [floor.(m * n_orders + o) < ms] for
-     each of its orders.  [lower.(m)] is the least total as a bound below
-     every entry: NaN when some total is NaN, and then nothing is skipped
-     by it.  [retained] keeps the cheapest entry overall and the cheapest
-     provider of each order, so a replay never moves a floor of a bucket
-     without NaN totals. *)
-  let floor_all = Array.make (full + 1) infinity in
-  let lower = Array.make (full + 1) infinity in
-  let floor = Array.make ((full + 1) * n_orders) infinity in
-  (* Bucket [mask] becomes [entries], with their floors. *)
-  let set mask entries =
-    buckets.(mask) <- entries;
-    let base = mask * n_orders in
-    Array.fill floor base n_orders infinity;
-    floor_all.(mask) <- infinity;
-    lower.(mask) <- infinity;
-    List.iter
-      (fun c ->
-         let t = total c.plan in
-         if t < floor_all.(mask) then floor_all.(mask) <- t;
-         if t < lower.(mask) || Float.is_nan t then lower.(mask) <- t;
-         lower_floors floor base c.plan c.orders)
-      entries
+  let enter_cand mask orders c =
+    Pareto.enter buckets mask c ~total:c.q.q_total ~orders
   in
-  let enter mask orders plan =
-    set mask (retained ({ plan; orders } :: buckets.(mask)));
-    stable.(mask) <- false
-  in
-  (* A rejected candidate leaves the bucket as retaining it would have:
-     one more pass of [retained]. *)
-  let replay mask =
-    if not stable.(mask) then begin
-      let old = buckets.(mask) in
-      let again = retained old in
-      if List.equal ( == ) again old then stable.(mask) <- true
-      else set mask again
-    end
-  in
-  (* Would a candidate of total cost [ms] delivering [orders] survive in
-     bucket [mask]?  It is dropped exactly when some entry is strictly
-     cheaper and, for each of its orders, some entry delivering that order
-     is strictly cheaper too.  A candidate that would be dropped is not
-     built, but the bucket still becomes what retaining it would have made
-     it. *)
-  let admits mask ms orders =
-    if
-      floor_all.(mask) < ms
-      && undercut_orders floor (mask * n_orders) ms orders
-    then begin
-      replay mask;
-      false
-    end
-    else true
-  in
-  (* Does bucket [mask] reject every candidate of total [ms] or more that
-     delivers at most [orders], however many are offered in a row?  Only
-     if it has no NaN total: then rejections never move its floors. *)
-  let beaten mask ms orders =
-    lower.(mask) < ms && undercut_orders floor (mask * n_orders) ms orders
-  in
+  let enter mask orders plan = enter_cand mask orders (cand_of ctx plan) in
   (* Every candidate the DP considers is counted and numbered, whether it
      is built, priced or skipped by the bound. *)
   let claim () =
@@ -817,96 +912,121 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
   let pass mask k =
     ctx.enumerated <- ctx.enumerated + k;
     ctx.next_id <- ctx.next_id + k;
-    let replays = ref k in
-    while !replays > 0 && not stable.(mask) do
-      replay mask;
-      decr replays
-    done
+    Pareto.pass buckets mask k
   in
   let with_rf = options.enable_runtime_filters in
+  (* Runtime filters read the plans of both sides. *)
+  let rf_of ~(build : cand) ~(probe : cand) ~keys =
+    if with_rf then
+      rf_annotations ctx ~with_rf ~build:(Lazy.force build.plan)
+        ~probe:(Lazy.force probe.plan) ~keys
+    else []
+  in
   (* The four join candidates.  Each bounds itself by its children's
      totals (added in [price]'s fold order), then by its priced total. *)
-  let hash_join mask ~build ~probe ~keys ~extra ~jsel =
+  let hash_join mask ~(build : cand) ~(probe : cand) ~keys ~extra ~jsel =
     let id = claim () in
-    if admits mask (total build +. total probe) [] then begin
-      let rf = rf_annotations ctx ~with_rf ~build ~probe ~keys in
-      let p = price_hash_join ctx ~build ~probe ~keys ~jsel ~mem:0 ~rf in
-      if admits mask p.total_ms [] then
-        enter mask [] (build_hash_join ~id ~build ~probe ~keys ~extra ~rf p)
+    if Pareto.admits buckets mask (build.q.q_total +. probe.q.q_total) []
+    then begin
+      let rf = rf_of ~build ~probe ~keys in
+      let out_rows = build.q.q_rows *. probe.q.q_rows *. jsel in
+      let mem = Int.min build.hash_max ctx.grant in
+      let op_ms = hash_join_op_ms ctx ~build ~probe ~keys ~rf ~out_rows ~mem in
+      if
+        Pareto.admits buckets mask
+          (op_ms +. build.q.q_total +. probe.q.q_total)
+          []
+      then begin
+        let p =
+          hash_join_priced ctx ~build ~probe ~keys ~rf ~out_rows ~mem ~op_ms
+        in
+        enter_cand mask []
+          (cand_of_priced ctx p
+             ~schema_width:
+               (Schema.concat_width probe.schema_width build.schema_width)
+             (lazy
+               (build_hash_join ~id ~build:(Lazy.force build.plan)
+                  ~probe:(Lazy.force probe.plan) ~keys ~extra ~rf p)))
+      end
     end
   in
-  let merge_join mask ~left ~right ~keys ~rf_keys ~extra ~jsel ~left_sorted
-      ~right_sorted ~orders =
+  let merge_join mask ~(left : cand) ~(right : cand) ~keys ~rf_keys ~extra
+      ~jsel ~left_sorted ~right_sorted ~orders =
     let id = claim () in
-    if admits mask (total left +. total right) orders then begin
-      let rf =
-        rf_annotations ctx ~with_rf ~build:left ~probe:right ~keys:rf_keys
-      in
-      let p =
-        price_merge_join ctx ~left ~right ~jsel ~left_sorted ~right_sorted
-          ~mem:0 ~rf
-      in
-      if admits mask p.total_ms orders then
-        enter mask orders
-          (build_merge_join ~id ~left ~right ~keys ~extra ~left_sorted
-             ~right_sorted ~rf p)
+    let children = left.q.q_total +. right.q.q_total in
+    if Pareto.admits buckets mask children orders then begin
+      let rf = rf_of ~build:left ~probe:right ~keys:rf_keys in
+      let out_rows = left.q.q_rows *. right.q.q_rows *. jsel in
+      let right_rows = filtered_rows right.q rf in
+      if
+        Pareto.admits buckets mask
+          (Cost_model.merge_pass_ms ~left_rows:left.q.q_rows ~right_rows
+             ~out_rows
+           +. left.q.q_total +. right.q.q_total)
+          orders
+      then begin
+        let right_pages = filtered_pages right.q rf ~rows:right_rows in
+        let mem =
+          Int.min (merge_join_max_mem ~left ~right ~rf ~right_pages) ctx.grant
+        in
+        let op_ms =
+          merge_join_op_ms ctx ~left ~right ~rf ~out_rows ~mem ~left_sorted
+            ~right_sorted
+        in
+        if
+          Pareto.admits buckets mask
+            (op_ms +. left.q.q_total +. right.q.q_total)
+            orders
+        then begin
+          let p =
+            merge_join_priced ~left ~right ~rf ~right_pages ~out_rows ~mem
+              ~op_ms
+          in
+          enter_cand mask orders
+            (cand_of_priced ctx p
+               ~schema_width:
+                 (Schema.concat_width left.schema_width right.schema_width)
+               (lazy
+                 (build_merge_join ~id ~left:(Lazy.force left.plan)
+                    ~right:(Lazy.force right.plan) ~keys ~extra ~left_sorted
+                    ~right_sorted ~rf p)))
+        end
+      end
     end
   in
-  let block_nl_join mask ~outer ~inner ~pred ~pred_sel =
+  let block_nl_join mask ~(outer : Plan.t) ~(inner : Plan.t) ~pred ~pred_sel =
     let id = claim () in
-    if admits mask (total outer +. total inner) [] then begin
+    if
+      Pareto.admits buckets mask
+        (outer.Plan.est.Plan.total_ms +. inner.Plan.est.Plan.total_ms)
+        []
+    then begin
       let p = price_block_nl_join ctx ~outer ~inner ~pred_sel ~mem:0 in
-      if admits mask p.total_ms [] then
+      if Pareto.admits buckets mask p.total_ms [] then
         enter mask [] (build_block_nl_join ~id ~outer ~inner ~pred p)
     end
   in
-  let index_nl_join mask ~(left : cand) ~table ~alias ~inner ~outer_col
-      ~inner_col ~inner_filter ~extra ~jsel ~inner_sel ~extra_sel =
+  let index_nl_join mask ~(outer : cand) ~orders ~table ~alias ~inner
+      ~outer_col ~inner_col ~inner_filter ~extra ~jsel ~inner_sel ~extra_sel =
     let id = claim () in
-    let outer = left.plan and orders = left.orders in
-    if admits mask (total outer) orders then begin
-      let p =
-        price_index_nl_join ~outer ~inner ~jsel ~inner_filter ~inner_sel
-          ~extra_sel
-      in
-      if admits mask p.total_ms orders then
-        enter mask orders
-          (build_index_nl_join ~id ~outer ~table ~alias ~outer_col ~inner_col
-             ~inner_filter ~extra ~inner_schema:inner.Stats_env.rel_schema p)
+    if Pareto.admits buckets mask outer.q.q_total orders then begin
+      let op_ms = index_nl_join_op_ms ~outer ~inner ~jsel ~inner_filter in
+      if Pareto.admits buckets mask (op_ms +. outer.q.q_total) orders then begin
+        let p =
+          index_nl_join_priced ~outer ~inner ~jsel ~inner_sel ~extra_sel ~op_ms
+        in
+        let inner_schema = inner.Stats_env.rel_schema in
+        enter_cand mask orders
+          (cand_of_priced ctx p
+             ~schema_width:
+               (Schema.concat_width outer.schema_width
+                  (Schema.avg_tuple_width inner_schema))
+             (lazy
+               (build_index_nl_join ~id ~outer:(Lazy.force outer.plan) ~table
+                  ~alias ~outer_col ~inner_col ~inner_filter ~extra
+                  ~inner_schema p)))
+      end
     end
-  in
-  (* Conjuncts annotated with their owner masks; an equi-join conjunct
-     also carries the alias bit of its first column and both of its
-     orientations. *)
-  let orient l r =
-    { key = (l, r);
-      key_sel = equijoin_sel ctx ~left:l ~right:r;
-      left_slot = slot l;
-      right_slot = slot r;
-      key_orders = slots_of [ l; r ] }
-  in
-  let joins =
-    List.map
-      (fun ci ->
-         let eq =
-           match Expr.shape_of ci.expr with
-           | Expr.S_col_eq_col (a, b) ->
-             Some (bit_of (alias_owning ctx.env a), orient a b, orient b a)
-           | _ -> None
-         in
-         ((ci, eq), mask_of ci.owners))
-      join_conjs
-  in
-  let complexes = List.map (fun ci -> (ci, mask_of ci.owners)) complex_conjs in
-  (* Conjuncts that become applicable exactly when [mask] is assembled by
-     joining [s1] and [s2]: owners span both sides. *)
-  let spanning all s1 s2 =
-    List.filter_map
-      (fun (x, m) ->
-         if m land s1 <> 0 && m land s2 <> 0 && m land lnot (s1 lor s2) = 0
-         then Some x
-         else None)
-      all
   in
   (* Singletons: every access path is built and offered. *)
   List.iteri
@@ -917,14 +1037,13 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     rels;
   (* Scan parameters of a singleton's relation (any of its access paths). *)
   let scan_info_of s2 =
-    match buckets.(s2) with
-    | { plan = { Plan.node = Plan.Seq_scan { table; alias; filter }; _ }; _ }
-      :: _
-    | { plan = { Plan.node = Plan.Index_scan { table; alias; filter; _ }; _ };
-        _ }
-      :: _ ->
-      Some (table, alias, filter)
-    | _ -> None
+    if Pareto.is_empty buckets s2 then None
+    else
+      match (Lazy.force (Pareto.item buckets s2 0).plan).Plan.node with
+      | Plan.Seq_scan { table; alias; filter }
+      | Plan.Index_scan { table; alias; filter; _ } ->
+        Some (table, alias, filter)
+      | _ -> None
   in
   (* The inner side of an indexed nested-loops join, per singleton (by bit
      index): its scan parameters, statistics and filter selectivity. *)
@@ -939,6 +1058,46 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
             (scan_info_of (1 lsl i)))
   in
   let rec bit_index m = if m = 1 then 0 else 1 + bit_index (m lsr 1) in
+  (* An orientation's inner column is owned by the split's other side:
+     when that side is one relation, it is the inner of the index join. *)
+  let orient l r =
+    let inner_indexed =
+      match inner_info.(bit_index (bit_of (alias_owning ctx.env r))) with
+      | Some (_, _, _, inner, _) ->
+        List.exists (String.equal r) inner.Stats_env.indexed_cols
+      | None -> false
+    in
+    { key = (l, r);
+      key_sel = equijoin_sel ctx ~left:l ~right:r;
+      left_slot = slot l;
+      right_slot = slot r;
+      key_orders = slots_of [ l; r ];
+      inner_indexed }
+  in
+  let joins =
+    Array.of_list
+      (List.map
+         (fun ci ->
+            let eq =
+              match Expr.shape_of ci.expr with
+              | Expr.S_col_eq_col (a, b) ->
+                Some (bit_of (alias_owning ctx.env a), orient a b, orient b a)
+              | _ -> None
+            in
+            { ci; owner_mask = mask_of ci.owners; eq })
+         join_conjs)
+  in
+  let complexes =
+    Array.of_list (List.map (fun ci -> (ci, mask_of ci.owners)) complex_conjs)
+  in
+  let n_joins = Array.length joins in
+  (* The conjuncts that become applicable exactly when [mask] is assembled
+     by joining [s1] and [s2]: owners span both sides. *)
+  let spanning_exprs all s1 s2 =
+    Array.fold_right
+      (fun (ci, m) acc -> if spans m s1 s2 then ci.expr :: acc else acc)
+      all []
+  in
   (* Subsets in increasing popcount order: iterating masks ascending works
      because any strict submask is numerically smaller. *)
   for mask = 1 to full do
@@ -948,75 +1107,78 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
       while !s1 > 0 do
         let s1v = !s1 in
         let s2 = mask lxor s1v in
-        let lefts = buckets.(s1v) and rights = buckets.(s2) in
-        let conns = spanning joins s1v s2 in
+        let n_lefts = Pareto.length buckets s1v
+        and n_rights = Pareto.length buckets s2 in
         let bushy_ok =
           options.enable_bushy || s2 land (s2 - 1) = 0 (* right singleton *)
         in
-        if
-          bushy_ok
-          && not (List.is_empty lefts || List.is_empty rights
-                  || List.is_empty conns)
-        then begin
-          (* equality keys, probe side first *)
-          let oriented =
-            List.filter_map
-              (fun (_, eq) ->
-                 match eq with
-                 | Some (a_bit, ab, ba) ->
-                   Some (if a_bit land s1v <> 0 then ab else ba)
-                 | None -> None)
-              conns
-          in
-          let has_keys = not (List.is_empty oriented) in
+        (* the first spanning conjunct, the first spanning equality in
+           this orientation, and the equalities whose inner column an
+           index join can probe *)
+        let connected = ref false and first_key = ref (-1)
+        and n_indexed = ref 0 in
+        let inner_side =
+          if s2 land (s2 - 1) = 0 then inner_info.(bit_index s2) else None
+        in
+        for j = 0 to n_joins - 1 do
+          let jc = joins.(j) in
+          if spans jc.owner_mask s1v s2 then begin
+            connected := true;
+            match jc.eq with
+            | Some eq ->
+              if !first_key < 0 then first_key := j;
+              if (oriented_in s1v eq).inner_indexed && Option.is_some inner_side
+              then incr n_indexed
+            | None -> ()
+          end
+        done;
+        if bushy_ok && n_lefts > 0 && n_rights > 0 && !connected then begin
+          let has_keys = !first_key >= 0 in
           let merges = has_keys && options.enable_merge_join in
           (* what each left/right pair offers: a hash and a merge join on
              the keys (the merge delivering its first key pair's orders),
              or one block nested-loops join without them *)
           let pair_orders =
-            match oriented with k :: _ when merges -> k.key_orders | _ -> []
+            if merges then
+              match joins.(!first_key).eq with
+              | Some eq -> (oriented_in s1v eq).key_orders
+              | None -> []
+            else []
           in
           let per_pair = if merges then 2 else 1 in
-          (* indexed nested loops: the inner side must be a single base
-             relation with an index on its key column *)
-          let inner_side =
-            if has_keys && s2 land (s2 - 1) = 0 then inner_info.(bit_index s2)
-            else None
-          in
-          let indexed =
-            match inner_side with
-            | None -> []
-            | Some (_, _, _, inner, _) ->
-              List.filter
-                (fun { key = _, inner_col; _ } ->
-                   List.exists (String.equal inner_col)
-                     inner.Stats_env.indexed_cols)
-                oriented
-          in
           (* The whole split loses unprepared when each pair's children,
              which sum to at least the two sides' floors, lose, and so
              does each indexed nested-loops join's outer entry. *)
           if
-            beaten mask (lower.(s1v) +. lower.(s2)) pair_orders
-            && (List.is_empty indexed
-                || List.for_all
-                  (fun (left : cand) ->
-                     beaten mask (total left.plan) left.orders)
-                  lefts)
-          then
-            pass mask
-              (List.length lefts
-               * ((List.length rights * per_pair) + List.length indexed))
+            Pareto.beaten buckets mask
+              (Pareto.lower buckets s1v +. Pareto.lower buckets s2)
+              pair_orders
+            && (!n_indexed = 0
+                ||
+                let all = ref true in
+                for i = 0 to n_lefts - 1 do
+                  if
+                    not
+                      (Pareto.beaten buckets mask (Pareto.total buckets s1v i)
+                         (Pareto.orders buckets s1v i))
+                  then all := false
+                done;
+                !all)
+          then pass mask (n_lefts * ((n_rights * per_pair) + !n_indexed))
           else begin
+            (* equality keys, probe side first, and the residual, in
+               conjunct order *)
+            let oriented = ref [] and residual = ref [] in
+            for j = n_joins - 1 downto 0 do
+              let jc = joins.(j) in
+              if spans jc.owner_mask s1v s2 then
+                match jc.eq with
+                | Some eq -> oriented := oriented_in s1v eq :: !oriented
+                | None -> residual := jc.ci.expr :: !residual
+            done;
+            let oriented = !oriented in
             let keys = List.map (fun k -> k.key) oriented in
-            let residual =
-              List.filter_map
-                (fun (ci, eq) ->
-                   if Option.is_none eq then Some ci.expr else None)
-                conns
-            in
-            let cplx = spanning complexes s1v s2 in
-            let extra_list = residual @ List.map (fun ci -> ci.expr) cplx in
+            let extra_list = !residual @ spanning_exprs complexes s1v s2 in
             let extra =
               match extra_list with [] -> None | l -> Some (Expr.conjoin l)
             in
@@ -1039,87 +1201,101 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
               match inner_side with
               | None -> []
               | Some (table, alias, inner_filter, inner, inner_sel) ->
-                List.map
-                  (fun { key = (outer_col, inner_col); key_sel = jsel; _ } ->
-                     let other_keys =
-                       List.filter
-                         (fun (o, i) ->
-                            not (String.equal o outer_col
-                                 && String.equal i inner_col))
-                         keys
-                     in
-                     let extra_all =
-                       List.map
-                         (fun (o, i) -> Expr.(Cmp (Eq, Col o, Col i)))
-                         other_keys
-                       @ extra_list
-                     in
-                     let extra =
-                       match extra_all with
-                       | [] -> None
-                       | l -> Some (Expr.conjoin l)
-                     in
-                     let extra_sel = sel_opt ctx extra in
-                     fun left ->
-                       index_nl_join mask ~left ~table ~alias ~inner
-                         ~outer_col ~inner_col ~inner_filter ~extra ~jsel
-                         ~inner_sel ~extra_sel)
-                  indexed
+                List.filter_map
+                  (fun { key = (outer_col, inner_col); key_sel = jsel;
+                         inner_indexed; _ } ->
+                    if not inner_indexed then None
+                    else begin
+                      let other_keys =
+                        List.filter
+                          (fun (o, i) ->
+                             not (String.equal o outer_col
+                                  && String.equal i inner_col))
+                          keys
+                      in
+                      let extra_all =
+                        List.map
+                          (fun (o, i) -> Expr.(Cmp (Eq, Col o, Col i)))
+                          other_keys
+                        @ extra_list
+                      in
+                      let extra =
+                        match extra_all with
+                        | [] -> None
+                        | l -> Some (Expr.conjoin l)
+                      in
+                      let extra_sel = sel_opt ctx extra in
+                      Some
+                        (fun outer orders ->
+                           index_nl_join mask ~outer ~orders ~table ~alias
+                             ~inner ~outer_col ~inner_col ~inner_filter ~extra
+                             ~jsel ~inner_sel ~extra_sel)
+                    end)
+                  oriented
             in
-            (* an outer entry's pairs sum to at least its total plus the
-               inner side's floor, in either build order *)
-            List.iter
-              (fun left ->
-                 if beaten mask (total left.plan +. lower.(s2)) pair_orders
-                 then pass mask (List.length rights * per_pair)
-                 else
-                   List.iter
-                     (fun right ->
-                        if has_keys then begin
-                          hash_join mask ~build:right.plan ~probe:left.plan
-                            ~keys ~extra ~jsel;
-                          if merges then
-                            merge_join mask ~left:left.plan ~right:right.plan
-                              ~keys ~rf_keys ~extra ~jsel
-                              ~left_sorted:(has_order left_key left.orders)
-                              ~right_sorted:(has_order right_key right.orders)
-                              ~orders:pair_orders
-                        end
-                        else
-                          (* connected only through non-equi predicates *)
-                          block_nl_join mask ~outer:left.plan
-                            ~inner:right.plan ~pred:extra ~pred_sel:extra_sel)
-                     rights;
-                 List.iter (fun index_join -> index_join left) index_joins)
-              lefts
+            let lower_right = Pareto.lower buckets s2 in
+            for i = 0 to n_lefts - 1 do
+              let left = Pareto.item buckets s1v i in
+              let left_orders = Pareto.orders buckets s1v i in
+              (* an outer entry's pairs sum to at least its total plus the
+                 inner side's floor, in either build order *)
+              if
+                Pareto.beaten buckets mask
+                  (left.q.q_total +. lower_right)
+                  pair_orders
+              then pass mask (n_rights * per_pair)
+              else
+                for j = 0 to n_rights - 1 do
+                  let right = Pareto.item buckets s2 j in
+                  if has_keys then begin
+                    hash_join mask ~build:right ~probe:left ~keys ~extra ~jsel;
+                    if merges then
+                      merge_join mask ~left ~right ~keys ~rf_keys ~extra ~jsel
+                        ~left_sorted:(has_order left_key left_orders)
+                        ~right_sorted:
+                          (has_order right_key (Pareto.orders buckets s2 j))
+                        ~orders:pair_orders
+                  end
+                  else
+                    (* connected only through non-equi predicates *)
+                    block_nl_join mask ~outer:(Lazy.force left.plan)
+                      ~inner:(Lazy.force right.plan)
+                      ~pred:extra ~pred_sel:extra_sel
+                done;
+              List.iter
+                (fun index_join -> index_join left left_orders)
+                index_joins
+            done
           end
         end;
         s1 := (s1v - 1) land mask
       done;
       (* Cross-product fallback when nothing connected this subset. *)
-      if List.is_empty buckets.(mask) then begin
+      if Pareto.is_empty buckets mask then begin
         let s1 = ref (mask land (mask - 1)) in
         while !s1 > 0 do
           let s2 = mask lxor !s1 in
-          (match buckets.(!s1), buckets.(s2) with
-           | left :: _, right :: _ ->
-             let cplx = spanning complexes !s1 s2 in
-             let pred =
-               match cplx with
-               | [] -> None
-               | l -> Some (Expr.conjoin (List.map (fun ci -> ci.expr) l))
-             in
-             block_nl_join mask ~outer:left.plan ~inner:right.plan ~pred
-               ~pred_sel:(sel_opt ctx pred)
-           | _ -> ());
+          if
+            not (Pareto.is_empty buckets !s1 || Pareto.is_empty buckets s2)
+          then begin
+            let pred =
+              match spanning_exprs complexes !s1 s2 with
+              | [] -> None
+              | l -> Some (Expr.conjoin l)
+            in
+            block_nl_join mask
+              ~outer:(Lazy.force (Pareto.item buckets !s1 0).plan)
+              ~inner:(Lazy.force (Pareto.item buckets s2 0).plan) ~pred
+              ~pred_sel:(sel_opt ctx pred)
+          end;
           s1 := (!s1 - 1) land mask
         done
       end
     end
   done;
-  match buckets.(full) with
+  match Pareto.to_list buckets full with
   | [] -> raise (Planning_error "join enumeration produced no plan")
-  | entries -> List.map (fun c -> c.plan) entries
+  | entries -> List.map (fun c -> Lazy.force c.plan) entries
 
 (* ------------------------------------------------------------------ *)
 (* Full query planning.                                                *)
@@ -1250,8 +1426,8 @@ let optimize ?(options = default_options) ?clock ?model:_ ~env q =
 (* Re-costing an existing structure under improved statistics.         *)
 
 let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
-    ~env plan =
-  let ctx = make_ctx ~planning_mem ~max_dop ~env () in
+    ?memo ~env plan =
+  let ctx = make_ctx ~planning_mem ~max_dop ?memo ~env () in
   let rec go (p : Plan.t) =
     let keep_mem = p.Plan.mem in
     let rebuilt =

@@ -9,11 +9,13 @@
     observations against.
 
     Join enumeration is cost-first: a candidate whose children's totals
-    already lose to the Pareto set it would enter is skipped unpriced, one
-    whose priced total loses is skipped unbuilt, and only a candidate that
-    enters the set becomes a plan node.  Whether a total loses is read off
-    the set's cost floors (its least total overall and per interesting
-    order), not its list.  The floors also skip candidates wholesale: an
+    already lose to the Pareto set it would enter is skipped unpriced (a
+    merge join also when its merge pass alone loses), one whose priced
+    total loses is skipped unbuilt, and a candidate that enters the set
+    becomes a plan node only when a plan containing it is asked for.
+    Pricing a candidate allocates nothing: it reads quantities each set
+    entry computed once.  Whether a total loses is read off the set's
+    cost floors (its least total overall and per interesting order).  The floors also skip candidates wholesale: an
     outer entry whose total plus the inner side's floor loses gives up
     every pair it would join, and a split whose two sides' floors lose
     together (with each outer entry's indexed nested-loops bound) gives
@@ -72,6 +74,15 @@ val optimize :
   ?options:options -> ?clock:Sim_clock.t -> ?model:Sim_clock.model ->
   env:Stats_env.t -> Mqr_sql.Query.t -> result
 
+(** Equi-join selectivities by ordered column pair, kept across
+    {!recost} calls.  An entry is served only while both columns'
+    statistics are physically the records it was estimated from, so a
+    statistics override (which installs a new record) is never served a
+    stale estimate.  Without one, each call estimates afresh. *)
+type memo
+
+val memo : unit -> memo
+
 (** Recompute every annotation of an existing plan bottom-up under
     (possibly improved) statistics, *keeping the structure and the memory
     grants*: the result's [total_ms] is the paper's [T_cur-plan,improved]
@@ -81,9 +92,10 @@ val optimize :
     re-choose each operator's degree of parallelism from the improved
     statistics — the mechanism by which a decision point repairs a skewed
     partitioning.  A [Materialized] leaf costs nothing and is kept as
-    built. *)
+    built.  [memo] carries equi-join selectivities from earlier calls. *)
 val recost :
-  ?planning_mem:int -> ?max_dop:int -> env:Stats_env.t -> Plan.t -> Plan.t
+  ?planning_mem:int -> ?max_dop:int -> ?memo:memo -> env:Stats_env.t ->
+  Plan.t -> Plan.t
 
 (** Calibrated worst-case (star join) optimization time for a query with
     [relations] relations — the paper's [T_opt,estimated]. *)

@@ -1,0 +1,60 @@
+(** The join DP's Pareto sets, one bucket per subset of relations, kept
+    in place.
+
+    A bucket keeps the cheapest entry overall and the cheapest provider of
+    each interesting order (System R's interesting orders).  Offering an
+    entry runs one retention pass over the entrant followed by the
+    bucket's entries in list order: the cheapest overall and the cheapest
+    provider of each order win, a tie or a NaN total going to the earlier
+    entry.  The pass lists the provider of the highest order first, each
+    entry once, and the cheapest overall last.  That is not the order it
+    read them in, so under exact ties a second pass over a bucket can pick
+    a different tied entry: retention is not idempotent.  A candidate
+    the DP rejects is therefore not a no-op: the bucket becomes what one
+    more pass over its own entries makes it ({!admits}, {!pass}).
+
+    Each bucket also carries cost floors: its least total overall and per
+    order, NaN totals skipped.  A candidate of total [ms] delivering some
+    orders loses exactly when every one of those floors is below [ms].
+    Without a NaN total an entrant only lowers floors, and a replay moves
+    none, so entering costs one pass over at most [n_orders + 1] entries
+    and a replay allocates nothing. *)
+
+type 'a t
+
+(** [create ~buckets ~n_orders ~dummy]: [buckets] empty buckets over
+    orders [0 .. n_orders - 1]; [dummy] fills unused slots. *)
+val create : buckets:int -> n_orders:int -> dummy:'a -> 'a t
+
+(** Offer an entry of total [total] delivering [orders]. *)
+val enter : 'a t -> int -> 'a -> total:float -> orders:int list -> unit
+
+(** [admits t m ms orders]: would a candidate of total [ms] delivering
+    [orders] survive in bucket [m]?  When not, the bucket replays one
+    pass, as offering the candidate would have made it. *)
+val admits : 'a t -> int -> float -> int list -> bool
+
+(** Does bucket [m] reject every candidate of total [ms] or more that
+    delivers at most [orders], however many are offered in a row?  Only
+    if it has no NaN total, since then rejections never move its
+    floors. *)
+val beaten : 'a t -> int -> float -> int list -> bool
+
+(** [pass t m k]: [k] rejections in a row, each one replay, stopping as
+    soon as a replay changes nothing. *)
+val pass : 'a t -> int -> int -> unit
+
+val length : 'a t -> int -> int
+val is_empty : 'a t -> int -> bool
+
+(** The [i]th entry of bucket [m] in list order, its total and its
+    orders. *)
+val item : 'a t -> int -> int -> 'a
+val total : 'a t -> int -> int -> float
+val orders : 'a t -> int -> int -> int list
+
+(** The least total of bucket [m] as a bound below every entry: NaN when
+    some total is NaN, infinity when the bucket is empty. *)
+val lower : 'a t -> int -> float
+
+val to_list : 'a t -> int -> 'a list

@@ -250,27 +250,47 @@ let est_range t ~lo ~hi =
     Float.min 1.0 (!rows /. t.total)
   end
 
+(* [bucket_overlap b ~lo:(Some (lo, true)) ~hi:(Some (hi, true))], the
+   closed interval the join estimate asks about, without the options and
+   tuples. *)
+let closed_overlap b lo hi =
+  let b_lo = b.lo and b_hi = b.hi in
+  if lo > b_hi || hi < b_lo then 0.0
+  else if b_lo = b_hi then
+    if b_lo >= lo && b_hi <= hi then 1.0 else 0.0
+  else begin
+    let eff_lo = Float.max b_lo lo and eff_hi = Float.min b_hi hi in
+    if eff_hi < eff_lo then 0.0
+    else if eff_hi = eff_lo then 1.0 /. Float.max 1.0 b.distinct
+    else
+      Float.max
+        ((eff_hi -. eff_lo) /. (b_hi -. b_lo))
+        (1.0 /. Float.max 1.0 b.distinct)
+  end
+
 (* Bucket-overlap equi-join estimate: for each pair of overlapping buckets,
    the expected number of matches is r1 * r2 / max(d1, d2) scaled by the
-   overlap fractions, under per-bucket containment. *)
+   overlap fractions, under per-bucket containment.  The pairs are summed
+   [t1]'s buckets outermost, each against [t2]'s in ascending order; loops
+   rather than closures keep the running sum unboxed. *)
 let est_join_selectivity t1 t2 =
   if t1.total <= 0.0 || t2.total <= 0.0 then 0.0
   else begin
     let matches = ref 0.0 in
-    Array.iter
-      (fun b1 ->
-         Array.iter
-           (fun b2 ->
-              let lo = Float.max b1.lo b2.lo and hi = Float.min b1.hi b2.hi in
-              if lo <= hi then begin
-                let f1 = bucket_overlap b1 ~lo:(Some (lo, true)) ~hi:(Some (hi, true)) in
-                let f2 = bucket_overlap b2 ~lo:(Some (lo, true)) ~hi:(Some (hi, true)) in
-                let r1 = b1.rows *. f1 and r2 = b2.rows *. f2 in
-                let d1 = Float.max 1.0 (b1.distinct *. f1) in
-                let d2 = Float.max 1.0 (b2.distinct *. f2) in
-                matches := !matches +. (r1 *. r2 /. Float.max d1 d2)
-              end)
-           t2.bkts)
-      t1.bkts;
+    let bk1 = t1.bkts and bk2 = t2.bkts in
+    for i = 0 to Array.length bk1 - 1 do
+      let b1 = bk1.(i) in
+      for j = 0 to Array.length bk2 - 1 do
+        let b2 = bk2.(j) in
+        let lo = Float.max b1.lo b2.lo and hi = Float.min b1.hi b2.hi in
+        if lo <= hi then begin
+          let f1 = closed_overlap b1 lo hi and f2 = closed_overlap b2 lo hi in
+          let r1 = b1.rows *. f1 and r2 = b2.rows *. f2 in
+          let d1 = Float.max 1.0 (b1.distinct *. f1) in
+          let d2 = Float.max 1.0 (b2.distinct *. f2) in
+          matches := !matches +. (r1 *. r2 /. Float.max d1 d2)
+        end
+      done
+    done;
     Float.min 1.0 (!matches /. (t1.total *. t2.total))
   end

@@ -28,8 +28,10 @@ let qualified_name c =
 let qualify t alias =
   { t with cols = Array.map (fun c -> { c with qualifier = alias }) t.cols }
 
+let concat_width wa wb = wa + wb - header_bytes
+
 let concat a b =
-  { cols = Array.append a.cols b.cols; width = a.width + b.width - header_bytes }
+  { cols = Array.append a.cols b.cols; width = concat_width a.width b.width }
 
 let project t idxs = of_array (Array.of_list (List.map (fun i -> t.cols.(i)) idxs))
 

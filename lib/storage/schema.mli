@@ -28,6 +28,10 @@ val qualify : t -> string -> t
 (** Concatenation, for join outputs. *)
 val concat : t -> t -> t
 
+(** [avg_tuple_width (concat a b)] from the two widths, without building
+    the schema. *)
+val concat_width : int -> int -> int
+
 (** [project schema idxs] keeps only the columns at [idxs], in order. *)
 val project : t -> int list -> t
 

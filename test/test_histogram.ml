@@ -199,6 +199,104 @@ let test_nan_samples () =
          kinds)
     samples
 
+(* [est_join_selectivity] as it was before it was specialised to closed
+   intervals and unboxed, verbatim but for reading the buckets through
+   [H.buckets]: the reference the property below holds the estimator to,
+   bit for bit. *)
+module Join_ref = struct
+  open H
+
+  let bucket_overlap b ~lo ~hi =
+    let b_lo = b.lo and b_hi = b.hi in
+    let q_lo, _lo_incl = match lo with Some (v, i) -> (v, i) | None -> (neg_infinity, true) in
+    let q_hi, _hi_incl = match hi with Some (v, i) -> (v, i) | None -> (infinity, true) in
+    if q_lo > b_hi || q_hi < b_lo then 0.0
+    else if b_lo = b_hi then begin
+      let in_lo = match lo with
+        | Some (v, incl) -> if incl then b_lo >= v else b_lo > v
+        | None -> true
+      in
+      let in_hi = match hi with
+        | Some (v, incl) -> if incl then b_hi <= v else b_hi < v
+        | None -> true
+      in
+      if in_lo && in_hi then 1.0 else 0.0
+    end else begin
+      let eff_lo = Float.max b_lo q_lo and eff_hi = Float.min b_hi q_hi in
+      if eff_hi < eff_lo then 0.0
+      else if eff_hi = eff_lo then
+        1.0 /. Float.max 1.0 b.distinct
+      else
+        Float.max
+          ((eff_hi -. eff_lo) /. (b_hi -. b_lo))
+          (1.0 /. Float.max 1.0 b.distinct)
+    end
+
+  let est_join_selectivity t1 t2 =
+    if total_rows t1 <= 0.0 || total_rows t2 <= 0.0 then 0.0
+    else begin
+      let matches = ref 0.0 in
+      Array.iter
+        (fun b1 ->
+           Array.iter
+             (fun b2 ->
+                let lo = Float.max b1.lo b2.lo and hi = Float.min b1.hi b2.hi in
+                if lo <= hi then begin
+                  let f1 = bucket_overlap b1 ~lo:(Some (lo, true)) ~hi:(Some (hi, true)) in
+                  let f2 = bucket_overlap b2 ~lo:(Some (lo, true)) ~hi:(Some (hi, true)) in
+                  let r1 = b1.rows *. f1 and r2 = b2.rows *. f2 in
+                  let d1 = Float.max 1.0 (b1.distinct *. f1) in
+                  let d2 = Float.max 1.0 (b2.distinct *. f2) in
+                  matches := !matches +. (r1 *. r2 /. Float.max d1 d2)
+                end)
+             (Array.of_list (buckets t2)))
+        (Array.of_list (buckets t1));
+      Float.min 1.0 (!matches /. (total_rows t1 *. total_rows t2))
+    end
+end
+
+(* Random histograms of every kind over values drawn from a small grid,
+   so buckets share boundaries and one-value (singleton) buckets are
+   common; no values at all gives the empty histogram.  Scaled by a
+   random factor so row counts are not whole. *)
+let gen_hist =
+  QCheck.Gen.(
+    let* kind = oneofl kinds in
+    let* buckets = int_range 1 8 in
+    let* picks = list_size (int_range 0 12) (int_range 0 24) in
+    let* scale = float_range 0.1 50.0 in
+    let values =
+      Array.of_list
+        (List.sort_uniq Float.compare
+           (List.map (fun i -> float_of_int i /. 2.0) picks))
+    in
+    let* counts =
+      flatten_l (List.init (Array.length values) (fun _ -> int_range 1 6))
+    in
+    let h = H.of_counts kind ~buckets values (Array.of_list counts) in
+    return (if H.total_rows h > 0.0 then H.scale h (H.total_rows h *. scale)
+            else h))
+
+let prop_join_selectivity_reference =
+  QCheck.Test.make ~name:"est_join_selectivity = reference, bit for bit"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) ->
+           let show h =
+             String.concat " "
+               (List.map
+                  (fun (b : H.bucket) ->
+                     Printf.sprintf "[%h,%h r=%h d=%h]" b.H.lo b.H.hi b.H.rows
+                       b.H.distinct)
+                  (H.buckets h))
+           in
+           show a ^ " | " ^ show b)
+       QCheck.Gen.(pair gen_hist gen_hist))
+    (fun (a, b) ->
+       Int64.equal
+         (Int64.bits_of_float (H.est_join_selectivity a b))
+         (Int64.bits_of_float (Join_ref.est_join_selectivity a b)))
+
 let suite =
   [ Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "total rows" `Quick test_total_rows;
@@ -214,4 +312,5 @@ let suite =
     Alcotest.test_case "open bounds" `Quick test_range_open_bounds;
     Alcotest.test_case "NaN samples terminate" `Quick test_nan_samples;
     QCheck_alcotest.to_alcotest prop_range_in_unit_interval;
-    QCheck_alcotest.to_alcotest prop_eq_sums_to_one_serial ]
+    QCheck_alcotest.to_alcotest prop_eq_sums_to_one_serial;
+    QCheck_alcotest.to_alcotest prop_join_selectivity_reference ]

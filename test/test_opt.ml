@@ -175,6 +175,95 @@ let test_recost_with_override_changes_estimate () =
   Alcotest.(check bool) "estimate shrank" true
     (r2.Plan.est.Plan.rows < r.Optimizer.plan.Plan.est.Plan.rows)
 
+(* Every node's id and estimates at full precision, as test/opt_golden.ml
+   digests a plan. *)
+let estimate_digest plan =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (n : Plan.t) ->
+       let e = n.Plan.est in
+       Printf.bprintf buf "%d %h %h %h %h %d %d %d %d;" n.Plan.id e.Plan.rows
+         e.Plan.width e.Plan.op_ms e.Plan.total_ms n.Plan.min_mem
+         n.Plan.max_mem n.Plan.mem n.Plan.dop)
+    (Plan.nodes plan);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* A selectivity memo kept across re-costs never serves an estimate from
+   statistics that have since been overridden: after the join column's
+   statistics change, a re-cost through the kept memo equals one through
+   a fresh memo, and differs from the re-cost before the override. *)
+let test_recost_memo_sees_override () =
+  let catalog = fixture () in
+  let sql =
+    "select tag2 from fact, dim1, dim2 where fact.fk1 = dim1.k \
+     and fact.fk2 = dim2.k2"
+  in
+  let q = Query.bind catalog (Parser.parse sql) in
+  let env = Stats_env.create catalog q.Query.relations in
+  let plan = (Optimizer.optimize ~env q).Optimizer.plan in
+  let memo = Optimizer.memo () in
+  let before = estimate_digest (Optimizer.recost ~memo ~env plan) in
+  Alcotest.(check string) "a kept memo = a fresh one" before
+    (estimate_digest (Optimizer.recost ~memo ~env plan));
+  (* a collector found fact.fk2 holding ten values far from dim2's keys *)
+  Stats_env.override env ~column:"fact.fk2"
+    (Mqr_catalog.Column_stats.analyze
+       (List.init 10 (fun i -> Value.Int (5_000 + i))));
+  let kept = estimate_digest (Optimizer.recost ~memo ~env plan) in
+  let fresh =
+    estimate_digest (Optimizer.recost ~memo:(Optimizer.memo ()) ~env plan)
+  in
+  Alcotest.(check string) "after the override: kept memo = fresh memo" fresh
+    kept;
+  Alcotest.(check bool) "the override moved the estimates" true
+    (not (String.equal before kept))
+
+(* Re-costing prices a join from its inputs' width estimates: a
+   materialized leaf's width is its observed bytes per row, not its
+   schema's, and the hash join above it sizes its memory from that. *)
+let test_recost_reads_leaf_width () =
+  let catalog = fixture () in
+  let options =
+    { Optimizer.default_options with
+      Optimizer.enable_index_join = false;
+      enable_merge_join = false }
+  in
+  let q =
+    Query.bind catalog
+      (Parser.parse "select tag from fact, dim1 where fact.fk1 = dim1.k")
+  in
+  let env = Stats_env.create catalog q.Query.relations in
+  let plan = (Optimizer.optimize ~options ~env q).Optimizer.plan in
+  let widen (b : Plan.t) =
+    { b with
+      Plan.node =
+        Plan.Materialized { name = "t"; covers = Plan.aliases b; bytes = 0 };
+      est = { b.Plan.est with Plan.width = 1000.0 *. b.Plan.est.Plan.width } }
+  in
+  let rec swap (p : Plan.t) =
+    match p.Plan.node with
+    | Plan.Hash_join ({ build; _ } as j) ->
+      { p with Plan.node = Plan.Hash_join { j with build = widen build } }
+    | _ -> Plan.with_children p (List.map swap (Plan.children p))
+  in
+  let recosted = Optimizer.recost ~env (swap plan) in
+  match
+    List.find_map
+      (fun (n : Plan.t) ->
+         match n.Plan.node with
+         | Plan.Hash_join { build; _ } -> Some (n, build)
+         | _ -> None)
+      (Plan.nodes recosted)
+  with
+  | None -> Alcotest.fail "no hash join"
+  | Some (j, build) ->
+    let e = build.Plan.est in
+    let _, max_mem =
+      Cost_model.hash_join_mem
+        ~build_pages:(Cost_model.pages ~rows:e.Plan.rows ~width:e.Plan.width)
+    in
+    Alcotest.(check int) "demand from the leaf's width" max_mem j.Plan.max_mem
+
 let test_planning_error_on_unknown_column () =
   let catalog = fixture () in
   Alcotest.(check bool) "bind rejects unknown col" true
@@ -372,6 +461,225 @@ let prop_children_bound_join_cost =
          [ (p1, p2);
            (Cost_model.pages ~rows:r1 ~width, Cost_model.pages ~rows:r2 ~width) ])
 
+(* The merge pass bounds a merge join's price from below, whatever the
+   grant, the sides' order and the filters: the join enumeration rejects
+   a merge on it before pricing the sorts. *)
+let prop_merge_pass_bounds_merge =
+  QCheck.Test.make ~name:"merge pass <= merge join price" ~count:500
+    (QCheck.make cost_args_gen)
+    (fun ((r1, r2, out, width), (p1, p2), (mem_pages, _, ls, rs)) ->
+       List.for_all
+         (fun ((p1, p2), rf) ->
+            Cost_model.merge_pass_ms ~left_rows:r1 ~right_rows:r2 ~out_rows:out
+            <= Cost_model.merge_join_ms ~left_rows:r1 ~left_pages:p1
+                 ~right_rows:r2 ~right_pages:p2 ~out_rows:out ~mem_pages
+                 ~left_sorted:ls ~right_sorted:rs ~rf ~rf_probe_rows:r2)
+         [ ((p1, p2), 0);
+           ((p1, p2), 2);
+           ((Cost_model.pages ~rows:r1 ~width,
+             Cost_model.pages ~rows:r2 ~width), 1) ])
+
+(* The join DP's Pareto sets as they were kept before {!Pareto}: a list
+   per bucket that one retention pass rebuilds on every entrant and on
+   every rejection (a replay), and floors recomputed from the list
+   whenever it changes.  Verbatim but for the entry type: the reference
+   {!Pareto} is held to. *)
+module Pareto_ref = struct
+  type cand = { id : int; total : float; orders : int list }
+
+  let total c = c.total
+
+  let rec undercut_orders (floor : float array) base (ms : float) = function
+    | [] -> true
+    | o :: rest -> floor.(base + o) < ms && undercut_orders floor base ms rest
+
+  let rec lower_floors (floor : float array) base p = function
+    | [] -> ()
+    | o :: rest ->
+      if total p < floor.(base + o) then floor.(base + o) <- total p;
+      lower_floors floor base p rest
+
+  type t = {
+    n_orders : int;
+    provider : cand option array;
+    buckets : cand list array;
+    stable : bool array;
+    floor_all : float array;
+    lower : float array;
+    floor : float array;
+  }
+
+  let create ~buckets ~n_orders =
+    { n_orders;
+      provider = Array.make n_orders None;
+      buckets = Array.make buckets [];
+      stable = Array.make buckets false;
+      floor_all = Array.make buckets infinity;
+      lower = Array.make buckets infinity;
+      floor = Array.make (buckets * n_orders) infinity }
+
+  let retained t = function
+    | [] -> []
+    | first :: _ as entries ->
+      let cheaper a b = total a < total b in
+      let provider = t.provider and n_orders = t.n_orders in
+      Array.fill provider 0 n_orders None;
+      let best = ref first in
+      List.iter
+        (fun c ->
+           if cheaper c !best then best := c;
+           List.iter
+             (fun o ->
+                match provider.(o) with
+                | Some p when not (cheaper c p) -> ()
+                | _ -> provider.(o) <- Some c)
+             c.orders)
+        entries;
+      Array.fold_left
+        (fun keep p ->
+           match p with
+           | Some c when not (List.memq c keep) -> c :: keep
+           | _ -> keep)
+        [ !best ] provider
+
+  let set t mask entries =
+    t.buckets.(mask) <- entries;
+    let base = mask * t.n_orders in
+    Array.fill t.floor base t.n_orders infinity;
+    t.floor_all.(mask) <- infinity;
+    t.lower.(mask) <- infinity;
+    List.iter
+      (fun c ->
+         let x = total c in
+         if x < t.floor_all.(mask) then t.floor_all.(mask) <- x;
+         if x < t.lower.(mask) || Float.is_nan x then t.lower.(mask) <- x;
+         lower_floors t.floor base c c.orders)
+      entries
+
+  let enter t mask c =
+    set t mask (retained t (c :: t.buckets.(mask)));
+    t.stable.(mask) <- false
+
+  let replay t mask =
+    if not t.stable.(mask) then begin
+      let old = t.buckets.(mask) in
+      let again = retained t old in
+      if List.equal ( == ) again old then t.stable.(mask) <- true
+      else set t mask again
+    end
+
+  let admits t mask ms orders =
+    if
+      t.floor_all.(mask) < ms
+      && undercut_orders t.floor (mask * t.n_orders) ms orders
+    then begin
+      replay t mask;
+      false
+    end
+    else true
+
+  let beaten t mask ms orders =
+    t.lower.(mask) < ms && undercut_orders t.floor (mask * t.n_orders) ms orders
+
+  let pass t mask k =
+    let replays = ref k in
+    while !replays > 0 && not t.stable.(mask) do
+      replay t mask;
+      decr replays
+    done
+end
+
+(* Random offer streams through {!Pareto} and through [Pareto_ref]: two
+   buckets, up to 15 orders, totals drawn from a handful of values with
+   exact ties, NaN and infinity.  An offer is admitted (and entered) or
+   rejected as the DP does it; some steps are runs of rejections
+   ([pass]).  After every step both keep the same entries in the same
+   order, with the same floor bound and the same verdicts. *)
+type pareto_step =
+  | Offer of int * float * int list  (* bucket, total, orders *)
+  | Pass of int * int                (* bucket, rejections in a row *)
+
+let gen_pareto_run =
+  QCheck.Gen.(
+    let* n_orders = int_range 1 15 in
+    let total = oneofl [ 0.0; 1.0; 1.0; 2.0; 2.0; 3.0; infinity; nan ] in
+    let orders =
+      let* k = frequency [ (3, return 0); (3, int_range 1 2);
+                           (1, int_range 0 n_orders) ] in
+      list_repeat k (int_range 0 (n_orders - 1))
+      >|= List.sort_uniq Int.compare
+    in
+    let step =
+      frequency
+        [ (6, map3 (fun b t o -> Offer (b, t, o)) (int_range 0 1) total orders);
+          (1, map2 (fun b k -> Pass (b, k)) (int_range 0 1) (int_range 1 4)) ]
+    in
+    let* steps = list_size (int_range 1 60) step in
+    return (n_orders, steps))
+
+let prop_pareto_reference =
+  QCheck.Test.make ~name:"Pareto bucket = list retention, every step"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (n, steps) ->
+           Printf.sprintf "orders %d: %s" n
+             (String.concat "; "
+                (List.map
+                   (function
+                     | Offer (b, t, o) ->
+                       Printf.sprintf "offer %d %h [%s]" b t
+                         (String.concat "," (List.map string_of_int o))
+                     | Pass (b, k) -> Printf.sprintf "pass %d x%d" b k)
+                   steps)))
+       gen_pareto_run)
+    (fun (n_orders, steps) ->
+       let module P = Mqr_opt.Pareto in
+       let module R = Pareto_ref in
+       let dummy = { R.id = -1; total = 0.0; orders = [] } in
+       let p = P.create ~buckets:2 ~n_orders ~dummy in
+       let r = R.create ~buckets:2 ~n_orders in
+       let ids l = List.map (fun (c : R.cand) -> c.R.id) l in
+       let bits x = Int64.bits_of_float x in
+       let same b =
+         ids (P.to_list p b) = ids r.R.buckets.(b)
+         && Int64.equal (bits (P.lower p b)) (bits r.R.lower.(b))
+         && List.for_all
+              (fun ms ->
+                 List.for_all
+                   (fun orders ->
+                      Bool.equal (P.beaten p b ms orders)
+                        (R.beaten r b ms orders))
+                   [ []; [ 0 ]; List.init n_orders Fun.id ])
+              [ 0.0; 1.0; 2.0; 2.5; infinity ]
+       in
+       let next_id = ref 0 in
+       (* as the DP offers a candidate: a bound below its total first
+          (its children's totals), then the total; entered when both
+          admit it *)
+       let offer admits b ~bound ~total orders =
+         (not (bound <= total) || admits b bound orders)
+         && admits b total orders
+       in
+       List.for_all
+         (fun step ->
+            (match step with
+             | Offer (b, total, orders) ->
+               incr next_id;
+               let c = { R.id = !next_id; total; orders } in
+               let bound = if !next_id mod 3 = 0 then 1.0 else total in
+               let admitted = offer (P.admits p) b ~bound ~total orders in
+               let admitted_ref = offer (R.admits r) b ~bound ~total orders in
+               if admitted <> admitted_ref then failwith "admits differs";
+               if admitted then begin
+                 P.enter p b c ~total ~orders;
+                 R.enter r b c
+               end
+             | Pass (b, k) ->
+               P.pass p b k;
+               R.pass r b k);
+            same 0 && same 1)
+         steps)
+
 (* Every shape's price over an array of quantities and a memory grant. *)
 let shapes ~dop ~rf ~ls ~rs =
   [ ("seq_scan", 3, fun q _ ->
@@ -542,6 +850,8 @@ let suite =
     Alcotest.test_case "group estimate uses stats" `Quick test_aggregate_group_estimate_uses_stats;
     Alcotest.test_case "recost preserves ids" `Quick test_recost_preserves_structure_and_ids;
     Alcotest.test_case "recost with override" `Quick test_recost_with_override_changes_estimate;
+    Alcotest.test_case "recost memo sees an override" `Quick test_recost_memo_sees_override;
+    Alcotest.test_case "recost reads a leaf's width" `Quick test_recost_reads_leaf_width;
     Alcotest.test_case "unknown column" `Quick test_planning_error_on_unknown_column;
     Alcotest.test_case "opt calibration monotone" `Quick test_estimated_opt_ms_monotone;
     Alcotest.test_case "disable index join" `Quick test_options_disable_index_join;
@@ -554,4 +864,6 @@ let suite =
     Alcotest.test_case "streaming agg order" `Quick test_streaming_agg_when_grouped_on_order;
     Alcotest.test_case "orders survive collect" `Quick test_orders_survive_collect;
     QCheck_alcotest.to_alcotest prop_children_bound_join_cost;
-    QCheck_alcotest.to_alcotest prop_prices_monotone ]
+    QCheck_alcotest.to_alcotest prop_prices_monotone;
+    QCheck_alcotest.to_alcotest prop_merge_pass_bounds_merge;
+    QCheck_alcotest.to_alcotest prop_pareto_reference ]
