@@ -95,12 +95,19 @@ let recost cfg memo env plan =
     ~max_dop:cfg.opt_options.Optimizer.max_dop ~memo ~env plan
 
 (* Insert statistics collectors (SCIA), their plan-node ids from
-   [first_id] on, and re-cost: the instrumentation of an initial plan and
-   of every switched-to remainder.  Returns the plan, the number of
-   collectors kept and the next free id. *)
-let instrument cfg memo env ~first_id plan =
+   [first_id] on: the instrumentation of an initial plan and of every
+   switched-to remainder.  Returns the plan, the number of collectors kept
+   and the next free id.  It is not re-costed here: every caller grants
+   memory and re-costs it next.  Before that, only the memory grant and
+   [record_annotations] read it: the grant reads memory demands, which
+   SCIA leaves as they were, and [record_annotations] reads each node's
+   [op_ms].  SCIA keeps the optimizer's [op_ms] on every node it does not
+   add, and those equal what [recost] gives under the environment the
+   plan was optimized in.  It prices each collector it adds with
+   [Collector.estimated_cost_ms], as [recost] does. *)
+let instrument cfg env ~first_id plan =
   let scia = Scia.insert ~mu:cfg.params.Reopt_policy.mu ~env ~first_id plan in
-  (recost cfg memo env scia.Scia.plan, List.length scia.Scia.kept, scia.Scia.next_id)
+  (scia.Scia.plan, List.length scia.Scia.kept, scia.Scia.next_id)
 
 let max_id plan =
   List.fold_left (fun m (n : Plan.t) -> max m n.Plan.id) 0 (Plan.nodes plan)
@@ -170,7 +177,7 @@ let switch r (t : Reopt_policy.terms) (c : Reopt_policy.candidate) =
   (* renumber first: the wrappers take the ids after the plan's *)
   let renumbered = renumber c.plan in
   let new_plan, _, next_id =
-    instrument st.cfg st.sel_memo c.env ~first_id:r.next_id renumbered
+    instrument st.cfg c.env ~first_id:r.next_id renumbered
   in
   r.next_id <- next_id;
   st.env <- c.env;
@@ -260,7 +267,7 @@ let prepare ?prepared cfg query =
       let first_id = max_id opt.Optimizer.plan + 1 in
       (match cfg.mode with
        | Off -> (opt.Optimizer.plan, 0, first_id)
-       | _ -> instrument cfg sel_memo env ~first_id opt.Optimizer.plan)
+       | _ -> instrument cfg env ~first_id opt.Optimizer.plan)
   in
   let st =
     { cfg;

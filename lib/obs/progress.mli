@@ -57,7 +57,12 @@ val update :
   remaining_hi_ms:float ->
   sample
 
-(** Final update: percent 100, ETA collapsed to [now_ms].  Idempotent. *)
+(** Final update: percent 100, both ETA bounds collapsed to the later of
+    [now_ms] and the last sample's [eta_lo_ms], so [eta_lo] stays
+    monotone.  That ETA can lie after [now_ms]: a remaining-cost [lo]
+    that overestimates ({!Mqr_analysis.Bounds.cost_interval} assumes every
+    page read misses the pool) leaves a floor past the actual finish, and
+    the finished statement reports it.  Idempotent. *)
 val finish : t -> now_ms:float -> sample
 
 (** Most recent sample, if any update has been recorded. *)

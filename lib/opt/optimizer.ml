@@ -139,50 +139,33 @@ let sel_opt ctx = function None -> 1.0 | Some e -> sel ctx e
 let width_of schema = float_of_int (Schema.avg_tuple_width schema)
 
 (* ------------------------------------------------------------------ *)
-(* Node constructors: estimation + costing in one place so [recost]    *)
-(* and the DP share the exact same formulas.  Each join constructor    *)
-(* comes in parts: [*_op_ms] prices the join's own work (what the DP    *)
-(* compares), [*_priced] adds its estimates and memory demands, with   *)
-(* no schema, node or id, and [build_*] turns those into a plan node.  *)
-(* [mk_*] is "build (price ...)".                                      *)
+(* Node constructors: estimation and costing in one place, so [recost]  *)
+(* and the DP build every node by the same code.  Each takes the node's *)
+(* id: the DP draws a fresh one, [recost] passes the node's own.  A     *)
+(* non-join node is one [mk_*] call.  A join has two functions (below): *)
+(* [*_op_ms] prices its own work from its inputs' entries, allocating   *)
+(* nothing, and [*_entry] turns the priced join into an entry whose     *)
+(* plan node is built on demand; [recost] forces that node at once.     *)
 
-(* An operator's estimates and memory demands, before (or without) a
-   node to carry them. *)
-type priced = {
-  rows : float;
-  op_ms : float;
-  total_ms : float;  (* [op_ms] plus the children's totals, in order *)
-  dop : int;
-  min_mem : int;
-  max_mem : int;
-  mem : int;
-}
-
-let price ?(dop = 1) ~rows ~op_ms ~children ~min_mem ~max_mem ~mem () =
-  let total_ms =
-    List.fold_left (fun acc (c : Plan.t) -> acc +. c.Plan.est.Plan.total_ms)
-      op_ms children
-  in
-  { rows; op_ms; total_ms; dop; min_mem; max_mem; mem }
-
-let node_of ~id node schema (p : priced) =
+(* Every plan node: its rows floored at 0.05, its schema's width, and a
+   total of [op_ms] plus the children's totals, in order. *)
+let mk_node ~id ?(dop = 1) node schema ~rows ~op_ms ~children ~min_mem
+    ~max_mem ~mem =
   { Plan.id;
     node;
     schema;
     est =
-      { Plan.rows = Float.max 0.05 p.rows;
+      { Plan.rows = Float.max 0.05 rows;
         width = width_of schema;
-        op_ms = p.op_ms;
-        total_ms = p.total_ms };
-    min_mem = p.min_mem;
-    max_mem = p.max_mem;
-    mem = p.mem;
-    dop = p.dop }
-
-let mk_node ctx ?dop node schema ~rows ~op_ms ~children ~min_mem ~max_mem
-    ~mem =
-  node_of ~id:(fresh_id ctx) node schema
-    (price ?dop ~rows ~op_ms ~children ~min_mem ~max_mem ~mem ())
+        op_ms;
+        total_ms =
+          List.fold_left
+            (fun acc (c : Plan.t) -> acc +. c.Plan.est.Plan.total_ms)
+            op_ms children };
+    min_mem;
+    max_mem;
+    mem;
+    dop }
 
 (* ------------------------------------------------------------------ *)
 (* Degree-of-parallelism choice.  Candidate degrees are powers of two up
@@ -208,7 +191,7 @@ let scan_out_rows ctx ~alias ~filter =
   | Some _, Some sel -> r.Stats_env.rows *. sel
   | _ -> r.Stats_env.rows *. sel_opt ctx filter
 
-let mk_seq_scan ctx ~table ~alias ~filter ~schema =
+let mk_seq_scan ctx ~id ~table ~alias ~filter ~schema =
   let r = Stats_env.rel ctx.env ~alias in
   let rows = scan_out_rows ctx ~alias ~filter in
   let filter_rows = Cost_model.filter_rows filter ~rows:r.Stats_env.rows in
@@ -217,10 +200,10 @@ let mk_seq_scan ctx ~table ~alias ~filter ~schema =
         Cost_model.seq_scan_ms ~dop ~pages:r.Stats_env.pages
           ~rows:r.Stats_env.rows ~filter_rows)
   in
-  mk_node ctx ~dop (Plan.Seq_scan { table; alias; filter }) schema ~rows ~op_ms
-    ~children:[] ~min_mem:0 ~max_mem:0 ~mem:0
+  mk_node ~id ~dop (Plan.Seq_scan { table; alias; filter }) schema ~rows
+    ~op_ms ~children:[] ~min_mem:0 ~max_mem:0 ~mem:0
 
-let mk_index_scan ctx ~table ~alias ~index_col ~lo ~hi ~filter ~schema
+let mk_index_scan ctx ~id ~table ~alias ~index_col ~lo ~hi ~filter ~schema
     ~index_sel =
   let r = Stats_env.rel ctx.env ~alias in
   let rows = scan_out_rows ctx ~alias ~filter in
@@ -230,15 +213,14 @@ let mk_index_scan ctx ~table ~alias ~index_col ~lo ~hi ~filter ~schema
       ~table_pages:r.Stats_env.pages
       ~filter_rows:(Cost_model.filter_rows filter ~rows:match_rows)
   in
-  mk_node ctx (Plan.Index_scan { table; alias; index_col; lo; hi; filter })
+  mk_node ~id (Plan.Index_scan { table; alias; index_col; lo; hi; filter })
     schema ~rows ~op_ms ~children:[] ~min_mem:0 ~max_mem:0 ~mem:0
 
-let key_sel ctx keys =
+let join_sel ctx ~keys ~extra =
   List.fold_left
     (fun acc (p, b) -> acc *. equijoin_sel ctx ~left:p ~right:b)
     1.0 keys
-
-let join_sel ctx ~keys ~extra = key_sel ctx keys *. sel_opt ctx extra
+  *. sel_opt ctx extra
 
 (* ------------------------------------------------------------------ *)
 (* Runtime-filter annotation (sideways information passing).           *)
@@ -313,13 +295,17 @@ let rf_combined_sel rf =
 let rf_credit_sel rf = 0.5 +. (0.5 *. rf_combined_sel rf)
 
 (* ------------------------------------------------------------------ *)
-(* Join pricing.  A join is priced from quantities of its two inputs,   *)
-(* computed once per input ([cand]): the join enumeration makes one     *)
-(* when a plan enters its Pareto set, [recost] one per rebuilt child.   *)
-(* The prices are [@inline] down to the Cost_model shapes, so pricing a *)
-(* candidate in the DP's loop boxes no float and builds no closure at   *)
-(* [max_dop = 1]; only a candidate that enters a set gets a [priced]    *)
-(* record and an entry, and a node only when a plan above needs it.     *)
+(* Joins.  A join is priced from quantities of its inputs, computed     *)
+(* once per input ([cand]): the join enumeration makes one when a plan  *)
+(* enters its Pareto set, [recost] one per rebuilt child.  Each join    *)
+(* method has two functions.  [*_op_ms] prices the join's own work, the *)
+(* figure the DP bounds a candidate by; the hash, merge and indexed     *)
+(* nested-loops prices are [@inline] down to the Cost_model shapes, so  *)
+(* pricing a candidate in the DP's loop boxes no float and builds no    *)
+(* closure at [max_dop = 1].  [*_entry] takes the node id, the inputs'  *)
+(* entries, the memory and the priced [op_ms], and returns the join's   *)
+(* own entry, its plan node built only when a plan above needs it.      *)
+(* Both the DP and [recost] build every join through these.             *)
 
 (* What pricing reads of a plan: its estimates, its pages, and the sort a
    merge join gives it at the planning grant (which is the grant of
@@ -349,7 +335,7 @@ type cand = {
 }
 
 (* [rows], [width] and [total] are the plan's estimates.  [width] is
-   the schema's width for a node the optimizer builds ([node_of]), but
+   the schema's width for a node the optimizer builds ([mk_node]), but
    not for a [Materialized] leaf, whose estimate is the observed bytes per
    row. *)
 let cand_of_est ctx plan ~schema_width ~rows ~width ~total =
@@ -377,10 +363,12 @@ let cand_of ctx (plan : Plan.t) =
     ~schema_width:(Schema.avg_tuple_width plan.Plan.schema) ~rows:e.Plan.rows
     ~width:e.Plan.width ~total:e.Plan.total_ms
 
-(* The entry of a join priced [p] whose plan [node] builds on demand. *)
-let cand_of_priced ctx (p : priced) ~schema_width node =
-  cand_of_est ctx node ~schema_width ~rows:(Float.max 0.05 p.rows)
-    ~width:(float_of_int schema_width) ~total:p.total_ms
+(* The entry of a join whose output estimate is [rows] and whose schema
+   is [schema_width] wide: its quantities are those of the node [plan]
+   builds ([mk_node] floors the rows and takes the schema's width). *)
+let join_entry ctx ~schema_width ~rows ~total plan =
+  cand_of_est ctx plan ~schema_width ~rows:(Float.max 0.05 rows)
+    ~width:(float_of_int schema_width) ~total
 
 (* The rows a hash join's probe (a merge join's right side) feeds the join
    once the runtime filters [rf] have dropped what they are credited with,
@@ -391,10 +379,10 @@ let[@inline] filtered_rows (q : quant) rf =
 let[@inline] filtered_pages (q : quant) rf ~rows =
   match rf with [] -> q.q_pages | _ -> Cost_model.pages ~rows ~width:q.q_width
 
-(* The join constructors take the join selectivity ([join_sel] of their
-   keys and residual) precomputed: the DP evaluates it once per split, not
-   once per candidate pair.  [out_rows] is the join's output estimate and
-   [mem] its memory, the grant already applied. *)
+(* The callers compute a join's output estimate [out_rows] from the join
+   selectivity ([join_sel] of its keys and residual), which the DP
+   evaluates once per split, not once per candidate pair; [mem] is the
+   join's memory, the grant already applied. *)
 
 let[@inline] hash_join_at ~dop ~(build : cand) ~(probe : cand) ~rf ~out_rows
     ~mem =
@@ -421,94 +409,90 @@ let[@inline] hash_join_op_ms ctx ~build ~probe ~keys ~rf ~out_rows ~mem =
     hash_join_at ~dop:1 ~build ~probe ~rf ~out_rows ~mem
   else snd (hash_join_par ctx ~build ~probe ~rf ~out_rows ~mem)
 
-let hash_join_priced ctx ~build ~probe ~keys ~rf ~out_rows ~mem ~op_ms =
-  { rows = out_rows;
-    op_ms;
-    total_ms = op_ms +. build.q.q_total +. probe.q.q_total;
-    dop =
-      (if hash_join_serial ctx ~keys then 1
-       else fst (hash_join_par ctx ~build ~probe ~rf ~out_rows ~mem));
-    min_mem = build.hash_min;
-    max_mem = build.hash_max;
-    mem }
+let hash_join_entry ctx ~id ~(build : cand) ~(probe : cand) ~keys ~extra ~rf
+    ~out_rows ~mem ~op_ms =
+  join_entry ctx ~rows:out_rows
+    ~total:(op_ms +. build.q.q_total +. probe.q.q_total)
+    ~schema_width:(Schema.concat_width probe.schema_width build.schema_width)
+    (lazy
+      (let dop =
+         if hash_join_serial ctx ~keys then 1
+         else fst (hash_join_par ctx ~build ~probe ~rf ~out_rows ~mem)
+       in
+       let b = Lazy.force build.plan and p = Lazy.force probe.plan in
+       mk_node ~id ~dop
+         (Plan.Hash_join { build = b; probe = p; keys; extra; rf })
+         (Schema.concat p.Plan.schema b.Plan.schema) ~rows:out_rows ~op_ms
+         ~children:[ b; p ] ~min_mem:build.hash_min ~max_mem:build.hash_max
+         ~mem))
 
-let price_hash_join ctx ~build ~probe ~keys ~jsel ~mem ~rf =
-  let out_rows = build.q.q_rows *. probe.q.q_rows *. jsel in
-  let mem = effective_mem ctx ~mem ~max_mem:build.hash_max in
-  hash_join_priced ctx ~build ~probe ~keys ~rf ~out_rows ~mem
-    ~op_ms:(hash_join_op_ms ctx ~build ~probe ~keys ~rf ~out_rows ~mem)
+(* The inner side of an indexed nested-loops join: a base relation, its
+   local filter and that filter's selectivity. *)
+type inner = {
+  rel : Stats_env.rel_info;
+  filter : Expr.t option;
+  filter_sel : float;
+}
 
-let build_hash_join ~id ~build ~probe ~keys ~extra ~rf p =
-  node_of ~id (Plan.Hash_join { build; probe; keys; extra; rf })
-    (Schema.concat probe.Plan.schema build.Plan.schema) p
+(* The key an indexed nested-loops join probes, with its equi-join
+   selectivity, and the residual (every other key pair and non-equi
+   conjunct of the split) with its selectivity: all fixed per split and
+   key, whatever the outer plan. *)
+type index_key = {
+  outer_col : string;
+  inner_col : string;
+  jsel : float;
+  extra : Expr.t option;
+  extra_sel : float;
+}
 
-let mk_hash_join ctx ~build ~probe ~keys ~extra ~jsel ~mem ~with_rf =
-  let rf = rf_annotations ctx ~with_rf ~build ~probe ~keys in
-  build_hash_join ~id:(fresh_id ctx) ~build ~probe ~keys ~extra ~rf
-    (price_hash_join ctx ~build:(cand_of ctx build)
-       ~probe:(cand_of ctx probe) ~keys ~jsel ~mem ~rf)
+let[@inline] index_nl_fetched ~(outer : cand) inner k =
+  outer.q.q_rows *. inner.rel.Stats_env.rows *. k.jsel
 
-(* [jsel] is the key pair's equi-join selectivity, [inner_sel] and
-   [extra_sel] those of the inner filter and the residual: all three are
-   fixed per split and key, whatever the outer plan. *)
-let[@inline] index_nl_fetched ~(outer : cand) ~(inner : Stats_env.rel_info)
-    ~jsel =
-  outer.q.q_rows *. inner.Stats_env.rows *. jsel
-
-let[@inline] index_nl_join_op_ms ~outer ~inner ~jsel ~inner_filter =
-  let fetched = index_nl_fetched ~outer ~inner ~jsel in
+let[@inline] index_nl_join_op_ms ~outer inner k =
+  let fetched = index_nl_fetched ~outer inner k in
   Cost_model.index_nl_join_ms ~outer_rows:outer.q.q_rows
     ~fetched:(Float.max 1.0 fetched)
-    ~filter_rows:(Cost_model.filter_rows inner_filter ~rows:fetched)
+    ~filter_rows:(Cost_model.filter_rows inner.filter ~rows:fetched)
 
-let index_nl_join_priced ~outer ~inner ~jsel ~inner_sel ~extra_sel ~op_ms =
-  { rows = index_nl_fetched ~outer ~inner ~jsel *. inner_sel *. extra_sel;
-    op_ms;
-    total_ms = op_ms +. outer.q.q_total;
-    dop = 1;
-    min_mem = 0;
-    max_mem = 0;
-    mem = 0 }
-
-let build_index_nl_join ~id ~outer ~table ~alias ~outer_col ~inner_col
-    ~inner_filter ~extra ~inner_schema p =
-  node_of ~id
-    (Plan.Index_nl_join
-       { outer; table; alias; outer_col; inner_col; inner_filter; extra })
-    (Schema.concat outer.Plan.schema inner_schema) p
-
-let mk_index_nl_join ctx ~outer ~table ~alias ~outer_col ~inner_col
-    ~inner_filter ~extra =
-  let inner = Stats_env.rel ctx.env ~alias in
-  let jsel = equijoin_sel ctx ~left:outer_col ~right:inner_col in
-  let inner_sel = sel_opt ctx inner_filter in
-  let extra_sel = sel_opt ctx extra in
-  let o = cand_of ctx outer in
-  build_index_nl_join ~id:(fresh_id ctx) ~outer ~table ~alias ~outer_col
-    ~inner_col ~inner_filter ~extra ~inner_schema:inner.Stats_env.rel_schema
-    (index_nl_join_priced ~outer:o ~inner ~jsel ~inner_sel ~extra_sel
-       ~op_ms:(index_nl_join_op_ms ~outer:o ~inner ~jsel ~inner_filter))
-
-let price_block_nl_join ctx ~outer ~inner ~pred_sel ~mem =
-  let o = outer.Plan.est and i = inner.Plan.est in
-  let rows = o.Plan.rows *. i.Plan.rows *. pred_sel in
-  let outer_pages = Cost_model.pages ~rows:o.Plan.rows ~width:o.Plan.width in
-  let inner_pages = Cost_model.pages ~rows:i.Plan.rows ~width:i.Plan.width in
-  let min_mem, max_mem = Cost_model.block_nl_join_mem ~outer_pages in
-  let mem = effective_mem ctx ~mem ~max_mem in
-  let op_ms =
-    Cost_model.block_nl_join_ms ~outer_rows:o.Plan.rows ~outer_pages
-      ~inner_rows:i.Plan.rows ~inner_pages ~out_rows:rows ~mem_pages:mem
+let index_nl_join_entry ctx ~id ~(outer : cand) inner k ~op_ms =
+  let rows =
+    index_nl_fetched ~outer inner k *. inner.filter_sel *. k.extra_sel
   in
-  price ~rows ~op_ms ~children:[ outer; inner ] ~min_mem ~max_mem ~mem ()
+  let inner_schema = inner.rel.Stats_env.rel_schema in
+  join_entry ctx ~rows ~total:(op_ms +. outer.q.q_total)
+    ~schema_width:
+      (Schema.concat_width outer.schema_width
+         (Schema.avg_tuple_width inner_schema))
+    (lazy
+      (let o = Lazy.force outer.plan in
+       mk_node ~id
+         (Plan.Index_nl_join { outer = o; table = inner.rel.Stats_env.table;
+             alias = inner.rel.Stats_env.alias; outer_col = k.outer_col;
+             inner_col = k.inner_col; inner_filter = inner.filter;
+             extra = k.extra })
+         (Schema.concat o.Plan.schema inner_schema) ~rows ~op_ms
+         ~children:[ o ] ~min_mem:0 ~max_mem:0 ~mem:0))
 
-let build_block_nl_join ~id ~outer ~inner ~pred p =
-  node_of ~id (Plan.Block_nl_join { outer; inner; pred })
-    (Schema.concat outer.Plan.schema inner.Plan.schema) p
+let[@inline] block_nl_join_op_ms ~(outer : cand) ~(inner : cand) ~out_rows
+    ~mem =
+  Cost_model.block_nl_join_ms ~outer_rows:outer.q.q_rows
+    ~outer_pages:outer.q.q_pages ~inner_rows:inner.q.q_rows
+    ~inner_pages:inner.q.q_pages ~out_rows ~mem_pages:mem
 
-let mk_block_nl_join ctx ~outer ~inner ~pred ~pred_sel ~mem =
-  build_block_nl_join ~id:(fresh_id ctx) ~outer ~inner ~pred
-    (price_block_nl_join ctx ~outer ~inner ~pred_sel ~mem)
+let block_nl_join_entry ctx ~id ~(outer : cand) ~(inner : cand) ~pred
+    ~out_rows ~mem ~op_ms =
+  join_entry ctx ~rows:out_rows
+    ~total:(op_ms +. outer.q.q_total +. inner.q.q_total)
+    ~schema_width:(Schema.concat_width outer.schema_width inner.schema_width)
+    (lazy
+      (let min_mem, max_mem =
+         Cost_model.block_nl_join_mem ~outer_pages:outer.q.q_pages
+       in
+       let o = Lazy.force outer.plan and i = Lazy.force inner.plan in
+       mk_node ~id (Plan.Block_nl_join { outer = o; inner = i; pred })
+         (Schema.concat o.Plan.schema i.Plan.schema) ~rows:out_rows ~op_ms
+         ~children:[ o; i ] ~min_mem ~max_mem ~mem))
 
 (* A side counts as pre-sorted only when the join has a single key pair and
    the side delivers that key in ascending order; an input ordered by the
@@ -554,53 +538,27 @@ let[@inline] merge_join_op_ms ctx ~left ~right ~rf ~out_rows ~mem ~left_sorted
     ~left_rows:left.q.q_rows ~left_pages:left.q.q_pages ~right_rows
     ~right_pages ~out_rows ~rf:(List.length rf) ~rf_probe_rows:right.q.q_rows
 
-let merge_join_priced ~left ~right ~rf ~right_pages ~out_rows ~mem ~op_ms =
-  let min_mem, max_mem =
-    match rf with
-    | [] -> (left.sort_min + right.sort_min, left.sort_max + right.sort_max)
-    | _ ->
-      let r_min, r_max = Cost_model.sort_mem ~data_pages:right_pages in
-      (left.sort_min + r_min, left.sort_max + r_max)
-  in
-  { rows = out_rows;
-    op_ms;
-    total_ms = op_ms +. left.q.q_total +. right.q.q_total;
-    dop = 1;
-    min_mem;
-    max_mem;
-    mem }
-
-let price_merge_join ctx ~left ~right ~jsel ~left_sorted ~right_sorted ~mem
-    ~rf =
-  let out_rows = left.q.q_rows *. right.q.q_rows *. jsel in
-  let right_pages =
-    filtered_pages right.q rf ~rows:(filtered_rows right.q rf)
-  in
-  let mem =
-    effective_mem ctx ~mem
-      ~max_mem:(merge_join_max_mem ~left ~right ~rf ~right_pages)
-  in
-  merge_join_priced ~left ~right ~rf ~right_pages ~out_rows ~mem
-    ~op_ms:
-      (merge_join_op_ms ctx ~left ~right ~rf ~out_rows ~mem ~left_sorted
-         ~right_sorted)
-
-let build_merge_join ~id ~left ~right ~keys ~extra ~left_sorted ~right_sorted
-    ~rf p =
-  node_of ~id
-    (Plan.Merge_join { left; right; keys; extra; left_sorted; right_sorted; rf })
-    (Schema.concat left.Plan.schema right.Plan.schema) p
-
-let mk_merge_join ctx ~left ~right ~keys ~extra ~jsel ~left_sorted
-    ~right_sorted ~mem ~with_rf =
-  let rf =
-    rf_annotations ctx ~with_rf ~build:left ~probe:right
-      ~keys:(merge_rf_keys keys)
-  in
-  build_merge_join ~id:(fresh_id ctx) ~left ~right ~keys ~extra ~left_sorted
-    ~right_sorted ~rf
-    (price_merge_join ctx ~left:(cand_of ctx left) ~right:(cand_of ctx right)
-       ~jsel ~left_sorted ~right_sorted ~mem ~rf)
+let merge_join_entry ctx ~id ~(left : cand) ~(right : cand) ~keys ~extra
+    ~left_sorted ~right_sorted ~rf ~out_rows ~mem ~op_ms =
+  join_entry ctx ~rows:out_rows
+    ~total:(op_ms +. left.q.q_total +. right.q.q_total)
+    ~schema_width:(Schema.concat_width left.schema_width right.schema_width)
+    (lazy
+      (let right_min, right_max =
+         match rf with
+         | [] -> (right.sort_min, right.sort_max)
+         | _ ->
+           Cost_model.sort_mem
+             ~data_pages:
+               (filtered_pages right.q rf ~rows:(filtered_rows right.q rf))
+       in
+       let l = Lazy.force left.plan and r = Lazy.force right.plan in
+       mk_node ~id
+         (Plan.Merge_join { left = l; right = r; keys; extra; left_sorted;
+             right_sorted; rf })
+         (Schema.concat l.Plan.schema r.Plan.schema) ~rows:out_rows ~op_ms
+         ~children:[ l; r ] ~min_mem:(left.sort_min + right_min)
+         ~max_mem:(left.sort_max + right_max) ~mem))
 
 let group_count ctx ~input_rows ~group_by =
   match group_by with
@@ -616,7 +574,7 @@ let group_count ctx ~input_rows ~group_by =
     in
     Float.max 1.0 (Float.min input_rows product)
 
-let mk_aggregate ctx ~input ~group_by ~aggs ~mem =
+let mk_aggregate ctx ~id ~input ~group_by ~aggs ~mem =
   let schema =
     Aggregate.output_schema input.Plan.schema ~group_by ~aggs
   in
@@ -649,10 +607,10 @@ let mk_aggregate ctx ~input ~group_by ~aggs ~mem =
     else if group_by = [] then (1, op_ms 1)
     else choose_dop ctx op_ms
   in
-  mk_node ctx ~dop (Plan.Aggregate { input; group_by; aggs; pre_sorted })
+  mk_node ~id ~dop (Plan.Aggregate { input; group_by; aggs; pre_sorted })
     schema ~rows ~op_ms ~children:[ input ] ~min_mem ~max_mem ~mem
 
-let mk_sort ctx ~input ~keys ~mem =
+let mk_sort ctx ~id ~input ~keys ~mem =
   let in_est = input.Plan.est in
   let data_pages =
     Cost_model.pages ~rows:in_est.Plan.rows ~width:in_est.Plan.width
@@ -664,34 +622,34 @@ let mk_sort ctx ~input ~keys ~mem =
         Cost_model.sort_ms ~dop ~rows:in_est.Plan.rows ~data_pages
           ~mem_pages:mem)
   in
-  mk_node ctx ~dop (Plan.Sort { input; keys }) input.Plan.schema
+  mk_node ~id ~dop (Plan.Sort { input; keys }) input.Plan.schema
     ~rows:in_est.Plan.rows ~op_ms ~children:[ input ] ~min_mem ~max_mem ~mem
 
-let mk_filter ctx ~input ~pred =
+let mk_filter ctx ~id ~input ~pred =
   let in_est = input.Plan.est in
   let rows = in_est.Plan.rows *. sel ctx pred in
   let op_ms = Cost_model.cpu_ms ~rows:in_est.Plan.rows in
-  mk_node ctx (Plan.Filter { input; pred }) input.Plan.schema ~rows ~op_ms
+  mk_node ~id (Plan.Filter { input; pred }) input.Plan.schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
-let mk_project ctx ~input ~cols =
+let mk_project ~id ~input ~cols =
   let idxs = List.map (Schema.index_of input.Plan.schema) cols in
   let schema = Schema.project input.Plan.schema idxs in
   let rows = input.Plan.est.Plan.rows in
   let op_ms = Cost_model.cpu_ms ~rows in
-  mk_node ctx (Plan.Project { input; cols }) schema ~rows ~op_ms
+  mk_node ~id (Plan.Project { input; cols }) schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
-let mk_limit ctx ~input ~n =
+let mk_limit ~id ~input ~n =
   let rows = Float.min (float_of_int n) input.Plan.est.Plan.rows in
   let op_ms = Cost_model.cpu_ms ~rows in
-  mk_node ctx (Plan.Limit { input; n }) input.Plan.schema ~rows ~op_ms
+  mk_node ~id (Plan.Limit { input; n }) input.Plan.schema ~rows ~op_ms
     ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
-let mk_collect ctx ~input ~spec ~cid =
+let mk_collect ~id ~input ~spec ~cid =
   let rows = input.Plan.est.Plan.rows in
   let op_ms = Collector.estimated_cost_ms spec ~rows in
-  mk_node ctx (Plan.Collect { input; spec; cid }) input.Plan.schema ~rows
+  mk_node ~id (Plan.Collect { input; spec; cid }) input.Plan.schema ~rows
     ~op_ms ~children:[ input ] ~min_mem:0 ~max_mem:0 ~mem:0
 
 (* ------------------------------------------------------------------ *)
@@ -759,11 +717,10 @@ let index_bounds conjs col =
    every index with a usable bound, and full index scans on columns whose
    order is interesting further up (they cost more I/O but deliver sorted
    output for merge joins, streaming aggregation or ORDER BY). *)
-let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~interesting =
-  let filter = match local with [] -> None | l -> Some (Expr.conjoin l) in
+let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~filter ~interesting =
   let seq =
-    mk_seq_scan ctx ~table:rel.Stats_env.table ~alias:rel.Stats_env.alias
-      ~filter ~schema:rel.Stats_env.rel_schema
+    mk_seq_scan ctx ~id:(fresh_id ctx) ~table:rel.Stats_env.table
+      ~alias:rel.Stats_env.alias ~filter ~schema:rel.Stats_env.rel_schema
   in
   ctx.enumerated <- ctx.enumerated + 1;
   let ranged =
@@ -775,7 +732,7 @@ let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~interesting =
            ctx.enumerated <- ctx.enumerated + 1;
            let index_sel = sel ctx (Expr.conjoin used) in
            Some
-             (mk_index_scan ctx ~table:rel.Stats_env.table
+             (mk_index_scan ctx ~id:(fresh_id ctx) ~table:rel.Stats_env.table
                 ~alias:rel.Stats_env.alias ~index_col:col ~lo ~hi ~filter
                 ~schema:rel.Stats_env.rel_schema ~index_sel)
          end)
@@ -793,7 +750,7 @@ let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~interesting =
          else begin
            ctx.enumerated <- ctx.enumerated + 1;
            Some
-             (mk_index_scan ctx ~table:rel.Stats_env.table
+             (mk_index_scan ctx ~id:(fresh_id ctx) ~table:rel.Stats_env.table
                 ~alias:rel.Stats_env.alias ~index_col:col ~lo:None ~hi:None
                 ~filter ~schema:rel.Stats_env.rel_schema ~index_sel:1.0)
          end)
@@ -877,7 +834,8 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
   if n > 16 then raise (Planning_error "too many relations (max 16)");
   let alias_bits = Str_tbl.create 16 in
   List.iteri
-    (fun i (alias, _) ->
+    (fun i ((rel : Stats_env.rel_info), _, _) ->
+       let alias = rel.Stats_env.alias in
        if not (Str_tbl.mem alias_bits alias) then
          Str_tbl.add alias_bits alias (1 lsl i))
     rels;
@@ -894,13 +852,13 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
   in
   let buckets =
     (* any entry fills the unused slots: every relation has a scan *)
+    let _, _, paths = List.hd rels in
     Pareto.create ~buckets:(full + 1) ~n_orders:(List.length interesting)
-      ~dummy:(cand_of ctx (List.hd (snd (List.hd rels))))
+      ~dummy:(cand_of ctx (List.hd paths))
   in
-  let enter_cand mask orders c =
+  let enter mask orders c =
     Pareto.enter buckets mask c ~total:c.q.q_total ~orders
   in
-  let enter mask orders plan = enter_cand mask orders (cand_of ctx plan) in
   (* Every candidate the DP considers is counted and numbered, whether it
      is built, priced or skipped by the bound. *)
   let claim () =
@@ -923,7 +881,8 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     else []
   in
   (* The four join candidates.  Each bounds itself by its children's
-     totals (added in [price]'s fold order), then by its priced total. *)
+     totals (added in [mk_node]'s fold order), then by its priced total,
+     and only then builds its entry. *)
   let hash_join mask ~(build : cand) ~(probe : cand) ~keys ~extra ~jsel =
     let id = claim () in
     if Pareto.admits buckets mask (build.q.q_total +. probe.q.q_total) []
@@ -936,18 +895,10 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
         Pareto.admits buckets mask
           (op_ms +. build.q.q_total +. probe.q.q_total)
           []
-      then begin
-        let p =
-          hash_join_priced ctx ~build ~probe ~keys ~rf ~out_rows ~mem ~op_ms
-        in
-        enter_cand mask []
-          (cand_of_priced ctx p
-             ~schema_width:
-               (Schema.concat_width probe.schema_width build.schema_width)
-             (lazy
-               (build_hash_join ~id ~build:(Lazy.force build.plan)
-                  ~probe:(Lazy.force probe.plan) ~keys ~extra ~rf p)))
-      end
+      then
+        enter mask []
+          (hash_join_entry ctx ~id ~build ~probe ~keys ~extra ~rf ~out_rows
+             ~mem ~op_ms)
     end
   in
   let merge_join mask ~(left : cand) ~(right : cand) ~keys ~rf_keys ~extra
@@ -977,85 +928,60 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
           Pareto.admits buckets mask
             (op_ms +. left.q.q_total +. right.q.q_total)
             orders
-        then begin
-          let p =
-            merge_join_priced ~left ~right ~rf ~right_pages ~out_rows ~mem
-              ~op_ms
-          in
-          enter_cand mask orders
-            (cand_of_priced ctx p
-               ~schema_width:
-                 (Schema.concat_width left.schema_width right.schema_width)
-               (lazy
-                 (build_merge_join ~id ~left:(Lazy.force left.plan)
-                    ~right:(Lazy.force right.plan) ~keys ~extra ~left_sorted
-                    ~right_sorted ~rf p)))
-        end
+        then
+          enter mask orders
+            (merge_join_entry ctx ~id ~left ~right ~keys ~extra ~left_sorted
+               ~right_sorted ~rf ~out_rows ~mem ~op_ms)
       end
     end
   in
-  let block_nl_join mask ~(outer : Plan.t) ~(inner : Plan.t) ~pred ~pred_sel =
+  let block_nl_join mask ~(outer : cand) ~(inner : cand) ~pred ~pred_sel =
     let id = claim () in
-    if
-      Pareto.admits buckets mask
-        (outer.Plan.est.Plan.total_ms +. inner.Plan.est.Plan.total_ms)
-        []
+    if Pareto.admits buckets mask (outer.q.q_total +. inner.q.q_total) []
     then begin
-      let p = price_block_nl_join ctx ~outer ~inner ~pred_sel ~mem:0 in
-      if Pareto.admits buckets mask p.total_ms [] then
-        enter mask [] (build_block_nl_join ~id ~outer ~inner ~pred p)
+      let out_rows = outer.q.q_rows *. inner.q.q_rows *. pred_sel in
+      let mem =
+        Int.min
+          (snd (Cost_model.block_nl_join_mem ~outer_pages:outer.q.q_pages))
+          ctx.grant
+      in
+      let op_ms = block_nl_join_op_ms ~outer ~inner ~out_rows ~mem in
+      if
+        Pareto.admits buckets mask
+          (op_ms +. outer.q.q_total +. inner.q.q_total)
+          []
+      then
+        enter mask []
+          (block_nl_join_entry ctx ~id ~outer ~inner ~pred ~out_rows ~mem
+             ~op_ms)
     end
   in
-  let index_nl_join mask ~(outer : cand) ~orders ~table ~alias ~inner
-      ~outer_col ~inner_col ~inner_filter ~extra ~jsel ~inner_sel ~extra_sel =
+  let index_nl_join mask ~(outer : cand) ~orders inner k =
     let id = claim () in
     if Pareto.admits buckets mask outer.q.q_total orders then begin
-      let op_ms = index_nl_join_op_ms ~outer ~inner ~jsel ~inner_filter in
-      if Pareto.admits buckets mask (op_ms +. outer.q.q_total) orders then begin
-        let p =
-          index_nl_join_priced ~outer ~inner ~jsel ~inner_sel ~extra_sel ~op_ms
-        in
-        let inner_schema = inner.Stats_env.rel_schema in
-        enter_cand mask orders
-          (cand_of_priced ctx p
-             ~schema_width:
-               (Schema.concat_width outer.schema_width
-                  (Schema.avg_tuple_width inner_schema))
-             (lazy
-               (build_index_nl_join ~id ~outer:(Lazy.force outer.plan) ~table
-                  ~alias ~outer_col ~inner_col ~inner_filter ~extra
-                  ~inner_schema p)))
-      end
+      let op_ms = index_nl_join_op_ms ~outer inner k in
+      if Pareto.admits buckets mask (op_ms +. outer.q.q_total) orders then
+        enter mask orders (index_nl_join_entry ctx ~id ~outer inner k ~op_ms)
     end
   in
   (* Singletons: every access path is built and offered. *)
   List.iteri
-    (fun i (_, paths) ->
+    (fun i (_, _, paths) ->
        List.iter
-         (fun plan -> enter (1 lsl i) (slots_of (Plan.orders_of plan)) plan)
+         (fun plan ->
+            enter (1 lsl i) (slots_of (Plan.orders_of plan)) (cand_of ctx plan))
          paths)
     rels;
-  (* Scan parameters of a singleton's relation (any of its access paths). *)
-  let scan_info_of s2 =
-    if Pareto.is_empty buckets s2 then None
-    else
-      match (Lazy.force (Pareto.item buckets s2 0).plan).Plan.node with
-      | Plan.Seq_scan { table; alias; filter }
-      | Plan.Index_scan { table; alias; filter; _ } ->
-        Some (table, alias, filter)
-      | _ -> None
-  in
-  (* The inner side of an indexed nested-loops join, per singleton (by bit
-     index): its scan parameters, statistics and filter selectivity. *)
+  (* The inner side of an indexed nested-loops join, per relation (by bit
+     index). *)
   let inner_info =
-    Array.init n (fun i ->
-        if not options.enable_index_join then None
-        else
-          Option.map
-            (fun (table, alias, inner_filter) ->
-               let inner = Stats_env.rel ctx.env ~alias in
-               (table, alias, inner_filter, inner, sel_opt ctx inner_filter))
-            (scan_info_of (1 lsl i)))
+    Array.of_list
+      (List.map
+         (fun (rel, filter, _) ->
+            if options.enable_index_join then
+              Some { rel; filter; filter_sel = sel_opt ctx filter }
+            else None)
+         rels)
   in
   let rec bit_index m = if m = 1 then 0 else 1 + bit_index (m lsr 1) in
   (* An orientation's inner column is owned by the split's other side:
@@ -1063,8 +989,8 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
   let orient l r =
     let inner_indexed =
       match inner_info.(bit_index (bit_of (alias_owning ctx.env r))) with
-      | Some (_, _, _, inner, _) ->
-        List.exists (String.equal r) inner.Stats_env.indexed_cols
+      | Some inner ->
+        List.exists (String.equal r) inner.rel.Stats_env.indexed_cols
       | None -> false
     in
     { key = (l, r);
@@ -1194,13 +1120,11 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
               | _ -> (-1, -1)
             in
             let rf_keys = merge_rf_keys keys in
-            (* All of an indexed nested-loops join but the outer plan is
-               fixed per split and key: one candidate maker per indexed
-               key, applied to every left entry. *)
-            let index_joins =
-              match inner_side with
-              | None -> []
-              | Some (table, alias, inner_filter, inner, inner_sel) ->
+            (* the keys an indexed nested-loops join can probe, each
+               joined with every left entry *)
+            let index_keys =
+              if Option.is_none inner_side then []
+              else
                 List.filter_map
                   (fun { key = (outer_col, inner_col); key_sel = jsel;
                          inner_indexed; _ } ->
@@ -1224,12 +1148,9 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
                         | [] -> None
                         | l -> Some (Expr.conjoin l)
                       in
-                      let extra_sel = sel_opt ctx extra in
                       Some
-                        (fun outer orders ->
-                           index_nl_join mask ~outer ~orders ~table ~alias
-                             ~inner ~outer_col ~inner_col ~inner_filter ~extra
-                             ~jsel ~inner_sel ~extra_sel)
+                        { outer_col; inner_col; jsel; extra;
+                          extra_sel = sel_opt ctx extra }
                     end)
                   oriented
             in
@@ -1258,13 +1179,15 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
                   end
                   else
                     (* connected only through non-equi predicates *)
-                    block_nl_join mask ~outer:(Lazy.force left.plan)
-                      ~inner:(Lazy.force right.plan)
-                      ~pred:extra ~pred_sel:extra_sel
+                    block_nl_join mask ~outer:left ~inner:right ~pred:extra
+                      ~pred_sel:extra_sel
                 done;
-              List.iter
-                (fun index_join -> index_join left left_orders)
-                index_joins
+              match inner_side with
+              | Some inner ->
+                List.iter
+                  (index_nl_join mask ~outer:left ~orders:left_orders inner)
+                  index_keys
+              | None -> ()
             done
           end
         end;
@@ -1283,9 +1206,8 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
               | [] -> None
               | l -> Some (Expr.conjoin l)
             in
-            block_nl_join mask
-              ~outer:(Lazy.force (Pareto.item buckets !s1 0).plan)
-              ~inner:(Lazy.force (Pareto.item buckets s2 0).plan) ~pred
+            block_nl_join mask ~outer:(Pareto.item buckets !s1 0)
+              ~inner:(Pareto.item buckets s2 0) ~pred
               ~pred_sel:(sel_opt ctx pred)
           end;
           s1 := (!s1 - 1) land mask
@@ -1361,12 +1283,17 @@ let plan_query ctx options (q : Query.t) =
                 | _ -> None)
              local
          in
-         (r.Query.alias, access_paths ctx ~rel ~local:my_local ~interesting))
+         let filter =
+           match my_local with [] -> None | l -> Some (Expr.conjoin l)
+         in
+         ( rel,
+           filter,
+           access_paths ctx ~rel ~local:my_local ~filter ~interesting ))
       q.Query.relations
   in
   let candidates =
     match rels with
-    | [ (_, paths) ] -> paths
+    | [ (_, _, paths) ] -> paths
     | _ -> optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting
   in
   (* Complete each join candidate with aggregation / projection / ordering
@@ -1377,13 +1304,13 @@ let plan_query ctx options (q : Query.t) =
     let with_agg =
       if q.Query.aggs = [] && q.Query.group_by = [] then joined
       else
-        mk_aggregate ctx ~input:joined ~group_by:q.Query.group_by
-          ~aggs:(agg_specs q) ~mem:0
+        mk_aggregate ctx ~id:(fresh_id ctx) ~input:joined
+          ~group_by:q.Query.group_by ~aggs:(agg_specs q) ~mem:0
     in
     let with_having =
       match q.Query.having with
       | None -> with_agg
-      | Some pred -> mk_filter ctx ~input:with_agg ~pred
+      | Some pred -> mk_filter ctx ~id:(fresh_id ctx) ~input:with_agg ~pred
     in
     (* Sort before projecting: ORDER BY may reference columns that are not
        in the SELECT list, and projection preserves row order. *)
@@ -1392,16 +1319,17 @@ let plan_query ctx options (q : Query.t) =
       | [] -> with_having
       | [ (c, true) ] when List.mem c (Plan.orders_of with_having) ->
         with_having (* order already delivered: sort elided *)
-      | keys -> mk_sort ctx ~input:with_having ~keys ~mem:0
+      | keys -> mk_sort ctx ~id:(fresh_id ctx) ~input:with_having ~keys ~mem:0
     in
     let with_project =
       if q.Query.aggs = [] && q.Query.group_by = [] then
-        mk_project ctx ~input:with_sort ~cols:q.Query.select_cols
+        mk_project ~id:(fresh_id ctx) ~input:with_sort
+          ~cols:q.Query.select_cols
       else with_sort
     in
     match q.Query.limit with
     | None -> with_project
-    | Some n -> mk_limit ctx ~input:with_project ~n
+    | Some n -> mk_limit ~id:(fresh_id ctx) ~input:with_project ~n
   in
   match List.map complete candidates with
   | [] -> raise (Planning_error "no plan produced")
@@ -1428,63 +1356,111 @@ let optimize ?(options = default_options) ?clock ?model:_ ~env q =
 let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
     ?memo ~env plan =
   let ctx = make_ctx ~planning_mem ~max_dop ?memo ~env () in
+  let built (c : cand) = Lazy.force c.plan in
   let rec go (p : Plan.t) =
-    let keep_mem = p.Plan.mem in
-    let rebuilt =
-      match p.Plan.node with
-      | Plan.Seq_scan { table; alias; filter } ->
-        mk_seq_scan ctx ~table ~alias ~filter ~schema:p.Plan.schema
-      | Plan.Index_scan { table; alias; index_col; lo; hi; filter } ->
-        let used_sel =
-          (* selectivity of the bound constraints alone *)
-          let conj_of_bound =
-            let col = Expr.Col index_col in
-            let lo_e =
-              Option.map
-                (fun (v, incl) ->
-                   Expr.Cmp ((if incl then Expr.Ge else Expr.Gt), col, Expr.Const v))
-                lo
-            in
-            let hi_e =
-              Option.map
-                (fun (v, incl) ->
-                   Expr.Cmp ((if incl then Expr.Le else Expr.Lt), col, Expr.Const v))
-                hi
-            in
-            Expr.conjoin (List.filter_map Fun.id [ lo_e; hi_e ])
+    let id = p.Plan.id and keep_mem = p.Plan.mem in
+    match p.Plan.node with
+    | Plan.Seq_scan { table; alias; filter } ->
+      mk_seq_scan ctx ~id ~table ~alias ~filter ~schema:p.Plan.schema
+    | Plan.Index_scan { table; alias; index_col; lo; hi; filter } ->
+      let used_sel =
+        (* selectivity of the bound constraints alone *)
+        let conj_of_bound =
+          let col = Expr.Col index_col in
+          let lo_e =
+            Option.map
+              (fun (v, incl) ->
+                 Expr.Cmp
+                   ((if incl then Expr.Ge else Expr.Gt), col, Expr.Const v))
+              lo
           in
-          sel ctx conj_of_bound
+          let hi_e =
+            Option.map
+              (fun (v, incl) ->
+                 Expr.Cmp
+                   ((if incl then Expr.Le else Expr.Lt), col, Expr.Const v))
+              hi
+          in
+          Expr.conjoin (List.filter_map Fun.id [ lo_e; hi_e ])
         in
-        mk_index_scan ctx ~table ~alias ~index_col ~lo ~hi ~filter
-          ~schema:p.Plan.schema ~index_sel:used_sel
-      | Plan.Hash_join { build; probe; keys; extra; rf } ->
-        mk_hash_join ctx ~build:(go build) ~probe:(go probe) ~keys ~extra
-          ~jsel:(join_sel ctx ~keys ~extra) ~mem:keep_mem ~with_rf:(rf <> [])
-      | Plan.Index_nl_join
-          { outer; table; alias; outer_col; inner_col; inner_filter; extra } ->
-        mk_index_nl_join ctx ~outer:(go outer) ~table ~alias ~outer_col
-          ~inner_col ~inner_filter ~extra
-      | Plan.Block_nl_join { outer; inner; pred } ->
-        mk_block_nl_join ctx ~outer:(go outer) ~inner:(go inner) ~pred
-          ~pred_sel:(sel_opt ctx pred) ~mem:keep_mem
-      | Plan.Merge_join { left; right; keys; extra; rf; _ } ->
-        let left = go left and right = go right in
-        let left_sorted, right_sorted = merge_sorted ~left ~right ~keys in
-        mk_merge_join ctx ~left ~right ~keys ~extra
-          ~jsel:(join_sel ctx ~keys ~extra) ~left_sorted ~right_sorted
-          ~mem:keep_mem ~with_rf:(rf <> [])
-      | Plan.Aggregate { input; group_by; aggs; _ } ->
-        mk_aggregate ctx ~input:(go input) ~group_by ~aggs ~mem:keep_mem
-      | Plan.Sort { input; keys } ->
-        mk_sort ctx ~input:(go input) ~keys ~mem:keep_mem
-      | Plan.Project { input; cols } -> mk_project ctx ~input:(go input) ~cols
-      | Plan.Filter { input; pred } -> mk_filter ctx ~input:(go input) ~pred
-      | Plan.Limit { input; n } -> mk_limit ctx ~input:(go input) ~n
-      | Plan.Collect { input; spec; cid } ->
-        mk_collect ctx ~input:(go input) ~spec ~cid
-      | Plan.Materialized _ -> p
-    in
-    { rebuilt with Plan.id = p.Plan.id }
+        sel ctx conj_of_bound
+      in
+      mk_index_scan ctx ~id ~table ~alias ~index_col ~lo ~hi ~filter
+        ~schema:p.Plan.schema ~index_sel:used_sel
+    | Plan.Hash_join { build; probe; keys; extra; rf } ->
+      let build = go build and probe = go probe in
+      let rf = rf_annotations ctx ~with_rf:(rf <> []) ~build ~probe ~keys in
+      let build = cand_of ctx build and probe = cand_of ctx probe in
+      let out_rows =
+        build.q.q_rows *. probe.q.q_rows *. join_sel ctx ~keys ~extra
+      in
+      let mem = effective_mem ctx ~mem:keep_mem ~max_mem:build.hash_max in
+      built
+        (hash_join_entry ctx ~id ~build ~probe ~keys ~extra ~rf ~out_rows ~mem
+           ~op_ms:(hash_join_op_ms ctx ~build ~probe ~keys ~rf ~out_rows ~mem))
+    | Plan.Index_nl_join
+        { outer; alias; outer_col; inner_col; inner_filter; extra; _ } ->
+      let outer = cand_of ctx (go outer) in
+      let inner =
+        { rel = Stats_env.rel ctx.env ~alias;
+          filter = inner_filter;
+          filter_sel = sel_opt ctx inner_filter }
+      in
+      let k =
+        { outer_col;
+          inner_col;
+          jsel = equijoin_sel ctx ~left:outer_col ~right:inner_col;
+          extra;
+          extra_sel = sel_opt ctx extra }
+      in
+      built
+        (index_nl_join_entry ctx ~id ~outer inner k
+           ~op_ms:(index_nl_join_op_ms ~outer inner k))
+    | Plan.Block_nl_join { outer; inner; pred } ->
+      let outer = cand_of ctx (go outer) and inner = cand_of ctx (go inner) in
+      let out_rows = outer.q.q_rows *. inner.q.q_rows *. sel_opt ctx pred in
+      let mem =
+        effective_mem ctx ~mem:keep_mem
+          ~max_mem:
+            (snd (Cost_model.block_nl_join_mem ~outer_pages:outer.q.q_pages))
+      in
+      built
+        (block_nl_join_entry ctx ~id ~outer ~inner ~pred ~out_rows ~mem
+           ~op_ms:(block_nl_join_op_ms ~outer ~inner ~out_rows ~mem))
+    | Plan.Merge_join { left; right; keys; extra; rf; _ } ->
+      let left = go left and right = go right in
+      let left_sorted, right_sorted = merge_sorted ~left ~right ~keys in
+      let rf =
+        rf_annotations ctx ~with_rf:(rf <> []) ~build:left ~probe:right
+          ~keys:(merge_rf_keys keys)
+      in
+      let left = cand_of ctx left and right = cand_of ctx right in
+      let out_rows =
+        left.q.q_rows *. right.q.q_rows *. join_sel ctx ~keys ~extra
+      in
+      let right_pages =
+        filtered_pages right.q rf ~rows:(filtered_rows right.q rf)
+      in
+      let mem =
+        effective_mem ctx ~mem:keep_mem
+          ~max_mem:(merge_join_max_mem ~left ~right ~rf ~right_pages)
+      in
+      built
+        (merge_join_entry ctx ~id ~left ~right ~keys ~extra ~left_sorted
+           ~right_sorted ~rf ~out_rows ~mem
+           ~op_ms:
+             (merge_join_op_ms ctx ~left ~right ~rf ~out_rows ~mem
+                ~left_sorted ~right_sorted))
+    | Plan.Aggregate { input; group_by; aggs; _ } ->
+      mk_aggregate ctx ~id ~input:(go input) ~group_by ~aggs ~mem:keep_mem
+    | Plan.Sort { input; keys } ->
+      mk_sort ctx ~id ~input:(go input) ~keys ~mem:keep_mem
+    | Plan.Project { input; cols } -> mk_project ~id ~input:(go input) ~cols
+    | Plan.Filter { input; pred } -> mk_filter ctx ~id ~input:(go input) ~pred
+    | Plan.Limit { input; n } -> mk_limit ~id ~input:(go input) ~n
+    | Plan.Collect { input; spec; cid } ->
+      mk_collect ~id ~input:(go input) ~spec ~cid
+    | Plan.Materialized _ -> p
   in
   go plan
 

@@ -264,6 +264,46 @@ let test_recost_reads_leaf_width () =
     in
     Alcotest.(check int) "demand from the leaf's width" max_mem j.Plan.max_mem
 
+(* Re-costing a plan under the environment it was planned in changes
+   nothing: the DP and [recost] build and price every node by the same
+   constructors, so each benchmark query under each option variant of
+   test/opt_golden.ml keeps its plan text and every node's id and
+   estimates bit for bit.  The dispatcher relies on it: it grants memory
+   on the plan SCIA instruments without re-costing it first. *)
+let test_recost_in_planning_env_is_identity () =
+  let catalog = Mqr_tpcd.Workload.experiment_catalog ~sf:0.005 () in
+  let d = Optimizer.default_options in
+  let variants =
+    [ ("default", d);
+      ("rf", { d with Optimizer.enable_runtime_filters = true });
+      ("dop4", { d with Optimizer.max_dop = 4 });
+      ("no-bushy", { d with Optimizer.enable_bushy = false });
+      ("no-merge", { d with Optimizer.enable_merge_join = false });
+      ("no-index", { d with Optimizer.enable_index_join = false });
+      ("mem8", { d with Optimizer.planning_mem_pages = 8 }) ]
+  in
+  List.iter
+    (fun (q : Mqr_tpcd.Queries.query) ->
+       let query = Query.bind catalog (Parser.parse q.Mqr_tpcd.Queries.sql) in
+       List.iter
+         (fun (name, (options : Optimizer.options)) ->
+            let env = Stats_env.create catalog query.Query.relations in
+            let plan =
+              (Optimizer.optimize ~options ~env query).Optimizer.plan
+            in
+            let recosted =
+              Optimizer.recost
+                ~planning_mem:options.Optimizer.planning_mem_pages
+                ~max_dop:options.Optimizer.max_dop ~env plan
+            in
+            let label = q.Mqr_tpcd.Queries.name ^ " " ^ name in
+            Alcotest.(check string) (label ^ " plan") (Plan.to_string plan)
+              (Plan.to_string recosted);
+            Alcotest.(check string) (label ^ " estimates")
+              (estimate_digest plan) (estimate_digest recosted))
+         variants)
+    Mqr_tpcd.Queries.all
+
 let test_planning_error_on_unknown_column () =
   let catalog = fixture () in
   Alcotest.(check bool) "bind rejects unknown col" true
@@ -852,6 +892,8 @@ let suite =
     Alcotest.test_case "recost with override" `Quick test_recost_with_override_changes_estimate;
     Alcotest.test_case "recost memo sees an override" `Quick test_recost_memo_sees_override;
     Alcotest.test_case "recost reads a leaf's width" `Quick test_recost_reads_leaf_width;
+    Alcotest.test_case "recost in the planning environment is the identity"
+      `Quick test_recost_in_planning_env_is_identity;
     Alcotest.test_case "unknown column" `Quick test_planning_error_on_unknown_column;
     Alcotest.test_case "opt calibration monotone" `Quick test_estimated_opt_ms_monotone;
     Alcotest.test_case "disable index join" `Quick test_options_disable_index_join;
