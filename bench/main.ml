@@ -5,6 +5,8 @@
      dune exec bench/main.exe            -- everything (figures, extensions)
      dune exec bench/main.exe -- figures -- just the paper figures (F10 F11 F12)
      dune exec bench/main.exe -- f10     -- one experiment
+     dune exec bench/main.exe -- diff OLD.json NEW.json
+                                         -- the sim and count points that moved
 
    Only a run that includes [all] (the default) rewrites
    BENCH_results.json; a partial run prints its tables and leaves the
@@ -1573,6 +1575,120 @@ let dml_scenario () =
     [ "lineitem"; "orders" ]
 
 (* ------------------------------------------------------------------ *)
+(* diff OLD NEW: what moved between two BENCH_results.json files, as
+   [emit_json] writes them.  Every deterministic point (sim and count
+   clocks, minor words excluded) whose value differs, by scenario, then
+   every Figure 10-12 improvement over off mode that differs.  Wall and
+   minor-word points move on every run and are skipped.  A point is
+   matched by scenario, mode, metric, stat and how many points with
+   those came before it in the file.  Exits 1 when anything moved. *)
+
+let read_points file =
+  let ic = open_in file in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+    | line ->
+      let point =
+        try
+          Scanf.sscanf line
+            " {\"scenario\": %S, \"mode\": %S, \"metric\": %S, \"clock\": \
+             %S, \"unit\": %S, \"value\": %s@, \"stat\": %S, \"n\": %d}"
+            (fun scenario mode metric clock unit_ value stat _ ->
+               if clock = "wall" || unit_ = "words" then None
+               else Some ((scenario, mode, metric, stat), (unit_, value)))
+        with Scanf.Scan_failure _ | End_of_file -> None
+      in
+      go (match point with Some p -> p :: acc | None -> acc)
+  in
+  let seen = Hashtbl.create 1024 in
+  List.map
+    (fun (key, v) ->
+       let k = Option.value ~default:0 (Hashtbl.find_opt seen key) in
+       Hashtbl.replace seen key (k + 1);
+       ((key, k), v))
+    (go [])
+
+(* Figures 10-12: each mode's gain over off mode, in percent of off *)
+let improvements points =
+  let elapsed = Hashtbl.create 64 in
+  List.iter
+    (fun (((scenario, mode, metric, _), _), (_, value)) ->
+       if
+         metric = "elapsed"
+         && List.exists
+              (fun prefix -> String.starts_with ~prefix scenario)
+              [ "f10/"; "f11/"; "f12/" ]
+       then Hashtbl.replace elapsed (scenario, mode) (float_of_string value))
+    points;
+  Hashtbl.fold
+    (fun (scenario, mode) ms acc ->
+       match Hashtbl.find_opt elapsed (scenario, "off") with
+       | Some off when mode <> "off" ->
+         ((scenario, mode), 100.0 *. (off -. ms) /. off) :: acc
+       | _ -> acc)
+    elapsed []
+
+let diff_results old_file new_file =
+  let old_points = read_points old_file and new_points = read_points new_file in
+  let only_in points others before_after =
+    List.filter_map
+      (fun (key, (unit_, v)) ->
+         if List.mem_assoc key others then None
+         else Some (key, unit_, before_after v))
+      points
+  in
+  let moved =
+    List.filter_map
+      (fun (key, (unit_, v)) ->
+         match List.assoc_opt key old_points with
+         | Some (_, v') when v' <> v -> Some (key, unit_, (v', v))
+         | _ -> None)
+      new_points
+    @ only_in new_points old_points (fun v -> ("-", v))
+    @ only_in old_points new_points (fun v -> (v, "-"))
+  in
+  ignore
+    (List.fold_left
+       (fun last (((scenario, mode, metric, stat), _), unit_, (old, now)) ->
+          if last <> Some scenario then Fmt.pr "%s@." scenario;
+          Fmt.pr "  %-14s %-24s %-7s %s -> %s %s@." mode metric stat old now
+            unit_;
+          Some scenario)
+       None
+       (List.stable_sort
+          (fun (((a, _, _, _), _), _, _) (((b, _, _, _), _), _, _) ->
+             String.compare a b)
+          moved));
+  Fmt.pr "%d of %d sim and count points moved@." (List.length moved)
+    (List.length new_points);
+  let old_gains = improvements old_points
+  and new_gains = improvements new_points in
+  let gains =
+    List.sort compare
+      (List.filter_map
+         (fun (key, gain) ->
+            match List.assoc_opt key old_gains with
+            | Some before when Float.equal before gain -> None
+            | before -> Some (key, before, gain))
+         new_gains)
+  in
+  List.iter
+    (fun ((scenario, mode), before, gain) ->
+       match before with
+       | Some before ->
+         Fmt.pr "%-18s %-14s improvement %.1f%% -> %.1f%% (%+.1f points)@."
+           scenario mode before gain (gain -. before)
+       | None ->
+         Fmt.pr "%-18s %-14s improvement %.1f%% (new)@." scenario mode gain)
+    gains;
+  Fmt.pr "%d of %d f10-f12 improvements moved@." (List.length gains)
+    (List.length new_gains);
+  exit (if moved = [] && gains = [] then 0 else 1)
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("f10", figure10); ("f11", figure11); ("f12", figure12); ("xfig3", xfig3);
@@ -1586,7 +1702,14 @@ let experiments =
 
 let () =
   let which =
-    match List.tl (Array.to_list Sys.argv) with [] -> [ "all" ] | l -> l
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> [ "all" ]
+    | [ "diff"; old_file; new_file ] -> diff_results old_file new_file
+    | "diff" :: _ ->
+      Fmt.epr "usage: main.exe diff OLD/BENCH_results.json \
+               NEW/BENCH_results.json@.";
+      exit 2
+    | l -> l
   in
   List.iter
     (fun name ->

@@ -6,6 +6,16 @@ type index = {
   mutable tree : Btree.t option;  (* [None] while stale *)
 }
 
+type scan_summary = {
+  range : (Value.t * Value.t) option;
+  nulls : int;
+  distinct : float option;
+  histogram : (Mqr_stats.Histogram.t * (string * float) list option) option;
+}
+
+(* each heap column's summary, all kept at heap generation [generation] *)
+type summaries = { generation : int; columns : scan_summary option array }
+
 type table = {
   name : string;
   heap : Heap_file.t;
@@ -16,6 +26,7 @@ type table = {
   mutable updates_since_analyze : int;
   mutable stats_epoch : int;
   temp : bool;
+  mutable summaries : summaries;
 }
 
 type t = { tbls : (string, table) Hashtbl.t }
@@ -34,7 +45,8 @@ let add ~temp t name heap =
       indexes = [];
       updates_since_analyze = 0;
       stats_epoch = 0;
-      temp }
+      temp;
+      summaries = { generation = -1; columns = [||] } }
   in
   Hashtbl.replace t.tbls name table;
   table
@@ -54,6 +66,18 @@ let drop_table t name = Hashtbl.remove t.tbls name
 let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.tbls []
 
 let version tbl = (tbl.updates_since_analyze, tbl.stats_epoch)
+
+let scan_summary tbl i =
+  if tbl.summaries.generation <> Heap_file.generation tbl.heap then None
+  else tbl.summaries.columns.(i)
+
+let keep_scan_summary tbl i summary =
+  let generation = Heap_file.generation tbl.heap in
+  if tbl.summaries.generation <> generation then
+    tbl.summaries <-
+      { generation;
+        columns = Array.make (Schema.arity (Heap_file.schema tbl.heap)) None };
+  tbl.summaries.columns.(i) <- Some summary
 
 let column_index table name =
   let schema = Heap_file.schema table.heap in

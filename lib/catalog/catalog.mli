@@ -14,6 +14,22 @@ open Mqr_storage
     through {!insert_row}, which extends only built trees. *)
 type index
 
+(** One column's statistics over every row of a table's heap, in rid
+    order, as a statistics collector computes them
+    ({!Mqr_exec.Collector.collect_table}): the (min, max) of its non-null
+    values, its null count and, once a collector asked for them, its
+    distinct estimate and its histogram (scaled to the non-null count)
+    with the sample's string dictionary.  It holds no row. *)
+type scan_summary = {
+  range : (Value.t * Value.t) option;
+  nulls : int;
+  distinct : float option;
+  histogram : (Mqr_stats.Histogram.t * (string * float) list option) option;
+}
+
+(** The summaries of a table's columns, for one generation of its heap. *)
+type summaries
+
 type table = {
   name : string;
   heap : Heap_file.t;
@@ -36,6 +52,7 @@ type table = {
           intermediate result (exact cardinality, min/max) or inherited
           from a sample-based collector, so their bucket and distinct
           counts are not exact *)
+  mutable summaries : summaries;  (** see {!scan_summary} *)
 }
 
 type t
@@ -61,6 +78,15 @@ val tables : t -> table list
     statistic) records, and compares later to see whether the table's
     contents or statistics moved since. *)
 val version : table -> int * int
+
+(** [scan_summary table i] is heap column [i]'s summary, when one was
+    kept at the heap's current {!Heap_file.generation}. *)
+val scan_summary : table -> int -> scan_summary option
+
+(** [keep_scan_summary table i s] keeps [s] as heap column [i]'s summary
+    at the heap's current generation, dropping first every summary kept
+    at an earlier one. *)
+val keep_scan_summary : table -> int -> scan_summary -> unit
 
 (** Recompute every column's statistics (and believed sizes) from the heap.
     [kind] picks the histogram kind stored for all columns (default

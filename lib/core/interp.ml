@@ -830,17 +830,28 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     let rows = Leaf.length leaf in
     (* an unfiltered full scan yields the relation's exact cardinality —
        a statistic worth keeping beyond the query (Section 2.6) *)
-    (match input.Plan.node with
-     | Plan.Seq_scan { alias; filter = None; _ } ->
-       st.observed_cards <-
-         (alias, rows)
-         :: List.remove_assoc alias st.observed_cards
-     | _ -> ());
+    let full_scan =
+      match input.Plan.node with
+      | Plan.Seq_scan { table; alias; filter = None } ->
+        st.observed_cards <-
+          (alias, rows)
+          :: List.remove_assoc alias st.observed_cards;
+        Some (Catalog.find_exn st.cfg.catalog table)
+      | _ -> None
+    in
     let ctok =
       span_open st ~cat:"collector" (Printf.sprintf "collect#%d" cid)
     in
     let c0 = Sim_clock.snapshot ctx.Exec_ctx.clock in
-    let obs = Collector.collect ctx schema spec leaf in
+    (* over a base table's full scan, the observation depends only on
+       the table's rows: its columns' summaries are computed once per
+       heap generation and reused, at the same charge *)
+    let obs =
+      match full_scan with
+      | Some tbl when not tbl.Catalog.temp ->
+        Collector.collect_table ctx schema spec tbl
+      | _ -> Collector.collect ctx schema spec leaf
+    in
     let collect_ms = Sim_clock.since ctx.Exec_ctx.clock c0 in
     st.collector_ms <- st.collector_ms +. collect_ms;
     span_close st ctok

@@ -4,6 +4,7 @@ module Reservoir = Mqr_stats.Reservoir
 module Distinct = Mqr_stats.Distinct
 module Column_pass = Mqr_stats.Column_pass
 module Column_stats = Mqr_catalog.Column_stats
+module Catalog = Mqr_catalog.Catalog
 
 (* Histograms are 32-bucket MaxDiff, built from a one-page reservoir
    sample. *)
@@ -45,7 +46,7 @@ let range_columns schema columns =
     (fun name -> Option.map (fun i -> (name, i)) (List.assoc_opt name index))
     (List.sort_uniq String.compare columns)
 
-(* One column at a time, through the leaf's positions: each column's
+(* Column [i]'s pass over the leaf, through its positions: the column's
    statistics see its values in row order, and share no state with
    another column's.  On a coded column only the first row of each code
    feeds min/max and the distinct counters, which already hold every
@@ -55,33 +56,30 @@ let range_columns schema columns =
    Date payload, or the same box), which changes nothing either: rows
    that arrive in key order repeat their keys in runs.  Nulls are still
    counted one by one. *)
-let run_passes leaf passes =
+let run_pass leaf i pass =
   let base = Leaf.base leaf in
-  List.iter
-    (fun (i, pass) ->
-       match Leaf.column leaf i with
-       | None ->
-         let prev = ref Value.Null in
-         Leaf.iter leaf (fun r ->
-             let v = base.(r).(i) in
-             match v, !prev with
-             | Value.Null, _ -> Column_pass.add pass v
-             | Value.Int x, Value.Int y | Value.Date x, Value.Date y
-               when x = y -> ()
-             | _, p when v == p -> ()
-             | _ ->
-               prev := v;
-               Column_pass.add pass v)
-       | Some c ->
-         let seen = Bytes.make (Heap_file.code_count c) '\000' in
-         Leaf.iter leaf (fun r ->
-             let code = Heap_file.code c r in
-             if code = 0 then Column_pass.add pass Value.Null
-             else if Bytes.get seen code = '\000' then begin
-               Bytes.set seen code '\001';
-               Column_pass.add pass base.(r).(i)
-             end))
-    passes
+  match Leaf.column leaf i with
+  | None ->
+    let prev = ref Value.Null in
+    Leaf.iter leaf (fun r ->
+        let v = base.(r).(i) in
+        match v, !prev with
+        | Value.Null, _ -> Column_pass.add pass v
+        | Value.Int x, Value.Int y | Value.Date x, Value.Date y
+          when x = y -> ()
+        | _, p when v == p -> ()
+        | _ ->
+          prev := v;
+          Column_pass.add pass v)
+  | Some c ->
+    let seen = Bytes.make (Heap_file.code_count c) '\000' in
+    Leaf.iter leaf (fun r ->
+        let code = Heap_file.code c r in
+        if code = 0 then Column_pass.add pass Value.Null
+        else if Bytes.get seen code = '\000' then begin
+          Bytes.set seen code '\001';
+          Column_pass.add pass base.(r).(i)
+        end)
 
 (* Column [i]'s cells at the 0-based ordinals [ords], slot by slot,
    counting only the leaf's non-null cells, in [Leaf.iter] order.
@@ -113,73 +111,96 @@ let gather leaf i ~nulls ords =
     sample
   end
 
-(* (min, max) of each (name, index) target, from its column's pass *)
-let target_ranges targets passes =
+let ranges schema ~columns rows =
+  let leaf = Leaf.of_rows rows in
   List.filter_map
     (fun (name, i) ->
-       Option.map (fun r -> (name, r)) (Column_pass.range (List.assoc i passes)))
-    targets
+       let pass = Column_pass.create () in
+       run_pass leaf i pass;
+       Option.map (fun r -> (name, r)) (Column_pass.range pass))
+    (range_columns schema columns)
 
-let ranges schema ~columns rows =
-  let targets = range_columns schema columns in
-  let passes = List.map (fun (_, i) -> (i, Column_pass.create ())) targets in
-  run_passes (Leaf.of_rows rows) passes;
-  target_ranges targets passes
-
-let collect ctx schema s leaf =
-  let clock = ctx.Exec_ctx.clock in
-  let n = Leaf.length leaf in
-  (* Requested statistics. *)
-  let hist_targets = List.map (fun c -> (c, Schema.index_of schema c)) s.hist_cols in
-  let distinct_targets =
-    List.map (fun c -> (c, Schema.index_of schema c, Distinct.create ())) s.distinct_cols
+(* Column [i]'s summary over the leaf's rows, with its distinct
+   estimate when [distinct] and its histogram when [hist].  It is [have],
+   a summary of the same column over the same rows, when that holds
+   both, else [have] with what it lacks; only then is the leaf read.
+   One pass feeds min/max, the null count and the distinct counter; a
+   histogram column's sample is then the one a reservoir fed its
+   non-null cells in order would hold. *)
+let summarize ?have leaf i ~hist ~distinct =
+  let s =
+    match (have : Catalog.scan_summary option) with
+    | Some s when (not distinct) || s.distinct <> None -> s
+    | _ ->
+      let counter = if distinct then Some (Distinct.create ()) else None in
+      let pass =
+        Column_pass.create ?distincts:(Option.map (fun d -> [ d ]) counter) ()
+      in
+      run_pass (Lazy.force leaf) i pass;
+      { range = Column_pass.range pass;
+        nulls = Column_pass.nulls pass;
+        distinct = Option.map Distinct.estimate counter;
+        histogram = Option.bind have (fun s -> s.histogram) }
   in
-  let range_targets = range_columns schema (spec_columns s) in
-  (* one pass per column, fed by one read of each row: each value is read
-     once and feeds its column's min/max and every distinct counter on
-     it, which share no state *)
-  let passes =
+  if (not hist) || s.histogram <> None then s
+  else begin
+    let leaf = Lazy.force leaf in
+    let seen = Leaf.length leaf - s.nulls in
+    let ords = Reservoir.positions ~capacity:sample_size seen in
+    let data, dict = Column_stats.encode (gather leaf i ~nulls:s.nulls ords) in
+    let h = Histogram.build Histogram.Maxdiff ~buckets:hist_buckets data in
+    { s with histogram = Some (Histogram.scale h (float_of_int seen), dict) }
+  end
+
+(* The observation of [n] rows under [s], charged to the clock, from
+   [summary i ~hist ~distinct], column [i]'s summary over those rows. *)
+let observe ctx schema s ~n summary =
+  let targets cols = List.map (fun c -> (c, Schema.index_of schema c)) cols in
+  let hist_targets = targets s.hist_cols
+  and distinct_targets = targets s.distinct_cols
+  and range_targets = range_columns schema (spec_columns s) in
+  let asks targets i = List.exists (fun (_, j) -> i = j) targets in
+  let summaries =
     List.map
       (fun i ->
          ( i,
-           Column_pass.create
-             ~distincts:
-               (List.filter_map
-                  (fun (_, j, d) -> if i = j then Some d else None)
-                  distinct_targets)
-             () ))
+           summary i ~hist:(asks hist_targets i)
+             ~distinct:(asks distinct_targets i) ))
       (List.sort_uniq Int.compare
-         (List.map snd hist_targets
-          @ List.map (fun (_, i, _) -> i) distinct_targets
-          @ List.map snd range_targets))
+         (List.map snd (hist_targets @ distinct_targets @ range_targets)))
   in
-  run_passes leaf passes;
-  Sim_clock.charge_cpu_ms clock (estimated_cost_ms s ~rows:(float_of_int n));
-  let dicts = ref [] in
+  Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
+    (estimated_cost_ms s ~rows:(float_of_int n));
+  let of_targets f =
+    List.filter_map (fun (c, i) ->
+        Option.map (fun v -> (c, v)) (f (List.assoc i summaries)))
+  in
   let histograms =
-    List.map
-      (fun (c, i) ->
-         (* the sample a reservoir fed the column's non-null cells in
-            order would hold *)
-         let nulls = Column_pass.nulls (List.assoc i passes) in
-         let seen = n - nulls in
-         let sample =
-           gather leaf i ~nulls (Reservoir.positions ~capacity:sample_size seen)
-         in
-         let data, dict = Column_stats.encode sample in
-         Option.iter (fun d -> dicts := (c, d) :: !dicts) dict;
-         let h = Histogram.build Histogram.Maxdiff ~buckets:hist_buckets data in
-         (c, Histogram.scale h (float_of_int seen)))
-      hist_targets
-  in
-  let distincts =
-    List.map (fun (c, _, d) -> (c, Distinct.estimate d)) distinct_targets
+    of_targets (fun (s : Catalog.scan_summary) -> s.histogram) hist_targets
   in
   { rows = n;
-    col_ranges = target_ranges range_targets passes;
-    histograms;
-    distincts;
-    dicts = !dicts }
+    col_ranges = of_targets (fun s -> s.range) range_targets;
+    histograms = List.map (fun (c, (h, _)) -> (c, h)) histograms;
+    distincts = of_targets (fun s -> s.distinct) distinct_targets;
+    dicts =
+      List.rev
+        (List.filter_map
+           (fun (c, (_, dict)) -> Option.map (fun d -> (c, d)) dict)
+           histograms) }
+
+let collect ctx schema s leaf =
+  observe ctx schema s ~n:(Leaf.length leaf) (summarize (Lazy.from_val leaf))
+
+let collect_table ctx schema s (tbl : Catalog.table) =
+  let leaf = lazy (Leaf.of_heap tbl.heap) in
+  observe ctx schema s ~n:(Heap_file.tuple_count tbl.heap)
+    (fun i ~hist ~distinct ->
+       let have = Catalog.scan_summary tbl i in
+       let s = summarize ?have leaf i ~hist ~distinct in
+       (match have with
+        | Some h when h == s -> ()
+        | _ -> Catalog.keep_scan_summary tbl i s);
+       s)
 
 let column_stats_of_observed obs ~column =
   let range = List.assoc_opt column obs.col_ranges in

@@ -6,9 +6,10 @@
     histograms are built from a one-page reservoir sample (Vitter [24],
     applied as in Poosala–Ioannidis [19]); requested distinct counts use
     probabilistic counting (Flajolet–Martin [6]) with an exact fast path.
-    One read of each row feeds every tracked column's
-    {!Mqr_stats.Column_pass}, which offers the value to the column's
-    min/max and every distinct counter on it, and counts its nulls.  A
+    The statistics are computed one tracked column at a time: one read
+    of the column's cells feeds its {!Mqr_stats.Column_pass}, which
+    offers each value to the column's min/max and distinct counter, and
+    counts its nulls.  A
     histogram column's sample is then read from the rows at the ordinals
     {!Mqr_stats.Reservoir.positions} schedules for its non-null count:
     the sample a reservoir fed those values in order would hold.  Only
@@ -53,6 +54,23 @@ type observed = {
     only its codes on later rows; the observation is that of
     [Leaf.of_rows (Leaf.rows leaf)]. *)
 val collect : Exec_ctx.t -> Schema.t -> spec -> Leaf.t -> observed
+
+(** [collect_table ctx schema spec table] is [collect ctx schema spec
+    (Leaf.of_heap table.heap)], the collector over a full scan of a base
+    table ([schema] is the scan's), computed once per version of the
+    table's rows.  What the observation says of a column depends only on
+    the heap's rows, so each column's pieces (range and null count,
+    distinct estimate, histogram with its dictionary) are reused from
+    the table's {!Mqr_catalog.Catalog.scan_summary}, keyed by the
+    column's position in the heap, so two aliases of one table share
+    them; a piece missing from it, or the whole summary when the heap's
+    {!Heap_file.generation} moved, is computed now, by [collect]'s own
+    per-column code, and kept.  The charge is [collect]'s, made whether
+    or not a piece was reused: the simulated clock, the observation and
+    everything derived from it are those of [collect]; only wall time
+    differs. *)
+val collect_table :
+  Exec_ctx.t -> Schema.t -> spec -> Mqr_catalog.Catalog.table -> observed
 
 (** [ranges schema ~columns rows]: (min, max) over the non-null values of
     each named column (qualified, as in a spec), in [Value.min_value] /

@@ -111,7 +111,7 @@ let[@inline] index_nl_join_ms ~outer_rows ~fetched ~filter_rows =
     +. (fetched *. (Sim_clock.rand_read_ms +. Sim_clock.cpu_tuple_ms))
     +. (filter_rows *. Sim_clock.cpu_tuple_ms)
 
-let block_nl_join_ms ~outer_rows ~outer_pages
+let[@inline] block_nl_join_ms ~outer_rows ~outer_pages
     ~inner_rows ~inner_pages ~out_rows ~mem_pages =
   if unbounded (outer_rows +. outer_pages +. inner_rows +. inner_pages
                 +. out_rows) then infinity
@@ -207,6 +207,8 @@ let merge_join_mem ~left_pages ~right_pages =
   let min_r, max_r = sort_mem ~data_pages:right_pages in
   (min_l + min_r, max_l + max_r)
 
-let block_nl_join_mem ~outer_pages =
-  let need = int_of_float (ceil outer_pages) in
-  (1, Int.max 1 need)
+let[@inline] block_nl_join_max_mem ~outer_pages =
+  Int.max 1 (int_of_float (ceil outer_pages))
+
+let[@inline] block_nl_join_mem ~outer_pages =
+  (1, block_nl_join_max_mem ~outer_pages)

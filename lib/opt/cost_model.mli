@@ -126,4 +126,9 @@ val hash_join_mem : build_pages:float -> int * int
 val sort_mem : data_pages:float -> int * int
 val aggregate_mem : group_pages:float -> int * int
 val block_nl_join_mem : outer_pages:float -> int * int
+
+(** [snd (block_nl_join_mem ~outer_pages)] without the pair, which the
+    join enumeration would allocate for every block nested-loops
+    candidate it prices. *)
+val block_nl_join_max_mem : outer_pages:float -> int
 val merge_join_mem : left_pages:float -> right_pages:float -> int * int

@@ -942,7 +942,7 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
       let out_rows = outer.q.q_rows *. inner.q.q_rows *. pred_sel in
       let mem =
         Int.min
-          (snd (Cost_model.block_nl_join_mem ~outer_pages:outer.q.q_pages))
+          (Cost_model.block_nl_join_max_mem ~outer_pages:outer.q.q_pages)
           ctx.grant
       in
       let op_ms = block_nl_join_op_ms ~outer ~inner ~out_rows ~mem in
@@ -1422,7 +1422,7 @@ let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
       let mem =
         effective_mem ctx ~mem:keep_mem
           ~max_mem:
-            (snd (Cost_model.block_nl_join_mem ~outer_pages:outer.q.q_pages))
+            (Cost_model.block_nl_join_max_mem ~outer_pages:outer.q.q_pages)
       in
       built
         (block_nl_join_entry ctx ~id ~outer ~inner ~pred ~out_rows ~mem

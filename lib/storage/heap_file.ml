@@ -19,6 +19,7 @@ type t = {
   mutable len : int;
   per_page : int;
   dicts : dict array;  (* per column; [||] for a file from [of_rows] *)
+  mutable generation : int;  (* bumped whenever the rows change *)
 }
 
 type codes = { codes : Bytes.t; count : int; boxes : Value.t array }
@@ -38,7 +39,7 @@ let fresh_id () =
 let adopt schema data len dicts =
   let width = max 1 (Schema.avg_tuple_width schema) in
   let per_page = max 1 (page_size_bytes / width) in
-  { id = fresh_id (); schema; data; len; per_page; dicts }
+  { id = fresh_id (); schema; data; len; per_page; dicts; generation = 0 }
 
 let create schema =
   adopt schema (Array.make 64 [||]) 0
@@ -52,6 +53,7 @@ let of_rows schema rows = adopt schema rows (Array.length rows) [||]
 
 let file_id t = t.id
 let schema t = t.schema
+let generation t = t.generation
 let tuples_per_page t = t.per_page
 
 (* Same constructor, same bits: a float by its bit pattern, so -0.0 and
@@ -144,7 +146,8 @@ let append t tuple =
     t.data <- bigger
   end;
   t.data.(t.len) <- tuple;
-  t.len <- t.len + 1
+  t.len <- t.len + 1;
+  t.generation <- t.generation + 1
 
 let tuple_count t = t.len
 
@@ -247,5 +250,6 @@ let retain t keep =
     let deleted = t.len - !n in
     t.data <- Array.sub kept 0 !n;
     t.len <- !n;
+    t.generation <- t.generation + 1;
     deleted
   end

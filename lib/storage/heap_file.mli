@@ -104,6 +104,13 @@ val read :
     the same arrays. *)
 val retain : t -> (Tuple.t -> bool) -> int
 
+(** A number that every [append], and every [retain] that deletes a
+    row, increases: two reads of the file at the same generation see
+    the same rows and codes.  A result computed from every row of the
+    file (a collector's summary of a column) is still valid while the
+    generation it was computed at is current. *)
+val generation : t -> int
+
 (** A column's codes for a sequence of rows.  Equal codes mean cells of
     the same constructor and bits. *)
 type codes

@@ -616,7 +616,11 @@ let test_events_reported () =
    and every table reads that report.  Q3/Q5/Q7/Q8/Q10 under the five
    modes, at sf 0.001 with the paper's degradations, each on a fresh
    catalog and engine, against all of them run in order and then in
-   reverse order on one shared engine. *)
+   reverse order on one shared engine.  Then an INSERT, a DELETE and an
+   ANALYZE run on the shared engine, each followed by every query in
+   full mode, against a fresh engine that ran only the same statements:
+   what a run keeps of the tables it read (a collector's summary of a
+   full scan) must follow the tables' rows. *)
 let test_run_independent_of_history () =
   let module Queries = Mqr_tpcd.Queries in
   let engine () =
@@ -640,28 +644,52 @@ let test_run_independent_of_history () =
   let shared = engine () in
   let in_order = run_all (fun () -> shared) pairs in
   let reversed = List.rev (run_all (fun () -> shared) (List.rev pairs)) in
+  let same what (a : Dispatcher.report) (b : Dispatcher.report) =
+    Alcotest.(check bool) (what ^ " rows") true
+      (compare a.Dispatcher.rows b.Dispatcher.rows = 0);
+    Alcotest.(check int64) (what ^ " elapsed bits")
+      (Int64.bits_of_float a.Dispatcher.elapsed_ms)
+      (Int64.bits_of_float b.Dispatcher.elapsed_ms);
+    Alcotest.(check int) (what ^ " switches") a.Dispatcher.switches
+      b.Dispatcher.switches;
+    Alcotest.(check int) (what ^ " collectors") a.Dispatcher.collectors
+      b.Dispatcher.collectors;
+    Alcotest.(check bool) (what ^ " observed statistics") true
+      (compare a.Dispatcher.observed_stats b.Dispatcher.observed_stats = 0);
+    Alcotest.(check bool) (what ^ " timed events") true
+      (compare a.Dispatcher.timed_events b.Dispatcher.timed_events = 0)
+  in
   List.iteri
     (fun i ((q : Queries.query), mode) ->
-       let (a : Dispatcher.report) = List.nth fresh i in
        List.iter
-         (fun (order, (b : Dispatcher.report)) ->
-            let what =
-              Printf.sprintf "%s %s %s" q.Queries.name
-                (Dispatcher.mode_to_string mode) order
-            in
-            Alcotest.(check bool) (what ^ " rows") true
-              (compare a.Dispatcher.rows b.Dispatcher.rows = 0);
-            Alcotest.(check int64) (what ^ " elapsed bits")
-              (Int64.bits_of_float a.Dispatcher.elapsed_ms)
-              (Int64.bits_of_float b.Dispatcher.elapsed_ms);
-            Alcotest.(check int) (what ^ " switches") a.Dispatcher.switches
-              b.Dispatcher.switches;
-            Alcotest.(check int) (what ^ " collectors") a.Dispatcher.collectors
-              b.Dispatcher.collectors;
-            Alcotest.(check bool) (what ^ " timed events") true
-              (compare a.Dispatcher.timed_events b.Dispatcher.timed_events = 0))
+         (fun (order, b) ->
+            same
+              (Printf.sprintf "%s %s %s" q.Queries.name
+                 (Dispatcher.mode_to_string mode) order)
+              (List.nth fresh i) b)
          [ ("in order", List.nth in_order i); ("reversed", List.nth reversed i) ])
-    pairs
+    pairs;
+  let statements =
+    [ "insert into nation values (25, 'ATLANTIS', 1), (26, 'LEMURIA', 2)";
+      "delete from supplier where s_suppkey < 4";
+      "analyze supplier" ]
+  in
+  let full = List.filter (fun (_, mode) -> mode = Dispatcher.Full) pairs in
+  List.iteri
+    (fun k statement ->
+       ignore (Engine.execute shared statement);
+       let replay = engine () in
+       List.iteri
+         (fun j s -> if j <= k then ignore (Engine.execute replay s))
+         statements;
+       let expected = run_all (fun () -> replay) full in
+       List.iteri
+         (fun i b ->
+            let (q : Queries.query), _ = List.nth full i in
+            same (Printf.sprintf "%s after %S" q.Queries.name statement)
+              (List.nth expected i) b)
+         (run_all (fun () -> shared) full))
+    statements
 
 let suite =
   [ Alcotest.test_case "base histogram levels" `Quick test_base_histogram_levels;
