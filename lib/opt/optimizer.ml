@@ -865,12 +865,11 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     ctx.enumerated <- ctx.enumerated + 1;
     fresh_id ctx
   in
-  (* [k] candidates in a row that bucket [mask] is [beaten] by: counted,
-     numbered and replayed as [k] rejections, with nothing looked at. *)
-  let pass mask k =
+  (* [k] candidates in a row that their bucket does not admit: counted
+     and numbered, with nothing looked at. *)
+  let pass k =
     ctx.enumerated <- ctx.enumerated + k;
-    ctx.next_id <- ctx.next_id + k;
-    Pareto.pass buckets mask k
+    ctx.next_id <- ctx.next_id + k
   in
   let with_rf = options.enable_runtime_filters in
   (* Runtime filters read the plans of both sides. *)
@@ -1076,21 +1075,21 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
              which sum to at least the two sides' floors, lose, and so
              does each indexed nested-loops join's outer entry. *)
           if
-            Pareto.beaten buckets mask
-              (Pareto.lower buckets s1v +. Pareto.lower buckets s2)
-              pair_orders
+            (not
+               (Pareto.admits buckets mask
+                  (Pareto.lower buckets s1v +. Pareto.lower buckets s2)
+                  pair_orders))
             && (!n_indexed = 0
                 ||
                 let all = ref true in
                 for i = 0 to n_lefts - 1 do
                   if
-                    not
-                      (Pareto.beaten buckets mask (Pareto.total buckets s1v i)
-                         (Pareto.orders buckets s1v i))
+                    Pareto.admits buckets mask (Pareto.total buckets s1v i)
+                      (Pareto.orders buckets s1v i)
                   then all := false
                 done;
                 !all)
-          then pass mask (n_lefts * ((n_rights * per_pair) + !n_indexed))
+          then pass (n_lefts * ((n_rights * per_pair) + !n_indexed))
           else begin
             (* equality keys, probe side first, and the residual, in
                conjunct order *)
@@ -1161,10 +1160,11 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
               (* an outer entry's pairs sum to at least its total plus the
                  inner side's floor, in either build order *)
               if
-                Pareto.beaten buckets mask
-                  (left.q.q_total +. lower_right)
-                  pair_orders
-              then pass mask (n_rights * per_pair)
+                not
+                  (Pareto.admits buckets mask
+                     (left.q.q_total +. lower_right)
+                     pair_orders)
+              then pass (n_rights * per_pair)
               else
                 for j = 0 to n_rights - 1 do
                   let right = Pareto.item buckets s2 j in

@@ -20,7 +20,6 @@ type 'a t = {
   (* the buckets *)
   slots : int array;
   len : int array;
-  stable : bool array;
   has_nan : bool array;
   floor_all : float array;
   floor : float array;
@@ -47,7 +46,6 @@ let create ~buckets ~n_orders ~dummy =
     dummy;
     slots = Array.make (buckets * cap) 0;
     len = Array.make buckets 0;
-    stable = Array.make buckets false;
     has_nan = Array.make buckets false;
     floor_all = Array.make buckets infinity;
     floor = Array.make (buckets * n_orders) infinity;
@@ -56,7 +54,7 @@ let create ~buckets ~n_orders ~dummy =
     added = Array.make cap 0;
     kept = Array.make (cap + 1) false }
 
-(* The readers and the tests the DP runs per candidate are [@inline], so
+(* The readers and the bucket test the DP runs per candidate are [@inline], so
    a float passed to or read from a bucket is never boxed. *)
 let[@inline] handle t m i = t.slots.((m * t.cap) + i)
 let[@inline] length t m = t.len.(m)
@@ -119,15 +117,6 @@ let release t h =
   t.free.(t.n_free) <- h;
   t.n_free <- t.n_free + 1
 
-(* Copy bucket [m]'s handles into the sequence from [at].  The pass
-   works on a handful of entries and orders, so its copies and resets are
-   loops rather than calls to [Array.blit] and [Array.fill]. *)
-let load t m ~at =
-  let base = m * t.cap in
-  for i = 0 to t.len.(m) - 1 do
-    t.seq.(at + i) <- t.slots.(base + i)
-  done
-
 let rec offer_orders provider (totals : float array) seq i = function
   | [] -> ()
   | o :: rest ->
@@ -135,39 +124,39 @@ let rec offer_orders provider (totals : float array) seq i = function
     if p < 0 || totals.(seq.(i)) < totals.(seq.(p)) then provider.(o) <- i;
     offer_orders provider totals seq i rest
 
-(* One retention pass over the first [k] sequence entries: the cheapest
-   overall (ties and NaN to the earlier) and the cheapest provider of each
-   order (likewise).  Fills [added] with positions and returns how many
-   it keeps: the best first, then each provider not yet kept, by
-   ascending order.  [kept] marks the kept positions. *)
+(* One retention pass over the first [k] sequence entries, [k > 0]: the
+   cheapest overall (ties and NaN to the earlier) and the cheapest
+   provider of each order (likewise).  Fills [added] with positions and
+   returns how many it keeps: the best first, then each provider not yet
+   kept, by ascending order.  [kept] marks the kept positions.  The pass
+   works on a handful of entries and orders, so its resets, like
+   [enter]'s copy, are loops rather than calls to [Array.fill] and
+   [Array.blit]. *)
 let retain t k =
   let totals = t.totals and seq = t.seq in
   for i = 0 to k - 1 do
     t.kept.(i) <- false
   done;
-  if k = 0 then 0
-  else begin
-    let best = ref 0 in
-    for o = 0 to t.n_orders - 1 do
-      t.provider.(o) <- -1
-    done;
-    for i = 0 to k - 1 do
-      if totals.(seq.(i)) < totals.(seq.(!best)) then best := i;
-      offer_orders t.provider totals seq i t.orders.(seq.(i))
-    done;
-    t.added.(0) <- !best;
-    t.kept.(!best) <- true;
-    let n = ref 1 in
-    for o = 0 to t.n_orders - 1 do
-      let p = t.provider.(o) in
-      if p >= 0 && not t.kept.(p) then begin
-        t.added.(!n) <- p;
-        t.kept.(p) <- true;
-        incr n
-      end
-    done;
-    !n
-  end
+  let best = ref 0 in
+  for o = 0 to t.n_orders - 1 do
+    t.provider.(o) <- -1
+  done;
+  for i = 0 to k - 1 do
+    if totals.(seq.(i)) < totals.(seq.(!best)) then best := i;
+    offer_orders t.provider totals seq i t.orders.(seq.(i))
+  done;
+  t.added.(0) <- !best;
+  t.kept.(!best) <- true;
+  let n = ref 1 in
+  for o = 0 to t.n_orders - 1 do
+    let p = t.provider.(o) in
+    if p >= 0 && not t.kept.(p) then begin
+      t.added.(!n) <- p;
+      t.kept.(p) <- true;
+      incr n
+    end
+  done;
+  !n
 
 (* The bucket becomes the [n] kept of the [k] sequence entries, the last
    added first; the dropped ones' handles are released. *)
@@ -195,52 +184,22 @@ let refloor t m =
     lower_floors t.floor fbase ms t.orders.(h)
   done
 
-(* Without a NaN total before or after, the kept entries include every
+(* The entrant goes first in the sequence, the bucket's entries after it.
+   Without a NaN total before or after, the kept entries include every
    order's cheapest offer, so each floor is the least of its old value
    and the entrant's total. *)
 let enter t m item ~total ~orders =
   t.seq.(0) <- alloc t item ~total ~orders;
-  load t m ~at:1;
-  let k = t.len.(m) + 1 in
+  let base = m * t.cap and k = t.len.(m) + 1 in
+  for i = 1 to k - 1 do
+    t.seq.(i) <- t.slots.(base + i - 1)
+  done;
   store t m k (retain t k);
-  t.stable.(m) <- false;
   if t.has_nan.(m) || Float.is_nan total then refloor t m
   else begin
     if total < t.floor_all.(m) then t.floor_all.(m) <- total;
     lower_floors t.floor (m * t.n_orders) total orders
   end
 
-(* A pass over the bucket's own entries.  It keeps every entry's order
-   cheapest, so without a NaN total no floor moves. *)
-let replay t m =
-  if not t.stable.(m) then begin
-    let k = t.len.(m) in
-    load t m ~at:0;
-    let n = retain t k in
-    let same = ref (n = k) in
-    for j = 0 to n - 1 do
-      if t.added.(n - 1 - j) <> j then same := false
-    done;
-    if !same then t.stable.(m) <- true
-    else begin
-      store t m k n;
-      if t.has_nan.(m) then refloor t m
-    end
-  end
-
 let[@inline] admits t m ms orders =
-  if t.floor_all.(m) < ms && undercut t.floor (m * t.n_orders) ms orders then begin
-    replay t m;
-    false
-  end
-  else true
-
-let[@inline] beaten t m ms orders =
-  lower t m < ms && undercut t.floor (m * t.n_orders) ms orders
-
-let pass t m k =
-  let replays = ref k in
-  while !replays > 0 && not t.stable.(m) do
-    replay t m;
-    decr replays
-  done
+  not (t.floor_all.(m) < ms && undercut t.floor (m * t.n_orders) ms orders)

@@ -7,18 +7,14 @@
     bucket's entries in list order: the cheapest overall and the cheapest
     provider of each order win, a tie or a NaN total going to the earlier
     entry.  The pass lists the provider of the highest order first, each
-    entry once, and the cheapest overall last.  That is not the order it
-    read them in, so under exact ties a second pass over a bucket can pick
-    a different tied entry: retention is not idempotent.  A candidate
-    the DP rejects is therefore not a no-op: the bucket becomes what one
-    more pass over its own entries makes it ({!admits}, {!pass}).
+    entry once, and the cheapest overall last.
 
     Each bucket also carries cost floors: its least total overall and per
     order, NaN totals skipped.  A candidate of total [ms] delivering some
-    orders loses exactly when every one of those floors is below [ms].
-    Without a NaN total an entrant only lowers floors, and a replay moves
-    none, so entering costs one pass over at most [n_orders + 1] entries
-    and a replay allocates nothing. *)
+    orders loses exactly when every one of those floors is below [ms]
+    (not {!admits}); the DP does not offer it, so a rejection leaves the
+    bucket as it was.  Without a NaN total an entrant only lowers floors,
+    so entering costs one pass over at most [n_orders + 1] entries. *)
 
 type 'a t
 
@@ -29,20 +25,10 @@ val create : buckets:int -> n_orders:int -> dummy:'a -> 'a t
 (** Offer an entry of total [total] delivering [orders]. *)
 val enter : 'a t -> int -> 'a -> total:float -> orders:int list -> unit
 
-(** [admits t m ms orders]: would a candidate of total [ms] delivering
-    [orders] survive in bucket [m]?  When not, the bucket replays one
-    pass, as offering the candidate would have made it. *)
+(** [admits t m ms orders]: would bucket [m] keep a candidate of total
+    [ms] delivering [orders]?  Reads the floors only.  If not, it keeps no
+    candidate of a larger total delivering some of [orders] or none. *)
 val admits : 'a t -> int -> float -> int list -> bool
-
-(** Does bucket [m] reject every candidate of total [ms] or more that
-    delivers at most [orders], however many are offered in a row?  Only
-    if it has no NaN total, since then rejections never move its
-    floors. *)
-val beaten : 'a t -> int -> float -> int list -> bool
-
-(** [pass t m k]: [k] rejections in a row, each one replay, stopping as
-    soon as a replay changes nothing. *)
-val pass : 'a t -> int -> int -> unit
 
 val length : 'a t -> int -> int
 val is_empty : 'a t -> int -> bool

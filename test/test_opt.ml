@@ -519,11 +519,10 @@ let prop_merge_pass_bounds_merge =
            ((Cost_model.pages ~rows:r1 ~width,
              Cost_model.pages ~rows:r2 ~width), 1) ])
 
-(* The join DP's Pareto sets as they were kept before {!Pareto}: a list
-   per bucket that one retention pass rebuilds on every entrant and on
-   every rejection (a replay), and floors recomputed from the list
-   whenever it changes.  Verbatim but for the entry type: the reference
-   {!Pareto} is held to. *)
+(* The list-based retention {!Pareto} is held to: a list per bucket that
+   one retention pass rebuilds on every entrant, floors recomputed from
+   the list whenever it changes, and a rejection that leaves the list as
+   it was. *)
 module Pareto_ref = struct
   type cand = { id : int; total : float; orders : int list }
 
@@ -543,7 +542,6 @@ module Pareto_ref = struct
     n_orders : int;
     provider : cand option array;
     buckets : cand list array;
-    stable : bool array;
     floor_all : float array;
     lower : float array;
     floor : float array;
@@ -553,7 +551,6 @@ module Pareto_ref = struct
     { n_orders;
       provider = Array.make n_orders None;
       buckets = Array.make buckets [];
-      stable = Array.make buckets false;
       floor_all = Array.make buckets infinity;
       lower = Array.make buckets infinity;
       floor = Array.make (buckets * n_orders) infinity }
@@ -582,7 +579,8 @@ module Pareto_ref = struct
            | _ -> keep)
         [ !best ] provider
 
-  let set t mask entries =
+  let enter t mask c =
+    let entries = retained t (c :: t.buckets.(mask)) in
     t.buckets.(mask) <- entries;
     let base = mask * t.n_orders in
     Array.fill t.floor base t.n_orders infinity;
@@ -596,52 +594,18 @@ module Pareto_ref = struct
          lower_floors t.floor base c c.orders)
       entries
 
-  let enter t mask c =
-    set t mask (retained t (c :: t.buckets.(mask)));
-    t.stable.(mask) <- false
-
-  let replay t mask =
-    if not t.stable.(mask) then begin
-      let old = t.buckets.(mask) in
-      let again = retained t old in
-      if List.equal ( == ) again old then t.stable.(mask) <- true
-      else set t mask again
-    end
-
   let admits t mask ms orders =
-    if
-      t.floor_all.(mask) < ms
-      && undercut_orders t.floor (mask * t.n_orders) ms orders
-    then begin
-      replay t mask;
-      false
-    end
-    else true
-
-  let beaten t mask ms orders =
-    t.lower.(mask) < ms && undercut_orders t.floor (mask * t.n_orders) ms orders
-
-  let pass t mask k =
-    let replays = ref k in
-    while !replays > 0 && not t.stable.(mask) do
-      replay t mask;
-      decr replays
-    done
+    not
+      (t.floor_all.(mask) < ms
+       && undercut_orders t.floor (mask * t.n_orders) ms orders)
 end
 
-(* Random offer streams through {!Pareto} and through [Pareto_ref]: two
-   buckets, up to 15 orders, totals drawn from a handful of values with
-   exact ties, NaN and infinity.  An offer is admitted (and entered) or
-   rejected as the DP does it; some steps are runs of rejections
-   ([pass]).  After every step both keep the same entries in the same
-   order, with the same floor bound and the same verdicts. *)
-type pareto_step =
-  | Offer of int * float * int list  (* bucket, total, orders *)
-  | Pass of int * int                (* bucket, rejections in a row *)
-
-let gen_pareto_run =
+(* Random offer streams over [buckets] buckets and 1 to [max_orders]
+   orders: each offer names a bucket, a total drawn from a handful of
+   values with exact ties, NaN and infinity, and some orders. *)
+let gen_pareto_run ~buckets ~max_orders =
   QCheck.Gen.(
-    let* n_orders = int_range 1 15 in
+    let* n_orders = int_range 1 max_orders in
     let total = oneofl [ 0.0; 1.0; 1.0; 2.0; 2.0; 3.0; infinity; nan ] in
     let orders =
       let* k = frequency [ (3, return 0); (3, int_range 1 2);
@@ -649,30 +613,31 @@ let gen_pareto_run =
       list_repeat k (int_range 0 (n_orders - 1))
       >|= List.sort_uniq Int.compare
     in
-    let step =
-      frequency
-        [ (6, map3 (fun b t o -> Offer (b, t, o)) (int_range 0 1) total orders);
-          (1, map2 (fun b k -> Pass (b, k)) (int_range 0 1) (int_range 1 4)) ]
-    in
-    let* steps = list_size (int_range 1 60) step in
-    return (n_orders, steps))
+    let offer = triple (int_range 0 (buckets - 1)) total orders in
+    let* offers = list_size (int_range 1 60) offer in
+    return (n_orders, offers))
 
+let print_pareto_run (n, offers) =
+  Printf.sprintf "orders %d: %s" n
+    (String.concat "; "
+       (List.map
+          (fun (b, t, o) ->
+             Printf.sprintf "offer %d %h [%s]" b t
+               (String.concat "," (List.map string_of_int o)))
+          offers))
+
+(* The offer streams through {!Pareto} and through [Pareto_ref], on two
+   buckets with up to 15 orders.  After every offer both keep the same
+   entries in the same order, with the same floor bound and the same
+   verdicts.  A refusal, offered or only asked, leaves its bucket's
+   entries and floor bound as they were, and a rejected offer leaves
+   every verdict as it was. *)
 let prop_pareto_reference =
   QCheck.Test.make ~name:"Pareto bucket = list retention, every step"
     ~count:1000
-    (QCheck.make
-       ~print:(fun (n, steps) ->
-           Printf.sprintf "orders %d: %s" n
-             (String.concat "; "
-                (List.map
-                   (function
-                     | Offer (b, t, o) ->
-                       Printf.sprintf "offer %d %h [%s]" b t
-                         (String.concat "," (List.map string_of_int o))
-                     | Pass (b, k) -> Printf.sprintf "pass %d x%d" b k)
-                   steps)))
-       gen_pareto_run)
-    (fun (n_orders, steps) ->
+    (QCheck.make ~print:print_pareto_run
+       (gen_pareto_run ~buckets:2 ~max_orders:15))
+    (fun (n_orders, offers) ->
        let module P = Mqr_opt.Pareto in
        let module R = Pareto_ref in
        let dummy = { R.id = -1; total = 0.0; orders = [] } in
@@ -680,17 +645,32 @@ let prop_pareto_reference =
        let r = R.create ~buckets:2 ~n_orders in
        let ids l = List.map (fun (c : R.cand) -> c.R.id) l in
        let bits x = Int64.bits_of_float x in
-       let same b =
-         ids (P.to_list p b) = ids r.R.buckets.(b)
-         && Int64.equal (bits (P.lower p b)) (bits r.R.lower.(b))
-         && List.for_all
-              (fun ms ->
-                 List.for_all
-                   (fun orders ->
-                      Bool.equal (P.beaten p b ms orders)
-                        (R.beaten r b ms orders))
-                   [ []; [ 0 ]; List.init n_orders Fun.id ])
-              [ 0.0; 1.0; 2.0; 2.5; infinity ]
+       (* a bucket's ids in order and its floor bound's bits *)
+       let reads to_list lower b = (ids (to_list b), bits (lower b)) in
+       let reads_p = reads (P.to_list p) (P.lower p)
+       and reads_r =
+         reads (fun b -> r.R.buckets.(b)) (fun b -> r.R.lower.(b)) in
+       (* a verdict, failing when a refusal moved its bucket *)
+       let checked reads admits b ms orders =
+         let before = reads b in
+         let admitted = admits b ms orders in
+         if (not admitted) && reads b <> before then
+           failwith "a rejection moved a bucket";
+         admitted
+       in
+       let admits_p = checked reads_p (P.admits p)
+       and admits_r = checked reads_r (R.admits r) in
+       (* a bucket's verdicts on a grid of totals and orders *)
+       let verdicts admits b =
+         List.concat_map
+           (fun ms ->
+              List.map (fun orders -> admits b ms orders)
+                [ []; [ 0 ]; List.init n_orders Fun.id ])
+           [ 0.0; 1.0; 2.0; 2.5; infinity ]
+       in
+       let all_verdicts () =
+         List.concat_map (fun b -> verdicts admits_p b @ verdicts admits_r b)
+           [ 0; 1 ]
        in
        let next_id = ref 0 in
        (* as the DP offers a candidate: a bound below its total first
@@ -701,24 +681,68 @@ let prop_pareto_reference =
          && admits b total orders
        in
        List.for_all
-         (fun step ->
-            (match step with
-             | Offer (b, total, orders) ->
-               incr next_id;
-               let c = { R.id = !next_id; total; orders } in
-               let bound = if !next_id mod 3 = 0 then 1.0 else total in
-               let admitted = offer (P.admits p) b ~bound ~total orders in
-               let admitted_ref = offer (R.admits r) b ~bound ~total orders in
-               if admitted <> admitted_ref then failwith "admits differs";
-               if admitted then begin
-                 P.enter p b c ~total ~orders;
-                 R.enter r b c
-               end
-             | Pass (b, k) ->
-               P.pass p b k;
-               R.pass r b k);
-            same 0 && same 1)
-         steps)
+         (fun (b, total, orders) ->
+            incr next_id;
+            let c = { R.id = !next_id; total; orders } in
+            let bound = if !next_id mod 3 = 0 then 1.0 else total in
+            let verdicts_before = all_verdicts () in
+            let admitted = offer admits_p b ~bound ~total orders in
+            if admitted <> offer admits_r b ~bound ~total orders then
+              failwith "verdicts differ";
+            if admitted then begin
+              P.enter p b c ~total ~orders;
+              R.enter r b c
+            end
+            else if all_verdicts () <> verdicts_before then
+              failwith "a rejection moved a verdict";
+            List.for_all
+              (fun b ->
+                 reads_p b = reads_r b
+                 && verdicts admits_p b = verdicts admits_r b)
+              [ 0; 1 ])
+         offers)
+
+(* The DP gives up a whole group of candidates when their bucket does
+   not admit their least possible total with every order any of them
+   delivers.  That is sound only if [admits] is monotone: refusing [ms]
+   with [orders], it refuses every larger total with any subset of
+   [orders], in a bucket with NaN, infinite and tied totals too; a NaN
+   total it always admits. *)
+let prop_pareto_admits_monotone =
+  QCheck.Test.make ~name:"Pareto.admits is monotone in total and orders"
+    ~count:500
+    (QCheck.make ~print:print_pareto_run
+       (gen_pareto_run ~buckets:1 ~max_orders:5))
+    (fun (n_orders, offers) ->
+       let module P = Mqr_opt.Pareto in
+       let p = P.create ~buckets:1 ~n_orders ~dummy:() in
+       List.iter
+         (fun (_, total, orders) ->
+            if P.admits p 0 total orders then P.enter p 0 () ~total ~orders)
+         offers;
+       (* order sets as bitsets over [0, n_orders) *)
+       let sets = List.init (1 lsl n_orders) Fun.id in
+       let admits ms set =
+         P.admits p 0 ms
+           (List.filter (fun o -> set land (1 lsl o) <> 0)
+              (List.init n_orders Fun.id))
+       in
+       let totals = [ neg_infinity; 0.0; 1.0; 2.0; 2.5; 3.0; infinity ] in
+       let refuses_above ms set ms' sub =
+         ms' < ms || sub land set <> sub || not (admits ms' sub)
+       in
+       List.for_all (admits nan) sets
+       && List.for_all
+            (fun ms ->
+               List.for_all
+                 (fun set ->
+                    admits ms set
+                    || List.for_all
+                         (fun ms' ->
+                            List.for_all (refuses_above ms set ms') sets)
+                         totals)
+                 sets)
+            totals)
 
 (* Every shape's price over an array of quantities and a memory grant. *)
 let shapes ~dop ~rf ~ls ~rs =
@@ -908,4 +932,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_children_bound_join_cost;
     QCheck_alcotest.to_alcotest prop_prices_monotone;
     QCheck_alcotest.to_alcotest prop_merge_pass_bounds_merge;
-    QCheck_alcotest.to_alcotest prop_pareto_reference ]
+    QCheck_alcotest.to_alcotest prop_pareto_reference;
+    QCheck_alcotest.to_alcotest prop_pareto_admits_monotone ]
