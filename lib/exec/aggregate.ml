@@ -175,17 +175,17 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
   let gidx = p.group_idx in
   let table = Table.create ~key:gidx 16 in
   let groups = ref (Array.make 16 [||]) in
-  let add_group h t =
-    let id = Table.add table h t in
-    if id = Array.length !groups then
-      groups := Array.append !groups (Array.make id [||]);
-    !groups.(id) <- fresh_accs p;
-    id
-  in
   let lookup t =
     let h = Rows_ops.row_hash t gidx in
     let id = Table.find table h t gidx in
-    if id >= 0 then id else add_group h t
+    if id >= 0 then id
+    else begin
+      let id = Table.add table h t in
+      if id = Array.length !groups then
+        groups := Array.append !groups (Array.make id [||]);
+      !groups.(id) <- fresh_accs p;
+      id
+    end
   in
   (match group_memo leaf gidx with
    | None ->
@@ -200,37 +200,15 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
          let c = codes.(k) in
          slot := (!slot * Heap_file.code_count c) + Heap_file.code c r
        done;
-       let id = ids.(!slot) in
-       let id =
-         if id >= 0 then id
-         else begin
-           let id = lookup t in
-           ids.(!slot) <- id;
-           id
-         end
-       in
-       feed p !groups.(id) t));
+       if ids.(!slot) < 0 then ids.(!slot) <- lookup t;
+       feed p !groups.(ids.(!slot)) t));
   Sim_clock.charge_hash_tuples clock (Leaf.length leaf);
   (* A global aggregate (no GROUP BY) over an empty input still yields one
      row, per SQL semantics. *)
-  if group_by = [] && Table.length table = 0 then ignore (add_group 17 [||]);
-  let n = Table.length table in
-  (* Groups come out in the order of the stdlib [Hashtbl] this table
-     replaced: one of 256 buckets, doubled while there are more than two
-     groups per bucket, picked by folding [Value.hash] over the key (from
-     17, times 31); buckets in descending order, groups in first-seen
-     order within one. *)
-  let rec buckets b = if n > 2 * b then buckets (2 * b) else b in
-  let mask = buckets 256 - 1 in
-  let order =
-    Array.init n (fun id ->
-        let first = Table.row table id in
-        let h = Array.fold_left (fun h c -> (h * 31) + Value.hash first.(c)) 17 gidx in
-        ((mask - (h land mask)) * n) + id)
-  in
-  Array.sort Int.compare order;
+  if group_by = [] && Table.length table = 0 then ignore (lookup [||]);
+  (* Groups come out in table-id order, the order their first rows arrived. *)
   let out =
-    Array.map (fun k -> finalize p (Table.row table (k mod n)) !groups.(k mod n)) order
+    Array.init (Table.length table) (fun id -> finalize p (Table.row table id) !groups.(id))
   in
   Sim_clock.charge_cpu_tuples clock (Array.length out);
   (* Memory model: if the group table exceeds the grant, aggregation spills

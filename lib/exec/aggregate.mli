@@ -26,12 +26,12 @@ type result = {
 (** Output schema without executing (for plan annotation). *)
 val output_schema : Schema.t -> group_by:string list -> aggs:spec list -> Schema.t
 
-(** Groups come out in an order fixed by the group-key hash.  When the
-    input leaf's codes cover every group column, and there are no more
-    code tuples than input rows (nor than 2^16), a dense code-tuple →
-    group memo sits in front of the hash lookup, which fills it at each
-    tuple's first row: groups and their order are those of
-    [Leaf.of_rows (Leaf.rows leaf)]. *)
+(** Groups come out in first-seen order: the order in which each group's
+    first row arrived.  When the input leaf's codes cover every group
+    column, and there are no more code tuples than input rows (nor than
+    2^16), a dense code-tuple → group memo sits in front of the hash
+    lookup, which fills it at each tuple's first row: groups and their
+    order are those of [Leaf.of_rows (Leaf.rows leaf)]. *)
 val hash_aggregate :
   Exec_ctx.t -> mem_pages:int -> Schema.t ->
   group_by:string list -> aggs:spec list -> Leaf.t -> result
