@@ -91,7 +91,7 @@ let all_modes =
    attached ([observed]).  A run does not depend on the runs before it,
    so Figures 10-12, xfig3, hist, hybrid, observers and bounds share them. *)
 
-type observed = {
+type traced_run = {
   report : Dispatcher.report;
   spans : int;       (* spans the run's trace holds *)
   ledger : int;      (* its audit-ledger entries *)

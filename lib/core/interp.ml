@@ -843,10 +843,10 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
       span_open st ~cat:"collector" (Printf.sprintf "collect#%d" cid)
     in
     let c0 = Sim_clock.snapshot ctx.Exec_ctx.clock in
-    (* over a base table's full scan, the observation depends only on
-       the table's rows: its columns' summaries are computed once per
-       heap generation and reused, at the same charge *)
-    let obs =
+    (* over a base table's full scan, the statistics depend only on the
+       table's rows: its columns' summaries are computed once per heap
+       generation and reused, at the same charge *)
+    let collected =
       match full_scan with
       | Some tbl when not tbl.Catalog.temp ->
         Collector.collect_table ctx schema spec tbl
@@ -858,19 +858,17 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
       ~args:
         [ ("rows", Trace.Int rows);
           ("collect_ms", Trace.Float collect_ms) ];
-    let columns = Collector.spec_columns spec in
     List.iter
-      (fun column ->
-         let stats = Collector.column_stats_of_observed obs ~column in
+      (fun (column, stats) ->
          st.overrides <- (column, stats) :: List.remove_assoc column st.overrides;
          Stats_env.override st.env ~column stats)
-      columns;
+      collected;
     let alias =
       match input.Plan.node with
       | Plan.Seq_scan { alias; _ } | Plan.Index_scan { alias; _ } -> alias
       | _ -> Plan.op_name input
     in
-    emit st (Ev_collected { cid; alias; columns });
+    emit st (Ev_collected { cid; alias; columns = List.map fst collected });
     (apply_runtime_filters st schema leaf, schema)
   | Plan.Hash_join { build; probe; keys; extra; rf } ->
     let (build_rows, build_schema), (probe_rows, probe_schema) =
@@ -980,19 +978,14 @@ let register_temp st ~read ~name ~rows ~schema =
   Sim_clock.charge_cpu_ms st.ctx.Exec_ctx.clock
     (Collector.estimated_cost_ms (Collector.spec ())
        ~rows:(float_of_int (Array.length rows)));
-  let base_obs =
-    { Collector.rows = Array.length rows;
-      col_ranges = Collector.ranges schema ~columns:fresh rows;
-      histograms = [];
-      distincts = [];
-      dicts = [] }
-  in
+  let ranges = Collector.ranges schema ~columns:fresh rows in
   table.Catalog.stats <-
     Array.of_list
       (List.map
          (fun q ->
             match List.assoc_opt q st.overrides with
             | Some stats -> stats
-            | None -> Collector.column_stats_of_observed base_obs ~column:q)
+            | None ->
+              Option.value (List.assoc_opt q ranges) ~default:Column_stats.empty)
          names);
   Rows_ops.bytes_of_rows rows

@@ -13,12 +13,13 @@ type stored = {
   (* (update counter, stats epoch) of the referenced tables at caching
      time *)
   table_versions : (string * (int * int)) list;
+  ordinal : int;  (* when the key was stored: the least is evicted first *)
 }
 
 type t = {
   capacity : int;
   table : (string, stored) Hashtbl.t;
-  order : string Queue.t;  (* FIFO eviction *)
+  mutable stores : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -26,7 +27,7 @@ type t = {
 let create ?(capacity = 64) () =
   { capacity;
     table = Hashtbl.create 32;
-    order = Queue.create ();
+    stores = 0;
     hits = 0;
     misses = 0 }
 
@@ -71,16 +72,21 @@ let find t catalog sql =
     None
 
 let store t catalog sql ~plan ~query ~collectors =
-  if not (Hashtbl.mem t.table sql) then begin
-    while Hashtbl.length t.table >= t.capacity do
-      match Queue.take_opt t.order with
-      | Some victim -> Hashtbl.remove t.table victim
-      | None -> Hashtbl.reset t.table
-    done;
-    Queue.push sql t.order
-  end;
+  let ordinal =
+    match Hashtbl.find_opt t.table sql with
+    | Some stored -> stored.ordinal
+    | None ->
+      if Hashtbl.length t.table >= t.capacity then begin
+        let older key s (k, o) = if s.ordinal < o then (key, s.ordinal) else (k, o) in
+        Hashtbl.remove t.table (fst (Hashtbl.fold older t.table ("", max_int)))
+      end;
+      t.stores <- t.stores + 1;
+      t.stores
+  in
   Hashtbl.replace t.table sql
-    { e = { plan; query; collectors }; table_versions = versions catalog query }
+    { e = { plan; query; collectors };
+      table_versions = versions catalog query;
+      ordinal }
 
 let hits t = t.hits
 let misses t = t.misses

@@ -28,6 +28,11 @@ type entry = {
     reporting staleness otherwise. *)
 val find : t -> Mqr_catalog.Catalog.t -> string -> entry option
 
+(** [store t catalog sql ~plan ~query ~collectors] caches the entry under
+    [sql].  A key stored while cached keeps its place in the eviction
+    order; a new key, or one [find] dropped as stale, is the newest, and
+    a full cache first evicts the entry whose key was stored longest
+    ago. *)
 val store :
   t -> Mqr_catalog.Catalog.t -> string -> plan:Mqr_opt.Plan.t ->
   query:Mqr_sql.Query.t -> collectors:int -> unit

@@ -21,30 +21,11 @@ let spec ?(hist_cols = []) ?(distinct_cols = []) () =
 
 let spec_columns s = s.hist_cols @ s.distinct_cols
 
-type observed = {
-  rows : int;
-  col_ranges : (string * (Value.t * Value.t)) list;
-  histograms : (string * Histogram.t) list;
-  distincts : (string * float) list;
-  dicts : (string * (string * float) list) list;
-}
-
 let estimated_cost_ms s ~rows =
   let stats = List.length s.hist_cols + List.length s.distinct_cols in
   rows
   *. (Sim_clock.collect_base_tuple_ms
       +. (float_of_int stats *. Sim_clock.collect_stat_tuple_ms))
-
-(* (name, index) of each named column, in name order, by qualified name: a
-   duplicated name resolves to its first column, an unknown one is
-   dropped. *)
-let range_columns schema columns =
-  let index =
-    List.mapi (fun i c -> (Schema.qualified_name c, i)) (Schema.columns schema)
-  in
-  List.filter_map
-    (fun name -> Option.map (fun i -> (name, i)) (List.assoc_opt name index))
-    (List.sort_uniq String.compare columns)
 
 (* Column [i]'s pass over the leaf, through its positions: the column's
    statistics see its values in row order, and share no state with
@@ -113,12 +94,17 @@ let gather leaf i ~nulls ords =
 
 let ranges schema ~columns rows =
   let leaf = Leaf.of_rows rows in
+  let names = List.map Schema.qualified_name (Schema.columns schema) in
   List.filter_map
-    (fun (name, i) ->
-       let pass = Column_pass.create () in
-       run_pass leaf i pass;
-       Option.map (fun r -> (name, r)) (Column_pass.range pass))
-    (range_columns schema columns)
+    (fun name ->
+       Option.bind (List.find_index (String.equal name) names) (fun i ->
+           let pass = Column_pass.create () in
+           run_pass leaf i pass;
+           Option.map
+             (fun (lo, hi) ->
+                (name, { Column_stats.empty with min_v = Some lo; max_v = Some hi }))
+             (Column_pass.range pass)))
+    columns
 
 (* Column [i]'s summary over the leaf's rows, with its distinct
    estimate when [distinct] and its histogram when [hist].  It is [have],
@@ -152,41 +138,42 @@ let summarize ?have leaf i ~hist ~distinct =
     { s with histogram = Some (Histogram.scale h (float_of_int seen), dict) }
   end
 
-(* The observation of [n] rows under [s], charged to the clock, from
-   [summary i ~hist ~distinct], column [i]'s summary over those rows. *)
+(* A column's catalog statistics from [s], its summary: min/max from its
+   range; the histogram and its dictionary only when [hist]; the distinct
+   estimate when [distinct], else the histogram's.  A kept summary may
+   hold pieces an earlier collector asked for, and these are masked. *)
+let column_stats (s : Catalog.scan_summary) ~hist ~distinct =
+  let histogram = if hist then s.histogram else None in
+  let h = Option.map fst histogram in
+  { Column_stats.empty with
+    min_v = Option.map fst s.range;
+    max_v = Option.map snd s.range;
+    distinct = (if distinct then s.distinct else Option.map Histogram.distinct h);
+    histogram = h;
+    dict = Option.bind histogram snd }
+
+(* The statistics of [n] rows under [s], one per spec column, charged to
+   the clock, from [summary i ~hist ~distinct], column [i]'s summary over
+   those rows, taken once per column whatever names it. *)
 let observe ctx schema s ~n summary =
-  let targets cols = List.map (fun c -> (c, Schema.index_of schema c)) cols in
-  let hist_targets = targets s.hist_cols
-  and distinct_targets = targets s.distinct_cols
-  and range_targets = range_columns schema (spec_columns s) in
-  let asks targets i = List.exists (fun (_, j) -> i = j) targets in
+  let columns =
+    List.map (fun c -> (c, Schema.index_of schema c)) (spec_columns s)
+  in
+  let asks cols i = List.exists (fun (c, j) -> i = j && List.mem c cols) columns in
   let summaries =
     List.map
       (fun i ->
-         ( i,
-           summary i ~hist:(asks hist_targets i)
-             ~distinct:(asks distinct_targets i) ))
-      (List.sort_uniq Int.compare
-         (List.map snd (hist_targets @ distinct_targets @ range_targets)))
+         (i, summary i ~hist:(asks s.hist_cols i) ~distinct:(asks s.distinct_cols i)))
+      (List.sort_uniq Int.compare (List.map snd columns))
   in
   Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
     (estimated_cost_ms s ~rows:(float_of_int n));
-  let of_targets f =
-    List.filter_map (fun (c, i) ->
-        Option.map (fun v -> (c, v)) (f (List.assoc i summaries)))
-  in
-  let histograms =
-    of_targets (fun (s : Catalog.scan_summary) -> s.histogram) hist_targets
-  in
-  { rows = n;
-    col_ranges = of_targets (fun s -> s.range) range_targets;
-    histograms = List.map (fun (c, (h, _)) -> (c, h)) histograms;
-    distincts = of_targets (fun s -> s.distinct) distinct_targets;
-    dicts =
-      List.rev
-        (List.filter_map
-           (fun (c, (_, dict)) -> Option.map (fun d -> (c, d)) dict)
-           histograms) }
+  List.map
+    (fun (c, i) ->
+       ( c,
+         column_stats (List.assoc i summaries) ~hist:(List.mem c s.hist_cols)
+           ~distinct:(List.mem c s.distinct_cols) ))
+    columns
 
 let collect ctx schema s leaf =
   observe ctx schema s ~n:(Leaf.length leaf) (summarize (Lazy.from_val leaf))
@@ -201,19 +188,3 @@ let collect_table ctx schema s (tbl : Catalog.table) =
         | Some h when h == s -> ()
         | _ -> Catalog.keep_scan_summary tbl i s);
        s)
-
-let column_stats_of_observed obs ~column =
-  let range = List.assoc_opt column obs.col_ranges in
-  let histogram = List.assoc_opt column obs.histograms in
-  let distinct =
-    match List.assoc_opt column obs.distincts with
-    | Some d -> Some d
-    | None -> Option.map Histogram.distinct histogram
-  in
-  { Column_stats.min_v = Option.map fst range;
-    max_v = Option.map snd range;
-    distinct;
-    histogram;
-    stale = false;
-    dict = List.assoc_opt column obs.dicts;
-    is_key = false }

@@ -792,41 +792,38 @@ let test_collector_counters () =
   let c = ctx () in
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 500 (fun i -> (i mod 20, i))) in
-  let obs = Collector.collect c schema (Collector.spec ()) (Leaf.of_rows rows) in
-  Alcotest.(check int) "rows" 500 obs.Collector.rows;
-  Alcotest.(check int) "no spec, no ranges" 0
-    (List.length obs.Collector.col_ranges);
-  match
-    List.assoc_opt "t.a" (Collector.ranges schema ~columns:[ "t.a" ] rows)
-  with
-  | Some (lo, hi) ->
+  let stats = Collector.collect c schema (Collector.spec ()) (Leaf.of_rows rows) in
+  Alcotest.(check int) "no spec, no statistics" 0 (List.length stats);
+  match Collector.ranges schema ~columns:[ "t.a" ] rows with
+  | [ ("t.a", ({ Column_stats.min_v = Some lo; max_v = Some hi; _ } as st)) ] ->
     Alcotest.(check bool) "min" true (Value.equal lo (Value.Int 0));
-    Alcotest.(check bool) "max" true (Value.equal hi (Value.Int 19))
-  | None -> Alcotest.fail "no range"
+    Alcotest.(check bool) "max" true (Value.equal hi (Value.Int 19));
+    Alcotest.(check bool) "min/max only" true
+      (st = { Column_stats.empty with min_v = Some lo; max_v = Some hi })
+  | _ -> Alcotest.fail "no range"
 
 let test_collector_histogram () =
   let c = ctx () in
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 2000 (fun i -> (i mod 10, i))) in
   let spec = Collector.spec ~hist_cols:[ "t.a" ] () in
-  let obs = Collector.collect c schema spec (Leaf.of_rows rows) in
-  match List.assoc_opt "t.a" obs.Collector.histograms with
-  | Some h ->
+  match Collector.collect c schema spec (Leaf.of_rows rows) with
+  | [ ("t.a", { Column_stats.histogram = Some h; _ }) ] ->
     Alcotest.(check (float 20.0)) "scaled to stream" 2000.0 (Histogram.total_rows h);
     let s = Histogram.est_eq h 3.0 in
     Alcotest.(check bool) (Printf.sprintf "eq sel %.3f ~ 0.1" s) true
       (Float.abs (s -. 0.1) < 0.05)
-  | None -> Alcotest.fail "no histogram"
+  | _ -> Alcotest.fail "no histogram"
 
 let test_collector_distinct () =
   let c = ctx () in
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 1000 (fun i -> (i mod 37, i))) in
   let spec = Collector.spec ~distinct_cols:[ "t.a" ] () in
-  let obs = Collector.collect c schema spec (Leaf.of_rows rows) in
-  match List.assoc_opt "t.a" obs.Collector.distincts with
-  | Some d -> Alcotest.(check bool) "37" true (Float.abs (d -. 37.0) < 2.0)
-  | None -> Alcotest.fail "no distinct"
+  match Collector.collect c schema spec (Leaf.of_rows rows) with
+  | [ ("t.a", { Column_stats.distinct = Some d; histogram = None; _ }) ] ->
+    Alcotest.(check bool) "37" true (Float.abs (d -. 37.0) < 2.0)
+  | _ -> Alcotest.fail "no distinct"
 
 let test_collector_cost_budgeting () =
   let base = Collector.estimated_cost_ms (Collector.spec ()) ~rows:1000.0 in
@@ -847,59 +844,57 @@ let test_collector_to_column_stats () =
   let schema = schema_ab "t" in
   let rows = rows_of (List.init 100 (fun i -> (i, i))) in
   let spec = Collector.spec ~hist_cols:[ "t.a" ] ~distinct_cols:[ "t.a" ] () in
-  let obs = Collector.collect c schema spec (Leaf.of_rows rows) in
-  let st = Collector.column_stats_of_observed obs ~column:"t.a" in
-  Alcotest.(check bool) "has histogram" true
-    (st.Column_stats.histogram <> None);
-  Alcotest.(check bool) "has distinct" true
-    (st.Column_stats.distinct <> None)
+  match Collector.collect c schema spec (Leaf.of_rows rows) with
+  | [ ("t.a", st); ("t.a", st') ] ->
+    Alcotest.(check bool) "has histogram" true
+      (st.Column_stats.histogram <> None);
+    Alcotest.(check bool) "has distinct" true
+      (st.Column_stats.distinct <> None);
+    Alcotest.(check bool) "one record per name" true (st = st')
+  | _ -> Alcotest.fail "not one entry per spec column"
 
 (* Reference histograms: a reservoir fed every non-null value of each
-   histogram column, row by row, in order. *)
+   histogram column, row by row, in order; each with its dictionary. *)
 let reference_histograms schema hist_cols rows =
-  let dicts = ref [] in
-  let histograms =
-    List.map
-      (fun c ->
-         let i = Schema.index_of schema c in
-         let res =
-           Mqr_stats.Reservoir.create ~capacity:(Heap_file.page_size_bytes / 8) ()
-         in
-         Array.iter
-           (fun (t : Tuple.t) ->
-              if not (Value.is_null t.(i)) then Mqr_stats.Reservoir.add res t.(i))
-           rows;
-         let sample = Mqr_stats.Reservoir.sample res in
-         let seen = Mqr_stats.Reservoir.seen res in
-         let has_string =
-           Array.exists (fun v -> match v with Value.String _ -> true | _ -> false)
-             sample
-         in
-         let to_float =
-           if has_string then begin
-             let module SS = Set.Make (String) in
-             let set =
-               Array.fold_left
-                 (fun acc v -> match v with Value.String s -> SS.add s acc | _ -> acc)
-                 SS.empty sample
-             in
-             let dict = List.mapi (fun i s -> (s, float_of_int i)) (SS.elements set) in
-             dicts := (c, dict) :: !dicts;
+  List.map
+    (fun c ->
+       let i = Schema.index_of schema c in
+       let res =
+         Mqr_stats.Reservoir.create ~capacity:(Heap_file.page_size_bytes / 8) ()
+       in
+       Array.iter
+         (fun (t : Tuple.t) ->
+            if not (Value.is_null t.(i)) then Mqr_stats.Reservoir.add res t.(i))
+         rows;
+       let sample = Mqr_stats.Reservoir.sample res in
+       let seen = Mqr_stats.Reservoir.seen res in
+       let has_string =
+         Array.exists (fun v -> match v with Value.String _ -> true | _ -> false)
+           sample
+       in
+       let dict, to_float =
+         if has_string then begin
+           let module SS = Set.Make (String) in
+           let set =
+             Array.fold_left
+               (fun acc v -> match v with Value.String s -> SS.add s acc | _ -> acc)
+               SS.empty sample
+           in
+           let dict = List.mapi (fun i s -> (s, float_of_int i)) (SS.elements set) in
+           ( Some dict,
              fun v ->
                match v with
                | Value.String s -> List.assoc s dict
-               | v -> Value.to_float v
-           end
-           else Value.to_float
-         in
-         let h =
-           Histogram.build Histogram.Maxdiff ~buckets:32
-             (Array.map to_float sample)
-         in
-         (c, Histogram.scale h (float_of_int seen)))
-      hist_cols
-  in
-  (histograms, !dicts)
+               | v -> Value.to_float v )
+         end
+         else (None, Value.to_float)
+       in
+       let h =
+         Histogram.build Histogram.Maxdiff ~buckets:32
+           (Array.map to_float sample)
+       in
+       (c, (Histogram.scale h (float_of_int seen), dict)))
+    hist_cols
 
 (* Reference: the row-at-a-time collector that kept min/max over every
    column and fed every statistic from one pass over the rows.  The
@@ -930,18 +925,41 @@ let reference_collect schema (s : Collector.spec) rows =
             if not (Value.is_null t.(i)) then Mqr_stats.Distinct.add d t.(i))
          distinct_targets)
     rows;
-  let histograms, dicts = reference_histograms schema s.Collector.hist_cols rows in
+  let histograms = reference_histograms schema s.Collector.hist_cols rows in
   let distincts =
     List.map (fun (c, _, d) -> (c, Mqr_stats.Distinct.estimate d)) distinct_targets
   in
-  let col_ranges =
+  let ranges =
     List.filter_map
       (fun i ->
          if Value.is_null mins.(i) then None
          else Some (qualified i, (mins.(i), maxs.(i))))
       (List.init arity Fun.id)
   in
-  (col_ranges, histograms, distincts, dicts)
+  (ranges, histograms, distincts)
+
+(* The statistics the collector must return under [s]: one record per
+   spec column, in order, assembled from the reference's per-kind
+   results by the collector's rule. *)
+let expected_stats schema (s : Collector.spec) rows =
+  let ranges, histograms, distincts = reference_collect schema s rows in
+  List.map
+    (fun c ->
+       let column = Schema.column schema (Schema.index_of schema c) in
+       let range = List.assoc_opt (Schema.qualified_name column) ranges in
+       let histogram = List.assoc_opt c histograms in
+       let h = Option.map fst histogram in
+       ( c,
+         { Column_stats.empty with
+           min_v = Option.map fst range;
+           max_v = Option.map snd range;
+           distinct =
+             (match List.assoc_opt c distincts with
+              | Some d -> Some d
+              | None -> Option.map Histogram.distinct h);
+           histogram = h;
+           dict = Option.bind histogram snd } ))
+    (Collector.spec_columns s)
 
 (* Five typed columns (one unqualified) with nulls; [n] mixes Int and
    Float, so min/max ties between Int k and Float k occur.  [`Sorted]
@@ -1009,27 +1027,27 @@ let same_histogram a b =
           && bits x.rows = bits y.rows && bits x.distinct = bits y.distinct)
        (Histogram.buckets a) (Histogram.buckets b)
 
+(* Two collectors' statistics, column by column, bit for bit. *)
+let same_stats a b =
+  let same (c, (x : Column_stats.t)) (c', (y : Column_stats.t)) =
+    let key = Option.map Test_storage.bits_key in
+    c = c'
+    && key x.min_v = key y.min_v && key x.max_v = key y.max_v
+    && Option.equal (fun d d' -> bits d = bits d') x.distinct y.distinct
+    && Option.equal same_histogram x.histogram y.histogram
+    && compare x.dict y.dict = 0
+    && x.stale = y.stale && x.is_key = y.is_key
+  in
+  List.equal same a b
+
 (* The collector against the reference over [rows] as plain rows, then
    over a heap file of them: its scan leaf, coded where a column keeps
    its dictionary, and the positions of a filter over that leaf. *)
 let matches_reference spec rows =
   let agrees leaf =
-    let ref_ranges, ref_hists, ref_distincts, ref_dicts =
-      reference_collect oracle_schema spec (Leaf.rows leaf)
-    in
-    let obs = Collector.collect (ctx ()) oracle_schema spec leaf in
-    let columns = Collector.spec_columns spec in
-    List.for_all
-      (fun c -> List.assoc_opt c obs.Collector.col_ranges = List.assoc_opt c ref_ranges)
-      columns
-    && List.for_all (fun (c, _) -> List.mem c columns) obs.Collector.col_ranges
-    && List.equal
-         (fun (c, h) (c', h') -> c = c' && same_histogram h h')
-         obs.Collector.histograms ref_hists
-    && List.equal
-         (fun (c, d) (c', d') -> c = c' && bits d = bits d')
-         obs.Collector.distincts ref_distincts
-    && obs.Collector.dicts = ref_dicts
+    same_stats
+      (Collector.collect (ctx ()) oracle_schema spec leaf)
+      (expected_stats oracle_schema spec (Leaf.rows leaf))
   in
   let heap = Heap_file.create oracle_schema in
   Array.iter (fun r -> Heap_file.append heap (Array.copy r)) rows;
@@ -1056,19 +1074,27 @@ let prop_collector_matches_reference =
        let spec = Collector.spec ~hist_cols ~distinct_cols () in
        matches_reference spec (oracle_rows ~layout ~seed ~n ~domain ()))
 
-(* A temp table's free statistics: ranges over every column, in name order,
-   equal a [Value.min_value] / [Value.max_value] fold — on [t.n], whose
-   Int k and Float k tie, the first of them wins. *)
+(* A temp table's free statistics: min/max-only records over every
+   column, in the order named, equal a [Value.min_value] /
+   [Value.max_value] fold — on [t.n], whose Int k and Float k tie, the
+   first of them wins. *)
 let prop_ranges_match_fold =
   QCheck.Test.make ~name:"Collector.ranges = min/max fold" ~count:40
     (QCheck.make oracle_gen)
     (fun (seed, n, domain, layout) ->
        let rows = oracle_rows ~layout ~seed ~n ~domain () in
-       let ref_ranges, _, _, _ =
+       let ref_ranges, _, _ =
          reference_collect oracle_schema (Collector.spec ()) rows
        in
-       Collector.ranges oracle_schema ~columns:oracle_columns rows
-       = List.sort (fun (a, _) (b, _) -> String.compare a b) ref_ranges)
+       same_stats
+         (Collector.ranges oracle_schema ~columns:oracle_columns rows)
+         (List.filter_map
+            (fun c ->
+               Option.map
+                 (fun (lo, hi) ->
+                    (c, { Column_stats.empty with min_v = Some lo; max_v = Some hi }))
+                 (List.assoc_opt c ref_ranges))
+            oracle_columns))
 
 (* ANALYZE's statistics equal the folds they replaced: min/max by
    [Value.min_value] / [Value.max_value], the dictionary as the sorted
@@ -1122,11 +1148,10 @@ let test_collector_histogram_nan () =
         [| Value.Float (if i mod 5 = 0 then Float.nan else float_of_int (i mod 40)) |])
   in
   let spec = Collector.spec ~hist_cols:[ "t.x" ] ~distinct_cols:[ "t.x" ] () in
-  let obs = Collector.collect (ctx ()) schema spec (Leaf.of_rows rows) in
-  match List.assoc_opt "t.x" obs.Collector.histograms with
-  | Some h ->
+  match Collector.collect (ctx ()) schema spec (Leaf.of_rows rows) with
+  | ("t.x", { Column_stats.histogram = Some h; _ }) :: _ ->
     Alcotest.(check (float 1e-6)) "scaled to stream" 3000.0 (Histogram.total_rows h)
-  | None -> Alcotest.fail "no histogram"
+  | _ -> Alcotest.fail "no histogram"
 
 (* Past the exact counter's 4096 values the distincts come from the
    Flajolet-Martin sketch. *)
@@ -1285,7 +1310,7 @@ let test_key_hash_allocation_free () =
    (conjuncts include ones that raise on a String cell partway through
    the rows, so the conjunct-at-a-time path must fall back to the row
    path's exception); over the leaf and over the survivors,
-   [Collector.collect] the same observation, and its histograms those of
+   [Collector.collect] the same statistics, and its histograms those of
    a reservoir fed row by row (histogram columns hold nulls, and past
    512 values in some cases, coded or not); over the survivors,
    [hash_aggregate] the same rows in the same order on the coded leaf as
@@ -1390,16 +1415,8 @@ let same_outcome same a b =
   | Error x, Error y -> String.equal x y
   | _ -> false
 
-let same_observed (a : Collector.observed) (b : Collector.observed) =
-  let range (c, (lo, hi)) = (c, Test_storage.bits_key lo, Test_storage.bits_key hi) in
-  a.rows = b.rows
-  && List.map range a.col_ranges = List.map range b.col_ranges
-  && List.equal (fun (c, h) (c', h') -> c = c' && same_histogram h h') a.histograms b.histograms
-  && List.equal (fun (c, d) (c', d') -> c = c' && bits d = bits d') a.distincts b.distincts
-  && compare a.dicts b.dicts = 0
-
 (* [Collector.collect_table] against [Collector.collect] over a fresh
-   [Leaf.of_heap] of the table, observation and charge bit for bit: each
+   [Leaf.of_heap] of the table, statistics and charge bit for bit: each
    column alone, histogram only, then distinct only, then both (so a
    kept summary meets a request for a piece it lacks), then every column
    at once under two aliases, which share the summaries. *)
@@ -1413,7 +1430,7 @@ let table_collect_agrees (tbl : Mqr_catalog.Catalog.table) =
     let c1 = ctx () and c2 = ctx () in
     let kept = Collector.collect_table c1 (schema alias) spec tbl in
     let fresh = Collector.collect c2 (schema alias) spec (Leaf.of_heap heap) in
-    same_observed kept fresh
+    same_stats kept fresh
     && bits (Sim_clock.elapsed_ms c1.Exec_ctx.clock)
        = bits (Sim_clock.elapsed_ms c2.Exec_ctx.clock)
   in
@@ -1433,7 +1450,9 @@ let table_collect_agrees (tbl : Mqr_catalog.Catalog.table) =
 (* Every column of every base table at sf 0.005, and of a generated
    table with nulls, coded columns and columns past the dictionary cap
    (an Int key, a Float), then again after an INSERT, a DELETE and an
-   ANALYZE of each table. *)
+   ANALYZE of each table.  ANALYZE moves no heap generation, so its
+   histogram-only requests meet the distinct estimates kept before it,
+   which the statistics must not show. *)
 let test_collect_table_matches_collect () =
   let module Catalog = Mqr_catalog.Catalog in
   let catalog = Mqr_tpcd.Workload.experiment_catalog ~sf:0.005 () in
@@ -1512,16 +1531,18 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
      against a reservoir fed row by row *)
   let collect_agrees leaf plain =
     let coded = outcome (collect leaf) in
-    same_outcome same_observed coded (outcome (collect (Leaf.of_rows plain)))
+    same_outcome same_stats coded (outcome (collect (Leaf.of_rows plain)))
     &&
     match coded with
     | Error _ -> true
-    | Ok obs ->
-      let histograms, dicts = reference_histograms schema hist_cols plain in
-      List.equal
-        (fun (c, h) (c', h') -> c = c' && same_histogram h h')
-        obs.Collector.histograms histograms
-      && compare obs.Collector.dicts dicts = 0
+    | Ok stats ->
+      List.for_all
+        (fun (c, (h, dict)) ->
+           match List.assoc c stats with
+           | { Column_stats.histogram = Some h'; dict = dict'; _ } ->
+             same_histogram h h' && compare dict dict' = 0
+           | _ -> false)
+        (reference_histograms schema hist_cols plain)
   in
   let input_ok = collect_agrees leaf plain in
   let leaf, plain =

@@ -338,6 +338,28 @@ let test_plan_cache_per_mode () =
   Alcotest.(check bool) "full mode not served the off-mode plan" true
     (r.Dispatcher.counters.Sim_clock.opt_invocations >= 1)
 
+module Plan_cache = Mqr_core.Plan_cache
+
+(* A stale entry that [find] dropped leaves nothing in the eviction order:
+   storing its key again makes it the newest entry, so the next eviction
+   takes the oldest live one. *)
+let test_plan_cache_restore_after_stale () =
+  let catalog = small_catalog () in
+  let engine = Engine.create catalog in
+  let sql = "select grp from items" in
+  let query = Engine.bind_sql engine sql and plan = Engine.explain engine sql in
+  let cache = Plan_cache.create ~capacity:2 () in
+  let store key = Plan_cache.store cache catalog key ~plan ~query ~collectors:0 in
+  let cached key = Plan_cache.find cache catalog key <> None in
+  store "A";
+  Catalog.analyze_table catalog "items";
+  Alcotest.(check bool) "A stale after ANALYZE" false (cached "A");
+  List.iter store [ "B"; "A"; "C" ];
+  Alcotest.(check bool) "A kept" true (cached "A");
+  Alcotest.(check bool) "B evicted" false (cached "B");
+  Alcotest.(check bool) "C kept" true (cached "C");
+  Alcotest.(check int) "two entries" 2 (Plan_cache.size cache)
+
 (* --- no array a reader holds ever changes --- *)
 
 (* each tuple of [rows] and each of its cells, physically *)
@@ -667,6 +689,8 @@ let suite =
     Alcotest.test_case "plan cache invalidation" `Quick test_plan_cache_invalidated_by_updates;
     Alcotest.test_case "plan cache analyze invalidation" `Quick test_plan_cache_invalidated_by_analyze;
     Alcotest.test_case "plan cache per mode" `Quick test_plan_cache_per_mode;
+    Alcotest.test_case "a re-stored stale key is the newest entry" `Quick
+      test_plan_cache_restore_after_stale;
     Alcotest.test_case "codes never outlive their unit" `Quick
       test_codes_stay_in_their_unit;
     Alcotest.test_case "an empty scan leaf gives no codes to a join's output" `Quick
