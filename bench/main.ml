@@ -605,7 +605,7 @@ let scalability () =
        let ctx = Exec_ctx.create ~pool_pages:4096 () in
        ignore
          (Parallel.hash_join ctx ~degree ~mem_pages:64
-            ~build:(build, schema "r") ~probe:(probe, schema "l")
+            ~build:(build, schema "r") ~probe:(Mqr_exec.Leaf.of_rows probe, schema "l")
             ~keys:[ ("l.a", "r.a") ] ());
        let t = Exec_ctx.elapsed_ms ctx in
        record ~scenario:(Fmt.str "scale/degree=%d" degree) ~mode:"hash-join"
@@ -1442,9 +1442,10 @@ let storage_scenario () =
    probe matches one row) and two (lineitem's l_partkey, l_suppkey into
    partsupp; datagen draws them independently, so most probes miss), and
    [Aggregate.hash_aggregate] per grouped row in Q1's shape (lineitem by
-   l_returnflag, l_linestatus; count only).  Join inputs are cut to
-   their key columns, so the table, not the output rows, sets the cost;
-   each join builds its table once per run.  Min and median over op_reps
+   l_returnflag, l_linestatus; count only).  These join inputs are cut
+   to their key columns, so the table, not the output rows, sets the
+   cost; each join builds its table once per run.  [probe/leaf] is Q3's
+   top join over lineitem's own filtered scan leaf (below).  Min and median over op_reps
    runs, minor words per row from the median-allocating run. *)
 
 let hash_scenario () =
@@ -1479,7 +1480,8 @@ let hash_scenario () =
        let build = keys_only build (List.map snd keys) in
        report mode ~per:(Array.length (fst probe)) (fun () ->
            ignore
-             (Join.hash_join ctx ~mem_pages:100_000 ~build ~probe ~keys ())))
+             (Join.hash_join ctx ~mem_pages:100_000 ~build
+                ~probe:(Mqr_exec.Leaf.of_rows (fst probe), snd probe) ~keys ())))
     [ ("probe/1-int", table "orders" "o", [ ("l.l_orderkey", "o.o_orderkey") ]);
       ( "probe/2-int", table "partsupp" "ps",
         [ ("l.l_partkey", "ps.ps_partkey"); ("l.l_suppkey", "ps.ps_suppkey") ] ) ];
@@ -1519,7 +1521,7 @@ let hash_scenario () =
     per_op ~scenario:"hash" ~mode:"probe/leaf" ~per ~setup:probed (fun leaf ->
         ignore
           (Join.hash_join ctx ~mem_pages:100_000 ~build
-             ~probe:(Mqr_exec.Leaf.rows leaf, lschema)
+             ~probe:(leaf, lschema)
              ~keys:[ ("l.l_orderkey", "o.o_orderkey") ] ()))
   in
   Fmt.pr "%-14s %9d %10.2f %10.2f %10.3f  (%d build rows)@." "probe/leaf" per

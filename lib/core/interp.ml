@@ -792,13 +792,14 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     let leaf, schema = exec_node st p in
     (Leaf.rows leaf, schema)
   in
-  (* a join whose [first] input publishes runtime filters to [second] *)
+  (* a join whose [first] input publishes runtime filters to [second],
+     whose leaf it returns *)
   let publishing ~rf first second =
     let ((rows, schema) as first) = rows_of first in
     let installed =
       install_filters st ~source:(Plan.op_name p) ~rf ~rows ~schema
     in
-    let second = rows_of second in
+    let second = exec_node st second in
     retire_filters st installed;
     (first, second)
   in
@@ -871,14 +872,14 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     emit st (Ev_collected { cid; alias; columns = List.map fst collected });
     (apply_runtime_filters st schema leaf, schema)
   | Plan.Hash_join { build; probe; keys; extra; rf } ->
-    let (build_rows, build_schema), (probe_rows, probe_schema) =
+    let (build_rows, build_schema), (probe, probe_schema) =
       publishing ~rf build probe
     in
     uncoded
       (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
            Parallel.hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
              ~build:(build_rows, build_schema)
-             ~probe:(probe_rows, probe_schema) ~keys ?extra ()))
+             ~probe:(probe, probe_schema) ~keys ?extra ()))
   | Plan.Index_nl_join
       { outer; table; alias; outer_col = oc; inner_col; inner_filter; extra } ->
     let outer_rows, outer_schema = rows_of outer in
@@ -906,12 +907,12 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     (Leaf.of_rows r.Join.rows, r.Join.schema)
   | Plan.Merge_join { left; right; keys; extra; left_sorted; right_sorted; rf }
     ->
-    let (left_rows, left_schema), (right_rows, right_schema) =
+    let (left_rows, left_schema), (right, right_schema) =
       publishing ~rf left right
     in
     let r =
       Merge_join.merge_join ctx ~mem_pages ~left_sorted ~right_sorted
-        ~left:(left_rows, left_schema) ~right:(right_rows, right_schema)
+        ~left:(left_rows, left_schema) ~right:(Leaf.rows right, right_schema)
         ~keys ?extra ()
     in
     (Leaf.of_rows r.Merge_join.rows, r.Merge_join.schema)

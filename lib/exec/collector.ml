@@ -32,15 +32,36 @@ let estimated_cost_ms s ~rows =
    another column's.  On a coded column only the first row of each code
    feeds min/max and the distinct counters, which already hold every
    later one; a null has code 0 and is counted on every row, and later
-   rows read only their codes.  An uncoded column skips a cell with the
-   constructor and bits of the last non-null cell it fed (an equal Int or
-   Date payload, or the same box), which changes nothing either: rows
-   that arrive in key order repeat their keys in runs.  Nulls are still
-   counted one by one. *)
+   rows read only their codes.  Elsewhere a cell with the constructor and
+   bits of the last non-null cell fed (an equal Int or Date payload, or
+   the same box) is skipped, which changes nothing either: rows that
+   arrive in key order repeat their keys in runs.  A column with
+   payloads, all non-null and of one constructor, reads its row's box
+   only where the payload changes, which are the same adds.  Nulls are
+   still counted one by one. *)
 let run_pass leaf i pass =
   let base = Leaf.base leaf in
-  match Leaf.column leaf i with
-  | None ->
+  match Leaf.column leaf i, Leaf.payloads leaf i with
+  | Some c, _ ->
+    let seen = Bytes.make (Heap_file.code_count c) '\000' in
+    Leaf.iter leaf (fun r ->
+        let code = Heap_file.code c r in
+        if code = 0 then Column_pass.add pass Value.Null
+        else if Bytes.get seen code = '\000' then begin
+          Bytes.set seen code '\001';
+          Column_pass.add pass base.(r).(i)
+        end)
+  | None, Some p ->
+    let last = ref 0 in
+    for k = 0 to Leaf.length leaf - 1 do
+      let r = Leaf.position leaf k in
+      let x = Heap_file.payload p r in
+      if k = 0 || x <> !last then begin
+        last := x;
+        Column_pass.add pass base.(r).(i)
+      end
+    done
+  | None, None ->
     let prev = ref Value.Null in
     Leaf.iter leaf (fun r ->
         let v = base.(r).(i) in
@@ -52,15 +73,6 @@ let run_pass leaf i pass =
         | _ ->
           prev := v;
           Column_pass.add pass v)
-  | Some c ->
-    let seen = Bytes.make (Heap_file.code_count c) '\000' in
-    Leaf.iter leaf (fun r ->
-        let code = Heap_file.code c r in
-        if code = 0 then Column_pass.add pass Value.Null
-        else if Bytes.get seen code = '\000' then begin
-          Bytes.set seen code '\001';
-          Column_pass.add pass base.(r).(i)
-        end)
 
 (* Column [i]'s cells at the 0-based ordinals [ords], slot by slot,
    counting only the leaf's non-null cells, in [Leaf.iter] order.

@@ -47,7 +47,8 @@ val spec_columns : spec -> string list
     to the stream) and its dictionary only if the name is in [hist_cols];
     the distinct estimate if it is in [distinct_cols], else the
     histogram's.  A column coded in the leaf feeds its counters once per
-    code; the result is that of [Leaf.of_rows (Leaf.rows leaf)]. *)
+    code, and one with payloads once per run of equal payloads; the
+    result is that of [Leaf.of_rows (Leaf.rows leaf)]. *)
 val collect :
   Exec_ctx.t -> Schema.t -> spec -> Leaf.t ->
   (string * Mqr_catalog.Column_stats.t) list

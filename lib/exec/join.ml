@@ -33,7 +33,7 @@ let rec has_null t idx i =
   i < Array.length idx && (Value.is_null t.(idx.(i)) || has_null t idx (i + 1))
 
 let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
-    ~probe:(probe_rows, probe_schema) ~keys ?extra () =
+    ~probe:(probe, probe_schema) ~keys ?extra () =
   let clock = ctx.Exec_ctx.clock in
   let out_schema = Schema.concat probe_schema build_schema in
   let probe_idx =
@@ -46,23 +46,26 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
     Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows build_rows)
   in
   let passes = hash_join_passes ~mem_pages ~build_pages in
+  let np = Leaf.length probe in
   (* Extra passes write and re-read both inputs once per partitioning
      level, plus the repartitioning CPU; only they read the probe size. *)
   let pages =
     if passes = 1 then 0
     else
-      build_pages + Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows probe_rows)
+      build_pages
+      + Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows (Leaf.rows probe))
   in
   for _ = 2 to passes do
     Sim_clock.charge_write clock pages;
     Sim_clock.charge_seq_read clock pages;
-    Sim_clock.charge_hash_tuples clock
-      (Array.length build_rows + Array.length probe_rows)
+    Sim_clock.charge_hash_tuples clock (Array.length build_rows + np)
   done;
   let residual =
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
   in
-  let out = Out.create (Array.length probe_rows) in
+  (* Output is often far smaller than the probe side: the buffer starts
+     small and doubles. *)
+  let out = Out.create 0 in
   (* The in-memory join itself (final pass).  [newest.(id)] is the last
      build row of key [id]; [next] chains each build row to the previous
      one of its key, so a probe emits its matches newest first. *)
@@ -81,22 +84,86 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
       else newest.(Table.add table h t) <- r
     end
   done;
-  for i = 0 to Array.length probe_rows - 1 do
-    let pt = probe_rows.(i) in
-    if not (has_null pt probe_idx 0) then begin
-      let id = Table.find table (Rows_ops.row_hash pt probe_idx) pt probe_idx in
-      let r = ref (if id >= 0 then newest.(id) else -1) in
-      while !r >= 0 do
-        let joined = Tuple.concat pt build_rows.(!r) in
-        (match residual with
-         | Some p when not (p joined) -> ()
-         | _ -> Out.add out joined);
-        r := next.(!r)
-      done
-    end
-  done;
-  Sim_clock.charge_hash_tuples clock (Array.length build_rows);
-  Sim_clock.charge_hash_tuples clock (Array.length probe_rows);
+  let base = Leaf.base probe in
+  (* the probe row at position [r] joined with each build row of key [id] *)
+  let emit r id =
+    let pt = base.(r) in
+    let b = ref newest.(id) in
+    while !b >= 0 do
+      let joined = Tuple.concat pt build_rows.(!b) in
+      (match residual with
+       | Some p when not (p joined) -> ()
+       | _ -> Out.add out joined);
+      b := next.(!b)
+    done
+  in
+  (match probe_idx with
+   | [| i |] ->
+     (* One key: looked up once per run of equal keys, read from the
+        payloads, else the codes (0 is Null), else the cells (a run: the
+        same box, or equal Int or Date payloads).  The row itself is
+        read to confirm a full-hash match and to build output. *)
+     let id = ref (-1) in
+     (match Leaf.payloads probe i, Leaf.column probe i with
+      | Some p, _ ->
+        let date = Heap_file.payload_is_date p and last = ref 0 in
+        for k = 0 to np - 1 do
+          let r = Leaf.position probe k in
+          let x = Heap_file.payload p r in
+          if k = 0 || x <> !last then begin
+            last := x;
+            let h = if date then Rows_ops.date_hash x else Rows_ops.int_hash x in
+            id := Table.find table (Rows_ops.hash_one h) base.(r) probe_idx
+          end;
+          if !id >= 0 then emit r !id
+        done
+      | None, Some c ->
+        let last = ref 0 in
+        for k = 0 to np - 1 do
+          let r = Leaf.position probe k in
+          let x = Heap_file.code c r in
+          if k = 0 || x <> !last then begin
+            last := x;
+            id :=
+              if x = 0 then -1
+              else
+                let t = base.(r) in
+                Table.find table (Rows_ops.row_hash t probe_idx) t probe_idx
+          end;
+          if !id >= 0 then emit r !id
+        done
+      | None, None ->
+        let last = ref Value.Null in
+        for k = 0 to np - 1 do
+          let r = Leaf.position probe k in
+          let t = base.(r) in
+          let v = t.(i) in
+          let same =
+            k > 0
+            && (v == !last
+                || match v, !last with
+                | Value.Int x, Value.Int y | Value.Date x, Value.Date y -> x = y
+                | _ -> false)
+          in
+          if not same then begin
+            last := v;
+            id :=
+              if Value.is_null v then -1
+              else Table.find table (Rows_ops.row_hash t probe_idx) t probe_idx
+          end;
+          if !id >= 0 then emit r !id
+        done)
+   | _ ->
+     for k = 0 to np - 1 do
+       let r = Leaf.position probe k in
+       let pt = base.(r) in
+       if not (has_null pt probe_idx 0) then begin
+         let id = Table.find table (Rows_ops.row_hash pt probe_idx) pt probe_idx in
+         if id >= 0 then emit r id
+       end
+     done);
+  Sim_clock.charge_hash_tuples clock nb;
+  Sim_clock.charge_hash_tuples clock np;
   Sim_clock.charge_cpu_tuples clock (Out.length out);
   { rows = Out.contents out; schema = out_schema; passes }
 

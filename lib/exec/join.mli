@@ -22,10 +22,15 @@ type result = {
 
 (** [hash_join ctx ~mem_pages ~build ~probe ~keys ~extra] joins on the
     column pairs [keys] (probe column, build column); [extra] is a residual
-    predicate over the concatenated schema (probe columns first). *)
+    predicate over the concatenated schema (probe columns first).  The
+    output holds each probe row, in leaf order, joined with each build row
+    of an equal key, the last-built first.  The probe side is read through
+    its leaf's positions, gathered only for a partitioned (multi-pass)
+    join's size.  With one key, each run of equal keys is looked up once,
+    the key read from the leaf's payloads, else its codes, else the cell. *)
 val hash_join :
   Exec_ctx.t -> mem_pages:int ->
-  build:Tuple.t array * Schema.t -> probe:Tuple.t array * Schema.t ->
+  build:Tuple.t array * Schema.t -> probe:Leaf.t * Schema.t ->
   keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> unit -> result
 
 (** Indexed nested-loops join: for each outer row, probe the inner table's

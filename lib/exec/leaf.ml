@@ -4,18 +4,19 @@ module Expr = Mqr_expr.Expr
 type t = {
   base : Tuple.t array;  (* the rows [pos] picks from *)
   cols : Heap_file.codes option array;  (* per column, by position in [base]; [||]: none *)
+  ints : Heap_file.payloads option array;  (* the same, for payloads *)
   pos : int array option;  (* the leaf's rows: the first [len] positions in [base]; None: all *)
   len : int;
   rows : Tuple.t array Lazy.t;  (* the leaf's rows, gathered on first use *)
 }
 
-let make base cols pos len =
+let make base cols ints pos len =
   let rows =
     match pos with
     | None -> Lazy.from_val base
     | Some pos -> lazy (Array.init len (fun i -> base.(pos.(i))))
   in
-  { base; cols; pos; len; rows }
+  { base; cols; ints; pos; len; rows }
 
 let rows leaf = Lazy.force leaf.rows
 
@@ -34,16 +35,21 @@ let iter leaf f =
       f pos.(i)
     done
 
-let position leaf k = match leaf.pos with None -> k | Some pos -> pos.(k)
+let[@inline] position leaf k = match leaf.pos with None -> k | Some pos -> pos.(k)
 
 let column leaf i = if i < Array.length leaf.cols then leaf.cols.(i) else None
 
-let of_rows rows = make rows [||] None (Array.length rows)
+let payloads leaf i = if i < Array.length leaf.ints then leaf.ints.(i) else None
 
-(* The file's rows, picked by [pos], with each column's codes, read now. *)
+let of_rows rows = make rows [||] [||] None (Array.length rows)
+
+(* The file's rows, picked by [pos], with each column's codes and
+   payloads, read now. *)
 let of_file heap pos len =
+  let arity = Schema.arity (Heap_file.schema heap) in
   make (Heap_file.rows heap)
-    (Array.init (Schema.arity (Heap_file.schema heap)) (Heap_file.codes heap))
+    (Array.init arity (Heap_file.codes heap))
+    (Array.init arity (Heap_file.payloads heap))
     pos len
 
 let of_heap heap = of_file heap None (Heap_file.tuple_count heap)
@@ -167,4 +173,4 @@ let filter ctx schema pred leaf =
     else try by_conjunct cs leaf with _ -> by_row cs leaf
   in
   if survivors = n then leaf
-  else make leaf.base leaf.cols (Some kept) survivors
+  else make leaf.base leaf.cols leaf.ints (Some kept) survivors

@@ -1,16 +1,19 @@
 (** Rows as operators hand them to each other: an array of rows, the
     positions in it that the leaf holds, and the array's dictionary
-    codes when a scan read them.
+    codes and unboxed payloads when a scan read them.
 
     A scan's leaf is the file's own rows ({!Mqr_storage.Heap_file.rows})
     with the codes of each column whose dictionary is kept
-    ({!Mqr_storage.Heap_file.codes}); a full or striped scan holds every
-    position in rid order, an index scan the probed rids in probe order,
-    and a filter the positions that pass.  Nothing copies a row or a code
-    on the way: an operator that needs a plain array ({!rows}: a join, a
-    sort, a projection, a runtime filter, a temp) gathers it once, on
-    first use, and the filter, the collector and the hash GROUP BY read
-    through the positions ({!iter}).
+    ({!Mqr_storage.Heap_file.codes}) and the payloads of each column
+    that keeps them ({!Mqr_storage.Heap_file.payloads}); a full or
+    striped scan holds every position in rid order, an index scan the
+    probed rids in probe order, and a filter the positions that pass.
+    Nothing copies a row, a code or a payload on the way: an operator
+    that needs a plain array ({!rows}: a sort, a projection, a runtime
+    filter, a temp, a join's input, except a hash join's probe side
+    unless the join partitions or spills) gathers it once, on first use,
+    and the filter, the collector, the hash GROUP BY and the hash join's
+    probe read through the positions ({!iter}, {!position}).
 
     Equal codes mean cells of the same constructor and bits, so an
     operator that receives a coded leaf may work once per code where its
@@ -18,11 +21,13 @@
     single-column conjuncts, a collector's min/max and distinct counters,
     a GROUP BY's hash lookup — and keep the result in a per-code memo.
     The memo is always filled by the operator's own row path, at the
-    first row of each code.
+    first row of each code.  Equal payloads of a column likewise mean
+    equal cells, so the collector and the hash join's probe, which meet
+    a column's keys in runs, work once per run of equal payloads.
 
-    A leaf's codes always describe its own array: only the scans attach
-    them, {!filter} keeps them with the same array, and every other
-    operator's output is {!of_rows}, which has none. *)
+    A leaf's codes and payloads always describe its own array: only the
+    scans attach them, {!filter} keeps them with the same array, and
+    every other operator's output is {!of_rows}, which has none. *)
 
 open Mqr_storage
 
@@ -35,7 +40,8 @@ val rows : t -> Tuple.t array
 (** [length leaf] is [Array.length (rows leaf)], without gathering. *)
 val length : t -> int
 
-(** The array the leaf's positions index, and its codes index. *)
+(** The array the leaf's positions index, and its codes and payloads
+    index. *)
 val base : t -> Tuple.t array
 
 (** [iter leaf f] calls [f r] for each row of the leaf, in order, with
@@ -51,11 +57,17 @@ val position : t -> int -> int
     or [None] when the column has none. *)
 val column : t -> int -> Heap_file.codes option
 
-(** [of_rows rows] is every row of [rows], without codes. *)
+(** [payloads leaf i] is column [i]'s payloads, by position in [base
+    leaf], or [None] when the column has none.  A column never has both
+    codes and payloads. *)
+val payloads : t -> int -> Heap_file.payloads option
+
+(** [of_rows rows] is every row of [rows], without codes or payloads. *)
 val of_rows : Tuple.t array -> t
 
 (** [of_heap heap] is every row of [heap] in rid order, the file's own
-    array, with each column's codes, read now; nothing is charged. *)
+    array, with each column's codes and payloads, read now; nothing is
+    charged. *)
 val of_heap : Heap_file.t -> t
 
 (** [charge_stripe ctx heap ~stripe ~degree] charges [ctx] a sequential
@@ -75,15 +87,15 @@ val scan : Exec_ctx.t -> Heap_file.t -> t
     boundary rows of a strict bound), then fetches each row through the
     buffer pool in the order the probe returns them (a random read per
     miss: the index is unclustered).  Its rows are the file's, at the
-    probed rids, in probe order, with the file's codes. *)
+    probed rids, in probe order, with the file's codes and payloads. *)
 val index_scan :
   Exec_ctx.t -> Heap_file.t -> Btree.t ->
   ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> t
 
 (** [filter ctx schema pred leaf] is [Rows_ops.filter ctx schema pred
     (rows leaf)] (rows, charges, UDF calls and exceptions), as positions
-    in the same array with the same codes: [leaf] itself when every row
-    passed.  Each conjunct that reads exactly one coded column and calls
+    in the same array with the same codes and payloads: [leaf] itself
+    when every row passed.  Each conjunct that reads exactly one coded column and calls
     no UDF is evaluated at the first row of each code that reaches it,
     and its verdict is kept for the code's later rows.  When [pred]
     calls no UDF, the conjuncts run one at a time, each over the rows

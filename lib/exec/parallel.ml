@@ -87,13 +87,13 @@ let scan ctx ~degree ?slice_pages ?on_worker heap =
   end
 
 let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
-    ~build:(build_rows, build_schema) ~probe:(probe_rows, probe_schema) ~keys
+    ~build:(build_rows, build_schema) ~probe:(probe, probe_schema) ~keys
     ?extra () =
   match keys, degree with
   | [], _ | _, 1 ->
     let r =
       Join.hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
-        ~probe:(probe_rows, probe_schema) ~keys ?extra ()
+        ~probe:(probe, probe_schema) ~keys ?extra ()
     in
     (r.Join.rows, r.Join.schema)
   | (probe_col, build_col) :: _, _ ->
@@ -101,7 +101,7 @@ let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
       partition_by ctx ~degree build_schema ~column:build_col build_rows
     in
     let probe_parts =
-      partition_by ctx ~degree probe_schema ~column:probe_col probe_rows
+      partition_by ctx ~degree probe_schema ~column:probe_col (Leaf.rows probe)
     in
     let per_worker_mem = max 2 (mem_pages / degree) in
     let chunks =
@@ -109,7 +109,7 @@ let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
           let r =
             Join.hash_join wctx ~mem_pages:per_worker_mem
               ~build:(build_parts.(w), build_schema)
-              ~probe:(probe_parts.(w), probe_schema)
+              ~probe:(Leaf.of_rows probe_parts.(w), probe_schema)
               ~keys ?extra ()
           in
           r.Join.rows)

@@ -56,12 +56,15 @@ val scan :
 (** Co-partitioned hash join: both inputs are hash-exchanged on the first
     join key, each worker joins its partition pair with
     [mem_pages / degree] pages.  A keyless join (a cross product, which no
-    key can partition) runs serially at any degree. *)
+    key can partition) runs serially at any degree.  At degree 1 the
+    probe leaf goes to {!Join.hash_join} as it is, codes and payloads and
+    all; the exchange gathers its rows and hands each worker its
+    partition without them. *)
 val hash_join :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int ->
-  build:Tuple.t array * Schema.t -> probe:Tuple.t array * Schema.t ->
+  build:Tuple.t array * Schema.t -> probe:Leaf.t * Schema.t ->
   keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> unit ->
   Tuple.t array * Schema.t
 

@@ -53,16 +53,24 @@ module Out = struct
     if b.len = Array.length b.rows then b.rows else Array.sub b.rows 0 b.len
 end
 
+let[@inline] int_hash i =
+  if i > -(1 lsl 53) && i < 1 lsl 53 then Hash_mix.mix i
+  else Value.hash (Value.Int i)
+
+let[@inline] date_hash d = Hash_mix.mix d lxor 0x5bd1
+
 let key_hash (v : Value.t) =
   match v with
   | Null -> 0x2f1d
   | Bool b -> if b then 0x4a3 else 0x7c5
-  | Int i when i > -(1 lsl 53) && i < 1 lsl 53 -> Hash_mix.mix i
+  | Int i -> int_hash i
   | Float f when Float.abs f < 0x1p53 && Float.of_int (Float.to_int f) = f ->
     Hash_mix.mix (Float.to_int f)
-  | Int _ | Float _ -> Value.hash v
+  | Float _ -> Value.hash v
   | String s -> Hash_mix.string_hash s
-  | Date d -> Hash_mix.mix d lxor 0x5bd1
+  | Date d -> date_hash d
+
+let[@inline] hash_one h = (17 * 31) + h
 
 let row_hash t idx =
   let h = ref 17 in

@@ -42,9 +42,20 @@ end
     constant for [Null] and [Bool].  Allocates nothing off [Value.hash]. *)
 val key_hash : Value.t -> int
 
+(** [int_hash i] is [key_hash (Int i)] and [date_hash d] is [key_hash
+    (Date d)]: [key_hash] calls them, so a key read as an unboxed payload
+    hashes as its cell does. *)
+val int_hash : int -> int
+
+val date_hash : int -> int
+
 (** [row_hash t idx] folds [key_hash] over the columns [idx] of [t] (from
     17, times 31). *)
 val row_hash : Tuple.t -> int array -> int
+
+(** [hash_one h] is the [row_hash] of a one-column key whose [key_hash]
+    is [h]. *)
+val hash_one : int -> int
 
 (** [Value.equal] on the columns [ai] of [a] and [bi] of [b], pairwise. *)
 val keys_equal : Tuple.t -> int array -> Tuple.t -> int array -> bool

@@ -1,4 +1,4 @@
-let mix x =
+let[@inline] mix x =
   let x = (x lxor (x lsr 32)) * 0x2545F4914F6CDD1D in
   x lxor (x lsr 29)
 

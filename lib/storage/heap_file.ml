@@ -3,8 +3,7 @@
    [slots] is an open-addressing table of codes, 2 bytes a slot (0 marks
    an empty one), probed linearly from [exact_hash] of the code's box and
    at most half full; [boxes.(c)] is code [c]'s box; [per_rid] holds each
-   rid's code, 2 bytes a row, with room to grow.  All three are empty
-   once the dictionary was dropped. *)
+   rid's code, 2 bytes a row, with room to grow. *)
 type dict = {
   mutable slots : Bytes.t;
   mutable boxes : Value.t array;
@@ -12,17 +11,27 @@ type dict = {
   mutable per_rid : Bytes.t;
 }
 
+(* What a column keeps beside its cells: its dictionary while it holds
+   fewer than [dict_limit] values; then, while every cell is a non-null
+   [Int] (or every one a [Date]), each rid's payload, with room to grow;
+   else nothing, for good. *)
+type column =
+  | Coded of dict
+  | Unboxed of { mutable ints : int array; date : bool }
+  | Boxed
+
 type t = {
   id : int;
   schema : Schema.t;
   mutable data : Tuple.t array;
   mutable len : int;
   per_page : int;
-  dicts : dict array;  (* per column; [||] for a file from [of_rows] *)
+  cols : column array;  (* per column; [||] for a file from [of_rows] *)
   mutable generation : int;  (* bumped whenever the rows change *)
 }
 
 type codes = { codes : Bytes.t; count : int; boxes : Value.t array }
+type payloads = { ints : int array; date : bool }
 
 let page_size_bytes = 4096
 
@@ -36,18 +45,19 @@ let fresh_id () =
   incr next_id;
   !next_id
 
-let adopt schema data len dicts =
+let adopt schema data len cols =
   let width = max 1 (Schema.avg_tuple_width schema) in
   let per_page = max 1 (page_size_bytes / width) in
-  { id = fresh_id (); schema; data; len; per_page; dicts; generation = 0 }
+  { id = fresh_id (); schema; data; len; per_page; cols; generation = 0 }
 
 let create schema =
   adopt schema (Array.make 64 [||]) 0
     (Array.init (Schema.arity schema) (fun _ ->
-         { slots = Bytes.make 32 '\000';
-           boxes = Array.make 16 Value.Null;
-           size = 1;
-           per_rid = Bytes.empty }))
+         Coded
+           { slots = Bytes.make 32 '\000';
+             boxes = Array.make 16 Value.Null;
+             size = 1;
+             per_rid = Bytes.empty }))
 
 let of_rows schema rows = adopt schema rows (Array.length rows) [||]
 
@@ -88,19 +98,12 @@ let slot d v =
   in
   probe (exact_hash v land mask)
 
-let drop d =
-  d.slots <- Bytes.empty;
-  d.boxes <- [||];
-  d.per_rid <- Bytes.empty
-
 (* The code of non-null [v]'s value, the next one if it is new; -1 when
    it is the [dict_limit]th value, which drops the dictionary. *)
 let code_of d v =
   let i = slot d v in
   match get16 d.slots i with
-  | 0 when d.size = dict_limit ->
-    drop d;
-    -1
+  | 0 when d.size = dict_limit -> -1
   | 0 ->
     let c = d.size in
     if c = Array.length d.boxes then begin
@@ -120,25 +123,60 @@ let code_of d v =
     c
   | c -> c
 
+exception Boxed_cell
+
+let unboxed ~date (v : Value.t) =
+  match v with
+  | Int x when not date -> x
+  | Date x when date -> x
+  | _ -> raise_notrace Boxed_cell
+
+(* What column [i] keeps once its dictionary drops at the next rid, whose
+   cell is [v]: the payloads of the rows so far and [v], if they are all
+   non-null [Int]s or all [Date]s. *)
+let unbox t i v =
+  let date = match (v : Value.t) with Date _ -> true | _ -> false in
+  match
+    let ints = Array.make (max 64 (2 * t.len)) 0 in
+    for rid = 0 to t.len - 1 do
+      ints.(rid) <- unboxed ~date t.data.(rid).(i)
+    done;
+    ints.(t.len) <- unboxed ~date v;
+    ints
+  with
+  | ints -> Unboxed { ints; date }
+  | exception Boxed_cell -> Boxed
+
 (* Each kept dictionary maps the cell to its code, stores the code at
-   [rid] and the code's box in the cell. *)
+   [rid] and the code's box in the cell; kept payloads store the cell's
+   at [rid].  A tuple without the column's cell leaves it nothing. *)
 let append t tuple =
   let rid = t.len in
-  for i = 0 to Array.length t.dicts - 1 do
-    let d = t.dicts.(i) in
-    if Array.length d.boxes > 0 then
-      if i >= Array.length tuple then drop d
+  for i = 0 to Array.length t.cols - 1 do
+    match t.cols.(i) with
+    | Boxed -> ()
+    | _ when i >= Array.length tuple -> t.cols.(i) <- Boxed
+    | Coded d ->
+      let v = tuple.(i) in
+      let c = if v == Value.Null then 0 else code_of d v in
+      if c < 0 then t.cols.(i) <- unbox t i v
       else begin
-        let v = tuple.(i) in
-        let c = if v == Value.Null then 0 else code_of d v in
-        if c >= 0 then begin
-          let w = d.boxes.(c) in
-          if w != v then tuple.(i) <- w;
-          if 2 * rid = Bytes.length d.per_rid then
-            d.per_rid <- Bytes.extend d.per_rid 0 (max 128 (2 * rid));
-          set16 d.per_rid rid c
-        end
+        let w = d.boxes.(c) in
+        if w != v then tuple.(i) <- w;
+        if 2 * rid = Bytes.length d.per_rid then
+          d.per_rid <- Bytes.extend d.per_rid 0 (max 128 (2 * rid));
+        set16 d.per_rid rid c
       end
+    | Unboxed u ->
+      (match unboxed ~date:u.date tuple.(i) with
+       | x ->
+         if rid = Array.length u.ints then begin
+           let bigger = Array.make (max 64 (2 * rid)) 0 in
+           Array.blit u.ints 0 bigger 0 rid;
+           u.ints <- bigger
+         end;
+         u.ints.(rid) <- x
+       | exception Boxed_cell -> t.cols.(i) <- Boxed)
   done;
   if t.len = Array.length t.data then begin
     let bigger = Array.make (max 64 (2 * t.len)) [||] in
@@ -200,56 +238,72 @@ let iter t f =
   done
 
 let codes t col =
-  if col >= Array.length t.dicts || Array.length t.dicts.(col).boxes = 0 then None
+  if col >= Array.length t.cols then None
   else
-    let d = t.dicts.(col) in
-    Some { codes = d.per_rid; count = d.size; boxes = d.boxes }
+    match t.cols.(col) with
+    | Coded d -> Some { codes = d.per_rid; count = d.size; boxes = d.boxes }
+    | Unboxed _ | Boxed -> None
 
 let code c r = get16 c.codes r
 let code_count c = c.count
 let code_box c k = c.boxes.(k)
 
-(* The kept rows' codes go to fresh arrays, as the rows do, so a reader's
-   codes stay as they were; they move a run of kept rows at a time.
-   Until the first row [keep] rejects, nothing is copied: when it
-   rejects none, the storage and the codes stay in place. *)
+let payloads t col =
+  if col >= Array.length t.cols then None
+  else
+    match t.cols.(col) with
+    | Unboxed { ints; date } -> Some { ints; date }
+    | Coded _ | Boxed -> None
+
+let[@inline] payload p r = p.ints.(r)
+let payload_is_date p = p.date
+
+(* [keep] runs once per row, in rid order, before anything moves; the
+   kept rows, their codes and their payloads then go to fresh arrays of
+   exactly the kept length, a run of kept rows at a time, so a reader's
+   arrays stay as they were.  Until the first row [keep] rejects, nothing
+   is copied: when it rejects none, the storage stays in place. *)
 let retain t keep =
-  let first = ref 0 in
-  while !first < t.len && keep t.data.(!first) do incr first done;
-  if !first = t.len then 0
+  let n = t.len and first = ref 0 in
+  while !first < n && keep t.data.(!first) do incr first done;
+  if !first = n then 0
   else begin
-    let kept = Array.sub t.data 0 t.len and n = ref !first in
-    let live =
-      List.filter (fun (d : dict) -> Array.length d.boxes > 0) (Array.to_list t.dicts)
-    in
-    let fresh = List.map (fun _ -> Bytes.create (2 * t.len)) live in
-    (* the run of kept rows from rid [!from] lands at [!at] *)
-    let from = ref 0 and at = ref 0 in
-    let move upto =
-      List.iter2
-        (fun d codes ->
-           Bytes.blit d.per_rid (2 * !from) codes (2 * !at) (2 * (upto - !from)))
-        live fresh
-    in
-    let drop rid =
-      move rid;
-      from := rid + 1;
-      at := !n
-    in
-    drop !first;
-    for rid = !first + 1 to t.len - 1 do
-      let tuple = t.data.(rid) in
-      if keep tuple then begin
-        kept.(!n) <- tuple;
-        incr n
-      end
-      else drop rid
+    let kept = Bytes.make n '\001' and m = ref !first in
+    Bytes.set kept !first '\000';
+    for rid = !first + 1 to n - 1 do
+      if keep t.data.(rid) then incr m else Bytes.set kept rid '\000'
     done;
-    move t.len;
-    List.iter2 (fun d codes -> d.per_rid <- codes) live fresh;
-    let deleted = t.len - !n in
-    t.data <- Array.sub kept 0 !n;
-    t.len <- !n;
+    let m = !m in
+    let data = Array.make m [||] in
+    (* how a run of [len] kept rows from rid [from] lands at [at] in each
+       store's fresh array *)
+    let moves = ref [ (fun from at len -> Array.blit t.data from data at len) ] in
+    Array.iter
+      (function
+        | Coded d ->
+          let old = d.per_rid and codes = Bytes.create (2 * m) in
+          d.per_rid <- codes;
+          moves :=
+            (fun from at len -> Bytes.blit old (2 * from) codes (2 * at) (2 * len))
+            :: !moves
+        | Unboxed u ->
+          let old = u.ints and ints = Array.make m 0 in
+          u.ints <- ints;
+          moves := (fun from at len -> Array.blit old from ints at len) :: !moves
+        | Boxed -> ())
+      t.cols;
+    let rid = ref 0 and at = ref 0 in
+    while !rid < n do
+      if Bytes.get kept !rid = '\000' then incr rid
+      else begin
+        let from = !rid in
+        while !rid < n && Bytes.get kept !rid = '\001' do incr rid done;
+        List.iter (fun move -> move from !at (!rid - from)) !moves;
+        at := !at + (!rid - from)
+      end
+    done;
+    t.data <- data;
+    t.len <- m;
     t.generation <- t.generation + 1;
-    deleted
+    n - m
   end

@@ -23,7 +23,17 @@
     full, striped or index scan), together with [rows] at that moment,
     and hands them on only with those rows; ANALYZE
     ([Mqr_catalog.Catalog.analyze_table]) counts them beside the rows of
-    the same moment. *)
+    the same moment.
+
+    A column whose dictionary was dropped keeps, instead, each row's
+    payload in an unboxed [int] array, as long as every cell it holds is
+    a non-null [Int] (or every one a [Date]): the array is built from
+    the rows when the dictionary drops, extended by [append], compacted
+    by [retain] beside the codes, and dropped for good by the first
+    [Null] or other constructor appended (or a tuple without the cell).
+    So a column has codes, payloads or neither.  The same invariant holds
+    for payloads, which the executor reads at the same place as the
+    codes. *)
 
 type t
 
@@ -51,7 +61,9 @@ val schema : t -> Schema.t
     one box, and the row keeps that value's code.  A column's dictionary
     and its codes are dropped once it holds 4096 values, [Distinct]'s
     exact limit (or when a tuple has no cell for the column); later cells
-    are stored as given. *)
+    are stored as given.  If every cell then is a non-null [Int], or
+    every one a [Date], the column keeps their payloads (see [payloads])
+    from that row on, until a cell of another kind arrives. *)
 val append : t -> Tuple.t -> unit
 
 val tuple_count : t -> int
@@ -96,19 +108,19 @@ val read :
   Tuple.t array
 
 (** [retain t keep] replaces the storage by a fresh array of exactly the
-    tuples satisfying [keep] ([keep] runs once per tuple, in rid order);
-    returns how many were deleted.  Arrays read before are untouched.
-    Rids are reassigned, so any index on the table must be rebuilt
-    afterwards; the kept rows' codes move to fresh arrays.  When [keep]
-    holds for every tuple, nothing moves: [rows t] and the codes stay
-    the same arrays. *)
+    tuples satisfying [keep] ([keep] runs once per tuple, in rid order,
+    before anything moves); returns how many were deleted.  Arrays read
+    before are untouched.  Rids are reassigned, so any index on the table
+    must be rebuilt afterwards; the kept rows' codes and payloads move to
+    fresh arrays.  When [keep] holds for every tuple, nothing moves:
+    [rows t], the codes and the payloads stay the same arrays. *)
 val retain : t -> (Tuple.t -> bool) -> int
 
 (** A number that every [append], and every [retain] that deletes a
     row, increases: two reads of the file at the same generation see
-    the same rows and codes.  A result computed from every row of the
-    file (a collector's summary of a column) is still valid while the
-    generation it was computed at is current. *)
+    the same rows, codes and payloads.  A result computed from every row
+    of the file (a collector's summary of a column) is still valid while
+    the generation it was computed at is current. *)
 val generation : t -> int
 
 (** A column's codes for a sequence of rows.  Equal codes mean cells of
@@ -130,3 +142,19 @@ val code_count : codes -> int
     shares.  A code may outlive its rows: a [retain] that deletes them
     keeps it in the dictionary. *)
 val code_box : codes -> int -> Value.t
+
+(** A column's payloads for a sequence of rows: each row's [Int] or
+    [Date] as an unboxed [int]. *)
+type payloads
+
+(** [payloads t col] is column [col]'s payloads by rid, for the rows
+    [rows t] returns now, or [None] when the column keeps none: while it
+    has codes, and for good once a cell that is [Null] or of another
+    constructor than the rest was appended. *)
+val payloads : t -> int -> payloads option
+
+(** [payload p r] is the payload of the [r]th row. *)
+val payload : payloads -> int -> int
+
+(** Whether the payloads are [Date]s' (else [Int]s'). *)
+val payload_is_date : payloads -> bool

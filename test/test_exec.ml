@@ -102,7 +102,7 @@ let test_hash_join_matches_reference () =
   let left = rows_of (List.init 50 (fun i -> (i mod 7, i))) in
   let right = rows_of (List.init 30 (fun i -> (i mod 5, i * 10))) in
   let r =
-    Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(left, ls)
+    Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
       ~keys:[ ("l.a", "r.a") ] ()
   in
   let expect = reference_join left right ~li:0 ~ri:0 in
@@ -116,7 +116,7 @@ let test_hash_join_one_pass_in_memory () =
   let ls = schema_ab "l" and rs = schema_ab "r" in
   let left = rows_of [ (1, 1) ] and right = rows_of [ (1, 2) ] in
   let r =
-    Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(left, ls)
+    Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
       ~keys:[ ("l.a", "r.a") ] ()
   in
   Alcotest.(check int) "1 pass" 1 r.Join.passes;
@@ -129,7 +129,7 @@ let test_hash_join_spills_when_tight () =
   let ls = schema_ab "l" and rs = schema_ab "r" in
   let big = rows_of (List.init 5000 (fun i -> (i, i))) in
   let r =
-    Join.hash_join c ~mem_pages:2 ~build:(big, rs) ~probe:(big, ls)
+    Join.hash_join c ~mem_pages:2 ~build:(big, rs) ~probe:(Leaf.of_rows big, ls)
       ~keys:[ ("l.a", "r.a") ] ()
   in
   Alcotest.(check bool) "multi-pass" true (r.Join.passes > 1);
@@ -142,7 +142,7 @@ let test_hash_join_spills_when_tight () =
   let c = ctx () in
   let probe = rows_of (List.init 1700 (fun i -> (3 * i, i))) in
   let r =
-    Join.hash_join c ~mem_pages:3 ~build:(big, rs) ~probe:(probe, ls)
+    Join.hash_join c ~mem_pages:3 ~build:(big, rs) ~probe:(Leaf.of_rows probe, ls)
       ~keys:[ ("l.a", "r.a") ] ()
   in
   Alcotest.(check int) "uneven rows" 1667 (Array.length r.Join.rows);
@@ -155,7 +155,7 @@ let test_hash_join_null_keys_dont_match () =
   let left = [| [| Value.Null; Value.Int 1 |] |] in
   let right = [| [| Value.Null; Value.Int 2 |] |] in
   let r =
-    Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(left, ls)
+    Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
       ~keys:[ ("l.a", "r.a") ] ()
   in
   Alcotest.(check int) "nulls never join" 0 (Array.length r.Join.rows)
@@ -166,7 +166,7 @@ let test_hash_join_residual () =
   let left = rows_of [ (1, 5); (1, 15) ] in
   let right = rows_of [ (1, 0) ] in
   let r =
-    Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(left, ls)
+    Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
       ~keys:[ ("l.a", "r.a") ] ~extra:Expr.(col "l.b" <% int 10) ()
   in
   Alcotest.(check int) "residual filters" 1 (Array.length r.Join.rows)
@@ -291,7 +291,7 @@ let prop_merge_join_equals_hash_join =
            ~right:(right, rs) ~keys:[ ("l.a", "r.a") ] ()
        in
        let h =
-         Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(left, ls)
+         Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
            ~keys:[ ("l.a", "r.a") ] ()
        in
        sorted_pairs m.Merge_join.rows = sorted_pairs h.Join.rows)
@@ -1175,7 +1175,7 @@ let prop_hash_join_equals_nested_loop =
        let left = rows_of (List.mapi (fun i k -> (k, i)) lks) in
        let right = rows_of (List.mapi (fun i k -> (k, i + 1000)) rks) in
        let r =
-         Join.hash_join c ~mem_pages:4 ~build:(right, rs) ~probe:(left, ls)
+         Join.hash_join c ~mem_pages:4 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
            ~keys:[ ("l.a", "r.a") ] ()
        in
        let expect = reference_join left right ~li:0 ~ri:0 in
@@ -1246,7 +1246,7 @@ let prop_hash_join_order_matches_reference =
        let extra = if with_residual then Some Expr.(col "l.p" <% col "r.p") else None in
        let residual t = (not with_residual) || Value.compare t.(3) t.(7) < 0 in
        let r =
-         Join.hash_join (ctx ()) ~mem_pages:4 ~build:(right, rs) ~probe:(left, ls)
+         Join.hash_join (ctx ()) ~mem_pages:4 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
            ~keys ?extra ()
        in
        same_rows r.Join.rows
@@ -1681,6 +1681,206 @@ let test_coded_filter_raises_as_rows () =
   Alcotest.(check string) "plain leaf" (show expected) (show (run (Leaf.of_rows rows)));
   let clean = Leaf.filter (ctx ()) schema pred (Leaf.of_rows [| rows.(0); rows.(2); rows.(4) |]) in
   Alcotest.(check int) "survivors" 2 (Leaf.length clean)
+(* A probe file of [n] rows built by [create] + [append]: column k
+   holds [key i] for row [i] (a run of equal keys when [key] repeats),
+   column p the ordinal [i], column f a small Int that filters test on. *)
+let keyed_heap st ~q n key =
+  let schema =
+    Schema.make
+      (List.map (fun c -> Schema.col ~qualifier:q c Value.TInt) [ "k"; "p"; "f" ])
+  in
+  let heap = Heap_file.create schema in
+  for i = 0 to n - 1 do
+    Heap_file.append heap [| key i; Value.Int i; Value.Int (Random.State.int st 4) |]
+  done;
+  (heap, schema)
+
+(* [n] and row [i]'s key number, over 4096 distinct ones among the [n]
+   rows, so a column of their cells keeps payloads: in runs of 1 to 3
+   equal keys, else drawn from 20000 numbers. *)
+let wide_keys st ~sorted =
+  let run = 1 + Random.State.int st 3 in
+  if sorted then (4100 * run + 300, fun i -> i / run)
+  else (7000, fun _ -> Random.State.int st 20_000)
+
+(* The hash join reads a one-column probe key from the leaf's payloads,
+   else its codes, else the cell, and looks it up once per run of equal
+   keys.  A payload case gives column k over 4096 distinct Ints, Ints
+   beyond +-2^53 (whose [key_hash] is [Value.hash]) or Dates, in runs or
+   unsorted; a cell case appends a Null after them, which drops the
+   payloads, then more keys and Nulls; a code case keeps 50 values and
+   Nulls.  The probe leaf is the scan, or a filter over it (its
+   positions).  The build side draws its keys from the probe's cells,
+   some as the equal Float of an Int or as the Date of an Int's number
+   or the Int of a Date's (never equal), and Nulls.  The join's rows, in
+   order, and its charges must be those of the join over [Leaf.of_rows]
+   of the leaf's rows, and the rows those of a reference: each probe row
+   in order with its matches, the last-built first. *)
+let prop_hash_join_key_sources =
+  QCheck.Test.make ~name:"hash join over payloads, codes and cells = reference"
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_bound 1_000_000)
+           (oneofl [ `Int; `Huge; `Date ])
+           (oneofl [ `Payloads; `Codes; `Cells ])
+           (triple bool bool bool)))
+    (fun (seed, kind, source, (sorted, filtered, with_residual)) ->
+       let st = Random.State.make [| seed |] in
+       let value k : Value.t =
+         match kind with
+         | `Int -> Int k
+         | `Huge -> Int (if k land 1 = 0 then (1 lsl 53) + k else -(1 lsl 53) - k)
+         | `Date -> Date k
+       in
+       let null_or v = if Random.State.int st 20 = 0 then Value.Null else v in
+       let heap, ls =
+         match source with
+         | `Codes ->
+           keyed_heap st ~q:"l" 600 (fun i ->
+               null_or (value (if sorted then i / 12 else Random.State.int st 50)))
+         | `Payloads | `Cells ->
+           let n, number = wide_keys st ~sorted in
+           let key i = value (number i) in
+           let heap, ls = keyed_heap st ~q:"l" n key in
+           if source = `Cells then
+             for i = n to n + 200 do
+               let k = if i = n then Value.Null else null_or (key i) in
+               Heap_file.append heap [| k; Value.Int i; Value.Int (Random.State.int st 4) |]
+             done;
+           (heap, ls)
+       in
+       let leaf = Leaf.scan (ctx ()) heap in
+       let leaf =
+         if filtered then
+           Leaf.filter (ctx ()) ls (Expr.Cmp (Expr.Ne, Expr.Col "l.f", Expr.Const (Value.Int 0))) leaf
+         else leaf
+       in
+       let source_ok =
+         match source, Leaf.payloads leaf 0, Leaf.column leaf 0 with
+         | `Payloads, Some _, None | `Codes, None, Some _ | `Cells, None, None -> true
+         | _ -> false
+       in
+       let probe = Leaf.rows leaf in
+       let rs =
+         Schema.make
+           (List.map (fun c -> Schema.col ~qualifier:"r" c Value.TInt) [ "k"; "q" ])
+       in
+       (* no Float beyond 2^53, where [Value.equal] is not transitive *)
+       let cross (v : Value.t) : Value.t =
+         match v, Random.State.bool st with
+         | Int x, true when kind = `Int -> Float (float_of_int x)
+         | Int x, false -> Date x
+         | Date x, _ -> Int x
+         | v, _ -> v
+       in
+       let build =
+         Array.init
+           (1 + Random.State.int st 120)
+           (fun _ ->
+              let k =
+                match Random.State.int st 10 with
+                | 0 -> Value.Null
+                | 1 | 2 -> cross (value (Random.State.int st 20_000))
+                | 3 | 4 when Array.length probe > 0 ->
+                  cross probe.(Random.State.int st (Array.length probe)).(0)
+                | _ when Array.length probe > 0 ->
+                  probe.(Random.State.int st (Array.length probe)).(0)
+                | _ -> value (Random.State.int st 50)
+              in
+              [| k; Value.Int (Random.State.int st 8000) |])
+       in
+       let extra = if with_residual then Some Expr.(col "l.p" <% col "r.q") else None in
+       let join probe =
+         let c = ctx () in
+         let r =
+           Join.hash_join c ~mem_pages:64 ~build:(build, rs) ~probe:(probe, ls)
+             ~keys:[ ("l.k", "r.k") ] ?extra ()
+         in
+         (r.Join.rows, bits (Sim_clock.elapsed_ms c.Exec_ctx.clock))
+       in
+       (* equal keys have equal [Value.to_float]s, so the reference looks
+          in one bucket and tests [Value.equal] there *)
+       let bucket (v : Value.t) =
+         match v with Date d -> (true, float_of_int d) | v -> (false, Value.to_float v)
+       in
+       let by_bucket = Hashtbl.create 64 in
+       Array.iteri
+         (fun b t ->
+            if not (Value.is_null t.(0)) then
+              Hashtbl.replace by_bucket (bucket t.(0))
+                (b :: Option.value ~default:[] (Hashtbl.find_opt by_bucket (bucket t.(0)))))
+         build;
+       let equal a b = try Value.equal a b with Invalid_argument _ -> false in
+       let reference =
+         Array.of_list
+           (List.concat_map
+              (fun pt ->
+                 if Value.is_null pt.(0) then []
+                 else
+                   List.filter_map
+                     (fun b ->
+                        let bt = build.(b) in
+                        if equal pt.(0) bt.(0)
+                           && ((not with_residual) || Value.compare pt.(1) bt.(1) < 0)
+                        then Some (Tuple.concat pt bt)
+                        else None)
+                     (Option.value ~default:[]
+                        (Hashtbl.find_opt by_bucket (bucket pt.(0)))))
+              (Array.to_list probe))
+       in
+       let rows, charged = join leaf in
+       let plain_rows, plain_charged = join (Leaf.of_rows (Array.copy probe)) in
+       source_ok
+       && same_bits rows reference
+       && same_bits rows plain_rows
+       && charged = plain_charged)
+
+(* A collector over a leaf with payloads gives the statistics of the
+   same rows without them ([Leaf.of_rows] of a copy), bit for bit, and
+   the same charge: a column of Int payloads and one of Date payloads,
+   in runs or unsorted, over the scan and over a filter of it, each with
+   a histogram, a distinct count or both. *)
+let prop_collector_payloads_match_rows =
+  QCheck.Test.make ~name:"collector over payloads = plain rows" ~count:20
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_bound 1_000_000) (pair bool bool)
+           (list_size (int_bound 2) (oneofl [ "t.i"; "t.d" ]))
+           (list_size (int_bound 2) (oneofl [ "t.i"; "t.d" ]))))
+    (fun (seed, (sorted, filtered), hist_cols, distinct_cols) ->
+       let st = Random.State.make [| seed |] in
+       let schema =
+         Schema.make
+           [ Schema.col ~qualifier:"t" "i" Value.TInt;
+             Schema.col ~qualifier:"t" "d" Value.TDate;
+             Schema.col ~qualifier:"t" "f" Value.TInt ]
+       in
+       let n, number = wide_keys st ~sorted in
+       let heap = Heap_file.create schema in
+       for i = 0 to n - 1 do
+         Heap_file.append heap
+           [| Value.Int (number i - 9000); Value.Date (3 * number i);
+              Value.Int (Random.State.int st 4) |]
+       done;
+       let leaf = Leaf.scan (ctx ()) heap in
+       let leaf =
+         if filtered then
+           Leaf.filter (ctx ()) schema (Expr.Cmp (Expr.Ne, Expr.Col "t.f", Expr.Const (Value.Int 0))) leaf
+         else leaf
+       in
+       let spec = Collector.spec ~hist_cols ~distinct_cols () in
+       let collect leaf =
+         let c = ctx () in
+         let stats = Collector.collect c schema spec leaf in
+         (stats, bits (Sim_clock.elapsed_ms c.Exec_ctx.clock))
+       in
+       let stats, charged = collect leaf in
+       let plain, plain_charged = collect (Leaf.of_rows (Array.copy (Leaf.rows leaf))) in
+       Option.is_some (Leaf.payloads leaf 0)
+       && Option.is_some (Leaf.payloads leaf 1)
+       && same_stats stats plain
+       && charged = plain_charged)
 
 let suite =
   [ Alcotest.test_case "seq scan" `Quick test_seq_scan;
@@ -1737,4 +1937,6 @@ let suite =
     Alcotest.test_case "key_hash allocates nothing" `Quick test_key_hash_allocation_free;
     QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows;
     Alcotest.test_case "coded filter raises as the row path" `Quick
-      test_coded_filter_raises_as_rows ]
+      test_coded_filter_raises_as_rows;
+    QCheck_alcotest.to_alcotest prop_hash_join_key_sources;
+    QCheck_alcotest.to_alcotest prop_collector_payloads_match_rows ]

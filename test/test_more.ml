@@ -372,7 +372,7 @@ let test_multi_key_merge_join_correct () =
   in
   let h =
     Mqr_exec.Join.hash_join c ~mem_pages:16 ~build:(right, schema "r")
-      ~probe:(left, schema "l")
+      ~probe:(Mqr_exec.Leaf.of_rows left, schema "l")
       ~keys:[ ("l.a", "r.a"); ("l.b", "r.b") ] ()
   in
   Alcotest.(check int) "same match count"

@@ -97,12 +97,12 @@ let test_parallel_join_matches_serial () =
   let left = rows_of (List.init 2000 (fun i -> (i mod 97, i))) in
   let right = rows_of (List.init 500 (fun i -> (i mod 97, i + 10_000))) in
   let serial =
-    Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(left, ls)
+    Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
       ~keys:[ ("l.a", "r.a") ] ()
   in
   let par_rows, _ =
     Parallel.hash_join (ctx ()) ~degree:4 ~mem_pages:64
-      ~build:(right, rs) ~probe:(left, ls) ~keys:[ ("l.a", "r.a") ] ()
+      ~build:(right, rs) ~probe:(Leaf.of_rows left, ls) ~keys:[ ("l.a", "r.a") ] ()
   in
   Alcotest.(check (list (list string))) "same rows"
     (canon serial.Join.rows) (canon par_rows)
@@ -114,7 +114,7 @@ let test_parallel_join_speedup_with_exchange_cost () =
     let c = ctx () in
     ignore
       (Parallel.hash_join c ~degree ~mem_pages:16 ~build:(mk (), rs)
-         ~probe:(mk (), ls) ~keys:[ ("l.a", "r.a") ] ());
+         ~probe:(Leaf.of_rows (mk ()), ls) ~keys:[ ("l.a", "r.a") ] ());
     Sim_clock.elapsed_ms c.Exec_ctx.clock
   in
   let t1 = time 1 and t4 = time 4 in
@@ -153,7 +153,7 @@ let test_skewed_partition_dominates () =
     let c = ctx () in
     ignore
       (Parallel.hash_join c ~degree:4 ~mem_pages:64
-         ~build:(rows, rs) ~probe:(probe, ls) ~keys:[ ("l.a", "r.a") ] ());
+         ~build:(rows, rs) ~probe:(Leaf.of_rows probe, ls) ~keys:[ ("l.a", "r.a") ] ());
     Sim_clock.elapsed_ms c.Exec_ctx.clock
   in
   Alcotest.(check bool) "skew slower than uniform" true
@@ -202,11 +202,11 @@ let prop_parallel_join_equals_serial =
        let right = rows_of (List.mapi (fun i k -> (k, i + 1000)) rks) in
        let serial =
          Join.hash_join (ctx ()) ~mem_pages:16 ~build:(right, rs)
-           ~probe:(left, ls) ~keys:[ ("l.a", "r.a") ] ()
+           ~probe:(Leaf.of_rows left, ls) ~keys:[ ("l.a", "r.a") ] ()
        in
        let par_rows, _ =
          Parallel.hash_join (ctx ()) ~degree ~mem_pages:16
-           ~build:(right, rs) ~probe:(left, ls) ~keys:[ ("l.a", "r.a") ] ()
+           ~build:(right, rs) ~probe:(Leaf.of_rows left, ls) ~keys:[ ("l.a", "r.a") ] ()
        in
        canon serial.Join.rows = canon par_rows)
 

@@ -495,6 +495,96 @@ let prop_interning_is_representation_only =
                                  alive.(c) <- false;
                                s == v))))
             given))
+(* Payloads follow the rows through [append] and [retain].  Column 0
+   takes Int keys (or Date keys; some cases add 2^53 or -2^61 to them)
+   from a domain wide enough that its dictionary drops partway through
+   (3500 keys first, then batches of up to 1500), sometimes a stray cell (Null, a Float, the other of Int and Date, a
+   String) first or afterwards.  After each step a model says what the
+   column keeps: codes until its 4096th distinct non-null value; then
+   payloads if every row it holds at that moment, and the new one, is of
+   the keys' kind; payloads until a stray cell arrives, then nothing for
+   good.  Kept payloads are the rows' keys by rid, and the rows and
+   payloads a reader took before a step still agree after it. *)
+let prop_payloads_track_rows =
+  QCheck.Test.make ~name:"Heap_file payloads = the rows' keys" ~count:60
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_bound 1_000_000) bool (oneofl [ 0; 1 lsl 53; -(1 lsl 61) ])
+           (list_size (int_range 2 10) (int_bound 9))))
+    (fun (seed, date, offset, steps) ->
+       let st = Random.State.make [| seed |] in
+       let key k : Value.t = if date then Date (offset + k) else Int (offset + k) in
+       let of_kind (v : Value.t) =
+         match v with Date _ -> date | Int _ -> not date | _ -> false
+       in
+       let payload_of (v : Value.t) =
+         match v with Int x | Date x -> x | _ -> invalid_arg "payload_of"
+       in
+       let schema = Schema.make [ Schema.col "k" Value.TInt; Schema.col "v" Value.TInt ] in
+       let h = Heap_file.create schema in
+       let seen = Hashtbl.create 4096 and state = ref `Coded in
+       let add (v : Value.t) =
+         (match !state with
+          | `Coded when v <> Value.Null ->
+            Hashtbl.replace seen (bits_key v) ();
+            if Hashtbl.length seen = 4096 then
+              state :=
+                if of_kind v && Array.for_all (fun t -> of_kind t.(0)) (Heap_file.rows h)
+                then `Unboxed
+                else `Boxed
+          | `Unboxed when not (of_kind v) -> state := `Boxed
+          | _ -> ());
+         Heap_file.append h [| v; Value.Int (Random.State.int st 3) |]
+       in
+       let stray () =
+         match Random.State.int st 4 with
+         | 0 -> Value.Null
+         | 1 -> Value.Float 1.5
+         | 2 -> if date then Value.Int 7 else Value.Date 7
+         | _ -> Value.String "x"
+       in
+       let agree rows p =
+         Array.for_all Fun.id
+           (Array.mapi (fun rid t -> Heap_file.payload p rid = payload_of t.(0)) rows)
+       in
+       let kept () =
+         let rows = Heap_file.rows h in
+         match !state, Heap_file.codes h 0, Heap_file.payloads h 0 with
+         | `Coded, Some _, None | `Boxed, None, None -> true
+         | `Unboxed, None, Some p -> Heap_file.payload_is_date p = date && agree rows p
+         | _ -> false
+       in
+       for _ = 1 to 3500 do
+         add (key (Random.State.int st 1_000_000))
+       done;
+       kept ()
+       && List.for_all
+            (fun step ->
+               let before = (Heap_file.rows h, Heap_file.payloads h 0) in
+               (match step with
+                | 0 | 1 | 2 | 3 ->
+                  let n = 1 + Random.State.int st 1500 in
+                  let sorted = Random.State.bool st in
+                  let start = Random.State.int st 1_000_000 in
+                  for i = 0 to n - 1 do
+                    add
+                      (key (if sorted then start + (i / 2) else Random.State.int st 1_000_000))
+                  done
+                | 4 | 5 ->
+                  ignore (Heap_file.retain h (fun _ -> Random.State.int st 4 <> 0))
+                | 6 -> ignore (Heap_file.retain h (fun _ -> true))
+                | 7 -> add (stray ())
+                | _ ->
+                  for _ = 1 to 1 + Random.State.int st 20 do
+                    add (key (Random.State.int st 100))
+                  done);
+               let old_ok =
+                 match before with
+                 | rows, Some p -> agree rows p
+                 | _, None -> true
+               in
+               old_ok && kept ())
+            steps)
 
 let suite =
   [ Alcotest.test_case "pool hit/miss" `Quick test_pool_hit_miss;
@@ -516,4 +606,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_btree_matches_reference;
     QCheck_alcotest.to_alcotest prop_btree_range_matches;
     QCheck_alcotest.to_alcotest prop_of_rows_matches_append;
-    QCheck_alcotest.to_alcotest prop_interning_is_representation_only ]
+    QCheck_alcotest.to_alcotest prop_interning_is_representation_only;
+    QCheck_alcotest.to_alcotest prop_payloads_track_rows ]
