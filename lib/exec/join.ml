@@ -97,63 +97,27 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
       b := next.(!b)
     done
   in
-  (match probe_idx with
-   | [| i |] ->
-     (* One key: looked up once per run of equal keys, read from the
-        payloads, else the codes (0 is Null), else the cells (a run: the
-        same box, or equal Int or Date payloads).  The row itself is
-        read to confirm a full-hash match and to build output. *)
-     let id = ref (-1) in
-     (match Leaf.payloads probe i, Leaf.column probe i with
-      | Some p, _ ->
-        let date = Heap_file.payload_is_date p and last = ref 0 in
-        for k = 0 to np - 1 do
-          let r = Leaf.position probe k in
-          let x = Heap_file.payload p r in
-          if k = 0 || x <> !last then begin
-            last := x;
-            let h = if date then Rows_ops.date_hash x else Rows_ops.int_hash x in
-            id := Table.find table (Rows_ops.hash_one h) base.(r) probe_idx
-          end;
-          if !id >= 0 then emit r !id
-        done
-      | None, Some c ->
-        let last = ref 0 in
-        for k = 0 to np - 1 do
-          let r = Leaf.position probe k in
-          let x = Heap_file.code c r in
-          if k = 0 || x <> !last then begin
-            last := x;
-            id :=
-              if x = 0 then -1
-              else
-                let t = base.(r) in
-                Table.find table (Rows_ops.row_hash t probe_idx) t probe_idx
-          end;
-          if !id >= 0 then emit r !id
-        done
-      | None, None ->
-        let last = ref Value.Null in
-        for k = 0 to np - 1 do
-          let r = Leaf.position probe k in
-          let t = base.(r) in
-          let v = t.(i) in
-          let same =
-            k > 0
-            && (v == !last
-                || match v, !last with
-                | Value.Int x, Value.Int y | Value.Date x, Value.Date y -> x = y
-                | _ -> false)
-          in
-          if not same then begin
-            last := v;
-            id :=
-              if Value.is_null v then -1
-              else Table.find table (Rows_ops.row_hash t probe_idx) t probe_idx
-          end;
-          if !id >= 0 then emit r !id
-        done)
-   | _ ->
+  (* One key with payloads: looked up once per run of equal payloads
+     (lineitem arrives in l_orderkey order), hashed as [key_hash] hashes
+     the Int or Date.  The row itself is read to confirm a full-hash
+     match and to build output.  Any other probe hashes each row. *)
+  let payloads =
+    match probe_idx with [| i |] -> Leaf.payloads probe i | _ -> None
+  in
+  (match payloads with
+   | Some p ->
+     let date = Heap_file.payload_is_date p and last = ref 0 and id = ref (-1) in
+     for k = 0 to np - 1 do
+       let r = Leaf.position probe k in
+       let x = Heap_file.payload p r in
+       if k = 0 || x <> !last then begin
+         last := x;
+         let h = if date then Rows_ops.date_hash x else Rows_ops.int_hash x in
+         id := Table.find table (Rows_ops.hash_one h) base.(r) probe_idx
+       end;
+       if !id >= 0 then emit r !id
+     done
+   | None ->
      for k = 0 to np - 1 do
        let r = Leaf.position probe k in
        let pt = base.(r) in

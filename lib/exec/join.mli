@@ -26,8 +26,8 @@ type result = {
     output holds each probe row, in leaf order, joined with each build row
     of an equal key, the last-built first.  The probe side is read through
     its leaf's positions, gathered only for a partitioned (multi-pass)
-    join's size.  With one key, each run of equal keys is looked up once,
-    the key read from the leaf's payloads, else its codes, else the cell. *)
+    join's size.  A one-key probe over a column with payloads looks each
+    run of equal payloads up once; any other probe hashes each row. *)
 val hash_join :
   Exec_ctx.t -> mem_pages:int ->
   build:Tuple.t array * Schema.t -> probe:Leaf.t * Schema.t ->

@@ -1703,9 +1703,9 @@ let wide_keys st ~sorted =
   if sorted then (4100 * run + 300, fun i -> i / run)
   else (7000, fun _ -> Random.State.int st 20_000)
 
-(* The hash join reads a one-column probe key from the leaf's payloads,
-   else its codes, else the cell, and looks it up once per run of equal
-   keys.  A payload case gives column k over 4096 distinct Ints, Ints
+(* The hash join reads a one-column probe key from the leaf's payloads
+   and looks it up once per run of equal payloads; over codes or plain
+   cells it hashes each row.  A payload case gives column k over 4096 distinct Ints, Ints
    beyond +-2^53 (whose [key_hash] is [Value.hash]) or Dates, in runs or
    unsorted; a cell case appends a Null after them, which drops the
    payloads, then more keys and Nulls; a code case keeps 50 values and
