@@ -1188,8 +1188,13 @@ let opt_scenario () =
    collector's way); [histogram] is one MaxDiff build over a
    collector-sized reservoir sample, per sample value; [collect] is
    [Collector.collect] with a histogram and a distinct count on the
-   column.  The [rng] row is one [Rng.int] draw, the step behind every
-   reservoir replacement (and datagen and sampling).  Min and median over
+   column, over the rows and over the scan leaf ([collect-coded]).  The
+   [q3-leaf] and [q1-leaf] rows are the collectors Q3 and Q1 run over
+   lineitem's scan leaf filtered on l_shipdate, per leaf row: a histogram
+   and a distinct count on l_orderkey (payloads), and distinct counts on
+   l_returnflag and l_linestatus (codes).  The [rng] row is one [Rng.int]
+   draw, the step behind every reservoir replacement (and datagen and
+   sampling).  Min and median over
    op_reps runs, minor words per value from the median-allocating run. *)
 
 let collect_scenario () =
@@ -1267,6 +1272,20 @@ let collect_scenario () =
            ( "collect-coded", n,
              fun () -> ignore (Collector.collect ctx schema spec leaf) ) ])
     [ "l_orderkey"; "l_quantity"; "l_extendedprice"; "l_shipdate"; "l_shipmode" ];
+  (* Collectors as Q3 and Q1 run them, over lineitem's own scan leaf
+     filtered on l_shipdate: its positions pick scattered rows, which the
+     whole-table rows above read in order. *)
+  List.iter
+    (fun (col, stat, filter, spec) ->
+       let filtered =
+         Mqr_exec.Leaf.filter ctx schema (Mqr_sql.Parser.parse_expr filter) leaf
+       in
+       row col stat (Mqr_exec.Leaf.length filtered) (fun () ->
+           ignore (Collector.collect ctx schema spec filtered)))
+    [ ( "q3-leaf", "orderkey", "l.l_shipdate > date '1995-03-15'",
+        Collector.spec ~hist_cols:[ "l.l_orderkey" ] ~distinct_cols:[ "l.l_orderkey" ] () );
+      ( "q1-leaf", "flags", "l.l_shipdate <= date '1998-09-02'",
+        Collector.spec ~distinct_cols:[ "l.l_returnflag"; "l.l_linestatus" ] () ) ];
   let draws = 1_000_000 and rng = Mqr_stats.Rng.create 0x5eed in
   row "rng" "int" draws (fun () ->
       for _ = 1 to draws do

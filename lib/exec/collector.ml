@@ -31,37 +31,46 @@ let estimated_cost_ms s ~rows =
    statistics see its values in row order, and share no state with
    another column's.  On a coded column only the first row of each code
    feeds min/max and the distinct counters, which already hold every
-   later one; a null has code 0 and is counted on every row, and later
-   rows read only their codes.  Elsewhere a cell with the constructor and
-   bits of the last non-null cell fed (an equal Int or Date payload, or
-   the same box) is skipped, which changes nothing either: rows that
-   arrive in key order repeat their keys in runs.  A column with
-   payloads, all non-null and of one constructor, reads its row's box
-   only where the payload changes, which are the same adds.  Nulls are
-   still counted one by one. *)
+   later one, with the code's box from the dictionary; a null has code 0
+   and is counted on every row, and later rows read only their codes.  A
+   column that never held a null is done once every code has been seen:
+   later rows add nothing.  A column with payloads, all non-null and of
+   one constructor, feeds its ints where the payload changes, which are
+   the adds its boxes would make.  Neither reads a row.  Elsewhere a cell
+   with the constructor and bits of the last non-null cell fed (an equal
+   Int or Date, or the same box) is skipped, which changes nothing
+   either: rows that arrive in key order repeat their keys in runs.
+   Nulls are still counted one by one. *)
 let run_pass leaf i pass =
-  let base = Leaf.base leaf in
+  let n = Leaf.length leaf in
   match Leaf.column leaf i, Leaf.payloads leaf i with
   | Some c, _ ->
     let seen = Bytes.make (Heap_file.code_count c) '\000' in
-    Leaf.iter leaf (fun r ->
-        let code = Heap_file.code c r in
-        if code = 0 then Column_pass.add pass Value.Null
-        else if Bytes.get seen code = '\000' then begin
-          Bytes.set seen code '\001';
-          Column_pass.add pass base.(r).(i)
-        end)
+    let unseen =
+      ref (if Heap_file.null_seen c then max_int else Heap_file.code_count c - 1)
+    in
+    let k = ref 0 in
+    while !k < n && !unseen > 0 do
+      let code = Heap_file.code c (Leaf.position leaf !k) in
+      if code = 0 then Column_pass.add pass Value.Null
+      else if Bytes.get seen code = '\000' then begin
+        Bytes.set seen code '\001';
+        decr unseen;
+        Column_pass.add pass (Heap_file.code_box c code)
+      end;
+      incr k
+    done
   | None, Some p ->
-    let last = ref 0 in
-    for k = 0 to Leaf.length leaf - 1 do
-      let r = Leaf.position leaf k in
-      let x = Heap_file.payload p r in
+    let date = Heap_file.payload_is_date p and last = ref 0 in
+    for k = 0 to n - 1 do
+      let x = Heap_file.payload p (Leaf.position leaf k) in
       if k = 0 || x <> !last then begin
         last := x;
-        Column_pass.add pass base.(r).(i)
+        Column_pass.add_payload pass ~date x
       end
     done
   | None, None ->
+    let base = Leaf.base leaf in
     let prev = ref Value.Null in
     Leaf.iter leaf (fun r ->
         let v = base.(r).(i) in

@@ -9,9 +9,9 @@
     applied as in Poosala–Ioannidis [19]); requested distinct counts use
     probabilistic counting (Flajolet–Martin [6]) with an exact fast path.
     The statistics are computed one tracked column at a time: one read
-    of the column's cells feeds its {!Mqr_stats.Column_pass}, which
-    offers each value to the column's min/max and distinct counter, and
-    counts its nulls.  A
+    of the column's cells (its codes or payloads where the scan leaf has
+    them) feeds its {!Mqr_stats.Column_pass}, which offers each value to
+    the column's min/max and distinct counter, and counts its nulls.  A
     histogram column's sample is then read from the rows at the ordinals
     {!Mqr_stats.Reservoir.positions} schedules for its non-null count:
     the sample a reservoir fed those values in order would hold.  Only
@@ -47,8 +47,13 @@ val spec_columns : spec -> string list
     to the stream) and its dictionary only if the name is in [hist_cols];
     the distinct estimate if it is in [distinct_cols], else the
     histogram's.  A column coded in the leaf feeds its counters once per
-    code, and one with payloads once per run of equal payloads; the
-    result is that of [Leaf.of_rows (Leaf.rows leaf)]. *)
+    code, with the code's box from the dictionary, and one with payloads
+    once per run of equal payloads, as ints
+    ({!Mqr_stats.Column_pass.add_payload}): the pass over either reads
+    no row.  A coded column that held no null when the leaf was built
+    ({!Heap_file.null_seen}) stops at the first row by which every code
+    has been seen.  The result is that of [Leaf.of_rows (Leaf.rows
+    leaf)]. *)
 val collect :
   Exec_ctx.t -> Schema.t -> spec -> Leaf.t ->
   (string * Mqr_catalog.Column_stats.t) list

@@ -53,9 +53,7 @@ module Out = struct
     if b.len = Array.length b.rows then b.rows else Array.sub b.rows 0 b.len
 end
 
-let[@inline] int_hash i =
-  if i > -(1 lsl 53) && i < 1 lsl 53 then Hash_mix.mix i
-  else Value.hash (Value.Int i)
+let[@inline] int_hash i = Hash_mix.mix i
 
 let[@inline] date_hash d = Hash_mix.mix d lxor 0x5bd1
 
@@ -64,8 +62,8 @@ let key_hash (v : Value.t) =
   | Null -> 0x2f1d
   | Bool b -> if b then 0x4a3 else 0x7c5
   | Int i -> int_hash i
-  | Float f when Float.abs f < 0x1p53 && Float.of_int (Float.to_int f) = f ->
-    Hash_mix.mix (Float.to_int f)
+  | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    int_hash (Float.to_int f)
   | Float _ -> Value.hash v
   | String s -> Hash_mix.string_hash s
   | Date d -> date_hash d

@@ -37,9 +37,10 @@ end
 
 (** Hash of a join, group or DISTINCT key value that agrees with
     [Value.equal] ([Int 3] and [Float 3.0], [-0.0] and [0.0], all nans):
-    [Hash_mix.mix] for [Int], [Date] and integral [Float]s below 2^53,
-    [Value.hash] for other numbers, [Hash_mix.string_hash] for a [String], a
-    constant for [Null] and [Bool].  Allocates nothing off [Value.hash]. *)
+    [Hash_mix.mix] for [Int], [Date] and the integral [Float]s in the
+    ints' range (the only floats an [Int] equals), [Value.hash] for other
+    floats, [Hash_mix.string_hash] for a [String], a constant for [Null]
+    and [Bool].  Allocates nothing off [Value.hash]. *)
 val key_hash : Value.t -> int
 
 (** [int_hash i] is [key_hash (Int i)] and [date_hash d] is [key_hash

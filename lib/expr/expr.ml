@@ -25,7 +25,6 @@ let col c = Col c
 let int i = Const (Value.Int i)
 let float f = Const (Value.Float f)
 let str s = Const (Value.String s)
-let date s = Const (Value.date_of_string s)
 let ( =% ) a b = Cmp (Eq, a, b)
 let ( <% ) a b = Cmp (Lt, a, b)
 let ( <=% ) a b = Cmp (Le, a, b)
@@ -33,7 +32,6 @@ let ( >% ) a b = Cmp (Gt, a, b)
 let ( >=% ) a b = Cmp (Ge, a, b)
 let ( &&% ) a b = And (a, b)
 let ( ||% ) a b = Or (a, b)
-let between e lo hi = Between (e, lo, hi)
 
 let udf ?selectivity ~name fn args =
   Udf { udf_name = name; args; fn; declared_selectivity = selectivity }
@@ -227,18 +225,3 @@ let rec to_sql = function
   | Udf u ->
     Printf.sprintf "%s(%s)" u.udf_name
       (String.concat ", " (List.map to_sql u.args))
-
-let rec equal a b =
-  match a, b with
-  | Col x, Col y -> x = y
-  | Const x, Const y -> (Value.is_null x && Value.is_null y) || Value.equal x y
-  | Arith (o1, a1, b1), Arith (o2, a2, b2) -> o1 = o2 && equal a1 a2 && equal b1 b2
-  | Cmp (o1, a1, b1), Cmp (o2, a2, b2) -> o1 = o2 && equal a1 a2 && equal b1 b2
-  | Between (e1, l1, h1), Between (e2, l2, h2) ->
-    equal e1 e2 && equal l1 l2 && equal h1 h2
-  | And (a1, b1), And (a2, b2) | Or (a1, b1), Or (a2, b2) ->
-    equal a1 a2 && equal b1 b2
-  | Not a1, Not a2 -> equal a1 a2
-  | Udf u1, Udf u2 ->
-    u1.udf_name = u2.udf_name && List.equal equal u1.args u2.args
-  | _ -> false

@@ -34,7 +34,6 @@ val col : string -> t
 val int : int -> t
 val float : float -> t
 val str : string -> t
-val date : string -> t
 val ( =% ) : t -> t -> t
 val ( <% ) : t -> t -> t
 val ( <=% ) : t -> t -> t
@@ -42,7 +41,6 @@ val ( >% ) : t -> t -> t
 val ( >=% ) : t -> t -> t
 val ( &&% ) : t -> t -> t
 val ( ||% ) : t -> t -> t
-val between : t -> t -> t -> t
 
 val udf :
   ?selectivity:float -> name:string -> (Value.t list -> Value.t) -> t list -> t
@@ -92,4 +90,3 @@ val shape_of : t -> shape
     against a temp table. *)
 val to_sql : t -> string
 
-val equal : t -> t -> bool

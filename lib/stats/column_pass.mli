@@ -9,7 +9,13 @@
     [Value.compare].  Offering a non-null value with the constructor and
     bits of one offered before changes nothing, so a caller may offer
     each such value once; each null must be offered for {!nulls} to
-    count it. *)
+    count it.
+
+    A column held as unboxed [Int] or [Date] payloads is fed through
+    {!add_payload} instead: min/max are kept as ints, each distinct
+    counter gets the payload's [Value.hash] through
+    {!Distinct.add_hash}, and only {!range} builds boxes.  The
+    statistics are those [add] of each payload's box would give. *)
 
 type t
 
@@ -17,8 +23,15 @@ val create : ?distincts:Distinct.t list -> unit -> t
 
 val add : t -> Mqr_storage.Value.t -> unit
 
+(** [add_payload t ~date x] is [add t (Date x)] when [date], else [add t
+    (Int x)], without the box.  A pass fed this way takes every value
+    through it, with the same [date]: it is never offered a non-null
+    value by [add]. *)
+val add_payload : t -> date:bool -> int -> unit
+
 (** The nulls offered so far. *)
 val nulls : t -> int
 
-(** (min, max) of the values added; [None] when all were null. *)
+(** (min, max) of the values added; [None] when all were null.  After
+    {!add_payload}, two fresh boxes. *)
 val range : t -> (Mqr_storage.Value.t * Mqr_storage.Value.t) option

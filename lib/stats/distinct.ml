@@ -86,8 +86,8 @@ let added t =
   end
   else if 2 * t.count > Array.length t.slots then grow t
 
-let add t v =
-  let h = mix64 (Value.hash v) in
+let add_hash t vh =
+  let h = mix64 vh in
   Fm.add_hash t.fm h;
   if not t.overflowed then begin
     let k = Int64.to_int h in
@@ -99,6 +99,8 @@ let add t v =
     end
     else if insert t.slots k (k land (Array.length t.slots - 1)) then added t
   end
+
+let add t v = add_hash t (Value.hash v)
 
 let is_exact t = not t.overflowed
 

@@ -3,12 +3,15 @@
    [slots] is an open-addressing table of codes, 2 bytes a slot (0 marks
    an empty one), probed linearly from [exact_hash] of the code's box and
    at most half full; [boxes.(c)] is code [c]'s box; [per_rid] holds each
-   rid's code, 2 bytes a row, with room to grow. *)
+   rid's code, 2 bytes a row, with room to grow; [null_seen] whether a
+   [Null] was ever appended (never cleared, not even by a [retain] that
+   deletes every null). *)
 type dict = {
   mutable slots : Bytes.t;
   mutable boxes : Value.t array;
   mutable size : int;  (* codes in use, Null's included *)
   mutable per_rid : Bytes.t;
+  mutable null_seen : bool;
 }
 
 (* What a column keeps beside its cells: its dictionary while it holds
@@ -30,7 +33,7 @@ type t = {
   mutable generation : int;  (* bumped whenever the rows change *)
 }
 
-type codes = { codes : Bytes.t; count : int; boxes : Value.t array }
+type codes = { codes : Bytes.t; count : int; boxes : Value.t array; seen_null : bool }
 type payloads = { ints : int array; date : bool }
 
 let page_size_bytes = 4096
@@ -57,7 +60,8 @@ let create schema =
            { slots = Bytes.make 32 '\000';
              boxes = Array.make 16 Value.Null;
              size = 1;
-             per_rid = Bytes.empty }))
+             per_rid = Bytes.empty;
+             null_seen = false }))
 
 let of_rows schema rows = adopt schema rows (Array.length rows) [||]
 
@@ -158,7 +162,13 @@ let append t tuple =
     | _ when i >= Array.length tuple -> t.cols.(i) <- Boxed
     | Coded d ->
       let v = tuple.(i) in
-      let c = if v == Value.Null then 0 else code_of d v in
+      let c =
+        if v == Value.Null then begin
+          d.null_seen <- true;
+          0
+        end
+        else code_of d v
+      in
       if c < 0 then t.cols.(i) <- unbox t i v
       else begin
         let w = d.boxes.(c) in
@@ -241,12 +251,14 @@ let codes t col =
   if col >= Array.length t.cols then None
   else
     match t.cols.(col) with
-    | Coded d -> Some { codes = d.per_rid; count = d.size; boxes = d.boxes }
+    | Coded d ->
+      Some { codes = d.per_rid; count = d.size; boxes = d.boxes; seen_null = d.null_seen }
     | Unboxed _ | Boxed -> None
 
 let code c r = get16 c.codes r
 let code_count c = c.count
 let code_box c k = c.boxes.(k)
+let null_seen c = c.seen_null
 
 let payloads t col =
   if col >= Array.length t.cols then None

@@ -143,6 +143,13 @@ val code_count : codes -> int
     keeps it in the dictionary. *)
 val code_box : codes -> int -> Value.t
 
+(** Whether a [Null] had been appended to the column when [codes] was
+    read: the dictionary sets the flag at the first one and never clears
+    it, not even when a [retain] deletes every null.  When it is false,
+    no row of [c] has code 0, so every row holds one of the codes [1 ..
+    code_count c - 1]. *)
+val null_seen : codes -> bool
+
 (** A column's payloads for a sequence of rows: each row's [Int] or
     [Date] as an unboxed [int]. *)
 type payloads

@@ -8,6 +8,20 @@ type t =
 
 type ty = TBool | TInt | TFloat | TString | TDate
 
+(* [x] against [y] exactly: a NaN ranks below every number, as
+   [Float.compare] has it; a [y] beyond the ints' range lies beyond every
+   [x]; else [x] against [y]'s integral part, then the sign of its
+   fraction, both exact. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let t = Float.to_int y in
+    match Int.compare x t with
+    | 0 -> Float.compare 0.0 (y -. Float.of_int t)
+    | c -> c
+
 let compare a b =
   match a, b with
   | Null, Null -> 0
@@ -16,8 +30,8 @@ let compare a b =
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | String x, String y -> String.compare x y
   | Date x, Date y -> Int.compare x y
   | (Bool _ | Int _ | Float _ | String _ | Date _), _ ->
@@ -31,14 +45,18 @@ let equal a b =
   | Null, _ | _, Null -> false
   | _ -> compare a b = 0
 
+let[@inline] hash_payload ~date x =
+  let h = Hashtbl.hash (float_of_int x) in
+  if date then h lxor 0x5bd1 else h
+
 let hash v =
   match v with
   | Null -> 0
   | Bool b -> if b then 1 else 2
-  | Int i -> Hashtbl.hash (float_of_int i)
+  | Int i -> hash_payload ~date:false i
   | Float f -> Hashtbl.hash f
   | String s -> Hashtbl.hash s
-  | Date d -> Hashtbl.hash (float_of_int d) lxor 0x5bd1
+  | Date d -> hash_payload ~date:true d
 
 let type_of = function
   | Null -> invalid_arg "Value.type_of: Null"

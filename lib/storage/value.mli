@@ -15,7 +15,9 @@ type t =
 type ty = TBool | TInt | TFloat | TString | TDate
 
 (** Total order over values.  [Null] sorts before everything; [Int] and
-    [Float] compare numerically against each other; comparing other
+    [Float] compare numerically against each other, exactly (an [Int]
+    past 2^53 is not rounded to a float; a NaN ranks below every number,
+    as in [Float.compare]), so [equal] is an equivalence; comparing other
     cross-type pairs raises [Invalid_argument]. *)
 val compare : t -> t -> int
 
@@ -24,6 +26,12 @@ val equal : t -> t -> bool
 (** Hash suitable for hash joins / hash aggregation: numerically equal
     [Int]/[Float] values hash identically. *)
 val hash : t -> int
+
+(** [hash_payload ~date x] is [hash (Date x)] when [date], else [hash
+    (Int x)]: the one definition of those two arms, which [hash] calls,
+    so a caller holding an unboxed payload hashes it as its cell without
+    building the box. *)
+val hash_payload : date:bool -> int -> int
 
 (** Type of a (non-null) value. *)
 val type_of : t -> ty

@@ -315,6 +315,43 @@ let prop_insert_bad_row =
        && Heap_file.tuple_count tbl.Catalog.heap = List.length before
        && tbl.Catalog.updates_since_analyze = List.length before)
 
+(* Keys past 2^53: of t's 2^53 and 2^53 + 1, only 2^53 equals u's
+   2^53.0 (2^53 + 1 rounds to that float but is not it), so [a = b] and
+   [a >= b and a <= b] return the one row 2^53, whether the optimizer
+   joins [=] by merge (its default over two tiny tables), hash (merge
+   and index joins off) or index nested loop (its default once u holds
+   [filler] more rows, none integral, and an index on u.b); the range
+   form is no equi-join and runs as a nested loop. *)
+let test_exact_numeric_join () =
+  let module Optimizer = Mqr_opt.Optimizer in
+  let d = Optimizer.default_options in
+  List.iter
+    (fun (meth, filler, options) ->
+       let engine = Engine.create ~opt_options:options (Catalog.create ()) in
+       List.iter
+         (fun sql -> ignore (Engine.execute engine sql))
+         [ "create table t (a int)"; "create table u (b float)";
+           "insert into t values (9007199254740992), (9007199254740993)";
+           "insert into u values (9007199254740992.0)"
+           ^ String.concat "" (List.init filler (Printf.sprintf ", (%d.5)"));
+           "create index on u (b)" ];
+       Engine.analyze engine "t";
+       Engine.analyze engine "u";
+       List.iter
+         (fun where ->
+            let sql = "select a, b from t, u where " ^ where in
+            let plan = Mqr_opt.Plan.to_string (Engine.explain engine sql) in
+            if where <> "a >= b and a <= b" then
+              Alcotest.(check bool) (meth ^ " plans " ^ where) true (Test_sql.contains plan meth);
+            let r = Engine.run_sql engine sql in
+            Alcotest.(check (list string)) (meth ^ ": " ^ where)
+              [ "[9007199254740992|9007199254740992.0000]" ]
+              (Array.to_list (Array.map (Fmt.str "%a" Tuple.pp) r.Dispatcher.rows)))
+         [ "a = b"; "b = a"; "a >= b and a <= b" ])
+    [ ("merge_join", 0, d);
+      ("hash_join", 0, { d with Optimizer.enable_merge_join = false; enable_index_join = false });
+      ("index_nl", 5000, d) ]
+
 let suite =
   [ Alcotest.test_case "csv line roundtrip" `Quick test_csv_roundtrip_line;
     Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;
@@ -329,4 +366,5 @@ let suite =
     Alcotest.test_case "copy bad field" `Quick test_copy_bad_field;
     Alcotest.test_case "insert bad row" `Quick test_insert_bad_row;
     QCheck_alcotest.to_alcotest prop_insert_roundtrip;
-    QCheck_alcotest.to_alcotest prop_insert_bad_row ]
+    QCheck_alcotest.to_alcotest prop_insert_bad_row;
+    Alcotest.test_case "Int = Float joins exactly past 2^53" `Quick test_exact_numeric_join ]

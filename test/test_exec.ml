@@ -1253,8 +1253,9 @@ let prop_hash_join_order_matches_reference =
          (Ref_join.join ~build:right ~build_idx:idx ~probe:left ~probe_idx:idx residual))
 
 (* Pairs of keys that are often [Value.equal]: one number as an Int or a
-   Float (small, or around +-2^53, where Floats round to even), -0.0 and
-   0.0, nans with different payloads, Dates, Strings and Bools. *)
+   Float (small, around +-2^53, where Floats round to even, or at the
+   ints' ends +-2^62), -0.0 and 0.0, +-inf, nans with different
+   payloads, Dates, Strings and Bools. *)
 let prop_key_hash_agrees_with_equal =
   let p = 1 lsl 53 in
   let number =
@@ -1262,7 +1263,8 @@ let prop_key_hash_agrees_with_equal =
       oneof
         [ int_range (-5) 5;
           map2 (fun s d -> s * (p + d)) (oneofl [ 1; -1 ]) (int_range (-3) 3);
-          oneofl [ max_int; min_int ] ])
+          map (fun d -> max_int - d) (int_range 0 3);
+          map (fun d -> min_int + d) (int_range 0 3) ])
   in
   let value =
     QCheck.Gen.(
@@ -1271,7 +1273,9 @@ let prop_key_hash_agrees_with_equal =
                number bool);
           (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float 0.5;
                        Value.Float Float.nan; Value.Float (Int64.float_of_bits 0x7ff8000000000001L);
-                       Value.Float (-.Float.nan); Value.Float Float.infinity; Value.Null ]);
+                       Value.Float (-.Float.nan); Value.Float Float.infinity;
+                       Value.Float Float.neg_infinity; Value.Float 0x1p62;
+                       Value.Float (-0x1p62); Value.Float (Float.pred 0x1p62); Value.Null ]);
           (1, map (fun d -> Value.Date d) (int_range (-3) 3));
           (1, map (fun s -> Value.String s) (string_size ~gen:(char_range 'a' 'c') (int_bound 10)));
           (1, map (fun b -> Value.Bool b) bool) ])
@@ -1300,7 +1304,10 @@ let test_key_hash_allocation_free () =
 (* Codes and positions at the scan leaf change nothing but the wall
    clock.  A file is built by [create] + [append] from [Test_storage]'s
    interning cells (Null, both zeros, nan payloads, and Int 3, Float 3.0,
-   Date 3 in one column; or only Null, Int and Float), sometimes pushing
+   Date 3 in one column; or only Null, Int and Float), some columns
+   never null (the collector's pass over such a coded column stops at
+   its last new code: every code early, a code the filtered leaf lacks,
+   a Null appended after the scan leaf was built), sometimes pushing
    column 0 past 4096 values, sometimes [retain]ed and appended to again.
    Three leaves are checked: the full scan, the survivors of a filter
    over it (a filter over a filtered leaf), and an index scan (probed
@@ -1329,21 +1336,26 @@ let coded_udf c =
 let coded_case_gen =
   QCheck.Gen.(
     let* cols = int_range 1 4 in
-    let* numeric = list_repeat cols bool in
+    let null_free = frequency [ (1, return true); (2, return false) ] in
+    let* kinds = list_repeat cols (pair bool null_free) in
     let* wide = frequency [ (1, return true); (7, return false) ] in
     let* long = frequency [ (1, return true); (4, return false) ] in
     let wide_cell =
       frequency [ (1, return Value.Null); (19, Test_storage.intern_wide_cell) ]
     in
+    let no_null = map (fun v -> if Value.is_null v then Value.Int 0 else v) in
     let row =
       map Array.of_list
         (flatten_l
            (List.mapi
-              (fun i numeric ->
-                 if wide && i = 0 then wide_cell
-                 else if numeric then Test_storage.intern_number
-                 else Test_storage.intern_cell)
-              numeric))
+              (fun i (numeric, never_null) ->
+                 let cell =
+                   if wide && i = 0 then wide_cell
+                   else if numeric then Test_storage.intern_number
+                   else Test_storage.intern_cell
+                 in
+                 if never_null then no_null cell else cell)
+              kinds))
     in
     let* first =
       list_size
@@ -1354,6 +1366,7 @@ let coded_case_gen =
       opt (list_repeat (List.length first) (frequency [ (3, return true); (1, return false) ]))
     in
     let* second = list_size (int_range 0 60) row in
+    let* late_null = bool in
     let col = map (Printf.sprintf "c%d") (int_bound (cols - 1)) in
     let op = oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
     let const = map (fun v -> Expr.Const v) Test_storage.intern_cell in
@@ -1394,7 +1407,7 @@ let coded_case_gen =
     let* probe = pair (int_bound 10) (int_bound 10) in
     return
       ( cols,
-        (first, kept, second),
+        (first, kept, second, late_null),
         pred,
         (group_by, hist_cols, distinct_cols, agg_col),
         probe ))
@@ -1585,7 +1598,7 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
 let prop_coded_leaf_matches_rows =
   QCheck.Test.make ~name:"coded scan leaf = plain rows" ~count:150
     (QCheck.make coded_case_gen)
-    (fun (cols, (first, kept, second), (pred, pred2), work, (lo, hi)) ->
+    (fun (cols, (first, kept, second, late_null), (pred, pred2), work, (lo, hi)) ->
        let schema =
          Schema.make (List.init cols (fun i -> Schema.col (Printf.sprintf "c%d" i) Value.TInt))
        in
@@ -1605,6 +1618,9 @@ let prop_coded_leaf_matches_rows =
          Heap_file.rows (Heap_file.of_rows schema (Array.copy (Leaf.rows leaf)))
        in
        let scan = Leaf.scan (ctx ()) heap in
+       (* a Null the scan leaf's rows do not hold: a column that held
+          none when the leaf was built may still stop at its last code *)
+       if late_null then Heap_file.append heap (Array.make cols Value.Null);
        let scan_ok, (filtered, filtered_plain) =
          coded_agrees schema pred work scan (copy scan)
        in
@@ -1705,14 +1721,15 @@ let wide_keys st ~sorted =
 
 (* The hash join reads a one-column probe key from the leaf's payloads
    and looks it up once per run of equal payloads; over codes or plain
-   cells it hashes each row.  A payload case gives column k over 4096 distinct Ints, Ints
-   beyond +-2^53 (whose [key_hash] is [Value.hash]) or Dates, in runs or
-   unsorted; a cell case appends a Null after them, which drops the
-   payloads, then more keys and Nulls; a code case keeps 50 values and
-   Nulls.  The probe leaf is the scan, or a filter over it (its
-   positions).  The build side draws its keys from the probe's cells,
-   some as the equal Float of an Int or as the Date of an Int's number
-   or the Int of a Date's (never equal), and Nulls.  The join's rows, in
+   cells it hashes each row.  A payload case gives column k over 4096
+   distinct Ints, Ints beyond +-2^53 or Dates, in runs or unsorted; a
+   cell case appends a Null after them, which drops the payloads, then
+   more keys and Nulls; a code case keeps 50 values and Nulls.  The
+   probe leaf is the scan, or a filter over it (its positions).  The
+   build side draws its keys from the probe's cells, some as the Float
+   of an Int (equal to it below 2^53; beyond, the rounded float, equal
+   only to the one Int it holds exactly) or as the Date of an Int's
+   number or the Int of a Date's (never equal), and Nulls.  The join's rows, in
    order, and its charges must be those of the join over [Leaf.of_rows]
    of the leaf's rows, and the rows those of a reference: each probe row
    in order with its matches, the last-built first. *)
@@ -1766,10 +1783,9 @@ let prop_hash_join_key_sources =
          Schema.make
            (List.map (fun c -> Schema.col ~qualifier:"r" c Value.TInt) [ "k"; "q" ])
        in
-       (* no Float beyond 2^53, where [Value.equal] is not transitive *)
        let cross (v : Value.t) : Value.t =
          match v, Random.State.bool st with
-         | Int x, true when kind = `Int -> Float (float_of_int x)
+         | Int x, true -> Float (float_of_int x)
          | Int x, false -> Date x
          | Date x, _ -> Int x
          | v, _ -> v
@@ -1882,6 +1898,60 @@ let prop_collector_payloads_match_rows =
        && same_stats stats plain
        && charged = plain_charged)
 
+(* An Int or Date payload fed as its int counts as its box: one
+   [Distinct] counter fed [Value.hash_payload] through [add_hash] against
+   one fed the boxes through [add], Ints and Dates of the same numbers
+   mixed, often past the exact counter's limit (4096, or 64 so that a
+   kind alone passes it); and per kind, a [Column_pass] fed
+   [add_payload] against one fed [add] of the boxes: the same range,
+   nulls and distinct count.  The numbers are
+   0, +-1, +-2^53 +- k and the ints' ends among a spread of others. *)
+let prop_payload_feed_matches_boxes =
+  let module Distinct = Mqr_stats.Distinct in
+  let module Column_pass = Mqr_stats.Column_pass in
+  QCheck.Test.make ~name:"payload feed = boxed feed" ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_bound 1_000_000) (int_range 0 7000) (oneofl [ 60; 6000; 1 lsl 40 ])
+           (oneofl [ 64; 4096 ])))
+    (fun (seed, n, spread, exact_limit) ->
+       let st = Random.State.make [| seed |] in
+       let p = 1 lsl 53 in
+       let special =
+         [| 0; 1; -1; p - 1; p; p + 1; p + 2; -p; -p - 1; -p + 1; max_int; min_int;
+            max_int - 1; min_int + 1 |]
+       in
+       let number () =
+         if Random.State.int st 8 = 0 then
+           special.(Random.State.int st (Array.length special))
+         else Random.State.full_int st spread - (spread / 2)
+       in
+       let feed = List.init n (fun _ -> (Random.State.bool st, number ())) in
+       let box (date, x) : Value.t = if date then Date x else Int x in
+       let same_count a b =
+         bits (Distinct.estimate a) = bits (Distinct.estimate b)
+         && Distinct.is_exact a = Distinct.is_exact b
+       in
+       let counter () = Distinct.create ~exact_limit () in
+       let boxed = counter () and ints = counter () in
+       List.iter (fun v -> Distinct.add boxed (box v)) feed;
+       List.iter (fun (date, x) -> Distinct.add_hash ints (Value.hash_payload ~date x)) feed;
+       let pass_agrees date =
+         let xs = List.filter_map (fun (d, x) -> if d = date then Some x else None) feed in
+         let d1 = counter () and d2 = counter () in
+         let p1 = Column_pass.create ~distincts:[ d1 ] ()
+         and p2 = Column_pass.create ~distincts:[ d2 ] () in
+         List.iter (fun x -> Column_pass.add p1 (box (date, x))) xs;
+         List.iter (fun x -> Column_pass.add_payload p2 ~date x) xs;
+         let key =
+           Option.map (fun (lo, hi) -> (Test_storage.bits_key lo, Test_storage.bits_key hi))
+         in
+         key (Column_pass.range p1) = key (Column_pass.range p2)
+         && Column_pass.nulls p1 = Column_pass.nulls p2
+         && same_count d1 d2
+       in
+       same_count boxed ints && pass_agrees true && pass_agrees false)
+
 let suite =
   [ Alcotest.test_case "seq scan" `Quick test_seq_scan;
     Alcotest.test_case "index scan" `Quick test_index_scan;
@@ -1939,4 +2009,5 @@ let suite =
     Alcotest.test_case "coded filter raises as the row path" `Quick
       test_coded_filter_raises_as_rows;
     QCheck_alcotest.to_alcotest prop_hash_join_key_sources;
-    QCheck_alcotest.to_alcotest prop_collector_payloads_match_rows ]
+    QCheck_alcotest.to_alcotest prop_collector_payloads_match_rows;
+    QCheck_alcotest.to_alcotest prop_payload_feed_matches_boxes ]

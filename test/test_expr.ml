@@ -28,7 +28,7 @@ let test_eval_cmp () =
     (pred Expr.(col "s" =% str "x") (row 0 0.0 "x"))
 
 let test_eval_between () =
-  let e = Expr.(between (col "a") (int 2) (int 4)) in
+  let e = Expr.(Between (col "a", int 2, int 4)) in
   Alcotest.(check bool) "inside" true (pred e (row 3 0.0 ""));
   Alcotest.(check bool) "boundary lo" true (pred e (row 2 0.0 ""));
   Alcotest.(check bool) "boundary hi" true (pred e (row 4 0.0 ""));
@@ -82,14 +82,14 @@ let test_shapes () =
   (match Expr.shape_of Expr.(col "t.a" =% col "u.b") with
    | Expr.S_col_eq_col ("t.a", "u.b") -> ()
    | _ -> Alcotest.fail "equi-join shape");
-  match Expr.shape_of Expr.(between (col "a") (int 1) (int 2)) with
+  match Expr.shape_of Expr.(Between (col "a", int 1, int 2)) with
   | Expr.S_col_between ("a", Value.Int 1, Value.Int 2) -> ()
   | _ -> Alcotest.fail "between shape"
 
 let test_to_sql () =
   Alcotest.(check string) "sql" "t.a = 3" (Expr.to_sql Expr.(col "t.a" =% int 3));
   Alcotest.(check string) "between" "a between 1 and 2"
-    (Expr.to_sql Expr.(between (col "a") (int 1) (int 2)))
+    (Expr.to_sql Expr.(Between (col "a", int 1, int 2)))
 
 let test_resolvable () =
   Alcotest.(check bool) "resolvable" true (Expr.resolvable schema Expr.(col "t.a" =% int 1));
@@ -150,7 +150,7 @@ let prop_selectivity_in_unit =
          | 0 -> Expr.(col "t.a" =% int v)
          | 1 -> Expr.(col "t.a" <% int v)
          | 2 -> Expr.(col "t.a" >=% int v)
-         | _ -> Expr.(between (col "t.a") (int (v - 10)) (int v))
+         | _ -> Expr.(Between (col "t.a", int (v - 10), int v))
        in
        let s = Selectivity.selectivity env e in
        s >= 0.0 && s <= 1.0)
@@ -164,7 +164,7 @@ let gen_expr =
       [ map (fun v -> Expr.(col "t.a" =% int v)) (int_range (-5) 15);
         map (fun v -> Expr.(col "t.a" <% int v)) (int_range (-5) 15);
         map (fun v -> Expr.(col "t.b" >=% float (float_of_int v))) (int_range 0 9);
-        map2 (fun a b -> Expr.(between (col "t.a") (int (min a b)) (int (max a b))))
+        map2 (fun a b -> Expr.(Between (col "t.a", int (min a b), int (max a b))))
           (int_range 0 9) (int_range 0 9) ]
   in
   let rec tree depth =

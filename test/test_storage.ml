@@ -586,6 +586,57 @@ let prop_payloads_track_rows =
                old_ok && kept ())
             steps)
 
+(* A coded column's [null_seen], read after each of random steps:
+   appends (column 0 now and then Null, column 1 never), an explicit
+   Null in column 0, a [retain] of random rows and one of the non-null
+   rows.  The flag is set exactly when a Null was ever appended to the
+   column, whatever [retain] deleted since, so it holds whenever a row
+   read at that moment is Null; codes read before a step keep the flag
+   they were read with. *)
+let prop_null_seen_tracks_appends =
+  QCheck.Test.make ~name:"Heap_file.null_seen = a Null was appended" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_bound 1_000_000) (int_range 0 3)
+           (list_size (int_range 1 12) (int_bound 5))))
+    (fun (seed, null_rate, steps) ->
+       let st = Random.State.make [| seed |] in
+       let schema = Schema.make [ Schema.col "a" Value.TInt; Schema.col "b" Value.TInt ] in
+       let h = Heap_file.create schema in
+       let appended = [| false; false |] in
+       let add (a : Value.t) =
+         if Value.is_null a then appended.(0) <- true;
+         Heap_file.append h [| a; Value.Int (Random.State.int st 9) |]
+       in
+       let cell () =
+         if null_rate > 0 && Random.State.int st (4 * null_rate) = 0 then Value.Null
+         else Value.Int (Random.State.int st 40)
+       in
+       let agrees () =
+         let rows = Heap_file.rows h in
+         List.for_all
+           (fun i ->
+              Option.map Heap_file.null_seen (Heap_file.codes h i) = Some appended.(i)
+              && (appended.(i) || Array.for_all (fun t -> not (Value.is_null t.(i))) rows))
+           [ 0; 1 ]
+       in
+       agrees ()
+       && List.for_all
+            (fun step ->
+               let before = List.filter_map (Heap_file.codes h) [ 0; 1 ] in
+               let flags_before = List.map Heap_file.null_seen before in
+               (match step with
+                | 0 | 1 ->
+                  for _ = 1 to 1 + Random.State.int st 30 do
+                    add (cell ())
+                  done
+                | 2 -> add Value.Null
+                | 3 -> ignore (Heap_file.retain h (fun _ -> Random.State.int st 3 <> 0))
+                | 4 -> ignore (Heap_file.retain h (fun t -> not (Value.is_null t.(0))))
+                | _ -> ignore (Heap_file.retain h (fun _ -> true)));
+               List.map Heap_file.null_seen before = flags_before && agrees ())
+            steps)
+
 let suite =
   [ Alcotest.test_case "pool hit/miss" `Quick test_pool_hit_miss;
     Alcotest.test_case "pool LRU eviction" `Quick test_pool_lru_eviction;
@@ -607,4 +658,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_btree_range_matches;
     QCheck_alcotest.to_alcotest prop_of_rows_matches_append;
     QCheck_alcotest.to_alcotest prop_interning_is_representation_only;
-    QCheck_alcotest.to_alcotest prop_payloads_track_rows ]
+    QCheck_alcotest.to_alcotest prop_payloads_track_rows;
+    QCheck_alcotest.to_alcotest prop_null_seen_tracks_appends ]

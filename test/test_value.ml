@@ -98,6 +98,62 @@ let prop_compare_antisymmetric =
        let c2 = Value.compare (Value.Int b) (Value.Int a) in
        (c1 > 0 && c2 < 0) || (c1 < 0 && c2 > 0) || (c1 = 0 && c2 = 0))
 
+(* Numbers where an Int and a Float part ways: +-2^53 +- k (a Float
+   there rounds to even), the ints' ends +-2^62 (2^62 itself is no int,
+   -2^62 is [min_int]), 0, +-1 and +-0.0, +-inf and nans, as Ints where
+   they are ints and as Floats (of those ints, rounded, and the floats
+   next to them). *)
+let mixed_number =
+  let p = 1 lsl 53 in
+  QCheck.Gen.(
+    let int =
+      oneof
+        [ int_range (-2) 2;
+          map2 (fun s k -> s * (p + k)) (oneofl [ 1; -1 ]) (int_range (-3) 3);
+          map (fun k -> max_int - k) (int_range 0 3);
+          map (fun k -> min_int + k) (int_range 0 3) ]
+    in
+    frequency
+      [ (4, map (fun x -> Value.Int x) int);
+        (3, map (fun x -> Value.Float (float_of_int x)) int);
+        (1, map (fun x -> Value.Float (Float.succ (float_of_int x))) int);
+        (1, map (fun x -> Value.Float (Float.pred (float_of_int x))) int);
+        (2, oneofl
+              [ Value.Float 0.0; Value.Float (-0.0); Value.Float 0.5; Value.Float (-1.5);
+                Value.Float 0x1p62; Value.Float (-0x1p62); Value.Float Float.infinity;
+                Value.Float Float.neg_infinity; Value.Float Float.nan;
+                Value.Float (Int64.float_of_bits 0x7ff8000000000001L) ]) ])
+
+(* [Int x] against [Float y] by another route than [Value.compare]'s:
+   through floats where [x] converts exactly, through ints where [y] is
+   an int, else by the sign of whichever is beyond the other's reach. *)
+let reference_int_float x y =
+  if Float.is_nan y then 1
+  else if Int.abs x <= 1 lsl 53 then Float.compare (float_of_int x) y
+  else if Float.is_integer y && Float.abs y < 0x1p62 then Int.compare x (int_of_float y)
+  else if Float.abs y < 0x1p53 then Int.compare x 0
+  else if y > 0.0 then -1
+  else 1
+
+let sign c = Int.compare c 0
+
+let prop_compare_total_order =
+  QCheck.Test.make ~name:"compare is a total order, Int against Float exactly" ~count:3000
+    (QCheck.make QCheck.Gen.(triple mixed_number mixed_number mixed_number))
+    (fun (a, b, c) ->
+       let ab = Value.compare a b and bc = Value.compare b c and ac = Value.compare a c in
+       let exact =
+         match a, b with
+         | Value.Int x, Value.Float y -> sign ab = reference_int_float x y
+         | Value.Float y, Value.Int x -> sign ab = - reference_int_float x y
+         | _ -> true
+       in
+       exact
+       && sign ab = - sign (Value.compare b a)
+       && ((not (ab <= 0 && bc <= 0)) || ac <= 0)
+       && ((not (ab = 0 && bc = 0)) || ac = 0)
+       && Value.equal a b = (ab = 0))
+
 let suite =
   [ Alcotest.test_case "compare ints" `Quick test_compare_ints;
     Alcotest.test_case "compare mixed numeric" `Quick test_compare_mixed_numeric;
@@ -113,4 +169,5 @@ let suite =
     Alcotest.test_case "min/max" `Quick test_min_max;
     Alcotest.test_case "to/from float" `Quick test_to_from_float;
     QCheck_alcotest.to_alcotest prop_date_roundtrip;
-    QCheck_alcotest.to_alcotest prop_compare_antisymmetric ]
+    QCheck_alcotest.to_alcotest prop_compare_antisymmetric;
+    QCheck_alcotest.to_alcotest prop_compare_total_order ]
