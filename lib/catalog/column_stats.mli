@@ -50,7 +50,11 @@ val of_counts :
 (** [encode values] maps non-null values onto the histogram domain, in
     order: strings become their ordinal among the distinct strings present
     in sort order, the dictionary returned with them ([None] when no
-    string occurs). *)
+    string occurs).  An [Int] (or a [Date]'s day) becomes the nearest
+    float, which is lossy past +-2^53: two such ints may share a domain
+    value.  The domain feeds only estimates (histograms, selectivities),
+    never an order or an equality a result depends on; those go through
+    [Value.compare]. *)
 val encode : Value.t array -> float array * (string * float) list option
 
 (** Map a typed value onto the histogram domain ([None] for nulls and for

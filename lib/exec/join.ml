@@ -98,9 +98,10 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
     done
   in
   (* One key with payloads: looked up once per run of equal payloads
-     (lineitem arrives in l_orderkey order), hashed as [key_hash] hashes
-     the Int or Date.  The row itself is read to confirm a full-hash
-     match and to build output.  Any other probe hashes each row. *)
+     (lineitem arrives in l_orderkey order), hashed by
+     [Value.hash_payload], the arm [Value.hash] hashes the cell with.
+     The row itself is read to confirm a full-hash match and to build
+     output.  Any other probe hashes each row. *)
   let payloads =
     match probe_idx with [| i |] -> Leaf.payloads probe i | _ -> None
   in
@@ -112,7 +113,7 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
        let x = Heap_file.payload p r in
        if k = 0 || x <> !last then begin
          last := x;
-         let h = if date then Rows_ops.date_hash x else Rows_ops.int_hash x in
+         let h = Value.hash_payload ~date x in
          id := Table.find table (Rows_ops.hash_one h) base.(r) probe_idx
        end;
        if !id >= 0 then emit r !id

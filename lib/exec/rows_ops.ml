@@ -53,27 +53,12 @@ module Out = struct
     if b.len = Array.length b.rows then b.rows else Array.sub b.rows 0 b.len
 end
 
-let[@inline] int_hash i = Hash_mix.mix i
-
-let[@inline] date_hash d = Hash_mix.mix d lxor 0x5bd1
-
-let key_hash (v : Value.t) =
-  match v with
-  | Null -> 0x2f1d
-  | Bool b -> if b then 0x4a3 else 0x7c5
-  | Int i -> int_hash i
-  | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
-    int_hash (Float.to_int f)
-  | Float _ -> Value.hash v
-  | String s -> Hash_mix.string_hash s
-  | Date d -> date_hash d
-
 let[@inline] hash_one h = (17 * 31) + h
 
 let row_hash t idx =
   let h = ref 17 in
   for i = 0 to Array.length idx - 1 do
-    h := (!h * 31) + key_hash t.(idx.(i))
+    h := (!h * 31) + Value.hash t.(idx.(i))
   done;
   !h
 

@@ -35,27 +35,13 @@ module Out : sig
   val contents : t -> Tuple.t array
 end
 
-(** Hash of a join, group or DISTINCT key value that agrees with
-    [Value.equal] ([Int 3] and [Float 3.0], [-0.0] and [0.0], all nans):
-    [Hash_mix.mix] for [Int], [Date] and the integral [Float]s in the
-    ints' range (the only floats an [Int] equals), [Value.hash] for other
-    floats, [Hash_mix.string_hash] for a [String], a constant for [Null]
-    and [Bool].  Allocates nothing off [Value.hash]. *)
-val key_hash : Value.t -> int
-
-(** [int_hash i] is [key_hash (Int i)] and [date_hash d] is [key_hash
-    (Date d)]: [key_hash] calls them, so a key read as an unboxed payload
-    hashes as its cell does. *)
-val int_hash : int -> int
-
-val date_hash : int -> int
-
-(** [row_hash t idx] folds [key_hash] over the columns [idx] of [t] (from
-    17, times 31). *)
+(** [row_hash t idx] folds [Value.hash] over the columns [idx] of [t]
+    (from 17, times 31), so keys that are [Value.equal] column by column
+    hash alike. *)
 val row_hash : Tuple.t -> int array -> int
 
-(** [hash_one h] is the [row_hash] of a one-column key whose [key_hash]
-    is [h]. *)
+(** [hash_one h] is the [row_hash] of a one-column key whose
+    [Value.hash] is [h]. *)
 val hash_one : int -> int
 
 (** [Value.equal] on the columns [ai] of [a] and [bi] of [b], pairwise. *)

@@ -32,17 +32,8 @@ exception Planning_error of string
 (* ------------------------------------------------------------------ *)
 (* Shared context for one optimization run.                            *)
 
-module Str_tbl = Hashtbl.Make (struct
-    type t = string
-    let equal = String.equal
-    let hash = Hashtbl.hash
-  end)
-
-module Int_tbl = Hashtbl.Make (struct
-    type t = int
-    let equal = Int.equal
-    let hash = Hashtbl.hash
-  end)
+module Str_tbl = Hashtbl.Make (String)
+module Int_tbl = Hashtbl.Make (Int)
 
 (* An equi-join selectivity and the statistics of its two columns it was
    estimated from: [Stats_env.stats_of] of each, compared physically.

@@ -1,7 +1,6 @@
 (** Cheap integer and string hashes, computed in OCaml with no C call and
-    no allocation.  Join, GROUP BY and DISTINCT keys
-    ([Rows_ops.key_hash]) and the per-column value dictionaries of
-    {!Heap_file} hash through them. *)
+    no allocation: the mixes {!Value.hash}, the engine's one value hash,
+    is built from. *)
 
 (** A multiply-xorshift mix of an int's bits. *)
 val mix : int -> int

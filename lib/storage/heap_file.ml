@@ -1,11 +1,13 @@
 (* A column's dictionary: every distinct value appended to it so far,
    numbered by code in first-seen order from 1 ([Null] is code 0).
    [slots] is an open-addressing table of codes, 2 bytes a slot (0 marks
-   an empty one), probed linearly from [exact_hash] of the code's box and
-   at most half full; [boxes.(c)] is code [c]'s box; [per_rid] holds each
-   rid's code, 2 bytes a row, with room to grow; [null_seen] whether a
-   [Null] was ever appended (never cleared, not even by a [retain] that
-   deletes every null). *)
+   an empty one), probed linearly from [Value.hash] of the code's box
+   and at most half full ([same] decides identity: -0.0 and 0.0, all
+   nans, [Int 3] and [Float 3.0] share a hash but not a code);
+   [boxes.(c)] is code [c]'s box; [per_rid] holds each rid's code, 2
+   bytes a row, with room to grow; [null_seen] whether a [Null] was ever
+   appended (never cleared, not even by a [retain] that deletes every
+   null). *)
 type dict = {
   mutable slots : Bytes.t;
   mutable boxes : Value.t array;
@@ -80,15 +82,6 @@ let same (a : Value.t) (b : Value.t) =
   | Bool x, Bool y -> x = y
   | _ -> false
 
-let exact_hash (v : Value.t) =
-  match v with
-  | Null -> 0
-  | Bool b -> if b then 1 else 2
-  | Int i -> Hash_mix.mix i
-  | Date d -> Hash_mix.mix d lxor 0x5bd1
-  | Float f -> Hash_mix.mix (Int64.to_int (Int64.bits_of_float f))
-  | String s -> Hash_mix.string_hash s
-
 let[@inline] get16 b i = Bytes.get_uint16_le b (2 * i)
 let[@inline] set16 b i c = Bytes.set_uint16_le b (2 * i) c
 
@@ -100,7 +93,7 @@ let slot d v =
     let c = get16 d.slots i in
     if c = 0 || same d.boxes.(c) v then i else probe ((i + 1) land mask)
   in
-  probe (exact_hash v land mask)
+  probe (Value.hash v land mask)
 
 (* The code of non-null [v]'s value, the next one if it is new; -1 when
    it is the [dict_limit]th value, which drops the dictionary. *)

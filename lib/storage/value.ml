@@ -46,16 +46,18 @@ let equal a b =
   | _ -> compare a b = 0
 
 let[@inline] hash_payload ~date x =
-  let h = Hashtbl.hash (float_of_int x) in
-  if date then h lxor 0x5bd1 else h
+  if date then Hash_mix.mix x lxor 0x5bd1 else Hash_mix.mix x
 
 let hash v =
   match v with
-  | Null -> 0
-  | Bool b -> if b then 1 else 2
+  | Null -> 0x2f1d
+  | Bool b -> if b then 0x4a3 else 0x7c5
   | Int i -> hash_payload ~date:false i
-  | Float f -> Hashtbl.hash f
-  | String s -> Hashtbl.hash s
+  | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    hash_payload ~date:false (Float.to_int f)
+  | Float f when Float.is_nan f -> 0x6e1b
+  | Float f -> Hash_mix.mix (Int64.to_int (Int64.bits_of_float f))
+  | String s -> Hash_mix.string_hash s
   | Date d -> hash_payload ~date:true d
 
 let type_of = function

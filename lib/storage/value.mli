@@ -23,8 +23,15 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-(** Hash suitable for hash joins / hash aggregation: numerically equal
-    [Int]/[Float] values hash identically. *)
+(** The one hash of a value: join, GROUP BY and DISTINCT keys, column
+    dictionaries, distinct counters, bloom filters and exchange
+    partitions all hash through it.  It agrees with [equal] ([Int 3] and
+    [Float 3.0], [-0.0] and [0.0], all nans) and allocates nothing: an
+    [Int] is [Hash_mix.mix] of it, as is an integral [Float] in the ints'
+    range (the only floats an [Int] equals); a [Date] is its mix [lxor
+    0x5bd1]; every nan is one constant; any other float is the mix of its
+    bits; a [String] is [Hash_mix.string_hash]; [Null] and [Bool] are
+    constants. *)
 val hash : t -> int
 
 (** [hash_payload ~date x] is [hash (Date x)] when [date], else [hash

@@ -1252,11 +1252,11 @@ let prop_hash_join_order_matches_reference =
        same_rows r.Join.rows
          (Ref_join.join ~build:right ~build_idx:idx ~probe:left ~probe_idx:idx residual))
 
-(* Pairs of keys that are often [Value.equal]: one number as an Int or a
-   Float (small, around +-2^53, where Floats round to even, or at the
-   ints' ends +-2^62), -0.0 and 0.0, +-inf, nans with different
-   payloads, Dates, Strings and Bools. *)
-let prop_key_hash_agrees_with_equal =
+(* Values that are often [Value.equal] to one another: one number as an
+   Int or a Float (small, around +-2^53, where Floats round to even, or
+   at the ints' ends +-2^62), -0.0 and 0.0, +-inf, nans with different
+   payloads, Dates, Strings, Bools and Null. *)
+let key_value =
   let p = 1 lsl 53 in
   let number =
     QCheck.Gen.(
@@ -1266,39 +1266,83 @@ let prop_key_hash_agrees_with_equal =
           map (fun d -> max_int - d) (int_range 0 3);
           map (fun d -> min_int + d) (int_range 0 3) ])
   in
-  let value =
-    QCheck.Gen.(
-      frequency
-        [ (6, map2 (fun k as_int -> if as_int then Value.Int k else Value.Float (float_of_int k))
-               number bool);
-          (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float 0.5;
-                       Value.Float Float.nan; Value.Float (Int64.float_of_bits 0x7ff8000000000001L);
-                       Value.Float (-.Float.nan); Value.Float Float.infinity;
-                       Value.Float Float.neg_infinity; Value.Float 0x1p62;
-                       Value.Float (-0x1p62); Value.Float (Float.pred 0x1p62); Value.Null ]);
-          (1, map (fun d -> Value.Date d) (int_range (-3) 3));
-          (1, map (fun s -> Value.String s) (string_size ~gen:(char_range 'a' 'c') (int_bound 10)));
-          (1, map (fun b -> Value.Bool b) bool) ])
-  in
-  QCheck.Test.make ~name:"key_hash agrees with Value.equal" ~count:2000
-    (QCheck.make (QCheck.Gen.pair value value))
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun k as_int -> if as_int then Value.Int k else Value.Float (float_of_int k))
+             number bool);
+        (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float 0.5;
+                     Value.Float Float.nan; Value.Float (Int64.float_of_bits 0x7ff8000000000001L);
+                     Value.Float (-.Float.nan); Value.Float Float.infinity;
+                     Value.Float Float.neg_infinity; Value.Float 0x1p62;
+                     Value.Float (-0x1p62); Value.Float (Float.pred 0x1p62); Value.Null ]);
+        (1, map (fun d -> Value.Date d) (int_range (-3) 3));
+        (1, map (fun s -> Value.String s) (string_size ~gen:(char_range 'a' 'c') (int_bound 10)));
+        (1, map (fun b -> Value.Bool b) bool) ])
+
+let prop_hash_agrees_with_equal =
+  QCheck.Test.make ~name:"Value.hash agrees with Value.equal" ~count:2000
+    (QCheck.make (QCheck.Gen.pair key_value key_value))
     (fun (a, b) ->
        match Value.equal a b with
-       | eq -> (not eq) || Rows_ops.key_hash a = Rows_ops.key_hash b
+       | eq -> (not eq) || Value.hash a = Value.hash b
        | exception Invalid_argument _ -> true)
 
-(* The bound leaves room for [Gc.minor_words]'s own boxed result. *)
-let test_key_hash_allocation_free () =
+(* The two paths that bypass [Value.compare], over [key_value]: a
+   [Column_pass]'s min/max against a [Value.min_value] / [max_value]
+   fold (constructor and bits: the first value of an extreme wins ties),
+   over a column of one kind (numbers, Dates, Strings or Bools) with
+   nulls; and [Rows_ops.keys_equal] of two-column keys against
+   [Value.equal] column by column, raising alike. *)
+let prop_order_bypasses_agree =
+  let module Column_pass = Mqr_stats.Column_pass in
+  let comparable a b =
+    match Value.compare a b with _ -> true | exception Invalid_argument _ -> false
+  in
+  QCheck.Test.make ~name:"Column_pass min/max and keys_equal = Value order" ~count:2000
+    (QCheck.make
+       ~print:(fun (column, (a1, a2, b1, b2)) ->
+           String.concat " " (List.map Test_storage.bits_key (column @ [ a1; a2; b1; b2 ])))
+       QCheck.Gen.(pair (list_size (int_bound 12) key_value) (quad key_value key_value key_value key_value)))
+    (fun (column, (a1, a2, b1, b2)) ->
+       let column =
+         match List.find_opt (fun v -> not (Value.is_null v)) column with
+         | Some first -> List.filter (comparable first) column
+         | None -> column
+       in
+       let pass = Column_pass.create () in
+       List.iter (Column_pass.add pass) column;
+       let fold f = List.fold_left f Value.Null column in
+       let range_agrees =
+         match Column_pass.range pass with
+         | None -> List.for_all Value.is_null column
+         | Some (lo, hi) ->
+           let same a b = Test_storage.bits_key a = Test_storage.bits_key b in
+           same lo (fold Value.min_value) && same hi (fold Value.max_value)
+       in
+       let run f = match f () with eq -> Some eq | exception Invalid_argument _ -> None in
+       let equal_agrees =
+         run (fun () -> Rows_ops.keys_equal [| a1; a2 |] [| 0; 1 |] [| b1; b2 |] [| 0; 1 |])
+         = run (fun () -> Value.equal a1 b1 && Value.equal a2 b2)
+       in
+       range_agrees && equal_agrees)
+
+(* Every arm of [Value.hash], a non-integral Float's included, and its
+   payload arms; the bound leaves room for [Gc.minor_words]'s own boxed
+   result. *)
+let test_hash_allocation_free () =
   let keys =
-    [| Value.Int 42; Value.Date 9000; Value.String "R"; Value.String "a key of 17 bytes" |]
+    [| Value.Int 42; Value.Date 9000; Value.String "R"; Value.String "a key of 17 bytes";
+       Value.Float 2.5; Value.Float 3.0; Value.Float Float.nan; Value.Null |]
   in
   let sink = ref 0 in
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
-    sink := !sink + Rows_ops.key_hash keys.(i land 3)
+    sink :=
+      !sink + Value.hash keys.(i land 7) + Value.hash_payload ~date:false i
+      + Value.hash_payload ~date:true i
   done;
   let words = Gc.minor_words () -. before in
-  if words >= 100.0 then Alcotest.failf "10 000 key hashes allocated %.0f minor words" words;
+  if words >= 100.0 then Alcotest.failf "10 000 rounds of hashes allocated %.0f minor words" words;
   Alcotest.(check bool) "hashed" true (!sink <> 0)
 
 (* Codes and positions at the scan leaf change nothing but the wall
@@ -2003,8 +2047,9 @@ let suite =
       test_collector_reference_sketch_path;
     QCheck_alcotest.to_alcotest prop_hash_join_equals_nested_loop;
     QCheck_alcotest.to_alcotest prop_hash_join_order_matches_reference;
-    QCheck_alcotest.to_alcotest prop_key_hash_agrees_with_equal;
-    Alcotest.test_case "key_hash allocates nothing" `Quick test_key_hash_allocation_free;
+    QCheck_alcotest.to_alcotest prop_hash_agrees_with_equal;
+    Alcotest.test_case "Value.hash allocates nothing" `Quick test_hash_allocation_free;
+    QCheck_alcotest.to_alcotest prop_order_bypasses_agree;
     QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows;
     Alcotest.test_case "coded filter raises as the row path" `Quick
       test_coded_filter_raises_as_rows;

@@ -100,6 +100,35 @@ let test_heap_append_get () =
   Alcotest.(check bool) "get 42" true
     (Tuple.equal (Heap_file.get h 42) [| Value.Int 42; Value.Int 1764 |])
 
+(* Cells that share a [Value.hash] but not their bits keep a code and a
+   box each in one column's dictionary: 0.0 and -0.0, two nans of
+   different payloads, Int 3 and Float 3.0.  Appended twice, the second
+   round reuses the first round's codes and boxes. *)
+let test_dictionary_hash_collisions () =
+  let cells () =
+    [| Value.Float 0.0; Value.Float (-0.0); Value.Float (Int64.float_of_bits 0x7ff8000000000000L);
+       Value.Float (Int64.float_of_bits 0x7ff8000000000001L); Value.Int 3; Value.Float 3.0 |]
+  in
+  let first = cells () and again = cells () in
+  let n = Array.length first in
+  Alcotest.(check bool) "the pairs share a hash" true
+    (List.for_all
+       (fun (i, j) -> Value.hash first.(i) = Value.hash first.(j))
+       [ (0, 1); (2, 3); (4, 5) ]);
+  let h = Heap_file.create (Schema.make [ Schema.col "c" Value.TFloat ]) in
+  Array.iter (fun v -> Heap_file.append h [| v |]) first;
+  Array.iter (fun v -> Heap_file.append h [| v |]) again;
+  match Heap_file.codes h 0 with
+  | None -> Alcotest.fail "the column lost its dictionary"
+  | Some c ->
+    Alcotest.(check int) "one code each, and Null's" (n + 1) (Heap_file.code_count c);
+    for r = 0 to (2 * n) - 1 do
+      let k = (r mod n) + 1 in
+      Alcotest.(check int) (Printf.sprintf "code of row %d" r) k (Heap_file.code c r);
+      Alcotest.(check bool) (Printf.sprintf "box of row %d" r) true
+        (Heap_file.code_box c k == first.(r mod n) && (Heap_file.get h r).(0) == first.(r mod n))
+    done
+
 let test_heap_paging () =
   let h = Heap_file.create small_schema in
   let per = Heap_file.tuples_per_page h in
@@ -644,6 +673,8 @@ let suite =
     Alcotest.test_case "pool queue bounded" `Quick test_pool_queue_bounded;
     Alcotest.test_case "heap append/get" `Quick test_heap_append_get;
     Alcotest.test_case "heap paging" `Quick test_heap_paging;
+    Alcotest.test_case "dictionary keeps hash-equal cells apart" `Quick
+      test_dictionary_hash_collisions;
     Alcotest.test_case "heap scan charges" `Quick test_heap_scan_charges;
     Alcotest.test_case "clock snapshot is a copy" `Quick test_clock_snapshot_is_copy;
     Alcotest.test_case "clock pinned bits" `Quick test_clock_pinned;

@@ -26,9 +26,28 @@ let test_incompatible_compare () =
     (Invalid_argument "Value.compare: incompatible types") (fun () ->
       ignore (Value.compare (Value.String "a") (Value.Int 1)))
 
+(* Values that are [Value.equal] hash alike: an Int and its Float, both
+   zeros, every nan payload; and an Int or Date payload hashes as its
+   box. *)
 let test_hash_numeric_consistency () =
   check_int "hash int = hash equal float" (Value.hash (Value.Int 7))
-    (Value.hash (Value.Float 7.0))
+    (Value.hash (Value.Float 7.0));
+  check_int "hash min_int = hash -2^62" (Value.hash (Value.Int min_int))
+    (Value.hash (Value.Float (-0x1p62)));
+  check_int "hash -0.0 = hash 0.0" (Value.hash (Value.Float 0.0))
+    (Value.hash (Value.Float (-0.0)));
+  List.iter
+    (fun bits ->
+       check_int (Printf.sprintf "hash nan 0x%Lx" bits) (Value.hash (Value.Float Float.nan))
+         (Value.hash (Value.Float (Int64.float_of_bits bits))))
+    [ 0x7ff8000000000000L; 0x7ff8000000000001L; 0xfff8000000000000L; 0x7ff0000000000001L ];
+  List.iter
+    (fun x ->
+       check_int (Printf.sprintf "hash_payload %d" x) (Value.hash (Value.Int x))
+         (Value.hash_payload ~date:false x);
+       check_int (Printf.sprintf "hash_payload ~date %d" x) (Value.hash (Value.Date x))
+         (Value.hash_payload ~date:true x))
+    [ 0; 1; -1; 9000; (1 lsl 53) + 1; max_int; min_int ]
 
 let test_date_roundtrip () =
   List.iter
