@@ -1461,7 +1461,9 @@ let storage_scenario () =
    probe matches one row) and two (lineitem's l_partkey, l_suppkey into
    partsupp; datagen draws them independently, so most probes miss), and
    [Aggregate.hash_aggregate] per grouped row in Q1's shape (lineitem by
-   l_returnflag, l_linestatus; count only).  These join inputs are cut
+   l_returnflag, l_linestatus; count only, over a copy of the rows
+   without codes, and [q1-leaf]: Q1's five aggregates over lineitem's
+   own scan leaf filtered on l_shipdate).  These join inputs are cut
    to their key columns, so the table, not the output rows, sets the
    cost; each join builds its table once per run.  [probe/leaf] is Q3's
    top join over lineitem's own filtered scan leaf (below).  Min and median over op_reps
@@ -1554,7 +1556,30 @@ let hash_scenario () =
       ignore
         (Aggregate.hash_aggregate ctx ~mem_pages:100_000 schema
            ~group_by:[ "l.l_returnflag"; "l.l_linestatus" ] ~aggs
-           (Mqr_exec.Leaf.of_rows rows)))
+           (Mqr_exec.Leaf.of_rows rows)));
+  (* Q1's GROUP BY as the executor runs it: its five aggregates over
+     lineitem's own scan leaf filtered on l_shipdate, whose group
+     columns are coded *)
+  let q1_leaf =
+    Mqr_exec.Leaf.filter ctx lschema
+      (Mqr_sql.Parser.parse_expr "l.l_shipdate <= date '1998-09-02'")
+      (Mqr_exec.Leaf.scan ctx lheap)
+  in
+  let agg fn col out_name =
+    { Aggregate.fn; distinct_arg = false;
+      arg = Option.map Mqr_expr.Expr.col col; out_name }
+  in
+  let q1_aggs =
+    [ agg Aggregate.Sum (Some "l.l_quantity") "sum_qty";
+      agg Aggregate.Sum (Some "l.l_extendedprice") "sum_price";
+      agg Aggregate.Avg (Some "l.l_quantity") "avg_qty";
+      agg Aggregate.Avg (Some "l.l_discount") "avg_disc";
+      agg Aggregate.Count None "count_order" ]
+  in
+  report "group/q1-leaf" ~per:(Mqr_exec.Leaf.length q1_leaf) (fun () ->
+      ignore
+        (Aggregate.hash_aggregate ctx ~mem_pages:100_000 lschema
+           ~group_by:[ "l.l_returnflag"; "l.l_linestatus" ] ~aggs:q1_aggs q1_leaf))
 
 (* ------------------------------------------------------------------ *)
 (* DML and ANALYZE on the wall clock, at drift-rw's sf and batch size

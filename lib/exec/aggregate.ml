@@ -81,6 +81,7 @@ let sum_value a =
    hash and the streaming operator. *)
 type prepared = {
   group_idx : int array;
+  all : int array;  (* every aggregate's index, for [feed] *)
   fns : agg_fn array;
   evals : (Tuple.t -> Value.t) option array;
   distinct : bool array;
@@ -90,6 +91,7 @@ type prepared = {
 let prepare input_schema ~group_by ~aggs =
   let specs = Array.of_list aggs in
   { group_idx = Array.of_list (List.map (Schema.index_of input_schema) group_by);
+    all = Array.init (Array.length specs) Fun.id;
     fns = Array.map (fun s -> s.fn) specs;
     evals = Array.map (fun s -> Option.map (Expr.compile input_schema) s.arg) specs;
     distinct = Array.map (fun s -> s.distinct_arg) specs;
@@ -112,8 +114,10 @@ let fresh_arg p a x =
     let h = Rows_ops.row_hash p.cell cell0 in
     Table.find set h p.cell cell0 < 0 && (ignore (Table.add set h [| x |]); true)
 
-let feed p accs t =
-  for i = 0 to Array.length accs - 1 do
+(* Feeds row [t] to the aggregates [idx] lists, in that order. *)
+let feed p idx accs t =
+  for j = 0 to Array.length idx - 1 do
+    let i = idx.(j) in
     let a = accs.(i) in
     match p.evals.(i) with
     | None -> a.count <- a.count + 1
@@ -150,9 +154,9 @@ let finalize p first accs =
 let memo_limit = 1 lsl 16
 
 (* The group-id memo of a GROUP BY whose every column is coded in [leaf]:
-   each column's codes, and an array indexed by the code tuple (mixed
-   radix, first column least significant), -1 until the tuple's first
-   row was looked up. *)
+   each row's memo slot, its code tuple in mixed radix (first column
+   least significant), and an array indexed by slot, -1 until the
+   tuple's first row was looked up. *)
 let group_memo leaf gidx =
   let codes = Array.map (Leaf.column leaf) gidx in
   if Array.length gidx = 0 || Array.exists Option.is_none codes then None
@@ -164,8 +168,158 @@ let group_memo leaf gidx =
         (fun n c -> if n > limit then n else n * Heap_file.code_count c)
         1 codes
     in
-    if size > limit then None else Some (codes, Array.make size (-1))
+    (* one closure per column, built once: a per-row loop over [codes],
+       an array of an abstract type, would check each read for a float
+       array *)
+    let rec slot k =
+      let c = codes.(k) in
+      if k = Array.length codes - 1 then fun r -> Heap_file.code c r
+      else
+        let radix = Heap_file.code_count c and rest = slot (k + 1) in
+        fun r -> Heap_file.code c r + (radix * rest r)
+    in
+    if size > limit then None else Some (slot 0, Array.make size (-1))
   end
+
+(* An aggregate that a coded GROUP BY runs in a loop of its own, after
+   the pass that gives each row its group id: over the ids and its
+   column's codes or payloads, reading no row.  It takes a plain column
+   argument, no DISTINCT, and for a sum a column whose every value
+   [add_sum] treats alike.  The [int] is the column's position in the
+   leaf. *)
+type kernel =
+  | Count_rows  (* count-star, or COUNT of a column with payloads (no nulls) *)
+  | Count_codes of int  (* rows whose code is not Null's *)
+  | Sum_int_codes of int  (* every code's box an Int *)
+  | Sum_float_codes of int  (* every code's box a Float *)
+  | Sum_ints of int  (* Int payloads *)
+  | Sum_floats of int  (* Float payloads *)
+
+(* Whether [f] holds for every code's box (code 0, [Null]'s, has none). *)
+let all_boxes codes f =
+  let rec from k =
+    k = Heap_file.code_count codes || (f (Heap_file.code_box codes k) && from (k + 1))
+  in
+  from 1
+
+let kernel schema leaf s =
+  match s.fn, s.arg with
+  | _ when s.distinct_arg -> None
+  | Count, None -> Some Count_rows
+  | (Count | Sum | Avg), Some (Expr.Col c) ->
+    let i = Schema.index_of schema c in
+    (match s.fn, Leaf.column leaf i, Leaf.payloads leaf i, Leaf.float_payloads leaf i with
+     | Count, Some _, _, _ -> Some (Count_codes i)
+     | Count, None, Some _, _ | Count, None, None, Some _ -> Some Count_rows
+     | _, Some codes, _, _ ->
+       if all_boxes codes (function Value.Int _ -> true | _ -> false) then
+         Some (Sum_int_codes i)
+       else if all_boxes codes (function Value.Float _ -> true | _ -> false) then
+         Some (Sum_float_codes i)
+       else None
+     | _, None, Some ints, _ when not (Heap_file.payload_is_date ints) ->
+       Some (Sum_ints i)
+     | _, None, None, Some _ -> Some (Sum_floats i)
+     | _ -> None)
+  | _ -> None
+
+(* A kernel's result: per group, the count and, for a sum, the sum. *)
+type totals =
+  | Counts of int array
+  | Int_sums of int array * int array
+  | Float_sums of int array * Float.Array.t
+
+(* Runs kernel [k] over the leaf's rows, whose group ids [gids] holds (2
+   bytes a row, [ng] groups).  Each group's sum is added in row order
+   from its first value, which is assigned: [-0.0] and nan payloads keep
+   their bits, as in [add_sum]. *)
+let run_kernel leaf gids ng k =
+  let n = Leaf.length leaf in
+  let count = Array.make ng 0 in
+  let[@inline] gid j = Bytes.get_uint16_le gids (2 * j) in
+  let codes c = Option.get (Leaf.column leaf c) in
+  match k with
+  | Count_rows ->
+    for j = 0 to n - 1 do
+      let g = gid j in
+      count.(g) <- count.(g) + 1
+    done;
+    Counts count
+  | Count_codes c ->
+    let codes = codes c in
+    for j = 0 to n - 1 do
+      if Heap_file.code codes (Leaf.position leaf j) <> 0 then begin
+        let g = gid j in
+        count.(g) <- count.(g) + 1
+      end
+    done;
+    Counts count
+  | Sum_int_codes c ->
+    let codes = codes c and sum = Array.make ng 0 in
+    let table =
+      Array.init (Heap_file.code_count codes) (fun k ->
+          if k = 0 then 0
+          else match Heap_file.code_box codes k with Value.Int x -> x | _ -> 0)
+    in
+    for j = 0 to n - 1 do
+      let k = Heap_file.code codes (Leaf.position leaf j) in
+      if k <> 0 then begin
+        let g = gid j in
+        count.(g) <- count.(g) + 1;
+        sum.(g) <- sum.(g) + table.(k)
+      end
+    done;
+    Int_sums (count, sum)
+  | Sum_float_codes c ->
+    let codes = codes c and sum = Float.Array.make ng 0.0 in
+    let table =
+      Float.Array.init (Heap_file.code_count codes) (fun k ->
+          if k = 0 then 0.0
+          else match Heap_file.code_box codes k with Value.Float x -> x | _ -> 0.0)
+    in
+    for j = 0 to n - 1 do
+      let k = Heap_file.code codes (Leaf.position leaf j) in
+      if k <> 0 then begin
+        let g = gid j and y = Float.Array.get table k in
+        Float.Array.set sum g (if count.(g) = 0 then y else Float.Array.get sum g +. y);
+        count.(g) <- count.(g) + 1
+      end
+    done;
+    Float_sums (count, sum)
+  | Sum_ints c ->
+    let ints = Option.get (Leaf.payloads leaf c) and sum = Array.make ng 0 in
+    for j = 0 to n - 1 do
+      let g = gid j in
+      count.(g) <- count.(g) + 1;
+      sum.(g) <- sum.(g) + Heap_file.payload ints (Leaf.position leaf j)
+    done;
+    Int_sums (count, sum)
+  | Sum_floats c ->
+    let floats = Option.get (Leaf.float_payloads leaf c) and sum = Float.Array.make ng 0.0 in
+    for j = 0 to n - 1 do
+      let g = gid j and y = Heap_file.float_payload floats (Leaf.position leaf j) in
+      Float.Array.set sum g (if count.(g) = 0 then y else Float.Array.get sum g +. y);
+      count.(g) <- count.(g) + 1
+    done;
+    Float_sums (count, sum)
+
+(* Leaves accumulator [a] of group [g] as [feed] would have: the same
+   count, and the same sum state. *)
+let store totals g a =
+  match totals with
+  | Counts count -> a.count <- count.(g)
+  | Int_sums (count, sum) ->
+    a.count <- count.(g);
+    if a.count > 0 then begin
+      a.state <- Int_sum;
+      a.isum <- sum.(g)
+    end
+  | Float_sums (count, sum) ->
+    a.count <- count.(g);
+    if a.count > 0 then begin
+      a.state <- Float_sum;
+      a.fsum.f <- Float.Array.get sum g
+    end
 
 let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
   let base = Leaf.base leaf in
@@ -191,17 +345,43 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
    | None ->
      Leaf.iter leaf (fun r ->
          let t = base.(r) in
-         feed p !groups.(lookup t) t)
-   | Some (codes, ids) ->
-     Leaf.iter leaf (fun r ->
-       let t = base.(r) in
-       let slot = ref 0 in
-       for k = Array.length codes - 1 downto 0 do
-         let c = codes.(k) in
-         slot := (!slot * Heap_file.code_count c) + Heap_file.code c r
-       done;
-       if ids.(!slot) < 0 then ids.(!slot) <- lookup t;
-       feed p !groups.(ids.(!slot)) t));
+         feed p p.all !groups.(lookup t) t)
+   | Some (slot, ids) ->
+     let kernels = Array.map (kernel input_schema leaf) (Array.of_list aggs) in
+     let generic =
+       Array.of_list (List.filter (fun i -> Option.is_none kernels.(i)) (Array.to_list p.all))
+     in
+     (* one pass: each row's group id, and the generic aggregates row by row *)
+     let n = Leaf.length leaf in
+     let gids = Bytes.create (2 * n) in
+     for j = 0 to n - 1 do
+       let r = Leaf.position leaf j in
+       let s = slot r in
+       if ids.(s) < 0 then ids.(s) <- lookup base.(r);
+       let id = ids.(s) in
+       Bytes.set_uint16_le gids (2 * j) id;
+       if Array.length generic > 0 then feed p generic !groups.(id) base.(r)
+     done;
+     (* then one loop per kernel; aggregates with the same kernel (Q1's
+        SUM and AVG of one column) share its run *)
+     let ng = Table.length table and runs = ref [] in
+     Array.iteri
+       (fun i k ->
+          Option.iter
+            (fun k ->
+               let totals =
+                 match List.assoc_opt k !runs with
+                 | Some totals -> totals
+                 | None ->
+                   let totals = run_kernel leaf gids ng k in
+                   runs := (k, totals) :: !runs;
+                   totals
+               in
+               for g = 0 to ng - 1 do
+                 store totals g !groups.(g).(i)
+               done)
+            k)
+       kernels);
   Sim_clock.charge_hash_tuples clock (Leaf.length leaf);
   (* A global aggregate (no GROUP BY) over an empty input still yields one
      row, per SQL semantics. *)
@@ -239,11 +419,11 @@ let sorted_aggregate ctx input_schema ~group_by ~aggs rows =
     (fun t ->
        match !current with
        | Some (first, accs) when Rows_ops.keys_equal first p.group_idx t p.group_idx ->
-         feed p accs t
+         feed p p.all accs t
        | prev ->
          Option.iter (fun (first, accs) -> Rows_ops.Out.add out (finalize p first accs)) prev;
          let accs = fresh_accs p in
-         feed p accs t;
+         feed p p.all accs t;
          current := Some (t, accs))
     rows;
   (match !current with

@@ -5,18 +5,19 @@ type t = {
   base : Tuple.t array;  (* the rows [pos] picks from *)
   cols : Heap_file.codes option array;  (* per column, by position in [base]; [||]: none *)
   ints : Heap_file.payloads option array;  (* the same, for payloads *)
+  floats : Heap_file.float_payloads option array;  (* and for Float payloads *)
   pos : int array option;  (* the leaf's rows: the first [len] positions in [base]; None: all *)
   len : int;
   rows : Tuple.t array Lazy.t;  (* the leaf's rows, gathered on first use *)
 }
 
-let make base cols ints pos len =
+let make base cols ints floats pos len =
   let rows =
     match pos with
     | None -> Lazy.from_val base
     | Some pos -> lazy (Array.init len (fun i -> base.(pos.(i))))
   in
-  { base; cols; ints; pos; len; rows }
+  { base; cols; ints; floats; pos; len; rows }
 
 let rows leaf = Lazy.force leaf.rows
 
@@ -41,7 +42,10 @@ let column leaf i = if i < Array.length leaf.cols then leaf.cols.(i) else None
 
 let payloads leaf i = if i < Array.length leaf.ints then leaf.ints.(i) else None
 
-let of_rows rows = make rows [||] [||] None (Array.length rows)
+let float_payloads leaf i =
+  if i < Array.length leaf.floats then leaf.floats.(i) else None
+
+let of_rows rows = make rows [||] [||] [||] None (Array.length rows)
 
 (* The file's rows, picked by [pos], with each column's codes and
    payloads, read now. *)
@@ -50,6 +54,7 @@ let of_file heap pos len =
   make (Heap_file.rows heap)
     (Array.init arity (Heap_file.codes heap))
     (Array.init arity (Heap_file.payloads heap))
+    (Array.init arity (Heap_file.float_payloads heap))
     pos len
 
 let of_heap heap = of_file heap None (Heap_file.tuple_count heap)
@@ -173,4 +178,4 @@ let filter ctx schema pred leaf =
     else try by_conjunct cs leaf with _ -> by_row cs leaf
   in
   if survivors = n then leaf
-  else make leaf.base leaf.cols leaf.ints (Some kept) survivors
+  else make leaf.base leaf.cols leaf.ints leaf.floats (Some kept) survivors

@@ -1,11 +1,14 @@
 (** Rows as operators hand them to each other: an array of rows, the
     positions in it that the leaf holds, and the array's dictionary
-    codes and unboxed payloads when a scan read them.
+    codes, unboxed Int/Date payloads and unboxed Float payloads when a
+    scan read them (each column has codes, Int/Date payloads, Float
+    payloads or none).
 
     A scan's leaf is the file's own rows ({!Mqr_storage.Heap_file.rows})
     with the codes of each column whose dictionary is kept
     ({!Mqr_storage.Heap_file.codes}) and the payloads of each column
-    that keeps them ({!Mqr_storage.Heap_file.payloads}); a full or
+    that keeps them ({!Mqr_storage.Heap_file.payloads},
+    {!Mqr_storage.Heap_file.float_payloads}); a full or
     striped scan holds every position in rid order, an index scan the
     probed rids in probe order, and a filter the positions that pass.
     Nothing copies a row, a code or a payload on the way: an operator
@@ -23,7 +26,9 @@
     The memo is always filled by the operator's own row path, at the
     first row of each code.  Equal payloads of a column likewise mean
     equal cells, so the collector and the hash join's probe, which meet
-    a column's keys in runs, work once per run of equal payloads.
+    a column's keys in runs, work once per run of equal payloads.  A
+    GROUP BY over coded group columns sums and counts its plain-column
+    arguments from their codes or payloads, without reading a row.
 
     A leaf's codes and payloads always describe its own array: only the
     scans attach them, {!filter} keeps them with the same array, and
@@ -61,6 +66,11 @@ val column : t -> int -> Heap_file.codes option
     leaf], or [None] when the column has none.  A column never has both
     codes and payloads. *)
 val payloads : t -> int -> Heap_file.payloads option
+
+(** [float_payloads leaf i] is column [i]'s Float payloads, by position
+    in [base leaf], or [None] when the column has none.  A column with
+    them has neither codes nor Int/Date payloads. *)
+val float_payloads : t -> int -> Heap_file.float_payloads option
 
 (** [of_rows rows] is every row of [rows], without codes or payloads. *)
 val of_rows : Tuple.t array -> t

@@ -18,11 +18,12 @@ type dict = {
 
 (* What a column keeps beside its cells: its dictionary while it holds
    fewer than [dict_limit] values; then, while every cell is a non-null
-   [Int] (or every one a [Date]), each rid's payload, with room to grow;
-   else nothing, for good. *)
+   [Int] (or every one a [Date], or every one a [Float]), each rid's
+   payload, with room to grow; else nothing, for good. *)
 type column =
   | Coded of dict
   | Unboxed of { mutable ints : int array; date : bool }
+  | Floats of { mutable floats : Float.Array.t }
   | Boxed
 
 type t = {
@@ -37,6 +38,7 @@ type t = {
 
 type codes = { codes : Bytes.t; count : int; boxes : Value.t array; seen_null : bool }
 type payloads = { ints : int array; date : bool }
+type float_payloads = Float.Array.t
 
 let page_size_bytes = 4096
 
@@ -128,21 +130,33 @@ let unboxed ~date (v : Value.t) =
   | Date x when date -> x
   | _ -> raise_notrace Boxed_cell
 
+let unboxed_float (v : Value.t) =
+  match v with Float x -> x | _ -> raise_notrace Boxed_cell
+
+(* Room for the rows so far and the next: [make n] fresh, filled by
+   [set] with [get] of column [i]'s cells, then of [v] at rid [t.len]. *)
+let fill t i v make set get =
+  let a = make (max 64 (2 * t.len)) in
+  for rid = 0 to t.len - 1 do
+    set a rid (get t.data.(rid).(i))
+  done;
+  set a t.len (get v);
+  a
+
 (* What column [i] keeps once its dictionary drops at the next rid, whose
    cell is [v]: the payloads of the rows so far and [v], if they are all
-   non-null [Int]s or all [Date]s. *)
-let unbox t i v =
-  let date = match (v : Value.t) with Date _ -> true | _ -> false in
-  match
-    let ints = Array.make (max 64 (2 * t.len)) 0 in
-    for rid = 0 to t.len - 1 do
-      ints.(rid) <- unboxed ~date t.data.(rid).(i)
-    done;
-    ints.(t.len) <- unboxed ~date v;
-    ints
-  with
-  | ints -> Unboxed { ints; date }
-  | exception Boxed_cell -> Boxed
+   non-null [Int]s, all [Date]s or all [Float]s. *)
+let unbox t i (v : Value.t) =
+  match v with
+  | Float _ ->
+    (match fill t i v Float.Array.create Float.Array.set unboxed_float with
+     | floats -> Floats { floats }
+     | exception Boxed_cell -> Boxed)
+  | _ ->
+    let date = match v with Date _ -> true | _ -> false in
+    (match fill t i v (fun n -> Array.make n 0) Array.set (unboxed ~date) with
+     | ints -> Unboxed { ints; date }
+     | exception Boxed_cell -> Boxed)
 
 (* Each kept dictionary maps the cell to its code, stores the code at
    [rid] and the code's box in the cell; kept payloads store the cell's
@@ -180,6 +194,16 @@ let append t tuple =
          end;
          u.ints.(rid) <- x
        | exception Boxed_cell -> t.cols.(i) <- Boxed)
+    | Floats f ->
+      (match tuple.(i) with
+       | Float x ->
+         if rid = Float.Array.length f.floats then begin
+           let bigger = Float.Array.create (max 64 (2 * rid)) in
+           Float.Array.blit f.floats 0 bigger 0 rid;
+           f.floats <- bigger
+         end;
+         Float.Array.set f.floats rid x
+       | _ -> t.cols.(i) <- Boxed)
   done;
   if t.len = Array.length t.data then begin
     let bigger = Array.make (max 64 (2 * t.len)) [||] in
@@ -222,9 +246,7 @@ let charge t ~pool ~clock ~from_rid ~to_rid =
       if not (Buffer_pool.access pool ~file:t.id ~page) then
         Sim_clock.charge_seq_read clock 1;
       let stop = min hi ((page + 1) * t.per_page) in
-      for _ = max lo (page * t.per_page) to stop - 1 do
-        Sim_clock.charge_cpu_tuples clock 1
-      done
+      Sim_clock.charge_cpu_tuples_singly clock (stop - max lo (page * t.per_page))
     done;
   (lo, hi)
 
@@ -246,7 +268,7 @@ let codes t col =
     match t.cols.(col) with
     | Coded d ->
       Some { codes = d.per_rid; count = d.size; boxes = d.boxes; seen_null = d.null_seen }
-    | Unboxed _ | Boxed -> None
+    | Unboxed _ | Floats _ | Boxed -> None
 
 let code c r = get16 c.codes r
 let code_count c = c.count
@@ -258,10 +280,16 @@ let payloads t col =
   else
     match t.cols.(col) with
     | Unboxed { ints; date } -> Some { ints; date }
-    | Coded _ | Boxed -> None
+    | Coded _ | Floats _ | Boxed -> None
 
 let[@inline] payload p r = p.ints.(r)
 let payload_is_date p = p.date
+
+let float_payloads t col =
+  if col >= Array.length t.cols then None
+  else match t.cols.(col) with Floats f -> Some f.floats | _ -> None
+
+let[@inline] float_payload f r = Float.Array.get f r
 
 (* [keep] runs once per row, in rid order, before anything moves; the
    kept rows, their codes and their payloads then go to fresh arrays of
@@ -295,6 +323,10 @@ let retain t keep =
           let old = u.ints and ints = Array.make m 0 in
           u.ints <- ints;
           moves := (fun from at len -> Array.blit old from ints at len) :: !moves
+        | Floats f ->
+          let old = f.floats and floats = Float.Array.create m in
+          f.floats <- floats;
+          moves := (fun from at len -> Float.Array.blit old from floats at len) :: !moves
         | Boxed -> ())
       t.cols;
     let rid = ref 0 and at = ref 0 in

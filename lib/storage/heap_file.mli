@@ -27,13 +27,14 @@
 
     A column whose dictionary was dropped keeps, instead, each row's
     payload in an unboxed [int] array, as long as every cell it holds is
-    a non-null [Int] (or every one a [Date]): the array is built from
+    a non-null [Int] (or every one a [Date]), or in a [floatarray], as
+    long as every cell is a non-null [Float]: the array is built from
     the rows when the dictionary drops, extended by [append], compacted
     by [retain] beside the codes, and dropped for good by the first
     [Null] or other constructor appended (or a tuple without the cell).
-    So a column has codes, payloads or neither.  The same invariant holds
-    for payloads, which the executor reads at the same place as the
-    codes. *)
+    So a column has codes, Int/Date payloads, Float payloads or none.
+    The same invariant holds for payloads, which the executor reads at
+    the same place as the codes. *)
 
 type t
 
@@ -63,7 +64,9 @@ val schema : t -> Schema.t
     exact limit (or when a tuple has no cell for the column); later cells
     are stored as given.  If every cell then is a non-null [Int], or
     every one a [Date], the column keeps their payloads (see [payloads])
-    from that row on, until a cell of another kind arrives. *)
+    from that row on, until a cell of another kind arrives; if every one
+    is a non-null [Float], it keeps their floats (see [float_payloads])
+    likewise. *)
 val append : t -> Tuple.t -> unit
 
 val tuple_count : t -> int
@@ -165,3 +168,17 @@ val payload : payloads -> int -> int
 
 (** Whether the payloads are [Date]s' (else [Int]s'). *)
 val payload_is_date : payloads -> bool
+
+(** A column's [Float] payloads for a sequence of rows: each row's float,
+    unboxed, bit for bit (both zeros and every nan payload kept). *)
+type float_payloads
+
+(** [float_payloads t col] is column [col]'s floats by rid, for the rows
+    [rows t] returns now, or [None] when the column keeps none: while it
+    has codes, when not every cell was a non-null [Float] as its
+    dictionary dropped, and for good once a cell of another kind was
+    appended. *)
+val float_payloads : t -> int -> float_payloads option
+
+(** [float_payload f r] is the float of the [r]th row. *)
+val float_payload : float_payloads -> int -> float

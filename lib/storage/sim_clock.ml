@@ -47,6 +47,16 @@ let charge_write t n = t.writes <- t.writes + n
 let charge_cpu_ms t ms = t.ms.cpu <- t.ms.cpu +. ms
 
 let charge_cpu_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. cpu_tuple_ms)
+
+(* The sum stays in a register: the same additions, in the same order,
+   as [n] calls of [charge_cpu_tuples t 1], with one load and one store. *)
+let charge_cpu_tuples_singly t n =
+  let cpu = ref t.ms.cpu in
+  for _ = 1 to n do
+    cpu := !cpu +. cpu_tuple_ms
+  done;
+  t.ms.cpu <- !cpu
+
 let charge_hash_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. hash_tuple_ms)
 let charge_sort_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. sort_tuple_ms)
 

@@ -78,6 +78,12 @@ val charge_seq_read : t -> int -> unit
 val charge_rand_read : t -> int -> unit
 val charge_write : t -> int -> unit
 val charge_cpu_tuples : t -> int -> unit
+
+(** [charge_cpu_tuples_singly t n] charges [n] tuples one at a time: the
+    ledger ends bit for bit where [n] calls of [charge_cpu_tuples t 1]
+    leave it (a per-tuple charge, not a batched one). *)
+val charge_cpu_tuples_singly : t -> int -> unit
+
 val charge_hash_tuples : t -> int -> unit
 val charge_sort_tuples : t -> int -> unit
 

@@ -1606,23 +1606,33 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
     match coded, rows with Ok l, Ok r -> (l, r) | _ -> (leaf, plain)
   in
   let collect_ok = input_ok && collect_agrees leaf plain in
-  let aggs =
-    [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" };
-      { Aggregate.fn = Aggregate.Count; distinct_arg = true;
-        arg = Some (Expr.Col agg_col); out_name = "d" };
-      { Aggregate.fn = Aggregate.Min; distinct_arg = false;
-        arg = Some (Expr.Col agg_col); out_name = "m" } ]
+  let agg fn ?(distinct_arg = false) arg =
+    { Aggregate.fn; distinct_arg; arg = Option.map Expr.col arg; out_name = "a" }
   in
-  let aggregate leaf () =
+  let aggs =
+    [ agg Aggregate.Count None;
+      agg Aggregate.Count ~distinct_arg:true (Some agg_col);
+      agg Aggregate.Min (Some agg_col) ]
+  in
+  (* the serial operator also runs the sums and counts that a coded
+     GROUP BY may run as kernels over codes or payloads *)
+  let serial_aggs =
+    aggs
+    @ [ agg Aggregate.Sum (Some agg_col); agg Aggregate.Avg (Some agg_col);
+        agg Aggregate.Count (Some agg_col) ]
+  in
+  let aggregate aggs leaf () =
     (Aggregate.hash_aggregate (ctx ()) ~mem_pages:64 schema ~group_by ~aggs leaf)
       .Aggregate.rows
   in
-  let reference = outcome (aggregate (Leaf.of_rows plain)) in
-  let aggregate_ok = same_outcome same_bits (outcome (aggregate leaf)) reference in
+  let serial_reference = outcome (aggregate serial_aggs (Leaf.of_rows plain)) in
+  let aggregate_ok =
+    same_outcome same_bits (outcome (aggregate serial_aggs leaf)) serial_reference
+  in
   (* every GROUP BY runs through [Parallel.aggregate]: at degree 1 it
      is the serial operator, codes and all; at degree 2 its groups
      are the serial ones in worker order *)
-  let parallel ~degree () =
+  let parallel ~degree aggs () =
     fst
       (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by ~aggs
          leaf)
@@ -1631,11 +1641,11 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
     List.sort compare (Array.to_list (Array.map (Array.map Test_storage.bits_key) rows))
   in
   let parallel_ok =
-    same_outcome same_bits (outcome (parallel ~degree:1)) reference
+    same_outcome same_bits (outcome (parallel ~degree:1 serial_aggs)) serial_reference
     && same_outcome
          (fun a b -> multiset a = multiset b)
-         (outcome (parallel ~degree:2))
-         reference
+         (outcome (parallel ~degree:2 aggs))
+         (outcome (aggregate aggs (Leaf.of_rows plain)))
   in
   (filter_ok && collect_ok && aggregate_ok && parallel_ok, (leaf, plain))
 
@@ -1741,6 +1751,139 @@ let test_coded_filter_raises_as_rows () =
   Alcotest.(check string) "plain leaf" (show expected) (show (run (Leaf.of_rows rows)));
   let clean = Leaf.filter (ctx ()) schema pred (Leaf.of_rows [| rows.(0); rows.(2); rows.(4) |]) in
   Alcotest.(check int) "survivors" 2 (Leaf.length clean)
+
+(* Every kernel of a coded GROUP BY, bit for bit against the row path
+   over [Leaf.of_rows] of a copy.  Groups on a coded String and a coded
+   Int; group "z" holds only -0.0 in the float columns, group "s" one
+   row, whose floats are a signalling nan: a sum that added its first
+   value to 0.0 would lose both; group "n" holds nans of three payloads
+   and both infinities, the others finite floats whose sum depends on
+   its order.  The kernels' columns: coded Ints (up to +-2^62, so sums
+   wrap), coded Floats, coded Ints with Nulls (COUNT skips them), Int
+   payloads and Float payloads past 4096 values.  After the copy is
+   taken, those columns' cells in the leaf's own rows are overwritten
+   with a String: a kernel reads no row, so an aggregate that fell back
+   to the row path would raise or count it.  Two columns must take the
+   row path and are left intact: a mixed Int/Float dictionary (Ints
+   past 2^53, where an Int sum and a float sum differ) and a wide Float
+   column that held a Null, so it has no payloads.  Next to the kernels
+   run a UDF argument, whose calls are counted, and in a second list an
+   argument that raises at a String: the same exception after the same
+   calls.  Over the scan leaf and over a filter of it. *)
+let test_group_kernels () =
+  let names =
+    [ "g"; "h"; "ci"; "cf"; "cn"; "mixed"; "pi"; "pf"; "wn"; "s"; "k" ]
+  in
+  let schema = Schema.make (List.map (fun c -> Schema.col c Value.TInt) names) in
+  let col = Schema.index_of schema in
+  let snan = Int64.float_of_bits 0x7FF0000000000001L in
+  (* sums of these depend on their order *)
+  let finite = [| 0.0; -0.0; 1.5; 2.25; 0.1; 1e16; -1e16; 3e-300 |] in
+  let special = [| Float.nan; -.Float.nan; snan; infinity; neg_infinity; 0.0; -0.0 |] in
+  let st = Random.State.make [| 59 |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let n = 6000 in
+  let row k : Tuple.t =
+    let g =
+      if k = 4321 then "s"
+      else if k mod 97 = 5 then "z"
+      else if k mod 89 = 7 then "n"
+      else pick [| "a"; "b"; "c"; "d" |]
+    in
+    (* "s": a signalling nan; "z": -0.0; "n": nans and infinities *)
+    let f x : Value.t =
+      Float
+        (match g with
+         | "s" -> snan
+         | "z" -> -0.0
+         | "n" -> pick special
+         | _ -> x)
+    in
+    [| String g;
+       Int (k land 1);
+       Int (pick [| -3; 0; 2; 7; 1 lsl 62; -(1 lsl 62) |]);
+       f (pick finite);
+       (if Random.State.int st 4 = 0 then Null else Int (Random.State.int st 9));
+       pick [| Value.Int ((1 lsl 53) + 1); Int 1; Float 0.5; Float (-0.0) |];
+       Int ((k * 7919) + (1 lsl 60));
+       f (if k mod 50 = 0 then pick finite
+          else float_of_int (Random.State.int st 1_000_000) /. 8.0);
+       (if k = 10 then Null else Float (float_of_int k /. 3.0));
+       (if k = 3000 then String "x" else Int (k mod 13));
+       Int k |]
+  in
+  let heap = Heap_file.create schema in
+  for k = 0 to n - 1 do
+    Heap_file.append heap (row k)
+  done;
+  let scan = Leaf.scan (ctx ()) heap in
+  let coded c = Option.is_some (Leaf.column scan (col c)) in
+  Alcotest.(check (list bool)) "coded columns" [ true; true; true; true; true; true ]
+    (List.map coded [ "g"; "h"; "ci"; "cf"; "cn"; "mixed" ]);
+  Alcotest.(check bool) "Int payloads" true (Option.is_some (Leaf.payloads scan (col "pi")));
+  Alcotest.(check bool) "Float payloads" true
+    (Option.is_some (Leaf.float_payloads scan (col "pf")));
+  Alcotest.(check bool) "a Null: no payloads" true
+    (Option.is_none (Leaf.column scan (col "wn"))
+     && Option.is_none (Leaf.payloads scan (col "wn"))
+     && Option.is_none (Leaf.float_payloads scan (col "wn")));
+  let filtered =
+    Leaf.filter (ctx ()) schema
+      (Expr.Cmp (Expr.Lt, Expr.Col "k", Expr.Const (Value.Int 4500)))
+      scan
+  in
+  let agg fn arg = { Aggregate.fn; distinct_arg = false; arg; out_name = "a" } in
+  let over fn c = agg fn (Some (Expr.Col c)) in
+  let kernels =
+    [ agg Aggregate.Count None; over Aggregate.Count "cn"; over Aggregate.Count "pi";
+      over Aggregate.Count "pf"; over Aggregate.Sum "ci"; over Aggregate.Avg "ci";
+      over Aggregate.Sum "cf"; over Aggregate.Avg "cf"; over Aggregate.Sum "cn";
+      over Aggregate.Avg "cn"; over Aggregate.Sum "pi"; over Aggregate.Avg "pi";
+      over Aggregate.Sum "pf"; over Aggregate.Avg "pf" ]
+  in
+  let generic =
+    [ over Aggregate.Sum "mixed"; over Aggregate.Avg "mixed"; over Aggregate.Sum "wn";
+      agg Aggregate.Count (Some (coded_udf "mixed")) ]
+  in
+  let raising =
+    agg Aggregate.Sum
+      (Some (Expr.Arith (Expr.Sub, Expr.Col "s", Expr.Const (Value.Int 1))))
+  in
+  let run aggs leaf =
+    udf_calls := 0;
+    let c = ctx () in
+    let rows =
+      outcome (fun () ->
+          (Aggregate.hash_aggregate c ~mem_pages:64 schema ~group_by:[ "g"; "h" ] ~aggs leaf)
+            .Aggregate.rows)
+    in
+    (rows, !udf_calls, bits (Sim_clock.elapsed_ms c.Exec_ctx.clock))
+  in
+  let cases =
+    List.map
+      (fun (what, leaf) -> (what, leaf, Array.map Array.copy (Leaf.rows leaf)))
+      [ ("scan", scan); ("filter", filtered) ]
+  in
+  Array.iter
+    (fun (t : Tuple.t) ->
+       List.iter (fun c -> t.(col c) <- Value.String "read") [ "ci"; "cf"; "cn"; "pi"; "pf" ])
+    (Heap_file.rows heap);
+  List.iter
+    (fun (what, leaf, plain) ->
+       List.iter
+         (fun (list, aggs) ->
+            let rows, calls, elapsed = run aggs leaf in
+            let rows', calls', elapsed' = run aggs (Leaf.of_rows plain) in
+            let name = what ^ ", " ^ list in
+            Alcotest.(check bool) (name ^ ": rows or exception") true
+              (same_outcome same_bits rows rows');
+            Alcotest.(check int) (name ^ ": UDF calls") calls' calls;
+            Alcotest.(check int64) (name ^ ": charges") elapsed' elapsed)
+         [ ("kernels", kernels @ generic); ("raising", kernels @ generic @ [ raising ]) ];
+       Alcotest.(check bool) (what ^ ": the raising list raises") true
+         (Result.is_error (let r, _, _ = run [ raising ] (Leaf.of_rows plain) in r)))
+    cases
+
 (* A probe file of [n] rows built by [create] + [append]: column k
    holds [key i] for row [i] (a run of equal keys when [key] repeats),
    column p the ordinal [i], column f a small Int that filters test on. *)
@@ -2053,6 +2196,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows;
     Alcotest.test_case "coded filter raises as the row path" `Quick
       test_coded_filter_raises_as_rows;
+    Alcotest.test_case "coded GROUP BY kernels = the row path" `Quick test_group_kernels;
     QCheck_alcotest.to_alcotest prop_hash_join_key_sources;
     QCheck_alcotest.to_alcotest prop_collector_payloads_match_rows;
     QCheck_alcotest.to_alcotest prop_payload_feed_matches_boxes ]

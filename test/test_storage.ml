@@ -227,6 +227,42 @@ let test_clock_pinned () =
   Alcotest.(check int64) "since" 4622100592565706240L
     (bits (Sim_clock.since c snap))
 
+(* [charge_cpu_tuples_singly c n] against [n] calls of
+   [charge_cpu_tuples c 1], from a clock that random charges of every
+   kind (also fractional CPU milliseconds) left somewhere: the same
+   ledger, bit for bit. *)
+let prop_charge_singly =
+  QCheck.Test.make ~name:"charge_cpu_tuples_singly = n single charges" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_bound 8)
+              (pair (int_bound 5) (int_bound 100_000)))
+           (frequency [ (1, return 0); (3, int_bound 300); (1, int_bound 20_000) ])))
+    (fun (start, n) ->
+       let clock () =
+         let c = Sim_clock.create () in
+         List.iter
+           (fun (kind, k) ->
+              match kind with
+              | 0 -> Sim_clock.charge_cpu_tuples c k
+              | 1 -> Sim_clock.charge_hash_tuples c k
+              | 2 -> Sim_clock.charge_sort_tuples c k
+              | 3 -> Sim_clock.charge_cpu_ms c (float_of_int k /. 7.0)
+              | 4 -> Sim_clock.charge_seq_read c k
+              | _ -> Sim_clock.charge_optimizer c ~plans:k)
+           start;
+         c
+       in
+       let batched = clock () and single = clock () in
+       Sim_clock.charge_cpu_tuples_singly batched n;
+       for _ = 1 to n do
+         Sim_clock.charge_cpu_tuples single 1
+       done;
+       let bits c = Int64.bits_of_float (Sim_clock.elapsed_ms c) in
+       bits batched = bits single
+       && Sim_clock.counters batched = Sim_clock.counters single)
+
 (* One charge of each kind on a fresh clock, then all of them on one:
    the elapsed bits pin every clock rate. *)
 let test_clock_rates_pinned () =
@@ -615,6 +651,95 @@ let prop_payloads_track_rows =
                old_ok && kept ())
             steps)
 
+(* Float payloads follow the rows through [append] and [retain], as the
+   int payloads do.  Column 0 takes Float keys of random bits (every nan
+   payload, both zeros, both infinities, subnormals; 4000 first, then
+   batches of up to 1500), so its dictionary drops partway through; a
+   stray cell (Null, an Int, a String) may come
+   first or afterwards.  A model says what the column keeps after each
+   step: codes until its 4096th distinct non-null value; then floats if
+   every row it holds at that moment, and the new one, is a Float; floats
+   until a stray cell arrives, then nothing for good.  Kept floats are
+   the rows' cells bit for bit, and the rows and floats a reader took
+   before a step still agree after it. *)
+let prop_float_payloads_track_rows =
+  QCheck.Test.make ~name:"Heap_file float payloads = the rows' floats" ~count:60
+    (QCheck.make
+       QCheck.Gen.(pair (int_bound 1_000_000) (list_size (int_range 2 10) (int_bound 9))))
+    (fun (seed, steps) ->
+       let st = Random.State.make [| seed |] in
+       let key () : Value.t =
+         match Random.State.int st 40 with
+         | 0 -> Float (-0.0)
+         | 1 -> Float 0.0
+         | 2 -> Float (Int64.float_of_bits 0x7FF0000000000001L)
+         | 3 -> Float neg_infinity
+         | _ -> Float (Int64.float_of_bits (Random.State.bits64 st))
+       in
+       let is_float (v : Value.t) = match v with Float _ -> true | _ -> false in
+       let schema = Schema.make [ Schema.col "k" Value.TFloat; Schema.col "v" Value.TInt ] in
+       let h = Heap_file.create schema in
+       let seen = Hashtbl.create 4096 and state = ref `Coded in
+       let add (v : Value.t) =
+         (match !state with
+          | `Coded when v <> Value.Null ->
+            Hashtbl.replace seen (bits_key v) ();
+            if Hashtbl.length seen = 4096 then
+              state :=
+                if is_float v && Array.for_all (fun t -> is_float t.(0)) (Heap_file.rows h)
+                then `Floats
+                else `Boxed
+          | `Floats when not (is_float v) -> state := `Boxed
+          | _ -> ());
+         Heap_file.append h [| v; Value.Int (Random.State.int st 3) |]
+       in
+       let stray () =
+         match Random.State.int st 3 with
+         | 0 -> Value.Null
+         | 1 -> Value.Int 7
+         | _ -> Value.String "x"
+       in
+       let agree rows f =
+         Array.for_all Fun.id
+           (Array.mapi
+              (fun rid t ->
+                 bits_key (Value.Float (Heap_file.float_payload f rid)) = bits_key t.(0))
+              rows)
+       in
+       let kept () =
+         let rows = Heap_file.rows h in
+         match
+           !state, Heap_file.codes h 0, Heap_file.payloads h 0, Heap_file.float_payloads h 0
+         with
+         | `Coded, Some _, None, None | `Boxed, None, None, None -> true
+         | `Floats, None, None, Some f -> agree rows f
+         | _ -> false
+       in
+       for _ = 1 to 4000 do
+         add (key ())
+       done;
+       kept ()
+       && List.for_all
+            (fun step ->
+               let before = (Heap_file.rows h, Heap_file.float_payloads h 0) in
+               (match step with
+                | 0 | 1 | 2 | 3 ->
+                  for _ = 1 to 1 + Random.State.int st 1500 do
+                    add (key ())
+                  done
+                | 4 | 5 ->
+                  ignore (Heap_file.retain h (fun _ -> Random.State.int st 4 <> 0))
+                | 6 -> ignore (Heap_file.retain h (fun _ -> true))
+                | 7 -> add (stray ())
+                | _ -> add (Value.Float (-0.0)));
+               let old_ok =
+                 match before with
+                 | rows, Some f -> agree rows f
+                 | _, None -> true
+               in
+               old_ok && kept ())
+            steps)
+
 (* A coded column's [null_seen], read after each of random steps:
    appends (column 0 now and then Null, column 1 never), an explicit
    Null in column 0, a [retain] of random rows and one of the non-null
@@ -690,4 +815,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_of_rows_matches_append;
     QCheck_alcotest.to_alcotest prop_interning_is_representation_only;
     QCheck_alcotest.to_alcotest prop_payloads_track_rows;
+    QCheck_alcotest.to_alcotest prop_float_payloads_track_rows;
+    QCheck_alcotest.to_alcotest prop_charge_singly;
     QCheck_alcotest.to_alcotest prop_null_seen_tracks_appends ]
