@@ -183,22 +183,20 @@ let group_memo leaf gidx =
 
 (* An aggregate that a coded GROUP BY runs in a loop of its own, after
    the pass that gives each row its group id: over the ids and its
-   column's codes or payloads, reading no row.  It takes a plain column
-   argument, no DISTINCT, and for a sum a column whose every value
-   [add_sum] treats alike.  The [int] is the column's position in the
-   leaf. *)
+   column's codes or payloads, reading no row.  Count-star, and SUM or
+   AVG without DISTINCT of a plain column whose every value is a
+   [Float]: coded, with a [Float] box for every code, or kept as [Float]
+   payloads.  The [int] is the column's position in the leaf. *)
 type kernel =
-  | Count_rows  (* count-star, or COUNT of a column with payloads (no nulls) *)
-  | Count_codes of int  (* rows whose code is not Null's *)
-  | Sum_int_codes of int  (* every code's box an Int *)
-  | Sum_float_codes of int  (* every code's box a Float *)
-  | Sum_ints of int  (* Int payloads *)
-  | Sum_floats of int  (* Float payloads *)
+  | Count_rows
+  | Sum_floats of int
 
-(* Whether [f] holds for every code's box (code 0, [Null]'s, has none). *)
-let all_boxes codes f =
+(* Whether every code's box is a [Float] (code 0, [Null]'s, has none). *)
+let all_float_boxes codes =
   let rec from k =
-    k = Heap_file.code_count codes || (f (Heap_file.code_box codes k) && from (k + 1))
+    k = Heap_file.code_count codes
+    || ((match Heap_file.code_box codes k with Value.Float _ -> true | _ -> false)
+        && from (k + 1))
   in
   from 1
 
@@ -206,27 +204,17 @@ let kernel schema leaf s =
   match s.fn, s.arg with
   | _ when s.distinct_arg -> None
   | Count, None -> Some Count_rows
-  | (Count | Sum | Avg), Some (Expr.Col c) ->
+  | (Sum | Avg), Some (Expr.Col c) ->
     let i = Schema.index_of schema c in
-    (match s.fn, Leaf.column leaf i, Leaf.payloads leaf i, Leaf.float_payloads leaf i with
-     | Count, Some _, _, _ -> Some (Count_codes i)
-     | Count, None, Some _, _ | Count, None, None, Some _ -> Some Count_rows
-     | _, Some codes, _, _ ->
-       if all_boxes codes (function Value.Int _ -> true | _ -> false) then
-         Some (Sum_int_codes i)
-       else if all_boxes codes (function Value.Float _ -> true | _ -> false) then
-         Some (Sum_float_codes i)
-       else None
-     | _, None, Some ints, _ when not (Heap_file.payload_is_date ints) ->
-       Some (Sum_ints i)
-     | _, None, None, Some _ -> Some (Sum_floats i)
-     | _ -> None)
+    (match Leaf.view leaf i with
+     | Codes codes when all_float_boxes codes -> Some (Sum_floats i)
+     | Floats _ -> Some (Sum_floats i)
+     | Codes _ | Ints _ | Plain -> None)
   | _ -> None
 
 (* A kernel's result: per group, the count and, for a sum, the sum. *)
 type totals =
   | Counts of int array
-  | Int_sums of int array * int array
   | Float_sums of int array * Float.Array.t
 
 (* Runs kernel [k] over the leaf's rows, whose group ids [gids] holds (2
@@ -237,7 +225,6 @@ let run_kernel leaf gids ng k =
   let n = Leaf.length leaf in
   let count = Array.make ng 0 in
   let[@inline] gid j = Bytes.get_uint16_le gids (2 * j) in
-  let codes c = Option.get (Leaf.column leaf c) in
   match k with
   | Count_rows ->
     for j = 0 to n - 1 do
@@ -245,62 +232,30 @@ let run_kernel leaf gids ng k =
       count.(g) <- count.(g) + 1
     done;
     Counts count
-  | Count_codes c ->
-    let codes = codes c in
-    for j = 0 to n - 1 do
-      if Heap_file.code codes (Leaf.position leaf j) <> 0 then begin
-        let g = gid j in
-        count.(g) <- count.(g) + 1
-      end
-    done;
-    Counts count
-  | Sum_int_codes c ->
-    let codes = codes c and sum = Array.make ng 0 in
-    let table =
-      Array.init (Heap_file.code_count codes) (fun k ->
-          if k = 0 then 0
-          else match Heap_file.code_box codes k with Value.Int x -> x | _ -> 0)
-    in
-    for j = 0 to n - 1 do
-      let k = Heap_file.code codes (Leaf.position leaf j) in
-      if k <> 0 then begin
-        let g = gid j in
-        count.(g) <- count.(g) + 1;
-        sum.(g) <- sum.(g) + table.(k)
-      end
-    done;
-    Int_sums (count, sum)
-  | Sum_float_codes c ->
-    let codes = codes c and sum = Float.Array.make ng 0.0 in
-    let table =
-      Float.Array.init (Heap_file.code_count codes) (fun k ->
-          if k = 0 then 0.0
-          else match Heap_file.code_box codes k with Value.Float x -> x | _ -> 0.0)
-    in
-    for j = 0 to n - 1 do
-      let k = Heap_file.code codes (Leaf.position leaf j) in
-      if k <> 0 then begin
-        let g = gid j and y = Float.Array.get table k in
-        Float.Array.set sum g (if count.(g) = 0 then y else Float.Array.get sum g +. y);
-        count.(g) <- count.(g) + 1
-      end
-    done;
-    Float_sums (count, sum)
-  | Sum_ints c ->
-    let ints = Option.get (Leaf.payloads leaf c) and sum = Array.make ng 0 in
-    for j = 0 to n - 1 do
-      let g = gid j in
-      count.(g) <- count.(g) + 1;
-      sum.(g) <- sum.(g) + Heap_file.payload ints (Leaf.position leaf j)
-    done;
-    Int_sums (count, sum)
-  | Sum_floats c ->
-    let floats = Option.get (Leaf.float_payloads leaf c) and sum = Float.Array.make ng 0.0 in
-    for j = 0 to n - 1 do
-      let g = gid j and y = Heap_file.float_payload floats (Leaf.position leaf j) in
-      Float.Array.set sum g (if count.(g) = 0 then y else Float.Array.get sum g +. y);
-      count.(g) <- count.(g) + 1
-    done;
+  | Sum_floats i ->
+    let sum = Float.Array.make ng 0.0 in
+    (match Leaf.view leaf i with
+     | Codes codes ->
+       let table =
+         Float.Array.init (Heap_file.code_count codes) (fun k ->
+             if k = 0 then 0.0
+             else match Heap_file.code_box codes k with Value.Float x -> x | _ -> 0.0)
+       in
+       for j = 0 to n - 1 do
+         let k = Heap_file.code codes (Leaf.position leaf j) in
+         if k <> 0 then begin
+           let g = gid j and y = Float.Array.get table k in
+           Float.Array.set sum g (if count.(g) = 0 then y else Float.Array.get sum g +. y);
+           count.(g) <- count.(g) + 1
+         end
+       done
+     | Floats floats ->
+       for j = 0 to n - 1 do
+         let g = gid j and y = Heap_file.float_payload floats (Leaf.position leaf j) in
+         Float.Array.set sum g (if count.(g) = 0 then y else Float.Array.get sum g +. y);
+         count.(g) <- count.(g) + 1
+       done
+     | Ints _ | Plain -> invalid_arg "Aggregate: no Float codes or payloads");
     Float_sums (count, sum)
 
 (* Leaves accumulator [a] of group [g] as [feed] would have: the same
@@ -308,12 +263,6 @@ let run_kernel leaf gids ng k =
 let store totals g a =
   match totals with
   | Counts count -> a.count <- count.(g)
-  | Int_sums (count, sum) ->
-    a.count <- count.(g);
-    if a.count > 0 then begin
-      a.state <- Int_sum;
-      a.isum <- sum.(g)
-    end
   | Float_sums (count, sum) ->
     a.count <- count.(g);
     if a.count > 0 then begin

@@ -38,18 +38,18 @@ val output_schema : Schema.t -> group_by:string list -> aggs:spec list -> Schema
     feeds the aggregates that are not kernels row by row, in spec order,
     so UDF calls and the first exception raised are the row path's.
     Then each kernel runs one loop over the ids and its column's codes
-    or payloads, reading no row.  The kernels, over a plain column
-    argument without DISTINCT: count-star; COUNT of a column with codes
-    (a code other than [Null]'s) or with payloads; SUM and AVG of a
-    column whose codes' boxes are all [Int] or all [Float] (through a
-    per-code table), of [Int] payloads, and of [Float] payloads.  MIN,
-    MAX, DISTINCT, expression arguments, [Date] payloads and mixed
-    dictionaries take the row path.
+    or payloads, reading no row.  The kernels, without DISTINCT:
+    count-star, and SUM and AVG of a plain column whose every value is a
+    [Float], either coded with a [Float] box for every code (through a
+    per-code table; [Null]'s code is skipped) or kept as [Float]
+    payloads.  COUNT of a column, MIN, MAX, DISTINCT, expression
+    arguments, [Int] and [Date] columns and mixed dictionaries take the
+    row path.
 
     Exactness: each group's sum is added in row order, from its first
     value, which is assigned (so [-0.0] and nan payloads keep their
-    bits); [Int] sums use plain [+].  Every accumulator ends as the row
-    path leaves it, so rows, their order and every charge are those of
+    bits).  Every accumulator ends as the row path leaves it, so rows,
+    their order and every charge are those of
     [Leaf.of_rows (Leaf.rows leaf)]. *)
 val hash_aggregate :
   Exec_ctx.t -> mem_pages:int -> Schema.t ->

@@ -43,8 +43,8 @@ let estimated_cost_ms s ~rows =
    Nulls are still counted one by one. *)
 let run_pass leaf i pass =
   let n = Leaf.length leaf in
-  match Leaf.column leaf i, Leaf.payloads leaf i with
-  | Some c, _ ->
+  match Leaf.view leaf i with
+  | Codes c ->
     let seen = Bytes.make (Heap_file.code_count c) '\000' in
     let unseen =
       ref (if Heap_file.null_seen c then max_int else Heap_file.code_count c - 1)
@@ -60,7 +60,7 @@ let run_pass leaf i pass =
       end;
       incr k
     done
-  | None, Some p ->
+  | Ints p ->
     let date = Heap_file.payload_is_date p and last = ref 0 in
     for k = 0 to n - 1 do
       let x = Heap_file.payload p (Leaf.position leaf k) in
@@ -69,7 +69,7 @@ let run_pass leaf i pass =
         Column_pass.add_payload pass ~date x
       end
     done
-  | None, None ->
+  | Floats _ | Plain ->
     let base = Leaf.base leaf in
     let prev = ref Value.Null in
     Leaf.iter leaf (fun r ->

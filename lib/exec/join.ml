@@ -102,11 +102,11 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
      [Value.hash_payload], the arm [Value.hash] hashes the cell with.
      The row itself is read to confirm a full-hash match and to build
      output.  Any other probe hashes each row. *)
-  let payloads =
-    match probe_idx with [| i |] -> Leaf.payloads probe i | _ -> None
+  let view =
+    match probe_idx with [| i |] -> Leaf.view probe i | _ -> Heap_file.Plain
   in
-  (match payloads with
-   | Some p ->
+  (match view with
+   | Ints p ->
      let date = Heap_file.payload_is_date p and last = ref 0 and id = ref (-1) in
      for k = 0 to np - 1 do
        let r = Leaf.position probe k in
@@ -118,7 +118,7 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
        end;
        if !id >= 0 then emit r !id
      done
-   | None ->
+   | Codes _ | Floats _ | Plain ->
      for k = 0 to np - 1 do
        let r = Leaf.position probe k in
        let pt = base.(r) in

@@ -3,21 +3,19 @@ module Expr = Mqr_expr.Expr
 
 type t = {
   base : Tuple.t array;  (* the rows [pos] picks from *)
-  cols : Heap_file.codes option array;  (* per column, by position in [base]; [||]: none *)
-  ints : Heap_file.payloads option array;  (* the same, for payloads *)
-  floats : Heap_file.float_payloads option array;  (* and for Float payloads *)
+  views : Heap_file.view array;  (* per column, by position in [base]; [||]: none *)
   pos : int array option;  (* the leaf's rows: the first [len] positions in [base]; None: all *)
   len : int;
   rows : Tuple.t array Lazy.t;  (* the leaf's rows, gathered on first use *)
 }
 
-let make base cols ints floats pos len =
+let make base views pos len =
   let rows =
     match pos with
     | None -> Lazy.from_val base
     | Some pos -> lazy (Array.init len (fun i -> base.(pos.(i))))
   in
-  { base; cols; ints; floats; pos; len; rows }
+  { base; views; pos; len; rows }
 
 let rows leaf = Lazy.force leaf.rows
 
@@ -38,24 +36,18 @@ let iter leaf f =
 
 let[@inline] position leaf k = match leaf.pos with None -> k | Some pos -> pos.(k)
 
-let column leaf i = if i < Array.length leaf.cols then leaf.cols.(i) else None
+let view leaf i : Heap_file.view =
+  if i < Array.length leaf.views then leaf.views.(i) else Plain
 
-let payloads leaf i = if i < Array.length leaf.ints then leaf.ints.(i) else None
+let column leaf i = match view leaf i with Codes c -> Some c | _ -> None
 
-let float_payloads leaf i =
-  if i < Array.length leaf.floats then leaf.floats.(i) else None
+let of_rows rows = make rows [||] None (Array.length rows)
 
-let of_rows rows = make rows [||] [||] [||] None (Array.length rows)
-
-(* The file's rows, picked by [pos], with each column's codes and
-   payloads, read now. *)
+(* The file's rows, picked by [pos], with what each column keeps beside
+   them, read now. *)
 let of_file heap pos len =
   let arity = Schema.arity (Heap_file.schema heap) in
-  make (Heap_file.rows heap)
-    (Array.init arity (Heap_file.codes heap))
-    (Array.init arity (Heap_file.payloads heap))
-    (Array.init arity (Heap_file.float_payloads heap))
-    pos len
+  make (Heap_file.rows heap) (Array.init arity (Heap_file.view heap)) pos len
 
 let of_heap heap = of_file heap None (Heap_file.tuple_count heap)
 
@@ -178,4 +170,4 @@ let filter ctx schema pred leaf =
     else try by_conjunct cs leaf with _ -> by_row cs leaf
   in
   if survivors = n then leaf
-  else make leaf.base leaf.cols leaf.ints leaf.floats (Some kept) survivors
+  else make leaf.base leaf.views (Some kept) survivors

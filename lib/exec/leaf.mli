@@ -5,10 +5,9 @@
     payloads or none).
 
     A scan's leaf is the file's own rows ({!Mqr_storage.Heap_file.rows})
-    with the codes of each column whose dictionary is kept
-    ({!Mqr_storage.Heap_file.codes}) and the payloads of each column
-    that keeps them ({!Mqr_storage.Heap_file.payloads},
-    {!Mqr_storage.Heap_file.float_payloads}); a full or
+    with what each column keeps beside them
+    ({!Mqr_storage.Heap_file.view}: its codes while its dictionary is
+    kept, else its payloads if it keeps them); a full or
     striped scan holds every position in rid order, an index scan the
     probed rids in probe order, and a filter the positions that pass.
     Nothing copies a row, a code or a payload on the way: an operator
@@ -27,8 +26,8 @@
     first row of each code.  Equal payloads of a column likewise mean
     equal cells, so the collector and the hash join's probe, which meet
     a column's keys in runs, work once per run of equal payloads.  A
-    GROUP BY over coded group columns sums and counts its plain-column
-    arguments from their codes or payloads, without reading a row.
+    GROUP BY over coded group columns counts its rows, and sums a column
+    of Float codes or Float payloads, without reading a row.
 
     A leaf's codes and payloads always describe its own array: only the
     scans attach them, {!filter} keeps them with the same array, and
@@ -58,19 +57,14 @@ val iter : t -> (int -> unit) -> unit
     visits. *)
 val position : t -> int -> int
 
-(** [column leaf i] is column [i]'s codes, by position in [base leaf],
-    or [None] when the column has none. *)
+(** [view leaf i] is what column [i] keeps beside the rows, by position
+    in [base leaf]: its codes, its Int/Date payloads, its Float payloads,
+    or [Plain] for none. *)
+val view : t -> int -> Heap_file.view
+
+(** [column leaf i] is column [i]'s codes, the [Codes] case of
+    [view leaf i], or [None] when the column has none. *)
 val column : t -> int -> Heap_file.codes option
-
-(** [payloads leaf i] is column [i]'s payloads, by position in [base
-    leaf], or [None] when the column has none.  A column never has both
-    codes and payloads. *)
-val payloads : t -> int -> Heap_file.payloads option
-
-(** [float_payloads leaf i] is column [i]'s Float payloads, by position
-    in [base leaf], or [None] when the column has none.  A column with
-    them has neither codes nor Int/Date payloads. *)
-val float_payloads : t -> int -> Heap_file.float_payloads option
 
 (** [of_rows rows] is every row of [rows], without codes or payloads. *)
 val of_rows : Tuple.t array -> t

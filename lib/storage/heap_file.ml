@@ -23,7 +23,7 @@ type dict = {
 type column =
   | Coded of dict
   | Unboxed of { mutable ints : int array; date : bool }
-  | Floats of { mutable floats : Float.Array.t }
+  | Unboxed_floats of { mutable floats : Float.Array.t }
   | Boxed
 
 type t = {
@@ -150,7 +150,7 @@ let unbox t i (v : Value.t) =
   match v with
   | Float _ ->
     (match fill t i v Float.Array.create Float.Array.set unboxed_float with
-     | floats -> Floats { floats }
+     | floats -> Unboxed_floats { floats }
      | exception Boxed_cell -> Boxed)
   | _ ->
     let date = match v with Date _ -> true | _ -> false in
@@ -194,7 +194,7 @@ let append t tuple =
          end;
          u.ints.(rid) <- x
        | exception Boxed_cell -> t.cols.(i) <- Boxed)
-    | Floats f ->
+    | Unboxed_floats f ->
       (match tuple.(i) with
        | Float x ->
          if rid = Float.Array.length f.floats then begin
@@ -262,32 +262,31 @@ let iter t f =
     f rid t.data.(rid)
   done
 
-let codes t col =
-  if col >= Array.length t.cols then None
+type view =
+  | Codes of codes
+  | Ints of payloads
+  | Floats of float_payloads
+  | Plain
+
+let view t col =
+  if col >= Array.length t.cols then Plain
   else
     match t.cols.(col) with
     | Coded d ->
-      Some { codes = d.per_rid; count = d.size; boxes = d.boxes; seen_null = d.null_seen }
-    | Unboxed _ | Floats _ | Boxed -> None
+      Codes { codes = d.per_rid; count = d.size; boxes = d.boxes; seen_null = d.null_seen }
+    | Unboxed { ints; date } -> Ints { ints; date }
+    | Unboxed_floats f -> Floats f.floats
+    | Boxed -> Plain
+
+let codes t col = match view t col with Codes c -> Some c | _ -> None
 
 let code c r = get16 c.codes r
 let code_count c = c.count
 let code_box c k = c.boxes.(k)
 let null_seen c = c.seen_null
 
-let payloads t col =
-  if col >= Array.length t.cols then None
-  else
-    match t.cols.(col) with
-    | Unboxed { ints; date } -> Some { ints; date }
-    | Coded _ | Floats _ | Boxed -> None
-
 let[@inline] payload p r = p.ints.(r)
 let payload_is_date p = p.date
-
-let float_payloads t col =
-  if col >= Array.length t.cols then None
-  else match t.cols.(col) with Floats f -> Some f.floats | _ -> None
 
 let[@inline] float_payload f r = Float.Array.get f r
 
@@ -323,7 +322,7 @@ let retain t keep =
           let old = u.ints and ints = Array.make m 0 in
           u.ints <- ints;
           moves := (fun from at len -> Array.blit old from ints at len) :: !moves
-        | Floats f ->
+        | Unboxed_floats f ->
           let old = f.floats and floats = Float.Array.create m in
           f.floats <- floats;
           moves := (fun from at len -> Float.Array.blit old from floats at len) :: !moves

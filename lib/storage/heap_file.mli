@@ -32,8 +32,8 @@
     the rows when the dictionary drops, extended by [append], compacted
     by [retain] beside the codes, and dropped for good by the first
     [Null] or other constructor appended (or a tuple without the cell).
-    So a column has codes, Int/Date payloads, Float payloads or none.
-    The same invariant holds for payloads, which the executor reads at
+    So a column has codes, Int/Date payloads, Float payloads or none
+    ([view]).  The same invariant holds for payloads, which the executor reads at
     the same place as the codes. *)
 
 type t
@@ -63,9 +63,9 @@ val schema : t -> Schema.t
     and its codes are dropped once it holds 4096 values, [Distinct]'s
     exact limit (or when a tuple has no cell for the column); later cells
     are stored as given.  If every cell then is a non-null [Int], or
-    every one a [Date], the column keeps their payloads (see [payloads])
-    from that row on, until a cell of another kind arrives; if every one
-    is a non-null [Float], it keeps their floats (see [float_payloads])
+    every one a [Date], the column keeps their payloads ([Ints] of
+    [view]) from that row on, until a cell of another kind arrives; if
+    every one is a non-null [Float], it keeps their floats ([Floats])
     likewise. *)
 val append : t -> Tuple.t -> unit
 
@@ -131,7 +131,8 @@ val generation : t -> int
 type codes
 
 (** [codes t col] is column [col]'s codes by rid, for the rows [rows t]
-    returns now, or [None] when the column has no dictionary. *)
+    returns now, or [None] when the column has no dictionary: the
+    [Codes] case of [view t col]. *)
 val codes : t -> int -> codes option
 
 (** [code c r] is the code of the [r]th row. *)
@@ -157,12 +158,6 @@ val null_seen : codes -> bool
     [Date] as an unboxed [int]. *)
 type payloads
 
-(** [payloads t col] is column [col]'s payloads by rid, for the rows
-    [rows t] returns now, or [None] when the column keeps none: while it
-    has codes, and for good once a cell that is [Null] or of another
-    constructor than the rest was appended. *)
-val payloads : t -> int -> payloads option
-
 (** [payload p r] is the payload of the [r]th row. *)
 val payload : payloads -> int -> int
 
@@ -173,12 +168,21 @@ val payload_is_date : payloads -> bool
     unboxed, bit for bit (both zeros and every nan payload kept). *)
 type float_payloads
 
-(** [float_payloads t col] is column [col]'s floats by rid, for the rows
-    [rows t] returns now, or [None] when the column keeps none: while it
-    has codes, when not every cell was a non-null [Float] as its
-    dictionary dropped, and for good once a cell of another kind was
-    appended. *)
-val float_payloads : t -> int -> float_payloads option
-
 (** [float_payload f r] is the float of the [r]th row. *)
 val float_payload : float_payloads -> int -> float
+
+(** What a column keeps beside its cells: exactly one of its codes, its
+    [Int]/[Date] payloads, its [Float] payloads, or nothing. *)
+type view =
+  | Codes of codes
+  | Ints of payloads
+  | Floats of float_payloads
+  | Plain
+
+(** [view t col] is what column [col] keeps, by rid, for the rows
+    [rows t] returns now: [Codes] while it has a dictionary; [Ints] or
+    [Floats] once the dictionary dropped, while every cell is a non-null
+    [Int] (or every one a [Date]) or a non-null [Float]; else, for good
+    once a [Null] or a cell of another constructor was appended, and for
+    a column past the file's arity, [Plain]. *)
+val view : t -> int -> view

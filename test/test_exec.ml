@@ -1758,18 +1758,19 @@ let test_coded_filter_raises_as_rows () =
    row, whose floats are a signalling nan: a sum that added its first
    value to 0.0 would lose both; group "n" holds nans of three payloads
    and both infinities, the others finite floats whose sum depends on
-   its order.  The kernels' columns: coded Ints (up to +-2^62, so sums
-   wrap), coded Floats, coded Ints with Nulls (COUNT skips them), Int
-   payloads and Float payloads past 4096 values.  After the copy is
-   taken, those columns' cells in the leaf's own rows are overwritten
-   with a String: a kernel reads no row, so an aggregate that fell back
-   to the row path would raise or count it.  Two columns must take the
-   row path and are left intact: a mixed Int/Float dictionary (Ints
-   past 2^53, where an Int sum and a float sum differ) and a wide Float
-   column that held a Null, so it has no payloads.  Next to the kernels
-   run a UDF argument, whose calls are counted, and in a second list an
-   argument that raises at a String: the same exception after the same
-   calls.  Over the scan leaf and over a filter of it. *)
+   its order.  The kernels: count-star, and SUM and AVG of coded Floats,
+   of coded Floats with Nulls (skipped) and of Float payloads past 4096
+   values.  After the copy is taken, those three columns' cells in the
+   leaf's own rows are overwritten with a String: a kernel reads no row,
+   so an aggregate that fell back to the row path would raise.  The
+   other columns take the row path and are left intact: coded Ints (up
+   to +-2^62, so sums wrap), Int payloads, a mixed Int/Float dictionary
+   (Ints past 2^53, where an Int sum and a float sum differ), a wide
+   Float column that held a Null, so it has no payloads, and COUNT of a
+   column.  Next to the kernels run a UDF argument, whose calls are
+   counted, and in a second list an argument that raises at a String:
+   the same exception after the same calls.  Over the scan leaf and over
+   a filter of it. *)
 let test_group_kernels () =
   let names =
     [ "g"; "h"; "ci"; "cf"; "cn"; "mixed"; "pi"; "pf"; "wn"; "s"; "k" ]
@@ -1803,7 +1804,7 @@ let test_group_kernels () =
        Int (k land 1);
        Int (pick [| -3; 0; 2; 7; 1 lsl 62; -(1 lsl 62) |]);
        f (pick finite);
-       (if Random.State.int st 4 = 0 then Null else Int (Random.State.int st 9));
+       (if Random.State.int st 4 = 0 then Null else f (pick finite));
        pick [| Value.Int ((1 lsl 53) + 1); Int 1; Float 0.5; Float (-0.0) |];
        Int ((k * 7919) + (1 lsl 60));
        f (if k mod 50 = 0 then pick finite
@@ -1820,13 +1821,10 @@ let test_group_kernels () =
   let coded c = Option.is_some (Leaf.column scan (col c)) in
   Alcotest.(check (list bool)) "coded columns" [ true; true; true; true; true; true ]
     (List.map coded [ "g"; "h"; "ci"; "cf"; "cn"; "mixed" ]);
-  Alcotest.(check bool) "Int payloads" true (Option.is_some (Leaf.payloads scan (col "pi")));
-  Alcotest.(check bool) "Float payloads" true
-    (Option.is_some (Leaf.float_payloads scan (col "pf")));
-  Alcotest.(check bool) "a Null: no payloads" true
-    (Option.is_none (Leaf.column scan (col "wn"))
-     && Option.is_none (Leaf.payloads scan (col "wn"))
-     && Option.is_none (Leaf.float_payloads scan (col "wn")));
+  Alcotest.(check (list bool)) "Int payloads, Float payloads, a Null: none" [ true; true; true ]
+    [ (match Leaf.view scan (col "pi") with Ints _ -> true | _ -> false);
+      (match Leaf.view scan (col "pf") with Floats _ -> true | _ -> false);
+      (match Leaf.view scan (col "wn") with Plain -> true | _ -> false) ];
   let filtered =
     Leaf.filter (ctx ()) schema
       (Expr.Cmp (Expr.Lt, Expr.Col "k", Expr.Const (Value.Int 4500)))
@@ -1835,15 +1833,15 @@ let test_group_kernels () =
   let agg fn arg = { Aggregate.fn; distinct_arg = false; arg; out_name = "a" } in
   let over fn c = agg fn (Some (Expr.Col c)) in
   let kernels =
-    [ agg Aggregate.Count None; over Aggregate.Count "cn"; over Aggregate.Count "pi";
-      over Aggregate.Count "pf"; over Aggregate.Sum "ci"; over Aggregate.Avg "ci";
-      over Aggregate.Sum "cf"; over Aggregate.Avg "cf"; over Aggregate.Sum "cn";
-      over Aggregate.Avg "cn"; over Aggregate.Sum "pi"; over Aggregate.Avg "pi";
-      over Aggregate.Sum "pf"; over Aggregate.Avg "pf" ]
+    [ agg Aggregate.Count None; over Aggregate.Sum "cf"; over Aggregate.Avg "cf";
+      over Aggregate.Sum "cn"; over Aggregate.Avg "cn"; over Aggregate.Sum "pf";
+      over Aggregate.Avg "pf" ]
   in
   let generic =
-    [ over Aggregate.Sum "mixed"; over Aggregate.Avg "mixed"; over Aggregate.Sum "wn";
-      agg Aggregate.Count (Some (coded_udf "mixed")) ]
+    [ over Aggregate.Sum "ci"; over Aggregate.Avg "ci"; over Aggregate.Count "ci";
+      over Aggregate.Sum "pi"; over Aggregate.Avg "pi"; over Aggregate.Count "pi";
+      over Aggregate.Sum "mixed"; over Aggregate.Avg "mixed"; over Aggregate.Sum "wn";
+      over Aggregate.Count "wn"; agg Aggregate.Count (Some (coded_udf "mixed")) ]
   in
   let raising =
     agg Aggregate.Sum
@@ -1866,7 +1864,7 @@ let test_group_kernels () =
   in
   Array.iter
     (fun (t : Tuple.t) ->
-       List.iter (fun c -> t.(col c) <- Value.String "read") [ "ci"; "cf"; "cn"; "pi"; "pf" ])
+       List.iter (fun c -> t.(col c) <- Value.String "read") [ "cf"; "cn"; "pf" ])
     (Heap_file.rows heap);
   List.iter
     (fun (what, leaf, plain) ->
@@ -1961,8 +1959,8 @@ let prop_hash_join_key_sources =
          else leaf
        in
        let source_ok =
-         match source, Leaf.payloads leaf 0, Leaf.column leaf 0 with
-         | `Payloads, Some _, None | `Codes, None, Some _ | `Cells, None, None -> true
+         match source, Leaf.view leaf 0 with
+         | `Payloads, Ints _ | `Codes, Codes _ | `Cells, Plain -> true
          | _ -> false
        in
        let probe = Leaf.rows leaf in
@@ -2080,8 +2078,7 @@ let prop_collector_payloads_match_rows =
        in
        let stats, charged = collect leaf in
        let plain, plain_charged = collect (Leaf.of_rows (Array.copy (Leaf.rows leaf))) in
-       Option.is_some (Leaf.payloads leaf 0)
-       && Option.is_some (Leaf.payloads leaf 1)
+       (match Leaf.view leaf 0, Leaf.view leaf 1 with Ints _, Ints _ -> true | _ -> false)
        && same_stats stats plain
        && charged = plain_charged)
 

@@ -614,9 +614,9 @@ let prop_payloads_track_rows =
        in
        let kept () =
          let rows = Heap_file.rows h in
-         match !state, Heap_file.codes h 0, Heap_file.payloads h 0 with
-         | `Coded, Some _, None | `Boxed, None, None -> true
-         | `Unboxed, None, Some p -> Heap_file.payload_is_date p = date && agree rows p
+         match !state, Heap_file.view h 0 with
+         | `Coded, Codes _ | `Boxed, Plain -> true
+         | `Unboxed, Ints p -> Heap_file.payload_is_date p = date && agree rows p
          | _ -> false
        in
        for _ = 1 to 3500 do
@@ -625,7 +625,7 @@ let prop_payloads_track_rows =
        kept ()
        && List.for_all
             (fun step ->
-               let before = (Heap_file.rows h, Heap_file.payloads h 0) in
+               let before = (Heap_file.rows h, Heap_file.view h 0) in
                (match step with
                 | 0 | 1 | 2 | 3 ->
                   let n = 1 + Random.State.int st 1500 in
@@ -645,8 +645,8 @@ let prop_payloads_track_rows =
                   done);
                let old_ok =
                  match before with
-                 | rows, Some p -> agree rows p
-                 | _, None -> true
+                 | rows, Ints p -> agree rows p
+                 | _ -> true
                in
                old_ok && kept ())
             steps)
@@ -708,11 +708,9 @@ let prop_float_payloads_track_rows =
        in
        let kept () =
          let rows = Heap_file.rows h in
-         match
-           !state, Heap_file.codes h 0, Heap_file.payloads h 0, Heap_file.float_payloads h 0
-         with
-         | `Coded, Some _, None, None | `Boxed, None, None, None -> true
-         | `Floats, None, None, Some f -> agree rows f
+         match !state, Heap_file.view h 0 with
+         | `Coded, Codes _ | `Boxed, Plain -> true
+         | `Floats, Floats f -> agree rows f
          | _ -> false
        in
        for _ = 1 to 4000 do
@@ -721,7 +719,7 @@ let prop_float_payloads_track_rows =
        kept ()
        && List.for_all
             (fun step ->
-               let before = (Heap_file.rows h, Heap_file.float_payloads h 0) in
+               let before = (Heap_file.rows h, Heap_file.view h 0) in
                (match step with
                 | 0 | 1 | 2 | 3 ->
                   for _ = 1 to 1 + Random.State.int st 1500 do
@@ -734,8 +732,8 @@ let prop_float_payloads_track_rows =
                 | _ -> add (Value.Float (-0.0)));
                let old_ok =
                  match before with
-                 | rows, Some f -> agree rows f
-                 | _, None -> true
+                 | rows, Floats f -> agree rows f
+                 | _ -> true
                in
                old_ok && kept ())
             steps)
