@@ -142,10 +142,7 @@ let env catalog =
 (* ------------------------------------------------------------------ *)
 (* Value / domain helpers.                                             *)
 
-let bare col =
-  match String.rindex_opt col '.' with
-  | Some i -> String.sub col (i + 1) (String.length col - i - 1)
-  | None -> col
+let bare col = snd (Schema.split_ref col)
 
 let vcmp a b =
   match Value.compare a b with
@@ -517,10 +514,10 @@ let analyze env (plan : Plan.t) =
                 (List.filter (fun c -> on_i c && not (on_o c)) cols))
          in
          { lo = 0.0; hi = pred_count_hi ~hi ~joint p })
-    | Plan.Aggregate { input; group_by = []; aggs = _; pre_sorted = _ } ->
+    | Plan.Aggregate { input; group_by = []; aggs = _ } ->
       let (_ : interval) = go input in
       point 1.0  (* scalar aggregates emit one row even on empty input *)
-    | Plan.Aggregate { input; group_by; aggs = _; pre_sorted = _ } ->
+    | Plan.Aggregate { input; group_by; aggs = _ } ->
       let i = go input in
       let dprod =
         List.fold_left (fun acc g -> mul acc (distinct_ub input g)) 1.0 group_by
@@ -783,9 +780,7 @@ let cost_interval env ?(max_dop = 1) (plan : Plan.t) =
       Cost_model.block_nl_join_ms ~outer_rows:(e (r outer))
         ~outer_pages:(e (pg outer)) ~inner_rows:(e (r inner))
         ~inner_pages:(e (pg inner)) ~out_rows:rows ~mem_pages
-    | Plan.Aggregate { input; pre_sorted = true; _ } ->
-      Cost_model.aggregate_sorted_ms ~in_rows:(e (r input)) ~groups:rows
-    | Plan.Aggregate { input; pre_sorted = false; _ } ->
+    | Plan.Aggregate { input; _ } ->
       Cost_model.aggregate_ms ~dop:1 ~in_rows:(e (r input))
         ~in_pages:(e (pg input)) ~groups:rows ~group_pages:(e (pg p))
         ~mem_pages

@@ -623,8 +623,7 @@ let exchangeable (p : Plan.t) =
   match p.Plan.node with
   | Plan.Seq_scan _ | Plan.Sort _ -> true
   | Plan.Hash_join { keys; _ } -> keys <> []
-  | Plan.Aggregate { group_by; pre_sorted; _ } ->
-    (not pre_sorted) && group_by <> []
+  | Plan.Aggregate { group_by; _ } -> group_by <> []
   | _ -> false
 
 let parallel_run _ctx plan =
@@ -705,7 +704,7 @@ let worst_case_mem b (p : Plan.t) =
     Option.map
       (fun dp -> snd (Mqr_opt.Cost_model.sort_mem ~data_pages:dp))
       (hi_pages input)
-  | Plan.Aggregate { pre_sorted = false; group_by = _ :: _; _ } ->
+  | Plan.Aggregate { group_by = _ :: _; _ } ->
     Option.map
       (fun gp -> snd (Mqr_opt.Cost_model.aggregate_mem ~group_pages:gp))
       (hi_pages p)

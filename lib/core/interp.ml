@@ -535,15 +535,10 @@ let emit st ev =
 (* ------------------------------------------------------------------ *)
 (* Executing plan nodes.                                               *)
 
-let bare_column col =
-  match String.index_opt col '.' with
-  | Some i -> String.sub col (i + 1) (String.length col - i - 1)
-  | None -> col
-
 let heap_of st table = (Catalog.find_exn st.cfg.catalog table).Catalog.heap
 
 let index_of (tbl : Catalog.table) col =
-  match Catalog.find_index tbl ~column:(bare_column col) with
+  match Catalog.find_index tbl ~column:(snd (Schema.split_ref col)) with
   | Some ix -> Catalog.index_tree tbl ix
   | None -> invalid_arg ("Interp: missing index on " ^ col)
 
@@ -916,18 +911,12 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
         ~keys ?extra ()
     in
     (Leaf.of_rows r.Merge_join.rows, r.Merge_join.schema)
-  | Plan.Aggregate { input; group_by; aggs; pre_sorted } ->
+  | Plan.Aggregate { input; group_by; aggs } ->
     let leaf, schema = exec_node st input in
     uncoded
-      (if pre_sorted then
-         let r =
-           Aggregate.sorted_aggregate ctx schema ~group_by ~aggs (Leaf.rows leaf)
-         in
-         (r.Aggregate.rows, r.Aggregate.schema)
-       else
-         with_workers st p (fun ~degree ~slice_pages ~on_worker ->
-             Parallel.aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages
-               schema ~group_by ~aggs leaf))
+      (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
+           Parallel.aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages
+             schema ~group_by ~aggs leaf))
   | Plan.Sort { input; keys } ->
     let rows, schema = rows_of input in
     ( Leaf.of_rows

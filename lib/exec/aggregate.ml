@@ -77,8 +77,7 @@ let sum_value a =
   | Float_sum -> Value.Float a.fsum.f
   | Boxed_sum -> a.v
 
-(* Compiled form of a group-by list and its aggregate specs, shared by the
-   hash and the streaming operator. *)
+(* Compiled form of a group-by list and its aggregate specs. *)
 type prepared = {
   group_idx : int array;
   all : int array;  (* every aggregate's index, for [feed] *)
@@ -355,30 +354,3 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
     end
   in
   { rows = out; schema = out_schema; passes }
-
-(* Streaming variant: input grouped on the group-by columns; a group closes
-   when the key changes. *)
-let sorted_aggregate ctx input_schema ~group_by ~aggs rows =
-  let clock = ctx.Exec_ctx.clock in
-  let out_schema = output_schema input_schema ~group_by ~aggs in
-  let p = prepare input_schema ~group_by ~aggs in
-  let out = Rows_ops.Out.create 16 in
-  let current = ref None in
-  Array.iter
-    (fun t ->
-       match !current with
-       | Some (first, accs) when Rows_ops.keys_equal first p.group_idx t p.group_idx ->
-         feed p p.all accs t
-       | prev ->
-         Option.iter (fun (first, accs) -> Rows_ops.Out.add out (finalize p first accs)) prev;
-         let accs = fresh_accs p in
-         feed p p.all accs t;
-         current := Some (t, accs))
-    rows;
-  (match !current with
-   | Some (k, accs) -> Rows_ops.Out.add out (finalize p k accs)
-   | None -> if group_by = [] then Rows_ops.Out.add out (finalize p [||] (fresh_accs p)));
-  Sim_clock.charge_cpu_tuples clock (Array.length rows);
-  let out = Rows_ops.Out.contents out in
-  Sim_clock.charge_cpu_tuples clock (Array.length out);
-  { rows = out; schema = out_schema; passes = 1 }

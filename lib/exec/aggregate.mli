@@ -54,10 +54,3 @@ val output_schema : Schema.t -> group_by:string list -> aggs:spec list -> Schema
 val hash_aggregate :
   Exec_ctx.t -> mem_pages:int -> Schema.t ->
   group_by:string list -> aggs:spec list -> Leaf.t -> result
-
-(** Streaming aggregation over input already sorted (grouped) on the
-    group-by columns: one pass, constant memory, never spills.  The caller
-    must guarantee that equal group keys are adjacent. *)
-val sorted_aggregate :
-  Exec_ctx.t -> Schema.t -> group_by:string list -> aggs:spec list ->
-  Tuple.t array -> result

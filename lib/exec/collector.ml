@@ -34,9 +34,9 @@ let estimated_cost_ms s ~rows =
    later one, with the code's box from the dictionary; a null has code 0
    and is counted on every row, and later rows read only their codes.  A
    column that never held a null is done once every code has been seen:
-   later rows add nothing.  A column with payloads, all non-null and of
-   one constructor, feeds its ints where the payload changes, which are
-   the adds its boxes would make.  Neither reads a row.  Elsewhere a cell
+   later rows add nothing.  A column with Int payloads, all non-null,
+   feeds its ints where the payload changes, which are the adds its
+   boxes would make.  Neither reads a row.  Elsewhere a cell
    with the constructor and bits of the last non-null cell fed (an equal
    Int or Date, or the same box) is skipped, which changes nothing
    either: rows that arrive in key order repeat their keys in runs.
@@ -61,12 +61,12 @@ let run_pass leaf i pass =
       incr k
     done
   | Ints p ->
-    let date = Heap_file.payload_is_date p and last = ref 0 in
+    let last = ref 0 in
     for k = 0 to n - 1 do
       let x = Heap_file.payload p (Leaf.position leaf k) in
       if k = 0 || x <> !last then begin
         last := x;
-        Column_pass.add_payload pass ~date x
+        Column_pass.add_payload pass x
       end
     done
   | Floats _ | Plain ->
@@ -140,9 +140,7 @@ let summarize ?have leaf i ~hist ~distinct =
     | Some s when (not distinct) || s.distinct <> None -> s
     | _ ->
       let counter = if distinct then Some (Distinct.create ()) else None in
-      let pass =
-        Column_pass.create ?distincts:(Option.map (fun d -> [ d ]) counter) ()
-      in
+      let pass = Column_pass.create ?distinct:counter () in
       run_pass (Lazy.force leaf) i pass;
       { range = Column_pass.range pass;
         nulls = Column_pass.nulls pass;

@@ -107,13 +107,13 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
   in
   (match view with
    | Ints p ->
-     let date = Heap_file.payload_is_date p and last = ref 0 and id = ref (-1) in
+     let last = ref 0 and id = ref (-1) in
      for k = 0 to np - 1 do
        let r = Leaf.position probe k in
        let x = Heap_file.payload p r in
        if k = 0 || x <> !last then begin
          last := x;
-         let h = Value.hash_payload ~date x in
+         let h = Value.hash_payload x in
          id := Table.find table (Rows_ops.hash_one h) base.(r) probe_idx
        end;
        if !id >= 0 then emit r !id

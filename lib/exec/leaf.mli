@@ -1,8 +1,8 @@
 (** Rows as operators hand them to each other: an array of rows, the
     positions in it that the leaf holds, and the array's dictionary
-    codes, unboxed Int/Date payloads and unboxed Float payloads when a
-    scan read them (each column has codes, Int/Date payloads, Float
-    payloads or none).
+    codes, unboxed Int payloads and unboxed Float payloads when a scan
+    read them (each column has codes, Int payloads, Float payloads or
+    none).
 
     A scan's leaf is the file's own rows ({!Mqr_storage.Heap_file.rows})
     with what each column keeps beside them
@@ -58,7 +58,7 @@ val iter : t -> (int -> unit) -> unit
 val position : t -> int -> int
 
 (** [view leaf i] is what column [i] keeps beside the rows, by position
-    in [base leaf]: its codes, its Int/Date payloads, its Float payloads,
+    in [base leaf]: its codes, its Int payloads, its Float payloads,
     or [Plain] for none. *)
 val view : t -> int -> Heap_file.view
 

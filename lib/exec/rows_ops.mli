@@ -21,7 +21,7 @@ val limit : Exec_ctx.t -> int -> Tuple.t array -> Tuple.t array
 val bytes_of_rows : Tuple.t array -> int
 
 (** Growable output buffer for operators whose output size is unknown in
-    advance (joins, streaming aggregation). *)
+    advance (joins). *)
 module Out : sig
   type t
 

@@ -167,9 +167,6 @@ let aggregate_ms ~dop ~in_rows ~in_pages ~groups
     in
     parallel_ms ~dop ~exchange_pages:in_pages ~per_worker
 
-let aggregate_sorted_ms ~in_rows ~groups =
-  (in_rows +. groups) *. Sim_clock.cpu_tuple_ms
-
 let sort_ms ~dop ~rows ~data_pages ~mem_pages =
   if unbounded (rows +. data_pages) then infinity
   else

@@ -97,9 +97,6 @@ val aggregate_ms :
   dop:int -> in_rows:float -> in_pages:float ->
   groups:float -> group_pages:float -> mem_pages:int -> float
 
-(** Streaming aggregation over pre-grouped input: one CPU pass. *)
-val aggregate_sorted_ms : in_rows:float -> groups:float -> float
-
 (** External sort; at [dop > 1] a round-robin exchange, per-worker sorts
     and a serial merge of all [rows] on the parent. *)
 val sort_ms :

@@ -571,34 +571,21 @@ let mk_aggregate ctx ~id ~input ~group_by ~aggs ~mem =
   in
   let in_est = input.Plan.est in
   let rows = group_count ctx ~input_rows:in_est.Plan.rows ~group_by in
-  (* streaming aggregation when the single grouping column arrives in
-     order: equal keys adjacent, one pass, no working memory *)
-  let pre_sorted =
-    match group_by with
-    | [ g ] -> List.mem g (Plan.orders_of input)
-    | _ -> false
-  in
   let group_pages = Cost_model.pages ~rows ~width:(width_of schema) in
   let in_pages =
     Cost_model.pages ~rows:in_est.Plan.rows ~width:in_est.Plan.width
   in
-  let min_mem, max_mem =
-    if pre_sorted then (0, 0) else Cost_model.aggregate_mem ~group_pages
-  in
-  let mem = if pre_sorted then 0 else effective_mem ctx ~mem ~max_mem in
+  let min_mem, max_mem = Cost_model.aggregate_mem ~group_pages in
+  let mem = effective_mem ctx ~mem ~max_mem in
   let op_ms dop =
     Cost_model.aggregate_ms ~dop ~in_rows:in_est.Plan.rows
       ~in_pages ~groups:rows ~group_pages ~mem_pages:mem
   in
-  (* streaming and ungrouped aggregation stay serial *)
+  (* ungrouped aggregation stays serial *)
   let dop, op_ms =
-    if pre_sorted then
-      (1, Cost_model.aggregate_sorted_ms ~in_rows:in_est.Plan.rows
-            ~groups:rows)
-    else if group_by = [] then (1, op_ms 1)
-    else choose_dop ctx op_ms
+    if group_by = [] then (1, op_ms 1) else choose_dop ctx op_ms
   in
-  mk_node ~id ~dop (Plan.Aggregate { input; group_by; aggs; pre_sorted })
+  mk_node ~id ~dop (Plan.Aggregate { input; group_by; aggs })
     schema ~rows ~op_ms ~children:[ input ] ~min_mem ~max_mem ~mem
 
 let mk_sort ctx ~id ~input ~keys ~mem =
@@ -707,7 +694,7 @@ let index_bounds conjs col =
 (* All access paths for a relation: sequential scan, index range scans for
    every index with a usable bound, and full index scans on columns whose
    order is interesting further up (they cost more I/O but deliver sorted
-   output for merge joins, streaming aggregation or ORDER BY). *)
+   output for merge joins). *)
 let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~filter ~interesting =
   let seq =
     mk_seq_scan ctx ~id:(fresh_id ctx) ~table:rel.Stats_env.table
@@ -1244,22 +1231,15 @@ let plan_query ctx options (q : Query.t) =
          | _ -> false)
       rest
   in
-  (* Interesting orders: join-key columns (merge joins), grouping columns
-     (streaming aggregation), and a single ascending ORDER BY column (sort
-     elision). *)
+  (* Interesting orders: join-key columns (merge joins). *)
   let interesting =
-    let join_cols =
-      List.concat_map
-        (fun ci ->
-           match Expr.shape_of ci.expr with
-           | Expr.S_col_eq_col (a, b) -> [ a; b ]
-           | _ -> [])
-        join_conjs
-    in
-    let order_cols =
-      match q.Query.order_by with [ (c, true) ] -> [ c ] | _ -> []
-    in
-    List.sort_uniq String.compare (join_cols @ q.Query.group_by @ order_cols)
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun ci ->
+            match Expr.shape_of ci.expr with
+            | Expr.S_col_eq_col (a, b) -> [ a; b ]
+            | _ -> [])
+         join_conjs)
   in
   (* Base access paths with local predicates pushed down. *)
   let rels =
@@ -1288,9 +1268,7 @@ let plan_query ctx options (q : Query.t) =
     | _ -> optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting
   in
   (* Complete each join candidate with aggregation / projection / ordering
-     and keep the cheapest finished plan; a candidate that already delivers
-     the needed order skips its sort, one grouped on the grouping column
-     aggregates in a streaming pass. *)
+     and keep the cheapest finished plan. *)
   let complete joined =
     let with_agg =
       if q.Query.aggs = [] && q.Query.group_by = [] then joined
@@ -1308,8 +1286,6 @@ let plan_query ctx options (q : Query.t) =
     let with_sort =
       match q.Query.order_by with
       | [] -> with_having
-      | [ (c, true) ] when List.mem c (Plan.orders_of with_having) ->
-        with_having (* order already delivered: sort elided *)
       | keys -> mk_sort ctx ~id:(fresh_id ctx) ~input:with_having ~keys ~mem:0
     in
     let with_project =

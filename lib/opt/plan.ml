@@ -61,8 +61,6 @@ type node =
       input : t;
       group_by : string list;
       aggs : Mqr_exec.Aggregate.spec list;
-      pre_sorted : bool;
-          (* input ordered on the grouping column: streaming aggregation *)
     }
   | Filter of { input : t; pred : Mqr_expr.Expr.t }
   | Sort of { input : t; keys : (string * bool) list }
@@ -201,7 +199,6 @@ let rec pp_indented fmt ~indent t =
      Fmt.pf fmt " pre-sorted:%s%s"
        (if left_sorted then "L" else "")
        (if right_sorted then "R" else "")
-   | Aggregate { pre_sorted = true; _ } -> Fmt.pf fmt " streaming"
    | _ -> ());
   (match t.node with
    | Hash_join { rf = _ :: _ as rf; _ } | Merge_join { rf = _ :: _ as rf; _ } ->

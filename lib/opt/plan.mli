@@ -68,8 +68,6 @@ type node =
       input : t;
       group_by : string list;
       aggs : Mqr_exec.Aggregate.spec list;
-      pre_sorted : bool;
-          (** input ordered on the grouping column: streaming aggregation *)
     }
   | Filter of { input : t; pred : Mqr_expr.Expr.t }
       (** standalone filter, e.g. a HAVING predicate over aggregate output *)

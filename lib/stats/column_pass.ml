@@ -4,20 +4,18 @@ type t = {
   mutable lo : Value.t;  (* Null until the first non-null value *)
   mutable hi : Value.t;
   mutable nulls : int;
-  distincts : Distinct.t array;
+  distinct : Distinct.t option;
   mutable payloads : bool;  (* fed through [add_payload]: the range is [ilo], [ihi] *)
-  mutable date : bool;
   mutable ilo : int;
   mutable ihi : int;
 }
 
-let create ?(distincts = []) () =
+let create ?distinct () =
   { lo = Value.Null;
     hi = Value.Null;
     nulls = 0;
-    distincts = Array.of_list distincts;
+    distinct;
     payloads = false;
-    date = false;
     ilo = 0;
     ihi = 0 }
 
@@ -40,14 +38,11 @@ let add t v =
      | lo ->
        if before v lo then t.lo <- v;
        if before t.hi v then t.hi <- v);
-    for k = 0 to Array.length t.distincts - 1 do
-      Distinct.add t.distincts.(k) v
-    done
+    Option.iter (fun d -> Distinct.add d v) t.distinct
 
-let add_payload t ~date x =
+let add_payload t x =
   if not t.payloads then begin
     t.payloads <- true;
-    t.date <- date;
     t.ilo <- x;
     t.ihi <- x
   end
@@ -55,18 +50,13 @@ let add_payload t ~date x =
     if x < t.ilo then t.ilo <- x;
     if x > t.ihi then t.ihi <- x
   end;
-  if Array.length t.distincts > 0 then begin
-    let h = Value.hash_payload ~date x in
-    for k = 0 to Array.length t.distincts - 1 do
-      Distinct.add_hash t.distincts.(k) h
-    done
-  end
+  match t.distinct with
+  | Some d -> Distinct.add_hash d (Value.hash_payload x)
+  | None -> ()
 
 let nulls t = t.nulls
 
 let range t =
-  if t.payloads then
-    let box x = if t.date then Value.Date x else Value.Int x in
-    Some (box t.ilo, box t.ihi)
+  if t.payloads then Some (Value.Int t.ilo, Value.Int t.ihi)
   else if Value.is_null t.lo then None
   else Some (t.lo, t.hi)

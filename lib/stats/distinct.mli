@@ -17,7 +17,7 @@ val add : t -> Mqr_storage.Value.t -> unit
 
 (** [add_hash t h] is [add t v] for a [v] whose [Mqr_storage.Value.hash]
     is [h]: a counter sees a value only through that hash, so a caller
-    holding an unboxed [Int] or [Date] payload feeds
+    holding an unboxed [Int] payload feeds
     [Mqr_storage.Value.hash_payload] of it, builds no box, and counts as
     the box would. *)
 val add_hash : t -> int -> unit

@@ -18,11 +18,11 @@ type dict = {
 
 (* What a column keeps beside its cells: its dictionary while it holds
    fewer than [dict_limit] values; then, while every cell is a non-null
-   [Int] (or every one a [Date], or every one a [Float]), each rid's
-   payload, with room to grow; else nothing, for good. *)
+   [Int] (or every one a [Float]), each rid's payload, with room to
+   grow; else nothing, for good. *)
 type column =
   | Coded of dict
-  | Unboxed of { mutable ints : int array; date : bool }
+  | Unboxed of { mutable ints : int array }
   | Unboxed_floats of { mutable floats : Float.Array.t }
   | Boxed
 
@@ -37,7 +37,7 @@ type t = {
 }
 
 type codes = { codes : Bytes.t; count : int; boxes : Value.t array; seen_null : bool }
-type payloads = { ints : int array; date : bool }
+type payloads = int array
 type float_payloads = Float.Array.t
 
 let page_size_bytes = 4096
@@ -124,11 +124,8 @@ let code_of d v =
 
 exception Boxed_cell
 
-let unboxed ~date (v : Value.t) =
-  match v with
-  | Int x when not date -> x
-  | Date x when date -> x
-  | _ -> raise_notrace Boxed_cell
+let unboxed_int (v : Value.t) =
+  match v with Int x -> x | _ -> raise_notrace Boxed_cell
 
 let unboxed_float (v : Value.t) =
   match v with Float x -> x | _ -> raise_notrace Boxed_cell
@@ -145,18 +142,18 @@ let fill t i v make set get =
 
 (* What column [i] keeps once its dictionary drops at the next rid, whose
    cell is [v]: the payloads of the rows so far and [v], if they are all
-   non-null [Int]s, all [Date]s or all [Float]s. *)
+   non-null [Int]s or all [Float]s. *)
 let unbox t i (v : Value.t) =
   match v with
   | Float _ ->
     (match fill t i v Float.Array.create Float.Array.set unboxed_float with
      | floats -> Unboxed_floats { floats }
      | exception Boxed_cell -> Boxed)
-  | _ ->
-    let date = match v with Date _ -> true | _ -> false in
-    (match fill t i v (fun n -> Array.make n 0) Array.set (unboxed ~date) with
-     | ints -> Unboxed { ints; date }
+  | Int _ ->
+    (match fill t i v (fun n -> Array.make n 0) Array.set unboxed_int with
+     | ints -> Unboxed { ints }
      | exception Boxed_cell -> Boxed)
+  | _ -> Boxed
 
 (* Each kept dictionary maps the cell to its code, stores the code at
    [rid] and the code's box in the cell; kept payloads store the cell's
@@ -185,15 +182,15 @@ let append t tuple =
         set16 d.per_rid rid c
       end
     | Unboxed u ->
-      (match unboxed ~date:u.date tuple.(i) with
-       | x ->
+      (match tuple.(i) with
+       | Int x ->
          if rid = Array.length u.ints then begin
            let bigger = Array.make (max 64 (2 * rid)) 0 in
            Array.blit u.ints 0 bigger 0 rid;
            u.ints <- bigger
          end;
          u.ints.(rid) <- x
-       | exception Boxed_cell -> t.cols.(i) <- Boxed)
+       | _ -> t.cols.(i) <- Boxed)
     | Unboxed_floats f ->
       (match tuple.(i) with
        | Float x ->
@@ -274,7 +271,7 @@ let view t col =
     match t.cols.(col) with
     | Coded d ->
       Codes { codes = d.per_rid; count = d.size; boxes = d.boxes; seen_null = d.null_seen }
-    | Unboxed { ints; date } -> Ints { ints; date }
+    | Unboxed u -> Ints u.ints
     | Unboxed_floats f -> Floats f.floats
     | Boxed -> Plain
 
@@ -285,8 +282,7 @@ let code_count c = c.count
 let code_box c k = c.boxes.(k)
 let null_seen c = c.seen_null
 
-let[@inline] payload p r = p.ints.(r)
-let payload_is_date p = p.date
+let[@inline] payload p r = p.(r)
 
 let[@inline] float_payload f r = Float.Array.get f r
 

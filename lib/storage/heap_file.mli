@@ -27,14 +27,15 @@
 
     A column whose dictionary was dropped keeps, instead, each row's
     payload in an unboxed [int] array, as long as every cell it holds is
-    a non-null [Int] (or every one a [Date]), or in a [floatarray], as
-    long as every cell is a non-null [Float]: the array is built from
-    the rows when the dictionary drops, extended by [append], compacted
-    by [retain] beside the codes, and dropped for good by the first
-    [Null] or other constructor appended (or a tuple without the cell).
-    So a column has codes, Int/Date payloads, Float payloads or none
-    ([view]).  The same invariant holds for payloads, which the executor reads at
-    the same place as the codes. *)
+    a non-null [Int], or in a [floatarray], as long as every cell is a
+    non-null [Float]: the array is built from the rows when the
+    dictionary drops, extended by [append], compacted by [retain] beside
+    the codes, and dropped for good by the first [Null] or other
+    constructor appended (or a tuple without the cell).  So a column has
+    codes, Int payloads, Float payloads or none ([view]); a [Date]
+    column past the limit keeps none.  The same invariant holds for
+    payloads, which the executor reads at the same place as the
+    codes. *)
 
 type t
 
@@ -62,11 +63,10 @@ val schema : t -> Schema.t
     one box, and the row keeps that value's code.  A column's dictionary
     and its codes are dropped once it holds 4096 values, [Distinct]'s
     exact limit (or when a tuple has no cell for the column); later cells
-    are stored as given.  If every cell then is a non-null [Int], or
-    every one a [Date], the column keeps their payloads ([Ints] of
-    [view]) from that row on, until a cell of another kind arrives; if
-    every one is a non-null [Float], it keeps their floats ([Floats])
-    likewise. *)
+    are stored as given.  If every cell then is a non-null [Int], the
+    column keeps their payloads ([Ints] of [view]) from that row on,
+    until a cell of another kind arrives; if every one is a non-null
+    [Float], it keeps their floats ([Floats]) likewise. *)
 val append : t -> Tuple.t -> unit
 
 val tuple_count : t -> int
@@ -154,15 +154,12 @@ val code_box : codes -> int -> Value.t
     code_count c - 1]. *)
 val null_seen : codes -> bool
 
-(** A column's payloads for a sequence of rows: each row's [Int] or
-    [Date] as an unboxed [int]. *)
+(** A column's payloads for a sequence of rows: each row's [Int] as an
+    unboxed [int]. *)
 type payloads
 
 (** [payload p r] is the payload of the [r]th row. *)
 val payload : payloads -> int -> int
-
-(** Whether the payloads are [Date]s' (else [Int]s'). *)
-val payload_is_date : payloads -> bool
 
 (** A column's [Float] payloads for a sequence of rows: each row's float,
     unboxed, bit for bit (both zeros and every nan payload kept). *)
@@ -172,7 +169,7 @@ type float_payloads
 val float_payload : float_payloads -> int -> float
 
 (** What a column keeps beside its cells: exactly one of its codes, its
-    [Int]/[Date] payloads, its [Float] payloads, or nothing. *)
+    [Int] payloads, its [Float] payloads, or nothing. *)
 type view =
   | Codes of codes
   | Ints of payloads
@@ -182,7 +179,7 @@ type view =
 (** [view t col] is what column [col] keeps, by rid, for the rows
     [rows t] returns now: [Codes] while it has a dictionary; [Ints] or
     [Floats] once the dictionary dropped, while every cell is a non-null
-    [Int] (or every one a [Date]) or a non-null [Float]; else, for good
+    [Int] or a non-null [Float]; else, for good
     once a [Null] or a cell of another constructor was appended, and for
     a column past the file's arity, [Plain]. *)
 val view : t -> int -> view

@@ -35,6 +35,10 @@ val concat_width : int -> int -> int
 (** [project schema idxs] keeps only the columns at [idxs], in order. *)
 val project : t -> int list -> t
 
+(** [split_ref "q.c"] is [("q", "c")], split at the first dot; a name
+    without a dot is [("", name)]. *)
+val split_ref : string -> string * string
+
 (** Resolve a column reference.  ["q.c"] matches qualifier+name; a bare
     ["c"] matches any column with that name and raises [Ambiguous] if
     several match.  @raise Not_found if no column matches. *)

@@ -45,20 +45,19 @@ let equal a b =
   | Null, _ | _, Null -> false
   | _ -> compare a b = 0
 
-let[@inline] hash_payload ~date x =
-  if date then Hash_mix.mix x lxor 0x5bd1 else Hash_mix.mix x
+let[@inline] hash_payload x = Hash_mix.mix x
 
 let hash v =
   match v with
   | Null -> 0x2f1d
   | Bool b -> if b then 0x4a3 else 0x7c5
-  | Int i -> hash_payload ~date:false i
+  | Int i -> hash_payload i
   | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
-    hash_payload ~date:false (Float.to_int f)
+    hash_payload (Float.to_int f)
   | Float f when Float.is_nan f -> 0x6e1b
   | Float f -> Hash_mix.mix (Int64.to_int (Int64.bits_of_float f))
   | String s -> Hash_mix.string_hash s
-  | Date d -> hash_payload ~date:true d
+  | Date d -> Hash_mix.mix d lxor 0x5bd1
 
 let type_of = function
   | Null -> invalid_arg "Value.type_of: Null"

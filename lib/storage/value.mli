@@ -34,11 +34,10 @@ val equal : t -> t -> bool
     constants. *)
 val hash : t -> int
 
-(** [hash_payload ~date x] is [hash (Date x)] when [date], else [hash
-    (Int x)]: the one definition of those two arms, which [hash] calls,
-    so a caller holding an unboxed payload hashes it as its cell without
-    building the box. *)
-val hash_payload : date:bool -> int -> int
+(** [hash_payload x] is [hash (Int x)]: the one definition of that arm,
+    which [hash] calls, so a caller holding an unboxed payload hashes it
+    as its cell without building the box. *)
+val hash_payload : int -> int
 
 (** Type of a (non-null) value. *)
 val type_of : t -> ty

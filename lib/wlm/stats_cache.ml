@@ -34,11 +34,9 @@ let version_of catalog table =
    relation list; None for unqualified or unknown aliases and for temp
    tables introduced by plan switches. *)
 let resolve (q : Query.t) column =
-  match String.index_opt column '.' with
-  | None -> None
-  | Some i ->
-    let alias = String.sub column 0 i in
-    let bare = String.sub column (i + 1) (String.length column - i - 1) in
+  match Schema.split_ref column with
+  | "", _ -> None
+  | alias, bare ->
     List.find_map
       (fun (r : Query.relation) ->
          if r.Query.alias = alias then Some (r.Query.table, bare) else None)

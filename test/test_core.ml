@@ -424,7 +424,11 @@ let integration_queries =
     "select tcat, count(*) as n from t group by tcat having n > 5";
     "select ufk, sum(uval) as s from u group by ufk having s > 50 order by s desc";
     "select tcat, count(distinct tval) as d from t group by tcat order by tcat";
-    "select count(distinct ufk) as d, sum(distinct uval) as s from u" ]
+    "select count(distinct ufk) as d, sum(distinct uval) as s from u";
+    (* group and order on t's indexed key, whose index scan arrives in
+       key order *)
+    "select tk, count(*) as n from t group by tk";
+    "select tk, tval from t where tk < 30 order by tk" ]
 
 let modes =
   [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;

@@ -423,27 +423,6 @@ let test_aggregate_nulls_skipped () =
   Alcotest.(check bool) "count non-null" true (Value.equal t.(1) (Value.Int 1));
   Alcotest.(check bool) "sum skips null" true (Value.equal t.(2) (Value.Int 4))
 
-let test_sorted_aggregate_matches_hash () =
-  let c = ctx () in
-  let schema = schema_ab "t" in
-  let rows = rows_of (List.init 100 (fun i -> (i / 25, i))) in  (* grouped *)
-  let aggs =
-    [ { Aggregate.fn = Aggregate.Sum; distinct_arg = false; arg = Some (Expr.col "t.b"); out_name = "s" };
-      { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" } ]
-  in
-  let h = Aggregate.hash_aggregate c ~mem_pages:16 schema ~group_by:[ "t.a" ] ~aggs (Leaf.of_rows rows) in
-  let s = Aggregate.sorted_aggregate c schema ~group_by:[ "t.a" ] ~aggs rows in
-  Alcotest.(check (list (list string))) "same groups"
-    (sorted_pairs h.Aggregate.rows)
-    (sorted_pairs s.Aggregate.rows)
-
-let test_sorted_aggregate_global_empty () =
-  let c = ctx () in
-  let schema = schema_ab "t" in
-  let aggs = [ { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None; out_name = "n" } ] in
-  let r = Aggregate.sorted_aggregate c schema ~group_by:[] ~aggs [||] in
-  Alcotest.(check int) "one row" 1 (Array.length r.Aggregate.rows)
-
 (* MIN/MAX/COUNT over a string column.  Every accumulator used to run
    [Value.add], which rejects strings, so the query failed. *)
 let nation_string_aggs =
@@ -474,11 +453,6 @@ let test_string_min_max_count () =
       [ (Aggregate.Min, "lo"); (Aggregate.Max, "hi"); (Aggregate.Count, "c") ]
   in
   let group_by = [ "n_regionkey" ] in
-  let key = Schema.index_of schema "n_regionkey" in
-  let grouped = Array.copy rows in
-  Array.stable_sort (fun a b -> Value.compare a.(key) b.(key)) grouped;
-  let s = Aggregate.sorted_aggregate (ctx ()) schema ~group_by ~aggs grouped in
-  Alcotest.(check (list string)) "pre-sorted aggregate" expected (rendered s.Aggregate.rows);
   let p, _ =
     Parallel.aggregate (ctx ()) ~degree:2 ~mem_pages:16 schema ~group_by
       ~aggs (Leaf.of_rows rows)
@@ -610,33 +584,6 @@ module Ref_agg = struct
       end
     in
     (out, passes)
-
-  let sorted_aggregate ctx schema ~group_by ~aggs rows =
-    let clock = ctx.Exec_ctx.clock in
-    let group_idx, arg_evals, specs = setup schema ~group_by ~aggs in
-    let out = ref [] and current = ref None in
-    Array.iter
-      (fun t ->
-         let key = List.map (fun i -> t.(i)) group_idx in
-         match !current with
-         | Some (k, accs) when Key.equal k key -> feed arg_evals accs t
-         | Some (k, accs) ->
-           out := finalize aggs k accs :: !out;
-           let accs' = fresh_accs specs in
-           feed arg_evals accs' t;
-           current := Some (key, accs')
-         | None ->
-           let accs = fresh_accs specs in
-           feed arg_evals accs t;
-           current := Some (key, accs))
-      rows;
-    (match !current with
-     | Some (k, accs) -> out := finalize aggs k accs :: !out
-     | None -> if group_by = [] then out := [ finalize aggs [] (fresh_accs specs) ]);
-    Sim_clock.charge_cpu_tuples clock (Array.length rows);
-    let out = Array.of_list (List.rev !out) in
-    Sim_clock.charge_cpu_tuples clock (Array.length out);
-    (out, 1)
 end
 
 (* Grouping columns [g] (Int) and [h] (String); numeric arguments [i]
@@ -751,25 +698,9 @@ let prop_aggregate_matches_reference =
        let ref_rows, ref_passes =
          Ref_agg.hash_aggregate c2 ~mem_pages agg_schema ~group_by ~aggs rows
        in
-       let idxs = List.map (Schema.index_of agg_schema) group_by in
-       let grouped = Array.copy rows in
-       Array.stable_sort
-         (fun a b ->
-            List.fold_left
-              (fun c i -> if c <> 0 then c else Value.compare a.(i) b.(i))
-              0 idxs)
-         grouped;
-       let c3 = ctx () and c4 = ctx () in
-       let s = Aggregate.sorted_aggregate c3 agg_schema ~group_by ~aggs grouped in
-       let sref_rows, sref_passes =
-         Ref_agg.sorted_aggregate c4 agg_schema ~group_by ~aggs grouped
-       in
        same_rows r.Aggregate.rows ref_rows
        && r.Aggregate.passes = ref_passes
-       && elapsed c1 = elapsed c2
-       && same_rows s.Aggregate.rows sref_rows
-       && s.Aggregate.passes = sref_passes
-       && elapsed c3 = elapsed c4)
+       && elapsed c1 = elapsed c2)
 
 let test_merge_join_presorted_skips_sort_cost () =
   let c1 = ctx () and c2 = ctx () in
@@ -1327,7 +1258,7 @@ let prop_order_bypasses_agree =
        range_agrees && equal_agrees)
 
 (* Every arm of [Value.hash], a non-integral Float's included, and its
-   payload arms; the bound leaves room for [Gc.minor_words]'s own boxed
+   payload arm; the bound leaves room for [Gc.minor_words]'s own boxed
    result. *)
 let test_hash_allocation_free () =
   let keys =
@@ -1338,8 +1269,7 @@ let test_hash_allocation_free () =
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
     sink :=
-      !sink + Value.hash keys.(i land 7) + Value.hash_payload ~date:false i
-      + Value.hash_payload ~date:true i
+      !sink + Value.hash keys.(i land 7) + Value.hash_payload i
   done;
   let words = Gc.minor_words () -. before in
   if words >= 100.0 then Alcotest.failf "10 000 rounds of hashes allocated %.0f minor words" words;
@@ -1907,8 +1837,8 @@ let wide_keys st ~sorted =
 (* The hash join reads a one-column probe key from the leaf's payloads
    and looks it up once per run of equal payloads; over codes or plain
    cells it hashes each row.  A payload case gives column k over 4096
-   distinct Ints, Ints beyond +-2^53 or Dates, in runs or unsorted; a
-   cell case appends a Null after them, which drops the payloads, then
+   distinct Ints, Ints beyond +-2^53 or Dates (which keep no payloads:
+   their column ends plain), in runs or unsorted; a cell case appends a Null after them, which drops the payloads, then
    more keys and Nulls; a code case keeps 50 values and Nulls.  The
    probe leaf is the scan, or a filter over it (its positions).  The
    build side draws its keys from the probe's cells, some as the Float
@@ -1960,7 +1890,9 @@ let prop_hash_join_key_sources =
        in
        let source_ok =
          match source, Leaf.view leaf 0 with
-         | `Payloads, Ints _ | `Codes, Codes _ | `Cells, Plain -> true
+         | `Payloads, Ints _ -> kind <> `Date
+         | `Payloads, Plain -> kind = `Date
+         | `Codes, Codes _ | `Cells, Plain -> true
          | _ -> false
        in
        let probe = Leaf.rows leaf in
@@ -2039,8 +1971,9 @@ let prop_hash_join_key_sources =
 
 (* A collector over a leaf with payloads gives the statistics of the
    same rows without them ([Leaf.of_rows] of a copy), bit for bit, and
-   the same charge: a column of Int payloads and one of Date payloads,
-   in runs or unsorted, over the scan and over a filter of it, each with
+   the same charge: a column of Int payloads beside a Date column of as
+   many distinct values, which keeps none (a plain input), in runs or
+   unsorted, over the scan and over a filter of it, each with
    a histogram, a distinct count or both. *)
 let prop_collector_payloads_match_rows =
   QCheck.Test.make ~name:"collector over payloads = plain rows" ~count:20
@@ -2078,17 +2011,16 @@ let prop_collector_payloads_match_rows =
        in
        let stats, charged = collect leaf in
        let plain, plain_charged = collect (Leaf.of_rows (Array.copy (Leaf.rows leaf))) in
-       (match Leaf.view leaf 0, Leaf.view leaf 1 with Ints _, Ints _ -> true | _ -> false)
+       (match Leaf.view leaf 0, Leaf.view leaf 1 with Ints _, Plain -> true | _ -> false)
        && same_stats stats plain
        && charged = plain_charged)
 
-(* An Int or Date payload fed as its int counts as its box: one
-   [Distinct] counter fed [Value.hash_payload] through [add_hash] against
-   one fed the boxes through [add], Ints and Dates of the same numbers
-   mixed, often past the exact counter's limit (4096, or 64 so that a
-   kind alone passes it); and per kind, a [Column_pass] fed
-   [add_payload] against one fed [add] of the boxes: the same range,
-   nulls and distinct count.  The numbers are
+(* An Int payload fed as its int counts as its box: one [Distinct]
+   counter fed [Value.hash_payload] through [add_hash] against one fed
+   the boxes through [add], often past the exact counter's limit (4096,
+   or 64); and a [Column_pass] fed [add_payload] against one fed [add]
+   of the boxes: the same range, nulls and distinct count.  The numbers
+   are
    0, +-1, +-2^53 +- k and the ints' ends among a spread of others. *)
 let prop_payload_feed_matches_boxes =
   let module Distinct = Mqr_stats.Distinct in
@@ -2110,31 +2042,27 @@ let prop_payload_feed_matches_boxes =
            special.(Random.State.int st (Array.length special))
          else Random.State.full_int st spread - (spread / 2)
        in
-       let feed = List.init n (fun _ -> (Random.State.bool st, number ())) in
-       let box (date, x) : Value.t = if date then Date x else Int x in
+       let feed = List.init n (fun _ -> number ()) in
        let same_count a b =
          bits (Distinct.estimate a) = bits (Distinct.estimate b)
          && Distinct.is_exact a = Distinct.is_exact b
        in
        let counter () = Distinct.create ~exact_limit () in
        let boxed = counter () and ints = counter () in
-       List.iter (fun v -> Distinct.add boxed (box v)) feed;
-       List.iter (fun (date, x) -> Distinct.add_hash ints (Value.hash_payload ~date x)) feed;
-       let pass_agrees date =
-         let xs = List.filter_map (fun (d, x) -> if d = date then Some x else None) feed in
-         let d1 = counter () and d2 = counter () in
-         let p1 = Column_pass.create ~distincts:[ d1 ] ()
-         and p2 = Column_pass.create ~distincts:[ d2 ] () in
-         List.iter (fun x -> Column_pass.add p1 (box (date, x))) xs;
-         List.iter (fun x -> Column_pass.add_payload p2 ~date x) xs;
-         let key =
-           Option.map (fun (lo, hi) -> (Test_storage.bits_key lo, Test_storage.bits_key hi))
-         in
-         key (Column_pass.range p1) = key (Column_pass.range p2)
-         && Column_pass.nulls p1 = Column_pass.nulls p2
-         && same_count d1 d2
+       List.iter (fun x -> Distinct.add boxed (Value.Int x)) feed;
+       List.iter (fun x -> Distinct.add_hash ints (Value.hash_payload x)) feed;
+       let d1 = counter () and d2 = counter () in
+       let p1 = Column_pass.create ~distinct:d1 ()
+       and p2 = Column_pass.create ~distinct:d2 () in
+       List.iter (fun x -> Column_pass.add p1 (Value.Int x)) feed;
+       List.iter (fun x -> Column_pass.add_payload p2 x) feed;
+       let key =
+         Option.map (fun (lo, hi) -> (Test_storage.bits_key lo, Test_storage.bits_key hi))
        in
-       same_count boxed ints && pass_agrees true && pass_agrees false)
+       same_count boxed ints
+       && key (Column_pass.range p1) = key (Column_pass.range p2)
+       && Column_pass.nulls p1 = Column_pass.nulls p2
+       && same_count d1 d2)
 
 let suite =
   [ Alcotest.test_case "seq scan" `Quick test_seq_scan;
@@ -2166,8 +2094,6 @@ let suite =
     Alcotest.test_case "aggregate global empty" `Quick test_aggregate_global_empty;
     Alcotest.test_case "aggregate avg/min/max" `Quick test_aggregate_avg_min_max;
     Alcotest.test_case "aggregate nulls" `Quick test_aggregate_nulls_skipped;
-    Alcotest.test_case "sorted agg = hash agg" `Quick test_sorted_aggregate_matches_hash;
-    Alcotest.test_case "sorted agg empty" `Quick test_sorted_aggregate_global_empty;
     Alcotest.test_case "string min/max/count" `Quick test_string_min_max_count;
     QCheck_alcotest.to_alcotest prop_aggregate_matches_reference;
     Alcotest.test_case "presorted merge join cheaper" `Quick test_merge_join_presorted_skips_sort_cost;

@@ -456,8 +456,7 @@ let test_codes_stay_in_their_unit () =
            group_by = [ "grp" ];
            aggs =
              [ { Mqr_exec.Aggregate.fn = Mqr_exec.Aggregate.Count;
-                 distinct_arg = false; arg = None; out_name = "n" } ];
-           pre_sorted = false })
+                 distinct_arg = false; arg = None; out_name = "n" } ] })
   in
   let plan =
     node (Schema.make []) (Plan.Block_nl_join { outer = grouped; inner = join; pred = None })
@@ -529,8 +528,7 @@ let test_empty_leaf_under_join () =
                 group_by = [ "i.grp"; "i.amount" ];
                 aggs =
                   [ { Mqr_exec.Aggregate.fn = Mqr_exec.Aggregate.Count;
-                      distinct_arg = false; arg = None; out_name = "n" } ];
-                pre_sorted = false })
+                      distinct_arg = false; arg = None; out_name = "n" } ] })
        in
        List.iter
          (fun mode ->

@@ -26,7 +26,7 @@ let figure3_plan ~j1_max ~j2_max ~agg_max =
   let j1 = join ~min_mem:1 ~max_mem:j1_max 4 s2 s1 in
   let j2 = join ~min_mem:1 ~max_mem:j2_max 5 s3 j1 in
   mk_node ~min_mem:1 ~max_mem:agg_max 6
-    (Plan.Aggregate { input = j2; group_by = []; aggs = []; pre_sorted = false })
+    (Plan.Aggregate { input = j2; group_by = []; aggs = [] })
 
 let test_consumers_in_execution_order () =
   let plan = figure3_plan ~j1_max:10 ~j2_max:10 ~agg_max:4 in
