@@ -1309,8 +1309,11 @@ let collect_scenario () =
    [filter-coded] run Q10's l_returnflag conjunct, Q1's l_shipdate
    conjunct and Q6's four conjuncts over a full scan, per row:
    [Rows_ops.filter] over its rows, and [Leaf.filter] over the leaf,
-   which evaluates each conjunct once per code.  Min and median over
-   op_reps runs.  Last, the bytes each base table's codes take, 2 per row
+   which evaluates each conjunct once per code and borrows its positions
+   from a scratch released after each filter, as a dispatcher step
+   would; its rows also give the major-heap words per op of an untimed
+   pass after one warming filter, which allocates the positions.  Min
+   and median over op_reps runs.  Last, the bytes each base table's codes take, 2 per row
    per coded column.                                                    *)
 
 let storage_scenario () =
@@ -1430,10 +1433,25 @@ let storage_scenario () =
            for _ = 1 to scans do
              ignore (Mqr_exec.Rows_ops.filter ctx schema pred (Mqr_exec.Leaf.rows leaf))
            done);
-       report ("filter-coded/" ^ name) ~per:(scans * n) (fun () ->
-           for _ = 1 to scans do
-             ignore (Mqr_exec.Leaf.filter ctx schema pred leaf)
-           done))
+       (* as the dispatcher runs it: positions borrowed from a scratch,
+          released when the step (here, the filter) ends *)
+       let coded = Mqr_exec.Exec_ctx.create ~scratch:(Mqr_exec.Exec_ctx.scratch ()) () in
+       let filters () =
+         for _ = 1 to scans do
+           ignore (Mqr_exec.Leaf.filter coded schema pred leaf);
+           Mqr_exec.Exec_ctx.release coded
+         done
+       in
+       let major_words () = (Gc.quick_stat ()).Gc.major_words in
+       ignore (Mqr_exec.Leaf.filter coded schema pred leaf);
+       Mqr_exec.Exec_ctx.release coded;
+       let m0 = major_words () in
+       filters ();
+       let major = (major_words () -. m0) /. float_of_int (scans * n) in
+       record ~scenario:"storage" ~mode:("filter-coded/" ^ name) Count "major_words"
+         "words" major;
+       report ("filter-coded/" ^ name) ~per:(scans * n) filters;
+       Fmt.pr "%-20s %9s %8s %8s %8.3f  major words per op@." "" "" "" "" major)
     [ ("l_returnflag", "l.l_returnflag = 'R'");
       ("l_shipdate", "l.l_shipdate <= date '1998-09-02'");
       ( "q6",
@@ -1673,6 +1691,90 @@ let dml_scenario () =
     [ "lineitem"; "orders" ]
 
 (* ------------------------------------------------------------------ *)
+(* Garbage-collector cost of dss-scan's statement mix: Q1, Q6, Q3 and
+   Q10 on bench/perf's dss-scan database (sf 0.02, the paper's
+   statistics degradations, budget sf x 40 000 pages, pool 8x) in full
+   mode, [rounds] rounds after [rounds] untimed ones, repeated
+   [whole_reps] times.  Per statement: major collections, words
+   allocated directly in the major heap (major words less promoted
+   ones), promoted words, and the share of wall time the runtime spent
+   in minor collections ([EV_MINOR]) and in major slices
+   ([EV_MAJOR_SLICE]), read with a [Runtime_events] cursor on this
+   process after every statement.  Each metric's median over the
+   repetitions is recorded as a wall point: they move from run to
+   run. *)
+
+let gc_scenario () =
+  let sf = 0.02 and rounds = 25 in
+  header
+    (Fmt.str "GC cost of the dss-scan mix - per statement (sf=%g, %d rounds, %d reps)"
+       sf rounds whole_reps);
+  let catalog = Datagen.generate { Datagen.default with Datagen.sf } in
+  Workload.apply catalog Workload.paper_degradations;
+  let budget_pages = max 64 (int_of_float (sf *. 40_000.0)) in
+  let engine = Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) catalog in
+  let mix = List.map (fun n -> (Queries.find n).Queries.sql) [ "Q1"; "Q6"; "Q3"; "Q10" ] in
+  let round () =
+    List.iter (fun sql -> ignore (Engine.run_sql engine ~mode:Dispatcher.Full sql)) mix
+  in
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let ns = Runtime_events.Timestamp.to_int64 in
+  let minor = ref 0L and major = ref 0L in
+  let minor0 = ref 0L and major0 = ref 0L in
+  let callbacks =
+    Runtime_events.Callbacks.create
+      ~runtime_begin:(fun _ ts -> function
+          | Runtime_events.EV_MINOR -> minor0 := ns ts
+          | EV_MAJOR_SLICE -> major0 := ns ts
+          | _ -> ())
+      ~runtime_end:(fun _ ts -> function
+          | Runtime_events.EV_MINOR -> minor := Int64.add !minor (Int64.sub (ns ts) !minor0)
+          | EV_MAJOR_SLICE -> major := Int64.add !major (Int64.sub (ns ts) !major0)
+          | _ -> ())
+      ()
+  in
+  let poll () = ignore (Runtime_events.read_poll cursor callbacks None) in
+  for _ = 1 to rounds do round () done;
+  let statements = rounds * List.length mix in
+  let rep () =
+    poll ();
+    minor := 0L;
+    major := 0L;
+    let g0 = Gc.quick_stat () and t0 = Unix.gettimeofday () in
+    for _ = 1 to rounds do
+      List.iter
+        (fun sql ->
+           ignore (Engine.run_sql engine ~mode:Dispatcher.Full sql);
+           poll ())
+        mix
+    done;
+    let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+    let g1 = Gc.quick_stat () in
+    let per x = x /. float_of_int statements in
+    let direct (g : Gc.stat) = g.Gc.major_words -. g.Gc.promoted_words in
+    [ ("major_collections", "count",
+       per (float_of_int (g1.Gc.major_collections - g0.Gc.major_collections)));
+      ("direct_major_words", "words", per (direct g1 -. direct g0));
+      ("promoted_words", "words", per (g1.Gc.promoted_words -. g0.Gc.promoted_words));
+      ("major_share", "%", 100.0 *. Int64.to_float !major /. wall_ns);
+      ("minor_share", "%", 100.0 *. Int64.to_float !minor /. wall_ns);
+      ("wall_per_stmt", "ms", per (wall_ns /. 1e6)) ]
+  in
+  let reps = List.init whole_reps (fun _ -> rep ()) in
+  Runtime_events.free_cursor cursor;
+  Runtime_events.pause ();
+  Fmt.pr "%-20s %12s %8s@." "metric" "median" "unit";
+  List.iteri
+    (fun i (metric, unit_, _) ->
+       let values = List.sort compare (List.map (fun r -> let _, _, v = List.nth r i in v) reps) in
+       let median = List.nth values (whole_reps / 2) in
+       record ~stat:"median" ~n:whole_reps ~scenario:"gc" ~mode:"dss-scan" Wall metric
+         unit_ median;
+       Fmt.pr "%-20s %12.4f %8s@." metric median unit_)
+    (List.hd reps)
+
+(* ------------------------------------------------------------------ *)
 (* diff OLD NEW: what moved between two BENCH_results.json files, as
    [emit_json] writes them.  Every deterministic point (sim and count
    clocks, minor words excluded) whose value differs, by scenario, then
@@ -1796,7 +1898,7 @@ let experiments =
     ("bounds", bounds_scenario); ("parallel", parallel_scenario);
     ("service", service_scenario); ("opt", opt_scenario);
     ("collect", collect_scenario); ("storage", storage_scenario);
-    ("hash", hash_scenario); ("dml", dml_scenario) ]
+    ("hash", hash_scenario); ("dml", dml_scenario); ("gc", gc_scenario) ]
 
 let () =
   let which =

@@ -237,8 +237,8 @@ let decision_point r =
    instrumentation (unless [prepared]), the memory grant and the re-cost
    under it.  Returns the run, whose [plan0] is the initial plan, and the
    probes. *)
-let prepare ?prepared cfg query =
-  let ctx = Exec_ctx.create ~pool_pages:cfg.pool_pages () in
+let prepare ?prepared ?scratch cfg query =
+  let ctx = Exec_ctx.create ?scratch ~pool_pages:cfg.pool_pages () in
   let env = Stats_env.create cfg.catalog query.Query.relations in
   (match cfg.env_overlay with
    | Some overlay -> overlay query env
@@ -309,6 +309,7 @@ let prepare ?prepared cfg query =
   record_annotations r st.current;
   (r, probes)
 
+(* A throwaway run: its context takes nothing from the engine's scratch. *)
 let initial_plan cfg query = (fst (prepare cfg query)).plan0
 
 (* Drop the run's temp tables from the shared catalog. *)
@@ -328,6 +329,7 @@ let teardown r ~error =
   st.active_filters <- [];
   release_pages st st.filter_pages st.filter_pages.held;
   release_pages st st.worker_pages st.worker_pages.held;
+  Exec_ctx.release ~last:true st.ctx;
   drop_temps r;
   observe st (Aborted error)
 
@@ -342,7 +344,7 @@ let guarded r f =
     Printexc.raise_with_backtrace e bt
 
 let start ?prepared cfg query =
-  let r, probes = prepare ?prepared cfg query in
+  let r, probes = prepare ?prepared ~scratch:cfg.scratch cfg query in
   guarded r (fun () ->
       observe r.st Started;
       List.iter (fun p -> emit r.st (Ev_sampled p)) probes);
@@ -421,6 +423,8 @@ let step_once r =
              ("est_rows", Trace.Float j.Plan.est.Plan.rows);
              ("rows", Trace.Int (Array.length rows));
              ("rf_probe_ms", Trace.Float (st.filter_probe_ms -. probe0)) ];
+       (* the unit's rows live in its temp table: its scratch is free *)
+       Exec_ctx.release st.ctx;
        None
      | None ->
        (* Remaining stack: aggregate/sort/project/limit over the last
@@ -467,8 +471,10 @@ let step_once r =
            verifications = st.verifications }
        in
        observe st (Completed report);
-       (* Drop temp tables so the engine can be reused. *)
+       (* Drop temp tables so the engine can be reused; the report holds
+          the rows, so the scratch and the run's buffer pool are free. *)
        drop_temps r;
+       Exec_ctx.release ~last:true st.ctx;
        r.result <- Some report;
        Some report)
 

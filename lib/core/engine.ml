@@ -49,7 +49,8 @@ let create ?(pool_pages = 2048) ?(budget_pages = 512) ?opt_options
         temp_prefix = "";
         sanitize;
         trace = None;
-        progress = None };
+        progress = None;
+        scratch = Mqr_exec.Exec_ctx.scratch () };
     udfs = ref [];
     plan_cache = (if plan_cache then Some (Plan_cache.create ()) else None);
     trace }

@@ -80,6 +80,10 @@ module Types = struct
             decision point and at completion: the remainder's Eq.1 estimate
             and its provable remaining-cost interval from
             {!Mqr_analysis.Bounds}; read only by {!Interp.observe} *)
+    scratch : Exec_ctx.scratch;
+        (** the engine's step-lived buffers, which every run's context
+            borrows from (see {!Mqr_exec.Exec_ctx}); the dispatcher
+            releases them at the end of each step *)
   }
   (** None of the three observers charges the simulated clock: attaching
       them leaves rows and simulated elapsed bit-identical. *)
@@ -469,8 +473,12 @@ let observe st point =
     trace (fun scope ->
         let name = "query:" ^ Trace.scope_label scope in
         st.q_span <- span_open st ~ts_ms:0.0 ~cat:"query" name);
-    (* refuse to execute a plan that fails static analysis *)
-    if sanitize then verify_plan st ~what:"initial plan" st.current;
+    (* refuse to execute a plan that fails static analysis; poison
+       released scratch, so a leaf that outlives its step fails *)
+    if sanitize then begin
+      Exec_ctx.poison st.ctx;
+      verify_plan st ~what:"initial plan" st.current
+    end;
     progress Progress.Start
   | Event ev -> trace (fun scope -> trace_event st scope ~ts:(now st) ev)
   | Unit_done j ->

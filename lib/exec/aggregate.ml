@@ -269,7 +269,9 @@ let store totals g a =
       a.fsum.f <- Float.Array.get sum g
     end
 
-let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
+exception At of int * exn
+
+let stage ctx ~mem_pages input_schema ~group_by ~aggs leaf =
   let base = Leaf.base leaf in
   let clock = ctx.Exec_ctx.clock in
   let out_schema = output_schema input_schema ~group_by ~aggs in
@@ -277,80 +279,99 @@ let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
   let gidx = p.group_idx in
   let table = Table.create ~key:gidx 16 in
   let groups = ref (Array.make 16 [||]) in
-  let lookup t =
+  (* the leaf index of each group's first row *)
+  let firsts = ref (Array.make 16 0) in
+  let lookup j t =
     let h = Rows_ops.row_hash t gidx in
     let id = Table.find table h t gidx in
     if id >= 0 then id
     else begin
       let id = Table.add table h t in
-      if id = Array.length !groups then
+      if id = Array.length !groups then begin
         groups := Array.append !groups (Array.make id [||]);
+        firsts := Array.append !firsts (Array.make id 0)
+      end;
       !groups.(id) <- fresh_accs p;
+      !firsts.(id) <- j;
       id
     end
   in
-  (match group_memo leaf gidx with
-   | None ->
-     Leaf.iter leaf (fun r ->
-         let t = base.(r) in
-         feed p p.all !groups.(lookup t) t)
-   | Some (slot, ids) ->
-     let kernels = Array.map (kernel input_schema leaf) (Array.of_list aggs) in
-     let generic =
-       Array.of_list (List.filter (fun i -> Option.is_none kernels.(i)) (Array.to_list p.all))
-     in
-     (* one pass: each row's group id, and the generic aggregates row by row *)
-     let n = Leaf.length leaf in
-     let gids = Bytes.create (2 * n) in
-     for j = 0 to n - 1 do
-       let r = Leaf.position leaf j in
-       let s = slot r in
-       if ids.(s) < 0 then ids.(s) <- lookup base.(r);
-       let id = ids.(s) in
-       Bytes.set_uint16_le gids (2 * j) id;
-       if Array.length generic > 0 then feed p generic !groups.(id) base.(r)
-     done;
-     (* then one loop per kernel; aggregates with the same kernel (Q1's
-        SUM and AVG of one column) share its run *)
-     let ng = Table.length table and runs = ref [] in
-     Array.iteri
-       (fun i k ->
-          Option.iter
-            (fun k ->
-               let totals =
-                 match List.assoc_opt k !runs with
-                 | Some totals -> totals
-                 | None ->
-                   let totals = run_kernel leaf gids ng k in
-                   runs := (k, totals) :: !runs;
-                   totals
-               in
-               for g = 0 to ng - 1 do
-                 store totals g !groups.(g).(i)
-               done)
-            k)
-       kernels);
+  (* the leaf index of the row being fed, for [At] *)
+  let j = ref 0 in
+  (try
+     match group_memo leaf gidx with
+     | None ->
+       Leaf.iter leaf (fun r ->
+           let t = base.(r) in
+           feed p p.all !groups.(lookup !j t) t;
+           incr j)
+     | Some (slot, ids) ->
+       let kernels = Array.map (kernel input_schema leaf) (Array.of_list aggs) in
+       let generic =
+         Array.of_list (List.filter (fun i -> Option.is_none kernels.(i)) (Array.to_list p.all))
+       in
+       (* one pass: each row's group id, and the generic aggregates row
+          by row; the ids are the step's scratch *)
+       let n = Leaf.length leaf in
+       let gids = Exec_ctx.bytes ctx (2 * n) in
+       while !j < n do
+         let r = Leaf.position leaf !j in
+         let s = slot r in
+         if ids.(s) < 0 then ids.(s) <- lookup !j base.(r);
+         let id = ids.(s) in
+         Bytes.set_uint16_le gids (2 * !j) id;
+         if Array.length generic > 0 then feed p generic !groups.(id) base.(r);
+         incr j
+       done;
+       (* then one loop per kernel; aggregates with the same kernel (Q1's
+          SUM and AVG of one column) share its run *)
+       let ng = Table.length table and runs = ref [] in
+       Array.iteri
+         (fun i k ->
+            Option.iter
+              (fun k ->
+                 let totals =
+                   match List.assoc_opt k !runs with
+                   | Some totals -> totals
+                   | None ->
+                     let totals = run_kernel leaf gids ng k in
+                     runs := (k, totals) :: !runs;
+                     totals
+                 in
+                 for g = 0 to ng - 1 do
+                   store totals g !groups.(g).(i)
+                 done)
+              k)
+         kernels
+   with e -> raise (At (!j, e)));
   Sim_clock.charge_hash_tuples clock (Leaf.length leaf);
-  (* A global aggregate (no GROUP BY) over an empty input still yields one
-     row, per SQL semantics. *)
-  if group_by = [] && Table.length table = 0 then ignore (lookup [||]);
-  (* Groups come out in table-id order, the order their first rows arrived. *)
-  let out =
-    Array.init (Table.length table) (fun id -> finalize p (Table.row table id) !groups.(id))
-  in
-  Sim_clock.charge_cpu_tuples clock (Array.length out);
-  (* Memory model: if the group table exceeds the grant, aggregation spills
-     and re-reads its input once (2-pass partitioned aggregation). *)
-  let passes =
-    let group_pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows out) in
-    if group_pages <= max 1 mem_pages then 1
-    else begin
-      let input_pages =
-        Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows (Leaf.rows leaf))
-      in
-      Sim_clock.charge_write clock input_pages;
-      Sim_clock.charge_seq_read clock input_pages;
-      2
-    end
-  in
-  { rows = out; schema = out_schema; passes }
+  fun () ->
+    (* A global aggregate (no GROUP BY) over an empty input still yields
+       one row, per SQL semantics. *)
+    if group_by = [] && Table.length table = 0 then ignore (lookup 0 [||]);
+    (* Groups come out in table-id order, the order their first rows
+       arrived. *)
+    let out =
+      Array.init (Table.length table) (fun id ->
+          try finalize p (Table.row table id) !groups.(id)
+          with e -> raise (At (!firsts.(id), e)))
+    in
+    Sim_clock.charge_cpu_tuples clock (Array.length out);
+    (* Memory model: if the group table exceeds the grant, aggregation
+       spills and re-reads its input once (2-pass partitioned
+       aggregation). *)
+    let passes =
+      let group_pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows out) in
+      if group_pages <= max 1 mem_pages then 1
+      else begin
+        let input_pages = Exec_ctx.pages_of_bytes (Leaf.byte_size leaf) in
+        Sim_clock.charge_write clock input_pages;
+        Sim_clock.charge_seq_read clock input_pages;
+        2
+      end
+    in
+    { rows = out; schema = out_schema; passes }
+
+let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
+  try stage ctx ~mem_pages input_schema ~group_by ~aggs leaf ()
+  with At (_, e) -> raise e

@@ -54,3 +54,19 @@ val output_schema : Schema.t -> group_by:string list -> aggs:spec list -> Schema
 val hash_aggregate :
   Exec_ctx.t -> mem_pages:int -> Schema.t ->
   group_by:string list -> aggs:spec list -> Leaf.t -> result
+
+(** Raised by {!stage} and its second stage: the exception the serial
+    operator raises, and the leaf index (0-based, in {!Leaf.iter} order)
+    of the input row it is tied to: the row being fed, or the first row
+    of the group being finalized. *)
+exception At of int * exn
+
+(** [stage] is {!hash_aggregate} in two steps: it feeds every input row,
+    and returns the step that finalizes the groups and charges for them.
+    [hash_aggregate ... leaf] is [stage ... leaf ()] with [At]'s
+    exception re-raised.  {!Parallel.aggregate} feeds every worker
+    before any worker finalizes, as the serial operator feeds every row
+    before it finalizes a group. *)
+val stage :
+  Exec_ctx.t -> mem_pages:int -> Schema.t ->
+  group_by:string list -> aggs:spec list -> Leaf.t -> unit -> result

@@ -52,8 +52,7 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
   let pages =
     if passes = 1 then 0
     else
-      build_pages
-      + Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows (Leaf.rows probe))
+      build_pages + Exec_ctx.pages_of_bytes (Leaf.byte_size probe)
   in
   for _ = 2 to passes do
     Sim_clock.charge_write clock pages;
@@ -68,10 +67,16 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
   let out = Out.create 0 in
   (* The in-memory join itself (final pass).  [newest.(id)] is the last
      build row of key [id]; [next] chains each build row to the previous
-     one of its key, so a probe emits its matches newest first. *)
+     one of its key, so a probe emits its matches newest first.  The
+     table's slots and both chains are the step's scratch. *)
   let nb = Array.length build_rows in
-  let table = Table.create ~key:build_idx nb in
-  let newest = Array.make nb (-1) and next = Array.make nb (-1) in
+  let table = Table.create ~ctx ~key:build_idx nb in
+  let chain () =
+    let a = Exec_ctx.ints ctx nb in
+    Array.fill a 0 nb (-1);
+    a
+  in
+  let newest = chain () and next = chain () in
   for r = 0 to nb - 1 do
     let t = build_rows.(r) in
     if not (has_null t build_idx 0) then begin

@@ -4,16 +4,25 @@ module Expr = Mqr_expr.Expr
 type t = {
   base : Tuple.t array;  (* the rows [pos] picks from *)
   views : Heap_file.view array;  (* per column, by position in [base]; [||]: none *)
-  pos : int array option;  (* the leaf's rows: the first [len] positions in [base]; None: all *)
+  pos : Bytes.t option;
+      (* the leaf's rows: the first [len] positions in [base], 4 bytes
+         each, in a buffer borrowed for the step; None: all *)
   len : int;
   rows : Tuple.t array Lazy.t;  (* the leaf's rows, gathered on first use *)
 }
+
+(* Native-endian: positions are written and read by these two only. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let[@inline] get_pos b i = Int32.to_int (get32 b (4 * i))
+let[@inline] set_pos b i r = set32 b (4 * i) (Int32.of_int r)
 
 let make base views pos len =
   let rows =
     match pos with
     | None -> Lazy.from_val base
-    | Some pos -> lazy (Array.init len (fun i -> base.(pos.(i))))
+    | Some pos -> lazy (Array.init len (fun i -> base.(get_pos pos i)))
   in
   { base; views; pos; len; rows }
 
@@ -31,10 +40,15 @@ let iter leaf f =
     done
   | Some pos ->
     for i = 0 to leaf.len - 1 do
-      f pos.(i)
+      f (get_pos pos i)
     done
 
-let[@inline] position leaf k = match leaf.pos with None -> k | Some pos -> pos.(k)
+let[@inline] position leaf k = match leaf.pos with None -> k | Some pos -> get_pos pos k
+
+let byte_size leaf =
+  let total = ref 0 in
+  iter leaf (fun r -> total := !total + Rows_ops.tuple_bytes leaf.base.(r));
+  !total
 
 let view leaf i : Heap_file.view =
   if i < Array.length leaf.views then leaf.views.(i) else Plain
@@ -63,16 +77,21 @@ let scan ctx heap =
 let index_scan ctx heap btree ?lo ?hi () =
   let pool = ctx.Exec_ctx.pool and clock = ctx.Exec_ctx.clock in
   let rids =
-    Array.of_list
-      (Btree.probe btree ~pool ~clock ?lo:(Option.map fst lo)
-         ?hi:(Option.map fst hi) ())
+    Btree.probe btree ~pool ~clock ?lo:(Option.map fst lo) ?hi:(Option.map fst hi) ()
   in
-  Array.iter (fun rid -> ignore (Heap_file.fetch heap ~pool ~clock rid)) rids;
-  of_file heap (Some rids) (Array.length rids)
+  let n = List.length rids in
+  let pos = Exec_ctx.bytes ctx (4 * n) in
+  List.iteri
+    (fun i rid ->
+       ignore (Heap_file.fetch heap ~pool ~clock rid);
+       set_pos pos i rid)
+    rids;
+  of_file heap (Some pos) n
 
 type conjunct =
   | Per_row of (Tuple.t -> bool)
   | Per_code of {
+      col : int;
       pred : Tuple.t -> bool;
       codes : Heap_file.codes;
       verdicts : Bytes.t;  (* per code: 0 not yet known, 1 false, 2 true *)
@@ -85,7 +104,8 @@ let conjunct schema leaf e =
     (match column leaf i with
      | Some codes ->
        Per_code
-         { pred; codes; verdicts = Bytes.make (Heap_file.code_count codes) '\000' }
+         { col = i; pred; codes;
+           verdicts = Bytes.make (Heap_file.code_count codes) '\000' }
      | None -> Per_row pred)
   | _ -> Per_row pred
 
@@ -100,18 +120,18 @@ let learn pred verdicts code t =
 let holds c base r =
   match c with
   | Per_row pred -> pred base.(r)
-  | Per_code { pred; codes; verdicts } ->
+  | Per_code { pred; codes; verdicts; _ } ->
     let code = Heap_file.code codes r in
     (match Bytes.get verdicts code with
      | '\000' -> learn pred verdicts code base.(r) = 2
      | v -> v = '\002')
 
 (* The row path: each row runs the conjuncts left to right until one
-   fails.  Returns the survivors' positions (first in an array of the
+   fails.  Returns the survivors' positions (first in a buffer of the
    leaf's length, which the filtered leaf keeps: no second copy) and
    their number. *)
-let by_row cs leaf =
-  let out = Array.make (length leaf) 0 and kept = ref 0 in
+let by_row ctx cs leaf =
+  let out = Exec_ctx.bytes ctx (4 * length leaf) and kept = ref 0 in
   let last = Array.length cs - 1 in
   iter leaf (fun r ->
       let k = ref 0 in
@@ -119,7 +139,7 @@ let by_row cs leaf =
         incr k
       done;
       if !k > last then begin
-        out.(!kept) <- r;
+        set_pos out !kept r;
         incr kept
       end);
   (out, !kept)
@@ -128,32 +148,61 @@ let by_row cs leaf =
    pass [c] to [dst], in order, and returns their number.  [dst] may be
    [src]: each position is written no later than it is read.  Every
    position is written, and the count moves by the verdict, so the loop
-   takes no branch on it. *)
+   takes no branch on it; the coded loop calls [learn] at a code's first
+   row and nothing else. *)
 let sweep c base src m dst =
   let j = ref 0 in
   (match c with
    | Per_row pred ->
      for i = 0 to m - 1 do
-       let r = match src with None -> i | Some src -> src.(i) in
-       dst.(!j) <- r;
+       let r = match src with None -> i | Some src -> get_pos src i in
+       set_pos dst !j r;
        j := !j + Bool.to_int (pred base.(r))
      done
-   | Per_code { pred; codes; verdicts } ->
+   | Per_code { pred; codes; verdicts; _ } ->
      for i = 0 to m - 1 do
-       let r = match src with None -> i | Some src -> src.(i) in
+       let r = match src with None -> i | Some src -> get_pos src i in
        let code = Heap_file.code codes r in
        let v = Char.code (Bytes.get verdicts code) in
        let v = if v = 0 then learn pred verdicts code base.(r) else v in
-       dst.(!j) <- r;
+       set_pos dst !j r;
        j := !j + (v lsr 1)
      done);
   !j
 
+(* [cs] with each run of adjacent coded conjuncts over one column joined
+   into one, in the run's place, that holds where they all hold,
+   evaluated left to right at a code's first row, with a verdict table
+   of its own (the row path re-reads the originals').  Only adjacent
+   ones: a later conjunct moved ahead of another could drop a row before
+   the other raises on it, where the row path raises. *)
+let rec holds_all preds t =
+  match preds with [] -> true | p :: rest -> p t && holds_all rest t
+
+let merge_columns cs =
+  let rec go = function
+    | Per_code { col; codes; pred; _ } :: (Per_code { col = k; _ } :: _ as rest)
+      when k = col ->
+      let rec run preds = function
+        | Per_code { col = k; pred; _ } :: rest when k = col -> run (pred :: preds) rest
+        | rest -> (List.rev preds, rest)
+      in
+      let preds, rest = run [ pred ] rest in
+      Per_code
+        { col; codes;
+          pred = holds_all preds;
+          verdicts = Bytes.make (Heap_file.code_count codes) '\000' }
+      :: go rest
+    | c :: rest -> c :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list cs))
+
 (* One conjunct at a time over the positions the ones before it kept:
    the same survivors as the row path, which a conjunct that calls no
    UDF cannot tell apart, except by which row raises first. *)
-let by_conjunct cs leaf =
-  let dst = Array.make (length leaf) 0 in
+let by_conjunct ctx cs leaf =
+  let dst = Exec_ctx.bytes ctx (4 * length leaf) in
   let live = ref (length leaf) in
   Array.iteri
     (fun k c ->
@@ -166,8 +215,8 @@ let filter ctx schema pred leaf =
   let n = length leaf in
   Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock n;
   let kept, survivors =
-    if Expr.has_udf pred then by_row cs leaf
-    else try by_conjunct cs leaf with _ -> by_row cs leaf
+    if Expr.has_udf pred then by_row ctx cs leaf
+    else try by_conjunct ctx (merge_columns cs) leaf with _ -> by_row ctx cs leaf
   in
   if survivors = n then leaf
   else make leaf.base leaf.views (Some kept) survivors

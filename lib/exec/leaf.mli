@@ -57,6 +57,10 @@ val iter : t -> (int -> unit) -> unit
     visits. *)
 val position : t -> int -> int
 
+(** [byte_size leaf] is [Rows_ops.bytes_of_rows (rows leaf)], read
+    through the positions, without gathering. *)
+val byte_size : t -> int
+
 (** [view leaf i] is what column [i] keeps beside the rows, by position
     in [base leaf]: its codes, its Int payloads, its Float payloads,
     or [Plain] for none. *)
@@ -91,7 +95,8 @@ val scan : Exec_ctx.t -> Heap_file.t -> t
     boundary rows of a strict bound), then fetches each row through the
     buffer pool in the order the probe returns them (a random read per
     miss: the index is unclustered).  Its rows are the file's, at the
-    probed rids, in probe order, with the file's codes and payloads. *)
+    probed rids, in probe order, with the file's codes and payloads; the
+    rids are positions borrowed for the step. *)
 val index_scan :
   Exec_ctx.t -> Heap_file.t -> Btree.t ->
   ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> t
@@ -99,12 +104,15 @@ val index_scan :
 (** [filter ctx schema pred leaf] is [Rows_ops.filter ctx schema pred
     (rows leaf)] (rows, charges, UDF calls and exceptions), as positions
     in the same array with the same codes and payloads: [leaf] itself
-    when every row passed.  Each conjunct that reads exactly one coded column and calls
-    no UDF is evaluated at the first row of each code that reaches it,
-    and its verdict is kept for the code's later rows.  When [pred]
-    calls no UDF, the conjuncts run one at a time, each over the rows
-    the ones before it kept, so they keep their left-to-right
-    short-circuit order; if one raises, the filter runs again row by
-    row, so the exception is the one the row path raises.  With a UDF,
-    each row runs the conjuncts left to right. *)
+    when every row passed.  The positions are borrowed for the step.
+    Each conjunct that reads exactly one coded column and calls no UDF
+    is evaluated at the first row of each code that reaches it, and its
+    verdict is kept for the code's later rows.  When [pred] calls no
+    UDF, the conjuncts run one at a time, each over the rows the ones
+    before it kept, so they keep their left-to-right short-circuit
+    order; adjacent conjuncts of that kind over one column run as one,
+    with one verdict per code for all of them (evaluated left to right).
+    If one raises, the filter runs again row by row, with the conjuncts
+    apart, so the exception is the one the row path raises.  With a
+    UDF, each row runs the conjuncts left to right. *)
 val filter : Exec_ctx.t -> Schema.t -> Mqr_expr.Expr.t -> t -> t

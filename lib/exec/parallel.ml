@@ -3,24 +3,34 @@ open Mqr_storage
 let check_degree fn degree =
   if degree < 1 then invalid_arg ("Parallel." ^ fn ^ ": degree < 1")
 
-(* Workers run inline, in index order, each against a fresh [Exec_ctx]
-   (clock + buffer-pool slice), so every simulated charge is a function of
-   the degree alone.  Every operator below handles degree 1 itself, as its
+(* Workers run inline, in index order, each against a fresh-behaving
+   [Exec_ctx] (clock + buffer-pool slice, {!Exec_ctx.worker}), so every
+   simulated charge is a function of the degree alone.  Every operator below handles degree 1 itself, as its
    serial operator, before it gets here. *)
-let run ctx ~degree ?slice_pages ?on_worker f =
+let run_stages ctx ~degree ?slice_pages ?on_worker f =
   check_degree "run" degree;
   let slice =
     match slice_pages with
     | Some p -> max 1 p
     | None -> max 1 (Buffer_pool.capacity ctx.Exec_ctx.pool / degree)
   in
-  let results =
+  let timed g =
+    let t0 = Unix.gettimeofday () in
+    let r = g () in
+    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
+  in
+  let started =
     Array.init degree (fun w ->
-        let wctx = Exec_ctx.create ~pool_pages:slice () in
-        let t0 = Unix.gettimeofday () in
-        let r = f w wctx in
-        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        (r, Sim_clock.elapsed_ms wctx.Exec_ctx.clock, wall_ms))
+        let wctx = Exec_ctx.worker ctx ~pool_pages:slice in
+        let second, wall_ms = timed (fun () -> f w wctx) in
+        (wctx, second, wall_ms))
+  in
+  let results =
+    Array.map
+      (fun (wctx, second, wall0) ->
+         let r, wall_ms = timed second in
+         (r, Sim_clock.elapsed_ms wctx.Exec_ctx.clock, wall0 +. wall_ms))
+      started
   in
   let slowest =
     Array.fold_left (fun acc (_, sim, _) -> Float.max acc sim) 0.0 results
@@ -34,6 +44,11 @@ let run ctx ~degree ?slice_pages ?on_worker f =
     (Sim_clock.parallel_startup_ms *. float_of_int (degree - 1));
   Array.to_list (Array.map (fun (r, _, _) -> r) results)
 
+let run ctx ~degree ?slice_pages ?on_worker f =
+  run_stages ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
+      let r = f w wctx in
+      fun () -> r)
+
 let charge_exchange ctx ~degree rows =
   if degree > 1 then begin
     let pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows) in
@@ -43,8 +58,9 @@ let charge_exchange ctx ~degree rows =
 
 (* Deal each row to the worker [worker i tuple] names, keeping row order
    within a worker, and charge the exchange: each row's worker and each
-   worker's count first, then every partition sized and filled. *)
-let scatter ctx ~degree ~worker rows =
+   worker's count first, then every partition sized and filled.  Also
+   returns, per worker, the input index of each of its rows. *)
+let scatter_from ctx ~degree ~worker rows =
   let n = Array.length rows in
   let dest = Array.make n 0 and sizes = Array.make degree 0 in
   for i = 0 to n - 1 do
@@ -53,21 +69,28 @@ let scatter ctx ~degree ~worker rows =
     sizes.(w) <- sizes.(w) + 1
   done;
   let parts = Array.map (fun size -> Array.make size [||]) sizes in
+  let origin = Array.map (fun size -> Array.make size 0) sizes in
   let filled = Array.make degree 0 in
   for i = 0 to n - 1 do
     let w = dest.(i) in
     parts.(w).(filled.(w)) <- rows.(i);
+    origin.(w).(filled.(w)) <- i;
     filled.(w) <- filled.(w) + 1
   done;
   charge_exchange ctx ~degree rows;
-  parts
+  (parts, origin)
+
+let scatter ctx ~degree ~worker rows = fst (scatter_from ctx ~degree ~worker rows)
+
+let hash_worker schema ~column ~degree =
+  let c = Schema.index_of schema column in
+  fun _ tuple ->
+    if Value.is_null tuple.(c) then 0
+    else (Value.hash tuple.(c) land max_int) mod degree
 
 let partition_by ctx ~degree schema ~column rows =
   check_degree "partition_by" degree;
-  let c = Schema.index_of schema column in
-  scatter ctx ~degree rows ~worker:(fun _ tuple ->
-      if Value.is_null tuple.(c) then 0
-      else (Value.hash tuple.(c) land max_int) mod degree)
+  scatter ctx ~degree rows ~worker:(hash_worker schema ~column ~degree)
 
 let partition_round_robin ctx ~degree rows =
   check_degree "partition_round_robin" degree;
@@ -126,18 +149,42 @@ let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
   | first :: _, _ ->
     (* same first grouping column -> same worker, so every group is
        computed wholly on one worker *)
-    let parts =
-      partition_by ctx ~degree schema ~column:first (Leaf.rows leaf)
+    let parts, origin =
+      scatter_from ctx ~degree (Leaf.rows leaf)
+        ~worker:(hash_worker schema ~column:first ~degree)
     in
     let per_worker_mem = max 1 (mem_pages / degree) in
-    let chunks =
-      run ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
-          let r =
-            Aggregate.hash_aggregate wctx ~mem_pages:per_worker_mem schema
-              ~group_by ~aggs (Leaf.of_rows parts.(w))
-          in
-          r.Aggregate.rows)
+    (* Every worker feeds its rows before any finalizes its groups, as
+       the serial operator feeds every row before it finalizes a group;
+       a failure is the one tied to the earliest input row, which is the
+       serial operator's (each group's rows meet its accumulators in the
+       same order on its worker). *)
+    let earliest failure w (j, e) =
+      let i = origin.(w).(j) in
+      match !failure with
+      | Some (k, _) when k <= i -> ()
+      | _ -> failure := Some (i, e)
     in
+    let fed = ref None and finalized = ref None in
+    let chunks =
+      run_stages ctx ~degree ?slice_pages ?on_worker (fun w wctx ->
+          match
+            Aggregate.stage wctx ~mem_pages:per_worker_mem schema ~group_by ~aggs
+              (Leaf.of_rows parts.(w))
+          with
+          | exception Aggregate.At (j, e) ->
+            earliest fed w (j, e);
+            fun () -> [||]
+          | finish ->
+            fun () ->
+              if Option.is_some !fed then [||]
+              else
+                match finish () with
+                | r -> r.Aggregate.rows
+                | exception Aggregate.At (j, e) -> earliest finalized w (j, e); [||])
+    in
+    Option.iter (fun (_, e) -> raise e) !fed;
+    Option.iter (fun (_, e) -> raise e) !finalized;
     let out_schema = Aggregate.output_schema schema ~group_by ~aggs in
     (Array.concat chunks, out_schema)
 

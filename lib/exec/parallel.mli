@@ -14,8 +14,9 @@
     the data is split into, and therefore what the simulated clock is
     charged.  It is part of the plan and fully deterministic.  The
     workers run inline, one after another in worker-index order, each on
-    its own [Exec_ctx]; the parallel machine exists only on the simulated
-    clock.  Every function raises [Invalid_argument] when [degree < 1].
+    its own [Exec_ctx] ({!Exec_ctx.worker}: a fresh clock and a
+    fresh-behaving pool slice borrowed for the step); the parallel
+    machine exists only on the simulated clock.  Every function raises [Invalid_argument] when [degree < 1].
 
     Skew matters exactly as on a real cluster: a heavy hash partition
     dominates the max.  Per-worker simulated and wall-clock elapsed are
@@ -72,7 +73,11 @@ val hash_join :
     so every group is computed wholly on one worker.  At degree 1, and for
     an ungrouped aggregate at any degree, the input leaf goes to
     {!Aggregate.hash_aggregate} as it is, codes and all; the exchange
-    hands each worker its partition's rows without codes. *)
+    hands each worker its partition's rows without codes.  Every worker
+    feeds its partition ({!Aggregate.stage}) before any worker
+    finalizes its groups, and a failure re-raises the exception tied to
+    the earliest input row, so every degree raises what the serial
+    operator raises. *)
 val aggregate :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->

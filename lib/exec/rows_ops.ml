@@ -22,14 +22,17 @@ let limit ctx n rows =
   Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (min n (Array.length rows));
   if Array.length rows <= n then rows else Array.sub rows 0 n
 
+let tuple_bytes t =
+  let total = ref Tuple.header_bytes in
+  for i = 0 to Array.length t - 1 do
+    total := !total + Value.byte_size t.(i)
+  done;
+  !total
+
 let bytes_of_rows rows =
   let total = ref 0 in
   for r = 0 to Array.length rows - 1 do
-    let t = rows.(r) in
-    total := !total + Tuple.header_bytes;
-    for i = 0 to Array.length t - 1 do
-      total := !total + Value.byte_size t.(i)
-    done
+    total := !total + tuple_bytes rows.(r)
   done;
   !total
 
@@ -74,9 +77,19 @@ module Table = struct
     rows : Out.t;  (* id -> the first row added with that key *)
   }
 
-  let create ~key n =
+  let create ?ctx ~key n =
     let rec cap c = if c >= 2 * n then c else cap (2 * c) in
-    { key; slots = Array.make (2 * cap 16) (-1); rows = Out.create n }
+    let size = 2 * cap 16 in
+    let slots =
+      match ctx with
+      | None -> Array.make size (-1)
+      | Some ctx ->
+        (* a power of two at least [size] long: exactly [size] *)
+        let slots = Exec_ctx.ints ctx size in
+        Array.fill slots 0 size (-1);
+        slots
+    in
+    { key; slots; rows = Out.create n }
 
   let length t = t.rows.len
   let row t id = t.rows.rows.(id)

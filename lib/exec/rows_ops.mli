@@ -20,6 +20,9 @@ val limit : Exec_ctx.t -> int -> Tuple.t array -> Tuple.t array
 (** Total byte footprint of a row set. *)
 val bytes_of_rows : Tuple.t array -> int
 
+(** One row's share of {!bytes_of_rows}: its header and its cells. *)
+val tuple_bytes : Tuple.t -> int
+
 (** Growable output buffer for operators whose output size is unknown in
     advance (joins). *)
 module Out : sig
@@ -54,7 +57,10 @@ val keys_equal : Tuple.t -> int array -> Tuple.t -> int array -> bool
 module Table : sig
   type t
 
-  val create : key:int array -> int -> t
+  (** [create ?ctx ~key n] is an empty table sized for [n] keys before it
+      grows.  With [ctx], its slots are borrowed from [ctx]'s scratch
+      for the step ({!Exec_ctx.ints}), until the table outgrows them. *)
+  val create : ?ctx:Exec_ctx.t -> key:int array -> int -> t
 
   (** [find t h row idx]: the id of the key in columns [idx] of [row],
       whose [row_hash] is [h], or -1. *)

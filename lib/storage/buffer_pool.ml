@@ -15,7 +15,7 @@ let key_of ~file ~page =
 let key = 0 and chain = 1 and newer = 2 and older = 3  (* node fields *)
 
 type t = {
-  capacity : int;
+  mutable capacity : int;
   buckets : int array;  (* first node of each hash chain *)
   mutable nodes : int array;
   mutable used : int;
@@ -34,6 +34,23 @@ let create ~capacity_pages =
     used = 0; head = -1; tail = -1; hits = 0; misses = 0 }
 
 let capacity t = t.capacity
+
+(* Empties the pool: a node's four fields are all written when [claim]
+   hands it out again, so only the buckets and the counters are
+   cleared, and the grown [nodes] stay for the next fill ([claim] grows
+   them only while they hold fewer than [capacity] nodes).  The number
+   of buckets moves no hit or miss, only chain lengths. *)
+let reset t ~capacity_pages =
+  if capacity_pages < 1 then invalid_arg "Buffer_pool.reset: capacity < 1";
+  t.capacity <- capacity_pages;
+  Array.fill t.buckets 0 (Array.length t.buckets) (-1);
+  t.used <- 0;
+  t.head <- -1;
+  t.tail <- -1;
+  t.hits <- 0;
+  t.misses <- 0
+
+let words t = Array.length t.buckets + Array.length t.nodes
 
 let get t n field = t.nodes.((4 * n) + field)
 let set t n field v = t.nodes.((4 * n) + field) <- v

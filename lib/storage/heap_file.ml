@@ -277,7 +277,7 @@ let view t col =
 
 let codes t col = match view t col with Codes c -> Some c | _ -> None
 
-let code c r = get16 c.codes r
+let[@inline] code c r = get16 c.codes r
 let code_count c = c.count
 let code_box c k = c.boxes.(k)
 let null_seen c = c.seen_null

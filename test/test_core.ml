@@ -517,6 +517,38 @@ let test_no_temp_outlives_raise () =
   Alcotest.(check bool) "torn down" true (Dispatcher.aborted r);
   check_no_temps catalog
 
+(* The engine's scratch is back whenever no step runs: after each step
+   of a run, after a step that raised (a UDF in lineitem's scan filter,
+   which borrowed the filter's positions first) and after an abort; the
+   torn-down run's buffer pool is kept for the next run. *)
+let test_scratch_released () =
+  let catalog = Mqr_tpcd.Workload.experiment_catalog ~sf:0.001 () in
+  let engine = Engine.create ~budget_pages:64 ~sanitize:true catalog in
+  Engine.register_udf engine ~name:"boom" (fun _ -> failwith "boom");
+  let cfg = Engine.dispatcher_config engine ~mode:Dispatcher.Full () in
+  let lent () = Mqr_exec.Exec_ctx.lent cfg.Dispatcher.scratch in
+  let r = Dispatcher.start cfg (Engine.bind_sql engine (Mqr_tpcd.Queries.find "Q3").Mqr_tpcd.Queries.sql) in
+  let rec drive () =
+    let done_ = Dispatcher.step r in
+    Alcotest.(check int) "nothing lent after a step" 0 (lent ());
+    if Option.is_none done_ then drive ()
+  in
+  drive ();
+  let r =
+    Dispatcher.start cfg
+      (Engine.bind_sql engine
+         "select count(*) as n from lineitem where l_quantity < 24 and boom(l_quantity)")
+  in
+  Alcotest.check_raises "the UDF raises" (Failure "boom") (fun () ->
+      ignore (Dispatcher.step r));
+  Alcotest.(check int) "nothing lent after a raising step" 0 (lent ());
+  Alcotest.(check bool) "the run's pool is kept" true
+    (Mqr_exec.Exec_ctx.retained_bytes cfg.Dispatcher.scratch > 0);
+  let r = Dispatcher.start cfg (Engine.bind_sql engine (Mqr_tpcd.Queries.find "Q10").Mqr_tpcd.Queries.sql) in
+  ignore (Dispatcher.step r);
+  Dispatcher.abort r;
+  Alcotest.(check int) "nothing lent after an abort" 0 (lent ())
+
 (* A start raises in start-time sampling (the UDF), or in the verifier
    once the query span is open (a cached plan whose collectors share an
    id). *)
@@ -726,6 +758,8 @@ let suite =
     Alcotest.test_case "no temp outlives an abort" `Quick test_no_temp_outlives_abort;
     Alcotest.test_case "no temp outlives a raising step" `Quick
       test_no_temp_outlives_raise;
+    Alcotest.test_case "the scratch is back after every step" `Quick
+      test_scratch_released;
     Alcotest.test_case "a start that raises leaves no open span and no temp"
       `Quick test_raising_start_leaves_nothing;
     Alcotest.test_case "no temp outlives a cancel" `Quick test_no_temp_outlives_cancel;

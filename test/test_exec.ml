@@ -1561,7 +1561,8 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
   in
   (* every GROUP BY runs through [Parallel.aggregate]: at degree 1 it
      is the serial operator, codes and all; at degree 2 its groups
-     are the serial ones in worker order *)
+     are the serial ones in worker order, and it raises what the serial
+     operator raises *)
   let parallel ~degree aggs () =
     fst
       (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by ~aggs
@@ -1574,8 +1575,8 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
     same_outcome same_bits (outcome (parallel ~degree:1 serial_aggs)) serial_reference
     && same_outcome
          (fun a b -> multiset a = multiset b)
-         (outcome (parallel ~degree:2 aggs))
-         (outcome (aggregate aggs (Leaf.of_rows plain)))
+         (outcome (parallel ~degree:2 serial_aggs))
+         serial_reference
   in
   (filter_ok && collect_ok && aggregate_ok && parallel_ok, (leaf, plain))
 
@@ -1681,6 +1682,180 @@ let test_coded_filter_raises_as_rows () =
   Alcotest.(check string) "plain leaf" (show expected) (show (run (Leaf.of_rows rows)));
   let clean = Leaf.filter (ctx ()) schema pred (Leaf.of_rows [| rows.(0); rows.(2); rows.(4) |]) in
   Alcotest.(check int) "survivors" 2 (Leaf.length clean)
+
+(* A filter whose conjuncts over one coded column are merged into one
+   verdict table.  [a] is coded.  First case: the later of two adjacent
+   conjuncts over [a] compares it with a String, so it raises on the
+   first row the earlier one passes.  Second case: a conjunct over [a]
+   after one over [b] is not merged, so row 2 (a = 5, b = "s"), which
+   fails [a < 3], still reaches the raising [b + 0 > 0] first, as on
+   the row path.  Each gives the row path's exception, or survivors,
+   after its charges, with row 2 and without it. *)
+let test_merged_conjuncts_raise_as_rows () =
+  let schema =
+    Schema.make [ Schema.col "a" Value.TInt; Schema.col "b" Value.TInt ]
+  in
+  let rows =
+    Array.init 600 (fun i ->
+        match i with
+        | 2 -> [| Value.Int 5; Value.String "s" |]
+        | _ -> [| Value.Int (i mod 7); Value.Int (i mod 5) |])
+  in
+  let heap = Heap_file.create schema in
+  Array.iter (fun r -> Heap_file.append heap (Array.copy r)) rows;
+  let a = Expr.Col "a" and b = Expr.Col "b" and int k = Expr.Const (Value.Int k) in
+  let preds =
+    [ ("merged, later raises",
+       Expr.conjoin [ Expr.Cmp (Expr.Ge, a, int 1);
+                      Expr.Cmp (Expr.Lt, a, Expr.Const (Value.String "x"));
+                      Expr.Cmp (Expr.Gt, b, int 0) ]);
+      ("merged, clean",
+       Expr.conjoin [ Expr.Cmp (Expr.Ge, a, int 1); Expr.Cmp (Expr.Lt, a, int 6);
+                      Expr.Cmp (Expr.Gt, b, int 0) ]);
+      ("apart, middle raises",
+       Expr.conjoin [ Expr.Cmp (Expr.Gt, a, int 0);
+                      Expr.Cmp (Expr.Gt, Expr.Arith (Expr.Add, b, int 0), int 0);
+                      Expr.Cmp (Expr.Lt, a, int 3) ]) ]
+  in
+  let show (o, e) =
+    (match o with
+     | Ok r -> Printf.sprintf "%d rows %s" (Array.length r)
+                 (String.concat ";" (Array.to_list (Array.map Tuple.to_string r)))
+     | Error m -> m)
+    ^ Printf.sprintf " after %Ld" e
+  in
+  let run f =
+    let c = ctx () in
+    (outcome (fun () -> f c), bits (Sim_clock.elapsed_ms c.Exec_ctx.clock))
+  in
+  List.iter
+    (fun (name, pred) ->
+       let expected = run (fun c -> Rows_ops.filter c schema pred rows) in
+       Alcotest.(check string) name (show expected)
+         (show (run (fun c -> Leaf.rows (Leaf.filter c schema pred (Leaf.scan (ctx ()) heap)))));
+       (* without the raising rows: the same survivors *)
+       let clean = Array.of_list (List.filteri (fun i _ -> i <> 2) (Array.to_list rows)) in
+       let cheap = Heap_file.create schema in
+       Array.iter (fun r -> Heap_file.append cheap (Array.copy r)) clean;
+       Alcotest.(check string) (name ^ ", clean")
+         (show (run (fun c -> Rows_ops.filter c schema pred clean)))
+         (show (run (fun c -> Leaf.rows (Leaf.filter c schema pred (Leaf.scan (ctx ()) cheap))))))
+    preds
+
+(* The example that showed [Parallel.aggregate] raising another error
+   than the serial operator: ten groups holding one String each, and an
+   [Int 1] added to group [m]; AVG by group.  The serial operator raises
+   [Value.add]'s error at the Int row, whichever [m]; every degree must
+   too, and without the Int row, the first group's finalizing error. *)
+let test_parallel_aggregate_raises_as_serial () =
+  let schema =
+    Schema.make [ Schema.col "g" Value.TInt; Schema.col "x" Value.TInt ]
+  in
+  let aggs = [ { Aggregate.fn = Aggregate.Avg; distinct_arg = false;
+                 arg = Some (Expr.Col "x"); out_name = "avg" } ] in
+  let serial rows () =
+    (Aggregate.hash_aggregate (ctx ()) ~mem_pages:64 schema ~group_by:[ "g" ] ~aggs
+       (Leaf.of_rows rows)).Aggregate.rows
+  in
+  let parallel degree rows () =
+    fst
+      (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by:[ "g" ]
+         ~aggs (Leaf.of_rows rows))
+  in
+  let strings = List.init 10 (fun g -> [| Value.Int g; Value.String "s" |]) in
+  let cases =
+    None :: List.init 10 (fun m -> Some m)
+  in
+  List.iter
+    (fun m ->
+       let rows =
+         Array.of_list
+           (strings @ Option.fold m ~none:[] ~some:(fun m -> [ [| Value.Int m; Value.Int 1 |] ]))
+       in
+       let expected = outcome (serial rows) in
+       Alcotest.(check bool) "the serial operator raises" true (Result.is_error expected);
+       List.iter
+         (fun degree ->
+            Alcotest.(check bool)
+              (Printf.sprintf "m=%s degree %d"
+                 (Option.fold m ~none:"none" ~some:string_of_int) degree)
+              true
+              (same_outcome same_bits (outcome (parallel degree rows)) expected))
+         [ 2; 3; 4 ])
+    cases
+
+(* The scratch an engine lends its operators: no buffer is lent twice
+   before its release, a release takes back what was lent and lends it
+   again, what it keeps stays under the cap (8 MB, exec_ctx.mli), small
+   requests are never tracked, and a poisoned scratch fills what it
+   takes back so that positions read -1. *)
+let test_scratch_lifetime () =
+  let s = Exec_ctx.scratch () in
+  let c = Exec_ctx.create ~scratch:s ~pool_pages:64 () in
+  let b1 = Exec_ctx.bytes c 10_000 and b2 = Exec_ctx.bytes c 10_000 in
+  let i1 = Exec_ctx.ints c 5000 and i2 = Exec_ctx.ints c 5000 in
+  let w = Exec_ctx.worker c ~pool_pages:16 in
+  Alcotest.(check bool) "bytes lent once" true (b1 != b2);
+  Alcotest.(check bool) "ints lent once" true (i1 != i2);
+  Alcotest.(check bool) "sized up" true (Bytes.length b1 >= 10_000 && Array.length i1 >= 5000);
+  ignore (Exec_ctx.bytes c 16);
+  ignore (Exec_ctx.ints c 8);
+  Alcotest.(check int) "lent: two bytes, two ints, a worker pool" 5 (Exec_ctx.lent s);
+  Exec_ctx.release c;
+  Alcotest.(check int) "nothing lent after a release" 0 (Exec_ctx.lent s);
+  Alcotest.(check bool) "kept for later" true (Exec_ctx.retained_bytes s > 0);
+  let b3 = Exec_ctx.bytes c 9000 and i3 = Exec_ctx.ints c 4097 in
+  Alcotest.(check bool) "bytes reused" true (b3 == b1 || b3 == b2);
+  Alcotest.(check bool) "ints reused" true (i3 == i1 || i3 == i2);
+  ignore (Buffer_pool.access w.Exec_ctx.pool ~file:1 ~page:1);
+  let w2 = Exec_ctx.worker c ~pool_pages:13 in
+  Alcotest.(check bool) "worker pool of the same class reused, reset" true
+    (w2.Exec_ctx.pool == w.Exec_ctx.pool
+     && Buffer_pool.resident w2.Exec_ctx.pool = 0
+     && Buffer_pool.capacity w2.Exec_ctx.pool = 13);
+  Exec_ctx.release c;
+  (* far more than the cap, in one step *)
+  for _ = 1 to 40 do
+    ignore (Exec_ctx.bytes c (1 lsl 20));
+    ignore (Exec_ctx.ints c (1 lsl 17))
+  done;
+  Exec_ctx.release c;
+  Alcotest.(check bool) "retained under the cap" true
+    (Exec_ctx.retained_bytes s <= 8 lsl 20);
+  (* the run's own pool goes back once, at its last release *)
+  let before = Exec_ctx.retained_bytes s in
+  Exec_ctx.release ~last:true c;
+  Exec_ctx.release ~last:true c;
+  Alcotest.(check bool) "the run's pool kept once" true
+    (Exec_ctx.retained_bytes s - before
+     <= Buffer_pool.words c.Exec_ctx.pool * (Sys.word_size / 8));
+  let p = Exec_ctx.create ~scratch:s ~pool_pages:64 () in
+  Alcotest.(check bool) "a new run takes it" true (p.Exec_ctx.pool == c.Exec_ctx.pool);
+  Exec_ctx.poison p;
+  let b = Exec_ctx.bytes p 4096 in
+  Bytes.fill b 0 (Bytes.length b) '\000';
+  Exec_ctx.release p;
+  Alcotest.(check bool) "poisoned" true
+    (Bytes.for_all (fun ch -> ch = '\255') b && Bytes.get_int32_le b 0 = -1l)
+
+(* A filtered leaf whose step ended, under a poisoned scratch: its
+   positions read -1, so reading its rows fails instead of returning
+   another step's rows. *)
+let test_leaf_outliving_its_step_fails () =
+  let s = Exec_ctx.scratch () in
+  let c = Exec_ctx.create ~scratch:s () in
+  Exec_ctx.poison c;
+  let schema = schema_ab "t" in
+  let heap = Heap_file.create schema in
+  for i = 0 to 999 do
+    Heap_file.append heap [| Value.Int i; Value.Int (i mod 3) |]
+  done;
+  let leaf = Leaf.filter c schema Expr.(col "t.b" =% int 1) (Leaf.scan c heap) in
+  Alcotest.(check int) "survivors" 333 (Leaf.length leaf);
+  Exec_ctx.release c;
+  Alcotest.(check int) "position poisoned" (-1) (Leaf.position leaf 0);
+  Alcotest.check_raises "gathering fails" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Leaf.rows leaf))
 
 (* Every kernel of a coded GROUP BY, bit for bit against the row path
    over [Leaf.of_rows] of a copy.  Groups on a coded String and a coded
@@ -2117,6 +2292,14 @@ let suite =
     Alcotest.test_case "Value.hash allocates nothing" `Quick test_hash_allocation_free;
     QCheck_alcotest.to_alcotest prop_order_bypasses_agree;
     QCheck_alcotest.to_alcotest prop_coded_leaf_matches_rows;
+    Alcotest.test_case "merged conjuncts raise as the row path" `Quick
+      test_merged_conjuncts_raise_as_rows;
+    Alcotest.test_case "parallel aggregate raises as the serial one" `Quick
+      test_parallel_aggregate_raises_as_serial;
+    Alcotest.test_case "scratch lends once, reuses, stays under its cap" `Quick
+      test_scratch_lifetime;
+    Alcotest.test_case "a leaf that outlives its step fails" `Quick
+      test_leaf_outliving_its_step_fails;
     Alcotest.test_case "coded filter raises as the row path" `Quick
       test_coded_filter_raises_as_rows;
     Alcotest.test_case "coded GROUP BY kernels = the row path" `Quick test_group_kernels;

@@ -37,8 +37,8 @@ let modes =
     Dispatcher.Full; Dispatcher.Bound_checked ]
 
 (* One engine per configuration, shared across every query and mode. *)
-let dop4 = lazy (engine ~max_dop:4 ())
-let serial = lazy (engine ~max_dop:1 ())
+let dop4 = lazy (engine ~sanitize:true ~max_dop:4 ())
+let serial = lazy (engine ~sanitize:true ~max_dop:1 ())
 
 let test_dop_changes_only_order (q : Queries.query) () =
   List.iter

@@ -13,7 +13,7 @@ module Tpcd = Mqr_tpcd.Workload
 
 let sql n = (Queries.find n).Queries.sql
 
-let engine ?(sanitize = false) () =
+let engine ?(sanitize = true) () =
   let catalog = Tpcd.experiment_catalog ~sf:0.001 () in
   Engine.create ~budget_pages:128 ~pool_pages:512 ~sanitize
     ~opt_options:{ Optimizer.default_options with Optimizer.max_dop = 2 }

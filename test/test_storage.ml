@@ -88,6 +88,38 @@ let prop_pool_matches_naive_lru =
             && Buffer_pool.resident pool = List.length naive.Naive_lru.items)
          accesses)
 
+(* A pool that was used, filled past its capacity, then reset to a
+   capacity (its own, or any other) answers any access trace as a fresh
+   pool of that capacity: every hit or miss, and the counters and
+   residency after each access. *)
+let prop_pool_reset_is_fresh =
+  QCheck.Test.make ~name:"Buffer_pool.reset = a fresh pool" ~count:200
+    QCheck.(
+      quad (int_range 1 64) (option (int_range 1 64))
+        (list_of_size (Gen.int_range 0 300) pool_access)
+        (list_of_size (Gen.int_range 0 2000) pool_access))
+    (fun (old_cap, new_cap, before, trace) ->
+       let cap = Option.value new_cap ~default:old_cap in
+       let reset = Buffer_pool.create ~capacity_pages:old_cap in
+       List.iter (fun (file, page) -> ignore (Buffer_pool.access reset ~file ~page)) before;
+       for page = 0 to 2 * old_cap do
+         ignore (Buffer_pool.access reset ~file:5 ~page)
+       done;
+       Buffer_pool.reset reset ~capacity_pages:cap;
+       let fresh = Buffer_pool.create ~capacity_pages:cap in
+       let same () =
+         Buffer_pool.hits reset = Buffer_pool.hits fresh
+         && Buffer_pool.misses reset = Buffer_pool.misses fresh
+         && Buffer_pool.resident reset = Buffer_pool.resident fresh
+         && Buffer_pool.capacity reset = Buffer_pool.capacity fresh
+       in
+       same ()
+       && List.for_all
+            (fun (file, page) ->
+               Buffer_pool.access reset ~file ~page = Buffer_pool.access fresh ~file ~page
+               && same ())
+            trace)
+
 let small_schema =
   Schema.make [ Schema.col "k" Value.TInt; Schema.col "v" Value.TInt ]
 
@@ -808,6 +840,7 @@ let suite =
     Alcotest.test_case "btree probe charges" `Quick test_btree_probe_charges;
     Alcotest.test_case "btree null rejected" `Quick test_btree_null_rejected;
     QCheck_alcotest.to_alcotest prop_pool_matches_naive_lru;
+    QCheck_alcotest.to_alcotest prop_pool_reset_is_fresh;
     QCheck_alcotest.to_alcotest prop_btree_matches_reference;
     QCheck_alcotest.to_alcotest prop_btree_range_matches;
     QCheck_alcotest.to_alcotest prop_of_rows_matches_append;
