@@ -1781,7 +1781,9 @@ let gc_scenario () =
    every Figure 10-12 improvement over off mode that differs.  Wall and
    minor-word points move on every run and are skipped.  A point is
    matched by scenario, mode, metric, stat and how many points with
-   those came before it in the file.  Exits 1 when anything moved. *)
+   those came before it in the file.  The summary line counts the moved
+   count points and gives the largest relative move of a sim point.
+   Exits 1 when anything moved. *)
 
 let read_points file =
   let ic = open_in file in
@@ -1798,7 +1800,7 @@ let read_points file =
              %S, \"unit\": %S, \"value\": %s@, \"stat\": %S, \"n\": %d}"
             (fun scenario mode metric clock unit_ value stat _ ->
                if clock = "wall" || unit_ = "words" then None
-               else Some ((scenario, mode, metric, stat), (unit_, value)))
+               else Some ((scenario, mode, metric, stat), (clock, unit_, value)))
         with Scanf.Scan_failure _ | End_of_file -> None
       in
       go (match point with Some p -> p :: acc | None -> acc)
@@ -1815,7 +1817,7 @@ let read_points file =
 let improvements points =
   let elapsed = Hashtbl.create 64 in
   List.iter
-    (fun (((scenario, mode, metric, _), _), (_, value)) ->
+    (fun (((scenario, mode, metric, _), _), (_, _, value)) ->
        if
          metric = "elapsed"
          && List.exists
@@ -1835,16 +1837,16 @@ let diff_results old_file new_file =
   let old_points = read_points old_file and new_points = read_points new_file in
   let only_in points others before_after =
     List.filter_map
-      (fun (key, (unit_, v)) ->
+      (fun (key, (clock, unit_, v)) ->
          if List.mem_assoc key others then None
-         else Some (key, unit_, before_after v))
+         else Some (key, clock, unit_, before_after v))
       points
   in
   let moved =
     List.filter_map
-      (fun (key, (unit_, v)) ->
+      (fun (key, (clock, unit_, v)) ->
          match List.assoc_opt key old_points with
-         | Some (_, v') when v' <> v -> Some (key, unit_, (v', v))
+         | Some (_, _, v') when v' <> v -> Some (key, clock, unit_, (v', v))
          | _ -> None)
       new_points
     @ only_in new_points old_points (fun v -> ("-", v))
@@ -1852,18 +1854,31 @@ let diff_results old_file new_file =
   in
   ignore
     (List.fold_left
-       (fun last (((scenario, mode, metric, stat), _), unit_, (old, now)) ->
+       (fun last (((scenario, mode, metric, stat), _), _, unit_, (old, now)) ->
           if last <> Some scenario then Fmt.pr "%s@." scenario;
           Fmt.pr "  %-14s %-24s %-7s %s -> %s %s@." mode metric stat old now
             unit_;
           Some scenario)
        None
        (List.stable_sort
-          (fun (((a, _, _, _), _), _, _) (((b, _, _, _), _), _, _) ->
+          (fun (((a, _, _, _), _), _, _, _) (((b, _, _, _), _), _, _, _) ->
              String.compare a b)
           moved));
-  Fmt.pr "%d of %d sim and count points moved@." (List.length moved)
-    (List.length new_points);
+  let largest =
+    List.fold_left
+      (fun acc (_, clock, _, (old, now)) ->
+         match (clock, float_of_string_opt old, float_of_string_opt now) with
+         | "sim", Some a, Some b ->
+           Float.max acc (Float.abs (b -. a) /. Float.abs a)
+         | _ -> acc)
+      0.0 moved
+  in
+  Fmt.pr
+    "%d of %d sim and count points moved (%d count; largest sim move %.2e \
+     relative)@."
+    (List.length moved) (List.length new_points)
+    (List.length (List.filter (fun (_, clock, _, _) -> clock = "count") moved))
+    largest;
   let old_gains = improvements old_points
   and new_gains = improvements new_points in
   let gains =

@@ -49,16 +49,13 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
   let np = Leaf.length probe in
   (* Extra passes write and re-read both inputs once per partitioning
      level, plus the repartitioning CPU; only they read the probe size. *)
-  let pages =
-    if passes = 1 then 0
-    else
-      build_pages + Exec_ctx.pages_of_bytes (Leaf.byte_size probe)
-  in
-  for _ = 2 to passes do
-    Sim_clock.charge_write clock pages;
-    Sim_clock.charge_seq_read clock pages;
-    Sim_clock.charge_hash_tuples clock (Array.length build_rows + np)
-  done;
+  if passes > 1 then begin
+    let extra = passes - 1 in
+    let pages = build_pages + Exec_ctx.pages_of_bytes (Leaf.byte_size probe) in
+    Sim_clock.charge_write clock (extra * pages);
+    Sim_clock.charge_seq_read clock (extra * pages);
+    Sim_clock.charge_hash_tuples clock (extra * (Array.length build_rows + np))
+  end;
   let residual =
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
   in
@@ -132,8 +129,7 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
          if id >= 0 then emit r id
        end
      done);
-  Sim_clock.charge_hash_tuples clock nb;
-  Sim_clock.charge_hash_tuples clock np;
+  Sim_clock.charge_hash_tuples clock (nb + np);
   Sim_clock.charge_cpu_tuples clock (Out.length out);
   { rows = Out.contents out; schema = out_schema; passes }
 

@@ -233,18 +233,18 @@ let fetch t ~pool ~clock rid =
   Sim_clock.charge_cpu_tuples clock 1;
   get t rid
 
-(* Each page the range overlaps, in order: its read, then a CPU charge
-   per tuple of the range on it.  Returns the range, clipped. *)
+(* Each page the range overlaps, in order, through the pool, then one CPU
+   charge for every tuple of the range.  Returns the range, clipped. *)
 let charge t ~pool ~clock ~from_rid ~to_rid =
   let hi = max 0 (min t.len to_rid) in
   let lo = max 0 (min from_rid hi) in
-  if lo < hi then
+  if lo < hi then begin
     for page = lo / t.per_page to (hi - 1) / t.per_page do
       if not (Buffer_pool.access pool ~file:t.id ~page) then
-        Sim_clock.charge_seq_read clock 1;
-      let stop = min hi ((page + 1) * t.per_page) in
-      Sim_clock.charge_cpu_tuples_singly clock (stop - max lo (page * t.per_page))
+        Sim_clock.charge_seq_read clock 1
     done;
+    Sim_clock.charge_cpu_tuples clock (hi - lo)
+  end;
   (lo, hi)
 
 let charge_scan t ~pool ~clock ~from_rid ~to_rid =

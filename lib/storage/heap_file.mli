@@ -95,7 +95,7 @@ val iter : t -> (int -> Tuple.t -> unit) -> unit
 (** [charge_scan t ~pool ~clock ~from_rid ~to_rid] charges what reading
     the tuples at rids [from_rid, to_rid) (clipped to the file) costs: it
     touches each page the range overlaps, in order, charging a sequential
-    read per miss, then CPU once per tuple of the range on that page.  It
+    read per miss, then the CPU of every tuple of the range at once.  It
     is the one page-charging loop of a scan: [Leaf.scan] charges the
     whole file, a striped parallel scan one range per worker, and both
     then hand on [rows t] itself, so no scan copies a row. *)

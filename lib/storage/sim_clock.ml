@@ -12,9 +12,58 @@ let exchange_ms_per_page = 0.4
 let rf_build_tuple_ms = 0.0015
 let rf_probe_tuple_ms = 0.001
 
+(* The ledger counts ticks of 1e-4 ms, and every rate above is a whole
+   number of them, so a charge in ms converts exactly. *)
+let ticks_of_ms ms = Float.to_int (Float.round (ms *. 1e4))
+let ms_of_ticks n = float_of_int n /. 1e4
+
+let seq_read_ticks = ticks_of_ms seq_read_ms
+let rand_read_ticks = ticks_of_ms rand_read_ms
+let write_ticks = ticks_of_ms write_ms
+let cpu_tuple_ticks = ticks_of_ms cpu_tuple_ms
+let hash_tuple_ticks = ticks_of_ms hash_tuple_ms
+let sort_tuple_ticks = ticks_of_ms sort_tuple_ms
+let opt_per_plan_ticks = ticks_of_ms opt_per_plan_ms
+
 type model = unit
 
 let default_model = ()
+
+type t = {
+  mutable seq_reads : int;
+  mutable rand_reads : int;
+  mutable writes : int;
+  mutable cpu_ticks : int;
+  mutable opt_ticks : int;
+  mutable opt_invocations : int;
+}
+
+let create () =
+  { seq_reads = 0; rand_reads = 0; writes = 0; cpu_ticks = 0; opt_ticks = 0;
+    opt_invocations = 0 }
+
+let charge_seq_read t n = t.seq_reads <- t.seq_reads + n
+let charge_rand_read t n = t.rand_reads <- t.rand_reads + n
+let charge_write t n = t.writes <- t.writes + n
+let charge_cpu t ticks = t.cpu_ticks <- t.cpu_ticks + ticks
+let charge_cpu_tuples t n = charge_cpu t (n * cpu_tuple_ticks)
+let charge_hash_tuples t n = charge_cpu t (n * hash_tuple_ticks)
+let charge_sort_tuples t n = charge_cpu t (n * sort_tuple_ticks)
+let charge_cpu_ms t ms = charge_cpu t (ticks_of_ms ms)
+
+let optimizer_ms ~plans = float_of_int plans *. opt_per_plan_ms
+
+let charge_optimizer t ~plans =
+  t.opt_ticks <- t.opt_ticks + (plans * opt_per_plan_ticks);
+  t.opt_invocations <- t.opt_invocations + 1
+
+let ticks t =
+  (t.seq_reads * seq_read_ticks) + (t.rand_reads * rand_read_ticks)
+  + (t.writes * write_ticks) + t.cpu_ticks + t.opt_ticks
+
+let elapsed_ms t = ms_of_ticks (ticks t)
+let snapshot t = { t with seq_reads = t.seq_reads }
+let since t t0 = ms_of_ticks (ticks t - ticks t0)
 
 type counters = {
   seq_reads : int;
@@ -25,69 +74,10 @@ type counters = {
   opt_invocations : int;
 }
 
-(* A float-only record is stored flat, so updating it boxes nothing. *)
-type ms = { mutable cpu : float; mutable opt : float }
-
-type t = {
-  mutable seq_reads : int;
-  mutable rand_reads : int;
-  mutable writes : int;
-  mutable opt_invocations : int;
-  ms : ms;
-}
-
-let create () =
-  { seq_reads = 0; rand_reads = 0; writes = 0; opt_invocations = 0;
-    ms = { cpu = 0.0; opt = 0.0 } }
-
-let charge_seq_read t n = t.seq_reads <- t.seq_reads + n
-let charge_rand_read t n = t.rand_reads <- t.rand_reads + n
-let charge_write t n = t.writes <- t.writes + n
-
-let charge_cpu_ms t ms = t.ms.cpu <- t.ms.cpu +. ms
-
-let charge_cpu_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. cpu_tuple_ms)
-
-(* The sum stays in a register: the same additions, in the same order,
-   as [n] calls of [charge_cpu_tuples t 1], with one load and one store. *)
-let charge_cpu_tuples_singly t n =
-  let cpu = ref t.ms.cpu in
-  for _ = 1 to n do
-    cpu := !cpu +. cpu_tuple_ms
-  done;
-  t.ms.cpu <- !cpu
-
-let charge_hash_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. hash_tuple_ms)
-let charge_sort_tuples t n = t.ms.cpu <- t.ms.cpu +. (float_of_int n *. sort_tuple_ms)
-
-let optimizer_ms ~plans = float_of_int plans *. opt_per_plan_ms
-
-let charge_optimizer t ~plans =
-  t.ms.opt <- t.ms.opt +. optimizer_ms ~plans;
-  t.opt_invocations <- t.opt_invocations + 1
-
-(* The ledger's total.  Inlined, so its float arguments are never boxed. *)
-let[@inline] elapsed ~seq_reads ~rand_reads ~writes ~cpu_ms ~opt_ms =
-  (float_of_int seq_reads *. seq_read_ms)
-  +. (float_of_int rand_reads *. rand_read_ms)
-  +. (float_of_int writes *. write_ms)
-  +. cpu_ms +. opt_ms
-
-let counters t : counters =
+let counters (t : t) =
   { seq_reads = t.seq_reads; rand_reads = t.rand_reads; writes = t.writes;
-    cpu_ms = t.ms.cpu; opt_ms = t.ms.opt; opt_invocations = t.opt_invocations }
-
-let elapsed_ms t =
-  elapsed ~seq_reads:t.seq_reads ~rand_reads:t.rand_reads ~writes:t.writes
-    ~cpu_ms:t.ms.cpu ~opt_ms:t.ms.opt
-
-let snapshot = counters
-
-let since t (c0 : counters) =
-  elapsed ~seq_reads:(t.seq_reads - c0.seq_reads)
-    ~rand_reads:(t.rand_reads - c0.rand_reads)
-    ~writes:(t.writes - c0.writes)
-    ~cpu_ms:(t.ms.cpu -. c0.cpu_ms) ~opt_ms:(t.ms.opt -. c0.opt_ms)
+    cpu_ms = ms_of_ticks t.cpu_ticks; opt_ms = ms_of_ticks t.opt_ticks;
+    opt_invocations = t.opt_invocations }
 
 let pp_counters fmt (c : counters) =
   Fmt.pf fmt

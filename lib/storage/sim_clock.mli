@@ -8,10 +8,14 @@
     cardinality/selectivity mistakes — exactly the error source the paper
     studies.
 
-    Charges update the ledger in place and allocate nothing, so operators
-    may charge per tuple.  Each charge adds its own float in call order;
-    callers must not batch per-tuple charges, since [n] additions of a rate
-    are not bit-equal to one addition of [n] times it.
+    The ledger counts integers: pages read and written, and CPU and
+    optimizer time in ticks of 1e-4 ms.  Every rate below is a whole
+    number of ticks, so a charge adds an exact integer, and
+    {!charge_cpu_ms}, the one charge given in milliseconds, rounds to the
+    nearest tick.  The total converts to milliseconds once, when read.
+    So the ledger does not depend on the order of its charges, and a
+    caller may batch them: one charge of [n] tuples is [n] charges of one.
+    Charges update the ledger in place and allocate nothing.
 
     {2 The rate card}
 
@@ -78,17 +82,12 @@ val charge_seq_read : t -> int -> unit
 val charge_rand_read : t -> int -> unit
 val charge_write : t -> int -> unit
 val charge_cpu_tuples : t -> int -> unit
-
-(** [charge_cpu_tuples_singly t n] charges [n] tuples one at a time: the
-    ledger ends bit for bit where [n] calls of [charge_cpu_tuples t 1]
-    leave it (a per-tuple charge, not a batched one). *)
-val charge_cpu_tuples_singly : t -> int -> unit
-
 val charge_hash_tuples : t -> int -> unit
 val charge_sort_tuples : t -> int -> unit
 
-(** Arbitrary CPU charge in milliseconds (statistics collection, optimizer
-    invocations). *)
+(** CPU charge in milliseconds, rounded to the nearest tick: statistics
+    collection, runtime filters, exchange, parallel startup and a worker's
+    {!elapsed_ms}, each a whole number of ticks. *)
 val charge_cpu_ms : t -> float -> unit
 
 (** Charge one optimizer invocation that enumerated [plans] sub-plans; the
@@ -114,9 +113,9 @@ type counters = {
 
 val counters : t -> counters
 
-(** [since t c] is the time elapsed after snapshot [c] was taken.  A
-    snapshot (like [counters]) is a copy: later charges do not change it. *)
-val snapshot : t -> counters
-val since : t -> counters -> float
+(** [since t s] is the time elapsed after snapshot [s] was taken.  A
+    snapshot is a copy of the ledger: later charges do not change it. *)
+val snapshot : t -> t
+val since : t -> t -> float
 
 val pp_counters : Format.formatter -> counters -> unit

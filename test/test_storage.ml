@@ -185,13 +185,10 @@ let test_heap_scan_charges () =
     (Array.for_all2 Tuple.equal all (Array.init (2 * per) (Heap_file.get h)));
   let c = Sim_clock.counters clock in
   Alcotest.(check int) "2 seq reads" 2 c.Sim_clock.seq_reads;
-  (* one CPU charge per tuple, never batched *)
-  let per_tuple = Sim_clock.create () in
-  for _ = 1 to 2 * per do
-    Sim_clock.charge_cpu_tuples per_tuple 1
-  done;
-  Alcotest.(check int64) "cpu per tuple"
-    (Int64.bits_of_float (Sim_clock.counters per_tuple).Sim_clock.cpu_ms)
+  let tuples = Sim_clock.create () in
+  Sim_clock.charge_cpu_tuples tuples (2 * per);
+  Alcotest.(check int64) "cpu of 2 * per tuples"
+    (Int64.bits_of_float (Sim_clock.counters tuples).Sim_clock.cpu_ms)
     (Int64.bits_of_float c.Sim_clock.cpu_ms);
   (* rescan: pages now cached, no new reads *)
   ignore (read ~from_rid:0 ~to_rid:(2 * per));
@@ -217,26 +214,26 @@ let test_clock_snapshot_is_copy () =
   Sim_clock.charge_seq_read clock 3;
   Sim_clock.charge_cpu_tuples clock 10;
   let snap = Sim_clock.snapshot clock in
-  let cpu = snap.Sim_clock.cpu_ms in
+  let cpu = (Sim_clock.counters snap).Sim_clock.cpu_ms in
   Sim_clock.charge_seq_read clock 5;
   Sim_clock.charge_cpu_tuples clock 100;
   Sim_clock.charge_optimizer clock ~plans:4;
-  Alcotest.(check int) "seq_reads kept" 3 snap.Sim_clock.seq_reads;
+  let kept = Sim_clock.counters snap in
+  Alcotest.(check int) "seq_reads kept" 3 kept.Sim_clock.seq_reads;
   Alcotest.(check int64) "cpu_ms kept" (Int64.bits_of_float (10.0 *. 0.004))
     (Int64.bits_of_float cpu);
   Alcotest.(check int64) "cpu_ms unchanged" (Int64.bits_of_float cpu)
-    (Int64.bits_of_float snap.Sim_clock.cpu_ms);
-  Alcotest.(check int) "opt_invocations kept" 0 snap.Sim_clock.opt_invocations;
+    (Int64.bits_of_float kept.Sim_clock.cpu_ms);
+  Alcotest.(check int) "opt_invocations kept" 0 kept.Sim_clock.opt_invocations;
   Alcotest.(check int) "clock moved on" 8
     (Sim_clock.counters clock).Sim_clock.seq_reads
 
-(* Bits recorded before the clock charged in place: each per-tuple charge
-   must add the same float, in the same order, as it always did. *)
+(* What the ledger holds after a mix of charges, in ticks of 1e-4 ms:
+   CPU 7_258_630, optimizer 245_790_000, elapsed 253_918_630 and 105_000
+   since the snapshot, each read as one division by 1e4. *)
 let test_clock_pinned () =
   let c = Sim_clock.create () in
-  for _ = 1 to 120_130 do
-    Sim_clock.charge_cpu_tuples c 1
-  done;
+  Sim_clock.charge_cpu_tuples c 120_130;
   Sim_clock.charge_hash_tuples c 77_777;
   Sim_clock.charge_sort_tuples c 4_321;
   Sim_clock.charge_seq_read c 17;
@@ -245,55 +242,70 @@ let test_clock_pinned () =
   Sim_clock.charge_cpu_ms c 0.37;
   Sim_clock.charge_optimizer c ~plans:49_151;
   let snap = Sim_clock.snapshot c in
-  for _ = 1 to 1_000 do
-    Sim_clock.charge_hash_tuples c 1
-  done;
+  Sim_clock.charge_hash_tuples c 1_000;
   Sim_clock.charge_optimizer c ~plans:7;
   Sim_clock.charge_seq_read c 2;
   let k = Sim_clock.counters c in
   let bits = Int64.bits_of_float in
-  Alcotest.(check int64) "cpu_ms" 4649595974288368091L (bits k.Sim_clock.cpu_ms);
+  Alcotest.(check int64) "cpu_ms" 4649595974288360342L (bits k.Sim_clock.cpu_ms);
   Alcotest.(check int64) "opt_ms" 4672485438030610432L (bits k.Sim_clock.opt_ms);
-  Alcotest.(check int64) "elapsed_ms" 4672708876110682895L
+  Alcotest.(check int64) "elapsed_ms" 4672708876110682653L
     (bits (Sim_clock.elapsed_ms c));
-  Alcotest.(check int64) "since" 4622100592565706240L
+  Alcotest.(check int64) "since" 4622100592565682176L
     (bits (Sim_clock.since c snap))
 
-(* [charge_cpu_tuples_singly c n] against [n] calls of
-   [charge_cpu_tuples c 1], from a clock that random charges of every
-   kind (also fractional CPU milliseconds) left somewhere: the same
-   ledger, bit for bit. *)
-let prop_charge_singly =
-  QCheck.Test.make ~name:"charge_cpu_tuples_singly = n single charges" ~count:300
+(* Random charges of every kind (CPU milliseconds as the collectors,
+   runtime filters, exchange, parallel startup and a worker's elapsed time
+   charge them), from a clock other charges left somewhere, applied in
+   order, shuffled, and with each run of one per-tuple kind merged into
+   one call: the same counters, and bit for bit the same elapsed time,
+   overall and since the snapshot. *)
+let prop_charge_order =
+  let rates =
+    Sim_clock.[| collect_base_tuple_ms; collect_stat_tuple_ms; rf_build_tuple_ms;
+                 rf_probe_tuple_ms; exchange_ms_per_page; parallel_startup_ms |]
+  in
+  let rec apply c (kind, k) =
+    match kind with
+    | 0 -> Sim_clock.charge_cpu_tuples c k
+    | 1 -> Sim_clock.charge_hash_tuples c k
+    | 2 -> Sim_clock.charge_sort_tuples c k
+    | 3 -> Sim_clock.charge_seq_read c k
+    | 4 -> Sim_clock.charge_rand_read c k
+    | 5 -> Sim_clock.charge_write c k
+    | 6 -> Sim_clock.charge_cpu_ms c (float_of_int k *. rates.(k mod 6))
+    | 7 ->
+      let worker = Sim_clock.create () in
+      List.iter (apply worker) [ (0, k); (1, k / 3); (3, k mod 97) ];
+      Sim_clock.charge_cpu_ms c (Sim_clock.elapsed_ms worker)
+    | _ -> Sim_clock.charge_optimizer c ~plans:k
+  in
+  let rec merge = function
+    | (kind, a) :: (kind', b) :: rest when kind = kind' && kind <= 2 ->
+      merge ((kind, a + b) :: rest)
+    | x :: rest -> x :: merge rest
+    | [] -> []
+  in
+  let charge =
+    QCheck.Gen.(pair (frequency [ (3, int_bound 2); (2, int_range 3 8) ]) (int_bound 100_000))
+  in
+  QCheck.Test.make ~name:"charge order does not matter" ~count:300
     (QCheck.make
        QCheck.Gen.(
-         pair
-           (list_size (int_bound 8)
-              (pair (int_bound 5) (int_bound 100_000)))
-           (frequency [ (1, return 0); (3, int_bound 300); (1, int_bound 20_000) ])))
-    (fun (start, n) ->
-       let clock () =
+         pair (list_size (int_bound 8) charge)
+           (list_size (int_bound 40) charge >>= fun l -> pair (return l) (shuffle_l l))))
+    (fun (start, (charges, shuffled)) ->
+       let run charges =
          let c = Sim_clock.create () in
-         List.iter
-           (fun (kind, k) ->
-              match kind with
-              | 0 -> Sim_clock.charge_cpu_tuples c k
-              | 1 -> Sim_clock.charge_hash_tuples c k
-              | 2 -> Sim_clock.charge_sort_tuples c k
-              | 3 -> Sim_clock.charge_cpu_ms c (float_of_int k /. 7.0)
-              | 4 -> Sim_clock.charge_seq_read c k
-              | _ -> Sim_clock.charge_optimizer c ~plans:k)
-           start;
-         c
+         List.iter (apply c) start;
+         let snap = Sim_clock.snapshot c in
+         List.iter (apply c) charges;
+         ( Sim_clock.counters c,
+           Int64.bits_of_float (Sim_clock.elapsed_ms c),
+           Int64.bits_of_float (Sim_clock.since c snap) )
        in
-       let batched = clock () and single = clock () in
-       Sim_clock.charge_cpu_tuples_singly batched n;
-       for _ = 1 to n do
-         Sim_clock.charge_cpu_tuples single 1
-       done;
-       let bits c = Int64.bits_of_float (Sim_clock.elapsed_ms c) in
-       bits batched = bits single
-       && Sim_clock.counters batched = Sim_clock.counters single)
+       let in_order = run charges in
+       in_order = run shuffled && in_order = run (merge charges))
 
 (* One charge of each kind on a fresh clock, then all of them on one:
    the elapsed bits pin every clock rate. *)
@@ -847,5 +859,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interning_is_representation_only;
     QCheck_alcotest.to_alcotest prop_payloads_track_rows;
     QCheck_alcotest.to_alcotest prop_float_payloads_track_rows;
-    QCheck_alcotest.to_alcotest prop_charge_singly;
+    QCheck_alcotest.to_alcotest prop_charge_order;
     QCheck_alcotest.to_alcotest prop_null_seen_tracks_appends ]
