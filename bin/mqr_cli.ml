@@ -436,7 +436,6 @@ let workload_cmd =
       { Service.default_options with
         Service.max_concurrency = concurrency;
         max_queue = queue;
-        policy = Service.Round_robin;
         feedback = not no_feedback }
     in
     let svc = Service.create ~options ?trace:tr engine in
@@ -459,8 +458,8 @@ let workload_cmd =
     Cmd.info "workload"
       ~doc:
         "Run a batch of queries concurrently through the query service \
-         (round-robin scheduling, admission control, shared memory broker, \
-         statistics feedback)."
+         (one batch tenant stepped round-robin, admission control, shared \
+         memory broker, statistics feedback)."
   in
   Cmd.v info
     Term.(const action $ queries_arg $ sf_arg $ skew_arg $ budget_arg
@@ -486,16 +485,6 @@ let serve_cmd =
                byte-deterministic." in
     Arg.(value & flag & info [ "wall" ] ~doc)
   in
-  let policy_arg =
-    let policies =
-      [ ("slo-aware", Service.Slo_aware); ("round-robin", Service.Round_robin) ]
-    in
-    let doc = "Scheduling policy: slo-aware (EDF admission over SLO \
-               deadlines, tenant fair-share memory floors) or round-robin \
-               (FIFO admission, global broker: the batch scheduler behind \
-               the workload command)." in
-    Arg.(value & opt (enum policies) Service.Slo_aware & info [ "policy" ] ~doc)
-  in
   (* first whitespace-separated token, and the trimmed remainder (which
      keeps inner spacing: SQL text survives verbatim) *)
   let split1 s =
@@ -505,7 +494,7 @@ let serve_cmd =
       (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
   in
   let action driver wall sf skew budget mode pristine runtime_filters sanitize
-      concurrency queue policy trace_out parallel =
+      concurrency queue trace_out parallel =
     friendly @@ fun () ->
     (* the service always carries a trace so `monitor metrics` and
        `monitor ledger` work without --trace; attaching one is pure
@@ -520,7 +509,6 @@ let serve_cmd =
       { Service.default_options with
         Service.max_concurrency = concurrency;
         max_queue = queue;
-        policy;
         wall_clock = (if wall then Some Unix.gettimeofday else None) }
     in
     let svc = Service.create ~options ~trace:tr engine in
@@ -662,9 +650,7 @@ let serve_cmd =
       | c -> invalid_arg (Printf.sprintf "serve: unknown command %s" c)
     in
     let ic = match driver with Some f -> open_in f | None -> stdin in
-    Fmt.pr "mqr service: policy %s, concurrency %d, budget %d pages%s@."
-      (Service.policy_to_string policy)
-      concurrency budget
+    Fmt.pr "mqr service: concurrency %d, budget %d pages%s@." concurrency budget
       (if sanitize then " [sanitize]" else "");
     let cleanup () = if driver <> None then close_in_noerr ic in
     Fun.protect ~finally:cleanup (fun () ->
@@ -709,7 +695,7 @@ let serve_cmd =
   Cmd.v info
     Term.(const action $ driver_arg $ wall_arg $ sf_arg $ skew_arg
           $ budget_arg $ mode_arg $ pristine_arg $ rf_arg $ sanitize_arg
-          $ concurrency_arg $ queue_arg $ policy_arg
+          $ concurrency_arg $ queue_arg
           $ trace_out_arg $ parallel_arg)
 
 let queries_cmd =

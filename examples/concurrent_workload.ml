@@ -21,15 +21,11 @@ let run_batch ~max_concurrency ~feedback =
   let engine =
     Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) catalog
   in
-  (* round-robin is the service's batch scheduler: FIFO admission, one
-     execution unit per running query per sweep *)
+  (* one batch tenant submitting at one instant: equal deadlines, so FIFO
+     admission, one execution unit per running query per sweep *)
   let svc =
     Service.create
-      ~options:
-        { Service.default_options with
-          Service.max_concurrency;
-          policy = Service.Round_robin;
-          feedback }
+      ~options:{ Service.default_options with Service.max_concurrency; feedback }
       engine
   in
   Service.add_tenant svc ~slo:Session.Batch "batch";

@@ -25,24 +25,23 @@ let run_stages ctx ~degree ?slice_pages ?on_worker f =
         let second, wall_ms = timed (fun () -> f w wctx) in
         (wctx, second, wall_ms))
   in
+  (* the parent absorbs the first worker with the largest elapsed time *)
+  let slowest = ref (Sim_clock.create ()) in
   let results =
-    Array.map
-      (fun (wctx, second, wall0) ->
+    Array.mapi
+      (fun w (wctx, second, wall0) ->
          let r, wall_ms = timed second in
-         (r, Sim_clock.elapsed_ms wctx.Exec_ctx.clock, wall0 +. wall_ms))
+         let clock = wctx.Exec_ctx.clock in
+         let sim_ms = Sim_clock.elapsed_ms clock in
+         if sim_ms > Sim_clock.elapsed_ms !slowest then slowest := clock;
+         Option.iter (fun g -> g w ~sim_ms ~wall_ms:(wall0 +. wall_ms)) on_worker;
+         r)
       started
   in
-  let slowest =
-    Array.fold_left (fun acc (_, sim, _) -> Float.max acc sim) 0.0 results
-  in
-  (match on_worker with
-   | Some g ->
-     Array.iteri (fun w (_, sim_ms, wall_ms) -> g w ~sim_ms ~wall_ms) results
-   | None -> ());
-  Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock slowest;
+  Sim_clock.absorb ctx.Exec_ctx.clock !slowest;
   Sim_clock.charge_cpu_ms ctx.Exec_ctx.clock
     (Sim_clock.parallel_startup_ms *. float_of_int (degree - 1));
-  Array.to_list (Array.map (fun (r, _, _) -> r) results)
+  Array.to_list results
 
 let run ctx ~degree ?slice_pages ?on_worker f =
   run_stages ctx ~degree ?slice_pages ?on_worker (fun w wctx ->

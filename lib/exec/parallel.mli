@@ -4,8 +4,9 @@
     that substrate: work is hash- or round-robin-partitioned across
     [degree] workers, each worker runs the ordinary serial operator
     against its own clock and its own slice of the buffer pool, and the
-    parent clock is charged with the *maximum* worker time (workers
-    proceed in parallel) plus the network cost of any repartitioning
+    parent clock absorbs the ledger of the slowest worker (workers
+    proceed in parallel; its pages stay pages in the parent's counters)
+    plus the network cost of any repartitioning
     exchange ({!Mqr_storage.Sim_clock.exchange_ms_per_page}) and a small
     per-worker startup fee ({!Mqr_storage.Sim_clock.parallel_startup_ms});
     the cost model prices both at the same rates.

@@ -51,6 +51,14 @@ let charge_hash_tuples t n = charge_cpu t (n * hash_tuple_ticks)
 let charge_sort_tuples t n = charge_cpu t (n * sort_tuple_ticks)
 let charge_cpu_ms t ms = charge_cpu t (ticks_of_ms ms)
 
+let absorb t w =
+  t.seq_reads <- t.seq_reads + w.seq_reads;
+  t.rand_reads <- t.rand_reads + w.rand_reads;
+  t.writes <- t.writes + w.writes;
+  t.cpu_ticks <- t.cpu_ticks + w.cpu_ticks;
+  t.opt_ticks <- t.opt_ticks + w.opt_ticks;
+  t.opt_invocations <- t.opt_invocations + w.opt_invocations
+
 let optimizer_ms ~plans = float_of_int plans *. opt_per_plan_ms
 
 let charge_optimizer t ~plans =

@@ -86,9 +86,13 @@ val charge_hash_tuples : t -> int -> unit
 val charge_sort_tuples : t -> int -> unit
 
 (** CPU charge in milliseconds, rounded to the nearest tick: statistics
-    collection, runtime filters, exchange, parallel startup and a worker's
-    {!elapsed_ms}, each a whole number of ticks. *)
+    collection, runtime filters, exchange and parallel startup, each a
+    whole number of ticks. *)
 val charge_cpu_ms : t -> float -> unit
+
+(** [absorb t w] adds every count of ledger [w] to [t], so a parallel
+    operator's slowest worker's pages stay pages in the parent. *)
+val absorb : t -> t -> unit
 
 (** Charge one optimizer invocation that enumerated [plans] sub-plans; the
     charge ({!optimizer_ms}) is also recorded separately so reports can

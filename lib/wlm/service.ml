@@ -4,11 +4,7 @@ module Verifier = Mqr_analysis.Verifier
 module Trace = Mqr_obs.Trace
 module Metrics = Mqr_obs.Metrics
 
-type policy = Round_robin | Slo_aware
-
-let policy_to_string = function
-  | Round_robin -> "round-robin"
-  | Slo_aware -> "slo-aware"
+type policy = Slo_aware
 
 type slo_class = { target_ms : float; weight : int }
 
@@ -69,7 +65,7 @@ type t = {
      derived from it), never the wall clock, so the interleaving — and
      with it every simulated time — is deterministic. *)
   mutable now_ms : float;
-  mutable rr : int;                     (* round-robin cursor *)
+  mutable rr : int;                     (* rotation among tied deadlines *)
   mutable wall_t0 : float;
   mutable wall_last : float;
 }
@@ -140,10 +136,7 @@ let add_tenant ?weight ?target_ms t ~slo name =
       tns_exec_ms = 0.0;
       tns_peak_leased = 0;
       tns_broker_waits = 0 };
-  (* fair-share floors are an SLO-aware mechanism; the round-robin batch
-     scheduler leases from one global broker pool *)
-  if t.options.policy = Slo_aware then
-    Broker.register_tenant t.broker ~weight name
+  Broker.register_tenant t.broker ~weight name
 
 let tenant_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.tenants []
@@ -206,8 +199,6 @@ let tenant_has_work t name =
 let refresh_activity t name =
   Broker.set_tenant_active t.broker name (tenant_has_work t name)
 
-(* A round-robin service registers no tenant with the broker, so there
-   [Broker.can_admit_tenant] is the plain admission floor. *)
 let can_admit_stmt t (s : Session.stmt) =
   List.length t.running < t.options.max_concurrency
   && (t.running = []
@@ -229,8 +220,7 @@ let rec purge_queue t =
    caller admits before it re-grants), then top up the runs still in
    flight in order of entitlement (least leased relative to tenant weight
    first), so the broker's fair shares are re-filled before opportunistic
-   growth.  A round-robin service registers no tenant: every key is 0 and
-   the stable sort keeps admission order. *)
+   growth.  Equal keys keep admission order (the sort is stable). *)
 let regrant t =
   let key (s : Session.stmt) =
     float_of_int (Broker.tenant_leased t.broker s.Session.stmt_tenant)
@@ -411,13 +401,9 @@ let submit_stmt t (s : Session.stmt) =
   t.all <- s :: t.all;
   if can_admit_stmt t s then start_stmt t s ~now:s.Session.stmt_arrival_ms
   else begin
-    let deadline =
-      match t.options.policy with
-      | Round_robin -> infinity  (* plain FIFO: the batch scheduler *)
-      | Slo_aware -> s.Session.stmt_deadline_ms
-    in
     Broker.set_tenant_active t.broker s.Session.stmt_tenant true;
-    if Admission.offer ~deadline t.queue s then update_pending t
+    if Admission.offer ~deadline:s.Session.stmt_deadline_ms t.queue s then
+      update_pending t
     else finish t s Session.Shed
   end
 
@@ -443,31 +429,20 @@ let open_session t ~tenant =
 
 (* --- the scheduler loop ------------------------------------------------ *)
 
-(* Pick the next running statement to step.  Round-robin sweeps the
-   admission-order list; the SLO-aware policy steps the earliest
-   deadline (ties by statement id — deterministic either way). *)
+(* Pick the next running statement to step: among those that share the
+   earliest deadline, in admission order, the one at the cursor, which
+   advances on every pick (a batch of equal deadlines is round-robin). *)
 let pick t =
-  match t.running with
+  let deadline (s : Session.stmt) = s.Session.stmt_deadline_ms in
+  let earliest =
+    List.fold_left (fun d s -> Float.min d (deadline s)) infinity t.running
+  in
+  match List.filter (fun s -> Float.equal (deadline s) earliest) t.running with
   | [] -> None
-  | runs ->
-    (match t.options.policy with
-     | Round_robin ->
-       let n = List.length runs in
-       let s = List.nth runs (t.rr mod n) in
-       t.rr <- t.rr + 1;
-       Some s
-     | Slo_aware ->
-       Some
-         (List.fold_left
-            (fun (best : Session.stmt) (s : Session.stmt) ->
-               if
-                 s.Session.stmt_deadline_ms < best.Session.stmt_deadline_ms
-                 || (s.Session.stmt_deadline_ms
-                     = best.Session.stmt_deadline_ms
-                     && s.Session.stmt_id < best.Session.stmt_id)
-               then s
-               else best)
-            (List.hd runs) (List.tl runs)))
+  | tied ->
+    let s = List.nth tied (t.rr mod List.length tied) in
+    t.rr <- t.rr + 1;
+    Some s
 
 (* Execute one execution unit of one statement.  Returns false once
    nothing is running or admittable. *)

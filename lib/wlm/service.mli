@@ -3,9 +3,10 @@
 
     This is the workload manager's one scheduler: tenants register with
     a latency-SLO class (interactive or batch), open long-lived
-    {!Session}s, and submit statements that the scheduler admits (EDF
-    over SLO deadlines under {!Slo_aware}; FIFO + round-robin under
-    {!Round_robin}, the batch scheduler),
+    {!Session}s, and submit statements that the scheduler admits and
+    steps earliest deadline first (arrival + the tenant's SLO target):
+    FIFO admission and round-robin stepping among equal deadlines, so a
+    batch is stepped round-robin and interactive work overtakes it.  It
     multiplexes one execution unit at a time over the shared
     {!Mqr_core.Dispatcher} step API, and funds through a tenant-aware
     {!Broker} (weighted fair-share floors, re-grants on completion).
@@ -25,19 +26,9 @@
     worker pool slices over all its in-flight runs) sum to zero —
     [TEN-LIFETIME], the multi-tenant generalization of RF-/PAR-LIFETIME. *)
 
-(** The policies differ in exactly three places: whether [add_tenant]
-    registers the tenant with the broker (fair-share floors), the
-    deadline a waiting statement is queued under, and which running
-    statement [step] advances.  Admission and re-grants run the same
-    code under both: with no tenant registered the broker's tenant view
-    is its global one. *)
-type policy =
-  | Round_robin  (** FIFO admission, round-robin stepping: the batch
-                     scheduler; tenants share the broker globally *)
-  | Slo_aware    (** EDF admission and stepping over SLO deadlines;
-                     tenant fair-share floors in the broker *)
-
-val policy_to_string : policy -> string
+(** Unread: the one scheduling rule follows from the input.  Kept, with
+    [options.policy], for callers that still name them. *)
+type policy = Slo_aware
 
 (** Defaults for one SLO class: the latency target statements inherit as
     deadline, and the broker fair-share weight. *)
@@ -46,7 +37,7 @@ type slo_class = { target_ms : float; weight : int }
 type options = {
   max_concurrency : int;            (** in-flight statement slots *)
   max_queue : int;                  (** admission queue bound (then shed) *)
-  policy : policy;
+  policy : policy;                  (** unread *)
   interactive : slo_class;
   batch : slo_class;
   feedback : bool;                  (** cross-query statistics cache *)

@@ -129,6 +129,26 @@ let test_join_selectivity_disjoint () =
   Alcotest.(check (float 1e-9)) "disjoint domains" 0.0
     (H.est_join_selectivity h1 h2)
 
+(* MaxDiff's cut among tied area differences: Float_sort.sort's heapsort
+   permutation decides which tied gaps become boundaries, neither the
+   lowest nor the highest.  Values are consecutive, so every spread is 1;
+   the expected buckets were recorded from the builder as it is.  Q7's
+   plans in Figures 10-12 change with this order. *)
+let test_maxdiff_ties () =
+  let bounds counts buckets =
+    let values = Array.init (Array.length counts) float_of_int in
+    List.map
+      (fun (b : H.bucket) -> (int_of_float b.H.lo, int_of_float b.H.hi))
+      (H.buckets (H.of_counts H.Maxdiff ~buckets values counts))
+  in
+  let check = Alcotest.(check (list (pair int int))) in
+  (* all seven differences are 4; three are cut *)
+  check "every gap ties" [ (0, 2); (3, 3); (4, 5); (6, 7) ]
+    (bounds [| 1; 5; 1; 5; 1; 5; 1; 5 |] 4);
+  (* the 19 before the last value is cut first, then two of eight 4s *)
+  check "one larger, then ties" [ (0, 2); (3, 3); (4, 8); (9, 9) ]
+    (bounds [| 1; 5; 1; 5; 1; 5; 1; 5; 1; 20 |] 4)
+
 let test_range_open_bounds () =
   let data = uniform_data 1000 in
   let h = H.build H.Maxdiff ~buckets:16 data in
@@ -310,6 +330,7 @@ let suite =
     Alcotest.test_case "join selectivity pk/fk" `Quick test_join_selectivity_pk_fk;
     Alcotest.test_case "join selectivity disjoint" `Quick test_join_selectivity_disjoint;
     Alcotest.test_case "open bounds" `Quick test_range_open_bounds;
+    Alcotest.test_case "MaxDiff tie order" `Quick test_maxdiff_ties;
     Alcotest.test_case "NaN samples terminate" `Quick test_nan_samples;
     QCheck_alcotest.to_alcotest prop_range_in_unit_interval;
     QCheck_alcotest.to_alcotest prop_eq_sums_to_one_serial;

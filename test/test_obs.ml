@@ -144,9 +144,7 @@ let test_workload_spans_well_formed () =
   let svc =
     Service.create
       ~options:
-        { Service.default_options with
-          Service.max_concurrency = 2;
-          policy = Service.Round_robin }
+        { Service.default_options with Service.max_concurrency = 2 }
       ~trace:tr (engine ())
   in
   Service.add_tenant svc ~slo:Session.Batch "batch";

@@ -1,4 +1,5 @@
-(* Query service: session lifecycle, SLO-aware scheduling, determinism,
+(* Query service: session lifecycle, the scheduling rule (earliest
+   deadline first, round-robin among equal deadlines), determinism,
    failure isolation and cancellation. *)
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
@@ -19,18 +20,17 @@ let engine ?(sanitize = true) () =
     ~opt_options:{ Optimizer.default_options with Optimizer.max_dop = 2 }
     catalog
 
-let service ?(policy = Service.Slo_aware) ?(max_concurrency = 2) eng =
+let service ?(max_concurrency = 2) eng =
   Service.create
-    ~options:
-      { Service.default_options with Service.policy; max_concurrency }
+    ~options:{ Service.default_options with Service.max_concurrency }
     eng
 
 (* The bench scenario in miniature: batch work arrives first, interactive
    statements must overtake it.  Returns the sessions in (etl, web)
    order; every statement is drained to a terminal status. *)
-let mixed_workload svc =
+let mixed_workload ?(web = Session.Interactive) svc =
   Service.add_tenant svc ~slo:Session.Batch "etl";
-  Service.add_tenant svc ~slo:Session.Interactive "web";
+  Service.add_tenant svc ~slo:web "web";
   let e = Service.open_session svc ~tenant:"etl" in
   let w = Service.open_session svc ~tenant:"web" in
   ignore (Session.submit ~label:"q5" ~arrival_ms:0.0 e (sql "Q5"));
@@ -143,28 +143,51 @@ let test_wall_clock_reported_only () =
   Alcotest.check times "same class p50/p99" classes_off classes_on;
   Alcotest.check times "same admit and finish times" stmts_off stmts_on
 
-(* --- SLO-aware scheduling --- *)
+(* --- the scheduling rule --- *)
 
-let interactive_p99 svc =
-  let r = Service.report svc in
-  (List.assoc Session.Interactive r.Service.classes).Service.cs_p99_ms
-
-let test_slo_aware_beats_round_robin () =
-  let run policy =
-    let eng = engine () in
-    let svc = service ~policy ~max_concurrency:1 eng in
-    let e, w = mixed_workload svc in
-    assert_all_done e;
-    assert_all_done w;
-    interactive_p99 svc
+(* Three batch statements arriving at 0 share a deadline, so until the
+   first completes they are stepped in rotation, in admission order.  A
+   step's statement is the one whose lane time moved. *)
+let test_equal_deadlines_rotate () =
+  let svc = service ~max_concurrency:3 (engine ()) in
+  Service.add_tenant svc ~slo:Session.Batch "etl";
+  let e = Service.open_session svc ~tenant:"etl" in
+  let ids = List.map (fun n -> Session.submit e (sql n)) [ "Q5"; "Q10"; "Q3" ] in
+  let lane (s : Session.stmt) =
+    Option.map Dispatcher.run_elapsed_ms s.Session.stmt_run
   in
-  let rr = run Service.Round_robin in
-  let slo = run Service.Slo_aware in
+  let rec picks acc =
+    match Service.running_statements svc with
+    | [ _; _; _ ] as running ->
+      let before = List.map lane running in
+      ignore (Service.step svc);
+      let moved = List.filteri (fun i s -> lane s <> List.nth before i) running in
+      picks (List.map (fun (s : Session.stmt) -> s.Session.stmt_id) moved :: acc)
+    | _ -> List.rev acc
+  in
+  let got = picks [] in
+  Alcotest.(check (list (list int)))
+    "one a step, in rotation, admission order, two sweeps at least"
+    (List.init (max 6 (List.length got)) (fun i -> [ List.nth ids (i mod 3) ]))
+    got
+
+(* Which statement runs follows from the input: the same arrivals finish
+   the web tenant's statements sooner with it registered interactive
+   than with it registered batch. *)
+let test_interactive_beats_batch () =
+  let latencies web =
+    let _, w = mixed_workload ~web (service ~max_concurrency:1 (engine ())) in
+    assert_all_done w;
+    List.map
+      (fun (s : Session.stmt) ->
+         s.Session.stmt_finish_ms -. s.Session.stmt_arrival_ms)
+      (Session.statements w)
+  in
+  let i = latencies Session.Interactive and b = latencies Session.Batch in
   Alcotest.(check bool)
-    (Printf.sprintf
-       "interactive p99 improves under EDF (rr %.1fms, slo-aware %.1fms)" rr
-       slo)
-    true (slo < rr)
+    (Fmt.str "web sooner as interactive (%a vs %a ms)"
+       Fmt.(Dump.list float) i Fmt.(Dump.list float) b)
+    true (List.for_all2 ( < ) i b)
 
 (* --- session lifecycle --- *)
 
@@ -347,8 +370,10 @@ let suite =
     Alcotest.test_case "service deterministic" `Quick test_deterministic;
     Alcotest.test_case "wall clock is reported only" `Quick
       test_wall_clock_reported_only;
-    Alcotest.test_case "slo-aware beats round-robin" `Quick
-      test_slo_aware_beats_round_robin;
+    Alcotest.test_case "equal deadlines rotate in admission order" `Quick
+      test_equal_deadlines_rotate;
+    Alcotest.test_case "interactive registration beats batch" `Quick
+      test_interactive_beats_batch;
     Alcotest.test_case "session lifecycle" `Quick test_lifecycle;
     Alcotest.test_case "cancel running releases lease" `Quick
       test_cancel_running_releases_lease;

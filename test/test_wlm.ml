@@ -1,5 +1,5 @@
 (* Workload manager: broker invariants, admission control, and batches
-   through the service's round-robin scheduler — determinism,
+   through the service, one batch tenant stepped round-robin — determinism,
    concurrent-equals-serial results, and the pinned bench batch. *)
 module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
@@ -262,7 +262,7 @@ let test_admission_take_if_skips () =
   Alcotest.(check (option string)) "rest untouched" (Some "third") (take q);
   Alcotest.(check bool) "drained" true (Admission.length q = 0)
 
-(* --- batches through the service's round-robin scheduler --- *)
+(* --- batches through the service: one tenant, stepped round-robin --- *)
 
 (* One batch tenant submits [names] in order, statement [i] arriving at
    [i * stagger_ms], and the service drains them.  One slot makes the
@@ -276,7 +276,6 @@ let run_batch ?(max_concurrency = 4) ?(max_queue = 64) ?(feedback = true)
         { Service.default_options with
           Service.max_concurrency;
           max_queue;
-          policy = Service.Round_robin;
           feedback }
       engine
   in
@@ -323,6 +322,8 @@ let test_concurrent_matches_serial () =
     conc.Service.outstanding_leases;
   Alcotest.(check bool) "peak within budget" true
     (conc.Service.peak_leased_pages <= 64);
+  Alcotest.(check bool) "the tenant's own leases peak above 0" true
+    ((batch_tenant conc).Service.tns_peak_leased > 0);
   Alcotest.(check bool) "overlap beats serial makespan" true
     (conc.Service.makespan_ms < serial.Service.makespan_ms);
   Alcotest.(check bool) "serial batch queues" true
