@@ -692,7 +692,7 @@ let wlm () =
            (Session.submit ~label:name session (Queries.find name).Queries.sql))
       [ "Q3"; "Q5"; "Q7"; "Q10" ];
     Service.drain svc;
-    Service.report svc
+    svc
   in
   let serial = run ~max_concurrency:1 ~feedback:false in
   let conc = run ~max_concurrency:4 ~feedback:true in
@@ -700,22 +700,32 @@ let wlm () =
     default_cell.budget_pages Service.pp_report serial;
   Fmt.pr "concurrent (broker leases over the same %d pages):@.%a@.@."
     default_cell.budget_pages Service.pp_report conc;
+  let serial = Service.report serial and conc = Service.report conc in
+  let fold_done add zero f (r : Service.report) =
+    List.fold_left
+      (fun acc (s : Session.stmt) ->
+         match s.Session.stmt_status with
+         | Session.Done d -> add acc (f d)
+         | _ -> acc)
+      zero r.Service.statements
+  in
+  let total = fold_done ( + ) 0 in
+  (* each statement runs on its own ledger, so overlap shortens the
+     makespan but not the executed total, the sum of the statements' times *)
+  let executed = fold_done ( +. ) 0.0 (fun d -> d.Dispatcher.elapsed_ms) in
   Fmt.pr "makespan %.1f ms -> %.1f ms  (%.2fx)%s@." serial.Service.makespan_ms
     conc.Service.makespan_ms
     (serial.Service.makespan_ms /. conc.Service.makespan_ms)
     (if conc.Service.makespan_ms < serial.Service.makespan_ms then ""
      else "  ** NO IMPROVEMENT **");
-  let total f (r : Service.report) =
-    List.fold_left
-      (fun acc (s : Session.stmt) ->
-         match s.Session.stmt_status with
-         | Session.Done d -> acc + f d
-         | _ -> acc)
-      0 r.Service.statements
-  in
+  Fmt.pr
+    "executed %.1f ms -> %.1f ms  (sum of statement times: statements do \
+     not contend for I/O or CPU, only for broker pages)@."
+    (executed serial) (executed conc);
   let rec_wl mode (r : Service.report) =
     let scenario = "wlm/4q-batch" in
     record ~scenario ~mode Sim "makespan" "ms" r.Service.makespan_ms;
+    record ~scenario ~mode Sim "executed" "ms" (executed r);
     count ~scenario ~mode "switches" (total (fun d -> d.Dispatcher.switches) r);
     count ~scenario ~mode "collectors"
       (total (fun d -> d.Dispatcher.collectors) r)

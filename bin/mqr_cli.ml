@@ -449,7 +449,7 @@ let workload_cmd =
          ignore (Session.submit ~label ~mode session sql))
       queries;
     Service.drain svc;
-    Fmt.pr "%a@." Service.pp_report (Service.report svc);
+    Fmt.pr "%a@." Service.pp_report svc;
     match tr, trace_out with
     | Some tr, Some file -> export_chrome tr file
     | _ -> ()
@@ -614,7 +614,7 @@ let serve_cmd =
         let sname, _ = split1 rest in
         Session.close (find_session sname);
         Fmt.pr "session %s closed@." sname
-      | "report" -> Fmt.pr "%a@." Service.pp_report (Service.report svc)
+      | "report" -> Fmt.pr "%a@." Service.pp_report svc
       | "monitor" ->
         (* monitor VIEW [json [FILE]] | monitor metrics [FILE] *)
         let module Monitor = Mqr_wlm.Monitor in

@@ -20,8 +20,18 @@ type result = {
   passes : int;
 }
 
+(* The keys first, then the whole row, ascending, its columns in order of
+   their qualified names: a total order, so the output sequence depends
+   only on the input multiset, neither on the order a plan delivered the
+   rows in nor on which side of a join put its columns first. *)
 let comparator schema ~keys =
-  let idxs = List.map (fun (c, asc) -> (Schema.index_of schema c, asc)) keys in
+  let name i = Schema.qualified_name (Schema.column schema i) in
+  let idxs =
+    List.map (fun (c, asc) -> (Schema.index_of schema c, asc)) keys
+    @ List.stable_sort
+        (fun (i, _) (j, _) -> String.compare (name i) (name j))
+        (List.init (Schema.arity schema) (fun i -> (i, true)))
+  in
   fun a b ->
     let rec go = function
       | [] -> 0

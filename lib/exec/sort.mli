@@ -12,7 +12,8 @@ type result = {
 }
 
 (** [comparator schema ~keys] orders rows by the named columns ([true] =
-    ascending), first key first: the order [sort] leaves. *)
+    ascending), first key first, then by the whole row ascending (columns
+    in qualified-name order): the total order [sort] leaves. *)
 val comparator :
   Schema.t -> keys:(string * bool) list -> Tuple.t -> Tuple.t -> int
 

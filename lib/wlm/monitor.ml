@@ -151,7 +151,7 @@ let tenant_fields svc (tn : Service.tenant_summary) =
   in
   [ ("tenant", jstr name);
     ("slo", jstr (Session.slo_to_string tn.Service.tns_slo));
-    ("weight", string_of_int tn.Service.tns_weight);
+    ("weight", string_of_int (Broker.tenant_weight broker name));
     ("target_ms", jnum tn.Service.tns_target_ms);
     ("submitted", string_of_int tn.Service.tns_submitted);
     ("completed", string_of_int tn.Service.tns_completed);
@@ -299,7 +299,7 @@ let render svc view =
              pages  floor-waits %d%s@,"
             name
             (Session.slo_to_string tn.Service.tns_slo)
-            tn.Service.tns_weight tn.Service.tns_completed
+            (Broker.tenant_weight broker name) tn.Service.tns_completed
             tn.Service.tns_submitted tn.Service.tns_deadline_miss
             (Broker.tenant_leased broker name)
             (Broker.tenant_share broker name)

@@ -30,7 +30,6 @@ let default_options =
 type tenant_summary = {
   tns_tenant : string;
   tns_slo : Session.slo;
-  tns_weight : int;
   tns_target_ms : float;
   mutable tns_submitted : int;
   mutable tns_completed : int;
@@ -116,12 +115,14 @@ let add_tenant ?weight ?target_ms t ~slo name =
   if Hashtbl.mem t.tenants name then
     invalid_arg (Printf.sprintf "Service.add_tenant: duplicate tenant %s" name);
   let cls = class_of t slo in
-  let weight = Option.value ~default:cls.weight weight in
   let target_ms = Option.value ~default:cls.target_ms target_ms in
+  (* the broker validates the weight first, so a refused tenant is
+     registered nowhere *)
+  Broker.register_tenant t.broker name
+    ~weight:(Option.value ~default:cls.weight weight);
   Hashtbl.replace t.tenants name
     { tns_tenant = name;
       tns_slo = slo;
-      tns_weight = weight;
       tns_target_ms = target_ms;
       tns_submitted = 0;
       tns_completed = 0;
@@ -135,59 +136,15 @@ let add_tenant ?weight ?target_ms t ~slo name =
       tns_queue_ms = 0.0;
       tns_exec_ms = 0.0;
       tns_peak_leased = 0;
-      tns_broker_waits = 0 };
-  Broker.register_tenant t.broker ~weight name
+      tns_broker_waits = 0 }
 
 let tenant_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.tenants []
   |> List.sort compare
 
-(* --- per-tenant observability ----------------------------------------- *)
-
-let metric t fmt =
-  Printf.ksprintf
-    (fun name f ->
-       match t.trace with
-       | Some tr -> f (Trace.metrics tr) name
-       | None -> ())
-    fmt
-
-let observe_metric t ~tenant ~what v =
-  metric t "svc.%s.%s" tenant what (fun m name -> Metrics.observe m name v)
-
-let incr_metric ?(by = 1) t ~tenant ~what =
-  metric t "svc.%s.%s" tenant what (fun m name -> Metrics.incr m ~by name)
-
-(* --- sanitizer: per-tenant transient-page accounting ------------------- *)
-
-(* A tenant's transient pages: bloom bitmaps + worker pool slices over
-   all its in-flight runs. *)
-let tenant_pages_in_flight t name =
-  List.fold_left
-    (fun acc (s : Session.stmt) ->
-       match s.Session.stmt_run with
-       | Some run when s.Session.stmt_tenant = name ->
-         acc + Dispatcher.transient_pages_held run
-       | _ -> acc)
-    0 t.running
-
-(* Whenever the scheduler observes its runs from outside a step — i.e. at
-   every decision point and at completion — each registered tenant's
-   transient pages, the sum the monitor reads, must be zero.  This is the
-   service-level TEN-LIFETIME check the sanitizer mode enables. *)
-let check_tenant_pages t ~what =
-  if Engine.sanitize t.engine then
-    List.iter
-      (fun tenant ->
-         let pages = tenant_pages_in_flight t tenant in
-         if pages <> 0 then Verifier.reject_tenant_pages ~what ~tenant ~pages)
-      (tenant_names t)
-
 (* --- admission --------------------------------------------------------- *)
 
 let queued_count t = Admission.length t.queue
-
-let update_pending t = Broker.set_pending t.broker (queued_count t)
 
 (* Running statements and queued ones: a statement cancelled while it
    waited stays in the queue until the next purge, but is no work. *)
@@ -195,9 +152,6 @@ let tenant_has_work t name =
   List.exists (fun (s : Session.stmt) -> s.Session.stmt_tenant = name) t.running
   || Admission.exists t.queue (fun (s : Session.stmt) ->
          s.Session.stmt_tenant = name && s.Session.stmt_status = Session.Queued)
-
-let refresh_activity t name =
-  Broker.set_tenant_active t.broker name (tenant_has_work t name)
 
 let can_admit_stmt t (s : Session.stmt) =
   List.length t.running < t.options.max_concurrency
@@ -208,7 +162,8 @@ let can_admit_stmt t (s : Session.stmt) =
          max_concurrency 1 makes the floor the whole budget, which no
          tenant's share ever covers).  The broker still clips the
          admitted statement's lease to its tenant's entitlement. *)
-      || Broker.can_admit_tenant t.broker s.Session.stmt_tenant)
+      || Broker.can_admit_tenant t.broker ~active:(tenant_has_work t)
+           s.Session.stmt_tenant)
 
 (* Drop queue entries cancelled while they waited. *)
 let rec purge_queue t =
@@ -224,19 +179,91 @@ let rec purge_queue t =
 let regrant t =
   let key (s : Session.stmt) =
     float_of_int (Broker.tenant_leased t.broker s.Session.stmt_tenant)
-    /. float_of_int (max 1 (tenant_of t s.Session.stmt_tenant).tns_weight)
+    /. float_of_int (Broker.tenant_weight t.broker s.Session.stmt_tenant)
   in
   List.iter
     (fun (s : Session.stmt) ->
        Option.iter Dispatcher.refresh_memory s.Session.stmt_run)
     (List.stable_sort (fun a b -> compare (key a) (key b)) t.running)
 
-let note_headroom t tn headroom =
-  if headroom < tn.tns_min_headroom_ms then begin
-    tn.tns_min_headroom_ms <- headroom;
-    metric t "svc.%s.slo_headroom_ms" tn.tns_tenant (fun m name ->
-        Metrics.set_gauge m name headroom)
-  end
+(* --- observers ---------------------------------------------------------- *)
+
+(* A tenant's transient pages: bloom bitmaps + worker pool slices over
+   all its in-flight runs. *)
+let tenant_pages_in_flight t name =
+  List.fold_left
+    (fun acc (s : Session.stmt) ->
+       match s.Session.stmt_run with
+       | Some run when s.Session.stmt_tenant = name ->
+         acc + Dispatcher.transient_pages_held run
+       | _ -> acc)
+    0 t.running
+
+(* What the scheduler tells its observers, each at one fixed point:
+   a statement's wait is over (before its run starts); its terminal status
+   and counts are set and its lease released (before any re-admission); a
+   step left its run at a decision point or at completion. *)
+type event =
+  | Admitted of Session.stmt
+  | Finished of { stmt : Session.stmt; on_time : bool; held_slot : bool }
+  | Settled of string
+
+(* The one reader of the trace — the per-tenant svc.* metrics and the
+   statements' trace lanes — and of the sanitizer switch.  Returns the
+   lane an [Admitted] statement's run stamps its spans on.
+
+   At [Settled], i.e. whenever the scheduler observes its runs from
+   outside a step, each registered tenant's transient pages, the sum the
+   monitor reads, must be zero: the service-level TEN-LIFETIME check the
+   sanitizer mode enables. *)
+let observe t ev =
+  let metric s what f =
+    Option.iter
+      (fun tr ->
+         f (Trace.metrics tr)
+           (Printf.sprintf "svc.%s.%s" s.Session.stmt_tenant what))
+      t.trace
+  in
+  let incr ?by s what = metric s what (fun m n -> Metrics.incr m ?by n)
+  and gauge s what v = metric s what (fun m n -> Metrics.set_gauge m n v)
+  and sample s what v = metric s what (fun m n -> Metrics.observe m n v) in
+  let since_arrival s ms = ms -. s.Session.stmt_arrival_ms in
+  match ev with
+  | Admitted s ->
+    sample s "queue_ms" (since_arrival s s.Session.stmt_admit_ms);
+    Option.map
+      (fun tr ->
+         Trace.scope tr ~offset_ms:s.Session.stmt_admit_ms
+           ~tenant:s.Session.stmt_tenant
+           ~label:
+             (Printf.sprintf "%s/%s" s.Session.stmt_tenant
+                s.Session.stmt_label)
+           ())
+      t.trace
+  | Finished { stmt = s; on_time; held_slot } ->
+    let tenant = s.Session.stmt_tenant in
+    (match s.Session.stmt_status with
+     | Session.Done rep ->
+       let switches = rep.Dispatcher.switches in
+       if switches > 0 then incr ~by:switches s "replans";
+       if not on_time then incr s "slo_violations";
+       gauge s "slo_headroom_ms" (tenant_of t tenant).tns_min_headroom_ms;
+       sample s "latency_ms" (since_arrival s s.Session.stmt_finish_ms)
+     | Session.Shed -> incr s "shed"
+     | _ -> ());
+    if not on_time then incr s "deadline_miss";
+    if held_slot then
+      gauge s "broker_waits"
+        (float_of_int (Broker.tenant_floor_waits t.broker tenant));
+    None
+  | Settled what ->
+    if Engine.sanitize t.engine then
+      List.iter
+        (fun tenant ->
+           let pages = tenant_pages_in_flight t tenant in
+           if pages <> 0 then Verifier.reject_tenant_pages ~what ~tenant ~pages)
+        (tenant_names t);
+    None
 
 (* Start a statement: bind, open its trace lane on the shared timeline,
    and hand it to the dispatcher under the tenant-tagged broker hook.
@@ -247,29 +274,19 @@ let rec start_stmt t (s : Session.stmt) ~now =
   s.Session.stmt_admit_ms <- Float.max s.Session.stmt_arrival_ms now;
   let queue_ms = s.Session.stmt_admit_ms -. s.Session.stmt_arrival_ms in
   tn.tns_queue_ms <- tn.tns_queue_ms +. queue_ms;
-  observe_metric t ~tenant:tn.tns_tenant ~what:"queue_ms" queue_ms;
-  let scope =
-    Option.map
-      (fun tr ->
-         Trace.scope tr ~offset_ms:s.Session.stmt_admit_ms
-           ~tenant:s.Session.stmt_tenant
-           ~label:
-             (Printf.sprintf "%s/%s" s.Session.stmt_tenant
-                s.Session.stmt_label)
-           ())
-      t.trace
-  in
-  let tenant = s.Session.stmt_tenant in
+  let scope = observe t (Admitted s) in
   let id = s.Session.stmt_id in
+  (* the queue length and every tenant's activity are read live at each
+     lease: the broker keeps no copy of them *)
   let broker_fn ~min_pages ~max_pages =
-    Broker.lease ~tenant t.broker ~id ~min_pages ~max_pages
+    Broker.lease t.broker ~tenant:tn.tns_tenant ~pending:(queued_count t)
+      ~active:(tenant_has_work t) ~id ~min_pages ~max_pages
   in
   let env_overlay =
     Option.map
       (fun c q env -> Stats_cache.overlay c (Engine.catalog t.engine) q env)
       t.cache
   in
-  Broker.set_tenant_active t.broker tenant true;
   (* per-statement progress estimator, fed by the dispatcher at every
      decision point; pure observation, so it cannot perturb the run *)
   let progress = Mqr_obs.Progress.create () in
@@ -292,11 +309,9 @@ let rec start_stmt t (s : Session.stmt) ~now =
 
 and try_admit t ~now =
   purge_queue t;
-  update_pending t;
   if List.length t.running < t.options.max_concurrency then
     match Admission.take_if t.queue (can_admit_stmt t) with
     | Some s ->
-      update_pending t;
       start_stmt t s ~now;
       try_admit t ~now
     | None -> ()
@@ -317,17 +332,11 @@ and finish t (s : Session.stmt) status =
     | Session.Done rep ->
       tn.tns_completed <- tn.tns_completed + 1;
       tn.tns_replans <- tn.tns_replans + rep.Dispatcher.switches;
-      if rep.Dispatcher.switches > 0 then
-        incr_metric ~by:rep.Dispatcher.switches t ~tenant:tn.tns_tenant
-          ~what:"replans";
       let latency = s.Session.stmt_finish_ms -. s.Session.stmt_arrival_ms in
       let late = latency > tn.tns_target_ms in
-      if late then begin
-        tn.tns_violations <- tn.tns_violations + 1;
-        incr_metric t ~tenant:tn.tns_tenant ~what:"slo_violations"
-      end;
-      note_headroom t tn (tn.tns_target_ms -. latency);
-      observe_metric t ~tenant:tn.tns_tenant ~what:"latency_ms" latency;
+      if late then tn.tns_violations <- tn.tns_violations + 1;
+      tn.tns_min_headroom_ms <-
+        Float.min tn.tns_min_headroom_ms (tn.tns_target_ms -. latency);
       (match s.Session.stmt_query, t.cache with
        | Some query, Some c ->
          Stats_cache.publish c (Engine.catalog t.engine) query rep
@@ -341,7 +350,6 @@ and finish t (s : Session.stmt) status =
       false
     | Session.Shed ->
       tn.tns_shed <- tn.tns_shed + 1;
-      incr_metric t ~tenant:tn.tns_tenant ~what:"shed";
       false
     | Session.Queued | Session.Running ->
       invalid_arg "Service.finish: not a terminal status"
@@ -350,10 +358,7 @@ and finish t (s : Session.stmt) status =
      its deadline is a deadline miss: a late completion, a failure (at
      start or mid-run), a cancellation or a shed all mean the client did
      not get its answer in time. *)
-  if not on_time then begin
-    tn.tns_deadline_miss <- tn.tns_deadline_miss + 1;
-    incr_metric t ~tenant:tn.tns_tenant ~what:"deadline_miss"
-  end;
+  if not on_time then tn.tns_deadline_miss <- tn.tns_deadline_miss + 1;
   t.running <-
     List.filter
       (fun (o : Session.stmt) -> o.Session.stmt_id <> s.Session.stmt_id)
@@ -361,12 +366,8 @@ and finish t (s : Session.stmt) status =
   s.Session.stmt_run <- None;
   (* a statement that failed at start may hold a lease already *)
   Broker.release t.broker ~id:s.Session.stmt_id;
-  refresh_activity t s.Session.stmt_tenant;
+  ignore (observe t (Finished { stmt = s; on_time; held_slot }));
   if held_slot then begin
-    metric t "svc.%s.broker_waits" s.Session.stmt_tenant (fun m name ->
-        Metrics.set_gauge m name
-          (float_of_int
-             (Broker.tenant_floor_waits t.broker s.Session.stmt_tenant)));
     try_admit t
       ~now:
         (match status with
@@ -400,12 +401,8 @@ let submit_stmt t (s : Session.stmt) =
   tn.tns_submitted <- tn.tns_submitted + 1;
   t.all <- s :: t.all;
   if can_admit_stmt t s then start_stmt t s ~now:s.Session.stmt_arrival_ms
-  else begin
-    Broker.set_tenant_active t.broker s.Session.stmt_tenant true;
-    if Admission.offer ~deadline:s.Session.stmt_deadline_ms t.queue s then
-      update_pending t
-    else finish t s Session.Shed
-  end
+  else if not (Admission.offer ~deadline:s.Session.stmt_deadline_ms t.queue s)
+  then finish t s Session.Shed
 
 let open_session t ~tenant =
   let tn = tenant_of t tenant in
@@ -457,14 +454,14 @@ let step t =
        (match Dispatcher.step run with
         | Some rep ->
           complete_stmt t s run rep;
-          check_tenant_pages t ~what:"statement completion"
+          ignore (observe t (Settled "statement completion"))
         | None ->
           (* statement paused at a decision point: advance the virtual
              clock to the lane time it has reached *)
           t.now_ms <-
             Float.max t.now_ms
               (s.Session.stmt_admit_ms +. Dispatcher.run_elapsed_ms run);
-          check_tenant_pages t ~what:"service decision point"
+          ignore (observe t (Settled "service decision point"))
         | exception (Verifier.Rejected _ as e) ->
           (* sanitizer findings are bugs: tear the statement down (the
              dispatcher already did) but let the rejection propagate *)
@@ -565,7 +562,8 @@ let report t =
     stats_applied =
       (match t.cache with Some c -> Stats_cache.applied c | None -> 0) }
 
-let pp_report fmt (r : report) =
+let pp_report fmt t =
+  let r = report t in
   Fmt.pf fmt "@[<v>service: %d statements, makespan %.1f ms (sim)@,"
     (List.length r.statements) r.makespan_ms;
   if r.wall_makespan_ms > 0.0 then
@@ -586,7 +584,8 @@ let pp_report fmt (r : report) =
           misses %d%s@,"
          tn.tns_tenant
          (Session.slo_to_string tn.tns_slo)
-         tn.tns_weight tn.tns_completed tn.tns_submitted tn.tns_failed
+         (Broker.tenant_weight t.broker tn.tns_tenant)
+         tn.tns_completed tn.tns_submitted tn.tns_failed
          tn.tns_cancelled tn.tns_shed tn.tns_queue_ms tn.tns_exec_ms
          tn.tns_replans tn.tns_peak_leased tn.tns_deadline_miss
          (if Float.is_finite tn.tns_min_headroom_ms then

@@ -20,11 +20,11 @@
     intra-operator parallelism is priced on the simulated clock from
     each plan's degrees.
 
-    {b Sanitizer.}  When the engine runs under the sanitizer ([sanitize]),
-    the scheduler additionally asserts at every decision point and at
-    every completion that each tenant's transient pages (bloom bitmaps +
-    worker pool slices over all its in-flight runs) sum to zero —
-    [TEN-LIFETIME], the multi-tenant generalization of RF-/PAR-LIFETIME. *)
+    {b Sanitizer.}  Under the sanitizer ([sanitize]) the scheduler's one
+    observer point (which also writes the [svc.*] metrics) asserts at
+    every decision point and completion that each tenant's transient
+    pages (bloom bitmaps + worker pool slices over its in-flight runs)
+    sum to zero — [TEN-LIFETIME], generalizing RF-/PAR-LIFETIME. *)
 
 (** Unread: the one scheduling rule follows from the input.  Kept, with
     [options.policy], for callers that still name them. *)
@@ -56,7 +56,8 @@ val create : ?options:options -> ?trace:Mqr_obs.Trace.t -> Mqr_core.Engine.t -> 
 val broker : t -> Broker.t
 
 (** Register a tenant before opening sessions for it.  [weight] and
-    [target_ms] default to the options' class values.  Raises on
+    [target_ms] default to the options' class values; the weight is
+    kept by the broker ({!Broker.tenant_weight}).  Raises on
     duplicates. *)
 val add_tenant :
   ?weight:int -> ?target_ms:float -> t -> slo:Session.slo -> string -> unit
@@ -120,7 +121,6 @@ type class_stats = {
 type tenant_summary = private {
   tns_tenant : string;
   tns_slo : Session.slo;
-  tns_weight : int;
   tns_target_ms : float;
   mutable tns_submitted : int;
   mutable tns_completed : int;
@@ -160,4 +160,7 @@ type report = {
 }
 
 val report : t -> report
-val pp_report : Format.formatter -> report -> unit
+
+(** Print the service's {!report}, each tenant with the fair-share weight
+    its broker keeps. *)
+val pp_report : Format.formatter -> t -> unit

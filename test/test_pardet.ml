@@ -40,16 +40,24 @@ let modes =
 let dop4 = lazy (engine ~sanitize:true ~max_dop:4 ())
 let serial = lazy (engine ~sanitize:true ~max_dop:1 ())
 
-let test_dop_changes_only_order (q : Queries.query) () =
+let test_dop_changes_only_order (name, sql) () =
   List.iter
     (fun mode ->
-       let s = Engine.run_sql (Lazy.force serial) ~mode q.Queries.sql in
-       let p = Engine.run_sql (Lazy.force dop4) ~mode q.Queries.sql in
+       let s = Engine.run_sql (Lazy.force serial) ~mode sql in
+       let p = Engine.run_sql (Lazy.force dop4) ~mode sql in
        Alcotest.(check (list (list string)))
-         (Printf.sprintf "%s [%s] same multiset at dop 1 and 4" q.Queries.name
+         (Printf.sprintf "%s [%s] same multiset at dop 1 and 4" name
             (Dispatcher.mode_to_string mode))
          (canon s.Dispatcher.rows) (canon p.Dispatcher.rows))
     modes
+
+(* Many rows tie on the ORDER BY key, and the LIMIT keeps five of them:
+   ORDER BY's total order makes the five the same under every plan. *)
+let tie_query =
+  ( "ORDER BY tie under LIMIT",
+    "select c_nationkey, o_orderkey from customer, orders where c_custkey = \
+     o_custkey and o_orderdate < date '1995-01-01' order by c_nationkey \
+     limit 5" )
 
 (* A parallel plan actually runs parallel operators, and the sanitizer's
    lease invariants hold with parallelism on: filter pages and worker
@@ -77,11 +85,12 @@ let test_serial_plans_stay_serial () =
 
 let suite =
   List.map
-    (fun (q : Queries.query) ->
-       Alcotest.test_case
-         (q.Queries.name ^ " dop changes only order") `Quick
-         (test_dop_changes_only_order q))
-    Queries.all
+    (fun (name, sql) ->
+       Alcotest.test_case (name ^ " dop changes only order") `Quick
+         (test_dop_changes_only_order (name, sql)))
+    (List.map (fun (q : Queries.query) -> (q.Queries.name, q.Queries.sql))
+       Queries.all
+     @ [ tie_query ])
   @ [ Alcotest.test_case "parallel leases release" `Quick
         test_parallel_leases_release;
       Alcotest.test_case "serial plans stay serial" `Quick

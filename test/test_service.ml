@@ -221,6 +221,21 @@ let test_lifecycle () =
     (Invalid_argument "Session.submit: session is closed") (fun () ->
       ignore (Session.submit s (sql "Q6")))
 
+(* A weight the broker refuses leaves the tenant registered nowhere: the
+   name can be added again with a valid weight. *)
+let test_refused_tenant_registers_nothing () =
+  let svc = service ~max_concurrency:1 (engine ()) in
+  Alcotest.check_raises "weight 0 refused"
+    (Invalid_argument "Broker.register_tenant: weight < 1") (fun () ->
+      Service.add_tenant ~weight:0 svc ~slo:Session.Batch "etl");
+  Alcotest.(check (list string)) "no service record" []
+    (List.map
+       (fun (tn : Service.tenant_summary) -> tn.Service.tns_tenant)
+       (Service.report svc).Service.tenants);
+  Service.add_tenant ~weight:2 svc ~slo:Session.Batch "etl";
+  Alcotest.(check int) "registered once, with the valid weight" 2
+    (Broker.tenant_weight (Service.broker svc) "etl")
+
 let test_cancel_running_releases_lease () =
   let eng = engine () in
   let svc = service ~max_concurrency:1 eng in
@@ -375,6 +390,8 @@ let suite =
     Alcotest.test_case "interactive registration beats batch" `Quick
       test_interactive_beats_batch;
     Alcotest.test_case "session lifecycle" `Quick test_lifecycle;
+    Alcotest.test_case "refused tenant registers nothing" `Quick
+      test_refused_tenant_registers_nothing;
     Alcotest.test_case "cancel running releases lease" `Quick
       test_cancel_running_releases_lease;
     Alcotest.test_case "failure isolated" `Quick test_failure_isolated;

@@ -16,23 +16,33 @@ let engine () =
 
 (* --- broker --- *)
 
+(* A broker with one tenant registered, "solo": no other tenant's share is
+   ever reserved, so its leases see the plain budget and admission floor. *)
+let solo_broker ~budget_pages ~max_concurrency =
+  let b = Broker.create ~budget_pages ~max_concurrency in
+  Broker.register_tenant b ~weight:1 "solo";
+  b
+
+let idle _ = false
+
 let test_broker_never_oversubscribes () =
-  let b = Broker.create ~budget_pages:100 ~max_concurrency:4 in
+  let b = solo_broker ~budget_pages:100 ~max_concurrency:4 in
+  let lease = Broker.lease b ~tenant:"solo" ~pending:0 ~active:idle in
   let sum_ok () =
     Alcotest.(check bool) "sum of leases <= budget" true
       (Broker.total_leased b <= Broker.budget_pages b)
   in
   Alcotest.(check int) "greedy lease capped at budget" 100
-    (Broker.lease b ~id:1 ~min_pages:10 ~max_pages:400);
+    (lease ~id:1 ~min_pages:10 ~max_pages:400);
   sum_ok ();
   Alcotest.(check int) "nothing left for the second query" 0
-    (Broker.lease b ~id:2 ~min_pages:10 ~max_pages:50);
+    (lease ~id:2 ~min_pages:10 ~max_pages:50);
   sum_ok ();
   (* shrinking re-negotiation returns the difference to the pool *)
   Alcotest.(check int) "shrink to 30" 30
-    (Broker.lease b ~id:1 ~min_pages:10 ~max_pages:30);
+    (lease ~id:1 ~min_pages:10 ~max_pages:30);
   Alcotest.(check int) "freed pages available again" 50
-    (Broker.lease b ~id:2 ~min_pages:10 ~max_pages:50);
+    (lease ~id:2 ~min_pages:10 ~max_pages:50);
   sum_ok ();
   Broker.release b ~id:1;
   Broker.release b ~id:2;
@@ -40,64 +50,93 @@ let test_broker_never_oversubscribes () =
   Alcotest.(check int) "no leases outstanding" 0 (Broker.outstanding b)
 
 let test_broker_reserves_floor_for_pending () =
-  let b = Broker.create ~budget_pages:100 ~max_concurrency:4 in
-  Broker.set_pending b 3;
+  let b = solo_broker ~budget_pages:100 ~max_concurrency:4 in
+  let lease ~pending =
+    Broker.lease b ~tenant:"solo" ~pending ~active:idle ~id:1 ~min_pages:1
+      ~max_pages:400
+  in
   (* floor is 25; three pending queries keep 75 pages in reserve *)
   Alcotest.(check int) "greedy lease leaves room for the batch" 25
-    (Broker.lease b ~id:1 ~min_pages:1 ~max_pages:400);
-  Broker.set_pending b 0;
+    (lease ~pending:3);
   Alcotest.(check int) "reservation relaxes once the batch started" 100
-    (Broker.lease b ~id:1 ~min_pages:1 ~max_pages:400)
+    (lease ~pending:0)
 
-(* With no tenant registered, admission is the plain floor check. *)
+(* With one tenant, admission is the plain floor check. *)
 let test_broker_admission_floor () =
-  let b = Broker.create ~budget_pages:100 ~max_concurrency:4 in
-  let can_admit () = Broker.can_admit_tenant b "anyone" in
+  let b = solo_broker ~budget_pages:100 ~max_concurrency:4 in
+  let can_admit () = Broker.can_admit_tenant b ~active:idle "solo" in
   Alcotest.(check bool) "admits when free" true (can_admit ());
-  ignore (Broker.lease b ~id:1 ~min_pages:80 ~max_pages:80);
+  ignore
+    (Broker.lease b ~tenant:"solo" ~pending:0 ~active:idle ~id:1 ~min_pages:80
+       ~max_pages:80);
   Alcotest.(check bool) "refuses below the floor" false (can_admit ());
   Broker.release b ~id:1;
   Alcotest.(check bool) "admits again after release" true (can_admit ())
+
+(* Every lease, admission check and registration names a tenant the broker
+   knows: an unregistered name raises and leaves the broker as it was. *)
+let test_broker_unregistered_tenant_raises () =
+  let b = solo_broker ~budget_pages:100 ~max_concurrency:4 in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "lease" (fun () ->
+      Broker.lease b ~tenant:"ghost" ~pending:0 ~active:idle ~id:1
+        ~min_pages:1 ~max_pages:10);
+  raises "admission" (fun () -> Broker.can_admit_tenant b ~active:idle "ghost");
+  raises "re-registration" (fun () ->
+      Broker.register_tenant b ~weight:2 "solo");
+  Alcotest.(check int) "no lease granted" 0 (Broker.outstanding b);
+  Alcotest.(check int) "no lease call served" 0 (Broker.grants b);
+  Alcotest.(check int) "weight kept" 1 (Broker.tenant_weight b "solo")
 
 let test_broker_tenant_floors_prevent_starvation () =
   let b = Broker.create ~budget_pages:100 ~max_concurrency:4 in
   Broker.register_tenant b ~weight:1 "alpha";
   Broker.register_tenant b ~weight:1 "beta";
-  Broker.set_tenant_active b "alpha" true;
-  Broker.set_tenant_active b "beta" true;
+  let both _ = true and alpha_only name = name = "alpha" in
+  let lease ~active tenant ~id =
+    Broker.lease b ~tenant ~pending:0 ~active ~id ~min_pages:10 ~max_pages:400
+  in
   Alcotest.(check int) "equal weights split the budget" 50
     (Broker.tenant_share b "alpha");
   (* a greedy alpha lease is clipped at the pages beta is entitled to *)
   Alcotest.(check int) "greedy lease stops at the other share" 50
-    (Broker.lease b ~tenant:"alpha" ~id:1 ~min_pages:10 ~max_pages:400);
+    (lease ~active:both "alpha" ~id:1);
   Alcotest.(check bool) "the clip is counted as a broker wait" true
     (Broker.tenant_floor_waits b "alpha" >= 1);
   Alcotest.(check bool) "beta can still admit" true
-    (Broker.can_admit_tenant b "beta");
+    (Broker.can_admit_tenant b ~active:both "beta");
   Alcotest.(check int) "beta gets its full share despite alpha" 50
-    (Broker.lease b ~tenant:"beta" ~id:2 ~min_pages:10 ~max_pages:400);
+    (lease ~active:both "beta" ~id:2);
   (* work-conserving: an idle tenant's share is available to everyone *)
   Broker.release b ~id:1;
   Broker.release b ~id:2;
-  Broker.set_tenant_active b "beta" false;
   Alcotest.(check int) "idle share is not reserved" 100
-    (Broker.lease b ~tenant:"alpha" ~id:3 ~min_pages:10 ~max_pages:400);
+    (lease ~active:alpha_only "alpha" ~id:3);
   Broker.release b ~id:3
 
 let test_broker_tenant_lease_accounting () =
   let b = Broker.create ~budget_pages:100 ~max_concurrency:4 in
   Broker.register_tenant b ~weight:3 "alpha";
   Broker.register_tenant b ~weight:1 "beta";
+  let lease tenant ~id ~max_pages =
+    ignore
+      (Broker.lease b ~tenant ~pending:0 ~active:idle ~id ~min_pages:10
+         ~max_pages)
+  in
   Alcotest.(check int) "weighted share" 75 (Broker.tenant_share b "alpha");
-  ignore (Broker.lease b ~tenant:"alpha" ~id:1 ~min_pages:10 ~max_pages:40);
-  ignore (Broker.lease b ~tenant:"alpha" ~id:2 ~min_pages:10 ~max_pages:20);
-  ignore (Broker.lease b ~tenant:"beta" ~id:3 ~min_pages:10 ~max_pages:25);
+  lease "alpha" ~id:1 ~max_pages:40;
+  lease "alpha" ~id:2 ~max_pages:20;
+  lease "beta" ~id:3 ~max_pages:25;
   Alcotest.(check int) "leases sum per tenant" 60
     (Broker.tenant_leased b "alpha");
   Alcotest.(check int) "other tenant tracked separately" 25
     (Broker.tenant_leased b "beta");
   (* a shrinking re-negotiation is reflected in the owner's account *)
-  ignore (Broker.lease b ~tenant:"alpha" ~id:1 ~min_pages:10 ~max_pages:10);
+  lease "alpha" ~id:1 ~max_pages:10;
   Alcotest.(check int) "shrink returns tenant pages" 30
     (Broker.tenant_leased b "alpha");
   Broker.release b ~id:1;
@@ -112,13 +151,16 @@ let test_broker_tenant_lease_accounting () =
   Alcotest.(check int) "no leases outstanding" 0 (Broker.outstanding b)
 
 (* Random register / activate / lease / release / pending sequences over
-   1-3 tenants.  A lease goes to a registered tenant, to a name that is
-   never registered, or to no tenant; after every operation the broker's
-   totals must match the live leases the test itself recorded. *)
+   1-3 tenants.  The test keeps what the scheduler would own: which
+   tenants have work, and how many queries are pending; each lease passes
+   them to the broker.  A lease goes to a registered tenant or to a name
+   that is not registered (which must raise and change nothing), and a
+   registration may repeat a name (likewise); after every operation the
+   broker's totals must match the live leases the test itself recorded. *)
 type broker_op =
   | Register of int * int          (* tenant index, weight *)
   | Active of int * bool
-  | Lease of int * int option * int * int
+  | Lease of int * int * int * int
       (* id, tenant index (-1: the never-registered name), min, max *)
   | Release of int
   | Pending of int
@@ -128,10 +170,7 @@ let show_broker_op = function
   | Active (i, a) -> Printf.sprintf "active t%d %b" i a
   | Lease (id, who, lo, hi) ->
     Printf.sprintf "lease #%d %s %d..%d" id
-      (match who with
-       | None -> "anon"
-       | Some i when i < 0 -> "ghost"
-       | Some i -> Printf.sprintf "t%d" i)
+      (if who < 0 then "ghost" else Printf.sprintf "t%d" who)
       lo hi
   | Release id -> Printf.sprintf "release #%d" id
   | Pending n -> Printf.sprintf "pending %d" n
@@ -148,8 +187,7 @@ let broker_case_gen =
         (2, map2 (fun i a -> Active (i, a)) tenant bool);
         (6,
          int_range 0 5 >>= fun id ->
-         oneof [ return None; return (Some (-1)); map Option.some tenant ]
-         >>= fun who ->
+         oneof [ return (-1); tenant ] >>= fun who ->
          int_range 0 budget >>= fun lo ->
          map (fun extra -> Lease (id, who, lo, lo + extra))
            (int_range 0 (2 * budget)));
@@ -167,61 +205,72 @@ let prop_broker_sums_live_leases =
     (fun (tenants, budget, conc, ops) ->
        let b = Broker.create ~budget_pages:budget ~max_concurrency:conc in
        let name i = if i < 0 then "ghost" else Printf.sprintf "t%d" i in
-       let names = List.init tenants name @ [ name (-1) ] in
        let registered = Hashtbl.create 4 in
+       let active = Hashtbl.create 4 in
+       let pending = ref 0 in
        let live = Hashtbl.create 8 in  (* id -> (pages, tenant name) *)
        let seen = Hashtbl.create 4 in  (* name -> largest tenant_leased *)
        let check what =
          let sum name =
            Hashtbl.fold
              (fun _ (pages, owner) acc ->
-                if owner = Some name then acc + pages else acc)
+                if owner = name then acc + pages else acc)
              live 0
          in
          if Broker.total_leased b > budget then
            QCheck.Test.fail_reportf "after %s: %d pages leased of %d" what
              (Broker.total_leased b) budget;
+         if Broker.outstanding b <> Hashtbl.length live then
+           QCheck.Test.fail_reportf "after %s: %d leases, want %d" what
+             (Broker.outstanding b) (Hashtbl.length live);
          List.iter
            (fun n ->
               let leased = Broker.tenant_leased b n in
-              let want = if Hashtbl.mem registered n then sum n else 0 in
-              if leased <> want then
+              if leased <> sum n then
                 QCheck.Test.fail_reportf "after %s: %s leases %d, want %d" what
-                  n leased want;
-              let peak =
-                max leased (Option.value ~default:0 (Hashtbl.find_opt seen n))
-              in
-              Hashtbl.replace seen n peak;
-              if Broker.tenant_peak b n < peak then
-                QCheck.Test.fail_reportf "after %s: %s peak %d below %d" what n
-                  (Broker.tenant_peak b n) peak)
-           names
+                  n leased (sum n);
+              if Hashtbl.mem registered n then begin
+                let peak =
+                  max leased
+                    (Option.value ~default:0 (Hashtbl.find_opt seen n))
+                in
+                Hashtbl.replace seen n peak;
+                if Broker.tenant_peak b n < peak then
+                  QCheck.Test.fail_reportf "after %s: %s peak %d below %d"
+                    what n (Broker.tenant_peak b n) peak
+              end)
+           (List.init tenants name @ [ name (-1) ])
+       in
+       let refused what f =
+         match f () with
+         | _ -> QCheck.Test.fail_reportf "%s: no exception" what
+         | exception Invalid_argument _ -> ()
        in
        List.iter
          (fun op ->
             (match op with
+             | Register (i, w) when Hashtbl.mem registered (name i) ->
+               refused (show_broker_op op) (fun () ->
+                   Broker.register_tenant b ~weight:w (name i))
              | Register (i, w) ->
                Broker.register_tenant b ~weight:w (name i);
                Hashtbl.replace registered (name i) ()
-             | Active (i, a) -> Broker.set_tenant_active b (name i) a
+             | Active (i, a) -> Hashtbl.replace active (name i) a
              | Lease (id, who, lo, hi) ->
-               (* a registered tenant is never leased under before it is
-                  registered: leases only go to registered names, the
-                  never-registered name or no tenant *)
-               let tenant =
-                 match who with
-                 | Some i
-                   when i >= 0 && not (Hashtbl.mem registered (name i)) ->
-                   Some (name (-1))
-                 | Some i -> Some (name i)
-                 | None -> None
+               let tenant = name who in
+               let lease () =
+                 Broker.lease b ~tenant ~pending:!pending
+                   ~active:(fun n ->
+                       Option.value ~default:false (Hashtbl.find_opt active n))
+                   ~id ~min_pages:lo ~max_pages:hi
                in
-               let got = Broker.lease ?tenant b ~id ~min_pages:lo ~max_pages:hi in
-               Hashtbl.replace live id (got, tenant)
+               if Hashtbl.mem registered tenant then
+                 Hashtbl.replace live id (lease (), tenant)
+               else refused (show_broker_op op) lease
              | Release id ->
                Broker.release b ~id;
                Hashtbl.remove live id
-             | Pending n -> Broker.set_pending b n);
+             | Pending n -> pending := n);
             check (show_broker_op op))
          ops;
        true)
@@ -398,6 +447,8 @@ let suite =
       test_broker_reserves_floor_for_pending;
     Alcotest.test_case "broker admission floor" `Quick
       test_broker_admission_floor;
+    Alcotest.test_case "broker unregistered tenant raises" `Quick
+      test_broker_unregistered_tenant_raises;
     Alcotest.test_case "broker tenant floors prevent starvation" `Quick
       test_broker_tenant_floors_prevent_starvation;
     Alcotest.test_case "broker tenant lease accounting" `Quick
