@@ -50,6 +50,16 @@ let shape_key s =
 
 let same_shape a b = shape_key a = shape_key b
 
+(* Is [out] the columns of [inputs] with some dropped, in their order? *)
+let kept_in_order ~inputs out =
+  let rec go ins outs =
+    match outs, ins with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | o :: orest, i :: irest -> if o = i then go irest orest else go irest outs
+  in
+  go (shape_key inputs) (shape_key out)
+
 let schema_to_string s = Fmt.str "%a" Schema.pp s
 
 (* The schema a scan of [table] should deliver.  Temp tables keep their
@@ -111,6 +121,18 @@ let schema_run ctx plan =
         (Fmt.str "recorded schema [%s] does not match the inferred [%s]"
            (schema_to_string p.Plan.schema) (schema_to_string expected))
   in
+  (* A join outputs its inputs' columns, outer/probe/left first, with the
+     columns no operator above reads dropped: the nodes above check what
+     they read against it. *)
+  let check_join_shape ~node_id ~path a b (p : Plan.t) =
+    let inputs = Schema.concat a b in
+    if not (kept_in_order ~inputs p.Plan.schema) then
+      err ~code:"SCH-SHAPE" ~node_id ~path
+        ~hint:"keep a subset of the input columns, in input order"
+        (Fmt.str "recorded schema [%s] is not an in-order subset of the \
+                  inputs [%s]"
+           (schema_to_string p.Plan.schema) (schema_to_string inputs))
+  in
   iter_with_ancestors
     (fun ~ancestors (p : Plan.t) ->
        let node_id = p.Plan.id in
@@ -165,8 +187,7 @@ let schema_run ctx plan =
                  were actually materialized"
               (Fmt.str "unknown materialized intermediate %s" name))
        | Plan.Hash_join { build; probe; keys; extra; rf = _ } ->
-         let expected = Schema.concat probe.Plan.schema build.Plan.schema in
-         check_shape ~node_id ~path ~expected p;
+         check_join_shape ~node_id ~path probe.Plan.schema build.Plan.schema p;
          List.iter
            (fun (pc, bc) ->
               check_key_pair ~what:"hash-join key" ~node_id ~path
@@ -185,26 +206,24 @@ let schema_run ctx plan =
               ~hint:"join against a table known to the catalog"
               (Fmt.str "unknown inner table %s" table)
           | Some inner ->
-            let expected = Schema.concat outer.Plan.schema inner in
-            check_shape ~node_id ~path ~expected p;
+            check_join_shape ~node_id ~path outer.Plan.schema inner p;
             check_key_pair ~what:"index-nl key" ~node_id ~path
               (outer.Plan.schema, "outer") (inner, "inner")
-              (outer_col, inner_col);
-            Option.iter
-              (check_expr ~what:"inner filter" ~node_id ~path expected)
-              inner_filter);
+              (outer_col, inner_col));
+         (* the executor tests the inner filter on the output rows *)
+         Option.iter
+           (check_expr ~what:"inner filter" ~node_id ~path p.Plan.schema)
+           inner_filter;
          Option.iter
            (check_expr ~what:"join residual" ~node_id ~path p.Plan.schema)
            extra
        | Plan.Block_nl_join { outer; inner; pred } ->
-         let expected = Schema.concat outer.Plan.schema inner.Plan.schema in
-         check_shape ~node_id ~path ~expected p;
+         check_join_shape ~node_id ~path outer.Plan.schema inner.Plan.schema p;
          Option.iter
            (check_expr ~what:"join predicate" ~node_id ~path p.Plan.schema)
            pred
        | Plan.Merge_join { left; right; keys; extra; _ } ->
-         let expected = Schema.concat left.Plan.schema right.Plan.schema in
-         check_shape ~node_id ~path ~expected p;
+         check_join_shape ~node_id ~path left.Plan.schema right.Plan.schema p;
          List.iter
            (fun (lc, rc) ->
               check_key_pair ~what:"merge-join key" ~node_id ~path

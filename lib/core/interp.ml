@@ -882,7 +882,7 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
       (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
            Parallel.hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
              ~build:(build_rows, build_schema)
-             ~probe:(probe, probe_schema) ~keys ?extra ()))
+             ~probe:(probe, probe_schema) ~keys ?extra ~out:p.Plan.schema ()))
   | Plan.Index_nl_join
       { outer; table; alias; outer_col = oc; inner_col; inner_filter; extra } ->
     let outer_rows, outer_schema = rows_of outer in
@@ -897,7 +897,7 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
       Join.index_nl_join ctx ~outer:(outer_rows, outer_schema)
         ~inner_heap:tbl.Catalog.heap ~inner_schema
         ~inner_index:(index_of tbl inner_col)
-        ~outer_col:oc ?extra:residual ()
+        ~outer_col:oc ?extra:residual ~out:p.Plan.schema ()
     in
     (Leaf.of_rows r.Join.rows, r.Join.schema)
   | Plan.Block_nl_join { outer; inner; pred } ->
@@ -905,7 +905,7 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     let inner_rows, inner_schema = rows_of inner in
     let r =
       Join.block_nl_join st.ctx ~mem_pages ~outer:(outer_rows, outer_schema)
-        ~inner:(inner_rows, inner_schema) ?pred ()
+        ~inner:(inner_rows, inner_schema) ?pred ~out:p.Plan.schema ()
     in
     (Leaf.of_rows r.Join.rows, r.Join.schema)
   | Plan.Merge_join { left; right; keys; extra; left_sorted; right_sorted; rf }
@@ -916,7 +916,7 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     let r =
       Merge_join.merge_join ctx ~mem_pages ~left_sorted ~right_sorted
         ~left:(left_rows, left_schema) ~right:(Leaf.rows right, right_schema)
-        ~keys ?extra ()
+        ~keys ?extra ~out:p.Plan.schema ()
     in
     (Leaf.of_rows r.Merge_join.rows, r.Merge_join.schema)
   | Plan.Aggregate { input; group_by; aggs } ->

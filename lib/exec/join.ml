@@ -32,10 +32,13 @@ module Table = Rows_ops.Table
 let rec has_null t idx i =
   i < Array.length idx && (Value.is_null t.(idx.(i)) || has_null t idx (i + 1))
 
+module Pair = Rows_ops.Pair
+
 let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
-    ~probe:(probe, probe_schema) ~keys ?extra () =
+    ~probe:(probe, probe_schema) ~keys ?extra ?out () =
   let clock = ctx.Exec_ctx.clock in
-  let out_schema = Schema.concat probe_schema build_schema in
+  let pair = Pair.make ?out probe_schema build_schema in
+  let out_schema = Pair.schema pair in
   let probe_idx =
     Array.of_list (List.map (fun (p, _) -> Schema.index_of probe_schema p) keys)
   in
@@ -92,7 +95,7 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
     let pt = base.(r) in
     let b = ref newest.(id) in
     while !b >= 0 do
-      let joined = Tuple.concat pt build_rows.(!b) in
+      let joined = Pair.row pair pt build_rows.(!b) in
       (match residual with
        | Some p when not (p joined) -> ()
        | _ -> Out.add out joined);
@@ -134,8 +137,9 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
   { rows = Out.contents out; schema = out_schema; passes }
 
 let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
-    ~inner_schema ~inner_index ~outer_col ?extra () =
-  let out_schema = Schema.concat outer_schema inner_schema in
+    ~inner_schema ~inner_index ~outer_col ?extra ?out () =
+  let pair = Pair.make ?out outer_schema inner_schema in
+  let out_schema = Pair.schema pair in
   let oi = Schema.index_of outer_schema outer_col in
   let residual =
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
@@ -155,7 +159,7 @@ let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
                 Heap_file.fetch inner_heap ~pool:ctx.Exec_ctx.pool
                   ~clock:ctx.Exec_ctx.clock rid
               in
-              let joined = Tuple.concat ot it in
+              let joined = Pair.row pair ot it in
               match residual with
               | Some p when not (p joined) -> ()
               | _ -> Out.add out joined)
@@ -167,9 +171,10 @@ let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
   { rows = Out.contents out; schema = out_schema; passes = 1 }
 
 let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
-    ~inner:(inner_rows, inner_schema) ?pred () =
+    ~inner:(inner_rows, inner_schema) ?pred ?out () =
   let clock = ctx.Exec_ctx.clock in
-  let out_schema = Schema.concat outer_schema inner_schema in
+  let pair = Pair.make ?out outer_schema inner_schema in
+  let out_schema = Pair.schema pair in
   let residual =
     Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) pred
   in
@@ -187,7 +192,7 @@ let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
     (fun ot ->
        Array.iter
          (fun it ->
-            let joined = Tuple.concat ot it in
+            let joined = Pair.row pair ot it in
             match residual with
             | Some p when not (p joined) -> ()
             | _ -> Out.add out joined)

@@ -20,9 +20,16 @@ type result = {
   passes : int;  (** 1 = in-memory; >1 = partitioned *)
 }
 
+(** Every join takes [?out], its output schema: an order-preserving
+    subsequence of its inputs' concatenation (outer, probe or left side
+    first), by default the whole concatenation.  Each output row holds
+    just those columns, and a residual predicate is evaluated over it, so
+    [out] must keep every column the residual reads.
+    @raise Invalid_argument when [out] is not such a subsequence. *)
+
 (** [hash_join ctx ~mem_pages ~build ~probe ~keys ~extra] joins on the
     column pairs [keys] (probe column, build column); [extra] is a residual
-    predicate over the concatenated schema (probe columns first).  The
+    predicate over the output.  The
     output holds each probe row, in leaf order, joined with each build row
     of an equal key, the last-built first.  The probe side is read through
     its leaf's positions, gathered only for a partitioned (multi-pass)
@@ -31,19 +38,21 @@ type result = {
 val hash_join :
   Exec_ctx.t -> mem_pages:int ->
   build:Tuple.t array * Schema.t -> probe:Leaf.t * Schema.t ->
-  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> unit -> result
+  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> ?out:Schema.t ->
+  unit -> result
 
 (** Indexed nested-loops join: for each outer row, probe the inner table's
     B+-tree on [inner_col = outer value of outer_col] and fetch matches.
-    Output schema = outer columns followed by inner columns. *)
+    Output columns: the outer's, then the inner's. *)
 val index_nl_join :
   Exec_ctx.t ->
   outer:Tuple.t array * Schema.t ->
   inner_heap:Heap_file.t -> inner_schema:Schema.t -> inner_index:Btree.t ->
-  outer_col:string -> ?extra:Mqr_expr.Expr.t -> unit -> result
+  outer_col:string -> ?extra:Mqr_expr.Expr.t -> ?out:Schema.t -> unit ->
+  result
 
 (** Block nested-loops fallback for joins with no equality conjunct. *)
 val block_nl_join :
   Exec_ctx.t -> mem_pages:int ->
   outer:Tuple.t array * Schema.t -> inner:Tuple.t array * Schema.t ->
-  ?pred:Mqr_expr.Expr.t -> unit -> result
+  ?pred:Mqr_expr.Expr.t -> ?out:Schema.t -> unit -> result

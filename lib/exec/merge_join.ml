@@ -20,9 +20,10 @@ let has_null idxs t = List.exists (fun i -> Value.is_null t.(i)) idxs
 
 let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
     ~left:(left_rows, left_schema) ~right:(right_rows, right_schema) ~keys
-    ?extra () =
+    ?extra ?out () =
   let clock = ctx.Exec_ctx.clock in
-  let out_schema = Schema.concat left_schema right_schema in
+  let pair = Rows_ops.Pair.make ?out left_schema right_schema in
+  let out_schema = Rows_ops.Pair.schema pair in
   let li = List.map (fun (l, _) -> Schema.index_of left_schema l) keys in
   let ri = List.map (fun (_, r) -> Schema.index_of right_schema r) keys in
   (* each side sorts within half the grant *)
@@ -73,7 +74,7 @@ let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
         done;
         for a = !i to !i_end - 1 do
           for b = !j to !j_end - 1 do
-            let joined = Tuple.concat l.(a) r.(b) in
+            let joined = Rows_ops.Pair.row pair l.(a) r.(b) in
             match residual with
             | Some p when not (p joined) -> ()
             | _ -> Rows_ops.Out.add out joined

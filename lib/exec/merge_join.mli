@@ -10,14 +10,15 @@ open Mqr_storage
 
 type result = {
   rows : Tuple.t array;
-  schema : Schema.t;  (** left columns then right columns *)
+  schema : Schema.t;  (** [out]: left columns then right columns *)
   left_passes : int;
   right_passes : int;
 }
 
 (** [merge_join ctx ~mem_pages ~left ~right ~keys ~extra ()] joins on the
     equality of the column pairs [keys] (left column, right column);
-    [extra] is a residual predicate over the concatenated schema.  Rows
+    [extra] is a residual predicate over the output, whose schema is
+    [out] as in {!Join}.  Rows
     with NULL key values never match.  [left_sorted]/[right_sorted] declare
     an input already ordered on its key columns (e.g. an index scan or a
     lower merge join), skipping that side's sort entirely — the payoff of
@@ -26,4 +27,5 @@ val merge_join :
   Exec_ctx.t -> mem_pages:int ->
   ?left_sorted:bool -> ?right_sorted:bool ->
   left:Tuple.t array * Schema.t -> right:Tuple.t array * Schema.t ->
-  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> unit -> result
+  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> ?out:Schema.t ->
+  unit -> result

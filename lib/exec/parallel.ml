@@ -110,12 +110,12 @@ let scan ctx ~degree ?slice_pages ?on_worker heap =
 
 let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
     ~build:(build_rows, build_schema) ~probe:(probe, probe_schema) ~keys
-    ?extra () =
+    ?extra ?out () =
   match keys, degree with
   | [], _ | _, 1 ->
     let r =
       Join.hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
-        ~probe:(probe, probe_schema) ~keys ?extra ()
+        ~probe:(probe, probe_schema) ~keys ?extra ?out ()
     in
     (r.Join.rows, r.Join.schema)
   | (probe_col, build_col) :: _, _ ->
@@ -132,12 +132,12 @@ let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
             Join.hash_join wctx ~mem_pages:per_worker_mem
               ~build:(build_parts.(w), build_schema)
               ~probe:(Leaf.of_rows probe_parts.(w), probe_schema)
-              ~keys ?extra ()
+              ~keys ?extra ?out ()
           in
           r.Join.rows)
     in
-    let schema = Schema.concat probe_schema build_schema in
-    (Array.concat chunks, schema)
+    ( Array.concat chunks,
+      Rows_ops.Pair.schema (Rows_ops.Pair.make ?out probe_schema build_schema) )
 
 let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
     ~group_by ~aggs leaf =

@@ -61,14 +61,14 @@ val scan :
     key can partition) runs serially at any degree.  At degree 1 the
     probe leaf goes to {!Join.hash_join} as it is, codes and payloads and
     all; the exchange gathers its rows and hands each worker its
-    partition without them. *)
+    partition without them.  [out] is the output schema, as in {!Join}. *)
 val hash_join :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int ->
   build:Tuple.t array * Schema.t -> probe:Leaf.t * Schema.t ->
-  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> unit ->
-  Tuple.t array * Schema.t
+  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> ?out:Schema.t ->
+  unit -> Tuple.t array * Schema.t
 
 (** Partitioned aggregation: input exchanged on the first grouping column,
     so every group is computed wholly on one worker.  At degree 1, and for

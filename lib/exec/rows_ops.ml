@@ -56,6 +56,47 @@ module Out = struct
     if b.len = Array.length b.rows then b.rows else Array.sub b.rows 0 b.len
 end
 
+(* [src.(k)] is the column of output column [k] in the concatenation of
+   the two inputs: below [split] the left row's, from it the right's. *)
+module Pair = struct
+  type t = { out : Schema.t; src : int array; split : int }
+
+  let make ?out left right =
+    let out = match out with Some s -> s | None -> Schema.concat left right in
+    let cols = Array.of_list (Schema.columns (Schema.concat left right)) in
+    let n = Array.length cols in
+    let k = ref 0 in
+    let find (c : Schema.column) =
+      while
+        !k < n
+        && not
+             (String.equal cols.(!k).Schema.name c.Schema.name
+              && String.equal cols.(!k).Schema.qualifier c.Schema.qualifier)
+      do
+        incr k
+      done;
+      if !k = n then
+        invalid_arg
+          ("Rows_ops.Pair.make: " ^ Schema.qualified_name c
+           ^ " is not an input column in input order");
+      incr k;
+      !k - 1
+    in
+    { out;
+      src = Array.of_list (List.map find (Schema.columns out));
+      split = Schema.arity left }
+
+  let schema t = t.out
+
+  let row { src; split; _ } l r =
+    let out = Array.make (Array.length src) Value.Null in
+    for k = 0 to Array.length src - 1 do
+      let i = src.(k) in
+      out.(k) <- (if i < split then l.(i) else r.(i - split))
+    done;
+    out
+end
+
 let[@inline] hash_one h = (17 * 31) + h
 
 let row_hash t idx =

@@ -38,6 +38,24 @@ module Out : sig
   val contents : t -> Tuple.t array
 end
 
+(** How a join builds its output rows from pairs of input rows. *)
+module Pair : sig
+  type t
+
+  (** [make ?out left right] finds each column of [out] among the
+      columns of [left], then [right], once per execution.  [out] must be
+      an order-preserving subsequence of [Schema.concat left right], which
+      is its default.
+      @raise Invalid_argument otherwise. *)
+  val make : ?out:Schema.t -> Schema.t -> Schema.t -> t
+
+  (** The output schema, [out]. *)
+  val schema : t -> Schema.t
+
+  (** [row m l r]: the output row of [l] (a [left] row) paired with [r]. *)
+  val row : t -> Tuple.t -> Tuple.t -> Tuple.t
+end
+
 (** [row_hash t idx] folds [Value.hash] over the columns [idx] of [t]
     (from 17, times 31), so keys that are [Value.equal] column by column
     hash alike. *)

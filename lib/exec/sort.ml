@@ -23,7 +23,10 @@ type result = {
 (* The keys first, then the whole row, ascending, its columns in order of
    their qualified names: a total order, so the output sequence depends
    only on the input multiset, neither on the order a plan delivered the
-   rows in nor on which side of a join put its columns first. *)
+   rows in nor on which side of a join put its columns first.  Which
+   columns a row carries depends on the plan; the optimizer ends an ORDER
+   BY below a projection with the SELECT columns, so rows the whole-row
+   step orders project to equal rows. *)
 let comparator schema ~keys =
   let name i = Schema.qualified_name (Schema.column schema i) in
   let idxs =

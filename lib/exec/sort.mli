@@ -13,7 +13,9 @@ type result = {
 
 (** [comparator schema ~keys] orders rows by the named columns ([true] =
     ascending), first key first, then by the whole row ascending (columns
-    in qualified-name order): the total order [sort] leaves. *)
+    in qualified-name order): the total order [sort] leaves.  The
+    optimizer's ORDER BY keys below a projection end with the SELECT
+    columns, so its last step only orders rows that project alike. *)
 val comparator :
   Schema.t -> keys:(string * bool) list -> Tuple.t -> Tuple.t -> int
 

@@ -62,17 +62,44 @@ type ctx = {
   sel_env : Selectivity.env;
   grant : int;  (* the planning memory, at least 2 pages *)
   max_dop : int;
+  kept : kept;  (* the columns a join outputs *)
   mutable next_id : int;
   mutable enumerated : int;
   memo : memo;
 }
 
+(* A set of columns by qualifier, then bare name: a column is looked up
+   without building its qualified name. *)
+and kept = unit Str_tbl.t Str_tbl.t
+
+let add_kept (k : kept) ~qualifier ~name =
+  let names =
+    match Str_tbl.find k qualifier with
+    | t -> t
+    | exception Not_found ->
+      let t = Str_tbl.create 16 in
+      Str_tbl.add k qualifier t;
+      t
+  in
+  Str_tbl.replace names name ()
+
+(* [r] is a column reference, ["q.c"] or a bare ["c"]. *)
+let add_ref k r =
+  let qualifier, name = Schema.split_ref r in
+  add_kept k ~qualifier ~name
+
+let keeps ctx (c : Schema.column) =
+  match Str_tbl.find ctx.kept c.Schema.qualifier with
+  | names -> Str_tbl.mem names c.Schema.name
+  | exception Not_found -> false
+
 let make_ctx ?(planning_mem = default_options.planning_mem_pages)
-    ?(max_dop = 1) ?memo:(m = memo ()) ~env () =
+    ?(max_dop = 1) ?memo:(m = memo ()) ~kept ~env () =
   { env;
     sel_env = Stats_env.selectivity_env env;
     grant = Int.max 2 planning_mem;
     max_dop = Int.max 1 max_dop;
+    kept;
     next_id = 0;
     enumerated = 0;
     memo = m }
@@ -128,6 +155,30 @@ let sel ctx e =
 let sel_opt ctx = function None -> 1.0 | Some e -> sel ctx e
 
 let width_of schema = float_of_int (Schema.avg_tuple_width schema)
+
+(* The columns of [p] a join above it outputs: those the query block
+   reads.  A scan delivers its base rows whole, by position, so this is
+   where columns are dropped; a join kept only such columns when it was
+   built, the DP's and [recost]'s alike, so it keeps them all. *)
+let kept_schema ctx (p : Plan.t) =
+  if Plan.is_join p then p.Plan.schema
+  else Schema.filter (keeps ctx) p.Plan.schema
+
+(* A join's output schema: its inputs' kept columns, in order. *)
+let join_schema ctx a b = Schema.concat (kept_schema ctx a) (kept_schema ctx b)
+
+(* The width [schema] contributes to a join above it: its kept columns'
+   widths plus the tuple header. *)
+let kept_width ctx schema =
+  let w = ref Tuple.header_bytes in
+  for i = 0 to Schema.arity schema - 1 do
+    let c = Schema.column schema i in
+    if keeps ctx c then w := !w + c.Schema.avg_width
+  done;
+  !w
+
+(* The width of a join of two inputs, from their kept widths: one header. *)
+let joined_width a b = a + b - Tuple.header_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Node constructors: estimation and costing in one place, so [recost]  *)
@@ -296,7 +347,11 @@ let rf_credit_sel rf = 0.5 +. (0.5 *. rf_combined_sel rf)
 (* closure at [max_dop = 1].  [*_entry] takes the node id, the inputs'  *)
 (* entries, the memory and the priced [op_ms], and returns the join's   *)
 (* own entry, its plan node built only when a plan above needs it.      *)
-(* Both the DP and [recost] build every join through these.             *)
+(* Both the DP and [recost] build every join through these.  A join     *)
+(* outputs only its inputs' kept columns ([join_schema]), so its width, *)
+(* and with it the pages and memory demands of every operator above it, *)
+(* is the sum of its inputs' kept widths, whatever their own widths:    *)
+(* a scan is priced at its full width, a join over it at the kept one.  *)
 
 (* What pricing reads of a plan: its estimates, its pages, and the sort a
    merge join gives it at the planning grant (which is the grant of
@@ -309,8 +364,9 @@ type quant = {
   q_sort_ms : float;  (* [Cost_model.merge_sort_ms] at [grant] *)
 }
 
-(* A plan with its quantities, its schema's width ([Schema.avg_tuple_width])
-   and the memory demands of building a hash table on it
+(* A plan with its quantities, the width its kept columns contribute to a
+   join above it ([kept_width]; a join's whole schema is kept) and the
+   memory demands of building a hash table on it
    ([Cost_model.hash_join_mem]) and of sorting it ([Cost_model.sort_mem]).
    The join enumeration builds an entrant's plan node only when a plan
    that contains it is asked for: most entrants are displaced from their
@@ -318,7 +374,7 @@ type quant = {
 type cand = {
   plan : Plan.t Lazy.t;
   q : quant;
-  schema_width : int;
+  kept_width : int;
   hash_min : int;
   hash_max : int;
   sort_min : int;
@@ -329,7 +385,7 @@ type cand = {
    the schema's width for a node the optimizer builds ([mk_node]), but
    not for a [Materialized] leaf, whose estimate is the observed bytes per
    row. *)
-let cand_of_est ctx plan ~schema_width ~rows ~width ~total =
+let cand_of_est ctx plan ~kept_width ~rows ~width ~total =
   let pages = Cost_model.pages ~rows ~width in
   let hash_min, hash_max = Cost_model.hash_join_mem ~build_pages:pages in
   let sort_min, sort_max = Cost_model.sort_mem ~data_pages:pages in
@@ -342,7 +398,7 @@ let cand_of_est ctx plan ~schema_width ~rows ~width ~total =
         q_sort_ms =
           Cost_model.merge_sort_ms ~rows ~data_pages:pages
             ~mem_pages:ctx.grant };
-    schema_width;
+    kept_width;
     hash_min;
     hash_max;
     sort_min;
@@ -350,15 +406,18 @@ let cand_of_est ctx plan ~schema_width ~rows ~width ~total =
 
 let cand_of ctx (plan : Plan.t) =
   let e = plan.Plan.est in
-  cand_of_est ctx (Lazy.from_val plan)
-    ~schema_width:(Schema.avg_tuple_width plan.Plan.schema) ~rows:e.Plan.rows
+  let kept_width =
+    if Plan.is_join plan then Schema.avg_tuple_width plan.Plan.schema
+    else kept_width ctx plan.Plan.schema
+  in
+  cand_of_est ctx (Lazy.from_val plan) ~kept_width ~rows:e.Plan.rows
     ~width:e.Plan.width ~total:e.Plan.total_ms
 
 (* The entry of a join whose output estimate is [rows] and whose schema
    is [schema_width] wide: its quantities are those of the node [plan]
    builds ([mk_node] floors the rows and takes the schema's width). *)
 let join_entry ctx ~schema_width ~rows ~total plan =
-  cand_of_est ctx plan ~schema_width ~rows:(Float.max 0.05 rows)
+  cand_of_est ctx plan ~kept_width:schema_width ~rows:(Float.max 0.05 rows)
     ~width:(float_of_int schema_width) ~total
 
 (* The rows a hash join's probe (a merge join's right side) feeds the join
@@ -404,7 +463,7 @@ let hash_join_entry ctx ~id ~(build : cand) ~(probe : cand) ~keys ~extra ~rf
     ~out_rows ~mem ~op_ms =
   join_entry ctx ~rows:out_rows
     ~total:(op_ms +. build.q.q_total +. probe.q.q_total)
-    ~schema_width:(Schema.concat_width probe.schema_width build.schema_width)
+    ~schema_width:(joined_width probe.kept_width build.kept_width)
     (lazy
       (let dop =
          if hash_join_serial ctx ~keys then 1
@@ -413,17 +472,24 @@ let hash_join_entry ctx ~id ~(build : cand) ~(probe : cand) ~keys ~extra ~rf
        let b = Lazy.force build.plan and p = Lazy.force probe.plan in
        mk_node ~id ~dop
          (Plan.Hash_join { build = b; probe = p; keys; extra; rf })
-         (Schema.concat p.Plan.schema b.Plan.schema) ~rows:out_rows ~op_ms
+         (join_schema ctx p b) ~rows:out_rows ~op_ms
          ~children:[ b; p ] ~min_mem:build.hash_min ~max_mem:build.hash_max
          ~mem))
 
 (* The inner side of an indexed nested-loops join: a base relation, its
-   local filter and that filter's selectivity. *)
+   local filter, that filter's selectivity and the relation's kept width. *)
 type inner = {
   rel : Stats_env.rel_info;
   filter : Expr.t option;
   filter_sel : float;
+  inner_width : int;
 }
+
+let inner_of ctx rel filter =
+  { rel;
+    filter;
+    filter_sel = sel_opt ctx filter;
+    inner_width = kept_width ctx rel.Stats_env.rel_schema }
 
 (* The key an indexed nested-loops join probes, with its equi-join
    selectivity, and the residual (every other key pair and non-equi
@@ -452,9 +518,7 @@ let index_nl_join_entry ctx ~id ~(outer : cand) inner k ~op_ms =
   in
   let inner_schema = inner.rel.Stats_env.rel_schema in
   join_entry ctx ~rows ~total:(op_ms +. outer.q.q_total)
-    ~schema_width:
-      (Schema.concat_width outer.schema_width
-         (Schema.avg_tuple_width inner_schema))
+    ~schema_width:(joined_width outer.kept_width inner.inner_width)
     (lazy
       (let o = Lazy.force outer.plan in
        mk_node ~id
@@ -462,7 +526,9 @@ let index_nl_join_entry ctx ~id ~(outer : cand) inner k ~op_ms =
              alias = inner.rel.Stats_env.alias; outer_col = k.outer_col;
              inner_col = k.inner_col; inner_filter = inner.filter;
              extra = k.extra })
-         (Schema.concat o.Plan.schema inner_schema) ~rows ~op_ms
+         (Schema.concat (kept_schema ctx o)
+            (Schema.filter (keeps ctx) inner_schema))
+         ~rows ~op_ms
          ~children:[ o ] ~min_mem:0 ~max_mem:0 ~mem:0))
 
 let[@inline] block_nl_join_op_ms ~(outer : cand) ~(inner : cand) ~out_rows
@@ -475,14 +541,14 @@ let block_nl_join_entry ctx ~id ~(outer : cand) ~(inner : cand) ~pred
     ~out_rows ~mem ~op_ms =
   join_entry ctx ~rows:out_rows
     ~total:(op_ms +. outer.q.q_total +. inner.q.q_total)
-    ~schema_width:(Schema.concat_width outer.schema_width inner.schema_width)
+    ~schema_width:(joined_width outer.kept_width inner.kept_width)
     (lazy
       (let min_mem, max_mem =
          Cost_model.block_nl_join_mem ~outer_pages:outer.q.q_pages
        in
        let o = Lazy.force outer.plan and i = Lazy.force inner.plan in
        mk_node ~id (Plan.Block_nl_join { outer = o; inner = i; pred })
-         (Schema.concat o.Plan.schema i.Plan.schema) ~rows:out_rows ~op_ms
+         (join_schema ctx o i) ~rows:out_rows ~op_ms
          ~children:[ o; i ] ~min_mem ~max_mem ~mem))
 
 (* A side counts as pre-sorted only when the join has a single key pair and
@@ -533,7 +599,7 @@ let merge_join_entry ctx ~id ~(left : cand) ~(right : cand) ~keys ~extra
     ~left_sorted ~right_sorted ~rf ~out_rows ~mem ~op_ms =
   join_entry ctx ~rows:out_rows
     ~total:(op_ms +. left.q.q_total +. right.q.q_total)
-    ~schema_width:(Schema.concat_width left.schema_width right.schema_width)
+    ~schema_width:(joined_width left.kept_width right.kept_width)
     (lazy
       (let right_min, right_max =
          match rf with
@@ -547,7 +613,7 @@ let merge_join_entry ctx ~id ~(left : cand) ~(right : cand) ~keys ~extra
        mk_node ~id
          (Plan.Merge_join { left = l; right = r; keys; extra; left_sorted;
              right_sorted; rf })
-         (Schema.concat l.Plan.schema r.Plan.schema) ~rows:out_rows ~op_ms
+         (join_schema ctx l r) ~rows:out_rows ~op_ms
          ~children:[ l; r ] ~min_mem:(left.sort_min + right_min)
          ~max_mem:(left.sort_max + right_max) ~mem))
 
@@ -955,8 +1021,7 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     Array.of_list
       (List.map
          (fun (rel, filter, _) ->
-            if options.enable_index_join then
-              Some { rel; filter; filter_sel = sel_opt ctx filter }
+            if options.enable_index_join then Some (inner_of ctx rel filter)
             else None)
          rels)
   in
@@ -1282,11 +1347,24 @@ let plan_query ctx options (q : Query.t) =
       | Some pred -> mk_filter ctx ~id:(fresh_id ctx) ~input:with_agg ~pred
     in
     (* Sort before projecting: ORDER BY may reference columns that are not
-       in the SELECT list, and projection preserves row order. *)
+       in the SELECT list, and projection preserves row order.  Below a
+       projection, ties on the ORDER BY keys break on the SELECT columns,
+       in qualified-name order: rows that still tie project to equal rows,
+       so the rows a LIMIT keeps do not depend on which other columns the
+       plan's joins carry (a replan's joins carry fewer). *)
     let with_sort =
       match q.Query.order_by with
       | [] -> with_having
-      | keys -> mk_sort ctx ~id:(fresh_id ctx) ~input:with_having ~keys ~mem:0
+      | keys ->
+        let keys =
+          if q.Query.aggs = [] && q.Query.group_by = [] then
+            keys
+            @ List.filter_map
+                (fun c -> if List.mem_assoc c keys then None else Some (c, true))
+                (List.sort_uniq String.compare q.Query.select_cols)
+          else keys
+        in
+        mk_sort ctx ~id:(fresh_id ctx) ~input:with_having ~keys ~mem:0
     in
     let with_project =
       if q.Query.aggs = [] && q.Query.group_by = [] then
@@ -1309,6 +1387,10 @@ let plan_query ctx options (q : Query.t) =
 let optimize ?(options = default_options) ?clock ?model:_ ~env q =
   let ctx =
     make_ctx ~planning_mem:options.planning_mem_pages ~max_dop:options.max_dop
+      ~kept:
+        (let k = Str_tbl.create 8 in
+         List.iter (add_ref k) (Query.needed_columns q);
+         k)
       ~env ()
   in
   let plan = plan_query ctx options q in
@@ -1320,9 +1402,27 @@ let optimize ?(options = default_options) ?clock ?model:_ ~env q =
 (* ------------------------------------------------------------------ *)
 (* Re-costing an existing structure under improved statistics.         *)
 
+(* The columns a plan's joins output.  One query block planned every
+   join of a plan the optimizer built, each keeping that block's needed
+   columns among its inputs' (a hand-built join keeps them all), so
+   [recost] rebuilds each join's schema as it was planned. *)
+let plan_columns plan =
+  let k = Str_tbl.create 8 in
+  Plan.fold
+    (fun () (p : Plan.t) ->
+       if Plan.is_join p then
+         for i = 0 to Schema.arity p.Plan.schema - 1 do
+           let c = Schema.column p.Plan.schema i in
+           add_kept k ~qualifier:c.Schema.qualifier ~name:c.Schema.name
+         done)
+    () plan;
+  k
+
 let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
     ?memo ~env plan =
-  let ctx = make_ctx ~planning_mem ~max_dop ?memo ~env () in
+  let ctx =
+    make_ctx ~planning_mem ~max_dop ?memo ~kept:(plan_columns plan) ~env ()
+  in
   let built (c : cand) = Lazy.force c.plan in
   let rec go (p : Plan.t) =
     let id = p.Plan.id and keep_mem = p.Plan.mem in
@@ -1368,11 +1468,7 @@ let recost ?(planning_mem = default_options.planning_mem_pages) ?(max_dop = 1)
     | Plan.Index_nl_join
         { outer; alias; outer_col; inner_col; inner_filter; extra; _ } ->
       let outer = cand_of ctx (go outer) in
-      let inner =
-        { rel = Stats_env.rel ctx.env ~alias;
-          filter = inner_filter;
-          filter_sel = sel_opt ctx inner_filter }
-      in
+      let inner = inner_of ctx (Stats_env.rel ctx.env ~alias) inner_filter in
       let k =
         { outer_col;
           inner_col;

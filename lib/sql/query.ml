@@ -233,6 +233,23 @@ let read_columns t =
      @ t.group_by
      @ List.map fst t.order_by)
 
+let needed_columns t =
+  let held =
+    List.concat_map
+      (fun r -> List.map Schema.qualified_name (Schema.columns r.rel_schema))
+      t.relations
+  in
+  List.filter (fun c -> List.mem c held)
+  @@ List.sort_uniq String.compare
+    (List.concat_map Expr.columns t.conjuncts
+     @ t.select_cols
+     @ t.group_by
+     @ List.concat_map
+         (fun a -> Option.fold ~none:[] ~some:Expr.columns a.arg)
+         t.aggs
+     @ List.map fst t.order_by
+     @ Option.fold ~none:[] ~some:Expr.columns t.having)
+
 (* Number of join operators any plan for this block will contain.  The
    paper classifies queries by this count; note it is relations - 1, not
    the number of join conjuncts (a query can carry redundant equalities,

@@ -52,6 +52,13 @@ val output_schema : Mqr_catalog.Catalog.t -> t -> Schema.t
     table needs its free min/max only for these columns. *)
 val read_columns : t -> string list
 
+(** Every input column the block reads: those of the WHERE conjuncts,
+    the SELECT list, the GROUP BY, the aggregate arguments, the ORDER BY
+    and HAVING, sorted and deduplicated (the aggregate outputs that ORDER
+    BY and HAVING may name are no input's).  A join outputs only these
+    columns of its inputs. *)
+val needed_columns : t -> string list
+
 (** Number of join operators any plan for this block will contain
     (relations - 1); the paper classifies queries as simple/medium/complex
     by this count. *)

@@ -172,26 +172,29 @@ let probe t ~pool ~clock ?lo ?hi () =
       descend nd.children.(pos)
   in
   let start = descend t.root in
-  let acc = ref [] in
+  (* each matching key's rid list, the last key's first *)
+  let found = ref [] in
   let rec walk lf first =
     if not first then touch_page t ~pool ~clock lf.lid;
     let n = Array.length lf.keys in
     let start_pos = match lo with Some k -> lower_bound lf.keys k | None -> 0 in
-    let continue = ref true in
-    for i = start_pos to n - 1 do
-      if !continue then begin
-        let key = lf.keys.(i) in
-        match hi with
-        | Some h when Value.compare key h > 0 -> continue := false
-        | _ -> acc := List.rev_append lf.vals.(i) !acc
-      end
+    let i = ref start_pos and past_hi = ref false in
+    while (not !past_hi) && !i < n do
+      match hi with
+      | Some h when Value.compare lf.keys.(!i) h > 0 -> past_hi := true
+      | _ ->
+        found := lf.vals.(!i) :: !found;
+        incr i
     done;
     Sim_clock.charge_cpu_tuples clock (max 1 (n - start_pos));
-    if !continue then
+    if not !past_hi then
       match lf.next with Some nxt -> walk nxt false | None -> ()
   in
   walk start true;
-  List.rev !acc
+  (* a single key's list is returned as it is stored *)
+  List.fold_left
+    (fun acc rids -> match acc with [] -> rids | _ -> rids @ acc)
+    [] !found
 
 let check t =
   let ( let* ) r f = Result.bind r f in

@@ -11,7 +11,7 @@ type t = { cols : column array; width : int }
 
 exception Ambiguous of string
 
-let header_bytes = 8
+let header_bytes = Tuple.header_bytes
 
 let of_array cols =
   { cols;
@@ -28,10 +28,13 @@ let qualified_name c =
 let qualify t alias =
   { t with cols = Array.map (fun c -> { c with qualifier = alias }) t.cols }
 
-let concat_width wa wb = wa + wb - header_bytes
-
 let concat a b =
-  { cols = Array.append a.cols b.cols; width = concat_width a.width b.width }
+  { cols = Array.append a.cols b.cols; width = a.width + b.width - header_bytes }
+
+let filter keep t =
+  let kept = List.filter keep (Array.to_list t.cols) in
+  if List.compare_length_with kept (Array.length t.cols) = 0 then t
+  else make kept
 
 let project t idxs = of_array (Array.of_list (List.map (fun i -> t.cols.(i)) idxs))
 

@@ -25,12 +25,12 @@ val qualified_name : column -> string
 (** [qualify schema alias] sets the qualifier of every column. *)
 val qualify : t -> string -> t
 
-(** Concatenation, for join outputs. *)
+(** Concatenation. *)
 val concat : t -> t -> t
 
-(** [avg_tuple_width (concat a b)] from the two widths, without building
-    the schema. *)
-val concat_width : int -> int -> int
+(** [filter keep schema]: the columns [keep] accepts, in order;
+    [schema] itself when it accepts every one. *)
+val filter : (column -> bool) -> t -> t
 
 (** [project schema idxs] keeps only the columns at [idxs], in order. *)
 val project : t -> int list -> t

@@ -1,7 +1,6 @@
 type t = Value.t array
 
 let arity = Array.length
-let concat = Array.append
 let project t idxs = Array.of_list (List.map (fun i -> t.(i)) idxs)
 
 let header_bytes = 8

@@ -3,7 +3,6 @@
 type t = Value.t array
 
 val arity : t -> int
-val concat : t -> t -> t
 val project : t -> int list -> t
 
 (** Fixed per-tuple header, in bytes. *)

@@ -23,14 +23,31 @@ let cross_product catalog (relations : Query.relation list) =
   in
   let rec go acc = function
     | [] -> [ acc ]
-    | rows :: rest -> List.concat_map (fun t -> go (Tuple.concat acc t) rest) rows
+    | rows :: rest -> List.concat_map (fun t -> go (Array.append acc t) rest) rows
   in
   (go [||] tables, schema)
 
 let group_key idxs t = List.map (fun i -> t.(i)) idxs
 
-let run catalog (q : Query.t) : Tuple.t array * Schema.t =
+(* The error bound of a float aggregate over [vals] (Higham): a sum of n
+   terms in any order is within n·ε·Σ|xᵢ| of the same sum in any other
+   order; an average divides both by n and rounds once more.  The other
+   aggregates are exact. *)
+let error_bound (a : Query.agg) vals =
+  let n = float_of_int (List.length vals) in
+  let abs_sum =
+    List.fold_left (fun acc v -> acc +. Float.abs (Value.to_float v)) 0.0 vals
+  in
+  match a.Query.fn with
+  | Ast.Sum -> n *. epsilon_float *. abs_sum
+  | Ast.Avg when n > 0.0 -> (n +. 1.0) *. epsilon_float *. abs_sum /. n
+  | _ -> 0.0
+
+(* The rows, their schema and, per output column, the largest
+   [error_bound] of its cells (0 for a column that is no aggregate). *)
+let eval catalog (q : Query.t) =
   let rows, schema = cross_product catalog q.Query.relations in
+  let bounds = ref [||] in
   let pred = Expr.compile_pred schema (Expr.conjoin q.Query.conjuncts) in
   let rows = List.filter pred rows in
   let out_rows, out_schema =
@@ -71,6 +88,7 @@ let run catalog (q : Query.t) : Tuple.t array * Schema.t =
             |> List.rev
           else vals
         in
+        ( error_bound a vals,
         match a.Query.fn with
         | Ast.Count ->
           Value.Int
@@ -85,13 +103,19 @@ let run catalog (q : Query.t) : Tuple.t array * Schema.t =
           else begin
             let s = List.fold_left Value.add Value.Null vals in
             Value.Float (Value.to_float s /. float_of_int (List.length vals))
-          end
+          end )
       in
+      let n_keys = List.length q.Query.group_by in
+      bounds := Array.make (n_keys + List.length q.Query.aggs) 0.0;
       let out =
         Hashtbl.fold
           (fun key members acc ->
              let aggs = List.map (agg_value members) q.Query.aggs in
-             Array.of_list (key @ aggs) :: acc)
+             List.iteri
+               (fun i (b, _) ->
+                  !bounds.(n_keys + i) <- Float.max b !bounds.(n_keys + i))
+               aggs;
+             Array.of_list (key @ List.map snd aggs) :: acc)
           groups []
       in
       (out, Query.output_schema catalog q)
@@ -127,15 +151,110 @@ let run catalog (q : Query.t) : Tuple.t array * Schema.t =
     | None -> out_rows
     | Some n -> List.filteri (fun i _ -> i < n) out_rows
   in
-  (Array.of_list out_rows, out_schema)
+  let bounds =
+    if Array.length !bounds = 0 then
+      Array.make (Schema.arity out_schema) 0.0
+    else !bounds
+  in
+  (Array.of_list out_rows, out_schema, bounds)
 
-(* Order-insensitive comparison key for result checking. *)
-let canonical rows =
+let run catalog q =
+  let rows, schema, _ = eval catalog q in
+  (rows, schema)
+
+(* ------------------------------------------------------------------ *)
+(* One answer: the oracle of every cross-plan row check.  Two answers  *)
+(* agree when they are the same multiset of rows: each non-float cell  *)
+(* equal bit for bit (same constructor, same payload), each float cell *)
+(* within its column's tolerance of the other's.  A float aggregate    *)
+(* adds its terms in the order the plan delivers them, so two plans    *)
+(* may give sums that differ in their last bits, by at most n·ε·Σ|xᵢ|  *)
+(* for n terms.  No cell is compared through a printed rounding.       *)
+
+(* [tol col a b]: how far float cells [a] and [b] of column [col] may
+   lie apart. *)
+type tol = int -> float -> float -> float
+
+let exact : tol = fun _ _ _ -> 0.0
+
+(* The reference's own bounds ([eval]). *)
+let within (bounds : float array) : tol = fun col _ _ -> bounds.(col)
+
+(* For two engine answers, with no reference at hand: a sum of at most
+   [terms] terms that all share one sign, so that Σ|xᵢ| is the larger
+   |sum|.  Both hold for the TPC-D queries' float sums (non-negative
+   prices, quantities and discounts over foreign-key joins, each joined
+   row extending one row of the largest relation, [terms] its size). *)
+let one_sign ~terms : tol =
+ fun _ a b ->
+  float_of_int terms *. epsilon_float *. Float.max (Float.abs a) (Float.abs b)
+
+(* The rows of the largest relation [q] reads: [one_sign]'s [terms]. *)
+let largest_relation catalog (q : Query.t) =
+  List.fold_left
+    (fun acc (r : Query.relation) ->
+       Int.max acc
+         (Heap_file.tuple_count (Catalog.find_exn catalog r.Query.table).Catalog.heap))
+    0 q.Query.relations
+
+let is_float = function Value.Float _ -> true | _ -> false
+
+(* Rows sorted by their non-float cells, then their floats: rows that
+   agree then sit at the same positions. *)
+let sorted rows =
+  let key t =
+    ( List.filter (fun v -> not (is_float v)) (Array.to_list t),
+      List.filter_map
+        (function Value.Float f -> Some f | _ -> None)
+        (Array.to_list t) )
+  in
+  List.map snd
+    (List.sort compare (List.map (fun t -> (key t, t)) (Array.to_list rows)))
+
+let cell_agrees ~tol col a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    || Float.abs (x -. y) <= tol col x y
+  | _ -> a = b
+
+let agree ?(tol = exact) expect got =
+  if Array.length expect <> Array.length got then
+    Error
+      (Printf.sprintf "%d rows expected, %d got" (Array.length expect)
+         (Array.length got))
+  else
+    let mismatch =
+      List.find_opt
+        (fun (e, g) ->
+           Array.length e <> Array.length g
+           || not
+                (List.for_all Fun.id
+                   (List.mapi
+                      (fun col a -> cell_agrees ~tol col a g.(col))
+                      (Array.to_list e))))
+        (List.combine (sorted expect) (sorted got))
+    in
+    match mismatch with
+    | None -> Ok ()
+    | Some (e, g) ->
+      Error
+        (Printf.sprintf "row %s expected, %s got" (Tuple.to_string e)
+           (Tuple.to_string g))
+
+(* A row set's bits, as a sorted list: equal for two answers exactly when
+   they are the same multiset, floats included bit for bit. *)
+let bits rows =
   Array.to_list rows
   |> List.map (fun t ->
       Array.to_list t
-      |> List.map (fun v ->
-          match v with
-          | Value.Float f -> Printf.sprintf "%.6f" f
+      |> List.map (function
+          | Value.Float f -> Printf.sprintf "%h" f
           | v -> Value.to_string v))
   |> List.sort compare
+
+(* [agree] as an Alcotest check. *)
+let check ?tol msg expect got =
+  match agree ?tol expect got with
+  | Ok () -> ()
+  | Error why -> Alcotest.failf "%s: %s" msg why

@@ -440,14 +440,13 @@ let test_engine_matches_reference () =
   List.iter
     (fun sql ->
        let q = Engine.bind_sql engine sql in
-       let expect, _ = Reference.run catalog q in
+       let expect, _, bounds = Reference.eval catalog q in
        List.iter
          (fun mode ->
             let r = Engine.run_sql engine ~mode sql in
-            Alcotest.(check (list (list string)))
+            Reference.check ~tol:(Reference.within bounds)
               (Printf.sprintf "%s [%s]" sql (Dispatcher.mode_to_string mode))
-              (Reference.canonical expect)
-              (Reference.canonical r.Dispatcher.rows))
+              expect r.Dispatcher.rows)
          modes)
     integration_queries
 
@@ -727,6 +726,56 @@ let test_run_independent_of_history () =
          (run_all (fun () -> shared) full))
     statements
 
+(* Every join of every plan a query runs (the initial plan and the one
+   it ends on, after any switch) outputs only columns its block reads,
+   [Query.needed_columns]; the top join of a plan the optimizer built
+   carries all of them its inputs hold. *)
+let test_joins_carry_needed_columns () =
+  let catalog =
+    Mqr_tpcd.Workload.experiment_catalog ~sf:0.001
+      ~degradations:Mqr_tpcd.Workload.paper_degradations ()
+  in
+  let engine = Engine.create ~budget_pages:64 ~pool_pages:512 catalog in
+  List.iter
+    (fun (q : Mqr_tpcd.Queries.query) ->
+       let bound = Engine.bind_sql engine q.Mqr_tpcd.Queries.sql in
+       let needed = Query.needed_columns bound in
+       let check label plan =
+         List.iter
+           (fun (p : Plan.t) ->
+              if Plan.is_join p then
+                List.iter
+                  (fun c ->
+                     let name = Schema.qualified_name c in
+                     if not (List.mem name needed) then
+                       Alcotest.failf "%s: join #%d carries %s" label p.Plan.id
+                         name)
+                  (Schema.columns p.Plan.schema))
+           (Plan.nodes plan)
+       in
+       List.iter
+         (fun mode ->
+            let label =
+              q.Mqr_tpcd.Queries.name ^ "/" ^ Dispatcher.mode_to_string mode
+            in
+            let r = Engine.run_sql engine ~mode q.Mqr_tpcd.Queries.sql in
+            check (label ^ " initial") r.Dispatcher.initial_plan;
+            check (label ^ " final") r.Dispatcher.final_plan;
+            match List.find_opt Plan.is_join (Plan.nodes r.Dispatcher.initial_plan) with
+            | None -> ()
+            | Some top ->
+              let names s = List.map Schema.qualified_name (Schema.columns s) in
+              let held =
+                List.concat_map
+                  (fun (rel : Query.relation) -> names rel.Query.rel_schema)
+                  bound.Query.relations
+              in
+              Alcotest.(check (list string)) (label ^ " top join")
+                (List.sort compare (List.filter (fun c -> List.mem c needed) held))
+                (List.sort compare (names top.Plan.schema)))
+         modes)
+    Mqr_tpcd.Queries.all
+
 let suite =
   [ Alcotest.test_case "base histogram levels" `Quick test_base_histogram_levels;
     Alcotest.test_case "equi histogram medium" `Quick test_equi_histogram_is_medium;
@@ -767,5 +816,7 @@ let suite =
     Alcotest.test_case "udf query" `Quick test_udf_query_runs;
     Alcotest.test_case "explain" `Quick test_explain_annotated;
     Alcotest.test_case "events reported" `Quick test_events_reported;
+    Alcotest.test_case "joins carry only the needed columns" `Quick
+      test_joins_carry_needed_columns;
     Alcotest.test_case "a run does not depend on the runs before it" `Quick
       test_run_independent_of_history ]

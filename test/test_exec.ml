@@ -91,7 +91,7 @@ let reference_join left right ~li ~ri =
     (fun lt ->
        List.filter_map
          (fun rt ->
-            if Value.equal lt.(li) rt.(ri) then Some (Tuple.concat lt rt)
+            if Value.equal lt.(li) rt.(ri) then Some (Array.append lt rt)
             else None)
          (Array.to_list right))
     (Array.to_list left)
@@ -1112,6 +1112,93 @@ let prop_hash_join_equals_nested_loop =
        let expect = reference_join left right ~li:0 ~ri:0 in
        sorted_pairs r.Join.rows = sorted_pairs (Array.of_list expect))
 
+(* A join given an output schema returns its full output with every
+   other column dropped: the same multiset of rows, each restricted to
+   the output's columns.  Every join method, with and without a residual
+   (over columns the output keeps), and the partitioned hash join at
+   degrees 2 and 4.  The output keeps a random, in-order subset of the
+   six input columns. *)
+let prop_join_outputs_project =
+  let schema q =
+    Schema.make
+      (List.map (fun c -> Schema.col ~qualifier:q c Value.TInt) [ "a"; "b"; "c" ])
+  in
+  let ls = schema "l" and rs = schema "r" in
+  let all = Schema.concat ls rs in
+  QCheck.Test.make ~name:"join outputs = full join restricted to their columns"
+    ~count:100
+    QCheck.(
+      quad (int_bound 100_000) (int_range 0 63) (int_range 0 120)
+        (pair (int_range 0 120) bool))
+    (fun (seed, mask, nl, (nr, with_residual)) ->
+       let st = Random.State.make [| seed |] in
+       let row _ = Array.init 3 (fun _ -> Value.Int (Random.State.int st 6)) in
+       let left = Array.init nl row and right = Array.init nr row in
+       let extra =
+         if with_residual then Some Expr.(col "l.b" <% col "r.b") else None
+       in
+       (* the columns a join's predicate reads stay, any other may go: the
+          residual's, and a block join's key columns, which its predicate
+          tests *)
+       let reads = if with_residual then [ 1; 4 ] else [] in
+       let kept reads =
+         List.filter
+           (fun i -> mask land (1 lsl i) <> 0 || List.mem i reads)
+           (List.init 6 Fun.id)
+       in
+       let same ~reads what full proj =
+         let idx = kept reads in
+         if
+           Reference.bits (Array.map (fun t -> Tuple.project t idx) full)
+           = Reference.bits proj
+         then true
+         else QCheck.Test.fail_reportf "%s: projected rows differ" what
+       in
+       let out reads = Some (Schema.project all (kept reads)) in
+       let keys = [ ("l.a", "r.a") ] in
+       let hash out c =
+         (Join.hash_join c ~mem_pages:4 ~build:(right, rs)
+            ~probe:(Leaf.of_rows left, ls) ~keys ?extra ?out ()).Join.rows
+       in
+       let merge out c =
+         (Merge_join.merge_join c ~mem_pages:4 ~left:(left, ls)
+            ~right:(right, rs) ~keys ?extra ?out ()).Merge_join.rows
+       in
+       let block out c =
+         let pred =
+           Expr.conjoin
+             (Expr.(col "l.a" =% col "r.a") :: Option.to_list extra)
+         in
+         (Join.block_nl_join c ~mem_pages:2 ~outer:(left, ls)
+            ~inner:(right, rs) ~pred ?out ()).Join.rows
+       in
+       let heap = Heap_file.create rs and bt = Btree.create ~fanout:4 () in
+       Array.iteri
+         (fun rid t -> Heap_file.append heap t; Btree.insert bt t.(0) rid)
+         right;
+       let index out c =
+         (Join.index_nl_join c ~outer:(left, ls) ~inner_heap:heap
+            ~inner_schema:rs ~inner_index:bt ~outer_col:"l.a" ?extra ?out ())
+           .Join.rows
+       in
+       let parallel degree out c =
+         fst
+           (Parallel.hash_join c ~degree ~mem_pages:8 ~build:(right, rs)
+              ~probe:(Leaf.of_rows left, ls) ~keys ?extra ?out ())
+       in
+       List.for_all
+         (fun (what, reads, run) ->
+            same ~reads what (run None (ctx ())) (run (out reads) (ctx ())))
+         [ ("hash", reads, hash); ("merge", reads, merge);
+           ("block", 0 :: 3 :: reads, block); ("index", reads, index) ]
+       && List.for_all
+            (fun degree ->
+               same ~reads
+                 (Printf.sprintf "parallel %d" degree)
+                 (hash None (ctx ()))
+                 (parallel degree (out reads) (ctx ())))
+            [ 2; 4 ])
+
 (* Reference for the order of [Join.hash_join]'s output: probe rows in
    order, each followed by its matches as [Hashtbl.find_all] returns them
    (the newest build row first). *)
@@ -1136,7 +1223,7 @@ module Ref_join = struct
         else
           List.filter_map
             (fun bt ->
-               let joined = Tuple.concat pt bt in
+               let joined = Array.append pt bt in
                if residual joined then Some joined else None)
             (Ktbl.find_all table (key pt probe_idx)))
     |> Array.of_list
@@ -2131,7 +2218,7 @@ let prop_hash_join_key_sources =
                         let bt = build.(b) in
                         if equal pt.(0) bt.(0)
                            && ((not with_residual) || Value.compare pt.(1) bt.(1) < 0)
-                        then Some (Tuple.concat pt bt)
+                        then Some (Array.append pt bt)
                         else None)
                      (Option.value ~default:[]
                         (Hashtbl.find_opt by_bucket (bucket pt.(0)))))
@@ -2288,6 +2375,7 @@ let suite =
       test_collector_reference_sketch_path;
     QCheck_alcotest.to_alcotest prop_hash_join_equals_nested_loop;
     QCheck_alcotest.to_alcotest prop_hash_join_order_matches_reference;
+    QCheck_alcotest.to_alcotest prop_join_outputs_project;
     QCheck_alcotest.to_alcotest prop_hash_agrees_with_equal;
     Alcotest.test_case "Value.hash allocates nothing" `Quick test_hash_allocation_free;
     QCheck_alcotest.to_alcotest prop_order_bypasses_agree;

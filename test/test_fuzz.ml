@@ -133,18 +133,18 @@ let prop_engine_matches_reference =
        let catalog = Lazy.force catalog in
        let engine = Engine.create ~budget_pages:16 catalog in
        let q = Engine.bind_sql engine sql in
-       let expect, _ = Reference.run catalog q in
-       let expect_c = Reference.canonical expect in
+       let expect, _, bounds = Reference.eval catalog q in
        List.for_all
          (fun mode ->
             let r = Engine.run_sql engine ~mode sql in
-            let got = Reference.canonical r.Dispatcher.rows in
-            if got <> expect_c then
-              QCheck.Test.fail_reportf
-                "mode %s disagrees on %s:@.engine %d rows, reference %d rows"
-                (Dispatcher.mode_to_string mode)
-                sql (List.length got) (List.length expect_c)
-            else true)
+            match
+              Reference.agree ~tol:(Reference.within bounds) expect
+                r.Dispatcher.rows
+            with
+            | Ok () -> true
+            | Error why ->
+              QCheck.Test.fail_reportf "mode %s disagrees on %s:@.%s"
+                (Dispatcher.mode_to_string mode) sql why)
          modes)
 
 let prop_modes_agree_under_budgets =
@@ -157,12 +157,15 @@ let prop_modes_agree_under_budgets =
          (fun budget ->
             let engine = Engine.create ~budget_pages:budget catalog in
             let r = Engine.run_sql engine sql in
-            let c = Reference.canonical r.Dispatcher.rows in
             match !reference with
             | None ->
-              reference := Some c;
+              let _, _, bounds =
+                Reference.eval catalog (Engine.bind_sql engine sql)
+              in
+              reference := Some (r.Dispatcher.rows, Reference.within bounds);
               true
-            | Some c0 -> c = c0)
+            | Some (rows0, tol) ->
+              Result.is_ok (Reference.agree ~tol rows0 r.Dispatcher.rows))
          [ 4; 32; 512 ])
 
 (* Every run under the sanitizer cross-checks each executed node's
@@ -176,10 +179,9 @@ let prop_observed_within_bounds =
     (QCheck.make ~print:(fun s -> s) gen_query)
     (fun sql ->
        let catalog = Lazy.force catalog in
-       let expect_c =
+       let expect, _, bounds =
          let engine = Engine.create ~budget_pages:16 catalog in
-         let q = Engine.bind_sql engine sql in
-         Reference.canonical (fst (Reference.run catalog q))
+         Reference.eval catalog (Engine.bind_sql engine sql)
        in
        List.for_all
          (fun (rf, max_dop) ->
@@ -191,7 +193,10 @@ let prop_observed_within_bounds =
             List.for_all
               (fun mode ->
                  match Engine.run_sql engine ~mode sql with
-                 | r -> Reference.canonical r.Dispatcher.rows = expect_c
+                 | r ->
+                   Result.is_ok
+                     (Reference.agree ~tol:(Reference.within bounds) expect
+                        r.Dispatcher.rows)
                  | exception Mqr_analysis.Verifier.Rejected { what; diags } ->
                    QCheck.Test.fail_reportf
                      "sanitizer rejected %s [%s] at %s: %d diagnostic(s)"

@@ -9,6 +9,10 @@ module Queries = Mqr_tpcd.Queries
 module Tpcd_workload = Mqr_tpcd.Workload
 module Verifier = Mqr_analysis.Verifier
 module Value = Mqr_storage.Value
+module Tuple = Mqr_storage.Tuple
+module Query = Mqr_sql.Query
+module Stats_env = Mqr_opt.Stats_env
+module Reopt_policy = Mqr_core.Reopt_policy
 
 let sf = 0.001
 
@@ -27,10 +31,6 @@ let engine ?runtime_filters ?sanitize ~max_dop () =
   Engine.create ~budget_pages ~pool_pages:(8 * budget_pages) ~opt_options
     ?runtime_filters ?sanitize (Lazy.force catalog)
 
-let canon rows =
-  Array.to_list rows
-  |> List.map (fun t -> Array.to_list (Array.map Value.to_string t))
-  |> List.sort compare
 
 let modes =
   [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
@@ -45,10 +45,14 @@ let test_dop_changes_only_order (name, sql) () =
     (fun mode ->
        let s = Engine.run_sql (Lazy.force serial) ~mode sql in
        let p = Engine.run_sql (Lazy.force dop4) ~mode sql in
-       Alcotest.(check (list (list string)))
+       let terms =
+         Reference.largest_relation (Lazy.force catalog)
+           (Engine.bind_sql (Lazy.force serial) sql)
+       in
+       Reference.check ~tol:(Reference.one_sign ~terms)
          (Printf.sprintf "%s [%s] same multiset at dop 1 and 4" name
             (Dispatcher.mode_to_string mode))
-         (canon s.Dispatcher.rows) (canon p.Dispatcher.rows))
+         s.Dispatcher.rows p.Dispatcher.rows)
     modes
 
 (* Many rows tie on the ORDER BY key, and the LIMIT keeps five of them:
@@ -58,6 +62,71 @@ let tie_query =
     "select c_nationkey, o_orderkey from customer, orders where c_custkey = \
      o_custkey and o_orderdate < date '1995-01-01' order by c_nationkey \
      limit 5" )
+
+(* A tie query over a third relation, so a run can switch plans once
+   customer and orders are joined.  The switched plan's joins no longer
+   carry c_acctbal (the temp table has applied its filter), which sorts
+   first among the columns a plan without a switch carries. *)
+let tie3_sql =
+  "select c_nationkey, o_orderkey from nation, customer, orders where \
+   n_nationkey = c_nationkey and c_custkey = o_custkey and c_acctbal > 0 \
+   order by c_nationkey limit 5"
+
+(* Both tie queries keep the same five rows, in the same order, in every
+   mode at dop 1 and 4, and under a forced switch: every decision point
+   re-plans (theta1 = infinity, theta2 = -infinity) and each re-plan
+   prices its relations at one row, so the candidate always wins. *)
+let test_tie_same_rows_every_plan () =
+  let rows_of (r : Dispatcher.report) =
+    List.map Tuple.to_string (Array.to_list r.Dispatcher.rows)
+  in
+  let forced e ~mode sql =
+    let e =
+      Engine.with_params e
+        { Reopt_policy.default_params with
+          Reopt_policy.theta1 = infinity;
+          theta2 = neg_infinity }
+    in
+    let calls = ref 0 in
+    let env_overlay (q : Query.t) env =
+      incr calls;
+      if !calls > 1 then
+        List.iter
+          (fun (r : Query.relation) ->
+             Stats_env.override_rows env ~alias:r.Query.alias ~rows:1.0)
+          q.Query.relations
+    in
+    Dispatcher.run
+      (Engine.dispatcher_config e ~mode ~env_overlay ())
+      (Engine.bind_sql e sql)
+  in
+  List.iter
+    (fun sql ->
+       let expect =
+         rows_of (Engine.run_sql (Lazy.force serial) ~mode:Dispatcher.Off sql)
+       in
+       List.iter
+         (fun (what, e) ->
+            List.iter
+              (fun mode ->
+                 let name = Dispatcher.mode_to_string mode in
+                 Alcotest.(check (list string))
+                   (Printf.sprintf "%s [%s]" what name)
+                   expect
+                   (rows_of (Engine.run_sql (Lazy.force e) ~mode sql));
+                 let r = forced (Lazy.force e) ~mode sql in
+                 Alcotest.(check (list string))
+                   (Printf.sprintf "%s [%s], forced switch" what name)
+                   expect (rows_of r);
+                 if sql == tie3_sql
+                 && (mode = Dispatcher.Plan_only || mode = Dispatcher.Full)
+                 then
+                   Alcotest.(check bool)
+                     (Printf.sprintf "%s [%s] switched" what name)
+                     true (r.Dispatcher.switches > 0))
+              modes)
+         [ ("dop 1", serial); ("dop 4", dop4) ])
+    [ snd tie_query; tie3_sql ]
 
 (* A parallel plan actually runs parallel operators, and the sanitizer's
    lease invariants hold with parallelism on: filter pages and worker
@@ -91,7 +160,9 @@ let suite =
     (List.map (fun (q : Queries.query) -> (q.Queries.name, q.Queries.sql))
        Queries.all
      @ [ tie_query ])
-  @ [ Alcotest.test_case "parallel leases release" `Quick
+  @ [ Alcotest.test_case "ORDER BY tie under LIMIT same rows every plan"
+        `Quick test_tie_same_rows_every_plan;
+      Alcotest.test_case "parallel leases release" `Quick
         test_parallel_leases_release;
       Alcotest.test_case "serial plans stay serial" `Quick
         test_serial_plans_stay_serial ]

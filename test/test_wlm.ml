@@ -437,8 +437,8 @@ let test_bench_batch_pinned () =
          (total (fun d -> d.Dispatcher.switches) r);
        Alcotest.(check int) (what ^ " collectors") 40
          (total (fun d -> d.Dispatcher.collectors) r))
-    [ ("serial", serial (engine ()) names, 19216.335);
-      ("broker", run_batch (engine ()) names, 9840.351) ]
+    [ ("serial", serial (engine ()) names, 17890.711);
+      ("broker", run_batch (engine ()) names, 8674.173) ]
 
 let suite =
   [ Alcotest.test_case "broker never oversubscribes" `Quick
