@@ -606,7 +606,8 @@ let scalability () =
        ignore
          (Parallel.hash_join ctx ~degree ~mem_pages:64
             ~build:(build, schema "r") ~probe:(Mqr_exec.Leaf.of_rows probe, schema "l")
-            ~keys:[ ("l.a", "r.a") ] ());
+            ~keys:[ ("l.a", "r.a") ]
+            ~out:(Mqr_storage.Schema.concat (schema "l") (schema "r")) ());
        let t = Exec_ctx.elapsed_ms ctx in
        record ~scenario:(Fmt.str "scale/degree=%d" degree) ~mode:"hash-join"
          Sim "elapsed" "ms" t;
@@ -1495,7 +1496,8 @@ let hash_scenario () =
   in
   let ctx = Mqr_exec.Exec_ctx.create () in
   let keys_only (rows, schema) cols =
-    Mqr_exec.Rows_ops.project ctx schema cols rows
+    ( Mqr_exec.Rows_ops.project ctx schema cols rows,
+      Schema.project schema (List.map (Schema.index_of schema) cols) )
   in
   let lineitem = table "lineitem" "l" in
   Fmt.pr "%-14s %9s %10s %10s %10s@." "kernel" "rows" "ns-min" "ns-med" "words";
@@ -1509,10 +1511,12 @@ let hash_scenario () =
     (fun (mode, build, keys) ->
        let probe = keys_only lineitem (List.map fst keys) in
        let build = keys_only build (List.map snd keys) in
+       let out = Schema.concat (snd probe) (snd build) in
        report mode ~per:(Array.length (fst probe)) (fun () ->
            ignore
              (Join.hash_join ctx ~mem_pages:100_000 ~build
-                ~probe:(Mqr_exec.Leaf.of_rows (fst probe), snd probe) ~keys ())))
+                ~probe:(Mqr_exec.Leaf.of_rows (fst probe), snd probe) ~keys ~out
+                ())))
     [ ("probe/1-int", table "orders" "o", [ ("l.l_orderkey", "o.o_orderkey") ]);
       ( "probe/2-int", table "partsupp" "ps",
         [ ("l.l_partkey", "ps.ps_partkey"); ("l.l_suppkey", "ps.ps_suppkey") ] ) ];
@@ -1548,12 +1552,13 @@ let hash_scenario () =
     Mqr_exec.Leaf.filter ctx lschema shipped (Mqr_exec.Leaf.scan ctx lheap)
   in
   let per = Mqr_exec.Leaf.length (probed ()) in
+  let out = Schema.concat lschema oschema in
   let ns_min, ns_med, words =
     per_op ~scenario:"hash" ~mode:"probe/leaf" ~per ~setup:probed (fun leaf ->
         ignore
           (Join.hash_join ctx ~mem_pages:100_000 ~build
              ~probe:(leaf, lschema)
-             ~keys:[ ("l.l_orderkey", "o.o_orderkey") ] ()))
+             ~keys:[ ("l.l_orderkey", "o.o_orderkey") ] ~out ()))
   in
   Fmt.pr "%-14s %9d %10.2f %10.2f %10.3f  (%d build rows)@." "probe/leaf" per
     ns_min ns_med words (Array.length (fst build));

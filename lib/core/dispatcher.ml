@@ -386,8 +386,7 @@ let step_once r =
      | Some j ->
        let utok = span_open st ~cat:"unit" ("unit:" ^ Plan.op_name j) in
        let probe0 = st.filter_probe_ms in
-       let leaf, schema = exec_node st j in
-       let rows = Leaf.rows leaf in
+       let rows = Leaf.rows (exec_node st j) in
        emit st
          (Ev_unit_done
             { op = Plan.op_name j;
@@ -395,12 +394,14 @@ let step_once r =
               actual_rows = Array.length rows });
        observe st (Unit_done j);
        let name = fresh_temp_name r in
-       let bytes = register_temp st ~read:r.read ~name ~rows ~schema in
+       let bytes =
+         register_temp st ~read:r.read ~name ~rows ~schema:j.Plan.schema
+       in
        r.temps <- name :: r.temps;
        let leaf =
          { Plan.id = fresh_plan_id r;
            node = Plan.Materialized { name; covers = Plan.aliases j; bytes };
-           schema;
+           schema = j.Plan.schema;
            est =
              { Plan.rows = float_of_int (Array.length rows);
                width =
@@ -430,8 +431,7 @@ let step_once r =
        (* Remaining stack: aggregate/sort/project/limit over the last
           result. *)
        let utok = span_open st ~cat:"unit" "unit:finalize" in
-       let leaf, result_schema = exec_node st st.current in
-       let rows = Leaf.rows leaf in
+       let rows = Leaf.rows (exec_node st st.current) in
        span_close st utok
          ~args:[ ("rows", Trace.Int (Array.length rows)) ];
        (* a bare full scan yields a base table's own storage: the
@@ -447,7 +447,7 @@ let step_once r =
        in
        let report =
          { rows;
-           result_schema;
+           result_schema = st.current.Plan.schema;
            elapsed_ms = now st;
            counters = Sim_clock.counters st.ctx.Exec_ctx.clock;
            timed_events = List.rev st.events;

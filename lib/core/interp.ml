@@ -754,11 +754,13 @@ let apply_runtime_filters st schema leaf =
     if Array.length rows = Leaf.length leaf then leaf else Leaf.of_rows rows
 
 (* A node's rows, with their codes when they are a scan's, passed on by
-   filters and collectors. *)
-let rec exec_node st (p : Plan.t) : Leaf.t * Schema.t =
+   filters and collectors.  Their schema is the node's [Plan.schema],
+   which the optimizer set and the verifier checks: every case reads its
+   own there and its inputs' on its children, and derives none. *)
+let rec exec_node st (p : Plan.t) : Leaf.t =
   let tok = span_open st ~cat:"operator" (Plan.op_name p) in
   let t0 = Sim_clock.snapshot st.ctx.Exec_ctx.clock in
-  let leaf, schema = exec_node_inner st p in
+  let leaf = exec_node_inner st p in
   let rows = Leaf.length leaf in
   let total = Sim_clock.since st.ctx.Exec_ctx.clock t0 in
   let children_ms =
@@ -776,37 +778,35 @@ let rec exec_node st (p : Plan.t) : Leaf.t * Schema.t =
         ("est_rows", Trace.Float p.Plan.est.Plan.rows);
         ("rows", Trace.Int rows);
         ("self_ms", Trace.Float self_ms) ];
-  (leaf, schema)
+  leaf
 
-and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
+and exec_node_inner st (p : Plan.t) : Leaf.t =
   let ctx = st.ctx in
+  let schema = p.Plan.schema in
   let mem_pages = if p.Plan.mem > 0 then p.Plan.mem else p.Plan.max_mem in
   (* a scan's rows pass its own predicate, then the runtime filters *)
   let scanned filter leaf =
     let leaf =
       match filter with
       | None -> leaf
-      | Some pred -> Leaf.filter ctx p.Plan.schema pred leaf
+      | Some pred -> Leaf.filter ctx schema pred leaf
     in
-    (apply_runtime_filters st p.Plan.schema leaf, p.Plan.schema)
+    apply_runtime_filters st schema leaf
   in
-  (* an input's rows and schema, for an operator whose output has no codes *)
-  let rows_of p =
-    let leaf, schema = exec_node st p in
-    (Leaf.rows leaf, schema)
-  in
+  (* an input's rows, for an operator whose output has no codes *)
+  let rows_of input = Leaf.rows (exec_node st input) in
   (* a join whose [first] input publishes runtime filters to [second],
      whose leaf it returns *)
   let publishing ~rf first second =
-    let ((rows, schema) as first) = rows_of first in
+    let rows = rows_of first in
     let installed =
-      install_filters st ~source:(Plan.op_name p) ~rf ~rows ~schema
+      install_filters st ~source:(Plan.op_name p) ~rf ~rows
+        ~schema:first.Plan.schema
     in
     let second = exec_node st second in
     retire_filters st installed;
-    (first, second)
+    (rows, second)
   in
-  let uncoded (rows, schema) = (Leaf.of_rows rows, schema) in
   match p.Plan.node with
   | Plan.Seq_scan { table; alias = _; filter } ->
     let heap = heap_of st table in
@@ -819,9 +819,8 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
       (Leaf.index_scan ctx tbl.Catalog.heap (index_of tbl index_col) ?lo ?hi ())
   | Plan.Materialized { name; _ } ->
     (* the temp table's rows, read in place: no I/O, no copy *)
-    let heap = heap_of st name in
-    let schema = Heap_file.schema heap in
-    (apply_runtime_filters st schema (Leaf.of_rows (Heap_file.rows heap)), schema)
+    apply_runtime_filters st schema
+      (Leaf.of_rows (Heap_file.rows (heap_of st name)))
   | Plan.Collect { input; spec; cid } ->
     (* Collectors must observe the raw stream: statistics (and the exact
        cardinality of a full scan) describe the relation, not what happens
@@ -829,7 +828,7 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
        filters are lifted over the collector and applied to its output. *)
     let saved = st.active_filters in
     st.active_filters <- [];
-    let leaf, schema = exec_node st input in
+    let leaf = exec_node st input in
     st.active_filters <- saved;
     let rows = Leaf.length leaf in
     (* an unfiltered full scan yields the relation's exact cardinality —
@@ -853,8 +852,8 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
     let collected =
       match full_scan with
       | Some tbl when not tbl.Catalog.temp ->
-        Collector.collect_table ctx schema spec tbl
-      | _ -> Collector.collect ctx schema spec leaf
+        Collector.collect_table ctx input.Plan.schema spec tbl
+      | _ -> Collector.collect ctx input.Plan.schema spec leaf
     in
     let collect_ms = Sim_clock.since ctx.Exec_ctx.clock c0 in
     st.collector_ms <- st.collector_ms +. collect_ms;
@@ -873,19 +872,17 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
       | _ -> Plan.op_name input
     in
     emit st (Ev_collected { cid; alias; columns = List.map fst collected });
-    (apply_runtime_filters st schema leaf, schema)
+    apply_runtime_filters st schema leaf
   | Plan.Hash_join { build; probe; keys; extra; rf } ->
-    let (build_rows, build_schema), (probe, probe_schema) =
-      publishing ~rf build probe
-    in
-    uncoded
+    let build_rows, probe_leaf = publishing ~rf build probe in
+    Leaf.of_rows
       (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
            Parallel.hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
-             ~build:(build_rows, build_schema)
-             ~probe:(probe, probe_schema) ~keys ?extra ~out:p.Plan.schema ()))
+             ~build:(build_rows, build.Plan.schema)
+             ~probe:(probe_leaf, probe.Plan.schema) ~keys ?extra ~out:schema ()))
   | Plan.Index_nl_join
       { outer; table; alias; outer_col = oc; inner_col; inner_filter; extra } ->
-    let outer_rows, outer_schema = rows_of outer in
+    let outer_rows = rows_of outer in
     let tbl = Catalog.find_exn st.cfg.catalog table in
     let inner_schema = Schema.qualify (Heap_file.schema tbl.Catalog.heap) alias in
     let residual =
@@ -893,54 +890,46 @@ and exec_node_inner st (p : Plan.t) : Leaf.t * Schema.t =
       | [] -> None
       | l -> Some (Expr.conjoin l)
     in
-    let r =
-      Join.index_nl_join ctx ~outer:(outer_rows, outer_schema)
-        ~inner_heap:tbl.Catalog.heap ~inner_schema
-        ~inner_index:(index_of tbl inner_col)
-        ~outer_col:oc ?extra:residual ~out:p.Plan.schema ()
-    in
-    (Leaf.of_rows r.Join.rows, r.Join.schema)
+    Leaf.of_rows
+      (Join.index_nl_join ctx ~outer:(outer_rows, outer.Plan.schema)
+         ~inner_heap:tbl.Catalog.heap ~inner_schema
+         ~inner_index:(index_of tbl inner_col)
+         ~outer_col:oc ?extra:residual ~out:schema ())
+        .Join.rows
   | Plan.Block_nl_join { outer; inner; pred } ->
-    let outer_rows, outer_schema = rows_of outer in
-    let inner_rows, inner_schema = rows_of inner in
-    let r =
-      Join.block_nl_join st.ctx ~mem_pages ~outer:(outer_rows, outer_schema)
-        ~inner:(inner_rows, inner_schema) ?pred ~out:p.Plan.schema ()
-    in
-    (Leaf.of_rows r.Join.rows, r.Join.schema)
+    let outer_rows = rows_of outer in
+    let inner_rows = rows_of inner in
+    Leaf.of_rows
+      (Join.block_nl_join st.ctx ~mem_pages ~outer:(outer_rows, outer.Plan.schema)
+         ~inner:(inner_rows, inner.Plan.schema) ?pred ~out:schema ())
+        .Join.rows
   | Plan.Merge_join { left; right; keys; extra; left_sorted; right_sorted; rf }
     ->
-    let (left_rows, left_schema), (right, right_schema) =
-      publishing ~rf left right
-    in
-    let r =
-      Merge_join.merge_join ctx ~mem_pages ~left_sorted ~right_sorted
-        ~left:(left_rows, left_schema) ~right:(Leaf.rows right, right_schema)
-        ~keys ?extra ~out:p.Plan.schema ()
-    in
-    (Leaf.of_rows r.Merge_join.rows, r.Merge_join.schema)
+    let left_rows, right_leaf = publishing ~rf left right in
+    Leaf.of_rows
+      (Merge_join.merge_join ctx ~mem_pages ~left_sorted ~right_sorted
+         ~left:(left_rows, left.Plan.schema)
+         ~right:(Leaf.rows right_leaf, right.Plan.schema)
+         ~keys ?extra ~out:schema ())
+        .Merge_join.rows
   | Plan.Aggregate { input; group_by; aggs } ->
-    let leaf, schema = exec_node st input in
-    uncoded
+    let leaf = exec_node st input in
+    Leaf.of_rows
       (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
            Parallel.aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages
-             schema ~group_by ~aggs leaf))
+             input.Plan.schema ~group_by ~aggs leaf))
   | Plan.Sort { input; keys } ->
-    let rows, schema = rows_of input in
-    ( Leaf.of_rows
-        (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
-             Parallel.sort ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
-               ~keys rows)),
-      schema )
+    let rows = rows_of input in
+    Leaf.of_rows
+      (with_workers st p (fun ~degree ~slice_pages ~on_worker ->
+           Parallel.sort ctx ~degree ?slice_pages ?on_worker ~mem_pages
+             input.Plan.schema ~keys rows))
   | Plan.Filter { input; pred } ->
-    let leaf, schema = exec_node st input in
-    (Leaf.filter ctx schema pred leaf, schema)
+    Leaf.filter ctx input.Plan.schema pred (exec_node st input)
   | Plan.Project { input; cols } ->
-    let rows, schema = rows_of input in
-    uncoded (Rows_ops.project ctx schema cols rows)
-  | Plan.Limit { input; n } ->
-    let rows, schema = rows_of input in
-    (Leaf.of_rows (Rows_ops.limit ctx n rows), schema)
+    Leaf.of_rows
+      (Rows_ops.project ctx input.Plan.schema cols (rows_of input))
+  | Plan.Limit { input; n } -> Leaf.of_rows (Rows_ops.limit ctx n (rows_of input))
 
 (* Grant memory to the current plan's consumers.  With a broker the budget
    is a lease re-negotiated on every call (shrunken demand after

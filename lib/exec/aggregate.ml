@@ -12,7 +12,6 @@ type spec = {
 
 type result = {
   rows : Tuple.t array;
-  schema : Schema.t;
   passes : int;
 }
 
@@ -274,7 +273,6 @@ exception At of int * exn
 let stage ctx ~mem_pages input_schema ~group_by ~aggs leaf =
   let base = Leaf.base leaf in
   let clock = ctx.Exec_ctx.clock in
-  let out_schema = output_schema input_schema ~group_by ~aggs in
   let p = prepare input_schema ~group_by ~aggs in
   let gidx = p.group_idx in
   let table = Table.create ~key:gidx 16 in
@@ -370,7 +368,7 @@ let stage ctx ~mem_pages input_schema ~group_by ~aggs leaf =
         2
       end
     in
-    { rows = out; schema = out_schema; passes }
+    { rows = out; passes }
 
 let hash_aggregate ctx ~mem_pages input_schema ~group_by ~aggs leaf =
   try stage ctx ~mem_pages input_schema ~group_by ~aggs leaf ()

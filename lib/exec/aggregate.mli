@@ -19,11 +19,12 @@ type spec = {
 
 type result = {
   rows : Tuple.t array;
-  schema : Schema.t;  (** group columns followed by aggregate outputs *)
-  passes : int;       (** >1 when the group table exceeded its memory *)
+      (** over {!output_schema}: group columns, then aggregate outputs *)
+  passes : int;  (** >1 when the group table exceeded its memory *)
 }
 
-(** Output schema without executing (for plan annotation). *)
+(** The output schema, without executing: the optimizer records it on
+    the plan node, the verifier checks it, the executor reads it there. *)
 val output_schema : Schema.t -> group_by:string list -> aggs:spec list -> Schema.t
 
 (** Groups come out in first-seen order: the order in which each group's

@@ -22,7 +22,6 @@ let hash_join_passes ~mem_pages ~build_pages =
 
 type result = {
   rows : Tuple.t array;
-  schema : Schema.t;
   passes : int;
 }
 
@@ -35,10 +34,9 @@ let rec has_null t idx i =
 module Pair = Rows_ops.Pair
 
 let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
-    ~probe:(probe, probe_schema) ~keys ?extra ?out () =
+    ~probe:(probe, probe_schema) ~keys ?extra ~out () =
   let clock = ctx.Exec_ctx.clock in
-  let pair = Pair.make ?out probe_schema build_schema in
-  let out_schema = Pair.schema pair in
+  let pair = Pair.make ~out probe_schema build_schema in
   let probe_idx =
     Array.of_list (List.map (fun (p, _) -> Schema.index_of probe_schema p) keys)
   in
@@ -59,12 +57,10 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
     Sim_clock.charge_seq_read clock (extra * pages);
     Sim_clock.charge_hash_tuples clock (extra * (Array.length build_rows + np))
   end;
-  let residual =
-    Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
-  in
+  let residual = Option.map (fun e -> Mqr_expr.Expr.compile_pred out e) extra in
   (* Output is often far smaller than the probe side: the buffer starts
      small and doubles. *)
-  let out = Out.create 0 in
+  let buf = Out.create 0 in
   (* The in-memory join itself (final pass).  [newest.(id)] is the last
      build row of key [id]; [next] chains each build row to the previous
      one of its key, so a probe emits its matches newest first.  The
@@ -98,7 +94,7 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
       let joined = Pair.row pair pt build_rows.(!b) in
       (match residual with
        | Some p when not (p joined) -> ()
-       | _ -> Out.add out joined);
+       | _ -> Out.add buf joined);
       b := next.(!b)
     done
   in
@@ -133,18 +129,15 @@ let hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
        end
      done);
   Sim_clock.charge_hash_tuples clock (nb + np);
-  Sim_clock.charge_cpu_tuples clock (Out.length out);
-  { rows = Out.contents out; schema = out_schema; passes }
+  Sim_clock.charge_cpu_tuples clock (Out.length buf);
+  { rows = Out.contents buf; passes }
 
 let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
-    ~inner_schema ~inner_index ~outer_col ?extra ?out () =
-  let pair = Pair.make ?out outer_schema inner_schema in
-  let out_schema = Pair.schema pair in
+    ~inner_schema ~inner_index ~outer_col ?extra ~out () =
+  let pair = Pair.make ~out outer_schema inner_schema in
   let oi = Schema.index_of outer_schema outer_col in
-  let residual =
-    Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
-  in
-  let out = Out.create (Array.length outer_rows) in
+  let residual = Option.map (fun e -> Mqr_expr.Expr.compile_pred out e) extra in
+  let buf = Out.create (Array.length outer_rows) in
   Array.iter
     (fun ot ->
        let key = ot.(oi) in
@@ -162,22 +155,19 @@ let index_nl_join ctx ~outer:(outer_rows, outer_schema) ~inner_heap
               let joined = Pair.row pair ot it in
               match residual with
               | Some p when not (p joined) -> ()
-              | _ -> Out.add out joined)
+              | _ -> Out.add buf joined)
            rids
        end)
     outer_rows;
   Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock
-    (Array.length outer_rows + Out.length out);
-  { rows = Out.contents out; schema = out_schema; passes = 1 }
+    (Array.length outer_rows + Out.length buf);
+  { rows = Out.contents buf; passes = 1 }
 
 let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
-    ~inner:(inner_rows, inner_schema) ?pred ?out () =
+    ~inner:(inner_rows, inner_schema) ?pred ~out () =
   let clock = ctx.Exec_ctx.clock in
-  let pair = Pair.make ?out outer_schema inner_schema in
-  let out_schema = Pair.schema pair in
-  let residual =
-    Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) pred
-  in
+  let pair = Pair.make ~out outer_schema inner_schema in
+  let residual = Option.map (fun e -> Mqr_expr.Expr.compile_pred out e) pred in
   let outer_pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows outer_rows) in
   let inner_pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows inner_rows) in
   (* One inner re-read per outer memory-block beyond the first. *)
@@ -187,7 +177,7 @@ let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
   done;
   Sim_clock.charge_cpu_tuples clock
     (Array.length outer_rows * max 1 (Array.length inner_rows));
-  let out = Out.create (Array.length outer_rows) in
+  let buf = Out.create (Array.length outer_rows) in
   Array.iter
     (fun ot ->
        Array.iter
@@ -195,7 +185,7 @@ let block_nl_join ctx ~mem_pages ~outer:(outer_rows, outer_schema)
             let joined = Pair.row pair ot it in
             match residual with
             | Some p when not (p joined) -> ()
-            | _ -> Out.add out joined)
+            | _ -> Out.add buf joined)
          inner_rows)
     outer_rows;
-  { rows = Out.contents out; schema = out_schema; passes = blocks }
+  { rows = Out.contents buf; passes = blocks }

@@ -15,16 +15,16 @@ val hash_join_passes : mem_pages:int -> build_pages:int -> int
 val hash_join_fudge : float
 
 type result = {
-  rows : Tuple.t array;
-  schema : Schema.t;
+  rows : Tuple.t array;  (** over [out], the join node's schema *)
   passes : int;  (** 1 = in-memory; >1 = partitioned *)
 }
 
-(** Every join takes [?out], its output schema: an order-preserving
-    subsequence of its inputs' concatenation (outer, probe or left side
-    first), by default the whole concatenation.  Each output row holds
-    just those columns, and a residual predicate is evaluated over it, so
-    [out] must keep every column the residual reads.
+(** Every join takes [~out], its output schema, which the plan node
+    records: an order-preserving subsequence of its inputs' columns
+    (outer, probe or left side first; [Schema.concat] of the two keeps
+    them all).  Each output row holds just those columns, and a residual
+    predicate is evaluated over it, so [out] must keep every column the
+    residual reads.  No join works its schema out or returns it.
     @raise Invalid_argument when [out] is not such a subsequence. *)
 
 (** [hash_join ctx ~mem_pages ~build ~probe ~keys ~extra] joins on the
@@ -38,21 +38,21 @@ type result = {
 val hash_join :
   Exec_ctx.t -> mem_pages:int ->
   build:Tuple.t array * Schema.t -> probe:Leaf.t * Schema.t ->
-  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> ?out:Schema.t ->
+  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> out:Schema.t ->
   unit -> result
 
 (** Indexed nested-loops join: for each outer row, probe the inner table's
     B+-tree on [inner_col = outer value of outer_col] and fetch matches.
-    Output columns: the outer's, then the inner's. *)
+    Output columns: [out], drawn from the outer's, then the inner's. *)
 val index_nl_join :
   Exec_ctx.t ->
   outer:Tuple.t array * Schema.t ->
   inner_heap:Heap_file.t -> inner_schema:Schema.t -> inner_index:Btree.t ->
-  outer_col:string -> ?extra:Mqr_expr.Expr.t -> ?out:Schema.t -> unit ->
+  outer_col:string -> ?extra:Mqr_expr.Expr.t -> out:Schema.t -> unit ->
   result
 
 (** Block nested-loops fallback for joins with no equality conjunct. *)
 val block_nl_join :
   Exec_ctx.t -> mem_pages:int ->
   outer:Tuple.t array * Schema.t -> inner:Tuple.t array * Schema.t ->
-  ?pred:Mqr_expr.Expr.t -> ?out:Schema.t -> unit -> result
+  ?pred:Mqr_expr.Expr.t -> out:Schema.t -> unit -> result

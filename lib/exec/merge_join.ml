@@ -2,7 +2,6 @@ open Mqr_storage
 
 type result = {
   rows : Tuple.t array;
-  schema : Schema.t;
   left_passes : int;
   right_passes : int;
 }
@@ -20,10 +19,9 @@ let has_null idxs t = List.exists (fun i -> Value.is_null t.(i)) idxs
 
 let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
     ~left:(left_rows, left_schema) ~right:(right_rows, right_schema) ~keys
-    ?extra ?out () =
+    ?extra ~out () =
   let clock = ctx.Exec_ctx.clock in
-  let pair = Rows_ops.Pair.make ?out left_schema right_schema in
-  let out_schema = Rows_ops.Pair.schema pair in
+  let pair = Rows_ops.Pair.make ~out left_schema right_schema in
   let li = List.map (fun (l, _) -> Schema.index_of left_schema l) keys in
   let ri = List.map (fun (_, r) -> Schema.index_of right_schema r) keys in
   (* each side sorts within half the grant *)
@@ -38,10 +36,8 @@ let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
   let rs = sort_side right_sorted right_schema rkeys right_rows in
   let l = ls.Sort.rows and r = rs.Sort.rows in
   let nl = Array.length l and nr = Array.length r in
-  let residual =
-    Option.map (fun e -> Mqr_expr.Expr.compile_pred out_schema e) extra
-  in
-  let out = Rows_ops.Out.create nl in
+  let residual = Option.map (fun e -> Mqr_expr.Expr.compile_pred out e) extra in
+  let buf = Rows_ops.Out.create nl in
   (* classic merge with duplicate-group pairing *)
   let i = ref 0 and j = ref 0 in
   while !i < nl && !j < nr do
@@ -77,7 +73,7 @@ let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
             let joined = Rows_ops.Pair.row pair l.(a) r.(b) in
             match residual with
             | Some p when not (p joined) -> ()
-            | _ -> Rows_ops.Out.add out joined
+            | _ -> Rows_ops.Out.add buf joined
           done
         done;
         i := !i_end;
@@ -85,8 +81,7 @@ let merge_join ctx ~mem_pages ?(left_sorted = false) ?(right_sorted = false)
       end
     end
   done;
-  Sim_clock.charge_cpu_tuples clock (nl + nr + Rows_ops.Out.length out);
-  { rows = Rows_ops.Out.contents out;
-    schema = out_schema;
+  Sim_clock.charge_cpu_tuples clock (nl + nr + Rows_ops.Out.length buf);
+  { rows = Rows_ops.Out.contents buf;
     left_passes = ls.Sort.passes;
     right_passes = rs.Sort.passes }

@@ -110,14 +110,11 @@ let scan ctx ~degree ?slice_pages ?on_worker heap =
 
 let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
     ~build:(build_rows, build_schema) ~probe:(probe, probe_schema) ~keys
-    ?extra ?out () =
+    ?extra ~out () =
   match keys, degree with
   | [], _ | _, 1 ->
-    let r =
-      Join.hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
-        ~probe:(probe, probe_schema) ~keys ?extra ?out ()
-    in
-    (r.Join.rows, r.Join.schema)
+    (Join.hash_join ctx ~mem_pages ~build:(build_rows, build_schema)
+       ~probe:(probe, probe_schema) ~keys ?extra ~out ()).Join.rows
   | (probe_col, build_col) :: _, _ ->
     let build_parts =
       partition_by ctx ~degree build_schema ~column:build_col build_rows
@@ -132,19 +129,18 @@ let hash_join ctx ~degree ?slice_pages ?on_worker ~mem_pages
             Join.hash_join wctx ~mem_pages:per_worker_mem
               ~build:(build_parts.(w), build_schema)
               ~probe:(Leaf.of_rows probe_parts.(w), probe_schema)
-              ~keys ?extra ?out ()
+              ~keys ?extra ~out ()
           in
           r.Join.rows)
     in
-    ( Array.concat chunks,
-      Rows_ops.Pair.schema (Rows_ops.Pair.make ?out probe_schema build_schema) )
+    Array.concat chunks
 
 let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
     ~group_by ~aggs leaf =
   match group_by, degree with
   | [], _ | _, 1 ->
-    let r = Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs leaf in
-    (r.Aggregate.rows, r.Aggregate.schema)
+    (Aggregate.hash_aggregate ctx ~mem_pages schema ~group_by ~aggs leaf)
+      .Aggregate.rows
   | first :: _, _ ->
     (* same first grouping column -> same worker, so every group is
        computed wholly on one worker *)
@@ -184,8 +180,7 @@ let aggregate ctx ~degree ?slice_pages ?on_worker ~mem_pages schema
     in
     Option.iter (fun (_, e) -> raise e) !fed;
     Option.iter (fun (_, e) -> raise e) !finalized;
-    let out_schema = Aggregate.output_schema schema ~group_by ~aggs in
-    (Array.concat chunks, out_schema)
+    Array.concat chunks
 
 let sort ctx ~degree ?slice_pages ?on_worker ~mem_pages schema ~keys rows =
   if degree = 1 then

@@ -61,14 +61,15 @@ val scan :
     key can partition) runs serially at any degree.  At degree 1 the
     probe leaf goes to {!Join.hash_join} as it is, codes and payloads and
     all; the exchange gathers its rows and hands each worker its
-    partition without them.  [out] is the output schema, as in {!Join}. *)
+    partition without them.  [out] is the join node's schema, as in
+    {!Join}; the result is its rows. *)
 val hash_join :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int ->
   build:Tuple.t array * Schema.t -> probe:Leaf.t * Schema.t ->
-  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> ?out:Schema.t ->
-  unit -> Tuple.t array * Schema.t
+  keys:(string * string) list -> ?extra:Mqr_expr.Expr.t -> out:Schema.t ->
+  unit -> Tuple.t array
 
 (** Partitioned aggregation: input exchanged on the first grouping column,
     so every group is computed wholly on one worker.  At degree 1, and for
@@ -78,12 +79,13 @@ val hash_join :
     feeds its partition ({!Aggregate.stage}) before any worker
     finalizes its groups, and a failure re-raises the exception tied to
     the earliest input row, so every degree raises what the serial
-    operator raises. *)
+    operator raises.  The result is the rows, over
+    {!Aggregate.output_schema}. *)
 val aggregate :
   Exec_ctx.t -> degree:int -> ?slice_pages:int ->
   ?on_worker:(int -> sim_ms:float -> wall_ms:float -> unit) ->
   mem_pages:int -> Schema.t -> group_by:string list ->
-  aggs:Aggregate.spec list -> Leaf.t -> Tuple.t array * Schema.t
+  aggs:Aggregate.spec list -> Leaf.t -> Tuple.t array
 
 (** Partitioned sort: round-robin exchange, per-worker external sort, then
     a deterministic k-way merge on the parent (ties broken by worker

@@ -16,7 +16,7 @@ let filter ctx schema pred rows =
 let project ctx schema cols rows =
   let idxs = List.map (Schema.index_of schema) cols in
   Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (Array.length rows);
-  (Array.map (fun t -> Tuple.project t idxs) rows, Schema.project schema idxs)
+  Array.map (fun t -> Tuple.project t idxs) rows
 
 let limit ctx n rows =
   Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (min n (Array.length rows));
@@ -59,10 +59,9 @@ end
 (* [src.(k)] is the column of output column [k] in the concatenation of
    the two inputs: below [split] the left row's, from it the right's. *)
 module Pair = struct
-  type t = { out : Schema.t; src : int array; split : int }
+  type t = { src : int array; split : int }
 
-  let make ?out left right =
-    let out = match out with Some s -> s | None -> Schema.concat left right in
+  let make ~out left right =
     let cols = Array.of_list (Schema.columns (Schema.concat left right)) in
     let n = Array.length cols in
     let k = ref 0 in
@@ -82,13 +81,10 @@ module Pair = struct
       incr k;
       !k - 1
     in
-    { out;
-      src = Array.of_list (List.map find (Schema.columns out));
+    { src = Array.of_list (List.map find (Schema.columns out));
       split = Schema.arity left }
 
-  let schema t = t.out
-
-  let row { src; split; _ } l r =
+  let row { src; split } l r =
     let out = Array.make (Array.length src) Value.Null in
     for k = 0 to Array.length src - 1 do
       let i = src.(k) in

@@ -9,11 +9,11 @@ open Mqr_storage
     exactly the survivors.  Like every operator it never writes [rows]. *)
 val filter : Exec_ctx.t -> Schema.t -> Mqr_expr.Expr.t -> Tuple.t array -> Tuple.t array
 
-(** [project ctx schema cols rows] keeps the named columns, in order.
-    Returns the projected rows and their schema. *)
+(** [project ctx schema cols rows] keeps the named columns of [rows],
+    whose schema is [schema], in [cols]' order.  The output's schema is
+    the plan node's. *)
 val project :
-  Exec_ctx.t -> Schema.t -> string list -> Tuple.t array ->
-  Tuple.t array * Schema.t
+  Exec_ctx.t -> Schema.t -> string list -> Tuple.t array -> Tuple.t array
 
 val limit : Exec_ctx.t -> int -> Tuple.t array -> Tuple.t array
 
@@ -42,15 +42,12 @@ end
 module Pair : sig
   type t
 
-  (** [make ?out left right] finds each column of [out] among the
-      columns of [left], then [right], once per execution.  [out] must be
-      an order-preserving subsequence of [Schema.concat left right], which
-      is its default.
+  (** [make ~out left right] finds each column of [out], the join
+      node's schema, among the columns of [left], then [right], once per
+      execution.  [out] must be an order-preserving subsequence of the
+      two inputs' columns ([Schema.concat left right] keeps them all).
       @raise Invalid_argument otherwise. *)
-  val make : ?out:Schema.t -> Schema.t -> Schema.t -> t
-
-  (** The output schema, [out]. *)
-  val schema : t -> Schema.t
+  val make : out:Schema.t -> Schema.t -> Schema.t -> t
 
   (** [row m l r]: the output row of [l] (a [left] row) paired with [r]. *)
   val row : t -> Tuple.t -> Tuple.t -> Tuple.t

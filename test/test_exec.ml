@@ -65,8 +65,8 @@ let test_project () =
   let c = ctx () in
   let schema = schema_ab "t" in
   let rows = rows_of [ (1, 2); (3, 4) ] in
-  let out, out_schema = Rows_ops.project c schema [ "t.b" ] rows in
-  Alcotest.(check int) "arity" 1 (Schema.arity out_schema);
+  let out = Rows_ops.project c schema [ "t.b" ] rows in
+  Alcotest.(check int) "arity" 1 (Array.length out.(0));
   Alcotest.(check bool) "values" true (Value.equal out.(0).(0) (Value.Int 2))
 
 let test_limit () =
@@ -86,6 +86,10 @@ let check_charges what (seq_reads, writes, cpu_bits) c =
     (seq_reads, writes, cpu_bits)
     (k.Sim_clock.seq_reads, k.Sim_clock.writes, Int64.bits_of_float k.Sim_clock.cpu_ms)
 
+(* The output schema of a join that keeps all of both inputs' columns,
+   probe or outer side first: the whole-row reference. *)
+let full probe build = Schema.concat probe build
+
 let reference_join left right ~li ~ri =
   List.concat_map
     (fun lt ->
@@ -103,7 +107,7 @@ let test_hash_join_matches_reference () =
   let right = rows_of (List.init 30 (fun i -> (i mod 5, i * 10))) in
   let r =
     Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   let expect = reference_join left right ~li:0 ~ri:0 in
   Alcotest.(check int) "row count" (List.length expect) (Array.length r.Join.rows);
@@ -117,7 +121,7 @@ let test_hash_join_one_pass_in_memory () =
   let left = rows_of [ (1, 1) ] and right = rows_of [ (1, 2) ] in
   let r =
     Join.hash_join c ~mem_pages:64 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   Alcotest.(check int) "1 pass" 1 r.Join.passes;
   Alcotest.(check int) "no spill writes" 0
@@ -130,7 +134,7 @@ let test_hash_join_spills_when_tight () =
   let big = rows_of (List.init 5000 (fun i -> (i, i))) in
   let r =
     Join.hash_join c ~mem_pages:2 ~build:(big, rs) ~probe:(Leaf.of_rows big, ls)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   Alcotest.(check bool) "multi-pass" true (r.Join.passes > 1);
   Alcotest.(check bool) "spill writes charged" true
@@ -143,7 +147,7 @@ let test_hash_join_spills_when_tight () =
   let probe = rows_of (List.init 1700 (fun i -> (3 * i, i))) in
   let r =
     Join.hash_join c ~mem_pages:3 ~build:(big, rs) ~probe:(Leaf.of_rows probe, ls)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   Alcotest.(check int) "uneven rows" 1667 (Array.length r.Join.rows);
   Alcotest.(check int) "uneven passes" 5 r.Join.passes;
@@ -156,7 +160,7 @@ let test_hash_join_null_keys_dont_match () =
   let right = [| [| Value.Null; Value.Int 2 |] |] in
   let r =
     Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   Alcotest.(check int) "nulls never join" 0 (Array.length r.Join.rows)
 
@@ -167,7 +171,8 @@ let test_hash_join_residual () =
   let right = rows_of [ (1, 0) ] in
   let r =
     Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
-      ~keys:[ ("l.a", "r.a") ] ~extra:Expr.(col "l.b" <% int 10) ()
+      ~keys:[ ("l.a", "r.a") ] ~extra:Expr.(col "l.b" <% int 10)
+      ~out:(full ls rs) ()
   in
   Alcotest.(check int) "residual filters" 1 (Array.length r.Join.rows)
 
@@ -184,7 +189,7 @@ let test_index_nl_join_matches_reference () =
   let outer = rows_of (List.init 50 (fun i -> (i mod 7, i))) in
   let r =
     Join.index_nl_join c ~outer:(outer, ls) ~inner_heap:heap ~inner_schema
-      ~inner_index:bt ~outer_col:"l.a" ()
+      ~inner_index:bt ~outer_col:"l.a" ~out:(full ls inner_schema) ()
   in
   let inner_rows = Array.init 30 (fun i -> Heap_file.get heap i) in
   let expect = reference_join outer inner_rows ~li:0 ~ri:0 in
@@ -197,7 +202,10 @@ let test_block_nl_join_cross () =
   let ls = schema_ab "l" and rs = schema_ab "r" in
   let left = rows_of [ (1, 1); (2, 2) ] in
   let right = rows_of [ (10, 10); (20, 20); (30, 30) ] in
-  let r = Join.block_nl_join c ~mem_pages:8 ~outer:(left, ls) ~inner:(right, rs) () in
+  let r =
+    Join.block_nl_join c ~mem_pages:8 ~outer:(left, ls) ~inner:(right, rs)
+      ~out:(full ls rs) ()
+  in
   Alcotest.(check int) "cross product" 6 (Array.length r.Join.rows)
 
 let test_block_nl_join_pred () =
@@ -207,7 +215,7 @@ let test_block_nl_join_pred () =
   let right = rows_of (List.init 10 (fun i -> (i, i))) in
   let r =
     Join.block_nl_join c ~mem_pages:8 ~outer:(left, ls) ~inner:(right, rs)
-      ~pred:Expr.(col "l.a" <% col "r.a") ()
+      ~pred:Expr.(col "l.a" <% col "r.a") ~out:(full ls rs) ()
   in
   Alcotest.(check int) "strictly less pairs" 45 (Array.length r.Join.rows)
 
@@ -222,7 +230,7 @@ let test_merge_join_matches_reference () =
   let right = rows_of (List.init 30 (fun i -> (i mod 5, i * 10))) in
   let r =
     Merge_join.merge_join c ~mem_pages:64 ~left:(left, ls) ~right:(right, rs)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   let expect = reference_join left right ~li:0 ~ri:0 in
   Alcotest.(check int) "row count" (List.length expect)
@@ -238,7 +246,7 @@ let test_merge_join_duplicates_both_sides () =
   let right = rows_of [ (1, 10); (1, 11); (1, 12); (3, 13) ] in
   let r =
     Merge_join.merge_join c ~mem_pages:16 ~left:(left, ls) ~right:(right, rs)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   Alcotest.(check int) "2x3 pairs" 6 (Array.length r.Merge_join.rows)
 
@@ -249,7 +257,7 @@ let test_merge_join_nulls () =
   let right = [| [| Value.Null; Value.Int 3 |]; [| Value.Int 1; Value.Int 4 |] |] in
   let r =
     Merge_join.merge_join c ~mem_pages:16 ~left:(left, ls) ~right:(right, rs)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   Alcotest.(check int) "null keys skipped" 1 (Array.length r.Merge_join.rows)
 
@@ -260,7 +268,8 @@ let test_merge_join_residual () =
   let right = rows_of [ (1, 0) ] in
   let r =
     Merge_join.merge_join c ~mem_pages:16 ~left:(left, ls) ~right:(right, rs)
-      ~keys:[ ("l.a", "r.a") ] ~extra:Expr.(col "l.b" <% int 10) ()
+      ~keys:[ ("l.a", "r.a") ] ~extra:Expr.(col "l.b" <% int 10)
+      ~out:(full ls rs) ()
   in
   Alcotest.(check int) "residual filters" 1 (Array.length r.Merge_join.rows)
 
@@ -270,7 +279,7 @@ let test_merge_join_external_charges () =
   let big = rows_of (List.init 4000 (fun i -> (i, i))) in
   let r =
     Merge_join.merge_join c ~mem_pages:4 ~left:(big, ls) ~right:(big, rs)
-      ~keys:[ ("l.a", "r.a") ] ()
+      ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
   in
   Alcotest.(check bool) "left external" true (r.Merge_join.left_passes > 1);
   Alcotest.(check bool) "spill charged" true
@@ -288,11 +297,11 @@ let prop_merge_join_equals_hash_join =
        let right = rows_of (List.mapi (fun i k -> (k, i + 500)) rks) in
        let m =
          Merge_join.merge_join c ~mem_pages:8 ~left:(left, ls)
-           ~right:(right, rs) ~keys:[ ("l.a", "r.a") ] ()
+           ~right:(right, rs) ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
        in
        let h =
          Join.hash_join c ~mem_pages:8 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
-           ~keys:[ ("l.a", "r.a") ] ()
+           ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
        in
        sorted_pairs m.Merge_join.rows = sorted_pairs h.Join.rows)
 
@@ -453,7 +462,7 @@ let test_string_min_max_count () =
       [ (Aggregate.Min, "lo"); (Aggregate.Max, "hi"); (Aggregate.Count, "c") ]
   in
   let group_by = [ "n_regionkey" ] in
-  let p, _ =
+  let p =
     Parallel.aggregate (ctx ()) ~degree:2 ~mem_pages:16 schema ~group_by
       ~aggs (Leaf.of_rows rows)
   in
@@ -710,7 +719,8 @@ let test_merge_join_presorted_skips_sort_cost () =
     ignore
       (Merge_join.merge_join c ~mem_pages:3
          ?left_sorted:(Some (fst flags)) ?right_sorted:(Some (snd flags))
-         ~left:(rows, ls) ~right:(rows, rs) ~keys:[ ("l.a", "r.a") ] ())
+         ~left:(rows, ls) ~right:(rows, rs) ~keys:[ ("l.a", "r.a") ]
+         ~out:(full ls rs) ())
   in
   run c1 ~flags:(false, false);
   run c2 ~flags:(true, true);
@@ -1107,7 +1117,7 @@ let prop_hash_join_equals_nested_loop =
        let right = rows_of (List.mapi (fun i k -> (k, i + 1000)) rks) in
        let r =
          Join.hash_join c ~mem_pages:4 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
-           ~keys:[ ("l.a", "r.a") ] ()
+           ~keys:[ ("l.a", "r.a") ] ~out:(full ls rs) ()
        in
        let expect = reference_join left right ~li:0 ~ri:0 in
        sorted_pairs r.Join.rows = sorted_pairs (Array.of_list expect))
@@ -1124,7 +1134,7 @@ let prop_join_outputs_project =
       (List.map (fun c -> Schema.col ~qualifier:q c Value.TInt) [ "a"; "b"; "c" ])
   in
   let ls = schema "l" and rs = schema "r" in
-  let all = Schema.concat ls rs in
+  let all = full ls rs in
   QCheck.Test.make ~name:"join outputs = full join restricted to their columns"
     ~count:100
     QCheck.(
@@ -1154,15 +1164,15 @@ let prop_join_outputs_project =
          then true
          else QCheck.Test.fail_reportf "%s: projected rows differ" what
        in
-       let out reads = Some (Schema.project all (kept reads)) in
+       let out reads = Schema.project all (kept reads) in
        let keys = [ ("l.a", "r.a") ] in
        let hash out c =
          (Join.hash_join c ~mem_pages:4 ~build:(right, rs)
-            ~probe:(Leaf.of_rows left, ls) ~keys ?extra ?out ()).Join.rows
+            ~probe:(Leaf.of_rows left, ls) ~keys ?extra ~out ()).Join.rows
        in
        let merge out c =
          (Merge_join.merge_join c ~mem_pages:4 ~left:(left, ls)
-            ~right:(right, rs) ~keys ?extra ?out ()).Merge_join.rows
+            ~right:(right, rs) ~keys ?extra ~out ()).Merge_join.rows
        in
        let block out c =
          let pred =
@@ -1170,7 +1180,7 @@ let prop_join_outputs_project =
              (Expr.(col "l.a" =% col "r.a") :: Option.to_list extra)
          in
          (Join.block_nl_join c ~mem_pages:2 ~outer:(left, ls)
-            ~inner:(right, rs) ~pred ?out ()).Join.rows
+            ~inner:(right, rs) ~pred ~out ()).Join.rows
        in
        let heap = Heap_file.create rs and bt = Btree.create ~fanout:4 () in
        Array.iteri
@@ -1178,26 +1188,75 @@ let prop_join_outputs_project =
          right;
        let index out c =
          (Join.index_nl_join c ~outer:(left, ls) ~inner_heap:heap
-            ~inner_schema:rs ~inner_index:bt ~outer_col:"l.a" ?extra ?out ())
+            ~inner_schema:rs ~inner_index:bt ~outer_col:"l.a" ?extra ~out ())
            .Join.rows
        in
        let parallel degree out c =
-         fst
-           (Parallel.hash_join c ~degree ~mem_pages:8 ~build:(right, rs)
-              ~probe:(Leaf.of_rows left, ls) ~keys ?extra ?out ())
+         Parallel.hash_join c ~degree ~mem_pages:8 ~build:(right, rs)
+           ~probe:(Leaf.of_rows left, ls) ~keys ?extra ~out ()
        in
        List.for_all
          (fun (what, reads, run) ->
-            same ~reads what (run None (ctx ())) (run (out reads) (ctx ())))
+            same ~reads what (run all (ctx ())) (run (out reads) (ctx ())))
          [ ("hash", reads, hash); ("merge", reads, merge);
            ("block", 0 :: 3 :: reads, block); ("index", reads, index) ]
        && List.for_all
             (fun degree ->
                same ~reads
                  (Printf.sprintf "parallel %d" degree)
-                 (hash None (ctx ()))
+                 (hash all (ctx ()))
                  (parallel degree (out reads) (ctx ())))
             [ 2; 4 ])
+
+(* A join's [~out] is required, and it is still checked: a schema that
+   reorders the inputs' columns, or names a column neither input has,
+   raises [Invalid_argument] in every join method and in the partitioned
+   hash join, before any row is joined. *)
+let test_join_out_misuse () =
+  let ls = schema_ab "l" and rs = schema_ab "r" in
+  let left = rows_of [ (1, 1); (2, 2) ] and right = rows_of [ (1, 3); (2, 4) ] in
+  let heap = Heap_file.create rs and bt = Btree.create () in
+  Array.iteri
+    (fun rid t -> Heap_file.append heap t; Btree.insert bt t.(0) rid)
+    right;
+  let keys = [ ("l.a", "r.a") ] in
+  let joins =
+    [ ("hash", fun out ->
+          ignore
+            (Join.hash_join (ctx ()) ~mem_pages:8 ~build:(right, rs)
+               ~probe:(Leaf.of_rows left, ls) ~keys ~out ()));
+      ("merge", fun out ->
+          ignore
+            (Merge_join.merge_join (ctx ()) ~mem_pages:8 ~left:(left, ls)
+               ~right:(right, rs) ~keys ~out ()));
+      ("index-nl", fun out ->
+          ignore
+            (Join.index_nl_join (ctx ()) ~outer:(left, ls) ~inner_heap:heap
+               ~inner_schema:rs ~inner_index:bt ~outer_col:"l.a" ~out ()));
+      ("block-nl", fun out ->
+          ignore
+            (Join.block_nl_join (ctx ()) ~mem_pages:8 ~outer:(left, ls)
+               ~inner:(right, rs) ~out ()));
+      ("parallel 2", fun out ->
+          ignore
+            (Parallel.hash_join (ctx ()) ~degree:2 ~mem_pages:8
+               ~build:(right, rs) ~probe:(Leaf.of_rows left, ls) ~keys ~out ())) ]
+  in
+  let col q c = Schema.col ~qualifier:q c Value.TInt in
+  let outs =
+    [ ("reordered", Schema.make [ col "r" "a"; col "l" "a" ]);
+      ("foreign", Schema.make [ col "l" "a"; col "x" "a" ]) ]
+  in
+  List.iter
+    (fun (join, run) ->
+       run (full ls rs);
+       List.iter
+         (fun (what, out) ->
+            match run out with
+            | () -> Alcotest.failf "%s join, %s column: no Invalid_argument" join what
+            | exception Invalid_argument _ -> ())
+         outs)
+    joins
 
 (* Reference for the order of [Join.hash_join]'s output: probe rows in
    order, each followed by its matches as [Hashtbl.find_all] returns them
@@ -1265,7 +1324,7 @@ let prop_hash_join_order_matches_reference =
        let residual t = (not with_residual) || Value.compare t.(3) t.(7) < 0 in
        let r =
          Join.hash_join (ctx ()) ~mem_pages:4 ~build:(right, rs) ~probe:(Leaf.of_rows left, ls)
-           ~keys ?extra ()
+           ~keys ?extra ~out:(full ls rs) ()
        in
        same_rows r.Join.rows
          (Ref_join.join ~build:right ~build_idx:idx ~probe:left ~probe_idx:idx residual))
@@ -1651,9 +1710,7 @@ let coded_agrees schema pred (group_by, hist_cols, distinct_cols, agg_col) leaf 
      are the serial ones in worker order, and it raises what the serial
      operator raises *)
   let parallel ~degree aggs () =
-    fst
-      (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by ~aggs
-         leaf)
+    Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by ~aggs leaf
   in
   let multiset rows =
     List.sort compare (Array.to_list (Array.map (Array.map Test_storage.bits_key) rows))
@@ -1845,9 +1902,8 @@ let test_parallel_aggregate_raises_as_serial () =
        (Leaf.of_rows rows)).Aggregate.rows
   in
   let parallel degree rows () =
-    fst
-      (Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by:[ "g" ]
-         ~aggs (Leaf.of_rows rows))
+    Parallel.aggregate (ctx ()) ~degree ~mem_pages:64 schema ~group_by:[ "g" ]
+      ~aggs (Leaf.of_rows rows)
   in
   let strings = List.init 10 (fun g -> [| Value.Int g; Value.String "s" |]) in
   let cases =
@@ -2190,7 +2246,7 @@ let prop_hash_join_key_sources =
          let c = ctx () in
          let r =
            Join.hash_join c ~mem_pages:64 ~build:(build, rs) ~probe:(probe, ls)
-             ~keys:[ ("l.k", "r.k") ] ?extra ()
+             ~keys:[ ("l.k", "r.k") ] ?extra ~out:(full ls rs) ()
          in
          (r.Join.rows, bits (Sim_clock.elapsed_ms c.Exec_ctx.clock))
        in
@@ -2376,6 +2432,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hash_join_equals_nested_loop;
     QCheck_alcotest.to_alcotest prop_hash_join_order_matches_reference;
     QCheck_alcotest.to_alcotest prop_join_outputs_project;
+    Alcotest.test_case "a join's out must be an in-order subset" `Quick
+      test_join_out_misuse;
     QCheck_alcotest.to_alcotest prop_hash_agrees_with_equal;
     Alcotest.test_case "Value.hash allocates nothing" `Quick test_hash_allocation_free;
     QCheck_alcotest.to_alcotest prop_order_bypasses_agree;

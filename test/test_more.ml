@@ -366,12 +366,14 @@ let test_multi_key_merge_join_correct () =
   let m =
     Mqr_exec.Merge_join.merge_join c ~mem_pages:16 ~left:(left, schema "l")
       ~right:(right, schema "r")
-      ~keys:[ ("l.a", "r.a"); ("l.b", "r.b") ] ()
+      ~keys:[ ("l.a", "r.a"); ("l.b", "r.b") ]
+      ~out:(Mqr_storage.Schema.concat (schema "l") (schema "r")) ()
   in
   let h =
     Mqr_exec.Join.hash_join c ~mem_pages:16 ~build:(right, schema "r")
       ~probe:(Mqr_exec.Leaf.of_rows left, schema "l")
-      ~keys:[ ("l.a", "r.a"); ("l.b", "r.b") ] ()
+      ~keys:[ ("l.a", "r.a"); ("l.b", "r.b") ]
+      ~out:(Mqr_storage.Schema.concat (schema "l") (schema "r")) ()
   in
   Alcotest.(check int) "same match count"
     (Array.length h.Mqr_exec.Join.rows)

@@ -7,6 +7,7 @@ module Catalog = Mqr_catalog.Catalog
 module Expr = Mqr_expr.Expr
 module Plan = Mqr_opt.Plan
 module Collector = Mqr_exec.Collector
+module Aggregate = Mqr_exec.Aggregate
 module Verifier = Mqr_analysis.Verifier
 module Diagnostic = Mqr_analysis.Diagnostic
 module Engine = Mqr_core.Engine
@@ -179,6 +180,55 @@ let test_join_reorders_columns () =
   let broken = narrow_join c (t_u_columns c [ "t.a"; "u.k"; "t.b" ]) in
   check_has_error "SCH-SHAPE" (Verifier.verify (ctx ()) broken)
 
+(* The executor reads every node's output columns from its recorded
+   schema, so the verifier is the one check of that schema: each non-join
+   node recorded with the schema its input implies is free of SCH-SHAPE,
+   and the same node recorded with those columns reordered has it. *)
+let test_recorded_schema_differs () =
+  let c = catalog () in
+  let temp = table_schema c "u" in
+  ignore (Catalog.add_temp c "tmp_1" (Heap_file.of_rows temp [||]));
+  let vctx = Verifier.context c in
+  let t = scan c "t" in
+  let ts = t.Plan.schema in
+  let count =
+    { Aggregate.fn = Aggregate.Count; distinct_arg = false; arg = None;
+      out_name = "n" }
+  in
+  let cases =
+    [ ( "aggregate",
+        Aggregate.output_schema ts ~group_by:[ "t.b" ] ~aggs:[ count ],
+        Plan.Aggregate { input = t; group_by = [ "t.b" ]; aggs = [ count ] } );
+      ( "project",
+        Schema.project ts [ 1; 0 ],
+        Plan.Project { input = t; cols = [ "t.b"; "t.a" ] } );
+      ( "filter",
+        ts,
+        Plan.Filter
+          { input = t;
+            pred = Expr.Cmp (Expr.Gt, Expr.Col "t.a", Expr.Const (Value.Int 3)) } );
+      ("sort", ts, Plan.Sort { input = t; keys = [ ("t.a", true) ] });
+      ("limit", ts, Plan.Limit { input = t; n = 5 });
+      ( "collect",
+        ts,
+        Plan.Collect
+          { input = t; spec = Collector.spec ~hist_cols:[ "t.a" ] (); cid = 0 } );
+      ( "materialized",
+        temp,
+        Plan.Materialized { name = "tmp_1"; covers = [ "u" ]; bytes = 0 } ) ]
+  in
+  List.iter
+    (fun (what, implied, node) ->
+       let shape schema =
+         List.mem "SCH-SHAPE"
+           (error_codes (Verifier.verify vctx (mk ~rows:5.0 schema node)))
+       in
+       Alcotest.(check bool) (what ^ ": implied schema passes") false
+         (shape implied);
+       Alcotest.(check bool) (what ^ ": reordered schema -> SCH-SHAPE") true
+         (shape (Schema.make (List.rev (Schema.columns implied)))))
+    cases
+
 let test_over_budget_memory () =
   let c = catalog () in
   (* granted 16 pages against a 4-page broker budget *)
@@ -333,6 +383,8 @@ let suite =
       test_join_drops_read_column;
     Alcotest.test_case "join reorders its columns -> SCH-SHAPE" `Quick
       test_join_reorders_columns;
+    Alcotest.test_case "every node's recorded schema -> SCH-SHAPE" `Quick
+      test_recorded_schema_differs;
     Alcotest.test_case "over-budget memory -> MEM-BUDGET" `Quick
       test_over_budget_memory;
     Alcotest.test_case "unbalanced filter lifetime -> RF-LIFETIME" `Quick
